@@ -10,7 +10,7 @@ PKGS := ./...
 SWEEP_SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 FUZZTIME ?= 30s
 
-.PHONY: build test race check lint vet fuzz testsweep bench scalebench clean
+.PHONY: build test race check lint vet budget fuzz testsweep bench scalebench clean
 
 build:
 	$(GO) build $(PKGS)
@@ -25,6 +25,17 @@ check: build vet test race
 
 vet:
 	$(GO) vet $(PKGS)
+
+# budget prints the design-size figures ROADMAP aim 2 tracks: non-test
+# Go lines outside bench/, the three Config field counts (and fails if
+# one exceeds its budget — TestConfigBudget is the ratchet), and the
+# flowgo-sim flag count.
+budget:
+	@printf 'non-test Go lines outside bench/: '; \
+		find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@$(GO) test -count=1 -run TestConfigBudget -v ./internal/integration | grep -E 'fields|FAIL|^ok'
+	@printf 'flowgo-sim flags: '; \
+		grep -cE 'flag\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/flowgo-sim/main.go
 
 # staticcheck is optional locally; CI installs a pinned version. The
 # guard keeps `make lint` useful on machines without it.

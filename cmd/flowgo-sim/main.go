@@ -82,7 +82,6 @@ func run() error {
 		ckptDelta   = flag.Bool("checkpoint-delta", false, "persist checkpoints as delta chains (base + O(changes) deltas)")
 		ckptCompact = flag.Int("checkpoint-compact", 0, "compact a delta chain into a fresh base every n deltas (0 = default)")
 		pprofDir    = flag.String("pprof", "", "write cpu.pprof / heap.pprof / mutex.pprof into this directory")
-		noIndex     = flag.Bool("no-index", false, "force the legacy O(pool) scan placement path (disable the placement index)")
 
 		scale         = flag.Bool("scale", false, "run the million-task scale benchmark instead of a workload (see internal/scalebench)")
 		scaleWidth    = flag.Int("scale-width", 0, "scale mode: independent chain count (0 = tasks/100)")
@@ -154,7 +153,6 @@ func run() error {
 		cfg.CompactEvery = *ckptCompact
 		cfg.Seed = *seed
 		cfg.MutexProbe = !*noProbe
-		cfg.NoIndex = *noIndex
 		cfg.Dir = *ckptDir
 		cfg.Metrics = reg
 		cfg.SampleEvery = *metricsEvery
@@ -240,7 +238,6 @@ func run() error {
 	cfg := infra.Config{
 		Pool: pool, Net: net, Policy: sched.ByName(*policy),
 		Faults: script, Steal: steal, Availability: avail, HaltAt: *haltAt,
-		DisableIndex: *noIndex,
 	}
 	var ckptStore *checkpoint.Store
 	if ckptPolicy.Mode != checkpoint.ModeOff {

@@ -5,16 +5,18 @@
 // index already maintain (per-signature ready depth and fit counts,
 // parked-task counts, busy-core utilization).
 //
-// The analyzer is deliberately split the way resources.ElasticManager
-// is: Evaluate is a scoring function over a Signals snapshot (plus one
-// remembered sample, the previous queue depth) — deterministic for a
-// given snapshot sequence, so sim policy sweeps are byte-reproducible —
-// and Step
-// applies the chosen Decision through the variant's ElasticManager,
-// whose drain-then-remove cycle guarantees a scale-down never kills
-// running work. Both backends (internal/infra on the virtual clock,
-// internal/core on wall time) drive the same Step, so a policy that
-// wins a sim sweep is the policy the live runtime executes.
+// The analyzer is deliberately split in two: Evaluate is a scoring
+// function over a Signals snapshot (plus one remembered sample, the
+// previous queue depth) — deterministic for a given snapshot sequence,
+// so sim policy sweeps are byte-reproducible — and Step applies the
+// chosen Decision through the variant's resources.ElasticManager, whose
+// drain-then-remove cycle guarantees a scale-down never kills running
+// work. Both backends (internal/infra on the virtual clock,
+// internal/core on wall time) drive the same Step through internal/host,
+// so a policy that wins a sim sweep is the policy the live runtime
+// executes. Two planners feed that one loop: the cost-aware fleet
+// planner (New) and the cost-blind single-tier threshold rule
+// (NewThreshold) the benchmarks keep as their baseline.
 package autoscale
 
 import (
@@ -198,6 +200,9 @@ type Action struct {
 type Autoscaler struct {
 	pol      Policy
 	variants []Variant // sorted by name
+	// threshold selects the one-variant threshold planner (NewThreshold)
+	// over the cost-aware fleet planner (New).
+	threshold bool
 
 	mu        sync.Mutex
 	decisions []Decision
@@ -243,6 +248,17 @@ func New(pol Policy, variants []Variant) (*Autoscaler, error) {
 	return &Autoscaler{pol: pol, variants: vs}, nil
 }
 
+// NewThreshold returns the threshold planner over one elastic tier: grow
+// while ready tasks exceed the manager's TasksPerCore × pool cores (or a
+// node is mid-drain and work is waiting — reclaim it), shrink when
+// nothing is ready and more than IdleCoresToShrink cores sit free, both
+// within MinNodes/MaxNodes. It never reads CostPerNodeHour: this is the
+// cost-blind baseline the cost-aware planner is priced against, run by
+// the same Step.
+func NewThreshold(mgr *resources.ElasticManager) *Autoscaler {
+	return &Autoscaler{variants: []Variant{{Name: "elastic", Manager: mgr}}, threshold: true}
+}
+
 // SetMetrics installs the decision counters (nil-safe; optional).
 func (a *Autoscaler) SetMetrics(m *obsv.AutoscaleMetrics) {
 	a.mu.Lock()
@@ -277,6 +293,11 @@ func (a *Autoscaler) Decisions() []Decision {
 // damper), and Delta is monotone non-decreasing in Signals.Ready (more
 // queued work never flips a grow into a shrink).
 func (a *Autoscaler) Evaluate(sig Signals) Decision {
+	if a.threshold {
+		d := a.evaluateThreshold(sig)
+		d.At = sig.At
+		return d
+	}
 	a.mu.Lock()
 	last := a.lastReady
 	a.lastReady = sig.Ready
@@ -489,6 +510,35 @@ func (a *Autoscaler) evaluate(sig Signals, demand float64) Decision {
 				return Decision{Variant: v.Name, Delta: -1, Score: v.Cost(), Reason: "idle"}
 			}
 		}
+	}
+	return Decision{Reason: "steady"}
+}
+
+// evaluateThreshold is the threshold planner's rule — stateless, a pure
+// function of the snapshot and the manager's node counts.
+func (a *Autoscaler) evaluateThreshold(sig Signals) Decision {
+	v := &a.variants[0]
+	pol := v.Manager.Policy()
+	n := v.Manager.ElasticCount()
+	grow := Decision{Variant: v.Name, Delta: +1, Reason: "backlog"}
+	// Ready work while a node is mid-drain: grow by reclaiming it. The
+	// node is already counted against MaxNodes, so this must not be gated
+	// on n < MaxNodes — otherwise a drained pool wedges under load.
+	if sig.Ready > 0 && v.Manager.DrainingCount() > 0 {
+		grow.Reason = "reclaim"
+		return grow
+	}
+	if sig.TotalCores == 0 {
+		if sig.Ready > 0 && n < pol.MaxNodes {
+			return grow
+		}
+		return Decision{Reason: "steady"}
+	}
+	if float64(sig.Ready) > pol.TasksPerCore*float64(sig.TotalCores) && n < pol.MaxNodes {
+		return grow
+	}
+	if sig.Ready == 0 && n > pol.MinNodes && sig.FreeCores > pol.IdleCoresToShrink {
+		return Decision{Variant: v.Name, Delta: -1, Reason: "idle"}
 	}
 	return Decision{Reason: "steady"}
 }

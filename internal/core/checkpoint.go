@@ -139,48 +139,12 @@ func (rt *Runtime) RestagedReplicas() int {
 	return rt.restaged
 }
 
-// CheckpointSnapshot implements checkpoint.Source: the shared engine
-// capture over the location registry, plus an encoded value per catalog
-// version the value table holds. Values that cannot be encoded (see
-// checkpoint.RegisterType) are left out; their producers re-run on
-// restore.
-func (rt *Runtime) CheckpointSnapshot() *checkpoint.Snapshot {
-	snap := checkpoint.Capture(rt.eng, rt.cfg.Locations)
-	rt.attachValues(snap.Catalog)
-	return snap
-}
-
-// CheckpointBase implements checkpoint.DeltaSource: the full capture
-// that starts (or compacts) a delta chain, values attached like
-// CheckpointSnapshot.
-func (rt *Runtime) CheckpointBase() *checkpoint.Snapshot {
-	snap := checkpoint.CaptureBase(rt.eng, rt.cfg.Locations)
-	rt.attachValues(snap.Catalog)
-	return snap
-}
-
-// CheckpointDelta implements checkpoint.DeltaSource: the changes since
-// the last capture, with encoded values attached to the changed catalog
-// rows so a chain reconstruction restores values exactly like a full
-// snapshot would.
-func (rt *Runtime) CheckpointDelta() *checkpoint.Delta {
-	d := checkpoint.CaptureDelta(rt.eng, rt.cfg.Locations)
-	rt.attachValues(d.Catalog)
-	return d
-}
-
-// CheckpointDirty implements checkpoint.DeltaSource.
-func (rt *Runtime) CheckpointDirty() int {
-	n := rt.eng.DirtyCount()
-	if rt.cfg.Locations != nil {
-		n += rt.cfg.Locations.DirtyCount()
-	}
-	return n
-}
-
-// attachValues adds a gob-encoded value to every catalog row the value
-// table holds (a vanished-entry tombstone — zero size, no locations —
-// stays value-free so reconstruction drops it).
+// attachValues is the host's AttachValues hook: it adds a gob-encoded
+// value to every captured catalog row the value table holds, so a chain
+// reconstruction restores values exactly like a full snapshot would.
+// Values that cannot be encoded (see checkpoint.RegisterType) are left
+// out; their producers re-run on restore. A vanished-entry tombstone —
+// zero size, no locations — stays value-free so reconstruction drops it.
 func (rt *Runtime) attachValues(catalog []checkpoint.CatalogEntry) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -197,13 +161,4 @@ func (rt *Runtime) attachValues(catalog []checkpoint.CatalogEntry) {
 			catalog[i].HasValue = true
 		}
 	}
-}
-
-// Checkpoint takes an on-demand snapshot (requires Config.Checkpoint
-// with a store).
-func (rt *Runtime) Checkpoint() error {
-	if rt.ckpt == nil {
-		return fmt.Errorf("core: no checkpoint store configured")
-	}
-	return rt.ckpt.Save()
 }

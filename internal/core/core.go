@@ -11,11 +11,13 @@
 // over virtual time for the scale experiments. Both are thin backends over
 // the shared scheduling engine (internal/engine) — one ready-queue,
 // placement loop, dependency-release path, fault surface and work-stealing
-// policy — alongside the shared access processor (internal/deps), resource
-// model (internal/resources) and scheduling policies (internal/sched).
-// Here the engine's Clock is wall time and its Executor spawns a goroutine
-// per placement; fault kills additionally cancel the execution's context,
-// and epoch-guarded completions keep orphaned goroutines from publishing
+// policy — and both embed the same control plane (internal/host: fault
+// injection, checkpoints, admission, autoscaling, periodic ticks),
+// alongside the shared access processor (internal/deps), resource model
+// (internal/resources) and scheduling policies (internal/sched). Here the
+// engine's Clock is wall time and its Executor spawns a goroutine per
+// placement; fault kills additionally cancel the execution's context, and
+// epoch-guarded completions keep orphaned goroutines from publishing
 // values. See docs/ARCHITECTURE.md for the task lifecycle on each backend.
 package core
 
@@ -33,6 +35,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
 	"repro/internal/engine/faults"
+	"repro/internal/host"
 	"repro/internal/mlpredict"
 	"repro/internal/obsv"
 	"repro/internal/resources"
@@ -60,6 +63,9 @@ var (
 	// SubmitAll resolves the rejected request's Future with it while the
 	// rest of the batch proceeds.
 	ErrQuotaRejected = errors.New("core: submission rejected by admission quota")
+	// ErrNoCheckpoint is returned by Runtime.Checkpoint without a
+	// configured store — the same sentinel the simulator returns.
+	ErrNoCheckpoint = host.ErrNoCheckpoint
 )
 
 // TaskFunc is the body of a task. Args are materialised parameter values in
@@ -207,11 +213,6 @@ type Config struct {
 	// partition heals, exactly like a fault-killed task's Future stays
 	// open until recovery re-executes it.
 	Availability engine.Availability
-	// DisableIndex forces the engine's legacy materialized-slice
-	// placement path even when the policy supports indexed picks
-	// (sched.IndexedPolicy). Parity-testing escape hatch; the simulator
-	// takes the identical knob.
-	DisableIndex bool
 	// Checkpoint, when set (with a Store), snapshots the engine state
 	// and the produced values to disk under the configured policy, on
 	// wall time — the same policy the simulator drives on virtual time.
@@ -274,11 +275,11 @@ type commParam struct {
 
 // Runtime executes tasks. Create with New, stop with Shutdown.
 type Runtime struct {
+	*host.Host // control plane: faults, checkpoints, admission, autoscale, ticks
+
 	cfg  Config
 	proc *deps.Processor
 	eng  *engine.Engine
-	ckpt *checkpoint.Checkpointer
-	smp  *obsv.Sampler
 
 	mu       sync.Mutex
 	defs     map[string]TaskDef
@@ -287,14 +288,12 @@ type Runtime struct {
 	group    map[deps.Version][]*Future   // commutative member futures per version
 	restore  *restoreState
 	restored int
-	restaged int              // replicas re-staged by a placement-aware restore seed
-	tenants  map[int64]string // admission tenant per in-flight task
+	restaged int // replicas re-staged by a placement-aware restore seed
 	nextTask int64
 	nextData int64
 	stopped  bool
 
-	autoStop chan struct{} // closes to stop the autoscale ticker
-	autoDone chan struct{} // closed when the ticker goroutine exits
+	autoOnce sync.Once // StartAutoscaler arms one ticker
 
 	wg    sync.WaitGroup // running task goroutines
 	epoch time.Time      // trace-event time base
@@ -320,47 +319,28 @@ func New(cfg Config) *Runtime {
 		group:  make(map[deps.Version][]*Future),
 		epoch:  time.Now(),
 	}
-	rt.eng = engine.New(engine.Config{
+	rt.Host = host.New(host.Config{
 		Pool:         cfg.Pool,
 		Policy:       cfg.Policy,
-		Clock:        engine.WallClock{Epoch: rt.epoch},
-		Executor:     (*coreExecutor)(rt),
-		Metrics:      obsv.NewEngineMetrics(cfg.Metrics),
+		Predictor:    cfg.Predictor,
+		Tracer:       cfg.Tracer,
 		Registry:     cfg.Locations,
 		Net:          cfg.Net,
-		Tracer:       cfg.Tracer,
 		Steal:        cfg.Steal,
 		Availability: cfg.Availability,
-		DisableIndex: cfg.DisableIndex,
-		SchedContext: &sched.Context{
-			Registry:  cfg.Locations,
-			Net:       cfg.Net,
-			Predictor: cfg.Predictor,
-		},
+		Metrics:      cfg.Metrics,
+		Checkpoint:   cfg.Checkpoint,
+		Autoscale:    cfg.Autoscale,
+		Admission:    cfg.Admission,
+		Clock:        engine.WallClock{Epoch: rt.epoch},
+		Timer:        faults.NewWallTimer(),
+		Executor:     (*coreExecutor)(rt),
+		OnKill:       rt.cancelKilled,
+		AttachValues: rt.attachValues,
 	})
-	if cfg.Autoscale != nil {
-		// Downscale victims are cordoned through the engine, so the drain
-		// lands on the scheduler's books (and the trace) before removal.
-		cfg.Autoscale.SetCordon(rt.eng.DrainNode)
-	}
-	if cfg.Admission != nil {
-		rt.tenants = make(map[int64]string)
-	}
+	rt.eng = rt.Engine()
 	if cfg.Restore != nil {
 		rt.applyRestoreSeed(cfg.Restore)
-	}
-	if cfg.Checkpoint != nil && cfg.Checkpoint.Store != nil {
-		ck := *cfg.Checkpoint
-		if ck.Timer == nil {
-			ck.Timer = faults.NewWallTimer()
-		}
-		if ck.Tracer == nil {
-			ck.Tracer = cfg.Tracer
-		}
-		if ck.Metrics == nil && cfg.Metrics != nil {
-			ck.Metrics = obsv.NewCkptMetrics(cfg.Metrics)
-		}
-		rt.ckpt = checkpoint.NewCheckpointer(ck, rt)
 	}
 	return rt
 }
@@ -575,26 +555,15 @@ func (rt *Runtime) buildTaskLocked(id int64, def TaskDef, params []Param, res de
 // snapshot records as completed bypass quota — they resolve without
 // executing, so charging a slot would leak it. Caller holds rt.mu.
 func (rt *Runtime) quotaLocked(id int64, tenant string) (holds int, out autoscale.Outcome) {
-	if rt.cfg.Admission == nil {
-		return 0, autoscale.Admitted
-	}
 	if rt.restore != nil {
 		if _, ok := rt.restore.completed[id]; ok {
 			return 0, autoscale.Admitted
 		}
 	}
-	switch out = rt.cfg.Admission.Submit(tenant, id); out {
-	case autoscale.Queued:
-		rt.tenants[id] = tenant
-		rt.eng.RecordAdmission(1, 0)
+	if out = rt.Admit(id, tenant); out == autoscale.Queued {
 		return 1, out
-	case autoscale.Rejected:
-		rt.eng.RecordAdmission(0, 1)
-		return 0, out
-	default:
-		rt.tenants[id] = tenant
-		return 0, out
 	}
+	return 0, out
 }
 
 // Submit invokes a registered task asynchronously (default tenant; use
@@ -917,24 +886,21 @@ func (rt *Runtime) execute(ctx context.Context, cancel context.CancelFunc, t *rt
 		comp engine.Completion
 		ok   bool
 	)
-	if rt.ckpt != nil {
-		// Complete and notify the checkpointer before the next placement
-		// wave, so an every-N policy captures the same post-completion,
-		// pre-placement state the simulator captures.
-		if comp, ok = rt.eng.Complete(t.et.ID, epoch, err != nil); ok {
-			rt.ckpt.TaskCompleted()
+	if rt.Tracking() {
+		// Complete, then let the host return the quota slot and notify
+		// the checkpointer before the next placement wave — the same
+		// post-completion, pre-placement point the simulator uses — which
+		// also places whatever queued submissions the freed slot promoted.
+		// A stale completion freed nothing, so it runs no wave: an
+		// orphan's wave must not slip between another execution's
+		// completion and its snapshot.
+		if comp, ok = rt.eng.Complete(t.et.ID, epoch, err != nil); !ok {
+			return
 		}
+		rt.TaskCompleted(t.et.ID, comp.First)
 		rt.eng.Schedule()
-	} else {
-		comp, ok = rt.eng.CompleteSchedule(t.et.ID, epoch, err != nil)
-	}
-	if !ok {
+	} else if comp, ok = rt.eng.CompleteSchedule(t.et.ID, epoch, err != nil); !ok {
 		return
-	}
-	if comp.First {
-		// Only the first completion returns the quota slot — recovery
-		// re-executions were never re-admitted.
-		rt.releaseAdmitted(t.et.ID)
 	}
 	if rt.cfg.Predictor != nil && err == nil {
 		rt.cfg.Predictor.Observe(t.def.Name, 0, elapsed)
@@ -948,35 +914,6 @@ func (rt *Runtime) execute(ctx context.Context, cancel context.CancelFunc, t *rt
 		rt.mu.Unlock()
 	}
 	t.future.complete(vals, err)
-}
-
-// releaseAdmitted returns a finished task's quota slot to the admission
-// controller and lifts the synthetic holds of whatever queued
-// submissions the freed slot promotes (possibly other tenants' — fair
-// ordering decides). No-op for tasks that never went through admission
-// (no controller configured, or the restore bypass).
-func (rt *Runtime) releaseAdmitted(id int64) {
-	if rt.cfg.Admission == nil {
-		return
-	}
-	rt.mu.Lock()
-	tenant, admitted := rt.tenants[id]
-	delete(rt.tenants, id)
-	rt.mu.Unlock()
-	if !admitted {
-		return
-	}
-	woke := false
-	for _, rel := range rt.cfg.Admission.Complete(tenant) {
-		if rid, isID := rel.Payload.(int64); isID {
-			if rt.eng.ReleaseHold(rid) {
-				woke = true
-			}
-		}
-	}
-	if woke {
-		rt.eng.Schedule()
-	}
 }
 
 // WaitOn synchronises on the newest version of a handle and returns its
@@ -1021,9 +958,7 @@ func (rt *Runtime) Barrier() {
 			}
 		})
 		if len(pending) == 0 {
-			if rt.ckpt != nil {
-				rt.ckpt.Drained() // the on-drain checkpoint trigger
-			}
+			rt.Drained() // the on-drain checkpoint trigger
 			return
 		}
 		for _, f := range pending {
@@ -1045,54 +980,25 @@ func (rt *Runtime) Stats() Stats {
 	return Stats{Submitted: int(rt.nextTask), DepsEdges: rt.proc.Stats()}
 }
 
-// EngineStats exposes the shared scheduling engine's counters (launches,
-// transfer accounting) — comparable one-to-one with the simulator's.
-func (rt *Runtime) EngineStats() engine.Stats { return rt.eng.Stats() }
-
-// Timings exposes the engine's per-task latency milestones
-// (submit→ready→start→done on the wall clock), in registration order.
-func (rt *Runtime) Timings() []engine.Timing { return rt.eng.Timings() }
-
-// FailNode implements the faults.Injector crash for the live runtime: the
-// engine removes the node, kills its running tasks (their placements'
-// epochs are invalidated, so their goroutines' eventual completions are
-// rejected) and resubmits them through lineage recovery; on top of that,
-// each killed execution's context is cancelled so cancellation-aware task
-// bodies stop immediately — the live equivalent of the simulator
-// discarding a completion event. Futures of killed tasks stay open until
-// their recovery re-execution delivers a result.
-func (rt *Runtime) FailNode(name string) (engine.FailReport, error) {
-	return rt.eng.FailNode(name, func(et *engine.Task) {
-		t, ok := et.Payload.(*rtTask)
-		if !ok {
-			return
-		}
-		rt.mu.Lock()
-		cancel := t.cancel
-		rt.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-	})
+// cancelKilled is the host's OnKill hook: on top of the engine's
+// kill/resubmit choreography (the placement's epoch is invalidated, so
+// the goroutine's eventual completion is rejected), a fault-killed
+// execution's context is cancelled so cancellation-aware task bodies
+// stop immediately — the live equivalent of the simulator discarding a
+// completion event. Futures of killed tasks stay open until their
+// recovery re-execution delivers a result.
+func (rt *Runtime) cancelKilled(et *engine.Task) {
+	t, ok := et.Payload.(*rtTask)
+	if !ok {
+		return
+	}
+	rt.mu.Lock()
+	cancel := t.cancel
+	rt.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
 }
-
-// SlowNode implements the faults.Injector slow-node. Real execution speed
-// cannot be stretched, but placements on the node are marked degraded
-// (Placement.SlowFactor) and the event is traced, so drills and
-// duration-model consumers observe the same script as the simulator.
-func (rt *Runtime) SlowNode(name string, factor float64) error {
-	return rt.eng.SlowNode(name, factor)
-}
-
-// DrainNode implements the faults.Injector drain: running tasks finish,
-// new placements avoid the node.
-func (rt *Runtime) DrainNode(name string) error { return rt.eng.DrainNode(name) }
-
-// Partition implements the faults.Injector link cut (requires Config.Net).
-func (rt *Runtime) Partition(a, b string) error { return rt.eng.Partition(a, b) }
-
-// Heal restores a link cut by Partition.
-func (rt *Runtime) Heal(a, b string) error { return rt.eng.Heal(a, b) }
 
 // Pool exposes the node pool (for agents that add/remove resources at
 // execution time, paper Sec. VI-B). After growing the pool mid-run,
@@ -1100,70 +1006,21 @@ func (rt *Runtime) Heal(a, b string) error { return rt.eng.Heal(a, b) }
 // chance on the new capacity.
 func (rt *Runtime) Pool() *resources.Pool { return rt.cfg.Pool }
 
-// RevalidateAvailability wakes every task parked by the availability
-// policy (Config.Availability) and runs a placement wave — call it after
-// adding nodes to the pool, since a new node may sit on the reachable
-// side of a partition. Tasks whose data is still unobtainable re-park.
-// Returns the number of tasks woken.
-func (rt *Runtime) RevalidateAvailability() int { return rt.eng.RevalidateAvailability() }
-
 // CurrentVersion reports the newest registered version of a handle.
 func (rt *Runtime) CurrentVersion(h *Handle) deps.Version {
 	return rt.proc.CurrentVersion(h.id)
 }
 
-// AutoscaleStep runs one cost-aware autoscale evaluation against the
-// engine's current signals and applies the decision — the live
-// counterpart of Sim.AutoscaleStep, down to the trace events, so the
-// parity suite can compare decision sequences one-to-one. Grown and
-// reclaimed capacity is usable immediately (a logical pool has no
-// provisioning delay); removal is final, the drain having landed
-// through the engine cordon beforehand. Normally driven by
-// StartAutoscaler's ticker; exported for tests that control instants.
-func (rt *Runtime) AutoscaleStep() autoscale.Action {
-	act := rt.cfg.Autoscale.Step(rt.cfg.Pool, autoscale.Snapshot(rt.eng, rt.cfg.Pool, rt.now()))
-	switch act.Kind {
-	case autoscale.Reclaimed:
-		rt.cfg.Tracer.Record(trace.Event{At: rt.now(), Kind: trace.NodeUndrained, Node: act.Node.Name()})
-		rt.eng.RevalidateAvailability()
-	case autoscale.Grew:
-		rt.cfg.Tracer.Record(trace.Event{At: rt.now(), Kind: trace.NodeAdded, Node: act.Node.Name()})
-		// The new node may be the first that can reach parked data:
-		// re-validate along with the placement wave.
-		rt.eng.RevalidateAvailability()
-	case autoscale.Removed:
-		rt.cfg.Tracer.Record(trace.Event{At: rt.now(), Kind: trace.NodeRemoved, Node: act.Node.Name()})
-	}
-	return act
-}
-
-// StartAutoscaler arms a wall-clock ticker driving one AutoscaleStep
-// every interval, until Shutdown. No-op without Config.Autoscale or
-// when already started.
+// StartAutoscaler drives one AutoscaleStep every interval on the wall
+// clock, until Shutdown. No-op without Config.Autoscale or when already
+// started.
 func (rt *Runtime) StartAutoscaler(every time.Duration) {
 	if rt.cfg.Autoscale == nil {
 		return
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.autoStop != nil || rt.stopped {
-		return
-	}
-	stop, done := make(chan struct{}), make(chan struct{})
-	rt.autoStop, rt.autoDone = stop, done
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				rt.AutoscaleStep()
-			}
-		}
-	}()
+	rt.autoOnce.Do(func() {
+		rt.Every(every, func() bool { return rt.AutoscaleStep().Kind != autoscale.Held })
+	})
 }
 
 // Shutdown drains running tasks. Pending-but-unstarted tasks still run;
@@ -1176,36 +1033,9 @@ func (rt *Runtime) Shutdown() {
 		return
 	}
 	rt.stopped = true
-	stop, done := rt.autoStop, rt.autoDone
-	rt.autoStop, rt.autoDone = nil, nil
 	rt.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
 
 	rt.Barrier()
 	rt.wg.Wait()
-	if rt.ckpt != nil {
-		rt.ckpt.Stop()
-	}
-	rt.smp.Stop()
-}
-
-// StartSampler arms a wall-clock ticker that snapshots Config.Metrics
-// into an in-memory time-series every interval, stamped on the runtime's
-// epoch (the engine's time base), until Shutdown. Returns the sampler
-// for reading the series, or nil when Config.Metrics is unset. The live
-// counterpart of the simulator's deterministic virtual-clock sampling.
-func (rt *Runtime) StartSampler(every time.Duration) *obsv.Sampler {
-	if rt.cfg.Metrics == nil {
-		return nil
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.smp == nil {
-		rt.smp = obsv.NewSampler(rt.cfg.Metrics)
-		rt.smp.Start(rt.epoch, every)
-	}
-	return rt.smp
+	rt.StopTicks()
 }

@@ -10,17 +10,17 @@
 // runtime crash.
 //
 // The subsystem is backend-agnostic by the same construction as the
-// fault subsystem: policies (Off, Interval, EveryN, OnDrain) are driven
-// through a Timer — the simulator arms them on its virtual clock
-// (liveness-gated, so a self-re-arming interval event cannot keep a
-// drained or wedged simulation ticking), the live runtime on a
-// wall-clock timer — and both backends implement Source by delegating
-// to engine.SnapshotTasks plus their own extras (the live runtime
-// attaches gob-encoded output values so futures can be re-seeded on
-// restore). Both notify the Checkpointer after each completion and
-// before the next placement wave, so an every-N snapshot captures the
-// identical post-completion, pre-placement state on either backend —
-// the invariant the checkpoint parity suite compares with Equivalent.
+// fault subsystem: the control plane both backends embed (internal/host)
+// implements Source once — engine.SnapshotTasks plus the location
+// registry, with the live runtime's gob-encoded output values attached
+// so futures can be re-seeded on restore — and drives the policies
+// (Off, Interval, EveryN, OnDrain) on the backend's clock: Tick from its
+// liveness-gated periodic timer (so a self-re-arming interval cannot
+// keep a drained or wedged simulation ticking), TaskCompleted after each
+// completion and before the next placement wave, so an every-N snapshot
+// captures the identical post-completion, pre-placement state on either
+// backend — the invariant the checkpoint parity suite compares with
+// Equivalent.
 //
 // On disk a snapshot is a JSON projection (Snapshot) written through
 // Store: content-addressed names (snap-<seq>-<sha256:16>.ckpt), atomic

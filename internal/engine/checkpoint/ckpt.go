@@ -8,27 +8,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Timer schedules a callback at an absolute offset from the run's epoch
-// — the same shape as faults.Timer, so *simclock.Clock and
-// faults.WallTimer both satisfy it and one checkpoint policy runs
-// unchanged on virtual and wall time.
-type Timer interface {
-	At(t time.Duration, fn func())
-}
-
-// Source produces snapshots. Both backends implement it — the simulator
-// and the live runtime each capture the shared engine's state plus their
-// own extras (the live runtime attaches encoded output values).
+// Source produces snapshots. internal/host implements it once for both
+// backends: the shared engine's state plus the location registry, with
+// the live runtime's encoded output values attached through a hook.
 type Source interface {
+	// CheckpointSnapshot captures the full state without touching the
+	// dirty sets (the on-demand and drain saves).
 	CheckpointSnapshot() *Snapshot
-}
-
-// DeltaSource is the incremental-capture extension of Source. Both
-// backends implement it; the Checkpointer uses it when Config.Delta is
-// set (for chained delta saves) and — regardless of mode — to skip
-// automatic captures when nothing changed since the last one.
-type DeltaSource interface {
-	Source
 	// CheckpointBase captures the full state and resets the dirty sets,
 	// starting (or compacting) a delta chain.
 	CheckpointBase() *Snapshot
@@ -51,17 +37,12 @@ type Config struct {
 	Store *Store
 	// Policy decides when snapshots are taken automatically.
 	Policy Policy
-	// Timer schedules ModeInterval policies. Backends default it to
-	// their own clock (virtual time on the simulator, a wall timer
-	// live); only set it to override that.
-	Timer Timer
 	// Tracer, when set, records a CheckpointSaved event per snapshot.
 	Tracer *trace.Tracer
 	// Delta switches automatic saves to incremental mode: a full base
 	// first, then deltas carrying only the changes since the previous
 	// save, with a fresh base (compaction) every CompactEvery deltas.
-	// Requires the source to implement DeltaSource; on-demand Save and
-	// the drain save always write full snapshots.
+	// On-demand Save and the drain save always write full snapshots.
 	Delta bool
 	// CompactEvery is the number of consecutive deltas after which the
 	// next automatic save writes a full base instead (default
@@ -75,10 +56,10 @@ type Config struct {
 	Metrics *obsv.CkptMetrics
 }
 
-// Checkpointer drives a Source against a Store under a Policy. Backends
-// call TaskCompleted after every completion and Drained when the run
-// finishes; interval policies fire from the Timer on their own. It is
-// safe for concurrent use — wall timers fire from their own goroutines.
+// Checkpointer drives a Source against a Store under a Policy. The host
+// calls TaskCompleted after every completion, Drained when the run
+// finishes and Tick every Policy.Every of backend time. It is safe for
+// concurrent use — wall timers fire from their own goroutines.
 type Checkpointer struct {
 	cfg Config
 	src Source
@@ -95,32 +76,22 @@ type Checkpointer struct {
 	stopped     bool
 }
 
-// NewCheckpointer returns a checkpointer and, for interval policies,
-// arms the first timer callback.
+// NewCheckpointer returns a checkpointer over src.
 func NewCheckpointer(cfg Config, src Source) *Checkpointer {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obsv.NewCkptMetrics(nil) // inert: nil instruments discard
 	}
-	c := &Checkpointer{cfg: cfg, src: src}
-	if cfg.Policy.Mode == ModeInterval && cfg.Timer != nil && cfg.Policy.Every > 0 {
-		c.arm(cfg.Policy.Every)
-	}
-	return c
+	return &Checkpointer{cfg: cfg, src: src}
 }
 
-// arm schedules the next interval snapshot at the absolute offset next,
-// re-arming itself after each firing until Stop.
-func (c *Checkpointer) arm(next time.Duration) {
-	c.cfg.Timer.At(next, func() {
-		c.mu.Lock()
-		stopped := c.stopped
-		c.mu.Unlock()
-		if stopped {
-			return
-		}
+// Tick is the ModeInterval trigger: the host's periodic tick calls it
+// every Policy.Every on the backend's clock — virtual time on the
+// simulator (liveness-gated, so a self-re-arming interval cannot keep a
+// drained or wedged simulation ticking), a wall timer live.
+func (c *Checkpointer) Tick() {
+	if c.cfg.Policy.Mode == ModeInterval {
 		_ = c.autoSave()
-		c.arm(next + c.cfg.Policy.Every)
-	})
+	}
 }
 
 // TaskCompleted notifies the checkpointer of one task completion (the
@@ -159,18 +130,12 @@ func (c *Checkpointer) Save() error {
 	return c.commitSnap(snap)
 }
 
-// autoSave is the policy-triggered capture path. With a DeltaSource it
-// is change-aware: the first save writes a base, an idle trigger (no
-// changes since the last capture) is skipped outright instead of paying
-// a full graph walk for a no-op snapshot, and — in delta mode — the
-// steady state writes chained deltas with a compacting base every
-// CompactEvery. Sources without delta support keep the historical
-// full-capture-every-trigger behaviour.
+// autoSave is the policy-triggered capture path. It is change-aware:
+// the first save writes a base, an idle trigger (no changes since the
+// last capture) is skipped outright instead of paying a full graph walk
+// for a no-op snapshot, and — in delta mode — the steady state writes
+// chained deltas with a compacting base every CompactEvery.
 func (c *Checkpointer) autoSave() error {
-	ds, ok := c.src.(DeltaSource)
-	if !ok {
-		return c.Save()
-	}
 	c.mu.Lock()
 	compact := c.cfg.CompactEvery
 	if compact <= 0 {
@@ -180,7 +145,7 @@ func (c *Checkpointer) autoSave() error {
 	switch {
 	case !c.haveBase:
 		// first capture: a chain needs a base beneath it
-	case ds.CheckpointDirty() == 0:
+	case c.src.CheckpointDirty() == 0:
 		kind = "skip"
 	case c.cfg.Delta && c.chainLen < compact:
 		kind = "delta"
@@ -193,14 +158,14 @@ func (c *Checkpointer) autoSave() error {
 		c.mu.Unlock()
 		return nil
 	case "delta":
-		c.cfg.Metrics.DirtyRecords.Observe(float64(ds.CheckpointDirty()))
+		c.cfg.Metrics.DirtyRecords.Observe(float64(c.src.CheckpointDirty()))
 		start := time.Now()
-		d := ds.CheckpointDelta()
+		d := c.src.CheckpointDelta()
 		c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
 		return c.commitDelta(d)
 	default:
 		start := time.Now()
-		snap := ds.CheckpointBase()
+		snap := c.src.CheckpointBase()
 		c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
 		return c.commitBase(snap)
 	}

@@ -260,25 +260,25 @@ func TestDeltaChainRetentionPrunesWholeChains(t *testing.T) {
 	}
 }
 
-// fakeDeltaSource drives the Checkpointer's change-aware save logic
+// fakeSource drives the Checkpointer's change-aware save logic
 // without an engine: dirty is the pending change count, and captures
 // drain it exactly like the real backends do.
-type fakeDeltaSource struct {
+type fakeSource struct {
 	dirty     int
 	completed int64 // grows as "changes" are flushed into records
 }
 
-func (f *fakeDeltaSource) CheckpointSnapshot() *Snapshot {
+func (f *fakeSource) CheckpointSnapshot() *Snapshot {
 	return &Snapshot{Format: Format, Stats: engine.Stats{Completed: int(f.completed)}}
 }
 
-func (f *fakeDeltaSource) CheckpointBase() *Snapshot {
+func (f *fakeSource) CheckpointBase() *Snapshot {
 	f.completed += int64(f.dirty)
 	f.dirty = 0
 	return &Snapshot{Format: Format, Stats: engine.Stats{Completed: int(f.completed)}}
 }
 
-func (f *fakeDeltaSource) CheckpointDelta() *Delta {
+func (f *fakeSource) CheckpointDelta() *Delta {
 	d := &Delta{Format: Format}
 	for i := 0; i < f.dirty; i++ {
 		f.completed++
@@ -289,14 +289,14 @@ func (f *fakeDeltaSource) CheckpointDelta() *Delta {
 	return d
 }
 
-func (f *fakeDeltaSource) CheckpointDirty() int { return f.dirty }
+func (f *fakeSource) CheckpointDirty() int { return f.dirty }
 
 func TestCheckpointerDeltaCadenceAndSkip(t *testing.T) {
 	store, err := NewStore(t.TempDir(), Keep(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &fakeDeltaSource{}
+	src := &fakeSource{}
 	c := NewCheckpointer(Config{
 		Store: store, Policy: EveryN(1), Delta: true, CompactEvery: 2,
 	}, src)
@@ -336,7 +336,7 @@ func TestCheckpointerFullModeSkipsCleanIntervals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &fakeDeltaSource{}
+	src := &fakeSource{}
 	c := NewCheckpointer(Config{Store: store, Policy: EveryN(1)}, src)
 	defer c.Stop()
 

@@ -15,7 +15,7 @@ const (
 	// ModeOff disables automatic snapshots (on-demand Save still works).
 	ModeOff Mode = iota
 	// ModeInterval snapshots every Policy.Every of backend time — virtual
-	// time on the simulator, wall time live — through the Timer.
+	// time on the simulator, wall time live (Checkpointer.Tick).
 	ModeInterval
 	// ModeEveryN snapshots after every Policy.N task completions.
 	ModeEveryN

@@ -249,12 +249,6 @@ type Config struct {
 	// inside a wave). Leave nil for an inert bundle (metrics off; the hot
 	// paths then write to nil instruments, which discard). Optional.
 	Metrics *obsv.EngineMetrics
-	// DisableIndex forces the legacy materialized-slice placement path
-	// even when the policy implements sched.IndexedPolicy. The pool's
-	// capability index still answers Fitting/Capable queries; this only
-	// disables the engine's direct indexed pick. Exists for parity
-	// testing and as an escape hatch.
-	DisableIndex bool
 }
 
 // Stats counts engine activity since creation.
@@ -324,9 +318,8 @@ type Engine struct {
 	mgr  *transfer.Manager // nil unless Registry and Net are both set
 	prio sched.Prioritizer // non-nil when the policy ranks ready tasks
 	// idxPol is non-nil when the policy can pick straight off the pool's
-	// capability index (sched.IndexedPolicy) and Config.DisableIndex is
-	// unset; placeLocked then skips materializing the fitting slice for
-	// unhinted single-node tasks.
+	// capability index (sched.IndexedPolicy); placeLocked then skips
+	// materializing the fitting slice for unhinted single-node tasks.
 	idxPol sched.IndexedPolicy
 
 	// readyN is the queued-ready count. It is written only under mu but
@@ -416,10 +409,8 @@ func New(cfg Config) *Engine {
 	if p, ok := cfg.Policy.(sched.Prioritizer); ok {
 		e.prio = p
 	}
-	if !cfg.DisableIndex {
-		if ip, ok := cfg.Policy.(sched.IndexedPolicy); ok {
-			e.idxPol = ip
-		}
+	if ip, ok := cfg.Policy.(sched.IndexedPolicy); ok {
+		e.idxPol = ip
 	}
 	if cfg.Registry != nil && cfg.Net != nil {
 		e.mgr = transfer.NewManager(cfg.Net, cfg.Registry)

@@ -268,18 +268,36 @@ func TestFaultScriptParity(t *testing.T) {
 	}
 }
 
+// ignoredFaults extracts the fault_ignored audit trail: target and reason
+// per no-op fault, in firing order.
+func ignoredFaults(tr *trace.Tracer) []string {
+	var out []string
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.FaultIgnored {
+			out = append(out, ev.Node+": "+ev.Info)
+		}
+	}
+	return out
+}
+
 // TestFaultUnknownNodeParity: both backends must reject (not silently
-// absorb) faults aimed at nodes that are unknown or already dead.
+// absorb) faults aimed at nodes that are unknown or already dead, and
+// leave the same fault_ignored events on the trace — the injector lives
+// in the shared host, so the audit trail cannot diverge.
 func TestFaultUnknownNodeParity(t *testing.T) {
-	// Simulator: the crash targets a node that never existed; the run
-	// completes and the ignored fault is on the trace.
-	tr := trace.New(0)
+	// Simulator: a crash on a node that never existed, then a double
+	// crash of a real one; the run completes around them.
+	simTr := trace.New(0)
 	sim, err := infra.New(infra.Config{
 		Pool:   faultParityPool(),
 		Net:    simnet.New(simnet.Link{BandwidthMBps: 1000}),
 		Policy: sched.FIFO{},
-		Tracer: tr,
-		Faults: faults.Scenario{{At: time.Second, Kind: faults.Crash, Node: "ghost"}},
+		Tracer: simTr,
+		Faults: faults.Scenario{
+			{At: time.Second, Kind: faults.Crash, Node: "ghost"},
+			{At: time.Second, Kind: faults.Crash, Node: "n2"},
+			{At: time.Second, Kind: faults.Crash, Node: "n2"},
+		},
 	}, []infra.TaskSpec{{ID: 1, Class: "t", Duration: 2 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
@@ -287,24 +305,31 @@ func TestFaultUnknownNodeParity(t *testing.T) {
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Count(trace.FaultIgnored); got != 1 {
-		t.Fatalf("sim recorded %d ignored faults, want 1", got)
-	}
-	if got := tr.Count(trace.NodeFailed); got != 0 {
-		t.Fatalf("sim recorded %d node failures for a ghost node, want 0", got)
+	if got := simTr.Count(trace.NodeFailed); got != 1 {
+		t.Fatalf("sim recorded %d node failures, want 1 (n2 once; never the ghost)", got)
 	}
 
-	// Live runtime: same script, same verdict.
-	rt := core.New(core.Config{Pool: faultParityPool(), Policy: sched.FIFO{}})
+	// Live runtime: same script, same verdicts, same trail.
+	liveTr := trace.New(0)
+	rt := core.New(core.Config{Pool: faultParityPool(), Policy: sched.FIFO{}, Tracer: liveTr})
 	defer rt.Shutdown()
 	if _, err := rt.FailNode("ghost"); err == nil {
 		t.Fatal("live FailNode(ghost) succeeded, want error")
 	}
-	// Double-kill: the second crash of the same node is rejected too.
 	if _, err := rt.FailNode("n2"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt.FailNode("n2"); err == nil {
 		t.Fatal("second FailNode(n2) succeeded, want error")
+	}
+
+	simIgn, liveIgn := ignoredFaults(simTr), ignoredFaults(liveTr)
+	if len(simIgn) != 2 || len(liveIgn) != 2 {
+		t.Fatalf("ignored faults: sim %v, live %v, want 2 each (ghost, second n2)", simIgn, liveIgn)
+	}
+	for i := range simIgn {
+		if simIgn[i] != liveIgn[i] {
+			t.Fatalf("ignored fault %d diverges: sim %q vs live %q", i, simIgn[i], liveIgn[i])
+		}
 	}
 }

@@ -2,11 +2,13 @@ package engine_test
 
 // Placement-index parity: the indexed fast path (sched.IndexedPolicy
 // picking straight off the pool's capability index) must make byte-
-// identical placement decisions to the legacy materialized-slice path
-// (engine.Config.DisableIndex) wherever the policy is deterministic —
-// same start order, same node per start, same transfer books — including
-// under node crashes, cordons, partitions and checkpoint restore, the
-// churn the index maintains itself through.
+// identical placement decisions to the materialized-slice scan path
+// wherever the policy is deterministic — same start order, same node per
+// start, same transfer books — including under node crashes, cordons,
+// partitions and checkpoint restore, the churn the index maintains
+// itself through. The scan run is the oracle: the same policy wrapped in
+// scanOnly, which hides PickIndexed so the engine falls back to
+// Pick(fitting) — the path hinted and multi-node placements always take.
 
 import (
 	"errors"
@@ -52,13 +54,18 @@ type indexParityRun struct {
 	pool      *resources.Pool
 }
 
-func runIndexParity(t *testing.T, policy sched.Policy, specs []infra.TaskSpec, script faults.Scenario, disable bool) indexParityRun {
+// scanOnly forwards Name and Pick and nothing else: embedding the
+// interface, not the concrete policy, keeps PickIndexed out of the
+// method set, so the engine cannot select its indexed fast path.
+type scanOnly struct{ sched.Policy }
+
+func runIndexParity(t *testing.T, policy sched.Policy, specs []infra.TaskSpec, script faults.Scenario) indexParityRun {
 	t.Helper()
 	pool, net := indexParityPool()
 	tr := trace.New(0)
 	sim, err := infra.New(infra.Config{
 		Pool: pool, Net: net, Policy: policy, Tracer: tr,
-		Faults: script, DisableIndex: disable,
+		Faults: script,
 	}, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +147,11 @@ func TestIndexParitySweep(t *testing.T) {
 		for _, tc := range cases {
 			tc := tc
 			t.Run(policy.Name()+"/"+tc.name, func(t *testing.T) {
-				indexed := runIndexParity(t, policy, tc.specs, tc.script, false)
-				scanned := runIndexParity(t, policy, tc.specs, tc.script, true)
+				if _, ok := sched.Policy(scanOnly{policy}).(sched.IndexedPolicy); ok {
+					t.Fatal("scanOnly still exposes PickIndexed; the oracle would run the indexed path")
+				}
+				indexed := runIndexParity(t, policy, tc.specs, tc.script)
+				scanned := runIndexParity(t, scanOnly{policy}, tc.specs, tc.script)
 				diffIndexRuns(t, policy.Name()+"/"+tc.name, indexed, scanned)
 				checkPoolIndexConsistent(t, indexed.pool, tc.specs)
 			})

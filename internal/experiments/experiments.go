@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/autoscale"
 	"repro/internal/deps"
+	"repro/internal/engine/faults"
 	"repro/internal/infra"
 	"repro/internal/lineage"
 	"repro/internal/mlpredict"
@@ -280,7 +282,7 @@ func E7FailureRecovery(stages, width int) ([]E7Result, error) {
 		res, err := mustRun(infra.Config{
 			Pool: pool, Net: net, Policy: sched.MinLoad{},
 			PersistNode: persistNode,
-			Failures:    []infra.Failure{{Node: "fog1", At: 3 * time.Minute}},
+			Faults:      faults.Scenario{{At: 3 * time.Minute, Kind: faults.Crash, Node: "fog1"}},
 		}, mkSpecs())
 		if err != nil {
 			return E7Result{}, err
@@ -503,7 +505,7 @@ func E11Elasticity(burst int) ([]E11Result, error) {
 	})
 	elRes, err := mustRun(infra.Config{
 		Pool: resources.NewPool(), Net: simnet.New(simnet.Link{BandwidthMBps: 1000}),
-		Policy: sched.MinLoad{}, Elastic: mgr, ElasticEvery: 15 * time.Second,
+		Policy: sched.MinLoad{}, Autoscale: autoscale.NewThreshold(mgr), ElasticEvery: 15 * time.Second,
 	}, mkSpecs())
 	if err != nil {
 		return nil, err

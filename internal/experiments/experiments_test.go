@@ -211,6 +211,13 @@ func TestE11ElasticUsesFewerNodeSeconds(t *testing.T) {
 	if elastic.PeakNodes > 8 {
 		t.Fatalf("elastic peak %d exceeds MaxNodes", elastic.PeakNodes)
 	}
+	// Pinned to the figures the pre-host elastic loop produced: the
+	// threshold planner behind the shared autoscale step must reproduce
+	// them exactly.
+	want := E11Result{Mode: "elastic", Makespan: 22*time.Minute + 52500*time.Millisecond, NodeSeconds: 3330, PeakNodes: 8}
+	if elastic != want {
+		t.Fatalf("elastic row = %+v, want %+v", elastic, want)
+	}
 }
 
 func TestE12AllLevelsAgree(t *testing.T) {

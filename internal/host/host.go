@@ -1,0 +1,446 @@
+// Package host is the control plane both backends share. A backend —
+// the virtual-time simulator (internal/infra) or the live runtime
+// (internal/core) — is "what time is it and how do I run a body": it
+// hands the host a Clock, a Timer and an Executor, embeds the returned
+// *Host, and keeps only its executor, its value store and its result
+// accounting. Everything else is wired once, here: the engine and its
+// cordon hook, the checkpointer and the one checkpoint.Source, the five
+// faults.Injector methods (no-op faults traced as fault_ignored), the
+// admission submit/complete bookkeeping, the autoscale step, and the one
+// periodic-tick helper that checkpoints, metric sampling and autoscale
+// evaluation all ride.
+//
+// The package sits above engine, engine/checkpoint, engine/faults and
+// autoscale (which all import engine), so none of them can own this
+// wiring.
+package host
+
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/autoscale"
+	"repro/internal/engine"
+	"repro/internal/engine/checkpoint"
+	"repro/internal/engine/faults"
+	"repro/internal/mlpredict"
+	"repro/internal/obsv"
+	"repro/internal/resources"
+	"repro/internal/sched"
+	"repro/internal/simnet"
+	"repro/internal/trace"
+	"repro/internal/transfer"
+)
+
+// ErrNoCheckpoint is returned by Checkpoint when the backend was built
+// without a checkpoint store.
+var ErrNoCheckpoint = errors.New("host: no checkpoint store configured")
+
+// Config assembles a host. The first block is the configuration both
+// backends accept from their users; the second is what makes a backend
+// a backend; the third is the live runtime's two hooks.
+type Config struct {
+	Pool         *resources.Pool
+	Policy       sched.Policy
+	Predictor    *mlpredict.Predictor
+	Tracer       *trace.Tracer
+	Registry     *transfer.Registry
+	Net          *simnet.Network
+	PersistNode  string
+	Steal        engine.StealConfig
+	Availability engine.Availability
+	Metrics      *obsv.Registry
+	Checkpoint   *checkpoint.Config
+	Autoscale    *autoscale.Autoscaler
+	Admission    *autoscale.Admission
+
+	// Clock, Timer and Executor are required. A Timer that can run dry —
+	// the simulator's event heap — additionally offers Pending() int; the
+	// host then gates its periodic ticks on liveness (see Every).
+	Clock    engine.Clock
+	Timer    faults.Timer
+	Executor engine.Executor
+
+	// OnKill, when set, runs once per task a node failure killed, after
+	// its epoch is invalidated and before it is resubmitted (the live
+	// runtime cancels the body's context). It must not call back into
+	// the engine.
+	OnKill func(*engine.Task)
+	// AttachValues, when set, adds encoded values to captured catalog
+	// rows (the live runtime's value table; the simulator has none).
+	AttachValues func([]checkpoint.CatalogEntry)
+}
+
+// Host owns the engine and the control-plane wiring around it. Backends
+// embed it; its exported methods are their operator surface.
+type Host struct {
+	cfg     Config
+	eng     *engine.Engine
+	ckpt    *checkpoint.Checkpointer
+	pending func() int // the timer's scheduled-event count; nil when it never runs dry
+
+	mu      sync.Mutex
+	tenants map[int64]string // admission tenant per in-flight task
+	smp     *obsv.Sampler
+
+	// run is held while a tick body executes and taken by StopTicks, so
+	// no tick is in flight once StopTicks returns.
+	run       sync.Mutex
+	stopped   bool         // guarded by run
+	observers atomic.Int64 // armed observer ticks (see every)
+}
+
+// New builds the engine from the shared configuration, routes autoscale
+// cordons through it, and arms the checkpointer when a store is
+// configured.
+func New(cfg Config) *Host {
+	h := &Host{cfg: cfg}
+	if p, ok := cfg.Timer.(interface{ Pending() int }); ok {
+		h.pending = p.Pending
+	}
+	h.eng = engine.New(engine.Config{
+		Pool:         cfg.Pool,
+		Policy:       cfg.Policy,
+		Clock:        cfg.Clock,
+		Executor:     cfg.Executor,
+		Metrics:      obsv.NewEngineMetrics(cfg.Metrics),
+		Registry:     cfg.Registry,
+		Net:          cfg.Net,
+		PersistNode:  cfg.PersistNode,
+		Tracer:       cfg.Tracer,
+		Steal:        cfg.Steal,
+		Availability: cfg.Availability,
+		SchedContext: &sched.Context{
+			Registry:  cfg.Registry,
+			Net:       cfg.Net,
+			Predictor: cfg.Predictor,
+		},
+	})
+	if cfg.Autoscale != nil {
+		// Downscale victims are cordoned through the engine, so the drain
+		// lands on the scheduler's books (and the trace) before removal.
+		cfg.Autoscale.SetCordon(h.eng.DrainNode)
+	}
+	if cfg.Admission != nil {
+		h.tenants = make(map[int64]string)
+	}
+	if cfg.Checkpoint != nil && cfg.Checkpoint.Store != nil {
+		ck := *cfg.Checkpoint
+		if ck.Tracer == nil {
+			ck.Tracer = cfg.Tracer
+		}
+		if ck.Metrics == nil && cfg.Metrics != nil {
+			ck.Metrics = obsv.NewCkptMetrics(cfg.Metrics)
+		}
+		h.ckpt = checkpoint.NewCheckpointer(ck, h)
+		if ck.Policy.Mode == checkpoint.ModeInterval && ck.Policy.Every > 0 {
+			h.every(ck.Policy.Every, true, func() bool { h.ckpt.Tick(); return false })
+		}
+	}
+	return h
+}
+
+// Engine returns the shared scheduling engine (the backend's executor
+// and submission paths drive it directly).
+func (h *Host) Engine() *engine.Engine { return h.eng }
+
+// EngineStats exposes the engine's counters (launches, transfer
+// accounting) — comparable one-to-one across backends.
+func (h *Host) EngineStats() engine.Stats { return h.eng.Stats() }
+
+// Timings exposes the engine's per-task latency milestones
+// (submit→ready→start→done on the backend's clock), in registration
+// order.
+func (h *Host) Timings() []engine.Timing { return h.eng.Timings() }
+
+// RevalidateAvailability wakes every task parked by the availability
+// policy and runs a placement wave — call it after adding nodes to the
+// pool by hand, since a new node may sit on the reachable side of a
+// partition. Returns the number of tasks woken.
+func (h *Host) RevalidateAvailability() int { return h.eng.RevalidateAvailability() }
+
+// --- faults.Injector -------------------------------------------------------
+
+// FailNode crashes a node: the engine removes it, kills its running
+// tasks and resubmits them through lineage recovery; the backend's
+// OnKill hook sees each killed task in between.
+func (h *Host) FailNode(name string) (engine.FailReport, error) {
+	rep, err := h.eng.FailNode(name, h.cfg.OnKill)
+	return rep, h.traceIgnored(name, err)
+}
+
+// SlowNode sets a node's duration multiplier (1 restores full speed).
+func (h *Host) SlowNode(name string, factor float64) error {
+	return h.traceIgnored(name, h.eng.SlowNode(name, factor))
+}
+
+// DrainNode cordons a node: running tasks finish, new placements avoid
+// it.
+func (h *Host) DrainNode(name string) error {
+	return h.traceIgnored(name, h.eng.DrainNode(name))
+}
+
+// Partition cuts the link between two endpoints (node or zone names).
+func (h *Host) Partition(a, b string) error {
+	return h.traceIgnored(a+"~"+b, h.eng.Partition(a, b))
+}
+
+// Heal restores a link cut by Partition.
+func (h *Host) Heal(a, b string) error {
+	return h.traceIgnored(a+"~"+b, h.eng.Heal(a, b))
+}
+
+// traceIgnored records a fault the engine rejected (unknown or
+// already-dead node, no network model), so a scripted scenario leaves
+// the same audit trail on every backend.
+func (h *Host) traceIgnored(target string, err error) error {
+	if err != nil {
+		h.cfg.Tracer.Record(trace.Event{
+			At: h.cfg.Clock.Now(), Kind: trace.FaultIgnored, Node: target, Info: err.Error(),
+		})
+	}
+	return err
+}
+
+// --- checkpoint.Source -----------------------------------------------------
+
+// CheckpointSnapshot implements checkpoint.Source: the engine's task
+// table plus the location registry as the data catalog, with the
+// backend's values attached.
+func (h *Host) CheckpointSnapshot() *checkpoint.Snapshot {
+	snap := checkpoint.Capture(h.eng, h.cfg.Registry)
+	h.attach(snap.Catalog)
+	return snap
+}
+
+// CheckpointBase implements checkpoint.Source: a full capture that
+// resets the dirty sets, starting (or compacting) a delta chain.
+func (h *Host) CheckpointBase() *checkpoint.Snapshot {
+	snap := checkpoint.CaptureBase(h.eng, h.cfg.Registry)
+	h.attach(snap.Catalog)
+	return snap
+}
+
+// CheckpointDelta implements checkpoint.Source: the changes since the
+// last base or delta capture.
+func (h *Host) CheckpointDelta() *checkpoint.Delta {
+	d := checkpoint.CaptureDelta(h.eng, h.cfg.Registry)
+	h.attach(d.Catalog)
+	return d
+}
+
+// CheckpointDirty implements checkpoint.Source.
+func (h *Host) CheckpointDirty() int {
+	n := h.eng.DirtyCount()
+	if h.cfg.Registry != nil {
+		n += h.cfg.Registry.DirtyCount()
+	}
+	return n
+}
+
+func (h *Host) attach(catalog []checkpoint.CatalogEntry) {
+	if h.cfg.AttachValues != nil {
+		h.cfg.AttachValues(catalog)
+	}
+}
+
+// Checkpoint takes an on-demand snapshot; ErrNoCheckpoint without a
+// configured store.
+func (h *Host) Checkpoint() error {
+	if h.ckpt == nil {
+		return ErrNoCheckpoint
+	}
+	return h.ckpt.Save()
+}
+
+// --- completion and admission bookkeeping (backend-facing) -----------------
+
+// Tracking reports whether TaskCompleted has anything to do — an
+// admission controller or a checkpointer is configured — so a backend
+// can keep its one-lock complete-and-schedule fast path otherwise.
+func (h *Host) Tracking() bool { return h.ckpt != nil || h.cfg.Admission != nil }
+
+// Admit runs one submission through the admission controller (Admitted
+// when none is configured) and records the outcome on the engine's
+// books. A Queued task must stay behind a synthetic hold; TaskCompleted
+// lifts it when a slot frees.
+func (h *Host) Admit(id int64, tenant string) autoscale.Outcome {
+	if h.cfg.Admission == nil {
+		return autoscale.Admitted
+	}
+	out := h.cfg.Admission.Submit(tenant, id)
+	switch out {
+	case autoscale.Rejected:
+		h.eng.RecordAdmission(0, 1)
+		return out
+	case autoscale.Queued:
+		h.eng.RecordAdmission(1, 0)
+	}
+	h.mu.Lock()
+	h.tenants[id] = tenant
+	h.mu.Unlock()
+	return out
+}
+
+// TaskCompleted is the backend's notification between an engine
+// completion and the placement wave that follows it. A first completion
+// returns the task's quota slot — recovery re-executions were never
+// re-admitted — and lifts the holds of whatever queued submissions fair
+// ordering promotes (possibly other tenants'); woke reports whether any
+// became ready. The checkpointer's every-N trigger fires last, so it
+// captures the same post-completion, pre-placement state on both
+// backends.
+func (h *Host) TaskCompleted(id int64, first bool) (woke bool) {
+	if first && h.cfg.Admission != nil {
+		h.mu.Lock()
+		tenant, admitted := h.tenants[id]
+		delete(h.tenants, id)
+		h.mu.Unlock()
+		if admitted { // not a restore bypass
+			for _, rel := range h.cfg.Admission.Complete(tenant) {
+				if rid, ok := rel.Payload.(int64); ok && h.eng.ReleaseHold(rid) {
+					woke = true
+				}
+			}
+		}
+	}
+	if h.ckpt != nil {
+		h.ckpt.TaskCompleted()
+	}
+	return woke
+}
+
+// Drained tells the checkpointer every submitted task has finished (the
+// on-drain trigger).
+func (h *Host) Drained() {
+	if h.ckpt != nil {
+		h.ckpt.Drained()
+	}
+}
+
+// --- elasticity ------------------------------------------------------------
+
+// AutoscaleStep runs one autoscale evaluation against the engine's
+// current signals and applies the decision: trace the node event, then
+// make the capacity usable — immediately for a reclaimed or instantly
+// provisioned node, after the provider's delay otherwise (the whole
+// node is reserved until then, so no wave can land on it early).
+// Removal is final, the drain having landed through the engine cordon
+// beforehand. Without Config.Autoscale it holds. Normally driven by a
+// periodic tick; exported for tests that control instants (the
+// sim-vs-live parity suite).
+func (h *Host) AutoscaleStep() autoscale.Action {
+	if h.cfg.Autoscale == nil {
+		return autoscale.Action{Kind: autoscale.Held}
+	}
+	now := h.cfg.Clock.Now()
+	act := h.cfg.Autoscale.Step(h.cfg.Pool, autoscale.Snapshot(h.eng, h.cfg.Pool, now))
+	switch act.Kind {
+	case autoscale.Reclaimed:
+		h.cfg.Tracer.Record(trace.Event{At: now, Kind: trace.NodeUndrained, Node: act.Node.Name()})
+		// The reclaimed node may sit on the reachable side of a
+		// partition: re-validate parked work along with the wave.
+		h.eng.RevalidateAvailability()
+	case autoscale.Grew:
+		h.cfg.Tracer.Record(trace.Event{At: now, Kind: trace.NodeAdded, Node: act.Node.Name()})
+		node, d := act.Node, act.Node.Desc()
+		hold := resources.Constraints{Cores: d.Cores, MemoryMB: d.MemoryMB, GPUs: d.GPUs}
+		if act.Delay > 0 && node.Reserve(hold) == nil {
+			h.cfg.Timer.At(now+act.Delay, func() {
+				node.Release(hold)
+				h.eng.RevalidateAvailability()
+			})
+			break
+		}
+		h.eng.RevalidateAvailability()
+	case autoscale.Removed:
+		h.cfg.Tracer.Record(trace.Event{At: now, Kind: trace.NodeRemoved, Node: act.Node.Name()})
+	}
+	return act
+}
+
+// --- periodic ticks --------------------------------------------------------
+
+// Every runs step every d on the backend's timer, first at now+d, until
+// StopTicks. step reports whether it changed what the run can do next
+// (grew the pool, lifted a cordon). On a timer that can run dry the
+// chain is liveness-gated: a tick that fires with nothing else
+// scheduled and whose step changed nothing ends the chain, so a wedged
+// simulation drains its clock and reports stuck instead of ticking
+// forever.
+func (h *Host) Every(d time.Duration, step func() bool) { h.every(d, false, step) }
+
+// every is the one periodic-tick helper. An observer tick (checkpoint,
+// metric sample) cannot unblock anything, so it does not fire at all
+// into an otherwise idle run, and armed observers do not count as
+// scheduled work — two observers cannot keep each other (or a wedged
+// run) alive. A driver tick (autoscale) does count: observers keep
+// sampling while a driver may still grow the pool under a stalled
+// workload.
+func (h *Host) every(d time.Duration, observer bool, fn func() bool) {
+	next := h.cfg.Clock.Now()
+	var tick func()
+	arm := func() {
+		next += d
+		if observer {
+			h.observers.Add(1)
+		}
+		h.cfg.Timer.At(next, tick)
+	}
+	tick = func() {
+		h.run.Lock()
+		defer h.run.Unlock()
+		if observer {
+			h.observers.Add(-1)
+		}
+		idle := h.pending != nil && h.pending() <= int(h.observers.Load())
+		if h.stopped || (observer && idle) {
+			return
+		}
+		if changed := fn(); idle && !changed {
+			return
+		}
+		arm()
+	}
+	arm()
+}
+
+// StartSampler snapshots Config.Metrics into an in-memory time-series
+// every interval on the backend's clock — deterministic on virtual
+// time, byte-identical run to run — until StopTicks. Returns the
+// sampler for reading the series; nil without Config.Metrics or a
+// positive interval. A second call returns the running sampler.
+func (h *Host) StartSampler(every time.Duration) *obsv.Sampler {
+	if h.cfg.Metrics == nil || every <= 0 {
+		return nil
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.smp == nil {
+		smp := obsv.NewSampler(h.cfg.Metrics)
+		h.smp = smp
+		h.every(every, true, func() bool { smp.Sample(h.cfg.Clock.Now()); return false })
+	}
+	return h.smp
+}
+
+// Sampler returns the sampler StartSampler armed (nil before).
+func (h *Host) Sampler() *obsv.Sampler {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.smp
+}
+
+// StopTicks ends every periodic chain and disables further checkpoints;
+// once it returns no tick body is running. Timers already armed are not
+// cancelled, only neutered.
+func (h *Host) StopTicks() {
+	h.run.Lock()
+	h.stopped = true
+	h.run.Unlock()
+	if h.ckpt != nil {
+		h.ckpt.Stop()
+	}
+}

@@ -14,10 +14,13 @@
 // work, node failures with recovery through persisted data (Sec. VI-B,
 // experiment E7), online learning of task durations (Sec. VI-C,
 // experiment E8), scripted fault scenarios (Config.Faults) and the
-// engine's cross-bucket work stealing (Config.Steal) — every knob
-// mirrored by the live runtime, so behaviour studied here is behaviour
-// the runtime executes. See docs/ARCHITECTURE.md for the task lifecycle
-// on each backend.
+// engine's cross-bucket work stealing (Config.Steal). The control plane —
+// engine wiring, fault injection, checkpoints, admission, autoscaling,
+// periodic ticks — is internal/host, the same one the live runtime
+// embeds, so behaviour studied here is behaviour the runtime executes;
+// this package adds only the virtual-time executor and the result
+// accounting. See docs/ARCHITECTURE.md for the task lifecycle on each
+// backend.
 package infra
 
 import (
@@ -31,6 +34,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
 	"repro/internal/engine/faults"
+	"repro/internal/host"
 	"repro/internal/mlpredict"
 	"repro/internal/obsv"
 	"repro/internal/resources"
@@ -66,16 +70,6 @@ type TaskSpec struct {
 	Tenant string
 }
 
-// Failure kills a node at a virtual instant (experiment E7: "part of the
-// application failed on a fog node (disappeared for low battery or because
-// no longer in the fog area)"). It is shorthand for a faults.Scenario with
-// a single Crash event; richer scripts (slow nodes, partitions) go in
-// Config.Faults.
-type Failure struct {
-	Node string
-	At   time.Duration
-}
-
 // Config assembles a simulation.
 type Config struct {
 	// Pool is the starting set of nodes. Required.
@@ -102,10 +96,8 @@ type Config struct {
 	// ("whenever a task is submitted to a remote agent, the COMPSs
 	// runtime persists any not-yet-persisted object", Sec. VI-B).
 	PersistNode string
-	// Failures inject node deaths.
-	Failures []Failure
-	// Faults is a full fault script (crashes, slow nodes, drains, network
-	// partitions) armed on the virtual clock alongside Failures.
+	// Faults is the fault script (crashes, slow nodes, drains, network
+	// partitions) armed on the virtual clock.
 	Faults faults.Scenario
 	// Steal enables the engine's cross-bucket work stealing (default
 	// off); the live runtime takes the identical knob, so steal decisions
@@ -117,11 +109,6 @@ type Config struct {
 	// locally (engine.Availability). The live runtime takes the identical
 	// knob.
 	Availability engine.Availability
-	// DisableIndex forces the engine's legacy materialized-slice
-	// placement path even when the policy supports indexed picks
-	// (sched.IndexedPolicy). Parity-testing escape hatch; the live
-	// runtime takes the identical knob.
-	DisableIndex bool
 	// Checkpoint, when set (with a Store), snapshots the engine state to
 	// disk under the configured policy, on the virtual clock — the same
 	// policy the live runtime drives on wall time.
@@ -139,14 +126,12 @@ type Config struct {
 	// mid-run (experiment E14). Run returns ErrHalted with the partial
 	// result.
 	HaltAt time.Duration
-	// Elastic enables pool scaling through the manager.
-	Elastic *resources.ElasticManager
-	// ElasticEvery is the evaluation period (default 10s).
-	ElasticEvery time.Duration
-	// Autoscale enables cost-aware scaling across heterogeneous tiers;
-	// evaluated on the same ElasticEvery period. Mutually exclusive with
-	// Elastic — the autoscaler owns every variant's ElasticManager.
+	// Autoscale enables pool scaling: the cost-aware planner across
+	// heterogeneous tiers (autoscale.New) or the single-tier threshold
+	// rule (autoscale.NewThreshold), evaluated every ElasticEvery.
 	Autoscale *autoscale.Autoscaler
+	// ElasticEvery is the autoscale evaluation period (default 10s).
+	ElasticEvery time.Duration
 	// Admission, when set, gates task visibility behind per-tenant
 	// quotas: a task over its tenant's in-flight cap waits (via the same
 	// synthetic-hold mechanism as Release) until completions free a slot
@@ -218,19 +203,18 @@ type Result struct {
 
 // Sim is one simulation instance. Build with New, then Run once.
 type Sim struct {
+	*host.Host // control plane: faults, checkpoints, admission, autoscale, ticks
+
 	cfg   Config
 	clock *simclock.Clock
 	reg   *transfer.Registry
 	acct  *energy.Accountant
 	proc  *deps.Processor
 	eng   *engine.Engine
-	ckpt  *checkpoint.Checkpointer
-	smp   *obsv.Sampler
 
 	result        Result
-	releases      []release
-	tenantOf      map[int64]string
-	admitStart    []int64
+	releases      []release // armed on the clock at their instant
+	admitStart    []release // submitted to admission at time zero
 	restored      map[int64]bool
 	nodeAdded     map[string]time.Duration
 	remaining     int
@@ -247,8 +231,9 @@ type Sim struct {
 
 // release delays a task's visibility to the scheduler.
 type release struct {
-	id int64
-	at time.Duration
+	id     int64
+	at     time.Duration
+	tenant string
 }
 
 // Errors reported by Run.
@@ -256,6 +241,9 @@ var (
 	ErrStuck       = errors.New("infra: tasks cannot be scheduled (unsatisfiable constraints or empty pool)")
 	ErrConfig      = errors.New("infra: invalid config")
 	ErrDuplicateID = errors.New("infra: duplicate task ID")
+	// ErrNoCheckpoint is returned by Sim.Checkpoint without a configured
+	// store — the same sentinel the live runtime returns.
+	ErrNoCheckpoint = host.ErrNoCheckpoint
 	// ErrHalted reports a run stopped by Config.HaltAt — the simulated
 	// process death of the crash-restart experiments. The partial result
 	// is still returned; resume from the latest checkpoint snapshot.
@@ -269,9 +257,6 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 	}
 	if cfg.ElasticEvery <= 0 {
 		cfg.ElasticEvery = 10 * time.Second
-	}
-	if cfg.Elastic != nil && cfg.Autoscale != nil {
-		return nil, fmt.Errorf("%w: Elastic and Autoscale are mutually exclusive", ErrConfig)
 	}
 	if cfg.Admission != nil && cfg.Admission.Quota().MaxQueued > 0 {
 		return nil, fmt.Errorf("%w: the simulator requires an unbounded admission queue (Quota.MaxQueued == 0)", ErrConfig)
@@ -289,31 +274,25 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 		nodeAdded: make(map[string]time.Duration),
 		remaining: len(specs),
 	}
-	if cfg.Admission != nil {
-		s.tenantOf = make(map[int64]string, len(specs))
-	}
-	if cfg.Metrics != nil && cfg.SampleEvery > 0 {
-		s.smp = obsv.NewSampler(cfg.Metrics)
-	}
-	s.eng = engine.New(engine.Config{
+	s.Host = host.New(host.Config{
 		Pool:         cfg.Pool,
 		Policy:       cfg.Policy,
-		Clock:        s.clock,
-		Executor:     &simExecutor{s},
-		Metrics:      obsv.NewEngineMetrics(cfg.Metrics),
+		Predictor:    cfg.Predictor,
+		Tracer:       cfg.Tracer,
 		Registry:     s.reg,
 		Net:          cfg.Net,
 		PersistNode:  cfg.PersistNode,
-		Tracer:       cfg.Tracer,
 		Steal:        cfg.Steal,
 		Availability: cfg.Availability,
-		DisableIndex: cfg.DisableIndex,
-		SchedContext: &sched.Context{
-			Registry:  s.reg,
-			Net:       cfg.Net,
-			Predictor: cfg.Predictor,
-		},
+		Metrics:      cfg.Metrics,
+		Checkpoint:   cfg.Checkpoint,
+		Autoscale:    cfg.Autoscale,
+		Admission:    cfg.Admission,
+		Clock:        s.clock,
+		Timer:        s.clock,
+		Executor:     &simExecutor{s},
 	})
+	s.eng = s.Engine()
 
 	// Stage in external data.
 	stageNode := cfg.StageInNode
@@ -375,29 +354,18 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 		holds := 0
 		if spec.Release > 0 || cfg.Admission != nil {
 			holds = 1
+			r := release{id: spec.ID, at: spec.Release, tenant: spec.Tenant}
 			if spec.Release > 0 {
-				s.releases = append(s.releases, release{id: spec.ID, at: spec.Release})
+				s.releases = append(s.releases, r)
 			} else {
-				s.admitStart = append(s.admitStart, spec.ID)
+				s.admitStart = append(s.admitStart, r)
 			}
-		}
-		if cfg.Admission != nil {
-			s.tenantOf[spec.ID] = spec.Tenant
 		}
 		s.eng.Add(et, res.Deps, holds)
 	}
 
 	for _, n := range cfg.Pool.Nodes() {
 		s.nodeAdded[n.Name()] = 0
-	}
-	if cfg.Elastic != nil {
-		// Downscale victims are cordoned through the engine, so the drain
-		// lands on the scheduler's books (and the trace) before removal.
-		cfg.Elastic.SetCordon(s.eng.DrainNode)
-	}
-	if cfg.Autoscale != nil {
-		// Same cordon route for every variant the autoscaler manages.
-		cfg.Autoscale.SetCordon(s.eng.DrainNode)
 	}
 	if cfg.Restore != nil {
 		if cfg.Restore.Format != checkpoint.Format {
@@ -406,40 +374,7 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 		}
 		s.applyRestore(cfg.Restore)
 	}
-	if cfg.Checkpoint != nil && cfg.Checkpoint.Store != nil {
-		ck := *cfg.Checkpoint
-		if ck.Timer == nil {
-			ck.Timer = ckptTimer{s}
-		}
-		if ck.Tracer == nil {
-			ck.Tracer = cfg.Tracer
-		}
-		if ck.Metrics == nil && cfg.Metrics != nil {
-			ck.Metrics = obsv.NewCkptMetrics(cfg.Metrics)
-		}
-		s.ckpt = checkpoint.NewCheckpointer(ck, s)
-	}
 	return s, nil
-}
-
-// ckptTimer adapts the virtual clock for interval checkpoints, gating
-// each firing on simulation liveness: when a checkpoint event pops and
-// nothing else is scheduled, the run has drained, halted or wedged, and
-// firing (which would save and re-arm) would keep the event heap
-// non-empty forever — masking the ErrStuck detection, which relies on
-// the clock draining. Dropping the callback ends the interval chain;
-// completions still pending in the heap mean the run is alive and the
-// chain continues.
-type ckptTimer struct{ s *Sim }
-
-// At implements checkpoint.Timer.
-func (t ckptTimer) At(at time.Duration, fn func()) {
-	t.s.clock.At(at, func() {
-		if t.s.remaining == 0 || t.s.halted || t.s.clock.Pending() == 0 {
-			return
-		}
-		fn()
-	})
 }
 
 // applyRestore replays a snapshot placement-aware: the data catalog
@@ -535,37 +470,6 @@ func (s *Sim) restageTarget(k transfer.Key) string {
 	return best
 }
 
-// CheckpointSnapshot implements checkpoint.Source: the engine's task
-// table plus the simulator's location registry as the data catalog.
-func (s *Sim) CheckpointSnapshot() *checkpoint.Snapshot {
-	return checkpoint.Capture(s.eng, s.reg)
-}
-
-// CheckpointBase implements checkpoint.DeltaSource: a full capture that
-// resets the dirty sets, starting (or compacting) a delta chain.
-func (s *Sim) CheckpointBase() *checkpoint.Snapshot {
-	return checkpoint.CaptureBase(s.eng, s.reg)
-}
-
-// CheckpointDelta implements checkpoint.DeltaSource: the changes since
-// the last base or delta capture.
-func (s *Sim) CheckpointDelta() *checkpoint.Delta {
-	return checkpoint.CaptureDelta(s.eng, s.reg)
-}
-
-// CheckpointDirty implements checkpoint.DeltaSource.
-func (s *Sim) CheckpointDirty() int {
-	return s.eng.DirtyCount() + s.reg.DirtyCount()
-}
-
-// Checkpoint takes an on-demand snapshot (requires Config.Checkpoint).
-func (s *Sim) Checkpoint() error {
-	if s.ckpt == nil {
-		return fmt.Errorf("%w: no checkpoint store configured", ErrConfig)
-	}
-	return s.ckpt.Save()
-}
-
 // simExecutor adapts the simulation to engine.Executor: each placement
 // becomes a completion event on the virtual clock, delayed by the modelled
 // staging time plus the speed-scaled compute time (stretched by any
@@ -610,50 +514,24 @@ func (s *Sim) finish(id int64, ran time.Duration, epoch int) {
 	} else {
 		s.result.TasksReExecuted++
 	}
-	if s.cfg.Admission != nil && comp.First {
-		// The first completion returns the tenant's quota slot; promoted
-		// queue heads (possibly other tenants') get their holds lifted and
-		// join the deferred placement wave below.
-		for _, rel := range s.cfg.Admission.Complete(s.tenantOf[id]) {
-			if rid, ok := rel.Payload.(int64); ok {
-				s.eng.ReleaseHold(rid)
-			}
-		}
-	}
-	if s.ckpt != nil {
-		// Snapshot before the deferred placement wave, so an every-N
-		// policy captures the same post-completion, pre-placement state
-		// on both backends (the checkpoint parity invariant).
-		s.ckpt.TaskCompleted()
-	}
+	// Quota release and the every-N checkpoint land before the deferred
+	// placement wave, which picks up whatever holds the release lifted.
+	s.TaskCompleted(id, comp.First)
 	s.deferSchedule()
 }
 
 // admitRelease makes one task visible to the scheduler, asking the
 // admission controller first when one is configured. A task the
-// controller queues keeps its synthetic hold; finish promotes it later.
-func (s *Sim) admitRelease(id int64) {
-	if s.restored[id] {
+// controller queues keeps its synthetic hold; its tenant's next
+// completion promotes it. (Rejection is unreachable: New refuses bounded
+// admission queues — a preregistered task has no client to bounce to,
+// and dropping it would wedge the run.)
+func (s *Sim) admitRelease(r release) {
+	if s.restored[r.id] {
 		return // resolved from a snapshot; never ran, never admitted
 	}
-	if s.cfg.Admission == nil {
-		if s.eng.ReleaseHold(id) {
-			s.eng.Schedule()
-		}
-		return
-	}
-	switch s.cfg.Admission.Submit(s.tenantOf[id], id) {
-	case autoscale.Admitted:
-		if s.eng.ReleaseHold(id) {
-			s.eng.Schedule()
-		}
-	case autoscale.Queued:
-		s.eng.RecordAdmission(1, 0)
-	case autoscale.Rejected:
-		// Unreachable: New rejects bounded admission queues on this
-		// backend (a preregistered task has no client to bounce to, and
-		// dropping it would wedge the run).
-		s.eng.RecordAdmission(0, 1)
+	if s.Admit(r.id, r.tenant) == autoscale.Admitted && s.eng.ReleaseHold(r.id) {
+		s.eng.Schedule()
 	}
 }
 
@@ -673,42 +551,25 @@ func (s *Sim) deferSchedule() {
 
 // Run executes the simulation to completion and returns the result.
 func (s *Sim) Run() (Result, error) {
-	// Arm fault events: legacy Failures become Crash events in front of
-	// the full script, all scheduled on the virtual clock.
-	script := make(faults.Scenario, 0, len(s.cfg.Failures)+len(s.cfg.Faults))
-	for _, f := range s.cfg.Failures {
-		script = append(script, faults.Event{At: f.At, Kind: faults.Crash, Node: f.Node})
-	}
-	script = append(script, s.cfg.Faults...)
-	if _, err := faults.Run(s.clock, s, script); err != nil {
+	// Arm the fault script on the virtual clock.
+	if _, err := faults.Run(s.clock, s, s.cfg.Faults); err != nil {
 		return Result{}, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	// Arm release events (routed through admission when configured).
 	for _, r := range s.releases {
-		id := r.id
-		s.clock.At(r.at, func() { s.admitRelease(id) })
+		s.clock.At(r.at, func() { s.admitRelease(r) })
 	}
 	// Submit the un-delayed tasks to admission at time zero: an
 	// over-quota tenant's work queues here and surfaces only as
 	// completions free slots.
-	for _, id := range s.admitStart {
-		s.admitRelease(id)
+	for _, r := range s.admitStart {
+		s.admitRelease(r)
 	}
-	// Arm elasticity (legacy single-tier manager or cost-aware
-	// autoscaler — New rejects configs with both).
-	if s.cfg.Elastic != nil || s.cfg.Autoscale != nil {
-		step := s.elasticStep
-		if s.cfg.Autoscale != nil {
-			step = func() { s.AutoscaleStep() }
-		}
-		var tick func()
-		tick = func() {
-			if s.remaining > 0 {
-				step()
-				s.clock.After(s.cfg.ElasticEvery, tick)
-			}
-		}
-		s.clock.After(s.cfg.ElasticEvery, tick)
+	// Arm elasticity. The tick is liveness-gated (host.Every): an
+	// evaluation that fires into an otherwise drained clock and holds
+	// ends the chain, so an unplaceable task surfaces as ErrStuck.
+	if s.cfg.Autoscale != nil {
+		s.Every(s.cfg.ElasticEvery, func() bool { return s.AutoscaleStep().Kind != autoscale.Held })
 	}
 
 	// Arm the simulated process death.
@@ -716,21 +577,9 @@ func (s *Sim) Run() (Result, error) {
 		s.clock.At(s.cfg.HaltAt, func() { s.halted = true })
 	}
 
-	// Arm metric sampling on the virtual clock. Gated on liveness the
-	// same way as ckptTimer: when a sampling event pops with nothing else
-	// pending, the run has drained or wedged, and re-arming would keep
-	// the event heap alive forever, masking ErrStuck.
-	if s.smp != nil {
-		var tick func()
-		tick = func() {
-			if s.remaining == 0 || s.halted || s.clock.Pending() == 0 {
-				return
-			}
-			s.smp.Sample(s.clock.Now())
-			s.clock.After(s.cfg.SampleEvery, tick)
-		}
-		s.clock.After(s.cfg.SampleEvery, tick)
-	}
+	// Arm metric sampling on the virtual clock (liveness-gated like
+	// every host tick, so it cannot mask ErrStuck).
+	smp := s.StartSampler(s.cfg.SampleEvery)
 
 	s.eng.Schedule()
 	for s.remaining > 0 && !s.halted {
@@ -752,12 +601,12 @@ func (s *Sim) Run() (Result, error) {
 	if s.halted && s.remaining > 0 && s.err == nil {
 		s.err = fmt.Errorf("%w: %d tasks unfinished at %v", ErrHalted, s.remaining, s.clock.Now())
 	}
-	if s.remaining == 0 && s.ckpt != nil {
-		s.ckpt.Drained()
+	if s.remaining == 0 {
+		s.Drained()
 	}
 	// One closing sample at the makespan instant, so every series ends on
 	// the run's final state (still deterministic — virtual timestamp).
-	s.smp.Sample(s.clock.Now())
+	smp.Sample(s.clock.Now())
 	s.result.Makespan = s.clock.Now()
 	s.result.DepEdges = s.proc.Stats()
 	st := s.eng.Stats()
@@ -790,167 +639,35 @@ func (s *Sim) Run() (Result, error) {
 	return s.result, s.err
 }
 
-// Timings exposes the engine's per-task latency milestones
-// (submit→ready→start→done in virtual time), in registration order.
-// Call it after Run for a consistent view.
-func (s *Sim) Timings() []engine.Timing { return s.eng.Timings() }
-
-// FailNode implements faults.Injector: the engine kills, deregisters and
-// resubmits; the simulator only keeps score. Faults targeting unknown or
-// already-dead nodes are recorded as ignored in the trace instead of
-// silently diverging from the live backend.
+// FailNode implements faults.Injector over the host's: the engine
+// kills, deregisters and resubmits; the simulator only keeps score.
 func (s *Sim) FailNode(name string) (engine.FailReport, error) {
-	rep, err := s.eng.FailNode(name, nil)
-	if err != nil {
-		s.traceIgnored(name, err)
-		return rep, err
-	}
+	rep, err := s.Host.FailNode(name)
 	s.result.TasksFailed += len(rep.Killed)
-	return rep, nil
+	return rep, err
 }
 
-// SlowNode implements faults.Injector.
-func (s *Sim) SlowNode(name string, factor float64) error {
-	if err := s.eng.SlowNode(name, factor); err != nil {
-		s.traceIgnored(name, err)
-		return err
-	}
-	return nil
-}
-
-// DrainNode implements faults.Injector.
-func (s *Sim) DrainNode(name string) error {
-	if err := s.eng.DrainNode(name); err != nil {
-		s.traceIgnored(name, err)
-		return err
-	}
-	return nil
-}
-
-// Partition implements faults.Injector.
-func (s *Sim) Partition(a, b string) error { return s.eng.Partition(a, b) }
-
-// Heal implements faults.Injector.
-func (s *Sim) Heal(a, b string) error { return s.eng.Heal(a, b) }
-
-// traceIgnored records a no-op fault so scripted scenarios leave the same
-// audit trail on every backend.
-func (s *Sim) traceIgnored(node string, err error) {
-	s.cfg.Tracer.Record(trace.Event{
-		At: s.clock.Now(), Kind: trace.FaultIgnored, Node: node, Info: err.Error(),
-	})
-}
-
-// elasticStep applies one elasticity evaluation.
-func (s *Sim) elasticStep() {
-	pending := s.eng.ReadyCount()
-	switch s.cfg.Elastic.Evaluate(s.cfg.Pool, pending) {
-	case resources.Grow:
-		// A node mid-drain is the cheapest capacity there is: lift its
-		// cordon instead of paying the provider's provisioning delay.
-		if n := s.cfg.Elastic.Reclaim(); n != nil {
-			s.cfg.Tracer.Record(trace.Event{At: s.clock.Now(), Kind: trace.NodeUndrained, Node: n.Name()})
-			// The reclaimed node may sit on the reachable side of a
-			// partition: re-validate parked work along with the wave.
-			s.eng.RevalidateAvailability()
-			return
-		}
-		node, delay, err := s.cfg.Elastic.GrowOne(s.cfg.Pool)
-		if err != nil {
-			return
-		}
-		s.nodeAdded[node.Name()] = s.clock.Now()
-		if s.cfg.Pool.Len() > s.result.PeakNodes {
-			s.result.PeakNodes = s.cfg.Pool.Len()
-		}
-		s.cfg.Tracer.Record(trace.Event{At: s.clock.Now(), Kind: trace.NodeAdded, Node: node.Name()})
-		// Model the provisioning delay by blocking the whole node.
-		hold := resources.Constraints{
-			Cores:    node.Desc().Cores,
-			MemoryMB: node.Desc().MemoryMB,
-			GPUs:     node.Desc().GPUs,
-		}
-		if err := node.Reserve(hold); err == nil {
-			s.clock.After(delay, func() {
-				node.Release(hold)
-				// Grown capacity may be the first node that can reach a
-				// parked task's data: re-validate along with the wave.
-				s.eng.RevalidateAvailability()
-			})
-		}
-	case resources.Shrink:
-		victim, err := s.cfg.Elastic.ShrinkOne(s.cfg.Pool)
-		if err != nil || victim == nil {
-			return
-		}
-		added := s.nodeAdded[victim.Name()]
-		span := s.clock.Now() - added
-		s.acct.SetSpan(victim.Name(), victim.Desc(), span)
-		s.result.NodeSeconds += span.Seconds()
-		delete(s.nodeAdded, victim.Name())
-		s.cfg.Tracer.Record(trace.Event{At: s.clock.Now(), Kind: trace.NodeRemoved, Node: victim.Name()})
-	case resources.Hold:
-	}
-}
-
-// AutoscaleStep runs one cost-aware autoscale evaluation against the
-// engine's current signals and applies the decision, with the same
-// provisioning-delay modelling and node-seconds bookkeeping as
-// elasticStep. Run arms it on the ElasticEvery period; it is exported
-// so tests (the sim-vs-live parity suite in particular) can drive
-// evaluations at instants they control instead of riding the ticker.
+// AutoscaleStep runs the host's autoscale step and keeps the
+// simulator's books off the returned action: when each elastic node
+// joined (node-seconds, energy spans, peak pool size) and what a removed
+// one cost.
 func (s *Sim) AutoscaleStep() autoscale.Action {
-	act := s.cfg.Autoscale.Step(s.cfg.Pool, autoscale.Snapshot(s.eng, s.cfg.Pool, s.clock.Now()))
+	act := s.Host.AutoscaleStep()
 	switch act.Kind {
-	case autoscale.Reclaimed:
-		s.cfg.Tracer.Record(trace.Event{At: s.clock.Now(), Kind: trace.NodeUndrained, Node: act.Node.Name()})
-		s.eng.RevalidateAvailability()
 	case autoscale.Grew:
-		node := act.Node
-		s.nodeAdded[node.Name()] = s.clock.Now()
-		if s.cfg.Pool.Len() > s.result.PeakNodes {
-			s.result.PeakNodes = s.cfg.Pool.Len()
-		}
-		s.cfg.Tracer.Record(trace.Event{At: s.clock.Now(), Kind: trace.NodeAdded, Node: node.Name()})
-		if act.Delay <= 0 {
-			// Instant provisioning: capacity is usable in this very
-			// wave, exactly as it is on the live backend — the symmetry
-			// the parity suite depends on.
-			s.eng.RevalidateAvailability()
-			return act
-		}
-		// Model the provisioning delay by blocking the whole node.
-		hold := resources.Constraints{
-			Cores:    node.Desc().Cores,
-			MemoryMB: node.Desc().MemoryMB,
-			GPUs:     node.Desc().GPUs,
-		}
-		if err := node.Reserve(hold); err == nil {
-			s.clock.After(act.Delay, func() {
-				node.Release(hold)
-				s.eng.RevalidateAvailability()
-			})
+		s.nodeAdded[act.Node.Name()] = s.clock.Now()
+		if n := s.cfg.Pool.Len(); n > s.result.PeakNodes {
+			s.result.PeakNodes = n
 		}
 	case autoscale.Removed:
 		victim := act.Node
-		added := s.nodeAdded[victim.Name()]
-		span := s.clock.Now() - added
+		span := s.clock.Now() - s.nodeAdded[victim.Name()]
 		s.acct.SetSpan(victim.Name(), victim.Desc(), span)
 		s.result.NodeSeconds += span.Seconds()
 		delete(s.nodeAdded, victim.Name())
-		s.cfg.Tracer.Record(trace.Event{At: s.clock.Now(), Kind: trace.NodeRemoved, Node: victim.Name()})
 	}
 	return act
 }
 
 // Now exposes the simulation clock (useful in tests).
 func (s *Sim) Now() time.Duration { return s.clock.Now() }
-
-// EngineStats exposes the shared scheduling engine's counters (launches,
-// transfer accounting) — comparable one-to-one with the live runtime's.
-func (s *Sim) EngineStats() engine.Stats { return s.eng.Stats() }
-
-// Sampler returns the virtual-clock metrics sampler (nil unless
-// Config.Metrics and Config.SampleEvery are both set). Read it after Run:
-// the sampled series are deterministic, byte-identical run to run.
-func (s *Sim) Sampler() *obsv.Sampler { return s.smp }

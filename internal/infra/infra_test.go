@@ -5,8 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/autoscale"
 	"repro/internal/deps"
+	"repro/internal/engine/faults"
 	"repro/internal/mlpredict"
+	"repro/internal/obsv"
 	"repro/internal/resources"
 	"repro/internal/sched"
 	"repro/internal/simnet"
@@ -287,7 +290,7 @@ func TestFailureRecoveryWithPersistence(t *testing.T) {
 		cfg := Config{
 			Pool: pool, Net: flatNet(), Policy: sched.FIFO{}, Tracer: tr,
 			PersistNode: persist,
-			Failures:    []Failure{{Node: "worker", At: 1500 * time.Millisecond}},
+			Faults:      faults.Scenario{{At: 1500 * time.Millisecond, Kind: faults.Crash, Node: "worker"}},
 		}
 		specs := []TaskSpec{
 			{ID: 0, Duration: time.Second, Accesses: []deps.Access{{Data: 1, Dir: deps.Out}}, OutputBytes: map[deps.DataID]int64{1: 1e6}},
@@ -323,6 +326,17 @@ func TestFailureRecoveryWithPersistence(t *testing.T) {
 	}
 }
 
+// wantPinned holds an elastic run to the figures the pre-host elastic
+// loop produced for the same config: the threshold planner behind the
+// shared autoscale step must reproduce them exactly.
+func wantPinned(t *testing.T, res Result, makespan time.Duration, nodeSeconds float64, peak int) {
+	t.Helper()
+	if res.Makespan != makespan || res.NodeSeconds != nodeSeconds || res.PeakNodes != peak {
+		t.Fatalf("makespan/node-seconds/peak = %v/%v/%d, want %v/%v/%d",
+			res.Makespan, res.NodeSeconds, res.PeakNodes, makespan, nodeSeconds, peak)
+	}
+}
+
 func TestElasticityGrowsAndShrinks(t *testing.T) {
 	prov := resources.NewSimProvider("cloud", resources.Description{
 		Cores: 4, MemoryMB: 8000, SpeedFactor: 1,
@@ -337,7 +351,7 @@ func TestElasticityGrowsAndShrinks(t *testing.T) {
 	}
 	cfg := Config{
 		Pool: pool, Net: flatNet(), Policy: sched.FIFO{},
-		Elastic: mgr, ElasticEvery: 2 * time.Second,
+		Autoscale: autoscale.NewThreshold(mgr), ElasticEvery: 2 * time.Second,
 	}
 	sim, err := New(cfg, specs)
 	if err != nil {
@@ -353,6 +367,7 @@ func TestElasticityGrowsAndShrinks(t *testing.T) {
 	if res.PeakNodes < 2 {
 		t.Fatalf("peak nodes = %d, want elastic growth", res.PeakNodes)
 	}
+	wantPinned(t, res, 81*time.Second, 527, 8)
 }
 
 func TestPredictorTrainedBySim(t *testing.T) {
@@ -409,9 +424,9 @@ func TestPersistNodeFailureFallsBackToRecompute(t *testing.T) {
 	sim, err := New(Config{
 		Pool: pool, Net: flatNet(), Policy: sched.FIFO{},
 		PersistNode: "vault",
-		Failures: []Failure{
-			{Node: "vault", At: 2 * time.Second}, // persistence tier dies
-			{Node: "w1", At: 5 * time.Second},    // then the worker running t1
+		Faults: faults.Scenario{
+			{At: 2 * time.Second, Kind: faults.Crash, Node: "vault"}, // persistence tier dies
+			{At: 5 * time.Second, Kind: faults.Crash, Node: "w1"},    // then the worker running t1
 		},
 	}, specs)
 	if err != nil {
@@ -441,11 +456,11 @@ func TestShrinkNeverKillsRunningWork(t *testing.T) {
 	// One long task on a fully elastic pool: while it runs, pending drops
 	// to zero and 7 of 8 cores idle, so every elastic tick decides Shrink.
 	sim, err := New(Config{
-		Pool:    resources.NewPool(),
-		Net:     flatNet(),
-		Policy:  sched.FIFO{},
-		Tracer:  tr,
-		Elastic: mgr, ElasticEvery: 5 * time.Second,
+		Pool:      resources.NewPool(),
+		Net:       flatNet(),
+		Policy:    sched.FIFO{},
+		Tracer:    tr,
+		Autoscale: autoscale.NewThreshold(mgr), ElasticEvery: 5 * time.Second,
 	}, []TaskSpec{{ID: 1, Class: "long", Duration: time.Minute}})
 	if err != nil {
 		t.Fatal(err)
@@ -458,6 +473,7 @@ func TestShrinkNeverKillsRunningWork(t *testing.T) {
 		t.Fatalf("completed/failed/re-executed = %d/%d/%d, want 1/0/0",
 			res.TasksCompleted, res.TasksFailed, res.TasksReExecuted)
 	}
+	wantPinned(t, res, 67*time.Second, 62, 1)
 	if got := tr.Count(trace.NodeDrained); got == 0 {
 		t.Fatal("shrink decision never cordoned the busy node")
 	}
@@ -495,11 +511,11 @@ func TestReclaimDuringDrainServesNewLoad(t *testing.T) {
 		{ID: 2, Class: "late", Duration: 10 * time.Second, Release: 12 * time.Second},
 	}
 	sim, err := New(Config{
-		Pool:    resources.NewPool(),
-		Net:     flatNet(),
-		Policy:  sched.FIFO{},
-		Tracer:  tr,
-		Elastic: mgr, ElasticEvery: 5 * time.Second,
+		Pool:      resources.NewPool(),
+		Net:       flatNet(),
+		Policy:    sched.FIFO{},
+		Tracer:    tr,
+		Autoscale: autoscale.NewThreshold(mgr), ElasticEvery: 5 * time.Second,
 	}, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -511,7 +527,56 @@ func TestReclaimDuringDrainServesNewLoad(t *testing.T) {
 	if res.TasksCompleted != 2 || res.TasksFailed != 0 {
 		t.Fatalf("completed/failed = %d/%d, want 2/0", res.TasksCompleted, res.TasksFailed)
 	}
+	wantPinned(t, res, 37*time.Second, 32, 1)
 	if got := tr.Count(trace.NodeUndrained); got == 0 {
 		t.Fatal("draining node was never reclaimed for the late burst")
+	}
+}
+
+// An elastic run whose only task no tier can ever host must end in
+// ErrStuck, not spin: before the ticks were liveness-gated the autoscale
+// tick re-armed itself as long as a task remained, so the virtual clock
+// never drained. Both planners, under a wall-clock timeout.
+func TestElasticStuckReturnsErrStuck(t *testing.T) {
+	cpuOnly := resources.Description{Cores: 4, MemoryMB: 8000, SpeedFactor: 1}
+	mgr := func() *resources.ElasticManager {
+		return resources.NewElasticManager(
+			resources.NewSimProvider("vm", cpuOnly, 2, 5*time.Second),
+			resources.ScalePolicy{MaxNodes: 2, TasksPerCore: 2, CostPerNodeHour: 1})
+	}
+	costAware, err := autoscale.New(autoscale.DefaultPolicy(),
+		[]autoscale.Variant{{Name: "vm", Desc: cpuOnly, Manager: mgr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, scaler := range map[string]*autoscale.Autoscaler{
+		"threshold":  autoscale.NewThreshold(mgr()),
+		"cost-aware": costAware,
+	} {
+		t.Run(name, func(t *testing.T) {
+			sim, err := New(Config{
+				Pool: resources.NewPool(), Net: flatNet(), Policy: sched.FIFO{},
+				Autoscale: scaler, ElasticEvery: 5 * time.Second,
+				// An observer tick rides along: it must not keep the
+				// wedged run alive either.
+				Metrics: obsv.NewRegistry(), SampleEvery: 3 * time.Second,
+			}, []TaskSpec{{ID: 1, Duration: time.Second, Constraints: resources.Constraints{GPUs: 1}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := sim.Run()
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrStuck) {
+					t.Fatalf("Run = %v, want ErrStuck", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run still spinning after 10s: the elastic tick masks ErrStuck")
+			}
+		})
 	}
 }

@@ -1,0 +1,80 @@
+package integration_test
+
+// Tests of the control plane both backends embed (internal/host), seen
+// through the backends' own APIs, plus the option-count ratchet.
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"repro/internal/autoscale"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/infra"
+	"repro/internal/resources"
+	"repro/internal/sched"
+	"repro/internal/simnet"
+)
+
+// TestConfigBudget is the knob ratchet: every Config field is an option
+// the parity and benchmark matrices must cover, so adding one has to
+// raise the number here, in the diff that adds it, where a reviewer sees
+// it. `make budget` prints the same figures.
+func TestConfigBudget(t *testing.T) {
+	for _, b := range []struct {
+		name string
+		cfg  any
+		max  int
+	}{
+		{"infra.Config", infra.Config{}, 21},
+		{"core.Config", core.Config{}, 14},
+		{"engine.Config", engine.Config{}, 12},
+	} {
+		if n := reflect.TypeOf(b.cfg).NumField(); n > b.max {
+			t.Errorf("%s has %d fields, budget %d: a new option must raise its budget explicitly", b.name, n, b.max)
+		} else {
+			t.Logf("%s: %d fields (budget %d)", b.name, n, b.max)
+		}
+	}
+}
+
+// TestUnconfiguredEntryPoints: the exported control-plane entry points
+// behave identically on both backends when the feature behind them was
+// never configured — AutoscaleStep holds (it used to dereference a nil
+// autoscaler) and Checkpoint returns the one shared sentinel.
+func TestUnconfiguredEntryPoints(t *testing.T) {
+	pool := func() *resources.Pool {
+		p := resources.NewPool()
+		_ = p.Add(resources.NewNode("n0", resources.Description{Cores: 1, MemoryMB: 1000, SpeedFactor: 1}))
+		return p
+	}
+	sim, err := infra.New(infra.Config{
+		Pool: pool(), Net: simnet.New(simnet.Link{BandwidthMBps: 1000}), Policy: sched.FIFO{},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := core.New(core.Config{Pool: pool()})
+	defer rt.Shutdown()
+
+	for _, b := range []struct {
+		name       string
+		step       func() autoscale.Action
+		checkpoint func() error
+		sentinel   error
+	}{
+		{"sim", sim.AutoscaleStep, sim.Checkpoint, infra.ErrNoCheckpoint},
+		{"live", rt.AutoscaleStep, rt.Checkpoint, core.ErrNoCheckpoint},
+	} {
+		if act := b.step(); act.Kind != autoscale.Held || act.Node != nil {
+			t.Errorf("%s: AutoscaleStep without an autoscaler = %+v, want a hold", b.name, act)
+		}
+		if err := b.checkpoint(); !errors.Is(err, b.sentinel) {
+			t.Errorf("%s: Checkpoint without a store = %v, want %v", b.name, err, b.sentinel)
+		}
+	}
+	if !errors.Is(infra.ErrNoCheckpoint, core.ErrNoCheckpoint) {
+		t.Error("the two backends expose different no-checkpoint sentinels")
+	}
+}

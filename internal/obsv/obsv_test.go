@@ -47,7 +47,6 @@ func TestNilInstrumentsDiscard(t *testing.T) {
 	}
 	var s *Sampler
 	s.Sample(0)
-	s.Stop()
 	if err := s.WriteText(io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -206,30 +205,6 @@ func TestSamplerDeterministicText(t *testing.T) {
 	}
 	if !strings.Contains(a, "b_total 3s 6\n") {
 		t.Fatalf("missing cumulative counter point:\n%s", a)
-	}
-}
-
-func TestSamplerWallTicker(t *testing.T) {
-	reg := NewRegistry()
-	reg.Gauge("g", "", "").Set(1)
-	s := NewSampler(reg)
-	s.Start(time.Now(), 5*time.Millisecond)
-	deadline := time.After(2 * time.Second)
-	for {
-		if len(s.Series()) > 0 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("wall ticker never sampled")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	s.Stop()
-	n := len(s.Series()[0].Points)
-	time.Sleep(15 * time.Millisecond)
-	if got := len(s.Series()[0].Points); got != n {
-		t.Fatalf("sampler kept sampling after Stop: %d -> %d", n, got)
 	}
 }
 

@@ -25,10 +25,10 @@ type TimeSeries struct {
 }
 
 // Sampler snapshots a Registry into in-memory time-series. The caller
-// supplies the clock discipline: in the simulator, arm Sample on the
-// virtual clock (deterministic, byte-identical series run to run); in
-// the live runtime, Start a wall ticker. A nil *Sampler ignores all
-// calls, so backends wire it unconditionally.
+// supplies the clock discipline: internal/host arms Sample on the
+// backend's timer — the simulator's virtual clock (deterministic,
+// byte-identical series run to run) or the live runtime's wall timer. A
+// nil *Sampler ignores all calls, so backends wire it unconditionally.
 type Sampler struct {
 	reg *Registry
 
@@ -40,9 +40,6 @@ type Sampler struct {
 	// append by position instead of hashing every sample name. Rebuilt
 	// in place whenever the visit order grows a new sample.
 	order []*TimeSeries
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // NewSampler returns a sampler over reg.
@@ -51,7 +48,7 @@ func NewSampler(reg *Registry) *Sampler {
 }
 
 // Sample takes one snapshot of every registry sample, stamped at. Call
-// it from the owning clock: the sim's event loop or the live ticker.
+// it from the owning clock: the sim's event loop or a wall timer.
 func (s *Sampler) Sample(at time.Duration) {
 	if s == nil {
 		return
@@ -81,42 +78,6 @@ func (s *Sampler) Sample(at time.Duration) {
 		ts.Points = append(ts.Points, Point{At: at, Value: v})
 		i++
 	})
-}
-
-// Start arms a wall-clock ticker that samples every interval until Stop.
-// Samples are stamped relative to epoch so live series share the
-// engine's time base. Start is for the live runtime only — the sim
-// samples on its virtual clock instead.
-func (s *Sampler) Start(epoch time.Time, every time.Duration) {
-	if s == nil || every <= 0 {
-		return
-	}
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	go func() {
-		defer close(s.done)
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case now := <-t.C:
-				s.Sample(now.Sub(epoch))
-			case <-s.stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop halts a Start-ed ticker and waits for it to exit. Safe to call
-// when Start was never called.
-func (s *Sampler) Stop() {
-	if s == nil || s.stop == nil {
-		return
-	}
-	close(s.stop)
-	<-s.done
-	s.stop = nil
 }
 
 // sortedLocked returns the series in name order. Caller holds s.mu.

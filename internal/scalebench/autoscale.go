@@ -1,6 +1,6 @@
 // Autoscale benchmark: prices the cost-aware multi-tier autoscaler
 // (internal/autoscale) against the legacy cost-blind single-tier
-// ElasticManager on the generator's bursty and diurnal arrival shapes.
+// threshold planner on the generator's bursty and diurnal arrival shapes.
 // Both arms replay the identical trace through internal/infra on the
 // virtual clock, so the only difference is the scaling policy; cost is
 // reconstructed from the run's node trace (node_added/node_removed
@@ -153,12 +153,12 @@ func runAutoscaleArm(tr *wtrace.Trace, costAware bool, every time.Duration) (Aut
 		cfg.Autoscale = scaler
 	} else {
 		// The legacy baseline scales the cloud tier only, with the
-		// cost-blind Evaluate: same growth threshold, shrink once a whole
-		// VM's worth of cores idles.
-		cfg.Elastic = resources.NewElasticManager(
+		// cost-blind threshold planner: same growth threshold, shrink once
+		// a whole VM's worth of cores idles.
+		cfg.Autoscale = autoscale.NewThreshold(resources.NewElasticManager(
 			resources.NewSimProvider("cloud", resources.CloudVM, 8, 30*time.Second),
 			resources.ScalePolicy{MaxNodes: 8, TasksPerCore: 2, IdleCoresToShrink: 8, CostPerNodeHour: benchCloudRate},
-		)
+		))
 	}
 	sim, err := infra.New(cfg, tr.Specs())
 	if err != nil {

@@ -33,6 +33,21 @@ func TestRunAutoscaleSmall(t *testing.T) {
 			t.Fatalf("%s: no cost ratio computed: %+v", sh.Shape, sh)
 		}
 	}
+	// The legacy arm runs the threshold planner through the shared
+	// autoscale step; pinned to what the pre-host elastic loop produced
+	// for this config, so the baseline the cost gate divides by cannot
+	// drift.
+	wantLegacy := []AutoscaleArm{
+		{TasksCompleted: 364, MakespanSec: 3617.755766276, CostUnits: 1.0524009873860556,
+			CostPer1kTasks: 2.8912115038078445, PeakNodes: 2, NodesAdded: 1, NodesRemoved: 0},
+		{TasksCompleted: 389, MakespanSec: 83432.922535721, CostUnits: 6.386568368551682,
+			CostPer1kTasks: 16.417913543834658, PeakNodes: 2, NodesAdded: 58, NodesRemoved: 58},
+	}
+	for i, sh := range rep.Shapes {
+		if sh.Legacy != wantLegacy[i] {
+			t.Fatalf("%s legacy arm = %+v, want %+v", sh.Shape, sh.Legacy, wantLegacy[i])
+		}
+	}
 }
 
 // TestRunAutoscaleDeterministic: the comparison is a virtual-clock

@@ -74,10 +74,6 @@ type Config struct {
 	Keep int
 	// Seed seeds the duration jitter.
 	Seed int64
-	// NoIndex forces the engine's legacy O(pool) scan placement path
-	// (engine.Config.DisableIndex) — the comparison arm of the placement
-	// index benchmarks.
-	NoIndex bool
 	// MutexProbe, when true, runs the post-run concurrent contention
 	// probe (see probe.go).
 	MutexProbe bool
@@ -321,14 +317,13 @@ func Run(cfg Config) (*Report, error) {
 		h.store = st
 	}
 	h.eng = engine.New(engine.Config{
-		Pool:         pool,
-		Policy:       sched.MinLoad{},
-		Clock:        h.clock,
-		Executor:     &executor{h: h},
-		Registry:     h.reg,
-		Net:          simnet.New(simnet.Link{BandwidthMBps: 1000, Latency: 100 * time.Microsecond}),
-		DisableIndex: cfg.NoIndex,
-		Metrics:      obsv.NewEngineMetrics(cfg.Metrics),
+		Pool:     pool,
+		Policy:   sched.MinLoad{},
+		Clock:    h.clock,
+		Executor: &executor{h: h},
+		Registry: h.reg,
+		Net:      simnet.New(simnet.Link{BandwidthMBps: 1000, Latency: 100 * time.Microsecond}),
+		Metrics:  obsv.NewEngineMetrics(cfg.Metrics),
 	})
 	if cfg.Metrics != nil {
 		h.smp = obsv.NewSampler(cfg.Metrics)
