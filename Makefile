@@ -10,7 +10,7 @@ PKGS := ./...
 SWEEP_SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 FUZZTIME ?= 30s
 
-.PHONY: build test race check lint vet budget fuzz testsweep bench scalebench clean
+.PHONY: build test race check lint vet budget fuzz testsweep bench ledger clean
 
 build:
 	$(GO) build $(PKGS)
@@ -29,13 +29,15 @@ vet:
 # budget prints the design-size figures ROADMAP aim 2 tracks: non-test
 # Go lines outside bench/, the three Config field counts (and fails if
 # one exceeds its budget — TestConfigBudget is the ratchet), and the
-# flowgo-sim flag count.
+# flowgo-sim flag count (fails above FLAG_BUDGET).
+FLAG_BUDGET := 28
 budget:
 	@printf 'non-test Go lines outside bench/: '; \
 		find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 	@$(GO) test -count=1 -run TestConfigBudget -v ./internal/integration | grep -E 'fields|FAIL|^ok'
-	@printf 'flowgo-sim flags: '; \
-		grep -cE 'flag\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/flowgo-sim/main.go
+	@n=$$(grep -cE 'flag\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/flowgo-sim/main.go); \
+		echo "flowgo-sim flags: $$n (budget $(FLAG_BUDGET))"; \
+		test $$n -le $(FLAG_BUDGET)
 
 # staticcheck is optional locally; CI installs a pinned version. The
 # guard keeps `make lint` useful on machines without it.
@@ -67,9 +69,10 @@ testsweep:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ $(PKGS)
 
-# The scale/autoscale gates CI runs nightly (slow; see BENCH_scale.json).
-scalebench:
-	SCALE_SMOKE=1 $(GO) test -run 'TestScaleSmoke|TestAutoscaleSmoke' -v -timeout 30m ./internal/scalebench/
+# The performance ledger every claim is judged on: five end-to-end
+# workloads plus the per-layer figures (see bench/README.md).
+ledger:
+	bash bench/run.sh
 
 clean:
 	$(GO) clean -testcache

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "run reduced problem sizes")
-	only := flag.String("only", "", "run a single experiment (e1..e15, a1, a2)")
+	only := flag.String("only", "", "run a single experiment (e1..e16, a1, a2)")
 	flag.Parse()
 	if err := run(*quick, *only); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -33,7 +33,7 @@ func run(quick bool, only string) error {
 	all := []exp{
 		{"e1", e1}, {"e2", e2}, {"e3", e3}, {"e4", e4}, {"e5", e5}, {"e6", e6},
 		{"e7", e7}, {"e8", e8}, {"e9", e9}, {"e10", e10}, {"e11", e11}, {"e12", e12},
-		{"e13", e13}, {"e14", e14}, {"e15", e15},
+		{"e13", e13}, {"e14", e14}, {"e15", e15}, {"e16", e16},
 		{"a1", a1}, {"a2", a2},
 	}
 	for _, e := range all {
@@ -426,5 +426,22 @@ func e15(quick bool) error {
 			fmt.Sprint(rr.Restored), fmt.Sprint(rr.Restaged),
 			fmt.Sprint(rr.RecomputedRestored), rr.ResumedMakespan.Round(time.Second).String(),
 		}})
+	return nil
+}
+
+func e16(bool) error {
+	rows, err := experiments.E16AutoscaleCost(250, 1)
+	if err != nil {
+		return err
+	}
+	var out [][]string
+	for _, r := range rows {
+		out = append(out, []string{r.Shape, fmt.Sprint(r.Tasks),
+			fmt.Sprintf("%.2f", r.Threshold.CostPer1kTasks), fmt.Sprintf("%.2f", r.CostAware.CostPer1kTasks),
+			fmt.Sprintf("%.2fx", r.Threshold.CostPer1kTasks/r.CostAware.CostPer1kTasks),
+			fmt.Sprintf("%d / %d", r.Threshold.PeakNodes, r.CostAware.PeakNodes)})
+	}
+	table("E16 — cost-aware vs threshold autoscaling, cost units per 1k tasks (seed 1, same trace both arms)",
+		[]string{"shape", "tasks", "threshold", "cost-aware", "cheaper", "peak nodes"}, out)
 	return nil
 }

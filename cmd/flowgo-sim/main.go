@@ -46,7 +46,6 @@ import (
 	"repro/internal/mlpredict"
 	"repro/internal/obsv"
 	"repro/internal/resources"
-	"repro/internal/scalebench"
 	"repro/internal/sched"
 	"repro/internal/simnet"
 	"repro/internal/trace"
@@ -83,12 +82,7 @@ func run() error {
 		ckptCompact = flag.Int("checkpoint-compact", 0, "compact a delta chain into a fresh base every n deltas (0 = default)")
 		pprofDir    = flag.String("pprof", "", "write cpu.pprof / heap.pprof / mutex.pprof into this directory")
 
-		scale         = flag.Bool("scale", false, "run the million-task scale benchmark instead of a workload (see internal/scalebench)")
-		scaleWidth    = flag.Int("scale-width", 0, "scale mode: independent chain count (0 = tasks/100)")
-		scaleInterval = flag.Duration("scale-interval", 2*time.Minute, "scale mode: virtual checkpoint interval")
-		benchOut      = flag.String("bench-out", "BENCH_scale.json", "scale/trace mode: report output path")
-		autoBench     = flag.Bool("autoscale-bench", false, "run the cost-aware vs legacy autoscale comparison and merge its section into -bench-out (also runs as part of -scale)")
-		noProbe       = flag.Bool("no-mutex-probe", false, "scale mode: skip the concurrent contention probe")
+		benchOut = flag.String("bench-out", "", "trace mode: write the latency report as JSON to this path")
 
 		autoscaleStr = flag.String("autoscale", "off", `cost-aware autoscaling over elastic tiers: off | "tier[:max],..." with tiers hpc|cloud|fog (e.g. "cloud:4,fog:8")`)
 		tenantsN     = flag.Int("tenants", 0, "with -trace-gen: spread arrivals over this many tenant tags")
@@ -115,8 +109,8 @@ func run() error {
 		defer stop()
 	}
 
-	// One registry feeds every consumer: the live /metrics endpoint, the
-	// virtual-clock sampler, and the scale report's time-series section.
+	// One registry feeds both the live /metrics endpoint and the
+	// virtual-clock sampler.
 	if *metricsOut != "" && *metricsEvery == 0 {
 		*metricsEvery = 10 * time.Second
 	}
@@ -131,45 +125,6 @@ func run() error {
 		}
 		defer func() { _ = shutdown() }()
 		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics (pprof on /debug/pprof/)\n", bound)
-	}
-
-	if *scale {
-		// Scale mode has its own defaults (a million tasks over a thousand
-		// nodes, delta persistence on); explicitly-passed flags override.
-		cfg := scalebench.Default()
-		if set["tasks"] {
-			cfg.Tasks = *tasks
-		}
-		if set["nodes"] {
-			cfg.Nodes = *nodes
-		}
-		if *scaleWidth > 0 {
-			cfg.Width = *scaleWidth
-		}
-		cfg.Interval = *scaleInterval
-		if set["checkpoint-delta"] {
-			cfg.Delta = *ckptDelta
-		}
-		cfg.CompactEvery = *ckptCompact
-		cfg.Seed = *seed
-		cfg.MutexProbe = !*noProbe
-		cfg.Dir = *ckptDir
-		cfg.Metrics = reg
-		cfg.SampleEvery = *metricsEvery
-		tempDir := !set["checkpoint-dir"]
-		if tempDir {
-			dir, err := os.MkdirTemp("", "flowgo-scale-ckpt")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(dir)
-			cfg.Dir = dir
-		}
-		return runScale(cfg, *benchOut)
-	}
-
-	if *autoBench {
-		return runAutoscaleBench(*seed, *benchOut)
 	}
 
 	script, err := faults.Parse(*faultStr)
@@ -329,7 +284,7 @@ func run() error {
 		workloadName = fmt.Sprintf("trace-gen %s", *traceGen)
 	}
 	if replayed != nil {
-		sim, err := runReplay(cfg, replayed, workloadName, poolDesc, *policy, *benchOut, set["bench-out"])
+		sim, err := runReplay(cfg, replayed, workloadName, poolDesc, *policy, *benchOut)
 		if err != nil {
 			return err
 		}
@@ -484,7 +439,7 @@ type traceBench struct {
 // runReplay replays a trace on the simulator and reports latency
 // percentiles overall and per tenant. It returns the sim so the caller
 // can flush observability outputs (sampler series).
-func runReplay(cfg infra.Config, tr *wtrace.Trace, name, poolDesc, policy, benchPath string, writeBench bool) (*infra.Sim, error) {
+func runReplay(cfg infra.Config, tr *wtrace.Trace, name, poolDesc, policy, benchPath string) (*infra.Sim, error) {
 	specs := tr.Specs()
 	sim, err := infra.New(cfg, specs)
 	if err != nil {
@@ -509,7 +464,7 @@ func runReplay(cfg infra.Config, tr *wtrace.Trace, name, poolDesc, policy, bench
 	printScalingSummary(cfg)
 	sum.WriteText(os.Stdout)
 
-	if writeBench {
+	if benchPath != "" {
 		doc := traceBench{
 			Schema: 1,
 			Trace:  tr.Header.Name, Shape: tr.Header.Shape, Seed: tr.Header.Seed,
@@ -527,90 +482,6 @@ func runReplay(cfg infra.Config, tr *wtrace.Trace, name, poolDesc, policy, bench
 		fmt.Printf("report:          %s\n", benchPath)
 	}
 	return sim, nil
-}
-
-// runScale executes the scale benchmark and writes the report.
-func runScale(cfg scalebench.Config, out string) error {
-	cfg.Progress = func(line string) { fmt.Fprintln(os.Stderr, "scale:", line) }
-	fmt.Printf("scale benchmark: %d tasks, %d chains, %d nodes, checkpoint every %v (delta=%v)\n",
-		cfg.Tasks, cfg.Width, cfg.Nodes, cfg.Interval, cfg.Delta)
-	rep, err := scalebench.Run(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("sim makespan:    %.0fs (virtual)\n", rep.Run.SimMakespanSec)
-	fmt.Printf("wall time:       %.1fs build, %.1fs run (%.1fs captures of which %.1fs comparison-only, %.1fs saves)\n",
-		rep.Run.BuildWallSec, rep.Run.RunWallSec, rep.Run.CaptureWallSec, rep.Run.MeasureWallSec, rep.Run.SaveWallSec)
-	fmt.Printf("throughput:      %.0f tasks/s scheduling, %.0f tasks/s effective\n",
-		rep.Run.TasksPerSec, rep.Run.EffectiveTasksPerSec)
-	fmt.Printf("wave latency:    p50 %.1fµs, p99 %.1fµs, max %.1fµs\n",
-		rep.WaveLatencyUS.P50, rep.WaveLatencyUS.P99, rep.WaveLatencyUS.Max)
-	fmt.Printf("capture cost:    full p50 %.1fms vs delta p50 %.3fms (%.0f× cheaper), %d captures, %d skipped\n",
-		rep.Checkpoint.FullCaptureMS.P50, rep.Checkpoint.DeltaCaptureMS.P50,
-		rep.Checkpoint.FullOverDeltaP50, rep.Checkpoint.Captures, rep.Checkpoint.Skipped)
-	if rep.Restore != nil {
-		status := "FAILED"
-		if rep.Restore.OK {
-			status = "ok"
-		}
-		fmt.Printf("restore check:   %s — Latest() replayed %d completions in %.0fms (%d bases + %d deltas, %.1f MB on disk)\n",
-			status, rep.Restore.Completed, rep.Restore.LatestMS,
-			rep.Checkpoint.Bases, rep.Checkpoint.Deltas, float64(rep.Checkpoint.DiskBytes)/1e6)
-	}
-	if rep.Contention != nil {
-		fmt.Printf("mutex probe:     %.3fms total wait over %d ops × %d goroutines (%.1f ns/op)\n",
-			rep.Contention.WaitSeconds*1e3, rep.Contention.Ops, rep.Contention.Goroutines, rep.Contention.WaitPerOpNS)
-	}
-	auto, err := scalebench.RunAutoscale(scalebench.AutoscaleConfig{
-		Seed:     cfg.Seed,
-		Progress: func(line string) { fmt.Fprintln(os.Stderr, "autoscale:", line) },
-	})
-	if err != nil {
-		return err
-	}
-	rep.Autoscale = auto
-	printAutoscale(auto)
-	if err := rep.WriteJSON(out); err != nil {
-		return err
-	}
-	fmt.Printf("report:          %s\n", out)
-	if rep.Restore != nil && !rep.Restore.OK {
-		return fmt.Errorf("restore verification failed: %d/%d completions reconstructed", rep.Restore.Completed, cfg.Tasks)
-	}
-	return nil
-}
-
-func printAutoscale(rep *scalebench.AutoscaleReport) {
-	for _, sh := range rep.Shapes {
-		fmt.Printf("autoscale %-13s legacy %.2f vs cost-aware %.2f per 1k tasks (%.2fx cheaper)\n",
-			sh.Shape+":", sh.Legacy.CostPer1kTasks, sh.CostAware.CostPer1kTasks, sh.LegacyOverCostAware)
-	}
-}
-
-// runAutoscaleBench runs just the cost-aware vs legacy scaling
-// comparison and merges its section into the bench report at out,
-// preserving whatever the last full -scale run wrote there.
-func runAutoscaleBench(seed int64, out string) error {
-	auto, err := scalebench.RunAutoscale(scalebench.AutoscaleConfig{
-		Seed:     seed,
-		Progress: func(line string) { fmt.Fprintln(os.Stderr, "autoscale:", line) },
-	})
-	if err != nil {
-		return err
-	}
-	printAutoscale(auto)
-	full := &scalebench.Report{Schema: scalebench.Schema}
-	if data, err := os.ReadFile(out); err == nil {
-		if err := json.Unmarshal(data, full); err != nil {
-			return fmt.Errorf("merge into %s: %w", out, err)
-		}
-	}
-	full.Autoscale = auto
-	if err := full.WriteJSON(out); err != nil {
-		return err
-	}
-	fmt.Printf("report:          %s\n", out)
-	return nil
 }
 
 // startProfiles turns on CPU and mutex profiling and returns the stop

@@ -40,11 +40,38 @@ var (
 	ErrNoCapacity = errors.New("agent: no capacity anywhere")
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("agent: closed")
+	// ErrTaskPanic is the failure of a task whose function panicked; the
+	// error wraps it together with the recovered value.
+	ErrTaskPanic = errors.New("agent: task function panicked")
+)
+
+// Front-door limits. Every exchange of the protocol is one small JSON
+// document answered at once (tasks run asynchronously), so a peer that
+// takes longer than these is broken or hostile. The header timeout
+// matches the 2s the agents' own clients allow a whole request.
+const (
+	maxBodyBytes      = 16 << 20
+	maxHeaderBytes    = 64 << 10
+	readHeaderTimeout = 2 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = time.Minute
 )
 
 // Func is an agent-executable function: JSON in, JSON out, so the same
 // registration works in-process and across the REST boundary.
 type Func func(args []json.RawMessage) (json.RawMessage, error)
+
+// call runs fn, turning a panic into an ordinary task failure: one bad
+// function must not take the agent (and every queued task) down.
+func (fn Func) call(args []json.RawMessage) (result json.RawMessage, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			result, err = nil, fmt.Errorf("%w: %v", ErrTaskPanic, r)
+		}
+	}()
+	return fn(args)
+}
 
 // Registry maps function names to implementations. Every agent of an
 // application registers the same code ("each agent … can execute the same
@@ -203,7 +230,14 @@ func New(cfg Config) (*Agent, error) {
 	mux.HandleFunc("/tasks", counted(cfg.Metrics, "tasks", a.handleTasks))
 	mux.HandleFunc("/health", counted(cfg.Metrics, "health", a.handleHealth))
 	mux.HandleFunc("/resources", counted(cfg.Metrics, "resources", a.handleResources))
-	a.srv = &http.Server{Handler: mux}
+	a.srv = &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 
 	a.wg.Add(1)
 	go func() {
@@ -285,7 +319,7 @@ func (a *Agent) worker() {
 		if !ok {
 			err = fmt.Errorf("%w: %s", ErrUnknownFunc, t.req.Name)
 		} else {
-			result, err = fn(t.req.Args)
+			result, err = fn.call(t.req.Args)
 		}
 		a.met.execSeconds.ObserveDuration(time.Since(started))
 
@@ -352,7 +386,7 @@ func (a *Agent) handleTask(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req TaskRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -417,7 +451,7 @@ func (a *Agent) handleResources(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		AddCores int `json:"addCores"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

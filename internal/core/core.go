@@ -57,6 +57,9 @@ var (
 	ErrUnplaceable = errors.New("core: no node can satisfy task constraints")
 	// ErrArity is returned when a task returns the wrong number of values.
 	ErrArity = errors.New("core: wrong number of return values")
+	// ErrTaskPanic is the failure of a task whose body panicked; the
+	// error wraps it together with the recovered value.
+	ErrTaskPanic = errors.New("core: task body panicked")
 	// ErrQuotaRejected reports a submission the admission controller
 	// refused: the tenant was at its in-flight cap with a full wait
 	// queue (Config.Admission, Quota.MaxQueued). Submit returns it;
@@ -787,6 +790,18 @@ func (rt *Runtime) commLocksLocked(t *rtTask) []*sync.Mutex {
 	return locks
 }
 
+// call runs a task body, turning a panic into an ordinary task failure:
+// user code must not take the runtime down, least of all while execute
+// holds commutative merge locks.
+func (fn TaskFunc) call(ctx context.Context, args []any) (vals []any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			vals, err = nil, fmt.Errorf("%w: %v", ErrTaskPanic, r)
+		}
+	}()
+	return fn(ctx, args)
+}
+
 // execute runs one task on its reserved node group.
 func (rt *Runtime) execute(ctx context.Context, cancel context.CancelFunc, t *rtTask, epoch int, args []any, depErr error) {
 	defer rt.wg.Done()
@@ -828,7 +843,7 @@ func (rt *Runtime) execute(ctx context.Context, cancel context.CancelFunc, t *rt
 	err := depErr
 	if err == nil {
 		for attempt := 0; ; attempt++ {
-			vals, err = t.def.Fn(ctx, args)
+			vals, err = t.def.Fn.call(ctx, args)
 			if err == nil || attempt >= t.def.Retries || ctx.Err() != nil {
 				break // a cancelled (fault-killed) execution does not retry
 			}

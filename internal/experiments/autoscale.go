@@ -1,0 +1,187 @@
+// E16 — what the cost-aware autoscaler saves. The multi-tier planner
+// (internal/autoscale) is priced against the cost-blind single-tier
+// threshold planner on the generator's bursty and diurnal arrival
+// shapes. Both arms replay the identical seeded trace through
+// internal/infra on the virtual clock, so the scaling policy is the only
+// varied dimension and the figures are byte-deterministic. Cost is
+// reconstructed from the run's node trace (node_added / node_removed)
+// priced at each tier's rate, plus the static base pool for the whole
+// makespan; the headline is cost per 1000 completed tasks.
+package experiments
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"time"
+
+	"repro/internal/autoscale"
+	"repro/internal/infra"
+	"repro/internal/resources"
+	"repro/internal/sched"
+	"repro/internal/simnet"
+	"repro/internal/trace"
+	wtrace "repro/internal/workloads/trace"
+)
+
+// Tier prices in cost units per node-hour. The base pool is one
+// always-on edge sensor — the paper's continuum story: a device that is
+// simply there, with elastic fog and cloud behind it — priced identically
+// in both arms, so it cancels out of the comparison.
+const (
+	e16CloudRate = 1.0
+	e16FogRate   = 0.25
+	e16EdgeRate  = 0.05
+
+	// e16Every is the scaling evaluation period on the virtual clock.
+	e16Every = 10 * time.Second
+)
+
+// E16Arm is one policy's run: completions, makespan, and the priced
+// node-hours it consumed.
+type E16Arm struct {
+	TasksCompleted int
+	Makespan       time.Duration
+	// CostUnits prices the run: elastic node spans from the node trace
+	// at their tier rates, plus the base pool for the whole makespan.
+	CostUnits float64
+	// CostPer1kTasks is CostUnits normalised per 1000 completions — the
+	// cost-per-throughput figure the arms are compared on.
+	CostPer1kTasks float64
+	PeakNodes      int
+	NodesAdded     int
+	NodesRemoved   int
+}
+
+// E16Result is one arrival shape's two-arm comparison.
+type E16Result struct {
+	Shape string
+	Tasks int
+	// Threshold is the cost-blind baseline: the cloud tier only, grown
+	// and shrunk by autoscale.NewThreshold.
+	Threshold E16Arm
+	// CostAware is the multi-tier planner over cloud + fog variants.
+	CostAware E16Arm
+}
+
+// E16AutoscaleCost runs the two-arm comparison on the bursty and diurnal
+// shapes. 250 tasks per shape is the regime where the tier decision is
+// non-trivial: demand of a few reference cores, where a fog fleet can
+// undercut a cloud VM on the baseline and the bursts still need real
+// elastic response. At much higher counts sustained demand exceeds the
+// fog break-even and the cost-optimal policy degenerates to "hold one
+// big VM" — which the threshold baseline already does by accident.
+func E16AutoscaleCost(tasks int, seed int64) ([]E16Result, error) {
+	var out []E16Result
+	for _, shape := range []string{wtrace.ShapePoissonBurst, wtrace.ShapeDiurnal} {
+		gen := wtrace.DefaultGen(shape)
+		gen.Tasks = tasks
+		gen.Seed = seed
+		tr, err := wtrace.Generate(gen)
+		if err != nil {
+			return nil, err
+		}
+		r := E16Result{Shape: shape, Tasks: len(tr.Tasks)}
+		// The baseline scales the cloud tier only: same growth threshold,
+		// shrink once a whole VM's worth of cores idles.
+		threshold := autoscale.NewThreshold(resources.NewElasticManager(
+			resources.NewSimProvider("cloud", resources.CloudVM, 8, 30*time.Second),
+			resources.ScalePolicy{MaxNodes: 8, TasksPerCore: 2, IdleCoresToShrink: 8, CostPerNodeHour: e16CloudRate},
+		))
+		if r.Threshold, err = e16Arm(tr, threshold); err != nil {
+			return nil, fmt.Errorf("%s threshold arm: %w", shape, err)
+		}
+		costAware, err := autoscale.New(autoscale.DefaultPolicy(), []autoscale.Variant{
+			e16Variant("cloud", resources.CloudVM, e16CloudRate, 30*time.Second, 8),
+			e16Variant("fog", resources.FogDevice, e16FogRate, 5*time.Second, 16),
+		})
+		if err != nil {
+			return nil, err
+		}
+		if r.CostAware, err = e16Arm(tr, costAware); err != nil {
+			return nil, fmt.Errorf("%s cost-aware arm: %w", shape, err)
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// e16Arm replays one trace under one scaling policy over a one-sensor
+// base pool and prices the run from its node trace.
+func e16Arm(tr *wtrace.Trace, scaler *autoscale.Autoscaler) (E16Arm, error) {
+	pool := resources.NewPool()
+	if err := pool.Add(resources.NewNode("base-0", resources.EdgeSensor)); err != nil {
+		return E16Arm{}, err
+	}
+	tracer := trace.New(0)
+	res, err := mustRun(infra.Config{
+		Pool:         pool,
+		Net:          simnet.New(simnet.Link{BandwidthMBps: 1000, Latency: 100 * time.Microsecond}),
+		Policy:       sched.MinLoad{},
+		Tracer:       tracer,
+		Autoscale:    scaler,
+		ElasticEvery: e16Every,
+	}, tr.Specs())
+	if err != nil {
+		return E16Arm{}, err
+	}
+	arm := E16Arm{TasksCompleted: res.TasksCompleted, Makespan: res.Makespan, PeakNodes: res.PeakNodes}
+	arm.CostUnits = e16EdgeRate*res.Makespan.Hours() + e16PriceNodes(tracer, res.Makespan, &arm)
+	if arm.TasksCompleted > 0 {
+		arm.CostPer1kTasks = arm.CostUnits * 1000 / float64(arm.TasksCompleted)
+	}
+	return arm, nil
+}
+
+func e16Variant(name string, desc resources.Description, rate float64, delay time.Duration, max int) autoscale.Variant {
+	return autoscale.Variant{
+		Name: name,
+		Desc: desc,
+		Manager: resources.NewElasticManager(
+			resources.NewSimProvider(name, desc, max, delay),
+			resources.ScalePolicy{MaxNodes: max, TasksPerCore: 2, CostPerNodeHour: rate},
+		),
+	}
+}
+
+// e16PriceNodes integrates elastic node lifetimes from the run's
+// node_added/node_removed events, priced by the tier encoded in the
+// node-name prefix (SimProvider names nodes "tier-N"). Nodes still in
+// the pool when the run ends are billed to the makespan.
+func e16PriceNodes(tracer *trace.Tracer, makespan time.Duration, arm *E16Arm) float64 {
+	added := map[string]time.Duration{}
+	cost := 0.0
+	for _, e := range tracer.Events() {
+		switch e.Kind {
+		case trace.NodeAdded:
+			added[e.Node] = e.At
+			arm.NodesAdded++
+		case trace.NodeRemoved:
+			at, ok := added[e.Node]
+			if !ok {
+				continue // base pool node: not elastic
+			}
+			cost += e16TierRate(e.Node) * (e.At - at).Hours()
+			delete(added, e.Node)
+			arm.NodesRemoved++
+		}
+	}
+	// Summed in name order so the float total is the same run to run.
+	live := make([]string, 0, len(added))
+	for node := range added {
+		live = append(live, node)
+	}
+	sort.Strings(live)
+	for _, node := range live {
+		cost += e16TierRate(node) * (makespan - added[node]).Hours()
+	}
+	return cost
+}
+
+// e16TierRate maps a provisioned node's name prefix to its tier price.
+func e16TierRate(node string) float64 {
+	if strings.HasPrefix(node, "fog-") {
+		return e16FogRate
+	}
+	return e16CloudRate
+}

@@ -13,24 +13,12 @@ import (
 	latreport "repro/internal/workloads/trace/report"
 )
 
-// TestBurstyReplaySmoke10k replays a generated 10k-task Poisson-burst
-// trace end to end on the simulator and checks the latency report is
-// complete and self-consistent. This is the ordinary-suite scale smoke
-// for the replay path; -short (the race job) trims it to 2k tasks.
-func TestBurstyReplaySmoke10k(t *testing.T) {
-	cfg := wtrace.DefaultGen(wtrace.ShapePoissonBurst)
-	cfg.Tasks = 10_000
-	if testing.Short() {
-		cfg.Tasks = 2_000
-	}
-	cfg.Seed = 42
-	tr, err := wtrace.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+// replayOn replays tr on n 8-core nodes under MinLoad and returns the
+// latency report, failing the test on any shortfall.
+func replayOn(t *testing.T, tr *wtrace.Trace, n int) latreport.Summary {
+	t.Helper()
 	pool := resources.NewPool()
-	for i := 0; i < 32; i++ {
+	for i := 0; i < n; i++ {
 		_ = pool.Add(resources.NewNode(fmt.Sprintf("bn%d", i), resources.Description{
 			Cores: 8, MemoryMB: 64_000, SpeedFactor: 1, Class: resources.HPC,
 		}))
@@ -48,10 +36,36 @@ func TestBurstyReplaySmoke10k(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.TasksCompleted != len(tr.Tasks) {
-		t.Fatalf("completed %d of %d tasks", res.TasksCompleted, len(tr.Tasks))
+		t.Fatalf("%d nodes: completed %d of %d tasks", n, res.TasksCompleted, len(tr.Tasks))
+	}
+	return latreport.Build(sim.Timings(), latreport.MetaOf(tr))
+}
+
+// TestBurstyReplaySmoke10k replays a generated 10k-task Poisson-burst
+// trace end to end on the simulator and checks the latency report is
+// complete and self-consistent. This is the ordinary-suite scale smoke
+// for the replay path; -short (the race job) trims it to 2k tasks.
+//
+// It is also the queue-wait gate. The replay runs on the virtual clock,
+// so the percentiles track scheduling decisions, not host speed, and are
+// pinned exactly: zero on the roomy pool (capacity is never the limit, so
+// any wait is the engine leaving runnable work queued), and the recorded
+// p99 on a pool the bursts saturate.
+func TestBurstyReplaySmoke10k(t *testing.T) {
+	cfg := wtrace.DefaultGen(wtrace.ShapePoissonBurst)
+	cfg.Tasks = 10_000
+	tightNodes, tightP99 := 12, "138841.506"
+	if testing.Short() {
+		cfg.Tasks = 2_000
+		tightNodes, tightP99 = 4, "37637.806"
+	}
+	cfg.Seed = 42
+	tr, err := wtrace.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	sum := latreport.Build(sim.Timings(), latreport.MetaOf(tr))
+	sum := replayOn(t, tr, 32)
 	if sum.Completed != len(tr.Tasks) {
 		t.Fatalf("latency report covers %d tasks, want %d", sum.Completed, len(tr.Tasks))
 	}
@@ -76,6 +90,14 @@ func TestBurstyReplaySmoke10k(t *testing.T) {
 	if tenantTasks != len(tr.Tasks) {
 		t.Fatalf("tenant sections cover %d tasks, want %d", tenantTasks, len(tr.Tasks))
 	}
-	t.Logf("replayed %d tasks: queue wait p99 %.1fms, makespan %.1fs",
-		len(tr.Tasks), sum.QueueWait.P99, sum.MakespanMS/1000)
+	if sum.QueueWait.Max != 0 {
+		t.Fatalf("runnable work waited with idle capacity: queue wait %+v", sum.QueueWait)
+	}
+	tight := replayOn(t, tr, tightNodes)
+	if got := fmt.Sprintf("%.3f", tight.QueueWait.P99); got != tightP99 {
+		t.Fatalf("queue wait p99 on %d nodes = %sms, want %sms (distribution %+v)",
+			tightNodes, got, tightP99, tight.QueueWait)
+	}
+	t.Logf("replayed %d tasks: makespan %.1fs; queue wait p99 on %d nodes %sms",
+		len(tr.Tasks), sum.MakespanMS/1000, tightNodes, tightP99)
 }

@@ -4,8 +4,8 @@
 // milestones on its clock (virtual or wall); this package joins them
 // with the trace's tenant tags by task ID and computes percentile
 // statistics with hand-checkable linear-interpolation math. The output
-// is the latency section of BENCH_scale.json and the summary block
-// flowgo-sim prints after a replay.
+// is the latency object of flowgo-sim's -bench-out trace report and the
+// summary block it prints after a replay.
 package report
 
 import (
