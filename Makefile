@@ -10,7 +10,7 @@ PKGS := ./...
 SWEEP_SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 FUZZTIME ?= 30s
 
-.PHONY: build test race check lint vet budget fuzz testsweep bench ledger clean
+.PHONY: build test race check lint vet budget fuzz testsweep ledger clean
 
 build:
 	$(GO) build $(PKGS)
@@ -26,14 +26,20 @@ check: build vet test race
 vet:
 	$(GO) vet $(PKGS)
 
-# budget prints the design-size figures ROADMAP aim 2 tracks: non-test
-# Go lines outside bench/, the three Config field counts (and fails if
-# one exceeds its budget — TestConfigBudget is the ratchet), and the
-# flowgo-sim flag count (fails above FLAG_BUDGET).
+# budget prints the design-size figures ROADMAP aim 2 tracks and fails
+# when one grew: non-test Go lines outside bench/ (above LINE_BUDGET —
+# lower it in the PR that deletes code), with the agent's share printed;
+# the Config field counts (TestConfigBudget is the ratchet); and the
+# flowgo-sim flag count (above FLAG_BUDGET).
 FLAG_BUDGET := 28
+LINE_BUDGET := 22500
+NONTEST_GO := -name '*.go' ! -name '*_test.go'
 budget:
-	@printf 'non-test Go lines outside bench/: '; \
-		find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@n=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs cat | wc -l); \
+		echo "non-test Go lines outside bench/: $$n (budget $(LINE_BUDGET))"; \
+		printf '  of which internal/agent + cmd/flowgo-submit: '; \
+		find internal/agent cmd/flowgo-submit $(NONTEST_GO) | xargs cat | wc -l; \
+		test $$n -le $(LINE_BUDGET)
 	@$(GO) test -count=1 -run TestConfigBudget -v ./internal/integration | grep -E 'fields|FAIL|^ok'
 	@n=$$(grep -cE 'flag\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/flowgo-sim/main.go); \
 		echo "flowgo-sim flags: $$n (budget $(FLAG_BUDGET))"; \
@@ -65,9 +71,6 @@ testsweep:
 			echo "testsweep: FAILED at shuffle seed $$seed" >&2; exit 1; }; \
 	done; \
 	echo "testsweep: all seeds green"
-
-bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ $(PKGS)
 
 # The performance ledger every claim is judged on: five end-to-end
 # workloads plus the per-layer figures (see bench/README.md).

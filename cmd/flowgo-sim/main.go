@@ -554,7 +554,7 @@ func parseAutoscale(s string) (*autoscale.Autoscaler, error) {
 			),
 		})
 	}
-	return autoscale.New(autoscale.DefaultPolicy(), variants)
+	return autoscale.New(variants)
 }
 
 // printScalingSummary reports what the autoscaler and the admission

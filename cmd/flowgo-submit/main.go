@@ -8,11 +8,9 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"time"
 
@@ -39,47 +37,22 @@ func run() error {
 	if err := json.Unmarshal([]byte(*args), &rawArgs); err != nil {
 		return fmt.Errorf("parse -args: %w", err)
 	}
-	body, err := json.Marshal(agent.TaskRequest{Name: *fn, Args: rawArgs})
+	client := agent.NewClient(10*time.Second, 50*time.Millisecond)
+	id, err := client.Submit(*agentURL, *fn, rawArgs)
 	if err != nil {
 		return err
 	}
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Post(*agentURL+"/task", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("submit: HTTP %d", resp.StatusCode)
-	}
-	var st agent.TaskStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return err
-	}
-	fmt.Println("task id:", st.ID)
+	fmt.Println("task id:", id)
 
-	deadline := time.Now().Add(*timeout)
-	for {
-		r, err := client.Get(*agentURL + "/task/" + st.ID)
-		if err != nil {
-			return err
-		}
-		var cur agent.TaskStatus
-		decErr := json.NewDecoder(r.Body).Decode(&cur)
-		_ = r.Body.Close()
-		if decErr != nil {
-			return decErr
-		}
-		switch cur.State {
-		case agent.StateDone:
-			fmt.Println("result:", string(cur.Result))
-			return nil
-		case agent.StateFailed:
-			return fmt.Errorf("task failed: %s", cur.Error)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out in state %s", cur.State)
-		}
-		time.Sleep(50 * time.Millisecond)
+	deadline := time.AfterFunc(*timeout, func() {
+		fmt.Fprintf(os.Stderr, "flowgo-submit: task %s not finished after %v\n", id, *timeout)
+		os.Exit(1)
+	})
+	defer deadline.Stop()
+	result, err := client.Wait(*agentURL, id)
+	if err != nil {
+		return err
 	}
+	fmt.Println("result:", string(result))
+	return nil
 }

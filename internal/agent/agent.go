@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obsv"
@@ -36,8 +37,6 @@ var (
 	ErrUnknownFunc = errors.New("agent: unknown function")
 	// ErrPeerLost is returned when a peer stops answering mid-task.
 	ErrPeerLost = errors.New("agent: peer lost")
-	// ErrNoCapacity is returned when no executor (local or peer) accepts.
-	ErrNoCapacity = errors.New("agent: no capacity anywhere")
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("agent: closed")
 	// ErrTaskPanic is the failure of a task whose function panicked; the
@@ -56,22 +55,19 @@ const (
 	readTimeout       = 30 * time.Second
 	writeTimeout      = 30 * time.Second
 	idleTimeout       = time.Minute
+	// closeDeadline bounds Close: what is still open or running when it
+	// expires is abandoned, not waited for.
+	closeDeadline = time.Second
+	// maxWorkers caps the worker pool POST /resources can grow.
+	maxWorkers = 1024
+	// retainFinished finished tasks stay pollable (in-flight ones always
+	// are); an older ID answers 404 like one the agent never issued.
+	retainFinished = 4096
 )
 
 // Func is an agent-executable function: JSON in, JSON out, so the same
 // registration works in-process and across the REST boundary.
 type Func func(args []json.RawMessage) (json.RawMessage, error)
-
-// call runs fn, turning a panic into an ordinary task failure: one bad
-// function must not take the agent (and every queued task) down.
-func (fn Func) call(args []json.RawMessage) (result json.RawMessage, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			result, err = nil, fmt.Errorf("%w: %v", ErrTaskPanic, r)
-		}
-	}()
-	return fn(args)
-}
 
 // Registry maps function names to implementations. Every agent of an
 // application registers the same code ("each agent … can execute the same
@@ -99,6 +95,21 @@ func (r *Registry) Lookup(name string) (Func, bool) {
 	defer r.mu.RUnlock()
 	fn, ok := r.m[name]
 	return fn, ok
+}
+
+// call runs the named function, turning a panic into an ordinary task
+// failure: one bad function must not take the agent and its queue down.
+func (r *Registry) call(name string, args []json.RawMessage) (result json.RawMessage, err error) {
+	fn, ok := r.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownFunc, name)
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			result, err = nil, fmt.Errorf("%w: %v", ErrTaskPanic, p)
+		}
+	}()
+	return fn(args)
 }
 
 // Task states reported by the REST API.
@@ -164,9 +175,12 @@ type Config struct {
 }
 
 type agentTask struct {
-	id     string
 	req    TaskRequest
 	status TaskStatus
+	// done is the completion signal: the worker closes it, once, when
+	// the status turns done or failed. The first waiter makes it (see
+	// await), so a task that is only polled over REST never has one.
+	done chan struct{}
 }
 
 // Agent is one runtime microservice.
@@ -174,22 +188,24 @@ type Agent struct {
 	cfg    Config
 	srv    *http.Server
 	lis    net.Listener
-	client *http.Client
+	client *Client // speaks to peers; its waits abort on quit
 
-	mu     sync.Mutex
-	tasks  map[string]*agentTask
-	queue  []*agentTask
-	busy   int
-	serial int
-	peers  []string
-	closed bool
+	mu       sync.Mutex
+	tasks    map[string]*agentTask // in flight + the finished ring
+	queue    []*agentTask
+	finished []*agentTask // ring of the last retainFinished finished tasks
+	head     int          // next ring slot to overwrite
+	busy     int
+	serial   int
+	peers    []string
+	closed   bool
 
-	recoveries int // offloads re-run after a peer loss
+	recoveries atomic.Int64 // offloads re-run after a peer loss
 
 	met metrics
 
-	work chan struct{} // worker wake-up tokens
-	quit chan struct{}
+	wake *sync.Cond    // on mu: the queue grew, or closed was set
+	quit chan struct{} // closed by Close: releases in-process and peer waits
 	wg   sync.WaitGroup
 }
 
@@ -204,9 +220,6 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 5 * time.Millisecond
-	}
 	lis, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("agent listen: %w", err)
@@ -215,21 +228,28 @@ func New(cfg Config) (*Agent, error) {
 		cfg.Name = lis.Addr().String()
 	}
 	a := &Agent{
-		cfg:    cfg,
-		lis:    lis,
-		client: &http.Client{Timeout: 2 * time.Second},
-		tasks:  make(map[string]*agentTask),
-		peers:  append([]string(nil), cfg.Peers...),
-		met:    newMetrics(cfg.Metrics),
-		work:   make(chan struct{}, 4096),
-		quit:   make(chan struct{}),
+		cfg:      cfg,
+		lis:      lis,
+		client:   NewClient(2*time.Second, cfg.PollInterval),
+		tasks:    make(map[string]*agentTask),
+		finished: make([]*agentTask, retainFinished),
+		peers:    append([]string(nil), cfg.Peers...),
+		met:      newMetrics(cfg.Metrics),
+		quit:     make(chan struct{}),
 	}
+	a.wake = sync.NewCond(&a.mu)
+	a.client.quit = a.quit
 	mux := http.NewServeMux()
-	mux.HandleFunc("/task", counted(cfg.Metrics, "task", a.handleTask))
-	mux.HandleFunc("/task/", counted(cfg.Metrics, "task-status", a.handleTaskStatus))
-	mux.HandleFunc("/tasks", counted(cfg.Metrics, "tasks", a.handleTasks))
+	// The mux answers a wrong method 405, except that it would redirect
+	// GET /task to /task/ (a 404): that one is routed to its 405 by hand.
+	mux.HandleFunc("POST /task", counted(cfg.Metrics, "task", a.handleTask))
+	mux.HandleFunc("GET /task", counted(cfg.Metrics, "task", func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	}))
+	mux.HandleFunc("GET /task/", counted(cfg.Metrics, "task-status", a.handleTaskStatus))
+	mux.HandleFunc("GET /tasks", counted(cfg.Metrics, "tasks", a.handleTasks))
 	mux.HandleFunc("/health", counted(cfg.Metrics, "health", a.handleHealth))
-	mux.HandleFunc("/resources", counted(cfg.Metrics, "resources", a.handleResources))
+	mux.HandleFunc("POST /resources", counted(cfg.Metrics, "resources", a.handleResources))
 	a.srv = &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: readHeaderTimeout,
@@ -266,13 +286,12 @@ func (a *Agent) SetPeers(urls []string) {
 
 // Recoveries reports how many offloaded tasks were recovered after peer
 // loss.
-func (a *Agent) Recoveries() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.recoveries
-}
+func (a *Agent) Recoveries() int { return int(a.recoveries.Load()) }
 
-// Close stops the HTTP server and the workers. Queued tasks are abandoned.
+// Close stops the HTTP server and the workers within closeDeadline. Queued
+// tasks are abandoned and callers blocked in RunLocal, Offload or
+// RunAnywhere return ErrClosed; a connection still open at the deadline is
+// dropped, a function still running then finishes on its own.
 func (a *Agent) Close() {
 	a.mu.Lock()
 	if a.closed {
@@ -280,29 +299,32 @@ func (a *Agent) Close() {
 		return
 	}
 	a.closed = true
+	a.wake.Broadcast()
 	a.mu.Unlock()
 	close(a.quit)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), closeDeadline)
 	defer cancel()
-	_ = a.srv.Shutdown(ctx)
-	a.wg.Wait()
+	if err := a.srv.Shutdown(ctx); err != nil {
+		_ = a.srv.Close() // already past the deadline: nothing left to do with a second error
+	}
+	// The workers get what is left of the same deadline.
+	go func() { a.wg.Wait(); cancel() }()
+	<-ctx.Done()
 }
 
 // --- local execution ---
 
-// worker executes queued tasks, one at a time per core.
+// worker executes queued tasks, one at a time per core, until Close.
 func (a *Agent) worker() {
 	defer a.wg.Done()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	for {
-		select {
-		case <-a.quit:
-			return
-		case <-a.work:
+		for len(a.queue) == 0 && !a.closed {
+			a.wake.Wait()
 		}
-		a.mu.Lock()
-		if len(a.queue) == 0 {
-			a.mu.Unlock()
-			continue
+		if a.closed {
+			return
 		}
 		t := a.queue[0]
 		a.queue = a.queue[1:]
@@ -313,15 +335,9 @@ func (a *Agent) worker() {
 		a.met.busy.Add(1)
 
 		started := time.Now()
-		fn, ok := a.cfg.Registry.Lookup(t.req.Name)
-		var result json.RawMessage
-		var err error
-		if !ok {
-			err = fmt.Errorf("%w: %s", ErrUnknownFunc, t.req.Name)
-		} else {
-			result, err = fn.call(t.req.Args)
-		}
+		result, err := a.cfg.Registry.call(t.req.Name, t.req.Args)
 		a.met.execSeconds.ObserveDuration(time.Since(started))
+		a.met.busy.Add(-1)
 
 		a.mu.Lock()
 		if err != nil {
@@ -334,30 +350,32 @@ func (a *Agent) worker() {
 			a.met.executed.Inc()
 		}
 		a.busy--
-		a.mu.Unlock()
-		a.met.busy.Add(-1)
+		if old := a.finished[a.head]; old != nil {
+			delete(a.tasks, old.status.ID)
+		}
+		a.finished[a.head] = t
+		a.head = (a.head + 1) % len(a.finished)
+		if t.done != nil {
+			close(t.done)
+		}
 	}
 }
 
 // enqueue registers a task locally and wakes a worker.
-func (a *Agent) enqueue(req TaskRequest) (string, error) {
+func (a *Agent) enqueue(req TaskRequest) (*agentTask, error) {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.closed {
-		a.mu.Unlock()
-		return "", ErrClosed
+		return nil, ErrClosed
 	}
 	a.serial++
 	id := fmt.Sprintf("%s-t%d", a.cfg.Name, a.serial)
-	t := &agentTask{id: id, req: req, status: TaskStatus{ID: id, State: StateQueued}}
+	t := &agentTask{req: req, status: TaskStatus{ID: id, State: StateQueued}}
 	a.tasks[id] = t
 	a.queue = append(a.queue, t)
-	a.mu.Unlock()
+	a.wake.Signal()
 	a.met.queued.Add(1)
-	select {
-	case a.work <- struct{}{}:
-	default:
-	}
-	return id, nil
+	return t, nil
 }
 
 // Status returns the status of a local task.
@@ -381,34 +399,25 @@ func (a *Agent) health() Health {
 // --- HTTP handlers (the REST interface of Fig. 6) ---
 
 func (a *Agent) handleTask(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req TaskRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	if _, ok := a.cfg.Registry.Lookup(req.Name); !ok {
 		http.Error(w, fmt.Sprintf("unknown function %q", req.Name), http.StatusNotFound)
 		return
 	}
-	id, err := a.enqueue(req)
+	t, err := a.enqueue(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	writeJSON(w, TaskStatus{ID: id, State: StateQueued})
+	// Not t.status: a worker may already be writing it.
+	writeJSON(w, TaskStatus{ID: t.status.ID, State: StateQueued})
 }
 
 func (a *Agent) handleTaskStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/task/")
-	st, ok := a.Status(id)
+	st, ok := a.Status(strings.TrimPrefix(r.URL.Path, "/task/"))
 	if !ok {
 		http.Error(w, "unknown task", http.StatusNotFound)
 		return
@@ -420,15 +429,11 @@ func (a *Agent) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, a.health())
 }
 
-// handleTasks lists every task's status — the monitoring surface the
+// handleTasks lists every retained task's status — the monitoring surface the
 // paper's interactivity/steering goals require ("monitoring, streaming and
 // visualization of the scientific results", Sec. I). Results are elided to
 // keep the listing small; fetch them per-task.
 func (a *Agent) handleTasks(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	a.mu.Lock()
 	out := make([]TaskStatus, 0, len(a.tasks))
 	for _, t := range a.tasks {
@@ -444,30 +449,39 @@ func (a *Agent) handleTasks(w http.ResponseWriter, r *http.Request) {
 // handleResources updates local capacity at execution time ("the set of
 // available resources can be updated through the REST API").
 func (a *Agent) handleResources(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req struct {
 		AddCores int `json:"addCores"`
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.AddCores <= 0 {
-		http.Error(w, "addCores must be positive", http.StatusBadRequest)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	a.mu.Lock()
-	a.cfg.Cores += req.AddCores
-	n := req.AddCores
+	// The bound is a subtraction so a huge addCores cannot overflow it; a
+	// closed agent (Close is waiting on wg) takes no new workers either.
+	ok := req.AddCores > 0 && req.AddCores <= maxWorkers-a.cfg.Cores && !a.closed
+	if ok {
+		a.cfg.Cores += req.AddCores
+		for i := 0; i < req.AddCores; i++ {
+			a.wg.Add(1)
+			go a.worker()
+		}
+	}
 	a.mu.Unlock()
-	for i := 0; i < n; i++ {
-		a.wg.Add(1)
-		go a.worker()
+	if !ok {
+		http.Error(w, fmt.Sprintf("addCores must be positive and keep the agent within %d cores", maxWorkers), http.StatusBadRequest)
+		return
 	}
 	writeJSON(w, a.health())
+}
+
+// readJSON decodes a POST body of at most maxBodyBytes into v; a body that
+// does not parse is answered 400 here and reported as false.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(v)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
+	return err == nil
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obsv"
 	"repro/internal/storage/dataclay"
 )
 
@@ -44,6 +45,17 @@ func startAgent(t *testing.T, cfg Config) *Agent {
 	}
 	t.Cleanup(a.Close)
 	return a
+}
+
+// eventually polls cond until it holds; the tests use it to wait for
+// agent state that no channel announces.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
 }
 
 func arg(t *testing.T, v any) json.RawMessage {
@@ -288,11 +300,118 @@ func TestCloseIsIdempotentAndStopsSubmissions(t *testing.T) {
 	}
 }
 
+// TestRunLocalBlocksOnTheSignal: RunLocal returns when the worker signals
+// completion, whatever the poll interval — that knob only paces waits on
+// peers now.
+func TestRunLocalBlocksOnTheSignal(t *testing.T) {
+	reg := testRegistry()
+	reg.Register("nap", func([]json.RawMessage) (json.RawMessage, error) {
+		time.Sleep(10 * time.Millisecond)
+		return json.Marshal("rested")
+	})
+	a := startAgent(t, Config{Registry: reg, PollInterval: time.Hour})
+	got := make(chan error, 1)
+	go func() {
+		res, err := a.RunLocal("nap", nil)
+		if err == nil && string(res) != `"rested"` {
+			err = fmt.Errorf("result = %s", res)
+		}
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("RunLocal of a 10ms function still waiting after 1s: it is sleeping, not signalled")
+	}
+}
+
+// TestAwaitParkedAndLateWaiters: the completion signal has no lost
+// wake-up. A waiter parked before the task finishes is woken by it, and a
+// waiter arriving after it finished returns at once without a signal ever
+// having been made.
+func TestAwaitParkedAndLateWaiters(t *testing.T) {
+	reg := testRegistry()
+	gate := make(chan struct{})
+	reg.Register("gated", func([]json.RawMessage) (json.RawMessage, error) {
+		<-gate
+		return json.Marshal("through")
+	})
+	a := startAgent(t, Config{Registry: reg})
+
+	parked, err := a.enqueue(TaskRequest{Name: "gated"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan string, 1)
+	go func() {
+		res, err := a.await(parked)
+		got <- fmt.Sprint(string(res), err)
+	}()
+	eventually(t, "the waiter left its signal on the running task", func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return parked.done != nil && parked.status.State == StateRunning
+	})
+	close(gate)
+	if out := <-got; out != `"through"<nil>` {
+		t.Fatalf("parked waiter got %s", out)
+	}
+
+	late, err := a.enqueue(TaskRequest{Name: "square", Args: []json.RawMessage{arg(t, 3)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the task finished with nobody waiting", func() bool {
+		st, _ := a.Status(late.status.ID)
+		return st.State == StateDone
+	})
+	if res, err := a.await(late); err != nil || string(res) != "9" {
+		t.Fatalf("late waiter got %s %v", res, err)
+	}
+	if late.done != nil {
+		t.Fatal("a signal was made for a task that had already finished")
+	}
+}
+
+// TestRunAnywhereProbesEachPeerOnce: one offloaded call costs one GET
+// /health per peer — the ranking RunAnywhere decided on is the ranking
+// the offload uses.
+func TestRunAnywhereProbesEachPeerOnce(t *testing.T) {
+	reg := testRegistry()
+	served := obsv.NewRegistry() // shared, so the peers' counters add up
+	var peers []string
+	for i := 0; i < 3; i++ {
+		p := startAgent(t, Config{Name: fmt.Sprintf("peer%d", i), Registry: reg, Cores: 4, Metrics: served})
+		peers = append(peers, p.URL())
+	}
+	origin := startAgent(t, Config{Name: "origin", Registry: reg, Cores: 1, Peers: peers, Metrics: obsv.NewRegistry()})
+	// A 1-core origin with a backlog facing idle 4-core peers offloads.
+	for i := 0; i < 2; i++ {
+		if _, err := origin.enqueue(TaskRequest{Name: "slow"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := origin.RunAnywhere("square", []json.RawMessage{arg(t, 6)})
+	if err != nil || string(res) != "36" {
+		t.Fatalf("RunAnywhere = %s %v", res, err)
+	}
+	if n := origin.met.offloads.Value(); n != 1 {
+		t.Fatalf("offloads = %d, want 1: the call did not take the offload path", n)
+	}
+	probes := served.Counter("flowgo_agent_http_requests_total", "", obsv.Labels("endpoint", "health")).Value()
+	if probes != 3 {
+		t.Fatalf("an offloaded RunAnywhere cost %d GET /health over 3 peers, want 3", probes)
+	}
+}
+
 func TestManyConcurrentLocalTasks(t *testing.T) {
 	a := startAgent(t, Config{Cores: 4})
 	var wg sync.WaitGroup
-	errs := make([]error, 50)
-	for i := 0; i < 50; i++ {
+	errs := make([]error, 64)
+	for i := 0; i < 64; i++ {
 		i := i
 		wg.Add(1)
 		go func() {

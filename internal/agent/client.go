@@ -3,18 +3,23 @@ package agent
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
 	"time"
 )
 
-// Client is the standalone client side of the agent REST protocol, for
-// programs that orchestrate agents without being one (CLI tools, the
-// compss remote-task backend). It is safe for concurrent use.
+// Client is the client side of the agent REST protocol — the only one in
+// the tree: agents offload to their peers through it, and so do programs
+// that orchestrate agents without being one (flowgo-submit, the compss
+// remote-task backend). It is safe for concurrent use.
 type Client struct {
 	http         *http.Client
 	pollInterval time.Duration
+	// quit aborts Wait with ErrClosed. An Agent's client carries the
+	// agent's stop channel; a standalone client's is nil and never fires.
+	quit <-chan struct{}
 }
 
 // NewClient returns a client with the given per-request timeout and poll
@@ -32,18 +37,30 @@ func NewClient(timeout, pollInterval time.Duration) *Client {
 	}
 }
 
-// Health queries one agent's load.
-func (c *Client) Health(url string) (Health, error) {
-	resp, err := c.http.Get(url + "/health")
+// reply decodes the JSON answer to one protocol request into v. An agent
+// that cannot be reached, answers anything but 200 (so also one that no
+// longer knows a task ID: it restarted, or evicted the status) or sends a
+// malformed body cannot be relied on: ErrPeerLost.
+func reply(url string, resp *http.Response, err error, v any) error {
 	if err != nil {
-		return Health{}, fmt.Errorf("%w: %s: %v", ErrPeerLost, url, err)
+		return fmt.Errorf("%w: %s: %v", ErrPeerLost, url, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return Health{}, fmt.Errorf("%w: %s: %v", ErrPeerLost, url, err)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%w: %s: status %d", ErrPeerLost, url, resp.StatusCode)
 	}
-	return h, nil
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrPeerLost, url, err)
+	}
+	return nil
+}
+
+// Health queries one agent's load.
+func (c *Client) Health(url string) (Health, error) {
+	var h Health
+	resp, err := c.http.Get(url + "/health")
+	err = reply(url, resp, err, &h)
+	return h, err
 }
 
 // Submit posts a task and returns its remote ID.
@@ -53,35 +70,23 @@ func (c *Client) Submit(url, name string, args []json.RawMessage) (string, error
 		return "", err
 	}
 	resp, err := c.http.Post(url+"/task", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", fmt.Errorf("%w: %s: %v", ErrPeerLost, url, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode == http.StatusNotFound {
+	if err == nil && resp.StatusCode == http.StatusNotFound {
+		_ = resp.Body.Close()
 		return "", fmt.Errorf("agent %s: %w: %s", url, ErrUnknownFunc, name)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("%w: %s: status %d", ErrPeerLost, url, resp.StatusCode)
-	}
 	var st TaskStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return "", fmt.Errorf("%w: %s: %v", ErrPeerLost, url, err)
-	}
-	return st.ID, nil
+	err = reply(url, resp, err, &st)
+	return st.ID, err
 }
 
-// Wait polls until the remote task finishes.
+// Wait polls until the remote task finishes. It is the one poll loop in
+// the tree, and polls because plain HTTP makes it.
 func (c *Client) Wait(url, id string) (json.RawMessage, error) {
 	for {
-		resp, err := c.http.Get(url + "/task/" + id)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrPeerLost, url, err)
-		}
 		var st TaskStatus
-		decErr := json.NewDecoder(resp.Body).Decode(&st)
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || decErr != nil {
-			return nil, fmt.Errorf("%w: %s: status %d", ErrPeerLost, url, resp.StatusCode)
+		resp, err := c.http.Get(url + "/task/" + id)
+		if err := reply(url, resp, err, &st); err != nil {
+			return nil, err
 		}
 		switch st.State {
 		case StateDone:
@@ -89,7 +94,11 @@ func (c *Client) Wait(url, id string) (json.RawMessage, error) {
 		case StateFailed:
 			return nil, fmt.Errorf("remote task failed: %s", st.Error)
 		}
-		time.Sleep(c.pollInterval)
+		select {
+		case <-c.quit:
+			return nil, ErrClosed
+		case <-time.After(c.pollInterval):
+		}
 	}
 }
 
@@ -102,44 +111,53 @@ func (c *Client) Run(url, name string, args []json.RawMessage) (json.RawMessage,
 	return c.Wait(url, id)
 }
 
+// peer is one agent that answered /health, with the load it reported.
+type peer struct {
+	url    string
+	health Health
+}
+
+// rank asks every agent for its load — one GET /health each — and returns
+// those that answered, least loaded first (ties by URL).
+func (c *Client) rank(urls []string) []peer {
+	var alive []peer
+	for _, u := range urls {
+		if h, err := c.Health(u); err == nil {
+			alive = append(alive, peer{url: u, health: h})
+		}
+	}
+	sort.Slice(alive, func(i, j int) bool {
+		if li, lj := alive[i].health.Load(), alive[j].health.Load(); li != lj {
+			return li < lj
+		}
+		return alive[i].url < alive[j].url
+	})
+	return alive
+}
+
+// failover tries the ranked agents in order. Only a lost agent
+// (ErrPeerLost) moves it on to the next one: a task failure is the task's
+// answer and is returned, never masked by a retry elsewhere. With nobody
+// to try, or everybody lost, the error is ErrPeerLost.
+func failover(peers []peer, try func(url string) (json.RawMessage, error)) (res json.RawMessage, err error) {
+	err = ErrPeerLost
+	for _, p := range peers {
+		if res, err = try(p.url); !errors.Is(err, ErrPeerLost) {
+			return res, err
+		}
+	}
+	return nil, err
+}
+
 // RunOnCluster runs the function on the least-loaded live agent, failing
 // over to the next one if the chosen agent disappears mid-task. Task
 // failures (the function returning an error) are reported, not retried.
 func (c *Client) RunOnCluster(urls []string, name string, args []json.RawMessage) (json.RawMessage, error) {
-	if len(urls) == 0 {
-		return nil, fmt.Errorf("agent client: no agents configured")
-	}
-	type scored struct {
-		url  string
-		load float64
-	}
-	var alive []scored
-	for _, u := range urls {
-		h, err := c.Health(u)
-		if err != nil {
-			continue
-		}
-		alive = append(alive, scored{url: u, load: h.Load()})
-	}
+	alive := c.rank(urls)
 	if len(alive) == 0 {
 		return nil, fmt.Errorf("agent client: %w: none of %d agents answered", ErrPeerLost, len(urls))
 	}
-	sort.Slice(alive, func(i, j int) bool {
-		if alive[i].load != alive[j].load {
-			return alive[i].load < alive[j].load
-		}
-		return alive[i].url < alive[j].url
+	return failover(alive, func(url string) (json.RawMessage, error) {
+		return c.Run(url, name, args)
 	})
-	var lastErr error
-	for _, s := range alive {
-		res, err := c.Run(s.url, name, args)
-		if err == nil {
-			return res, nil
-		}
-		if !isPeerLost(err) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
 }

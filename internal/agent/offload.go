@@ -1,13 +1,9 @@
 package agent
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
-	"sort"
-	"time"
 
 	"repro/internal/storage"
 	"repro/internal/storage/dataclay"
@@ -26,10 +22,7 @@ func RegisterBlobClass(store *dataclay.Store) {
 		Name:    taskBlobClass,
 		Methods: map[string]dataclay.Method{},
 		Size: func(state any) int64 {
-			raw, ok := state.([]byte)
-			if !ok {
-				return 0
-			}
+			raw, _ := state.([]byte) // anything else has no size: len(nil) is 0
 			return int64(len(raw))
 		},
 	})
@@ -47,141 +40,58 @@ func (a *Agent) persistRequest(req TaskRequest) (storage.ObjectID, error) {
 	return a.cfg.Store.NewObject(taskBlobClass, raw)
 }
 
-// recoverRequest reloads a persisted request.
-func (a *Agent) recoverRequest(id storage.ObjectID) (TaskRequest, error) {
-	var req TaskRequest
+// recoverRequest reloads a persisted request; false when there is no store,
+// the request was not persisted, or the stored object does not decode.
+func (a *Agent) recoverRequest(id storage.ObjectID) (req TaskRequest, ok bool) {
 	if a.cfg.Store == nil || id == "" {
-		return req, fmt.Errorf("%w: request not persisted", ErrPeerLost)
+		return req, false
 	}
 	state, err := a.cfg.Store.Fetch(id)
-	if err != nil {
-		return req, fmt.Errorf("recover request: %w", err)
-	}
-	raw, ok := state.([]byte)
-	if !ok {
-		return req, fmt.Errorf("recover request %s: unexpected state %T", id, state)
-	}
-	if err := json.Unmarshal(raw, &req); err != nil {
-		return req, fmt.Errorf("recover request: %w", err)
-	}
-	return req, nil
+	raw, isBytes := state.([]byte)
+	ok = err == nil && isBytes && json.Unmarshal(raw, &req) == nil
+	return req, ok
 }
 
-// peerHealth queries a peer's load; failure marks the peer as lost.
-func (a *Agent) peerHealth(url string) (Health, error) {
-	resp, err := a.client.Get(url + "/health")
-	if err != nil {
-		return Health{}, fmt.Errorf("%w: %s: %v", ErrPeerLost, url, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return Health{}, fmt.Errorf("%w: %s: %v", ErrPeerLost, url, err)
-	}
-	return h, nil
-}
-
-// postTask submits a request to a peer and returns the remote task ID.
-func (a *Agent) postTask(url string, req TaskRequest) (string, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return "", err
-	}
-	resp, err := a.client.Post(url+"/task", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", fmt.Errorf("%w: %s: %v", ErrPeerLost, url, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("%w: %s: status %d", ErrPeerLost, url, resp.StatusCode)
-	}
-	var st TaskStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return "", fmt.Errorf("%w: %s: %v", ErrPeerLost, url, err)
-	}
-	return st.ID, nil
-}
-
-// pollTask waits for a remote task to finish.
-func (a *Agent) pollTask(url, id string) (json.RawMessage, error) {
-	for {
-		resp, err := a.client.Get(url + "/task/" + id)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrPeerLost, url, err)
-		}
-		var st TaskStatus
-		decErr := json.NewDecoder(resp.Body).Decode(&st)
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || decErr != nil {
-			return nil, fmt.Errorf("%w: %s: status %d", ErrPeerLost, url, resp.StatusCode)
-		}
-		switch st.State {
-		case StateDone:
-			return st.Result, nil
-		case StateFailed:
-			return nil, fmt.Errorf("remote task failed: %s", st.Error)
-		}
-		select {
-		case <-a.quit:
-			return nil, ErrClosed
-		case <-time.After(a.cfg.PollInterval):
-		}
-	}
-}
-
-// RunLocal executes a function on this agent and waits for the result.
+// RunLocal executes a function on this agent and blocks until the worker
+// signals its completion (or the agent closes).
 func (a *Agent) RunLocal(name string, args []json.RawMessage) (json.RawMessage, error) {
-	id, err := a.enqueue(TaskRequest{Name: name, Args: args})
+	t, err := a.enqueue(TaskRequest{Name: name, Args: args})
 	if err != nil {
 		return nil, err
 	}
-	for {
-		st, ok := a.Status(id)
-		if !ok {
-			return nil, fmt.Errorf("agent: task %s vanished", id)
-		}
-		switch st.State {
-		case StateDone:
-			return st.Result, nil
-		case StateFailed:
-			return nil, fmt.Errorf("task failed: %s", st.Error)
-		}
-		select {
-		case <-a.quit:
-			return nil, ErrClosed
-		case <-time.After(a.cfg.PollInterval):
-		}
-	}
+	return a.await(t)
 }
 
-// rankedPeers returns the live peers ordered by increasing load.
-func (a *Agent) rankedPeers() []string {
+// await blocks until t has finished. A waiter that finds the task still
+// in flight leaves its completion signal on it; the worker's last write to
+// t.status comes before it closes the signal, both under a.mu, so the
+// status is final either way once await reads it.
+func (a *Agent) await(t *agentTask) (json.RawMessage, error) {
 	a.mu.Lock()
-	peers := append([]string(nil), a.peers...)
+	if t.done == nil && t.status.State != StateDone && t.status.State != StateFailed {
+		t.done = make(chan struct{})
+	}
+	done := t.done
 	a.mu.Unlock()
-	type scored struct {
-		url  string
-		load float64
-	}
-	var alive []scored
-	for _, p := range peers {
-		h, err := a.peerHealth(p)
-		if err != nil {
-			continue
+	if done != nil {
+		select {
+		case <-done:
+		case <-a.quit:
+			return nil, ErrClosed
 		}
-		alive = append(alive, scored{url: p, load: h.Load()})
 	}
-	sort.Slice(alive, func(i, j int) bool {
-		if alive[i].load != alive[j].load {
-			return alive[i].load < alive[j].load
-		}
-		return alive[i].url < alive[j].url
-	})
-	out := make([]string, len(alive))
-	for i, s := range alive {
-		out[i] = s.url
+	if t.status.State == StateFailed {
+		return nil, fmt.Errorf("task failed: %s", t.status.Error)
 	}
-	return out
+	return t.status.Result, nil
+}
+
+// rankPeers probes each configured peer once: the live ones by load.
+func (a *Agent) rankPeers() []peer {
+	a.mu.Lock()
+	urls := append([]string(nil), a.peers...)
+	a.mu.Unlock()
+	return a.client.rank(urls)
 }
 
 // Offload runs a function on the least-loaded live peer, persisting the
@@ -189,70 +99,54 @@ func (a *Agent) rankedPeers() []string {
 // recovered from the store and resubmitted to the next peer (finally
 // falling back to local execution) — the recovery behaviour of E7.
 func (a *Agent) Offload(name string, args []json.RawMessage) (json.RawMessage, error) {
+	return a.offload(a.rankPeers(), name, args)
+}
+
+// offload is Offload over a ranking the caller already paid for.
+func (a *Agent) offload(peers []peer, name string, args []json.RawMessage) (json.RawMessage, error) {
 	req := TaskRequest{Name: name, Args: args}
 	blobID, err := a.persistRequest(req)
 	if err != nil {
 		return nil, err
 	}
-	peers := a.rankedPeers()
-	for _, peer := range peers {
+	res, err := failover(peers, func(url string) (json.RawMessage, error) {
 		a.met.offloads.Inc()
 		attempt := req
-		if blobID != "" {
-			// Demonstrate true recovery: reload the request from the
-			// store rather than trusting in-memory state.
-			if rec, err := a.recoverRequest(blobID); err == nil {
-				attempt = rec
-			}
+		// Demonstrate true recovery: reload the request from the store
+		// (when it was persisted) rather than trusting in-memory state.
+		if rec, ok := a.recoverRequest(blobID); ok {
+			attempt = rec
 		}
-		result, err := a.tryPeer(peer, attempt)
-		if err == nil {
-			return result, nil
+		res, err := a.client.Run(url, attempt.Name, attempt.Args)
+		if errors.Is(err, ErrPeerLost) {
+			a.recoveries.Add(1)
+			a.met.recoveries.Inc()
 		}
-		if !isPeerLost(err) {
-			return nil, err // the task itself failed: do not mask it
-		}
-		a.mu.Lock()
-		a.recoveries++
-		a.mu.Unlock()
-		a.met.recoveries.Inc()
+		return res, err
+	})
+	if !errors.Is(err, ErrPeerLost) {
+		return res, err
 	}
 	// All peers gone (or none configured): run locally.
 	return a.RunLocal(name, args)
-}
-
-func (a *Agent) tryPeer(url string, req TaskRequest) (json.RawMessage, error) {
-	id, err := a.postTask(url, req)
-	if err != nil {
-		return nil, err
-	}
-	return a.pollTask(url, id)
-}
-
-func isPeerLost(err error) bool {
-	return errors.Is(err, ErrPeerLost)
 }
 
 // RunAnywhere picks an executor: locally when the local load *after
 // accepting this task* stays below the best peer's, otherwise the
 // least-loaded peer — the fog-to-fog / fog-to-cloud decision of Fig. 5.
 func (a *Agent) RunAnywhere(name string, args []json.RawMessage) (json.RawMessage, error) {
-	local := a.health()
-	peers := a.rankedPeers()
+	peers := a.rankPeers()
 	if len(peers) == 0 {
-		return a.RunLocal(name, args)
-	}
-	best, err := a.peerHealth(peers[0])
-	if err != nil {
 		return a.RunLocal(name, args)
 	}
 	// Include the task being placed on both sides of the comparison, so
 	// a 1-core device facing idle 4-core peers offloads instead of
 	// self-queueing.
-	localAfter := Health{Name: local.Name, Cores: local.Cores, Busy: local.Busy, Queued: local.Queued + 1}
-	bestAfter := Health{Name: best.Name, Cores: best.Cores, Busy: best.Busy, Queued: best.Queued + 1}
-	if localAfter.Load() <= bestAfter.Load() {
+	local, best := a.health(), peers[0].health
+	local.Queued++
+	best.Queued++
+	if local.Load() <= best.Load() {
 		return a.RunLocal(name, args)
 	}
-	return a.Offload(name, args)
+	return a.offload(peers, name, args)
 }

@@ -60,25 +60,22 @@ func (v Variant) rate() float64 {
 	return float64(v.Desc.Cores) * sf
 }
 
-// Policy tunes the analyzer's thresholds.
-type Policy struct {
-	// TasksPerCore is the aggregate backlog threshold: grow while ready
-	// tasks exceed TasksPerCore × pool cores. A starved signature
-	// (ready work no pool node is capable of) triggers growth regardless.
-	TasksPerCore float64
-	// IdleFrac is the capacity reserve the fleet plan carries on top of
+// The analyzer's two thresholds.
+const (
+	// tasksPerCore is the aggregate backlog threshold (the threshold
+	// planner's usual 2 ready tasks per core): grow while ready tasks
+	// exceed tasksPerCore × pool cores. A starved signature (ready work
+	// no pool node is capable of) triggers growth regardless.
+	tasksPerCore = 2.0
+	// idleFrac is the capacity reserve the fleet plan carries on top of
 	// estimated demand: the planner provisions for demand ÷ (1 −
-	// IdleFrac), so the fleet stays below (1 − IdleFrac) busy and keeps
+	// idleFrac), so the fleet stays below (1 − idleFrac) busy and keeps
 	// headroom for arrivals during the next provisioning delay. Shedding
 	// down to the reserve eagerly is safe because removal is
 	// drain-then-remove: the victim's running work finishes, and a spike
 	// mid-drain reclaims the node for free.
-	IdleFrac float64
-}
-
-// DefaultPolicy mirrors the legacy manager's growth threshold (2 ready
-// tasks per core) and plans fleets with a 15% capacity reserve.
-func DefaultPolicy() Policy { return Policy{TasksPerCore: 2, IdleFrac: 0.15} }
+	idleFrac = 0.15
+)
 
 // Signals is one snapshot of the load state the analyzer scores. Build
 // it with Snapshot, or by hand in tests — Evaluate is a pure function
@@ -198,7 +195,6 @@ type Action struct {
 // them through each variant's ElasticManager. Safe for concurrent use;
 // decisions are serialised, like the engine's scheduling.
 type Autoscaler struct {
-	pol      Policy
 	variants []Variant // sorted by name
 	// threshold selects the one-variant threshold planner (NewThreshold)
 	// over the cost-aware fleet planner (New).
@@ -225,7 +221,7 @@ const demandDecay = 0.8
 
 // New returns an autoscaler over the given tier variants. Variants are
 // kept in name order so evaluation ties break deterministically.
-func New(pol Policy, variants []Variant) (*Autoscaler, error) {
+func New(variants []Variant) (*Autoscaler, error) {
 	if len(variants) == 0 {
 		return nil, fmt.Errorf("autoscale: at least one variant required")
 	}
@@ -239,13 +235,7 @@ func New(pol Policy, variants []Variant) (*Autoscaler, error) {
 			return nil, fmt.Errorf("autoscale: duplicate variant %q", v.Name)
 		}
 	}
-	if pol.TasksPerCore <= 0 {
-		pol.TasksPerCore = DefaultPolicy().TasksPerCore
-	}
-	if pol.IdleFrac <= 0 {
-		pol.IdleFrac = DefaultPolicy().IdleFrac
-	}
-	return &Autoscaler{pol: pol, variants: vs}, nil
+	return &Autoscaler{variants: vs}, nil
 }
 
 // NewThreshold returns the threshold planner over one elastic tier: grow
@@ -341,7 +331,7 @@ func (a *Autoscaler) evaluate(sig Signals, demand float64) Decision {
 	// — their shapes are unknown here, and pricing them generously keeps
 	// the analyzer from buying nodes a big static pool could absorb.
 	ref := a.refCores(sig)
-	backlog := float64(sig.Ready) > a.pol.TasksPerCore*ref
+	backlog := float64(sig.Ready) > tasksPerCore*ref
 	if ref == 0 {
 		backlog = sig.Ready > 0
 	}
@@ -394,7 +384,7 @@ func (a *Autoscaler) evaluate(sig Signals, demand float64) Decision {
 		// each node in isolation is what lets the analyzer consolidate —
 		// five small devices bought one marginal decision at a time can
 		// each look cheap while their sum costs more than one big VM.
-		plan, ok := a.planFleet(demand / (1 - a.pol.IdleFrac))
+		plan, ok := a.planFleet(demand / (1 - idleFrac))
 		if ok {
 			// Reclaim a mid-drain node before provisioning — but only
 			// when the plan wants that tier kept. Reclaiming
@@ -489,7 +479,7 @@ func (a *Autoscaler) evaluate(sig Signals, demand float64) Decision {
 				return Decision{Variant: v.Name, Delta: -1, Score: v.Cost(), Reason: "reap"}
 			}
 		}
-		plan, ok := a.planFleet(demand / (1 - a.pol.IdleFrac))
+		plan, ok := a.planFleet(demand / (1 - idleFrac))
 		if ok {
 			best := -1
 			for i := range a.variants {
@@ -605,7 +595,7 @@ func (a *Autoscaler) rawDemand(sig Signals, lastReady int) float64 {
 			d = frac * elastic
 		}
 	}
-	excess := float64(sig.Ready) - a.pol.TasksPerCore*a.refCores(sig)
+	excess := float64(sig.Ready) - tasksPerCore*a.refCores(sig)
 	// The queue-growth term is suppressed while a drain is in flight: a
 	// cordoned node stops taking work, so the queue rebuilding behind it
 	// is the drain's own doing, and reading it as a burst would reclaim
@@ -614,7 +604,7 @@ func (a *Autoscaler) rawDemand(sig Signals, lastReady int) float64 {
 		excess = g
 	}
 	if excess > 0 {
-		d += excess / a.pol.TasksPerCore
+		d += excess / tasksPerCore
 	}
 	return d
 }

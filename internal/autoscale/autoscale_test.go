@@ -20,7 +20,7 @@ func cloudFog(t *testing.T) (*Autoscaler, []Variant) {
 		simVariant("cloud", resources.CloudVM, 1.0, 8),
 		simVariant("fog", resources.FogDevice, 0.25, 16),
 	}
-	a, err := New(DefaultPolicy(), vs)
+	a, err := New(vs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPlanFleetCoversNeed(t *testing.T) {
 // !ok instead of a silently short fleet.
 func TestPlanFleetInfeasible(t *testing.T) {
 	vs := []Variant{simVariant("fog", resources.FogDevice, 0.25, 2)}
-	a, err := New(DefaultPolicy(), vs)
+	a, err := New(vs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,14 +364,14 @@ func TestStepNeverNegativeCapacity(t *testing.T) {
 // TestNewValidation: variant sets must be non-empty, named, managed and
 // unique.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(DefaultPolicy(), nil); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Fatal("New accepted an empty variant set")
 	}
-	if _, err := New(DefaultPolicy(), []Variant{{Name: "x"}}); err == nil {
+	if _, err := New([]Variant{{Name: "x"}}); err == nil {
 		t.Fatal("New accepted a manager-less variant")
 	}
 	v := simVariant("dup", resources.FogDevice, 1, 1)
-	if _, err := New(DefaultPolicy(), []Variant{v, v}); err == nil {
+	if _, err := New([]Variant{v, v}); err == nil {
 		t.Fatal("New accepted duplicate variant names")
 	}
 }

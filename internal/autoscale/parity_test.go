@@ -76,7 +76,7 @@ func parityScaler(t *testing.T, predrain bool) *autoscale.Autoscaler {
 			}),
 		}
 	}
-	a, err := autoscale.New(autoscale.DefaultPolicy(), []autoscale.Variant{
+	a, err := autoscale.New([]autoscale.Variant{
 		mk("cloud", parityCloud, 1.0, 2),
 		mk("fog", parityFog, 0.2, 4),
 	})

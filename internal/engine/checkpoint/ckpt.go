@@ -127,7 +127,7 @@ func (c *Checkpointer) Save() error {
 	start := time.Now()
 	snap := c.src.CheckpointSnapshot()
 	c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
-	return c.commitSnap(snap)
+	return c.commit(snap, nil, false)
 }
 
 // autoSave is the policy-triggered capture path. It is change-aware:
@@ -162,90 +162,63 @@ func (c *Checkpointer) autoSave() error {
 		start := time.Now()
 		d := c.src.CheckpointDelta()
 		c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
-		return c.commitDelta(d)
+		return c.commit(nil, d, false)
 	default:
 		start := time.Now()
 		snap := c.src.CheckpointBase()
 		c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
-		return c.commitBase(snap)
+		return c.commit(snap, nil, true)
 	}
 }
 
-// commitSnap persists a full snapshot that does NOT reset dirty sets
-// (explicit Save); it leaves the chain bookkeeping untouched.
-func (c *Checkpointer) commitSnap(snap *Snapshot) error {
+// commit is the one persist path. Exactly one of snap and d is set: a
+// full snapshot — starting (or compacting) a delta chain when base is
+// set, because its capture reset the dirty sets, and leaving the chain
+// bookkeeping alone otherwise (explicit Save) — or one delta, skipped
+// when empty (an idle interval that raced the dirty check).
+func (c *Checkpointer) commit(snap *Snapshot, d *Delta, base bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.stopped {
 		return nil
 	}
-	path, err := c.cfg.Store.Save(snap)
-	if err != nil {
-		c.lastErr = err
-		return err
-	}
-	c.saves++
-	c.cfg.Metrics.Saves.Inc()
-	c.lastSeq = snap.Seq
-	c.traceSavedLocked(snap.At, path)
-	return nil
-}
-
-// commitBase persists a chain-starting base (dirty sets already reset by
-// the capture).
-func (c *Checkpointer) commitBase(snap *Snapshot) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return nil
-	}
-	path, err := c.cfg.Store.Save(snap)
-	if err != nil {
-		c.lastErr = err
-		return err
-	}
-	c.saves++
-	c.cfg.Metrics.Saves.Inc()
-	c.haveBase = true
-	c.chainLen = 0
-	c.lastSeq = snap.Seq
-	c.traceSavedLocked(snap.At, path)
-	return nil
-}
-
-// commitDelta persists one delta, skipping empty ones (an idle interval
-// that raced the dirty check).
-func (c *Checkpointer) commitDelta(d *Delta) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return nil
-	}
-	if d.Empty() {
+	var (
+		path string
+		err  error
+		seq  int
+		at   time.Duration
+	)
+	switch {
+	case d == nil:
+		path, err = c.cfg.Store.Save(snap)
+		seq, at = snap.Seq, snap.At
+	case d.Empty():
 		c.skipped++
 		return nil
+	default:
+		path, err = c.cfg.Store.SaveDelta(d)
+		seq, at = d.Seq, d.At
 	}
-	path, err := c.cfg.Store.SaveDelta(d)
 	if err != nil {
 		c.lastErr = err
 		return err
 	}
 	c.saves++
-	c.deltaSaves++
 	c.cfg.Metrics.Saves.Inc()
-	c.cfg.Metrics.DeltaSaves.Inc()
-	c.chainLen++
-	c.lastSeq = d.Seq
-	c.traceSavedLocked(d.At, path)
-	return nil
-}
-
-func (c *Checkpointer) traceSavedLocked(at time.Duration, path string) {
-	if c.cfg.Tracer != nil {
-		c.cfg.Tracer.Record(trace.Event{
-			At: at, Kind: trace.CheckpointSaved, Info: path,
-		})
+	switch {
+	case d != nil:
+		c.deltaSaves++
+		c.cfg.Metrics.DeltaSaves.Inc()
+		c.chainLen++
+	case base:
+		c.haveBase = true
+		c.chainLen = 0
 	}
+	c.lastSeq = seq
+	if c.cfg.Tracer != nil {
+		c.cfg.Tracer.Record(trace.Event{At: at, Kind: trace.CheckpointSaved, Info: path})
+	}
+	return nil
 }
 
 // Stop disables further snapshots (armed interval callbacks become

@@ -4,8 +4,8 @@ package engine_test
 // heterogeneous pool, run through the virtual-time simulator with the
 // steal knob off and on. The committed regression test asserts the
 // makespan improvement is real; the benchmark reports the same numbers
-// as metrics so CI keeps the hot path compiled and exercised
-// (go test -bench=Steal -benchtime=1x ./internal/engine/...).
+// as metrics, an inner loop for working on the steal phase
+// (go test -bench=Steal -run '^$' ./internal/engine/).
 
 import (
 	"fmt"

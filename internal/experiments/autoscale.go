@@ -91,7 +91,7 @@ func E16AutoscaleCost(tasks int, seed int64) ([]E16Result, error) {
 		if r.Threshold, err = e16Arm(tr, threshold); err != nil {
 			return nil, fmt.Errorf("%s threshold arm: %w", shape, err)
 		}
-		costAware, err := autoscale.New(autoscale.DefaultPolicy(), []autoscale.Variant{
+		costAware, err := autoscale.New([]autoscale.Variant{
 			e16Variant("cloud", resources.CloudVM, e16CloudRate, 30*time.Second, 8),
 			e16Variant("fog", resources.FogDevice, e16FogRate, 5*time.Second, 16),
 		})

@@ -1,8 +1,7 @@
 // Package experiments contains the runners that regenerate every
 // figure/claim of the paper's evaluation narrative (DESIGN.md §3,
 // EXPERIMENTS.md). Each runner returns typed results; cmd/experiments
-// formats them as tables and the root bench_test.go wraps them in
-// testing.B benchmarks.
+// formats them as tables and this package's tests pin the claims.
 package experiments
 
 import (

@@ -85,9 +85,8 @@ type Config struct {
 	Tracer *trace.Tracer
 	// StageIn locates externally provided data (version 0) with sizes.
 	StageIn map[deps.DataID]int64
-	// StageInNode holds the staged-in data (default: first pool node).
-	StageInNode string
-	// StageInNodes overrides StageInNode per datum with explicit replica
+	// StageInNodes places a staged-in datum (default: the first pool
+	// node holds it) on explicit replica
 	// locations — how partitioned storage backends (Hecuba) advertise
 	// placement to the scheduler (E4).
 	StageInNodes map[deps.DataID][]string
@@ -295,23 +294,19 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 	s.eng = s.Engine()
 
 	// Stage in external data.
-	stageNode := cfg.StageInNode
-	if stageNode == "" {
-		if nodes := cfg.Pool.Nodes(); len(nodes) > 0 {
-			stageNode = nodes[0].Name()
-		}
+	var firstNode []string
+	if nodes := cfg.Pool.Nodes(); len(nodes) > 0 {
+		firstNode = []string{nodes[0].Name()}
 	}
 	for d, size := range cfg.StageIn {
 		k := transfer.Key{Data: d, Ver: 0}
 		s.reg.SetSize(k, size)
-		if nodes, ok := cfg.StageInNodes[d]; ok && len(nodes) > 0 {
-			for _, n := range nodes {
-				s.reg.AddReplica(k, n)
-			}
-			continue
+		holders := cfg.StageInNodes[d]
+		if len(holders) == 0 {
+			holders = firstNode
 		}
-		if stageNode != "" {
-			s.reg.AddReplica(k, stageNode)
+		for _, n := range holders {
+			s.reg.AddReplica(k, n)
 		}
 	}
 

@@ -185,7 +185,7 @@ func TestTransfersCountedAndLocalityAvoidsThem(t *testing.T) {
 func TestStageInDataIsLocatedAndMoved(t *testing.T) {
 	cfg := baseCfg(2)
 	cfg.StageIn = map[deps.DataID]int64{7: 5e8}
-	cfg.StageInNode = "nodeA"
+	cfg.StageInNodes = map[deps.DataID][]string{7: {"nodeA"}}
 	// Force the reader onto nodeB so the staged data must move.
 	nodeA, _ := cfg.Pool.Get("nodeA")
 	_ = nodeA.Reserve(resources.Constraints{Cores: 4})
@@ -544,8 +544,7 @@ func TestElasticStuckReturnsErrStuck(t *testing.T) {
 			resources.NewSimProvider("vm", cpuOnly, 2, 5*time.Second),
 			resources.ScalePolicy{MaxNodes: 2, TasksPerCore: 2, CostPerNodeHour: 1})
 	}
-	costAware, err := autoscale.New(autoscale.DefaultPolicy(),
-		[]autoscale.Variant{{Name: "vm", Desc: cpuOnly, Manager: mgr()}})
+	costAware, err := autoscale.New([]autoscale.Variant{{Name: "vm", Desc: cpuOnly, Manager: mgr()}})
 	if err != nil {
 		t.Fatal(err)
 	}

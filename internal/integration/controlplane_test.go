@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/agent"
 	"repro/internal/autoscale"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -27,9 +28,10 @@ func TestConfigBudget(t *testing.T) {
 		cfg  any
 		max  int
 	}{
-		{"infra.Config", infra.Config{}, 21},
+		{"infra.Config", infra.Config{}, 20},
 		{"core.Config", core.Config{}, 14},
 		{"engine.Config", engine.Config{}, 12},
+		{"agent.Config", agent.Config{}, 8},
 	} {
 		if n := reflect.TypeOf(b.cfg).NumField(); n > b.max {
 			t.Errorf("%s has %d fields, budget %d: a new option must raise its budget explicitly", b.name, n, b.max)
