@@ -32,7 +32,7 @@ vet:
 # the Config field counts (TestConfigBudget is the ratchet); and the
 # flowgo-sim flag count (above FLAG_BUDGET).
 FLAG_BUDGET := 28
-LINE_BUDGET := 22500
+LINE_BUDGET := 22496
 NONTEST_GO := -name '*.go' ! -name '*_test.go'
 budget:
 	@n=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs cat | wc -l); \

@@ -594,7 +594,7 @@ func (rt *Runtime) Submit(name string, params ...Param) (*Future, error) {
 	// The engine counts only dependencies whose producer has not already
 	// finished; rt.mu is held through Add so a dependent can never slip in
 	// ahead of its producer's registration.
-	ready := rt.eng.Add(&t.et, res.Deps, holds)
+	ready, _ := rt.eng.Add(&t.et, res.Deps, holds) // never a duplicate: id is rt.nextTask, drawn under rt.mu
 	if rt.tryRestoreLocked(t) {
 		ready = false
 	}
@@ -677,7 +677,7 @@ func (rt *Runtime) SubmitAll(reqs []TaskReq) ([]*Future, error) {
 		tasks[j] = t
 		prods[j] = results[j].Deps
 	}
-	ready := rt.eng.AddBatchHolds(ets, prods, holds)
+	ready, _ := rt.eng.AddBatchHolds(ets, prods, holds) // never a duplicate: ids are rt.nextTask, drawn under rt.mu
 	for _, t := range tasks {
 		rt.tryRestoreLocked(t)
 	}
@@ -940,11 +940,9 @@ func (rt *Runtime) WaitOn(h *Handle) (any, error) {
 	rt.mu.Lock()
 	ver := rt.proc.CurrentVersion(h.id)
 	var futs []*Future
-	if id, ok := rt.eng.Producer(transfer.KeyOf(ver)); ok {
-		if et, found := rt.eng.Task(id); found {
-			if t, isTask := et.Payload.(*rtTask); isTask {
-				futs = append(futs, t.future)
-			}
+	if et, ok := rt.eng.Producer(transfer.KeyOf(ver)); ok {
+		if t, isTask := et.Payload.(*rtTask); isTask {
+			futs = append(futs, t.future)
 		}
 	}
 	// A commutative/concurrent group shares one version: the engine's

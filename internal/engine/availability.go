@@ -24,7 +24,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/resources"
@@ -101,7 +103,7 @@ func ParseAvailability(s string) (Availability, error) {
 func (e *Engine) ParkedCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.parked)
+	return e.parked
 }
 
 // RevalidateAvailability wakes every task parked in the availability
@@ -182,7 +184,7 @@ func (e *Engine) feedablePickLocked(t *Task, fitting []*resources.Node, tried *r
 // availability wake source. The recompute hint is honoured so a hinted
 // producer is never held queued for capacity on the wrong side of a cut.
 func (e *Engine) feedableCapableLocked(t *Task) bool {
-	capable := e.cfg.Pool.IndexForSig(t.sig, t.Constraints).AppendCapable(e.capScratch[:0])
+	capable := e.ready[t.sig].idx.AppendCapable(e.capScratch[:0])
 	e.capScratch = capable
 	for _, n := range capable {
 		if t.availNeed != "" && e.cfg.Net != nil && !e.cfg.Net.Reachable(n.Name(), t.availNeed) {
@@ -209,20 +211,17 @@ func (e *Engine) divertUnavailableLocked(t *Task) {
 	e.markDirtyLocked(t)
 	t.availKeys = keys
 	if e.waiters == nil {
-		e.waiters = make(map[transfer.Key]map[int64]struct{})
+		e.waiters = make(map[transfer.Key]map[*Task]struct{})
 	}
 	for _, k := range keys {
 		set, ok := e.waiters[k]
 		if !ok {
-			set = make(map[int64]struct{})
+			set = make(map[*Task]struct{})
 			e.waiters[k] = set
 		}
-		set[t.ID] = struct{}{}
+		set[t] = struct{}{}
 	}
-	if e.parked == nil {
-		e.parked = make(map[int64]struct{})
-	}
-	e.parked[t.ID] = struct{}{}
+	e.parked++
 	e.stats.Deferred++
 	e.cfg.Metrics.Parks.Inc()
 	e.cfg.Metrics.Parked.Add(1)
@@ -233,7 +232,7 @@ func (e *Engine) divertUnavailableLocked(t *Task) {
 		})
 	}
 	for _, k := range keys {
-		p, ok := e.producer[k]
+		pt, ok := e.producer[k]
 		if !ok {
 			continue // external data: nothing to recompute, wait for a heal
 		}
@@ -247,7 +246,6 @@ func (e *Engine) divertUnavailableLocked(t *Task) {
 		if !lost && e.cfg.Availability != AvailRecompute {
 			continue
 		}
-		pt := e.tasks[p]
 		if pt.state == Ready || pt.state == Running ||
 			(pt.state == Pending && pt.waitCount > 0) {
 			continue // already on its way; its completion wakes us
@@ -260,26 +258,24 @@ func (e *Engine) divertUnavailableLocked(t *Task) {
 			e.stats.AvailRecomputes++
 			e.cfg.Metrics.Recomputes.Inc()
 		}
-		e.resubmitLocked(p)
+		e.resubmitLocked(pt)
 	}
 }
 
-// unparkLocked removes t from the wait sets without re-queueing it (the
-// caller decides where it goes next).
+// unparkLocked removes a Parked t from the wait sets without re-queueing
+// it (the caller decides where it goes next, and sets its state).
 func (e *Engine) unparkLocked(t *Task) {
 	for _, k := range t.availKeys {
 		if set, ok := e.waiters[k]; ok {
-			delete(set, t.ID)
+			delete(set, t)
 			if len(set) == 0 {
 				delete(e.waiters, k)
 			}
 		}
 	}
 	t.availKeys = nil
-	if _, ok := e.parked[t.ID]; ok {
-		delete(e.parked, t.ID)
-		e.cfg.Metrics.Parked.Add(-1)
-	}
+	e.parked--
+	e.cfg.Metrics.Parked.Add(-1)
 }
 
 // wakeLocked releases a parked task back to the ready queue, where the
@@ -303,16 +299,16 @@ func (e *Engine) wakeKeyWaitersLocked(k transfer.Key) int {
 	if !ok {
 		return 0
 	}
-	ids := make([]int64, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
+	ts := make([]*Task, 0, len(set))
+	for t := range set {
+		ts = append(ts, t)
 	}
 	// Ascending IDs keep wake order deterministic across backends.
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		e.wakeLocked(e.tasks[id])
+	slices.SortFunc(ts, func(a, b *Task) int { return cmp.Compare(a.ID, b.ID) })
+	for _, t := range ts {
+		e.wakeLocked(t)
 	}
-	return len(ids)
+	return len(ts)
 }
 
 // wakeReachable wakes tasks parked on versions that have become
@@ -372,16 +368,14 @@ func (e *Engine) wakeReachable() int {
 func (e *Engine) wakeAllParked() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.parked) == 0 {
-		return 0
-	}
-	woken := 0
-	for _, id := range e.order {
-		if _, ok := e.parked[id]; !ok {
-			continue
+	woken := e.parked
+	for _, t := range e.tasks.all {
+		if e.parked == 0 {
+			break
 		}
-		e.wakeLocked(e.tasks[id])
-		woken++
+		if t.state == Parked {
+			e.wakeLocked(t)
+		}
 	}
 	return woken
 }

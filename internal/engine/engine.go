@@ -29,7 +29,9 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,14 +62,15 @@ type WallClock struct {
 // Now implements Clock.
 func (w WallClock) Now() time.Duration { return time.Since(w.Epoch) }
 
-// Placement describes one launched task: the reserved node group (primary
-// first) and the staging cost already accounted by the engine.
+// Placement describes one launched task: the reserved node group and the
+// staging cost already accounted by the engine.
 type Placement struct {
 	// Task is the placed task.
 	Task *Task
-	// Nodes is the reserved group (≥ 1 entries; index 0 is the primary,
-	// chosen by the policy).
-	Nodes []*resources.Node
+	// Node is the primary, chosen by the policy; Peers are the other
+	// members of a multi-node group (nil for a single-node task).
+	Node  *resources.Node
+	Peers []*resources.Node
 	// Epoch snapshots the task's placement counter; pass it back to
 	// Complete so completions cancelled by a failure are ignored.
 	Epoch int
@@ -81,7 +84,7 @@ type Placement struct {
 }
 
 // Primary returns the policy-chosen node of the group.
-func (p Placement) Primary() *resources.Node { return p.Nodes[0] }
+func (p Placement) Primary() *resources.Node { return p.Node }
 
 // Executor starts execution of placed tasks. The live runtime spawns a
 // goroutine per placement; the simulator schedules a completion event on
@@ -136,16 +139,18 @@ type Task struct {
 	// Payload carries backend-specific state (e.g. the future, the spec).
 	Payload any
 
-	sig        string
+	sig        resources.SigID // interned constraint signature (index into Engine.ready)
 	prio       float64
 	state      State
-	waitCount  int
-	dependents []int64
-	redeps     map[int64]struct{} // recovery waiters (lazily allocated)
+	waitCount  int32 // unmet producer edges + outstanding holds
+	holds      int32 // synthetic dependencies only ReleaseHold clears
+	dependents []*Task
+	redeps     map[*Task]struct{} // recovery waiters (lazily allocated)
 	completed  bool               // completed at least once
 	ckptDirty  bool               // in the engine's dirty set (delta checkpoints)
 	epoch      int                // placement counter
-	nodes      []string           // reserved node names while Running
+	node       *resources.Node    // reserved primary while Running
+	peers      []*resources.Node  // rest of a multi-node group
 	started    time.Duration
 	// Latency milestones on the engine clock, first transition only (a
 	// recovery re-run never rewrites them). -1 = not reached, because
@@ -300,9 +305,10 @@ type Stats struct {
 type Completion struct {
 	// Task is the completed task.
 	Task *Task
-	// Nodes are the group members still in the pool, resolved for the
-	// caller's accounting (energy, predictor).
-	Nodes []*resources.Node
+	// Node and Peers are the group members still in the pool, for the
+	// caller's accounting (energy, predictor); Node is nil if it left.
+	Node  *resources.Node
+	Peers []*resources.Node
 	// Ran is the clock time since the task's launch.
 	Ran time.Duration
 	// First reports whether this was the task's first completion (false
@@ -328,14 +334,15 @@ type Engine struct {
 	readyN atomic.Int64
 
 	mu    sync.Mutex
-	tasks map[int64]*Task
-	order []int64 // insertion order (deterministic iteration)
+	tasks taskTable
 	// The ready set is one FIFO per constraint signature: placeability
 	// depends only on the signature, so a scheduling wave touches each
-	// signature's head instead of rescanning every queued task.
-	ready map[string]*bucket
-	sigs  []*bucket // sorted by signature (deterministic iteration)
-	wave  int       // placement-wave counter (bucket blocking)
+	// signature's head instead of rescanning every queued task. ready is
+	// indexed by SigID (assignment order, which differs between backends);
+	// sigs holds the same buckets by label, the order iterations use.
+	ready []*bucket
+	sigs  []*bucket
+	wave  int // placement-wave counter (bucket blocking)
 	// cand is the live candidate view of the current wave: the unblocked,
 	// non-empty buckets the selection loop actually scans. It is rebuilt
 	// from sigs once per wave and compacted as buckets drain or block, so
@@ -344,29 +351,29 @@ type Engine struct {
 	// mid-wave (availability recomputes resubmit into the running wave).
 	cand       []*bucket
 	waveActive bool
-	producer   map[transfer.Key]int64 // which task writes each version
+	producer   map[transfer.Key]*Task // which task writes each version
 	slow       map[string]float64     // per-node duration multipliers (fault injection)
 	// Dirty tracking for delta checkpoints: every task whose snapshot-
 	// relevant state (lifecycle state, epoch, completed flag) changed since
 	// the last delta capture, in first-change order (dedup lives in the
 	// task's ckptDirty flag — a map here would put a hash insert on every
-	// completion), plus the tasks added since then in registration order
-	// (a delta appends them to the base snapshot's task ordering on
-	// reconstruction).
-	dirtyIDs []int64
-	added    []int64
+	// completion), plus where in registration order the tasks added since
+	// then begin (a delta appends them to the base snapshot's task ordering
+	// on reconstruction).
+	dirty     []*Task
+	addedFrom int
 	// Availability wait set: tasks parked on unavailable data versions
 	// (see availability.go), plus the scratch a placement attempt leaves
 	// for divertUnavailableLocked.
-	waiters      map[transfer.Key]map[int64]struct{} // parked task IDs per missing datum
-	parked       map[int64]struct{}                  // all parked task IDs
+	waiters      map[transfer.Key]map[*Task]struct{} // parked tasks per missing datum
+	parked       int                                 // tasks in state Parked
 	availMissing []transfer.Key                      // scratch: last attempt's unavailable inputs
 	availPrimary string                              // scratch: last attempt's chosen primary
 	pendingWakes []transfer.Key                      // staged replicas with waiters (processed between waves)
 	stats        Stats
 	view         sched.TaskView // scratch view (guarded by mu; never retained)
 	// Scratch candidate buffers for the wave hot path (guarded by mu;
-	// never escape a placement attempt — Placement.Nodes is always a
+	// never escape a placement attempt — Placement.Peers is always a
 	// fresh allocation).
 	fitScratch []*resources.Node
 	capScratch []*resources.Node
@@ -383,11 +390,41 @@ type Engine struct {
 // creation (nil when metrics are off) and updated at exactly the sites
 // that maintain readyN, so the gauge cannot drift from the queue.
 type bucket struct {
-	sig     string
-	q       []int64
+	idx     resources.SigIndex // the signature's placement-index view (and label)
+	q       []*Task
 	blocked int
 	seen    int
 	depth   *obsv.Gauge
+}
+
+// taskTable is the engine's one ID-keyed structure: every task in
+// registration order, found by ID without hashing while IDs run
+// consecutively from the first (what both backends produce) and through
+// sparse otherwise. Only the ID-facing API resolves through it — the
+// scheduling paths hold *Task.
+type taskTable struct {
+	all    []*Task
+	sparse map[int64]*Task // tasks whose ID is not all[0].ID + their position
+}
+
+func (tt *taskTable) get(id int64) *Task {
+	if len(tt.all) > 0 {
+		if i := id - tt.all[0].ID; i >= 0 && i < int64(len(tt.all)) && tt.all[i].ID == id {
+			return tt.all[i]
+		}
+	}
+	return tt.sparse[id]
+}
+
+// add registers t; the caller has checked that its ID is free.
+func (tt *taskTable) add(t *Task) {
+	if n := len(tt.all); n > 0 && t.ID != tt.all[0].ID+int64(n) {
+		if tt.sparse == nil {
+			tt.sparse = make(map[int64]*Task)
+		}
+		tt.sparse[t.ID] = t
+	}
+	tt.all = append(tt.all, t)
 }
 
 // New returns an engine over the given configuration. Pool, Policy,
@@ -402,9 +439,7 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{
 		cfg:      cfg,
-		tasks:    make(map[int64]*Task),
-		ready:    make(map[string]*bucket),
-		producer: make(map[transfer.Key]int64),
+		producer: make(map[transfer.Key]*Task),
 	}
 	if p, ok := cfg.Policy.(sched.Prioritizer); ok {
 		e.prio = p
@@ -418,20 +453,12 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Task returns a registered task by ID.
-func (e *Engine) Task(id int64) (*Task, bool) {
+// Producer returns the task that writes the given data version.
+func (e *Engine) Producer(k transfer.Key) (*Task, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t, ok := e.tasks[id]
+	t, ok := e.producer[k]
 	return t, ok
-}
-
-// Producer returns the ID of the task that writes the given data version.
-func (e *Engine) Producer(k transfer.Key) (int64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	id, ok := e.producer[k]
-	return id, ok
 }
 
 // Each visits every registered task in registration order, under the
@@ -440,8 +467,8 @@ func (e *Engine) Producer(k transfer.Key) (int64, bool) {
 func (e *Engine) Each(fn func(*Task)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, id := range e.order {
-		fn(e.tasks[id])
+	for _, t := range e.tasks.all {
+		fn(t)
 	}
 }
 
@@ -460,7 +487,7 @@ func (e *Engine) markDirtyLocked(t *Task) {
 		return
 	}
 	t.ckptDirty = true
-	e.dirtyIDs = append(e.dirtyIDs, t.ID)
+	e.dirty = append(e.dirty, t)
 }
 
 // Stats returns the activity counters as a mutually consistent snapshot:
@@ -513,11 +540,9 @@ func (e *Engine) SigLoads() []SigLoad {
 		if len(b.q) == 0 {
 			continue
 		}
-		c := e.tasks[b.q[0]].Constraints
-		si := e.cfg.Pool.IndexForSig(b.sig, c)
 		out = append(out, SigLoad{
-			Sig: b.sig, Constraints: c,
-			Ready: len(b.q), Fit: si.FitCount(), Capable: si.Len(),
+			Sig: b.idx.Label(), Constraints: b.q[0].Constraints,
+			Ready: len(b.q), Fit: b.idx.FitCount(), Capable: b.idx.Len(),
 		})
 	}
 	return out
@@ -548,9 +573,8 @@ type Timing struct {
 func (e *Engine) Timings() []Timing {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]Timing, 0, len(e.order))
-	for _, id := range e.order {
-		t := e.tasks[id]
+	out := make([]Timing, 0, len(e.tasks.all))
+	for _, t := range e.tasks.all {
 		out = append(out, Timing{
 			ID: t.ID, Class: t.Class,
 			Submit: t.submitAt, Ready: t.readyAt,
@@ -560,13 +584,16 @@ func (e *Engine) Timings() []Timing {
 	return out
 }
 
+// ErrDuplicateID refuses a task whose ID is already registered.
+var ErrDuplicateID = errors.New("engine: duplicate task ID")
+
 // Add registers a task. producers lists the tasks it must wait for (from
 // the access processor); producers already completed — or unknown to the
 // engine — count as satisfied. holds adds synthetic dependencies cleared
 // later through ReleaseHold (delayed-release arrivals). Add does not
 // trigger placement — it reports whether the task went straight to the
 // ready queue, so the caller knows whether a Schedule is worthwhile.
-func (e *Engine) Add(t *Task, producers []deps.TaskID, holds int) bool {
+func (e *Engine) Add(t *Task, producers []deps.TaskID, holds int) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.addLocked(t, producers, holds)
@@ -577,8 +604,9 @@ func (e *Engine) Add(t *Task, producers []deps.TaskID, holds int) bool {
 // instead of one per task. Tasks are registered in slice order, so
 // dependencies may point at earlier batch members. It reports whether any
 // task went straight to the ready queue (in which case the caller should
-// Schedule once).
-func (e *Engine) AddBatch(ts []*Task, producers [][]deps.TaskID) bool {
+// Schedule once) and the first refused task's error; the rest of the
+// batch is registered regardless.
+func (e *Engine) AddBatch(ts []*Task, producers [][]deps.TaskID) (bool, error) {
 	return e.AddBatchHolds(ts, producers, nil)
 }
 
@@ -587,66 +615,77 @@ func (e *Engine) AddBatch(ts []*Task, producers [][]deps.TaskID) bool {
 // holds slice means no holds anywhere — admission-gated batch
 // submission uses this to keep over-quota tasks invisible to the
 // scheduler while the rest of the batch proceeds.
-func (e *Engine) AddBatchHolds(ts []*Task, producers [][]deps.TaskID, holds []int) bool {
+func (e *Engine) AddBatchHolds(ts []*Task, producers [][]deps.TaskID, holds []int) (ready bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ready := false
 	for i, t := range ts {
 		h := 0
 		if holds != nil {
 			h = holds[i]
 		}
-		if e.addLocked(t, producers[i], h) {
-			ready = true
+		r, addErr := e.addLocked(t, producers[i], h)
+		ready = ready || r
+		if err == nil {
+			err = addErr
 		}
 	}
-	return ready
+	return ready, err
 }
 
-func (e *Engine) addLocked(t *Task, producers []deps.TaskID, holds int) bool {
-	t.sig = t.Constraints.Signature()
+func (e *Engine) addLocked(t *Task, producers []deps.TaskID, holds int) (bool, error) {
+	if e.tasks.get(t.ID) != nil {
+		return false, fmt.Errorf("%w: %d", ErrDuplicateID, t.ID)
+	}
+	t.sig = e.cfg.Pool.IndexFor(t.Constraints).ID()
 	t.state = Pending
 	t.submitAt = e.cfg.Clock.Now()
 	t.readyAt, t.firstStart, t.doneAt = -1, -1, -1
-	e.added = append(e.added, t.ID)
 	e.markDirtyLocked(t)
 	for _, d := range producers {
-		if p, ok := e.tasks[int64(d)]; ok && !p.completed {
-			p.dependents = append(p.dependents, t.ID)
+		if p := e.tasks.get(int64(d)); p != nil && !p.completed {
+			p.dependents = append(p.dependents, t)
 			t.waitCount++
 		}
 	}
-	t.waitCount += holds
+	t.holds = int32(holds)
+	t.waitCount += t.holds
 	for _, k := range t.OutputKeys {
-		e.producer[k] = t.ID
+		e.producer[k] = t
 	}
-	e.tasks[t.ID] = t
-	e.order = append(e.order, t.ID)
+	e.tasks.add(t)
 	if t.waitCount == 0 {
 		t.state = Ready
 		e.pushReadyLocked(t)
-		return true
+		return true, nil
 	}
-	return false
+	return false, nil
 }
 
 // ReleaseHold clears one synthetic dependency of a pending task and
 // reports whether the task became ready (in which case the caller should
-// Schedule).
+// Schedule). Holds are counted apart from producer edges, so a surplus
+// release is refused instead of eating an unmet input.
 func (e *Engine) ReleaseHold(id int64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t, ok := e.tasks[id]
-	if !ok {
+	t := e.tasks.get(id)
+	if t == nil || t.holds == 0 {
 		return false
 	}
+	t.holds--
+	return e.edgeClearedLocked(t)
+}
+
+// edgeClearedLocked drops one of t's waits and queues it when that was
+// the last; it reports whether t became ready.
+func (e *Engine) edgeClearedLocked(t *Task) bool {
 	t.waitCount--
-	if t.waitCount == 0 && t.state == Pending {
-		t.state = Ready
-		e.pushReadyLocked(t)
-		return true
+	if t.waitCount != 0 || t.state != Pending {
+		return false
 	}
-	return false
+	t.state = Ready
+	e.pushReadyLocked(t)
+	return true
 }
 
 // pushReadyLocked inserts a ready task into its signature bucket, keeping
@@ -662,14 +701,16 @@ func (e *Engine) pushReadyLocked(t *Task) {
 	if e.prio != nil {
 		t.prio = e.prio.Priority(e.viewLocked(t), e.cfg.SchedContext)
 	}
-	b, exists := e.ready[t.sig]
-	if !exists {
-		b = &bucket{sig: t.sig, depth: e.cfg.Metrics.ReadyDepth(t.sig)}
+	for int(t.sig) >= len(e.ready) {
+		e.ready = append(e.ready, nil)
+	}
+	b := e.ready[t.sig]
+	if b == nil {
+		idx := e.cfg.Pool.IndexFor(t.Constraints)
+		b = &bucket{idx: idx, depth: e.cfg.Metrics.ReadyDepth(idx.Label())}
 		e.ready[t.sig] = b
-		pos := sort.Search(len(e.sigs), func(i int) bool { return e.sigs[i].sig >= t.sig })
-		e.sigs = append(e.sigs, nil)
-		copy(e.sigs[pos+1:], e.sigs[pos:])
-		e.sigs[pos] = b
+		pos := sort.Search(len(e.sigs), func(i int) bool { return e.sigs[i].idx.Label() >= idx.Label() })
+		e.sigs = slices.Insert(e.sigs, pos, b)
 	}
 	if e.waveActive && b.seen != e.wave && b.blocked != e.wave {
 		// A bucket that drained (or never existed) earlier in this wave
@@ -679,12 +720,13 @@ func (e *Engine) pushReadyLocked(t *Task) {
 		b.seen = e.wave
 		e.cand = append(e.cand, b)
 	}
-	// Binary insert; the common case (ascending IDs, equal priority)
-	// appends at the end in O(1).
-	at := sort.Search(len(b.q), func(i int) bool { return headLess(t, e.tasks[b.q[i]]) })
-	b.q = append(b.q, 0)
-	copy(b.q[at+1:], b.q[at:])
-	b.q[at] = t.ID
+	// The common case (ascending IDs, equal priority) belongs at the tail
+	// and costs one comparison; only an out-of-order push searches.
+	at := len(b.q)
+	if at > 0 && headLess(t, b.q[at-1]) {
+		at = sort.Search(at, func(i int) bool { return headLess(t, b.q[i]) })
+	}
+	b.q = slices.Insert(b.q, at, t)
 	e.readyN.Add(1)
 	b.depth.Add(1)
 }
@@ -789,8 +831,7 @@ func (e *Engine) placeWaveLocked(placed []Placement) []Placement {
 					continue
 				}
 				live = append(live, b)
-				t := e.tasks[b.q[0]]
-				if best == nil || headLess(t, best) {
+				if t := b.q[0]; best == nil || headLess(t, best) {
 					bestB, best = b, t
 				}
 			}
@@ -866,7 +907,7 @@ func (e *Engine) stealWaveLocked(placed []Placement) []Placement {
 			continue
 		}
 		for i := len(b.q) - 1; i >= 1; i-- {
-			t := e.tasks[b.q[i]]
+			t := b.q[i]
 			e.cfg.Metrics.StealAttempts.Inc()
 			p, outcome := e.placeLocked(t)
 			if outcome == placeNoCapacity {
@@ -886,7 +927,7 @@ func (e *Engine) stealWaveLocked(placed []Placement) []Placement {
 			if e.cfg.Tracer != nil {
 				e.cfg.Tracer.Record(trace.Event{
 					At: e.cfg.Clock.Now(), Kind: trace.TaskStolen, Task: t.ID,
-					Node: p.Primary().Name(), Info: b.sig,
+					Node: p.Primary().Name(), Info: b.idx.Label(),
 				})
 			}
 			placed = append(placed, p)
@@ -922,6 +963,7 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 	}
 	wantNodes := t.Constraints.EffectiveNodes()
 
+	idx := e.ready[t.sig].idx // t is queued, so its bucket exists
 	var primary *resources.Node
 	var fitting []*resources.Node // nil on the indexed fast path until needed
 	if e.idxPol != nil && !hinted && wantNodes == 1 {
@@ -929,12 +971,12 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 		// per-signature index — no fitting slice is materialized. The
 		// IndexedPolicy contract makes nil mean "nothing fits", which is
 		// exactly the signature-wide capacity failure.
-		primary = e.idxPol.PickIndexed(e.viewLocked(t), e.cfg.Pool.IndexForSig(t.sig, t.Constraints), e.cfg.SchedContext)
+		primary = e.idxPol.PickIndexed(e.viewLocked(t), idx, e.cfg.SchedContext)
 		if primary == nil {
 			return Placement{}, placeNoCapacity
 		}
 	} else {
-		fitting = e.cfg.Pool.IndexForSig(t.sig, t.Constraints).AppendFitting(e.fitScratch[:0], t.Constraints)
+		fitting = idx.AppendFitting(e.fitScratch[:0], t.Constraints)
 		e.fitScratch = fitting // keep the (possibly grown) buffer
 		if hinted {
 			// Availability-recompute hint: this is a producer resubmitted for
@@ -981,7 +1023,7 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 			// indexed fast path defers materializing the fitting slice to
 			// exactly this (rare) branch.
 			if fitting == nil {
-				fitting = e.cfg.Pool.IndexForSig(t.sig, t.Constraints).AppendFitting(e.fitScratch[:0], t.Constraints)
+				fitting = idx.AppendFitting(e.fitScratch[:0], t.Constraints)
 				e.fitScratch = fitting
 			}
 			if alt, altPlan, ok := e.feedablePickLocked(t, fitting, primary); ok {
@@ -1001,21 +1043,24 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 		}
 	}
 
-	group := []*resources.Node{primary}
+	// Only a multi-node group materializes peers; the common placement
+	// reserves the primary and allocates nothing.
+	var peers []*resources.Node
 	for _, n := range fitting {
-		if len(group) == wantNodes {
-			break
-		}
-		if n != primary {
-			group = append(group, n)
+		if n != primary && len(peers) < wantNodes-1 {
+			peers = append(peers, n)
 		}
 	}
-	if len(group) < wantNodes {
+	if len(peers) < wantNodes-1 {
 		return Placement{}, capFail
 	}
-	for i, n := range group {
-		if err := n.Reserve(t.Constraints); err != nil {
-			for _, done := range group[:i] {
+	if primary.Reserve(t.Constraints) != nil {
+		return Placement{}, capFail
+	}
+	for i, n := range peers {
+		if n.Reserve(t.Constraints) != nil {
+			primary.Release(t.Constraints)
+			for _, done := range peers[:i] {
 				done.Release(t.Constraints)
 			}
 			return Placement{}, capFail
@@ -1068,12 +1113,12 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 	}
 	t.epoch++
 	e.markDirtyLocked(t)
-	t.nodes = make([]string, len(group))
+	t.node, t.peers = primary, peers
 	slow := 1.0
-	for i, n := range group {
-		t.nodes[i] = n.Name()
-		if f := e.slow[n.Name()]; f > slow {
-			slow = f // a group runs at its slowest member
+	if len(e.slow) > 0 {
+		slow = max(slow, e.slow[primary.Name()])
+		for _, n := range peers {
+			slow = max(slow, e.slow[n.Name()]) // a group runs at its slowest member
 		}
 	}
 	e.stats.Launched++
@@ -1084,7 +1129,7 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 			Node: primary.Name(), Info: t.Class,
 		})
 	}
-	return Placement{Task: t, Nodes: group, Epoch: t.epoch, TransferTime: staging, SlowFactor: slow}, placeOK
+	return Placement{Task: t, Node: primary, Peers: peers, Epoch: t.epoch, TransferTime: staging, SlowFactor: slow}, placeOK
 }
 
 // Complete finishes a running task: reservations are released, outputs
@@ -1097,7 +1142,7 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 func (e *Engine) Complete(id int64, epoch int, failed bool) (Completion, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.completeLocked(id, epoch, failed)
+	return e.completeLocked(e.tasks.get(id), epoch, failed)
 }
 
 // CompleteSchedule is Complete immediately followed by a placement wave,
@@ -1106,7 +1151,7 @@ func (e *Engine) Complete(id int64, epoch int, failed bool) (Completion, bool) {
 func (e *Engine) CompleteSchedule(id int64, epoch int, failed bool) (Completion, bool) {
 	e.launchMu.Lock()
 	e.mu.Lock()
-	c, ok := e.completeLocked(id, epoch, failed)
+	c, ok := e.completeLocked(e.tasks.get(id), epoch, failed)
 	e.launch = e.placeWaveLocked(e.launch[:0])
 	e.mu.Unlock()
 	for _, p := range e.launch {
@@ -1116,35 +1161,37 @@ func (e *Engine) CompleteSchedule(id int64, epoch int, failed bool) (Completion,
 	return c, ok
 }
 
-func (e *Engine) completeLocked(id int64, epoch int, failed bool) (Completion, bool) {
-	t, ok := e.tasks[id]
-	if !ok || t.state != Running || t.epoch != epoch {
+func (e *Engine) completeLocked(t *Task, epoch int, failed bool) (Completion, bool) {
+	if t == nil || t.state != Running || t.epoch != epoch {
 		return Completion{}, false
 	}
 	c := Completion{Task: t, Ran: e.cfg.Clock.Now() - t.started}
-	primary := t.nodes[0]
-	c.Nodes = make([]*resources.Node, 0, len(t.nodes))
-	for _, name := range t.nodes {
-		if n, ok := e.cfg.Pool.Get(name); ok {
+	// A completion can race a concurrent FailNode on the live backend: a
+	// member that left the pool meanwhile is neither released nor reported.
+	primary := t.node.Name()
+	if e.cfg.Pool.Holds(t.node) {
+		t.node.Release(t.Constraints)
+		c.Node = t.node
+	}
+	for _, n := range t.peers {
+		if e.cfg.Pool.Holds(n) {
 			n.Release(t.Constraints)
-			c.Nodes = append(c.Nodes, n)
+			c.Peers = append(c.Peers, n)
 		}
 	}
 	if !failed && e.cfg.Registry != nil {
-		// A completion can race a concurrent FailNode on the live backend:
-		// if the primary left the pool after this execution started, its
-		// replicas were already dropped and must not be re-registered on
-		// the dead node — the output survives only on the persist tier.
-		_, primaryAlive := e.cfg.Pool.Get(primary)
+		// If the primary left the pool, its replicas were already dropped
+		// and must not be re-registered on the dead node — the output
+		// survives only on the persist tier.
 		for _, k := range t.OutputKeys {
-			if primaryAlive {
+			if c.Node != nil {
 				e.cfg.Registry.AddReplica(k, primary)
 			}
 			if e.cfg.PersistNode != "" && e.cfg.PersistNode != primary {
 				e.cfg.Registry.AddReplica(k, e.cfg.PersistNode)
 				if e.cfg.Tracer != nil {
 					e.cfg.Tracer.Record(trace.Event{
-						At: e.cfg.Clock.Now(), Kind: trace.DataPersisted, Task: id, Node: e.cfg.PersistNode,
+						At: e.cfg.Clock.Now(), Kind: trace.DataPersisted, Task: t.ID, Node: e.cfg.PersistNode,
 					})
 				}
 			}
@@ -1160,7 +1207,7 @@ func (e *Engine) completeLocked(id int64, epoch int, failed bool) (Completion, b
 		if failed {
 			kind = trace.TaskFailed
 		}
-		e.cfg.Tracer.Record(trace.Event{At: e.cfg.Clock.Now(), Kind: kind, Task: id, Node: primary})
+		e.cfg.Tracer.Record(trace.Event{At: e.cfg.Clock.Now(), Kind: kind, Task: t.ID, Node: primary})
 	}
 	e.stats.Completed++
 	if failed {
@@ -1169,48 +1216,41 @@ func (e *Engine) completeLocked(id int64, epoch int, failed bool) (Completion, b
 		e.cfg.Metrics.Completed.Inc()
 	}
 
-	c.First = !t.completed
-	t.completed = true
 	if t.doneAt < 0 {
 		t.doneAt = e.cfg.Clock.Now()
 	}
-	t.state = Done
-	t.nodes = nil
-	e.markDirtyLocked(t)
+	t.node, t.peers = nil, nil
+	if c.First = e.doneLocked(t); !c.First {
+		e.stats.Reexecuted++
+	}
+	// Wake tasks waiting on this re-execution (recovery).
+	for dt := range t.redeps {
+		e.edgeClearedLocked(dt)
+	}
+	t.redeps = nil
+	return c, true
+}
 
-	// Batched dependency release: every successor is decremented under
-	// this single lock acquisition. The edge list is consumed — releases
-	// happen once — so it is dropped to keep long-lived graphs lean.
-	if c.First {
-		for _, dep := range t.dependents {
-			dt := e.tasks[dep]
-			dt.waitCount--
-			if dt.waitCount == 0 && dt.state == Pending {
-				dt.state = Ready
-				e.pushReadyLocked(dt)
-			}
+// doneLocked marks t Done — by a live completion or a restored one — and
+// reports whether it is t's first. A first completion releases every
+// successor under this single lock acquisition; the edge list is consumed
+// (releases happen once), so it is dropped to keep long-lived graphs lean.
+func (e *Engine) doneLocked(t *Task) (first bool) {
+	first = !t.completed
+	t.completed, t.state = true, Done
+	e.markDirtyLocked(t)
+	if first {
+		for _, dt := range t.dependents {
+			e.edgeClearedLocked(dt)
 		}
 		t.dependents = nil
-	} else {
-		e.stats.Reexecuted++
 	}
 	if e.cfg.Registry == nil {
 		// Without a replica registry there is no recovery resubmission,
 		// so a done task's access keys are dead weight.
-		t.InputKeys = nil
-		t.OutputKeys = nil
+		t.InputKeys, t.OutputKeys = nil, nil
 	}
-	// Wake tasks waiting on this re-execution (recovery).
-	for dep := range t.redeps {
-		dt := e.tasks[dep]
-		dt.waitCount--
-		if dt.waitCount == 0 && dt.state == Pending {
-			dt.state = Ready
-			e.pushReadyLocked(dt)
-		}
-	}
-	t.redeps = nil
-	return c, true
+	return first
 }
 
 // KillRunningOn invalidates every running task that reserved the named
@@ -1223,30 +1263,23 @@ func (e *Engine) KillRunningOn(name string) []*Task {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var killed []*Task
-	for _, id := range e.order {
-		t := e.tasks[id]
+	for _, t := range e.tasks.all {
 		if t.state != Running {
 			continue
 		}
-		uses := false
-		for _, n := range t.nodes {
-			if n == name {
-				uses = true
-				break
-			}
-		}
-		if !uses {
+		named := func(n *resources.Node) bool { return n.Name() == name }
+		if !named(t.node) && !slices.ContainsFunc(t.peers, named) {
 			continue
 		}
-		for _, n := range t.nodes {
-			if n == name {
-				continue
-			}
-			if node, ok := e.cfg.Pool.Get(n); ok {
-				node.Release(t.Constraints)
+		for _, n := range t.peers {
+			if !named(n) && e.cfg.Pool.Holds(n) {
+				n.Release(t.Constraints)
 			}
 		}
-		t.nodes = nil
+		if !named(t.node) && e.cfg.Pool.Holds(t.node) {
+			t.node.Release(t.Constraints)
+		}
+		t.node, t.peers = nil, nil
 		t.state = Pending
 		t.waitCount = 0
 		t.epoch++ // invalidate the in-flight completion event
@@ -1270,8 +1303,7 @@ func (e *Engine) DropReadyMissingInputs() []*Task {
 	var dropped []*Task
 	for _, b := range e.sigs {
 		still := b.q[:0]
-		for _, id := range b.q {
-			t := e.tasks[id]
+		for _, t := range b.q {
 			if e.missingProducerLocked(t) {
 				t.state = Pending
 				t.waitCount = 0
@@ -1281,7 +1313,7 @@ func (e *Engine) DropReadyMissingInputs() []*Task {
 				dropped = append(dropped, t)
 				continue
 			}
-			still = append(still, id)
+			still = append(still, t)
 		}
 		b.q = still
 	}
@@ -1309,14 +1341,12 @@ func (e *Engine) missingProducerLocked(t *Task) bool {
 func (e *Engine) Resubmit(id int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.resubmitLocked(id)
+	if t := e.tasks.get(id); t != nil {
+		e.resubmitLocked(t)
+	}
 }
 
-func (e *Engine) resubmitLocked(id int64) {
-	t, ok := e.tasks[id]
-	if !ok {
-		return
-	}
+func (e *Engine) resubmitLocked(t *Task) {
 	switch t.state {
 	case Ready, Running:
 		return
@@ -1330,34 +1360,29 @@ func (e *Engine) resubmitLocked(id int64) {
 		// below (lost ones recompute, partitioned ones re-park at
 		// placement).
 		e.unparkLocked(t)
-		t.state = Pending
-		t.waitCount = 0
-		e.markDirtyLocked(t)
+		fallthrough
 	case Done:
 		t.state = Pending
 		t.waitCount = 0
 		e.markDirtyLocked(t)
 	}
-	waits := 0
 	for _, k := range t.InputKeys {
 		if e.cfg.Registry == nil || len(e.cfg.Registry.Where(k)) > 0 {
 			continue
 		}
-		p, ok := e.producer[k]
+		pt, ok := e.producer[k]
 		if !ok {
 			continue // external data lost for good; nothing to recompute
 		}
-		pt := e.tasks[p]
-		if _, dup := pt.redeps[id]; !dup {
+		if _, dup := pt.redeps[t]; !dup {
 			if pt.redeps == nil {
-				pt.redeps = make(map[int64]struct{})
+				pt.redeps = make(map[*Task]struct{})
 			}
-			pt.redeps[id] = struct{}{}
-			waits++
+			pt.redeps[t] = struct{}{}
+			t.waitCount++
 		}
-		e.resubmitLocked(p)
+		e.resubmitLocked(pt)
 	}
-	t.waitCount += waits
 	if t.waitCount == 0 {
 		t.state = Ready
 		e.pushReadyLocked(t)

@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -108,7 +110,7 @@ func TestLowestIDReadyRunsFirst(t *testing.T) {
 
 func TestHoldsDelayReadiness(t *testing.T) {
 	e, exec := newEngine(t, pool(1, 4), nil)
-	if ready := e.Add(&engine.Task{ID: 1}, nil, 1); ready {
+	if ready, _ := e.Add(&engine.Task{ID: 1}, nil, 1); ready {
 		t.Fatal("held task reported ready")
 	}
 	e.Schedule()
@@ -234,6 +236,72 @@ func TestSignatureShardingBlocksOnlyOneBucket(t *testing.T) {
 	}
 }
 
+// TestSurplusHoldReleaseCannotEatProducerEdge: a task waiting on one
+// producer and one hold is released twice (the admission promote and the
+// release timer can both fire for it). The second release must be refused
+// — it used to consume the producer edge and queue the task with an unmet
+// input — and the task stays Pending until the producer completes.
+func TestSurplusHoldReleaseCannotEatProducerEdge(t *testing.T) {
+	e, exec := newEngine(t, pool(1, 2), nil)
+	e.Add(&engine.Task{ID: 1}, nil, 0)
+	e.Add(&engine.Task{ID: 2}, []deps.TaskID{1}, 1)
+	if e.ReleaseHold(2) {
+		t.Fatal("releasing the hold readied a task whose producer has not run")
+	}
+	if e.ReleaseHold(2) {
+		t.Fatal("a surplus release readied the task: it ate the producer edge")
+	}
+	if e.ReleaseHold(99) {
+		t.Fatal("releasing an unknown task reported ready")
+	}
+	e.Schedule()
+	if len(exec.queue) != 1 || exec.queue[0].Task.ID != 1 {
+		t.Fatalf("placed %d tasks before the producer completed, want only task 1", len(exec.queue))
+	}
+	if e.ReadyCount() != 0 {
+		t.Fatal("task 2 is queued with its input unmet")
+	}
+	pl, _ := exec.pop()
+	e.Complete(1, pl.Epoch, false)
+	e.Schedule()
+	if len(exec.queue) != 1 || exec.queue[0].Task.ID != 2 {
+		t.Fatal("task 2 did not become ready when its producer completed")
+	}
+}
+
+// TestDuplicateIDRefused: the engine refuses a second task with a
+// registered ID — alone or inside a batch, dense or out-of-sequence ID —
+// and the first registration keeps working.
+func TestDuplicateIDRefused(t *testing.T) {
+	e, exec := newEngine(t, pool(1, 4), nil)
+	first := &engine.Task{ID: 1}
+	e.Add(first, nil, 0)
+	e.Add(&engine.Task{ID: 40}, nil, 0) // out of sequence: found through the sparse path
+	for _, id := range []int64{1, 40} {
+		if ready, err := e.Add(&engine.Task{ID: id}, nil, 0); ready || !errors.Is(err, engine.ErrDuplicateID) {
+			t.Fatalf("second Add of ID %d: ready=%v err=%v, want ErrDuplicateID", id, ready, err)
+		}
+	}
+	ready, err := e.AddBatch([]*engine.Task{{ID: 2}, {ID: 1}, {ID: 3}}, make([][]deps.TaskID, 3))
+	if !ready || !errors.Is(err, engine.ErrDuplicateID) {
+		t.Fatalf("batch with a duplicate: ready=%v err=%v, want the rest registered and ErrDuplicateID", ready, err)
+	}
+	var ids []int64
+	e.Each(func(t *engine.Task) {
+		ids = append(ids, t.ID)
+		if t.ID == 1 && t != first {
+			ids = append(ids, -1) // the duplicate replaced the registered task
+		}
+	})
+	if !slices.Equal(ids, []int64{1, 40, 2, 3}) {
+		t.Fatalf("registered %v, want [1 40 2 3] with the first task 1 kept", ids)
+	}
+	e.Schedule()
+	if len(exec.queue) != 4 {
+		t.Fatalf("placed %d tasks, want 4", len(exec.queue))
+	}
+}
+
 func TestMultiNodeGroupReservation(t *testing.T) {
 	p := pool(2, 4)
 	e, exec := newEngine(t, p, nil)
@@ -244,8 +312,8 @@ func TestMultiNodeGroupReservation(t *testing.T) {
 		t.Fatalf("placements = %d, want 1 (MPI task holds both nodes)", len(exec.queue))
 	}
 	pl := exec.queue[0]
-	if pl.Task.ID != 1 || len(pl.Nodes) != 2 {
-		t.Fatalf("placement = task %d on %d nodes", pl.Task.ID, len(pl.Nodes))
+	if pl.Task.ID != 1 || pl.Node == nil || len(pl.Peers) != 1 {
+		t.Fatalf("placement = task %d with %d peers", pl.Task.ID, len(pl.Peers))
 	}
 	exec.queue = nil
 	e.Complete(1, pl.Epoch, false)

@@ -204,6 +204,6 @@ func (e *Engine) Heal(a, b string) error {
 func (e *Engine) Current(id int64, epoch int) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t, ok := e.tasks[id]
-	return ok && t.state == Running && t.epoch == epoch
+	t := e.tasks.get(id)
+	return t != nil && t.state == Running && t.epoch == epoch
 }

@@ -11,7 +11,8 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/transfer"
@@ -44,17 +45,13 @@ type TaskSnap struct {
 func (e *Engine) SnapshotTasks() []TaskSnap {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]TaskSnap, 0, len(e.order))
-	for _, id := range e.order {
-		t := e.tasks[id]
-		s := TaskSnap{
-			ID: t.ID, Class: t.Class, State: t.state,
-			Epoch: t.epoch, Completed: t.completed,
-		}
-		if len(t.OutputKeys) > 0 {
-			s.OutputKeys = append([]transfer.Key(nil), t.OutputKeys...)
-		}
-		out = append(out, s)
+	return e.snapshotLocked()
+}
+
+func (e *Engine) snapshotLocked() []TaskSnap {
+	out := make([]TaskSnap, 0, len(e.tasks.all))
+	for _, t := range e.tasks.all {
+		out = append(out, snapLocked(t))
 	}
 	return out
 }
@@ -79,10 +76,7 @@ func snapLocked(t *Task) TaskSnap {
 func (e *Engine) SnapshotTasksClean() []TaskSnap {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]TaskSnap, 0, len(e.order))
-	for _, id := range e.order {
-		out = append(out, snapLocked(e.tasks[id]))
-	}
+	out := e.snapshotLocked()
 	e.resetDirtyLocked()
 	return out
 }
@@ -93,7 +87,7 @@ func (e *Engine) SnapshotTasksClean() []TaskSnap {
 func (e *Engine) DirtyCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.dirtyIDs)
+	return len(e.dirty)
 }
 
 // TakeDirty drains the delta since the last capture: the checkpoint
@@ -107,28 +101,27 @@ func (e *Engine) DirtyCount() int {
 func (e *Engine) TakeDirty() (snaps []TaskSnap, added []int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.dirtyIDs) == 0 && len(e.added) == 0 {
+	if len(e.dirty) == 0 && e.addedFrom == len(e.tasks.all) {
 		return nil, nil
 	}
-	ids := append([]int64(nil), e.dirtyIDs...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	snaps = make([]TaskSnap, 0, len(ids))
-	for _, id := range ids {
-		snaps = append(snaps, snapLocked(e.tasks[id]))
+	slices.SortFunc(e.dirty, func(a, b *Task) int { return cmp.Compare(a.ID, b.ID) })
+	snaps = make([]TaskSnap, 0, len(e.dirty))
+	for _, t := range e.dirty {
+		snaps = append(snaps, snapLocked(t))
 	}
-	if len(e.added) > 0 {
-		added = append([]int64(nil), e.added...)
+	for _, t := range e.tasks.all[e.addedFrom:] {
+		added = append(added, t.ID)
 	}
 	e.resetDirtyLocked()
 	return snaps, added
 }
 
 func (e *Engine) resetDirtyLocked() {
-	for _, id := range e.dirtyIDs {
-		e.tasks[id].ckptDirty = false
+	for _, t := range e.dirty {
+		t.ckptDirty = false
 	}
-	e.dirtyIDs = e.dirtyIDs[:0]
-	e.added = e.added[:0]
+	e.dirty = e.dirty[:0]
+	e.addedFrom = len(e.tasks.all)
 }
 
 // Now returns the engine clock's current offset from the run's epoch —
@@ -149,18 +142,14 @@ func (e *Engine) Now() time.Duration { return e.cfg.Clock.Now() }
 func (e *Engine) RestoreCompleted(id int64, epoch int) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t, ok := e.tasks[id]
-	if !ok || t.state == Running || t.completed {
+	t := e.tasks.get(id)
+	if t == nil || t.state == Running || t.completed {
 		return false
 	}
 	if t.state == Ready {
 		b := e.ready[t.sig]
-		for i, qid := range b.q {
-			if qid == id {
-				b.q = append(b.q[:i], b.q[i+1:]...)
-				break
-			}
-		}
+		i := slices.Index(b.q, t)
+		b.q = slices.Delete(b.q, i, i+1)
 		e.readyN.Add(-1)
 		b.depth.Add(-1)
 	}
@@ -170,22 +159,7 @@ func (e *Engine) RestoreCompleted(id int64, epoch int) bool {
 	if epoch > t.epoch {
 		t.epoch = epoch
 	}
-	t.state = Done
-	t.completed = true
-	e.markDirtyLocked(t)
 	e.stats.Restored++
-	for _, dep := range t.dependents {
-		dt := e.tasks[dep]
-		dt.waitCount--
-		if dt.waitCount == 0 && dt.state == Pending {
-			dt.state = Ready
-			e.pushReadyLocked(dt)
-		}
-	}
-	t.dependents = nil
-	if e.cfg.Registry == nil {
-		t.InputKeys = nil
-		t.OutputKeys = nil
-	}
+	e.doneLocked(t)
 	return true
 }

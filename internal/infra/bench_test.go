@@ -2,6 +2,8 @@ package infra_test
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,36 +12,84 @@ import (
 	"repro/internal/resources"
 	"repro/internal/sched"
 	"repro/internal/simnet"
-	"repro/internal/workloads"
 )
+
+// wideKinds and wideSigs give the package-local inner loop of the
+// scheduling hot path the shape the ledger's sim-wide workload has: four
+// node flavours, a quarter of the pool each (only the first has GPUs), and
+// six constraint signatures in a fixed mix — so every Reserve/Release
+// notifies several signature sets and a wave has several buckets to
+// choose between.
+var wideKinds = [4]resources.Description{
+	{Cores: 48, MemoryMB: 96_000, GPUs: 2, Class: resources.HPC, SpeedFactor: 1.0},
+	{Cores: 32, MemoryMB: 64_000, Class: resources.HPC, SpeedFactor: 0.9},
+	{Cores: 16, MemoryMB: 32_000, Class: resources.Cloud, SpeedFactor: 0.8},
+	{Cores: 8, MemoryMB: 16_000, Class: resources.Cloud, SpeedFactor: 0.6},
+}
+
+var wideSigs = [6]resources.Constraints{
+	{}, {Cores: 2}, {Cores: 1, MemoryMB: 2_000}, {Cores: 4, MemoryMB: 8_000},
+	{Cores: 8, MemoryMB: 16_000}, {Cores: 2, GPUs: 1},
+}
+
+// wideSpecs generates n independent tasks, 30–90 s each, over wideSigs
+// (the GPU signature a twentieth of them, the rest spread evenly).
+func wideSpecs(n int) []infra.TaskSpec {
+	rng := rand.New(rand.NewSource(1))
+	specs := make([]infra.TaskSpec, n)
+	for i := range specs {
+		k := rng.Intn(100) / 19 // 0..4 at 19 % each, 5 (GPU) at 5 %
+		specs[i] = infra.TaskSpec{
+			ID:          int64(i + 1),
+			Class:       fmt.Sprintf("wide.%d", k),
+			Duration:    time.Duration(30+rng.Intn(60)) * time.Second,
+			Constraints: wideSigs[k],
+		}
+	}
+	return specs
+}
+
+// runWide simulates specs on a fresh heterogeneous pool of the given size
+// under indexed MinLoad, optionally with the observability layer on.
+func runWide(tb testing.TB, specs []infra.TaskSpec, nodes int, metrics bool) {
+	pool := resources.NewPool()
+	for i := 0; i < nodes; i++ {
+		_ = pool.Add(resources.NewNode(fmt.Sprintf("w%04d", i), wideKinds[i%len(wideKinds)]))
+	}
+	cfg := infra.Config{Pool: pool, Net: simnet.New(simnet.Link{BandwidthMBps: 1000}), Policy: sched.MinLoad{}}
+	if metrics {
+		cfg.Metrics, cfg.SampleEvery = obsv.NewRegistry(), 10*time.Second
+	}
+	sim, err := infra.New(cfg, specs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if res.TasksCompleted != len(specs) {
+		tb.Fatalf("completed %d of %d", res.TasksCompleted, len(specs))
+	}
+}
+
+func benchWide(b *testing.B, metrics bool) {
+	specs := wideSpecs(50_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runWide(b, specs, 256, metrics)
+	}
+	b.ReportMetric(float64(len(specs)*b.N)/b.Elapsed().Seconds(), "sim-tasks/s")
+}
 
 // BenchmarkSimThroughput measures how many simulated tasks per second the
 // discrete-event engine processes — the figure that makes 100-node sweeps
-// affordable.
-func BenchmarkSimThroughput(b *testing.B) {
-	specs := workloads.EmbarrassinglyParallel(5000, time.Minute, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pool := resources.NewPool()
-		for n := 0; n < 8; n++ {
-			_ = pool.Add(resources.NewNode(fmt.Sprintf("n%d", n), resources.MareNostrumNode))
-		}
-		sim, err := infra.New(infra.Config{
-			Pool: pool, Net: simnet.New(simnet.Link{BandwidthMBps: 1000}), Policy: sched.MinLoad{},
-		}, specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.TasksCompleted != 5000 {
-			b.Fatalf("completed %d", res.TasksCompleted)
-		}
-	}
-	b.ReportMetric(float64(5000*b.N)/b.Elapsed().Seconds(), "sim-tasks/s")
-}
+// affordable — on the wide shape above: 50 000 independent tasks, six
+// signatures, 256 heterogeneous nodes. `-cpuprofile` on it shows the
+// engine ready queue, the index notification path and simclock, the same
+// table a profile of the ledger's sim-wide shows.
+func BenchmarkSimThroughput(b *testing.B) { benchWide(b, false) }
 
 // BenchmarkSimThroughputMetrics is BenchmarkSimThroughput with the full
 // observability layer on: registry-backed engine metrics plus virtual
@@ -47,28 +97,25 @@ func BenchmarkSimThroughput(b *testing.B) {
 // regression against the metrics-off figure — instrumentation must stay
 // off the hot path (atomic adds on pre-resolved instruments, sampling on
 // clock events).
-func BenchmarkSimThroughputMetrics(b *testing.B) {
-	specs := workloads.EmbarrassinglyParallel(5000, time.Minute, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pool := resources.NewPool()
-		for n := 0; n < 8; n++ {
-			_ = pool.Add(resources.NewNode(fmt.Sprintf("n%d", n), resources.MareNostrumNode))
-		}
-		sim, err := infra.New(infra.Config{
-			Pool: pool, Net: simnet.New(simnet.Link{BandwidthMBps: 1000}), Policy: sched.MinLoad{},
-			Metrics: obsv.NewRegistry(), SampleEvery: 10 * time.Second,
-		}, specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.TasksCompleted != 5000 {
-			b.Fatalf("completed %d", res.TasksCompleted)
-		}
+func BenchmarkSimThroughputMetrics(b *testing.B) { benchWide(b, true) }
+
+// TestWideCampaignAllocBudget is the deterministic cost gate on the
+// scheduling hot path: a whole campaign — New and Run — of 20 000
+// independent tasks over six signatures on 64 nodes may allocate at most
+// four objects per task. Per-task records, ready queues, placements,
+// completions and clock events are all slab- or scratch-backed; what is
+// left is amortised growth.
+func TestWideCampaignAllocBudget(t *testing.T) {
+	specs := wideSpecs(20_000)
+	runWide(t, specs[:2_000], 64, false) // warm lazily initialised runtime state
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	runWide(t, specs, 64, false)
+	runtime.ReadMemStats(&after)
+	perTask := float64(after.Mallocs-before.Mallocs) / float64(len(specs))
+	t.Logf("%.2f allocations per task", perTask)
+	if perTask > 4.0 {
+		t.Fatalf("%.2f allocations per task, budget 4.0", perTask)
 	}
-	b.ReportMetric(float64(5000*b.N)/b.Elapsed().Seconds(), "sim-tasks/s")
 }

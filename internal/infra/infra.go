@@ -218,6 +218,8 @@ type Sim struct {
 	nodeAdded     map[string]time.Duration
 	remaining     int
 	schedDeferred bool
+	runDeferred   func() // the deferred placement wave, bound once
+	idle          *flight
 	halted        bool
 	err           error
 
@@ -237,9 +239,10 @@ type release struct {
 
 // Errors reported by Run.
 var (
-	ErrStuck       = errors.New("infra: tasks cannot be scheduled (unsatisfiable constraints or empty pool)")
-	ErrConfig      = errors.New("infra: invalid config")
-	ErrDuplicateID = errors.New("infra: duplicate task ID")
+	ErrStuck  = errors.New("infra: tasks cannot be scheduled (unsatisfiable constraints or empty pool)")
+	ErrConfig = errors.New("infra: invalid config")
+	// ErrDuplicateID is New's error for two specs with one ID.
+	ErrDuplicateID = engine.ErrDuplicateID
 	// ErrNoCheckpoint is returned by Sim.Checkpoint without a configured
 	// store — the same sentinel the live runtime returns.
 	ErrNoCheckpoint = host.ErrNoCheckpoint
@@ -292,6 +295,10 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 		Executor:     &simExecutor{s},
 	})
 	s.eng = s.Engine()
+	s.runDeferred = func() {
+		s.schedDeferred = false
+		s.eng.Schedule()
+	}
 
 	// Stage in external data.
 	var firstNode []string
@@ -313,18 +320,15 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 	// Register the whole workflow through the access processor in slice
 	// order — one lock acquisition for the full graph.
 	batch := make([]deps.TaskAccesses, len(specs))
-	seen := make(map[int64]struct{}, len(specs))
 	for i, spec := range specs {
-		if _, dup := seen[spec.ID]; dup {
-			return nil, fmt.Errorf("%w: %d", ErrDuplicateID, spec.ID)
-		}
-		seen[spec.ID] = struct{}{}
 		batch[i] = deps.TaskAccesses{Task: deps.TaskID(spec.ID), Accesses: spec.Accesses}
 	}
 	results := s.proc.RegisterBatch(batch)
+	tasks := make([]engine.Task, len(specs)) // one allocation for every task record
 	for i, spec := range specs {
 		res := results[i]
-		et := &engine.Task{
+		et := &tasks[i]
+		*et = engine.Task{
 			ID:          spec.ID,
 			Class:       spec.Class,
 			Constraints: spec.Constraints,
@@ -356,7 +360,9 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 				s.admitStart = append(s.admitStart, r)
 			}
 		}
-		s.eng.Add(et, res.Deps, holds)
+		if _, err := s.eng.Add(et, res.Deps, holds); err != nil {
+			return nil, err
+		}
 	}
 
 	for _, n := range cfg.Pool.Nodes() {
@@ -471,8 +477,22 @@ func (s *Sim) restageTarget(k transfer.Key) string {
 // injected slow-node factor).
 type simExecutor struct{ s *Sim }
 
+// flight is one launched placement on its way to its completion event.
+// Records are recycled through Sim.idle with their callback bound once,
+// so a launch allocates nothing once enough exist. A placement a failure
+// cancelled keeps its record (and stale epoch) until its event fires.
+type flight struct {
+	s     *Sim
+	id    int64
+	epoch int
+	ran   time.Duration
+	land  func() // f.finish, bound at creation
+	next  *flight
+}
+
 // Launch implements engine.Executor.
 func (x *simExecutor) Launch(p engine.Placement) {
+	s := x.s
 	sf := p.Primary().Desc().SpeedFactor
 	if sf <= 0 {
 		sf = 1
@@ -481,27 +501,32 @@ func (x *simExecutor) Launch(p engine.Placement) {
 	if p.SlowFactor > 1 {
 		run = time.Duration(float64(run) * p.SlowFactor)
 	}
-	id, epoch := p.Task.ID, p.Epoch
-	x.s.clock.After(p.TransferTime+run, func() { x.s.finish(id, run, epoch) })
+	f := s.idle
+	if f == nil {
+		f = &flight{s: s}
+		f.land = f.finish
+	} else {
+		s.idle = f.next
+	}
+	f.id, f.epoch, f.ran = p.Task.ID, p.Epoch, run
+	s.clock.After(p.TransferTime+run, f.land)
 }
 
 // finish handles one completion event. Stale events (from a placement
 // that a node failure cancelled) are rejected by the engine's epoch check.
-func (s *Sim) finish(id int64, ran time.Duration, epoch int) {
-	comp, ok := s.eng.Complete(id, epoch, false)
+func (f *flight) finish() {
+	s, id, ran := f.s, f.id, f.ran
+	comp, ok := s.eng.Complete(id, f.epoch, false)
+	f.next, s.idle = s.idle, f
 	if !ok {
 		return
 	}
 	t := comp.Task
-	cores := t.Constraints.EffectiveCores()
-	for _, n := range comp.Nodes {
-		s.acct.AddTask(n.Name(), n.Desc(), cores, ran)
-		s.result.BusyCoreSeconds += float64(cores) * ran.Seconds()
-		if s.cfg.Predictor != nil {
-			// Observe the speed-normalised (reference) duration.
-			base := time.Duration(float64(ran) * n.Desc().SpeedFactor)
-			s.cfg.Predictor.Observe(t.Class, t.InputBytes, base)
-		}
+	if comp.Node != nil {
+		s.account(t, comp.Node, ran)
+	}
+	for _, n := range comp.Peers {
+		s.account(t, n, ran)
 	}
 	s.result.TasksCompleted++
 	if comp.First {
@@ -513,6 +538,18 @@ func (s *Sim) finish(id int64, ran time.Duration, epoch int) {
 	// placement wave, which picks up whatever holds the release lifted.
 	s.TaskCompleted(id, comp.First)
 	s.deferSchedule()
+}
+
+// account books one group member's share of a finished execution.
+func (s *Sim) account(t *engine.Task, n *resources.Node, ran time.Duration) {
+	cores := t.Constraints.EffectiveCores()
+	s.acct.AddTask(n.Name(), n.Desc(), cores, ran)
+	s.result.BusyCoreSeconds += float64(cores) * ran.Seconds()
+	if s.cfg.Predictor != nil {
+		// Observe the speed-normalised (reference) duration.
+		base := time.Duration(float64(ran) * n.Desc().SpeedFactor)
+		s.cfg.Predictor.Observe(t.Class, t.InputBytes, base)
+	}
 }
 
 // admitRelease makes one task visible to the scheduler, asking the
@@ -538,10 +575,7 @@ func (s *Sim) deferSchedule() {
 		return
 	}
 	s.schedDeferred = true
-	s.clock.Defer(func() {
-		s.schedDeferred = false
-		s.eng.Schedule()
-	})
+	s.clock.Defer(s.runDeferred)
 }
 
 // Run executes the simulation to completion and returns the result.

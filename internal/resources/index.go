@@ -1,15 +1,17 @@
 // Placement index — the load-indexed node structure that ends the
 // O(pool) placement scan. Placeability depends only on a task's
-// constraint *signature* (Constraints.Signature), so the pool keeps one
-// capability set per signature ever queried: the member nodes that could
-// statically run such tasks, in pool insertion order, plus a min-heap of
-// the undrained members ordered by busy-core fraction (ties broken by
-// node name, the deterministic order scan- and index-backed picks agree
-// on). Membership is maintained incrementally on Pool.Add/Remove and
-// Node.Drain/Undrain; load order is maintained on every Reserve/Release
-// through a node→index notification, so a MinLoad-style pick is a heap
-// walk instead of a full-pool rescan and Fitting/Capable read cached
-// capacity instead of taking every node's mutex.
+// constraint *signature*, so the pool interns every distinct constraint
+// set to a dense SigID and keeps one capability set per ID: the member
+// nodes that could statically run such tasks, in pool insertion order,
+// plus a min-heap of the undrained members ordered by busy-core fraction
+// (ties broken by node name, the deterministic order scan- and
+// index-backed picks agree on). Membership follows Pool.Add/Remove and
+// Node.Drain/Undrain; load follows every Reserve/Release through a
+// node→index notification that looks nothing up by name (a node holds
+// its rec per watching index, a rec its entry per set). A notification
+// eagerly refreshes the cached capacity and each set's fitCount, so "no
+// capacity" stays an O(1) answer; the load heaps are repaired lazily, by
+// the next pick that walks one.
 //
 // Locking: the index has one mutex and is a leaf — index methods never
 // acquire a pool or node lock. Nodes notify their watching indexes while
@@ -21,11 +23,30 @@ package resources
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
+
+	"repro/internal/minheap"
 )
 
-// capState is a node's cached dynamic capacity inside the index: a copy
-// of the fields Reserve/Release/Drain mutate, refreshed on every change.
+// SigID is a pool's dense identifier of one distinct constraint set,
+// assigned on first query. IDs of different pools are unrelated.
+type SigID int32
+
+// sigKey is the comparable identity of a constraint set: interning one
+// without Software costs a struct-keyed map lookup and builds no string.
+// software is Signature() for sets that name software, empty otherwise.
+type sigKey struct {
+	cores, gpus, nodes int
+	memMB              int64
+	class              Class
+	software           string
+}
+
+// capState is a node's dynamic capacity — the fields Reserve, Release
+// and Drain mutate. The node owns one; the index caches a copy, refreshed
+// on every change.
 type capState struct {
 	freeCores int
 	freeMemMB int64
@@ -33,65 +54,74 @@ type capState struct {
 	drained   bool
 }
 
-// fits mirrors Node.fits over the cached capacity.
+// fits reports whether the free capacity covers c's demand.
 func (st capState) fits(c Constraints) bool {
 	return c.EffectiveCores() <= st.freeCores &&
 		c.MemoryMB <= st.freeMemMB &&
 		c.GPUs <= st.freeGPUs
 }
 
-// rec is the index's record of one node: identity, immutable description,
-// cached capacity, load fraction, and the signature sets it belongs to.
+// rec is the index's record of one node: immutable description, cached
+// capacity, its entry in every signature set it belongs to, and rank —
+// the name's position among the index's node names, the load order's
+// tie-break as an integer (see rankLocked).
 type rec struct {
+	x    *Index
 	n    *Node
-	name string
 	desc Description
 	st   capState
-	frac float64 // busy-core fraction (the MinLoad metric)
-	sets []*sigSet
+	rank int
+	ents []*sigEntry
 }
 
-// recLess is the load order shared by the heap and the pick walk:
-// ascending busy fraction, ties broken by node name so the winner never
-// depends on pool insertion order.
-func recLess(a, b *rec) bool {
-	if a.frac != b.frac {
-		return a.frac < b.frac
-	}
-	return a.name < b.name
-}
-
-func (r *rec) refresh(st capState) {
-	r.st = st
-	if r.desc.Cores == 0 {
-		r.frac = 1
-		return
-	}
-	r.frac = float64(r.desc.Cores-st.freeCores) / float64(r.desc.Cores)
-}
-
-// sigEntry is one node's membership in one signature set. pos is the
-// entry's slot in the set's load heap, -1 while the node is drained
-// (capable but not placeable).
+// sigEntry is one node's membership in one signature set. pos is its
+// slot in the set's load heap, -1 while not in it (drained, or not yet
+// repaired in). busy/cores is the busy-core fraction the heap last
+// arranged it by: the heap is ordered over these entry-local keys, never
+// over live node state, so it stays valid while a node's change waits in
+// stale for the set's next walk.
 type sigEntry struct {
-	r   *rec
-	pos int
+	r           *rec
+	s           *sigSet
+	pos         int
+	busy, cores int64
+	stale       bool
+}
+
+// rekey copies the node's current load into the entry (a node without
+// cores counts as fully busy).
+func (e *sigEntry) rekey() {
+	e.busy, e.cores = 1, 1
+	if c := e.r.desc.Cores; c > 0 {
+		e.busy, e.cores = int64(c-e.r.st.freeCores), int64(c)
+	}
+}
+
+// loadLess is the load order shared by the heap and the pick walk:
+// ascending busy fraction (cross-multiplied: exact, no division), ties
+// broken by name rank so the winner never depends on insertion order.
+func loadLess(a, b *sigEntry) bool {
+	if l, r := a.busy*b.cores, b.busy*a.cores; l != r {
+		return l < r
+	}
+	return a.r.rank < b.r.rank
 }
 
 // sigSet is one constraint signature's capability set: every node whose
 // description satisfies the signature, in pool insertion order, plus the
 // load heap over the undrained members.
 type sigSet struct {
-	sig     string
+	id      SigID
+	label   string      // Constraints.Signature(): traces, gauges, SigLoad.Sig
 	c       Constraints // representative constraints for the signature
 	members []*sigEntry // insertion order, drained included
-	byName  map[string]*sigEntry
-	heap    []*sigEntry // min-heap by (frac, name); undrained members only
+	heap    minheap.Heap[*sigEntry]
+	stale   []*sigEntry // members whose heap slot or key is out of date
 	// fitCount is the number of undrained members that currently fit the
 	// signature's capacity demand. Every query against this set carries
 	// the same demand (equal signatures ⇒ equal Cores/MemoryMB/GPUs), so
 	// the count answers "no capacity" in O(1) — the saturated-pool case
-	// that would otherwise walk the whole heap to conclude nil.
+	// that would otherwise walk the whole heap to conclude nil. Eager.
 	fitCount int
 }
 
@@ -100,98 +130,44 @@ func (s *sigSet) entryFits(st capState) bool {
 	return !st.drained && st.fits(s.c)
 }
 
-func (s *sigSet) heapLess(i, j int) bool { return recLess(s.heap[i].r, s.heap[j].r) }
-
-func (s *sigSet) heapSwap(i, j int) {
-	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.heap[i].pos, s.heap[j].pos = i, j
-}
-
-func (s *sigSet) heapPush(e *sigEntry) {
-	e.pos = len(s.heap)
-	s.heap = append(s.heap, e)
-	s.heapUp(e.pos)
-}
-
-func (s *sigSet) heapRemove(i int) {
-	last := len(s.heap) - 1
-	if i != last {
-		s.heapSwap(i, last)
-	}
-	s.heap[last].pos = -1
-	s.heap = s.heap[:last]
-	if i < last {
-		s.heapDown(i)
-		s.heapUp(i)
-	}
-}
-
-func (s *sigSet) heapFix(i int) {
-	s.heapDown(i)
-	s.heapUp(i)
-}
-
-func (s *sigSet) heapUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.heapLess(i, parent) {
-			return
-		}
-		s.heapSwap(i, parent)
-		i = parent
-	}
-}
-
-func (s *sigSet) heapDown(i int) {
-	n := len(s.heap)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && s.heapLess(r, l) {
-			m = r
-		}
-		if !s.heapLess(m, i) {
-			return
-		}
-		s.heapSwap(i, m)
-		i = m
+func (s *sigSet) markStale(e *sigEntry) {
+	if !e.stale {
+		e.stale = true
+		s.stale = append(s.stale, e)
 	}
 }
 
 // minFitting returns the least-loaded undrained member that currently
-// fits c, walking the heap top-down and pruning every subtree whose root
-// is already no better than the best fitting candidate found — by the
-// heap property its descendants cannot improve on it either. The result
-// is exactly the (frac, name)-minimum of the fitting set, i.e. what a
-// full MinLoad scan with the name tie-break would pick, at a cost that
-// is O(log n) when the least-loaded node fits (the common case) and
+// fits c, walking the (repaired) heap top-down and pruning every subtree
+// whose root is already no better than the best fitting candidate found —
+// by the heap property its descendants cannot improve on it either. The
+// result is exactly the (load, name)-minimum of the fitting set, i.e.
+// what a full MinLoad scan with the name tie-break would pick, at a cost
+// that is O(log n) when the least-loaded node fits (the common case) and
 // never worse than one heap traversal.
 func (s *sigSet) minFitting(c Constraints) *rec {
-	if s.fitCount == 0 {
-		return nil // saturated: answer in O(1), not a fruitless heap walk
-	}
-	var best *rec
+	var best *sigEntry
 	var walk func(i int)
 	walk = func(i int) {
-		if i >= len(s.heap) {
+		if i >= s.heap.Len() {
 			return
 		}
-		r := s.heap[i].r
-		if best != nil && !recLess(r, best) {
+		e := s.heap.At(i)
+		if best != nil && !loadLess(e, best) {
 			return
 		}
-		if r.st.fits(c) {
-			best = r
+		if e.r.st.fits(c) {
+			best = e
 			return
 		}
 		walk(2*i + 1)
 		walk(2*i + 2)
 	}
 	walk(0)
-	return best
+	if best == nil {
+		return nil
+	}
+	return best.r
 }
 
 // Index is a pool's placement index. Every Pool owns one (created by
@@ -199,88 +175,73 @@ func (s *sigSet) minFitting(c Constraints) *rec {
 // signature sets are built lazily on first query and maintained
 // incrementally from then on.
 type Index struct {
-	mu    sync.Mutex
-	recs  map[string]*rec
-	order []*rec // pool insertion order (new sigSets inherit it)
-	sigs  map[string]*sigSet
+	mu     sync.Mutex
+	order  []*rec    // pool insertion order (new sigSets inherit it)
+	ranked bool      // every rec's rank is current
+	sets   []*sigSet // by SigID
+	byKey  map[sigKey]*sigSet
 }
 
-func newIndex() *Index {
-	return &Index{
-		recs: make(map[string]*rec),
-		sigs: make(map[string]*sigSet),
-	}
-}
+func newIndex() *Index { return &Index{byKey: make(map[sigKey]*sigSet)} }
 
-// addNode installs a node with the given snapshot of its state. Called
-// with the node's mutex held (see Node.attachIndex), so no capacity
-// change can slip between the snapshot and the installation.
-func (x *Index) addNode(n *Node, st capState) {
+// addNode installs a node in its current state and returns its record,
+// which the node hands back on every notification. Called with the
+// node's mutex held (see Node.attachIndex), so no capacity change can
+// slip in between.
+func (x *Index) addNode(n *Node, st capState) *rec {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if _, dup := x.recs[n.name]; dup {
-		return
-	}
-	r := &rec{n: n, name: n.name, desc: n.desc}
-	r.refresh(st)
-	x.recs[r.name] = r
+	r := &rec{x: x, n: n, desc: n.desc, st: st}
 	x.order = append(x.order, r)
-	for _, s := range x.sigs {
+	x.ranked = false
+	for _, s := range x.sets {
 		if r.desc.Satisfies(s.c) {
-			x.joinLocked(s, r)
+			s.join(r)
 		}
 	}
+	return r
 }
 
 // removeNode drops a node from every signature set.
-func (x *Index) removeNode(name string) {
+func (x *Index) removeNode(r *rec) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	r, ok := x.recs[name]
-	if !ok {
-		return
-	}
-	delete(x.recs, name)
-	for i, o := range x.order {
-		if o == r {
-			x.order = append(x.order[:i], x.order[i+1:]...)
-			break
-		}
-	}
-	for _, s := range r.sets {
-		e := s.byName[name]
+	x.order = without(x.order, r)
+	for _, e := range r.ents {
+		s := e.s
 		if e.pos >= 0 {
-			s.heapRemove(e.pos)
+			s.heap.Remove(e.pos)
 		}
 		if s.entryFits(r.st) {
 			s.fitCount--
 		}
-		delete(s.byName, name)
-		for i, m := range s.members {
-			if m == e {
-				s.members = append(s.members[:i], s.members[i+1:]...)
-				break
-			}
+		s.members = without(s.members, e)
+		if e.stale { // an unwalked set must not keep the node's record alive
+			s.stale = without(s.stale, e)
 		}
 	}
-	r.sets = nil
+	r.ents = nil
 }
 
-// nodeChanged refreshes a node's cached capacity and re-positions it in
-// every signature heap it belongs to. Called with the node's mutex held,
-// after every Reserve/Release/Drain/Undrain.
-func (x *Index) nodeChanged(name string, st capState) {
+// without returns s with its first x removed.
+func without[T comparable](s []T, x T) []T {
+	if i := slices.Index(s, x); i >= 0 {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
+}
+
+// changed refreshes a node's cached capacity and every fitCount it
+// moves, and queues its heap entries for repair. Called with the node's
+// mutex held, after every Reserve/Release/Drain/Undrain.
+func (r *rec) changed(st capState) {
+	x := r.x
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	r, ok := x.recs[name]
-	if !ok {
-		return
-	}
 	was := r.st
-	wasDrained := was.drained
-	r.refresh(st)
-	for _, s := range r.sets {
-		e := s.byName[name]
+	r.st = st
+	for _, e := range r.ents {
+		s := e.s
 		if of, nf := s.entryFits(was), s.entryFits(st); of != nf {
 			if nf {
 				s.fitCount++
@@ -288,53 +249,85 @@ func (x *Index) nodeChanged(name string, st capState) {
 				s.fitCount--
 			}
 		}
-		switch {
-		case st.drained && !wasDrained:
-			if e.pos >= 0 {
-				s.heapRemove(e.pos)
-			}
-		case !st.drained && wasDrained:
-			if e.pos < 0 {
-				s.heapPush(e)
-			}
-		case e.pos >= 0:
-			s.heapFix(e.pos)
-		}
+		s.markStale(e)
 	}
 }
 
-// joinLocked adds a record to a signature set (membership at the end —
-// callers preserve pool insertion order — and the heap unless drained).
-func (x *Index) joinLocked(s *sigSet, r *rec) {
-	e := &sigEntry{r: r, pos: -1}
+// join adds a record to the set (membership at the end — callers
+// preserve pool insertion order); the next repair puts it in the heap.
+func (s *sigSet) join(r *rec) {
+	e := &sigEntry{r: r, s: s, pos: -1}
 	s.members = append(s.members, e)
-	s.byName[r.name] = e
-	r.sets = append(r.sets, s)
-	if !r.st.drained {
-		s.heapPush(e)
-	}
+	r.ents = append(r.ents, e)
 	if s.entryFits(r.st) {
 		s.fitCount++
 	}
+	s.markStale(e)
 }
 
-// sigFor returns the signature set for c, building it on first use from
-// the per-node records (pool insertion order). sig must equal
-// c.Signature(); callers that have it cached (the engine caches one per
-// task) pass it in so the hot path does not rebuild the string.
+// rankLocked numbers the records in node-name order. Removals keep the
+// surviving ranks in name order, so only an addition makes it run.
+func (x *Index) rankLocked() {
+	if x.ranked {
+		return
+	}
+	sorted := append([]*rec(nil), x.order...)
+	slices.SortFunc(sorted, func(a, b *rec) int { return strings.Compare(a.n.name, b.n.name) })
+	for i, r := range sorted {
+		r.rank = i
+	}
+	x.ranked = true
+}
+
+// repairLocked brings s's load heap up to date with its members' cached
+// state — the lazy half of a notification, run before anything reads the
+// heap. Stale entries are re-keyed and settled one at a time, so the heap
+// is valid over its own keys at every step.
+func (x *Index) repairLocked(s *sigSet) {
+	if len(s.stale) == 0 {
+		return
+	}
+	x.rankLocked()
+	for _, e := range s.stale {
+		e.stale = false
+		e.rekey()
+		switch in := !e.r.st.drained; {
+		case in && e.pos < 0:
+			s.heap.Push(e)
+		case !in && e.pos >= 0:
+			s.heap.Remove(e.pos)
+		case in:
+			s.heap.Fix(e.pos)
+		}
+	}
+	s.stale = s.stale[:0]
+}
+
+// sigFor interns c and returns its signature set, building it on first
+// use from the per-node records (pool insertion order). sig is
+// c.Signature() or empty; it is read only when c names software.
 func (x *Index) sigFor(sig string, c Constraints) *sigSet {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if s, ok := x.sigs[sig]; ok {
-		return s
-	}
-	s := &sigSet{sig: sig, c: c, byName: make(map[string]*sigEntry)}
-	for _, r := range x.order {
-		if r.desc.Satisfies(c) {
-			x.joinLocked(s, r)
+	key := sigKey{cores: c.Cores, gpus: c.GPUs, nodes: c.Nodes, memMB: c.MemoryMB, class: c.Class}
+	if len(c.Software) > 0 {
+		if key.software = sig; sig == "" {
+			key.software = c.Signature()
 		}
 	}
-	x.sigs[sig] = s
+	if s, ok := x.byKey[key]; ok {
+		return s
+	}
+	s := &sigSet{id: SigID(len(x.sets)), label: c.Signature(), c: c}
+	s.heap.Less = loadLess
+	s.heap.Moved = func(e *sigEntry, i int) { e.pos = i }
+	for _, r := range x.order {
+		if r.desc.Satisfies(c) {
+			s.join(r)
+		}
+	}
+	x.sets = append(x.sets, s)
+	x.byKey[key] = s
 	return s
 }
 
@@ -349,17 +342,20 @@ type SigIndex struct {
 }
 
 // IndexFor returns the placement-index view for c's constraint
-// signature, building the capability set on first use.
-func (p *Pool) IndexFor(c Constraints) SigIndex {
-	return p.IndexForSig(c.Signature(), c)
-}
+// signature, interning it and building the capability set on first use.
+func (p *Pool) IndexFor(c Constraints) SigIndex { return p.IndexForSig("", c) }
 
-// IndexForSig is IndexFor with the signature precomputed (it must equal
-// c.Signature()) — the allocation-free lookup for callers that cache the
-// signature per task, like the engine's ready buckets.
+// IndexForSig is IndexFor for callers that hold c.Signature() already;
+// constraint sets that name software are keyed by it.
 func (p *Pool) IndexForSig(sig string, c Constraints) SigIndex {
 	return SigIndex{x: p.idx, s: p.idx.sigFor(sig, c)}
 }
+
+// ID returns the signature's dense identifier in this pool.
+func (si SigIndex) ID() SigID { return si.s.id }
+
+// Label returns the signature's printable form, Constraints.Signature().
+func (si SigIndex) Label() string { return si.s.label }
 
 // MinLoadFitting returns the undrained member with the lowest busy-core
 // fraction that currently fits c (ties by node name), or nil when no
@@ -367,6 +363,10 @@ func (p *Pool) IndexForSig(sig string, c Constraints) SigIndex {
 func (si SigIndex) MinLoadFitting(c Constraints) *Node {
 	si.x.mu.Lock()
 	defer si.x.mu.Unlock()
+	if si.s.fitCount == 0 {
+		return nil // saturated: answer in O(1), not a repair and a fruitless walk
+	}
+	si.x.repairLocked(si.s)
 	if r := si.s.minFitting(c); r != nil {
 		return r.n
 	}
@@ -399,28 +399,23 @@ func (si SigIndex) PowerOfTwoPick(c Constraints, rng *rand.Rand) *Node {
 	si.x.mu.Lock()
 	defer si.x.mu.Unlock()
 	s := si.s
-	n := len(s.heap)
-	if n == 0 || s.fitCount == 0 {
+	if s.fitCount == 0 {
 		return nil
 	}
-	var a, b *rec
-	if n == 1 {
-		a = s.heap[0].r
-	} else {
-		a = s.heap[rng.Intn(n)].r
-		b = s.heap[rng.Intn(n)].r
+	si.x.repairLocked(s)
+	n := s.heap.Len()
+	a := s.heap.At(rng.Intn(n))
+	b := a
+	if n > 1 {
+		b = s.heap.At(rng.Intn(n))
 	}
-	if a != nil && !a.st.fits(c) {
-		a = nil
+	if loadLess(b, a) {
+		a, b = b, a
 	}
-	if b != nil && !b.st.fits(c) {
-		b = nil
-	}
-	switch {
-	case a != nil && (b == nil || b == a || recLess(a, b)):
-		return a.n
-	case b != nil:
-		return b.n
+	for _, e := range [2]*sigEntry{a, b} {
+		if e.r.st.fits(c) {
+			return e.r.n
+		}
 	}
 	if r := s.minFitting(c); r != nil {
 		return r.n
@@ -454,13 +449,6 @@ func (si SigIndex) AppendCapable(dst []*Node) []*Node {
 		dst = append(dst, e.r.n)
 	}
 	return dst
-}
-
-// AnyFitting reports whether some member currently fits c.
-func (si SigIndex) AnyFitting(c Constraints) bool {
-	si.x.mu.Lock()
-	defer si.x.mu.Unlock()
-	return si.s.fitCount > 0
 }
 
 // Len returns the capability-set size (drained members included).

@@ -75,7 +75,7 @@ func checkIndexAgainstScan(t *testing.T, p *Pool, step int) {
 				wantCap++
 			}
 		}
-		if gotCap := len(p.Capable(c)); gotCap != wantCap {
+		if gotCap := len(p.IndexFor(c).AppendCapable(nil)); gotCap != wantCap {
 			t.Fatalf("step %d sig %q: Capable returned %d nodes, scan %d", step, c.Signature(), gotCap, wantCap)
 		}
 		if p.AnyCapable(c) != (wantCap > 0) {
@@ -104,84 +104,322 @@ func name(n *Node) string {
 	return n.Name()
 }
 
+// checkIndexInvariants asserts the index's structural invariants as they
+// stand — without repairing anything first, so the lazily maintained
+// state is what gets checked — and then once more per set after a repair:
+//
+//   - every node of the pool reaches its rec through its watcher, and the
+//     rec reaches each of its entries, each of which is a member of its set;
+//   - members are exactly the capable nodes, in pool insertion order;
+//   - fitCount equals a recount against the nodes themselves (it is eager);
+//   - the load heap is a heap over its own keys, with exact pos
+//     back-pointers, and an entry whose key or heap membership lags its
+//     node is queued in stale;
+//   - after repair nothing is stale, the heap holds exactly the undrained
+//     members, and every key is the node's current load.
+func checkIndexInvariants(t *testing.T, p *Pool, step int) {
+	t.Helper()
+	x := p.idx
+	nodes := p.Nodes()
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if len(x.order) != len(nodes) {
+		t.Fatalf("step %d: index holds %d records, pool %d nodes", step, len(x.order), len(nodes))
+	}
+	for i, n := range nodes {
+		var r *rec
+		for _, w := range n.watchers {
+			if w.x == x {
+				r = w
+			}
+		}
+		if r == nil || r != x.order[i] || r.n != n {
+			t.Fatalf("step %d: node %s does not reach its live record at order[%d]", step, n.name, i)
+		}
+		if r.st != n.st {
+			t.Fatalf("step %d: node %s cached state %+v, actual %+v", step, n.name, r.st, n.st)
+		}
+		for _, e := range r.ents {
+			if e.r != r || x.sets[e.s.id] != e.s {
+				t.Fatalf("step %d: node %s has an entry that does not point back at it or at a live set", step, n.name)
+			}
+		}
+	}
+	for _, s := range x.sets {
+		var capable []*rec
+		fit := 0
+		for _, r := range x.order {
+			if r.desc.Satisfies(s.c) {
+				capable = append(capable, r)
+				if !r.st.drained && r.st.fits(s.c) {
+					fit++
+				}
+			}
+		}
+		if len(s.members) != len(capable) {
+			t.Fatalf("step %d set %q: %d members, %d capable nodes", step, s.label, len(s.members), len(capable))
+		}
+		for i, e := range s.members {
+			if e.r != capable[i] || e.s != s {
+				t.Fatalf("step %d set %q: member %d is %s, pool order says %s", step, s.label, i, e.r.n.name, capable[i].n.name)
+			}
+			found := false
+			for _, re := range e.r.ents {
+				found = found || re == e
+			}
+			if !found {
+				t.Fatalf("step %d set %q: member %s is not among its record's entries", step, s.label, e.r.n.name)
+			}
+		}
+		if s.fitCount != fit {
+			t.Fatalf("step %d set %q: fitCount %d, recount %d", step, s.label, s.fitCount, fit)
+		}
+		checkLoadHeap(t, s, step, false)
+		x.repairLocked(s)
+		checkLoadHeap(t, s, step, true)
+	}
+}
+
+// checkLoadHeap checks one set's heap; repaired says nothing may lag.
+func checkLoadHeap(t *testing.T, s *sigSet, step int, repaired bool) {
+	t.Helper()
+	queued := map[*sigEntry]bool{}
+	for _, e := range s.stale {
+		if !e.stale {
+			t.Fatalf("step %d set %q: %s is in the stale list without its flag", step, s.label, e.r.n.name)
+		}
+		queued[e] = true
+	}
+	if repaired && len(s.stale) > 0 {
+		t.Fatalf("step %d set %q: %d entries stale after repair", step, s.label, len(s.stale))
+	}
+	for i := 0; i < s.heap.Len(); i++ {
+		e := s.heap.At(i)
+		if e.pos != i {
+			t.Fatalf("step %d set %q: heap slot %d holds %s with pos %d", step, s.label, i, e.r.n.name, e.pos)
+		}
+		if i > 0 && loadLess(e, s.heap.At((i-1)/2)) {
+			t.Fatalf("step %d set %q: heap slot %d (%s) sorts before its parent", step, s.label, i, e.r.n.name)
+		}
+	}
+	inHeap := 0
+	for _, e := range s.members {
+		if e.stale != queued[e] {
+			t.Fatalf("step %d set %q: %s stale flag %v, queued %v", step, s.label, e.r.n.name, e.stale, queued[e])
+		}
+		if e.pos >= 0 {
+			inHeap++
+			if s.heap.At(e.pos) != e {
+				t.Fatalf("step %d set %q: %s claims heap slot %d, which holds another entry", step, s.label, e.r.n.name, e.pos)
+			}
+		}
+		if e.stale {
+			continue
+		}
+		was := *e
+		e.rekey()
+		if e.busy != was.busy || e.cores != was.cores || (e.pos >= 0) == e.r.st.drained {
+			t.Fatalf("step %d set %q: %s lags its node (key %d/%d, pos %d, drained %v) and is not queued for repair",
+				step, s.label, e.r.n.name, was.busy, was.cores, e.pos, e.r.st.drained)
+		}
+	}
+	if inHeap != s.heap.Len() {
+		t.Fatalf("step %d set %q: heap holds %d entries, %d members claim a slot", step, s.label, s.heap.Len(), inHeap)
+	}
+}
+
+// churner drives a seeded, randomized interleaving of Reserve, Release,
+// Add, Remove, Drain and Undrain against one pool.
+type churner struct {
+	t    *testing.T
+	rng  *rand.Rand
+	pool *Pool
+	held []churnHold
+	next int
+}
+
+type churnHold struct {
+	n *Node
+	c Constraints
+}
+
+func newChurner(t *testing.T, seed int64) *churner {
+	c := &churner{t: t, rng: rand.New(rand.NewSource(seed)), pool: NewPool()}
+	for i := 0; i < 6; i++ {
+		c.addNode()
+	}
+	// Touch every signature up front so the sets exist before churn — the
+	// maintenance paths, not first-use builds, are what is under test.
+	for _, sig := range indexSigs {
+		_ = c.pool.IndexFor(sig)
+	}
+	return c
+}
+
+func (c *churner) addNode() {
+	d := indexDescs[c.rng.Intn(len(indexDescs))]
+	// Names are drawn out of lexicographic order, so name rank and pool
+	// insertion order disagree.
+	n := NewNode(fmt.Sprintf("churn-%03d", (c.next*37)%1000), d)
+	c.next++
+	if err := c.pool.Add(n); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+func (c *churner) step() {
+	rng, pool := c.rng, c.pool
+	names := pool.Names()
+	switch op := rng.Intn(10); {
+	case op < 3: // reserve on a random fitting node of a random signature
+		sig := indexSigs[rng.Intn(len(indexSigs))]
+		if fit := pool.Fitting(sig); len(fit) > 0 {
+			n := fit[rng.Intn(len(fit))]
+			if err := n.Reserve(sig); err == nil {
+				c.held = append(c.held, churnHold{n, sig})
+			}
+		}
+	case op < 6: // release a random outstanding reservation
+		if len(c.held) > 0 {
+			i := rng.Intn(len(c.held))
+			r := c.held[i]
+			c.held = append(c.held[:i], c.held[i+1:]...)
+			r.n.Release(r.c)
+		}
+	case op < 7: // add a node
+		if len(names) < 16 {
+			c.addNode()
+		}
+	case op < 8: // remove a node (dropping its outstanding reservations)
+		if len(names) > 2 {
+			victim := names[rng.Intn(len(names))]
+			kept := c.held[:0]
+			for _, r := range c.held {
+				if r.n.Name() != victim {
+					kept = append(kept, r)
+				}
+			}
+			c.held = kept
+			if err := pool.Remove(victim); err != nil {
+				c.t.Fatal(err)
+			}
+		}
+	case op < 9: // cordon
+		if n, ok := pool.Get(names[rng.Intn(len(names))]); ok {
+			n.Drain()
+		}
+	default: // lift a cordon
+		if n, ok := pool.Get(names[rng.Intn(len(names))]); ok {
+			n.Undrain()
+		}
+	}
+}
+
 // TestIndexMatchesScanUnderChurn is the placement-index property test:
 // after every step of a randomized interleaving of Reserve, Release, Add,
 // Remove, Drain and Undrain, the capability sets and load heaps must
 // answer Fitting / Capable / MinLoad / FirstFitting exactly as a
-// from-scratch scan of the pool does.
+// from-scratch scan of the pool does, and the index's own invariants
+// must hold.
 func TestIndexMatchesScanUnderChurn(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	pool := NewPool()
-
-	type reservation struct {
-		n *Node
-		c Constraints
-	}
-	var held []reservation
-	next := 0
-	addNode := func() {
-		d := indexDescs[rng.Intn(len(indexDescs))]
-		n := NewNode(fmt.Sprintf("churn-%03d", next), d)
-		next++
-		if err := pool.Add(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 6; i++ {
-		addNode()
-	}
-	// Touch every signature up front so the sets exist before churn — the
-	// maintenance paths, not lazy rebuilds, are what is under test.
-	for _, c := range indexSigs {
-		_ = pool.IndexFor(c)
-	}
-
+	c := newChurner(t, 7)
 	for step := 0; step < 2500; step++ {
-		names := pool.Names()
-		switch op := rng.Intn(10); {
-		case op < 3: // reserve on a random fitting node of a random signature
-			c := indexSigs[rng.Intn(len(indexSigs))]
-			if fit := pool.Fitting(c); len(fit) > 0 {
-				n := fit[rng.Intn(len(fit))]
-				if err := n.Reserve(c); err == nil {
-					held = append(held, reservation{n, c})
+		c.step()
+		checkIndexInvariants(t, c.pool, step)
+		checkIndexAgainstScan(t, c.pool, step)
+	}
+}
+
+// TestIndexLazyRepairUnderChurn is the same churn with the queries a
+// scheduler makes: each step picks from a few signature sets only, so the
+// others go unwalked — their heaps lag, their stale lists grow across
+// node removals, drains and re-additions — until a later step happens to
+// pick from them. Every pick must still be the scan oracle's, and the
+// lazily maintained state must satisfy the invariants as it stands.
+func TestIndexLazyRepairUnderChurn(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		c := newChurner(t, seed)
+		for step := 0; step < 2000; step++ {
+			c.step()
+			for k := c.rng.Intn(3); k > 0; k-- {
+				sig := indexSigs[c.rng.Intn(len(indexSigs))]
+				want := scanMinLoad(c.pool, sig)
+				if got := c.pool.IndexFor(sig).MinLoadFitting(sig); got != want {
+					t.Fatalf("seed %d step %d sig %q: MinLoadFitting = %v, scan min = %v",
+						seed, step, sig.Signature(), name(got), name(want))
 				}
 			}
-		case op < 6: // release a random outstanding reservation
-			if len(held) > 0 {
-				i := rng.Intn(len(held))
-				r := held[i]
-				held = append(held[:i], held[i+1:]...)
-				r.n.Release(r.c)
-			}
-		case op < 7: // add a node
-			if len(names) < 16 {
-				addNode()
-			}
-		case op < 8: // remove a node (dropping its outstanding reservations)
-			if len(names) > 2 {
-				victim := names[rng.Intn(len(names))]
-				kept := held[:0]
-				for _, r := range held {
-					if r.n.Name() != victim {
-						kept = append(kept, r)
-					}
-				}
-				held = kept
-				if err := pool.Remove(victim); err != nil {
-					t.Fatal(err)
-				}
-			}
-		case op < 9: // cordon
-			if n, ok := pool.Get(names[rng.Intn(len(names))]); ok {
-				n.Drain()
-			}
-		default: // lift a cordon
-			if n, ok := pool.Get(names[rng.Intn(len(names))]); ok {
-				n.Undrain()
+			if step%16 == 0 { // the check itself repairs every set
+				checkIndexInvariants(t, c.pool, step)
 			}
 		}
-		checkIndexAgainstScan(t, pool, step)
+		checkIndexAgainstScan(t, c.pool, -1)
+	}
+}
+
+// TestSigInterning pins the interning contract: equal constraint sets
+// share one dense ID and one set, any field that changes the signature
+// string changes the ID, Software order and separator-bearing names keep
+// sets apart, and the label is Constraints.Signature().
+func TestSigInterning(t *testing.T) {
+	pool := NewPool()
+	distinct := []Constraints{
+		{},
+		{Cores: 1},
+		{Cores: 2},
+		{MemoryMB: 2},
+		{GPUs: 2},
+		{Nodes: 2},
+		{Class: Cloud},
+		{Software: []string{"a", "b"}},
+		{Software: []string{"b", "a"}},
+		{Software: []string{"a/1:b"}},
+		{Software: []string{"a", "1:b"}},
+		{Cores: 2, Software: []string{"a", "b"}},
+	}
+	seen := map[SigID]string{}
+	for i, c := range distinct {
+		si := pool.IndexFor(c)
+		if si.ID() != SigID(i) {
+			t.Fatalf("%q: ID %d, want the next dense ID %d", c.Signature(), si.ID(), i)
+		}
+		if prev, dup := seen[si.ID()]; dup {
+			t.Fatalf("%q shares ID %d with %q", c.Signature(), si.ID(), prev)
+		}
+		seen[si.ID()] = c.Signature()
+		if si.Label() != c.Signature() {
+			t.Fatalf("label %q, want Signature() %q", si.Label(), c.Signature())
+		}
+	}
+	for i, c := range distinct {
+		again := Constraints{Cores: c.Cores, MemoryMB: c.MemoryMB, GPUs: c.GPUs, Nodes: c.Nodes, Class: c.Class,
+			Software: append([]string(nil), c.Software...)}
+		if got := pool.IndexFor(again).ID(); got != SigID(i) {
+			t.Fatalf("%q interned again as %d, want %d", c.Signature(), got, i)
+		}
+		if got := pool.IndexForSig(c.Signature(), c).ID(); got != SigID(i) {
+			t.Fatalf("%q through IndexForSig is %d, want %d", c.Signature(), got, i)
+		}
+	}
+	if other := NewPool().IndexFor(Constraints{Cores: 2}).ID(); other != 0 {
+		t.Fatalf("a fresh pool numbered its first signature %d, want 0", other)
+	}
+}
+
+// TestNotificationAllocatesNothing is the notification path's
+// deterministic cost gate: a Reserve and the matching Release, each
+// delivered to every signature set the node belongs to, allocate no
+// object once the sets' stale lists have grown to size.
+func TestNotificationAllocatesNothing(t *testing.T) {
+	c := newChurner(t, 3)
+	n := c.pool.Nodes()[0]
+	sig := Constraints{}
+	if avg := testing.AllocsPerRun(1000, func() {
+		if n.Reserve(sig) == nil {
+			n.Release(sig)
+		}
+	}); avg != 0 {
+		t.Fatalf("Reserve+Release allocates %.1f objects, want 0", avg)
 	}
 }
 

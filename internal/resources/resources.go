@@ -16,6 +16,7 @@ package resources
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -92,20 +93,10 @@ type Constraints struct {
 }
 
 // EffectiveCores returns Cores, defaulting to 1.
-func (c Constraints) EffectiveCores() int {
-	if c.Cores <= 0 {
-		return 1
-	}
-	return c.Cores
-}
+func (c Constraints) EffectiveCores() int { return max(c.Cores, 1) }
 
 // EffectiveNodes returns Nodes, defaulting to 1.
-func (c Constraints) EffectiveNodes() int {
-	if c.Nodes <= 0 {
-		return 1
-	}
-	return c.Nodes
-}
+func (c Constraints) EffectiveNodes() int { return max(c.Nodes, 1) }
 
 // Signature canonicalises the constraints into a string key. Two tasks
 // with the same signature are placeable on exactly the same nodes, which
@@ -141,27 +132,12 @@ func (c Constraints) Signature() string {
 // Satisfies reports whether a node with this description can ever run a
 // task with the given constraints (capacity check, ignoring current load).
 func (d Description) Satisfies(c Constraints) bool {
-	if c.EffectiveCores() > d.Cores {
-		return false
-	}
-	if c.MemoryMB > d.MemoryMB {
-		return false
-	}
-	if c.GPUs > d.GPUs {
-		return false
-	}
-	if c.Class != 0 && c.Class != d.Class {
+	if c.EffectiveCores() > d.Cores || c.MemoryMB > d.MemoryMB || c.GPUs > d.GPUs ||
+		(c.Class != 0 && c.Class != d.Class) {
 		return false
 	}
 	for _, sw := range c.Software {
-		found := false
-		for _, have := range d.Software {
-			if have == sw {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(d.Software, sw) {
 			return false
 		}
 	}
@@ -208,16 +184,13 @@ type Node struct {
 	name string
 	desc Description
 
-	mu        sync.Mutex
-	freeCores int
-	freeMemMB int64
-	freeGPUs  int
-	running   int
-	drained   bool
-	// watchers are the placement indexes of the pools holding this node;
-	// they are notified (under mu, so deliveries are ordered) after every
-	// capacity or drain-state change.
-	watchers []*Index
+	mu      sync.Mutex
+	st      capState // free capacity and cordon: what the placement index caches
+	running int
+	// watchers are the node's records in the placement indexes of the
+	// pools holding it; they are notified (under mu, so deliveries are
+	// ordered) after every capacity or drain-state change.
+	watchers []*rec
 }
 
 // NewNode creates a node with all capacity free.
@@ -225,35 +198,16 @@ func NewNode(name string, desc Description) *Node {
 	if desc.SpeedFactor <= 0 {
 		desc.SpeedFactor = 1.0
 	}
-	return &Node{
-		name:      name,
-		desc:      desc,
-		freeCores: desc.Cores,
-		freeMemMB: desc.MemoryMB,
-		freeGPUs:  desc.GPUs,
-	}
-}
-
-// stateLocked snapshots the index-relevant dynamic state. Callers hold mu.
-func (n *Node) stateLocked() capState {
-	return capState{
-		freeCores: n.freeCores,
-		freeMemMB: n.freeMemMB,
-		freeGPUs:  n.freeGPUs,
-		drained:   n.drained,
-	}
+	return &Node{name: name, desc: desc,
+		st: capState{freeCores: desc.Cores, freeMemMB: desc.MemoryMB, freeGPUs: desc.GPUs}}
 }
 
 // notifyLocked delivers the current state to every watching index.
 // Callers hold mu, so notifications arrive in mutation order and a
 // watcher's cache can never run backwards.
 func (n *Node) notifyLocked() {
-	if len(n.watchers) == 0 {
-		return
-	}
-	st := n.stateLocked()
 	for _, w := range n.watchers {
-		w.nodeChanged(n.name, st)
+		w.changed(n.st)
 	}
 }
 
@@ -262,21 +216,20 @@ func (n *Node) notifyLocked() {
 func (n *Node) attachIndex(idx *Index) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.watchers = append(n.watchers, idx)
-	idx.addNode(n, n.stateLocked())
+	n.watchers = append(n.watchers, idx.addNode(n, n.st))
 }
 
 // detachIndex unregisters idx and drops the node from it.
 func (n *Node) detachIndex(idx *Index) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for i, w := range n.watchers {
-		if w == idx {
-			n.watchers = append(n.watchers[:i], n.watchers[i+1:]...)
+	for _, w := range n.watchers {
+		if w.x == idx {
+			n.watchers = without(n.watchers, w)
+			idx.removeNode(w)
 			break
 		}
 	}
-	idx.removeNode(n.name)
 }
 
 // Name returns the node's unique name.
@@ -289,14 +242,14 @@ func (n *Node) Desc() Description { return n.desc }
 func (n *Node) FreeCores() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.freeCores
+	return n.st.freeCores
 }
 
 // FreeMemoryMB returns currently unreserved memory.
 func (n *Node) FreeMemoryMB() int64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.freeMemMB
+	return n.st.freeMemMB
 }
 
 // Running returns the number of reservations currently held.
@@ -313,7 +266,7 @@ func (n *Node) Running() int {
 func (n *Node) Drain() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.drained = true
+	n.st.drained = true
 	n.notifyLocked()
 }
 
@@ -321,7 +274,7 @@ func (n *Node) Drain() {
 func (n *Node) Undrain() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.drained = false
+	n.st.drained = false
 	n.notifyLocked()
 }
 
@@ -329,7 +282,7 @@ func (n *Node) Undrain() {
 func (n *Node) Drained() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.drained
+	return n.st.drained
 }
 
 // CanReserve reports whether the node currently has free capacity for c
@@ -340,13 +293,7 @@ func (n *Node) CanReserve(c Constraints) bool {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return !n.drained && n.fits(c)
-}
-
-func (n *Node) fits(c Constraints) bool {
-	return c.EffectiveCores() <= n.freeCores &&
-		c.MemoryMB <= n.freeMemMB &&
-		c.GPUs <= n.freeGPUs
+	return !n.st.drained && n.st.fits(c)
 }
 
 // Reserve atomically claims the capacity demanded by c, or returns
@@ -357,12 +304,12 @@ func (n *Node) Reserve(c Constraints) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.drained || !n.fits(c) {
+	if n.st.drained || !n.st.fits(c) {
 		return ErrInsufficient
 	}
-	n.freeCores -= c.EffectiveCores()
-	n.freeMemMB -= c.MemoryMB
-	n.freeGPUs -= c.GPUs
+	n.st.freeCores -= c.EffectiveCores()
+	n.st.freeMemMB -= c.MemoryMB
+	n.st.freeGPUs -= c.GPUs
 	n.running++
 	n.notifyLocked()
 	return nil
@@ -374,21 +321,10 @@ func (n *Node) Reserve(c Constraints) error {
 func (n *Node) Release(c Constraints) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.freeCores += c.EffectiveCores()
-	if n.freeCores > n.desc.Cores {
-		n.freeCores = n.desc.Cores
-	}
-	n.freeMemMB += c.MemoryMB
-	if n.freeMemMB > n.desc.MemoryMB {
-		n.freeMemMB = n.desc.MemoryMB
-	}
-	n.freeGPUs += c.GPUs
-	if n.freeGPUs > n.desc.GPUs {
-		n.freeGPUs = n.desc.GPUs
-	}
-	if n.running > 0 {
-		n.running--
-	}
+	n.st.freeCores = min(n.st.freeCores+c.EffectiveCores(), n.desc.Cores)
+	n.st.freeMemMB = min(n.st.freeMemMB+c.MemoryMB, n.desc.MemoryMB)
+	n.st.freeGPUs = min(n.st.freeGPUs+c.GPUs, n.desc.GPUs)
+	n.running = max(n.running-1, 0)
 	n.notifyLocked()
 }
 
@@ -396,7 +332,7 @@ func (n *Node) Release(c Constraints) {
 func (n *Node) BusyCores() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.desc.Cores - n.freeCores
+	return n.desc.Cores - n.st.freeCores
 }
 
 // Pool is a named collection of nodes; the runtime's view of the available
@@ -406,8 +342,8 @@ func (n *Node) BusyCores() int {
 type Pool struct {
 	mu    sync.RWMutex
 	nodes map[string]*Node
-	order []string // insertion order for deterministic iteration
-	idx   *Index   // placement index (see index.go); never nil
+	order []*Node // insertion order for deterministic iteration
+	idx   *Index  // placement index (see index.go); never nil
 }
 
 // NewPool returns an empty pool.
@@ -424,7 +360,7 @@ func (p *Pool) Add(n *Node) error {
 		return fmt.Errorf("%w: %s", ErrNodeExists, n.Name())
 	}
 	p.nodes[n.Name()] = n
-	p.order = append(p.order, n.Name())
+	p.order = append(p.order, n)
 	n.attachIndex(p.idx)
 	return nil
 }
@@ -438,12 +374,7 @@ func (p *Pool) Remove(name string) error {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, name)
 	}
 	delete(p.nodes, name)
-	for i, o := range p.order {
-		if o == name {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
-		}
-	}
+	p.order = without(p.order, n)
 	n.detachIndex(p.idx)
 	return nil
 }
@@ -456,15 +387,24 @@ func (p *Pool) Get(name string) (*Node, bool) {
 	return n, ok
 }
 
+// Holds reports whether n itself — not merely some node of its name — is
+// currently in the pool.
+func (p *Pool) Holds(n *Node) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, w := range n.watchers {
+		if w.x == p.idx {
+			return true
+		}
+	}
+	return false
+}
+
 // Nodes returns the nodes in insertion order.
 func (p *Pool) Nodes() []*Node {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	out := make([]*Node, 0, len(p.order))
-	for _, name := range p.order {
-		out = append(out, p.nodes[name])
-	}
-	return out
+	return slices.Clone(p.order)
 }
 
 // Len returns the number of nodes.
@@ -486,17 +426,6 @@ func (p *Pool) Fitting(c Constraints) []*Node {
 // allocation-free variant for placement hot paths.
 func (p *Pool) AppendFitting(dst []*Node, c Constraints) []*Node {
 	return p.IndexFor(c).AppendFitting(dst, c)
-}
-
-// Capable returns the nodes that could ever run c (ignoring load and
-// cordons), in insertion order.
-func (p *Pool) Capable(c Constraints) []*Node {
-	return p.AppendCapable(nil, c)
-}
-
-// AppendCapable is Capable appending into a caller-owned buffer.
-func (p *Pool) AppendCapable(dst []*Node, c Constraints) []*Node {
-	return p.IndexFor(c).AppendCapable(dst)
 }
 
 // AnyCapable reports whether some node could ever run c (ignoring load),
@@ -529,7 +458,9 @@ func (p *Pool) Names() []string {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	out := make([]string, len(p.order))
-	copy(out, p.order)
+	for i, n := range p.order {
+		out[i] = n.name
+	}
 	sort.Strings(out)
 	return out
 }

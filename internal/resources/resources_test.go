@@ -116,7 +116,7 @@ func TestPoolFittingVsCapable(t *testing.T) {
 	_ = p.Add(big)
 
 	c := Constraints{Cores: 2}
-	if got := len(p.Capable(c)); got != 2 {
+	if got := len(p.IndexFor(c).AppendCapable(nil)); got != 2 {
 		t.Fatalf("Capable = %d nodes, want 2", got)
 	}
 	// Fill small: it stays capable but stops fitting.
@@ -127,7 +127,7 @@ func TestPoolFittingVsCapable(t *testing.T) {
 	if len(fitting) != 1 || fitting[0].Name() != "big" {
 		t.Fatalf("Fitting = %v", fitting)
 	}
-	if got := len(p.Capable(c)); got != 2 {
+	if got := len(p.IndexFor(c).AppendCapable(nil)); got != 2 {
 		t.Fatalf("Capable after load = %d nodes, want 2", got)
 	}
 }

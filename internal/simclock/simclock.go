@@ -11,8 +11,9 @@
 package simclock
 
 import (
-	"container/heap"
 	"time"
+
+	"repro/internal/minheap"
 )
 
 // event is a single scheduled callback.
@@ -22,35 +23,12 @@ type event struct {
 	fn  func()
 }
 
-// eventHeap is a min-heap ordered by (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (at, seq): same-instant events fire FIFO.
+func before(a, b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		return
-	}
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return a.seq < b.seq
 }
 
 // Clock is a discrete-event virtual clock. It is not safe for concurrent
@@ -59,12 +37,12 @@ func (h *eventHeap) Pop() any {
 type Clock struct {
 	now    time.Duration
 	seq    uint64
-	events eventHeap
+	events minheap.Heap[event]
 }
 
 // New returns a clock positioned at virtual time zero.
 func New() *Clock {
-	return &Clock{}
+	return &Clock{events: minheap.Heap[event]{Less: before}}
 }
 
 // Now reports the current virtual time as an offset from the simulation
@@ -75,7 +53,7 @@ func (c *Clock) Now() time.Duration {
 
 // Pending reports how many events are scheduled and not yet fired.
 func (c *Clock) Pending() int {
-	return len(c.events)
+	return c.events.Len()
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -86,7 +64,7 @@ func (c *Clock) At(t time.Duration, fn func()) {
 		t = c.now
 	}
 	c.seq++
-	heap.Push(&c.events, &event{at: t, seq: c.seq, fn: fn})
+	c.events.Push(event{at: t, seq: c.seq, fn: fn})
 }
 
 // After schedules fn to run d after the current virtual time. Negative
@@ -110,13 +88,10 @@ func (c *Clock) Defer(fn func()) {
 // Step fires the earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was fired.
 func (c *Clock) Step() bool {
-	if len(c.events) == 0 {
+	if c.events.Len() == 0 {
 		return false
 	}
-	ev, ok := heap.Pop(&c.events).(*event)
-	if !ok {
-		return false
-	}
+	ev := c.events.Pop()
 	c.now = ev.at
 	ev.fn()
 	return true
@@ -133,7 +108,7 @@ func (c *Clock) Run() {
 // the clock to deadline (if the clock has not already passed it). Events
 // scheduled after deadline remain pending.
 func (c *Clock) RunUntil(deadline time.Duration) {
-	for len(c.events) > 0 && c.events[0].at <= deadline {
+	for c.events.Len() > 0 && c.events.At(0).at <= deadline {
 		c.Step()
 	}
 	if c.now < deadline {

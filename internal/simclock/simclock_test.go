@@ -160,3 +160,20 @@ func TestDeferRunsAfterCurrentInstant(t *testing.T) {
 		t.Fatalf("Now() = %v, want 1s", c.Now())
 	}
 }
+
+// TestEventsAllocateNothing is the clock's deterministic cost gate: with
+// the event heap warm, scheduling an event and firing it allocates no
+// object (events are values in the heap's own slice).
+func TestEventsAllocateNothing(t *testing.T) {
+	c := New()
+	fn := func() {}
+	for i := 0; i < 64; i++ { // pending events, as a simulation keeps one per running task
+		c.At(time.Hour, fn)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		c.After(time.Second, fn)
+		c.Step()
+	}); avg != 0 {
+		t.Fatalf("At+Step allocates %.1f objects per event, want 0", avg)
+	}
+}
