@@ -78,9 +78,8 @@ func run() error {
 		restore  = flag.String("restore", "", "resume from the latest valid snapshot in this directory")
 		haltAt   = flag.Duration("halt-at", 0, "kill the engine at this virtual instant (simulated process death)")
 
-		ckptDelta   = flag.Bool("checkpoint-delta", false, "persist checkpoints as delta chains (base + O(changes) deltas)")
-		ckptCompact = flag.Int("checkpoint-compact", 0, "compact a delta chain into a fresh base every n deltas (0 = default)")
-		pprofDir    = flag.String("pprof", "", "write cpu.pprof / heap.pprof / mutex.pprof into this directory")
+		ckptDelta = flag.Bool("checkpoint-delta", false, "persist checkpoints as delta chains (base + O(changes) deltas)")
+		pprofDir  = flag.String("pprof", "", "write cpu.pprof / heap.pprof / mutex.pprof into this directory")
 
 		benchOut = flag.String("bench-out", "", "trace mode: write the latency report as JSON to this path")
 
@@ -201,8 +200,7 @@ func run() error {
 			return err
 		}
 		cfg.Checkpoint = &checkpoint.Config{
-			Store: ckptStore, Policy: ckptPolicy,
-			Delta: *ckptDelta, CompactEvery: *ckptCompact,
+			Store: ckptStore, Policy: ckptPolicy, Delta: *ckptDelta,
 		}
 	}
 	var restoredFrom *checkpoint.Snapshot

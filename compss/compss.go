@@ -26,6 +26,7 @@ package compss
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/deps"
@@ -295,8 +296,13 @@ func (c *COMPSs) Ancestry(o *Object) []string {
 	if c.prov == nil {
 		return nil
 	}
-	v := c.rt.CurrentVersion(o.h)
-	return c.prov.Ancestry(trace.VersionKey(int64(v.Data), v.Ver))
+	anc := c.prov.Ancestry(c.rt.CurrentVersion(o.h))
+	out := make([]string, len(anc))
+	for i, v := range anc {
+		out[i] = v.String()
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Direction re-exports the access directions for advanced use.

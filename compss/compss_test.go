@@ -3,6 +3,7 @@ package compss
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 )
@@ -192,6 +193,21 @@ func TestTracingAndProvenance(t *testing.T) {
 	anc := c.Ancestry(y)
 	if len(anc) != 1 {
 		t.Fatalf("ancestry = %v, want the version of x", anc)
+	}
+	// A chain long enough for two-digit data IDs: the keys come back in
+	// string order (d10v1 before d1v1), not numeric order.
+	prev := y
+	for i := 0; i < 9; i++ {
+		next := c.NewObject()
+		if _, err := c.Call("sum2", Read(prev), In(1), Write(next)); err != nil {
+			t.Fatal(err)
+		}
+		prev = next
+	}
+	c.Barrier()
+	want := []string{"d10v1", "d1v1", "d2v1", "d3v1", "d4v1", "d5v1", "d6v1", "d7v1", "d8v1", "d9v1"}
+	if got := c.Ancestry(prev); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ancestry = %v, want %v", got, want)
 	}
 }
 

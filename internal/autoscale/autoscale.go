@@ -100,14 +100,6 @@ type Signals struct {
 	Steals int
 }
 
-// BusyFrac returns the busy-core fraction (0 on an empty pool).
-func (s Signals) BusyFrac() float64 {
-	if s.TotalCores == 0 {
-		return 0
-	}
-	return float64(s.TotalCores-s.FreeCores) / float64(s.TotalCores)
-}
-
 // Snapshot gathers a Signals from a running engine and its pool.
 func Snapshot(eng *engine.Engine, pool *resources.Pool, at time.Duration) Signals {
 	st := eng.Stats()

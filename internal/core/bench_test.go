@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 )
 
@@ -80,5 +81,58 @@ func BenchmarkDependencyChain(b *testing.B) {
 	}
 	if _, err := rt.WaitOn(h); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestChainCampaignAllocBudget is the live runtime's deterministic cost
+// gate (the ledger's live-dag shape at package-test size): 64 chains ×
+// 200 read-modify-write layers through SubmitAll, then a Barrier. The
+// budget sits between this tree — a task's read and write lists are the
+// access processor's own, shared down to the engine — and the tree
+// before it, which copied each into a second spelling per submission.
+func TestChainCampaignAllocBudget(t *testing.T) {
+	const chains, layers, batch = 64, 200, 256
+	const budget = 19.1 // this tree reads 18.1, the copying tree 20.1
+	run := func(layers int) {
+		rt := New(Config{})
+		defer rt.Shutdown()
+		if err := rt.Register(TaskDef{Name: "inc", Fn: func(_ context.Context, args []any) ([]any, error) {
+			v, _ := args[0].(int)
+			return []any{v + 1}, nil
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		handles := make([]*Handle, chains)
+		for c := range handles {
+			handles[c] = rt.NewData()
+			rt.SetInitial(handles[c], c)
+		}
+		reqs := make([]TaskReq, 0, batch)
+		params := make([]Param, chains*layers)
+		for i := range params {
+			params[i] = Update(handles[i%chains])
+			reqs = append(reqs, TaskReq{Name: "inc", Params: params[i : i+1]})
+			if len(reqs) == batch || i == len(params)-1 {
+				if _, err := rt.SubmitAll(reqs); err != nil {
+					t.Fatal(err)
+				}
+				reqs = reqs[:0]
+			}
+		}
+		rt.Barrier()
+		if v, err := rt.WaitOn(handles[chains-1]); err != nil || v != chains-1+layers {
+			t.Fatalf("last chain ended at %v (err %v), want %d", v, err, chains-1+layers)
+		}
+	}
+	run(layers / 10) // warm lazily initialised runtime state
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run(layers)
+	runtime.ReadMemStats(&after)
+	perTask := float64(after.Mallocs-before.Mallocs) / float64(chains*layers)
+	t.Logf("%.2f allocations per task", perTask)
+	if perTask > budget {
+		t.Fatalf("%.2f allocations per task, budget %.1f", perTask, budget)
 	}
 }

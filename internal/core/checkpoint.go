@@ -54,14 +54,14 @@ func (rt *Runtime) applyRestoreSeed(snap *checkpoint.Snapshot) {
 		decoded := false
 		if en.HasValue {
 			if val, ok := checkpoint.DecodeValue(en.Value); ok {
-				rt.values[en.Key.Version()] = versionSlot{val: val}
+				rt.values[en.Key] = versionSlot{val: val}
 				decoded = true
 			}
 		}
 		if rt.cfg.Locations == nil {
 			continue
 		}
-		k := en.Key.Key()
+		k := en.Key
 		if en.Size > 0 {
 			rt.cfg.Locations.SetSize(k, en.Size)
 		}
@@ -152,7 +152,7 @@ func (rt *Runtime) attachValues(catalog []checkpoint.CatalogEntry) {
 		if catalog[i].Size == 0 && len(catalog[i].Locations) == 0 {
 			continue
 		}
-		slot, ok := rt.values[catalog[i].Key.Version()]
+		slot, ok := rt.values[catalog[i].Key]
 		if !ok || slot.err != nil {
 			continue
 		}

@@ -404,11 +404,11 @@ func (rt *Runtime) SetInitial(h *Handle, v any, opts ...DataOption) {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.values[deps.Version{Data: h.id, Ver: 0}] = versionSlot{val: v}
+	k := deps.Version{Data: h.id, Ver: 0}
+	rt.values[k] = versionSlot{val: v}
 	if rt.cfg.Locations == nil {
 		return
 	}
-	k := transfer.Key{Data: h.id, Ver: 0}
 	size := o.size
 	if !o.sized {
 		size = measureBytes(v)
@@ -532,8 +532,8 @@ func (rt *Runtime) buildTaskLocked(id int64, def TaskDef, params []Param, res de
 		Class:       def.Name,
 		Constraints: def.Constraints,
 		EstDuration: def.EstDuration,
-		InputKeys:   keysOf(res.Reads),
-		OutputKeys:  keysOf(res.Writes),
+		InputKeys:   res.Reads,
+		OutputKeys:  res.Writes,
 		Payload:     t,
 	}
 	if rt.cfg.Locations != nil {
@@ -688,14 +688,6 @@ func (rt *Runtime) SubmitAll(reqs []TaskReq) ([]*Future, error) {
 	return futures, nil
 }
 
-func keysOf(vs []deps.Version) []transfer.Key {
-	out := make([]transfer.Key, len(vs))
-	for i, v := range vs {
-		out[i] = transfer.KeyOf(v)
-	}
-	return out
-}
-
 // coreExecutor adapts the runtime to engine.Executor: each placement
 // becomes a goroutine running the task body on its reserved node. The
 // goroutine's context is cancelled if a fault invalidates the placement,
@@ -758,21 +750,13 @@ func (rt *Runtime) materialiseLocked(t *rtTask) ([]any, error) {
 
 // commLocksLocked returns the data locks of a task's commutative
 // parameters in a canonical (Data, Ver) order, creating them on first
-// use. Caller holds rt.mu.
+// use. Caller holds rt.mu and has checked the task has some.
 func (rt *Runtime) commLocksLocked(t *rtTask) []*sync.Mutex {
-	if len(t.comm) == 0 {
-		return nil
-	}
 	vers := make([]deps.Version, 0, len(t.comm))
 	for _, c := range t.comm {
 		vers = append(vers, c.ver)
 	}
-	sort.Slice(vers, func(i, j int) bool {
-		if vers[i].Data != vers[j].Data {
-			return vers[i].Data < vers[j].Data
-		}
-		return vers[i].Ver < vers[j].Ver
-	})
+	sort.Slice(vers, func(i, j int) bool { return vers[i].Less(vers[j]) })
 	locks := make([]*sync.Mutex, 0, len(vers))
 	var prev deps.Version
 	for i, v := range vers {
@@ -820,9 +804,12 @@ func (rt *Runtime) execute(ctx context.Context, cancel context.CancelFunc, t *rt
 	// canonical version order (no deadlocks) and the member's arguments
 	// are re-materialised under the lock, so each member sees the value
 	// the previous one left.
-	rt.mu.Lock()
-	locks := rt.commLocksLocked(t)
-	rt.mu.Unlock()
+	var locks []*sync.Mutex
+	if len(t.comm) > 0 { // the common task has none: no rt.mu round trip
+		rt.mu.Lock()
+		locks = rt.commLocksLocked(t)
+		rt.mu.Unlock()
+	}
 	for _, l := range locks {
 		l.Lock()
 	}
@@ -876,14 +863,10 @@ func (rt *Runtime) execute(ctx context.Context, cancel context.CancelFunc, t *rt
 			if rt.cfg.Locations != nil && t.writeSizes[i] == 0 {
 				// No declared size: measure the produced value so live
 				// transfer accounting reports volumes, not just moves.
-				rt.cfg.Locations.SetSize(transfer.KeyOf(w), measureBytes(vals[i]))
+				rt.cfg.Locations.SetSize(w, measureBytes(vals[i]))
 			}
 			if rt.cfg.Provenance != nil {
-				inputs := make([]string, 0, len(t.reads))
-				for _, r := range t.reads {
-					inputs = append(inputs, trace.VersionKey(int64(r.Data), r.Ver))
-				}
-				rt.cfg.Provenance.RecordProduction(trace.VersionKey(int64(w.Data), w.Ver), t.et.ID, inputs)
+				rt.cfg.Provenance.RecordProduction(w, t.et.ID, t.reads)
 			}
 		}
 	}
@@ -940,7 +923,7 @@ func (rt *Runtime) WaitOn(h *Handle) (any, error) {
 	rt.mu.Lock()
 	ver := rt.proc.CurrentVersion(h.id)
 	var futs []*Future
-	if et, ok := rt.eng.Producer(transfer.KeyOf(ver)); ok {
+	if et, ok := rt.eng.Producer(ver); ok {
 		if t, isTask := et.Payload.(*rtTask); isTask {
 			futs = append(futs, t.future)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/deps"
 	"repro/internal/mlpredict"
 	"repro/internal/resources"
 	"repro/internal/simnet"
@@ -365,8 +366,8 @@ func TestTraceAndProvenance(t *testing.T) {
 		t.Fatalf("completed events = %d", tr.Count(trace.TaskCompleted))
 	}
 	// y's version 1 must descend from x's version 1.
-	anc := prov.Ancestry(trace.VersionKey(int64(y.ID()), 1))
-	if len(anc) != 1 || anc[0] != trace.VersionKey(int64(x.ID()), 1) {
+	anc := prov.Ancestry(deps.Version{Data: y.ID(), Ver: 1})
+	if len(anc) != 1 || anc[0] != (deps.Version{Data: x.ID(), Ver: 1}) {
 		t.Fatalf("ancestry = %v", anc)
 	}
 }

@@ -79,14 +79,24 @@ type Access struct {
 
 // Version is a specific immutable version of a datum. Version numbers start
 // at 1 for the first write; version 0 denotes the initial (externally
-// provided) value.
+// provided) value. It is the one spelling of a data version in the tree:
+// the engine, the location registry, the checkpoint catalog (hence the
+// JSON tags, part of checkpoint.Format) and provenance all key on it.
 type Version struct {
-	Data DataID
-	Ver  int
+	Data DataID `json:"data"`
+	Ver  int    `json:"ver"`
 }
 
 // String formats the version as d<id>v<ver>.
 func (v Version) String() string { return fmt.Sprintf("d%dv%d", v.Data, v.Ver) }
+
+// Less orders versions by (Data, Ver) — the canonical catalog order.
+func (v Version) Less(o Version) bool {
+	if v.Data != o.Data {
+		return v.Data < o.Data
+	}
+	return v.Ver < o.Ver
+}
 
 // EdgeKind classifies a dependency edge.
 type EdgeKind int
@@ -200,9 +210,6 @@ func NewProcessor(opts ...Option) *Processor {
 	}
 	return p
 }
-
-// RenamingEnabled reports whether version renaming is on.
-func (p *Processor) RenamingEnabled() bool { return p.renaming }
 
 // Stats returns edge counts by kind, summed over the stripes.
 func (p *Processor) Stats() Stats {
@@ -440,16 +447,4 @@ func mergeDir(a, b Direction) Direction {
 	// Mixing a group direction with anything else degrades to the
 	// conservative InOut (serialised read-modify-write).
 	return InOut
-}
-
-// SetInitialWriter marks version 0 of a datum as produced externally (e.g. a
-// file staged in before the run). It is a no-op if the datum was already
-// accessed.
-func (p *Processor) SetInitialWriter(d DataID) {
-	s := &p.shards[shardIndex(d)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.data[d]; !ok {
-		s.data[d] = &dataState{lastWriter: NoTask}
-	}
 }

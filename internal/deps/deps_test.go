@@ -303,3 +303,13 @@ func TestRegisterBatchMatchesSequentialRegister(t *testing.T) {
 		t.Fatalf("stats diverge: %+v vs %+v", batched.Stats(), seq.Stats())
 	}
 }
+
+func TestVersionOrderAndString(t *testing.T) {
+	a, b, c := Version{Data: 1, Ver: 2}, Version{Data: 2, Ver: 0}, Version{Data: 2, Ver: 1}
+	if !a.Less(b) || !b.Less(c) || c.Less(b) || a.Less(a) {
+		t.Fatal("Less is not the (Data, Ver) order")
+	}
+	if got := (Version{Data: 7, Ver: 2}).String(); got != "d7v2" {
+		t.Fatalf("String = %q", got)
+	}
+}

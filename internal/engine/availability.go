@@ -29,6 +29,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/deps"
 	"repro/internal/resources"
 	"repro/internal/trace"
 	"repro/internal/transfer"
@@ -125,7 +126,7 @@ func (e *Engine) RevalidateAvailability() int {
 // producer is registered (lineage can recreate them). Lost keys with no
 // producer are external data the run never staged — unobtainable under
 // any policy — and keep the historical run-anyway semantics.
-func (e *Engine) actionableMissesLocked(plan transfer.Plan) []transfer.Key {
+func (e *Engine) actionableMissesLocked(plan transfer.Plan) []deps.Version {
 	if len(plan.MissingKeys) == 0 {
 		return plan.UnreachableKeys
 	}
@@ -205,13 +206,13 @@ func (e *Engine) feedableCapableLocked(t *Task) bool {
 // with a placement hint binding them to nodes that can reach the chosen
 // primary — "recompute locally", on the consumer's side of the cut.
 func (e *Engine) divertUnavailableLocked(t *Task) {
-	keys := append([]transfer.Key(nil), e.availMissing...)
+	keys := append([]deps.Version(nil), e.availMissing...)
 	primary := e.availPrimary
 	t.state = Parked
 	e.markDirtyLocked(t)
 	t.availKeys = keys
 	if e.waiters == nil {
-		e.waiters = make(map[transfer.Key]map[*Task]struct{})
+		e.waiters = make(map[deps.Version]map[*Task]struct{})
 	}
 	for _, k := range keys {
 		set, ok := e.waiters[k]
@@ -294,7 +295,7 @@ func (e *Engine) wakeLocked(t *Task) {
 
 // wakeKeyWaitersLocked wakes every task parked on the given data version —
 // called when a replica of it is (re)created — and returns how many.
-func (e *Engine) wakeKeyWaitersLocked(k transfer.Key) int {
+func (e *Engine) wakeKeyWaitersLocked(k deps.Version) int {
 	set, ok := e.waiters[k]
 	if !ok {
 		return 0
@@ -324,16 +325,11 @@ func (e *Engine) wakeReachable() int {
 		return 0
 	}
 	nodes := e.cfg.Pool.Nodes()
-	keys := make([]transfer.Key, 0, len(e.waiters))
+	keys := make([]deps.Version, 0, len(e.waiters))
 	for k := range e.waiters {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Data != keys[j].Data {
-			return keys[i].Data < keys[j].Data
-		}
-		return keys[i].Ver < keys[j].Ver
-	})
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 	before := e.stats.Woken
 	for _, k := range keys {
 		sources := e.cfg.Registry.Where(k)

@@ -3,6 +3,7 @@ package checkpoint_test
 import (
 	"testing"
 
+	"repro/internal/deps"
 	"repro/internal/engine/checkpoint"
 	"repro/internal/infra"
 	"repro/internal/resources"
@@ -68,4 +69,41 @@ func BenchmarkCheckpointSave(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+}
+
+// TestCaptureDeltaSharesOutputLists pins the cost shape of a delta
+// capture: a dirty task's record carries the task's own output list, so
+// a capture of 1000 dirty tasks allocates four objects and nothing per
+// task.
+func TestCaptureDeltaSharesOutputLists(t *testing.T) {
+	const tasks = 1000
+	specs := make([]infra.TaskSpec, tasks)
+	for i := range specs {
+		specs[i] = infra.TaskSpec{
+			ID: int64(i + 1), Class: "t",
+			Accesses: []deps.Access{{Data: deps.DataID(i + 1), Dir: deps.Out}},
+		}
+	}
+	var sims []*infra.Sim // one per AllocsPerRun call: a capture drains the dirty set
+	for i := 0; i < 2; i++ {
+		pool := resources.NewPool()
+		_ = pool.Add(resources.NewNode("n0", resources.MareNostrumNode))
+		sim, err := infra.New(infra.Config{Pool: pool, Net: simnet.Continuum(), Policy: sched.MinLoad{}}, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims = append(sims, sim)
+	}
+	var d *checkpoint.Delta
+	allocs := testing.AllocsPerRun(1, func() {
+		d = checkpoint.CaptureDelta(sims[0].Engine(), nil)
+		sims = sims[1:]
+	})
+	if len(d.Tasks) != tasks || len(d.Tasks[tasks-1].Outputs) != 1 {
+		t.Fatalf("captured %d records, last %+v", len(d.Tasks), d.Tasks[len(d.Tasks)-1])
+	}
+	// The engine's record slice and added-ID slice, the Delta, its Tasks.
+	if allocs > 4 {
+		t.Fatalf("CaptureDelta of %d dirty tasks allocated %.0f objects, want 4", tasks, allocs)
+	}
 }

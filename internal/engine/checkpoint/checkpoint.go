@@ -58,21 +58,9 @@ import (
 // different format rather than guessing at field semantics.
 const Format = 1
 
-// CatalogKey names one immutable data version inside a snapshot.
-type CatalogKey struct {
-	Data int64 `json:"data"`
-	Ver  int   `json:"ver"`
-}
-
-// Key converts the snapshot form back to a transfer.Key.
-func (k CatalogKey) Key() transfer.Key {
-	return transfer.Key{Data: deps.DataID(k.Data), Ver: k.Ver}
-}
-
-// Version converts the snapshot form to the deps version it names.
-func (k CatalogKey) Version() deps.Version {
-	return deps.Version{Data: deps.DataID(k.Data), Ver: k.Ver}
-}
+// CatalogKey names one immutable data version inside a snapshot: it IS
+// deps.Version, whose JSON tags are part of Format.
+type CatalogKey = deps.Version
 
 // TaskRecord is one completed task in a snapshot.
 type TaskRecord struct {
@@ -81,16 +69,17 @@ type TaskRecord struct {
 	ID int64 `json:"id"`
 	// Epoch is the placement counter at capture time.
 	Epoch int `json:"epoch"`
-	// Outputs lists the data versions the task produced.
-	Outputs []CatalogKey `json:"outputs,omitempty"`
+	// Outputs lists the data versions the task produced (the engine
+	// task's own immutable list when captured, not a copy).
+	Outputs []deps.Version `json:"outputs,omitempty"`
 }
 
 // CatalogEntry records one data version: its size, its replica
 // locations, and — on the live backend — the encoded value itself.
 type CatalogEntry struct {
-	Key       CatalogKey `json:"key"`
-	Size      int64      `json:"size,omitempty"`
-	Locations []string   `json:"locations,omitempty"`
+	Key       deps.Version `json:"key"`
+	Size      int64        `json:"size,omitempty"`
+	Locations []string     `json:"locations,omitempty"`
 	// Value is the gob-encoded produced value (live backend only; see
 	// EncodeValue). Absent values make the producing task re-run on
 	// restore rather than resolve to a wrong future.
@@ -193,11 +182,7 @@ func build(e *engine.Engine, tasks []engine.TaskSnap, entries []transfer.Entry) 
 		snap.Order = append(snap.Order, ts.ID)
 		switch {
 		case ts.Completed && ts.State == engine.Done:
-			rec := TaskRecord{ID: ts.ID, Epoch: ts.Epoch}
-			for _, k := range ts.OutputKeys {
-				rec.Outputs = append(rec.Outputs, CatalogKey{Data: int64(k.Data), Ver: k.Ver})
-			}
-			snap.Completed = append(snap.Completed, rec)
+			snap.Completed = append(snap.Completed, TaskRecord{ID: ts.ID, Epoch: ts.Epoch, Outputs: ts.OutputKeys})
 		case ts.State == engine.Ready:
 			snap.Ready = append(snap.Ready, ts.ID)
 		case ts.State == engine.Running:
@@ -208,7 +193,7 @@ func build(e *engine.Engine, tasks []engine.TaskSnap, entries []transfer.Entry) 
 	}
 	for _, en := range entries {
 		snap.Catalog = append(snap.Catalog, CatalogEntry{
-			Key:       CatalogKey{Data: int64(en.Key.Data), Ver: en.Key.Ver},
+			Key:       en.Key,
 			Size:      en.Size,
 			Locations: en.Locations,
 		})

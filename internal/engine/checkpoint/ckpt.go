@@ -71,7 +71,6 @@ type Checkpointer struct {
 	skipped     int // automatic captures skipped because nothing changed
 	chainLen    int // deltas since the last base
 	haveBase    bool
-	lastSeq     int
 	lastErr     error
 	stopped     bool
 }
@@ -185,19 +184,18 @@ func (c *Checkpointer) commit(snap *Snapshot, d *Delta, base bool) error {
 	var (
 		path string
 		err  error
-		seq  int
 		at   time.Duration
 	)
 	switch {
 	case d == nil:
 		path, err = c.cfg.Store.Save(snap)
-		seq, at = snap.Seq, snap.At
+		at = snap.At
 	case d.Empty():
 		c.skipped++
 		return nil
 	default:
 		path, err = c.cfg.Store.SaveDelta(d)
-		seq, at = d.Seq, d.At
+		at = d.At
 	}
 	if err != nil {
 		c.lastErr = err
@@ -214,7 +212,6 @@ func (c *Checkpointer) commit(snap *Snapshot, d *Delta, base bool) error {
 		c.haveBase = true
 		c.chainLen = 0
 	}
-	c.lastSeq = seq
 	if c.cfg.Tracer != nil {
 		c.cfg.Tracer.Record(trace.Event{At: at, Kind: trace.CheckpointSaved, Info: path})
 	}
@@ -249,14 +246,6 @@ func (c *Checkpointer) Skipped() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.skipped
-}
-
-// LastSeq returns the sequence number of the newest persisted snapshot
-// (0 if none).
-func (c *Checkpointer) LastSeq() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastSeq
 }
 
 // Err returns the most recent save error, if any.

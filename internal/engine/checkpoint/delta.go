@@ -32,6 +32,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/deps"
 	"repro/internal/engine"
 	"repro/internal/transfer"
 )
@@ -49,7 +50,7 @@ type DeltaTask struct {
 	// Completed reports whether the task has completed at least once.
 	Completed bool `json:"completed"`
 	// Outputs lists the data versions the task produces.
-	Outputs []CatalogKey `json:"outputs,omitempty"`
+	Outputs []deps.Version `json:"outputs,omitempty"`
 }
 
 // Delta is one incremental checkpoint: the state changes since the
@@ -95,17 +96,16 @@ func (d *Delta) Empty() bool {
 func CaptureDelta(e *engine.Engine, reg *transfer.Registry) *Delta {
 	snaps, added := e.TakeDirty()
 	d := &Delta{Format: Format, At: e.Now(), Stats: e.Stats(), Added: added}
+	if len(snaps) > 0 {
+		d.Tasks = make([]DeltaTask, 0, len(snaps))
+	}
 	for _, ts := range snaps {
-		dt := DeltaTask{ID: ts.ID, State: ts.State, Epoch: ts.Epoch, Completed: ts.Completed}
-		for _, k := range ts.OutputKeys {
-			dt.Outputs = append(dt.Outputs, CatalogKey{Data: int64(k.Data), Ver: k.Ver})
-		}
-		d.Tasks = append(d.Tasks, dt)
+		d.Tasks = append(d.Tasks, DeltaTask{ID: ts.ID, State: ts.State, Epoch: ts.Epoch, Completed: ts.Completed, Outputs: ts.OutputKeys})
 	}
 	if reg != nil {
 		for _, en := range reg.TakeDirty() {
 			d.Catalog = append(d.Catalog, CatalogEntry{
-				Key:       CatalogKey{Data: int64(en.Key.Data), Ver: en.Key.Ver},
+				Key:       en.Key,
 				Size:      en.Size,
 				Locations: en.Locations,
 			})
@@ -119,7 +119,7 @@ type merger struct {
 	order   []int64
 	known   map[int64]struct{}
 	tasks   map[int64]DeltaTask
-	catalog map[CatalogKey]CatalogEntry
+	catalog map[deps.Version]CatalogEntry
 	seq     int
 	at      time.Duration
 	stats   engine.Stats
@@ -130,7 +130,7 @@ func newMerger(base *Snapshot) *merger {
 	m := &merger{
 		known:   make(map[int64]struct{}),
 		tasks:   make(map[int64]DeltaTask),
-		catalog: make(map[CatalogKey]CatalogEntry),
+		catalog: make(map[deps.Version]CatalogEntry),
 		seq:     base.Seq,
 		at:      base.At,
 		stats:   base.Stats,
@@ -209,21 +209,14 @@ func (m *merger) snapshot() *Snapshot {
 		}
 	}
 	if len(m.catalog) > 0 {
-		keys := make([]CatalogKey, 0, len(m.catalog))
+		keys := make([]deps.Version, 0, len(m.catalog))
 		for k := range m.catalog {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return catalogKeyLess(keys[i], keys[j]) })
+		sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 		for _, k := range keys {
 			snap.Catalog = append(snap.Catalog, m.catalog[k])
 		}
 	}
 	return snap
-}
-
-func catalogKeyLess(a, b CatalogKey) bool {
-	if a.Data != b.Data {
-		return a.Data < b.Data
-	}
-	return a.Ver < b.Ver
 }

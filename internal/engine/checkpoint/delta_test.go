@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/deps"
 	"repro/internal/engine"
 )
 
@@ -31,7 +32,7 @@ func chainBase() *Snapshot {
 func doneRecord(id int64) DeltaTask {
 	return DeltaTask{
 		ID: id, State: engine.Done, Epoch: 1, Completed: true,
-		Outputs: []CatalogKey{{Data: id, Ver: 1}},
+		Outputs: []CatalogKey{{Data: deps.DataID(id), Ver: 1}},
 	}
 }
 

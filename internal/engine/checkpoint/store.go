@@ -37,6 +37,12 @@ var (
 // file name.
 const digestLen = 16
 
+// File-name prefixes of the two kinds of checkpoint file.
+const (
+	snapPrefix  = "snap-"
+	deltaPrefix = "delta-"
+)
+
 // Store reads and writes snapshots in one directory. It is safe for
 // concurrent use.
 type Store struct {
@@ -108,10 +114,10 @@ func (s *Store) list() []snapFile {
 		var rest string
 		var delta bool
 		switch {
-		case strings.HasPrefix(name, "snap-"):
-			rest = strings.TrimPrefix(name, "snap-")
-		case strings.HasPrefix(name, "delta-"):
-			rest, delta = strings.TrimPrefix(name, "delta-"), true
+		case strings.HasPrefix(name, snapPrefix):
+			rest = strings.TrimPrefix(name, snapPrefix)
+		case strings.HasPrefix(name, deltaPrefix):
+			rest, delta = strings.TrimPrefix(name, deltaPrefix), true
 		default:
 			continue
 		}
@@ -138,23 +144,7 @@ func (s *Store) Save(snap *Snapshot) (string, error) {
 	s.seq++
 	snap.Seq = s.seq
 	snap.Format = Format
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	sum := sha256.Sum256(data)
-	name := fmt.Sprintf("snap-%06d-%s.ckpt", snap.Seq, hex.EncodeToString(sum[:])[:digestLen])
-	path := filepath.Join(s.dir, name)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", fmt.Errorf("checkpoint: write: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return "", fmt.Errorf("checkpoint: commit: %w", err)
-	}
-	s.pruneLocked()
-	return path, nil
+	return s.writeLocked(snapPrefix, snap)
 }
 
 // SaveDelta persists one delta, chained to the store's newest file (base
@@ -169,23 +159,38 @@ func (s *Store) SaveDelta(d *Delta) (string, error) {
 	s.seq++
 	d.Seq = s.seq
 	d.Format = Format
-	data, err := json.Marshal(d)
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: encode delta: %w", err)
+	return s.writeLocked(deltaPrefix, d)
+}
+
+// writeLocked is the one commit path: encode v (already stamped with
+// s.seq), name the file after its own digest, write a temp file and
+// rename it into place, then prune. Caller holds s.mu.
+func (s *Store) writeLocked(prefix string, v any) (string, error) {
+	what := ""
+	if prefix == deltaPrefix {
+		what = " delta"
 	}
-	sum := sha256.Sum256(data)
-	name := fmt.Sprintf("delta-%06d-%s.ckpt", d.Seq, hex.EncodeToString(sum[:])[:digestLen])
-	path := filepath.Join(s.dir, name)
+	data, err := json.Marshal(v)
+	if err != nil {
+		return "", fmt.Errorf("checkpoint: encode%s: %w", what, err)
+	}
+	path := filepath.Join(s.dir, fmt.Sprintf("%s%06d-%s.ckpt", prefix, s.seq, digest(data)))
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", fmt.Errorf("checkpoint: write delta: %w", err)
+		return "", fmt.Errorf("checkpoint: write%s: %w", what, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		_ = os.Remove(tmp)
-		return "", fmt.Errorf("checkpoint: commit delta: %w", err)
+		return "", fmt.Errorf("checkpoint: commit%s: %w", what, err)
 	}
 	s.pruneLocked()
 	return path, nil
+}
+
+// digest is the content address in a file name: the truncated SHA-256.
+func digest(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])[:digestLen]
 }
 
 // pruneLocked bounds retention. The pruning unit is a chain — a base
@@ -216,25 +221,9 @@ func (s *Store) pruneLocked() {
 // the digest embedded in the name, parse as JSON, and carry the current
 // format version.
 func (s *Store) Load(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	name := filepath.Base(path)
-	parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".ckpt"), "-")
-	if len(parts) != 2 {
-		return nil, fmt.Errorf("%w: unrecognised name %q", ErrCorrupt, name)
-	}
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:])[:digestLen] != parts[1] {
-		return nil, fmt.Errorf("%w: %s: digest mismatch", ErrCorrupt, name)
-	}
 	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
-	}
-	if snap.Format != Format {
-		return nil, fmt.Errorf("%w: %s: format %d, want %d", ErrCorrupt, name, snap.Format, Format)
+	if err := read(path, snapPrefix, &snap, &snap.Format); err != nil {
+		return nil, err
 	}
 	return &snap, nil
 }
@@ -242,27 +231,36 @@ func (s *Store) Load(path string) (*Snapshot, error) {
 // LoadDelta reads and verifies one delta file: contents must hash to the
 // digest in the name, parse, and carry the current format version.
 func (s *Store) LoadDelta(path string) (*Delta, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	name := filepath.Base(path)
-	parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(name, "delta-"), ".ckpt"), "-")
-	if len(parts) != 2 {
-		return nil, fmt.Errorf("%w: unrecognised name %q", ErrCorrupt, name)
-	}
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:])[:digestLen] != parts[1] {
-		return nil, fmt.Errorf("%w: %s: digest mismatch", ErrCorrupt, name)
-	}
 	var d Delta
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
-	}
-	if d.Format != Format {
-		return nil, fmt.Errorf("%w: %s: format %d, want %d", ErrCorrupt, name, d.Format, Format)
+	if err := read(path, deltaPrefix, &d, &d.Format); err != nil {
+		return nil, err
 	}
 	return &d, nil
+}
+
+// read is the one verify path: the file's bytes must hash to the digest
+// in its name, decode into v, and leave the current version in *format
+// (v's own Format field). Every failure wraps ErrCorrupt.
+func read(path, prefix string, v any, format *int) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	name := filepath.Base(path)
+	parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(name, prefix), ".ckpt"), "-")
+	if len(parts) != 2 {
+		return fmt.Errorf("%w: unrecognised name %q", ErrCorrupt, name)
+	}
+	if digest(data) != parts[1] {
+		return fmt.Errorf("%w: %s: digest mismatch", ErrCorrupt, name)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
+	}
+	if *format != Format {
+		return fmt.Errorf("%w: %s: format %d, want %d", ErrCorrupt, name, *format, Format)
+	}
+	return nil
 }
 
 // Latest returns the newest reconstructible state: a forward pass over

@@ -5,6 +5,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"repro/internal/deps"
 )
 
 func sample(at time.Duration, completed ...int64) *Snapshot {
@@ -12,7 +14,7 @@ func sample(at time.Duration, completed ...int64) *Snapshot {
 	for _, id := range completed {
 		s.Completed = append(s.Completed, TaskRecord{
 			ID: id, Epoch: 1,
-			Outputs: []CatalogKey{{Data: id, Ver: 1}},
+			Outputs: []CatalogKey{{Data: deps.DataID(id), Ver: 1}},
 		})
 	}
 	s.Catalog = append(s.Catalog, CatalogEntry{

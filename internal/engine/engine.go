@@ -120,6 +120,10 @@ const (
 
 // Task is one schedulable unit. The exported fields are set by the
 // backend before Add and read-only afterwards; the engine owns the rest.
+// InputKeys and OutputKeys are the access processor's own Reads/Writes
+// lists, shared — never copied — with the backend, policies, snapshots
+// and checkpoint records: nobody writes through them after Add (the
+// engine may drop its own slice headers once the task is done).
 type Task struct {
 	// ID is the graph-unique task ID.
 	ID int64
@@ -129,13 +133,15 @@ type Task struct {
 	Constraints resources.Constraints
 	// EstDuration is the declared base duration (0 if unknown).
 	EstDuration time.Duration
-	// InputKeys are the data versions the task reads.
-	InputKeys []transfer.Key
+	// InputKeys are the data versions the task reads (shared, immutable
+	// after Add).
+	InputKeys []deps.Version
 	// InputBytes is the total input size (predictor covariate).
 	InputBytes int64
-	// OutputKeys are the data versions the task produces; the engine
-	// registers them as replicas on the primary node at completion.
-	OutputKeys []transfer.Key
+	// OutputKeys are the data versions the task produces (shared,
+	// immutable after Add); the engine registers them as replicas on the
+	// primary node at completion.
+	OutputKeys []deps.Version
 	// Payload carries backend-specific state (e.g. the future, the spec).
 	Payload any
 
@@ -159,7 +165,7 @@ type Task struct {
 	readyAt    time.Duration
 	firstStart time.Duration
 	doneAt     time.Duration
-	availKeys  []transfer.Key // unavailable inputs this task is parked on
+	availKeys  []deps.Version // unavailable inputs this task is parked on
 	availNeed  string         // availability-recompute hint: the primary must reach this node
 }
 
@@ -351,7 +357,7 @@ type Engine struct {
 	// mid-wave (availability recomputes resubmit into the running wave).
 	cand       []*bucket
 	waveActive bool
-	producer   map[transfer.Key]*Task // which task writes each version
+	producer   map[deps.Version]*Task // which task writes each version
 	slow       map[string]float64     // per-node duration multipliers (fault injection)
 	// Dirty tracking for delta checkpoints: every task whose snapshot-
 	// relevant state (lifecycle state, epoch, completed flag) changed since
@@ -365,11 +371,11 @@ type Engine struct {
 	// Availability wait set: tasks parked on unavailable data versions
 	// (see availability.go), plus the scratch a placement attempt leaves
 	// for divertUnavailableLocked.
-	waiters      map[transfer.Key]map[*Task]struct{} // parked tasks per missing datum
+	waiters      map[deps.Version]map[*Task]struct{} // parked tasks per missing datum
 	parked       int                                 // tasks in state Parked
-	availMissing []transfer.Key                      // scratch: last attempt's unavailable inputs
+	availMissing []deps.Version                      // scratch: last attempt's unavailable inputs
 	availPrimary string                              // scratch: last attempt's chosen primary
-	pendingWakes []transfer.Key                      // staged replicas with waiters (processed between waves)
+	pendingWakes []deps.Version                      // staged replicas with waiters (processed between waves)
 	stats        Stats
 	view         sched.TaskView // scratch view (guarded by mu; never retained)
 	// Scratch candidate buffers for the wave hot path (guarded by mu;
@@ -439,7 +445,7 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{
 		cfg:      cfg,
-		producer: make(map[transfer.Key]*Task),
+		producer: make(map[deps.Version]*Task),
 	}
 	if p, ok := cfg.Policy.(sched.Prioritizer); ok {
 		e.prio = p
@@ -454,7 +460,7 @@ func New(cfg Config) *Engine {
 }
 
 // Producer returns the task that writes the given data version.
-func (e *Engine) Producer(k transfer.Key) (*Task, bool) {
+func (e *Engine) Producer(k deps.Version) (*Task, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t, ok := e.producer[k]

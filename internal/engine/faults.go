@@ -13,8 +13,8 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/deps"
 	"repro/internal/trace"
-	"repro/internal/transfer"
 )
 
 // Errors reported by fault injection.
@@ -39,7 +39,7 @@ type FailReport struct {
 	Killed []*Task
 	// LostKeys lists the data versions whose last replica died with the
 	// node — the data lineage recovery recomputes.
-	LostKeys []transfer.Key
+	LostKeys []deps.Version
 	// Resubmitted counts the recovery resubmissions triggered directly by
 	// the failure: killed tasks plus ready tasks that lost an input.
 	Resubmitted int

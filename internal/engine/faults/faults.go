@@ -192,19 +192,6 @@ func (d *Drill) Killed() int {
 	return n
 }
 
-// Errs returns the injection errors observed so far.
-func (d *Drill) Errs() []error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var errs []error
-	for _, o := range d.outcomes {
-		if o.Err != nil {
-			errs = append(errs, o.Err)
-		}
-	}
-	return errs
-}
-
 // Run validates the scenario and arms every event on the timer. The
 // returned Drill accumulates outcomes as events fire.
 func Run(tm Timer, inj Injector, s Scenario) (*Drill, error) {

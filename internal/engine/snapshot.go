@@ -15,7 +15,7 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/transfer"
+	"repro/internal/deps"
 )
 
 // TaskSnap is one task's checkpoint-relevant state, captured by
@@ -33,10 +33,10 @@ type TaskSnap struct {
 	// Completed reports whether the task has completed at least once (a
 	// Done task mid-lineage-re-run is Running with Completed true).
 	Completed bool
-	// OutputKeys lists the data versions the task produces. Engines
-	// without a replica registry drop the keys of done tasks, so
-	// checkpointing wants Config.Registry set.
-	OutputKeys []transfer.Key
+	// OutputKeys is the task's own immutable list of the data versions it
+	// produces, not a copy. Engines without a replica registry drop the
+	// keys of done tasks, so checkpointing wants Config.Registry set.
+	OutputKeys []deps.Version
 }
 
 // SnapshotTasks returns every registered task's lifecycle state, in
@@ -58,14 +58,11 @@ func (e *Engine) snapshotLocked() []TaskSnap {
 
 // snapLocked builds one task's checkpoint record.
 func snapLocked(t *Task) TaskSnap {
-	s := TaskSnap{
+	return TaskSnap{
 		ID: t.ID, Class: t.Class, State: t.state,
 		Epoch: t.epoch, Completed: t.completed,
+		OutputKeys: t.OutputKeys,
 	}
-	if len(t.OutputKeys) > 0 {
-		s.OutputKeys = append([]transfer.Key(nil), t.OutputKeys...)
-	}
-	return s
 }
 
 // SnapshotTasksClean is SnapshotTasks plus a dirty-set reset: the capture
@@ -109,8 +106,11 @@ func (e *Engine) TakeDirty() (snaps []TaskSnap, added []int64) {
 	for _, t := range e.dirty {
 		snaps = append(snaps, snapLocked(t))
 	}
-	for _, t := range e.tasks.all[e.addedFrom:] {
-		added = append(added, t.ID)
+	if fresh := e.tasks.all[e.addedFrom:]; len(fresh) > 0 {
+		added = make([]int64, 0, len(fresh))
+		for _, t := range fresh {
+			added = append(added, t.ID)
+		}
 	}
 	e.resetDirtyLocked()
 	return snaps, added

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/deps"
 	"repro/internal/infra"
 	"repro/internal/obsv"
 	"repro/internal/resources"
@@ -117,5 +118,87 @@ func TestWideCampaignAllocBudget(t *testing.T) {
 	t.Logf("%.2f allocations per task", perTask)
 	if perTask > 4.0 {
 		t.Fatalf("%.2f allocations per task, budget 4.0", perTask)
+	}
+}
+
+// stencilSpecs generates the ledger's sim-dataflow shape at package-test
+// size: a double-buffered periodic stencil — cell i of iteration t reads
+// cells i-1, i, i+1 of one buffer and overwrites cell i of the other —
+// with sized outputs and the first buffer staged in round-robin, so
+// every task carries three reads and a write through deps, the engine,
+// the registry and the transfer planner.
+func stencilSpecs(cells, iters, nodes int) ([]infra.TaskSpec, map[deps.DataID]int64, map[deps.DataID][]string) {
+	buf := func(b, i int) deps.DataID { return deps.DataID(1 + b*cells + (i+cells)%cells) }
+	stageIn := make(map[deps.DataID]int64, cells)
+	holders := make(map[deps.DataID][]string, cells)
+	for i := 0; i < cells; i++ {
+		stageIn[buf(0, i)] = int64(1+i%8) * 1_000_000
+		holders[buf(0, i)] = []string{fmt.Sprintf("s%03d", i%nodes)}
+	}
+	specs := make([]infra.TaskSpec, 0, cells*iters)
+	for t := 0; t < iters; t++ {
+		src, dst := t%2, (t+1)%2
+		for i := 0; i < cells; i++ {
+			out := buf(dst, i)
+			specs = append(specs, infra.TaskSpec{
+				ID:       int64(len(specs) + 1),
+				Class:    "stencil.cell",
+				Duration: time.Duration(80+(i*7+t*13)%80) * time.Second,
+				Accesses: []deps.Access{
+					{Data: buf(src, i-1), Dir: deps.In},
+					{Data: buf(src, i), Dir: deps.In},
+					{Data: buf(src, i+1), Dir: deps.In},
+					{Data: out, Dir: deps.Out},
+				},
+				OutputBytes: map[deps.DataID]int64{out: int64(1+i%8) * 1_000_000},
+			})
+		}
+	}
+	return specs, stageIn, holders
+}
+
+// TestStencilCampaignAllocBudget is the deterministic cost gate on the
+// data path: New and Run of a 128-cell × 80-iteration stencil on 16
+// nodes under Locality. The budget sits between this tree (one read list
+// and one write list per task, minted by the access processor and shared
+// down to the engine) and the tree before it, which copied both lists
+// into a second spelling at the infra boundary: a per-layer copy of a
+// task's accesses coming back fails here.
+func TestStencilCampaignAllocBudget(t *testing.T) {
+	const cells, iters, nodes = 128, 80, 16
+	const budget = 18.5 // this tree reads 16.6, the copying tree 20.6
+	specs, stageIn, holders := stencilSpecs(cells, iters, nodes)
+	run := func(specs []infra.TaskSpec) {
+		pool := resources.NewPool()
+		for i := 0; i < nodes; i++ {
+			_ = pool.Add(resources.NewNode(fmt.Sprintf("s%03d", i), resources.Description{
+				Cores: cells / nodes, MemoryMB: 32_000, Class: resources.Cloud, SpeedFactor: 1,
+			}))
+		}
+		sim, err := infra.New(infra.Config{
+			Pool: pool, Net: simnet.New(simnet.Link{BandwidthMBps: 1000, Latency: time.Millisecond}),
+			Policy: sched.Locality{}, StageIn: stageIn, StageInNodes: holders,
+		}, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TasksCompleted != len(specs) {
+			t.Fatalf("completed %d of %d", res.TasksCompleted, len(specs))
+		}
+	}
+	run(specs[:4*cells]) // warm lazily initialised runtime state
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run(specs)
+	runtime.ReadMemStats(&after)
+	perTask := float64(after.Mallocs-before.Mallocs) / float64(len(specs))
+	t.Logf("%.2f allocations per task", perTask)
+	if perTask > budget {
+		t.Fatalf("%.2f allocations per task, budget %.1f", perTask, budget)
 	}
 }

@@ -306,7 +306,7 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 		firstNode = []string{nodes[0].Name()}
 	}
 	for d, size := range cfg.StageIn {
-		k := transfer.Key{Data: d, Ver: 0}
+		k := deps.Version{Data: d}
 		s.reg.SetSize(k, size)
 		holders := cfg.StageInNodes[d]
 		if len(holders) == 0 {
@@ -333,16 +333,14 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 			Class:       spec.Class,
 			Constraints: spec.Constraints,
 			EstDuration: spec.Duration,
+			InputKeys:   res.Reads,
+			OutputKeys:  res.Writes,
 		}
-		for _, v := range res.Reads {
-			k := transfer.KeyOf(v)
-			et.InputKeys = append(et.InputKeys, k)
+		for _, k := range res.Reads {
 			et.InputBytes += s.reg.Size(k)
 		}
-		for _, v := range res.Writes {
-			k := transfer.KeyOf(v)
-			et.OutputKeys = append(et.OutputKeys, k)
-			if size, ok := spec.OutputBytes[v.Data]; ok {
+		for _, k := range res.Writes {
+			if size, ok := spec.OutputBytes[k.Data]; ok {
 				s.reg.SetSize(k, size)
 			}
 		}
@@ -391,7 +389,7 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 // recomputing what it needs.
 func (s *Sim) applyRestore(snap *checkpoint.Snapshot) {
 	for _, en := range snap.Catalog {
-		k := en.Key.Key()
+		k := en.Key
 		if en.Size > 0 {
 			s.reg.SetSize(k, en.Size)
 		}
@@ -425,7 +423,7 @@ func (s *Sim) applyRestore(snap *checkpoint.Snapshot) {
 	for _, rec := range snap.Completed {
 		alive := true
 		for _, out := range rec.Outputs {
-			if len(s.reg.Where(out.Key())) == 0 {
+			if len(s.reg.Where(out)) == 0 {
 				alive = false
 				break
 			}
@@ -456,7 +454,7 @@ func (s *Sim) applyRestore(snap *checkpoint.Snapshot) {
 // restageTarget picks the live node a re-staged version lands on: the
 // cheapest fetch from the persist tier, in pool order on ties, skipping
 // nodes the persist tier cannot currently reach (cut links).
-func (s *Sim) restageTarget(k transfer.Key) string {
+func (s *Sim) restageTarget(k deps.Version) string {
 	size := s.reg.Size(k)
 	best := ""
 	var bestT time.Duration

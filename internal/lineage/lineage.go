@@ -82,13 +82,6 @@ func (g *Graph) IsSource(id ItemID) bool {
 	return ok && len(it.Inputs) == 0
 }
 
-// Items returns item IDs in insertion (topological) order.
-func (g *Graph) Items() []ItemID {
-	out := make([]ItemID, len(g.order))
-	copy(out, g.order)
-	return out
-}
-
 // CostModel prices storage and recomputation.
 type CostModel struct {
 	// StorageMBps converts bytes into the time cost of writing + later

@@ -219,15 +219,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n linearly spaced upper bounds.
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = start + width*float64(i)
-	}
-	return out
-}
-
 // Kind classifies a metric family for export.
 type Kind int
 

@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -137,18 +136,6 @@ func (s *Sampler) WriteText(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// EncodeJSON writes the series as a deterministic JSON array (series
-// name-sorted, points chronological).
-func (s *Sampler) EncodeJSON(w io.Writer) error {
-	if s == nil {
-		_, err := io.WriteString(w, "[]\n")
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s.Series())
 }
 
 // Summary returns a one-line digest (series count, total points) for

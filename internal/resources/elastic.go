@@ -92,12 +92,6 @@ type ScalePolicy struct {
 	CostPerNodeHour float64
 }
 
-// DefaultScalePolicy grows at 2 pending tasks per core and shrinks when a
-// whole node's worth of cores sits idle.
-func DefaultScalePolicy() ScalePolicy {
-	return ScalePolicy{MinNodes: 0, MaxNodes: 16, TasksPerCore: 2, IdleCoresToShrink: 8}
-}
-
 // ElasticManager is the mechanism of COMPSs-style elasticity: it
 // acquires and releases nodes of one tier through a Provider, explicitly
 // (GrowOne / Reclaim / ShrinkOne), so both the simulator (virtual time)

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/deps"
 	"repro/internal/mlpredict"
 	"repro/internal/resources"
 	"repro/internal/simnet"
@@ -29,7 +30,7 @@ type TaskView struct {
 	// unknown).
 	EstDuration time.Duration
 	// InputKeys are the data versions the task reads.
-	InputKeys []transfer.Key
+	InputKeys []deps.Version
 	// InputBytes is the total input size (covariate for the predictor).
 	InputBytes int64
 	// Priority orders ready tasks; higher runs first.

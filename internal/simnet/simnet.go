@@ -87,11 +87,6 @@ func (n *Network) SetZone(node, zone string) {
 	n.zoneOf[node] = zone
 }
 
-// Zone returns the zone of a node, or "" if unassigned.
-func (n *Network) Zone(node string) string {
-	return n.zoneOf[node]
-}
-
 // SetZoneLink installs the link used between any node in zone a and any node
 // in zone b (a may equal b; prefer SetIntraZone for that case).
 func (n *Network) SetZoneLink(zoneA, zoneB string, l Link) {

@@ -8,10 +8,11 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/deps"
 )
 
 // Kind classifies a trace event.
@@ -139,34 +140,32 @@ func (t *Tracer) ExportJSON() ([]byte, error) {
 // produced it from which inputs. It is safe for concurrent use.
 type Provenance struct {
 	mu       sync.RWMutex
-	producer map[string]int64    // version key -> task
-	inputs   map[string][]string // version key -> input version keys
-	meta     map[string]map[string]string
+	producer map[deps.Version]int64
+	inputs   map[deps.Version][]deps.Version
+	meta     map[deps.Version]map[string]string
 }
 
 // NewProvenance returns an empty provenance store.
 func NewProvenance() *Provenance {
 	return &Provenance{
-		producer: make(map[string]int64),
-		inputs:   make(map[string][]string),
-		meta:     make(map[string]map[string]string),
+		producer: make(map[deps.Version]int64),
+		inputs:   make(map[deps.Version][]deps.Version),
+		meta:     make(map[deps.Version]map[string]string),
 	}
 }
 
-// VersionKey formats a (data, version) pair as a provenance key.
-func VersionKey(data int64, ver int) string { return fmt.Sprintf("d%dv%d", data, ver) }
-
 // RecordProduction registers that task produced output from the given
-// inputs.
-func (p *Provenance) RecordProduction(output string, task int64, inputs []string) {
+// inputs. The inputs slice is kept, not copied: callers hand in a task's
+// immutable read list, shared by every version the task writes.
+func (p *Provenance) RecordProduction(output deps.Version, task int64, inputs []deps.Version) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.producer[output] = task
-	p.inputs[output] = append([]string(nil), inputs...)
+	p.inputs[output] = inputs
 }
 
 // SetMeta attaches a metadata key/value to a data version.
-func (p *Provenance) SetMeta(version, key, value string) {
+func (p *Provenance) SetMeta(version deps.Version, key, value string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	m, ok := p.meta[version]
@@ -178,7 +177,7 @@ func (p *Provenance) SetMeta(version, key, value string) {
 }
 
 // Meta returns a metadata value.
-func (p *Provenance) Meta(version, key string) (string, bool) {
+func (p *Provenance) Meta(version deps.Version, key string) (string, bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	v, ok := p.meta[version][key]
@@ -186,7 +185,7 @@ func (p *Provenance) Meta(version, key string) (string, bool) {
 }
 
 // Producer returns the task that produced a version.
-func (p *Provenance) Producer(version string) (int64, bool) {
+func (p *Provenance) Producer(version deps.Version) (int64, bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	t, ok := p.producer[version]
@@ -194,13 +193,13 @@ func (p *Provenance) Producer(version string) (int64, bool) {
 }
 
 // Ancestry returns every version the given one transitively derives from,
-// sorted. This is the traceability query: "where did this result come
-// from?".
-func (p *Provenance) Ancestry(version string) []string {
+// in (Data, Ver) order. This is the traceability query: "where did this
+// result come from?".
+func (p *Provenance) Ancestry(version deps.Version) []deps.Version {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	seen := make(map[string]struct{})
-	stack := append([]string(nil), p.inputs[version]...)
+	seen := make(map[deps.Version]struct{})
+	stack := append([]deps.Version(nil), p.inputs[version]...)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -210,10 +209,10 @@ func (p *Provenance) Ancestry(version string) []string {
 		seen[v] = struct{}{}
 		stack = append(stack, p.inputs[v]...)
 	}
-	out := make([]string, 0, len(seen))
+	out := make([]deps.Version, 0, len(seen))
 	for v := range seen {
 		out = append(out, v)
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/deps"
 )
 
 func TestNilTracerIsSafe(t *testing.T) {
@@ -75,11 +77,13 @@ func TestConcurrentRecord(t *testing.T) {
 
 func TestProvenanceAncestry(t *testing.T) {
 	p := NewProvenance()
+	raw, raw2 := deps.Version{Data: 1}, deps.Version{Data: 2}
+	curated, model := deps.Version{Data: 3, Ver: 1}, deps.Version{Data: 4, Ver: 1}
 	// raw -> curated -> model; raw2 -> curated
-	p.RecordProduction("curated", 1, []string{"raw", "raw2"})
-	p.RecordProduction("model", 2, []string{"curated"})
-	anc := p.Ancestry("model")
-	want := []string{"curated", "raw", "raw2"}
+	p.RecordProduction(curated, 1, []deps.Version{raw2, raw})
+	p.RecordProduction(model, 2, []deps.Version{curated})
+	anc := p.Ancestry(model)
+	want := []deps.Version{raw, raw2, curated}
 	if len(anc) != len(want) {
 		t.Fatalf("ancestry = %v, want %v", anc, want)
 	}
@@ -88,16 +92,17 @@ func TestProvenanceAncestry(t *testing.T) {
 			t.Fatalf("ancestry = %v, want %v", anc, want)
 		}
 	}
-	if task, ok := p.Producer("model"); !ok || task != 2 {
+	if task, ok := p.Producer(model); !ok || task != 2 {
 		t.Fatalf("producer = %d %v", task, ok)
 	}
 }
 
 func TestProvenanceCyclicInputsTerminate(t *testing.T) {
 	p := NewProvenance()
-	p.RecordProduction("a", 1, []string{"b"})
-	p.RecordProduction("b", 2, []string{"a"})
-	anc := p.Ancestry("a")
+	a, b := deps.Version{Data: 1, Ver: 1}, deps.Version{Data: 2, Ver: 1}
+	p.RecordProduction(a, 1, []deps.Version{b})
+	p.RecordProduction(b, 2, []deps.Version{a})
+	anc := p.Ancestry(a)
 	if len(anc) != 2 {
 		t.Fatalf("cyclic ancestry = %v", anc)
 	}
@@ -105,10 +110,7 @@ func TestProvenanceCyclicInputsTerminate(t *testing.T) {
 
 func TestProvenanceMeta(t *testing.T) {
 	p := NewProvenance()
-	key := VersionKey(7, 2)
-	if key != "d7v2" {
-		t.Fatalf("VersionKey = %q", key)
-	}
+	key := deps.Version{Data: 7, Ver: 2}
 	p.SetMeta(key, "format", "netcdf")
 	if v, ok := p.Meta(key, "format"); !ok || v != "netcdf" {
 		t.Fatal("meta lookup failed")

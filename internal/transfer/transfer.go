@@ -23,22 +23,12 @@ import (
 	"repro/internal/simnet"
 )
 
-// Key identifies one immutable data version.
-type Key struct {
-	Data deps.DataID
-	Ver  int
-}
+// Key identifies one immutable data version: it IS deps.Version. The
+// alias keeps the name the registry's API grew up with.
+type Key = deps.Version
 
-// KeyOf converts a deps.Version into a Key.
-func KeyOf(v deps.Version) Key { return Key{Data: v.Data, Ver: v.Ver} }
-
-// keyLess orders keys by (Data, Ver) — the canonical catalog order.
-func keyLess(a, b Key) bool {
-	if a.Data != b.Data {
-		return a.Data < b.Data
-	}
-	return a.Ver < b.Ver
-}
+// KeyOf is the identity; only the frozen bench/ harness still calls it.
+func KeyOf(v deps.Version) Key { return v }
 
 // regShards is the stripe count. A small power of two keeps the modulo a
 // mask while spreading a 1k-node pool's concurrent completions thin.
@@ -146,7 +136,7 @@ func (r *Registry) DropNode(node string) []Key {
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(lost, func(i, j int) bool { return keyLess(lost[i], lost[j]) })
+	sort.Slice(lost, func(i, j int) bool { return lost[i].Less(lost[j]) })
 	return lost
 }
 
@@ -267,7 +257,7 @@ func (r *Registry) entries(clean bool) []Entry {
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].Key, out[j].Key) })
+	sort.Slice(out, func(i, j int) bool { return out[i].Key.Less(out[j].Key) })
 	return out
 }
 
@@ -303,7 +293,7 @@ func (r *Registry) TakeDirty() []Entry {
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].Key, out[j].Key) })
+	sort.Slice(out, func(i, j int) bool { return out[i].Key.Less(out[j].Key) })
 	return out
 }
 
