@@ -395,12 +395,44 @@ type Engine struct {
 // the per-signature ready-depth gauge; it is resolved once at bucket
 // creation (nil when metrics are off) and updated at exactly the sites
 // that maintain readyN, so the gauge cannot drift from the queue.
+//
+// q is a window over a backing array that starts at base, off slots before
+// q[0]: popping the head advances the window instead of giving the front
+// capacity away, and insert slides the window back before it would grow.
+// Every other site edits q in place, which keeps the window's start.
 type bucket struct {
 	idx     resources.SigIndex // the signature's placement-index view (and label)
 	q       []*Task
+	base    []*Task // q's backing array from its first slot (length 0)
+	off     int     // popped slots between base and q
 	blocked int
 	seen    int
 	depth   *obsv.Gauge
+}
+
+// pop removes the head; an emptied queue rewinds to the array's start.
+func (b *bucket) pop() {
+	b.q, b.off = b.q[1:], b.off+1
+	if len(b.q) == 0 {
+		b.q, b.off = b.base, 0
+	}
+}
+
+// insert places t at position at. A window that has run into the end of
+// its array with at least as many popped slots in front as live entries
+// slides down over them (amortised O(1) per pop) rather than reallocating
+// — on a dataflow graph, where tasks become ready one completion at a
+// time, that is every push.
+func (b *bucket) insert(at int, t *Task) {
+	if len(b.q) == cap(b.q) && b.off >= len(b.q) {
+		b.q = b.base[:copy(b.base[:cap(b.base)], b.q)]
+		b.off = 0
+	}
+	was := cap(b.q)
+	b.q = slices.Insert(b.q, at, t)
+	if cap(b.q) != was { // grown into a fresh array
+		b.base, b.off = b.q[:0], 0
+	}
 }
 
 // taskTable is the engine's one ID-keyed structure: every task in
@@ -732,7 +764,7 @@ func (e *Engine) pushReadyLocked(t *Task) {
 	if at > 0 && headLess(t, b.q[at-1]) {
 		at = sort.Search(at, func(i int) bool { return headLess(t, b.q[i]) })
 	}
-	b.q = slices.Insert(b.q, at, t)
+	b.insert(at, t)
 	e.readyN.Add(1)
 	b.depth.Add(1)
 }
@@ -849,7 +881,7 @@ func (e *Engine) placeWaveLocked(placed []Placement) []Placement {
 			switch outcome {
 			case placeOK:
 				placed = append(placed, p)
-				bestB.q = bestB.q[1:]
+				bestB.pop()
 				e.readyN.Add(-1)
 				bestB.depth.Add(-1)
 			case placeUnavailable:
@@ -857,7 +889,7 @@ func (e *Engine) placeWaveLocked(placed []Placement) []Placement {
 				// availability wait set (which may resubmit producers into
 				// this very wave) and keep placing — unavailability is
 				// task-specific, so the bucket is not blocked.
-				bestB.q = bestB.q[1:]
+				bestB.pop()
 				e.readyN.Add(-1)
 				bestB.depth.Add(-1)
 				m.DeclineUnavailable.Inc()

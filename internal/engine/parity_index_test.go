@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/deps"
+	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
 	"repro/internal/engine/faults"
 	"repro/internal/infra"
@@ -212,4 +214,152 @@ func TestIndexSurvivesRestore(t *testing.T) {
 		t.Fatalf("restored %d tasks, snapshot recorded %d", res.TasksRestored, len(snap.Completed))
 	}
 	checkPoolIndexConsistent(t, pool2, specs)
+}
+
+// localityParityPool is built so that Locality's order — most local
+// bytes, then most free cores, then first inserted — cannot be mistaken
+// for MinLoad's (busy fraction, name): insertion order is not name order,
+// and core counts differ, so "most free cores" and "least busy fraction"
+// name different nodes as soon as anything runs.
+func localityParityPool() (*resources.Pool, *simnet.Network) {
+	pool := resources.NewPool()
+	for _, n := range []struct {
+		name  string
+		cores int
+		class resources.Class
+	}{
+		{"lp-m", 4, resources.Cloud}, {"lp-a", 6, resources.HPC}, {"lp-z", 2, resources.Fog},
+		{"lp-c", 6, resources.HPC}, {"lp-q", 3, resources.Cloud}, {"lp-b", 2, resources.Fog},
+	} {
+		_ = pool.Add(resources.NewNode(n.name, resources.Description{
+			Cores: n.cores, MemoryMB: 32_000, SpeedFactor: 1, Class: n.class,
+		}))
+	}
+	net := simnet.Continuum()
+	for _, n := range pool.Nodes() {
+		net.SetZone(n.Name(), n.Desc().Class.String())
+	}
+	return pool, net
+}
+
+// sizedStencil is the sim-dataflow shape at test size: a double-buffered
+// periodic stencil whose cells differ in size (so local-byte scores differ
+// and tie), with the first buffer staged in over the nodes round-robin,
+// every third cell on two of them.
+func sizedStencil(cells, iters int, nodes []*resources.Node) ([]infra.TaskSpec, map[deps.DataID]int64, map[deps.DataID][]string) {
+	buf := func(b, i int) deps.DataID { return deps.DataID(1 + b*cells + (i+cells)%cells) }
+	size := func(i int) int64 { return int64(1+i%4) * 5_000_000 }
+	stageIn := map[deps.DataID]int64{}
+	holders := map[deps.DataID][]string{}
+	for i := 0; i < cells; i++ {
+		stageIn[buf(0, i)] = size(i)
+		holders[buf(0, i)] = []string{nodes[i%len(nodes)].Name()}
+		if i%3 == 0 {
+			holders[buf(0, i)] = append(holders[buf(0, i)], nodes[(i+2)%len(nodes)].Name())
+		}
+	}
+	var specs []infra.TaskSpec
+	for it := 0; it < iters; it++ {
+		src, dst := it%2, (it+1)%2
+		for i := 0; i < cells; i++ {
+			specs = append(specs, infra.TaskSpec{
+				ID: int64(len(specs) + 1), Class: "stencil.cell",
+				Duration: time.Duration(20+(i*7+it*13)%25) * time.Second,
+				Accesses: []deps.Access{
+					{Data: buf(src, i-1), Dir: deps.In}, {Data: buf(src, i), Dir: deps.In},
+					{Data: buf(src, i+1), Dir: deps.In}, {Data: buf(dst, i), Dir: deps.Out},
+				},
+				OutputBytes: map[deps.DataID]int64{buf(dst, i): size(i + it)},
+			})
+		}
+	}
+	return specs, stageIn, holders
+}
+
+// TestLocalityIndexParity holds the index-native Locality (score the
+// holders, one walk over cached capacities) to the scan reference
+// (scanOnly: Pool.Fitting + Pick, every candidate asked for its local
+// bytes): byte-identical event streams, makespan and transfer counts on
+// sized data, through crashes, drains, a partition with its heal (where
+// PickIndexed hands over to Pick) under every availability policy, and a
+// checkpointed halt with its restore.
+func TestLocalityIndexParity(t *testing.T) {
+	scripts := map[string]faults.Scenario{
+		"plain": nil,
+		"crash": {{At: 45 * time.Second, Kind: faults.Crash, Node: "lp-c"}},
+		"drain": {{At: 30 * time.Second, Kind: faults.Drain, Node: "lp-a"}, {At: 60 * time.Second, Kind: faults.Drain, Node: "lp-q"}},
+		"partition+heal": {
+			{At: 40 * time.Second, Kind: faults.Cut, Node: "hpc", Peer: "fog"},
+			{At: 50 * time.Second, Kind: faults.Cut, Node: "lp-m", Peer: "lp-q"},
+			{At: 160 * time.Second, Kind: faults.HealLink, Node: "hpc", Peer: "fog"},
+			{At: 200 * time.Second, Kind: faults.HealLink, Node: "lp-m", Peer: "lp-q"},
+		},
+	}
+	if _, ok := sched.Policy(sched.Locality{}).(sched.IndexedPolicy); !ok {
+		t.Fatal("Locality lost PickIndexed; both arms would run the scan")
+	}
+	run := func(t *testing.T, policy sched.Policy, workload string, avail engine.Availability, script faults.Scenario, halt time.Duration, store *checkpoint.Store, restore *checkpoint.Snapshot) indexParityRun {
+		t.Helper()
+		pool, net := localityParityPool()
+		cfg := infra.Config{
+			Pool: pool, Net: net, Policy: policy, Tracer: trace.New(0),
+			Faults: script, Availability: avail, HaltAt: halt, Restore: restore,
+		}
+		if store != nil {
+			cfg.Checkpoint = &checkpoint.Config{Store: store, Policy: checkpoint.EveryN(7)}
+		}
+		specs := workloads.MapReduce(18, 5, 25*time.Second, 15*time.Second, 40e6)
+		if workload == "stencil" {
+			specs, cfg.StageIn, cfg.StageInNodes = sizedStencil(14, 9, pool.Nodes())
+		}
+		sim, err := infra.New(cfg, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run()
+		if halt > 0 && !errors.Is(err, infra.ErrHalted) {
+			t.Fatalf("got %v, want ErrHalted", err)
+		} else if halt == 0 && err != nil {
+			t.Fatal(err)
+		}
+		if sim.EngineStats().Transfers == 0 && halt == 0 {
+			t.Fatal("no transfers: the workload never made locality choose")
+		}
+		return indexParityRun{events: cfg.Tracer.Events(), makespan: res.Makespan, transfers: sim.EngineStats().Transfers, pool: pool}
+	}
+	for name, script := range scripts {
+		for _, workload := range []string{"stencil", "mapreduce"} {
+			for _, avail := range []engine.Availability{engine.AvailRunAnyway, engine.AvailDefer, engine.AvailRecompute} {
+				if avail != engine.AvailRunAnyway && name != "partition+heal" {
+					continue
+				}
+				label := name + "/" + avail.String() + "/" + workload
+				t.Run(label, func(t *testing.T) {
+					indexed := run(t, sched.Locality{}, workload, avail, script, 0, nil, nil)
+					scanned := run(t, scanOnly{sched.Locality{}}, workload, avail, script, 0, nil, nil)
+					diffIndexRuns(t, label, indexed, scanned)
+				})
+			}
+		}
+	}
+	t.Run("checkpoint-restore", func(t *testing.T) {
+		var halves [2][2]indexParityRun
+		for arm, policy := range []sched.Policy{sched.Locality{}, scanOnly{sched.Locality{}}} {
+			store, err := checkpoint.NewStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			halves[arm][0] = run(t, policy, "stencil", engine.AvailRunAnyway, scripts["crash"], 70*time.Second, store, nil)
+			snap, err := store.Latest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(snap.Completed) == 0 {
+				t.Fatal("halt landed before any completion; drill misconfigured")
+			}
+			halves[arm][1] = run(t, policy, "stencil", engine.AvailRunAnyway, nil, 0, nil, snap)
+		}
+		diffIndexRuns(t, "before the halt", halves[0][0], halves[1][0])
+		diffIndexRuns(t, "after the restore", halves[0][1], halves[1][1])
+	})
 }

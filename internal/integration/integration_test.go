@@ -16,7 +16,6 @@ import (
 	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/deps"
-	"repro/internal/graph"
 	"repro/internal/infra"
 	"repro/internal/resources"
 	"repro/internal/sched"
@@ -261,23 +260,20 @@ func TestMakespanBounds(t *testing.T) {
 	for name, specs := range cases {
 		specs := specs
 		t.Run(name, func(t *testing.T) {
-			// Build the DAG exactly as the simulator will.
+			// Derive the DAG exactly as the simulator will. Registration
+			// order is a topological order (a producer registers before
+			// its consumers), so one pass finds the longest weighted path.
 			proc := deps.NewProcessor()
-			g := graph.New()
-			weights := make(map[int64]time.Duration, len(specs))
-			var serial time.Duration
+			finish := make(map[deps.TaskID]time.Duration, len(specs))
+			var cp, serial time.Duration
 			for _, s := range specs {
-				res := proc.Register(deps.TaskID(s.ID), s.Accesses)
-				g.AddNode(s.ID)
-				for _, d := range res.Deps {
-					g.AddEdge(int64(d), s.ID)
+				var start time.Duration
+				for _, d := range proc.Register(deps.TaskID(s.ID), s.Accesses).Deps {
+					start = max(start, finish[d])
 				}
-				weights[s.ID] = s.Duration
+				finish[deps.TaskID(s.ID)] = start + s.Duration
+				cp = max(cp, start+s.Duration)
 				serial += s.Duration
-			}
-			cp, _, err := g.CriticalPath(weights)
-			if err != nil {
-				t.Fatal(err)
 			}
 
 			pool := resources.NewPool()

@@ -423,20 +423,35 @@ func (si SigIndex) PowerOfTwoPick(c Constraints, rng *rand.Rand) *Node {
 	return nil
 }
 
-// AppendFitting appends the members that currently fit c (undrained,
-// enough free capacity) to dst in pool insertion order and returns the
-// extended slice — the allocation-free Fitting for hot paths.
-func (si SigIndex) AppendFitting(dst []*Node, c Constraints) []*Node {
+// EachFitting calls fn for every member that currently fits c (undrained,
+// enough free capacity), in pool insertion order, with its cached free
+// cores — the walk a scoring policy ranks candidates over without a
+// candidate slice or a node lock. fn runs under the index's leaf lock: it
+// may read only n.Name() and n.Desc(). FreeCores, CanReserve and Reserve
+// take the node mutex, which a node holds while it notifies the index
+// (node.mu → idx.mu), so calling them here inverts the order and deadlocks.
+func (si SigIndex) EachFitting(c Constraints, fn func(n *Node, freeCores int)) {
 	si.x.mu.Lock()
 	defer si.x.mu.Unlock()
-	if si.s.fitCount == 0 {
-		return dst // saturated: the common no-capacity wave costs O(1)
-	}
+	// fitCount is exact for the signature's demand (see sigSet), so a
+	// saturated set costs O(1) and the walk ends at the last fitting member.
+	left := si.s.fitCount
 	for _, e := range si.s.members {
+		if left == 0 {
+			return
+		}
 		if !e.r.st.drained && e.r.st.fits(c) {
-			dst = append(dst, e.r.n)
+			fn(e.r.n, e.r.st.freeCores)
+			left--
 		}
 	}
+}
+
+// AppendFitting appends the members that currently fit c to dst in pool
+// insertion order and returns the extended slice — the allocation-free
+// Fitting for the scan placement path.
+func (si SigIndex) AppendFitting(dst []*Node, c Constraints) []*Node {
+	si.EachFitting(c, func(n *Node, _ int) { dst = append(dst, n) })
 	return dst
 }
 

@@ -9,6 +9,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/deps"
@@ -115,29 +116,42 @@ func runTime(est time.Duration, n *resources.Node) time.Duration {
 // inputs cannot overflow a Duration.
 const unreachablePenalty = 24 * time.Hour
 
-// transferTime estimates the time to stage t's missing inputs onto n.
-// Inputs with replicas that are all unreachable from n (partitioned away)
-// cost unreachablePenalty each, steering cost-aware policies to nodes
-// that can actually be fed.
-func transferTime(t *TaskView, n *resources.Node, ctx *Context) time.Duration {
+// inputRow is one input's catalog row (transfer.Registry.Row).
+type inputRow struct {
+	size    int64
+	holders []string
+}
+
+// inputRows reads the catalog rows of t's inputs — once per Pick; every
+// candidate is then costed from them. Nil when there is nothing to cost
+// (or nothing to cost it with: non-nil rows imply ctx.Net).
+func inputRows(t *TaskView, ctx *Context) []inputRow {
 	if ctx == nil || ctx.Registry == nil || ctx.Net == nil || len(t.InputKeys) == 0 {
-		return 0
+		return nil
 	}
+	rows := make([]inputRow, len(t.InputKeys))
+	for i, k := range t.InputKeys {
+		rows[i].size, rows[i].holders = ctx.Registry.Row(k)
+	}
+	return rows
+}
+
+// transferTime estimates the time to stage the inputs n does not hold
+// onto it. Inputs with replicas that are all unreachable from n
+// (partitioned away) cost unreachablePenalty each, steering cost-aware
+// policies to nodes that can actually be fed; inputs with no replica at
+// all cost nothing (no candidate can fetch them).
+func transferTime(rows []inputRow, n *resources.Node, ctx *Context) time.Duration {
 	var total time.Duration
-	for _, k := range t.InputKeys {
-		if ctx.Registry.HasReplica(k, n.Name()) {
+	for _, r := range rows {
+		if _, local := slices.BinarySearch(r.holders, n.Name()); local || len(r.holders) == 0 {
 			continue
 		}
-		sources := ctx.Registry.Where(k)
-		if len(sources) == 0 {
-			continue
-		}
-		_, tt, ok := ctx.Net.BestSource(n.Name(), sources, ctx.Registry.Size(k))
-		if !ok {
+		if _, tt, ok := ctx.Net.BestSource(n.Name(), r.holders, r.size); ok {
+			total += tt
+		} else {
 			total += unreachablePenalty
-			continue
 		}
-		total += tt
 	}
 	return total
 }
@@ -274,18 +288,23 @@ var _ Policy = Locality{}
 // Name implements Policy.
 func (Locality) Name() string { return "locality" }
 
-// Pick implements Policy. Under an active network partition the
-// local-bytes tie-break becomes availability-aware: among equally local
-// candidates a node that can actually be fed (no input marooned behind a
-// cut link) beats one that cannot, so locality placement steers around
-// partitions instead of landing tasks where their data is unreachable.
+// Pick implements Policy — the scan reference: every candidate is asked
+// how many of the task's input bytes it holds. Under an active network
+// partition the local-bytes tie-break becomes availability-aware: among
+// equally local candidates a node that can actually be fed (no input
+// marooned behind a cut link) beats one that cannot, so locality placement
+// steers around partitions instead of landing tasks where their data is
+// unreachable.
 func (Locality) Pick(t *TaskView, fitting []*resources.Node, ctx *Context) *resources.Node {
 	if ctx == nil || ctx.Registry == nil {
 		return fitting[0]
 	}
-	partitioned := ctx.Net != nil && ctx.Net.HasCuts()
+	var rows []inputRow // read only under a partition
+	if ctx.Net != nil && ctx.Net.HasCuts() {
+		rows = inputRows(t, ctx)
+	}
 	feedable := func(n *resources.Node) bool {
-		return !partitioned || transferTime(t, n, ctx) < unreachablePenalty
+		return transferTime(rows, n, ctx) < unreachablePenalty
 	}
 	best := fitting[0]
 	bestLocal := ctx.Registry.LocalBytes(best.Name(), t.InputKeys)
@@ -305,6 +324,67 @@ func (Locality) Pick(t *TaskView, fitting []*resources.Node, ctx *Context) *reso
 	return best
 }
 
+var _ IndexedPolicy = Locality{}
+
+// PickIndexed implements IndexedPolicy with the question turned around:
+// instead of asking every candidate what it holds, each input is asked
+// once who holds it and how big it is, the bytes are summed per holder
+// (one to three names), and one walk of the signature's fitting members
+// over the index's cached free cores finds Pick's winner — most local
+// bytes, then most free cores, then first in pool order — where only a
+// holder can score above zero. Under a partition the fitting set is
+// materialized for Pick, which keeps the feedable tie-break in one place.
+func (Locality) PickIndexed(t *TaskView, idx resources.SigIndex, ctx *Context) *resources.Node {
+	if ctx == nil || ctx.Registry == nil {
+		return idx.FirstFitting(t.Constraints)
+	}
+	if ctx.Net != nil && ctx.Net.HasCuts() {
+		if fitting := idx.AppendFitting(nil, t.Constraints); len(fitting) > 0 {
+			return Locality{}.Pick(t, fitting, ctx)
+		}
+		return nil
+	}
+	type held struct {
+		node  string
+		bytes int64
+	}
+	var buf [8]held // on the stack unless the inputs have more holders
+	holders := buf[:0]
+	for _, k := range t.InputKeys {
+		size, names := ctx.Registry.Row(k)
+		if size == 0 {
+			continue
+		}
+	names:
+		for _, name := range names {
+			for i := range holders {
+				if holders[i].node == name {
+					holders[i].bytes += size
+					continue names
+				}
+			}
+			holders = append(holders, held{name, size})
+		}
+	}
+	var best *resources.Node
+	var bestLocal int64
+	var bestFree int
+	idx.EachFitting(t.Constraints, func(n *resources.Node, free int) {
+		var local int64
+		name := n.Name()
+		for i := range holders {
+			if holders[i].node == name {
+				local = holders[i].bytes
+				break
+			}
+		}
+		if best == nil || local > bestLocal || (local == bestLocal && free > bestFree) {
+			best, bestLocal, bestFree = n, local, free
+		}
+	})
+	return best
+}
+
 // EFT picks the node with the earliest estimated finish time: input
 // staging plus speed-scaled compute. It models the list-scheduling engines
 // of Pegasus/COMPSs (paper Sec. II-A).
@@ -318,10 +398,11 @@ func (EFT) Name() string { return "eft" }
 // Pick implements Policy.
 func (EFT) Pick(t *TaskView, fitting []*resources.Node, ctx *Context) *resources.Node {
 	est := estimate(t, ctx)
+	rows := inputRows(t, ctx)
 	best := fitting[0]
-	bestFinish := transferTime(t, best, ctx) + runTime(est, best)
+	bestFinish := transferTime(rows, best, ctx) + runTime(est, best)
 	for _, n := range fitting[1:] {
-		if f := transferTime(t, n, ctx) + runTime(est, n); f < bestFinish {
+		if f := transferTime(rows, n, ctx) + runTime(est, n); f < bestFinish {
 			best, bestFinish = n, f
 		}
 	}

@@ -207,13 +207,15 @@ func (n *Network) BestSource(dest string, candidates []string, size int64) (src 
 	if len(candidates) == 0 {
 		return "", 0, false
 	}
-	// Sort for determinism when several sources tie.
-	sorted := make([]string, len(candidates))
-	copy(sorted, candidates)
-	sort.Strings(sorted)
+	// Name order decides ties between equally fast sources. The location
+	// registry's holder lists arrive sorted; anything else is sorted on a copy.
+	if !sort.StringsAreSorted(candidates) {
+		candidates = append([]string(nil), candidates...)
+		sort.Strings(candidates)
+	}
 	var best string
 	var bestT time.Duration
-	for _, c := range sorted {
+	for _, c := range candidates {
 		if !n.Reachable(c, dest) {
 			continue
 		}

@@ -98,6 +98,32 @@ func TestBestSourceDeterministicOnTies(t *testing.T) {
 	}
 }
 
+// Sorted candidates (what the location registry hands over) take the
+// no-copy path; an unsorted list must get the same answer and keep its
+// caller's order.
+func TestBestSourceSortedAndUnsortedAgree(t *testing.T) {
+	n := New(Link{BandwidthMBps: 10, Latency: 0})
+	n.SetLink("c", "dst", Link{BandwidthMBps: 100})
+	n.SetLink("d", "dst", Link{BandwidthMBps: 100})
+	n.Cut("a", "dst")
+	sorted := []string{"a", "b", "c", "d"}
+	unsorted := []string{"d", "b", "a", "c"}
+	kept := append([]string(nil), unsorted...)
+	s1, t1, ok1 := n.BestSource("dst", sorted, 1e6)
+	s2, t2, ok2 := n.BestSource("dst", unsorted, 1e6)
+	if s1 != "c" || !ok1 || s1 != s2 || t1 != t2 || ok1 != ok2 {
+		t.Fatalf("sorted -> %q %v %v, unsorted -> %q %v %v, want c both times", s1, t1, ok1, s2, t2, ok2)
+	}
+	for i := range kept {
+		if unsorted[i] != kept[i] {
+			t.Fatalf("BestSource reordered its caller's slice: %v", unsorted)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { n.BestSource("dst", sorted, 1e6) }); got != 0 {
+		t.Fatalf("sorted candidates cost %v allocations, want 0", got)
+	}
+}
+
 func TestContinuumShape(t *testing.T) {
 	n := Continuum()
 	for node, zone := range map[string]string{

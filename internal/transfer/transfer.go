@@ -6,15 +6,18 @@
 //
 // The registry is hash-sharded: keys are distributed over fixed stripes,
 // each with its own lock, so concurrent placements (PlanFetch), completions
-// (AddReplica) and locality scoring (LocalBytes) on different data contend
-// on different stripes instead of one global RWMutex — the registry was one
-// of the three global locks profiled at million-task scale. Each stripe
-// additionally tracks the keys whose entry changed since the last
-// checkpoint capture, which is what makes delta snapshots O(changes):
-// TakeDirty drains exactly the changed catalog rows.
+// (AddReplica) and locality scoring on different data contend on different
+// stripes instead of one global RWMutex — the registry was one of the three
+// global locks profiled at million-task scale. A data version is one row
+// per stripe map — its size and its name-sorted holder list — and every
+// reader goes through Row: one lock round trip and one map lookup answer
+// "how big, and who holds it". Each stripe additionally tracks the keys
+// whose row changed since the last checkpoint capture, which is what makes
+// delta snapshots O(changes): TakeDirty drains exactly the changed rows.
 package transfer
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -34,13 +37,31 @@ func KeyOf(v deps.Version) Key { return v }
 // mask while spreading a 1k-node pool's concurrent completions thin.
 const regShards = 32
 
-// regShard is one stripe of the registry: its own lock, its slice of the
-// location and size maps, and the dirty set feeding delta checkpoints.
+// row is one data version's catalog row. holders is name-sorted and
+// copy-on-write: a writer installs a new list and never edits a published
+// one, so readers keep the list they were handed after the stripe lock is
+// gone. A row with no size and no holder is not stored.
+type row struct {
+	size    int64
+	holders []string
+}
+
+// regShard is one stripe of the registry: its own lock, its rows, and the
+// dirty set feeding delta checkpoints.
 type regShard struct {
 	mu    sync.RWMutex
-	loc   map[Key]map[string]struct{}
-	size  map[Key]int64
+	rows  map[Key]row
 	dirty map[Key]struct{}
+}
+
+// putLocked installs k's row (dropping it when empty) and marks it dirty.
+func (s *regShard) putLocked(k Key, rw row) {
+	if rw.size == 0 && len(rw.holders) == 0 {
+		delete(s.rows, k)
+	} else {
+		s.rows[k] = rw
+	}
+	s.dirty[k] = struct{}{}
 }
 
 // Registry records replica locations and sizes for data versions. It is
@@ -54,8 +75,7 @@ func NewRegistry() *Registry {
 	r := &Registry{}
 	for i := range r.shards {
 		s := &r.shards[i]
-		s.loc = make(map[Key]map[string]struct{})
-		s.size = make(map[Key]int64)
+		s.rows = make(map[Key]row)
 		s.dirty = make(map[Key]struct{})
 	}
 	return r
@@ -68,21 +88,40 @@ func (r *Registry) shard(k Key) *regShard {
 	return &r.shards[h%regShards]
 }
 
+// Row returns k's recorded size (0 if unknown) and the nodes holding a
+// replica, sorted by name — the one read every consumer builds on
+// (getLocations, paper Sec. VI-A-1: it "will enable the runtime to exploit
+// the locality of the data by scheduling tasks in the location where the
+// data resides"). The holder list is shared and immutable: callers may
+// keep it, and must not modify it.
+func (r *Registry) Row(k Key) (size int64, holders []string) {
+	s := r.shard(k)
+	s.mu.RLock()
+	rw := s.rows[k]
+	s.mu.RUnlock()
+	return rw.size, rw.holders
+}
+
+// holds reports whether the sorted holder list names node.
+func holds(holders []string, node string) bool {
+	_, ok := slices.BinarySearch(holders, node)
+	return ok
+}
+
 // SetSize records the size in bytes of a data version.
 func (r *Registry) SetSize(k Key, bytes int64) {
 	s := r.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.size[k] = bytes
-	s.dirty[k] = struct{}{}
+	rw := s.rows[k]
+	rw.size = bytes
+	s.putLocked(k, rw)
 }
 
 // Size returns the recorded size of a data version (0 if unknown).
 func (r *Registry) Size(k Key) int64 {
-	s := r.shard(k)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.size[k]
+	size, _ := r.Row(k)
+	return size
 }
 
 // AddReplica records that node holds a copy of k.
@@ -90,13 +129,26 @@ func (r *Registry) AddReplica(k Key, node string) {
 	s := r.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	set, ok := s.loc[k]
-	if !ok {
-		set = make(map[string]struct{})
-		s.loc[k] = set
+	rw := s.rows[k]
+	at, held := slices.BinarySearch(rw.holders, node)
+	if !held {
+		// Clipped, so Insert cannot fit the name into the published list.
+		rw.holders = slices.Insert(slices.Clip(rw.holders), at, node)
 	}
-	set[node] = struct{}{}
-	s.dirty[k] = struct{}{}
+	s.putLocked(k, rw)
+}
+
+// without returns the row minus node's replica (on a fresh list), and
+// whether node held one.
+func (rw row) without(node string) (row, bool) {
+	at, held := slices.BinarySearch(rw.holders, node)
+	switch {
+	case held && len(rw.holders) == 1:
+		rw.holders = nil
+	case held:
+		rw.holders = slices.Delete(slices.Clone(rw.holders), at, at+1)
+	}
+	return rw, held
 }
 
 // RemoveReplica forgets node's copy of k.
@@ -104,14 +156,8 @@ func (r *Registry) RemoveReplica(k Key, node string) {
 	s := r.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if set, ok := s.loc[k]; ok {
-		if _, held := set[node]; held {
-			delete(set, node)
-			if len(set) == 0 {
-				delete(s.loc, k)
-			}
-			s.dirty[k] = struct{}{}
-		}
+	if rw, held := s.rows[k].without(node); held {
+		s.putLocked(k, rw)
 	}
 }
 
@@ -123,15 +169,12 @@ func (r *Registry) DropNode(node string) []Key {
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.Lock()
-		for k, set := range s.loc {
-			if _, ok := set[node]; !ok {
-				continue
-			}
-			delete(set, node)
-			s.dirty[k] = struct{}{}
-			if len(set) == 0 {
-				delete(s.loc, k)
-				lost = append(lost, k)
+		for k, rw := range s.rows {
+			if rw, held := rw.without(node); held {
+				s.putLocked(k, rw)
+				if len(rw.holders) == 0 {
+					lost = append(lost, k)
+				}
 			}
 		}
 		s.mu.Unlock()
@@ -140,83 +183,42 @@ func (r *Registry) DropNode(node string) []Key {
 	return lost
 }
 
-// Where returns the nodes holding a replica of k, sorted.
+// Where returns the nodes holding a replica of k, sorted (Row's shared,
+// read-only list).
 func (r *Registry) Where(k Key) []string {
-	s := r.shard(k)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	set, ok := s.loc[k]
-	if !ok {
-		return nil
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	_, holders := r.Row(k)
+	return holders
 }
 
 // HasReplica reports whether node holds a copy of k.
 func (r *Registry) HasReplica(k Key, node string) bool {
-	s := r.shard(k)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.loc[k][node]
-	return ok
+	_, holders := r.Row(k)
+	return holds(holders, node)
 }
 
-// LocalBytes sums the sizes of the given keys already present on node.
-// It is the locality score schedulers maximise (paper Sec. VI-A-1: the
-// getLocations method "will enable the runtime to exploit the locality of
-// the data by scheduling tasks in the location where the data resides").
+// LocalBytes sums the sizes of the given keys already present on node —
+// the locality score asked candidate by candidate. Only the scan reference
+// (sched.Locality.Pick) asks it that way; the placement path scores the
+// holders instead (sched.Locality.PickIndexed).
 func (r *Registry) LocalBytes(node string, keys []Key) int64 {
 	var total int64
 	for _, k := range keys {
-		s := r.shard(k)
-		s.mu.RLock()
-		if _, ok := s.loc[k][node]; ok {
-			total += s.size[k]
+		if size, holders := r.Row(k); holds(holders, node) {
+			total += size
 		}
-		s.mu.RUnlock()
-	}
-	return total
-}
-
-// MissingBytes sums the sizes of the given keys NOT present on node.
-func (r *Registry) MissingBytes(node string, keys []Key) int64 {
-	var total int64
-	for _, k := range keys {
-		s := r.shard(k)
-		s.mu.RLock()
-		if _, ok := s.loc[k][node]; !ok {
-			total += s.size[k]
-		}
-		s.mu.RUnlock()
 	}
 	return total
 }
 
 // Entry is one catalog row of the registry: a data version, its recorded
-// size and its replica locations.
+// size and its replica locations (shared and read-only, like Row's list).
 type Entry struct {
 	Key       Key
 	Size      int64
 	Locations []string
 }
 
-// entryLocked builds the catalog row for k from a stripe the caller holds.
-func (s *regShard) entryLocked(k Key) Entry {
-	e := Entry{Key: k, Size: s.size[k]}
-	if set, ok := s.loc[k]; ok {
-		e.Locations = make([]string, 0, len(set))
-		for n := range set {
-			e.Locations = append(e.Locations, n)
-		}
-		sort.Strings(e.Locations)
-	}
-	return e
-}
+func (rw row) entry(k Key) Entry { return Entry{Key: k, Size: rw.size, Locations: rw.holders} }
 
 // Entries dumps the whole catalog, sorted by key — the data half of a
 // checkpoint snapshot (internal/engine/checkpoint). Keys that have a
@@ -238,19 +240,8 @@ func (r *Registry) entries(clean bool) []Entry {
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.Lock()
-		seen := make(map[Key]struct{}, len(s.loc)+len(s.size))
-		add := func(k Key) {
-			if _, dup := seen[k]; dup {
-				return
-			}
-			seen[k] = struct{}{}
-			out = append(out, s.entryLocked(k))
-		}
-		for k := range s.loc {
-			add(k)
-		}
-		for k := range s.size {
-			add(k)
+		for k, rw := range s.rows {
+			out = append(out, rw.entry(k))
 		}
 		if clean {
 			s.dirty = make(map[Key]struct{})
@@ -277,9 +268,9 @@ func (r *Registry) DirtyCount() int {
 // TakeDirty drains the changed catalog rows since the last capture,
 // sorted by key, clearing each stripe's dirty set atomically with the
 // read — a mutation racing the capture lands either in this delta or in
-// the next one, never nowhere. Keys whose entry vanished entirely (no
-// replica, no size) are still reported, with empty locations and size 0,
-// so a delta can overwrite the stale base row.
+// the next one, never nowhere. Keys whose row vanished (no replica, no
+// size) are still reported, with empty locations and size 0, so a delta
+// can overwrite the stale base row.
 func (r *Registry) TakeDirty() []Entry {
 	var out []Entry
 	for i := range r.shards {
@@ -287,9 +278,9 @@ func (r *Registry) TakeDirty() []Entry {
 		s.mu.Lock()
 		if len(s.dirty) > 0 {
 			for k := range s.dirty {
-				out = append(out, s.entryLocked(k))
+				out = append(out, s.rows[k].entry(k))
 			}
-			s.dirty = make(map[Key]struct{})
+			s.dirty = make(map[Key]struct{}) // not clear(): a capture stays O(changes), not O(largest burst)
 		}
 		s.mu.Unlock()
 	}
@@ -349,23 +340,25 @@ func (m *Manager) Registry() *Registry { return m.reg }
 // UnreachableKeys (partitioned; a heal makes them plannable again).
 func (m *Manager) PlanFetch(dest string, keys []Key) Plan {
 	var p Plan
-	for _, k := range keys {
-		if m.reg.HasReplica(k, dest) {
-			continue
-		}
-		sources := m.reg.Where(k)
-		if len(sources) == 0 {
+	for i, k := range keys {
+		size, holders := m.reg.Row(k)
+		if len(holders) == 0 {
 			p.MissingKeys = append(p.MissingKeys, k)
 			continue
 		}
-		size := m.reg.Size(k)
-		src, t, ok := m.net.BestSource(dest, sources, size)
+		if holds(holders, dest) {
+			continue
+		}
+		src, t, ok := m.net.BestSource(dest, holders, size)
 		if !ok {
 			p.UnreachableKeys = append(p.UnreachableKeys, k)
 			continue
 		}
 		p.Time += t
 		p.Bytes += size
+		if p.Moves == nil {
+			p.Moves = make([]Move, 0, len(keys)-i) // the plan's one allocation
+		}
 		p.Moves = append(p.Moves, Move{Key: k, From: src, To: dest, Size: size})
 	}
 	return p

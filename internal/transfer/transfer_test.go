@@ -1,6 +1,10 @@
 package transfer
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,7 +33,7 @@ func TestRegistryReplicas(t *testing.T) {
 	}
 }
 
-func TestLocalAndMissingBytes(t *testing.T) {
+func TestLocalBytes(t *testing.T) {
 	r := NewRegistry()
 	k1, k2, k3 := key(1, 1), key(2, 1), key(3, 1)
 	r.SetSize(k1, 100)
@@ -41,9 +45,6 @@ func TestLocalAndMissingBytes(t *testing.T) {
 	keys := []Key{k1, k2, k3}
 	if got := r.LocalBytes("n1", keys); got != 300 {
 		t.Fatalf("LocalBytes(n1) = %d, want 300", got)
-	}
-	if got := r.MissingBytes("n1", keys); got != 400 {
-		t.Fatalf("MissingBytes(n1) = %d, want 400", got)
 	}
 }
 
@@ -177,5 +178,192 @@ func TestKeyOf(t *testing.T) {
 	v := deps.Version{Data: 7, Ver: 3}
 	if KeyOf(v) != (Key{Data: 7, Ver: 3}) {
 		t.Fatal("KeyOf mismatch")
+	}
+}
+
+// TestRegistryMatchesNaiveModel drives the row-per-version registry and a
+// naive model (a size map and a holder set per key) through the same
+// seeded stream of writes and checks that every read — the Row primitive
+// and everything built on it — agrees after each step.
+func TestRegistryMatchesNaiveModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	r := NewRegistry()
+	size := map[Key]int64{}
+	loc := map[Key]map[string]bool{}
+	dirty := map[Key]bool{}
+	nodes := []string{"n4", "n0", "n3", "n1", "n2"}
+	keys := make([]Key, 12)
+	for i := range keys {
+		keys[i] = key(i/2, i%2)
+	}
+	sortedHolders := func(k Key) []string {
+		var out []string
+		for n := range loc[k] {
+			out = append(out, n)
+		}
+		sort.Strings(out)
+		return out
+	}
+	modelEntry := func(k Key) Entry { return Entry{Key: k, Size: size[k], Locations: sortedHolders(k)} }
+	sameEntries := func(what string, got, want []Entry) {
+		t.Helper()
+		sort.Slice(want, func(i, j int) bool { return want[i].Key.Less(want[j].Key) })
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d entries, model has %d\n got %v\nwant %v", what, len(got), len(want), got, want)
+		}
+		for i := range want {
+			if got[i].Key != want[i].Key || got[i].Size != want[i].Size || !slices.Equal(got[i].Locations, want[i].Locations) {
+				t.Fatalf("%s[%d] = %+v, model %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+	for step := 0; step < 4000; step++ {
+		k, n := keys[rng.Intn(len(keys))], nodes[rng.Intn(len(nodes))]
+		switch op := rng.Intn(20); {
+		case op < 5:
+			size[k] = int64(rng.Intn(4)) * 100
+			r.SetSize(k, size[k])
+			dirty[k] = true
+		case op < 11:
+			if loc[k] == nil {
+				loc[k] = map[string]bool{}
+			}
+			loc[k][n] = true
+			r.AddReplica(k, n)
+			dirty[k] = true
+		case op < 16:
+			if loc[k][n] {
+				delete(loc[k], n)
+				dirty[k] = true
+			}
+			r.RemoveReplica(k, n)
+		case op < 18:
+			var lost []Key
+			for _, k := range keys {
+				if loc[k][n] {
+					delete(loc[k], n)
+					dirty[k] = true
+					if len(loc[k]) == 0 {
+						lost = append(lost, k)
+					}
+				}
+			}
+			if got := r.DropNode(n); !slices.Equal(got, lost) {
+				t.Fatalf("step %d: DropNode(%s) lost %v, model %v", step, n, got, lost)
+			}
+		default:
+			var want []Entry
+			for k := range dirty {
+				want = append(want, modelEntry(k))
+			}
+			if got := r.DirtyCount(); got != len(dirty) {
+				t.Fatalf("step %d: DirtyCount = %d, model %d", step, got, len(dirty))
+			}
+			sameEntries("TakeDirty", r.TakeDirty(), want)
+			dirty = map[Key]bool{}
+		}
+		var all []Entry
+		for _, k := range keys {
+			want := modelEntry(k)
+			gotSize, gotHolders := r.Row(k)
+			if gotSize != want.Size || !slices.Equal(gotHolders, want.Locations) {
+				t.Fatalf("step %d: Row(%v) = %d %v, model %d %v", step, k, gotSize, gotHolders, want.Size, want.Locations)
+			}
+			if r.Size(k) != want.Size || !slices.Equal(r.Where(k), want.Locations) {
+				t.Fatalf("step %d: Size/Where(%v) = %d %v, model %d %v", step, k, r.Size(k), r.Where(k), want.Size, want.Locations)
+			}
+			if want.Size != 0 || len(want.Locations) > 0 {
+				all = append(all, want)
+			}
+		}
+		for _, n := range nodes {
+			var local int64
+			for _, k := range keys {
+				if got := r.HasReplica(k, n); got != loc[k][n] {
+					t.Fatalf("step %d: HasReplica(%v, %s) = %v, model %v", step, k, n, got, loc[k][n])
+				}
+				if loc[k][n] {
+					local += size[k]
+				}
+			}
+			if got := r.LocalBytes(n, keys); got != local {
+				t.Fatalf("step %d: LocalBytes(%s) = %d, model %d", step, n, got, local)
+			}
+		}
+		sameEntries("Entries", r.Entries(), all)
+	}
+}
+
+// TestHolderListsAreNeverEditedInPlace races readers that keep the lists
+// Row hands them against writers on the same keys (run it under -race): a
+// list seen once must still read the same after any number of writes.
+func TestHolderListsAreNeverEditedInPlace(t *testing.T) {
+	r := NewRegistry()
+	keys := []Key{key(1, 0), key(2, 0), key(3, 0)}
+	nodes := []string{"a", "b", "c", "d", "e"}
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 4000; i++ {
+				k, n := keys[rng.Intn(len(keys))], nodes[rng.Intn(len(nodes))]
+				switch rng.Intn(5) {
+				case 0:
+					r.SetSize(k, int64(i))
+				case 1, 2:
+					r.AddReplica(k, n)
+				case 3:
+					r.RemoveReplica(k, n)
+				default:
+					r.DropNode(n)
+				}
+			}
+		}(int64(w))
+	}
+	for rd := 0; rd < 3; rd++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 4000; i++ {
+				_, holders := r.Row(keys[rng.Intn(len(keys))])
+				kept := slices.Clone(holders)
+				r.LocalBytes(nodes[rng.Intn(len(nodes))], keys)
+				for _, e := range r.TakeDirty() {
+					if !sort.StringsAreSorted(e.Locations) {
+						t.Errorf("TakeDirty handed out an unsorted list: %v", e.Locations)
+					}
+				}
+				if !slices.Equal(holders, kept) || !sort.StringsAreSorted(holders) {
+					t.Errorf("a published holder list changed under its reader: %v, was %v", holders, kept)
+					return
+				}
+			}
+		}(int64(100 + rd))
+	}
+	wg.Wait()
+}
+
+// TestPlanFetchAllocatesOnlyItsMoves is the planner's deterministic cost
+// gate: one row read per key and no copy of the holder list, so a
+// non-empty plan costs its Moves slice and nothing else.
+func TestPlanFetchAllocatesOnlyItsMoves(t *testing.T) {
+	m, reg := newManager()
+	keys := []Key{key(1, 1), key(2, 1), key(3, 1)}
+	for i, k := range keys {
+		reg.SetSize(k, int64(i+1)*1e6)
+		reg.AddReplica(k, "src-b")
+		reg.AddReplica(k, "src-a")
+	}
+	reg.AddReplica(keys[1], "dst")
+	var p Plan
+	allocs := testing.AllocsPerRun(200, func() { p = m.PlanFetch("dst", keys) })
+	if len(p.Moves) != 2 || p.Moves[0].From != "src-a" || p.Bytes != 4e6 {
+		t.Fatalf("plan = %+v, want two moves from src-a totalling 4 MB", p)
+	}
+	if allocs > 1 {
+		t.Fatalf("PlanFetch allocated %v times for a two-move plan, want at most 1", allocs)
 	}
 }
