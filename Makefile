@@ -65,6 +65,7 @@ lint: vet
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/workloads/trace/
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/engine/faults/
+	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/engine/checkpoint/
 
 # testsweep shakes out nondeterminism: the full suite under -race at
 # several distinct shuffle seeds, no result caching. A test that depends

@@ -80,11 +80,11 @@ type Access struct {
 // Version is a specific immutable version of a datum. Version numbers start
 // at 1 for the first write; version 0 denotes the initial (externally
 // provided) value. It is the one spelling of a data version in the tree:
-// the engine, the location registry, the checkpoint catalog (hence the
-// JSON tags, part of checkpoint.Format) and provenance all key on it.
+// the engine, the location registry, the checkpoint catalog (so its field
+// names are part of checkpoint.Format) and provenance all key on it.
 type Version struct {
-	Data DataID `json:"data"`
-	Ver  int    `json:"ver"`
+	Data DataID
+	Ver  int
 }
 
 // String formats the version as d<id>v<ver>.

@@ -22,12 +22,12 @@
 // backend — the invariant the checkpoint parity suite compares with
 // Equivalent.
 //
-// On disk a snapshot is a JSON projection (Snapshot) written through
-// Store: content-addressed names (snap-<seq>-<sha256:16>.ckpt), atomic
-// temp-and-rename writes, format versioning (Format), bounded retention
-// (Keep), and a Latest that skips corrupt or truncated files back to
-// the previous valid snapshot, so damage costs one checkpoint interval
-// rather than the run.
+// On disk a snapshot is the encoding/gob form of Snapshot (Format 2),
+// written through Store: content-addressed names
+// (snap-<seq>-<sha256:16>.ckpt), atomic temp-and-rename writes, format
+// versioning (Format), bounded retention (Keep), and a Latest that reads
+// the newest valid chain, older ones only when damage sends it back — so
+// damage costs one checkpoint interval and a restore one chain's reading.
 //
 // Restore is cooperative and placement-aware: the application
 // re-registers the same workflow (same order, so task IDs line up), the
@@ -46,7 +46,7 @@ package checkpoint
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/deps"
@@ -54,70 +54,72 @@ import (
 	"repro/internal/transfer"
 )
 
-// Format is the snapshot format version. Loaders reject snapshots from a
-// different format rather than guessing at field semantics.
-const Format = 1
+// Format is the snapshot format version: 2 is encoding/gob of the structs
+// below (1 was their JSON). Loaders reject snapshots from a different
+// format rather than guessing at field semantics, and gob matches fields
+// by name — renaming or retyping an exported one here needs a new Format.
+const Format = 2
 
 // CatalogKey names one immutable data version inside a snapshot: it IS
-// deps.Version, whose JSON tags are part of Format.
+// deps.Version, whose field names are part of Format.
 type CatalogKey = deps.Version
 
 // TaskRecord is one completed task in a snapshot.
 type TaskRecord struct {
 	// ID is the task's graph-unique ID (stable across restarts as long
 	// as the workflow is re-submitted in the same order).
-	ID int64 `json:"id"`
+	ID int64
 	// Epoch is the placement counter at capture time.
-	Epoch int `json:"epoch"`
+	Epoch int
 	// Outputs lists the data versions the task produced (the engine
 	// task's own immutable list when captured, not a copy).
-	Outputs []deps.Version `json:"outputs,omitempty"`
+	Outputs []deps.Version
 }
 
 // CatalogEntry records one data version: its size, its replica
 // locations, and — on the live backend — the encoded value itself.
 type CatalogEntry struct {
-	Key       deps.Version `json:"key"`
-	Size      int64        `json:"size,omitempty"`
-	Locations []string     `json:"locations,omitempty"`
+	Key       deps.Version
+	Size      int64
+	Locations []string
 	// Value is the gob-encoded produced value (live backend only; see
 	// EncodeValue). Absent values make the producing task re-run on
 	// restore rather than resolve to a wrong future.
-	Value    []byte `json:"value,omitempty"`
-	HasValue bool   `json:"has_value,omitempty"`
+	Value    []byte
+	HasValue bool
 }
 
 // Snapshot is one persisted engine state.
 type Snapshot struct {
 	// Format is the snapshot format version (see Format).
-	Format int `json:"format"`
+	Format int
 	// Seq is the store-assigned sequence number (monotonic per store).
-	Seq int `json:"seq"`
+	Seq int
 	// At is the engine clock offset when the snapshot was captured
 	// (virtual time on the simulator, elapsed wall time live).
-	At time.Duration `json:"at"`
+	At time.Duration
 	// Completed lists every task that has completed at least once and is
 	// not currently mid-re-execution.
-	Completed []TaskRecord `json:"completed"`
+	Completed []TaskRecord
 	// Ready, Running and Pending record the scheduling frontier at
 	// capture time: queued-for-placement, holding reservations, and
 	// waiting on dependencies respectively. Running and Pending tasks
 	// re-run after a restore; the sets exist for diagnostics and for the
 	// backend-parity suite.
-	Ready   []int64 `json:"ready,omitempty"`
-	Running []int64 `json:"running,omitempty"`
-	Pending []int64 `json:"pending,omitempty"`
+	Ready   []int64
+	Running []int64
+	Pending []int64
 	// Catalog is the data-version catalog (handle → size/locations, plus
 	// encoded values on the live backend).
-	Catalog []CatalogEntry `json:"catalog,omitempty"`
+	Catalog []CatalogEntry
 	// Order is every registered task ID in registration order — the
 	// interleaving the four sections above lose. Delta reconstruction
 	// needs it to rebuild the sections of a later state in the exact
-	// order a direct capture would produce. Snapshots written before the
-	// field existed omit it; TaskOrder falls back to ascending IDs.
-	Order []int64 `json:"order,omitempty"`
+	// order a direct capture would produce. For a hand-built snapshot
+	// without it, TaskOrder falls back to ascending IDs.
+	Order []int64
 	// Stats are the engine's activity counters at capture time.
-	Stats engine.Stats `json:"stats"`
+	Stats engine.Stats
 }
 
 // CompletedIDs returns the completed task IDs in snapshot order.
@@ -132,7 +134,7 @@ func (s *Snapshot) CompletedIDs() []int64 {
 // TaskOrder returns every task ID in registration order: the Order
 // field when present, otherwise all section IDs sorted ascending — both
 // backends assign IDs in submission order, so ascending ID equals
-// registration order for snapshots predating the field.
+// registration order for a snapshot built without the field.
 func (s *Snapshot) TaskOrder() []int64 {
 	if len(s.Order) > 0 {
 		return append([]int64(nil), s.Order...)
@@ -144,7 +146,7 @@ func (s *Snapshot) TaskOrder() []int64 {
 	ids = append(ids, s.Ready...)
 	ids = append(ids, s.Running...)
 	ids = append(ids, s.Pending...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -154,51 +156,85 @@ func (s *Snapshot) TaskOrder() []int64 {
 // is side-effect-free: it leaves the dirty sets feeding delta captures
 // untouched, so parity probes can snapshot at will.
 func Capture(e *engine.Engine, reg *transfer.Registry) *Snapshot {
-	var entries []transfer.Entry
-	if reg != nil {
-		entries = reg.Entries()
-	}
-	return build(e, e.SnapshotTasks(), entries)
+	return build(e, e.SnapshotTasks(), reg, (*transfer.Registry).Entries)
 }
 
 // CaptureBase is Capture with a dirty-set reset on both the engine and
 // the registry: the full snapshot that starts (or compacts) a delta
 // chain. The deltas captured after it cover exactly the changes since.
 func CaptureBase(e *engine.Engine, reg *transfer.Registry) *Snapshot {
-	snaps := e.SnapshotTasksClean()
-	var entries []transfer.Entry
-	if reg != nil {
-		entries = reg.EntriesClean()
-	}
-	return build(e, snaps, entries)
+	return build(e, e.SnapshotTasksClean(), reg, (*transfer.Registry).EntriesClean)
 }
 
-func build(e *engine.Engine, tasks []engine.TaskSnap, entries []transfer.Entry) *Snapshot {
+func build(e *engine.Engine, tasks []engine.TaskSnap, reg *transfer.Registry, rows func(*transfer.Registry) []transfer.Entry) *Snapshot {
 	snap := &Snapshot{Format: Format, At: e.Now(), Stats: e.Stats()}
-	if len(tasks) > 0 {
-		snap.Order = make([]int64, 0, len(tasks))
+	if reg != nil {
+		snap.Catalog = catalogOf(rows(reg))
 	}
-	for _, ts := range tasks {
-		snap.Order = append(snap.Order, ts.ID)
-		switch {
-		case ts.Completed && ts.State == engine.Done:
-			snap.Completed = append(snap.Completed, TaskRecord{ID: ts.ID, Epoch: ts.Epoch, Outputs: ts.OutputKeys})
-		case ts.State == engine.Ready:
-			snap.Ready = append(snap.Ready, ts.ID)
-		case ts.State == engine.Running:
-			snap.Running = append(snap.Running, ts.ID)
+	snap.setTasks(len(tasks), func(i int) DeltaTask {
+		ts := &tasks[i]
+		return DeltaTask{ID: ts.ID, State: ts.State, Epoch: ts.Epoch, Completed: ts.Completed, Outputs: ts.OutputKeys}
+	})
+	return snap
+}
+
+// catalogOf turns registry rows into catalog rows, sharing their lists.
+func catalogOf(entries []transfer.Entry) []CatalogEntry {
+	out := sized[CatalogEntry](len(entries))
+	for _, en := range entries {
+		out = append(out, CatalogEntry{Key: en.Key, Size: en.Size, Locations: en.Locations})
+	}
+	return out
+}
+
+// sized returns an empty slice with room for n elements — nil for none,
+// so a captured snapshot and the same one decoded from disk compare equal.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
+
+// sectionOf names the section a record is filed in by that section's
+// state: Done for the completed set, Ready, Running, Pending for the rest.
+func sectionOf(t DeltaTask) engine.State {
+	switch {
+	case t.Completed && t.State == engine.Done:
+		return engine.Done
+	case t.State == engine.Ready, t.State == engine.Running:
+		return t.State
+	}
+	return engine.Pending
+}
+
+// setTasks files n task records, given in registration order, into Order
+// and the four sections — for build and merger.snapshot alike, so the two
+// cannot drift apart. It counts first: each section is allocated once.
+func (s *Snapshot) setTasks(n int, task func(i int) DeltaTask) {
+	var count [engine.Done + 1]int
+	for i := 0; i < n; i++ {
+		count[sectionOf(task(i))]++
+	}
+	s.Order = sized[int64](n)
+	s.Completed = sized[TaskRecord](count[engine.Done])
+	s.Ready = sized[int64](count[engine.Ready])
+	s.Running = sized[int64](count[engine.Running])
+	s.Pending = sized[int64](count[engine.Pending])
+	for i := 0; i < n; i++ {
+		t := task(i)
+		s.Order = append(s.Order, t.ID)
+		switch sectionOf(t) {
+		case engine.Done:
+			s.Completed = append(s.Completed, TaskRecord{ID: t.ID, Epoch: t.Epoch, Outputs: t.Outputs})
+		case engine.Ready:
+			s.Ready = append(s.Ready, t.ID)
+		case engine.Running:
+			s.Running = append(s.Running, t.ID)
 		default:
-			snap.Pending = append(snap.Pending, ts.ID)
+			s.Pending = append(s.Pending, t.ID)
 		}
 	}
-	for _, en := range entries {
-		snap.Catalog = append(snap.Catalog, CatalogEntry{
-			Key:       en.Key,
-			Size:      en.Size,
-			Locations: en.Locations,
-		})
-	}
-	return snap
 }
 
 // Equivalent reports whether two snapshots describe the same logical
@@ -217,26 +253,16 @@ func Equivalent(a, b *Snapshot) error {
 		if ra.ID != rb.ID {
 			return fmt.Errorf("completed[%d]: task %d vs %d", i, ra.ID, rb.ID)
 		}
-		if len(ra.Outputs) != len(rb.Outputs) {
-			return fmt.Errorf("completed task %d: %d vs %d outputs", ra.ID, len(ra.Outputs), len(rb.Outputs))
-		}
-		for j := range ra.Outputs {
-			if ra.Outputs[j] != rb.Outputs[j] {
-				return fmt.Errorf("completed task %d output %d: %+v vs %+v", ra.ID, j, ra.Outputs[j], rb.Outputs[j])
-			}
+		if !slices.Equal(ra.Outputs, rb.Outputs) {
+			return fmt.Errorf("completed task %d: outputs %v vs %v", ra.ID, ra.Outputs, rb.Outputs)
 		}
 	}
 	for _, set := range []struct {
 		name string
 		x, y []int64
 	}{{"ready", a.Ready, b.Ready}, {"running", a.Running, b.Running}, {"pending", a.Pending, b.Pending}} {
-		if len(set.x) != len(set.y) {
+		if !slices.Equal(set.x, set.y) {
 			return fmt.Errorf("%s sets differ: %v vs %v", set.name, set.x, set.y)
-		}
-		for i := range set.x {
-			if set.x[i] != set.y[i] {
-				return fmt.Errorf("%s sets differ: %v vs %v", set.name, set.x, set.y)
-			}
 		}
 	}
 	if len(a.Catalog) != len(b.Catalog) {
@@ -253,13 +279,8 @@ func Equivalent(a, b *Snapshot) error {
 		if ca.Size != cb.Size && ca.Size != 0 && cb.Size != 0 {
 			return fmt.Errorf("catalog[%d] %+v: size %d vs %d", i, ca.Key, ca.Size, cb.Size)
 		}
-		if len(ca.Locations) != len(cb.Locations) {
+		if !slices.Equal(ca.Locations, cb.Locations) {
 			return fmt.Errorf("catalog %+v: locations %v vs %v", ca.Key, ca.Locations, cb.Locations)
-		}
-		for j := range ca.Locations {
-			if ca.Locations[j] != cb.Locations[j] {
-				return fmt.Errorf("catalog %+v: locations %v vs %v", ca.Key, ca.Locations, cb.Locations)
-			}
 		}
 	}
 	sa, sb := a.Stats, b.Stats

@@ -135,39 +135,29 @@ func (c *Checkpointer) Save() error {
 // for a no-op snapshot, and — in delta mode — the steady state writes
 // chained deltas with a compacting base every CompactEvery.
 func (c *Checkpointer) autoSave() error {
-	c.mu.Lock()
 	compact := c.cfg.CompactEvery
 	if compact <= 0 {
 		compact = DefaultCompactEvery
 	}
-	kind := "base"
-	switch {
-	case !c.haveBase:
-		// first capture: a chain needs a base beneath it
-	case c.src.CheckpointDirty() == 0:
-		kind = "skip"
-	case c.cfg.Delta && c.chainLen < compact:
-		kind = "delta"
-	}
-	c.mu.Unlock()
-	switch kind {
-	case "skip":
-		c.mu.Lock()
+	c.mu.Lock()
+	if c.haveBase && c.src.CheckpointDirty() == 0 {
 		c.skipped++
 		c.mu.Unlock()
 		return nil
-	case "delta":
-		c.cfg.Metrics.DirtyRecords.Observe(float64(c.src.CheckpointDirty()))
-		start := time.Now()
-		d := c.src.CheckpointDelta()
-		c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
-		return c.commit(nil, d, false)
-	default:
+	}
+	delta := c.haveBase && c.cfg.Delta && c.chainLen < compact // else a base: to start a chain, or to compact it
+	c.mu.Unlock()
+	if !delta {
 		start := time.Now()
 		snap := c.src.CheckpointBase()
 		c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
 		return c.commit(snap, nil, true)
 	}
+	c.cfg.Metrics.DirtyRecords.Observe(float64(c.src.CheckpointDirty()))
+	start := time.Now()
+	d := c.src.CheckpointDelta()
+	c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
+	return c.commit(nil, d, false)
 }
 
 // commit is the one persist path. Exactly one of snap and d is set: a

@@ -29,7 +29,8 @@
 package checkpoint
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/deps"
@@ -42,46 +43,46 @@ import (
 // whatever an earlier element of the chain said about it.
 type DeltaTask struct {
 	// ID is the task's graph-unique ID.
-	ID int64 `json:"id"`
+	ID int64
 	// State is the engine lifecycle state at capture time.
-	State engine.State `json:"state"`
+	State engine.State
 	// Epoch is the placement counter at capture time.
-	Epoch int `json:"epoch"`
+	Epoch int
 	// Completed reports whether the task has completed at least once.
-	Completed bool `json:"completed"`
+	Completed bool
 	// Outputs lists the data versions the task produces.
-	Outputs []deps.Version `json:"outputs,omitempty"`
+	Outputs []deps.Version
 }
 
 // Delta is one incremental checkpoint: the state changes since the
 // parent file of the chain.
 type Delta struct {
 	// Format is the snapshot format version (shared with Snapshot).
-	Format int `json:"format"`
+	Format int
 	// Seq is the store-assigned sequence number (same counter as full
 	// snapshots; the chain is an interval of it).
-	Seq int `json:"seq"`
+	Seq int
 	// ParentSeq is the sequence number of the file this delta extends —
 	// the previous save, base or delta. Reconstruction applies a delta
 	// only onto exactly that state; anything else means a link is missing
 	// and the chain is broken from here on.
-	ParentSeq int `json:"parent_seq"`
+	ParentSeq int
 	// At is the engine clock offset at capture time.
-	At time.Duration `json:"at"`
+	At time.Duration
 	// Tasks are the absolute records of every task whose snapshot-
 	// relevant state changed since the parent, sorted by ID.
-	Tasks []DeltaTask `json:"tasks,omitempty"`
+	Tasks []DeltaTask
 	// Added lists the tasks registered since the parent, in registration
 	// order; reconstruction appends them to the base snapshot's ordering.
 	// Every added task also has a record in Tasks.
-	Added []int64 `json:"added,omitempty"`
+	Added []int64
 	// Catalog holds the absolute replacement rows for every catalog key
 	// whose entry changed, sorted by key. A row with zero size and no
 	// locations means the entry vanished.
-	Catalog []CatalogEntry `json:"catalog,omitempty"`
+	Catalog []CatalogEntry
 	// Stats are the engine's activity counters at capture time
 	// (absolute, like every other field).
-	Stats engine.Stats `json:"stats"`
+	Stats engine.Stats
 }
 
 // Empty reports whether the delta carries no changes at all — the
@@ -95,61 +96,51 @@ func (d *Delta) Empty() bool {
 // what changed in between; an idle interval yields an Empty delta.
 func CaptureDelta(e *engine.Engine, reg *transfer.Registry) *Delta {
 	snaps, added := e.TakeDirty()
-	d := &Delta{Format: Format, At: e.Now(), Stats: e.Stats(), Added: added}
-	if len(snaps) > 0 {
-		d.Tasks = make([]DeltaTask, 0, len(snaps))
-	}
+	d := &Delta{Format: Format, At: e.Now(), Stats: e.Stats(), Added: added, Tasks: sized[DeltaTask](len(snaps))}
 	for _, ts := range snaps {
 		d.Tasks = append(d.Tasks, DeltaTask{ID: ts.ID, State: ts.State, Epoch: ts.Epoch, Completed: ts.Completed, Outputs: ts.OutputKeys})
 	}
 	if reg != nil {
-		for _, en := range reg.TakeDirty() {
-			d.Catalog = append(d.Catalog, CatalogEntry{
-				Key:       en.Key,
-				Size:      en.Size,
-				Locations: en.Locations,
-			})
-		}
+		d.Catalog = catalogOf(reg.TakeDirty())
 	}
 	return d
 }
 
 // merger reconstructs a snapshot from a base plus a chain of deltas.
 type merger struct {
-	order   []int64
-	known   map[int64]struct{}
-	tasks   map[int64]DeltaTask
+	tasks   []DeltaTask   // every known task's latest record, in registration order
+	index   map[int64]int // task ID → position in tasks
 	catalog map[deps.Version]CatalogEntry
 	seq     int
 	at      time.Duration
 	stats   engine.Stats
 }
 
-// newMerger seeds the reconstruction from a valid base snapshot.
+// newMerger seeds the reconstruction from a valid base snapshot: a task of
+// its order is pending until a section says otherwise, and a completed,
+// ready or running entry the order omits is registered after it (as apply
+// does with a record of a task no delta registered).
 func newMerger(base *Snapshot) *merger {
+	order := base.TaskOrder()
 	m := &merger{
-		known:   make(map[int64]struct{}),
-		tasks:   make(map[int64]DeltaTask),
-		catalog: make(map[deps.Version]CatalogEntry),
+		tasks:   make([]DeltaTask, 0, len(order)),
+		index:   make(map[int64]int, len(order)),
+		catalog: make(map[deps.Version]CatalogEntry, len(base.Catalog)),
 		seq:     base.Seq,
 		at:      base.At,
 		stats:   base.Stats,
 	}
+	for _, id := range order {
+		m.put(DeltaTask{ID: id})
+	}
 	for _, r := range base.Completed {
-		m.tasks[r.ID] = DeltaTask{ID: r.ID, State: engine.Done, Epoch: r.Epoch, Completed: true, Outputs: r.Outputs}
+		m.put(DeltaTask{ID: r.ID, State: engine.Done, Epoch: r.Epoch, Completed: true, Outputs: r.Outputs})
 	}
 	for _, id := range base.Ready {
-		m.tasks[id] = DeltaTask{ID: id, State: engine.Ready}
+		m.put(DeltaTask{ID: id, State: engine.Ready})
 	}
 	for _, id := range base.Running {
-		m.tasks[id] = DeltaTask{ID: id, State: engine.Running}
-	}
-	for _, id := range base.Pending {
-		m.tasks[id] = DeltaTask{ID: id, State: engine.Pending}
-	}
-	m.order = base.TaskOrder()
-	for _, id := range m.order {
-		m.known[id] = struct{}{}
+		m.put(DeltaTask{ID: id, State: engine.Running})
 	}
 	for _, en := range base.Catalog {
 		m.catalog[en.Key] = en
@@ -157,23 +148,28 @@ func newMerger(base *Snapshot) *merger {
 	return m
 }
 
+// put replaces t's record, registering the task at the end of the order
+// when the chain has not seen it yet.
+func (m *merger) put(t DeltaTask) {
+	if i, ok := m.index[t.ID]; ok {
+		m.tasks[i] = t
+		return
+	}
+	m.index[t.ID] = len(m.tasks)
+	m.tasks = append(m.tasks, t)
+}
+
 // apply overlays one delta (records are absolute, so overlay = replace).
 func (m *merger) apply(d *Delta) {
 	for _, id := range d.Added {
-		if _, dup := m.known[id]; dup {
-			continue
+		if _, dup := m.index[id]; !dup {
+			m.put(DeltaTask{ID: id})
 		}
-		m.known[id] = struct{}{}
-		m.order = append(m.order, id)
 	}
+	// A record for a task the chain never registered is tolerated
+	// (absolute records make it safe): put appends it to the order.
 	for _, dt := range d.Tasks {
-		if _, ok := m.known[dt.ID]; !ok {
-			// A record for a task the chain never registered: tolerate it
-			// (absolute records make it safe) by appending to the order.
-			m.known[dt.ID] = struct{}{}
-			m.order = append(m.order, dt.ID)
-		}
-		m.tasks[dt.ID] = dt
+		m.put(dt)
 	}
 	for _, en := range d.Catalog {
 		if en.Size == 0 && len(en.Locations) == 0 && !en.HasValue {
@@ -192,31 +188,16 @@ func (m *merger) apply(d *Delta) {
 // catalog sorted by key.
 func (m *merger) snapshot() *Snapshot {
 	snap := &Snapshot{Format: Format, Seq: m.seq, At: m.at, Stats: m.stats}
-	if len(m.order) > 0 {
-		snap.Order = append([]int64(nil), m.order...)
+	snap.setTasks(len(m.tasks), func(i int) DeltaTask { return m.tasks[i] })
+	snap.Catalog = sized[CatalogEntry](len(m.catalog))
+	for _, en := range m.catalog {
+		snap.Catalog = append(snap.Catalog, en)
 	}
-	for _, id := range m.order {
-		dt := m.tasks[id]
-		switch {
-		case dt.Completed && dt.State == engine.Done:
-			snap.Completed = append(snap.Completed, TaskRecord{ID: dt.ID, Epoch: dt.Epoch, Outputs: dt.Outputs})
-		case dt.State == engine.Ready:
-			snap.Ready = append(snap.Ready, id)
-		case dt.State == engine.Running:
-			snap.Running = append(snap.Running, id)
-		default:
-			snap.Pending = append(snap.Pending, id)
+	slices.SortFunc(snap.Catalog, func(a, b CatalogEntry) int { // deps.Version.Less, three-way
+		if c := cmp.Compare(a.Key.Data, b.Key.Data); c != 0 {
+			return c
 		}
-	}
-	if len(m.catalog) > 0 {
-		keys := make([]deps.Version, 0, len(m.catalog))
-		for k := range m.catalog {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-		for _, k := range keys {
-			snap.Catalog = append(snap.Catalog, m.catalog[k])
-		}
-	}
+		return cmp.Compare(a.Key.Ver, b.Key.Ver)
+	})
 	return snap
 }

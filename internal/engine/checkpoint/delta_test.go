@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -353,5 +354,137 @@ func TestCheckpointerFullModeSkipsCleanIntervals(t *testing.T) {
 	}
 	if files := store.Snapshots(); len(files) != 2 {
 		t.Fatalf("%d files on disk, want 2", len(files))
+	}
+}
+
+// saveChain writes one chain to the store: a base over tasks 1..total with
+// 1..done completed (one sized output each) and the rest pending, then one
+// delta per extra completing the next task.
+func saveChain(t *testing.T, store *Store, total, done int64, deltas int) {
+	t.Helper()
+	entry := func(id int64) CatalogEntry {
+		return CatalogEntry{Key: CatalogKey{Data: deps.DataID(id), Ver: 1}, Size: 8, Locations: []string{"n0"}}
+	}
+	base := &Snapshot{Format: Format, Stats: engine.Stats{Completed: int(done)}}
+	for id := int64(1); id <= total; id++ {
+		base.Order = append(base.Order, id)
+		if id > done {
+			base.Pending = append(base.Pending, id)
+			continue
+		}
+		r := doneRecord(id)
+		base.Completed = append(base.Completed, TaskRecord{ID: id, Epoch: r.Epoch, Outputs: r.Outputs})
+		base.Catalog = append(base.Catalog, entry(id))
+	}
+	if _, err := store.Save(base); err != nil {
+		t.Fatal(err)
+	}
+	for id := done + 1; id <= done+int64(deltas); id++ {
+		d := &Delta{
+			Format: Format, Tasks: []DeltaTask{doneRecord(id)},
+			Catalog: []CatalogEntry{entry(id)}, Stats: engine.Stats{Completed: int(id)},
+		}
+		if _, err := store.SaveDelta(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLatestCostsTheNewestChain is the deterministic gate on what Latest
+// reads: a directory of four chains must cost what a directory holding
+// only the newest of them costs — the same snapshot, and allocations apart
+// by no more than the longer directory listing. Decoding even one more
+// 200-task base would cost thousands.
+func TestLatestCostsTheNewestChain(t *testing.T) {
+	const chains, deltas = 4, 2
+	many, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(1); k <= chains; k++ {
+		saveChain(t, many, 200, 40*k, deltas)
+	}
+	one, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := many.Snapshots()
+	if len(files) != chains*(1+deltas) {
+		t.Fatalf("%d files on disk, want %d", len(files), chains*(1+deltas))
+	}
+	older := len(files) - (1 + deltas)
+	for _, path := range files[older:] {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(one.Dir(), filepath.Base(path)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got, err := many.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := one.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Completed) != 40*chains+deltas {
+		t.Fatalf("%d completed, want %d", len(got.Completed), 40*chains+deltas)
+	}
+	if err := Equivalent(got, want); err != nil {
+		t.Fatalf("four chains vs the newest alone: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("four chains vs the newest alone:\n got %+v\nwant %+v", got, want)
+	}
+
+	allocs := func(s *Store) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := s.Latest(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// A directory entry costs its name, its DirEntry and its parse.
+	const perEntry = 8
+	if a, b := allocs(many), allocs(one); a > b+perEntry*float64(older) {
+		t.Fatalf("Latest over %d chains allocated %.0f objects, over the newest alone %.0f: older chains are being read", chains, a, b)
+	}
+}
+
+// TestLatestTruncatedBaseFallsBackAWholeChain is the mirror case: when the
+// newest base does not verify, Latest returns the whole previous chain —
+// its base and all its deltas — and none of the bad base's own deltas.
+func TestLatestTruncatedBaseFallsBackAWholeChain(t *testing.T) {
+	store, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	saveChain(t, store, 10, 2, 2) // seqs 1-3: tasks 1-4 completed
+	saveChain(t, store, 10, 6, 2) // seqs 4-6: tasks 1-8 completed
+	bases, _ := chainFiles(t, store)
+	data, err := os.ReadFile(bases[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bases[1], data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	snap, err := store.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Seq != 3 || snap.Stats.Completed != 4 {
+		t.Fatalf("fell back to seq %d with %d completions, want seq 3 (end of the previous chain) with 4", snap.Seq, snap.Stats.Completed)
+	}
+	if ids := snap.CompletedIDs(); !reflect.DeepEqual(ids, []int64{1, 2, 3, 4}) {
+		t.Fatalf("completed %v, want [1 2 3 4]: the stranded deltas complete 7 and 8", ids)
+	}
+	if len(snap.Catalog) != 4 {
+		t.Fatalf("%d catalog rows, want 4", len(snap.Catalog))
 	}
 }

@@ -2,6 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,15 +15,28 @@ import (
 )
 
 // The golden files under testdata/ were written by Store.Save and
-// Store.SaveDelta at the commit BEFORE CatalogKey became an alias of
-// deps.Version, from exactly the two values below. They pin Format 1:
-// the same state must marshal to the same bytes, and a directory
-// written back then must still load.
+// Store.SaveDelta from exactly the two values below. format2_* pin
+// Format 2: the same state must encode to the same bytes under the same
+// content-addressed names. format1_* are what the JSON codec of Format 1
+// wrote for the same values: they must be refused whole.
 
-// The names the parent gave the two files (sequence + content digest).
+// gob numbers a type process-wide when it first meets it and writes the
+// numbers into the stream, so a file's bytes depend on what the process
+// encoded before it. The pinned bytes are those of a process that meets
+// Snapshot's types first and Delta's second; this one does, here, whatever
+// order the tests run in. (Any order decodes: a stream describes itself.)
+func init() {
+	enc := gob.NewEncoder(io.Discard)
+	_ = enc.Encode(&Snapshot{})
+	_ = enc.Encode(&Delta{})
+}
+
+// The names the store gives the files (sequence + content digest).
 const (
-	goldenSnapName  = "snap-000001-5bb9449921c3c44e.ckpt"
-	goldenDeltaName = "delta-000002-dd362f9ebe663d23.ckpt"
+	goldenSnapName   = "snap-000001-5fe36447de0b7396.ckpt"
+	goldenDeltaName  = "delta-000002-40d05bf957ee083d.ckpt"
+	format1SnapName  = "snap-000001-5bb9449921c3c44e.ckpt"
+	format1DeltaName = "delta-000002-dd362f9ebe663d23.ckpt"
 )
 
 func goldenSnapshot() *Snapshot {
@@ -57,17 +73,32 @@ func goldenDelta() *Delta {
 	}
 }
 
-func TestFormat1GoldenFiles(t *testing.T) {
-	wantSnap, err := os.ReadFile("testdata/format1_snap.json")
+// placeGolden writes testdata/<file> into the store's directory under
+// name and returns the path.
+func placeGolden(t *testing.T, s *Store, file, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDelta, err := os.ReadFile("testdata/format1_delta.json")
+	path := filepath.Join(s.Dir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestFormat2GoldenFiles(t *testing.T) {
+	wantSnap, err := os.ReadFile("testdata/format2_snap.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDelta, err := os.ReadFile("testdata/format2_delta.gob")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Head writes the parent's bytes for the same state.
+	// Head writes the pinned bytes for the same state.
 	store, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +117,7 @@ func TestFormat1GoldenFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s moved off format 1:\n got %s\nwant %s", filepath.Base(path), got, want)
+			t.Errorf("%s moved off format 2:\n got %q\nwant %q", filepath.Base(path), got, want)
 		}
 	}
 	if got := filepath.Base(snapPath); got != goldenSnapName {
@@ -96,19 +127,12 @@ func TestFormat1GoldenFiles(t *testing.T) {
 		t.Errorf("delta named %s, want %s", got, goldenDeltaName)
 	}
 
-	// A directory holding the parent's files loads at head.
+	// A directory holding the pinned files loads at head.
 	old, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	place := func(name string, data []byte) string {
-		path := filepath.Join(old.Dir(), name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	snap, err := old.Load(place(goldenSnapName, wantSnap))
+	snap, err := old.Load(placeGolden(t, old, "format2_snap.gob", goldenSnapName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +141,7 @@ func TestFormat1GoldenFiles(t *testing.T) {
 	if !reflect.DeepEqual(snap, wantS) {
 		t.Errorf("Load:\n got %+v\nwant %+v", snap, wantS)
 	}
-	d, err := old.LoadDelta(place(goldenDeltaName, wantDelta))
+	d, err := old.LoadDelta(placeGolden(t, old, "format2_delta.gob", goldenDeltaName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,5 +162,24 @@ func TestFormat1GoldenFiles(t *testing.T) {
 	}
 	if got := latest.Catalog[2].Key; got != (CatalogKey{Data: 3, Ver: 1}) {
 		t.Errorf("Latest: last catalog key %+v", got)
+	}
+}
+
+// A directory written by the JSON codec of Format 1 is refused file by
+// file — the digests in the names still match, so it is the decoder and
+// the format check that say no — and never half-read into a snapshot.
+func TestFormat1FilesAreRefused(t *testing.T) {
+	old, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.Load(placeGolden(t, old, "format1_snap.json", format1SnapName)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Load of a format-1 snapshot = %v, want ErrCorrupt", err)
+	}
+	if _, err := old.LoadDelta(placeGolden(t, old, "format1_delta.json", format1DeltaName)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("LoadDelta of a format-1 delta = %v, want ErrCorrupt", err)
+	}
+	if snap, err := old.Latest(); !errors.Is(err, ErrNoSnapshot) {
+		t.Errorf("Latest over a format-1 directory = %+v, %v, want ErrNoSnapshot", snap, err)
 	}
 }

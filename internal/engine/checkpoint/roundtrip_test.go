@@ -10,6 +10,7 @@ package checkpoint_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -159,5 +160,52 @@ func TestCheckpointRestoreRoundTripSweep(t *testing.T) {
 					res2.TasksRestored, res2.TasksCompleted, total, len(c.Specs))
 			}
 		})
+	}
+}
+
+// TestStoreRoundTripsValuesAndEmptiness covers the two shapes the
+// simulator sweep above never writes: a live-backend catalog row carrying
+// an encoded value, and a snapshot with nothing in it (every slice nil —
+// what the codec writes for an empty section must read back as empty).
+func TestStoreRoundTripsValuesAndEmptiness(t *testing.T) {
+	store, err := checkpoint.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	value, ok := checkpoint.EncodeValue([]int{3, 4})
+	if !ok {
+		t.Fatal("EncodeValue([]int) failed")
+	}
+	live := &checkpoint.Snapshot{
+		At:        time.Second,
+		Order:     []int64{1},
+		Completed: []checkpoint.TaskRecord{{ID: 1, Epoch: 1, Outputs: []checkpoint.CatalogKey{{Data: 1, Ver: 1}}}},
+		Catalog: []checkpoint.CatalogEntry{{
+			Key: checkpoint.CatalogKey{Data: 1, Ver: 1}, Size: 16, Locations: []string{"local"},
+			Value: value, HasValue: true,
+		}},
+	}
+	for _, want := range []*checkpoint.Snapshot{live, {}} {
+		path, err := store.Save(want) // stamps Format and Seq into want
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := store.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Load:\n got %+v\nwant %+v", got, want)
+		}
+		if got, err = store.Latest(); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Latest:\n got %+v, %v\nwant %+v", got, err, want)
+		}
+	}
+	got, err := store.Load(store.Snapshots()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := checkpoint.DecodeValue(got.Catalog[0].Value); !ok || !reflect.DeepEqual(v, []int{3, 4}) {
+		t.Fatalf("restored value = %v, %v, want [3 4]", v, ok)
 	}
 }

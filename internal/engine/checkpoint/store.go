@@ -1,22 +1,23 @@
 // The on-disk snapshot store: versioned, content-addressed, atomic.
-// Each snapshot is one JSON file named snap-<seq>-<digest>.ckpt, where
-// the digest is the truncated SHA-256 of the file's contents — the name
-// is a self-certifying claim the loader re-verifies, so a torn write, a
-// truncation or any bit-rot is detected and the loader falls back to the
-// previous valid snapshot instead of restoring garbage. Writes go
-// through a temp file and a rename, so a crash mid-save never corrupts
-// an existing snapshot.
+// Each snapshot is one encoding/gob file named snap-<seq>-<digest>.ckpt,
+// where the digest is the truncated SHA-256 of the file's contents — a
+// self-certifying name the loader re-verifies before decoding, so a torn
+// write, a truncation or any bit-rot is detected and the loader falls back
+// to the previous valid chain instead of restoring garbage. Writes go
+// through a temp file and a rename: a crash mid-save corrupts no snapshot.
 package checkpoint
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,10 +34,6 @@ var (
 	ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 )
 
-// digestLen is the number of hex characters of the SHA-256 kept in the
-// file name.
-const digestLen = 16
-
 // File-name prefixes of the two kinds of checkpoint file.
 const (
 	snapPrefix  = "snap-"
@@ -51,6 +48,7 @@ type Store struct {
 
 	mu  sync.Mutex
 	seq int
+	buf bytes.Buffer // encode scratch, reused across saves
 }
 
 // StoreOption tunes NewStore.
@@ -65,10 +63,18 @@ func Keep(n int) StoreOption {
 
 // NewStore opens (creating if needed) a snapshot directory. Existing
 // snapshots are scanned so sequence numbers continue monotonically
-// across process restarts.
+// across process restarts, and the temp file of a save that a crash cut
+// short before its rename is removed: a directory has one writer at a
+// time, so a temp file found at open belongs to nobody.
 func NewStore(dir string, opts ...StoreOption) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	entries, _ := os.ReadDir(dir) // unreadable: nothing to sweep, and list finds nothing either
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".ckpt.tmp") {
+			_ = os.Remove(filepath.Join(dir, e.Name()))
+		}
 	}
 	s := &Store{dir: dir, keep: 5}
 	for _, o := range opts {
@@ -77,10 +83,8 @@ func NewStore(dir string, opts ...StoreOption) (*Store, error) {
 	if s.keep < 2 {
 		s.keep = 2
 	}
-	for _, f := range s.list() {
-		if f.seq > s.seq {
-			s.seq = f.seq
-		}
+	if files := s.list(); len(files) > 0 {
+		s.seq = files[len(files)-1].seq // list sorts by sequence
 	}
 	return s, nil
 }
@@ -91,10 +95,9 @@ func (s *Store) Dir() string { return s.dir }
 // snapFile is one parsed directory entry: a full snapshot ("snap-"
 // prefix) or a delta ("delta-" prefix).
 type snapFile struct {
-	name   string
-	seq    int
-	digest string
-	delta  bool
+	name  string
+	seq   int
+	delta bool
 }
 
 // list returns the checkpoint files in the directory — full snapshots
@@ -108,36 +111,28 @@ func (s *Store) list() []snapFile {
 	var out []snapFile
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasSuffix(name, ".ckpt") {
+		delta := strings.HasPrefix(name, deltaPrefix)
+		if !strings.HasSuffix(name, ".ckpt") || !delta && !strings.HasPrefix(name, snapPrefix) {
 			continue
 		}
-		var rest string
-		var delta bool
-		switch {
-		case strings.HasPrefix(name, snapPrefix):
-			rest = strings.TrimPrefix(name, snapPrefix)
-		case strings.HasPrefix(name, deltaPrefix):
-			rest, delta = strings.TrimPrefix(name, deltaPrefix), true
-		default:
+		// <prefix><seq>-<digest>.ckpt; neither prefix holds a second dash.
+		parts := strings.Split(strings.TrimSuffix(name, ".ckpt"), "-")
+		if len(parts) != 3 {
 			continue
 		}
-		parts := strings.Split(strings.TrimSuffix(rest, ".ckpt"), "-")
-		if len(parts) != 2 {
-			continue
-		}
-		seq, err := strconv.Atoi(parts[0])
+		seq, err := strconv.Atoi(parts[1])
 		if err != nil {
 			continue
 		}
-		out = append(out, snapFile{name: name, seq: seq, digest: parts[1], delta: delta})
+		out = append(out, snapFile{name: name, seq: seq, delta: delta})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	slices.SortFunc(out, func(a, b snapFile) int { return cmp.Compare(a.seq, b.seq) })
 	return out
 }
 
 // Save assigns the snapshot the next sequence number and persists it
-// atomically, returning the file path. Snapshots beyond the retention
-// count are pruned, oldest first.
+// atomically, returning the file path. Chains beyond the retention count
+// are pruned, oldest first.
 func (s *Store) Save(snap *Snapshot) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -164,33 +159,34 @@ func (s *Store) SaveDelta(d *Delta) (string, error) {
 
 // writeLocked is the one commit path: encode v (already stamped with
 // s.seq), name the file after its own digest, write a temp file and
-// rename it into place, then prune. Caller holds s.mu.
+// rename it into place, then — after a base, the only save that can push
+// the base count past keep — prune. Caller holds s.mu.
 func (s *Store) writeLocked(prefix string, v any) (string, error) {
-	what := ""
-	if prefix == deltaPrefix {
-		what = " delta"
+	s.buf.Reset()
+	if err := gob.NewEncoder(&s.buf).Encode(v); err != nil {
+		return "", fmt.Errorf("checkpoint: encode %s%06d: %w", prefix, s.seq, err)
 	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: encode%s: %w", what, err)
-	}
+	data := s.buf.Bytes()
 	path := filepath.Join(s.dir, fmt.Sprintf("%s%06d-%s.ckpt", prefix, s.seq, digest(data)))
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", fmt.Errorf("checkpoint: write%s: %w", what, err)
+		return "", fmt.Errorf("checkpoint: write: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		_ = os.Remove(tmp)
-		return "", fmt.Errorf("checkpoint: commit%s: %w", what, err)
+		return "", fmt.Errorf("checkpoint: commit: %w", err)
 	}
-	s.pruneLocked()
+	if prefix == snapPrefix {
+		s.pruneLocked()
+	}
 	return path, nil
 }
 
-// digest is the content address in a file name: the truncated SHA-256.
+// digest is the content address in a file name: the first 8 bytes (16 hex
+// characters) of the SHA-256.
 func digest(data []byte) string {
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])[:digestLen]
+	return hex.EncodeToString(sum[:8])
 }
 
 // pruneLocked bounds retention. The pruning unit is a chain — a base
@@ -218,7 +214,7 @@ func (s *Store) pruneLocked() {
 }
 
 // Load reads and verifies one snapshot file: the contents must hash to
-// the digest embedded in the name, parse as JSON, and carry the current
+// the digest embedded in the name, decode as gob, and carry the current
 // format version.
 func (s *Store) Load(path string) (*Snapshot, error) {
 	var snap Snapshot
@@ -229,7 +225,7 @@ func (s *Store) Load(path string) (*Snapshot, error) {
 }
 
 // LoadDelta reads and verifies one delta file: contents must hash to the
-// digest in the name, parse, and carry the current format version.
+// digest in the name, decode, and carry the current format version.
 func (s *Store) LoadDelta(path string) (*Delta, error) {
 	var d Delta
 	if err := read(path, deltaPrefix, &d, &d.Format); err != nil {
@@ -239,22 +235,19 @@ func (s *Store) LoadDelta(path string) (*Delta, error) {
 }
 
 // read is the one verify path: the file's bytes must hash to the digest
-// in its name, decode into v, and leave the current version in *format
-// (v's own Format field). Every failure wraps ErrCorrupt.
+// in its name (checked before the decoder sees them), decode into v, and
+// leave the current version in *format, v's own Format field — any other
+// format, Format 1's JSON included, is refused. Failures wrap ErrCorrupt.
 func read(path, prefix string, v any, format *int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	name := filepath.Base(path)
-	parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(name, prefix), ".ckpt"), "-")
-	if len(parts) != 2 {
-		return fmt.Errorf("%w: unrecognised name %q", ErrCorrupt, name)
+	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, "-"+digest(data)+".ckpt") {
+		return fmt.Errorf("%w: %s: not a %sfile named after its contents", ErrCorrupt, name, prefix)
 	}
-	if digest(data) != parts[1] {
-		return fmt.Errorf("%w: %s: digest mismatch", ErrCorrupt, name)
-	}
-	if err := json.Unmarshal(data, v); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 	}
 	if *format != Format {
@@ -263,40 +256,39 @@ func read(path, prefix string, v any, format *int) error {
 	return nil
 }
 
-// Latest returns the newest reconstructible state: a forward pass over
-// the directory in sequence order, where every valid base snapshot
-// resets the reconstruction and every valid delta whose ParentSeq
-// matches the last-applied file extends it. Corruption degrades, never
-// fails outright: a corrupt delta freezes the chain at the longest valid
-// prefix (a later delta's ParentSeq cannot match, so the tail is
-// unreachable by construction); a corrupt base strands its own deltas
-// and falls back to the previous chain's reconstruction. A directory of
-// plain full snapshots behaves exactly as before deltas existed: each
-// valid snapshot replaces the candidate, so the newest valid one wins.
-// It returns ErrNoSnapshot when nothing valid remains.
+// Latest returns the newest reconstructible state and reads only the
+// chain that holds it: the newest base snapshot seeds the merge and the
+// deltas after it are applied in sequence order while each one's
+// ParentSeq names the last-applied file. Corruption degrades, never fails
+// outright: a corrupt or missing delta freezes the chain at the longest
+// valid prefix (a delta's parent is the save just before it, so no later
+// delta can chain past the gap); a corrupt base strands its own deltas
+// and sends Latest one chain further back — older chains are read only
+// then. Plain full snapshots are the same walk with empty chains: the
+// newest valid one wins. ErrNoSnapshot when nothing valid remains.
 func (s *Store) Latest() (*Snapshot, error) {
 	files := s.list()
-	var m *merger
-	for _, f := range files {
-		path := filepath.Join(s.dir, f.name)
-		if f.delta {
-			d, err := s.LoadDelta(path)
-			if err != nil || m == nil || d.ParentSeq != m.seq {
-				continue
+	end := len(files) // one past the last delta of the chain being tried
+	for base := end - 1; base >= 0; base-- {
+		if files[base].delta {
+			continue
+		}
+		snap, err := s.Load(filepath.Join(s.dir, files[base].name))
+		if err != nil {
+			end = base
+			continue
+		}
+		m := newMerger(snap)
+		for _, f := range files[base+1 : end] {
+			d, err := s.LoadDelta(filepath.Join(s.dir, f.name))
+			if err != nil || d.ParentSeq != m.seq {
+				break
 			}
 			m.apply(d)
-			continue
 		}
-		snap, err := s.Load(path)
-		if err != nil {
-			continue
-		}
-		m = newMerger(snap)
+		return m.snapshot(), nil
 	}
-	if m == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoSnapshot, s.dir)
-	}
-	return m.snapshot(), nil
+	return nil, fmt.Errorf("%w: %s", ErrNoSnapshot, s.dir)
 }
 
 // Snapshots returns the paths of all snapshot files, sequence-ascending

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -221,5 +222,44 @@ func TestValueCodec(t *testing.T) {
 	}
 	if _, ok := EncodeValue(struct{ X int }{1}); ok {
 		t.Fatal("EncodeValue(unregistered struct) succeeded, want false")
+	}
+}
+
+// TestNewStoreSweepsStaleTempFiles: a crash between the temp write and
+// the rename leaves a *.ckpt.tmp behind. Nothing reads it — not Latest,
+// not Snapshots, not the sequence scan — and the next NewStore removes it.
+func TestNewStoreSweepsStaleTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Save(sample(time.Second, 1)); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, "snap-000009-0123456789abcdef.ckpt.tmp")
+	if err := os.WriteFile(stale, []byte("half a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := store.Latest(); err != nil || snap.Seq != 1 {
+		t.Fatalf("Latest beside a temp file = %+v, %v, want seq 1", snap, err)
+	}
+	if paths := store.Snapshots(); len(paths) != 1 {
+		t.Fatalf("Snapshots lists %v, want the one committed file", paths)
+	}
+
+	reopened, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temp file after NewStore: %v, want it gone", err)
+	}
+	path, err := reopened.Save(sample(2*time.Second, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := reopened.Load(path); err != nil || snap.Seq != 2 {
+		t.Fatalf("save after reopen = %+v, %v, want seq 2 (the temp file's 9 ignored)", snap, err)
 	}
 }

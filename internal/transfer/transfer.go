@@ -17,6 +17,7 @@
 package transfer
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -236,7 +237,14 @@ func (r *Registry) EntriesClean() []Entry {
 }
 
 func (r *Registry) entries(clean bool) []Entry {
-	var out []Entry
+	n := 0
+	for i := range r.shards {
+		s := &r.shards[i]
+		s.mu.RLock()
+		n += len(s.rows)
+		s.mu.RUnlock()
+	}
+	out := make([]Entry, 0, n) // a hint: rows added since only make append grow
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.Lock()
@@ -248,8 +256,16 @@ func (r *Registry) entries(clean bool) []Entry {
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.Less(out[j].Key) })
+	slices.SortFunc(out, byKey)
 	return out
+}
+
+// byKey is the catalog order of entries: deps.Version.Less, three-way.
+func byKey(a, b Entry) int {
+	if c := cmp.Compare(a.Key.Data, b.Key.Data); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Key.Ver, b.Key.Ver)
 }
 
 // DirtyCount returns how many catalog rows changed since the last
@@ -272,7 +288,7 @@ func (r *Registry) DirtyCount() int {
 // size) are still reported, with empty locations and size 0, so a delta
 // can overwrite the stale base row.
 func (r *Registry) TakeDirty() []Entry {
-	var out []Entry
+	out := make([]Entry, 0, r.DirtyCount()) // a hint, like entries'
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.Lock()
@@ -284,7 +300,7 @@ func (r *Registry) TakeDirty() []Entry {
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.Less(out[j].Key) })
+	slices.SortFunc(out, byKey)
 	return out
 }
 
