@@ -30,12 +30,15 @@ vet:
 # when one grew: non-test Go lines outside bench/ (above LINE_BUDGET —
 # lower it in the PR that deletes code), with the agent's share printed;
 # the Config field counts (TestConfigBudget is the ratchet); the
-# flowgo-sim flag count (above FLAG_BUDGET); and the one-spelling grep —
+# flowgo-sim flag count (above FLAG_BUDGET); the one-spelling grep —
 # a data version is a deps.Version everywhere, so the converters and
 # twin types that used to sit at each layer boundary must not come back
-# (transfer.KeyOf's definition stays: the frozen bench/ calls it).
+# (transfer.KeyOf's definition stays: the frozen bench/ calls it); and
+# the one-guard greps — no "unsafe" import, and none of the lock-stripe
+# names deps, transfer and obsv used to carry (docs/ARCHITECTURE.md,
+# "Concurrency contract", says what a stripe needs to come back).
 FLAG_BUDGET := 27
-LINE_BUDGET := 22231
+LINE_BUDGET := 22089
 NONTEST_GO := -name '*.go' ! -name '*_test.go'
 budget:
 	@n=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs cat | wc -l); \
@@ -50,6 +53,12 @@ budget:
 	@bad=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs grep -nE 'KeyOf\(|keysOf\(|CatalogKey\{|VersionKey\(|\.Key\.Key\(\)' | grep -v 'func KeyOf('); \
 		if [ -n "$$bad" ]; then echo "a data version spelled other than deps.Version:"; echo "$$bad"; exit 1; fi; \
 		echo "data-version spellings besides deps.Version: 0"
+	@bad=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs grep -nE '^(import )?[[:space:]]*(_ )?"unsafe"'); \
+		if [ -n "$$bad" ]; then echo "unsafe imported outside bench/:"; echo "$$bad"; exit 1; fi; \
+		echo "unsafe imports: 0"
+	@bad=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs grep -nE 'depShards|regShards|numShards|shardIndex|shardIdx'); \
+		if [ -n "$$bad" ]; then echo "a lock stripe is back:"; echo "$$bad"; exit 1; fi; \
+		echo "lock stripes: 0"
 
 # staticcheck is optional locally; CI installs a pinned version. The
 # guard keeps `make lint` useful on machines without it.

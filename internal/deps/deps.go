@@ -8,6 +8,11 @@
 // fresh version of the datum, which removes write-after-read and
 // write-after-write false dependencies. Renaming can be disabled to measure
 // its effect (DESIGN.md ablation 2).
+//
+// A Processor is safe for concurrent use under one mutex. Registration
+// order is the dependency order, so callers that care which task came
+// first serialise their own registrations (both backends do) and the
+// mutex adds only that unsynchronised readers see a consistent table.
 package deps
 
 import (
@@ -159,35 +164,18 @@ type dataState struct {
 // NoTask is the sentinel for "no producing task" (externally provided data).
 const NoTask TaskID = -1
 
-// depShards is the stripe count of the processor's datum table. Sixteen
-// stripes keep concurrent registrations from unrelated workflow regions
-// off each other's locks without bloating the struct.
-const depShards = 16
+// Processor derives task dependencies from declared accesses. One mutex
+// guards the datum table and the edge counters: registration is
+// inherently serial (each task sees the state its predecessors left), and
+// its callers already arrive one at a time — the live runtime registers
+// under its own lock, the simulator is single-threaded — so the lock is
+// there for the readers that do not (Runtime.CurrentVersion, Stats).
+type Processor struct {
+	renaming bool
 
-// depShard is one stripe: its slice of the datum table plus its own edge
-// counters, so Register never touches a process-global counter word.
-type depShard struct {
 	mu    sync.Mutex
 	data  map[DataID]*dataState
 	stats Stats
-}
-
-// Processor derives task dependencies from declared accesses. It is safe
-// for concurrent use: the datum table is hash-sharded by DataID, a
-// registration locks only the stripes its accesses touch (in stripe
-// order, so overlapping registrations serialise without deadlock), and
-// edge counters are kept per stripe and summed on read — registrations
-// over disjoint data proceed fully in parallel.
-type Processor struct {
-	renaming bool
-	shards   [depShards]depShard
-}
-
-// shardIndex maps a datum to its stripe.
-func shardIndex(d DataID) int {
-	h := uint64(d) * 0x9E3779B97F4A7C15
-	h ^= h >> 29
-	return int(h % depShards)
 }
 
 // Option configures a Processor.
@@ -201,79 +189,39 @@ func WithoutRenaming() Option {
 
 // NewProcessor returns an access processor with renaming enabled.
 func NewProcessor(opts ...Option) *Processor {
-	p := &Processor{renaming: true}
-	for i := range p.shards {
-		p.shards[i].data = make(map[DataID]*dataState)
-	}
+	p := &Processor{renaming: true, data: make(map[DataID]*dataState)}
 	for _, o := range opts {
 		o(p)
 	}
 	return p
 }
 
-// Stats returns edge counts by kind, summed over the stripes.
+// Stats returns edge counts by kind.
 func (p *Processor) Stats() Stats {
-	var total Stats
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		total.RAW += s.stats.RAW
-		total.WAR += s.stats.WAR
-		total.WAW += s.stats.WAW
-		total.Group += s.stats.Group
-		s.mu.Unlock()
-	}
-	return total
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
 }
 
 // CurrentVersion returns the newest version of a datum (0 if never written
 // and never registered).
 func (p *Processor) CurrentVersion(d DataID) Version {
-	s := &p.shards[shardIndex(d)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.data[d]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st, ok := p.data[d]
 	if !ok {
 		return Version{Data: d, Ver: 0}
 	}
 	return Version{Data: d, Ver: st.ver}
 }
 
-// lockFor locks the stripes named in mask, in stripe order — the one
-// acquisition order every caller shares, so two registrations whose data
-// overlap serialise on the shared stripes instead of deadlocking.
-func (p *Processor) lockFor(mask *[depShards]bool) {
-	for i := range p.shards {
-		if mask[i] {
-			p.shards[i].mu.Lock()
-		}
-	}
-}
-
-// unlockFor releases the stripes named in mask.
-func (p *Processor) unlockFor(mask *[depShards]bool) {
-	for i := range p.shards {
-		if mask[i] {
-			p.shards[i].mu.Unlock()
-		}
-	}
-}
-
 // Register records the accesses of a task and returns its dependencies and
 // the exact data versions it reads and writes. Accesses on the same datum
 // within one task should be merged by the caller (the most permissive rule
-// applies if not: later entries see the state left by earlier ones). Only
-// the stripes holding the accessed data are locked.
+// applies if not: later entries see the state left by earlier ones).
 func (p *Processor) Register(task TaskID, accesses []Access) Result {
-	if len(accesses) == 0 {
-		return Result{}
-	}
-	var mask [depShards]bool
-	for _, a := range accesses {
-		mask[shardIndex(a.Data)] = true
-	}
-	p.lockFor(&mask)
-	defer p.unlockFor(&mask)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return p.registerLocked(task, accesses)
 }
 
@@ -284,19 +232,13 @@ type TaskAccesses struct {
 	Accesses []Access
 }
 
-// RegisterBatch registers several tasks under a single lock acquisition
-// per stripe, in slice order, and returns one Result per task.
-// Registering a whole workflow this way costs one lock round-trip instead
-// of one per task, which matters when simulations build million-task
-// graphs. All stripes are held for the duration, so the batch is atomic
-// exactly as it was under the old single mutex.
+// RegisterBatch registers several tasks under one lock acquisition, in
+// slice order, and returns one Result per task: the batch is atomic, and a
+// simulation building a million-task graph pays one lock round trip
+// instead of one per task.
 func (p *Processor) RegisterBatch(batch []TaskAccesses) []Result {
-	var all [depShards]bool
-	for i := range all {
-		all[i] = true
-	}
-	p.lockFor(&all)
-	defer p.unlockFor(&all)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	out := make([]Result, len(batch))
 	for i, b := range batch {
 		out[i] = p.registerLocked(b.Task, b.Accesses)
@@ -304,7 +246,7 @@ func (p *Processor) RegisterBatch(batch []TaskAccesses) []Result {
 	return out
 }
 
-// registerLocked is Register with every stripe the accesses touch held.
+// registerLocked is Register with p.mu held.
 func (p *Processor) registerLocked(task TaskID, accesses []Access) Result {
 	if len(accesses) == 0 {
 		return Result{}
@@ -312,10 +254,6 @@ func (p *Processor) registerLocked(task TaskID, accesses []Access) Result {
 	depSet := make(map[TaskID]struct{})
 	var res Result
 
-	// stats points at the stripe of the access currently being processed,
-	// so each edge is attributed to (and counted under the lock of) the
-	// stripe whose datum produced it.
-	var stats *Stats
 	addDep := func(t TaskID, kind EdgeKind) {
 		if t == NoTask || t == task {
 			return
@@ -326,23 +264,21 @@ func (p *Processor) registerLocked(task TaskID, accesses []Access) Result {
 		depSet[t] = struct{}{}
 		switch kind {
 		case RAW:
-			stats.RAW++
+			p.stats.RAW++
 		case WAR:
-			stats.WAR++
+			p.stats.WAR++
 		case WAW:
-			stats.WAW++
+			p.stats.WAW++
 		case Group:
-			stats.Group++
+			p.stats.Group++
 		}
 	}
 
 	for _, a := range accesses {
-		shard := &p.shards[shardIndex(a.Data)]
-		stats = &shard.stats
-		st, ok := shard.data[a.Data]
+		st, ok := p.data[a.Data]
 		if !ok {
 			st = &dataState{lastWriter: NoTask}
-			shard.data[a.Data] = st
+			p.data[a.Data] = st
 		}
 
 		switch a.Dir {

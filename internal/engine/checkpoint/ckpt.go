@@ -37,8 +37,6 @@ type Config struct {
 	Store *Store
 	// Policy decides when snapshots are taken automatically.
 	Policy Policy
-	// Tracer, when set, records a CheckpointSaved event per snapshot.
-	Tracer *trace.Tracer
 	// Delta switches automatic saves to incremental mode: a full base
 	// first, then deltas carrying only the changes since the previous
 	// save, with a fresh base (compaction) every CompactEvery deltas.
@@ -61,8 +59,9 @@ type Config struct {
 // finishes and Tick every Policy.Every of backend time. It is safe for
 // concurrent use — wall timers fire from their own goroutines.
 type Checkpointer struct {
-	cfg Config
-	src Source
+	cfg    Config
+	src    Source
+	tracer *trace.Tracer
 
 	mu          sync.Mutex
 	completions int
@@ -75,12 +74,13 @@ type Checkpointer struct {
 	stopped     bool
 }
 
-// NewCheckpointer returns a checkpointer over src.
-func NewCheckpointer(cfg Config, src Source) *Checkpointer {
+// NewCheckpointer returns a checkpointer over src. tracer, the backend's,
+// gets a CheckpointSaved event per snapshot; nil records nothing.
+func NewCheckpointer(cfg Config, src Source, tracer *trace.Tracer) *Checkpointer {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obsv.NewCkptMetrics(nil) // inert: nil instruments discard
 	}
-	return &Checkpointer{cfg: cfg, src: src}
+	return &Checkpointer{cfg: cfg, src: src, tracer: tracer}
 }
 
 // Tick is the ModeInterval trigger: the host's periodic tick calls it
@@ -202,9 +202,7 @@ func (c *Checkpointer) commit(snap *Snapshot, d *Delta, base bool) error {
 		c.haveBase = true
 		c.chainLen = 0
 	}
-	if c.cfg.Tracer != nil {
-		c.cfg.Tracer.Record(trace.Event{At: at, Kind: trace.CheckpointSaved, Info: path})
-	}
+	c.tracer.Record(trace.Event{At: at, Kind: trace.CheckpointSaved, Info: path})
 	return nil
 }
 

@@ -301,7 +301,7 @@ func TestCheckpointerDeltaCadenceAndSkip(t *testing.T) {
 	src := &fakeSource{}
 	c := NewCheckpointer(Config{
 		Store: store, Policy: EveryN(1), Delta: true, CompactEvery: 2,
-	}, src)
+	}, src, nil)
 	defer c.Stop()
 
 	complete := func(changes int) {
@@ -339,7 +339,7 @@ func TestCheckpointerFullModeSkipsCleanIntervals(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &fakeSource{}
-	c := NewCheckpointer(Config{Store: store, Policy: EveryN(1)}, src)
+	c := NewCheckpointer(Config{Store: store, Policy: EveryN(1)}, src, nil)
 	defer c.Stop()
 
 	src.dirty = 1

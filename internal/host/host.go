@@ -128,13 +128,10 @@ func New(cfg Config) *Host {
 	}
 	if cfg.Checkpoint != nil && cfg.Checkpoint.Store != nil {
 		ck := *cfg.Checkpoint
-		if ck.Tracer == nil {
-			ck.Tracer = cfg.Tracer
-		}
 		if ck.Metrics == nil && cfg.Metrics != nil {
 			ck.Metrics = obsv.NewCkptMetrics(cfg.Metrics)
 		}
-		h.ckpt = checkpoint.NewCheckpointer(ck, h)
+		h.ckpt = checkpoint.NewCheckpointer(ck, h, cfg.Tracer)
 		if ck.Policy.Mode == checkpoint.ModeInterval && ck.Policy.Every > 0 {
 			h.every(ck.Policy.Every, true, func() bool { h.ckpt.Tick(); return false })
 		}

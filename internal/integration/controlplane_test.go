@@ -12,6 +12,7 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/engine/checkpoint"
 	"repro/internal/infra"
 	"repro/internal/resources"
 	"repro/internal/sched"
@@ -32,6 +33,7 @@ func TestConfigBudget(t *testing.T) {
 		{"core.Config", core.Config{}, 14},
 		{"engine.Config", engine.Config{}, 12},
 		{"agent.Config", agent.Config{}, 8},
+		{"checkpoint.Config", checkpoint.Config{}, 5},
 	} {
 		if n := reflect.TypeOf(b.cfg).NumField(); n > b.max {
 			t.Errorf("%s has %d fields, budget %d: a new option must raise its budget explicitly", b.name, n, b.max)

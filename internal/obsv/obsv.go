@@ -1,8 +1,8 @@
 // Package obsv is the runtime observability layer: a lock-cheap metrics
-// registry (sharded counters, gauges, fixed-bucket histograms) sampled
-// into in-memory time-series on either clock — virtual time in the
-// simulator, wall time in the live runtime — and exported as Prometheus
-// text, Chrome trace-event JSON (via internal/trace) or a report section.
+// registry (counters, gauges, fixed-bucket histograms) sampled into
+// in-memory time-series on either clock — virtual time in the simulator,
+// wall time in the live runtime — and exported as Prometheus text, Chrome
+// trace-event JSON (via internal/trace) or a report section.
 //
 // The paper observes its runtime post hoc, through Paraver traces of
 // finished runs; this package closes the same gap for the reproduction's
@@ -16,9 +16,9 @@
 //     instrument pointers: no map lookups, no label rendering, no
 //     allocation. Callers resolve instruments once (at registration or
 //     bucket-creation time) and hold the pointer.
-//   - Counters are sharded across padded cache lines so concurrent
-//     completion storms on the live runtime do not serialise on one hot
-//     word; reads sum the shards (scrape-time cost, not hot-path cost).
+//   - Every instrument is one atomic word (a histogram, one per bucket):
+//     its writers mostly arrive under their owner's lock (the engine's
+//     mutex), and the ones that do not — the agent's workers — are few.
 //   - Everything observed through the engine's Clock is deterministic on
 //     the simulator: identical runs produce byte-identical sampled
 //     series. Wall-time observations (checkpoint capture cost) are the
@@ -33,36 +33,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
-// numShards is the counter shard count (power of two). 16 shards cover
-// the live runtime's worker-goroutine concurrency without making
-// scrape-time summation noticeable.
-const numShards = 16
-
-// cell is one counter shard, padded to its own cache line so shards
-// written by different cores do not false-share.
-type cell struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// shardIdx picks a shard for the calling goroutine. Goroutine stacks live
-// in distinct allocations, so the address of a stack byte — shifted past
-// frame-local variation — spreads concurrent goroutines across shards.
-// The distribution only affects contention, never correctness: reads sum
-// every shard.
-func shardIdx() uint64 {
-	var b byte
-	return uint64(uintptr(unsafe.Pointer(&b))>>10) & (numShards - 1)
-}
-
-// Counter is a monotonically increasing sharded counter. The zero value
-// is unusable; obtain counters from a Registry. A nil *Counter discards
-// all writes, so call sites need no guards.
+// Counter is a monotonically increasing counter: one atomic word. Obtain
+// counters from a Registry. A nil *Counter discards all writes, so call
+// sites need no guards.
 type Counter struct {
-	cells [numShards]cell
+	n atomic.Int64
 }
 
 // Add increments the counter by d (a zero-alloc single atomic add).
@@ -70,23 +47,18 @@ func (c *Counter) Add(d int64) {
 	if c == nil {
 		return
 	}
-	c.cells[shardIdx()].n.Add(d)
+	c.n.Add(d)
 }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value sums the shards. Under concurrent writers the sum is a moment's
-// snapshot, not a linearisation point — fine for monitoring.
+// Value reads the counter.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var total int64
-	for i := range c.cells {
-		total += c.cells[i].n.Load()
-	}
-	return total
+	return c.n.Load()
 }
 
 // Gauge is an instantaneous value (queue depth, parked count). Gauges are

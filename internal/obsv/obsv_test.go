@@ -32,6 +32,18 @@ func TestCounterConcurrentAdds(t *testing.T) {
 	}
 }
 
+// TestCounterAddAllocatesNothing is the hot-path cost gate: an increment
+// is one atomic add on a resolved pointer.
+func TestCounterAddAllocatesNothing(t *testing.T) {
+	c := NewRegistry().Counter("c_total", "test counter", "")
+	if avg := testing.AllocsPerRun(1000, func() { c.Add(3) }); avg != 0 {
+		t.Fatalf("Counter.Add allocates %.1f objects, want 0", avg)
+	}
+	if got := c.Value(); got != 3*1001 { // AllocsPerRun warms up with one extra call
+		t.Fatalf("counter = %d, want %d", got, 3*1001)
+	}
+}
+
 func TestNilInstrumentsDiscard(t *testing.T) {
 	var c *Counter
 	var g *Gauge

@@ -8,11 +8,10 @@ import (
 )
 
 // These tests are race-detector food for the lock-cheap paths: many
-// writers on sharded counters and histograms, Visit walking the
-// registry while writers mutate it, and instrument resolution racing
-// sampling. They assert exact totals where the API promises them
-// (counters and histogram counts are conserved — sharding loses
-// nothing) and run under -race in CI.
+// writers on one counter or histogram, Visit walking the registry while
+// writers mutate it, and instrument resolution racing sampling. They
+// assert exact totals where the API promises them (counters and
+// histogram counts are conserved) and run under -race in CI.
 
 func TestCounterConcurrentExactTotal(t *testing.T) {
 	const goroutines, perG = 16, 10000

@@ -390,10 +390,12 @@ func (si SigIndex) FirstFitting(c Constraints) *Node {
 	return nil
 }
 
-// PowerOfTwoPick samples two undrained members uniformly through rng and
-// returns the less loaded one that fits c ((frac, name) order). When
-// neither sample fits it falls back to the exact heap walk, so nil is
-// returned only when no member fits at all — sampling never turns a
+// PowerOfTwoPick samples two members uniformly through rng — from the
+// member list, whose order is the pool's, so the same pool, loads and seed
+// give the same pick whatever was walked before — and returns the less
+// loaded one that fits c ((frac, name) order; a drained sample does not
+// fit). When neither sample fits it falls back to the exact heap walk, so
+// nil is returned only when no member fits at all — sampling never turns a
 // placeable task into a capacity failure.
 func (si SigIndex) PowerOfTwoPick(c Constraints, rng *rand.Rand) *Node {
 	si.x.mu.Lock()
@@ -402,18 +404,18 @@ func (si SigIndex) PowerOfTwoPick(c Constraints, rng *rand.Rand) *Node {
 	if s.fitCount == 0 {
 		return nil
 	}
-	si.x.repairLocked(s)
-	n := s.heap.Len()
-	a := s.heap.At(rng.Intn(n))
+	si.x.repairLocked(s) // current load keys for the samples, a valid heap for the fallback
+	n := len(s.members)
+	a := s.members[rng.Intn(n)]
 	b := a
 	if n > 1 {
-		b = s.heap.At(rng.Intn(n))
+		b = s.members[rng.Intn(n)]
 	}
 	if loadLess(b, a) {
 		a, b = b, a
 	}
 	for _, e := range [2]*sigEntry{a, b} {
-		if e.r.st.fits(c) {
+		if !e.r.st.drained && e.r.st.fits(c) {
 			return e.r.n
 		}
 	}

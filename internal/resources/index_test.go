@@ -461,6 +461,60 @@ func TestIndexPowerOfTwoPick(t *testing.T) {
 	}
 }
 
+// TestPowerOfTwoPickIgnoresWalkHistory pins P2C's determinism promise:
+// the pick is a function of the pool, the loads and the seed. Two pools
+// take the same reserve/release/drain sequence; one of them is also walked
+// (MinLoadFitting, FitCount) after every change, so its lazily repaired
+// heap is laid out differently — and both must still pick alike.
+func TestPowerOfTwoPickIgnoresWalkHistory(t *testing.T) {
+	const nodes = 8
+	c := Constraints{Cores: 1}
+	var pools [2]*Pool
+	var idx [2]SigIndex
+	var pickers [2]*rand.Rand
+	for p := range pools {
+		pools[p] = NewPool()
+		for i := 0; i < nodes; i++ {
+			if err := pools[p].Add(NewNode(fmt.Sprintf("n%02d", (i*7)%nodes), Description{
+				Cores: 2 + i%5, MemoryMB: 8_000, SpeedFactor: 1,
+			})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		idx[p] = pools[p].IndexFor(c)
+		pickers[p] = rand.New(rand.NewSource(5))
+	}
+	ops := rand.New(rand.NewSource(9))
+	for step := 0; step < 2000; step++ {
+		i, op := ops.Intn(nodes), ops.Intn(10)
+		for p, pool := range pools {
+			switch n := pool.Nodes()[i]; {
+			case op == 0:
+				n.Drain()
+			case op == 1:
+				n.Undrain()
+			case op < 5:
+				if n.BusyCores() > 0 {
+					n.Release(c)
+				}
+			default:
+				_ = n.Reserve(c) // a full or drained node refuses alike in both pools
+			}
+			if p == 1 {
+				idx[p].MinLoadFitting(c)
+				idx[p].FitCount()
+			}
+		}
+		if step%8 != 7 {
+			continue // let several changes pile up between picks
+		}
+		a, b := idx[0].PowerOfTwoPick(c, pickers[0]), idx[1].PowerOfTwoPick(c, pickers[1])
+		if name(a) != name(b) {
+			t.Fatalf("step %d: unwalked pool picked %s, walked pool %s", step, name(a), name(b))
+		}
+	}
+}
+
 // TestIndexAppendReusesBuffer pins the scratch-buffer contract of the
 // Append variants: appending into a cleared buffer reuses its backing
 // array instead of allocating.

@@ -4,22 +4,19 @@
 // care of all the necessary data-transfers between the nodes" (Sec. II-A),
 // and it is the information source for locality-aware scheduling (E4).
 //
-// The registry is hash-sharded: keys are distributed over fixed stripes,
-// each with its own lock, so concurrent placements (PlanFetch), completions
-// (AddReplica) and locality scoring on different data contend on different
-// stripes instead of one global RWMutex — the registry was one of the three
-// global locks profiled at million-task scale. A data version is one row
-// per stripe map — its size and its name-sorted holder list — and every
-// reader goes through Row: one lock round trip and one map lookup answer
-// "how big, and who holds it". Each stripe additionally tracks the keys
-// whose row changed since the last checkpoint capture, which is what makes
-// delta snapshots O(changes): TakeDirty drains exactly the changed rows.
+// The registry is one lock over one map. A data version is one row — its
+// size and its name-sorted holder list — and every reader goes through Row:
+// one lock round trip and one map lookup answer "how big, and who holds
+// it". Its callers already hold the engine's or the runtime's lock, so the
+// registry's own lock only orders those two against each other and against
+// a checkpoint capture. The registry also tracks the keys whose row changed
+// since the last capture, which is what makes delta snapshots O(changes):
+// TakeDirty drains exactly the changed rows.
 package transfer
 
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -34,59 +31,37 @@ type Key = deps.Version
 // KeyOf is the identity; only the frozen bench/ harness still calls it.
 func KeyOf(v deps.Version) Key { return v }
 
-// regShards is the stripe count. A small power of two keeps the modulo a
-// mask while spreading a 1k-node pool's concurrent completions thin.
-const regShards = 32
-
 // row is one data version's catalog row. holders is name-sorted and
 // copy-on-write: a writer installs a new list and never edits a published
-// one, so readers keep the list they were handed after the stripe lock is
-// gone. A row with no size and no holder is not stored.
+// one, so readers keep the list they were handed after the lock is gone.
+// A row with no size and no holder is not stored.
 type row struct {
 	size    int64
 	holders []string
 }
 
-// regShard is one stripe of the registry: its own lock, its rows, and the
-// dirty set feeding delta checkpoints.
-type regShard struct {
+// Registry records replica locations and sizes for data versions. It is
+// safe for concurrent use: mu guards rows and the dirty set feeding delta
+// checkpoints.
+type Registry struct {
 	mu    sync.RWMutex
 	rows  map[Key]row
 	dirty map[Key]struct{}
 }
 
-// putLocked installs k's row (dropping it when empty) and marks it dirty.
-func (s *regShard) putLocked(k Key, rw row) {
-	if rw.size == 0 && len(rw.holders) == 0 {
-		delete(s.rows, k)
-	} else {
-		s.rows[k] = rw
-	}
-	s.dirty[k] = struct{}{}
-}
-
-// Registry records replica locations and sizes for data versions. It is
-// safe for concurrent use; state is hash-sharded by key.
-type Registry struct {
-	shards [regShards]regShard
-}
-
 // NewRegistry returns an empty location registry.
 func NewRegistry() *Registry {
-	r := &Registry{}
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.rows = make(map[Key]row)
-		s.dirty = make(map[Key]struct{})
-	}
-	return r
+	return &Registry{rows: make(map[Key]row), dirty: make(map[Key]struct{})}
 }
 
-// shard returns the stripe holding k.
-func (r *Registry) shard(k Key) *regShard {
-	h := uint64(k.Data)*0x9E3779B97F4A7C15 + uint64(uint32(k.Ver))*0xBF58476D1CE4E5B9
-	h ^= h >> 29
-	return &r.shards[h%regShards]
+// putLocked installs k's row (dropping it when empty) and marks it dirty.
+func (r *Registry) putLocked(k Key, rw row) {
+	if rw.size == 0 && len(rw.holders) == 0 {
+		delete(r.rows, k)
+	} else {
+		r.rows[k] = rw
+	}
+	r.dirty[k] = struct{}{}
 }
 
 // Row returns k's recorded size (0 if unknown) and the nodes holding a
@@ -96,10 +71,9 @@ func (r *Registry) shard(k Key) *regShard {
 // data resides"). The holder list is shared and immutable: callers may
 // keep it, and must not modify it.
 func (r *Registry) Row(k Key) (size int64, holders []string) {
-	s := r.shard(k)
-	s.mu.RLock()
-	rw := s.rows[k]
-	s.mu.RUnlock()
+	r.mu.RLock()
+	rw := r.rows[k]
+	r.mu.RUnlock()
 	return rw.size, rw.holders
 }
 
@@ -111,12 +85,11 @@ func holds(holders []string, node string) bool {
 
 // SetSize records the size in bytes of a data version.
 func (r *Registry) SetSize(k Key, bytes int64) {
-	s := r.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rw := s.rows[k]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rw := r.rows[k]
 	rw.size = bytes
-	s.putLocked(k, rw)
+	r.putLocked(k, rw)
 }
 
 // Size returns the recorded size of a data version (0 if unknown).
@@ -127,16 +100,15 @@ func (r *Registry) Size(k Key) int64 {
 
 // AddReplica records that node holds a copy of k.
 func (r *Registry) AddReplica(k Key, node string) {
-	s := r.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rw := s.rows[k]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rw := r.rows[k]
 	at, held := slices.BinarySearch(rw.holders, node)
 	if !held {
 		// Clipped, so Insert cannot fit the name into the published list.
 		rw.holders = slices.Insert(slices.Clip(rw.holders), at, node)
 	}
-	s.putLocked(k, rw)
+	r.putLocked(k, rw)
 }
 
 // without returns the row minus node's replica (on a fresh list), and
@@ -154,11 +126,10 @@ func (rw row) without(node string) (row, bool) {
 
 // RemoveReplica forgets node's copy of k.
 func (r *Registry) RemoveReplica(k Key, node string) {
-	s := r.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rw, held := s.rows[k].without(node); held {
-		s.putLocked(k, rw)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if rw, held := r.rows[k].without(node); held {
+		r.putLocked(k, rw)
 	}
 }
 
@@ -166,21 +137,18 @@ func (r *Registry) RemoveReplica(k Key, node string) {
 // the keys that lost their last replica — the data that must be recovered
 // by re-execution (E7).
 func (r *Registry) DropNode(node string) []Key {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var lost []Key
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for k, rw := range s.rows {
-			if rw, held := rw.without(node); held {
-				s.putLocked(k, rw)
-				if len(rw.holders) == 0 {
-					lost = append(lost, k)
-				}
+	for k, rw := range r.rows {
+		if rw, held := rw.without(node); held {
+			r.putLocked(k, rw)
+			if len(rw.holders) == 0 {
+				lost = append(lost, k)
 			}
 		}
-		s.mu.Unlock()
 	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i].Less(lost[j]) })
+	slices.SortFunc(lost, compareKeys)
 	return lost
 }
 
@@ -229,77 +197,62 @@ func (r *Registry) Entries() []Entry {
 	return r.entries(false)
 }
 
-// EntriesClean is Entries plus a per-stripe dirty reset — the full-catalog
-// capture that starts a fresh delta chain (a base snapshot subsumes every
-// pending change, so the dirty sets restart empty).
+// EntriesClean is Entries plus a dirty reset — the full-catalog capture
+// that starts a fresh delta chain (a base snapshot subsumes every pending
+// change, so the dirty set restarts empty).
 func (r *Registry) EntriesClean() []Entry {
 	return r.entries(true)
 }
 
 func (r *Registry) entries(clean bool) []Entry {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		n += len(s.rows)
-		s.mu.RUnlock()
+	r.mu.Lock()
+	out := make([]Entry, 0, len(r.rows))
+	for k, rw := range r.rows {
+		out = append(out, rw.entry(k))
 	}
-	out := make([]Entry, 0, n) // a hint: rows added since only make append grow
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for k, rw := range s.rows {
-			out = append(out, rw.entry(k))
-		}
-		if clean {
-			s.dirty = make(map[Key]struct{})
-		}
-		s.mu.Unlock()
+	if clean {
+		r.dirty = make(map[Key]struct{})
 	}
+	r.mu.Unlock()
 	slices.SortFunc(out, byKey)
 	return out
 }
 
-// byKey is the catalog order of entries: deps.Version.Less, three-way.
-func byKey(a, b Entry) int {
-	if c := cmp.Compare(a.Key.Data, b.Key.Data); c != 0 {
+// compareKeys is deps.Version.Less three-way — the catalog order.
+func compareKeys(a, b Key) int {
+	if c := cmp.Compare(a.Data, b.Data); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.Key.Ver, b.Key.Ver)
+	return cmp.Compare(a.Ver, b.Ver)
 }
+
+// byKey orders entries by compareKeys.
+func byKey(a, b Entry) int { return compareKeys(a.Key, b.Key) }
 
 // DirtyCount returns how many catalog rows changed since the last
 // TakeDirty / EntriesClean.
 func (r *Registry) DirtyCount() int {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		n += len(s.dirty)
-		s.mu.RUnlock()
-	}
-	return n
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.dirty)
 }
 
 // TakeDirty drains the changed catalog rows since the last capture,
-// sorted by key, clearing each stripe's dirty set atomically with the
-// read — a mutation racing the capture lands either in this delta or in
-// the next one, never nowhere. Keys whose row vanished (no replica, no
-// size) are still reported, with empty locations and size 0, so a delta
-// can overwrite the stale base row.
+// sorted by key, clearing the dirty set atomically with the read — a
+// mutation racing the capture lands either in this delta or in the next
+// one, never nowhere. Keys whose row vanished (no replica, no size) are
+// still reported, with empty locations and size 0, so a delta can
+// overwrite the stale base row.
 func (r *Registry) TakeDirty() []Entry {
-	out := make([]Entry, 0, r.DirtyCount()) // a hint, like entries'
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		if len(s.dirty) > 0 {
-			for k := range s.dirty {
-				out = append(out, s.rows[k].entry(k))
-			}
-			s.dirty = make(map[Key]struct{}) // not clear(): a capture stays O(changes), not O(largest burst)
-		}
-		s.mu.Unlock()
+	r.mu.Lock()
+	out := make([]Entry, 0, len(r.dirty))
+	for k := range r.dirty {
+		out = append(out, r.rows[k].entry(k))
 	}
+	if len(r.dirty) > 0 {
+		r.dirty = make(map[Key]struct{}) // not clear(): a capture stays O(changes), not O(largest burst)
+	}
+	r.mu.Unlock()
 	slices.SortFunc(out, byKey)
 	return out
 }
