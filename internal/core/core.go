@@ -221,11 +221,11 @@ type Config struct {
 	// wall time — the same policy the simulator drives on virtual time.
 	// Set Locations too: the snapshot's data catalog comes from it.
 	Checkpoint *checkpoint.Config
-	// Restore, when set, resumes a previous run from its snapshot: as
-	// the application re-submits the same workflow (same order, so task
-	// IDs line up), every submission the snapshot records as completed —
-	// with restorable output values — resolves immediately instead of
-	// executing.
+	// Restore, when set, resumes a previous run from its snapshot
+	// (internal/host, restore.go): as the application re-submits the same
+	// workflow (same order, so task IDs line up), every submission
+	// recorded as completed whose values survived resolves at once
+	// instead of executing.
 	Restore *checkpoint.Snapshot
 	// Metrics, when set, backs the engine (and the checkpointer, unless
 	// its config carries its own bundle) with observability instruments
@@ -242,9 +242,8 @@ type Config struct {
 	// submission over its tenant's in-flight cap is registered but held
 	// invisible to the scheduler until completions free a slot and
 	// weighted fair ordering picks it; past the tenant's queue bound it
-	// is rejected with ErrQuotaRejected. Submissions the restore
-	// snapshot records as completed bypass quota — they resolve without
-	// executing.
+	// is rejected with ErrQuotaRejected. A submission the restore resolves
+	// never runs and is never charged.
 	Admission *autoscale.Admission
 }
 
@@ -289,9 +288,6 @@ type Runtime struct {
 	values   map[deps.Version]versionSlot
 	commMu   map[deps.Version]*sync.Mutex // commutative-group data locks
 	group    map[deps.Version][]*Future   // commutative member futures per version
-	restore  *restoreState
-	restored int
-	restaged int // replicas re-staged by a placement-aware restore seed
 	nextTask int64
 	nextData int64
 	stopped  bool
@@ -322,7 +318,8 @@ func New(cfg Config) *Runtime {
 		group:  make(map[deps.Version][]*Future),
 		epoch:  time.Now(),
 	}
-	rt.Host = host.New(host.Config{
+	var err error
+	rt.Host, err = host.New(host.Config{
 		Pool:         cfg.Pool,
 		Policy:       cfg.Policy,
 		Predictor:    cfg.Predictor,
@@ -335,16 +332,19 @@ func New(cfg Config) *Runtime {
 		Checkpoint:   cfg.Checkpoint,
 		Autoscale:    cfg.Autoscale,
 		Admission:    cfg.Admission,
+		Restore:      cfg.Restore,
 		Clock:        engine.WallClock{Epoch: rt.epoch},
 		Timer:        faults.NewWallTimer(),
 		Executor:     (*coreExecutor)(rt),
 		OnKill:       rt.cancelKilled,
-		AttachValues: rt.attachValues,
+		Values:       (*valueTable)(rt),
 	})
-	rt.eng = rt.Engine()
-	if cfg.Restore != nil {
-		rt.applyRestoreSeed(cfg.Restore)
+	if err != nil {
+		// A snapshot of another format: a programming error (Store.Load
+		// already rejects those), where the simulator returns ErrConfig.
+		panic("core: " + err.Error())
 	}
+	rt.eng = rt.Engine()
 	return rt
 }
 
@@ -552,21 +552,20 @@ func (rt *Runtime) buildTaskLocked(id int64, def TaskDef, params []Param, res de
 	return t
 }
 
-// quotaLocked runs one submission through the admission controller:
-// the returned hold count keeps a queued task invisible to the
-// scheduler until a completion promotes it. Submissions the restore
-// snapshot records as completed bypass quota — they resolve without
-// executing, so charging a slot would leak it. Caller holds rt.mu.
-func (rt *Runtime) quotaLocked(id int64, tenant string) (holds int, out autoscale.Outcome) {
-	if rt.restore != nil {
-		if _, ok := rt.restore.completed[id]; ok {
-			return 0, autoscale.Admitted
+// resolveLocked offers a just-registered task to the host's restore: a
+// submission the snapshot resolves never executes, and its Future
+// completes at once with the restored values. It reports whether the
+// offer left something ready to place. Caller holds rt.mu.
+func (rt *Runtime) resolveLocked(t *rtTask) (wave bool) {
+	resolved, wave := rt.Resolve(t.et.ID)
+	if resolved {
+		vals := make([]any, len(t.writes))
+		for i, w := range t.writes {
+			vals[i] = rt.values[w].val
 		}
+		t.future.complete(vals, nil)
 	}
-	if out = rt.Admit(id, tenant); out == autoscale.Queued {
-		return 1, out
-	}
-	return 0, out
+	return wave
 }
 
 // Submit invokes a registered task asynchronously (default tenant; use
@@ -582,7 +581,7 @@ func (rt *Runtime) Submit(name string, params ...Param) (*Future, error) {
 	}
 	rt.nextTask++
 	id := rt.nextTask
-	holds, out := rt.quotaLocked(id, "")
+	out, holds := rt.Admit(id, "") // under rt.mu: the restore test reads the value table
 	if out == autoscale.Rejected {
 		rt.nextTask-- // the ID was never registered anywhere
 		rt.mu.Unlock()
@@ -595,9 +594,7 @@ func (rt *Runtime) Submit(name string, params ...Param) (*Future, error) {
 	// finished; rt.mu is held through Add so a dependent can never slip in
 	// ahead of its producer's registration.
 	ready, _ := rt.eng.Add(&t.et, res.Deps, holds) // never a duplicate: id is rt.nextTask, drawn under rt.mu
-	if rt.tryRestoreLocked(t) {
-		ready = false
-	}
+	ready = rt.resolveLocked(t) || ready
 	rt.mu.Unlock()
 	if ready {
 		rt.eng.Schedule()
@@ -647,7 +644,7 @@ func (rt *Runtime) SubmitAll(reqs []TaskReq) ([]*Future, error) {
 	for i, r := range reqs {
 		rt.nextTask++
 		id := rt.nextTask
-		h, out := rt.quotaLocked(id, r.Tenant)
+		out, h := rt.Admit(id, r.Tenant)
 		if out == autoscale.Rejected {
 			rt.nextTask-- // the ID was never registered anywhere
 			f := &Future{done: make(chan struct{})}
@@ -668,18 +665,16 @@ func (rt *Runtime) SubmitAll(reqs []TaskReq) ([]*Future, error) {
 	}
 	results := rt.proc.RegisterBatch(batch)
 	ets := make([]*engine.Task, len(accepted))
-	tasks := make([]*rtTask, len(accepted))
 	prods := make([][]deps.TaskID, len(accepted))
 	for j, i := range accepted {
 		t := rt.buildTaskLocked(ids[j], defs[i], norm[j], results[j])
 		futures[i] = t.future
 		ets[j] = &t.et
-		tasks[j] = t
 		prods[j] = results[j].Deps
 	}
 	ready, _ := rt.eng.AddBatchHolds(ets, prods, holds) // never a duplicate: ids are rt.nextTask, drawn under rt.mu
-	for _, t := range tasks {
-		rt.tryRestoreLocked(t)
+	for _, et := range ets {
+		ready = rt.resolveLocked(et.Payload.(*rtTask)) || ready
 	}
 	rt.mu.Unlock()
 	if ready {

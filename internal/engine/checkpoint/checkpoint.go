@@ -29,19 +29,10 @@
 // the newest valid chain, older ones only when damage sends it back — so
 // damage costs one checkpoint interval and a restore one chain's reading.
 //
-// Restore is cooperative and placement-aware: the application
-// re-registers the same workflow (same order, so task IDs line up), the
-// backend seeds the location registry from the snapshot's catalog —
-// keeping replicas on nodes the new pool still holds, and re-staging
-// versions whose every recorded node has vanished from the persist tier
-// (or, live, from the snapshot's encoded values) onto a surviving node
-// ahead of demand — then marks recorded completions through
-// engine.RestoreCompleted; the ordinary transfer planner covers any
-// later miss. A task whose recorded outputs cannot be restored (value
-// not serialisable, no tier holding it) is simply left to re-run —
-// restore degrades to recompute, never to wrong answers. The restore
-// may therefore target a different pool than the one that snapshotted:
-// experiment E15b asserts a shrunk-pool restore recomputes nothing.
+// Restore is not here: the control plane replays a snapshot into a fresh
+// engine for both backends (internal/host, restore.go) — catalog re-seed,
+// re-staging onto a changed pool, engine.RestoreCompleted for every
+// recorded completion whose outputs survived; the rest simply re-runs.
 package checkpoint
 
 import (

@@ -159,6 +159,7 @@ func (e *Engine) RestoreCompleted(id int64, epoch int) bool {
 	if epoch > t.epoch {
 		t.epoch = epoch
 	}
+	t.holds = 0 // nothing left to gate: a late ReleaseHold must not clear a recovery wait
 	e.stats.Restored++
 	e.doneLocked(t)
 	return true

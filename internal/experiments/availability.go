@@ -11,19 +11,15 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/engine/checkpoint"
 	"repro/internal/engine/faults"
 	"repro/internal/infra"
 	"repro/internal/resources"
 	"repro/internal/sched"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -145,68 +141,27 @@ func E15ShrunkPoolRestore(nMap, nReduce int) (E15RestoreResult, error) {
 		return pool, net
 	}
 
-	dir, err := os.MkdirTemp("", "e15-ckpt-*")
-	if err != nil {
-		return res, err
-	}
-	defer os.RemoveAll(dir)
-	store, err := checkpoint.NewStore(dir)
-	if err != nil {
-		return res, err
-	}
-
 	// Incarnation 1: three nodes, persist tier, checkpoint every
 	// completion, process dies just after the map phase drains (6 map
-	// slots → ceil(nMap/6) waves of mapDur).
+	// slots → ceil(nMap/6) waves of mapDur). Incarnation 2: n2 is gone;
+	// restore must re-stage its replicas from the persist tier instead of
+	// re-running their producers.
 	waves := (nMap + 5) / 6
 	pool1, net1 := newPool(3)
-	sim1, err := infra.New(infra.Config{
-		Pool: pool1, Net: net1, Policy: sched.MinLoad{},
-		PersistNode: "persist",
-		Checkpoint:  &checkpoint.Config{Store: store, Policy: checkpoint.EveryN(1)},
-		HaltAt:      time.Duration(waves)*mapDur + 2*time.Second,
-	}, specs)
-	if err != nil {
-		return res, err
-	}
-	if _, err := sim1.Run(); !errors.Is(err, infra.ErrHalted) {
-		return res, fmt.Errorf("E15 restore: first incarnation: got %v, want ErrHalted", err)
-	}
-
-	// Incarnation 2: n2 is gone; restore must re-stage its replicas from
-	// the persist tier instead of re-running their producers.
-	snap, err := store.Latest()
-	if err != nil {
-		return res, err
-	}
-	res.Snapshotted = len(snap.Completed)
-	tr := trace.New(0)
 	pool2, net2 := newPool(2)
-	sim2, err := infra.New(infra.Config{
-		Pool: pool2, Net: net2, Policy: sched.MinLoad{},
-		PersistNode: "persist",
-		Restore:     snap,
-		Tracer:      tr,
-	}, specs)
+	d, err := crashRestore("E15 restore", infra.Config{
+		Pool: pool1, Net: net1, Policy: sched.MinLoad{}, PersistNode: "persist",
+		HaltAt: time.Duration(waves)*mapDur + 2*time.Second,
+	}, infra.Config{
+		Pool: pool2, Net: net2, Policy: sched.MinLoad{}, PersistNode: "persist",
+	}, 1, specs)
 	if err != nil {
 		return res, err
 	}
-	res2, err := sim2.Run()
-	if err != nil {
-		return res, fmt.Errorf("E15 restore: resumed run: %w", err)
-	}
-	res.Restored = res2.TasksRestored
-	res.Restaged = res2.ReplicasRestaged
-	res.ResumedMakespan = res2.Makespan
-
-	restored := make(map[int64]bool, len(snap.Completed))
-	for _, id := range snap.CompletedIDs() {
-		restored[id] = true
-	}
-	for _, ev := range tr.Events() {
-		if ev.Kind == trace.TaskStarted && restored[ev.Task] {
-			res.RecomputedRestored++
-		}
-	}
+	res.Snapshotted = len(d.snap.Completed)
+	res.Restored = d.resumed.TasksRestored
+	res.Restaged = d.resumed.ReplicasRestaged
+	res.RecomputedRestored = d.startedAgain
+	res.ResumedMakespan = d.resumed.Makespan
 	return res, nil
 }

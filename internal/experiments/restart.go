@@ -97,60 +97,75 @@ func E14CrashRestart(chromosomes, imputations, everyN int) (E14Result, error) {
 		CrashAt: coldRes.Makespan / 2, ColdMakespan: coldRes.Makespan,
 	}
 
-	// Incarnation 1: checkpoints on, crash mid-run.
-	dir, err := os.MkdirTemp("", "e14-ckpt-*")
+	// Incarnation 1: checkpoints on, crash mid-run. Incarnation 2:
+	// restore and finish.
+	cfg1 := newCfg()
+	cfg1.HaltAt = res.CrashAt
+	d, err := crashRestore("E14", cfg1, newCfg(), everyN, specs)
 	if err != nil {
 		return res, err
+	}
+	res.CompletedBeforeCrash = d.first.TasksCompleted
+	res.SnapshotTasks = len(d.snap.Completed)
+	res.Restored = d.resumed.TasksRestored
+	res.RecomputedRestored = d.startedAgain
+	res.ResumedMakespan = d.resumed.Makespan
+	res.ResumedLaunches = d.launches
+	return res, nil
+}
+
+// crashRestored is what a crash-restart drill leaves behind.
+type crashRestored struct {
+	first, resumed infra.Result
+	snap           *checkpoint.Snapshot
+	launches       int // the resumed run's
+	// startedAgain counts the tasks the snapshot records as completed that
+	// started in the resumed run — the durability contract demands none.
+	startedAgain int
+}
+
+// crashRestore is the drill E14 and E15b share: first runs with a
+// checkpoint every everyN completions and must die at its HaltAt; second
+// restores the latest snapshot that survived, traced, and must finish.
+func crashRestore(name string, first, second infra.Config, everyN int, specs []infra.TaskSpec) (d crashRestored, err error) {
+	dir, err := os.MkdirTemp("", "ckpt-*")
+	if err != nil {
+		return d, err
 	}
 	defer os.RemoveAll(dir)
 	store, err := checkpoint.NewStore(dir)
 	if err != nil {
-		return res, err
+		return d, err
 	}
-	cfg1 := newCfg()
-	cfg1.Checkpoint = &checkpoint.Config{Store: store, Policy: checkpoint.EveryN(everyN)}
-	cfg1.HaltAt = res.CrashAt
-	sim1, err := infra.New(cfg1, specs)
+	first.Checkpoint = &checkpoint.Config{Store: store, Policy: checkpoint.EveryN(everyN)}
+	sim1, err := infra.New(first, specs)
 	if err != nil {
-		return res, err
+		return d, err
 	}
-	res1, err := sim1.Run()
-	if !errors.Is(err, infra.ErrHalted) {
-		return res, fmt.Errorf("E14: first incarnation: got %v, want ErrHalted", err)
+	if d.first, err = sim1.Run(); !errors.Is(err, infra.ErrHalted) {
+		return d, fmt.Errorf("%s: first incarnation: got %v, want ErrHalted", name, err)
 	}
-	res.CompletedBeforeCrash = res1.TasksCompleted
-
-	// Incarnation 2: restore and finish.
-	snap, err := store.Latest()
-	if err != nil {
-		return res, fmt.Errorf("E14: no snapshot survived the crash: %w", err)
+	if d.snap, err = store.Latest(); err != nil {
+		return d, fmt.Errorf("%s: no snapshot survived the crash: %w", name, err)
 	}
-	res.SnapshotTasks = len(snap.Completed)
 	tr := trace.New(0)
-	cfg2 := newCfg()
-	cfg2.Restore = snap
-	cfg2.Tracer = tr
-	sim2, err := infra.New(cfg2, specs)
+	second.Restore, second.Tracer = d.snap, tr
+	sim2, err := infra.New(second, specs)
 	if err != nil {
-		return res, err
+		return d, err
 	}
-	res2, err := sim2.Run()
-	if err != nil {
-		return res, fmt.Errorf("E14: resumed run: %w", err)
+	if d.resumed, err = sim2.Run(); err != nil {
+		return d, fmt.Errorf("%s: resumed run: %w", name, err)
 	}
-	res.Restored = res2.TasksRestored
-	res.ResumedMakespan = res2.Makespan
-	res.ResumedLaunches = sim2.EngineStats().Launched
-
-	// The durability contract: no restored task starts again.
-	restored := make(map[int64]bool, len(snap.Completed))
-	for _, id := range snap.CompletedIDs() {
-		restored[id] = true
+	d.launches = sim2.EngineStats().Launched
+	recorded := make(map[int64]bool, len(d.snap.Completed))
+	for _, id := range d.snap.CompletedIDs() {
+		recorded[id] = true
 	}
 	for _, ev := range tr.Events() {
-		if ev.Kind == trace.TaskStarted && restored[ev.Task] {
-			res.RecomputedRestored++
+		if ev.Kind == trace.TaskStarted && recorded[ev.Task] {
+			d.startedAgain++
 		}
 	}
-	return res, nil
+	return d, nil
 }

@@ -4,11 +4,11 @@
 // hands the host a Clock, a Timer and an Executor, embeds the returned
 // *Host, and keeps only its executor, its value store and its result
 // accounting. Everything else is wired once, here: the engine and its
-// cordon hook, the checkpointer and the one checkpoint.Source, the five
-// faults.Injector methods (no-op faults traced as fault_ignored), the
-// admission submit/complete bookkeeping, the autoscale step, and the one
-// periodic-tick helper that checkpoints, metric sampling and autoscale
-// evaluation all ride.
+// cordon hook, the checkpointer and the one checkpoint.Source, the
+// restore of a snapshot (restore.go), the five faults.Injector methods
+// (no-op faults traced as fault_ignored), the admission submit/complete
+// bookkeeping, the autoscale step, and the one periodic-tick helper that
+// checkpoints, metric sampling and autoscale evaluation all ride.
 //
 // The package sits above engine, engine/checkpoint, engine/faults and
 // autoscale (which all import engine), so none of them can own this
@@ -17,11 +17,13 @@ package host
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/autoscale"
+	"repro/internal/deps"
 	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
 	"repro/internal/engine/faults"
@@ -40,7 +42,7 @@ var ErrNoCheckpoint = errors.New("host: no checkpoint store configured")
 
 // Config assembles a host. The first block is the configuration both
 // backends accept from their users; the second is what makes a backend
-// a backend; the third is the live runtime's two hooks.
+// a backend; the third is the live runtime's two seams.
 type Config struct {
 	Pool         *resources.Pool
 	Policy       sched.Policy
@@ -55,6 +57,8 @@ type Config struct {
 	Checkpoint   *checkpoint.Config
 	Autoscale    *autoscale.Autoscaler
 	Admission    *autoscale.Admission
+	// Restore, when set, is replayed into the fresh engine (restore.go).
+	Restore *checkpoint.Snapshot
 
 	// Clock, Timer and Executor are required. A Timer that can run dry —
 	// the simulator's event heap — additionally offers Pending() int; the
@@ -68,9 +72,22 @@ type Config struct {
 	// runtime cancels the body's context). It must not call back into
 	// the engine.
 	OnKill func(*engine.Task)
-	// AttachValues, when set, adds encoded values to captured catalog
-	// rows (the live runtime's value table; the simulator has none).
-	AttachValues func([]checkpoint.CatalogEntry)
+	// Values, when set, is the backend's table of produced values (the
+	// live runtime's; the simulator has none).
+	Values Values
+}
+
+// Values is the one seam to a backend that holds task outputs as values.
+type Values interface {
+	// Attach adds its encoded value to every captured catalog row. It runs
+	// on whatever goroutine captures, so it takes the backend's own lock.
+	Attach(catalog []checkpoint.CatalogEntry)
+	// Seed decodes a restored row's value into the table (from New only)
+	// and reports whether it took.
+	Seed(en *checkpoint.CatalogEntry) bool
+	// Present reports whether k's value is in the table: the restore's
+	// alive test, asked under the backend's submission lock.
+	Present(k deps.Version) bool
 }
 
 // Host owns the engine and the control-plane wiring around it. Backends
@@ -81,9 +98,15 @@ type Host struct {
 	ckpt    *checkpoint.Checkpointer
 	pending func() int // the timer's scheduled-event count; nil when it never runs dry
 
-	mu      sync.Mutex
-	tenants map[int64]string // admission tenant per in-flight task
-	smp     *obsv.Sampler
+	mu       sync.Mutex
+	tenants  map[int64]string // admission tenant per task holding a slot
+	smp      *obsv.Sampler
+	recorded map[int64]*checkpoint.TaskRecord // restore: completions awaiting their offer (see lookup)
+	resolved map[int64]struct{}               // restore: IDs marked done, kept for Admit
+
+	restaged      int // restore-time re-staging; written by New only
+	restagedBytes int64
+	restageTime   time.Duration
 
 	// run is held while a tick body executes and taken by StopTicks, so
 	// no tick is in flight once StopTicks returns.
@@ -93,9 +116,14 @@ type Host struct {
 }
 
 // New builds the engine from the shared configuration, routes autoscale
-// cordons through it, and arms the checkpointer when a store is
-// configured.
-func New(cfg Config) *Host {
+// cordons through it, seeds Config.Restore's catalog, and arms the
+// checkpointer when a store is configured. It fails only on a restore
+// snapshot of another format: resuming cold instead would recompute a
+// whole campaign without a word.
+func New(cfg Config) (*Host, error) {
+	if snap := cfg.Restore; snap != nil && snap.Format != checkpoint.Format {
+		return nil, fmt.Errorf("host: restore snapshot format %d, want %d", snap.Format, checkpoint.Format)
+	}
 	h := &Host{cfg: cfg}
 	if p, ok := cfg.Timer.(interface{ Pending() int }); ok {
 		h.pending = p.Pending
@@ -125,6 +153,10 @@ func New(cfg Config) *Host {
 	}
 	if cfg.Admission != nil {
 		h.tenants = make(map[int64]string)
+		h.resolved = make(map[int64]struct{})
+	}
+	if cfg.Restore != nil {
+		h.seedCatalog(cfg.Restore)
 	}
 	if cfg.Checkpoint != nil && cfg.Checkpoint.Store != nil {
 		ck := *cfg.Checkpoint
@@ -136,7 +168,7 @@ func New(cfg Config) *Host {
 			h.every(ck.Policy.Every, true, func() bool { h.ckpt.Tick(); return false })
 		}
 	}
-	return h
+	return h, nil
 }
 
 // Engine returns the shared scheduling engine (the backend's executor
@@ -238,8 +270,8 @@ func (h *Host) CheckpointDirty() int {
 }
 
 func (h *Host) attach(catalog []checkpoint.CatalogEntry) {
-	if h.cfg.AttachValues != nil {
-		h.cfg.AttachValues(catalog)
+	if h.cfg.Values != nil {
+		h.cfg.Values.Attach(catalog)
 	}
 }
 
@@ -260,42 +292,54 @@ func (h *Host) Checkpoint() error {
 func (h *Host) Tracking() bool { return h.ckpt != nil || h.cfg.Admission != nil }
 
 // Admit runs one submission through the admission controller (Admitted
-// when none is configured) and records the outcome on the engine's
-// books. A Queued task must stay behind a synthetic hold; TaskCompleted
-// lifts it when a slot frees.
-func (h *Host) Admit(id int64, tenant string) autoscale.Outcome {
-	if h.cfg.Admission == nil {
-		return autoscale.Admitted
+// when none is configured), records the outcome on the engine's books,
+// and returns the holds to register the task under: one while Queued,
+// which TaskCompleted lifts when a slot frees, and one while a recorded
+// completion awaits its offer, which Resolve lifts — no concurrent wave
+// can launch the task in between. A submission the restore resolves never
+// runs, so it is Admitted uncharged; the test here is Resolve's, so what
+// skips the quota is exactly what does not execute.
+func (h *Host) Admit(id int64, tenant string) (out autoscale.Outcome, holds int) {
+	rec, resolved := h.lookup(id, false)
+	if rec != nil {
+		holds = 1
 	}
-	out := h.cfg.Admission.Submit(tenant, id)
+	if h.cfg.Admission == nil || resolved || (rec != nil && h.alive(rec.Outputs)) {
+		return autoscale.Admitted, holds
+	}
+	// Under h.mu: a queued submission can be promoted, run and complete
+	// the moment Submit returns, and its TaskCompleted must find the slot.
+	h.mu.Lock()
+	out = h.cfg.Admission.Submit(tenant, id)
+	if out != autoscale.Rejected {
+		h.tenants[id] = tenant
+	}
+	h.mu.Unlock()
 	switch out {
 	case autoscale.Rejected:
 		h.eng.RecordAdmission(0, 1)
-		return out
 	case autoscale.Queued:
 		h.eng.RecordAdmission(1, 0)
+		holds++
 	}
-	h.mu.Lock()
-	h.tenants[id] = tenant
-	h.mu.Unlock()
-	return out
+	return out, holds
 }
 
 // TaskCompleted is the backend's notification between an engine
 // completion and the placement wave that follows it. A first completion
-// returns the task's quota slot — recovery re-executions were never
-// re-admitted — and lifts the holds of whatever queued submissions fair
-// ordering promotes (possibly other tenants'); woke reports whether any
+// returns the quota slot Admit charged — recovery re-executions were
+// never re-admitted — and lifts the holds of whatever queued submissions
+// fair ordering promotes (possibly other tenants'); woke reports whether any
 // became ready. The checkpointer's every-N trigger fires last, so it
 // captures the same post-completion, pre-placement state on both
 // backends.
 func (h *Host) TaskCompleted(id int64, first bool) (woke bool) {
 	if first && h.cfg.Admission != nil {
 		h.mu.Lock()
-		tenant, admitted := h.tenants[id]
+		tenant, charged := h.tenants[id]
 		delete(h.tenants, id)
 		h.mu.Unlock()
-		if admitted { // not a restore bypass
+		if charged {
 			for _, rel := range h.cfg.Admission.Complete(tenant) {
 				if rid, ok := rel.Payload.(int64); ok && h.eng.ReleaseHold(rid) {
 					woke = true

@@ -44,7 +44,8 @@ func oneNodePool() *resources.Pool {
 	return pool
 }
 
-func newHost(tm *simclock.Clock, x *fakeExecutor, cfg host.Config) *host.Host {
+func newHost(t *testing.T, tm *simclock.Clock, x *fakeExecutor, cfg host.Config) *host.Host {
+	t.Helper()
 	cfg.Clock, cfg.Timer, cfg.Executor = tm, tm, x
 	if cfg.Pool == nil {
 		cfg.Pool = oneNodePool()
@@ -52,7 +53,11 @@ func newHost(tm *simclock.Clock, x *fakeExecutor, cfg host.Config) *host.Host {
 	if cfg.Policy == nil {
 		cfg.Policy = sched.FIFO{}
 	}
-	return host.New(cfg)
+	h, err := host.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 // A driver tick keeps re-arming while anything else is scheduled or its
@@ -60,7 +65,7 @@ func newHost(tm *simclock.Clock, x *fakeExecutor, cfg host.Config) *host.Host {
 // and holds, the chain ends and the timer runs dry.
 func TestEveryEndsWhenIdleAndUnchanged(t *testing.T) {
 	tm := simclock.New()
-	h := newHost(tm, &fakeExecutor{}, host.Config{})
+	h := newHost(t, tm, &fakeExecutor{}, host.Config{})
 	tm.At(35*time.Second, func() {}) // outside work: keeps the run alive until 35s
 	var fired []time.Duration
 	changes := 2 // the first two idle firings still report a change
@@ -98,7 +103,7 @@ func TestObserversDoNotKeepRunAlive(t *testing.T) {
 	}
 	tm := simclock.New()
 	reg := obsv.NewRegistry()
-	h := newHost(tm, &fakeExecutor{}, host.Config{
+	h := newHost(t, tm, &fakeExecutor{}, host.Config{
 		Metrics:    reg,
 		Checkpoint: &checkpoint.Config{Store: store, Policy: checkpoint.Interval(7 * time.Second)},
 	})
@@ -137,10 +142,13 @@ func TestObserversDoNotKeepRunAlive(t *testing.T) {
 func TestStopTicksOnWallTimer(t *testing.T) {
 	reg := obsv.NewRegistry()
 	reg.Gauge("g", "", "").Set(1)
-	h := host.New(host.Config{
+	h, err := host.New(host.Config{
 		Pool: oneNodePool(), Policy: sched.FIFO{}, Metrics: reg,
 		Clock: engine.WallClock{Epoch: time.Now()}, Timer: faults.NewWallTimer(), Executor: &fakeExecutor{},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	smp := h.StartSampler(2 * time.Millisecond)
 	deadline := time.After(5 * time.Second)
 	for len(smp.Series()) == 0 {
@@ -162,7 +170,7 @@ func TestStopTicksOnWallTimer(t *testing.T) {
 // still returns the error.
 func TestInjectorTracesIgnoredFaults(t *testing.T) {
 	tr := trace.New(0)
-	h := newHost(simclock.New(), &fakeExecutor{}, host.Config{Tracer: tr}) // no network model
+	h := newHost(t, simclock.New(), &fakeExecutor{}, host.Config{Tracer: tr}) // no network model
 	var inj faults.Injector = h
 	if _, err := inj.FailNode("ghost"); !errors.Is(err, engine.ErrUnknownNode) {
 		t.Fatalf("FailNode(ghost) = %v, want ErrUnknownNode", err)
@@ -189,22 +197,23 @@ func TestInjectorTracesIgnoredFaults(t *testing.T) {
 
 // Admission bookkeeping end to end over the fake executor: the second
 // submission queues behind a one-slot quota and stays held; the first
-// completion returns the slot, lifts the hold and reports the wake.
+// completion returns the slot, lifts the hold and reports the wake; a
+// submission the restore snapshot resolves is admitted past a full quota
+// without being charged.
 func TestAdmitAndTaskCompleted(t *testing.T) {
 	x := &fakeExecutor{}
 	adm := autoscale.NewAdmission(autoscale.Quota{MaxInFlight: 1})
-	h := newHost(simclock.New(), x, host.Config{Admission: adm})
+	h := newHost(t, simclock.New(), x, host.Config{Admission: adm, Restore: &checkpoint.Snapshot{
+		Format: checkpoint.Format, Completed: []checkpoint.TaskRecord{{ID: 3, Epoch: 1}},
+	}})
 	if !h.Tracking() {
 		t.Fatal("a host with an admission controller must track completions")
 	}
 	eng := h.Engine()
 	for id := int64(1); id <= 2; id++ {
-		holds := 0
-		switch out := h.Admit(id, "tenant"); {
-		case id == 1 && out != autoscale.Admitted, id == 2 && out != autoscale.Queued:
-			t.Fatalf("Admit(%d) = %v", id, out)
-		case out == autoscale.Queued:
-			holds = 1
+		out, holds := h.Admit(id, "tenant")
+		if (id == 1 && out != autoscale.Admitted) || (id == 2 && out != autoscale.Queued) || holds != int(id-1) {
+			t.Fatalf("Admit(%d) = %v under %d holds", id, out, holds)
 		}
 		eng.Add(&engine.Task{ID: id, Class: "t"}, nil, holds)
 	}
@@ -230,6 +239,31 @@ func TestAdmitAndTaskCompleted(t *testing.T) {
 	if h.TaskCompleted(1, false) {
 		t.Fatal("a recovery re-execution must not release quota")
 	}
+	// Task 2 holds the tenant's only slot. Task 3 is recorded completed
+	// (nothing to be alive: no outputs), so it never runs: admitted at
+	// once, charged nothing, done on registration.
+	before := adm.Stats()
+	out, holds := h.Admit(3, "tenant")
+	if out != autoscale.Admitted || holds != 1 {
+		t.Fatalf("Admit of a resolved ID = %v under %d holds, want Admitted, held until its offer", out, holds)
+	}
+	if st := adm.Stats(); st != before {
+		t.Fatalf("resolved ID moved the controller's books: %+v -> %+v", before, st)
+	}
+	eng.Add(&engine.Task{ID: 3, Class: "t"}, nil, holds)
+	if done, _ := h.Resolve(3); !done {
+		t.Fatal("the recorded completion did not resolve")
+	}
+	if done, wave := h.Resolve(3); done || wave {
+		t.Fatal("a record is offered once")
+	}
+	eng.Schedule()
+	if len(x.launched) != 2 || h.RestoredTasks() != 1 {
+		t.Fatalf("%d launches, %d restored; want the resolved task counted, not run", len(x.launched), h.RestoredTasks())
+	}
+	if out, _ := h.Admit(4, "tenant"); out != autoscale.Queued {
+		t.Fatalf("Admit of an unrecorded ID past the cap = %v, want Queued", out)
+	}
 }
 
 // A grown node is reserved whole for the provider's delay, so the wave
@@ -242,7 +276,7 @@ func TestAutoscaleStepHoldsProvisioningNode(t *testing.T) {
 		resources.NewSimProvider("vm", desc, 1, 30*time.Second),
 		resources.ScalePolicy{MaxNodes: 1, TasksPerCore: 1})
 	tr := trace.New(0)
-	h := newHost(tm, x, host.Config{
+	h := newHost(t, tm, x, host.Config{
 		Pool: resources.NewPool(), Tracer: tr, Autoscale: autoscale.NewThreshold(mgr),
 	})
 	h.Engine().Add(&engine.Task{ID: 1, Class: "t"}, nil, 0)
@@ -260,5 +294,17 @@ func TestAutoscaleStepHoldsProvisioningNode(t *testing.T) {
 	}
 	if len(x.launched) != 1 {
 		t.Fatal("task not placed once the provisioning hold lifted")
+	}
+}
+
+// A restore snapshot of another format is refused before anything is
+// built: resuming cold would recompute the campaign without a word.
+func TestNewRefusesForeignSnapshotFormat(t *testing.T) {
+	_, err := host.New(host.Config{
+		Pool: oneNodePool(), Policy: sched.FIFO{}, Restore: &checkpoint.Snapshot{Format: checkpoint.Format + 1},
+		Clock: simclock.New(), Timer: simclock.New(), Executor: &fakeExecutor{},
+	})
+	if err == nil {
+		t.Fatal("New accepted a snapshot of another format")
 	}
 }

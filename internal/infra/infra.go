@@ -15,12 +15,12 @@
 // experiment E7), online learning of task durations (Sec. VI-C,
 // experiment E8), scripted fault scenarios (Config.Faults) and the
 // engine's cross-bucket work stealing (Config.Steal). The control plane —
-// engine wiring, fault injection, checkpoints, admission, autoscaling,
-// periodic ticks — is internal/host, the same one the live runtime
-// embeds, so behaviour studied here is behaviour the runtime executes;
-// this package adds only the virtual-time executor and the result
-// accounting. See docs/ARCHITECTURE.md for the task lifecycle on each
-// backend.
+// engine wiring, fault injection, checkpoints and restore, admission,
+// autoscaling, periodic ticks — is internal/host, the same one the live
+// runtime embeds, so behaviour studied here is behaviour the runtime
+// executes; this package adds only the virtual-time executor and the
+// result accounting it cannot read off the engine's and the host's
+// books. See docs/ARCHITECTURE.md for the task lifecycle on each backend.
 package infra
 
 import (
@@ -113,12 +113,10 @@ type Config struct {
 	// policy the live runtime drives on wall time.
 	Checkpoint *checkpoint.Config
 	// Restore, when set, replays a snapshot into this simulation before
-	// it runs: tasks the snapshot records as completed (and whose output
-	// replicas survive on this pool) are marked done instead of
-	// executing, and the data catalog re-seeds the location registry so
-	// the transfer planner re-stages anything a dependent misses.
-	// Task IDs must match the snapshotting run's (same specs, same
-	// order).
+	// it runs (internal/host, restore.go): the data catalog re-seeds the
+	// location registry, and tasks recorded as completed whose outputs
+	// kept a replica are marked done instead of executing. Task IDs must
+	// match the snapshotting run's (same specs, same order).
 	Restore *checkpoint.Snapshot
 	// HaltAt, when positive, stops the event loop at that virtual
 	// instant — the simulated equivalent of the whole process dying
@@ -214,7 +212,6 @@ type Sim struct {
 	result        Result
 	releases      []release // armed on the clock at their instant
 	admitStart    []release // submitted to admission at time zero
-	restored      map[int64]bool
 	nodeAdded     map[string]time.Duration
 	remaining     int
 	schedDeferred bool
@@ -222,12 +219,6 @@ type Sim struct {
 	idle          *flight
 	halted        bool
 	err           error
-
-	// Restore-time re-staging traffic (persist tier → live node); added
-	// to the engine's transfer books when the run closes, so an eager
-	// re-stage is not accounted as free relative to a demand fetch.
-	restageBytes int64
-	restageTime  time.Duration
 }
 
 // release delays a task's visibility to the scheduler.
@@ -276,7 +267,8 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 		nodeAdded: make(map[string]time.Duration),
 		remaining: len(specs),
 	}
-	s.Host = host.New(host.Config{
+	var err error
+	s.Host, err = host.New(host.Config{
 		Pool:         cfg.Pool,
 		Policy:       cfg.Policy,
 		Predictor:    cfg.Predictor,
@@ -290,10 +282,14 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 		Checkpoint:   cfg.Checkpoint,
 		Autoscale:    cfg.Autoscale,
 		Admission:    cfg.Admission,
+		Restore:      cfg.Restore,
 		Clock:        s.clock,
 		Timer:        s.clock,
 		Executor:     &simExecutor{s},
 	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+	}
 	s.eng = s.Engine()
 	s.runDeferred = func() {
 		s.schedDeferred = false
@@ -366,107 +362,11 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 	for _, n := range cfg.Pool.Nodes() {
 		s.nodeAdded[n.Name()] = 0
 	}
-	if cfg.Restore != nil {
-		if cfg.Restore.Format != checkpoint.Format {
-			return nil, fmt.Errorf("%w: snapshot format %d, want %d",
-				ErrConfig, cfg.Restore.Format, checkpoint.Format)
-		}
-		s.applyRestore(cfg.Restore)
-	}
+	// Every spec is registered: recorded completions resolve now, in
+	// snapshot order, and their dependents release as if they had run.
+	s.ResolveAll()
+	s.remaining -= s.RestoredTasks()
 	return s, nil
-}
-
-// applyRestore replays a snapshot placement-aware: the data catalog
-// re-seeds the location registry with the replicas this incarnation's
-// pool actually holds (plus the persist tier), and versions whose every
-// recorded compute node has vanished — the pool shrank or changed between
-// the incarnations — are re-staged from the persist tier onto the
-// best-connected live node ahead of demand, instead of being dropped.
-// Then every recorded completion whose outputs all kept at least one
-// replica is marked done in the engine — its dependents release exactly
-// as a live completion would have released them. Only when no tier holds
-// a value is its producer left to re-run, with lineage recovery
-// recomputing what it needs.
-func (s *Sim) applyRestore(snap *checkpoint.Snapshot) {
-	for _, en := range snap.Catalog {
-		k := en.Key
-		if en.Size > 0 {
-			s.reg.SetSize(k, en.Size)
-		}
-		live, vanished := 0, 0
-		persisted := false
-		for _, loc := range en.Locations {
-			if _, ok := s.cfg.Pool.Get(loc); ok {
-				s.reg.AddReplica(k, loc)
-				live++
-			} else if loc != "" && loc == s.cfg.PersistNode {
-				s.reg.AddReplica(k, loc)
-				persisted = true
-			} else {
-				vanished++
-			}
-		}
-		if live == 0 && vanished > 0 && persisted {
-			if tgt := s.restageTarget(k); tgt != "" {
-				s.reg.AddReplica(k, tgt)
-				s.result.ReplicasRestaged++
-				s.restageBytes += s.reg.Size(k)
-				s.restageTime += s.cfg.Net.TransferTime(s.cfg.PersistNode, tgt, s.reg.Size(k))
-				s.cfg.Tracer.Record(trace.Event{
-					Kind: trace.DataRestaged, Node: tgt,
-					Info: fmt.Sprintf("data %d v%d from %s", k.Data, k.Ver, s.cfg.PersistNode),
-				})
-			}
-		}
-	}
-	restored := 0
-	for _, rec := range snap.Completed {
-		alive := true
-		for _, out := range rec.Outputs {
-			if len(s.reg.Where(out)) == 0 {
-				alive = false
-				break
-			}
-		}
-		if !alive {
-			continue
-		}
-		if s.eng.RestoreCompleted(rec.ID, rec.Epoch) {
-			restored++
-			s.remaining--
-			if s.cfg.Admission != nil {
-				// A restored task never runs, so it must never consume a
-				// quota slot: admitRelease skips it.
-				if s.restored == nil {
-					s.restored = make(map[int64]bool)
-				}
-				s.restored[rec.ID] = true
-			}
-		}
-	}
-	s.result.TasksRestored = restored
-	s.cfg.Tracer.Record(trace.Event{
-		Kind: trace.CheckpointRestored,
-		Info: fmt.Sprintf("%d/%d completed tasks (snapshot %d)", restored, len(snap.Completed), snap.Seq),
-	})
-}
-
-// restageTarget picks the live node a re-staged version lands on: the
-// cheapest fetch from the persist tier, in pool order on ties, skipping
-// nodes the persist tier cannot currently reach (cut links).
-func (s *Sim) restageTarget(k deps.Version) string {
-	size := s.reg.Size(k)
-	best := ""
-	var bestT time.Duration
-	for _, n := range s.cfg.Pool.Nodes() {
-		if !s.cfg.Net.Reachable(s.cfg.PersistNode, n.Name()) {
-			continue
-		}
-		if t := s.cfg.Net.TransferTime(s.cfg.PersistNode, n.Name(), size); best == "" || t < bestT {
-			best, bestT = n.Name(), t
-		}
-	}
-	return best
 }
 
 // simExecutor adapts the simulation to engine.Executor: each placement
@@ -526,11 +426,8 @@ func (f *flight) finish() {
 	for _, n := range comp.Peers {
 		s.account(t, n, ran)
 	}
-	s.result.TasksCompleted++
 	if comp.First {
 		s.remaining--
-	} else {
-		s.result.TasksReExecuted++
 	}
 	// Quota release and the every-N checkpoint land before the deferred
 	// placement wave, which picks up whatever holds the release lifted.
@@ -557,10 +454,7 @@ func (s *Sim) account(t *engine.Task, n *resources.Node, ran time.Duration) {
 // admission queues — a preregistered task has no client to bounce to,
 // and dropping it would wedge the run.)
 func (s *Sim) admitRelease(r release) {
-	if s.restored[r.id] {
-		return // resolved from a snapshot; never ran, never admitted
-	}
-	if s.Admit(r.id, r.tenant) == autoscale.Admitted && s.eng.ReleaseHold(r.id) {
+	if out, _ := s.Admit(r.id, r.tenant); out == autoscale.Admitted && s.eng.ReleaseHold(r.id) {
 		s.eng.Schedule()
 	}
 }
@@ -636,9 +530,16 @@ func (s *Sim) Run() (Result, error) {
 	smp.Sample(s.clock.Now())
 	s.result.Makespan = s.clock.Now()
 	s.result.DepEdges = s.proc.Stats()
+	// The engine's and the host's books are the only ones; a re-stage is
+	// transfer traffic like a demand fetch.
 	st := s.eng.Stats()
-	s.result.BytesMoved = st.BytesMoved + s.restageBytes
-	s.result.TransferTime = st.TransferTime + s.restageTime
+	restagedBytes, restageTime := s.RestageTraffic()
+	s.result.TasksCompleted = st.Completed
+	s.result.TasksReExecuted = st.Reexecuted
+	s.result.TasksRestored = st.Restored
+	s.result.ReplicasRestaged = s.RestagedReplicas()
+	s.result.BytesMoved = st.BytesMoved + restagedBytes
+	s.result.TransferTime = st.TransferTime + restageTime
 	s.result.TasksDeferred = st.Deferred
 	s.result.TasksRanMissing = st.RanMissing
 

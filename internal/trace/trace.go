@@ -46,7 +46,7 @@ const (
 	// DataRestaged marks a replica re-created during a checkpoint restore
 	// because every node recorded as holding it has left the pool: the
 	// value is fetched ahead of demand from a surviving tier (the persist
-	// node, or the snapshot's encoded value on the live backend).
+	// node, or the value the snapshot itself carries).
 	DataRestaged  Kind = "data_restaged"
 	NodeAdded     Kind = "node_added"
 	NodeRemoved   Kind = "node_removed"
@@ -59,7 +59,8 @@ const (
 	FaultIgnored  Kind = "fault_ignored"
 	// CheckpointSaved marks a persisted engine snapshot (Info: file name).
 	CheckpointSaved Kind = "checkpoint_saved"
-	// CheckpointRestored marks a run resumed from a snapshot (Info: counts).
+	// CheckpointRestored marks a task resolved from a restore snapshot
+	// instead of executing.
 	CheckpointRestored Kind = "checkpoint_restored"
 )
 
