@@ -41,7 +41,7 @@ vet:
 # so outside it (and the engine, which owns the snapshot types) nothing
 # calls RestoreCompleted or walks a snapshot's Catalog or Completed.
 FLAG_BUDGET := 27
-LINE_BUDGET := 22076
+LINE_BUDGET := 22230
 NONTEST_GO := -name '*.go' ! -name '*_test.go'
 budget:
 	@n=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs cat | wc -l); \
@@ -103,6 +103,7 @@ ledger:
 # parent/change runs of one workload, each side built from its own git
 # worktree, medians, quartiles and pairs won printed per end-to-end metric
 # (scripts/pairs.sh). make pairs BASE=<commit> WORKLOAD=sim-dataflow
+# measures HEAD; add CHANGE=WORKTREE to measure the uncommitted working tree.
 N ?= 10
 SEED ?= 1
 CHANGE ?= HEAD

@@ -87,12 +87,13 @@ func BenchmarkDependencyChain(b *testing.B) {
 // TestChainCampaignAllocBudget is the live runtime's deterministic cost
 // gate (the ledger's live-dag shape at package-test size): 64 chains ×
 // 200 read-modify-write layers through SubmitAll, then a Barrier. The
-// budget sits between this tree — a task's read and write lists are the
-// access processor's own, shared down to the engine — and the tree
-// before it, which copied each into a second spelling per submission.
+// budget sits between this tree — a batch's read, write and dependency
+// lists are carved from the access processor's slabs and shared down to
+// the engine, whose dependents lists are carved per batch too — and the
+// tree before it, which allocated each list (and a map) per task.
 func TestChainCampaignAllocBudget(t *testing.T) {
 	const chains, layers, batch = 64, 200, 256
-	const budget = 19.1 // this tree reads 18.1, the copying tree 20.1
+	const budget = 14.0 // this tree reads 13.1, the list-per-task tree 18.1
 	run := func(layers int) {
 		rt := New(Config{})
 		defer rt.Shutdown()

@@ -16,8 +16,9 @@
 package deps
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -156,8 +157,8 @@ func (s Stats) Total() int { return s.RAW + s.WAR + s.WAW + s.Group }
 // dataState tracks the bookkeeping for one datum.
 type dataState struct {
 	ver         int
-	lastWriter  TaskID // NoTask when version 0 is externally provided
-	readers     []TaskID
+	lastWriter  TaskID   // NoTask when version 0 is externally provided
+	readers     []TaskID // kept only without renaming: nothing else reads it
 	groupAccess []TaskID // concurrent/commutative accessors of current version
 }
 
@@ -176,6 +177,13 @@ type Processor struct {
 	mu    sync.Mutex
 	data  map[DataID]*dataState
 	stats Stats
+	edges []depEdge // scratch: the task being registered's edges, as sighted
+}
+
+// depEdge is one sighting of a producer while a task's accesses are walked.
+type depEdge struct {
+	on   TaskID
+	kind EdgeKind
 }
 
 // Option configures a Processor.
@@ -218,11 +226,14 @@ func (p *Processor) CurrentVersion(d DataID) Version {
 // Register records the accesses of a task and returns its dependencies and
 // the exact data versions it reads and writes. Accesses on the same datum
 // within one task should be merged by the caller (the most permissive rule
-// applies if not: later entries see the state left by earlier ones).
+// applies if not: later entries see the state left by earlier ones). It
+// allocates at most twice: Reads and Writes share one exact-size array,
+// Deps has its own.
 func (p *Processor) Register(task TaskID, accesses []Access) Result {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.registerLocked(task, accesses)
+	var s slab
+	return p.registerLocked(task, accesses, &s)
 }
 
 // TaskAccesses pairs a task with its declared accesses, for batch
@@ -233,46 +244,83 @@ type TaskAccesses struct {
 }
 
 // RegisterBatch registers several tasks under one lock acquisition, in
-// slice order, and returns one Result per task: the batch is atomic, and a
-// simulation building a million-task graph pays one lock round trip
-// instead of one per task.
+// slice order, and returns one Result per task: the batch is atomic, and
+// its tasks' Reads, Writes and Deps are carved from arrays sized by a
+// counting pass over the batch's own accesses, so a simulation building a
+// million-task graph pays a handful of allocations per batch instead of
+// several per task. The arrays live as long as any list carved from them.
 func (p *Processor) RegisterBatch(batch []TaskAccesses) []Result {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	var s slab
+	versions := 0
+	for _, b := range batch {
+		nr, nw := countAccesses(b.Accesses)
+		versions += nr + nw
+		s.reads += nr
+	}
+	s.vers = make([]Version, versions)
 	out := make([]Result, len(batch))
 	for i, b := range batch {
-		out[i] = p.registerLocked(b.Task, b.Accesses)
+		out[i] = p.registerLocked(b.Task, b.Accesses, &s)
 	}
 	return out
 }
 
-// registerLocked is Register with p.mu held.
-func (p *Processor) registerLocked(task TaskID, accesses []Access) Result {
+// slab is the room one registration call — a batch, or a single task —
+// carves its tasks' lists from. A carved list has cap == len, so a
+// consumer's append copies instead of writing into its neighbour.
+type slab struct {
+	vers []Version // Reads and Writes: the exact count, known before the walk
+	ids  []TaskID  // Deps: counted only once a task's edges are de-duplicated
+	// reads counts the reading accesses of the tasks not yet registered —
+	// what their Deps will come to, near enough, when ids has to be made.
+	reads int
+}
+
+// carve takes the next n slots of *room (making exactly n + spare when it
+// has fewer) and returns them as an empty list of capacity n.
+func carve[T any](room *[]T, n, spare int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(*room) < n {
+		*room = make([]T, n+spare)
+	}
+	out := (*room)[:0:n]
+	*room = (*room)[n:]
+	return out
+}
+
+// countAccesses returns how many versions the accesses read and write.
+func countAccesses(accesses []Access) (reads, writes int) {
+	for _, a := range accesses {
+		if a.Dir.Reads() {
+			reads++
+		}
+		if a.Dir.Writes() {
+			writes++
+		}
+	}
+	return reads, writes
+}
+
+// dependOn sights one producer of the task being registered.
+func (p *Processor) dependOn(task, on TaskID, kind EdgeKind) {
+	if on != NoTask && on != task {
+		p.edges = append(p.edges, depEdge{on, kind})
+	}
+}
+
+// registerLocked is Register with p.mu held, carving the result from s.
+func (p *Processor) registerLocked(task TaskID, accesses []Access, s *slab) Result {
 	if len(accesses) == 0 {
 		return Result{}
 	}
-	depSet := make(map[TaskID]struct{})
-	var res Result
-
-	addDep := func(t TaskID, kind EdgeKind) {
-		if t == NoTask || t == task {
-			return
-		}
-		if _, dup := depSet[t]; dup {
-			return
-		}
-		depSet[t] = struct{}{}
-		switch kind {
-		case RAW:
-			p.stats.RAW++
-		case WAR:
-			p.stats.WAR++
-		case WAW:
-			p.stats.WAW++
-		case Group:
-			p.stats.Group++
-		}
-	}
+	nr, nw := countAccesses(accesses)
+	s.reads = max(s.reads-nr, 0)
+	res := Result{Reads: carve(&s.vers, nr, nw), Writes: carve(&s.vers, nw, 0)}
+	p.edges = p.edges[:0]
 
 	for _, a := range accesses {
 		st, ok := p.data[a.Data]
@@ -283,24 +331,26 @@ func (p *Processor) registerLocked(task TaskID, accesses []Access) Result {
 
 		switch a.Dir {
 		case In:
-			addDep(st.lastWriter, RAW)
+			p.dependOn(task, st.lastWriter, RAW)
 			for _, g := range st.groupAccess {
-				addDep(g, Group)
+				p.dependOn(task, g, Group)
 			}
 			res.Reads = append(res.Reads, Version{Data: a.Data, Ver: st.ver})
-			st.readers = append(st.readers, task)
+			if !p.renaming {
+				st.readers = append(st.readers, task)
+			}
 
 		case Out:
 			if !p.renaming {
-				addDep(st.lastWriter, WAW)
+				p.dependOn(task, st.lastWriter, WAW)
 				for _, r := range st.readers {
-					addDep(r, WAR)
+					p.dependOn(task, r, WAR)
 				}
 			}
 			// Group accessors mutate the live object in place, so a
 			// superseding write must wait for them even with renaming.
 			for _, g := range st.groupAccess {
-				addDep(g, Group)
+				p.dependOn(task, g, Group)
 			}
 			st.ver++
 			st.lastWriter = task
@@ -309,13 +359,13 @@ func (p *Processor) registerLocked(task TaskID, accesses []Access) Result {
 			res.Writes = append(res.Writes, Version{Data: a.Data, Ver: st.ver})
 
 		case InOut:
-			addDep(st.lastWriter, RAW)
+			p.dependOn(task, st.lastWriter, RAW)
 			for _, g := range st.groupAccess {
-				addDep(g, Group)
+				p.dependOn(task, g, Group)
 			}
 			if !p.renaming {
 				for _, r := range st.readers {
-					addDep(r, WAR)
+					p.dependOn(task, r, WAR)
 				}
 			}
 			res.Reads = append(res.Reads, Version{Data: a.Data, Ver: st.ver})
@@ -328,18 +378,32 @@ func (p *Processor) registerLocked(task TaskID, accesses []Access) Result {
 		case Concurrent, Commutative:
 			// Members depend on the preceding writer but not on each
 			// other; later accesses depend on all members.
-			addDep(st.lastWriter, RAW)
+			p.dependOn(task, st.lastWriter, RAW)
 			res.Reads = append(res.Reads, Version{Data: a.Data, Ver: st.ver})
 			res.Writes = append(res.Writes, Version{Data: a.Data, Ver: st.ver})
 			st.groupAccess = append(st.groupAccess, task)
 		}
 	}
 
-	res.Deps = make([]TaskID, 0, len(depSet))
-	for t := range depSet {
-		res.Deps = append(res.Deps, t)
+	// A producer sighted more than once is one edge, of the kind it was
+	// first sighted under: the stable sort keeps that sighting at the head
+	// of the producer's run, and Deps comes out sorted.
+	slices.SortStableFunc(p.edges, func(a, b depEdge) int { return cmp.Compare(a.on, b.on) })
+	p.edges = slices.CompactFunc(p.edges, func(a, b depEdge) bool { return a.on == b.on })
+	res.Deps = carve(&s.ids, len(p.edges), s.reads)
+	for _, e := range p.edges {
+		res.Deps = append(res.Deps, e.on)
+		switch e.kind {
+		case RAW:
+			p.stats.RAW++
+		case WAR:
+			p.stats.WAR++
+		case WAW:
+			p.stats.WAW++
+		case Group:
+			p.stats.Group++
+		}
 	}
-	sort.Slice(res.Deps, func(i, j int) bool { return res.Deps[i] < res.Deps[j] })
 	return res
 }
 

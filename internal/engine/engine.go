@@ -154,6 +154,7 @@ type Task struct {
 	redeps     map[*Task]struct{} // recovery waiters (lazily allocated)
 	completed  bool               // completed at least once
 	ckptDirty  bool               // in the engine's dirty set (delta checkpoints)
+	fanOut     int32              // dependents registered but not yet wired (zero outside Add/AddBatch)
 	epoch      int                // placement counter
 	node       *resources.Node    // reserved primary while Running
 	peers      []*resources.Node  // rest of a multi-node group
@@ -383,6 +384,17 @@ type Engine struct {
 	// fresh allocation).
 	fitScratch []*resources.Node
 	capScratch []*resources.Node
+	// Registration scratch: the producer→dependent edges one Add or
+	// AddBatch call resolved, in registration order, and how many of them
+	// land on a producer that has no dependents yet — the size of the
+	// array wireLocked carves those producers' lists from.
+	edges      []edge
+	freshEdges int
+	// earlyHolds banks ReleaseHold calls that arrived before their task
+	// was registered — the live runtime asks admission before it calls
+	// Add, and a completion on another goroutine may promote the
+	// submission in between; addLocked nets them off the task's holds.
+	earlyHolds map[int64]int32
 
 	launchMu sync.Mutex  // serialises launch batches (not held with mu)
 	launch   []Placement // scratch batch (guarded by launchMu)
@@ -634,7 +646,9 @@ var ErrDuplicateID = errors.New("engine: duplicate task ID")
 func (e *Engine) Add(t *Task, producers []deps.TaskID, holds int) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.addLocked(t, producers, holds)
+	ready, err := e.addLocked(t, producers, holds)
+	e.wireLocked()
+	return ready, err
 }
 
 // AddBatch registers several tasks under a single lock acquisition —
@@ -667,9 +681,16 @@ func (e *Engine) AddBatchHolds(ts []*Task, producers [][]deps.TaskID, holds []in
 			err = addErr
 		}
 	}
+	e.wireLocked()
 	return ready, err
 }
 
+// edge is one resolved dependency: t waits for p.
+type edge struct{ p, t *Task }
+
+// addLocked registers t and counts its edges; the caller follows its last
+// addLocked with wireLocked, which hangs every counted edge on its
+// producer. Splitting the two lets a batch size each producer's list once.
 func (e *Engine) addLocked(t *Task, producers []deps.TaskID, holds int) (bool, error) {
 	if e.tasks.get(t.ID) != nil {
 		return false, fmt.Errorf("%w: %d", ErrDuplicateID, t.ID)
@@ -681,11 +702,18 @@ func (e *Engine) addLocked(t *Task, producers []deps.TaskID, holds int) (bool, e
 	e.markDirtyLocked(t)
 	for _, d := range producers {
 		if p := e.tasks.get(int64(d)); p != nil && !p.completed {
-			p.dependents = append(p.dependents, t)
+			if p.fanOut++; len(p.dependents) == 0 {
+				e.freshEdges++
+			}
+			e.edges = append(e.edges, edge{p, t})
 			t.waitCount++
 		}
 	}
 	t.holds = int32(holds)
+	if early := e.earlyHolds[t.ID]; early > 0 { // releases that overtook this registration
+		delete(e.earlyHolds, t.ID)
+		t.holds = max(t.holds-early, 0)
+	}
 	t.waitCount += t.holds
 	for _, k := range t.OutputKeys {
 		e.producer[k] = t
@@ -699,15 +727,46 @@ func (e *Engine) addLocked(t *Task, producers []deps.TaskID, holds int) (bool, e
 	return false, nil
 }
 
+// wireLocked hangs the edges addLocked counted on their producers, in
+// registration order. A producer with no dependents yet gets its list
+// carved — cap == len, so a later append copies out — from one array shared
+// by the whole call; one that has some grows once, by what the call adds.
+func (e *Engine) wireLocked() {
+	room := make([]*Task, e.freshEdges)
+	for _, ed := range e.edges {
+		p := ed.p
+		if n := int(p.fanOut); n > 0 { // first sighting: make room for all n
+			if len(p.dependents) == 0 {
+				p.dependents, room = room[:0:n], room[n:]
+			} else {
+				p.dependents = slices.Grow(p.dependents, n)
+			}
+			p.fanOut = 0
+		}
+		p.dependents = append(p.dependents, ed.t)
+	}
+	clear(e.edges) // scratch must not pin tasks
+	e.edges, e.freshEdges = e.edges[:0], 0
+}
+
 // ReleaseHold clears one synthetic dependency of a pending task and
 // reports whether the task became ready (in which case the caller should
 // Schedule). Holds are counted apart from producer edges, so a surplus
-// release is refused instead of eating an unmet input.
+// release is refused instead of eating an unmet input. A release for an
+// ID not registered yet is banked for its Add, which then reports the
+// task ready itself.
 func (e *Engine) ReleaseHold(id int64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t := e.tasks.get(id)
-	if t == nil || t.holds == 0 {
+	if t == nil {
+		if e.earlyHolds == nil {
+			e.earlyHolds = make(map[int64]int32)
+		}
+		e.earlyHolds[id]++
+		return false
+	}
+	if t.holds == 0 {
 		return false
 	}
 	t.holds--
@@ -1207,13 +1266,11 @@ func (e *Engine) completeLocked(t *Task, epoch int, failed bool) (Completion, bo
 	// A completion can race a concurrent FailNode on the live backend: a
 	// member that left the pool meanwhile is neither released nor reported.
 	primary := t.node.Name()
-	if e.cfg.Pool.Holds(t.node) {
-		t.node.Release(t.Constraints)
+	if e.cfg.Pool.Release(t.node, t.Constraints) {
 		c.Node = t.node
 	}
 	for _, n := range t.peers {
-		if e.cfg.Pool.Holds(n) {
-			n.Release(t.Constraints)
+		if e.cfg.Pool.Release(n, t.Constraints) {
 			c.Peers = append(c.Peers, n)
 		}
 	}
@@ -1310,12 +1367,12 @@ func (e *Engine) KillRunningOn(name string) []*Task {
 			continue
 		}
 		for _, n := range t.peers {
-			if !named(n) && e.cfg.Pool.Holds(n) {
-				n.Release(t.Constraints)
+			if !named(n) {
+				e.cfg.Pool.Release(n, t.Constraints)
 			}
 		}
-		if !named(t.node) && e.cfg.Pool.Holds(t.node) {
-			t.node.Release(t.Constraints)
+		if !named(t.node) {
+			e.cfg.Pool.Release(t.node, t.Constraints)
 		}
 		t.node, t.peers = nil, nil
 		t.state = Pending

@@ -159,16 +159,16 @@ func stencilSpecs(cells, iters, nodes int) ([]infra.TaskSpec, map[deps.DataID]in
 
 // TestStencilCampaignAllocBudget is the deterministic cost gate on the
 // data path: New and Run of a 128-cell × 80-iteration stencil on 16
-// nodes under Locality. The budget sits between this tree (one catalog
-// row per data version read through transfer.Registry.Row, sources taken
-// from the row's own sorted holder list, a ready queue that keeps its
-// array) and the tree before it, which sorted a fresh copy of the holders
-// per fetched input and regrew the ready queue as it drained: either
-// coming back — or a per-layer copy of a task's accesses, which the
-// previous budget of 18.5 guarded — fails here.
+// nodes under Locality. Registration builds the graph in slabs — a
+// window's Reads, Writes, Deps and dependents lists are carved from a few
+// arrays, a version's first holder list is its node's shared one — and
+// the run reads one catalog row per input and keeps its ready queue's
+// array, so what is left is under one allocation per task. A list per
+// task, per edge or per version coming back anywhere between deps and the
+// registry fails here.
 func TestStencilCampaignAllocBudget(t *testing.T) {
 	const cells, iters, nodes = 128, 80, 16
-	const budget = 15.6 // this tree reads 14.7, the tree before it 16.6
+	const budget = 1.5 // this tree reads 0.63, the tree before it 14.7
 	specs, stageIn, holders := stencilSpecs(cells, iters, nodes)
 	run := func(specs []infra.TaskSpec) {
 		pool := resources.NewPool()

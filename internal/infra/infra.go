@@ -221,6 +221,11 @@ type Sim struct {
 	err           error
 }
 
+// registerWindow is how many tasks New hands the engine per AddBatchHolds
+// call: enough that a call's one dependents array vanishes per task, few
+// enough that the call's scratch does not show on a campaign's bill.
+const registerWindow = 1024
+
 // release delays a task's visibility to the scheduler.
 type release struct {
 	id     int64
@@ -314,47 +319,57 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 	}
 
 	// Register the whole workflow through the access processor in slice
-	// order — one lock acquisition for the full graph.
+	// order — one lock acquisition and one set of list slabs for the full
+	// graph — then through the engine a window at a time: it sizes each
+	// producer's dependents once per call, and the window's scratch is
+	// reused, so no per-task side array is added to the campaign's bill.
 	batch := make([]deps.TaskAccesses, len(specs))
 	for i, spec := range specs {
 		batch[i] = deps.TaskAccesses{Task: deps.TaskID(spec.ID), Accesses: spec.Accesses}
 	}
 	results := s.proc.RegisterBatch(batch)
 	tasks := make([]engine.Task, len(specs)) // one allocation for every task record
-	for i, spec := range specs {
-		res := results[i]
-		et := &tasks[i]
-		*et = engine.Task{
-			ID:          spec.ID,
-			Class:       spec.Class,
-			Constraints: spec.Constraints,
-			EstDuration: spec.Duration,
-			InputKeys:   res.Reads,
-			OutputKeys:  res.Writes,
-		}
-		for _, k := range res.Reads {
-			et.InputBytes += s.reg.Size(k)
-		}
-		for _, k := range res.Writes {
-			if size, ok := spec.OutputBytes[k.Data]; ok {
-				s.reg.SetSize(k, size)
+	n := min(len(specs), registerWindow)
+	ets := make([]*engine.Task, n)
+	producers := make([][]deps.TaskID, n)
+	holds := make([]int, n)
+	for lo := 0; lo < len(specs); lo += n {
+		win := specs[lo:min(lo+n, len(specs))]
+		for i, spec := range win {
+			res, et := results[lo+i], &tasks[lo+i]
+			*et = engine.Task{
+				ID:          spec.ID,
+				Class:       spec.Class,
+				Constraints: spec.Constraints,
+				EstDuration: spec.Duration,
+				InputKeys:   res.Reads,
+				OutputKeys:  res.Writes,
 			}
-		}
-		// Release delays and admission gating share one synthetic
-		// dependency: a released task re-submits through the admission
-		// controller, so a tenant over quota stays held past its release
-		// instant until a completion frees a slot.
-		holds := 0
-		if spec.Release > 0 || cfg.Admission != nil {
-			holds = 1
-			r := release{id: spec.ID, at: spec.Release, tenant: spec.Tenant}
-			if spec.Release > 0 {
-				s.releases = append(s.releases, r)
-			} else {
-				s.admitStart = append(s.admitStart, r)
+			for _, k := range res.Reads {
+				et.InputBytes += s.reg.Size(k)
 			}
+			for _, k := range res.Writes {
+				if size, ok := spec.OutputBytes[k.Data]; ok {
+					s.reg.SetSize(k, size)
+				}
+			}
+			// Release delays and admission gating share one synthetic
+			// dependency: a released task re-submits through the admission
+			// controller, so a tenant over quota stays held past its release
+			// instant until a completion frees a slot.
+			holds[i] = 0
+			if spec.Release > 0 || cfg.Admission != nil {
+				holds[i] = 1
+				r := release{id: spec.ID, at: spec.Release, tenant: spec.Tenant}
+				if spec.Release > 0 {
+					s.releases = append(s.releases, r)
+				} else {
+					s.admitStart = append(s.admitStart, r)
+				}
+			}
+			ets[i], producers[i] = et, res.Deps
 		}
-		if _, err := s.eng.Add(et, res.Deps, holds); err != nil {
+		if _, err := s.eng.AddBatchHolds(ets[:len(win)], producers[:len(win)], holds[:len(win)]); err != nil {
 			return nil, err
 		}
 	}

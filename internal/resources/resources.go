@@ -321,6 +321,10 @@ func (n *Node) Reserve(c Constraints) error {
 func (n *Node) Release(c Constraints) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.releaseLocked(c)
+}
+
+func (n *Node) releaseLocked(c Constraints) {
 	n.st.freeCores = min(n.st.freeCores+c.EffectiveCores(), n.desc.Cores)
 	n.st.freeMemMB = min(n.st.freeMemMB+c.MemoryMB, n.desc.MemoryMB)
 	n.st.freeGPUs = min(n.st.freeGPUs+c.GPUs, n.desc.GPUs)
@@ -387,13 +391,16 @@ func (p *Pool) Get(name string) (*Node, bool) {
 	return n, ok
 }
 
-// Holds reports whether n itself — not merely some node of its name — is
-// currently in the pool.
-func (p *Pool) Holds(n *Node) bool {
+// Release returns c's capacity to n if n itself — not merely some node of
+// its name — is still in the pool, and reports whether it was: test and
+// release are one critical section on the node, so a completion racing a
+// node failure either releases before the removal or not at all.
+func (p *Pool) Release(n *Node, c Constraints) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, w := range n.watchers {
 		if w.x == p.idx {
+			n.releaseLocked(c)
 			return true
 		}
 	}

@@ -119,3 +119,60 @@ func firstDifference(got, want []Entry, same func(a, b Entry) bool) string {
 	}
 	return "one side is a prefix of the other"
 }
+
+// TestSharedSoleHolderListIsNeverWrittenThrough pins what lets AddReplica
+// hand every version a node alone holds the same one-element list: two
+// versions share n0's list, readers hold on to it and keep reading, and
+// writers add a second holder, remove it, drop the first and add it back
+// on both rows. The readers' list must stay ["n0"] throughout (the race
+// detector watches its backing array), and a row that returns to n0 alone
+// gets the shared list again, not a copy.
+func TestSharedSoleHolderListIsNeverWrittenThrough(t *testing.T) {
+	r := NewRegistry()
+	a, b := Key{Data: 1, Ver: 1}, Key{Data: 2, Ver: 1}
+	r.AddReplica(a, "n0")
+	r.AddReplica(b, "n0")
+	shared := r.Where(a)
+	if other := r.Where(b); len(shared) != 1 || &shared[0] != &other[0] {
+		t.Fatalf("two rows held by n0 alone do not share one list: %v, %v", shared, other)
+	}
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if len(shared) != 1 || shared[0] != "n0" {
+				t.Errorf("the shared list changed under its readers: %v", shared)
+				return
+			}
+		}
+	}()
+	var writers sync.WaitGroup
+	for _, k := range []Key{a, b} {
+		writers.Add(1)
+		go func(k Key) {
+			defer writers.Done()
+			for i := 0; i < 2000; i++ {
+				r.AddReplica(k, "m9") // sorts before n0: an in-place insert would shift it
+				r.RemoveReplica(k, "m9")
+				r.RemoveReplica(k, "n0")
+				r.AddReplica(k, "n0")
+			}
+		}(k)
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	for _, k := range []Key{a, b} {
+		if got := r.Where(k); len(got) != 1 || &got[0] != &shared[0] {
+			t.Fatalf("%v back on n0 alone reads %v, not the shared list", k, got)
+		}
+	}
+}

@@ -47,11 +47,15 @@ type Registry struct {
 	mu    sync.RWMutex
 	rows  map[Key]row
 	dirty map[Key]struct{}
+	// sole holds one published one-element list per node, shared by every
+	// row that node alone holds: lists are never edited, so a version's
+	// first replica — most versions' only one — allocates nothing.
+	sole map[string][]string
 }
 
 // NewRegistry returns an empty location registry.
 func NewRegistry() *Registry {
-	return &Registry{rows: make(map[Key]row), dirty: make(map[Key]struct{})}
+	return &Registry{rows: make(map[Key]row), dirty: make(map[Key]struct{}), sole: make(map[string][]string)}
 }
 
 // putLocked installs k's row (dropping it when empty) and marks it dirty.
@@ -104,7 +108,14 @@ func (r *Registry) AddReplica(k Key, node string) {
 	defer r.mu.Unlock()
 	rw := r.rows[k]
 	at, held := slices.BinarySearch(rw.holders, node)
-	if !held {
+	switch {
+	case held:
+	case len(rw.holders) == 0:
+		if rw.holders = r.sole[node]; rw.holders == nil {
+			rw.holders = []string{node}
+			r.sole[node] = rw.holders
+		}
+	default:
 		// Clipped, so Insert cannot fit the name into the published list.
 		rw.holders = slices.Insert(slices.Clip(rw.holders), at, node)
 	}

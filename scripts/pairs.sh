@@ -1,13 +1,16 @@
 #!/bin/bash
-# make pairs BASE=<commit> WORKLOAD=<name> [N=10] [SEED=1] [CHANGE=HEAD]
+# make pairs BASE=<commit> WORKLOAD=<name> [N=10] [SEED=1] [CHANGE=HEAD|WORKTREE]
 #
 # The ledger's rule for a performance claim, as one command: N pairs of
 # `bash bench/run.sh --workload W --seed S --seconds 15 --trace 0` — the
 # benchmark driver's own invocation — on the parent (BASE) and on the change
-# (CHANGE, a commit: uncommitted edits are not measured), alternating which
-# side goes first. Each side is a detached `git worktree` under
-# bench/out/.build/pairs/, so it builds from committed files only, once (the
-# later runs find a warm build cache), and writes nothing outside itself.
+# (CHANGE: a commit, or WORKTREE for the working tree as it stands — tracked
+# edits, staged or not; a new file counts once it is `git add`ed),
+# alternating which side goes first. Each side is a detached `git worktree`
+# under bench/out/.build/pairs/, so it builds from the files of one commit
+# only, once (the later runs find a warm build cache), and writes nothing
+# outside itself. WORKTREE measures the commit `git stash create` makes of
+# the edits: the working tree, the index and the stash list stay as they are.
 # Printed per end-to-end metric: both medians with their quartiles, the pairs
 # the change won (ties count for neither side) and whether the medians are
 # further apart than the parent's own quartiles — a gain needs >= 9/10 pairs
@@ -27,11 +30,14 @@ cleanup() {
 trap cleanup EXIT
 cleanup
 mkdir -p "$work"
+if [ "$change" = WORKTREE ]; then
+	change=$(git -C "$root" stash create "pairs: the working tree")
+	change=${change:-HEAD} # nothing to stash: the working tree is HEAD
+elif ! git -C "$root" diff --quiet HEAD; then
+	echo "pairs: the working tree has uncommitted edits; measuring $change as committed (CHANGE=WORKTREE measures them)" >&2
+fi
 git -C "$root" worktree add --detach "$work/parent" "$base" >/dev/null
 git -C "$root" worktree add --detach "$work/change" "$change" >/dev/null
-if ! git -C "$root" diff --quiet HEAD; then
-	echo "pairs: the working tree has uncommitted edits; measuring $change as committed" >&2
-fi
 
 # run SIDE: one ledger run; the last output line is the driver's JSON object.
 run() {
