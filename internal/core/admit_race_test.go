@@ -49,8 +49,10 @@ func TestQueuedSubmissionIsNeverStranded(t *testing.T) {
 					}
 					f = fs[0]
 				}
+				resolved := make(chan struct{})
+				go func() { f.Wait(); close(resolved) }()
 				select {
-				case <-f.done:
+				case <-resolved:
 				case <-timeout.C:
 					stranded <- g*perSubmitter + i
 					return

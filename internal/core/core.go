@@ -15,10 +15,13 @@
 // injection, checkpoints, admission, autoscaling, periodic ticks),
 // alongside the shared access processor (internal/deps), resource model
 // (internal/resources) and scheduling policies (internal/sched). Here the
-// engine's Clock is wall time and its Executor spawns a goroutine per
-// placement; fault kills additionally cancel the execution's context, and
-// epoch-guarded completions keep orphaned goroutines from publishing
-// values. See docs/ARCHITECTURE.md for the task lifecycle on each backend.
+// engine's Clock is wall time and its Executor queues each placement for a
+// goroutine of its own — the one whose completion just ran the placement
+// wave takes the next launch itself, and a new one starts only when more
+// launches wait than goroutines are on their way (see Launch); fault kills
+// additionally cancel the execution's context, and epoch-guarded
+// completions keep orphaned goroutines from publishing values. See
+// docs/ARCHITECTURE.md for the task lifecycle on each backend.
 package core
 
 import (
@@ -26,8 +29,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/autoscale"
@@ -148,39 +153,79 @@ type Handle struct {
 // ID returns the underlying data ID.
 func (h *Handle) ID() deps.DataID { return h.id }
 
-// Future is the synchronisation object of an asynchronous task. A task
-// killed by a fault injection keeps its future open until the recovery
-// re-execution delivers a result.
-type Future struct {
-	done chan struct{}
-	once sync.Once
-	vals []any
-	err  error
+// latch is a one-shot event under a small mutex — a leaf: never held while
+// calling out — whose channel is made only if somebody asks to wait on it.
+type latch struct {
+	mu  sync.Mutex
+	set bool
+	ch  chan struct{}
 }
 
-// complete delivers the result exactly once: a recovery re-execution of an
-// already-finished task leaves the published values untouched.
-func (f *Future) complete(vals []any, err error) {
-	f.once.Do(func() {
-		f.vals, f.err = vals, err
-		close(f.done)
-	})
+// fireLocked sets the latch and reports whether this call did.
+func (l *latch) fireLocked() bool {
+	if l.set {
+		return false
+	}
+	l.set = true
+	if l.ch != nil {
+		close(l.ch)
+	}
+	return true
+}
+
+// chanLocked returns the channel that is closed once the latch is set.
+func (l *latch) chanLocked() <-chan struct{} {
+	if l.ch == nil {
+		l.ch = make(chan struct{})
+		if l.set {
+			close(l.ch)
+		}
+	}
+	return l.ch
+}
+
+// Future is the synchronisation object of an asynchronous task. A task
+// killed by a fault injection keeps its future open until the recovery
+// re-execution delivers a result. It lives inside its task, which a batch
+// submission carves from one array with its siblings: a held *Future keeps
+// that batch's tasks reachable.
+type Future struct {
+	latch // set: resolved; the channel is made by a Wait that finds the task in flight
+	vals  []any
+	err   error
+}
+
+// complete delivers the result exactly once and reports whether this call
+// did: a recovery re-execution of an already-finished task leaves the
+// published values untouched.
+func (f *Future) complete(vals []any, err error) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.set {
+		return false
+	}
+	f.vals, f.err = vals, err
+	return f.fireLocked()
 }
 
 // Wait blocks until the task finishes and returns its values.
 func (f *Future) Wait() ([]any, error) {
-	<-f.done
-	return f.vals, f.err
+	f.mu.Lock()
+	if f.set {
+		f.mu.Unlock()
+	} else {
+		done := f.chanLocked()
+		f.mu.Unlock()
+		<-done
+	}
+	return f.vals, f.err // written before the latch was set, never again
 }
 
 // Done reports completion without blocking.
 func (f *Future) Done() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
-	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.set
 }
 
 // Config tunes a Runtime.
@@ -253,20 +298,60 @@ type versionSlot struct {
 	err error
 }
 
-// rtTask is one submitted invocation. The engine task is embedded so one
-// allocation carries both the scheduler-facing and runtime-facing state.
+// rtTask is one submitted invocation. The engine task, the future and the
+// first execution's context are embedded, so one allocation — one slot of
+// its batch's array — carries the scheduler-facing, caller-facing and
+// body-facing state.
 type rtTask struct {
-	et         engine.Task
-	def        TaskDef
-	params     []Param
-	reads      []deps.Version
-	writes     []deps.Version
-	writeSizes []int64 // declared byte sizes per write (0 ⇒ measure)
+	et     engine.Task
+	def    TaskDef
+	params []Param
+	reads  []deps.Version
+	writes []deps.Version
 	// comm pairs each commutative parameter's index with the shared
 	// version it merges into (read version == write version).
 	comm   []commParam
-	future *Future
-	cancel context.CancelFunc // current execution's context (rt.mu)
+	future Future
+	ctx    *taskCtx // current execution's context (rt.mu); nil until the first
+	ctx0   taskCtx  // the first execution's; a re-execution gets its own
+}
+
+// taskCtx is the context.Context of one execution: it answers the
+// placement's slow factor, and is cancelled (the latch) by a fault kill of
+// the execution and when its body has returned.
+type taskCtx struct {
+	latch
+	slow float64
+}
+
+func (c *taskCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+
+func (c *taskCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.chanLocked()
+}
+
+func (c *taskCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.set {
+		return context.Canceled
+	}
+	return nil
+}
+
+func (c *taskCtx) Value(key any) any {
+	if key == (slowFactorKey{}) {
+		return c.slow
+	}
+	return nil
+}
+
+func (c *taskCtx) cancel() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.fireLocked()
 }
 
 // commParam locates one commutative parameter of an invocation.
@@ -291,10 +376,22 @@ type Runtime struct {
 	nextTask int64
 	nextData int64
 	stopped  bool
+	// runq holds the launches no goroutine has taken yet, oldest at
+	// runHead; takers counts the goroutines about to take one: freshly
+	// started, or between completing a task and their next pop — never in
+	// user code. Launch keeps the queue no longer than takers.
+	runq    []launch
+	runHead int
+	takers  int
+
+	// pending counts unresolved futures; the completion that takes it to
+	// zero wakes the Barriers asleep on idle.
+	pending atomic.Int64
+	idle    *sync.Cond
 
 	autoOnce sync.Once // StartAutoscaler arms one ticker
 
-	wg    sync.WaitGroup // running task goroutines
+	wg    sync.WaitGroup // live task goroutines
 	epoch time.Time      // trace-event time base
 }
 
@@ -316,6 +413,7 @@ func New(cfg Config) *Runtime {
 		values: make(map[deps.Version]versionSlot),
 		commMu: make(map[deps.Version]*sync.Mutex),
 		group:  make(map[deps.Version][]*Future),
+		idle:   sync.NewCond(new(sync.Mutex)),
 		epoch:  time.Now(),
 	}
 	var err error
@@ -468,46 +566,65 @@ func (rt *Runtime) admitLocked(name string) (TaskDef, error) {
 	return def, nil
 }
 
-// normalizeParams copies the parameter list, defaults directions, and
-// derives the access list the processor consumes.
-func normalizeParams(params []Param) ([]Param, []deps.Access) {
-	params = append([]Param(nil), params...)
-	var accesses []deps.Access
+// paramRoom is the room one submission call — a batch, or a single
+// invocation — carves its tasks' parameter and access lists from: one
+// array each, made to the exact size (see handles).
+type paramRoom struct {
+	params   []Param
+	accesses []deps.Access
+}
+
+// handles counts the dependency-tracked parameters: one access each.
+func handles(params []Param) (n int) {
+	for _, p := range params {
+		if p.Handle != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// carve cuts the next n elements off *room, as a list with cap == len.
+func carve[T any](room *[]T, n int) []T {
+	out := (*room)[:n:n]
+	*room = (*room)[n:]
+	return out
+}
+
+// normalize copies the parameter list, defaults directions, and derives
+// the access list the processor consumes.
+func (r *paramRoom) normalize(src []Param) ([]Param, []deps.Access) {
+	params := carve(&r.params, len(src))
+	copy(params, src)
+	n := 0
 	for i := range params {
 		if params[i].Handle == nil {
 			continue
 		}
-		dir := params[i].Dir
-		if dir == 0 {
-			dir = deps.In
+		if params[i].Dir == 0 {
+			params[i].Dir = deps.In
 		}
-		params[i].Dir = dir
-		accesses = append(accesses, deps.Access{Data: params[i].Handle.id, Dir: dir})
+		r.accesses[n] = deps.Access{Data: params[i].Handle.id, Dir: params[i].Dir}
+		n++
 	}
-	return params, accesses
+	return params, carve(&r.accesses, n)
 }
 
-// buildTaskLocked assembles the runtime task for one registered
-// invocation: declared output sizes enter the location registry, input
-// sizes aggregate into the scheduler's covariate. Caller holds rt.mu.
-func (rt *Runtime) buildTaskLocked(id int64, def TaskDef, params []Param, res deps.Result) *rtTask {
-	t := &rtTask{
-		def:        def,
-		params:     params,
-		reads:      res.Reads,
-		writes:     res.Writes,
-		writeSizes: make([]int64, len(res.Writes)),
-		future:     &Future{done: make(chan struct{})},
-	}
+// buildTaskLocked fills in the runtime task of one registered invocation
+// (t.def and t.params are set): declared output sizes enter the location
+// registry, input sizes aggregate into the scheduler's covariate. Caller
+// holds rt.mu.
+func (rt *Runtime) buildTaskLocked(t *rtTask, id int64, res deps.Result) {
+	t.reads, t.writes = res.Reads, res.Writes
 	wi, ri := 0, 0
-	for i, p := range params {
+	for i, p := range t.params {
 		if p.Handle == nil {
 			continue
 		}
 		if p.Dir == deps.Commutative || p.Dir == deps.Concurrent {
 			// Group members share one version; WaitOn must wait for the
 			// whole group, not just the last-registered member.
-			rt.group[res.Reads[ri]] = append(rt.group[res.Reads[ri]], t.future)
+			rt.group[res.Reads[ri]] = append(rt.group[res.Reads[ri]], &t.future)
 		}
 		if p.Dir == deps.Commutative {
 			// Commutative members additionally merge in place: record the
@@ -524,14 +641,16 @@ func (rt *Runtime) buildTaskLocked(id int64, def TaskDef, params []Param, res de
 		if !p.Dir.Writes() {
 			continue
 		}
-		t.writeSizes[wi] = p.Size
+		if p.Size > 0 && rt.cfg.Locations != nil {
+			rt.cfg.Locations.SetSize(res.Writes[wi], p.Size)
+		}
 		wi++
 	}
 	t.et = engine.Task{
 		ID:          id,
-		Class:       def.Name,
-		Constraints: def.Constraints,
-		EstDuration: def.EstDuration,
+		Class:       t.def.Name,
+		Constraints: t.def.Constraints,
+		EstDuration: t.def.EstDuration,
 		InputKeys:   res.Reads,
 		OutputKeys:  res.Writes,
 		Payload:     t,
@@ -540,16 +659,10 @@ func (rt *Runtime) buildTaskLocked(id int64, def TaskDef, params []Param, res de
 		for _, k := range t.et.InputKeys {
 			t.et.InputBytes += rt.cfg.Locations.Size(k)
 		}
-		for i, k := range t.et.OutputKeys {
-			if t.writeSizes[i] > 0 {
-				rt.cfg.Locations.SetSize(k, t.writeSizes[i])
-			}
-		}
 	}
 	if rt.cfg.Tracer != nil {
-		rt.cfg.Tracer.Record(trace.Event{At: rt.now(), Kind: trace.TaskSubmitted, Task: id, Info: def.Name})
+		rt.cfg.Tracer.Record(trace.Event{At: rt.now(), Kind: trace.TaskSubmitted, Task: id, Info: t.def.Name})
 	}
-	return t
 }
 
 // resolveLocked offers a just-registered task to the host's restore: a
@@ -563,9 +676,19 @@ func (rt *Runtime) resolveLocked(t *rtTask) (wave bool) {
 		for i, w := range t.writes {
 			vals[i] = rt.values[w].val
 		}
-		t.future.complete(vals, nil)
+		rt.resolve(t, vals, nil)
 	}
 	return wave
+}
+
+// resolve completes t's future and, the first time, takes it off the
+// count Barrier sleeps on.
+func (rt *Runtime) resolve(t *rtTask, vals []any, err error) {
+	if t.future.complete(vals, err) && rt.pending.Add(-1) == 0 {
+		rt.idle.L.Lock()
+		rt.idle.Broadcast()
+		rt.idle.L.Unlock()
+	}
 }
 
 // Submit invokes a registered task asynchronously (default tenant; use
@@ -587,9 +710,13 @@ func (rt *Runtime) Submit(name string, params ...Param) (*Future, error) {
 		rt.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrQuotaRejected, name)
 	}
-	params, accesses := normalizeParams(params)
+	room := paramRoom{make([]Param, len(params)), make([]deps.Access, handles(params))}
+	t := &rtTask{def: def}
+	var accesses []deps.Access
+	t.params, accesses = room.normalize(params)
 	res := rt.proc.Register(deps.TaskID(id), accesses)
-	t := rt.buildTaskLocked(id, def, params, res)
+	rt.buildTaskLocked(t, id, res)
+	rt.pending.Add(1)
 	// The engine counts only dependencies whose producer has not already
 	// finished; rt.mu is held through Add so a dependent can never slip in
 	// ahead of its producer's registration.
@@ -599,7 +726,7 @@ func (rt *Runtime) Submit(name string, params ...Param) (*Future, error) {
 	if ready {
 		rt.eng.Schedule()
 	}
-	return t.future, nil
+	return &t.future, nil
 }
 
 // TaskReq names one invocation of a SubmitAll batch.
@@ -616,65 +743,64 @@ type TaskReq struct {
 // SubmitAll submits a batch of invocations under one lock round-trip:
 // the whole batch is admitted, registered through the access processor's
 // batch path and added to the engine in one acquisition each, then a
-// single placement wave runs. Requests may depend on earlier batch
-// members. On a definition error (unknown name, unplaceable
-// constraints) nothing is registered and no future is returned. A
-// per-tenant quota rejection (Config.Admission) is per-request instead:
-// the rejected request's Future comes back already resolved with
-// ErrQuotaRejected, it is never registered — dependents read the data's
-// previous version — and the rest of the batch proceeds.
+// single placement wave runs. The batch's tasks (futures included) and
+// their parameter lists are carved from one array each. Requests may
+// depend on earlier batch members. On a definition error (unknown name,
+// unplaceable constraints) nothing is registered and no future is
+// returned. A per-tenant quota rejection (Config.Admission) is
+// per-request instead: the rejected request's Future comes back already
+// resolved with ErrQuotaRejected, it is never registered — dependents
+// read the data's previous version — and the rest of the batch proceeds.
 func (rt *Runtime) SubmitAll(reqs []TaskReq) ([]*Future, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
+	tasks := make([]rtTask, len(reqs)) // one slot per request; a rejected one keeps only its future
 	rt.mu.Lock()
-	defs := make([]TaskDef, len(reqs))
+	var np, na int
 	for i, r := range reqs {
 		def, err := rt.admitLocked(r.Name)
 		if err != nil {
 			rt.mu.Unlock()
 			return nil, fmt.Errorf("core: batch task %d: %w", i, err)
 		}
-		defs[i] = def
+		tasks[i].def = def
+		np, na = np+len(r.Params), na+handles(r.Params)
 	}
+	room := paramRoom{make([]Param, np), make([]deps.Access, na)}
 	futures := make([]*Future, len(reqs))
-	accepted := make([]int, 0, len(reqs)) // indices into reqs
-	ids := make([]int64, 0, len(reqs))
+	accepted := make([]*rtTask, 0, len(reqs))
+	batch := make([]deps.TaskAccesses, 0, len(reqs))
 	holds := make([]int, 0, len(reqs))
 	for i, r := range reqs {
+		t := &tasks[i]
+		futures[i] = &t.future
 		rt.nextTask++
 		id := rt.nextTask
 		out, h := rt.Admit(id, r.Tenant)
 		if out == autoscale.Rejected {
 			rt.nextTask-- // the ID was never registered anywhere
-			f := &Future{done: make(chan struct{})}
-			f.complete(nil, fmt.Errorf("%w: batch task %d (%s)", ErrQuotaRejected, i, r.Name))
-			futures[i] = f
+			t.future.complete(nil, fmt.Errorf("%w: batch task %d (%s)", ErrQuotaRejected, i, r.Name))
 			continue
 		}
-		accepted = append(accepted, i)
-		ids = append(ids, id)
+		var accesses []deps.Access
+		t.params, accesses = room.normalize(r.Params)
+		accepted = append(accepted, t)
+		batch = append(batch, deps.TaskAccesses{Task: deps.TaskID(id), Accesses: accesses})
 		holds = append(holds, h)
-	}
-	norm := make([][]Param, len(accepted))
-	batch := make([]deps.TaskAccesses, len(accepted))
-	for j, i := range accepted {
-		params, accesses := normalizeParams(reqs[i].Params)
-		norm[j] = params
-		batch[j] = deps.TaskAccesses{Task: deps.TaskID(ids[j]), Accesses: accesses}
 	}
 	results := rt.proc.RegisterBatch(batch)
 	ets := make([]*engine.Task, len(accepted))
 	prods := make([][]deps.TaskID, len(accepted))
-	for j, i := range accepted {
-		t := rt.buildTaskLocked(ids[j], defs[i], norm[j], results[j])
-		futures[i] = t.future
+	for j, t := range accepted {
+		rt.buildTaskLocked(t, int64(batch[j].Task), results[j])
 		ets[j] = &t.et
 		prods[j] = results[j].Deps
 	}
+	rt.pending.Add(int64(len(accepted)))
 	ready, _ := rt.eng.AddBatchHolds(ets, prods, holds) // never a duplicate: ids are rt.nextTask, drawn under rt.mu
-	for _, et := range ets {
-		ready = rt.resolveLocked(et.Payload.(*rtTask)) || ready
+	for _, t := range accepted {
+		ready = rt.resolveLocked(t) || ready
 	}
 	rt.mu.Unlock()
 	if ready {
@@ -683,41 +809,96 @@ func (rt *Runtime) SubmitAll(reqs []TaskReq) ([]*Future, error) {
 	return futures, nil
 }
 
-// coreExecutor adapts the runtime to engine.Executor: each placement
-// becomes a goroutine running the task body on its reserved node. The
-// goroutine's context is cancelled if a fault invalidates the placement,
+// coreExecutor adapts the runtime to engine.Executor: each placement runs
+// its task body on a goroutine of its own, on its reserved node. The
+// execution's context is cancelled if a fault invalidates the placement,
 // so cancellation-aware task bodies stop burning cores on work whose
 // completion the engine will reject anyway.
 type coreExecutor Runtime
 
-// Launch implements engine.Executor.
+// launch is one placement waiting on the run queue.
+type launch struct {
+	t     *rtTask
+	epoch int
+	slow  float64 // Placement.SlowFactor
+}
+
+// Launch implements engine.Executor: the placement joins the run queue,
+// and a goroutine is started for it unless one is already on its way —
+// typically the one whose completion ran this very wave (see run). A drain
+// reuses about one goroutine per busy core, yet every placement has a
+// goroutine to itself from the moment it is launched.
 func (x *coreExecutor) Launch(p engine.Placement) {
 	rt := (*Runtime)(x)
 	t, ok := p.Task.Payload.(*rtTask)
 	if !ok {
 		return
 	}
-	// The placement's slow factor rides the context so cooperative task
-	// bodies (SlowSleep, SlowFactorFrom) degrade under slow-node drills
-	// the way the simulator stretches modelled durations.
-	ctx, cancel := context.WithCancel(context.WithValue(
-		context.Background(), slowFactorKey{}, p.SlowFactor))
 	rt.mu.Lock()
-	// A fault can invalidate the placement between the engine's wave and
-	// this launch (and even relaunch the task elsewhere): spawning the
-	// stale execution would waste a core and clobber the re-run's cancel
-	// hook. rt.mu is held, so a concurrent FailNode's onKill — which also
-	// takes rt.mu — cannot interleave between this check and the store.
-	if !rt.eng.Current(p.Task.ID, p.Epoch) {
-		rt.mu.Unlock()
-		cancel()
-		return
+	if rt.runHead > 0 && len(rt.runq) == cap(rt.runq) {
+		// Reclaim the popped prefix before append grows the array.
+		rt.runq, rt.runHead = slices.Delete(rt.runq, 0, rt.runHead), 0
 	}
-	t.cancel = cancel
-	args, depErr := rt.materialiseLocked(t)
-	rt.wg.Add(1)
+	rt.runq = append(rt.runq, launch{t, p.Epoch, p.SlowFactor})
+	spawn := len(rt.runq)-rt.runHead > rt.takers
+	if spawn {
+		rt.takers++
+		rt.wg.Add(1)
+	}
 	rt.mu.Unlock()
-	go rt.execute(ctx, cancel, t, p.Epoch, args, depErr)
+	if spawn {
+		go rt.run()
+	}
+}
+
+// run is a task goroutine, a taker on entry: it executes launches off the
+// run queue — execute leaves it a taker again, so the launches its own
+// completion caused wait for nobody else — and exits at an empty queue.
+func (rt *Runtime) run() {
+	defer rt.wg.Done()
+	for {
+		l, ctx, args, depErr := rt.take()
+		if ctx == nil {
+			return
+		}
+		rt.execute(ctx, l.t, l.epoch, args, depErr)
+	}
+}
+
+// take pops the oldest launch the engine still recognises and binds the
+// execution's context and arguments (a nil context: the queue is empty);
+// the caller stops being a taker.
+func (rt *Runtime) take() (l launch, ctx *taskCtx, args []any, depErr error) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.takers--
+	for rt.runHead < len(rt.runq) {
+		l = rt.runq[rt.runHead]
+		rt.runq[rt.runHead] = launch{}
+		rt.runHead++
+		// A fault can invalidate the placement between the engine's wave
+		// and this pop (and even relaunch the task elsewhere): the stale
+		// execution would waste a core and clobber the re-run's context.
+		// rt.mu is held, so a concurrent FailNode's onKill — which also
+		// takes rt.mu — cannot interleave between this check and the store.
+		if !rt.eng.Current(l.t.et.ID, l.epoch) {
+			continue
+		}
+		// The placement's slow factor rides the context so cooperative
+		// bodies (SlowSleep, SlowFactorFrom) degrade under slow-node drills
+		// like the simulator's durations. A re-execution gets a context of
+		// its own: a killed predecessor may still be running on the last.
+		ctx = &l.t.ctx0
+		if l.t.ctx != nil {
+			ctx = new(taskCtx)
+		}
+		ctx.slow = l.slow
+		l.t.ctx = ctx
+		args, depErr = rt.materialiseLocked(l.t)
+		return l, ctx, args, depErr
+	}
+	rt.runq, rt.runHead = rt.runq[:0], 0
+	return launch{}, nil, nil, nil
 }
 
 // materialiseLocked resolves parameter values. Caller holds rt.mu.
@@ -782,9 +963,7 @@ func (fn TaskFunc) call(ctx context.Context, args []any) (vals []any, err error)
 }
 
 // execute runs one task on its reserved node group.
-func (rt *Runtime) execute(ctx context.Context, cancel context.CancelFunc, t *rtTask, epoch int, args []any, depErr error) {
-	defer rt.wg.Done()
-	defer cancel()
+func (rt *Runtime) execute(ctx *taskCtx, t *rtTask, epoch int, args []any, depErr error) {
 	var started time.Time
 	if rt.cfg.Predictor != nil {
 		started = time.Now()
@@ -821,7 +1000,6 @@ func (rt *Runtime) execute(ctx context.Context, cancel context.CancelFunc, t *rt
 	}
 
 	var vals []any
-	var elapsed time.Duration
 	err := depErr
 	if err == nil {
 		for attempt := 0; ; attempt++ {
@@ -830,23 +1008,26 @@ func (rt *Runtime) execute(ctx context.Context, cancel context.CancelFunc, t *rt
 				break // a cancelled (fault-killed) execution does not retry
 			}
 		}
-		if rt.cfg.Predictor != nil {
+		// Returned values bind to written versions (in parameter order).
+		if err == nil && len(vals) != len(t.writes) {
+			err = fmt.Errorf("%w: %s returned %d values for %d written parameters",
+				ErrArity, t.def.Name, len(vals), len(t.writes))
+		}
+		if rt.cfg.Predictor != nil && err == nil && ctx.Err() == nil {
 			// Measured here so lock waits and value binding below do not
-			// inflate the durations the predictor learns from.
-			elapsed = time.Since(started)
+			// inflate the durations the predictor learns from — a
+			// fault-killed execution's is not one of them — and observed
+			// here because from the bind on this goroutine is awaited.
+			rt.cfg.Predictor.Observe(t.def.Name, 0, time.Since(started))
 		}
 	}
-
-	// Bind returned values to written versions (in parameter order).
-	if err == nil && len(vals) != len(t.writes) {
-		err = fmt.Errorf("%w: %s returned %d values for %d written parameters",
-			ErrArity, t.def.Name, len(vals), len(t.writes))
-	}
+	ctx.cancel() // the body has returned: whatever it derived from ctx ends with it
 
 	// Values must be visible before the engine releases dependents — but
 	// only from the placement the engine still recognises: an execution
 	// orphaned by a node failure must not clobber the versions its
 	// recovery re-run will publish.
+	tracking := rt.Tracking()
 	rt.mu.Lock()
 	if rt.eng.Current(t.et.ID, epoch) {
 		for i, w := range t.writes {
@@ -855,15 +1036,18 @@ func (rt *Runtime) execute(ctx context.Context, cancel context.CancelFunc, t *rt
 				continue
 			}
 			rt.values[w] = versionSlot{val: vals[i]}
-			if rt.cfg.Locations != nil && t.writeSizes[i] == 0 {
-				// No declared size: measure the produced value so live
-				// transfer accounting reports volumes, not just moves.
+			if rt.cfg.Locations != nil && rt.cfg.Locations.Size(w) == 0 {
+				// No size declared at submit: measure the produced value so
+				// live transfer accounting reports volumes, not just moves.
 				rt.cfg.Locations.SetSize(w, measureBytes(vals[i]))
 			}
 			if rt.cfg.Provenance != nil {
 				rt.cfg.Provenance.RecordProduction(w, t.et.ID, t.reads)
 			}
 		}
+	}
+	if !tracking {
+		rt.takers++ // nothing but the engine call stands between here and run's next take
 	}
 	rt.mu.Unlock()
 	for i := len(locks) - 1; i >= 0; i-- {
@@ -872,41 +1056,36 @@ func (rt *Runtime) execute(ctx context.Context, cancel context.CancelFunc, t *rt
 
 	// The engine releases the reservation, registers output replicas,
 	// frees every dependent under one lock acquisition, and immediately
-	// runs the next placement wave. A stale completion — the placement was
-	// invalidated by a fault — is rejected; the relaunched execution owns
-	// the future and the books.
-	var (
-		comp engine.Completion
-		ok   bool
-	)
-	if rt.Tracking() {
+	// runs the next placement wave, whose launches this goroutine — a
+	// taker from here on — finds on the run queue when it returns to run.
+	// A stale completion — the placement was invalidated by a fault — is
+	// rejected; the relaunched execution owns the future and the books.
+	var ok bool
+	if tracking {
 		// Complete, then let the host return the quota slot and notify
 		// the checkpointer before the next placement wave — the same
 		// post-completion, pre-placement point the simulator uses — which
 		// also places whatever queued submissions the freed slot promoted.
 		// A stale completion freed nothing, so it runs no wave: an
 		// orphan's wave must not slip between another execution's
-		// completion and its snapshot.
-		if comp, ok = rt.eng.Complete(t.et.ID, epoch, err != nil); !ok {
-			return
+		// completion and its snapshot. The checkpoint write may be slow, so
+		// this goroutine counts as a taker only once it is behind it.
+		var comp engine.Completion
+		if comp, ok = rt.eng.Complete(t.et.ID, epoch, err != nil); ok {
+			rt.TaskCompleted(t.et.ID, comp.First)
 		}
-		rt.TaskCompleted(t.et.ID, comp.First)
-		rt.eng.Schedule()
-	} else if comp, ok = rt.eng.CompleteSchedule(t.et.ID, epoch, err != nil); !ok {
-		return
-	}
-	if rt.cfg.Predictor != nil && err == nil {
-		rt.cfg.Predictor.Observe(t.def.Name, 0, elapsed)
-	}
-	if rt.cfg.Locations == nil {
-		// Without a replica registry there is no lineage re-execution, so
-		// the consumed parameters are dead weight; with one, keep them —
-		// a recovery re-run materialises the same invocation again.
 		rt.mu.Lock()
-		t.params = nil
+		rt.takers++
 		rt.mu.Unlock()
+		if ok {
+			rt.eng.Schedule()
+		}
+	} else {
+		_, ok = rt.eng.CompleteSchedule(t.et.ID, epoch, err != nil)
 	}
-	t.future.complete(vals, err)
+	if ok {
+		rt.resolve(t, vals, err)
+	}
 }
 
 // WaitOn synchronises on the newest version of a handle and returns its
@@ -920,7 +1099,7 @@ func (rt *Runtime) WaitOn(h *Handle) (any, error) {
 	var futs []*Future
 	if et, ok := rt.eng.Producer(ver); ok {
 		if t, isTask := et.Payload.(*rtTask); isTask {
-			futs = append(futs, t.future)
+			futs = append(futs, &t.future)
 		}
 	}
 	// A commutative/concurrent group shares one version: the engine's
@@ -939,23 +1118,15 @@ func (rt *Runtime) WaitOn(h *Handle) (any, error) {
 	return slot.val, slot.err
 }
 
-// Barrier blocks until every submitted task has finished.
+// Barrier blocks until every submitted task has finished: until no future
+// is unresolved, submissions that arrive while it sleeps included.
 func (rt *Runtime) Barrier() {
-	for {
-		var pending []*Future
-		rt.eng.Each(func(et *engine.Task) {
-			if t, ok := et.Payload.(*rtTask); ok && !t.future.Done() {
-				pending = append(pending, t.future)
-			}
-		})
-		if len(pending) == 0 {
-			rt.Drained() // the on-drain checkpoint trigger
-			return
-		}
-		for _, f := range pending {
-			<-f.done
-		}
+	rt.idle.L.Lock()
+	for rt.pending.Load() != 0 {
+		rt.idle.Wait()
 	}
+	rt.idle.L.Unlock()
+	rt.Drained() // the on-drain checkpoint trigger
 }
 
 // Stats summarises runtime activity.
@@ -984,10 +1155,10 @@ func (rt *Runtime) cancelKilled(et *engine.Task) {
 		return
 	}
 	rt.mu.Lock()
-	cancel := t.cancel
+	ctx := t.ctx
 	rt.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	if ctx != nil {
+		ctx.cancel()
 	}
 }
 

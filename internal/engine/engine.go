@@ -86,10 +86,12 @@ type Placement struct {
 // Primary returns the policy-chosen node of the group.
 func (p Placement) Primary() *resources.Node { return p.Node }
 
-// Executor starts execution of placed tasks. The live runtime spawns a
-// goroutine per placement; the simulator schedules a completion event on
-// its virtual clock. Every launch must eventually be answered by a call
-// to Engine.Complete (or be invalidated through KillRunningOn).
+// Executor starts execution of placed tasks. The live runtime queues the
+// placement for a goroutine of its own — usually the one whose completion
+// ran the wave, which takes it as soon as the engine call returns; the
+// simulator schedules a completion event on its virtual clock. Every
+// launch must eventually be answered by a call to Engine.Complete (or be
+// invalidated through KillRunningOn).
 type Executor interface {
 	// Launch starts p. It is called while the engine's launch batch is
 	// being drained (the task-state lock is not held), so it may inspect
