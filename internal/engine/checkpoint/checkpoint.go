@@ -22,8 +22,15 @@
 // backend — the invariant the checkpoint parity suite compares with
 // Equivalent.
 //
-// On disk a snapshot is the encoding/gob form of Snapshot (Format 2),
-// written through Store: content-addressed names
+// On disk a snapshot is Format 3: the encoding/gob form of a private wire
+// struct that lays Snapshot out in columns (wire.go) — the catalog as a
+// node table, key, size and holder-count columns and one flat column of
+// node indices; task records as ID, epoch and output-count columns and
+// one flat output column. Reading carves every row's Locations, Outputs
+// and Value out of one array per column, so a file costs O(columns)
+// allocations, not O(rows), and checks first that the columns agree
+// (lengths, counts, node indices, value rows): a file that does not is
+// ErrCorrupt. Store adds content-addressed names
 // (snap-<seq>-<sha256:16>.ckpt), atomic temp-and-rename writes, format
 // versioning (Format), bounded retention (Keep), and a Latest that reads
 // the newest valid chain, older ones only when damage sends it back — so
@@ -45,11 +52,13 @@ import (
 	"repro/internal/transfer"
 )
 
-// Format is the snapshot format version: 2 is encoding/gob of the structs
-// below (1 was their JSON). Loaders reject snapshots from a different
-// format rather than guessing at field semantics, and gob matches fields
-// by name — renaming or retyping an exported one here needs a new Format.
-const Format = 2
+// Format is the snapshot format version: 3 is encoding/gob of the
+// structs below laid out in columns (wire.go); 2 was gob of the structs
+// themselves, row by row, and 1 their JSON. Loaders reject files of a
+// different format rather than guessing at field semantics, and gob
+// matches fields by name — renaming or retyping a field of a wire struct
+// needs a new Format.
+const Format = 3
 
 // CatalogKey names one immutable data version inside a snapshot: it IS
 // deps.Version, whose field names are part of Format.
@@ -74,8 +83,9 @@ type CatalogEntry struct {
 	Size      int64
 	Locations []string
 	// Value is the gob-encoded produced value (live backend only; see
-	// EncodeValue). Absent values make the producing task re-run on
-	// restore rather than resolve to a wrong future.
+	// EncodeValue), stored only with HasValue set. Absent values make
+	// the producing task re-run on restore rather than resolve to a wrong
+	// future.
 	Value    []byte
 	HasValue bool
 }

@@ -9,10 +9,11 @@ import (
 
 // FuzzRead: the digest in a file's name proves the bytes are the ones that
 // were written, not that a checkpoint store wrote them. Whatever bytes sit
-// under a matching name, read must not panic, and must either refuse them
-// with ErrCorrupt or hand back a value of the current format.
+// under a matching name, Load and LoadDelta must not panic, and must
+// either refuse them with ErrCorrupt or hand back a value of the current
+// format — whose columns, then, agreed.
 func FuzzRead(f *testing.F) {
-	for _, file := range []string{"format2_snap.gob", "format2_delta.gob"} {
+	for _, file := range []string{"format3_snap.gob", "format3_delta.gob", "format2_snap.gob", "format2_delta.gob"} {
 		data, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
 			f.Fatal(err)
@@ -21,22 +22,24 @@ func FuzzRead(f *testing.F) {
 		f.Add(data[:len(data)/2])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		check := func(prefix string, v any, format *int) {
-			path := filepath.Join(dir, prefix+"000001-"+digest(data)+".ckpt")
+		store, err := NewStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		place := func(prefix string) string {
+			path := filepath.Join(store.Dir(), prefix+"000001-"+digest(data)+".ckpt")
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			switch err := read(path, prefix, v, format); {
-			case err == nil && *format != Format:
-				t.Fatalf("read accepted a %sfile of format %d", prefix, *format)
-			case err != nil && !errors.Is(err, ErrCorrupt):
-				t.Fatalf("read = %v, want ErrCorrupt", err)
-			}
+			return path
 		}
-		var snap Snapshot
-		check(snapPrefix, &snap, &snap.Format)
-		var d Delta
-		check(deltaPrefix, &d, &d.Format)
+		snap, err := store.Load(place(snapPrefix))
+		if err == nil && snap.Format != Format || err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Load = %+v, %v; want ErrCorrupt or a format-%d snapshot", snap, err, Format)
+		}
+		d, err := store.LoadDelta(place(deltaPrefix))
+		if err == nil && d.Format != Format || err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("LoadDelta = %+v, %v; want ErrCorrupt or a format-%d delta", d, err, Format)
+		}
 	})
 }

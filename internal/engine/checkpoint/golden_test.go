@@ -15,26 +15,30 @@ import (
 )
 
 // The golden files under testdata/ were written by Store.Save and
-// Store.SaveDelta from exactly the two values below. format2_* pin
-// Format 2: the same state must encode to the same bytes under the same
-// content-addressed names. format1_* are what the JSON codec of Format 1
-// wrote for the same values: they must be refused whole.
+// Store.SaveDelta from exactly the two values below. format3_* pin
+// Format 3: the same state must encode to the same bytes under the same
+// content-addressed names. format1_* and format2_* are what the JSON codec
+// of Format 1 and the row-by-row gob of Format 2 wrote for the same
+// values: they must be refused whole.
 
 // gob numbers a type process-wide when it first meets it and writes the
 // numbers into the stream, so a file's bytes depend on what the process
 // encoded before it. The pinned bytes are those of a process that meets
-// Snapshot's types first and Delta's second; this one does, here, whatever
-// order the tests run in. (Any order decodes: a stream describes itself.)
+// the snapshot's wire types first and the delta's second; this one does,
+// here, whatever order the tests run in. (Any order decodes: a stream
+// describes itself.)
 func init() {
 	enc := gob.NewEncoder(io.Discard)
-	_ = enc.Encode(&Snapshot{})
-	_ = enc.Encode(&Delta{})
+	_ = enc.Encode(&wireSnapshot{})
+	_ = enc.Encode(&wireDelta{})
 }
 
 // The names the store gives the files (sequence + content digest).
 const (
-	goldenSnapName   = "snap-000001-5fe36447de0b7396.ckpt"
-	goldenDeltaName  = "delta-000002-40d05bf957ee083d.ckpt"
+	goldenSnapName   = "snap-000001-b66dbc08d4e0dac2.ckpt"
+	goldenDeltaName  = "delta-000002-86604f3be20976b2.ckpt"
+	format2SnapName  = "snap-000001-5fe36447de0b7396.ckpt"
+	format2DeltaName = "delta-000002-40d05bf957ee083d.ckpt"
 	format1SnapName  = "snap-000001-5bb9449921c3c44e.ckpt"
 	format1DeltaName = "delta-000002-dd362f9ebe663d23.ckpt"
 )
@@ -88,12 +92,12 @@ func placeGolden(t *testing.T, s *Store, file, name string) string {
 	return path
 }
 
-func TestFormat2GoldenFiles(t *testing.T) {
-	wantSnap, err := os.ReadFile("testdata/format2_snap.gob")
+func TestFormat3GoldenFiles(t *testing.T) {
+	wantSnap, err := os.ReadFile("testdata/format3_snap.gob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDelta, err := os.ReadFile("testdata/format2_delta.gob")
+	wantDelta, err := os.ReadFile("testdata/format3_delta.gob")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +121,7 @@ func TestFormat2GoldenFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s moved off format 2:\n got %q\nwant %q", filepath.Base(path), got, want)
+			t.Errorf("%s moved off format 3:\n got %q\nwant %q", filepath.Base(path), got, want)
 		}
 	}
 	if got := filepath.Base(snapPath); got != goldenSnapName {
@@ -132,7 +136,7 @@ func TestFormat2GoldenFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := old.Load(placeGolden(t, old, "format2_snap.gob", goldenSnapName))
+	snap, err := old.Load(placeGolden(t, old, "format3_snap.gob", goldenSnapName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +145,7 @@ func TestFormat2GoldenFiles(t *testing.T) {
 	if !reflect.DeepEqual(snap, wantS) {
 		t.Errorf("Load:\n got %+v\nwant %+v", snap, wantS)
 	}
-	d, err := old.LoadDelta(placeGolden(t, old, "format2_delta.gob", goldenDeltaName))
+	d, err := old.LoadDelta(placeGolden(t, old, "format3_delta.gob", goldenDeltaName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,17 +173,28 @@ func TestFormat2GoldenFiles(t *testing.T) {
 // file — the digests in the names still match, so it is the decoder and
 // the format check that say no — and never half-read into a snapshot.
 func TestFormat1FilesAreRefused(t *testing.T) {
+	refusedWhole(t, "format1_snap.json", format1SnapName, "format1_delta.json", format1DeltaName)
+}
+
+// So is one written by Format 2's row-by-row gob: the wire structs share
+// field names with the old ones, but not their types.
+func TestFormat2FilesAreRefused(t *testing.T) {
+	refusedWhole(t, "format2_snap.gob", format2SnapName, "format2_delta.gob", format2DeltaName)
+}
+
+func refusedWhole(t *testing.T, snapFile, snapName, deltaFile, deltaName string) {
+	t.Helper()
 	old, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := old.Load(placeGolden(t, old, "format1_snap.json", format1SnapName)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("Load of a format-1 snapshot = %v, want ErrCorrupt", err)
+	if _, err := old.Load(placeGolden(t, old, snapFile, snapName)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Load of %s = %v, want ErrCorrupt", snapFile, err)
 	}
-	if _, err := old.LoadDelta(placeGolden(t, old, "format1_delta.json", format1DeltaName)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("LoadDelta of a format-1 delta = %v, want ErrCorrupt", err)
+	if _, err := old.LoadDelta(placeGolden(t, old, deltaFile, deltaName)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("LoadDelta of %s = %v, want ErrCorrupt", deltaFile, err)
 	}
 	if snap, err := old.Latest(); !errors.Is(err, ErrNoSnapshot) {
-		t.Errorf("Latest over a format-1 directory = %+v, %v, want ErrNoSnapshot", snap, err)
+		t.Errorf("Latest over %s and %s = %+v, %v, want ErrNoSnapshot", snapFile, deltaFile, snap, err)
 	}
 }

@@ -1,10 +1,14 @@
 // The on-disk snapshot store: versioned, content-addressed, atomic.
-// Each snapshot is one encoding/gob file named snap-<seq>-<digest>.ckpt,
+// Each snapshot is one file named snap-<seq>-<digest>.ckpt holding the
+// encoding/gob form of its Format 3 wire struct (wire.go: the snapshot in
+// columns, decoded by carving every row out of one array per column),
 // where the digest is the truncated SHA-256 of the file's contents — a
 // self-certifying name the loader re-verifies before decoding, so a torn
 // write, a truncation or any bit-rot is detected and the loader falls back
-// to the previous valid chain instead of restoring garbage. Writes go
-// through a temp file and a rename: a crash mid-save corrupts no snapshot.
+// to the previous valid chain instead of restoring garbage. The digest
+// vouches for the bytes, not their sense: a file whose columns disagree is
+// refused as corrupt too. Writes go through a temp file and a rename: a
+// crash mid-save corrupts no snapshot.
 package checkpoint
 
 import (
@@ -29,8 +33,8 @@ var (
 	// valid snapshot.
 	ErrNoSnapshot = errors.New("checkpoint: no valid snapshot found")
 	// ErrCorrupt is returned by Load for a snapshot whose contents do not
-	// match the digest in its name, cannot be parsed, or carry an
-	// unknown format version.
+	// match the digest in its name, cannot be parsed, carry an unknown
+	// format version, or hold columns that disagree.
 	ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 )
 
@@ -139,7 +143,7 @@ func (s *Store) Save(snap *Snapshot) (string, error) {
 	s.seq++
 	snap.Seq = s.seq
 	snap.Format = Format
-	return s.writeLocked(snapPrefix, snap)
+	return s.writeLocked(snapPrefix, snap.wire())
 }
 
 // SaveDelta persists one delta, chained to the store's newest file (base
@@ -154,13 +158,14 @@ func (s *Store) SaveDelta(d *Delta) (string, error) {
 	s.seq++
 	d.Seq = s.seq
 	d.Format = Format
-	return s.writeLocked(deltaPrefix, d)
+	return s.writeLocked(deltaPrefix, d.wire())
 }
 
-// writeLocked is the one commit path: encode v (already stamped with
-// s.seq), name the file after its own digest, write a temp file and
-// rename it into place, then — after a base, the only save that can push
-// the base count past keep — prune. Caller holds s.mu.
+// writeLocked is the one commit path: encode v (the wire form of a
+// snapshot or delta already stamped with s.seq), name the file after its
+// own digest, write a temp file and rename it into place, then — after a
+// base, the only save that can push the base count past keep — prune.
+// Caller holds s.mu.
 func (s *Store) writeLocked(prefix string, v any) (string, error) {
 	s.buf.Reset()
 	if err := gob.NewEncoder(&s.buf).Encode(v); err != nil {
@@ -214,31 +219,40 @@ func (s *Store) pruneLocked() {
 }
 
 // Load reads and verifies one snapshot file: the contents must hash to
-// the digest embedded in the name, decode as gob, and carry the current
-// format version.
+// the digest embedded in the name, decode as gob, carry the current
+// format version and columns that agree.
 func (s *Store) Load(path string) (*Snapshot, error) {
-	var snap Snapshot
-	if err := read(path, snapPrefix, &snap, &snap.Format); err != nil {
-		return nil, err
-	}
-	return &snap, nil
+	var (
+		w    wireSnapshot
+		snap *Snapshot
+	)
+	err := read(path, snapPrefix, &w, &w.Format, func() (err error) {
+		snap, err = w.snapshot()
+		return err
+	})
+	return snap, err
 }
 
-// LoadDelta reads and verifies one delta file: contents must hash to the
-// digest in the name, decode, and carry the current format version.
+// LoadDelta reads and verifies one delta file, as Load does a snapshot.
 func (s *Store) LoadDelta(path string) (*Delta, error) {
-	var d Delta
-	if err := read(path, deltaPrefix, &d, &d.Format); err != nil {
-		return nil, err
-	}
-	return &d, nil
+	var (
+		w wireDelta
+		d *Delta
+	)
+	err := read(path, deltaPrefix, &w, &w.Format, func() (err error) {
+		d, err = w.delta()
+		return err
+	})
+	return d, err
 }
 
 // read is the one verify path: the file's bytes must hash to the digest
-// in its name (checked before the decoder sees them), decode into v, and
-// leave the current version in *format, v's own Format field — any other
-// format, Format 1's JSON included, is refused. Failures wrap ErrCorrupt.
-func read(path, prefix string, v any, format *int) error {
+// in its name (checked before the decoder sees them), decode into the
+// wire struct w, leave the current version in *format, w's own Format
+// field — any other format is refused, Format 1's JSON and Format 2's
+// row-by-row gob included — and pass carve, which checks w's columns
+// agree and builds the value. Failures wrap ErrCorrupt.
+func read(path, prefix string, w any, format *int, carve func() error) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -247,11 +261,14 @@ func read(path, prefix string, v any, format *int) error {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, "-"+digest(data)+".ckpt") {
 		return fmt.Errorf("%w: %s: not a %sfile named after its contents", ErrCorrupt, name, prefix)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(w); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 	}
 	if *format != Format {
 		return fmt.Errorf("%w: %s: format %d, want %d", ErrCorrupt, name, *format, Format)
+	}
+	if err := carve(); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 	}
 	return nil
 }

@@ -368,9 +368,12 @@ type Engine struct {
 	// task's ckptDirty flag — a map here would put a hash insert on every
 	// completion), plus where in registration order the tasks added since
 	// then begin (a delta appends them to the base snapshot's task ordering
-	// on reconstruction).
+	// on reconstruction). Tracking starts at the first base capture
+	// (SnapshotTasksClean): a base subsumes every change before it, so a
+	// run that never checkpoints keeps no set nobody drains.
 	dirty     []*Task
 	addedFrom int
+	tracking  bool
 	// Availability wait set: tasks parked on unavailable data versions
 	// (see availability.go), plus the scratch a placement attempt leaves
 	// for divertUnavailableLocked.
@@ -513,17 +516,6 @@ func (e *Engine) Producer(k deps.Version) (*Task, bool) {
 	return t, ok
 }
 
-// Each visits every registered task in registration order, under the
-// engine lock: fn must be quick, must not retain the task, and must not
-// call back into the engine.
-func (e *Engine) Each(fn func(*Task)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, t := range e.tasks.all {
-		fn(t)
-	}
-}
-
 // ReadyCount returns the number of queued ready tasks (the elasticity
 // managers' pending-load signal). Lock-free: the count is maintained
 // atomically alongside the bucket state.
@@ -533,9 +525,10 @@ func (e *Engine) ReadyCount() int {
 
 // markDirtyLocked records that t's snapshot-relevant state changed since
 // the last delta capture. Cheap and idempotent; called on every lifecycle
-// transition, epoch bump and completion-flag change.
+// transition, epoch bump and completion-flag change, and a no-op before
+// the first base capture.
 func (e *Engine) markDirtyLocked(t *Task) {
-	if t.ckptDirty {
+	if t.ckptDirty || !e.tracking {
 		return
 	}
 	t.ckptDirty = true

@@ -85,6 +85,25 @@ func TestDependentsReleasedInOrder(t *testing.T) {
 	}
 }
 
+// Dirty tracking starts at the first base capture: before it, lifecycle
+// transitions mark nothing (a base will subsume them); after it, they do.
+func TestDirtyTrackingStartsAtFirstBase(t *testing.T) {
+	e, exec := newEngine(t, pool(1, 1), nil)
+	e.Add(&engine.Task{ID: 1}, nil, 0)
+	e.Schedule()
+	p, _ := exec.pop()
+	e.Complete(p.Task.ID, p.Epoch, false)
+	if n := e.DirtyCount(); n != 0 {
+		t.Fatalf("DirtyCount before any base = %d, want 0", n)
+	}
+	e.SnapshotTasksClean()
+	e.Add(&engine.Task{ID: 2}, nil, 0)
+	e.Schedule()
+	if snaps, added := e.TakeDirty(); len(snaps) != 1 || snaps[0].ID != 2 || !slices.Equal(added, []int64{2}) {
+		t.Fatalf("TakeDirty after a base = %+v, %v; want task 2 changed and added", snaps, added)
+	}
+}
+
 func TestLowestIDReadyRunsFirst(t *testing.T) {
 	e, exec := newEngine(t, pool(1, 1), nil)
 	for id := int64(5); id >= 1; id-- {
@@ -274,8 +293,7 @@ func TestSurplusHoldReleaseCannotEatProducerEdge(t *testing.T) {
 // and the first registration keeps working.
 func TestDuplicateIDRefused(t *testing.T) {
 	e, exec := newEngine(t, pool(1, 4), nil)
-	first := &engine.Task{ID: 1}
-	e.Add(first, nil, 0)
+	e.Add(&engine.Task{ID: 1, Class: "first"}, nil, 0)
 	e.Add(&engine.Task{ID: 40}, nil, 0) // out of sequence: found through the sparse path
 	for _, id := range []int64{1, 40} {
 		if ready, err := e.Add(&engine.Task{ID: id}, nil, 0); ready || !errors.Is(err, engine.ErrDuplicateID) {
@@ -287,12 +305,12 @@ func TestDuplicateIDRefused(t *testing.T) {
 		t.Fatalf("batch with a duplicate: ready=%v err=%v, want the rest registered and ErrDuplicateID", ready, err)
 	}
 	var ids []int64
-	e.Each(func(t *engine.Task) {
-		ids = append(ids, t.ID)
-		if t.ID == 1 && t != first {
+	for _, tm := range e.Timings() {
+		ids = append(ids, tm.ID)
+		if tm.ID == 1 && tm.Class != "first" {
 			ids = append(ids, -1) // the duplicate replaced the registered task
 		}
-	})
+	}
 	if !slices.Equal(ids, []int64{1, 40, 2, 3}) {
 		t.Fatalf("registered %v, want [1 40 2 3] with the first task 1 kept", ids)
 	}

@@ -68,6 +68,7 @@ func snapLocked(t *Task) TaskSnap {
 // SnapshotTasksClean is SnapshotTasks plus a dirty-set reset: the capture
 // that starts a fresh delta chain. A full snapshot subsumes every pending
 // change, so the per-task dirty set and the added-task log restart empty.
+// The first call starts dirty tracking: before it no task is marked.
 // Plain SnapshotTasks stays side-effect-free — parity probes and tests can
 // capture at will without perturbing the delta chain.
 func (e *Engine) SnapshotTasksClean() []TaskSnap {
@@ -75,11 +76,13 @@ func (e *Engine) SnapshotTasksClean() []TaskSnap {
 	defer e.mu.Unlock()
 	out := e.snapshotLocked()
 	e.resetDirtyLocked()
+	e.tracking = true
 	return out
 }
 
 // DirtyCount returns how many tasks changed snapshot-relevant state since
-// the last TakeDirty / SnapshotTasksClean — the signal an interval
+// the last TakeDirty / SnapshotTasksClean (0 before the first
+// SnapshotTasksClean) — the signal an interval
 // checkpointer uses to skip captures on an idle graph.
 func (e *Engine) DirtyCount() int {
 	e.mu.Lock()

@@ -20,10 +20,12 @@ import (
 )
 
 // seedCatalog re-enters the snapshot's data catalog into the registry and
-// the value table. A holder the pool no longer has is dropped; a version
-// that loses every holder that way is re-staged ahead of demand when a
-// durable copy exists — a persist-tier replica, or the value the row
-// itself carries (which a backend with a value table must have decoded).
+// the value table, one Seed per row. A holder the pool no longer has is
+// dropped; a version that loses every holder that way is re-staged ahead
+// of demand when a durable copy exists — a persist-tier replica, or the
+// value the row itself carries (which a backend with a value table must
+// have decoded). A row that keeps every holder hands the registry its own
+// list; only a row that drops one pays for a filtered copy.
 func (h *Host) seedCatalog(snap *checkpoint.Snapshot) {
 	reg := h.cfg.Registry
 	for i := range snap.Catalog {
@@ -32,21 +34,24 @@ func (h *Host) seedCatalog(snap *checkpoint.Snapshot) {
 		if reg == nil {
 			continue
 		}
-		if en.Size > 0 {
-			reg.SetSize(en.Key, en.Size)
-		}
-		live, vanished := 0, 0
-		for _, loc := range en.Locations {
+		kept, live, vanished := en.Locations, 0, 0
+		for j, loc := range en.Locations {
 			if _, ok := h.cfg.Pool.Get(loc); ok {
 				live++
 			} else if loc != "" && loc == h.cfg.PersistNode {
 				durable = true
 			} else {
+				if vanished == 0 {
+					kept = append(make([]string, 0, len(en.Locations)-1), en.Locations[:j]...)
+				}
 				vanished++
 				continue
 			}
-			reg.AddReplica(en.Key, loc)
+			if vanished > 0 {
+				kept = append(kept, loc)
+			}
 		}
+		reg.Seed(en.Key, en.Size, kept)
 		if live == 0 && vanished > 0 && durable {
 			h.restage(en.Key, en.Size)
 		}

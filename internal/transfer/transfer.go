@@ -9,9 +9,13 @@
 // one lock round trip and one map lookup answer "how big, and who holds
 // it". Its callers already hold the engine's or the runtime's lock, so the
 // registry's own lock only orders those two against each other and against
-// a checkpoint capture. The registry also tracks the keys whose row changed
-// since the last capture, which is what makes delta snapshots O(changes):
-// TakeDirty drains exactly the changed rows.
+// a checkpoint capture. From the first base capture (EntriesClean) on, the
+// registry also tracks the keys whose row changed since the last capture,
+// which is what makes delta snapshots O(changes): TakeDirty drains exactly
+// the changed rows. Before it nothing is tracked — a base subsumes every
+// change before it, and a run that never checkpoints never pays for a set
+// nobody drains. Restore enters a snapshot's catalog a row at a time
+// through Seed: one lock, one dirty mark and, for a clean row, no copy.
 package transfer
 
 import (
@@ -42,7 +46,7 @@ type row struct {
 
 // Registry records replica locations and sizes for data versions. It is
 // safe for concurrent use: mu guards rows and the dirty set feeding delta
-// checkpoints.
+// checkpoints (nil until the first EntriesClean).
 type Registry struct {
 	mu    sync.RWMutex
 	rows  map[Key]row
@@ -55,17 +59,20 @@ type Registry struct {
 
 // NewRegistry returns an empty location registry.
 func NewRegistry() *Registry {
-	return &Registry{rows: make(map[Key]row), dirty: make(map[Key]struct{}), sole: make(map[string][]string)}
+	return &Registry{rows: make(map[Key]row), sole: make(map[string][]string)}
 }
 
-// putLocked installs k's row (dropping it when empty) and marks it dirty.
+// putLocked installs k's row (dropping it when empty) and marks it dirty
+// once tracking has started.
 func (r *Registry) putLocked(k Key, rw row) {
 	if rw.size == 0 && len(rw.holders) == 0 {
 		delete(r.rows, k)
 	} else {
 		r.rows[k] = rw
 	}
-	r.dirty[k] = struct{}{}
+	if r.dirty != nil {
+		r.dirty[k] = struct{}{}
+	}
 }
 
 // Row returns k's recorded size (0 if unknown) and the nodes holding a
@@ -120,6 +127,46 @@ func (r *Registry) AddReplica(k Key, node string) {
 		rw.holders = slices.Insert(slices.Clip(rw.holders), at, node)
 	}
 	r.putLocked(k, rw)
+}
+
+// Seed installs a whole row at once — the restore of one checkpointed
+// catalog row: the size when positive, and every holder, under one lock
+// with one dirty mark. holders is shared, not copied, when k has no
+// holders yet and the list is sorted and duplicate-free (what a capture
+// writes); the caller must not modify it afterwards. Any other list is
+// merged onto a fresh one, so the row stays sorted and duplicate-free
+// whatever a file held.
+func (r *Registry) Seed(k Key, size int64, holders []string) {
+	if size <= 0 && len(holders) == 0 {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rw := r.rows[k]
+	if size > 0 {
+		rw.size = size
+	}
+	switch {
+	case len(holders) == 0:
+	case len(rw.holders) == 0 && strictlySorted(holders):
+		rw.holders = holders
+	default:
+		merged := make([]string, 0, len(rw.holders)+len(holders))
+		merged = append(append(merged, rw.holders...), holders...)
+		slices.Sort(merged)
+		rw.holders = slices.Compact(merged)
+	}
+	r.putLocked(k, rw)
+}
+
+// strictlySorted reports whether names is sorted without repeats.
+func strictlySorted(names []string) bool {
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // without returns the row minus node's replica (on a fresh list), and
@@ -210,7 +257,8 @@ func (r *Registry) Entries() []Entry {
 
 // EntriesClean is Entries plus a dirty reset — the full-catalog capture
 // that starts a fresh delta chain (a base snapshot subsumes every pending
-// change, so the dirty set restarts empty).
+// change, so the dirty set restarts empty). The first call starts dirty
+// tracking.
 func (r *Registry) EntriesClean() []Entry {
 	return r.entries(true)
 }
@@ -241,7 +289,7 @@ func compareKeys(a, b Key) int {
 func byKey(a, b Entry) int { return compareKeys(a.Key, b.Key) }
 
 // DirtyCount returns how many catalog rows changed since the last
-// TakeDirty / EntriesClean.
+// TakeDirty / EntriesClean (0 before the first EntriesClean).
 func (r *Registry) DirtyCount() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -183,11 +183,14 @@ func TestKeyOf(t *testing.T) {
 
 // TestRegistryMatchesNaiveModel drives the row-per-version registry and a
 // naive model (a size map and a holder set per key) through the same
-// seeded stream of writes and checks that every read — the Row primitive
-// and everything built on it — agrees after each step.
+// seeded stream of writes — Seed handed unsorted lists with repeats among
+// them — and checks that every read — the Row primitive and everything
+// built on it — agrees after each step, and the dirty set once a base
+// capture has started it.
 func TestRegistryMatchesNaiveModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := NewRegistry()
+	r.EntriesClean()
 	size := map[Key]int64{}
 	loc := map[Key]map[string]bool{}
 	dirty := map[Key]bool{}
@@ -224,13 +227,31 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 			size[k] = int64(rng.Intn(4)) * 100
 			r.SetSize(k, size[k])
 			dirty[k] = true
-		case op < 11:
+		case op < 10:
 			if loc[k] == nil {
 				loc[k] = map[string]bool{}
 			}
 			loc[k][n] = true
 			r.AddReplica(k, n)
 			dirty[k] = true
+		case op < 12:
+			sz, holders := int64(rng.Intn(3))*100, make([]string, rng.Intn(4))
+			for i := range holders {
+				holders[i] = nodes[rng.Intn(len(nodes))]
+			}
+			if sz > 0 {
+				size[k] = sz
+			}
+			if loc[k] == nil {
+				loc[k] = map[string]bool{}
+			}
+			for _, h := range holders {
+				loc[k][h] = true
+			}
+			if sz > 0 || len(holders) > 0 {
+				dirty[k] = true
+			}
+			r.Seed(k, sz, holders)
 		case op < 16:
 			if loc[k][n] {
 				delete(loc[k], n)
@@ -299,6 +320,7 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 // list seen once must still read the same after any number of writes.
 func TestHolderListsAreNeverEditedInPlace(t *testing.T) {
 	r := NewRegistry()
+	r.EntriesClean() // start dirty tracking, so TakeDirty hands lists out
 	keys := []Key{key(1, 0), key(2, 0), key(3, 0)}
 	nodes := []string{"a", "b", "c", "d", "e"}
 	var wg sync.WaitGroup
@@ -344,6 +366,50 @@ func TestHolderListsAreNeverEditedInPlace(t *testing.T) {
 		}(int64(100 + rd))
 	}
 	wg.Wait()
+}
+
+// Seed keeps a row sorted and duplicate-free whatever list it is handed,
+// and shares the caller's list only when it already is.
+func TestSeedNormalisesItsList(t *testing.T) {
+	r := NewRegistry()
+	sorted := []string{"a", "c"}
+	r.Seed(key(1, 0), 10, sorted)
+	if _, got := r.Row(key(1, 0)); &got[0] != &sorted[0] {
+		t.Fatal("a sorted, duplicate-free list seeded into an empty row was copied")
+	}
+	r.Seed(key(1, 0), 0, []string{"b", "a"})
+	r.Seed(key(2, 0), 0, []string{"c", "a", "c", "b", "a"})
+	for _, c := range []struct {
+		k    Key
+		size int64
+		want []string
+	}{{key(1, 0), 10, []string{"a", "b", "c"}}, {key(2, 0), 0, []string{"a", "b", "c"}}} {
+		if size, got := r.Row(c.k); size != c.size || !slices.Equal(got, c.want) {
+			t.Fatalf("Row(%v) = %d %v, want %d %v", c.k, size, got, c.size, c.want)
+		}
+	}
+	if !slices.Equal(sorted, []string{"a", "c"}) {
+		t.Fatalf("merging onto a shared list wrote into it: %v", sorted)
+	}
+}
+
+// Dirty tracking starts at the first EntriesClean: writes before it mark
+// nothing (the base subsumes them), writes after it do.
+func TestDirtyTrackingStartsAtFirstBase(t *testing.T) {
+	r := NewRegistry()
+	r.SetSize(key(1, 0), 10)
+	r.AddReplica(key(1, 0), "a")
+	r.Seed(key(2, 0), 10, []string{"a"})
+	if n, d := r.DirtyCount(), r.TakeDirty(); n != 0 || len(d) != 0 {
+		t.Fatalf("before any base: DirtyCount %d, TakeDirty %v; want nothing", n, d)
+	}
+	if got := len(r.EntriesClean()); got != 2 {
+		t.Fatalf("EntriesClean = %d rows, want 2", got)
+	}
+	r.AddReplica(key(2, 0), "b")
+	if d := r.TakeDirty(); len(d) != 1 || d[0].Key != key(2, 0) {
+		t.Fatalf("TakeDirty after a base = %+v, want key(2, 0) alone", d)
+	}
 }
 
 // TestPlanFetchAllocatesOnlyItsMoves is the planner's deterministic cost
