@@ -45,9 +45,14 @@ vet:
 # or walks a snapshot's Catalog or Completed; and the one-codec grep — a
 # checkpoint file is written and read through its Format 3 wire struct
 # by checkpoint/store.go alone (value.go boxes a produced value), so no
-# second gob encoder or decoder, row by row, comes back.
+# second gob encoder or decoder, row by row, comes back; and the
+# one-consumer guard — every package under internal/, compss/ and dislib/
+# with non-test files is imported by a non-test file outside examples/
+# (code only an example runs lives in that example), so no seed package
+# that nothing runs on, like the storage/hecuba, mpisim and steer that
+# used to sit in internal/, comes back.
 FLAG_BUDGET := 27
-LINE_BUDGET := 23050
+LINE_BUDGET := 22157
 NONTEST_GO := -name '*.go' ! -name '*_test.go'
 budget:
 	@n=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs cat | wc -l); \
@@ -77,6 +82,12 @@ budget:
 	@bad=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs grep -nE 'gob\.New(En|De)coder\(' | grep -vE '^\./internal/engine/checkpoint/(store|value)\.go:'); \
 		if [ -n "$$bad" ]; then echo "a gob codec outside checkpoint/store.go and value.go:"; echo "$$bad"; exit 1; fi; \
 		echo "gob codecs outside checkpoint/store.go and value.go: 0"
+	@bad=$$($(GO) list -f '{{.ImportPath}} {{len .GoFiles}} {{join .Imports " "}}' $(PKGS) | awk ' \
+		$$1 !~ /^repro\/examples\// { for (i = 3; i <= NF; i++) used[$$i] = 1 } \
+		$$1 ~ /^repro\/(internal|compss|dislib)(\/|$$)/ && $$2 > 0 { libs[$$1] = 1 } \
+		END { for (p in libs) if (!(p in used)) print p }' | sort); \
+		if [ -n "$$bad" ]; then echo "a library package only examples/ (or nothing) imports:"; echo "$$bad"; exit 1; fi; \
+		echo "library packages only examples/ imports: 0"
 
 # staticcheck is optional locally; CI installs a pinned version. The
 # guard keeps `make lint` useful on machines without it.

@@ -24,19 +24,6 @@ func (c *COMPSs) Map(task string, inputs []any) ([]*Object, error) {
 	return outs, nil
 }
 
-// MapObjects invokes a unary task once per input object (Read in, Write
-// out) — map over already-distributed data.
-func (c *COMPSs) MapObjects(task string, inputs []*Object) ([]*Object, error) {
-	outs := make([]*Object, len(inputs))
-	for i, in := range inputs {
-		outs[i] = c.NewObject()
-		if _, err := c.Call(task, Read(in), Write(outs[i])); err != nil {
-			return nil, fmt.Errorf("map %s[%d]: %w", task, i, err)
-		}
-	}
-	return outs, nil
-}
-
 // ReduceTree folds the items pairwise with a binary task (Read a, Read b,
 // Write out) in a balanced tree, so the reduction completes in ⌈log₂ n⌉
 // dependent steps instead of the n-long chain a naive fold produces. With

@@ -1,8 +1,15 @@
-// Steering: the paper's vision of checking partial results mid-run
-// (Sec. VI-C): a long simulation publishes residuals to the storage
-// backend after each phase; a monitor inspects them and steers — here it
-// halves the timestep when the solver gets rough and aborts on divergence,
-// so the scientist does not burn hours of compute on a doomed run.
+// Steering: computational steering over the storage interface (paper
+// Sec. VI-C): "the support to store data on databases … allows scientists
+// to check partial results before their long-lasting simulations end the
+// execution. This checking enables to detect in early stages if the
+// simulation is not behaving as expected and should be steered … Our
+// vision is that the workflow environment should provide scientists with
+// tools or mechanism that facilitates this steering."
+//
+// A long simulation publishes residuals to the storage backend after each
+// phase; a monitor inspects them and steers — here it halves the timestep
+// when the solver gets rough and aborts on divergence, so the scientist
+// does not burn hours of compute on a doomed run.
 //
 //	go run ./examples/steering
 package main
@@ -14,7 +21,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/steer"
 	"repro/internal/storage"
 )
 
@@ -27,29 +33,26 @@ func main() {
 
 func run() error {
 	backend := storage.NewMemory("hpc-db")
-	progress := steer.NewProgress(backend, "run42")
+	prog := &progress{backend: backend, prefix: "run42"}
 
-	monitor, err := steer.NewMonitor(backend, "run42", func(step int, partial []byte) steer.Decision {
+	mon := newMonitor(backend, "run42", func(step int, partial []byte) decision {
 		var residual float64
 		if err := json.Unmarshal(partial, &residual); err != nil {
-			return steer.Decision{Verdict: steer.Abort, Reason: "unreadable partial result"}
+			return decision{Verdict: verdictAbort, Reason: "unreadable partial result"}
 		}
 		switch {
 		case math.IsNaN(residual) || residual > 50:
-			return steer.Decision{Verdict: steer.Abort,
+			return decision{Verdict: verdictAbort,
 				Reason: fmt.Sprintf("residual %.2f diverged at step %d", residual, step)}
 		case residual > 5:
-			return steer.Decision{Verdict: steer.Adjust,
+			return decision{Verdict: verdictAdjust,
 				Reason: fmt.Sprintf("residual %.2f too rough", residual),
 				Params: map[string]string{"dt": "0.5x"}}
 		default:
-			return steer.Decision{Verdict: steer.Continue}
+			return decision{Verdict: verdictContinue}
 		}
 	}, 2*time.Millisecond)
-	if err != nil {
-		return err
-	}
-	defer monitor.Stop()
+	defer mon.stop()
 
 	// The "simulation": an unstable explicit integrator whose residual
 	// grows until the timestep is halved.
@@ -62,33 +65,33 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if _, err := progress.Publish(raw); err != nil {
+		if _, err := prog.publish(raw); err != nil {
 			return err
 		}
 		fmt.Printf("step %2d: dt=%.2f residual=%8.2f", step, dt, residual)
 
 		// Wait for the monitor's verdict on this step (interactive loop).
 		deadline := time.Now().Add(time.Second)
-		for monitor.StepsSeen() < step {
+		for mon.stepsSeen() < step {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("monitor stalled at step %d", step)
 			}
 			time.Sleep(time.Millisecond)
 		}
-		d, ok := progress.Decision()
+		d, ok := prog.decision()
 		if !ok {
 			fmt.Println("  (no decision)")
 			continue
 		}
 		fmt.Printf("  -> %s %s\n", d.Verdict, d.Reason)
 		switch d.Verdict {
-		case steer.Abort:
+		case verdictAbort:
 			fmt.Println("simulation aborted by steering — compute hours saved")
 			return nil
-		case steer.Adjust:
+		case verdictAdjust:
 			dt *= 0.5
 			residual *= 0.4 // the smaller step stabilises the solver
-		case steer.Continue:
+		case verdictContinue:
 		}
 	}
 	fmt.Println("simulation completed under steering")

@@ -1,8 +1,10 @@
 // Weather: a miniature NMMB-Monarch chemical-weather workflow (paper
 // Sec. VI-A): per forecast cycle, initialisation scripts run as parallel
 // tasks (the PyCOMPSs improvement), a distributed-memory simulation runs as
-// an MPI-style multi-rank task (internal/mpisim), and post-processing
-// reduces the output. Cycles chain through the model state.
+// an MPI-style multi-rank task, and post-processing reduces the output.
+// Cycles chain through the model state. Every cycle's rank-parallel field
+// is checked cell for cell against the same stencil run serially; a
+// mismatch (a broken halo exchange) exits non-zero.
 //
 //	go run ./examples/weather
 package main
@@ -12,10 +14,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"repro/compss"
-	"repro/internal/mpisim"
 )
 
 const (
@@ -51,6 +53,7 @@ func run() error {
 
 	start := time.Now()
 	state := c.NewObjectWith(modelState{Field: initialField()})
+	serial := initialField()
 	for cycle := 0; cycle < cycles; cycle++ {
 		// Step 2: initialisation scripts, task-parallel (the paper's
 		// speedup came from parallelising exactly this stage).
@@ -82,7 +85,21 @@ func run() error {
 			return err
 		}
 		fmt.Printf("cycle %d: %v\n", cycle, report)
+
+		// The rank-parallel field must equal the serial stencil exactly:
+		// every cell sees the same operands in the same order.
+		for s := 0; s < stencilSteps; s++ {
+			serial = stencil(serial, 0, 0)
+		}
+		v, err := c.WaitOn(state)
+		if err != nil {
+			return err
+		}
+		if err := sameField(v.(modelState).Field, serial); err != nil {
+			return fmt.Errorf("cycle %d: %w", cycle, err)
+		}
 	}
+	fmt.Printf("halo exchange: %d cycles match the serial stencil cell for cell\n", cycles)
 	fmt.Printf("forecast complete: %d tasks in %v\n",
 		c.TasksSubmitted(), time.Since(start).Round(time.Millisecond))
 	return nil
@@ -92,6 +109,84 @@ func initialField() []float64 {
 	f := make([]float64, mpiRanks*cellsPerRank)
 	f[0] = 1000 // a dust plume at the domain edge
 	return f
+}
+
+// stencil advances a segment of the field by one diffusion step; left and
+// right are the cells just outside it (0 past the domain edge).
+func stencil(seg []float64, left, right float64) []float64 {
+	upd := make([]float64, len(seg))
+	for i := range seg {
+		l, r := left, right
+		if i > 0 {
+			l = seg[i-1]
+		}
+		if i < len(seg)-1 {
+			r = seg[i+1]
+		}
+		upd[i] = seg[i] + 0.2*(l-2*seg[i]+r)
+	}
+	return upd
+}
+
+func sameField(got, want []float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("rank-parallel field has %d cells, serial %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("cell %d: rank-parallel %v, serial %v", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// rank is one process of a message-passing substrate in the style of MPI,
+// the stand-in for the Fortran/MPI NMMB core: ranks are goroutines, and
+// each ordered rank pair has its own one-slot channel, so both sides of a
+// paired exchange can send before either receives (MPI's eager protocol).
+type rank struct {
+	id, size int
+	chans    [][]chan []float64 // chans[src][dst]
+}
+
+// runRanks runs fn on size ranks and waits for all of them.
+func runRanks(size int, fn func(r *rank)) {
+	chans := make([][]chan []float64, size)
+	for src := range chans {
+		chans[src] = make([]chan []float64, size)
+		for dst := range chans[src] {
+			chans[src][dst] = make(chan []float64, 1)
+		}
+	}
+	var wg sync.WaitGroup
+	for id := 0; id < size; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			fn(&rank{id: id, size: size, chans: chans})
+		}(id)
+	}
+	wg.Wait()
+}
+
+// sendRecv hands v to partner and returns the value partner handed back.
+func (r *rank) sendRecv(partner int, v float64) float64 {
+	r.chans[r.id][partner] <- []float64{v}
+	return (<-r.chans[partner][r.id])[0]
+}
+
+// gather collects every rank's chunk at rank 0 in rank order; the other
+// ranks get nil.
+func (r *rank) gather(chunk []float64) []float64 {
+	if r.id != 0 {
+		r.chans[r.id][0] <- chunk
+		return nil
+	}
+	out := append([]float64(nil), chunk...)
+	for src := 1; src < r.size; src++ {
+		out = append(out, <-r.chans[src][0]...)
+	}
+	return out
 }
 
 func register(c *compss.COMPSs) error {
@@ -109,62 +204,26 @@ func register(c *compss.COMPSs) error {
 		if !ok {
 			return nil, errors.New("mpiSimulate wants modelState")
 		}
-		field := append([]float64(nil), st.Field...)
-		// The multi-node stage: a halo-exchange diffusion stencil over
-		// mpisim ranks (the stand-in for the Fortran/MPI NMMB core).
-		next := make([]float64, len(field))
-		err := mpisim.Run(mpiRanks, func(r *mpisim.Rank) error {
-			lo := r.ID() * cellsPerRank
-			local := append([]float64(nil), field[lo:lo+cellsPerRank]...)
+		// The multi-node stage: a halo-exchange diffusion stencil, one
+		// block of cells per rank.
+		next := make([]float64, len(st.Field))
+		runRanks(mpiRanks, func(r *rank) {
+			lo := r.id * cellsPerRank
+			local := st.Field[lo : lo+cellsPerRank]
 			for s := 0; s < stencilSteps; s++ {
 				left, right := 0.0, 0.0
-				if r.ID() > 0 {
-					v, err := r.SendRecv(r.ID()-1, local[0])
-					if err != nil {
-						return err
-					}
-					f, ok := v.(float64)
-					if !ok {
-						return errors.New("bad halo payload")
-					}
-					left = f
+				if r.id > 0 {
+					left = r.sendRecv(r.id-1, local[0])
 				}
-				if r.ID() < r.Size()-1 {
-					v, err := r.SendRecv(r.ID()+1, local[len(local)-1])
-					if err != nil {
-						return err
-					}
-					f, ok := v.(float64)
-					if !ok {
-						return errors.New("bad halo payload")
-					}
-					right = f
+				if r.id < r.size-1 {
+					right = r.sendRecv(r.id+1, local[len(local)-1])
 				}
-				upd := make([]float64, len(local))
-				for i := range local {
-					l, rr := left, right
-					if i > 0 {
-						l = local[i-1]
-					}
-					if i < len(local)-1 {
-						rr = local[i+1]
-					}
-					upd[i] = local[i] + 0.2*(l-2*local[i]+rr)
-				}
-				local = upd
+				local = stencil(local, left, right)
 			}
-			gathered, err := r.Gather(0, local)
-			if err != nil {
-				return err
+			if all := r.gather(local); r.id == 0 {
+				copy(next, all)
 			}
-			if r.ID() == 0 {
-				copy(next, gathered)
-			}
-			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
 		return []any{modelState{Cycle: st.Cycle + 1, Field: next}}, nil
 	}, compss.Constraints{Cores: 4}); err != nil {
 		return err

@@ -21,17 +21,23 @@ func TestExamplesRun(t *testing.T) {
 	}
 	root := filepath.Dir(filepath.Dir(filepath.Dir(thisFile)))
 
-	examples := map[string]string{
-		"quickstart": "sum of 4 x (1..250) = 125500",
-		"gwas":       "genome-wide association scan",
-		"weather":    "forecast complete",
-		"fog":        "recovered offloads",
-		"kmeans":     "fitted 3 clusters",
-		"steering":   "steering",
-		"remote":     "hybrid local/remote workflow",
+	examples := map[string][]string{
+		"quickstart": {"sum of 4 x (1..250) = 125500"},
+		"gwas":       {"genome-wide association scan"},
+		"weather":    {"3 cycles match the serial stencil cell for cell"},
+		"fog":        {"recovered offloads"},
+		"kmeans":     {"fitted 3 clusters"},
+		// The monitor halves dt three times and never aborts.
+		"steering": {
+			"step  3: dt=1.00 residual=    8.00  -> adjust",
+			"step  5: dt=0.50 residual=    7.20  -> adjust",
+			"step  8: dt=0.25 residual=    5.63  -> adjust",
+			"simulation completed under steering",
+		},
+		"remote": {"hybrid local/remote workflow"},
 	}
-	for name, marker := range examples {
-		name, marker := name, marker
+	for name, markers := range examples {
+		name, markers := name, markers
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			cmd := exec.Command("go", "run", "./examples/"+name)
@@ -53,8 +59,10 @@ func TestExamplesRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("example %s failed: %v\n%s", name, err, out)
 			}
-			if !strings.Contains(string(out), marker) {
-				t.Fatalf("example %s output missing %q:\n%s", name, marker, out)
+			for _, marker := range markers {
+				if !strings.Contains(string(out), marker) {
+					t.Fatalf("example %s output missing %q:\n%s", name, marker, out)
+				}
 			}
 		})
 	}

@@ -1,6 +1,5 @@
-// Package integration_test exercises cross-module behaviour: the public
-// programming model over the storage backends, the live runtime with
-// locality scheduling, workflow execution across REST agents, and global
+// Package integration_test exercises cross-module behaviour: the live
+// runtime with locality scheduling, workflow execution across REST agents, and global
 // invariants of the simulator (determinism, makespan bounds).
 package integration_test
 
@@ -12,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/compss"
 	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/deps"
@@ -20,81 +18,10 @@ import (
 	"repro/internal/resources"
 	"repro/internal/sched"
 	"repro/internal/simnet"
-	"repro/internal/storage"
-	"repro/internal/storage/hecuba"
 	"repro/internal/trace"
 	"repro/internal/transfer"
 	"repro/internal/workloads"
 )
-
-// TestTasksPersistIntoHecuba runs a compss workflow whose tasks write
-// their results into a Hecuba dict through the SOI, then verifies the
-// runtime-facing SRI facts (locations, replication).
-func TestTasksPersistIntoHecuba(t *testing.T) {
-	cluster, err := hecuba.NewCluster([]string{"cass0", "cass1", "cass2"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dict := cluster.Dict("results")
-
-	c := compss.New(compss.WithNodes(compss.NodeSpec{Name: "w", Cores: 4}))
-	defer c.Shutdown()
-	if err := c.RegisterTask("computeAndPersist", func(_ context.Context, args []any) ([]any, error) {
-		key, ok := args[0].(string)
-		if !ok {
-			return nil, errors.New("want key")
-		}
-		n, _ := args[1].(int)
-		val, err := json.Marshal(n * n)
-		if err != nil {
-			return nil, err
-		}
-		if err := dict.Put(key, val); err != nil {
-			return nil, err
-		}
-		return []any{key}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	outs := make([]*compss.Object, 20)
-	for i := range outs {
-		outs[i] = c.NewObject()
-		if _, err := c.Call("computeAndPersist",
-			compss.In(fmt.Sprintf("row%02d", i)), compss.In(i), compss.Write(outs[i])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Barrier()
-
-	if dict.Len() != 20 {
-		t.Fatalf("dict has %d entries, want 20", dict.Len())
-	}
-	for i := 0; i < 20; i++ {
-		key := fmt.Sprintf("row%02d", i)
-		raw, err := dict.Get(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got int
-		if err := json.Unmarshal(raw, &got); err != nil {
-			t.Fatal(err)
-		}
-		if got != i*i {
-			t.Fatalf("%s = %d, want %d", key, got, i*i)
-		}
-		if locs := dict.Locations(key); len(locs) != 2 {
-			t.Fatalf("%s replicated on %v, want 2 nodes", key, locs)
-		}
-	}
-	// The data survives a single storage-node failure (replication 2).
-	cluster.FailNode("cass1")
-	for i := 0; i < 20; i++ {
-		if _, err := dict.Get(fmt.Sprintf("row%02d", i)); err != nil {
-			t.Fatalf("row%02d lost after single node failure", i)
-		}
-	}
-}
 
 // TestRuntimeLocalityFollowsValues wires the live runtime's value-location
 // registry into the Locality policy and checks consumers co-locate with
@@ -301,53 +228,3 @@ func TestMakespanBounds(t *testing.T) {
 		})
 	}
 }
-
-// TestStorageBackendsAreInterchangeable runs the same SOI code against the
-// memory backend and the Hecuba cluster.
-func TestStorageBackendsAreInterchangeable(t *testing.T) {
-	cluster, err := hecuba.NewCluster([]string{"c0", "c1"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	backends := map[string]storage.Backend{
-		"memory": storage.NewMemory("local"),
-		"hecuba": cluster,
-	}
-	for name, backend := range backends {
-		backend := backend
-		t.Run(name, func(t *testing.T) {
-			doc := &jsonDoc{Value: 41}
-			var h storage.Handle
-			if err := h.MakePersistent(backend, "obj1", doc); err != nil {
-				t.Fatal(err)
-			}
-			doc.Value = 42
-			if err := h.Sync(doc); err != nil {
-				t.Fatal(err)
-			}
-			var back jsonDoc
-			if err := h.Load(&back); err != nil {
-				t.Fatal(err)
-			}
-			if back.Value != 42 {
-				t.Fatalf("loaded %d, want 42", back.Value)
-			}
-			if locs := backend.Locations("obj1"); len(locs) == 0 {
-				t.Fatal("getLocations returned nothing")
-			}
-			if err := h.DeletePersistent(); err != nil {
-				t.Fatal(err)
-			}
-			if backend.Exists("obj1") {
-				t.Fatal("object survives DeletePersistent")
-			}
-		})
-	}
-}
-
-type jsonDoc struct {
-	Value int `json:"value"`
-}
-
-func (d *jsonDoc) MarshalBinary() ([]byte, error)   { return json.Marshal(d) }
-func (d *jsonDoc) UnmarshalBinary(raw []byte) error { return json.Unmarshal(raw, d) }

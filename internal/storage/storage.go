@@ -8,9 +8,9 @@
 // which "will enable the runtime to exploit the locality of the data by
 // scheduling tasks in the location where the data resides".
 //
-// Two backends implement the interface in subpackages: hecuba (key-value,
-// Cassandra-style partitioning) and dataclay (active objects with in-store
-// method execution).
+// Memory, in this package, implements the interface. The dataclay
+// subpackage (active objects with in-store method execution) does not; it
+// shares the package's ObjectID and errors.
 package storage
 
 import (
