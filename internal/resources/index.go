@@ -11,7 +11,9 @@
 // its rec per watching index, a rec its entry per set). A notification
 // eagerly refreshes the cached capacity and each set's fitCount, so "no
 // capacity" stays an O(1) answer; the load heaps are repaired lazily, by
-// the next pick that walks one.
+// the next pick that walks one. Queries have one by-name door,
+// SigIndex.FittingByName: a scorer that knows its few candidates by name
+// (locality's input holders) asks about them without walking the set.
 //
 // Locking: the index has one mutex and is a leaf — index methods never
 // acquire a pool or node lock. Nodes notify their watching indexes while
@@ -62,15 +64,17 @@ func (st capState) fits(c Constraints) bool {
 }
 
 // rec is the index's record of one node: immutable description, cached
-// capacity, its entry in every signature set it belongs to, and rank —
-// the name's position among the index's node names, the load order's
-// tie-break as an integer (see rankLocked).
+// capacity, its entry in every signature set it belongs to, rank — the
+// name's position among the index's node names, the load order's
+// tie-break as an integer (see rankLocked) — and seq, its insertion
+// number: records compare by seq exactly as they stand in pool order.
 type rec struct {
 	x    *Index
 	n    *Node
 	desc Description
 	st   capState
 	rank int
+	seq  uint64
 	ents []*sigEntry
 }
 
@@ -180,6 +184,10 @@ type Index struct {
 	ranked bool      // every rec's rank is current
 	sets   []*sigSet // by SigID
 	byKey  map[sigKey]*sigSet
+	// byName holds the records of order by node name, built on the first
+	// FittingByName: a pool no policy asks by name never pays for it.
+	byName map[string]*rec
+	seq    uint64 // the last rec.seq handed out
 }
 
 func newIndex() *Index { return &Index{byKey: make(map[sigKey]*sigSet)} }
@@ -191,8 +199,12 @@ func newIndex() *Index { return &Index{byKey: make(map[sigKey]*sigSet)} }
 func (x *Index) addNode(n *Node, st capState) *rec {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	r := &rec{x: x, n: n, desc: n.desc, st: st}
+	x.seq++
+	r := &rec{x: x, n: n, desc: n.desc, st: st, seq: x.seq}
 	x.order = append(x.order, r)
+	if x.byName != nil {
+		x.byName[n.name] = r
+	}
 	x.ranked = false
 	for _, s := range x.sets {
 		if r.desc.Satisfies(s.c) {
@@ -207,6 +219,7 @@ func (x *Index) removeNode(r *rec) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.order = without(x.order, r)
+	delete(x.byName, r.n.name)
 	for _, e := range r.ents {
 		s := e.s
 		if e.pos >= 0 {
@@ -447,6 +460,33 @@ func (si SigIndex) EachFitting(c Constraints, fn func(n *Node, freeCores int)) {
 			left--
 		}
 	}
+}
+
+// FittingByName returns the named node when it is an undrained member of
+// this signature set that currently fits c, with its cached free cores
+// and seq, a number that orders nodes as pool insertion order does (a
+// node removed and added again sorts last); n is nil otherwise. It is the
+// index's one lookup by name: a scorer whose only non-zero candidates are
+// a few named nodes asks about those instead of walking the set.
+func (si SigIndex) FittingByName(name string, c Constraints) (n *Node, freeCores int, seq uint64) {
+	si.x.mu.Lock()
+	defer si.x.mu.Unlock()
+	if si.x.byName == nil {
+		si.x.byName = make(map[string]*rec, len(si.x.order))
+		for _, r := range si.x.order {
+			si.x.byName[r.n.name] = r
+		}
+	}
+	r := si.x.byName[name]
+	if r == nil || r.st.drained || !r.st.fits(c) {
+		return nil, 0, 0
+	}
+	for _, e := range r.ents {
+		if e.s == si.s {
+			return r.n, r.st.freeCores, r.seq
+		}
+	}
+	return nil, 0, 0
 }
 
 // AppendFitting appends the members that currently fit c to dst in pool

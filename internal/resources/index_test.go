@@ -3,6 +3,8 @@ package resources
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -94,6 +96,22 @@ func checkIndexAgainstScan(t *testing.T, p *Pool, step int) {
 		if gotFirst := si.FirstFitting(c); gotFirst != wantFirst {
 			t.Fatalf("step %d sig %q: FirstFitting = %v, scan first = %v", step, c.Signature(), name(gotFirst), name(wantFirst))
 		}
+		// The by-name query answers for every pool node as CanReserve does,
+		// with the node's own free cores, and its seqs follow pool order.
+		var prev uint64
+		for _, n := range p.Nodes() {
+			got, free, seq := si.FittingByName(n.Name(), c)
+			if fits := n.CanReserve(c); (got != nil) != fits || fits && (got != n || free != n.FreeCores() || seq <= prev) {
+				t.Fatalf("step %d sig %q: FittingByName(%s) = %v, %d free, seq %d (after %d); scan says fits %v, %d free",
+					step, c.Signature(), n.Name(), name(got), free, seq, prev, fits, n.FreeCores())
+			}
+			if got != nil {
+				prev = seq
+			}
+		}
+		if got, _, _ := si.FittingByName("no-such-node", c); got != nil {
+			t.Fatalf("step %d sig %q: FittingByName found %s under an unknown name", step, c.Signature(), got.Name())
+		}
 	}
 }
 
@@ -110,6 +128,9 @@ func name(n *Node) string {
 //
 //   - every node of the pool reaches its rec through its watcher, and the
 //     rec reaches each of its entries, each of which is a member of its set;
+//   - the name map, once built, is a bijection onto the records, and
+//     insertion numbers strictly increase along the pool order and every
+//     set's members;
 //   - members are exactly the capable nodes, in pool insertion order;
 //   - fitCount equals a recount against the nodes themselves (it is eager);
 //   - the load heap is a heap over its own keys, with exact pos
@@ -123,8 +144,8 @@ func checkIndexInvariants(t *testing.T, p *Pool, step int) {
 	nodes := p.Nodes()
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if len(x.order) != len(nodes) {
-		t.Fatalf("step %d: index holds %d records, pool %d nodes", step, len(x.order), len(nodes))
+	if len(x.order) != len(nodes) || x.byName != nil && len(x.byName) != len(nodes) {
+		t.Fatalf("step %d: index holds %d records and %d names, pool %d nodes", step, len(x.order), len(x.byName), len(nodes))
 	}
 	for i, n := range nodes {
 		var r *rec
@@ -138,6 +159,12 @@ func checkIndexInvariants(t *testing.T, p *Pool, step int) {
 		}
 		if r.st != n.st {
 			t.Fatalf("step %d: node %s cached state %+v, actual %+v", step, n.name, r.st, n.st)
+		}
+		if x.byName != nil && x.byName[n.name] != r {
+			t.Fatalf("step %d: name %s does not map to its node's record", step, n.name)
+		}
+		if i > 0 && r.seq <= x.order[i-1].seq {
+			t.Fatalf("step %d: order[%d] (%s) has seq %d, not above its predecessor's %d", step, i, n.name, r.seq, x.order[i-1].seq)
 		}
 		for _, e := range r.ents {
 			if e.r != r || x.sets[e.s.id] != e.s {
@@ -162,6 +189,9 @@ func checkIndexInvariants(t *testing.T, p *Pool, step int) {
 		for i, e := range s.members {
 			if e.r != capable[i] || e.s != s {
 				t.Fatalf("step %d set %q: member %d is %s, pool order says %s", step, s.label, i, e.r.n.name, capable[i].n.name)
+			}
+			if i > 0 && e.r.seq <= s.members[i-1].r.seq {
+				t.Fatalf("step %d set %q: member %d (%s) has seq %d, not above its predecessor's %d", step, s.label, i, e.r.n.name, e.r.seq, s.members[i-1].r.seq)
 			}
 			found := false
 			for _, re := range e.r.ents {
@@ -229,7 +259,9 @@ func checkLoadHeap(t *testing.T, s *sigSet, step int, repaired bool) {
 }
 
 // churner drives a seeded, randomized interleaving of Reserve, Release,
-// Add, Remove, Drain and Undrain against one pool.
+// Add, Remove, Drain and Undrain against one pool. Half the removals add
+// the name straight back as a new node, so the name map is overwritten
+// in delete-then-insert order and the name moves to the end of pool order.
 type churner struct {
 	t    *testing.T
 	rng  *rand.Rand
@@ -257,12 +289,16 @@ func newChurner(t *testing.T, seed int64) *churner {
 }
 
 func (c *churner) addNode() {
-	d := indexDescs[c.rng.Intn(len(indexDescs))]
 	// Names are drawn out of lexicographic order, so name rank and pool
 	// insertion order disagree.
-	n := NewNode(fmt.Sprintf("churn-%03d", (c.next*37)%1000), d)
+	c.add(fmt.Sprintf("churn-%03d", (c.next*37)%1000))
 	c.next++
-	if err := c.pool.Add(n); err != nil {
+}
+
+// add inserts a node of a random shape under name.
+func (c *churner) add(name string) {
+	d := indexDescs[c.rng.Intn(len(indexDescs))]
+	if err := c.pool.Add(NewNode(name, d)); err != nil {
 		c.t.Fatal(err)
 	}
 }
@@ -303,6 +339,9 @@ func (c *churner) step() {
 			if err := pool.Remove(victim); err != nil {
 				c.t.Fatal(err)
 			}
+			if rng.Intn(2) == 0 {
+				c.add(victim)
+			}
 		}
 	case op < 9: // cordon
 		if n, ok := pool.Get(names[rng.Intn(len(names))]); ok {
@@ -327,6 +366,91 @@ func TestIndexMatchesScanUnderChurn(t *testing.T) {
 		c.step()
 		checkIndexInvariants(t, c.pool, step)
 		checkIndexAgainstScan(t, c.pool, step)
+	}
+}
+
+// TestIndexNamedLookupUnderChurn runs FittingByName and EachFitting from
+// two reader goroutines while one writer adds, removes, re-adds, drains
+// and loads nodes — what elastic growth and shrink do on the live backend
+// while the engine places. Under -race it checks that the index's one lock
+// covers the name map and the insertion numbers; every answer must also
+// be self-consistent, and once the writer stops the by-name query must
+// agree with the scan again.
+func TestIndexNamedLookupUnderChurn(t *testing.T) {
+	const names = 8
+	pool := NewPool()
+	c := Constraints{Cores: 1}
+	nodeName := func(i int) string { return fmt.Sprintf("named-%d", i) }
+	add := func(i int) {
+		if err := pool.Add(NewNode(nodeName(i), Description{Cores: 1 + i%4, MemoryMB: 4_000, SpeedFactor: 1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < names; i++ {
+		add(i)
+	}
+	si := pool.IndexFor(c)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; ; k++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				reads.Add(1)
+				want := nodeName(k % (names + 1)) // named-8 is never in the pool
+				if n, free, _ := si.FittingByName(want, c); n != nil && (n.Name() != want || free < 1 || free > n.Desc().Cores) {
+					t.Errorf("FittingByName(%s) = %s with %d free cores of %d", want, n.Name(), free, n.Desc().Cores)
+					return
+				}
+				si.EachFitting(c, func(n *Node, free int) {
+					if free < 1 || free > n.Desc().Cores {
+						t.Errorf("EachFitting: %s with %d free cores of %d", n.Name(), free, n.Desc().Cores)
+					}
+				})
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 2000 || reads.Load() < 2000; step++ { // the readers overlap the churn
+		i := rng.Intn(names)
+		n, ok := pool.Get(nodeName(i))
+		switch op := rng.Intn(5); {
+		case op == 0: // the same name comes back, last in pool order
+			_ = pool.Remove(nodeName(i)) // ErrUnknownNode when already gone: the add still runs
+			add(i)
+		case op == 1 && ok:
+			if err := pool.Remove(nodeName(i)); err != nil {
+				t.Fatal(err)
+			}
+		case op == 1:
+			add(i)
+		case op == 2 && ok:
+			if rng.Intn(2) == 0 {
+				n.Drain()
+			} else {
+				n.Undrain()
+			}
+		case op == 3 && ok:
+			_ = n.Reserve(c) // a full or drained node refuses: nothing to undo
+		case op == 4 && ok && n.BusyCores() > 0:
+			n.Release(c)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for i := 0; i <= names; i++ {
+		n, ok := pool.Get(nodeName(i))
+		got, _, _ := si.FittingByName(nodeName(i), c)
+		if want := ok && n.CanReserve(c); (got != nil) != want || want && got != n {
+			t.Fatalf("after churn: FittingByName(%s) = %s, scan says fits %v", nodeName(i), name(got), want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/deps"
@@ -14,7 +15,7 @@ import (
 // indexedPool builds a pool with staggered loads: node p-<i> has i of its
 // 4 cores reserved, so the load order is fully determined and p-0 is the
 // unique MinLoad winner.
-func indexedPool(t *testing.T, n int) *resources.Pool {
+func indexedPool(t testing.TB, n int) *resources.Pool {
 	t.Helper()
 	pool := resources.NewPool()
 	for i := 0; i < n; i++ {
@@ -97,36 +98,47 @@ func TestPickIndexedMatchesScanPick(t *testing.T) {
 }
 
 // TestLocalityPickIndexedMatchesPick holds Locality.PickIndexed to the
-// scan reference over a seeded churn of load, drains, catalog rows and
-// network cuts. The pool's insertion order is not its name order and its
-// nodes differ in cores; sizes come from a small set so equal scores (the
-// free-cores and feedable tie-breaks) are the common case, and a third of
-// the steps run under a partition, where PickIndexed hands over to Pick.
+// scan reference over a seeded churn of load, drains, catalog rows,
+// network cuts and nodes removed and added back under their name (which
+// moves them to the end of pool order). The pool's insertion order is not
+// its name order and its nodes differ in cores; sizes come from a small
+// set so equal scores (the free-cores and feedable tie-breaks) are the
+// common case, and about half the picks run under a partition, where
+// PickIndexed hands over to Pick. Some replicas sit on a node outside the
+// pool (the sim's persist tier), and a quarter of the picks demand 3
+// cores, which leaves the 2-core holders outside the signature set.
 func TestLocalityPickIndexedMatchesPick(t *testing.T) {
 	pool := resources.NewPool()
 	names := []string{"n-m", "n-a", "n-z", "n-c", "n-q", "n-b", "n-k"}
-	for i, name := range names {
-		_ = pool.Add(resources.NewNode(name, resources.Description{Cores: 2 + i%3, MemoryMB: 8_000, SpeedFactor: 1}))
+	desc := func(name string) resources.Description {
+		i := slices.Index(names, name)
+		return resources.Description{Cores: 2 + i%3, MemoryMB: 8_000, SpeedFactor: 1}
 	}
-	nodes := pool.Nodes()
-	c := resources.Constraints{Cores: 1}
+	for _, name := range names {
+		_ = pool.Add(resources.NewNode(name, desc(name)))
+	}
+	const persist = "persist" // holds replicas, never in the pool
+	one, three := resources.Constraints{Cores: 1}, resources.Constraints{Cores: 3}
 	reg := transfer.NewRegistry()
 	ctx := &Context{Registry: reg, Net: simnet.New(simnet.Link{BandwidthMBps: 100})}
 	rng := rand.New(rand.NewSource(11))
 	key := func() deps.Version { return deps.Version{Data: deps.DataID(rng.Intn(6))} }
 	var held []*resources.Node
 	var cuts [][2]string
-	picks, partitioned := 0, 0
-	for step := 0; step < 3000; step++ {
-		switch n := nodes[rng.Intn(len(nodes))]; rng.Intn(8) {
+	// ED-3: each case the holder-first path must get right is counted, and
+	// a churn in which one never occurs fails instead of passing vacuously.
+	var picks, partitioned, readded, offPool, offSet, holderTies, noHolderFits int
+	for step := 0; step < 4000; step++ {
+		nodes := pool.Nodes()
+		switch n := nodes[rng.Intn(len(nodes))]; rng.Intn(9) {
 		case 0, 1:
-			if n.Reserve(c) == nil {
+			if n.Reserve(one) == nil {
 				held = append(held, n)
 			}
 		case 2:
 			if len(held) > 0 {
 				i := rng.Intn(len(held))
-				held[i].Release(c)
+				held[i].Release(one)
 				held = append(held[:i], held[i+1:]...)
 			}
 		case 3:
@@ -138,11 +150,15 @@ func TestLocalityPickIndexedMatchesPick(t *testing.T) {
 		case 4:
 			reg.SetSize(key(), int64(rng.Intn(3))*1_000_000)
 		case 5:
-			reg.AddReplica(key(), n.Name())
+			if rng.Intn(4) == 0 {
+				reg.AddReplica(key(), persist)
+			} else {
+				reg.AddReplica(key(), n.Name())
+			}
 		case 6:
 			reg.RemoveReplica(key(), n.Name())
 		case 7:
-			if rng.Intn(3) > 0 {
+			if rng.Intn(2) > 0 {
 				cuts = append(cuts, [2]string{n.Name(), names[rng.Intn(len(names))]})
 				ctx.Net.Cut(n.Name(), cuts[len(cuts)-1][1])
 				break
@@ -151,6 +167,22 @@ func TestLocalityPickIndexedMatchesPick(t *testing.T) {
 				ctx.Net.Heal(c[0], c[1])
 			}
 			cuts = nil
+		case 8: // the same name comes back as a fresh node, last in pool order
+			if rng.Intn(2) == 0 {
+				break
+			}
+			held = slices.DeleteFunc(held, func(h *resources.Node) bool { return h == n })
+			if err := pool.Remove(n.Name()); err != nil {
+				t.Fatal(err)
+			}
+			if err := pool.Add(resources.NewNode(n.Name(), desc(n.Name()))); err != nil {
+				t.Fatal(err)
+			}
+			readded++
+		}
+		c := one
+		if rng.Intn(4) == 0 {
+			c = three
 		}
 		view := &TaskView{Constraints: c, InputKeys: []deps.Version{key(), key(), key()}}
 		var scan *resources.Node
@@ -159,22 +191,66 @@ func TestLocalityPickIndexedMatchesPick(t *testing.T) {
 			picks++
 			if ctx.Net.HasCuts() {
 				partitioned++
+			} else {
+				o, s, ties, none := holderCases(view, fitting, pool, reg, persist)
+				offPool += o
+				offSet += s
+				holderTies += ties
+				noHolderFits += none
 			}
 		}
 		if indexed := (Locality{}).PickIndexed(view, pool.IndexFor(c), ctx); scan != indexed {
-			t.Fatalf("step %d (cuts=%v): Pick = %s, PickIndexed = %s", step, ctx.Net.HasCuts(), nn(scan), nn(indexed))
+			t.Fatalf("step %d (cores=%d cuts=%v): Pick = %s, PickIndexed = %s", step, c.Cores, ctx.Net.HasCuts(), nn(scan), nn(indexed))
 		}
 	}
-	if picks < 2000 || partitioned < picks/5 {
-		t.Fatalf("churn degenerate: %d picks, %d under a partition", picks, partitioned)
+	t.Logf("%d picks: %d partitioned, %d re-adds, holder off the pool %d, off the signature set %d, holder ties %d, no holder fits %d",
+		picks, partitioned, readded, offPool, offSet, holderTies, noHolderFits)
+	if picks < 2000 || partitioned < picks/5 || readded == 0 || offPool == 0 || offSet == 0 || holderTies == 0 || noHolderFits == 0 {
+		t.Fatal("churn degenerate: a case above never occurred")
 	}
 }
 
-// TestLocalityPickIndexedAllocatesNothing is the deterministic cost gate
-// on the placement hot path: three sized inputs on three holders, a
-// 64-node pool, no candidate slice, no per-holder heap state.
-func TestLocalityPickIndexedAllocatesNothing(t *testing.T) {
-	pool := indexedPool(t, 64)
+// holderCases classifies one unpartitioned pick for the oracle's counts,
+// each 0 or 1: a sized input is held off the pool; a sized input is held
+// by a pool node the demand leaves outside the signature set; two or more
+// fitting holders tie on local bytes and free cores at the top, so pool
+// order decides; no holder fits at all, so the fallback walk decides.
+func holderCases(t *TaskView, fitting []*resources.Node, pool *resources.Pool, reg *transfer.Registry, persist string) (offPool, offSet, ties, none int) {
+	for _, k := range t.InputKeys {
+		size, holders := reg.Row(k)
+		if size == 0 {
+			continue
+		}
+		for _, h := range holders {
+			if h == persist {
+				offPool = 1
+			} else if n, ok := pool.Get(h); ok && !n.Desc().Satisfies(t.Constraints) {
+				offSet = 1
+			}
+		}
+	}
+	var bestLocal int64
+	bestFree, tied := 0, 0
+	for _, n := range fitting {
+		local, free := reg.LocalBytes(n.Name(), t.InputKeys), n.FreeCores()
+		switch {
+		case local > bestLocal || local == bestLocal && free > bestFree:
+			bestLocal, bestFree, tied = local, free, 1
+		case local == bestLocal && free == bestFree:
+			tied++
+		}
+	}
+	if bestLocal == 0 {
+		return offPool, offSet, 0, 1
+	}
+	return offPool, offSet, min(tied-1, 1), 0
+}
+
+// localityFixture is the placement hot path's shape on an indexedPool of
+// the given size: three sized inputs on two holders each, all among the
+// first 19 nodes, so a holder fits and wins whatever the pool's size.
+func localityFixture(tb testing.TB, nodes int) (*TaskView, resources.SigIndex, *Context) {
+	pool := indexedPool(tb, nodes)
 	reg := transfer.NewRegistry()
 	view := &TaskView{Constraints: resources.Constraints{Cores: 1}}
 	for i := 0; i < 3; i++ {
@@ -185,14 +261,80 @@ func TestLocalityPickIndexedAllocatesNothing(t *testing.T) {
 		view.InputKeys = append(view.InputKeys, k)
 	}
 	ctx := &Context{Registry: reg, Net: simnet.New(simnet.Link{BandwidthMBps: 100})}
-	idx := pool.IndexFor(view.Constraints)
-	var picked *resources.Node
-	allocs := testing.AllocsPerRun(200, func() { picked = Locality{}.PickIndexed(view, idx, ctx) })
-	if picked == nil || picked.Name() != "p-17" { // input 3 (3 MB) is on p-17 (3 free cores) and p-18 (2)
-		t.Fatalf("picked %s, want p-17", nn(picked))
+	return view, pool.IndexFor(view.Constraints), ctx
+}
+
+// TestLocalityPickIndexedAllocatesNothing is the deterministic cost gate
+// on the placement hot path: three sized inputs on two holders each, a
+// 64-node pool, no candidate slice, no per-holder heap state — and the
+// same when no holder fits and the fitting set is walked instead.
+func TestLocalityPickIndexedAllocatesNothing(t *testing.T) {
+	view, idx, ctx := localityFixture(t, 64)
+	orphan := deps.Version{Data: 99} // held only off the pool: no holder fits
+	ctx.Registry.SetSize(orphan, 1_000_000)
+	ctx.Registry.AddReplica(orphan, "persist")
+	for _, tc := range []struct {
+		keys []deps.Version
+		want string
+	}{
+		{view.InputKeys, "p-17"},        // input 3 (3 MB) is on p-17 (3 free cores) and p-18 (2)
+		{[]deps.Version{orphan}, "p-0"}, // the most free cores (4), first in pool order
+	} {
+		v := &TaskView{Constraints: view.Constraints, InputKeys: tc.keys}
+		var picked *resources.Node
+		allocs := testing.AllocsPerRun(200, func() { picked = Locality{}.PickIndexed(v, idx, ctx) })
+		if picked == nil || picked.Name() != tc.want {
+			t.Fatalf("picked %s, want %s", nn(picked), tc.want)
+		}
+		if allocs != 0 {
+			t.Fatalf("Locality.PickIndexed allocated %v times per pick (want %s), want 0", allocs, tc.want)
+		}
 	}
-	if allocs != 0 {
-		t.Fatalf("Locality.PickIndexed allocated %v times per pick, want 0", allocs)
+}
+
+// sinkPick keeps the timed picks observable, so none is optimized away.
+var sinkPick *resources.Node
+
+// pickLoop times Locality.PickIndexed over one fixture.
+func pickLoop(view *TaskView, idx resources.SigIndex, ctx *Context) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkPick = Locality{}.PickIndexed(view, idx, ctx)
+		}
+	}
+}
+
+// TestLocalityPickIndexedIgnoresPoolSize is the cost gate on the holder-
+// first pick: when a holder fits, a pick asks the index about the holders
+// by name and walks nothing, so its price has no pool-size term. A pick on
+// 4,096 nodes may cost at most 4× one on 64 (walking the fitting set
+// instead costs 19–28× there); a noisy machine gets three tries.
+func TestLocalityPickIndexedIgnoresPoolSize(t *testing.T) {
+	nsPerPick := func(nodes int) func() float64 {
+		loop := pickLoop(localityFixture(t, nodes))
+		return func() float64 {
+			r := testing.Benchmark(loop)
+			return float64(r.T.Nanoseconds()) / float64(r.N)
+		}
+	}
+	small, large := nsPerPick(64), nsPerPick(4096)
+	var ratio float64
+	for try := 0; try < 3; try++ {
+		s, l := small(), large()
+		ratio = l / s
+		t.Logf("ns per pick: %.0f at 64 nodes, %.0f at 4096 (%.2f×)", s, l, ratio)
+		if ratio <= 4 {
+			return
+		}
+	}
+	t.Fatalf("a pick on 4096 nodes costs %.2f× one on 64, want ≤ 4×", ratio)
+}
+
+// BenchmarkLocalityPickIndexed prices one holder-first pick by pool size.
+func BenchmarkLocalityPickIndexed(b *testing.B) {
+	for _, nodes := range []int{64, 1024, 4096} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), pickLoop(localityFixture(b, nodes)))
 	}
 }
 

@@ -328,11 +328,14 @@ var _ IndexedPolicy = Locality{}
 
 // PickIndexed implements IndexedPolicy with the question turned around:
 // instead of asking every candidate what it holds, each input is asked
-// once who holds it and how big it is, the bytes are summed per holder
-// (one to three names), and one walk of the signature's fitting members
-// over the index's cached free cores finds Pick's winner — most local
-// bytes, then most free cores, then first in pool order — where only a
-// holder can score above zero. Under a partition the fitting set is
+// once who holds it and how big it is, and the bytes are summed per
+// holder (one to three names). Only a holder can score above zero, so
+// when one fits the winner is the best fitting holder — most local
+// bytes, then most free cores, then first in pool order — read through
+// the index by name, without visiting the rest of the set. Only when no
+// holder fits is the signature's fitting set walked; every candidate
+// then scores zero, and Pick's winner is the one with the most cached
+// free cores, first in pool order. Under a partition the fitting set is
 // materialized for Pick, which keeps the feedable tie-break in one place.
 func (Locality) PickIndexed(t *TaskView, idx resources.SigIndex, ctx *Context) *resources.Node {
 	if ctx == nil || ctx.Registry == nil {
@@ -369,17 +372,20 @@ func (Locality) PickIndexed(t *TaskView, idx resources.SigIndex, ctx *Context) *
 	var best *resources.Node
 	var bestLocal int64
 	var bestFree int
-	idx.EachFitting(t.Constraints, func(n *resources.Node, free int) {
-		var local int64
-		name := n.Name()
-		for i := range holders {
-			if holders[i].node == name {
-				local = holders[i].bytes
-				break
-			}
+	var bestSeq uint64
+	for _, h := range holders {
+		n, free, seq := idx.FittingByName(h.node, t.Constraints)
+		if n != nil && (best == nil || h.bytes > bestLocal ||
+			h.bytes == bestLocal && (free > bestFree || free == bestFree && seq < bestSeq)) {
+			best, bestLocal, bestFree, bestSeq = n, h.bytes, free, seq
 		}
-		if best == nil || local > bestLocal || (local == bestLocal && free > bestFree) {
-			best, bestLocal, bestFree = n, local, free
+	}
+	if best != nil {
+		return best
+	}
+	idx.EachFitting(t.Constraints, func(n *resources.Node, free int) {
+		if best == nil || free > bestFree {
+			best, bestFree = n, free
 		}
 	})
 	return best
