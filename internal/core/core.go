@@ -74,6 +74,10 @@ var (
 	// ErrNoCheckpoint is returned by Runtime.Checkpoint without a
 	// configured store — the same sentinel the simulator returns.
 	ErrNoCheckpoint = host.ErrNoCheckpoint
+	// ErrForeignHandle refuses a handle another Runtime made: Submit,
+	// SubmitAll and WaitOn return it, SetInitial and CurrentVersion panic
+	// with it.
+	ErrForeignHandle = errors.New("core: handle belongs to another runtime")
 )
 
 // TaskFunc is the body of a task. Args are materialised parameter values in
@@ -146,8 +150,10 @@ func Reduce(h *Handle) Param { return Param{Handle: h, Dir: deps.Commutative} }
 // programmer the view that a single shared memory space is available",
 // Sec. II-A). Values are versioned; handles are created by NewData.
 type Handle struct {
-	rt *Runtime
-	id deps.DataID
+	rt   *Runtime
+	id   deps.DataID
+	cur  *cell // the newest registered version's (rt.mu)
+	init *cell // version 0's, which SetInitial writes
 }
 
 // ID returns the underlying data ID.
@@ -292,10 +298,40 @@ type Config struct {
 	Admission *autoscale.Admission
 }
 
-// versionSlot holds one produced value.
-type versionSlot struct {
-	val any
-	err error
+// cell is the live value of one data version: what its producer bound
+// (or the failure it ended with), the last-registered task writing it, and
+// the record of the Concurrent/Commutative group sharing it, if any. Cells
+// are carved from pages that never move, so handles and tasks hold them by
+// pointer and no lookup hashes a version. Every field is guarded by rt.mu.
+type cell struct {
+	key  deps.Version
+	val  any
+	err  error
+	set  bool    // val/err hold a result: bound, staged in or restored
+	prod *rtTask // nil for a version no task writes
+	grp  *group
+}
+
+// group is a shared version's Concurrent/Commutative membership: WaitOn
+// waits for every member, and commutative members merge under mu.
+type group struct {
+	mu      sync.Mutex
+	members []*Future
+}
+
+// cellPage is how many cells one page holds.
+const cellPage = 256
+
+// newCellLocked carves a cell for version k. Caller holds rt.mu.
+func (rt *Runtime) newCellLocked(k deps.Version) *cell {
+	if rt.used == cellPage {
+		rt.pages = append(rt.pages, new([cellPage]cell))
+		rt.used = 0
+	}
+	c := &rt.pages[len(rt.pages)-1][rt.used]
+	rt.used++
+	c.key = k
+	return c
 }
 
 // rtTask is one submitted invocation. The engine task, the future and the
@@ -306,8 +342,9 @@ type rtTask struct {
 	et     engine.Task
 	def    TaskDef
 	params []Param
-	reads  []deps.Version
-	writes []deps.Version
+	args   []any   // the first execution's argument array
+	reads  []*cell // in InputKeys order
+	writes []*cell // in OutputKeys order
 	// comm pairs each commutative parameter's index with the shared
 	// version it merges into (read version == write version).
 	comm   []commParam
@@ -357,7 +394,7 @@ func (c *taskCtx) cancel() {
 // commParam locates one commutative parameter of an invocation.
 type commParam struct {
 	arg int // parameter index
-	ver deps.Version
+	c   *cell
 }
 
 // Runtime executes tasks. Create with New, stop with Shutdown.
@@ -370,9 +407,9 @@ type Runtime struct {
 
 	mu       sync.Mutex
 	defs     map[string]TaskDef
-	values   map[deps.Version]versionSlot
-	commMu   map[deps.Version]*sync.Mutex // commutative-group data locks
-	group    map[deps.Version][]*Future   // commutative member futures per version
+	pages    []*[cellPage]cell
+	used     int                  // cells carved from the last page
+	restored map[deps.Version]any // Seed's values; nil unless resuming a snapshot
 	nextTask int64
 	nextData int64
 	stopped  bool
@@ -407,14 +444,12 @@ func New(cfg Config) *Runtime {
 		cfg.Policy = sched.MinLoad{}
 	}
 	rt := &Runtime{
-		cfg:    cfg,
-		proc:   deps.NewProcessor(),
-		defs:   make(map[string]TaskDef),
-		values: make(map[deps.Version]versionSlot),
-		commMu: make(map[deps.Version]*sync.Mutex),
-		group:  make(map[deps.Version][]*Future),
-		idle:   sync.NewCond(new(sync.Mutex)),
-		epoch:  time.Now(),
+		cfg:   cfg,
+		proc:  deps.NewProcessor(),
+		defs:  make(map[string]TaskDef),
+		used:  cellPage,
+		idle:  sync.NewCond(new(sync.Mutex)),
+		epoch: time.Now(),
 	}
 	var err error
 	rt.Host, err = host.New(host.Config{
@@ -465,7 +500,9 @@ func (rt *Runtime) NewData() *Handle {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.nextData++
-	return &Handle{rt: rt, id: deps.DataID(rt.nextData)}
+	c := rt.newCellLocked(deps.Version{Data: deps.DataID(rt.nextData)})
+	c.val, c.set = rt.restored[c.key]
+	return &Handle{rt: rt, id: c.key.Data, cur: c, init: c}
 }
 
 // DataOption tunes SetInitial.
@@ -496,14 +533,17 @@ func WithLocation(node string) DataOption {
 // WithSize or measured) and its replica location are recorded, so live
 // transfer accounting prices the stage-in data like the simulator does.
 func (rt *Runtime) SetInitial(h *Handle, v any, opts ...DataOption) {
+	if h.rt != rt {
+		panic(ErrForeignHandle)
+	}
 	var o dataOpts
 	for _, fn := range opts {
 		fn(&o)
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	k := deps.Version{Data: h.id, Ver: 0}
-	rt.values[k] = versionSlot{val: v}
+	h.init.val, h.init.err, h.init.set = v, nil, true
+	k := h.init.key
 	if rt.cfg.Locations == nil {
 		return
 	}
@@ -567,21 +607,33 @@ func (rt *Runtime) admitLocked(name string) (TaskDef, error) {
 }
 
 // paramRoom is the room one submission call — a batch, or a single
-// invocation — carves its tasks' parameter and access lists from: one
-// array each, made to the exact size (see handles).
+// invocation — carves its tasks' parameter, argument, access and cell
+// lists from: one array each, sized by np parameters and na handles (a
+// handle reads and writes at most one version each).
 type paramRoom struct {
 	params   []Param
+	args     []any
 	accesses []deps.Access
+	cells    []*cell
 }
 
-// handles counts the dependency-tracked parameters: one access each.
-func handles(params []Param) (n int) {
-	for _, p := range params {
-		if p.Handle != nil {
-			n++
+func newRoom(np, na int) paramRoom {
+	return paramRoom{make([]Param, np), make([]any, np), make([]deps.Access, na), make([]*cell, 2*na)}
+}
+
+// handles counts the dependency-tracked parameters, one access each, and
+// refuses a handle another runtime made.
+func (rt *Runtime) handles(params []Param) (n int, err error) {
+	for i, p := range params {
+		if p.Handle == nil {
+			continue
 		}
+		if p.Handle.rt != rt {
+			return 0, fmt.Errorf("%w: parameter %d", ErrForeignHandle, i)
+		}
+		n++
 	}
-	return n
+	return n, nil
 }
 
 // carve cuts the next n elements off *room, as a list with cap == len.
@@ -591,10 +643,12 @@ func carve[T any](room *[]T, n int) []T {
 	return out
 }
 
-// normalize copies the parameter list, defaults directions, and derives
-// the access list the processor consumes.
-func (r *paramRoom) normalize(src []Param) ([]Param, []deps.Access) {
+// normalize copies the parameter list into t, defaults directions, carves
+// the first execution's argument array, and derives the access list the
+// processor consumes.
+func (r *paramRoom) normalize(t *rtTask, src []Param) []deps.Access {
 	params := carve(&r.params, len(src))
+	t.params, t.args = params, carve(&r.args, len(src))
 	copy(params, src)
 	n := 0
 	for i := range params {
@@ -607,24 +661,46 @@ func (r *paramRoom) normalize(src []Param) ([]Param, []deps.Access) {
 		r.accesses[n] = deps.Access{Data: params[i].Handle.id, Dir: params[i].Dir}
 		n++
 	}
-	return params, carve(&r.accesses, n)
+	return carve(&r.accesses, n)
 }
 
 // buildTaskLocked fills in the runtime task of one registered invocation
-// (t.def and t.params are set): declared output sizes enter the location
-// registry, input sizes aggregate into the scheduler's covariate. Caller
-// holds rt.mu.
-func (rt *Runtime) buildTaskLocked(t *rtTask, id int64, res deps.Result) {
-	t.reads, t.writes = res.Reads, res.Writes
+// (t.def and t.params are set) and hangs it on its versions' cells, walking
+// the handle parameters in the order res lists their versions: a read takes
+// the handle's current cell, a write of a new version gets a fresh cell that
+// becomes current, and a group member shares the current one. Declared
+// output sizes enter the location registry, input sizes aggregate into the
+// scheduler's covariate. Caller holds rt.mu.
+func (rt *Runtime) buildTaskLocked(t *rtTask, id int64, res deps.Result, room *paramRoom) {
+	t.reads, t.writes = carve(&room.cells, len(res.Reads)), carve(&room.cells, len(res.Writes))
 	wi, ri := 0, 0
 	for i, p := range t.params {
-		if p.Handle == nil {
+		h := p.Handle
+		if h == nil {
 			continue
 		}
+		if p.Dir.Reads() {
+			t.reads[ri] = h.cur
+			ri++
+		}
+		if !p.Dir.Writes() {
+			continue
+		}
+		c := h.cur
+		if c.key != res.Writes[wi] {
+			c = rt.newCellLocked(res.Writes[wi])
+			h.cur = c
+		}
+		c.prod = t
+		t.writes[wi] = c
+		wi++
 		if p.Dir == deps.Commutative || p.Dir == deps.Concurrent {
 			// Group members share one version; WaitOn must wait for the
 			// whole group, not just the last-registered member.
-			rt.group[res.Reads[ri]] = append(rt.group[res.Reads[ri]], &t.future)
+			if c.grp == nil {
+				c.grp = new(group)
+			}
+			c.grp.members = append(c.grp.members, &t.future)
 		}
 		if p.Dir == deps.Commutative {
 			// Commutative members additionally merge in place: record the
@@ -633,18 +709,11 @@ func (rt *Runtime) buildTaskLocked(t *rtTask, id int64, res deps.Result) {
 			// see execute). Concurrent members are deliberately excluded —
 			// their direction exists to run simultaneously against
 			// externally synchronised structures.
-			t.comm = append(t.comm, commParam{arg: i, ver: res.Reads[ri]})
-		}
-		if p.Dir.Reads() {
-			ri++
-		}
-		if !p.Dir.Writes() {
-			continue
+			t.comm = append(t.comm, commParam{arg: i, c: c})
 		}
 		if p.Size > 0 && rt.cfg.Locations != nil {
-			rt.cfg.Locations.SetSize(res.Writes[wi], p.Size)
+			rt.cfg.Locations.SetSize(c.key, p.Size)
 		}
-		wi++
 	}
 	t.et = engine.Task{
 		ID:          id,
@@ -673,8 +742,11 @@ func (rt *Runtime) resolveLocked(t *rtTask) (wave bool) {
 	resolved, wave := rt.Resolve(t.et.ID)
 	if resolved {
 		vals := make([]any, len(t.writes))
-		for i, w := range t.writes {
-			vals[i] = rt.values[w].val
+		for i, c := range t.writes {
+			if v, ok := rt.restored[c.key]; ok {
+				c.val, c.err, c.set = v, nil, true
+			}
+			vals[i] = c.val
 		}
 		rt.resolve(t, vals, nil)
 	}
@@ -696,8 +768,12 @@ func (rt *Runtime) resolve(t *rtTask, vals []any, err error) {
 // ErrQuotaRejected when the admission controller refuses the
 // submission.
 func (rt *Runtime) Submit(name string, params ...Param) (*Future, error) {
+	var na int
 	rt.mu.Lock()
 	def, err := rt.admitLocked(name)
+	if err == nil {
+		na, err = rt.handles(params)
+	}
 	if err != nil {
 		rt.mu.Unlock()
 		return nil, err
@@ -710,12 +786,10 @@ func (rt *Runtime) Submit(name string, params ...Param) (*Future, error) {
 		rt.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrQuotaRejected, name)
 	}
-	room := paramRoom{make([]Param, len(params)), make([]deps.Access, handles(params))}
+	room := newRoom(len(params), na)
 	t := &rtTask{def: def}
-	var accesses []deps.Access
-	t.params, accesses = room.normalize(params)
-	res := rt.proc.Register(deps.TaskID(id), accesses)
-	rt.buildTaskLocked(t, id, res)
+	res := rt.proc.Register(deps.TaskID(id), room.normalize(t, params))
+	rt.buildTaskLocked(t, id, res, &room)
 	rt.pending.Add(1)
 	// The engine counts only dependencies whose producer has not already
 	// finished; rt.mu is held through Add so a dependent can never slip in
@@ -760,14 +834,18 @@ func (rt *Runtime) SubmitAll(reqs []TaskReq) ([]*Future, error) {
 	var np, na int
 	for i, r := range reqs {
 		def, err := rt.admitLocked(r.Name)
+		n := 0
+		if err == nil {
+			n, err = rt.handles(r.Params)
+		}
 		if err != nil {
 			rt.mu.Unlock()
 			return nil, fmt.Errorf("core: batch task %d: %w", i, err)
 		}
 		tasks[i].def = def
-		np, na = np+len(r.Params), na+handles(r.Params)
+		np, na = np+len(r.Params), na+n
 	}
-	room := paramRoom{make([]Param, np), make([]deps.Access, na)}
+	room := newRoom(np, na)
 	futures := make([]*Future, len(reqs))
 	accepted := make([]*rtTask, 0, len(reqs))
 	batch := make([]deps.TaskAccesses, 0, len(reqs))
@@ -783,17 +861,15 @@ func (rt *Runtime) SubmitAll(reqs []TaskReq) ([]*Future, error) {
 			t.future.complete(nil, fmt.Errorf("%w: batch task %d (%s)", ErrQuotaRejected, i, r.Name))
 			continue
 		}
-		var accesses []deps.Access
-		t.params, accesses = room.normalize(r.Params)
 		accepted = append(accepted, t)
-		batch = append(batch, deps.TaskAccesses{Task: deps.TaskID(id), Accesses: accesses})
+		batch = append(batch, deps.TaskAccesses{Task: deps.TaskID(id), Accesses: room.normalize(t, r.Params)})
 		holds = append(holds, h)
 	}
 	results := rt.proc.RegisterBatch(batch)
 	ets := make([]*engine.Task, len(accepted))
 	prods := make([][]deps.TaskID, len(accepted))
 	for j, t := range accepted {
-		rt.buildTaskLocked(t, int64(batch[j].Task), results[j])
+		rt.buildTaskLocked(t, int64(batch[j].Task), results[j], &room)
 		ets[j] = &t.et
 		prods[j] = results[j].Deps
 	}
@@ -886,66 +962,60 @@ func (rt *Runtime) take() (l launch, ctx *taskCtx, args []any, depErr error) {
 		}
 		// The placement's slow factor rides the context so cooperative
 		// bodies (SlowSleep, SlowFactorFrom) degrade under slow-node drills
-		// like the simulator's durations. A re-execution gets a context of
-		// its own: a killed predecessor may still be running on the last.
-		ctx = &l.t.ctx0
+		// like the simulator's durations. A re-execution gets a context and
+		// an argument array of its own: a killed predecessor may still be
+		// running on the last.
+		ctx, args = &l.t.ctx0, l.t.args
 		if l.t.ctx != nil {
-			ctx = new(taskCtx)
+			ctx, args = new(taskCtx), make([]any, len(l.t.params))
 		}
 		ctx.slow = l.slow
 		l.t.ctx = ctx
-		args, depErr = rt.materialiseLocked(l.t)
-		return l, ctx, args, depErr
+		return l, ctx, args, rt.materialiseLocked(l.t, args)
 	}
 	rt.runq, rt.runHead = rt.runq[:0], 0
 	return launch{}, nil, nil, nil
 }
 
-// materialiseLocked resolves parameter values. Caller holds rt.mu.
-func (rt *Runtime) materialiseLocked(t *rtTask) ([]any, error) {
-	args := make([]any, len(t.params))
-	readIdx := 0
-	var depErr error
+// materialiseLocked resolves parameter values into args through the
+// task's read cells. Caller holds rt.mu.
+func (rt *Runtime) materialiseLocked(t *rtTask, args []any) (depErr error) {
+	ri := 0
 	for i, p := range t.params {
 		if p.Handle == nil {
 			args[i] = p.Value
 			continue
 		}
 		if p.Dir.Reads() {
-			v := t.reads[readIdx]
-			readIdx++
-			slot := rt.values[v]
-			if slot.err != nil && depErr == nil {
-				depErr = fmt.Errorf("%w: input %v: %v", ErrDependencyFailed, v, slot.err)
-			}
-			args[i] = slot.val
+			args[i] = t.reads[ri].read(&depErr)
+			ri++
 		}
 	}
-	return args, depErr
+	return depErr
 }
 
-// commLocksLocked returns the data locks of a task's commutative
-// parameters in a canonical (Data, Ver) order, creating them on first
-// use. Caller holds rt.mu and has checked the task has some.
-func (rt *Runtime) commLocksLocked(t *rtTask) []*sync.Mutex {
-	vers := make([]deps.Version, 0, len(t.comm))
-	for _, c := range t.comm {
-		vers = append(vers, c.ver)
+// read returns the cell's value, recording its failure in *depErr unless
+// an earlier input already failed. Caller holds rt.mu.
+func (c *cell) read(depErr *error) any {
+	if c.err != nil && *depErr == nil {
+		*depErr = fmt.Errorf("%w: input %v: %v", ErrDependencyFailed, c.key, c.err)
 	}
-	sort.Slice(vers, func(i, j int) bool { return vers[i].Less(vers[j]) })
-	locks := make([]*sync.Mutex, 0, len(vers))
-	var prev deps.Version
-	for i, v := range vers {
-		if i > 0 && v == prev {
-			continue
-		}
-		prev = v
-		mu, ok := rt.commMu[v]
-		if !ok {
-			mu = &sync.Mutex{}
-			rt.commMu[v] = mu
-		}
-		locks = append(locks, mu)
+	return c.val
+}
+
+// commLocksLocked returns the merge locks of a task's commutative
+// parameters in a canonical (Data, Ver) order. Caller holds rt.mu and has
+// checked the task has some.
+func commLocksLocked(t *rtTask) []*sync.Mutex {
+	cells := make([]*cell, 0, len(t.comm))
+	for _, cp := range t.comm {
+		cells = append(cells, cp.c)
+	}
+	sort.Slice(cells, func(i, j int) bool { return cells[i].key.Less(cells[j].key) })
+	cells = slices.Compact(cells)
+	locks := make([]*sync.Mutex, len(cells))
+	for i, c := range cells {
+		locks[i] = &c.grp.mu
 	}
 	return locks
 }
@@ -981,7 +1051,7 @@ func (rt *Runtime) execute(ctx *taskCtx, t *rtTask, epoch int, args []any, depEr
 	var locks []*sync.Mutex
 	if len(t.comm) > 0 { // the common task has none: no rt.mu round trip
 		rt.mu.Lock()
-		locks = rt.commLocksLocked(t)
+		locks = commLocksLocked(t)
 		rt.mu.Unlock()
 	}
 	for _, l := range locks {
@@ -989,12 +1059,8 @@ func (rt *Runtime) execute(ctx *taskCtx, t *rtTask, epoch int, args []any, depEr
 	}
 	if len(locks) > 0 {
 		rt.mu.Lock()
-		for _, c := range t.comm {
-			slot := rt.values[c.ver]
-			if slot.err != nil && depErr == nil {
-				depErr = fmt.Errorf("%w: input %v: %v", ErrDependencyFailed, c.ver, slot.err)
-			}
-			args[c.arg] = slot.val
+		for _, cp := range t.comm {
+			args[cp.arg] = cp.c.read(&depErr)
 		}
 		rt.mu.Unlock()
 	}
@@ -1030,19 +1096,20 @@ func (rt *Runtime) execute(ctx *taskCtx, t *rtTask, epoch int, args []any, depEr
 	tracking := rt.Tracking()
 	rt.mu.Lock()
 	if rt.eng.Current(t.et.ID, epoch) {
-		for i, w := range t.writes {
+		for i, c := range t.writes {
+			c.set = true
 			if err != nil {
-				rt.values[w] = versionSlot{err: err}
+				c.val, c.err = nil, err
 				continue
 			}
-			rt.values[w] = versionSlot{val: vals[i]}
-			if rt.cfg.Locations != nil && rt.cfg.Locations.Size(w) == 0 {
+			c.val, c.err = vals[i], nil
+			if rt.cfg.Locations != nil && rt.cfg.Locations.Size(c.key) == 0 {
 				// No size declared at submit: measure the produced value so
 				// live transfer accounting reports volumes, not just moves.
-				rt.cfg.Locations.SetSize(w, measureBytes(vals[i]))
+				rt.cfg.Locations.SetSize(c.key, measureBytes(vals[i]))
 			}
 			if rt.cfg.Provenance != nil {
-				rt.cfg.Provenance.RecordProduction(w, t.et.ID, t.reads)
+				rt.cfg.Provenance.RecordProduction(c.key, t.et.ID, t.et.InputKeys)
 			}
 		}
 	}
@@ -1093,21 +1160,23 @@ func (rt *Runtime) execute(ctx *taskCtx, t *rtTask, epoch int, args []any, depEr
 // WaitOn synchronises on the newest version of a handle and returns its
 // value — PyCOMPSs' compss_wait_on.
 func (rt *Runtime) WaitOn(h *Handle) (any, error) {
-	// rt.mu serialises the version + producer lookup with Submit (which
-	// holds rt.mu from access registration through engine.Add), so a
-	// version can never be current without its producer being findable.
-	rt.mu.Lock()
-	ver := rt.proc.CurrentVersion(h.id)
-	var futs []*Future
-	if et, ok := rt.eng.Producer(ver); ok {
-		if t, isTask := et.Payload.(*rtTask); isTask {
-			futs = append(futs, &t.future)
-		}
+	if h.rt != rt {
+		return nil, ErrForeignHandle
 	}
-	// A commutative/concurrent group shares one version: the engine's
-	// producer map names only the last-registered member, but the merged
-	// value is ready only when every member has folded its update in.
-	futs = append(futs, rt.group[ver]...)
+	// rt.mu serialises the cell lookup with Submit, which registers a
+	// version and hangs its cell on the handle under one acquisition.
+	rt.mu.Lock()
+	c := h.cur
+	var futs []*Future
+	if c.prod != nil {
+		futs = append(futs, &c.prod.future)
+	}
+	if c.grp != nil {
+		// A commutative/concurrent group shares one version: the cell names
+		// only the last-registered member, but the merged value is ready
+		// only when every member has folded its update in.
+		futs = append(futs, c.grp.members...)
+	}
 	rt.mu.Unlock()
 	for _, fut := range futs {
 		if _, err := fut.Wait(); err != nil {
@@ -1116,8 +1185,7 @@ func (rt *Runtime) WaitOn(h *Handle) (any, error) {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	slot := rt.values[ver]
-	return slot.val, slot.err
+	return c.val, c.err
 }
 
 // Barrier blocks until every submitted task has finished: until no future
@@ -1172,6 +1240,9 @@ func (rt *Runtime) Pool() *resources.Pool { return rt.cfg.Pool }
 
 // CurrentVersion reports the newest registered version of a handle.
 func (rt *Runtime) CurrentVersion(h *Handle) deps.Version {
+	if h.rt != rt {
+		panic(ErrForeignHandle)
+	}
 	return rt.proc.CurrentVersion(h.id)
 }
 

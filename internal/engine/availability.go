@@ -103,7 +103,7 @@ func ParseAvailability(s string) (Availability, error) {
 // partition heals or a replica reappears.
 func (e *Engine) ParkedCount() int {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	return e.parked
 }
 
@@ -132,7 +132,7 @@ func (e *Engine) actionableMissesLocked(plan transfer.Plan) []deps.Version {
 	}
 	out := plan.UnreachableKeys
 	for _, k := range plan.MissingKeys {
-		if _, ok := e.producer[k]; ok {
+		if _, ok := e.producerLocked(k); ok {
 			out = append(out, k)
 		}
 	}
@@ -233,7 +233,7 @@ func (e *Engine) divertUnavailableLocked(t *Task) {
 		})
 	}
 	for _, k := range keys {
-		pt, ok := e.producer[k]
+		pt, ok := e.producerLocked(k)
 		if !ok {
 			continue // external data: nothing to recompute, wait for a heal
 		}
@@ -320,7 +320,7 @@ func (e *Engine) wakeKeyWaitersLocked(k deps.Version) int {
 // how many tasks were woken.
 func (e *Engine) wakeReachable() int {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	if len(e.waiters) == 0 || e.cfg.Registry == nil || e.cfg.Net == nil {
 		return 0
 	}
@@ -363,7 +363,7 @@ func (e *Engine) wakeReachable() int {
 // placement wave, not this code, decides who can actually run now.
 func (e *Engine) wakeAllParked() int {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	woken := e.parked
 	for _, t := range e.tasks.all {
 		if e.parked == 0 {

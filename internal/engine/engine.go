@@ -361,7 +361,7 @@ type Engine struct {
 	// mid-wave (availability recomputes resubmit into the running wave).
 	cand       []*bucket
 	waveActive bool
-	producer   map[deps.Version]*Task // which task writes each version
+	producer   map[deps.Version]*Task // last-registered writer of each version; nil until producerLocked
 	slow       map[string]float64     // per-node duration multipliers (fault injection)
 	// Dirty tracking for delta checkpoints: every task whose snapshot-
 	// relevant state (lifecycle state, epoch, completed flag) changed since
@@ -493,10 +493,7 @@ func New(cfg Config) *Engine {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obsv.NewEngineMetrics(nil) // inert: nil instruments discard
 	}
-	e := &Engine{
-		cfg:      cfg,
-		producer: make(map[deps.Version]*Task),
-	}
+	e := &Engine{cfg: cfg}
 	if p, ok := cfg.Policy.(sched.Prioritizer); ok {
 		e.prio = p
 	}
@@ -509,10 +506,33 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Producer returns the task that writes the given data version.
-func (e *Engine) Producer(k deps.Version) (*Task, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// stepCheck, when a test sets it, inspects the engine at every release
+// of e.mu by an engine call, with the lock still held. Nil in production.
+var stepCheck atomic.Pointer[func(*Engine)]
+
+// unlock releases e.mu, after stepCheck's look when one is set.
+func (e *Engine) unlock() {
+	if f := stepCheck.Load(); f != nil {
+		(*f)(e)
+	}
+	e.mu.Unlock()
+}
+
+// producerLocked returns the last-registered task writing k. Only the
+// recovery and availability paths ask, so the index is built from the
+// task table, in registration order, on their first query, and addLocked
+// keeps it current from then on; a run in which no input ever lacks a
+// replica never builds it. Every asker has a registry, so no task's keys
+// have been dropped.
+func (e *Engine) producerLocked(k deps.Version) (*Task, bool) {
+	if e.producer == nil {
+		e.producer = make(map[deps.Version]*Task)
+		for _, t := range e.tasks.all {
+			for _, o := range t.OutputKeys {
+				e.producer[o] = t
+			}
+		}
+	}
 	t, ok := e.producer[k]
 	return t, ok
 }
@@ -544,7 +564,7 @@ func (e *Engine) markDirtyLocked(t *Task) {
 // reader never observes the increment of one side without the other).
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	return e.stats
 }
 
@@ -556,7 +576,7 @@ func (e *Engine) RecordAdmission(queued, rejected int) {
 	e.mu.Lock()
 	e.stats.AdmitQueued += queued
 	e.stats.AdmitRejected += rejected
-	e.mu.Unlock()
+	e.unlock()
 }
 
 // SigLoad is one non-empty ready bucket's demand and supply snapshot:
@@ -580,7 +600,7 @@ type SigLoad struct {
 // signature, so any member's constraints are the signature's).
 func (e *Engine) SigLoads() []SigLoad {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	out := make([]SigLoad, 0, len(e.sigs))
 	for _, b := range e.sigs {
 		if len(b.q) == 0 {
@@ -618,7 +638,7 @@ type Timing struct {
 // run drains (or at any quiescent point) for a consistent view.
 func (e *Engine) Timings() []Timing {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	out := make([]Timing, 0, len(e.tasks.all))
 	for _, t := range e.tasks.all {
 		out = append(out, Timing{
@@ -641,7 +661,7 @@ var ErrDuplicateID = errors.New("engine: duplicate task ID")
 // ready queue, so the caller knows whether a Schedule is worthwhile.
 func (e *Engine) Add(t *Task, producers []deps.TaskID, holds int) (bool, error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	ready, err := e.addLocked(t, producers, holds)
 	e.wireLocked()
 	return ready, err
@@ -665,7 +685,7 @@ func (e *Engine) AddBatch(ts []*Task, producers [][]deps.TaskID) (bool, error) {
 // scheduler while the rest of the batch proceeds.
 func (e *Engine) AddBatchHolds(ts []*Task, producers [][]deps.TaskID, holds []int) (ready bool, err error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	for i, t := range ts {
 		h := 0
 		if holds != nil {
@@ -711,8 +731,10 @@ func (e *Engine) addLocked(t *Task, producers []deps.TaskID, holds int) (bool, e
 		t.holds = max(t.holds-early, 0)
 	}
 	t.waitCount += t.holds
-	for _, k := range t.OutputKeys {
-		e.producer[k] = t
+	if e.producer != nil {
+		for _, k := range t.OutputKeys {
+			e.producer[k] = t
+		}
 	}
 	e.tasks.add(t)
 	if t.waitCount == 0 {
@@ -753,7 +775,7 @@ func (e *Engine) wireLocked() {
 // task ready itself.
 func (e *Engine) ReleaseHold(id int64) bool {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	t := e.tasks.get(id)
 	if t == nil {
 		if e.earlyHolds == nil {
@@ -865,7 +887,7 @@ func (e *Engine) Schedule() {
 	e.launchMu.Lock()
 	e.mu.Lock()
 	e.launch = e.placeWaveLocked(e.launch[:0])
-	e.mu.Unlock()
+	e.unlock()
 	for _, p := range e.launch {
 		e.cfg.Executor.Launch(p)
 	}
@@ -1236,7 +1258,7 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 // TaskFailed. The caller should Schedule afterwards.
 func (e *Engine) Complete(id int64, epoch int, failed bool) (Completion, bool) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	return e.completeLocked(e.tasks.get(id), epoch, failed)
 }
 
@@ -1248,7 +1270,7 @@ func (e *Engine) CompleteSchedule(id int64, epoch int, failed bool) (Completion,
 	e.mu.Lock()
 	c, ok := e.completeLocked(e.tasks.get(id), epoch, failed)
 	e.launch = e.placeWaveLocked(e.launch[:0])
-	e.mu.Unlock()
+	e.unlock()
 	for _, p := range e.launch {
 		e.cfg.Executor.Launch(p)
 	}
@@ -1354,7 +1376,7 @@ func (e *Engine) doneLocked(t *Task) (first bool) {
 // registration order.
 func (e *Engine) KillRunningOn(name string) []*Task {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	var killed []*Task
 	for _, t := range e.tasks.all {
 		if t.state != Running {
@@ -1389,7 +1411,7 @@ func (e *Engine) KillRunningOn(name string) []*Task {
 // queued: the data was external and nothing can recompute it.
 func (e *Engine) DropReadyMissingInputs() []*Task {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	if e.cfg.Registry == nil {
 		return nil
 	}
@@ -1420,7 +1442,7 @@ func (e *Engine) missingProducerLocked(t *Task) bool {
 		if len(e.cfg.Registry.Where(k)) > 0 {
 			continue
 		}
-		if _, ok := e.producer[k]; ok {
+		if _, ok := e.producerLocked(k); ok {
 			return true
 		}
 	}
@@ -1433,7 +1455,7 @@ func (e *Engine) missingProducerLocked(t *Task) bool {
 // alone. The caller should Schedule afterwards.
 func (e *Engine) Resubmit(id int64) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	if t := e.tasks.get(id); t != nil {
 		e.resubmitLocked(t)
 	}
@@ -1463,7 +1485,7 @@ func (e *Engine) resubmitLocked(t *Task) {
 		if e.cfg.Registry == nil || len(e.cfg.Registry.Where(k)) > 0 {
 			continue
 		}
-		pt, ok := e.producer[k]
+		pt, ok := e.producerLocked(k)
 		if !ok {
 			continue // external data lost for good; nothing to recompute
 		}

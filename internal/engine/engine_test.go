@@ -179,6 +179,7 @@ func TestStaleCompletionIgnoredAfterKill(t *testing.T) {
 }
 
 func TestResubmitRecomputesLostLineage(t *testing.T) {
+	engine.CheckProducerIndexSteps(t)
 	p := pool(2, 2)
 	reg := transfer.NewRegistry()
 	e, exec := newEngine(t, p, reg)

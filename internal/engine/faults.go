@@ -70,7 +70,7 @@ func (e *Engine) FailNode(name string, onKill func(*Task)) (FailReport, error) {
 	_ = e.cfg.Pool.Remove(name)
 	e.mu.Lock()
 	delete(e.slow, name)
-	e.mu.Unlock()
+	e.unlock()
 
 	// Data on the node is gone.
 	if e.cfg.Registry != nil {
@@ -134,7 +134,7 @@ func (e *Engine) SlowNode(name string, factor float64) error {
 		}
 		e.slow[name] = factor
 	}
-	e.mu.Unlock()
+	e.unlock()
 	if e.cfg.Tracer != nil {
 		e.cfg.Tracer.Record(trace.Event{
 			At: e.cfg.Clock.Now(), Kind: trace.NodeSlowed, Node: name,
@@ -203,7 +203,7 @@ func (e *Engine) Heal(a, b string) error {
 // publishing side effects of a possibly-stale execution.
 func (e *Engine) Current(id int64, epoch int) bool {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	t := e.tasks.get(id)
 	return t != nil && t.state == Running && t.epoch == epoch
 }

@@ -169,6 +169,7 @@ func runAvailLive(t *testing.T, policy engine.Availability, heal bool) availOutc
 // heals before drain runs without any recompute, identically on both
 // backends.
 func TestAvailabilityDeferHealParity(t *testing.T) {
+	engine.CheckProducerIndexSteps(t)
 	sim := runAvailSim(t, engine.AvailDefer, true)
 	live := runAvailLive(t, engine.AvailDefer, true)
 
@@ -233,6 +234,7 @@ func runAvailSimRecompute(t *testing.T) availOutcome {
 // an input under recompute produces exactly one lineage re-run — on the
 // reachable side — on both backends, with no heal required.
 func TestAvailabilityRecomputeParity(t *testing.T) {
+	engine.CheckProducerIndexSteps(t)
 	sim := runAvailSimRecompute(t)
 	live := runAvailLive(t, engine.AvailRecompute, false)
 
@@ -264,6 +266,7 @@ func TestAvailabilityRecomputeParity(t *testing.T) {
 // fed — the engine re-offers the choice over the feedable subset. No
 // heal is ever scripted; without the re-pick the run would end ErrStuck.
 func TestAvailabilityFeedableRepick(t *testing.T) {
+	engine.CheckProducerIndexSteps(t)
 	// n1 (cloud) is first in pool order, so FIFO aims the unpinned
 	// consumer at it; d1's only replica is on n0, cut away from n1.
 	pool := resources.NewPool()
@@ -308,6 +311,7 @@ func TestAvailabilityFeedableRepick(t *testing.T) {
 // the capacity frees), not park — capacity release is not an
 // availability wake source, so parking here would hang forever.
 func TestAvailabilityBusyFeedableNodeQueues(t *testing.T) {
+	engine.CheckProducerIndexSteps(t)
 	pool := resources.NewPool()
 	for _, n := range []string{"n0", "n1"} {
 		_ = pool.Add(resources.NewNode(n, resources.Description{
@@ -350,6 +354,7 @@ func TestAvailabilityBusyFeedableNodeQueues(t *testing.T) {
 // makes a replica movable does. Guards the wakeReachable filter against
 // the vacuous "a replica holder reaches itself" short-circuit.
 func TestAvailabilityPartialHealNoChurn(t *testing.T) {
+	engine.CheckProducerIndexSteps(t)
 	specs := []infra.TaskSpec{
 		{ID: 1, Class: "a", Duration: time.Second,
 			Constraints: resources.Constraints{Class: resources.HPC},
@@ -393,6 +398,7 @@ func TestAvailabilityPartialHealNoChurn(t *testing.T) {
 // RevalidateAvailability must give the parked work that chance — no
 // heal is ever issued.
 func TestAvailabilityRevalidateOnGrowth(t *testing.T) {
+	engine.CheckProducerIndexSteps(t)
 	pool := resources.NewPool()
 	_ = pool.Add(resources.NewNode("n0", resources.Description{
 		Cores: 1, MemoryMB: 8000, SpeedFactor: 1, Class: resources.HPC,
@@ -458,6 +464,7 @@ func TestAvailabilityRevalidateOnGrowth(t *testing.T) {
 // its producer must be resubmitted through lineage even under defer,
 // instead of dead-waiting in the park set.
 func TestAvailabilityDeferLostLineage(t *testing.T) {
+	engine.CheckProducerIndexSteps(t)
 	pool := resources.NewPool()
 	for _, n := range []string{"n0", "n1"} {
 		_ = pool.Add(resources.NewNode(n, resources.Description{
@@ -505,6 +512,7 @@ func TestAvailabilityDeferLostLineage(t *testing.T) {
 // surviving node, and the resumed run (under defer, which would park
 // forever on a dropped replica) must neither park nor recompute.
 func TestLiveRestoreShrunkPoolRestages(t *testing.T) {
+	engine.CheckProducerIndexSteps(t)
 	store, err := checkpoint.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -219,6 +219,7 @@ func startOrder(tr *trace.Tracer) []int64 {
 }
 
 func TestFaultScriptParity(t *testing.T) {
+	engine.CheckProducerIndexSteps(t)
 	// The script must produce the same choreography with work stealing
 	// off and on: the FIFO policy never declines a placement, so no steal
 	// fires, and the knob must not disturb the fault/recovery path.
@@ -285,6 +286,7 @@ func ignoredFaults(tr *trace.Tracer) []string {
 // leave the same fault_ignored events on the trace — the injector lives
 // in the shared host, so the audit trail cannot diverge.
 func TestFaultUnknownNodeParity(t *testing.T) {
+	engine.CheckProducerIndexSteps(t)
 	// Simulator: a crash on a node that never existed, then a double
 	// crash of a real one; the run completes around them.
 	simTr := trace.New(0)

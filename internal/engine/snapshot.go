@@ -43,7 +43,7 @@ type TaskSnap struct {
 // of a checkpoint snapshot.
 func (e *Engine) SnapshotTasks() []TaskSnap {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	return e.snapshotLocked()
 }
 
@@ -72,7 +72,7 @@ func snapLocked(t *Task) TaskSnap {
 // capture at will without perturbing the delta chain.
 func (e *Engine) SnapshotTasksClean() []TaskSnap {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	out := e.snapshotLocked()
 	e.resetDirtyLocked()
 	e.tracking = true
@@ -85,7 +85,7 @@ func (e *Engine) SnapshotTasksClean() []TaskSnap {
 // checkpointer uses to skip captures on an idle graph.
 func (e *Engine) DirtyCount() int {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	return len(e.dirty)
 }
 
@@ -100,7 +100,7 @@ func (e *Engine) DirtyCount() int {
 // this delta or in the next one — never in neither.
 func (e *Engine) TakeDirty() (snaps []TaskSnap, added []int64) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	if len(e.dirty) == 0 && e.addedFrom == len(e.tasks.all) {
 		return nil, nil
 	}
@@ -143,7 +143,7 @@ func (e *Engine) Now() time.Duration { return e.cfg.Clock.Now() }
 // nothing — for unknown, Running or already-completed tasks.
 func (e *Engine) RestoreCompleted(id int64, epoch int) bool {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	t := e.tasks.get(id)
 	if t == nil || t.state == Running || t.completed {
 		return false
