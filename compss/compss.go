@@ -127,7 +127,8 @@ func WithNodes(nodes ...NodeSpec) Option {
 }
 
 // WithPolicy selects the scheduling policy by name: "fifo", "min-load",
-// "locality", "eft", "ml", "energy" (default "min-load").
+// "p2c", "locality", "eft", "ml", "energy" or "wait-fast" (default
+// "fifo"). New panics on any other name.
 func WithPolicy(name string) Option {
 	return func(c *config) { c.policy = name }
 }
@@ -165,7 +166,7 @@ type COMPSs struct {
 
 // New starts a runtime.
 func New(opts ...Option) *COMPSs {
-	var cfg config
+	cfg := config{policy: "fifo"}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -190,10 +191,14 @@ func New(opts ...Option) *COMPSs {
 		_ = pool.Add(resources.NewNode(n.Name, desc))
 	}
 
+	policy, err := sched.ByName(cfg.policy)
+	if err != nil {
+		panic("compss: " + err.Error())
+	}
 	c := &COMPSs{}
 	coreCfg := core.Config{
 		Pool:      pool,
-		Policy:    sched.ByName(cfg.policy),
+		Policy:    policy,
 		Locations: transfer.NewRegistry(),
 	}
 	if cfg.predictor {

@@ -3,7 +3,9 @@ package compss
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -107,6 +109,15 @@ func TestConstraintsLimitParallelism(t *testing.T) {
 	if atomic.LoadInt32(&peak) > 2 {
 		t.Fatalf("peak = %d, memory allows only 2", peak)
 	}
+}
+
+func TestWithPolicyUnknownNamePanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `unknown policy "min-lod"`) {
+			t.Fatalf("recover() = %v, want the unknown-policy panic", r)
+		}
+	}()
+	New(WithPolicy("min-lod")).Shutdown()
 }
 
 func TestMultiNodePool(t *testing.T) {

@@ -47,6 +47,21 @@ type Variant struct {
 	Manager *resources.ElasticManager
 }
 
+// SimVariant is a tier of simulated nodes: an ElasticManager over a
+// SimProvider that hands out up to max nodes of shape desc, each ready
+// delay after it is asked for, priced at cost units per node-hour and
+// grown at two queued tasks per core.
+func SimVariant(name string, desc resources.Description, cost float64, delay time.Duration, max int) Variant {
+	return Variant{
+		Name: name,
+		Desc: desc,
+		Manager: resources.NewElasticManager(
+			resources.NewSimProvider(name, desc, max, delay),
+			resources.ScalePolicy{MaxNodes: max, TasksPerCore: 2, CostPerNodeHour: cost},
+		),
+	}
+}
+
 // Cost returns the tier's price in cost units per node-hour.
 func (v Variant) Cost() float64 { return v.Manager.Policy().CostPerNodeHour }
 

@@ -92,8 +92,8 @@ func E16AutoscaleCost(tasks int, seed int64) ([]E16Result, error) {
 			return nil, fmt.Errorf("%s threshold arm: %w", shape, err)
 		}
 		costAware, err := autoscale.New([]autoscale.Variant{
-			e16Variant("cloud", resources.CloudVM, e16CloudRate, 30*time.Second, 8),
-			e16Variant("fog", resources.FogDevice, e16FogRate, 5*time.Second, 16),
+			autoscale.SimVariant("cloud", resources.CloudVM, e16CloudRate, 30*time.Second, 8),
+			autoscale.SimVariant("fog", resources.FogDevice, e16FogRate, 5*time.Second, 16),
 		})
 		if err != nil {
 			return nil, err
@@ -131,17 +131,6 @@ func e16Arm(tr *wtrace.Trace, scaler *autoscale.Autoscaler) (E16Arm, error) {
 		arm.CostPer1kTasks = arm.CostUnits * 1000 / float64(arm.TasksCompleted)
 	}
 	return arm, nil
-}
-
-func e16Variant(name string, desc resources.Description, rate float64, delay time.Duration, max int) autoscale.Variant {
-	return autoscale.Variant{
-		Name: name,
-		Desc: desc,
-		Manager: resources.NewElasticManager(
-			resources.NewSimProvider(name, desc, max, delay),
-			resources.ScalePolicy{MaxNodes: max, TasksPerCore: 2, CostPerNodeHour: rate},
-		),
-	}
 }
 
 // e16PriceNodes integrates elastic node lifetimes from the run's

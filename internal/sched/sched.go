@@ -8,6 +8,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"time"
@@ -565,24 +566,29 @@ func (p WaitFast) Priority(t *TaskView, ctx *Context) float64 {
 	return 0
 }
 
-// ByName returns the named policy, defaulting to FIFO.
-func ByName(name string) Policy {
+// Names lists the policies ByName knows, in the form a usage line shows.
+const Names = "fifo | min-load | p2c | locality | eft | ml | energy | wait-fast"
+
+// ByName returns the named policy. An unknown name is an error that
+// lists the valid ones.
+func ByName(name string) (Policy, error) {
 	switch name {
+	case "fifo":
+		return FIFO{}, nil
 	case "min-load":
-		return MinLoad{}
+		return MinLoad{}, nil
 	case "p2c":
-		return NewP2C(1)
+		return NewP2C(1), nil
 	case "locality":
-		return Locality{}
+		return Locality{}, nil
 	case "eft":
-		return EFT{}
+		return EFT{}, nil
 	case "ml":
-		return ML{}
+		return ML{}, nil
 	case "energy":
-		return EnergyAware{}
+		return EnergyAware{}, nil
 	case "wait-fast":
-		return WaitFast{}
-	default:
-		return FIFO{}
+		return WaitFast{}, nil
 	}
+	return nil, fmt.Errorf("sched: unknown policy %q (want %s)", name, Names)
 }

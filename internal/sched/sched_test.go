@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -142,12 +143,18 @@ func TestEnergyAwarePrefersLowPowerWithinSlowdown(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for name, want := range map[string]string{
-		"fifo": "fifo", "min-load": "min-load", "locality": "locality",
-		"eft": "eft", "ml": "ml", "energy": "energy", "unknown": "fifo",
-	} {
-		if got := ByName(name).Name(); got != want {
-			t.Errorf("ByName(%q) = %q, want %q", name, got, want)
+	for _, name := range strings.Split(Names, " | ") {
+		p, err := ByName(name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if got := p.Name(); got != name {
+			t.Errorf("ByName(%q) = %q", name, got)
+		}
+	}
+	for _, name := range []string{"unknown", ""} {
+		if _, err := ByName(name); err == nil || !strings.Contains(err.Error(), Names) {
+			t.Errorf("ByName(%q) error = %v, want one listing %q", name, err, Names)
 		}
 	}
 }

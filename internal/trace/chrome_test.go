@@ -57,42 +57,6 @@ func TestTimelineAllOpenDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestUtilizationOverlappingConcurrentSpans pins the accumulation
-// semantics: two tasks fully overlapping on a node double its busy time,
-// so average concurrency exceeds 1. (Satellite: NodeUtilization with
-// overlapping concurrent spans.)
-func TestUtilizationOverlappingConcurrentSpans(t *testing.T) {
-	events := []Event{
-		{At: 0, Kind: TaskStarted, Task: 1, Node: "n1"},
-		{At: 0, Kind: TaskStarted, Task: 2, Node: "n1"},
-		{At: time.Second, Kind: TaskStarted, Task: 3, Node: "n1"},
-		{At: 4 * time.Second, Kind: TaskCompleted, Task: 1, Node: "n1"},
-		{At: 4 * time.Second, Kind: TaskCompleted, Task: 2, Node: "n1"},
-		{At: 3 * time.Second, Kind: TaskCompleted, Task: 3, Node: "n1"},
-		{At: 0, Kind: TaskStarted, Task: 4, Node: "n2"},
-		{At: 2 * time.Second, Kind: TaskCompleted, Task: 4, Node: "n2"},
-	}
-	utils := Utilization(Timeline(events))
-	if len(utils) != 2 {
-		t.Fatalf("nodes = %d, want 2", len(utils))
-	}
-	n1 := utils[0]
-	// 4s + 4s + 2s = 10s busy over the 4s horizon: concurrency 2.5.
-	if n1.Node != "n1" || n1.BusyTime != 10*time.Second || n1.Tasks != 3 {
-		t.Fatalf("n1 = %+v", n1)
-	}
-	if n1.AvgConcurrency < 2.49 || n1.AvgConcurrency > 2.51 {
-		t.Fatalf("n1 concurrency = %v, want 2.5", n1.AvgConcurrency)
-	}
-	n2 := utils[1]
-	if n2.Node != "n2" || n2.BusyTime != 2*time.Second || n2.Tasks != 1 {
-		t.Fatalf("n2 = %+v", n2)
-	}
-	if n2.AvgConcurrency < 0.49 || n2.AvgConcurrency > 0.51 {
-		t.Fatalf("n2 concurrency = %v, want 0.5", n2.AvgConcurrency)
-	}
-}
-
 func TestWriteChromeTrace(t *testing.T) {
 	events := []Event{
 		{At: 0, Kind: TaskStarted, Task: 1, Node: "n1", Info: "load"},

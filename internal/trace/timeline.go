@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
 	"time"
 )
@@ -79,100 +78,4 @@ func Timeline(events []Event) []Span {
 		return spans[i].Task < spans[j].Task
 	})
 	return spans
-}
-
-// NodeUtilization summarises busy time per node over the horizon implied
-// by the spans (max end time). Concurrent spans on one node accumulate, so
-// a 4-core node fully busy reports 4.0.
-type NodeUtilization struct {
-	Node     string
-	BusyTime time.Duration
-	Tasks    int
-	// AvgConcurrency is BusyTime / horizon.
-	AvgConcurrency float64
-}
-
-// Utilization aggregates spans per node.
-func Utilization(spans []Span) []NodeUtilization {
-	var horizon time.Duration
-	busy := make(map[string]time.Duration)
-	count := make(map[string]int)
-	for _, s := range spans {
-		busy[s.Node] += s.Duration()
-		count[s.Node]++
-		if s.End > horizon {
-			horizon = s.End
-		}
-	}
-	out := make([]NodeUtilization, 0, len(busy))
-	for node, b := range busy {
-		u := NodeUtilization{Node: node, BusyTime: b, Tasks: count[node]}
-		if horizon > 0 {
-			u.AvgConcurrency = float64(b) / float64(horizon)
-		}
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
-}
-
-// RenderASCII draws a coarse Gantt chart (one row per node, width columns)
-// for human inspection in CLI tools.
-func RenderASCII(spans []Span, width int) string {
-	if len(spans) == 0 {
-		return "(no spans)\n"
-	}
-	if width <= 0 {
-		width = 60
-	}
-	var horizon time.Duration
-	nodes := make(map[string][]Span)
-	for _, s := range spans {
-		nodes[s.Node] = append(nodes[s.Node], s)
-		if s.End > horizon {
-			horizon = s.End
-		}
-	}
-	if horizon == 0 {
-		horizon = time.Nanosecond
-	}
-	names := make([]string, 0, len(nodes))
-	maxName := 0
-	for n := range nodes {
-		names = append(names, n)
-		if len(n) > maxName {
-			maxName = len(n)
-		}
-	}
-	sort.Strings(names)
-
-	var out []byte
-	for _, name := range names {
-		row := make([]byte, width)
-		for i := range row {
-			row[i] = '.'
-		}
-		depth := make([]int, width)
-		for _, s := range nodes[name] {
-			from := int(int64(s.Start) * int64(width) / int64(horizon))
-			to := int(int64(s.End) * int64(width) / int64(horizon))
-			if to >= width {
-				to = width - 1
-			}
-			for i := from; i <= to; i++ {
-				depth[i]++
-			}
-		}
-		for i, d := range depth {
-			switch {
-			case d == 0:
-			case d <= 9:
-				row[i] = byte('0' + d)
-			default:
-				row[i] = '#'
-			}
-		}
-		out = append(out, []byte(fmt.Sprintf("%-*s |%s|\n", maxName, name, row))...)
-	}
-	return string(out)
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -34,50 +33,5 @@ func TestTimelineIgnoresOrphanCompletions(t *testing.T) {
 	spans := Timeline([]Event{{At: time.Second, Kind: TaskCompleted, Task: 9}})
 	if len(spans) != 0 {
 		t.Fatalf("orphan completion produced spans: %v", spans)
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	utils := Utilization(Timeline(sampleEvents()))
-	if len(utils) != 2 {
-		t.Fatalf("nodes = %d", len(utils))
-	}
-	// n1: 2s + 1s = 3s busy over a 4s horizon.
-	n1 := utils[0]
-	if n1.Node != "n1" || n1.BusyTime != 3*time.Second || n1.Tasks != 2 {
-		t.Fatalf("n1 = %+v", n1)
-	}
-	if n1.AvgConcurrency < 0.74 || n1.AvgConcurrency > 0.76 {
-		t.Fatalf("n1 concurrency = %v, want 0.75", n1.AvgConcurrency)
-	}
-}
-
-func TestRenderASCII(t *testing.T) {
-	out := RenderASCII(Timeline(sampleEvents()), 40)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("rows = %d:\n%s", len(lines), out)
-	}
-	if !strings.Contains(lines[0], "n1") || !strings.Contains(lines[1], "n2") {
-		t.Fatalf("missing node labels:\n%s", out)
-	}
-	if !strings.Contains(out, "1") {
-		t.Fatalf("no busy cells rendered:\n%s", out)
-	}
-	if got := RenderASCII(nil, 10); got != "(no spans)\n" {
-		t.Fatalf("empty render = %q", got)
-	}
-}
-
-func TestRenderASCIIConcurrencyDigits(t *testing.T) {
-	events := []Event{
-		{At: 0, Kind: TaskStarted, Task: 1, Node: "n"},
-		{At: 0, Kind: TaskStarted, Task: 2, Node: "n"},
-		{At: time.Second, Kind: TaskCompleted, Task: 1, Node: "n"},
-		{At: time.Second, Kind: TaskCompleted, Task: 2, Node: "n"},
-	}
-	out := RenderASCII(Timeline(events), 10)
-	if !strings.Contains(out, "2") {
-		t.Fatalf("overlap not rendered as depth 2:\n%s", out)
 	}
 }

@@ -4,8 +4,9 @@
 // milestones on its clock (virtual or wall); this package joins them
 // with the trace's tenant tags by task ID and computes percentile
 // statistics with hand-checkable linear-interpolation math. The output
-// is the latency object of flowgo-sim's -bench-out trace report and the
-// summary block it prints after a replay.
+// is the latency object of flowgo-sim's -bench-out report and the
+// latency block it prints after every run; the per-tenant breakdown
+// needs a trace.
 package report
 
 import (
@@ -80,7 +81,7 @@ type TenantSummary struct {
 	MakespanMS float64 `json:"makespan_ms"`
 }
 
-// Summary is the full latency report of one replay.
+// Summary is the full latency report of one run.
 type Summary struct {
 	// Tasks counts timing records considered; Completed those that
 	// reached done (the only ones contributing latency samples).
@@ -204,7 +205,7 @@ func Build(timings []engine.Timing, meta map[int64]TraceMeta) Summary {
 }
 
 // WriteText prints the summary as the human-readable block flowgo-sim
-// shows after a replay.
+// shows after a run.
 func (s Summary) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "latency: %d/%d tasks completed, makespan %.1fms\n",
 		s.Completed, s.Tasks, s.MakespanMS)
