@@ -64,7 +64,7 @@ vet:
 # used to sit in internal/, comes back.
 FLAG_BUDGET := 21
 VERSION_MAP_BUDGET := 18
-LINE_BUDGET := 22176
+LINE_BUDGET := 22256
 NONTEST_GO := -name '*.go' ! -name '*_test.go'
 budget:
 	@n=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs cat | wc -l); \

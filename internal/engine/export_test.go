@@ -40,15 +40,21 @@ func checkProducerIndex(e *Engine) error {
 	return nil
 }
 
-// CheckProducerIndexSteps runs checkProducerIndex at every release of any
-// engine's lock by an engine call until the test ends, then fails the test
-// with the first difference (or if no step was checked at all).
-func CheckProducerIndexSteps(t testing.TB) {
+// CheckSteps runs check at every release of any engine's lock by an
+// engine call until the test ends, with the lock still held, then fails
+// the test with the first error it returned (or if no step was checked at
+// all), naming it by name. Checks installed by one test compose: each
+// step runs them all.
+func CheckSteps(t testing.TB, name string, check func(*Engine) error) {
 	var mu sync.Mutex
 	var first error
 	steps := 0
-	check := func(e *Engine) {
-		err := checkProducerIndex(e)
+	prev := stepCheck.Load()
+	step := func(e *Engine) {
+		if prev != nil {
+			(*prev)(e)
+		}
+		err := check(e)
 		mu.Lock()
 		defer mu.Unlock()
 		steps++
@@ -56,15 +62,21 @@ func CheckProducerIndexSteps(t testing.TB) {
 			first = fmt.Errorf("step %d: %w", steps, err)
 		}
 	}
-	stepCheck.Store(&check)
+	stepCheck.Store(&step)
 	t.Cleanup(func() {
-		stepCheck.Store(nil)
+		stepCheck.Store(prev)
 		mu.Lock()
 		defer mu.Unlock()
 		if first != nil {
-			t.Errorf("producer index: %v", first)
+			t.Errorf("%s: %v", name, first)
 		} else if steps == 0 {
-			t.Error("producer index: no engine step was checked")
+			t.Errorf("%s: no engine step was checked", name)
 		}
 	})
+}
+
+// CheckProducerIndexSteps holds the producer index to checkProducerIndex
+// at every engine step until the test ends.
+func CheckProducerIndexSteps(t testing.TB) {
+	CheckSteps(t, "producer index", checkProducerIndex)
 }

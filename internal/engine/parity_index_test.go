@@ -12,7 +12,9 @@ package engine_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -64,6 +66,8 @@ type scanOnly struct{ sched.Policy }
 func runIndexParity(t *testing.T, policy sched.Policy, specs []infra.TaskSpec, script faults.Scenario) indexParityRun {
 	t.Helper()
 	pool, net := indexParityPool()
+	sigs := specSigs(specs)
+	engine.CheckSteps(t, "placement index", func(*engine.Engine) error { return indexScanDiff(pool, sigs) })
 	tr := trace.New(0)
 	sim, err := infra.New(infra.Config{
 		Pool: pool, Net: net, Policy: policy, Tracer: tr,
@@ -99,32 +103,78 @@ func diffIndexRuns(t *testing.T, label string, indexed, scanned indexParityRun) 
 	}
 }
 
-// checkPoolIndexConsistent asserts, for every signature the run touched,
-// that the pool's index answers Fitting exactly like a from-scratch node
-// scan — the post-churn invariant (crashes removed nodes, drains
+// specSigs returns one representative constraint set per signature the
+// specs carry, in first-seen order.
+func specSigs(specs []infra.TaskSpec) []resources.Constraints {
+	var out []resources.Constraints
+	seen := map[string]bool{}
+	for _, s := range specs {
+		if sig := s.Constraints.Signature(); !seen[sig] {
+			seen[sig] = true
+			out = append(out, s.Constraints)
+		}
+	}
+	return out
+}
+
+// indexScanDiff holds the pool's index to a from-scratch node scan for
+// every signature in sigs: Fitting in pool order, FirstFitting, and
+// MinLoadFitting — the fitting node with the least busy-core fraction,
+// ties by name. It uses only the pool's exported API, so it can run at
+// every engine step (e.mu → pool → node → index, the engine's own order).
+func indexScanDiff(pool *resources.Pool, sigs []resources.Constraints) error {
+	for _, c := range sigs {
+		var want []*resources.Node
+		var least *resources.Node
+		for _, n := range pool.Nodes() {
+			if !n.CanReserve(c) {
+				continue
+			}
+			want = append(want, n)
+			if least == nil {
+				least = n
+				continue
+			}
+			l, r := n.BusyCores()*least.Desc().Cores, least.BusyCores()*n.Desc().Cores
+			if l < r || l == r && n.Name() < least.Name() {
+				least = n
+			}
+		}
+		if got := pool.Fitting(c); !slices.Equal(got, want) {
+			return fmt.Errorf("sig %q: index Fitting %v, scan %v", c.Signature(), names(got...), names(want...))
+		}
+		var first *resources.Node
+		if len(want) > 0 {
+			first = want[0]
+		}
+		si := pool.IndexFor(c)
+		if got := si.FirstFitting(c); got != first {
+			return fmt.Errorf("sig %q: FirstFitting %v, scan %v", c.Signature(), names(got), names(first))
+		}
+		if got := si.MinLoadFitting(c); got != least {
+			return fmt.Errorf("sig %q: MinLoadFitting %v, scan %v", c.Signature(), names(got), names(least))
+		}
+	}
+	return nil
+}
+
+func names(ns ...*resources.Node) []string {
+	out := make([]string, len(ns))
+	for i, n := range ns {
+		if out[i] = "<nil>"; n != nil {
+			out[i] = n.Name()
+		}
+	}
+	return out
+}
+
+// checkPoolIndexConsistent asserts indexScanDiff for every signature the
+// run touched — the post-churn invariant (crashes removed nodes, drains
 // cordoned them, the run reserved and released throughout).
 func checkPoolIndexConsistent(t *testing.T, pool *resources.Pool, specs []infra.TaskSpec) {
 	t.Helper()
-	seen := map[string]resources.Constraints{}
-	for _, s := range specs {
-		seen[s.Constraints.Signature()] = s.Constraints
-	}
-	for sig, c := range seen {
-		got := pool.Fitting(c)
-		var want []*resources.Node
-		for _, n := range pool.Nodes() {
-			if n.CanReserve(c) {
-				want = append(want, n)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("sig %q: index Fitting has %d nodes, scan %d", sig, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("sig %q: Fitting[%d] = %s, scan says %s", sig, i, got[i].Name(), want[i].Name())
-			}
-		}
+	if err := indexScanDiff(pool, specSigs(specs)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package minheap is the code base's one heap: a typed binary min-heap
 // over a slice of values. The virtual clock keeps its events in one (value
 // elements, so scheduling an event allocates nothing) and the placement
-// index one load heap per signature set (pointer elements that learn
+// index one load heap per capability class (pointer elements that learn
 // their slot through Moved, so an entry can be fixed or removed in place).
 package minheap
 

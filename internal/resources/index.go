@@ -1,19 +1,22 @@
 // Placement index — the load-indexed node structure that ends the
 // O(pool) placement scan. Placeability depends only on a task's
 // constraint *signature*, so the pool interns every distinct constraint
-// set to a dense SigID and keeps one capability set per ID: the member
-// nodes that could statically run such tasks, in pool insertion order,
-// plus a min-heap of the undrained members ordered by busy-core fraction
-// (ties broken by node name, the deterministic order scan- and
-// index-backed picks agree on). Membership follows Pool.Add/Remove and
-// Node.Drain/Undrain; load follows every Reserve/Release through a
-// node→index notification that looks nothing up by name (a node holds
-// its rec per watching index, a rec its entry per set). A notification
-// eagerly refreshes the cached capacity and each set's fitCount, so "no
-// capacity" stays an O(1) answer; the load heaps are repaired lazily, by
-// the next pick that walks one. Queries have one by-name door,
+// set to a dense SigID. Signatures whose capable nodes are the same set
+// share one capability class: the member nodes that could statically run
+// such tasks, in pool insertion order, plus a min-heap of the undrained
+// members ordered by busy-core fraction (ties broken by node name, the
+// deterministic order scan- and index-backed picks agree on). A
+// heterogeneous pool sees many signatures but few distinct capable sets,
+// so a load change is queued and repaired once per class, not once per
+// signature. Membership follows Pool.Add/Remove and Node.Drain/Undrain;
+// load follows every Reserve/Release through a node→index notification
+// that looks nothing up by name (a node holds its rec per watching index,
+// a rec its entry per class). A notification eagerly refreshes the cached
+// capacity and each signature's fitCount, so "no capacity" stays an O(1)
+// answer; the load heaps are repaired lazily, by the next pick that walks
+// one. Queries have one by-name door,
 // SigIndex.FittingByName: a scorer that knows its few candidates by name
-// (locality's input holders) asks about them without walking the set.
+// (locality's input holders) asks about them without walking the class.
 //
 // Locking: the index has one mutex and is a leaf — index methods never
 // acquire a pool or node lock. Nodes notify their watching indexes while
@@ -64,7 +67,7 @@ func (st capState) fits(c Constraints) bool {
 }
 
 // rec is the index's record of one node: immutable description, cached
-// capacity, its entry in every signature set it belongs to, rank — the
+// capacity, its entry in every capability class it belongs to, rank — the
 // name's position among the index's node names, the load order's
 // tie-break as an integer (see rankLocked) — and seq, its insertion
 // number: records compare by seq exactly as they stand in pool order.
@@ -75,18 +78,18 @@ type rec struct {
 	st   capState
 	rank int
 	seq  uint64
-	ents []*sigEntry
+	ents []*classEntry
 }
 
-// sigEntry is one node's membership in one signature set. pos is its
-// slot in the set's load heap, -1 while not in it (drained, or not yet
-// repaired in). busy/cores is the busy-core fraction the heap last
+// classEntry is one node's membership in one capability class. pos is
+// its slot in the class's load heap, -1 while not in it (drained, or not
+// yet repaired in). busy/cores is the busy-core fraction the heap last
 // arranged it by: the heap is ordered over these entry-local keys, never
 // over live node state, so it stays valid while a node's change waits in
-// stale for the set's next walk.
-type sigEntry struct {
+// stale for the class's next walk.
+type classEntry struct {
 	r           *rec
-	s           *sigSet
+	cc          *capClass
 	pos         int
 	busy, cores int64
 	stale       bool
@@ -94,7 +97,7 @@ type sigEntry struct {
 
 // rekey copies the node's current load into the entry (a node without
 // cores counts as fully busy).
-func (e *sigEntry) rekey() {
+func (e *classEntry) rekey() {
 	e.busy, e.cores = 1, 1
 	if c := e.r.desc.Cores; c > 0 {
 		e.busy, e.cores = int64(c-e.r.st.freeCores), int64(c)
@@ -104,40 +107,62 @@ func (e *sigEntry) rekey() {
 // loadLess is the load order shared by the heap and the pick walk:
 // ascending busy fraction (cross-multiplied: exact, no division), ties
 // broken by name rank so the winner never depends on insertion order.
-func loadLess(a, b *sigEntry) bool {
+func loadLess(a, b *classEntry) bool {
 	if l, r := a.busy*b.cores, b.busy*a.cores; l != r {
 		return l < r
 	}
 	return a.r.rank < b.r.rank
 }
 
-// sigSet is one constraint signature's capability set: every node whose
-// description satisfies the signature, in pool insertion order, plus the
-// load heap over the undrained members.
+// capClass is the capability set of every signature whose description
+// test passes on exactly the same nodes: those nodes in pool insertion
+// order, plus the load heap over the undrained members. Only addNode
+// splits a class (see split); no class is left without a signature, so
+// an index holds at most one class per signature.
+type capClass struct {
+	sigs    []*sigSet     // the signatures capable on exactly these members
+	members []*classEntry // insertion order, drained included
+	heap    minheap.Heap[*classEntry]
+	stale   []*classEntry // members whose heap slot or key is out of date
+}
+
+func newClass() *capClass {
+	cc := &capClass{}
+	cc.heap.Less = loadLess
+	cc.heap.Moved = func(e *classEntry, i int) { e.pos = i }
+	return cc
+}
+
+// sigSet is one constraint signature: its identity, its capability class
+// and its own fitCount.
 type sigSet struct {
-	id      SigID
-	label   string      // Constraints.Signature(): traces, gauges, SigLoad.Sig
-	c       Constraints // representative constraints for the signature
-	members []*sigEntry // insertion order, drained included
-	heap    minheap.Heap[*sigEntry]
-	stale   []*sigEntry // members whose heap slot or key is out of date
+	id    SigID
+	label string      // Constraints.Signature(): traces, gauges, SigLoad.Sig
+	c     Constraints // representative constraints for the signature
+	need  capState    // c's demand, as the free capacity that covers it
+	cc    *capClass
 	// fitCount is the number of undrained members that currently fit the
-	// signature's capacity demand. Every query against this set carries
-	// the same demand (equal signatures ⇒ equal Cores/MemoryMB/GPUs), so
-	// the count answers "no capacity" in O(1) — the saturated-pool case
-	// that would otherwise walk the whole heap to conclude nil. Eager.
+	// signature's capacity demand. Every query against this signature
+	// carries the same demand (equal signatures ⇒ equal
+	// Cores/MemoryMB/GPUs), so the count answers "no capacity" in O(1) —
+	// the saturated-pool case that would otherwise walk the whole heap to
+	// conclude nil. Eager, and per signature: the signatures of one class
+	// share capability, not demand.
 	fitCount int
 }
 
-// entryFits reports whether a state counts toward fitCount.
+// entryFits reports whether a state counts toward fitCount: st.fits(s.c)
+// for an undrained node, read from need so a notification, which asks it
+// twice per signature, copies no Constraints.
 func (s *sigSet) entryFits(st capState) bool {
-	return !st.drained && st.fits(s.c)
+	return !st.drained && s.need.freeCores <= st.freeCores &&
+		s.need.freeMemMB <= st.freeMemMB && s.need.freeGPUs <= st.freeGPUs
 }
 
-func (s *sigSet) markStale(e *sigEntry) {
+func (cc *capClass) markStale(e *classEntry) {
 	if !e.stale {
 		e.stale = true
-		s.stale = append(s.stale, e)
+		cc.stale = append(cc.stale, e)
 	}
 }
 
@@ -149,14 +174,14 @@ func (s *sigSet) markStale(e *sigEntry) {
 // what a full MinLoad scan with the name tie-break would pick, at a cost
 // that is O(log n) when the least-loaded node fits (the common case) and
 // never worse than one heap traversal.
-func (s *sigSet) minFitting(c Constraints) *rec {
-	var best *sigEntry
+func (cc *capClass) minFitting(c Constraints) *rec {
+	var best *classEntry
 	var walk func(i int)
 	walk = func(i int) {
-		if i >= s.heap.Len() {
+		if i >= cc.heap.Len() {
 			return
 		}
-		e := s.heap.At(i)
+		e := cc.heap.At(i)
 		if best != nil && !loadLess(e, best) {
 			return
 		}
@@ -176,14 +201,15 @@ func (s *sigSet) minFitting(c Constraints) *rec {
 
 // Index is a pool's placement index. Every Pool owns one (created by
 // NewPool and kept consistent by Add/Remove and node notifications);
-// signature sets are built lazily on first query and maintained
-// incrementally from then on.
+// signatures are interned lazily on first query, and their classes
+// maintained incrementally from then on.
 type Index struct {
-	mu     sync.Mutex
-	order  []*rec    // pool insertion order (new sigSets inherit it)
-	ranked bool      // every rec's rank is current
-	sets   []*sigSet // by SigID
-	byKey  map[sigKey]*sigSet
+	mu      sync.Mutex
+	order   []*rec      // pool insertion order (new classes inherit it)
+	ranked  bool        // every rec's rank is current
+	sets    []*sigSet   // by SigID
+	classes []*capClass // creation order
+	byKey   map[sigKey]*sigSet
 	// byName holds the records of order by node name, built on the first
 	// FittingByName: a pool no policy asks by name never pays for it.
 	byName map[string]*rec
@@ -206,31 +232,63 @@ func (x *Index) addNode(n *Node, st capState) *rec {
 		x.byName[n.name] = r
 	}
 	x.ranked = false
-	for _, s := range x.sets {
-		if r.desc.Satisfies(s.c) {
-			s.join(r)
+	// The range reads x.classes once: a class split off here holds only
+	// signatures the new node does not satisfy, so it is not visited.
+	for _, cc := range x.classes {
+		sat := 0
+		for _, s := range cc.sigs {
+			if r.desc.Satisfies(s.c) {
+				sat++
+			}
 		}
+		if sat == 0 {
+			continue
+		}
+		if sat < len(cc.sigs) {
+			x.split(cc, r.desc)
+		}
+		cc.join(r)
 	}
 	return r
 }
 
-// removeNode drops a node from every signature set.
+// split moves the signatures of cc that d does not satisfy to a new class
+// with the same members, queued stale so its first walk builds its heap;
+// the moved signatures' fitCounts are recounted by the joins.
+func (x *Index) split(cc *capClass, d Description) {
+	nc := newClass()
+	kept := cc.sigs[:0]
+	for _, s := range cc.sigs {
+		if d.Satisfies(s.c) {
+			kept = append(kept, s)
+		} else {
+			s.cc, s.fitCount = nc, 0
+			nc.sigs = append(nc.sigs, s)
+		}
+	}
+	clear(cc.sigs[len(kept):])
+	cc.sigs = kept
+	for _, e := range cc.members {
+		nc.join(e.r)
+	}
+	x.classes = append(x.classes, nc)
+}
+
+// removeNode drops a node from every capability class.
 func (x *Index) removeNode(r *rec) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.order = without(x.order, r)
 	delete(x.byName, r.n.name)
 	for _, e := range r.ents {
-		s := e.s
+		cc := e.cc
 		if e.pos >= 0 {
-			s.heap.Remove(e.pos)
+			cc.heap.Remove(e.pos)
 		}
-		if s.entryFits(r.st) {
-			s.fitCount--
-		}
-		s.members = without(s.members, e)
-		if e.stale { // an unwalked set must not keep the node's record alive
-			s.stale = without(s.stale, e)
+		cc.tally(r.st, -1)
+		cc.members = without(cc.members, e)
+		if e.stale { // an unwalked class must not keep the node's record alive
+			cc.stale = without(cc.stale, e)
 		}
 	}
 	r.ents = nil
@@ -245,8 +303,9 @@ func without[T comparable](s []T, x T) []T {
 }
 
 // changed refreshes a node's cached capacity and every fitCount it
-// moves, and queues its heap entries for repair. Called with the node's
-// mutex held, after every Reserve/Release/Drain/Undrain.
+// moves, and queues its heap entry in each of its classes for repair —
+// once per class, however many signatures share it. Called with the
+// node's mutex held, after every Reserve/Release/Drain/Undrain.
 func (r *rec) changed(st capState) {
 	x := r.x
 	x.mu.Lock()
@@ -254,28 +313,30 @@ func (r *rec) changed(st capState) {
 	was := r.st
 	r.st = st
 	for _, e := range r.ents {
-		s := e.s
-		if of, nf := s.entryFits(was), s.entryFits(st); of != nf {
-			if nf {
-				s.fitCount++
-			} else {
-				s.fitCount--
-			}
-		}
-		s.markStale(e)
+		e.cc.tally(was, -1)
+		e.cc.tally(st, 1)
+		e.cc.markStale(e)
 	}
 }
 
-// join adds a record to the set (membership at the end — callers
-// preserve pool insertion order); the next repair puts it in the heap.
-func (s *sigSet) join(r *rec) {
-	e := &sigEntry{r: r, s: s, pos: -1}
-	s.members = append(s.members, e)
-	r.ents = append(r.ents, e)
-	if s.entryFits(r.st) {
-		s.fitCount++
+// tally adds d to the fitCount of every signature of cc that st fits.
+func (cc *capClass) tally(st capState, d int) {
+	for _, s := range cc.sigs {
+		if s.entryFits(st) {
+			s.fitCount += d
+		}
 	}
-	s.markStale(e)
+}
+
+// join adds a record to the class (membership at the end — callers
+// preserve pool insertion order) and to its signatures' fitCounts; the
+// next repair puts it in the heap.
+func (cc *capClass) join(r *rec) {
+	e := &classEntry{r: r, cc: cc, pos: -1}
+	cc.members = append(cc.members, e)
+	r.ents = append(r.ents, e)
+	cc.tally(r.st, 1)
+	cc.markStale(e)
 }
 
 // rankLocked numbers the records in node-name order. Removals keep the
@@ -292,33 +353,34 @@ func (x *Index) rankLocked() {
 	x.ranked = true
 }
 
-// repairLocked brings s's load heap up to date with its members' cached
+// repairLocked brings cc's load heap up to date with its members' cached
 // state — the lazy half of a notification, run before anything reads the
 // heap. Stale entries are re-keyed and settled one at a time, so the heap
 // is valid over its own keys at every step.
-func (x *Index) repairLocked(s *sigSet) {
-	if len(s.stale) == 0 {
+func (x *Index) repairLocked(cc *capClass) {
+	if len(cc.stale) == 0 {
 		return
 	}
 	x.rankLocked()
-	for _, e := range s.stale {
+	for _, e := range cc.stale {
 		e.stale = false
 		e.rekey()
 		switch in := !e.r.st.drained; {
 		case in && e.pos < 0:
-			s.heap.Push(e)
+			cc.heap.Push(e)
 		case !in && e.pos >= 0:
-			s.heap.Remove(e.pos)
+			cc.heap.Remove(e.pos)
 		case in:
-			s.heap.Fix(e.pos)
+			cc.heap.Fix(e.pos)
 		}
 	}
-	s.stale = s.stale[:0]
+	cc.stale = cc.stale[:0]
 }
 
-// sigFor interns c and returns its signature set, building it on first
-// use from the per-node records (pool insertion order). sig is
-// c.Signature() or empty; it is read only when c names software.
+// sigFor interns c and returns its signature set. On first use it joins
+// the class whose members are exactly c's capable nodes (pool insertion
+// order), or founds one. sig is c.Signature() or empty; it is read only
+// when c names software.
 func (x *Index) sigFor(sig string, c Constraints) *sigSet {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -331,12 +393,28 @@ func (x *Index) sigFor(sig string, c Constraints) *sigSet {
 	if s, ok := x.byKey[key]; ok {
 		return s
 	}
-	s := &sigSet{id: SigID(len(x.sets)), label: c.Signature(), c: c}
-	s.heap.Less = loadLess
-	s.heap.Moved = func(e *sigEntry, i int) { e.pos = i }
+	capable := make([]*rec, 0, len(x.order))
 	for _, r := range x.order {
 		if r.desc.Satisfies(c) {
-			s.join(r)
+			capable = append(capable, r)
+		}
+	}
+	i := slices.IndexFunc(x.classes, func(cc *capClass) bool {
+		return slices.EqualFunc(cc.members, capable, func(e *classEntry, r *rec) bool { return e.r == r })
+	})
+	if i < 0 {
+		i = len(x.classes)
+		x.classes = append(x.classes, newClass())
+		for _, r := range capable {
+			x.classes[i].join(r) // no signature yet: fitCounts are untouched
+		}
+	}
+	s := &sigSet{id: SigID(len(x.sets)), label: c.Signature(), c: c, cc: x.classes[i],
+		need: capState{freeCores: c.EffectiveCores(), freeMemMB: c.MemoryMB, freeGPUs: c.GPUs}}
+	s.cc.sigs = append(s.cc.sigs, s)
+	for _, e := range s.cc.members {
+		if s.entryFits(e.r.st) {
+			s.fitCount++
 		}
 	}
 	x.sets = append(x.sets, s)
@@ -355,7 +433,8 @@ type SigIndex struct {
 }
 
 // IndexFor returns the placement-index view for c's constraint
-// signature, interning it and building the capability set on first use.
+// signature, interning it and joining or founding its capability class on
+// first use.
 func (p *Pool) IndexFor(c Constraints) SigIndex { return p.IndexForSig("", c) }
 
 // IndexForSig is IndexFor for callers that hold c.Signature() already;
@@ -379,8 +458,8 @@ func (si SigIndex) MinLoadFitting(c Constraints) *Node {
 	if si.s.fitCount == 0 {
 		return nil // saturated: answer in O(1), not a repair and a fruitless walk
 	}
-	si.x.repairLocked(si.s)
-	if r := si.s.minFitting(c); r != nil {
+	si.x.repairLocked(si.s.cc)
+	if r := si.s.cc.minFitting(c); r != nil {
 		return r.n
 	}
 	return nil
@@ -395,7 +474,7 @@ func (si SigIndex) FirstFitting(c Constraints) *Node {
 	if si.s.fitCount == 0 {
 		return nil
 	}
-	for _, e := range si.s.members {
+	for _, e := range si.s.cc.members {
 		if !e.r.st.drained && e.r.st.fits(c) {
 			return e.r.n
 		}
@@ -413,26 +492,26 @@ func (si SigIndex) FirstFitting(c Constraints) *Node {
 func (si SigIndex) PowerOfTwoPick(c Constraints, rng *rand.Rand) *Node {
 	si.x.mu.Lock()
 	defer si.x.mu.Unlock()
-	s := si.s
-	if s.fitCount == 0 {
+	if si.s.fitCount == 0 {
 		return nil
 	}
-	si.x.repairLocked(s) // current load keys for the samples, a valid heap for the fallback
-	n := len(s.members)
-	a := s.members[rng.Intn(n)]
+	cc := si.s.cc
+	si.x.repairLocked(cc) // current load keys for the samples, a valid heap for the fallback
+	n := len(cc.members)
+	a := cc.members[rng.Intn(n)]
 	b := a
 	if n > 1 {
-		b = s.members[rng.Intn(n)]
+		b = cc.members[rng.Intn(n)]
 	}
 	if loadLess(b, a) {
 		a, b = b, a
 	}
-	for _, e := range [2]*sigEntry{a, b} {
+	for _, e := range [2]*classEntry{a, b} {
 		if !e.r.st.drained && e.r.st.fits(c) {
 			return e.r.n
 		}
 	}
-	if r := s.minFitting(c); r != nil {
+	if r := cc.minFitting(c); r != nil {
 		return r.n
 	}
 	return nil
@@ -449,9 +528,10 @@ func (si SigIndex) EachFitting(c Constraints, fn func(n *Node, freeCores int)) {
 	si.x.mu.Lock()
 	defer si.x.mu.Unlock()
 	// fitCount is exact for the signature's demand (see sigSet), so a
-	// saturated set costs O(1) and the walk ends at the last fitting member.
+	// saturated signature costs O(1) and the walk ends at the last fitting
+	// member.
 	left := si.s.fitCount
-	for _, e := range si.s.members {
+	for _, e := range si.s.cc.members {
 		if left == 0 {
 			return
 		}
@@ -463,11 +543,11 @@ func (si SigIndex) EachFitting(c Constraints, fn func(n *Node, freeCores int)) {
 }
 
 // FittingByName returns the named node when it is an undrained member of
-// this signature set that currently fits c, with its cached free cores
+// this signature's class that currently fits c, with its cached free cores
 // and seq, a number that orders nodes as pool insertion order does (a
 // node removed and added again sorts last); n is nil otherwise. It is the
 // index's one lookup by name: a scorer whose only non-zero candidates are
-// a few named nodes asks about those instead of walking the set.
+// a few named nodes asks about those instead of walking the class.
 func (si SigIndex) FittingByName(name string, c Constraints) (n *Node, freeCores int, seq uint64) {
 	si.x.mu.Lock()
 	defer si.x.mu.Unlock()
@@ -482,7 +562,7 @@ func (si SigIndex) FittingByName(name string, c Constraints) (n *Node, freeCores
 		return nil, 0, 0
 	}
 	for _, e := range r.ents {
-		if e.s == si.s {
+		if e.cc == si.s.cc {
 			return r.n, r.st.freeCores, r.seq
 		}
 	}
@@ -502,7 +582,7 @@ func (si SigIndex) AppendFitting(dst []*Node, c Constraints) []*Node {
 func (si SigIndex) AppendCapable(dst []*Node) []*Node {
 	si.x.mu.Lock()
 	defer si.x.mu.Unlock()
-	for _, e := range si.s.members {
+	for _, e := range si.s.cc.members {
 		dst = append(dst, e.r.n)
 	}
 	return dst
@@ -512,7 +592,7 @@ func (si SigIndex) AppendCapable(dst []*Node) []*Node {
 func (si SigIndex) Len() int {
 	si.x.mu.Lock()
 	defer si.x.mu.Unlock()
-	return len(si.s.members)
+	return len(si.s.cc.members)
 }
 
 // FitCount returns the number of members that currently fit the

@@ -3,6 +3,7 @@ package resources
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -124,16 +125,21 @@ func name(n *Node) string {
 
 // checkIndexInvariants asserts the index's structural invariants as they
 // stand — without repairing anything first, so the lazily maintained
-// state is what gets checked — and then once more per set after a repair:
+// state is what gets checked — and then once more per class after a
+// repair:
 //
 //   - every node of the pool reaches its rec through its watcher, and the
-//     rec reaches each of its entries, each of which is a member of its set;
+//     rec holds exactly one entry per class that contains it, each a
+//     member of its class;
 //   - the name map, once built, is a bijection onto the records, and
 //     insertion numbers strictly increase along the pool order and every
-//     set's members;
-//   - members are exactly the capable nodes, in pool insertion order;
-//   - fitCount equals a recount against the nodes themselves (it is eager);
-//   - the load heap is a heap over its own keys, with exact pos
+//     class's members;
+//   - the classes partition the signatures (so there are never more
+//     classes than signatures), and each signature's capable nodes, by a
+//     scan in pool insertion order, are exactly its class's members;
+//   - each signature's fitCount equals a recount against the nodes
+//     themselves (it is eager);
+//   - each class's load heap is a heap over its own keys, with exact pos
 //     back-pointers, and an entry whose key or heap membership lags its
 //     node is queued in stale;
 //   - after repair nothing is stale, the heap holds exactly the undrained
@@ -146,6 +152,10 @@ func checkIndexInvariants(t *testing.T, p *Pool, step int) {
 	defer x.mu.Unlock()
 	if len(x.order) != len(nodes) || x.byName != nil && len(x.byName) != len(nodes) {
 		t.Fatalf("step %d: index holds %d records and %d names, pool %d nodes", step, len(x.order), len(x.byName), len(nodes))
+	}
+	live := map[*capClass]bool{}
+	for _, cc := range x.classes {
+		live[cc] = true
 	}
 	for i, n := range nodes {
 		var r *rec
@@ -166,13 +176,21 @@ func checkIndexInvariants(t *testing.T, p *Pool, step int) {
 		if i > 0 && r.seq <= x.order[i-1].seq {
 			t.Fatalf("step %d: order[%d] (%s) has seq %d, not above its predecessor's %d", step, i, n.name, r.seq, x.order[i-1].seq)
 		}
+		seen := map[*capClass]bool{}
 		for _, e := range r.ents {
-			if e.r != r || x.sets[e.s.id] != e.s {
-				t.Fatalf("step %d: node %s has an entry that does not point back at it or at a live set", step, n.name)
+			if e.r != r || !live[e.cc] || seen[e.cc] || !slices.Contains(e.cc.members, e) {
+				t.Fatalf("step %d: node %s has an entry that does not point back at it, is not a member of a live class, or shares its class", step, n.name)
 			}
+			seen[e.cc] = true
 		}
 	}
-	for _, s := range x.sets {
+	if len(x.classes) > len(x.sets) {
+		t.Fatalf("step %d: %d classes for %d signatures", step, len(x.classes), len(x.sets))
+	}
+	for id, s := range x.sets {
+		if s.id != SigID(id) || !live[s.cc] {
+			t.Fatalf("step %d sig %q: id %d at slot %d, or its class is not live", step, s.label, s.id, id)
+		}
 		var capable []*rec
 		fit := 0
 		for _, r := range x.order {
@@ -183,64 +201,81 @@ func checkIndexInvariants(t *testing.T, p *Pool, step int) {
 				}
 			}
 		}
-		if len(s.members) != len(capable) {
-			t.Fatalf("step %d set %q: %d members, %d capable nodes", step, s.label, len(s.members), len(capable))
+		if len(s.cc.members) != len(capable) {
+			t.Fatalf("step %d sig %q: class has %d members, %d capable nodes", step, s.label, len(s.cc.members), len(capable))
 		}
-		for i, e := range s.members {
-			if e.r != capable[i] || e.s != s {
-				t.Fatalf("step %d set %q: member %d is %s, pool order says %s", step, s.label, i, e.r.n.name, capable[i].n.name)
-			}
-			if i > 0 && e.r.seq <= s.members[i-1].r.seq {
-				t.Fatalf("step %d set %q: member %d (%s) has seq %d, not above its predecessor's %d", step, s.label, i, e.r.n.name, e.r.seq, s.members[i-1].r.seq)
-			}
-			found := false
-			for _, re := range e.r.ents {
-				found = found || re == e
-			}
-			if !found {
-				t.Fatalf("step %d set %q: member %s is not among its record's entries", step, s.label, e.r.n.name)
+		for i, e := range s.cc.members {
+			if e.r != capable[i] {
+				t.Fatalf("step %d sig %q: member %d is %s, pool order says %s", step, s.label, i, e.r.n.name, capable[i].n.name)
 			}
 		}
 		if s.fitCount != fit {
-			t.Fatalf("step %d set %q: fitCount %d, recount %d", step, s.label, s.fitCount, fit)
+			t.Fatalf("step %d sig %q: fitCount %d, recount %d", step, s.label, s.fitCount, fit)
 		}
-		checkLoadHeap(t, s, step, false)
-		x.repairLocked(s)
-		checkLoadHeap(t, s, step, true)
+	}
+	nsigs := 0
+	for _, cc := range x.classes {
+		if len(cc.sigs) == 0 {
+			t.Fatalf("step %d: a class holds no signature", step)
+		}
+		for _, s := range cc.sigs {
+			if s.cc != cc || x.sets[s.id] != s {
+				t.Fatalf("step %d sig %q: listed by a class it does not point at", step, s.label)
+			}
+		}
+		nsigs += len(cc.sigs)
+		for i, e := range cc.members {
+			if e.cc != cc {
+				t.Fatalf("step %d class of %q: member %s points at another class", step, cc.sigs[0].label, e.r.n.name)
+			}
+			if i > 0 && e.r.seq <= cc.members[i-1].r.seq {
+				t.Fatalf("step %d class of %q: member %d (%s) has seq %d, not above its predecessor's %d", step, cc.sigs[0].label, i, e.r.n.name, e.r.seq, cc.members[i-1].r.seq)
+			}
+			if !slices.Contains(e.r.ents, e) {
+				t.Fatalf("step %d class of %q: member %s is not among its record's entries", step, cc.sigs[0].label, e.r.n.name)
+			}
+		}
+		checkLoadHeap(t, cc, step, false)
+		x.repairLocked(cc)
+		checkLoadHeap(t, cc, step, true)
+	}
+	if nsigs != len(x.sets) {
+		t.Fatalf("step %d: the classes list %d signatures, the index holds %d", step, nsigs, len(x.sets))
 	}
 }
 
-// checkLoadHeap checks one set's heap; repaired says nothing may lag.
-func checkLoadHeap(t *testing.T, s *sigSet, step int, repaired bool) {
+// checkLoadHeap checks one class's heap; repaired says nothing may lag.
+func checkLoadHeap(t *testing.T, cc *capClass, step int, repaired bool) {
 	t.Helper()
-	queued := map[*sigEntry]bool{}
-	for _, e := range s.stale {
+	label := cc.sigs[0].label
+	queued := map[*classEntry]bool{}
+	for _, e := range cc.stale {
 		if !e.stale {
-			t.Fatalf("step %d set %q: %s is in the stale list without its flag", step, s.label, e.r.n.name)
+			t.Fatalf("step %d class of %q: %s is in the stale list without its flag", step, label, e.r.n.name)
 		}
 		queued[e] = true
 	}
-	if repaired && len(s.stale) > 0 {
-		t.Fatalf("step %d set %q: %d entries stale after repair", step, s.label, len(s.stale))
+	if repaired && len(cc.stale) > 0 {
+		t.Fatalf("step %d class of %q: %d entries stale after repair", step, label, len(cc.stale))
 	}
-	for i := 0; i < s.heap.Len(); i++ {
-		e := s.heap.At(i)
+	for i := 0; i < cc.heap.Len(); i++ {
+		e := cc.heap.At(i)
 		if e.pos != i {
-			t.Fatalf("step %d set %q: heap slot %d holds %s with pos %d", step, s.label, i, e.r.n.name, e.pos)
+			t.Fatalf("step %d class of %q: heap slot %d holds %s with pos %d", step, label, i, e.r.n.name, e.pos)
 		}
-		if i > 0 && loadLess(e, s.heap.At((i-1)/2)) {
-			t.Fatalf("step %d set %q: heap slot %d (%s) sorts before its parent", step, s.label, i, e.r.n.name)
+		if i > 0 && loadLess(e, cc.heap.At((i-1)/2)) {
+			t.Fatalf("step %d class of %q: heap slot %d (%s) sorts before its parent", step, label, i, e.r.n.name)
 		}
 	}
 	inHeap := 0
-	for _, e := range s.members {
+	for _, e := range cc.members {
 		if e.stale != queued[e] {
-			t.Fatalf("step %d set %q: %s stale flag %v, queued %v", step, s.label, e.r.n.name, e.stale, queued[e])
+			t.Fatalf("step %d class of %q: %s stale flag %v, queued %v", step, label, e.r.n.name, e.stale, queued[e])
 		}
 		if e.pos >= 0 {
 			inHeap++
-			if s.heap.At(e.pos) != e {
-				t.Fatalf("step %d set %q: %s claims heap slot %d, which holds another entry", step, s.label, e.r.n.name, e.pos)
+			if cc.heap.At(e.pos) != e {
+				t.Fatalf("step %d class of %q: %s claims heap slot %d, which holds another entry", step, label, e.r.n.name, e.pos)
 			}
 		}
 		if e.stale {
@@ -249,13 +284,20 @@ func checkLoadHeap(t *testing.T, s *sigSet, step int, repaired bool) {
 		was := *e
 		e.rekey()
 		if e.busy != was.busy || e.cores != was.cores || (e.pos >= 0) == e.r.st.drained {
-			t.Fatalf("step %d set %q: %s lags its node (key %d/%d, pos %d, drained %v) and is not queued for repair",
-				step, s.label, e.r.n.name, was.busy, was.cores, e.pos, e.r.st.drained)
+			t.Fatalf("step %d class of %q: %s lags its node (key %d/%d, pos %d, drained %v) and is not queued for repair",
+				step, label, e.r.n.name, was.busy, was.cores, e.pos, e.r.st.drained)
 		}
 	}
-	if inHeap != s.heap.Len() {
-		t.Fatalf("step %d set %q: heap holds %d entries, %d members claim a slot", step, s.label, s.heap.Len(), inHeap)
+	if inHeap != cc.heap.Len() {
+		t.Fatalf("step %d class of %q: heap holds %d entries, %d members claim a slot", step, label, cc.heap.Len(), inHeap)
 	}
+}
+
+// classCount returns the number of capability classes p's index holds.
+func classCount(p *Pool) int {
+	p.idx.mu.Lock()
+	defer p.idx.mu.Unlock()
+	return len(p.idx.classes)
 }
 
 // churner drives a seeded, randomized interleaving of Reserve, Release,
@@ -275,31 +317,53 @@ type churnHold struct {
 	c Constraints
 }
 
+// churnStartClasses is the number of capability classes a fresh
+// churner's index holds: its nodes are all of indexDescs[0]'s shape, so
+// every signature but the GPU one is capable on all of them.
+const churnStartClasses = 2
+
+// newChurner starts from six nodes of indexDescs[0]'s shape, so five of
+// indexSigs share one capability class; the churn's later additions of
+// other shapes split it.
 func newChurner(t *testing.T, seed int64) *churner {
 	c := &churner{t: t, rng: rand.New(rand.NewSource(seed)), pool: NewPool()}
 	for i := 0; i < 6; i++ {
-		c.addNode()
+		c.addNode(indexDescs[0])
 	}
-	// Touch every signature up front so the sets exist before churn — the
-	// maintenance paths, not first-use builds, are what is under test.
+	// Touch every signature up front so the classes exist before churn —
+	// the maintenance paths, not first-use builds, are what is under test.
 	for _, sig := range indexSigs {
 		_ = c.pool.IndexFor(sig)
+	}
+	if n := classCount(c.pool); n != churnStartClasses {
+		t.Fatalf("start state holds %d classes, want %d", n, churnStartClasses)
 	}
 	return c
 }
 
-func (c *churner) addNode() {
+func (c *churner) addNode(d Description) {
 	// Names are drawn out of lexicographic order, so name rank and pool
 	// insertion order disagree.
-	c.add(fmt.Sprintf("churn-%03d", (c.next*37)%1000))
+	c.add(fmt.Sprintf("churn-%03d", (c.next*37)%1000), d)
 	c.next++
 }
 
-// add inserts a node of a random shape under name.
-func (c *churner) add(name string) {
-	d := indexDescs[c.rng.Intn(len(indexDescs))]
+// add inserts a node of shape d under name.
+func (c *churner) add(name string, d Description) {
 	if err := c.pool.Add(NewNode(name, d)); err != nil {
 		c.t.Fatal(err)
+	}
+}
+
+// shape draws a random node shape.
+func (c *churner) shape() Description { return indexDescs[c.rng.Intn(len(indexDescs))] }
+
+// checkSplit fails the test unless the churn split a class: the
+// precondition for the split path having been checked at all.
+func (c *churner) checkSplit() {
+	c.t.Helper()
+	if n := classCount(c.pool); n <= churnStartClasses {
+		c.t.Fatalf("churn left %d classes: no split happened", n)
 	}
 }
 
@@ -324,7 +388,7 @@ func (c *churner) step() {
 		}
 	case op < 7: // add a node
 		if len(names) < 16 {
-			c.addNode()
+			c.addNode(c.shape())
 		}
 	case op < 8: // remove a node (dropping its outstanding reservations)
 		if len(names) > 2 {
@@ -340,7 +404,7 @@ func (c *churner) step() {
 				c.t.Fatal(err)
 			}
 			if rng.Intn(2) == 0 {
-				c.add(victim)
+				c.add(victim, c.shape())
 			}
 		}
 	case op < 9: // cordon
@@ -356,10 +420,10 @@ func (c *churner) step() {
 
 // TestIndexMatchesScanUnderChurn is the placement-index property test:
 // after every step of a randomized interleaving of Reserve, Release, Add,
-// Remove, Drain and Undrain, the capability sets and load heaps must
+// Remove, Drain and Undrain, the capability classes and load heaps must
 // answer Fitting / Capable / MinLoad / FirstFitting exactly as a
 // from-scratch scan of the pool does, and the index's own invariants
-// must hold.
+// must hold — through the splits the additions cause.
 func TestIndexMatchesScanUnderChurn(t *testing.T) {
 	c := newChurner(t, 7)
 	for step := 0; step < 2500; step++ {
@@ -367,18 +431,22 @@ func TestIndexMatchesScanUnderChurn(t *testing.T) {
 		checkIndexInvariants(t, c.pool, step)
 		checkIndexAgainstScan(t, c.pool, step)
 	}
+	c.checkSplit()
 }
 
 // TestIndexNamedLookupUnderChurn runs FittingByName and EachFitting from
 // two reader goroutines while one writer adds, removes, re-adds, drains
 // and loads nodes — what elastic growth and shrink do on the live backend
-// while the engine places. Under -race it checks that the index's one lock
-// covers the name map and the insertion numbers; every answer must also
-// be self-consistent, and once the writer stops the by-name query must
-// agree with the scan again.
+// while the engine places. The pool starts as the churner's, so the read
+// signature shares its class with five others until the writer's first
+// additions split it. Under -race it checks that the index's one lock
+// covers the name map, the insertion numbers and the class splits; every
+// answer must also be self-consistent, and once the writer stops the
+// by-name query must agree with the scan again.
 func TestIndexNamedLookupUnderChurn(t *testing.T) {
 	const names = 8
-	pool := NewPool()
+	churn := newChurner(t, 5)
+	pool := churn.pool
 	c := Constraints{Cores: 1}
 	nodeName := func(i int) string { return fmt.Sprintf("named-%d", i) }
 	add := func(i int) {
@@ -452,13 +520,15 @@ func TestIndexNamedLookupUnderChurn(t *testing.T) {
 			t.Fatalf("after churn: FittingByName(%s) = %s, scan says fits %v", nodeName(i), name(got), want)
 		}
 	}
+	churn.checkSplit()
+	checkIndexInvariants(t, pool, -1)
 }
 
 // TestIndexLazyRepairUnderChurn is the same churn with the queries a
-// scheduler makes: each step picks from a few signature sets only, so the
-// others go unwalked — their heaps lag, their stale lists grow across
-// node removals, drains and re-additions — until a later step happens to
-// pick from them. Every pick must still be the scan oracle's, and the
+// scheduler makes: each step picks for a few signatures only, so the
+// other classes go unwalked — their heaps lag, their stale lists grow
+// across node removals, drains, re-additions and splits — until a later
+// step happens to pick from them. Every pick must still be the scan oracle's, and the
 // lazily maintained state must satisfy the invariants as it stands.
 func TestIndexLazyRepairUnderChurn(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -473,11 +543,12 @@ func TestIndexLazyRepairUnderChurn(t *testing.T) {
 						seed, step, sig.Signature(), name(got), name(want))
 				}
 			}
-			if step%16 == 0 { // the check itself repairs every set
+			if step%16 == 0 { // the check itself repairs every class
 				checkIndexInvariants(t, c.pool, step)
 			}
 		}
 		checkIndexAgainstScan(t, c.pool, -1)
+		c.checkSplit()
 	}
 }
 
@@ -532,8 +603,9 @@ func TestSigInterning(t *testing.T) {
 
 // TestNotificationAllocatesNothing is the notification path's
 // deterministic cost gate: a Reserve and the matching Release, each
-// delivered to every signature set the node belongs to, allocate no
-// object once the sets' stale lists have grown to size.
+// delivered to every capability class the node belongs to (and every
+// signature's fitCount there), allocate no object once the classes'
+// stale lists have grown to size.
 func TestNotificationAllocatesNothing(t *testing.T) {
 	c := newChurner(t, 3)
 	n := c.pool.Nodes()[0]
@@ -544,6 +616,90 @@ func TestNotificationAllocatesNothing(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("Reserve+Release allocates %.1f objects, want 0", avg)
+	}
+}
+
+// TestSharedClassStructure is the deterministic structure gate of the
+// capability classes, on the sim-wide ledger workload's pool (bench/gen.go):
+// four node shapes, one quarter each, and six signatures, five of which fit
+// every shape while the GPU one fits only the first. The six share two
+// classes, so a Reserve+Release queues one heap repair per class the node
+// is in, not one per signature, and allocates nothing. A node of a shape
+// that only some of the five fit splits their class, and every pick still
+// matches the scan afterwards.
+func TestSharedClassStructure(t *testing.T) {
+	shapes := []Description{
+		{Cores: 48, MemoryMB: 96_000, GPUs: 2, Class: HPC, SpeedFactor: 1},
+		{Cores: 32, MemoryMB: 64_000, Class: HPC, SpeedFactor: 0.9},
+		{Cores: 16, MemoryMB: 32_000, Class: Cloud, SpeedFactor: 0.8},
+		{Cores: 8, MemoryMB: 16_000, Class: Cloud, SpeedFactor: 0.6},
+	}
+	sigs := []Constraints{
+		{}, {Cores: 2}, {Cores: 1, MemoryMB: 2_000}, {Cores: 4, MemoryMB: 8_000},
+		{Cores: 8, MemoryMB: 16_000}, {Cores: 2, GPUs: 1},
+	}
+	pool := NewPool()
+	for i := 0; i < 4*32; i++ {
+		if err := pool.Add(NewNode(fmt.Sprintf("w%04d", i), shapes[i%len(shapes)])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range sigs {
+		pool.IndexFor(c).MinLoadFitting(c) // intern, then repair: nothing stale
+	}
+	if n := classCount(pool); n != 2 {
+		t.Fatalf("six signatures over four shapes hold %d classes, want 2", n)
+	}
+	queued := func() int {
+		pool.idx.mu.Lock()
+		defer pool.idx.mu.Unlock()
+		n := 0
+		for _, cc := range pool.idx.classes {
+			n += len(cc.stale)
+		}
+		return n
+	}
+	gpu := pool.Nodes()[0] // in both classes
+	if err := gpu.Reserve(sigs[0]); err != nil {
+		t.Fatal(err)
+	}
+	gpu.Release(sigs[0])
+	if n := queued(); n != 2 {
+		t.Fatalf("a Reserve+Release on a node in both classes queued %d heap repairs, want 2", n)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		if gpu.Reserve(sigs[0]) == nil {
+			gpu.Release(sigs[0])
+		}
+	}); avg != 0 {
+		t.Fatalf("Reserve+Release allocates %.1f objects, want 0", avg)
+	}
+
+	// Load a spread of nodes so the picks below differ by signature.
+	for i, n := range pool.Nodes() {
+		for k := 0; k < i%7; k++ {
+			_ = n.Reserve(sigs[(i+k)%len(sigs)])
+		}
+	}
+	if err := pool.Add(NewNode("w-small", Description{Cores: 4, MemoryMB: 4_000, Class: Fog, SpeedFactor: 0.5})); err != nil {
+		t.Fatal(err)
+	}
+	if n := classCount(pool); n != 3 {
+		t.Fatalf("a node that three of the five shared signatures fit left %d classes, want 3", n)
+	}
+	checkIndexInvariants(t, pool, -1)
+	for _, c := range sigs {
+		si := pool.IndexFor(c)
+		want := scanFitting(pool, c)
+		if got := pool.Fitting(c); !slices.Equal(got, want) {
+			t.Fatalf("sig %q: Fitting has %d nodes, scan %d", c.Signature(), len(got), len(want))
+		}
+		if got, want := si.MinLoadFitting(c), scanMinLoad(pool, c); got != want {
+			t.Fatalf("sig %q: MinLoadFitting = %v, scan min = %v", c.Signature(), name(got), name(want))
+		}
+		if got := si.FirstFitting(c); len(want) == 0 && got != nil || len(want) > 0 && got != want[0] {
+			t.Fatalf("sig %q: FirstFitting = %v, scan has %d fitting", c.Signature(), name(got), len(want))
+		}
 	}
 }
 
