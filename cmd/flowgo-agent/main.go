@@ -47,10 +47,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	store, err := dataclay.NewStore([]string{"local-store"})
-	if err != nil {
-		return err
-	}
+	store := dataclay.NewStore()
 	agent.RegisterBlobClass(store)
 
 	cfg := agent.Config{

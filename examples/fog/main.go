@@ -55,10 +55,7 @@ func registry() *agent.Registry {
 func run() error {
 	// A shared dataClay store: task requests are persisted here before
 	// offloading, which is what makes peer loss survivable.
-	store, err := dataclay.NewStore([]string{"store1"})
-	if err != nil {
-		return err
-	}
+	store := dataclay.NewStore()
 	agent.RegisterBlobClass(store)
 	reg := registry()
 

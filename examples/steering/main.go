@@ -1,12 +1,12 @@
-// Steering: computational steering over the storage interface (paper
-// Sec. VI-C): "the support to store data on databases … allows scientists
+// Steering: computational steering through a data store (paper Sec.
+// VI-C): "the support to store data on databases … allows scientists
 // to check partial results before their long-lasting simulations end the
 // execution. This checking enables to detect in early stages if the
 // simulation is not behaving as expected and should be steered … Our
 // vision is that the workflow environment should provide scientists with
 // tools or mechanism that facilitates this steering."
 //
-// A long simulation publishes residuals to the storage backend after each
+// A long simulation publishes residuals to the store after each
 // phase; a monitor inspects them and steers — here it halves the timestep
 // when the solver gets rough and aborts on divergence, so the scientist
 // does not burn hours of compute on a doomed run.
@@ -20,8 +20,6 @@ import (
 	"math"
 	"os"
 	"time"
-
-	"repro/internal/storage"
 )
 
 func main() {
@@ -32,7 +30,7 @@ func main() {
 }
 
 func run() error {
-	backend := storage.NewMemory("hpc-db")
+	backend := newStore()
 	prog := &progress{backend: backend, prefix: "run42"}
 
 	mon := newMonitor(backend, "run42", func(step int, partial []byte) decision {

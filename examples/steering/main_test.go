@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/storage"
 )
 
 func TestVerdictString(t *testing.T) {
@@ -19,7 +17,7 @@ func TestVerdictString(t *testing.T) {
 }
 
 func TestPublishAndDecisionRoundTrip(t *testing.T) {
-	backend := storage.NewMemory("n1")
+	backend := newStore()
 	prog := &progress{backend: backend, prefix: "sim1"}
 
 	if _, ok := prog.decision(); ok {
@@ -46,7 +44,7 @@ func TestSteeringDetectsDivergence(t *testing.T) {
 	// The paper's scenario: a long simulation publishes residuals; the
 	// monitor asks for a smaller step when they grow and aborts when they
 	// diverge.
-	backend := storage.NewMemory("n1")
+	backend := newStore()
 	prog := &progress{backend: backend, prefix: "climate"}
 	mon := newMonitor(backend, "climate", func(_ int, partial []byte) decision {
 		var residual float64
@@ -97,7 +95,7 @@ func TestSteeringDetectsDivergence(t *testing.T) {
 }
 
 func TestMonitorCatchesUpOnBurst(t *testing.T) {
-	backend := storage.NewMemory("n1")
+	backend := newStore()
 	prog := &progress{backend: backend, prefix: "burst"}
 	// Publish 5 steps before the monitor starts.
 	for i := 0; i < 5; i++ {

@@ -5,9 +5,30 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/storage"
 )
+
+// store is the database the simulation publishes to and the monitor
+// reads from: named byte blobs, copied in and out.
+type store struct {
+	mu   sync.RWMutex
+	data map[string][]byte
+}
+
+func newStore() *store { return &store{data: make(map[string][]byte)} }
+
+func (s *store) put(id string, val []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.data[id] = append([]byte(nil), val...)
+}
+
+// get returns a copy of the blob under id, or false when there is none.
+func (s *store) get(id string) ([]byte, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	raw, ok := s.data[id]
+	return append([]byte(nil), raw...), ok
+}
 
 // verdict is the steering decision for one partial result.
 type verdict int
@@ -42,7 +63,7 @@ type decision struct {
 // "<prefix>/step/<n>", a "<prefix>/latest" pointer to the newest step, and
 // the monitor's newest decision under "<prefix>/decision".
 type progress struct {
-	backend storage.Backend
+	backend *store
 	prefix  string
 	step    int
 }
@@ -50,16 +71,12 @@ type progress struct {
 // publish persists one partial result and returns its step number.
 func (p *progress) publish(partial []byte) (int, error) {
 	step := p.step + 1
-	if err := p.backend.Put(p.stepID(step), partial); err != nil {
-		return 0, fmt.Errorf("publish step %d: %w", step, err)
-	}
+	p.backend.put(p.stepID(step), partial)
 	raw, err := json.Marshal(step)
 	if err != nil {
 		return 0, err
 	}
-	if err := p.backend.Put(p.id("latest"), raw); err != nil {
-		return 0, fmt.Errorf("publish latest: %w", err)
-	}
+	p.backend.put(p.id("latest"), raw)
 	p.step = step
 	return step, nil
 }
@@ -67,8 +84,8 @@ func (p *progress) publish(partial []byte) (int, error) {
 // decision returns the newest steering decision, or false before the
 // monitor decided anything.
 func (p *progress) decision() (decision, bool) {
-	raw, err := p.backend.Get(p.id("decision"))
-	if err != nil {
+	raw, ok := p.backend.get(p.id("decision"))
+	if !ok {
 		return decision{}, false
 	}
 	var d decision
@@ -78,11 +95,11 @@ func (p *progress) decision() (decision, bool) {
 	return d, true
 }
 
-func (p *progress) id(name string) storage.ObjectID {
-	return storage.ObjectID(p.prefix + "/" + name)
+func (p *progress) id(name string) string {
+	return p.prefix + "/" + name
 }
 
-func (p *progress) stepID(n int) storage.ObjectID {
+func (p *progress) stepID(n int) string {
 	return p.id(fmt.Sprintf("step/%d", n))
 }
 
@@ -100,7 +117,7 @@ type monitor struct {
 	done  chan struct{}
 }
 
-func newMonitor(backend storage.Backend, prefix string, check func(int, []byte) decision, interval time.Duration) *monitor {
+func newMonitor(backend *store, prefix string, check func(int, []byte) decision, interval time.Duration) *monitor {
 	m := &monitor{
 		at:    progress{backend: backend, prefix: prefix},
 		check: check,
@@ -124,8 +141,8 @@ func newMonitor(backend storage.Backend, prefix string, check func(int, []byte) 
 }
 
 func (m *monitor) poll() {
-	raw, err := m.at.backend.Get(m.at.id("latest"))
-	if err != nil {
+	raw, ok := m.at.backend.get(m.at.id("latest"))
+	if !ok {
 		return // nothing published yet
 	}
 	var latest int
@@ -133,12 +150,12 @@ func (m *monitor) poll() {
 		return
 	}
 	for step := m.stepsSeen() + 1; step <= latest; step++ {
-		partial, err := m.at.backend.Get(m.at.stepID(step))
-		if err != nil {
+		partial, ok := m.at.backend.get(m.at.stepID(step))
+		if !ok {
 			continue
 		}
 		if enc, err := json.Marshal(m.check(step, partial)); err == nil {
-			_ = m.at.backend.Put(m.at.id("decision"), enc)
+			m.at.backend.put(m.at.id("decision"), enc)
 		}
 		m.mu.Lock()
 		m.lastSeen = step

@@ -289,9 +289,9 @@ func (a *Agent) SetPeers(urls []string) {
 func (a *Agent) Recoveries() int { return int(a.recoveries.Load()) }
 
 // Close stops the HTTP server and the workers within closeDeadline. Queued
-// tasks are abandoned and callers blocked in RunLocal, Offload or
-// RunAnywhere return ErrClosed; a connection still open at the deadline is
-// dropped, a function still running then finishes on its own.
+// tasks are abandoned and callers blocked in RunLocal or RunAnywhere
+// return ErrClosed; a connection still open at the deadline is dropped, a
+// function still running then finishes on its own.
 func (a *Agent) Close() {
 	a.mu.Lock()
 	if a.closed {

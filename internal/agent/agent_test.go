@@ -34,6 +34,18 @@ func testRegistry() *Registry {
 	return reg
 }
 
+// blobStore is a store ready for persist-before-offload.
+func blobStore() *dataclay.Store {
+	store := dataclay.NewStore()
+	RegisterBlobClass(store)
+	return store
+}
+
+// offload is what RunAnywhere does once it chose to offload.
+func offload(a *Agent, name string, args []json.RawMessage) (json.RawMessage, error) {
+	return a.offload(a.rankPeers(), name, args)
+}
+
 func startAgent(t *testing.T, cfg Config) *Agent {
 	t.Helper()
 	if cfg.Registry == nil {
@@ -188,9 +200,10 @@ func TestOffloadToLeastLoadedPeer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	origin := startAgent(t, Config{Name: "origin", Registry: reg,
+	store := blobStore()
+	origin := startAgent(t, Config{Name: "origin", Registry: reg, Store: store,
 		Peers: []string{peerA.URL(), peerB.URL()}})
-	res, err := origin.Offload("square", []json.RawMessage{arg(t, 5)})
+	res, err := offload(origin, "square", []json.RawMessage{arg(t, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +211,13 @@ func TestOffloadToLeastLoadedPeer(t *testing.T) {
 	if err := json.Unmarshal(res, &got); err != nil || got != 25 {
 		t.Fatalf("offload result = %s", res)
 	}
+	if n := store.Len(); n != 0 {
+		t.Fatalf("%d persisted requests left after the offload resolved, want 0", n)
+	}
 }
 
 func TestOffloadRecoversFromPeerLoss(t *testing.T) {
-	store, err := dataclay.NewStore([]string{"ds1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	RegisterBlobClass(store)
+	store := blobStore()
 	reg := testRegistry()
 
 	dying := startAgent(t, Config{Name: "dying", Registry: reg, Cores: 1})
@@ -229,7 +241,7 @@ func TestOffloadRecoversFromPeerLoss(t *testing.T) {
 	var offErr error
 	go func() {
 		defer wg.Done()
-		res, offErr = origin.Offload("slow", nil)
+		res, offErr = offload(origin, "slow", nil)
 	}()
 	time.Sleep(20 * time.Millisecond) // let the task land on "dying"
 	dying.Close()                     // peer disappears mid-task
@@ -245,29 +257,40 @@ func TestOffloadRecoversFromPeerLoss(t *testing.T) {
 	if origin.Recoveries() == 0 {
 		t.Fatal("no recovery recorded despite peer loss")
 	}
+	if n := store.Len(); n != 0 {
+		t.Fatalf("%d persisted requests left after the offload resolved, want 0", n)
+	}
 }
 
 func TestOffloadDoesNotMaskTaskFailure(t *testing.T) {
 	reg := testRegistry()
 	peer := startAgent(t, Config{Name: "peer", Registry: reg})
-	origin := startAgent(t, Config{Name: "o", Registry: reg, Peers: []string{peer.URL()}})
-	if _, err := origin.Offload("boom", nil); err == nil || !strings.Contains(err.Error(), "kaboom") {
+	store := blobStore()
+	origin := startAgent(t, Config{Name: "o", Registry: reg, Store: store, Peers: []string{peer.URL()}})
+	if _, err := offload(origin, "boom", nil); err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err = %v, want remote kaboom", err)
 	}
 	if origin.Recoveries() != 0 {
 		t.Fatal("task failure must not count as peer loss")
 	}
+	if n := store.Len(); n != 0 {
+		t.Fatalf("%d persisted requests left after a failed offload, want 0", n)
+	}
 }
 
 func TestOffloadWithoutPeersRunsLocally(t *testing.T) {
-	a := startAgent(t, Config{})
-	res, err := a.Offload("square", []json.RawMessage{arg(t, 4)})
+	store := blobStore()
+	a := startAgent(t, Config{Store: store})
+	res, err := offload(a, "square", []json.RawMessage{arg(t, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got float64
 	if err := json.Unmarshal(res, &got); err != nil || got != 16 {
 		t.Fatalf("result = %s", res)
+	}
+	if n := store.Len(); n != 0 {
+		t.Fatalf("%d persisted requests left after the local run, want 0", n)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/storage"
 	"repro/internal/storage/dataclay"
 )
 
@@ -29,7 +28,7 @@ func RegisterBlobClass(store *dataclay.Store) {
 }
 
 // persistRequest stores the request payload and returns the object ID.
-func (a *Agent) persistRequest(req TaskRequest) (storage.ObjectID, error) {
+func (a *Agent) persistRequest(req TaskRequest) (dataclay.ObjectID, error) {
 	if a.cfg.Store == nil {
 		return "", nil
 	}
@@ -40,9 +39,16 @@ func (a *Agent) persistRequest(req TaskRequest) (storage.ObjectID, error) {
 	return a.cfg.Store.NewObject(taskBlobClass, raw)
 }
 
+// forgetRequest deletes a persisted request once its offload resolved.
+func (a *Agent) forgetRequest(id dataclay.ObjectID) {
+	if a.cfg.Store != nil && id != "" {
+		_ = a.cfg.Store.Delete(id) // only an unknown ID fails, and id is ours
+	}
+}
+
 // recoverRequest reloads a persisted request; false when there is no store,
 // the request was not persisted, or the stored object does not decode.
-func (a *Agent) recoverRequest(id storage.ObjectID) (req TaskRequest, ok bool) {
+func (a *Agent) recoverRequest(id dataclay.ObjectID) (req TaskRequest, ok bool) {
 	if a.cfg.Store == nil || id == "" {
 		return req, false
 	}
@@ -94,21 +100,18 @@ func (a *Agent) rankPeers() []peer {
 	return a.client.rank(urls)
 }
 
-// Offload runs a function on the least-loaded live peer, persisting the
-// request first. If the chosen peer disappears mid-task, the request is
+// offload runs a function on the first live peer of a ranking, persisting
+// the request first. If the chosen peer disappears mid-task, the request is
 // recovered from the store and resubmitted to the next peer (finally
-// falling back to local execution) — the recovery behaviour of E7.
-func (a *Agent) Offload(name string, args []json.RawMessage) (json.RawMessage, error) {
-	return a.offload(a.rankPeers(), name, args)
-}
-
-// offload is Offload over a ranking the caller already paid for.
+// falling back to local execution) — the recovery behaviour of E7. The
+// persisted request is deleted once the offload resolves, however it does.
 func (a *Agent) offload(peers []peer, name string, args []json.RawMessage) (json.RawMessage, error) {
 	req := TaskRequest{Name: name, Args: args}
 	blobID, err := a.persistRequest(req)
 	if err != nil {
 		return nil, err
 	}
+	defer a.forgetRequest(blobID)
 	res, err := failover(peers, func(url string) (json.RawMessage, error) {
 		a.met.offloads.Inc()
 		attempt := req

@@ -65,42 +65,6 @@ func TestThresholdGrowAndShrink(t *testing.T) {
 	_ = n
 }
 
-func TestThresholdOverFederation(t *testing.T) {
-	cheap := resources.NewSimProvider("edge", resources.FogDevice, 2, 0)
-	big := resources.NewSimProvider("cloud", resources.CloudVM, 4, 0)
-	fed := resources.NewFederation("continuum")
-	fed.AddProvider(cheap, 0.05)
-	fed.AddProvider(big, 0.40)
-	mgr := resources.NewElasticManager(fed, resources.ScalePolicy{MaxNodes: 6, TasksPerCore: 1, IdleCoresToShrink: 0})
-	pool := resources.NewPool()
-	plan := NewThreshold(mgr)
-	grown := 0
-	for thresholdDelta(plan, pool, 1000) > 0 {
-		if _, _, err := mgr.GrowOne(pool); err != nil {
-			t.Fatal(err)
-		}
-		grown++
-	}
-	if grown != 6 {
-		t.Fatalf("grew %d nodes, want 6 (2 edge + 4 cloud)", grown)
-	}
-	if cheap.Granted() != 2 || big.Granted() != 4 {
-		t.Fatalf("granted edge=%d cloud=%d", cheap.Granted(), big.Granted())
-	}
-	for {
-		v, err := mgr.ShrinkOne(pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v == nil {
-			break
-		}
-	}
-	if cheap.Granted() != 0 || big.Granted() != 0 {
-		t.Fatalf("after shrink: edge=%d cloud=%d", cheap.Granted(), big.Granted())
-	}
-}
-
 // A load spike mid-drain reclaims the cordoned node instead of paying the
 // provider for a new one.
 func TestThresholdReclaimCancelsDrain(t *testing.T) {

@@ -23,7 +23,7 @@ type valueTable Runtime
 // reconstruction restores values exactly like a full snapshot would: the
 // value of its cell, or else a restored one no submission has claimed.
 // It walks every cell page, off the hot path. Values that cannot be
-// encoded (see checkpoint.RegisterType) are left out; their producers
+// encoded (see checkpoint.EncodeValue) are left out; their producers
 // re-run on restore. A vanished-entry tombstone — zero size, no
 // locations — stays value-free so reconstruction drops it.
 func (vt *valueTable) Attach(catalog []checkpoint.CatalogEntry) {

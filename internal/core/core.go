@@ -137,12 +137,6 @@ func WriteSized(h *Handle, bytes int64) Param {
 // Update declares a read-modify-write access on a handle.
 func Update(h *Handle) Param { return Param{Handle: h, Dir: deps.InOut} }
 
-// UpdateSized declares a read-modify-write access whose new version has
-// the given byte size.
-func UpdateSized(h *Handle, bytes int64) Param {
-	return Param{Handle: h, Dir: deps.InOut, Size: bytes}
-}
-
 // Reduce declares a commutative update on a handle.
 func Reduce(h *Handle) Param { return Param{Handle: h, Dir: deps.Commutative} }
 
@@ -285,9 +279,8 @@ type Config struct {
 	Metrics *obsv.Registry
 	// Autoscale enables cost-aware pool scaling across heterogeneous
 	// tiers — the same autoscaler the simulator takes, evaluated here on
-	// the wall clock. Arm it with Runtime.StartAutoscaler or drive
-	// evaluations manually with Runtime.AutoscaleStep (the parity
-	// suite's route).
+	// the wall clock. Each Runtime.AutoscaleStep is one evaluation; call
+	// it by hand (the parity suite's route) or from a Runtime.Every tick.
 	Autoscale *autoscale.Autoscaler
 	// Admission, when set, gates submissions behind per-tenant quotas: a
 	// submission over its tenant's in-flight cap is registered but held
@@ -426,8 +419,6 @@ type Runtime struct {
 	pending atomic.Int64
 	idle    *sync.Cond
 
-	autoOnce sync.Once // StartAutoscaler arms one ticker
-
 	wg    sync.WaitGroup // live task goroutines
 	epoch time.Time      // trace-event time base
 }
@@ -511,7 +502,6 @@ type DataOption func(*dataOpts)
 type dataOpts struct {
 	size  int64
 	sized bool
-	node  string
 }
 
 // WithSize declares the byte size of the staged-in value, overriding the
@@ -519,13 +509,6 @@ type dataOpts struct {
 // volume to the transfer books.
 func WithSize(bytes int64) DataOption {
 	return func(o *dataOpts) { o.size, o.sized = bytes, true }
-}
-
-// WithLocation names the node that holds the staged-in value (default:
-// the first pool node), the replica seed for locality scheduling and
-// transfer accounting.
-func WithLocation(node string) DataOption {
-	return func(o *dataOpts) { o.node = node }
 }
 
 // SetInitial sets version 0 of a handle to a concrete value (stage-in).
@@ -554,14 +537,8 @@ func (rt *Runtime) SetInitial(h *Handle, v any, opts ...DataOption) {
 	if size > 0 {
 		rt.cfg.Locations.SetSize(k, size)
 	}
-	node := o.node
-	if node == "" {
-		if nodes := rt.cfg.Pool.Nodes(); len(nodes) > 0 {
-			node = nodes[0].Name()
-		}
-	}
-	if node != "" {
-		rt.cfg.Locations.AddReplica(k, node)
+	if nodes := rt.cfg.Pool.Nodes(); len(nodes) > 0 {
+		rt.cfg.Locations.AddReplica(k, nodes[0].Name())
 	}
 }
 
@@ -1244,18 +1221,6 @@ func (rt *Runtime) CurrentVersion(h *Handle) deps.Version {
 		panic(ErrForeignHandle)
 	}
 	return rt.proc.CurrentVersion(h.id)
-}
-
-// StartAutoscaler drives one AutoscaleStep every interval on the wall
-// clock, until Shutdown. No-op without Config.Autoscale or when already
-// started.
-func (rt *Runtime) StartAutoscaler(every time.Duration) {
-	if rt.cfg.Autoscale == nil {
-		return
-	}
-	rt.autoOnce.Do(func() {
-		rt.Every(every, func() bool { return rt.AutoscaleStep().Kind != autoscale.Held })
-	})
 }
 
 // Shutdown drains running tasks. Pending-but-unstarted tasks still run;

@@ -406,45 +406,3 @@ func (p *Processor) registerLocked(task TaskID, accesses []Access, s *slab) Resu
 	}
 	return res
 }
-
-// MergeAccesses canonicalises a task's access list: multiple accesses to
-// the same datum collapse into the most permissive single access (In+Out ⇒
-// InOut; anything + Concurrent/Commutative keeps the group direction only
-// if no plain write is present). Order of first occurrence is preserved.
-func MergeAccesses(accesses []Access) []Access {
-	idx := make(map[DataID]int)
-	var out []Access
-	for _, a := range accesses {
-		i, seen := idx[a.Data]
-		if !seen {
-			idx[a.Data] = len(out)
-			out = append(out, a)
-			continue
-		}
-		out[i].Dir = mergeDir(out[i].Dir, a.Dir)
-	}
-	return out
-}
-
-func mergeDir(a, b Direction) Direction {
-	if a == b {
-		return a
-	}
-	// Plain read/write combinations.
-	plain := func(d Direction) bool { return d == In || d == Out || d == InOut }
-	if plain(a) && plain(b) {
-		reads := a.Reads() || b.Reads()
-		writes := a == Out || a == InOut || b == Out || b == InOut
-		switch {
-		case reads && writes:
-			return InOut
-		case writes:
-			return Out
-		default:
-			return In
-		}
-	}
-	// Mixing a group direction with anything else degrades to the
-	// conservative InOut (serialised read-modify-write).
-	return InOut
-}

@@ -232,36 +232,6 @@ func TestRenamingNeverAddsEdges(t *testing.T) {
 	}
 }
 
-func TestMergeAccesses(t *testing.T) {
-	cases := []struct {
-		name string
-		in   []Access
-		want []Access
-	}{
-		{"disjoint", []Access{{1, In}, {2, Out}}, []Access{{1, In}, {2, Out}}},
-		{"in+out=inout", []Access{{1, In}, {1, Out}}, []Access{{1, InOut}}},
-		{"out+in=inout", []Access{{1, Out}, {1, In}}, []Access{{1, InOut}}},
-		{"in+in=in", []Access{{1, In}, {1, In}}, []Access{{1, In}}},
-		{"out+out=out", []Access{{1, Out}, {1, Out}}, []Access{{1, Out}}},
-		{"inout dominates", []Access{{1, InOut}, {1, In}}, []Access{{1, InOut}}},
-		{"group+plain=inout", []Access{{1, Commutative}, {1, In}}, []Access{{1, InOut}}},
-		{"order preserved", []Access{{2, In}, {1, Out}, {2, Out}}, []Access{{2, InOut}, {1, Out}}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := MergeAccesses(tc.in)
-			if len(got) != len(tc.want) {
-				t.Fatalf("got %v, want %v", got, tc.want)
-			}
-			for i := range tc.want {
-				if got[i] != tc.want[i] {
-					t.Fatalf("got %v, want %v", got, tc.want)
-				}
-			}
-		})
-	}
-}
-
 func TestRegisterBatchMatchesSequentialRegister(t *testing.T) {
 	accesses := [][]Access{
 		{{Data: 1, Dir: Out}},

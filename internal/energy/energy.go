@@ -91,10 +91,3 @@ func (a *Accountant) TotalEnergy() Joules {
 	}
 	return total
 }
-
-// NodeEnergy returns the dynamic energy charged to one node.
-func (a *Accountant) NodeEnergy(node string) Joules {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.active[node]
-}

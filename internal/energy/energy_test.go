@@ -41,8 +41,8 @@ func TestAccountantAccumulates(t *testing.T) {
 	if got := a.ActiveEnergy(); !almostEqual(got, 10) {
 		t.Fatalf("ActiveEnergy = %v, want 10", got)
 	}
-	if got := a.NodeEnergy("n1"); !almostEqual(got, 6) {
-		t.Fatalf("NodeEnergy(n1) = %v, want 6", got)
+	if got := a.active["n1"]; !almostEqual(got, 6) {
+		t.Fatalf("active energy of n1 = %v, want 6", got)
 	}
 	a.SetSpan("n1", d, 10*time.Second) // 100 J idle
 	a.SetSpan("n2", d, 10*time.Second) // 100 J idle

@@ -63,10 +63,6 @@ import (
 // needs a new Format.
 const Format = 3
 
-// CatalogKey names one immutable data version inside a snapshot: it IS
-// deps.Version, whose field names are part of Format.
-type CatalogKey = deps.Version
-
 // TaskRecord is one completed task in a snapshot.
 type TaskRecord struct {
 	// ID is the task's graph-unique ID (stable across restarts as long

@@ -383,14 +383,6 @@ func (c *Checkpointer) DeltaSaves() int {
 	return c.deltaSaves
 }
 
-// Skipped returns how many automatic captures were skipped because
-// nothing changed since the previous one.
-func (c *Checkpointer) Skipped() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.skipped
-}
-
 // Err returns the most recent save error, if any.
 func (c *Checkpointer) Err() error {
 	c.mu.Lock()

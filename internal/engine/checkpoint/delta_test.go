@@ -19,11 +19,11 @@ func chainBase() *Snapshot {
 	return &Snapshot{
 		Format: Format, At: time.Second,
 		Order:     []int64{1, 2, 3},
-		Completed: []TaskRecord{{ID: 1, Epoch: 1, Outputs: []CatalogKey{{Data: 1, Ver: 1}}}},
+		Completed: []TaskRecord{{ID: 1, Epoch: 1, Outputs: []deps.Version{{Data: 1, Ver: 1}}}},
 		Ready:     []int64{2},
 		Pending:   []int64{3},
 		Catalog: []CatalogEntry{{
-			Key: CatalogKey{Data: 1, Ver: 1}, Size: 10, Locations: []string{"n0"},
+			Key: deps.Version{Data: 1, Ver: 1}, Size: 10, Locations: []string{"n0"},
 		}},
 		Stats: engine.Stats{Completed: 1},
 	}
@@ -33,7 +33,7 @@ func chainBase() *Snapshot {
 func doneRecord(id int64) DeltaTask {
 	return DeltaTask{
 		ID: id, State: engine.Done, Epoch: 1, Completed: true,
-		Outputs: []CatalogKey{{Data: deps.DataID(id), Ver: 1}},
+		Outputs: []deps.Version{{Data: deps.DataID(id), Ver: 1}},
 	}
 }
 
@@ -50,7 +50,7 @@ func TestDeltaChainLatestReconstruction(t *testing.T) {
 		Format: Format, At: 2 * time.Second,
 		Tasks: []DeltaTask{doneRecord(2), {ID: 3, State: engine.Ready}},
 		Catalog: []CatalogEntry{{
-			Key: CatalogKey{Data: 2, Ver: 1}, Size: 5, Locations: []string{"n1"},
+			Key: deps.Version{Data: 2, Ver: 1}, Size: 5, Locations: []string{"n1"},
 		}},
 		Stats: engine.Stats{Completed: 2},
 	}
@@ -63,7 +63,7 @@ func TestDeltaChainLatestReconstruction(t *testing.T) {
 		Format: Format, At: 3 * time.Second,
 		Added:   []int64{4},
 		Tasks:   []DeltaTask{{ID: 4, State: engine.Ready}},
-		Catalog: []CatalogEntry{{Key: CatalogKey{Data: 1, Ver: 1}}},
+		Catalog: []CatalogEntry{{Key: deps.Version{Data: 1, Ver: 1}}},
 		Stats:   engine.Stats{Completed: 2},
 	}
 	if _, err := store.SaveDelta(d2); err != nil {
@@ -93,7 +93,7 @@ func TestDeltaChainLatestReconstruction(t *testing.T) {
 	if len(snap.Ready) != 2 || snap.Ready[0] != 3 || snap.Ready[1] != 4 {
 		t.Fatalf("ready %v", snap.Ready)
 	}
-	if len(snap.Catalog) != 1 || snap.Catalog[0].Key != (CatalogKey{Data: 2, Ver: 1}) {
+	if len(snap.Catalog) != 1 || snap.Catalog[0].Key != (deps.Version{Data: 2, Ver: 1}) {
 		t.Fatalf("catalog %+v (tombstone not applied?)", snap.Catalog)
 	}
 }
@@ -183,7 +183,7 @@ func TestDeltaMidChainFullSnapshotResetsChain(t *testing.T) {
 	// An on-demand full save lands mid-chain (explicit Checkpointer.Save
 	// does exactly this). It subsumes the chain so far and resets it.
 	full := chainBase()
-	full.Completed = append(full.Completed, TaskRecord{ID: 2, Epoch: 1, Outputs: []CatalogKey{{Data: 2, Ver: 1}}})
+	full.Completed = append(full.Completed, TaskRecord{ID: 2, Epoch: 1, Outputs: []deps.Version{{Data: 2, Ver: 1}}})
 	full.Ready = nil
 	full.At = 5 * time.Second
 	if _, err := store.Save(full); err != nil {
@@ -322,9 +322,9 @@ func TestCheckpointerDeltaCadenceAndSkip(t *testing.T) {
 	if src.bases != 1 {
 		t.Fatalf("CheckpointBase called %d times, want once: later bases are folds", src.bases)
 	}
-	if c.Saves() != 5 || c.DeltaSaves() != 3 || c.Skipped() != 1 {
+	if c.Saves() != 5 || c.DeltaSaves() != 3 || c.skipped != 1 {
 		t.Fatalf("saves=%d deltaSaves=%d skipped=%d, want 5/3/1",
-			c.Saves(), c.DeltaSaves(), c.Skipped())
+			c.Saves(), c.DeltaSaves(), c.skipped)
 	}
 	bases, deltas := chainFiles(t, store)
 	if len(bases) != 2 || len(deltas) != 3 {
@@ -361,9 +361,9 @@ func TestCheckpointerFullModeSkipsCleanIntervals(t *testing.T) {
 	if snap, err := store.Latest(); err != nil || snap.Stats.Completed != 2 || len(snap.Completed) != 1 {
 		t.Fatalf("latest full save: %+v, %v; want 2 completions on the books, task 2 recorded", snap, err)
 	}
-	if c.Saves() != 2 || c.DeltaSaves() != 0 || c.Skipped() != 1 {
+	if c.Saves() != 2 || c.DeltaSaves() != 0 || c.skipped != 1 {
 		t.Fatalf("saves=%d deltaSaves=%d skipped=%d, want 2/0/1",
-			c.Saves(), c.DeltaSaves(), c.Skipped())
+			c.Saves(), c.DeltaSaves(), c.skipped)
 	}
 	if files := store.Snapshots(); len(files) != 2 {
 		t.Fatalf("%d files on disk, want 2", len(files))
@@ -376,7 +376,7 @@ func TestCheckpointerFullModeSkipsCleanIntervals(t *testing.T) {
 func saveChain(t *testing.T, store *Store, total, done int64, deltas int) {
 	t.Helper()
 	entry := func(id int64) CatalogEntry {
-		return CatalogEntry{Key: CatalogKey{Data: deps.DataID(id), Ver: 1}, Size: 8, Locations: []string{"n0"}}
+		return CatalogEntry{Key: deps.Version{Data: deps.DataID(id), Ver: 1}, Size: 8, Locations: []string{"n0"}}
 	}
 	base := &Snapshot{Format: Format, Stats: engine.Stats{Completed: int(done)}}
 	for id := int64(1); id <= total; id++ {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/deps"
 	"repro/internal/engine"
 )
 
@@ -47,14 +48,14 @@ func goldenSnapshot() *Snapshot {
 	return &Snapshot{
 		At: 90 * time.Second,
 		Completed: []TaskRecord{
-			{ID: 1, Epoch: 1, Outputs: []CatalogKey{{Data: 1, Ver: 1}}},
-			{ID: 2, Epoch: 2, Outputs: []CatalogKey{{Data: 2, Ver: 1}, {Data: 1, Ver: 2}}},
+			{ID: 1, Epoch: 1, Outputs: []deps.Version{{Data: 1, Ver: 1}}},
+			{ID: 2, Epoch: 2, Outputs: []deps.Version{{Data: 2, Ver: 1}, {Data: 1, Ver: 2}}},
 		},
 		Running: []int64{3},
 		Catalog: []CatalogEntry{
-			{Key: CatalogKey{Data: 1, Ver: 0}, Size: 1 << 20, Locations: []string{"n0"}},
-			{Key: CatalogKey{Data: 1, Ver: 1}, Size: 2048, Locations: []string{"n0", "n1"}},
-			{Key: CatalogKey{Data: 2, Ver: 1}, Locations: []string{"n1"}, Value: []byte("gob"), HasValue: true},
+			{Key: deps.Version{Data: 1, Ver: 0}, Size: 1 << 20, Locations: []string{"n0"}},
+			{Key: deps.Version{Data: 1, Ver: 1}, Size: 2048, Locations: []string{"n0", "n1"}},
+			{Key: deps.Version{Data: 2, Ver: 1}, Locations: []string{"n1"}, Value: []byte("gob"), HasValue: true},
 		},
 		Order: []int64{1, 2, 3},
 		Stats: engine.Stats{Launched: 3, Completed: 2, Transfers: 1, BytesMoved: 2048},
@@ -65,13 +66,13 @@ func goldenDelta() *Delta {
 	return &Delta{
 		At: 2 * time.Minute,
 		Tasks: []DeltaTask{
-			{ID: 3, State: engine.Done, Epoch: 1, Completed: true, Outputs: []CatalogKey{{Data: 3, Ver: 1}}},
+			{ID: 3, State: engine.Done, Epoch: 1, Completed: true, Outputs: []deps.Version{{Data: 3, Ver: 1}}},
 			{ID: 4, State: engine.Pending},
 		},
 		Added: []int64{4},
 		Catalog: []CatalogEntry{
-			{Key: CatalogKey{Data: 1, Ver: 0}}, // vanished
-			{Key: CatalogKey{Data: 3, Ver: 1}, Size: 512, Locations: []string{"n1"}},
+			{Key: deps.Version{Data: 1, Ver: 0}}, // vanished
+			{Key: deps.Version{Data: 3, Ver: 1}, Size: 512, Locations: []string{"n1"}},
 		},
 		Stats: engine.Stats{Launched: 3, Completed: 3, Transfers: 1, BytesMoved: 2048},
 	}
@@ -161,10 +162,10 @@ func TestFormat3GoldenFiles(t *testing.T) {
 	if latest.Seq != 2 || len(latest.Completed) != 3 || len(latest.Pending) != 1 || len(latest.Catalog) != 3 {
 		t.Fatalf("Latest: %+v", latest)
 	}
-	if got := latest.Completed[2].Outputs[0]; got != (CatalogKey{Data: 3, Ver: 1}) {
+	if got := latest.Completed[2].Outputs[0]; got != (deps.Version{Data: 3, Ver: 1}) {
 		t.Errorf("Latest: task 3 output %+v", got)
 	}
-	if got := latest.Catalog[2].Key; got != (CatalogKey{Data: 3, Ver: 1}) {
+	if got := latest.Catalog[2].Key; got != (deps.Version{Data: 3, Ver: 1}) {
 		t.Errorf("Latest: last catalog key %+v", got)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/deps"
 	"repro/internal/engine/checkpoint"
 	"repro/internal/infra"
 	"repro/internal/resources"
@@ -179,9 +180,9 @@ func TestStoreRoundTripsValuesAndEmptiness(t *testing.T) {
 	live := &checkpoint.Snapshot{
 		At:        time.Second,
 		Order:     []int64{1},
-		Completed: []checkpoint.TaskRecord{{ID: 1, Epoch: 1, Outputs: []checkpoint.CatalogKey{{Data: 1, Ver: 1}}}},
+		Completed: []checkpoint.TaskRecord{{ID: 1, Epoch: 1, Outputs: []deps.Version{{Data: 1, Ver: 1}}}},
 		Catalog: []checkpoint.CatalogEntry{{
-			Key: checkpoint.CatalogKey{Data: 1, Ver: 1}, Size: 16, Locations: []string{"local"},
+			Key: deps.Version{Data: 1, Ver: 1}, Size: 16, Locations: []string{"local"},
 			Value: value, HasValue: true,
 		}},
 	}

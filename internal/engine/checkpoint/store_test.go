@@ -15,11 +15,11 @@ func sample(at time.Duration, completed ...int64) *Snapshot {
 	for _, id := range completed {
 		s.Completed = append(s.Completed, TaskRecord{
 			ID: id, Epoch: 1,
-			Outputs: []CatalogKey{{Data: deps.DataID(id), Ver: 1}},
+			Outputs: []deps.Version{{Data: deps.DataID(id), Ver: 1}},
 		})
 	}
 	s.Catalog = append(s.Catalog, CatalogEntry{
-		Key: CatalogKey{Data: 1, Ver: 1}, Size: 42, Locations: []string{"n0"},
+		Key: deps.Version{Data: 1, Ver: 1}, Size: 42, Locations: []string{"n0"},
 	})
 	return s
 }
@@ -40,7 +40,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if snap.Seq != 1 || len(snap.Completed) != 3 || snap.At != time.Second {
 		t.Fatalf("round-trip mismatch: %+v", snap)
 	}
-	if snap.Completed[2].Outputs[0] != (CatalogKey{Data: 3, Ver: 1}) {
+	if snap.Completed[2].Outputs[0] != (deps.Version{Data: 3, Ver: 1}) {
 		t.Fatalf("outputs mismatch: %+v", snap.Completed[2])
 	}
 }

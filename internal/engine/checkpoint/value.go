@@ -5,7 +5,7 @@
 // nothing to resolve to. Values are gob-encoded through an interface
 // box, which means the concrete type must be registered — common
 // scalar, slice and map types are pre-registered, applications with
-// richer result types call RegisterType once at start-up. A value whose
+// richer result types call gob.Register once at start-up. A value whose
 // type is not registered is simply not checkpointed: its producing task
 // re-runs on restore, trading work for correctness.
 package checkpoint
@@ -34,11 +34,6 @@ func init() {
 		gob.Register(v)
 	}
 }
-
-// RegisterType registers a concrete value type with the checkpoint
-// codec (a passthrough to gob.Register). Call it for every task-result
-// type the workflow produces that is not a pre-registered basic type.
-func RegisterType(v any) { gob.Register(v) }
 
 // EncodeValue serialises a produced value for the snapshot catalog. It
 // reports false — not an error — for values the codec cannot represent

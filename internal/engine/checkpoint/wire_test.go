@@ -112,7 +112,7 @@ func TestColumnsThatDisagreeAreCorrupt(t *testing.T) {
 // empty sections. A capture hands empty slices where gob hands back nil;
 // the two must stay Equivalent.
 func TestFormat3RoundTrips(t *testing.T) {
-	key := func(d int) CatalogKey { return CatalogKey{Data: deps.DataID(d), Ver: 1} }
+	key := func(d int) deps.Version { return deps.Version{Data: deps.DataID(d), Ver: 1} }
 	catalog := []CatalogEntry{
 		{Key: key(1), Size: 10, Locations: []string{"b", "c"}, Value: []byte{1, 2}, HasValue: true},
 		{Key: key(2)}, // vanished
@@ -125,7 +125,7 @@ func TestFormat3RoundTrips(t *testing.T) {
 		{Catalog: catalog},
 		{
 			At:        time.Minute,
-			Completed: []TaskRecord{{ID: 1, Epoch: 2, Outputs: []CatalogKey{key(1), key(3)}}, {ID: 2}, {ID: 3, Outputs: []CatalogKey{key(5)}}},
+			Completed: []TaskRecord{{ID: 1, Epoch: 2, Outputs: []deps.Version{key(1), key(3)}}, {ID: 2}, {ID: 3, Outputs: []deps.Version{key(5)}}},
 			Ready:     []int64{4}, Pending: []int64{5, 6},
 			Catalog: catalog, Order: []int64{1, 2, 3, 4, 5, 6},
 			Stats: engine.Stats{Launched: 3, Completed: 3},
@@ -136,7 +136,7 @@ func TestFormat3RoundTrips(t *testing.T) {
 		{Added: []int64{7}, Tasks: []DeltaTask{{ID: 7, State: engine.Pending}}},
 		{
 			Tasks: []DeltaTask{
-				{ID: 1, State: engine.Running, Epoch: 3, Completed: true, Outputs: []CatalogKey{key(1)}},
+				{ID: 1, State: engine.Running, Epoch: 3, Completed: true, Outputs: []deps.Version{key(1)}},
 				{ID: 4, State: engine.Done, Epoch: 1, Completed: true},
 			},
 			Catalog: catalog, Stats: engine.Stats{Completed: 4},
@@ -175,7 +175,7 @@ func TestFormat3RoundTrips(t *testing.T) {
 
 	// Empty, not nil: the shape a capture of an empty engine hands over.
 	empty := &Snapshot{
-		Completed: []TaskRecord{{ID: 1, Outputs: []CatalogKey{}}}, Ready: []int64{}, Running: []int64{}, Pending: []int64{},
+		Completed: []TaskRecord{{ID: 1, Outputs: []deps.Version{}}}, Ready: []int64{}, Running: []int64{}, Pending: []int64{},
 		Catalog: []CatalogEntry{{Key: key(1), Size: 1, Locations: []string{}}}, Order: []int64{1},
 	}
 	path, err := store.Save(empty)
@@ -196,13 +196,13 @@ func TestFormat3RoundTrips(t *testing.T) {
 func bigSnapshot(rows int) *Snapshot {
 	s := &Snapshot{}
 	for i := 0; i < rows; i++ {
-		k := CatalogKey{Data: deps.DataID(i + 1), Ver: 1}
+		k := deps.Version{Data: deps.DataID(i + 1), Ver: 1}
 		holders := []string{fmt.Sprintf("n%02d", i%16)}
 		if i%3 == 0 {
 			holders = append(holders, fmt.Sprintf("n%02d", 16+i%4))
 		}
 		s.Order = append(s.Order, int64(i+1))
-		s.Completed = append(s.Completed, TaskRecord{ID: int64(i + 1), Epoch: 1, Outputs: []CatalogKey{k}})
+		s.Completed = append(s.Completed, TaskRecord{ID: int64(i + 1), Epoch: 1, Outputs: []deps.Version{k}})
 		s.Catalog = append(s.Catalog, CatalogEntry{Key: k, Size: 1 << 20, Locations: holders})
 	}
 	return s

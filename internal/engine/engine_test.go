@@ -363,7 +363,7 @@ func TestTransferAccounting(t *testing.T) {
 	if st.Transfers != 1 || st.BytesMoved != 1e6 {
 		t.Fatalf("stats = %+v, want 1 transfer of 1e6 bytes", st)
 	}
-	if !reg.HasReplica(k, "a") {
+	if !slices.Contains(reg.Where(k), "a") {
 		t.Fatal("staged replica not registered")
 	}
 }

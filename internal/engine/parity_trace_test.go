@@ -8,6 +8,7 @@ package engine_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestTraceReplayDeterministic(t *testing.T) {
 		if res.TasksCompleted != len(gen.Tasks) {
 			t.Fatalf("run %d completed %d/%d", run, res.TasksCompleted, len(gen.Tasks))
 		}
-		data, err := tr.ExportJSON()
+		data, err := json.Marshal(tr.Events())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,10 +35,7 @@ type E5Result struct {
 // ways ("executed within the object store transparently … minimizes the
 // number of data transfers", paper Sec. VI-A-1).
 func E5MethodShipping(objectMB int64, ops int) (E5Result, error) {
-	store, err := dataclay.NewStore([]string{"ds1", "ds2", "ds3"})
-	if err != nil {
-		return E5Result{}, err
-	}
+	store := dataclay.NewStore()
 	store.RegisterClass(dataclay.Class{
 		Name: "vector",
 		Methods: map[string]dataclay.Method{

@@ -488,8 +488,8 @@ func TestShrinkNeverKillsRunningWork(t *testing.T) {
 	if v == nil {
 		t.Fatal("drained node not reaped once idle")
 	}
-	if prov.Granted() != 0 {
-		t.Fatalf("provider still holds %d nodes", prov.Granted())
+	if mgr.ElasticCount() != 0 {
+		t.Fatalf("manager still holds %d elastic nodes", mgr.ElasticCount())
 	}
 }
 

@@ -155,10 +155,3 @@ func (p *Predictor) Trained(class string, n int) bool {
 	m, ok := p.classes[class]
 	return ok && m.mean.Count() >= n
 }
-
-// Classes returns the number of classes with history.
-func (p *Predictor) Classes() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.classes)
-}

@@ -67,13 +67,6 @@ func (s *SimProvider) Release(*Node) error {
 	return nil
 }
 
-// Granted reports how many nodes are currently provisioned.
-func (s *SimProvider) Granted() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.granted
-}
-
 // ScalePolicy tunes the elasticity decision.
 type ScalePolicy struct {
 	// MinNodes and MaxNodes bound the elastic part of the pool.

@@ -245,13 +245,6 @@ func (n *Node) FreeCores() int {
 	return n.st.freeCores
 }
 
-// FreeMemoryMB returns currently unreserved memory.
-func (n *Node) FreeMemoryMB() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.st.freeMemMB
-}
-
 // Running returns the number of reservations currently held.
 func (n *Node) Running() int {
 	n.mu.Lock()

@@ -156,7 +156,7 @@ func TestLocalityPickIndexedMatchesPick(t *testing.T) {
 				reg.AddReplica(key(), n.Name())
 			}
 		case 6:
-			reg.RemoveReplica(key(), n.Name())
+			reg.DropNode(n.Name())
 		case 7:
 			if rng.Intn(2) > 0 {
 				cuts = append(cuts, [2]string{n.Name(), names[rng.Intn(len(names))]})

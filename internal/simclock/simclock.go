@@ -103,15 +103,3 @@ func (c *Clock) Run() {
 	for c.Step() {
 	}
 }
-
-// RunUntil fires events with timestamps at or before deadline, then advances
-// the clock to deadline (if the clock has not already passed it). Events
-// scheduled after deadline remain pending.
-func (c *Clock) RunUntil(deadline time.Duration) {
-	for c.events.Len() > 0 && c.events.At(0).at <= deadline {
-		c.Step()
-	}
-	if c.now < deadline {
-		c.now = deadline
-	}
-}

@@ -92,29 +92,6 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	}
 }
 
-func TestRunUntilLeavesLaterEventsPending(t *testing.T) {
-	c := New()
-	var fired []time.Duration
-	for _, d := range []time.Duration{time.Second, 2 * time.Second, 5 * time.Second} {
-		d := d
-		c.At(d, func() { fired = append(fired, d) })
-	}
-	c.RunUntil(3 * time.Second)
-	if len(fired) != 2 {
-		t.Fatalf("fired %d events, want 2", len(fired))
-	}
-	if c.Now() != 3*time.Second {
-		t.Fatalf("Now() = %v, want 3s", c.Now())
-	}
-	if c.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", c.Pending())
-	}
-	c.Run()
-	if len(fired) != 3 {
-		t.Fatalf("after Run, fired %d events, want 3", len(fired))
-	}
-}
-
 func TestEventsCanCascade(t *testing.T) {
 	c := New()
 	count := 0

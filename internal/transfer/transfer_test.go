@@ -24,12 +24,12 @@ func TestRegistryReplicas(t *testing.T) {
 	if len(got) != 2 || got[0] != "n1" || got[1] != "n2" {
 		t.Fatalf("Where = %v, want [n1 n2]", got)
 	}
-	if !r.HasReplica(k, "n1") || r.HasReplica(k, "n3") {
-		t.Fatal("HasReplica wrong")
+	if !slices.Contains(r.Where(k), "n1") || slices.Contains(r.Where(k), "n3") {
+		t.Fatal("Where wrong")
 	}
-	r.RemoveReplica(k, "n1")
-	if r.HasReplica(k, "n1") {
-		t.Fatal("replica not removed")
+	r.DropNode("n1")
+	if got := r.Where(k); len(got) != 1 || got[0] != "n2" {
+		t.Fatalf("Where after dropping n1 = %v, want [n2]", got)
 	}
 }
 
@@ -85,7 +85,9 @@ func TestPlanFetchSkipsLocalReplicas(t *testing.T) {
 
 func TestPlanFetchChoosesFastestSource(t *testing.T) {
 	net := simnet.New(simnet.Link{BandwidthMBps: 1, Latency: 0})
-	net.SetLink("fast", "dest", simnet.Link{BandwidthMBps: 1000})
+	net.SetZone("fast", "zf")
+	net.SetZone("dest", "zd")
+	net.SetZoneLink("zf", "zd", simnet.Link{BandwidthMBps: 1000})
 	reg := NewRegistry()
 	m := NewManager(net, reg)
 	k := key(1, 1)
@@ -156,7 +158,7 @@ func TestApplyRecordsNewReplicas(t *testing.T) {
 	reg.AddReplica(k, "src")
 	p := m.PlanFetch("dest", []Key{k})
 	m.Apply(p)
-	if !reg.HasReplica(k, "dest") {
+	if !slices.Contains(reg.Where(k), "dest") {
 		t.Fatal("Apply did not record replica at dest")
 	}
 	// Second fetch is now free.
@@ -169,7 +171,7 @@ func TestApplyRecordsNewReplicas(t *testing.T) {
 func TestVersionsAreDistinctKeys(t *testing.T) {
 	r := NewRegistry()
 	r.AddReplica(key(1, 1), "n1")
-	if r.HasReplica(key(1, 2), "n1") {
+	if len(r.Where(key(1, 2))) != 0 {
 		t.Fatal("different versions must not alias")
 	}
 }
@@ -222,7 +224,7 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 	}
 	for step := 0; step < 4000; step++ {
 		k, n := keys[rng.Intn(len(keys))], nodes[rng.Intn(len(nodes))]
-		switch op := rng.Intn(20); {
+		switch op := rng.Intn(16); {
 		case op < 5:
 			size[k] = int64(rng.Intn(4)) * 100
 			r.SetSize(k, size[k])
@@ -252,13 +254,7 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 				dirty[k] = true
 			}
 			r.Seed(k, sz, holders)
-		case op < 16:
-			if loc[k][n] {
-				delete(loc[k], n)
-				dirty[k] = true
-			}
-			r.RemoveReplica(k, n)
-		case op < 18:
+		case op < 14:
 			var lost []Key
 			for _, k := range keys {
 				if loc[k][n] {
@@ -300,8 +296,8 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 		for _, n := range nodes {
 			var local int64
 			for _, k := range keys {
-				if got := r.HasReplica(k, n); got != loc[k][n] {
-					t.Fatalf("step %d: HasReplica(%v, %s) = %v, model %v", step, k, n, got, loc[k][n])
+				if got := slices.Contains(r.Where(k), n); got != loc[k][n] {
+					t.Fatalf("step %d: %s in Where(%v) = %v, model %v", step, n, k, got, loc[k][n])
 				}
 				if loc[k][n] {
 					local += size[k]
@@ -331,13 +327,11 @@ func TestHolderListsAreNeverEditedInPlace(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 4000; i++ {
 				k, n := keys[rng.Intn(len(keys))], nodes[rng.Intn(len(nodes))]
-				switch rng.Intn(5) {
+				switch rng.Intn(4) {
 				case 0:
 					r.SetSize(k, int64(i))
 				case 1, 2:
 					r.AddReplica(k, n)
-				case 3:
-					r.RemoveReplica(k, n)
 				default:
 					r.DropNode(n)
 				}

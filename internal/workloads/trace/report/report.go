@@ -10,7 +10,6 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -217,14 +216,4 @@ func (s Summary) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "  tenant %-10s %6d tasks  queue p99 %.2fms  makespan %.1fms\n",
 			t.Tenant, t.Tasks, t.QueueWait.P99, t.MakespanMS)
 	}
-}
-
-// MarshalIndentJSON returns the summary as indented JSON with a
-// trailing newline (the bench-file encoding).
-func (s Summary) MarshalIndentJSON() ([]byte, error) {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -113,7 +114,7 @@ func TestBuildEmpty(t *testing.T) {
 	if s.Tasks != 0 || s.Completed != 0 || s.QueueWait.P99 != 0 || s.MakespanMS != 0 {
 		t.Fatalf("summary = %+v", s)
 	}
-	data, err := s.MarshalIndentJSON()
+	data, err := json.Marshal(s)
 	if err != nil || !strings.Contains(string(data), "\"queue_wait\"") {
 		t.Fatalf("marshal: %v\n%s", err, data)
 	}

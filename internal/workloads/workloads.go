@@ -55,12 +55,6 @@ func DefaultGWAS() GWASConfig {
 	}
 }
 
-// TaskCount returns the total number of tasks the config generates.
-func (c GWASConfig) TaskCount() int {
-	// split + imputations + merge per chromosome, plus final association.
-	return c.Chromosomes*(c.ImputationsPerChrom+2) + 1
-}
-
 // GWAS builds the workflow: per chromosome a split task fans out to
 // imputation tasks that converge into a merge, and all merges feed one
 // association-analysis task.

@@ -42,8 +42,9 @@ func TestGWASTaskCount(t *testing.T) {
 	cfg := GWASConfig{Chromosomes: 3, ImputationsPerChrom: 5, MeanTaskSeconds: 1,
 		LowMemMB: 100, HighMemMB: 200, InputFileMB: 1, Seed: 1}
 	specs, stageIn := GWAS(cfg)
-	if len(specs) != cfg.TaskCount() {
-		t.Fatalf("generated %d tasks, TaskCount says %d", len(specs), cfg.TaskCount())
+	// split + imputations + merge per chromosome, plus final association.
+	if want := cfg.Chromosomes*(cfg.ImputationsPerChrom+2) + 1; len(specs) != want {
+		t.Fatalf("generated %d tasks, want %d", len(specs), want)
 	}
 	if len(stageIn) != 3 {
 		t.Fatalf("stage-in files = %d, want 3", len(stageIn))
