@@ -1086,7 +1086,7 @@ func (rt *Runtime) execute(ctx *taskCtx, t *rtTask, epoch int, args []any, depEr
 				rt.cfg.Locations.SetSize(c.key, measureBytes(vals[i]))
 			}
 			if rt.cfg.Provenance != nil {
-				rt.cfg.Provenance.RecordProduction(c.key, t.et.ID, t.et.InputKeys)
+				rt.cfg.Provenance.RecordProduction(c.key, t.et.InputKeys)
 			}
 		}
 	}

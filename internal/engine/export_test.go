@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -79,4 +80,43 @@ func CheckSteps(t testing.TB, name string, check func(*Engine) error) {
 // at every engine step until the test ends.
 func CheckProducerIndexSteps(t testing.TB) {
 	CheckSteps(t, "producer index", checkProducerIndex)
+}
+
+// CheckRegistrySteps holds the engine's registry to its layout
+// (transfer.Registry.CheckLayout) at every engine step until the test
+// ends, and holds it to copy-on-write: every holder list the registry
+// published at one step must read the same at every later step — a writer
+// installs a new list, it never edits one a reader may hold.
+func CheckRegistrySteps(t testing.TB) {
+	type list struct {
+		first *string
+		n     int
+	}
+	type view struct{ list, was []string } // a published list, and what it read when first seen
+	var mu sync.Mutex
+	seen := map[list]bool{}
+	var views []view
+	CheckSteps(t, "registry", func(e *Engine) error {
+		reg := e.cfg.Registry
+		if reg == nil {
+			return nil
+		}
+		if err := reg.CheckLayout(); err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, v := range views {
+			if !slices.Equal(v.list, v.was) {
+				return fmt.Errorf("a published holder list was written through: reads %v, was %v", v.list, v.was)
+			}
+		}
+		for _, en := range reg.Entries() {
+			if l := en.Locations; len(l) > 0 && !seen[list{&l[0], len(l)}] {
+				seen[list{&l[0], len(l)}] = true
+				views = append(views, view{l, slices.Clone(l)})
+			}
+		}
+		return nil
+	})
 }

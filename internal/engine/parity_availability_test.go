@@ -170,6 +170,7 @@ func runAvailLive(t *testing.T, policy engine.Availability, heal bool) availOutc
 // backends.
 func TestAvailabilityDeferHealParity(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
+	engine.CheckRegistrySteps(t)
 	sim := runAvailSim(t, engine.AvailDefer, true)
 	live := runAvailLive(t, engine.AvailDefer, true)
 
@@ -235,6 +236,7 @@ func runAvailSimRecompute(t *testing.T) availOutcome {
 // reachable side — on both backends, with no heal required.
 func TestAvailabilityRecomputeParity(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
+	engine.CheckRegistrySteps(t)
 	sim := runAvailSimRecompute(t)
 	live := runAvailLive(t, engine.AvailRecompute, false)
 
@@ -267,6 +269,7 @@ func TestAvailabilityRecomputeParity(t *testing.T) {
 // heal is ever scripted; without the re-pick the run would end ErrStuck.
 func TestAvailabilityFeedableRepick(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
+	engine.CheckRegistrySteps(t)
 	// n1 (cloud) is first in pool order, so FIFO aims the unpinned
 	// consumer at it; d1's only replica is on n0, cut away from n1.
 	pool := resources.NewPool()
@@ -312,6 +315,7 @@ func TestAvailabilityFeedableRepick(t *testing.T) {
 // availability wake source, so parking here would hang forever.
 func TestAvailabilityBusyFeedableNodeQueues(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
+	engine.CheckRegistrySteps(t)
 	pool := resources.NewPool()
 	for _, n := range []string{"n0", "n1"} {
 		_ = pool.Add(resources.NewNode(n, resources.Description{
@@ -355,6 +359,7 @@ func TestAvailabilityBusyFeedableNodeQueues(t *testing.T) {
 // the vacuous "a replica holder reaches itself" short-circuit.
 func TestAvailabilityPartialHealNoChurn(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
+	engine.CheckRegistrySteps(t)
 	specs := []infra.TaskSpec{
 		{ID: 1, Class: "a", Duration: time.Second,
 			Constraints: resources.Constraints{Class: resources.HPC},
@@ -399,6 +404,7 @@ func TestAvailabilityPartialHealNoChurn(t *testing.T) {
 // heal is ever issued.
 func TestAvailabilityRevalidateOnGrowth(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
+	engine.CheckRegistrySteps(t)
 	pool := resources.NewPool()
 	_ = pool.Add(resources.NewNode("n0", resources.Description{
 		Cores: 1, MemoryMB: 8000, SpeedFactor: 1, Class: resources.HPC,
@@ -465,6 +471,7 @@ func TestAvailabilityRevalidateOnGrowth(t *testing.T) {
 // instead of dead-waiting in the park set.
 func TestAvailabilityDeferLostLineage(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
+	engine.CheckRegistrySteps(t)
 	pool := resources.NewPool()
 	for _, n := range []string{"n0", "n1"} {
 		_ = pool.Add(resources.NewNode(n, resources.Description{
@@ -513,6 +520,7 @@ func TestAvailabilityDeferLostLineage(t *testing.T) {
 // forever on a dropped replica) must neither park nor recompute.
 func TestLiveRestoreShrunkPoolRestages(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
+	engine.CheckRegistrySteps(t)
 	store, err := checkpoint.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -65,6 +65,7 @@ func latest(t *testing.T, store *checkpoint.Store, side string) *checkpoint.Snap
 // on every non-trivial case), across every conformance generator and
 // both backends.
 func TestDeltaCheckpointParitySweep(t *testing.T) {
+	engine.CheckRegistrySteps(t)
 	steal := engine.StealConfig{Mode: engine.StealOnIdle}
 	for _, c := range workloads.ConformanceSuite() {
 		c := c
@@ -109,6 +110,7 @@ func TestDeltaCheckpointParitySweep(t *testing.T) {
 // Then corrupt every base too and assert both report ErrNoSnapshot
 // rather than serving damaged state.
 func TestDeltaCorruptionFallbackParity(t *testing.T) {
+	engine.CheckRegistrySteps(t)
 	steal := engine.StealConfig{Mode: engine.StealOnIdle}
 	ran := 0
 	for _, c := range workloads.ConformanceSuite() {

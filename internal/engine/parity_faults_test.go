@@ -11,6 +11,8 @@ package engine_test
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -220,6 +222,7 @@ func startOrder(tr *trace.Tracer) []int64 {
 
 func TestFaultScriptParity(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
+	engine.CheckRegistrySteps(t)
 	// The script must produce the same choreography with work stealing
 	// off and on: the FIFO policy never declines a placement, so no steal
 	// fires, and the knob must not disturb the fault/recovery path.
@@ -287,6 +290,7 @@ func ignoredFaults(tr *trace.Tracer) []string {
 // in the shared host, so the audit trail cannot diverge.
 func TestFaultUnknownNodeParity(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
+	engine.CheckRegistrySteps(t)
 	// Simulator: a crash on a node that never existed, then a double
 	// crash of a real one; the run completes around them.
 	simTr := trace.New(0)
@@ -333,5 +337,99 @@ func TestFaultUnknownNodeParity(t *testing.T) {
 		if simIgn[i] != liveIgn[i] {
 			t.Fatalf("ignored fault %d diverges: sim %q vs live %q", i, simIgn[i], liveIgn[i])
 		}
+	}
+}
+
+// broadcastPool is n0..n3 (HPC) and n4 (cloud), one core each.
+func broadcastPool() *resources.Pool {
+	pool := resources.NewPool()
+	for i := 0; i < 5; i++ {
+		class := resources.HPC
+		if i == 4 {
+			class = resources.Cloud
+		}
+		_ = pool.Add(resources.NewNode(fmt.Sprintf("n%d", i), resources.Description{
+			Cores: 1, MemoryMB: 8000, SpeedFactor: 1, Class: class,
+		}))
+	}
+	return pool
+}
+
+// TestBroadcastSurvivesProducerCrashParity: a (cloud-pinned) writes d1 on
+// n4; four long readers, placed one engine step apart, take n0..n3 and
+// each fetches d1, so its holder list grows a name at a time — the third
+// fetch lands ahead of n4 in a list with room to spare, where copy-on-write
+// is what keeps the published list intact. Then n4 crashes: d1 keeps four
+// replicas, nothing is lost or re-executed, and both backends book the
+// same four transfers.
+func TestBroadcastSurvivesProducerCrashParity(t *testing.T) {
+	engine.CheckRegistrySteps(t)
+	hpc, cloud := resources.Constraints{Class: resources.HPC}, resources.Constraints{Class: resources.Cloud}
+	specs := []infra.TaskSpec{{ID: 1, Class: "a", Duration: time.Second, Constraints: cloud,
+		Accesses: []deps.Access{{Data: 1, Dir: deps.Out}}, OutputBytes: map[deps.DataID]int64{1: 1e6}}}
+	for i := int64(0); i < 4; i++ {
+		specs = append(specs, infra.TaskSpec{ID: 2 + i, Class: "r", Duration: 100 * time.Second,
+			Release: time.Duration(2+i) * time.Second, Constraints: hpc,
+			Accesses: []deps.Access{{Data: 1, Dir: deps.In}, {Data: deps.DataID(2 + i), Dir: deps.Out}}})
+	}
+	sim, err := infra.New(infra.Config{
+		Pool: broadcastPool(), Net: simnet.New(simnet.Link{BandwidthMBps: 1000}), Policy: sched.FIFO{},
+		Faults: faults.Scenario{{At: 10 * time.Second, Kind: faults.Crash, Node: "n4"}},
+	}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := transfer.NewRegistry()
+	rt := core.New(core.Config{Pool: broadcastPool(), Policy: sched.FIFO{}, Locations: reg,
+		Net: simnet.New(simnet.Link{BandwidthMBps: 1000})})
+	defer rt.Shutdown()
+	started, release := make(chan struct{}), make(chan struct{})
+	mustRegister(t, rt, core.TaskDef{Name: "a", Constraints: cloud, Fn: func(context.Context, []any) ([]any, error) {
+		return []any{1}, nil
+	}})
+	mustRegister(t, rt, core.TaskDef{Name: "r", Constraints: hpc, Fn: func(_ context.Context, args []any) ([]any, error) {
+		started <- struct{}{}
+		<-release
+		return args, nil
+	}})
+	d1 := rt.NewData()
+	fa, err := rt.Submit("a", core.WriteSized(d1, 1e6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fa.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := rt.Submit("r", core.Read(d1), core.Write(rt.NewData())); err != nil {
+			t.Fatal(err)
+		}
+		<-started
+	}
+	rep, err := rt.FailNode("n4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	rt.Barrier()
+	live := rt.EngineStats()
+
+	if len(rep.LostKeys) != 0 || len(rep.Killed) != 0 {
+		t.Fatalf("live crash of n4 lost %v and killed %d tasks, want nothing", rep.LostKeys, len(rep.Killed))
+	}
+	if got := reg.Where(deps.Version{Data: d1.ID(), Ver: 1}); !slices.Equal(got, []string{"n0", "n1", "n2", "n3"}) {
+		t.Fatalf("live d1 held by %v, want n0..n3", got)
+	}
+	simStats := sim.EngineStats()
+	if simStats.Transfers != 4 || live.Transfers != 4 || simStats.BytesMoved != live.BytesMoved {
+		t.Fatalf("transfers: sim %d (%d B), live %d (%d B), want 4 each and the same bytes",
+			simStats.Transfers, simStats.BytesMoved, live.Transfers, live.BytesMoved)
+	}
+	if simStats.Reexecuted != 0 || live.Reexecuted != 0 {
+		t.Fatalf("re-executions: sim %d, live %d, want 0", simStats.Reexecuted, live.Reexecuted)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
 	"repro/internal/infra"
 	"repro/internal/resources"
@@ -101,6 +102,7 @@ func submitCase(t *testing.T, rt *core.Runtime, c workloads.ConformanceCase) {
 }
 
 func TestRestoreParity(t *testing.T) {
+	engine.CheckRegistrySteps(t)
 	var c workloads.ConformanceCase
 	for _, cc := range workloads.ConformanceSuite() {
 		if cc.Name == "map-reduce" { // sized outputs, a wide first stage: sole holders mid-run

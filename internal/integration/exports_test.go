@@ -15,19 +15,20 @@ import (
 // exportBudget ratchets the number of exported declarations (funcs,
 // methods and types) in non-test files under internal/. Lower it in the
 // change that deletes some; raising it is a visible API decision.
-const exportBudget = 652
+const exportBudget = 653
 
 // exportAllowlist names the exported internal declarations that stay
 // although no non-test code names them, each with its reason. A key is
 // "<package dir>.<Name>" or "<package dir>.<Recv>.<Name>".
 var exportAllowlist = map[string]string{
-	"internal/engine/checkpoint.Equivalent": "reference oracle of the checkpoint and restore parity suites",
-	"internal/resources.Node.CanReserve":    "reference oracle the placement index is held to",
-	"internal/workloads.ConformanceSuite":   "fixture shared by the engine's and the backends' parity suites",
-	"internal/workloads/trace.ReplayLive":   "fixture: replays a trace on the live runtime for the trace parity tests",
-	"internal/core.taskCtx.Deadline":        "implements context.Context",
-	"internal/engine/checkpoint.Keep":       "parity tests keep every snapshot with Keep(1000)",
-	"internal/obsv.Sampler.Series":          "test observation no remaining API replaces",
+	"internal/engine/checkpoint.Equivalent":  "reference oracle of the checkpoint and restore parity suites",
+	"internal/resources.Node.CanReserve":     "reference oracle the placement index is held to",
+	"internal/workloads.ConformanceSuite":    "fixture shared by the engine's and the backends' parity suites",
+	"internal/workloads/trace.ReplayLive":    "fixture: replays a trace on the live runtime for the trace parity tests",
+	"internal/core.taskCtx.Deadline":         "implements context.Context",
+	"internal/engine/checkpoint.Keep":        "parity tests keep every snapshot with Keep(1000)",
+	"internal/obsv.Sampler.Series":           "test observation no remaining API replaces",
+	"internal/transfer.Registry.CheckLayout": "the engine's registry step check reads the unexported layout through it",
 }
 
 // TestInternalExportsHaveACaller applies the one-consumer rule to single

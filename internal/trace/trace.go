@@ -132,29 +132,24 @@ func (t *Tracer) Count(kind Kind) int {
 	return n
 }
 
-// Provenance maintains the lineage of every data version: which task
-// produced it from which inputs. It is safe for concurrent use.
+// Provenance maintains the lineage of every data version: the inputs it
+// was produced from. It is safe for concurrent use.
 type Provenance struct {
-	mu       sync.RWMutex
-	producer map[deps.Version]int64
-	inputs   map[deps.Version][]deps.Version
+	mu     sync.RWMutex
+	inputs map[deps.Version][]deps.Version
 }
 
 // NewProvenance returns an empty provenance store.
 func NewProvenance() *Provenance {
-	return &Provenance{
-		producer: make(map[deps.Version]int64),
-		inputs:   make(map[deps.Version][]deps.Version),
-	}
+	return &Provenance{inputs: make(map[deps.Version][]deps.Version)}
 }
 
-// RecordProduction registers that task produced output from the given
+// RecordProduction registers that output was produced from the given
 // inputs. The inputs slice is kept, not copied: callers hand in a task's
 // immutable read list, shared by every version the task writes.
-func (p *Provenance) RecordProduction(output deps.Version, task int64, inputs []deps.Version) {
+func (p *Provenance) RecordProduction(output deps.Version, inputs []deps.Version) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.producer[output] = task
 	p.inputs[output] = inputs
 }
 

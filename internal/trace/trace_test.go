@@ -80,8 +80,8 @@ func TestProvenanceAncestry(t *testing.T) {
 	raw, raw2 := deps.Version{Data: 1}, deps.Version{Data: 2}
 	curated, model := deps.Version{Data: 3, Ver: 1}, deps.Version{Data: 4, Ver: 1}
 	// raw -> curated -> model; raw2 -> curated
-	p.RecordProduction(curated, 1, []deps.Version{raw2, raw})
-	p.RecordProduction(model, 2, []deps.Version{curated})
+	p.RecordProduction(curated, []deps.Version{raw2, raw})
+	p.RecordProduction(model, []deps.Version{curated})
 	anc := p.Ancestry(model)
 	want := []deps.Version{raw, raw2, curated}
 	if len(anc) != len(want) {
@@ -92,16 +92,13 @@ func TestProvenanceAncestry(t *testing.T) {
 			t.Fatalf("ancestry = %v, want %v", anc, want)
 		}
 	}
-	if task, ok := p.producer[model]; !ok || task != 2 {
-		t.Fatalf("producer = %d %v", task, ok)
-	}
 }
 
 func TestProvenanceCyclicInputsTerminate(t *testing.T) {
 	p := NewProvenance()
 	a, b := deps.Version{Data: 1, Ver: 1}, deps.Version{Data: 2, Ver: 1}
-	p.RecordProduction(a, 1, []deps.Version{b})
-	p.RecordProduction(b, 2, []deps.Version{a})
+	p.RecordProduction(a, []deps.Version{b})
+	p.RecordProduction(b, []deps.Version{a})
 	anc := p.Ancestry(a)
 	if len(anc) != 2 {
 		t.Fatalf("cyclic ancestry = %v", anc)

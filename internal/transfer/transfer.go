@@ -4,22 +4,29 @@
 // care of all the necessary data-transfers between the nodes" (Sec. II-A),
 // and it is the information source for locality-aware scheduling (E4).
 //
-// The registry is one lock over one map. A data version is one row — its
-// size and its name-sorted holder list — and every reader goes through Row:
-// one lock round trip and one map lookup answer "how big, and who holds
-// it". Its callers already hold the engine's or the runtime's lock, so the
-// registry's own lock only orders those two against each other and against
-// a checkpoint capture. From the first base capture (EntriesClean) on, the
-// registry also tracks the keys whose row changed since the last capture,
-// which is what makes delta snapshots O(changes): TakeDirty drains exactly
-// the changed rows. Before it nothing is tracked — a base subsumes every
-// change before it, and a run that never checkpoints never pays for a set
-// nobody drains. Restore enters a snapshot's catalog a row at a time
-// through Seed: one lock, one dirty mark and, for a clean row, no copy.
+// The registry is one lock over one column of rows per datum. A data
+// version is one row — its size and its name-sorted holder list — kept in
+// its datum's column in version order, and every reader goes through Row:
+// one lock round trip, one lookup of the datum's column and, because
+// versions are minted in order, almost always one probe of the row at the
+// version's offset from the column's first (a binary search otherwise).
+// Rows are carved from shared slabs, so a new datum or a longer column
+// allocates nothing of its own. Its callers already hold the engine's or
+// the runtime's lock, so the registry's own lock only orders those two
+// against each other and against a checkpoint capture. From the first
+// base capture (EntriesClean) on, a write also sets its row's dirty bit
+// and lists its key once, which is what makes delta snapshots
+// O(changes): TakeDirty drains exactly the listed rows. Before it nothing
+// is tracked — a base subsumes every change before it, and a run that
+// never checkpoints never pays for a list nobody drains. The columns are
+// walked in datum order, so a catalog dump is in key order without a
+// sort. Restore enters a snapshot's catalog a row at a time through Seed:
+// one lock, one dirty mark and, for a clean row, no copy.
 package transfer
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -38,19 +45,52 @@ func KeyOf(v deps.Version) Key { return v }
 // row is one data version's catalog row. holders is name-sorted and
 // copy-on-write: a writer installs a new list and never edits a published
 // one, so readers keep the list they were handed after the lock is gone.
-// A row with no size and no holder is not stored.
+// A row with no size and no holder stays in its column but is not in the
+// catalog. dirty marks a row listed in Registry.dirty.
 type row struct {
+	ver     int
 	size    int64
 	holders []string
+	dirty   bool
+}
+
+// column is one datum's rows, sorted by version. lo is the first row's
+// version, kept here so a lookup touches one row. A column is never
+// empty, and its rows are carved from the registry's slabs: it grows by
+// moving to a carving twice its capacity, never by append.
+type column struct {
+	data deps.DataID
+	lo   int
+	rows []row
+}
+
+// at returns where version v sits in c's rows, or where it would be
+// inserted, and whether it is there.
+func (c *column) at(v int) (int, bool) {
+	if i := v - c.lo; uint(i) < uint(len(c.rows)) && c.rows[i].ver == v {
+		return i, true
+	}
+	if n := len(c.rows); c.rows[n-1].ver < v {
+		return n, false
+	}
+	return slices.BinarySearchFunc(c.rows, v, func(rw row, v int) int { return cmp.Compare(rw.ver, v) })
 }
 
 // Registry records replica locations and sizes for data versions. It is
-// safe for concurrent use: mu guards rows and the dirty set feeding delta
-// checkpoints (nil until the first EntriesClean).
+// safe for concurrent use: mu guards everything below it.
 type Registry struct {
 	mu    sync.RWMutex
-	rows  map[Key]row
-	dirty map[Key]struct{}
+	index map[deps.DataID]int32 // each datum's position in cols
+	cols  []column              // in datum order unless unsorted
+	// unsorted is set when a datum arrives after a greater one; the next
+	// ordered walk sorts cols and renumbers the index.
+	unsorted bool
+	slab     []row // the uncarved tail of the current slab
+	slabN    int   // the current slab's size
+	// dirty lists, once each, the keys whose row changed since the last
+	// capture; tracking says whether the first EntriesClean has started it.
+	dirty    []Key
+	tracking bool
 	// sole holds one published one-element list per node, shared by every
 	// row that node alone holds: lists are never edited, so a version's
 	// first replica — most versions' only one — allocates nothing.
@@ -59,20 +99,85 @@ type Registry struct {
 
 // NewRegistry returns an empty location registry.
 func NewRegistry() *Registry {
-	return &Registry{rows: make(map[Key]row), sole: make(map[string][]string)}
+	return &Registry{index: make(map[deps.DataID]int32), sole: make(map[string][]string)}
 }
 
-// putLocked installs k's row (dropping it when empty) and marks it dirty
-// once tracking has started.
-func (r *Registry) putLocked(k Key, rw row) {
-	if rw.size == 0 && len(rw.holders) == 0 {
-		delete(r.rows, k)
-	} else {
-		r.rows[k] = rw
+// carve hands out n rows from the current slab, starting a new one when
+// its tail is too short. Slabs start at 256 rows and double up to 16384.
+func (r *Registry) carve(n int) []row {
+	if len(r.slab) < n {
+		r.slabN = min(max(2*r.slabN, 256), 1<<14)
+		r.slab = make([]row, max(n, r.slabN))
 	}
-	if r.dirty != nil {
-		r.dirty[k] = struct{}{}
+	s := r.slab[:n:n]
+	r.slab = r.slab[n:]
+	return s
+}
+
+// find returns k's row, or nil. Caller holds mu.
+func (r *Registry) find(k Key) *row {
+	at, ok := r.index[k.Data]
+	if !ok {
+		return nil
 	}
+	c := &r.cols[at]
+	if i, ok := c.at(k.Ver); ok {
+		return &c.rows[i]
+	}
+	return nil
+}
+
+// slot returns k's row, inserting an empty one in version order when k
+// has none. Caller holds mu for writing.
+func (r *Registry) slot(k Key) *row {
+	at, ok := r.index[k.Data]
+	if !ok {
+		if n := len(r.cols); n > 0 && r.cols[n-1].data > k.Data {
+			r.unsorted = true
+		}
+		r.index[k.Data] = int32(len(r.cols))
+		rows := r.carve(1)
+		rows[0].ver = k.Ver
+		r.cols = append(r.cols, column{data: k.Data, lo: k.Ver, rows: rows})
+		return &rows[0]
+	}
+	c := &r.cols[at]
+	i, ok := c.at(k.Ver)
+	if ok {
+		return &c.rows[i]
+	}
+	n := len(c.rows)
+	if n == cap(c.rows) {
+		moved := r.carve(2 * n)[:n]
+		copy(moved, c.rows)
+		clear(c.rows) // the old carving keeps no holder list alive
+		c.rows = moved
+	}
+	c.rows = c.rows[:n+1]
+	copy(c.rows[i+1:], c.rows[i:n])
+	c.rows[i] = row{ver: k.Ver}
+	c.lo = c.rows[0].ver
+	return &c.rows[i]
+}
+
+// touch marks rw, k's row, changed once tracking has started.
+func (r *Registry) touch(k Key, rw *row) {
+	if r.tracking && !rw.dirty {
+		rw.dirty = true
+		r.dirty = append(r.dirty, k)
+	}
+}
+
+// sortLocked puts the columns in datum order. Caller holds mu for writing.
+func (r *Registry) sortLocked() {
+	if !r.unsorted {
+		return
+	}
+	slices.SortFunc(r.cols, func(a, b column) int { return cmp.Compare(a.data, b.data) })
+	for i, c := range r.cols {
+		r.index[c.data] = int32(i)
+	}
+	r.unsorted = false
 }
 
 // Row returns k's recorded size (0 if unknown) and the nodes holding a
@@ -83,9 +188,11 @@ func (r *Registry) putLocked(k Key, rw row) {
 // keep it, and must not modify it.
 func (r *Registry) Row(k Key) (size int64, holders []string) {
 	r.mu.RLock()
-	rw := r.rows[k]
+	if rw := r.find(k); rw != nil {
+		size, holders = rw.size, rw.holders
+	}
 	r.mu.RUnlock()
-	return rw.size, rw.holders
+	return size, holders
 }
 
 // holds reports whether the sorted holder list names node.
@@ -98,9 +205,9 @@ func holds(holders []string, node string) bool {
 func (r *Registry) SetSize(k Key, bytes int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rw := r.rows[k]
+	rw := r.slot(k)
 	rw.size = bytes
-	r.putLocked(k, rw)
+	r.touch(k, rw)
 }
 
 // Size returns the recorded size of a data version (0 if unknown).
@@ -113,7 +220,7 @@ func (r *Registry) Size(k Key) int64 {
 func (r *Registry) AddReplica(k Key, node string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rw := r.rows[k]
+	rw := r.slot(k)
 	at, held := slices.BinarySearch(rw.holders, node)
 	switch {
 	case held:
@@ -126,7 +233,7 @@ func (r *Registry) AddReplica(k Key, node string) {
 		// Clipped, so Insert cannot fit the name into the published list.
 		rw.holders = slices.Insert(slices.Clip(rw.holders), at, node)
 	}
-	r.putLocked(k, rw)
+	r.touch(k, rw)
 }
 
 // Seed installs a whole row at once — the restore of one checkpointed
@@ -142,7 +249,7 @@ func (r *Registry) Seed(k Key, size int64, holders []string) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rw := r.rows[k]
+	rw := r.slot(k)
 	if size > 0 {
 		rw.size = size
 	}
@@ -156,7 +263,7 @@ func (r *Registry) Seed(k Key, size int64, holders []string) {
 		slices.Sort(merged)
 		rw.holders = slices.Compact(merged)
 	}
-	r.putLocked(k, rw)
+	r.touch(k, rw)
 }
 
 // strictlySorted reports whether names is sorted without repeats.
@@ -169,35 +276,32 @@ func strictlySorted(names []string) bool {
 	return true
 }
 
-// without returns the row minus node's replica (on a fresh list), and
-// whether node held one.
-func (rw row) without(node string) (row, bool) {
-	at, held := slices.BinarySearch(rw.holders, node)
-	switch {
-	case held && len(rw.holders) == 1:
-		rw.holders = nil
-	case held:
-		rw.holders = slices.Delete(slices.Clone(rw.holders), at, at+1)
-	}
-	return rw, held
-}
-
 // DropNode forgets every replica held by node (node failure). It returns
-// the keys that lost their last replica — the data that must be recovered
-// by re-execution (E7).
+// the keys that lost their last replica, in key order — the data that
+// must be recovered by re-execution (E7).
 func (r *Registry) DropNode(node string) []Key {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.sortLocked()
 	var lost []Key
-	for k, rw := range r.rows {
-		if rw, held := rw.without(node); held {
-			r.putLocked(k, rw)
-			if len(rw.holders) == 0 {
-				lost = append(lost, k)
+	for ci := range r.cols {
+		c := &r.cols[ci]
+		for i := range c.rows {
+			rw := &c.rows[i]
+			at, held := slices.BinarySearch(rw.holders, node)
+			if !held {
+				continue
 			}
+			k := Key{Data: c.data, Ver: rw.ver}
+			if len(rw.holders) == 1 {
+				rw.holders = nil
+				lost = append(lost, k)
+			} else {
+				rw.holders = slices.Delete(slices.Clone(rw.holders), at, at+1)
+			}
+			r.touch(k, rw)
 		}
 	}
-	slices.SortFunc(lost, compareKeys)
 	return lost
 }
 
@@ -230,8 +334,6 @@ type Entry struct {
 	Locations []string
 }
 
-func (rw row) entry(k Key) Entry { return Entry{Key: k, Size: rw.size, Locations: rw.holders} }
-
 // Entries dumps the whole catalog, sorted by key — the data half of a
 // checkpoint snapshot (internal/engine/checkpoint). Keys that have a
 // recorded size but no replica yet (declared ahead of production) are
@@ -242,7 +344,7 @@ func (r *Registry) Entries() []Entry {
 
 // EntriesClean is Entries plus a dirty reset — the full-catalog capture
 // that starts a fresh delta chain (a base snapshot subsumes every pending
-// change, so the dirty set restarts empty). The first call starts dirty
+// change, so the dirty list restarts empty). The first call starts dirty
 // tracking.
 func (r *Registry) EntriesClean() []Entry {
 	return r.entries(true)
@@ -250,15 +352,28 @@ func (r *Registry) EntriesClean() []Entry {
 
 func (r *Registry) entries(clean bool) []Entry {
 	r.mu.Lock()
-	out := make([]Entry, 0, len(r.rows))
-	for k, rw := range r.rows {
-		out = append(out, rw.entry(k))
+	defer r.mu.Unlock()
+	r.sortLocked()
+	n := 0
+	for _, c := range r.cols {
+		n += len(c.rows)
+	}
+	out := make([]Entry, 0, n)
+	for ci := range r.cols {
+		c := &r.cols[ci]
+		for i := range c.rows {
+			rw := &c.rows[i]
+			if rw.size != 0 || len(rw.holders) > 0 {
+				out = append(out, Entry{Key: Key{Data: c.data, Ver: rw.ver}, Size: rw.size, Locations: rw.holders})
+			}
+			if clean {
+				rw.dirty = false
+			}
+		}
 	}
 	if clean {
-		r.dirty = make(map[Key]struct{})
+		r.dirty, r.tracking = r.dirty[:0], true
 	}
-	r.mu.Unlock()
-	slices.SortFunc(out, byKey)
 	return out
 }
 
@@ -282,23 +397,79 @@ func (r *Registry) DirtyCount() int {
 }
 
 // TakeDirty drains the changed catalog rows since the last capture,
-// sorted by key, clearing the dirty set atomically with the read — a
+// sorted by key, clearing the dirty list atomically with the read — a
 // mutation racing the capture lands either in this delta or in the next
-// one, never nowhere. Keys whose row vanished (no replica, no size) are
+// one, never nowhere. Keys whose row emptied (no replica, no size) are
 // still reported, with empty locations and size 0, so a delta can
 // overwrite the stale base row.
 func (r *Registry) TakeDirty() []Entry {
 	r.mu.Lock()
-	out := make([]Entry, 0, len(r.dirty))
-	for k := range r.dirty {
-		out = append(out, r.rows[k].entry(k))
+	out := make([]Entry, len(r.dirty))
+	for i, k := range r.dirty {
+		rw := r.find(k)
+		rw.dirty = false
+		out[i] = Entry{Key: k, Size: rw.size, Locations: rw.holders}
 	}
-	if len(r.dirty) > 0 {
-		r.dirty = make(map[Key]struct{}) // not clear(): a capture stays O(changes), not O(largest burst)
-	}
+	r.dirty = r.dirty[:0]
 	r.mu.Unlock()
 	slices.SortFunc(out, byKey)
 	return out
+}
+
+// CheckLayout returns the first broken invariant of the registry's
+// layout, or nil: the index and the columns map one to one, in datum
+// order unless a datum arrived out of order since the last ordered walk;
+// every column is non-empty, strictly sorted by version and starts at its
+// lo; every holder list is strictly sorted; and the dirty list names each
+// row whose dirty bit is set exactly once and nothing else — nothing at
+// all before tracking starts. The engine's step checks call it.
+func (r *Registry) CheckLayout() error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if len(r.index) != len(r.cols) {
+		return fmt.Errorf("index holds %d data, %d columns", len(r.index), len(r.cols))
+	}
+	bits := 0
+	for ci, c := range r.cols {
+		if at, ok := r.index[c.data]; !ok || int(at) != ci {
+			return fmt.Errorf("datum %d sits in column %d, the index says %d (%v)", c.data, ci, at, ok)
+		}
+		if ci > 0 && !r.unsorted && r.cols[ci-1].data >= c.data {
+			return fmt.Errorf("column %d (datum %d) follows datum %d", ci, c.data, r.cols[ci-1].data)
+		}
+		if len(c.rows) == 0 || c.lo != c.rows[0].ver {
+			return fmt.Errorf("datum %d: %d rows, lo %d", c.data, len(c.rows), c.lo)
+		}
+		for i, rw := range c.rows {
+			k := Key{Data: c.data, Ver: rw.ver}
+			if i > 0 && c.rows[i-1].ver >= rw.ver {
+				return fmt.Errorf("%v follows version %d", k, c.rows[i-1].ver)
+			}
+			if !strictlySorted(rw.holders) {
+				return fmt.Errorf("%v: holder list %v not strictly sorted", k, rw.holders)
+			}
+			if rw.dirty {
+				bits++
+			}
+		}
+	}
+	if !r.tracking && len(r.dirty) > 0 {
+		return fmt.Errorf("%d keys listed dirty before tracking started", len(r.dirty))
+	}
+	listed := slices.Clone(r.dirty)
+	slices.SortFunc(listed, compareKeys)
+	for i, k := range listed {
+		if i > 0 && listed[i-1] == k {
+			return fmt.Errorf("%v listed dirty twice", k)
+		}
+		if rw := r.find(k); rw == nil || !rw.dirty {
+			return fmt.Errorf("%v listed dirty without its dirty bit", k)
+		}
+	}
+	if bits != len(listed) {
+		return fmt.Errorf("%d rows have their dirty bit set, %d are listed", bits, len(listed))
+	}
+	return nil
 }
 
 // Plan describes the transfers needed to materialise a set of keys on one

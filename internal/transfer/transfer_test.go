@@ -2,6 +2,7 @@ package transfer
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -183,12 +184,17 @@ func TestKeyOf(t *testing.T) {
 	}
 }
 
-// TestRegistryMatchesNaiveModel drives the row-per-version registry and a
-// naive model (a size map and a holder set per key) through the same
+// TestRegistryMatchesNaiveModel drives the column-per-datum registry and
+// a naive model (a size map and a holder set per key) through the same
 // seeded stream of writes — Seed handed unsorted lists with repeats among
 // them — and checks that every read — the Row primitive and everything
-// built on it — agrees after each step, and the dirty set once a base
-// capture has started it.
+// built on it — agrees after each step, and the dirty list once a base
+// capture has started it (over a quarter of the steps under -short).
+// Each datum has 42 versions, written in random
+// order: a dense run, and outliers far from it on both sides (-1<<40,
+// -7, 1<<40, 1<<40+3), so columns grow by relocation, take inserts ahead
+// of their first row and are searched off the dense fast path. The
+// layout check runs after every step.
 func TestRegistryMatchesNaiveModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := NewRegistry()
@@ -197,9 +203,16 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 	loc := map[Key]map[string]bool{}
 	dirty := map[Key]bool{}
 	nodes := []string{"n4", "n0", "n3", "n1", "n2"}
-	keys := make([]Key, 12)
-	for i := range keys {
-		keys[i] = key(i/2, i%2)
+	vers := []int{-1 << 40, -7, 1 << 40, 1<<40 + 3}
+	for v := 0; len(vers) < 42; v++ {
+		vers = append(vers, v)
+	}
+	sort.Ints(vers)
+	var keys []Key // in key order, as DropNode reports its losses
+	for d := 0; d < 4; d++ {
+		for _, v := range vers {
+			keys = append(keys, key(d, v))
+		}
 	}
 	sortedHolders := func(k Key) []string {
 		var out []string
@@ -222,7 +235,11 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 			}
 		}
 	}
-	for step := 0; step < 4000; step++ {
+	steps := 4000
+	if testing.Short() {
+		steps = 1000
+	}
+	for step := 0; step < steps; step++ {
 		k, n := keys[rng.Intn(len(keys))], nodes[rng.Intn(len(nodes))]
 		switch op := rng.Intn(16); {
 		case op < 5:
@@ -308,6 +325,56 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 			}
 		}
 		sameEntries("Entries", r.Entries(), all)
+		if err := r.CheckLayout(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+}
+
+// A version far from its datum's others costs one row, not the gap
+// between them.
+func TestSparseVersionsAllocateNoGap(t *testing.T) {
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	allocs := testing.AllocsPerRun(10, func() {
+		r := NewRegistry()
+		r.Seed(key(1, 0), 10, []string{"a"})
+		r.Seed(key(1, 1<<40), 10, []string{"a"})
+	})
+	runtime.ReadMemStats(&ms1)
+	if allocs > 8 {
+		t.Fatalf("versions 0 and 1<<40 of one datum took %.0f allocations, want at most 8", allocs)
+	}
+	if perRun := (ms1.TotalAlloc - ms0.TotalAlloc) / 11; perRun > 64<<10 {
+		t.Fatalf("versions 0 and 1<<40 of one datum took %d bytes, want under 64 KiB", perRun)
+	}
+}
+
+// TestStencilStreamAllocatesPerSlab is the column layout's allocation
+// gate: a 1024-datum x 100-version stencil stream (each version of every
+// datum sized, then placed, version by version) allocates slabs, not rows
+// or columns — at most one object per 64 rows.
+func TestStencilStreamAllocatesPerSlab(t *testing.T) {
+	const data, versions = 1024, 100
+	nodes := []string{"n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7"}
+	var r *Registry
+	allocs := testing.AllocsPerRun(1, func() {
+		r = NewRegistry()
+		for v := 0; v < versions; v++ {
+			for d := 0; d < data; d++ {
+				r.SetSize(key(d+1, v), 1<<20)
+				r.AddReplica(key(d+1, v), nodes[d%len(nodes)])
+			}
+		}
+	})
+	if rows := data * versions; allocs > float64(rows/64) {
+		t.Fatalf("%d rows took %.0f allocations, want at most %d (one per 64 rows)", rows, allocs, rows/64)
+	}
+	if err := r.CheckLayout(); err != nil {
+		t.Fatal(err)
+	}
+	if size, holders := r.Row(key(17, 99)); size != 1<<20 || !slices.Equal(holders, []string{"n0"}) {
+		t.Fatalf("Row(d17v99) = %d %v, want 1 MiB on n0", size, holders)
 	}
 }
 
