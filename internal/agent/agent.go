@@ -6,7 +6,7 @@
 // the REST API."
 //
 // Agents are plain net/http servers (the paper's Docker/Kubernetes
-// packaging is orthogonal — DESIGN.md §4). An agent executes tasks locally
+// packaging is orthogonal). An agent executes tasks locally
 // on a bounded worker pool, can offload to peer agents over REST
 // (fog-to-fog, fog-to-cloud), and persists task arguments to a dataClay
 // store before offloading so that a peer's disappearance is survivable:

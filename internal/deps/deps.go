@@ -7,7 +7,7 @@
 // automatically. Like COMPSs, it applies *renaming*: every write creates a
 // fresh version of the datum, which removes write-after-read and
 // write-after-write false dependencies. Renaming can be disabled to measure
-// its effect (DESIGN.md ablation 2).
+// its effect (ablation A1 in the README's Experiments).
 //
 // A Processor is safe for concurrent use under one mutex. Registration
 // order is the dependency order, so callers that care which task came

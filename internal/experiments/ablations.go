@@ -3,58 +3,37 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/infra"
 	"repro/internal/mlpredict"
 	"repro/internal/resources"
 	"repro/internal/sched"
 	"repro/internal/workloads"
 )
 
-// Ablations for the design decisions called out in DESIGN.md §6. They are
-// not paper experiments; they justify the implementation choices.
+// Ablations A1 and A2 of the README's Experiments table. They are not
+// paper experiments; they justify the implementation choices.
 
-// A1Result quantifies what version renaming buys (DESIGN.md §6 item 2,
-// mirroring the COMPSs renaming mechanism).
-type A1Result struct {
-	Renaming   bool
-	RAW        int
-	WAR        int
-	WAW        int
-	TotalEdges int
-	Makespan   time.Duration
-}
-
-// A1Renaming runs the producer-consumer loop (overwrite + long readers)
-// with and without renaming in the access processor.
-func A1Renaming(iters, readers int) ([]A1Result, error) {
+// a1Renaming runs the producer-consumer loop (overwrite + long readers)
+// with and without version renaming in the access processor, mirroring
+// the COMPSs renaming mechanism.
+func a1Renaming(iters, readers int) (*Table, error) {
 	specs := workloads.ProducerConsumerLoop(iters, readers, 60*time.Second)
-	run := func(disable bool) (A1Result, error) {
-		pool := hpcPool(4)
-		res, err := mustRun(infra.Config{
-			Pool: pool, Net: hpcNet(pool), Policy: sched.MinLoad{},
-			DisableRenaming: disable,
-		}, specs)
+	t := newTable("mode", "RAW", "WAR", "WAW", "makespan", "edges")
+	for _, disable := range []bool{false, true} {
+		cfg := rig(sched.MinLoad{}, mareNostrum(4))
+		cfg.DisableRenaming = disable
+		res, err := mustRun(cfg, specs)
 		if err != nil {
-			return A1Result{}, err
+			return nil, err
 		}
-		return A1Result{
-			Renaming:   !disable,
-			RAW:        res.DepEdges.RAW,
-			WAR:        res.DepEdges.WAR,
-			WAW:        res.DepEdges.WAW,
-			TotalEdges: res.DepEdges.Total(),
-			Makespan:   res.Makespan,
-		}, nil
+		mode := "renaming on (COMPSs)"
+		if disable {
+			mode = "renaming off"
+		}
+		e := res.DepEdges
+		t.add(text(mode), num("%d", e.RAW), num("%d", e.WAR), num("%d", e.WAW),
+			dur(time.Second, res.Makespan), num("%d", e.Total()))
 	}
-	with, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	without, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	return []A1Result{with, without}, nil
+	return t, nil
 }
 
 // noPriority hides a policy's Prioritizer, isolating the effect of ready-
@@ -73,50 +52,22 @@ func (p noPriority) Pick(t *sched.TaskView, fitting []*resources.Node, ctx *sche
 	return p.inner.Pick(t, fitting, ctx)
 }
 
-// A2Result quantifies what LPT ordering adds on top of informed node
-// selection.
-type A2Result struct {
-	Policy   string
-	Makespan time.Duration
-}
-
-// A2Priority runs the heterogeneous mix with the full ML policy and with
-// its ordering stripped, both pre-trained.
-func A2Priority(tasks int) ([]A2Result, error) {
-	var out []A2Result
-	for _, strip := range []bool{false, true} {
+// a2Priority runs the heterogeneous mix with the full ML policy and with
+// its ordering stripped, on the makespan of the third execution: the
+// first two train the predictor.
+func a2Priority(tasks int) (*Table, error) {
+	t := newTable("policy", "makespan (3rd execution)")
+	for _, policy := range []sched.Policy{sched.ML{}, noPriority{inner: sched.ML{}}} {
 		pred := mlpredict.NewPredictor(10 * time.Second)
-		var policy sched.Policy = sched.ML{}
-		if strip {
-			policy = noPriority{inner: sched.ML{}}
-		}
 		var last time.Duration
-		// Three executions: the first two train the predictor.
 		for r := 0; r < 3; r++ {
-			pool := resources.NewPool()
-			for i := 0; i < 3; i++ {
-				_ = pool.Add(resources.NewNode(nodeNameA2("fast", i), resources.Description{
-					Cores: 8, MemoryMB: 64000, Class: resources.HPC, SpeedFactor: 1.0,
-				}))
-			}
-			for i := 0; i < 6; i++ {
-				_ = pool.Add(resources.NewNode(nodeNameA2("slow", i), resources.Description{
-					Cores: 8, MemoryMB: 32000, Class: resources.Cloud, SpeedFactor: 0.25,
-				}))
-			}
-			res, err := mustRun(infra.Config{
-				Pool: pool, Net: hpcNet(pool), Policy: policy, Predictor: pred,
-			}, workloads.HeterogeneousMix(tasks, int64(200+r)))
+			res, err := mustRun(mlRig(policy, pred), workloads.HeterogeneousMix(tasks, int64(200+r)))
 			if err != nil {
 				return nil, err
 			}
 			last = res.Makespan
 		}
-		out = append(out, A2Result{Policy: policy.Name(), Makespan: last})
+		t.add(text(policy.Name()), dur(time.Second, last))
 	}
-	return out, nil
-}
-
-func nodeNameA2(prefix string, i int) string {
-	return prefix + string(rune('0'+i))
+	return t, nil
 }

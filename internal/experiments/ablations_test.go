@@ -3,37 +3,26 @@ package experiments
 import "testing"
 
 func TestA1RenamingRemovesFalseEdges(t *testing.T) {
-	rows, err := A1Renaming(5, 16)
-	if err != nil {
-		t.Fatal(err)
+	tab := run(t)(a1Renaming(5, 16))
+	const with, without = "renaming on (COMPSs)", "renaming off"
+	if war, waw := tab.at(with, "WAR").vals[0], tab.at(with, "WAW").vals[0]; war != 0 || waw != 0 {
+		t.Fatalf("renaming left false edges: WAR %v, WAW %v", war, waw)
 	}
-	with, without := rows[0], rows[1]
-	if !with.Renaming || without.Renaming {
-		t.Fatal("row order wrong")
+	if tab.at(without, "WAR").vals[0] == 0 {
+		t.Fatal("no-renaming produced no WAR edges on a stencil")
 	}
-	if with.WAR != 0 || with.WAW != 0 {
-		t.Fatalf("renaming left false edges: %+v", with)
+	if w, wo := tab.at(with, "edges").vals[0], tab.at(without, "edges").vals[0]; wo <= w {
+		t.Fatalf("edges: with=%v without=%v", w, wo)
 	}
-	if without.WAR == 0 {
-		t.Fatalf("no-renaming produced no WAR edges on a stencil: %+v", without)
-	}
-	if without.TotalEdges <= with.TotalEdges {
-		t.Fatalf("edges: with=%d without=%d", with.TotalEdges, without.TotalEdges)
-	}
-	if without.Makespan < with.Makespan {
-		t.Fatalf("false dependencies cannot speed things up: with=%v without=%v",
-			with.Makespan, without.Makespan)
+	if w, wo := tab.at(with, "makespan"), tab.at(without, "makespan"); wo.vals[0] < w.vals[0] {
+		t.Fatalf("false dependencies cannot speed things up: with=%s without=%s", w.text, wo.text)
 	}
 }
 
 func TestA2PriorityOrderingHelps(t *testing.T) {
-	rows, err := A2Priority(48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, stripped := rows[0], rows[1]
-	if full.Makespan > stripped.Makespan {
-		t.Fatalf("LPT ordering made things worse: full=%v stripped=%v",
-			full.Makespan, stripped.Makespan)
+	tab := run(t)(a2Priority(48))
+	full, stripped := tab.at("ml", "makespan (3rd execution)"), tab.at("ml-noprio", "makespan (3rd execution)")
+	if full.vals[0] > stripped.vals[0] {
+		t.Fatalf("LPT ordering made things worse: full=%s stripped=%s", full.text, stripped.text)
 	}
 }

@@ -37,42 +37,31 @@ const (
 	e16Every = 10 * time.Second
 )
 
-// E16Arm is one policy's run: completions, makespan, and the priced
+// e16Arm is one policy's run: completions, makespan, and the priced
 // node-hours it consumed.
-type E16Arm struct {
-	TasksCompleted int
-	Makespan       time.Duration
-	// CostUnits prices the run: elastic node spans from the node trace
-	// at their tier rates, plus the base pool for the whole makespan.
-	CostUnits float64
-	// CostPer1kTasks is CostUnits normalised per 1000 completions — the
-	// cost-per-throughput figure the arms are compared on.
-	CostPer1kTasks float64
-	PeakNodes      int
-	NodesAdded     int
-	NodesRemoved   int
+type e16Arm struct {
+	completed int
+	makespan  time.Duration
+	// cost prices the run: elastic node spans from the node trace at
+	// their tier rates, plus the base pool for the whole makespan.
+	cost                 float64
+	peak, added, removed int
 }
 
-// E16Result is one arrival shape's two-arm comparison.
-type E16Result struct {
-	Shape string
-	Tasks int
-	// Threshold is the cost-blind baseline: the cloud tier only, grown
-	// and shrunk by autoscale.NewThreshold.
-	Threshold E16Arm
-	// CostAware is the multi-tier planner over cloud + fog variants.
-	CostAware E16Arm
-}
-
-// E16AutoscaleCost runs the two-arm comparison on the bursty and diurnal
-// shapes. 250 tasks per shape is the regime where the tier decision is
-// non-trivial: demand of a few reference cores, where a fog fleet can
-// undercut a cloud VM on the baseline and the bursts still need real
-// elastic response. At much higher counts sustained demand exceeds the
-// fog break-even and the cost-optimal policy degenerates to "hold one
-// big VM" — which the threshold baseline already does by accident.
-func E16AutoscaleCost(tasks int, seed int64) ([]E16Result, error) {
-	var out []E16Result
+// e16AutoscaleCost runs the two-arm comparison on the bursty and diurnal
+// shapes: the cost-blind threshold baseline, which grows and shrinks the
+// cloud tier only, against the multi-tier planner over cloud and fog.
+// Each pair cell reads "threshold / cost-aware"; the headline is cost
+// units per 1000 completed tasks. 250 tasks per shape is the regime
+// where the tier decision is non-trivial: demand of a few reference
+// cores, where a fog fleet can undercut a cloud VM on the baseline and
+// the bursts still need real elastic response. At much higher counts
+// sustained demand exceeds the fog break-even and the cost-optimal
+// policy degenerates to "hold one big VM" — which the threshold baseline
+// already does by accident.
+func e16AutoscaleCost(tasks int, seed int64) (*Table, error) {
+	t := newTable("shape", "tasks", "threshold", "cost-aware", "cheaper", "peak nodes",
+		"completed", "nodes added", "nodes removed", "makespan", "cost units")
 	for _, shape := range []string{wtrace.ShapePoissonBurst, wtrace.ShapeDiurnal} {
 		gen := wtrace.DefaultGen(shape)
 		gen.Tasks = tasks
@@ -81,37 +70,48 @@ func E16AutoscaleCost(tasks int, seed int64) ([]E16Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := E16Result{Shape: shape, Tasks: len(tr.Tasks)}
 		// The baseline scales the cloud tier only: same growth threshold,
 		// shrink once a whole VM's worth of cores idles.
-		threshold := autoscale.NewThreshold(resources.NewElasticManager(
+		threshold, err := e16Run(tr, autoscale.NewThreshold(resources.NewElasticManager(
 			resources.NewSimProvider("cloud", resources.CloudVM, 8, 30*time.Second),
 			resources.ScalePolicy{MaxNodes: 8, TasksPerCore: 2, IdleCoresToShrink: 8, CostPerNodeHour: e16CloudRate},
-		))
-		if r.Threshold, err = e16Arm(tr, threshold); err != nil {
+		)))
+		if err != nil {
 			return nil, fmt.Errorf("%s threshold arm: %w", shape, err)
 		}
-		costAware, err := autoscale.New([]autoscale.Variant{
+		planner, err := autoscale.New([]autoscale.Variant{
 			autoscale.SimVariant("cloud", resources.CloudVM, e16CloudRate, 30*time.Second, 8),
 			autoscale.SimVariant("fog", resources.FogDevice, e16FogRate, 5*time.Second, 16),
 		})
 		if err != nil {
 			return nil, err
 		}
-		if r.CostAware, err = e16Arm(tr, costAware); err != nil {
+		costAware, err := e16Run(tr, planner)
+		if err != nil {
 			return nil, fmt.Errorf("%s cost-aware arm: %w", shape, err)
 		}
-		out = append(out, r)
+		per1k := func(a e16Arm) float64 {
+			if a.completed == 0 {
+				return 0
+			}
+			return a.cost * 1000 / float64(a.completed)
+		}
+		th, ca := threshold, costAware
+		t.add(text(shape), num("%d", len(tr.Tasks)), num("%.2f", per1k(th)), num("%.2f", per1k(ca)),
+			num("%.2fx", per1k(th)/per1k(ca)), num("%d / %d", th.peak, ca.peak),
+			num("%d / %d", th.completed, ca.completed), num("%d / %d", th.added, ca.added),
+			num("%d / %d", th.removed, ca.removed), dur(time.Second, th.makespan, ca.makespan),
+			num("%.3f / %.3f", th.cost, ca.cost))
 	}
-	return out, nil
+	return t, nil
 }
 
-// e16Arm replays one trace under one scaling policy over a one-sensor
+// e16Run replays one trace under one scaling policy over a one-sensor
 // base pool and prices the run from its node trace.
-func e16Arm(tr *wtrace.Trace, scaler *autoscale.Autoscaler) (E16Arm, error) {
+func e16Run(tr *wtrace.Trace, scaler *autoscale.Autoscaler) (e16Arm, error) {
 	pool := resources.NewPool()
 	if err := pool.Add(resources.NewNode("base-0", resources.EdgeSensor)); err != nil {
-		return E16Arm{}, err
+		return e16Arm{}, err
 	}
 	tracer := trace.New(0)
 	res, err := mustRun(infra.Config{
@@ -123,13 +123,10 @@ func e16Arm(tr *wtrace.Trace, scaler *autoscale.Autoscaler) (E16Arm, error) {
 		ElasticEvery: e16Every,
 	}, tr.Specs())
 	if err != nil {
-		return E16Arm{}, err
+		return e16Arm{}, err
 	}
-	arm := E16Arm{TasksCompleted: res.TasksCompleted, Makespan: res.Makespan, PeakNodes: res.PeakNodes}
-	arm.CostUnits = e16EdgeRate*res.Makespan.Hours() + e16PriceNodes(tracer, res.Makespan, &arm)
-	if arm.TasksCompleted > 0 {
-		arm.CostPer1kTasks = arm.CostUnits * 1000 / float64(arm.TasksCompleted)
-	}
+	arm := e16Arm{completed: res.TasksCompleted, makespan: res.Makespan, peak: res.PeakNodes}
+	arm.cost = e16EdgeRate*res.Makespan.Hours() + e16PriceNodes(tracer, res.Makespan, &arm)
 	return arm, nil
 }
 
@@ -137,14 +134,14 @@ func e16Arm(tr *wtrace.Trace, scaler *autoscale.Autoscaler) (E16Arm, error) {
 // node_added/node_removed events, priced by the tier encoded in the
 // node-name prefix (SimProvider names nodes "tier-N"). Nodes still in
 // the pool when the run ends are billed to the makespan.
-func e16PriceNodes(tracer *trace.Tracer, makespan time.Duration, arm *E16Arm) float64 {
+func e16PriceNodes(tracer *trace.Tracer, makespan time.Duration, arm *e16Arm) float64 {
 	added := map[string]time.Duration{}
 	cost := 0.0
 	for _, e := range tracer.Events() {
 		switch e.Kind {
 		case trace.NodeAdded:
 			added[e.Node] = e.At
-			arm.NodesAdded++
+			arm.added++
 		case trace.NodeRemoved:
 			at, ok := added[e.Node]
 			if !ok {
@@ -152,7 +149,7 @@ func e16PriceNodes(tracer *trace.Tracer, makespan time.Duration, arm *E16Arm) fl
 			}
 			cost += e16TierRate(e.Node) * (e.At - at).Hours()
 			delete(added, e.Node)
-			arm.NodesRemoved++
+			arm.removed++
 		}
 	}
 	// Summed in name order so the float total is the same run to run.

@@ -3,8 +3,6 @@ package experiments
 import (
 	"testing"
 	"time"
-
-	"repro/internal/engine"
 )
 
 // TestE15PoliciesEliminateRanMissing is the acceptance test of the
@@ -14,35 +12,26 @@ import (
 // recompute by paying exactly one lineage re-run of the stranded
 // producer and finishing long before the heal.
 func TestE15PoliciesEliminateRanMissing(t *testing.T) {
-	rows, err := E15PartitionRecovery(8, 4, 40*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byPolicy := map[engine.Availability]E15Result{}
-	for _, r := range rows {
-		byPolicy[r.Policy] = r
-	}
-	ra := byPolicy[engine.AvailRunAnyway]
-	if ra.RanMissing == 0 {
+	tab := run(t)(e15PartitionRecovery(8, 4, 40*time.Second))
+	if tab.at("run-anyway", "ran-missing").vals[0] == 0 {
 		t.Fatal("run-anyway reported zero ran-missing launches; the cut never bit and the drill proves nothing")
 	}
-	for _, policy := range []engine.Availability{engine.AvailDefer, engine.AvailRecompute} {
-		r := byPolicy[policy]
-		if r.RanMissing != 0 {
-			t.Fatalf("%s: %d tasks still ran with missing inputs, want 0", policy, r.RanMissing)
+	for _, policy := range []string{"defer", "recompute"} {
+		if n := tab.at(policy, "ran-missing").vals[0]; n != 0 {
+			t.Fatalf("%s: %v tasks still ran with missing inputs, want 0", policy, n)
 		}
-		if r.Deferred == 0 {
+		if tab.at(policy, "deferred").vals[0] == 0 {
 			t.Fatalf("%s: nothing was parked; the policy never engaged", policy)
 		}
 	}
-	if re := byPolicy[engine.AvailRecompute].Reexecuted; re != 1 {
-		t.Fatalf("recompute paid %d lineage re-runs, want exactly 1 (the stranded producer)", re)
+	if re := tab.at("recompute", "re-executed").vals[0]; re != 1 {
+		t.Fatalf("recompute paid %v lineage re-runs, want exactly 1 (the stranded producer)", re)
 	}
-	if d := byPolicy[engine.AvailDefer]; d.Reexecuted != 0 {
-		t.Fatalf("defer paid %d lineage re-runs, want 0 (it waits, it does not recompute)", d.Reexecuted)
+	if re := tab.at("defer", "re-executed").vals[0]; re != 0 {
+		t.Fatalf("defer paid %v lineage re-runs, want 0 (it waits, it does not recompute)", re)
 	}
-	if rec, def := byPolicy[engine.AvailRecompute].Makespan, byPolicy[engine.AvailDefer].Makespan; rec >= def {
-		t.Fatalf("recompute makespan %v not shorter than defer's %v under a long heal", rec, def)
+	if rec, def := tab.at("recompute", "makespan"), tab.at("defer", "makespan"); rec.vals[0] >= def.vals[0] {
+		t.Fatalf("recompute makespan %s not shorter than defer's %s under a long heal", rec.text, def.text)
 	}
 }
 
@@ -51,21 +40,19 @@ func TestE15PoliciesEliminateRanMissing(t *testing.T) {
 // node's replicas from the persist tier, restores every snapshotted
 // completion, and recomputes none of them.
 func TestE15ShrunkPoolRestore(t *testing.T) {
-	res, err := E15ShrunkPoolRestore(12, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Snapshotted == 0 {
+	tab := run(t)(e15ShrunkPoolRestore(12, 4))
+	cell := func(col string) float64 { return tab.at("17", col).vals[0] }
+	if cell("snapshotted") == 0 {
 		t.Fatal("no completed tasks in the restored snapshot; halt landed too early")
 	}
-	if res.Restored != res.Snapshotted {
-		t.Fatalf("restored %d of %d snapshotted tasks; the persist tier should cover the vanished node",
-			res.Restored, res.Snapshotted)
+	if cell("restored") != cell("snapshotted") {
+		t.Fatalf("restored %v of %v snapshotted tasks; the persist tier should cover the vanished node",
+			cell("restored"), cell("snapshotted"))
 	}
-	if res.Restaged == 0 {
+	if cell("re-staged") == 0 {
 		t.Fatal("nothing was re-staged; the removed node apparently held no exclusive replicas — drill misconfigured")
 	}
-	if res.RecomputedRestored != 0 {
-		t.Fatalf("%d snapshotted tasks re-executed on the shrunk pool, want 0", res.RecomputedRestored)
+	if n := cell("recomputed"); n != 0 {
+		t.Fatalf("%v snapshotted tasks re-executed on the shrunk pool, want 0", n)
 	}
 }

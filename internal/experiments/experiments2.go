@@ -22,33 +22,29 @@ import (
 
 // --- E5: dataClay method shipping ----------------------------------------
 
-// E5Result compares in-store execution against fetch-then-compute.
-type E5Result struct {
-	ObjectMB     int64
-	Operations   int
-	ShippedBytes int64 // method-shipping traffic
-	FetchedBytes int64 // fetch-based traffic
-	Ratio        float64
-}
-
-// E5MethodShipping stores a large vector and runs `ops` aggregations both
-// ways ("executed within the object store transparently … minimizes the
-// number of data transfers", paper Sec. VI-A-1).
-func E5MethodShipping(objectMB int64, ops int) (E5Result, error) {
+// e5MethodShipping stores an objectMB vector and runs ops aggregations
+// in the store and by fetch-then-compute ("executed within the object
+// store transparently … minimizes the number of data transfers", paper
+// Sec. VI-A-1), comparing the bytes each moves.
+func e5MethodShipping(objectMB int64, ops int) (*Table, error) {
+	sum := func(state any) (float64, error) {
+		v, ok := state.([]float64)
+		if !ok {
+			return 0, fmt.Errorf("vector state is %T", state)
+		}
+		s := 0.0
+		for _, x := range v {
+			s += x
+		}
+		return s, nil
+	}
 	store := dataclay.NewStore()
 	store.RegisterClass(dataclay.Class{
 		Name: "vector",
 		Methods: map[string]dataclay.Method{
 			"sum": func(state, _ any) (any, any, error) {
-				v, ok := state.([]float64)
-				if !ok {
-					return state, nil, errors.New("bad state")
-				}
-				s := 0.0
-				for _, x := range v {
-					s += x
-				}
-				return state, s, nil
+				s, err := sum(state)
+				return state, s, err
 			},
 		},
 		Size: func(state any) int64 {
@@ -62,56 +58,40 @@ func E5MethodShipping(objectMB int64, ops int) (E5Result, error) {
 	}
 	id, err := store.NewObject("vector", vec)
 	if err != nil {
-		return E5Result{}, err
+		return nil, err
 	}
-
-	// Method shipping.
 	for i := 0; i < ops; i++ {
 		if _, err := store.Call(id, "sum", nil, 16); err != nil {
-			return E5Result{}, err
+			return nil, err
 		}
 	}
-	shipped := store.Stats().BytesShipped
-
-	// Fetch then compute.
 	for i := 0; i < ops; i++ {
 		state, err := store.Fetch(id)
+		if err == nil {
+			_, err = sum(state)
+		}
 		if err != nil {
-			return E5Result{}, err
+			return nil, err
 		}
-		v, ok := state.([]float64)
-		if !ok {
-			return E5Result{}, fmt.Errorf("fetch returned %T", state)
-		}
-		s := 0.0
-		for _, x := range v {
-			s += x
-		}
-		_ = s
 	}
-	fetched := store.Stats().BytesFetched
-
-	r := E5Result{ObjectMB: objectMB, Operations: ops, ShippedBytes: shipped, FetchedBytes: fetched}
+	shipped, fetched := store.Stats().BytesShipped, store.Stats().BytesFetched
+	ratio := 0.0
 	if shipped > 0 {
-		r.Ratio = float64(fetched) / float64(shipped)
+		ratio = float64(fetched) / float64(shipped)
 	}
-	return r, nil
+	t := newTable("access style", "bytes moved")
+	t.add(text("method shipping"), num("%d", shipped))
+	t.add(text("fetch-then-compute"), num("%d", fetched))
+	t.add(text("ratio"), num("%.0fx", ratio))
+	return t, nil
 }
 
 // --- E6: fog-to-cloud offloading ------------------------------------------
 
-// E6Result compares running a task batch on a constrained fog device alone
-// against offloading to peers (Fig. 5's fog-to-fog / fog-to-cloud paths).
-type E6Result struct {
-	Tasks      int
-	LocalOnly  time.Duration
-	WithPeers  time.Duration
-	Speedup    float64
-	PeerAgents int
-}
-
-// E6FogOffload runs real agents over loopback HTTP.
-func E6FogOffload(tasks, peers int, taskDur time.Duration) (E6Result, error) {
+// e6FogOffload runs a batch of tasks on a 1-core fog agent alone and
+// then offloading to peer 4-core agents (Fig. 5's fog-to-fog /
+// fog-to-cloud paths), real agents over loopback HTTP.
+func e6FogOffload(tasks, peers int, taskDur time.Duration) (*Table, error) {
 	reg := agent.NewRegistry()
 	reg.Register("work", func(_ []json.RawMessage) (json.RawMessage, error) {
 		time.Sleep(taskDur)
@@ -123,50 +103,40 @@ func E6FogOffload(tasks, peers int, taskDur time.Duration) (E6Result, error) {
 		var wg sync.WaitGroup
 		errs := make([]error, tasks)
 		for i := 0; i < tasks; i++ {
-			i := i
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var err error
 				if offload {
-					_, err = a.RunAnywhere("work", nil)
+					_, errs[i] = a.RunAnywhere("work", nil)
 				} else {
-					_, err = a.RunLocal("work", nil)
+					_, errs[i] = a.RunLocal("work", nil)
 				}
-				errs[i] = err
 			}()
 		}
 		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start), nil
+		return time.Since(start), errors.Join(errs...)
 	}
 
-	// Local only: a 1-core fog device.
 	solo, err := agent.New(agent.Config{Name: "fog-solo", Registry: reg, Cores: 1})
 	if err != nil {
-		return E6Result{}, err
+		return nil, err
 	}
 	defer solo.Close()
 	localTime, err := runBatch(solo, false)
 	if err != nil {
-		return E6Result{}, err
+		return nil, err
 	}
 
-	// With peers: same device plus `peers` 4-core agents.
 	origin, err := agent.New(agent.Config{Name: "fog-origin", Registry: reg, Cores: 1})
 	if err != nil {
-		return E6Result{}, err
+		return nil, err
 	}
 	defer origin.Close()
 	var urls []string
 	for i := 0; i < peers; i++ {
 		p, err := agent.New(agent.Config{Name: fmt.Sprintf("peer%d", i), Registry: reg, Cores: 4})
 		if err != nil {
-			return E6Result{}, err
+			return nil, err
 		}
 		defer p.Close()
 		urls = append(urls, p.URL())
@@ -174,36 +144,23 @@ func E6FogOffload(tasks, peers int, taskDur time.Duration) (E6Result, error) {
 	origin.SetPeers(urls)
 	peerTime, err := runBatch(origin, true)
 	if err != nil {
-		return E6Result{}, err
+		return nil, err
 	}
 
-	return E6Result{
-		Tasks:      tasks,
-		LocalOnly:  localTime,
-		WithPeers:  peerTime,
-		Speedup:    float64(localTime) / float64(peerTime),
-		PeerAgents: peers,
-	}, nil
+	t := newTable("mode", "wall time", "speedup").wallClock("wall time", "speedup")
+	t.add(text("1-core fog device alone"), dur(time.Millisecond, localTime), num("%.2f", 1.0))
+	t.add(text(fmt.Sprintf("offloading to %d peers", peers)), dur(time.Millisecond, peerTime),
+		num("%.2f", float64(localTime)/float64(peerTime)))
+	return t, nil
 }
 
 // --- E12: abstraction levels ----------------------------------------------
 
-// E12Result reports the same computation expressed at four abstraction
-// levels (paper Sec. V, Fig. 2): all must agree; overheads are relative to
-// plain Go.
-type E12Result struct {
-	Level    string
-	Value    float64
-	Elapsed  time.Duration
-	Overhead float64 // vs plain Go
-}
-
-// E12AbstractionLevels sums a rows×cols matrix at the HLA (dislib), the
-// patterns (Map+ReduceTree), the
-// general-purpose (compss tasks) and the runtime-API (internal/core)
-// levels.
-func E12AbstractionLevels(rows, cols, rowsPerBlock int) ([]E12Result, error) {
-	// Build a deterministic matrix.
+// e12AbstractionLevels sums a rows×cols matrix at the HLA (dislib), the
+// patterns (Map+ReduceTree), the general-purpose (compss tasks) and the
+// runtime-API (internal/core) levels (paper Sec. V, Fig. 2). All must
+// agree; each level's wall time is compared with plain Go's.
+func e12AbstractionLevels(rows, cols, rowsPerBlock int) (*Table, error) {
 	data := make([][]float64, rows)
 	var want float64
 	for i := range data {
@@ -214,8 +171,7 @@ func E12AbstractionLevels(rows, cols, rowsPerBlock int) ([]E12Result, error) {
 			want += v
 		}
 	}
-
-	// Level 0: plain Go (reference, not part of the stack).
+	// Plain Go is the reference, not a level of the stack.
 	start := time.Now()
 	var plain float64
 	for _, row := range data {
@@ -223,264 +179,174 @@ func E12AbstractionLevels(rows, cols, rowsPerBlock int) ([]E12Result, error) {
 			plain += v
 		}
 	}
-	plainT := time.Since(start)
-	if plainT <= 0 {
-		plainT = time.Nanosecond
+	plainT := max(time.Since(start), time.Nanosecond)
+
+	var blocks []any
+	for b := 0; b < rows; b += rowsPerBlock {
+		blocks = append(blocks, data[b:min(b+rowsPerBlock, rows)])
 	}
-
-	var out []E12Result
-
-	// Level HLA: dislib.
-	{
-		c := compss.New(compss.WithNodes(compss.NodeSpec{Name: "n", Cores: 4}))
-		l, err := dislib.New(c)
-		if err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-		start := time.Now()
-		arr, err := l.FromSlice(data, rowsPerBlock)
-		if err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-		got, err := arr.Sum()
-		el := time.Since(start)
-		c.Shutdown()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, E12Result{Level: "HLA (dislib)", Value: got, Elapsed: el,
-			Overhead: float64(el) / float64(plainT)})
-	}
-
-	// Level patterns: MapReduceTree over the blocks.
-	{
-		c := compss.New(compss.WithNodes(compss.NodeSpec{Name: "n", Cores: 4}))
-		err := c.RegisterTask("sumBlock", func(_ context.Context, args []any) ([]any, error) {
-			block, ok := args[0].([][]float64)
-			if !ok {
-				return nil, errors.New("want block")
-			}
-			s := 0.0
-			for _, row := range block {
-				for _, v := range row {
-					s += v
-				}
-			}
-			return []any{s}, nil
-		})
-		if err == nil {
-			err = c.RegisterTask("plus", func(_ context.Context, args []any) ([]any, error) {
-				a, aok := args[0].(float64)
-				b, bok := args[1].(float64)
-				if !aok || !bok {
-					return nil, errors.New("want floats")
-				}
-				return []any{a + b}, nil
-			})
-		}
-		if err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-		start := time.Now()
-		var blocks []any
-		for b := 0; b < rows; b += rowsPerBlock {
-			end := b + rowsPerBlock
-			if end > rows {
-				end = rows
-			}
-			blocks = append(blocks, data[b:end])
-		}
-		reduced, err := c.MapReduceTree("sumBlock", "plus", blocks)
-		if err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-		v, err := c.WaitOn(reduced)
-		el := time.Since(start)
-		c.Shutdown()
-		if err != nil {
-			return nil, err
-		}
-		got, ok := v.(float64)
+	sumBlock := func(_ context.Context, args []any) ([]any, error) {
+		block, ok := args[0].([][]float64)
 		if !ok {
-			return nil, fmt.Errorf("patterns level returned %T", v)
+			return nil, errors.New("want block")
 		}
-		out = append(out, E12Result{Level: "patterns (map+reduce-tree)", Value: got, Elapsed: el,
-			Overhead: float64(el) / float64(plainT)})
+		s := 0.0
+		for _, row := range block {
+			for _, v := range row {
+				s += v
+			}
+		}
+		return []any{s}, nil
 	}
-
-	// Level general-purpose: hand-written compss tasks.
-	{
-		c := compss.New(compss.WithNodes(compss.NodeSpec{Name: "n", Cores: 4}))
-		err := c.RegisterTask("sumBlock", func(_ context.Context, args []any) ([]any, error) {
-			block, ok := args[0].([][]float64)
-			if !ok {
-				return nil, errors.New("want block")
-			}
-			s := 0.0
-			for _, row := range block {
-				for _, v := range row {
-					s += v
-				}
-			}
-			return []any{s}, nil
-		})
+	plus := func(_ context.Context, args []any) ([]any, error) {
+		a, aok := args[0].(float64)
+		b, bok := args[1].(float64)
+		if !aok || !bok {
+			return nil, errors.New("want floats")
+		}
+		return []any{a + b}, nil
+	}
+	newCOMPSs := func() *compss.COMPSs {
+		return compss.New(compss.WithNodes(compss.NodeSpec{Name: "n", Cores: 4}))
+	}
+	asFloat := func(v any, err error) (float64, error) {
 		if err != nil {
-			c.Shutdown()
-			return nil, err
+			return 0, err
 		}
-		start := time.Now()
-		var parts []*compss.Object
-		for b := 0; b < rows; b += rowsPerBlock {
-			end := b + rowsPerBlock
-			if end > rows {
-				end = rows
-			}
-			o := c.NewObject()
-			if _, err := c.Call("sumBlock", compss.In(data[b:end]), compss.Write(o)); err != nil {
-				c.Shutdown()
-				return nil, err
-			}
-			parts = append(parts, o)
+		f, ok := v.(float64)
+		if !ok {
+			return 0, fmt.Errorf("a block sum is %T", v)
 		}
-		var got float64
-		for _, p := range parts {
-			v, err := c.WaitOn(p)
-			if err != nil {
-				c.Shutdown()
-				return nil, err
-			}
-			f, ok := v.(float64)
-			if !ok {
-				c.Shutdown()
-				return nil, fmt.Errorf("sumBlock returned %T", v)
-			}
-			got += f
-		}
-		el := time.Since(start)
-		c.Shutdown()
-		out = append(out, E12Result{Level: "general purpose (compss)", Value: got, Elapsed: el,
-			Overhead: float64(el) / float64(plainT)})
+		return f, nil
 	}
 
-	// Level runtime API: direct internal/core usage.
-	{
-		rt := core.New(core.Config{})
-		err := rt.Register(core.TaskDef{
-			Name:        "sumBlock",
-			Constraints: resources.Constraints{Cores: 1},
-			Fn: func(_ context.Context, args []any) ([]any, error) {
-				block, ok := args[0].([][]float64)
-				if !ok {
-					return nil, errors.New("want block")
+	// Each level reports its sum and the wall time of the computation,
+	// setup and shutdown excluded.
+	levels := []struct {
+		name string
+		run  func() (float64, time.Duration, error)
+	}{
+		{"HLA (dislib)", func() (float64, time.Duration, error) {
+			c := newCOMPSs()
+			defer c.Shutdown()
+			l, err := dislib.New(c)
+			if err != nil {
+				return 0, 0, err
+			}
+			start := time.Now()
+			arr, err := l.FromSlice(data, rowsPerBlock)
+			if err != nil {
+				return 0, 0, err
+			}
+			got, err := arr.Sum()
+			return got, time.Since(start), err
+		}},
+		{"patterns (map+reduce-tree)", func() (float64, time.Duration, error) {
+			c := newCOMPSs()
+			defer c.Shutdown()
+			if err := errors.Join(c.RegisterTask("sumBlock", sumBlock), c.RegisterTask("plus", plus)); err != nil {
+				return 0, 0, err
+			}
+			start := time.Now()
+			reduced, err := c.MapReduceTree("sumBlock", "plus", blocks)
+			if err != nil {
+				return 0, 0, err
+			}
+			got, err := asFloat(c.WaitOn(reduced))
+			return got, time.Since(start), err
+		}},
+		{"general purpose (compss)", func() (float64, time.Duration, error) {
+			c := newCOMPSs()
+			defer c.Shutdown()
+			if err := c.RegisterTask("sumBlock", sumBlock); err != nil {
+				return 0, 0, err
+			}
+			start := time.Now()
+			parts := make([]*compss.Object, len(blocks))
+			for i, b := range blocks {
+				parts[i] = c.NewObject()
+				if _, err := c.Call("sumBlock", compss.In(b), compss.Write(parts[i])); err != nil {
+					return 0, 0, err
 				}
-				s := 0.0
-				for _, row := range block {
-					for _, v := range row {
-						s += v
-					}
+			}
+			var got float64
+			for _, p := range parts {
+				f, err := asFloat(c.WaitOn(p))
+				if err != nil {
+					return 0, 0, err
 				}
-				return []any{s}, nil
-			},
-		})
+				got += f
+			}
+			return got, time.Since(start), nil
+		}},
+		{"runtime API (core)", func() (float64, time.Duration, error) {
+			rt := core.New(core.Config{})
+			defer rt.Shutdown()
+			err := rt.Register(core.TaskDef{Name: "sumBlock", Constraints: resources.Constraints{Cores: 1}, Fn: sumBlock})
+			if err != nil {
+				return 0, 0, err
+			}
+			start := time.Now()
+			futures := make([]*core.Future, len(blocks))
+			for i, b := range blocks {
+				if futures[i], err = rt.Submit("sumBlock", core.In(b), core.Write(rt.NewData())); err != nil {
+					return 0, 0, err
+				}
+			}
+			var got float64
+			for _, f := range futures {
+				vals, err := f.Wait()
+				if err != nil {
+					return 0, 0, err
+				}
+				v, err := asFloat(vals[0], nil)
+				if err != nil {
+					return 0, 0, err
+				}
+				got += v
+			}
+			return got, time.Since(start), nil
+		}},
+	}
+
+	t := newTable("level", "result", "wall time", "overhead vs plain Go").wallClock("wall time", "overhead vs plain Go")
+	for _, l := range levels {
+		got, el, err := l.run()
 		if err != nil {
-			rt.Shutdown()
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", l.name, err)
 		}
-		start := time.Now()
-		var futures []*core.Future
-		for b := 0; b < rows; b += rowsPerBlock {
-			end := b + rowsPerBlock
-			if end > rows {
-				end = rows
-			}
-			h := rt.NewData()
-			f, err := rt.Submit("sumBlock", core.In(data[b:end]), core.Write(h))
-			if err != nil {
-				rt.Shutdown()
-				return nil, err
-			}
-			futures = append(futures, f)
+		if got != want || plain != want {
+			return nil, fmt.Errorf("level %q computed %v, want %v", l.name, got, want)
 		}
-		var got float64
-		for _, f := range futures {
-			vals, err := f.Wait()
-			if err != nil {
-				rt.Shutdown()
-				return nil, err
-			}
-			f64, ok := vals[0].(float64)
-			if !ok {
-				rt.Shutdown()
-				return nil, fmt.Errorf("core sumBlock returned %T", vals[0])
-			}
-			got += f64
-		}
-		el := time.Since(start)
-		rt.Shutdown()
-		out = append(out, E12Result{Level: "runtime API (core)", Value: got, Elapsed: el,
-			Overhead: float64(el) / float64(plainT)})
+		t.add(text(l.name), num("%.0f", got), dur(time.Microsecond, el), num("%.1fx", float64(el)/float64(plainT)))
 	}
-
-	for _, r := range out {
-		if r.Value != want {
-			return nil, fmt.Errorf("level %q computed %v, want %v", r.Level, r.Value, want)
-		}
-	}
-	return out, nil
+	return t, nil
 }
 
 // --- E13: engine-level work stealing --------------------------------------
 
-// E13Result is one row of the work-stealing comparison: the same skewed
-// workload under one steal mode.
-type E13Result struct {
-	Mode     string
-	Makespan time.Duration
-	Steals   int
-	Util     float64
-}
-
-// E13WorkSteal runs the SkewedTiers workload (long tasks that only the
+// e13WorkSteal runs the SkewedTiers workload (long tasks that only the
 // fast tier may run, then a deep tail of short ones, all in one signature
 // bucket) on a 1-HPC + 8-fog pool under the tier-guarding WaitFast
 // policy, sweeping the engine's steal modes. Stealing-off shows the
 // head-of-line blocking: the fog tier idles while the short tail waits
 // behind the long head; stealing-on reclaims it.
-func E13WorkSteal(nLong, nShort int) ([]E13Result, error) {
-	mkPool := func() *resources.Pool {
-		pool := resources.NewPool()
-		_ = pool.Add(resources.NewNode("hpc0", resources.Description{
-			Cores: 4, MemoryMB: 32_000, SpeedFactor: 1, Class: resources.HPC,
-		}))
-		for i := 0; i < 8; i++ {
-			_ = pool.Add(resources.NewNode(fmt.Sprintf("fog%d", i), resources.Description{
-				Cores: 4, MemoryMB: 8_000, SpeedFactor: 0.25, Class: resources.Fog,
-			}))
-		}
-		return pool
-	}
+func e13WorkSteal(nLong, nShort int) (*Table, error) {
 	specs := workloads.SkewedTiers(nLong, nShort, 100*time.Second, 5*time.Second)
-	modes := []struct {
+	t := newTable("steal mode", "makespan", "tasks stolen", "utilisation")
+	for _, m := range []struct {
 		name  string
 		steal engine.StealConfig
 	}{
 		{"off", engine.StealConfig{}},
 		{"on-idle", engine.StealConfig{Mode: engine.StealOnIdle}},
 		{"threshold:50", engine.StealConfig{Mode: engine.StealThreshold, Threshold: 50}},
-	}
-	var out []E13Result
-	for _, m := range modes {
-		pool := mkPool()
-		sim, err := infra.New(infra.Config{
-			Pool:   pool,
-			Net:    hpcNet(pool),
-			Policy: sched.WaitFast{Inner: sched.MinLoad{}, MaxSlowdown: 2, MinWait: 10 * time.Second},
-			Steal:  m.steal,
-		}, specs)
+	} {
+		cfg := rig(sched.WaitFast{Inner: sched.MinLoad{}, MaxSlowdown: 2, MinWait: 10 * time.Second},
+			group{"hpc%d", 1, resources.Description{Cores: 4, MemoryMB: 32_000, SpeedFactor: 1, Class: resources.HPC}},
+			group{"fog%d", 8, resources.Description{Cores: 4, MemoryMB: 8_000, SpeedFactor: 0.25, Class: resources.Fog}})
+		cfg.Steal = m.steal
+		sim, err := infra.New(cfg, specs)
 		if err != nil {
 			return nil, err
 		}
@@ -488,12 +354,7 @@ func E13WorkSteal(nLong, nShort int) ([]E13Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, E13Result{
-			Mode:     m.name,
-			Makespan: res.Makespan,
-			Steals:   sim.EngineStats().Steals,
-			Util:     res.Utilization,
-		})
+		t.add(text(m.name), dur(time.Second, res.Makespan), num("%d", sim.EngineStats().Steals), num("%.1f%%", 100*res.Utilization))
 	}
-	return out, nil
+	return t, nil
 }

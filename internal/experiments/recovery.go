@@ -18,37 +18,20 @@ import (
 	"repro/internal/transfer"
 )
 
-// E7DrillResult is one live recovery-drill run.
-type E7DrillResult struct {
-	// Stages × Width size the pipeline.
-	Stages, Width int
-	// TasksKilled counts executions invalidated by the crash.
-	TasksKilled int
-	// TasksReExecuted counts completed tasks recomputed by lineage
-	// recovery.
-	TasksReExecuted int
-	// Recovered reports that every chain's final value was correct.
-	Recovered bool
-	// Elapsed is the wall time of the whole drill.
-	Elapsed time.Duration
-}
-
-// E7LiveRecoveryDrill runs the E7 failure drill on the live runtime: a
+// e7LiveRecoveryDrill runs the E7 failure drill on the live runtime: a
 // width-wide, stages-deep pipeline of real Go tasks on a logical fog
 // pool, submitted in one batch; mid-run a scripted fault scenario — a
 // slow node, then a node crash — fires from a wall-clock timer, killing
 // in-flight goroutine executions via placement-epoch invalidation; the
 // engine re-runs lost work through its lineage recovery path and the
-// drill checks every chain still computes the right value.
-func E7LiveRecoveryDrill(stages, width int) (E7DrillResult, error) {
-	pool := resources.NewPool()
-	for i := 0; i < 4; i++ {
-		_ = pool.Add(resources.NewNode(fmt.Sprintf("fog%d", i), resources.Description{
-			Cores: 2, MemoryMB: 4000, SpeedFactor: 1, Class: resources.Fog,
-		}))
-	}
+// drill checks every chain still computes the right value. The kill and
+// re-execution counts depend on what the timer hit, so they are
+// wall-clock cells.
+func e7LiveRecoveryDrill(stages, width int) (*Table, error) {
 	rt := core.New(core.Config{
-		Pool:      pool,
+		Pool: rig(nil, group{"fog%d", 4, resources.Description{
+			Cores: 2, MemoryMB: 4000, SpeedFactor: 1, Class: resources.Fog,
+		}}).Pool,
 		Policy:    sched.MinLoad{},
 		Locations: transfer.NewRegistry(),
 		Net:       simnet.New(simnet.Link{BandwidthMBps: 100, Latency: time.Millisecond}),
@@ -67,7 +50,7 @@ func E7LiveRecoveryDrill(stages, width int) (E7DrillResult, error) {
 		return []any{v + 1}, nil
 	}})
 	if err != nil {
-		return E7DrillResult{}, err
+		return nil, err
 	}
 
 	// Build the pipeline as one batch: chain w's stage s reads version s
@@ -90,38 +73,37 @@ func E7LiveRecoveryDrill(stages, width int) (E7DrillResult, error) {
 
 	start := time.Now()
 	if _, err := rt.SubmitAll(reqs); err != nil {
-		return E7DrillResult{}, err
+		return nil, err
 	}
 	drill, err := faults.Run(faults.NewWallTimer(), rt, faults.Scenario{
 		{At: 15 * time.Millisecond, Kind: faults.Slow, Node: "fog2", Factor: 2},
 		{At: 25 * time.Millisecond, Kind: faults.Crash, Node: "fog1"},
 	})
 	if err != nil {
-		return E7DrillResult{}, err
+		return nil, err
 	}
 	drill.Wait()
 	rt.Barrier()
+	elapsed := time.Since(start)
 
-	res := E7DrillResult{
-		Stages: stages, Width: width,
-		TasksKilled: drill.Killed(),
-		Recovered:   true,
-		Elapsed:     time.Since(start),
-	}
 	for _, o := range drill.Outcomes() {
 		if o.Err != nil {
-			return res, fmt.Errorf("drill event %s %s: %w", o.Event.Kind, o.Event.Node, o.Err)
+			return nil, fmt.Errorf("drill event %s %s: %w", o.Event.Kind, o.Event.Node, o.Err)
 		}
 	}
+	result := "all values correct"
 	for _, h := range heads {
 		v, err := rt.WaitOn(h)
 		if err != nil {
-			return res, err
+			return nil, err
 		}
 		if v != stages {
-			res.Recovered = false
+			result = "WRONG VALUES"
 		}
 	}
-	res.TasksReExecuted = rt.EngineStats().Reexecuted
-	return res, nil
+	t := newTable("pipeline", "wall time", "tasks killed", "re-executed", "result").
+		wallClock("wall time", "tasks killed", "re-executed")
+	t.add(text(fmt.Sprintf("%dx%d", stages, width)), dur(time.Millisecond, elapsed),
+		num("%d", drill.Killed()), num("%d", rt.EngineStats().Reexecuted), text(result))
+	return t, nil
 }

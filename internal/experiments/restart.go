@@ -18,100 +18,50 @@ import (
 	"repro/internal/infra"
 	"repro/internal/resources"
 	"repro/internal/sched"
-	"repro/internal/simnet"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
-// E14Result is one crash-restart run.
-type E14Result struct {
-	// Workload names the generator; Tasks is its size.
-	Workload string
-	Tasks    int
-	// EveryN is the checkpoint policy (snapshot per N completions).
-	EveryN int
-	// CrashAt is the simulated process death instant.
-	CrashAt time.Duration
-	// CompletedBeforeCrash counts completions in the first incarnation.
-	CompletedBeforeCrash int
-	// SnapshotTasks counts completed tasks in the restored snapshot
-	// (≤ CompletedBeforeCrash: work since the last snapshot is lost).
-	SnapshotTasks int
-	// Restored counts tasks the second incarnation resolved from the
-	// snapshot instead of executing.
-	Restored int
-	// RecomputedRestored counts restored tasks that executed again in
-	// the resumed run — the durability contract demands zero.
-	RecomputedRestored int
-	// ResumedLaunches counts task launches in the resumed run.
-	ResumedLaunches int
-	// ColdMakespan / ResumedMakespan compare a from-scratch run with the
-	// resumed run's remaining virtual time.
-	ColdMakespan, ResumedMakespan time.Duration
-}
-
-// e14Pool builds the experiment's rig: an 8-node HPC pool.
-func e14Pool() *resources.Pool {
-	pool := resources.NewPool()
-	for i := 0; i < 8; i++ {
-		_ = pool.Add(resources.NewNode(fmt.Sprintf("hpc%03d", i), resources.MareNostrumNode))
-	}
-	return pool
-}
-
-func e14Config() infra.Config {
-	net := simnet.Continuum()
-	pool := e14Pool()
-	for _, n := range pool.Nodes() {
-		net.SetZone(n.Name(), n.Desc().Class.String())
-	}
-	return infra.Config{Pool: pool, Net: net, Policy: sched.MinLoad{}}
-}
-
-// E14CrashRestart runs the drill on a GWAS-shaped workload: checkpoint
-// every everyN completions, kill the engine at half the cold makespan,
-// restore from the latest valid snapshot, and account what re-ran.
-func E14CrashRestart(chromosomes, imputations, everyN int) (E14Result, error) {
+// e14CrashRestart runs the drill on a GWAS-shaped workload once per
+// checkpoint period: checkpoint every everyN completions, kill the engine
+// at half the cold makespan, restore from the latest valid snapshot, and
+// account what re-ran. "recomputed" counts snapshotted tasks that
+// started again (the durability contract demands zero); "launched"
+// counts the resumed run's task launches.
+func e14CrashRestart(chromosomes, imputations int, everyNs ...int) (*Table, error) {
 	g := workloads.DefaultGWAS()
 	g.Chromosomes = chromosomes
 	g.ImputationsPerChrom = imputations
 	specs, stageIn := workloads.GWAS(g)
-
 	newCfg := func() infra.Config {
-		cfg := e14Config()
+		cfg := rig(sched.MinLoad{}, group{"hpc%03d", 8, resources.MareNostrumNode})
 		cfg.StageIn = stageIn
 		return cfg
 	}
 
 	// Cold run: the baseline makespan, and the crash instant.
-	cold, err := infra.New(newCfg(), specs)
+	cold, err := mustRun(newCfg(), specs)
 	if err != nil {
-		return E14Result{}, err
+		return nil, err
 	}
-	coldRes, err := cold.Run()
-	if err != nil {
-		return E14Result{}, err
+	crashAt := cold.Makespan / 2
+	t := newTable("checkpoint", "tasks", "crash at", "done pre-crash", "restored", "recomputed",
+		"cold makespan", "resumed makespan", "launched")
+	for _, everyN := range everyNs {
+		// Incarnation 1: checkpoints on, crash mid-run. Incarnation 2:
+		// restore and finish.
+		cfg1 := newCfg()
+		cfg1.HaltAt = crashAt
+		d, err := crashRestore("E14", cfg1, newCfg(), everyN, specs)
+		if err != nil {
+			return nil, err
+		}
+		t.add(text(fmt.Sprintf("every:%d", everyN)), num("%d", len(specs)), dur(time.Second, crashAt),
+			num("%d (%d snapshotted)", d.first.TasksCompleted, len(d.snap.Completed)),
+			num("%d", d.resumed.TasksRestored), num("%d", d.startedAgain),
+			dur(time.Second, cold.Makespan), dur(time.Second, d.resumed.Makespan), num("%d", d.launches))
 	}
-	res := E14Result{
-		Workload: "gwas", Tasks: len(specs), EveryN: everyN,
-		CrashAt: coldRes.Makespan / 2, ColdMakespan: coldRes.Makespan,
-	}
-
-	// Incarnation 1: checkpoints on, crash mid-run. Incarnation 2:
-	// restore and finish.
-	cfg1 := newCfg()
-	cfg1.HaltAt = res.CrashAt
-	d, err := crashRestore("E14", cfg1, newCfg(), everyN, specs)
-	if err != nil {
-		return res, err
-	}
-	res.CompletedBeforeCrash = d.first.TasksCompleted
-	res.SnapshotTasks = len(d.snap.Completed)
-	res.Restored = d.resumed.TasksRestored
-	res.RecomputedRestored = d.startedAgain
-	res.ResumedMakespan = d.resumed.Makespan
-	res.ResumedLaunches = d.launches
-	return res, nil
+	return t, nil
 }
 
 // crashRestored is what a crash-restart drill leaves behind.

@@ -8,26 +8,22 @@ import "testing"
 // execute again, and the resumed run launches exactly the unfinished
 // remainder.
 func TestE14NoRecomputeAfterRestart(t *testing.T) {
-	res, err := E14CrashRestart(4, 20, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SnapshotTasks == 0 {
+	tab := run(t)(e14CrashRestart(4, 20, 10))
+	cell := func(col string) float64 { return tab.at("every:10", col).vals[0] }
+	snapshot := tab.at("every:10", "done pre-crash").vals[1]
+	if snapshot == 0 {
 		t.Fatal("no completed tasks in the restored snapshot; crash landed too early")
 	}
-	if res.Restored != res.SnapshotTasks {
-		t.Fatalf("restored %d of %d snapshot tasks (pool unchanged, all replicas should survive)",
-			res.Restored, res.SnapshotTasks)
+	if restored := cell("restored"); restored != snapshot {
+		t.Fatalf("restored %v of %v snapshot tasks (pool unchanged, all replicas should survive)", restored, snapshot)
 	}
-	if res.RecomputedRestored != 0 {
-		t.Fatalf("%d restored tasks re-executed after restart, want 0", res.RecomputedRestored)
+	if n := cell("recomputed"); n != 0 {
+		t.Fatalf("%v restored tasks re-executed after restart, want 0", n)
 	}
-	if want := res.Tasks - res.Restored; res.ResumedLaunches != want {
-		t.Fatalf("resumed run launched %d tasks, want %d (the unfinished remainder)",
-			res.ResumedLaunches, want)
+	if want := cell("tasks") - cell("restored"); cell("launched") != want {
+		t.Fatalf("resumed run launched %v tasks, want %v (the unfinished remainder)", cell("launched"), want)
 	}
-	if res.ResumedMakespan >= res.ColdMakespan {
-		t.Fatalf("resumed makespan %v not shorter than cold %v — restore bought nothing",
-			res.ResumedMakespan, res.ColdMakespan)
+	if resumed, cold := tab.at("every:10", "resumed makespan"), tab.at("every:10", "cold makespan"); resumed.vals[0] >= cold.vals[0] {
+		t.Fatalf("resumed makespan %s not shorter than cold %s — restore bought nothing", resumed.text, cold.text)
 	}
 }

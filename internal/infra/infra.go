@@ -1,6 +1,6 @@
 // Package infra simulates an advanced cyberinfrastructure platform — the
 // substitute for the paper's MareNostrum runs, cloud deployments and fog
-// testbeds (DESIGN.md §4). It is a discrete-event backend over virtual time
+// testbeds. It is a discrete-event backend over virtual time
 // (internal/simclock) of the shared scheduling engine (internal/engine):
 // tasks declare data accesses, the access processor derives the dependency
 // graph, and the engine's sharded ready-queue and placement loop — the very
@@ -138,7 +138,7 @@ type Config struct {
 	Admission *autoscale.Admission
 	// DisableRenaming turns off data-version renaming in the access
 	// processor, so WAR/WAW false dependencies serialise the graph
-	// (ablation A1 in DESIGN.md §6).
+	// (ablation A1 in the README's Experiments).
 	DisableRenaming bool
 	// Metrics, when set, backs the engine (and the checkpointer, unless
 	// its config carries its own bundle) with observability instruments

@@ -1,5 +1,5 @@
 // Package workloads generates the synthetic equivalents of the paper's
-// application workflows (DESIGN.md §4): GUIDANCE-style GWAS (Sec. VI-A),
+// application workflows: GUIDANCE-style GWAS (Sec. VI-A),
 // the NMMB-Monarch weather workflow (Sec. VI-A), and parameterised
 // synthetic DAGs for the scheduler experiments. Generators emit
 // infra.TaskSpec slices whose data accesses reproduce the published
@@ -356,7 +356,7 @@ func EmbarrassinglyParallel(n int, dur time.Duration, memMB int64) []infra.TaskS
 // and overwrites the cell. With version renaming, iteration k+1 writers
 // need not wait for all iteration-k readers of the same cell (no WAR
 // serialisation); without renaming the graph gains WAR/WAW edges — the
-// ablation workload for DESIGN.md §6 item 2.
+// ablation workload for version renaming (A1 in the README's Experiments).
 func IterativeStencil(iters, width int, taskDur time.Duration) []infra.TaskSpec {
 	var specs []infra.TaskSpec
 	var tid int64
