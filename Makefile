@@ -22,7 +22,7 @@ test:
 # one-lock hammers ten times each (TestProcessorHammer,
 # TestRegistryHammerCapturesLoseNothing, TestHolderListsAreNeverEditedInPlace,
 # TestHostHammer, TestCheckpointWriterHammer, TestIndexNamedLookupUnderChurn,
-# TestValueCellHammer):
+# TestValueCellHammer, TestTierHammer):
 #   go test -race -count=10 -run '<those names, joined by |>' ./internal/...
 race:
 	$(GO) test -race -short $(PKGS)
@@ -70,7 +70,7 @@ vet:
 # carries the same rule down to single declarations.
 FLAG_BUDGET := 21
 VERSION_MAP_BUDGET := 9
-LINE_BUDGET := 21035
+LINE_BUDGET := 20880
 NONTEST_GO := -name '*.go' ! -name '*_test.go'
 budget:
 	@n=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs cat | wc -l); \

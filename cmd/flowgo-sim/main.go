@@ -69,19 +69,14 @@ func main() {
 	}
 }
 
-// tiers are the node shapes -node-type and -autoscale name, with the
-// price, provisioning delay and size cap -autoscale gives an elastic
-// tier of that shape (HPC expensive and slow to provision, fog cheap
-// and nearly instant).
-var tiers = map[string]struct {
-	desc  resources.Description
-	cost  float64
-	delay time.Duration
-	max   int
-}{
-	"hpc":   {resources.MareNostrumNode, 6.0, 2 * time.Minute, 4},
-	"cloud": {resources.CloudVM, 1.0, 30 * time.Second, 8},
-	"fog":   {resources.FogDevice, 0.25, 5 * time.Second, 16},
+// tiers are the node shapes -node-type and -autoscale name, keyed by
+// that name, with the price, provisioning delay and size cap -autoscale
+// gives an elastic tier of that shape (HPC expensive and slow to
+// provision, fog cheap and nearly instant).
+var tiers = map[string]autoscale.Tier{
+	"hpc":   {Desc: resources.MareNostrumNode, Cost: 6.0, Delay: 2 * time.Minute, Max: 4},
+	"cloud": {Desc: resources.CloudVM, Cost: 1.0, Delay: 30 * time.Second, Max: 8},
+	"fog":   {Desc: resources.FogDevice, Cost: 0.25, Delay: 5 * time.Second, Max: 16},
 }
 
 // sampleEvery is the virtual-clock interval -metrics-out samples at.
@@ -249,7 +244,7 @@ func run(args []string, w io.Writer) error {
 		poolDesc = "1 × a-src0 + " + poolDesc
 	}
 	for i := 0; i < *nodes; i++ {
-		if err := pool.Add(resources.NewNode(fmt.Sprintf("%s%03d", *nodeType, i), tier.desc)); err != nil {
+		if err := pool.Add(resources.NewNode(fmt.Sprintf("%s%03d", *nodeType, i), tier.Desc)); err != nil {
 			return err
 		}
 	}
@@ -467,7 +462,7 @@ func startProfiles(dir string) (func(), error) {
 // elastic tiers, each "tier" or "tier:max", and builds the cost-aware
 // autoscaler over them with the tiers table's costs and delays.
 func parseAutoscale(s string) (*autoscale.Autoscaler, error) {
-	var variants []autoscale.Variant
+	var elastic []autoscale.Tier
 	for _, part := range strings.Split(s, ",") {
 		name, maxStr, bounded := strings.Cut(strings.TrimSpace(part), ":")
 		t, ok := tiers[name]
@@ -479,11 +474,12 @@ func parseAutoscale(s string) (*autoscale.Autoscaler, error) {
 			if err != nil || n <= 0 {
 				return nil, fmt.Errorf("bad autoscale tier limit %q", part)
 			}
-			t.max = n
+			t.Max = n
 		}
-		variants = append(variants, autoscale.SimVariant(name, t.desc, t.cost, t.delay, t.max))
+		t.Name = name
+		elastic = append(elastic, t)
 	}
-	return autoscale.New(variants)
+	return autoscale.New(elastic)
 }
 
 // printScalingSummary reports what the autoscaler and the admission

@@ -5,18 +5,24 @@
 // index already maintain (per-signature ready depth and fit counts,
 // parked-task counts, busy-core utilization).
 //
+// A Tier is the paper's elastic connector (Sec. VI-A: "different
+// connectors, each bridging to each provider API") reduced to what
+// scaling needs: a name, a node shape, a price, a provisioning delay
+// and a size cap. The Autoscaler keeps each tier's books — the nodes it
+// added, the ones mid-drain — and runs grow, reclaim and the
+// drain-then-remove shrink itself, so a scale-down never kills running
+// work.
+//
 // The analyzer is deliberately split in two: Evaluate is a scoring
 // function over a Signals snapshot (plus one remembered sample, the
 // previous queue depth) — deterministic for a given snapshot sequence,
 // so sim policy sweeps are byte-reproducible — and Step applies the
-// chosen Decision through the variant's resources.ElasticManager, whose
-// drain-then-remove cycle guarantees a scale-down never kills running
-// work. Both backends (internal/infra on the virtual clock,
-// internal/core on wall time) drive the same Step through internal/host,
-// so a policy that wins a sim sweep is the policy the live runtime
-// executes. Two planners feed that one loop: the cost-aware fleet
-// planner (New) and the cost-blind single-tier threshold rule
-// (NewThreshold) the benchmarks keep as their baseline.
+// chosen Decision to the pool. Both backends (internal/infra on the
+// virtual clock, internal/core on wall time) drive the same Step through
+// internal/host, so a policy that wins a sim sweep is the policy the
+// live runtime executes. Two planners feed that one loop: the
+// cost-aware fleet planner (New) and the cost-blind single-tier
+// threshold rule (NewThreshold) the benchmarks keep as their baseline.
 package autoscale
 
 import (
@@ -31,48 +37,69 @@ import (
 	"repro/internal/resources"
 )
 
-// Variant is one scalable node tier: a shape, and the manager that
-// acquires and releases nodes of that shape. Its price tag comes from
-// the manager's ScalePolicy (CostPerNodeHour).
-type Variant struct {
+// Tier is one scalable node tier.
+type Tier struct {
 	// Name identifies the tier ("cloud", "fog", …) and prefixes the
-	// nodes its provider hands out.
+	// nodes it provisions: <name>-1, <name>-2, …
 	Name string
 	// Desc is the node shape the tier provisions — what the analyzer
 	// checks demand signatures against (Desc.Satisfies).
 	Desc resources.Description
-	// Manager executes this tier's grow/shrink with the drain-then-
-	// remove machinery. Its policy bounds the tier (MaxNodes) and
-	// prices it (CostPerNodeHour).
-	Manager *resources.ElasticManager
+	// Cost prices one node in cost units per node-hour. The cost-aware
+	// planner ranks tiers by it; the threshold rule never reads it — it
+	// stays cost-blind, which is exactly the baseline the autoscale
+	// benchmarks compare against.
+	Cost float64
+	// Delay is the provisioning time (VM boot, SLURM queue wait) before
+	// a grown node takes work.
+	Delay time.Duration
+	// Max caps the tier's elastic nodes; at least 1.
+	Max int
 }
-
-// SimVariant is a tier of simulated nodes: an ElasticManager over a
-// SimProvider that hands out up to max nodes of shape desc, each ready
-// delay after it is asked for, priced at cost units per node-hour and
-// grown at two queued tasks per core.
-func SimVariant(name string, desc resources.Description, cost float64, delay time.Duration, max int) Variant {
-	return Variant{
-		Name: name,
-		Desc: desc,
-		Manager: resources.NewElasticManager(
-			resources.NewSimProvider(name, desc, max, delay),
-			resources.ScalePolicy{MaxNodes: max, TasksPerCore: 2, CostPerNodeHour: cost},
-		),
-	}
-}
-
-// Cost returns the tier's price in cost units per node-hour.
-func (v Variant) Cost() float64 { return v.Manager.Policy().CostPerNodeHour }
 
 // rate is the tier's expected service rate in reference cores: how much
 // SpeedFactor-1 compute one node adds.
-func (v Variant) rate() float64 {
-	sf := v.Desc.SpeedFactor
+func (t Tier) rate() float64 {
+	sf := t.Desc.SpeedFactor
 	if sf <= 0 {
 		sf = 1
 	}
-	return float64(v.Desc.Cores) * sf
+	return float64(t.Desc.Cores) * sf
+}
+
+// tier is a Tier plus the autoscaler's books on it, guarded by the
+// autoscaler's mutex.
+type tier struct {
+	Tier
+	serial   int                        // number of the last node provisioned
+	elastic  map[string]*resources.Node // nodes this tier added to the pool
+	draining map[string]*resources.Node // cordoned, waiting to bleed dry
+}
+
+// drained counts the cordoned nodes that have bled dry: removal
+// candidates shrink can reap without touching running work. A cordoned
+// node takes no placements, so leaving a drained one in the pool buys
+// nothing at full price.
+func (t *tier) drained() int {
+	n := 0
+	for _, d := range t.draining {
+		if d.Running() == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// lowest returns the lowest-named node of m (the lowest idle one when
+// idleOnly), so every choice among a tier's nodes is deterministic.
+func lowest(m map[string]*resources.Node, idleOnly bool) *resources.Node {
+	var best *resources.Node
+	for _, n := range m {
+		if (!idleOnly || n.Running() == 0) && (best == nil || n.Name() < best.Name()) {
+			best = n
+		}
+	}
+	return best
 }
 
 // The analyzer's two thresholds.
@@ -94,7 +121,7 @@ const (
 
 // Signals is one snapshot of the load state the analyzer scores. Build
 // it with Snapshot, or by hand in tests — Evaluate is a pure function
-// of this struct plus the variants' current node counts.
+// of this struct plus the tiers' current node counts.
 type Signals struct {
 	// At is the snapshot instant on the backend's clock (virtual or
 	// wall). Recorded on decisions; never scored.
@@ -131,13 +158,13 @@ func Snapshot(eng *engine.Engine, pool *resources.Pool, at time.Duration) Signal
 
 // Decision is the outcome of one evaluation: which tier to scale, in
 // which direction, and the score that won. Decisions are comparable
-// across backends by (Variant, Delta, Reason) — At differs between
+// across backends by (Tier, Delta, Reason) — At differs between
 // virtual and wall clocks.
 type Decision struct {
 	// At is the evaluation instant (from the Signals).
 	At time.Duration
-	// Variant names the chosen tier ("" on hold).
-	Variant string
+	// Tier names the chosen tier ("" on hold).
+	Tier string
 	// Delta is +1 (grow), -1 (shrink) or 0 (hold).
 	Delta int
 	// Score is the chosen tier's price per reference core for a grow
@@ -198,16 +225,29 @@ type Action struct {
 	Delay time.Duration
 }
 
-// Autoscaler scores scale decisions across tier variants and executes
-// them through each variant's ElasticManager. Safe for concurrent use;
-// decisions are serialised, like the engine's scheduling.
+// Autoscaler scores scale decisions across tiers and executes them
+// against the pool, keeping each tier's books. Safe for concurrent use:
+// one mutex guards the books and the planner state, and Step holds it
+// from evaluation to execution, so decisions are serialised like the
+// engine's scheduling. Lock order: mu, then the cordon hook's engine
+// lock, then pool, node and index locks.
 type Autoscaler struct {
-	variants []Variant // sorted by name
-	// threshold selects the one-variant threshold planner (NewThreshold)
-	// over the cost-aware fleet planner (New).
-	threshold bool
+	// threshold selects the one-tier threshold rule (NewThreshold) over
+	// the cost-aware fleet planner (New); growPerCore and idleCores are
+	// the rule's two arguments.
+	threshold   bool
+	growPerCore float64
+	idleCores   int
 
-	mu        sync.Mutex
+	mu    sync.Mutex
+	tiers []tier // sorted by name
+	// cordon drains a scale-down victim: the engine's DrainNode, so the
+	// cordon lands on the scheduler's books and the trace. Nil drains
+	// the node directly.
+	cordon func(name string) error
+	// predrain, when set, runs on every node before it joins the pool.
+	// Nil in production; the parity suite cordons new nodes with it.
+	predrain  func(*resources.Node)
 	decisions []Decision
 	m         *obsv.AutoscaleMetrics
 	// lastReady is the previous evaluation's queue depth: the delta
@@ -226,34 +266,51 @@ type Autoscaler struct {
 // evaluation periods rather than in one step.
 const demandDecay = 0.8
 
-// New returns an autoscaler over the given tier variants. Variants are
-// kept in name order so evaluation ties break deterministically.
-func New(variants []Variant) (*Autoscaler, error) {
-	if len(variants) == 0 {
-		return nil, fmt.Errorf("autoscale: at least one variant required")
+// New returns the cost-aware autoscaler over the given tiers. Tiers are
+// kept in name order so evaluation ties break deterministically. Every
+// tier needs a unique name, a shape of at least one core, a cost of at
+// least zero and a Max of at least one node: a tier that can never
+// provision would win every starved evaluation and grow nothing.
+func New(tiers []Tier) (*Autoscaler, error) {
+	if len(tiers) == 0 {
+		return nil, fmt.Errorf("autoscale: at least one tier required")
 	}
-	vs := append([]Variant(nil), variants...)
-	sort.Slice(vs, func(i, j int) bool { return vs[i].Name < vs[j].Name })
-	for i, v := range vs {
-		if v.Name == "" || v.Manager == nil {
-			return nil, fmt.Errorf("autoscale: variant %d needs a name and a manager", i)
-		}
-		if i > 0 && vs[i-1].Name == v.Name {
-			return nil, fmt.Errorf("autoscale: duplicate variant %q", v.Name)
+	a := &Autoscaler{tiers: make([]tier, len(tiers))}
+	for i, t := range tiers {
+		a.tiers[i] = tier{Tier: t, elastic: map[string]*resources.Node{}, draining: map[string]*resources.Node{}}
+	}
+	sort.Slice(a.tiers, func(i, j int) bool { return a.tiers[i].Name < a.tiers[j].Name })
+	for i, t := range a.tiers {
+		switch {
+		case t.Name == "":
+			return nil, fmt.Errorf("autoscale: tier %d needs a name", i)
+		case i > 0 && a.tiers[i-1].Name == t.Name:
+			return nil, fmt.Errorf("autoscale: duplicate tier %q", t.Name)
+		case t.Max < 1:
+			return nil, fmt.Errorf("autoscale: tier %q: Max %d, want at least 1", t.Name, t.Max)
+		case t.Desc.Cores < 1:
+			return nil, fmt.Errorf("autoscale: tier %q: %d cores per node, want at least 1", t.Name, t.Desc.Cores)
+		case !(t.Cost >= 0):
+			return nil, fmt.Errorf("autoscale: tier %q: cost %v, want at least 0", t.Name, t.Cost)
 		}
 	}
-	return &Autoscaler{variants: vs}, nil
+	return a, nil
 }
 
-// NewThreshold returns the threshold planner over one elastic tier: grow
-// while ready tasks exceed the manager's TasksPerCore × pool cores (or a
-// node is mid-drain and work is waiting — reclaim it), shrink when
-// nothing is ready and more than IdleCoresToShrink cores sit free, both
-// within MinNodes/MaxNodes. It never reads CostPerNodeHour: this is the
-// cost-blind baseline the cost-aware planner is priced against, run by
-// the same Step.
-func NewThreshold(mgr *resources.ElasticManager) *Autoscaler {
-	return &Autoscaler{variants: []Variant{{Name: "elastic", Manager: mgr}}, threshold: true}
+// NewThreshold returns the threshold rule over one tier: grow while
+// ready tasks exceed tasksPerCore × pool cores (or a node is mid-drain
+// and work is waiting — reclaim it), shrink when nothing is ready and
+// more than idleCores cores sit free, both within the tier's Max. It
+// never reads the tier's Cost: this is the cost-blind baseline the
+// cost-aware planner is priced against, run by the same Step. The tier
+// is checked as New checks it.
+func NewThreshold(t Tier, tasksPerCore float64, idleCores int) (*Autoscaler, error) {
+	a, err := New([]Tier{t})
+	if err != nil {
+		return nil, err
+	}
+	a.threshold, a.growPerCore, a.idleCores = true, tasksPerCore, idleCores
+	return a, nil
 }
 
 // SetMetrics installs the decision counters (nil-safe; optional).
@@ -263,16 +320,14 @@ func (a *Autoscaler) SetMetrics(m *obsv.AutoscaleMetrics) {
 	a.mu.Unlock()
 }
 
-// SetCordon forwards the drain hook to every variant's manager, so
-// scale-down victims are cordoned through the engine's books.
+// SetCordon installs the hook scale-down victims are drained through —
+// engine-backed deployments pass Engine.DrainNode so the cordon lands
+// on the scheduler's books (and the trace) and not just on the node.
 func (a *Autoscaler) SetCordon(fn func(name string) error) {
-	for _, v := range a.variants {
-		v.Manager.SetCordon(fn)
-	}
+	a.mu.Lock()
+	a.cordon = fn
+	a.mu.Unlock()
 }
-
-// Variants returns the tier set in name order (shared slice: read only).
-func (a *Autoscaler) Variants() []Variant { return a.variants }
 
 // Decisions returns a copy of every decision made so far, in order —
 // the sequence the sim-vs-live parity suite compares.
@@ -284,18 +339,24 @@ func (a *Autoscaler) Decisions() []Decision {
 
 // Evaluate scores one snapshot and returns the winning decision.
 // Deterministic: for an identical SEQUENCE of Signals and identical
-// variant node counts it always returns the same Decision sequence
+// tier node counts it always returns the same Decision sequence
 // (the scorer keeps two remembered samples — the previous queue depth,
 // the burst discriminator, and the decayed demand peak, the shed
 // damper), and Delta is monotone non-decreasing in Signals.Ready (more
 // queued work never flips a grow into a shrink).
 func (a *Autoscaler) Evaluate(sig Signals) Decision {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.decide(sig)
+}
+
+// decide is Evaluate with a.mu held.
+func (a *Autoscaler) decide(sig Signals) Decision {
 	if a.threshold {
 		d := a.evaluateThreshold(sig)
 		d.At = sig.At
 		return d
 	}
-	a.mu.Lock()
 	last := a.lastReady
 	a.lastReady = sig.Ready
 	raw := a.rawDemand(sig, last)
@@ -310,7 +371,6 @@ func (a *Autoscaler) Evaluate(sig Signals) Decision {
 		peak = 0
 	}
 	a.demandPeak = peak
-	a.mu.Unlock()
 	d := a.evaluate(sig, peak)
 	d.At = sig.At
 	return d
@@ -346,37 +406,36 @@ func (a *Autoscaler) evaluate(sig Signals, demand float64) Decision {
 	if starved || backlog {
 		if starved {
 			// A node mid-drain is the cheapest capacity there is: lift a
-			// cordon before provisioning, preferring the variant that
-			// serves the most demand (ties by name via variant order).
-			var reclaim *Variant
+			// cordon before provisioning, preferring the tier that
+			// serves the most demand (ties by name via tier order).
+			var reclaim *tier
 			reclaimServes := -1
-			for i := range a.variants {
-				v := &a.variants[i]
-				if v.Manager.DrainingCount() == 0 {
+			for i := range a.tiers {
+				t := &a.tiers[i]
+				if len(t.draining) == 0 {
 					continue
 				}
-				if s := servable(v.Desc, sig.Sigs); s > reclaimServes && s > 0 {
-					reclaim, reclaimServes = v, s
+				if s := servable(t.Desc, sig.Sigs); s > reclaimServes && s > 0 {
+					reclaim, reclaimServes = t, s
 				}
 			}
 			if reclaim != nil {
-				return Decision{Variant: reclaim.Name, Delta: +1, Score: 0, Reason: "reclaim"}
+				return Decision{Tier: reclaim.Name, Delta: +1, Score: 0, Reason: "reclaim"}
 			}
 			// Capability starvation is about constraints, not volume:
 			// among the tiers whose shape satisfies the starved demand,
 			// buy the one with the lowest price per reference core.
 			best := -1
 			bestScore := 0.0
-			for i := range a.variants {
-				v := &a.variants[i]
-				pol := v.Manager.Policy()
-				if pol.MaxNodes > 0 && v.Manager.ElasticCount() >= pol.MaxNodes {
+			for i := range a.tiers {
+				t := &a.tiers[i]
+				if len(t.elastic) >= t.Max {
 					continue
 				}
-				if servable(v.Desc, sig.Sigs) == 0 {
+				if servable(t.Desc, sig.Sigs) == 0 {
 					continue
 				}
-				score := v.Cost() / v.rate()
+				score := t.Cost / t.rate()
 				if best < 0 || score < bestScore {
 					best, bestScore = i, score
 				}
@@ -384,7 +443,7 @@ func (a *Autoscaler) evaluate(sig Signals, demand float64) Decision {
 			if best < 0 {
 				return Decision{Reason: "no-variant"}
 			}
-			return Decision{Variant: a.variants[best].Name, Delta: +1, Score: bestScore, Reason: "starved"}
+			return Decision{Tier: a.tiers[best].Name, Delta: +1, Score: bestScore, Reason: "starved"}
 		}
 		// Aggregate backlog: grow toward the cheapest fleet plan for the
 		// estimated demand. Buying toward the plan rather than scoring
@@ -399,56 +458,55 @@ func (a *Autoscaler) evaluate(sig Signals, demand float64) Decision {
 			// queue that rebuilds while it bleeds out would lift the
 			// cordon each period, and a tier the plan is trying to
 			// retire could never leave.
-			for i := range a.variants {
-				v := &a.variants[i]
-				if v.Manager.DrainingCount() == 0 || plan[i] < v.Manager.ElasticCount() {
+			for i := range a.tiers {
+				t := &a.tiers[i]
+				if len(t.draining) == 0 || plan[i] < len(t.elastic) {
 					continue
 				}
-				if servable(v.Desc, sig.Sigs) > 0 {
-					return Decision{Variant: v.Name, Delta: +1, Score: 0, Reason: "reclaim"}
+				if servable(t.Desc, sig.Sigs) > 0 {
+					return Decision{Tier: t.Name, Delta: +1, Score: 0, Reason: "reclaim"}
 				}
 			}
 			// A tier the plan is retiring whose victim has bled dry:
 			// reap it even under backlog — removal is free, and the
 			// Ready==0 gate below may not be reached for a long time.
-			for i := range a.variants {
-				v := &a.variants[i]
-				if v.Manager.DrainedCount() > 0 && plan[i] < v.Manager.ElasticCount() {
-					return Decision{Variant: v.Name, Delta: -1, Score: v.Cost(), Reason: "reap"}
+			for i := range a.tiers {
+				t := &a.tiers[i]
+				if t.drained() > 0 && plan[i] < len(t.elastic) {
+					return Decision{Tier: t.Name, Delta: -1, Score: t.Cost, Reason: "reap"}
 				}
 			}
 		}
 		if !ok {
-			// No fleet within the tiers' MaxNodes covers the demand:
+			// No fleet within the tiers' Max bounds covers the demand:
 			// saturate the fastest tier that still has headroom and can
 			// serve something.
 			best := -1
-			for i := range a.variants {
-				v := &a.variants[i]
-				pol := v.Manager.Policy()
-				if pol.MaxNodes > 0 && v.Manager.ElasticCount() >= pol.MaxNodes {
+			for i := range a.tiers {
+				t := &a.tiers[i]
+				if len(t.elastic) >= t.Max {
 					continue
 				}
-				if servable(v.Desc, sig.Sigs) == 0 {
+				if servable(t.Desc, sig.Sigs) == 0 {
 					continue
 				}
-				if best < 0 || v.rate() > a.variants[best].rate() {
+				if best < 0 || t.rate() > a.tiers[best].rate() {
 					best = i
 				}
 			}
 			if best < 0 {
 				return Decision{Reason: "no-variant"}
 			}
-			v := &a.variants[best]
-			return Decision{Variant: v.Name, Delta: +1, Score: v.Cost() / v.rate(), Reason: "backlog"}
+			t := &a.tiers[best]
+			return Decision{Tier: t.Name, Delta: +1, Score: t.Cost / t.rate(), Reason: "backlog"}
 		}
 		// Grow the tier with the largest rate deficit against the plan:
 		// big nodes first, so one provisioning delay buys the most
-		// missing capacity. Ties break by name via the variant order.
+		// missing capacity. Ties break by name via the tier order.
 		best, bestDef := -1, 0.0
-		for i := range a.variants {
-			v := &a.variants[i]
-			if def := float64(plan[i]-v.Manager.ElasticCount()) * v.rate(); def > bestDef {
+		for i := range a.tiers {
+			t := &a.tiers[i]
+			if def := float64(plan[i]-len(t.elastic)) * t.rate(); def > bestDef {
 				best, bestDef = i, def
 			}
 		}
@@ -457,18 +515,18 @@ func (a *Autoscaler) evaluate(sig Signals, demand float64) Decision {
 			// queue draining through it.
 			return Decision{Reason: "planned"}
 		}
-		v := &a.variants[best]
-		return Decision{Variant: v.Name, Delta: +1, Score: v.Cost() / v.rate(), Reason: "backlog"}
+		t := &a.tiers[best]
+		return Decision{Tier: t.Name, Delta: +1, Score: t.Cost / t.rate(), Reason: "backlog"}
 	}
 
 	// A cordoned node that has bled dry is removed no matter what the
 	// queue looks like: it takes no placements, so every period it stays
 	// in the pool is pure cost. Gating this on an empty queue would let
 	// sub-threshold work trickle past a billing corpse indefinitely.
-	for i := range a.variants {
-		v := &a.variants[i]
-		if v.Manager.DrainedCount() > 0 {
-			return Decision{Variant: v.Name, Delta: -1, Score: v.Cost(), Reason: "reap"}
+	for i := range a.tiers {
+		t := &a.tiers[i]
+		if t.drained() > 0 {
+			return Decision{Tier: t.Name, Delta: -1, Score: t.Cost, Reason: "reap"}
 		}
 	}
 
@@ -480,62 +538,57 @@ func (a *Autoscaler) evaluate(sig Signals, demand float64) Decision {
 	// are shed even while an expensive node stays busy, because the plan
 	// floor (not a greedy utilization check) decides who is excess.
 	if sig.Ready == 0 && sig.Parked == 0 {
-		for i := range a.variants {
-			v := &a.variants[i]
-			if v.Manager.DrainingCount() > 0 {
-				return Decision{Variant: v.Name, Delta: -1, Score: v.Cost(), Reason: "reap"}
+		for i := range a.tiers {
+			t := &a.tiers[i]
+			if len(t.draining) > 0 {
+				return Decision{Tier: t.Name, Delta: -1, Score: t.Cost, Reason: "reap"}
 			}
 		}
 		plan, ok := a.planFleet(demand / (1 - idleFrac))
 		if ok {
 			best := -1
-			for i := range a.variants {
-				v := &a.variants[i]
-				floor := v.Manager.Policy().MinNodes
-				if plan[i] > floor {
-					floor = plan[i]
-				}
-				if v.Manager.ElasticCount() <= floor {
+			for i := range a.tiers {
+				t := &a.tiers[i]
+				if len(t.elastic) <= plan[i] {
 					continue
 				}
-				if best < 0 || v.Cost() > a.variants[best].Cost() {
+				if best < 0 || t.Cost > a.tiers[best].Cost {
 					best = i
 				}
 			}
 			if best >= 0 {
-				v := &a.variants[best]
-				return Decision{Variant: v.Name, Delta: -1, Score: v.Cost(), Reason: "idle"}
+				t := &a.tiers[best]
+				return Decision{Tier: t.Name, Delta: -1, Score: t.Cost, Reason: "idle"}
 			}
 		}
 	}
 	return Decision{Reason: "steady"}
 }
 
-// evaluateThreshold is the threshold planner's rule — stateless, a pure
-// function of the snapshot and the manager's node counts.
+// evaluateThreshold is the threshold rule — stateless, a pure function
+// of the snapshot and the tier's node counts.
 func (a *Autoscaler) evaluateThreshold(sig Signals) Decision {
-	v := &a.variants[0]
-	pol := v.Manager.Policy()
-	n := v.Manager.ElasticCount()
-	grow := Decision{Variant: v.Name, Delta: +1, Reason: "backlog"}
+	t := &a.tiers[0]
+	n := len(t.elastic)
+	grow := Decision{Tier: t.Name, Delta: +1, Reason: "backlog"}
 	// Ready work while a node is mid-drain: grow by reclaiming it. The
-	// node is already counted against MaxNodes, so this must not be gated
-	// on n < MaxNodes — otherwise a drained pool wedges under load.
-	if sig.Ready > 0 && v.Manager.DrainingCount() > 0 {
+	// node is already counted against Max, so this must not be gated on
+	// n < Max — otherwise a drained pool wedges under load.
+	if sig.Ready > 0 && len(t.draining) > 0 {
 		grow.Reason = "reclaim"
 		return grow
 	}
 	if sig.TotalCores == 0 {
-		if sig.Ready > 0 && n < pol.MaxNodes {
+		if sig.Ready > 0 && n < t.Max {
 			return grow
 		}
 		return Decision{Reason: "steady"}
 	}
-	if float64(sig.Ready) > pol.TasksPerCore*float64(sig.TotalCores) && n < pol.MaxNodes {
+	if float64(sig.Ready) > a.growPerCore*float64(sig.TotalCores) && n < t.Max {
 		return grow
 	}
-	if sig.Ready == 0 && n > pol.MinNodes && sig.FreeCores > pol.IdleCoresToShrink {
-		return Decision{Variant: v.Name, Delta: -1, Reason: "idle"}
+	if sig.Ready == 0 && n > 0 && sig.FreeCores > a.idleCores {
+		return Decision{Tier: t.Name, Delta: -1, Reason: "idle"}
 	}
 	return Decision{Reason: "steady"}
 }
@@ -546,11 +599,11 @@ func (a *Autoscaler) evaluateThreshold(sig Signals) Decision {
 // known here).
 func (a *Autoscaler) refCores(sig Signals) float64 {
 	elastic, phys := 0.0, 0
-	for i := range a.variants {
-		v := &a.variants[i]
-		n := v.Manager.ElasticCount()
-		elastic += float64(n) * v.rate()
-		phys += n * v.Desc.Cores
+	for i := range a.tiers {
+		t := &a.tiers[i]
+		n := len(t.elastic)
+		elastic += float64(n) * t.rate()
+		phys += n * t.Desc.Cores
 	}
 	if base := sig.TotalCores - phys; base > 0 {
 		elastic += float64(base)
@@ -577,15 +630,15 @@ func (a *Autoscaler) refCores(sig Signals) float64 {
 //     converted to reference cores at the policy's target load factor.
 func (a *Autoscaler) rawDemand(sig Signals, lastReady int) float64 {
 	elastic, phys := 0.0, 0
-	for i := range a.variants {
-		v := &a.variants[i]
-		n := v.Manager.ElasticCount()
-		elastic += float64(n) * v.rate()
-		phys += n * v.Desc.Cores
+	for i := range a.tiers {
+		t := &a.tiers[i]
+		n := len(t.elastic)
+		elastic += float64(n) * t.rate()
+		phys += n * t.Desc.Cores
 	}
 	draining := 0
-	for i := range a.variants {
-		draining += a.variants[i].Manager.DrainingCount()
+	for i := range a.tiers {
+		draining += len(a.tiers[i].draining)
 	}
 	d := 0.0
 	if phys > 0 {
@@ -616,9 +669,9 @@ func (a *Autoscaler) rawDemand(sig Signals, lastReady int) float64 {
 	return d
 }
 
-// planFleet returns the per-variant node counts (variant order) of the
+// planFleet returns the per-tier node counts (tier order) of the
 // cheapest mixed fleet whose combined reference rate covers need,
-// respecting each tier's MaxNodes. Exact enumeration — tier counts are
+// respecting each tier's Max. Exact enumeration — tier counts are
 // small — trying slow tiers first, so on EQUAL cost the plan prefers
 // more, smaller nodes: same price now, finer shed granularity when
 // demand recedes. Strictly cheaper big-node plans still win, so
@@ -626,19 +679,19 @@ func (a *Autoscaler) rawDemand(sig Signals, lastReady int) float64 {
 // the point of planning at the fleet level: a trickle is cheapest on
 // one small device even when a big tier's per-core price is lower, a
 // heavy baseline flips the answer, and mid-range demand often wants a
-// mix. ok is false when no fleet within the MaxNodes bounds covers
+// mix. ok is false when no fleet within the Max bounds covers
 // need.
 func (a *Autoscaler) planFleet(need float64) (plan []int, ok bool) {
-	order := make([]int, len(a.variants))
+	order := make([]int, len(a.tiers))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(x, y int) bool {
-		return a.variants[order[x]].rate() < a.variants[order[y]].rate()
+		return a.tiers[order[x]].rate() < a.tiers[order[y]].rate()
 	})
-	best := make([]int, len(a.variants))
+	best := make([]int, len(a.tiers))
 	bestCost := math.Inf(1)
-	cur := make([]int, len(a.variants))
+	cur := make([]int, len(a.tiers))
 	var rec func(oi int, remaining, cost float64)
 	rec = func(oi int, remaining, cost float64) {
 		if cost >= bestCost {
@@ -653,17 +706,17 @@ func (a *Autoscaler) planFleet(need float64) (plan []int, ok bool) {
 		if oi == len(order) {
 			return
 		}
-		v := &a.variants[order[oi]]
-		max := int(math.Ceil(remaining / v.rate()))
-		if m := v.Manager.Policy().MaxNodes; m > 0 && max > m {
-			max = m
+		t := &a.tiers[order[oi]]
+		max := int(math.Ceil(remaining / t.rate()))
+		if max > t.Max {
+			max = t.Max
 		}
 		if max > 64 {
 			max = 64 // bound the search; a plan this size saturates anyway
 		}
 		for n := max; n >= 0; n-- {
 			cur[order[oi]] = n
-			rec(oi+1, remaining-float64(n)*v.rate(), cost+float64(n)*v.Cost())
+			rec(oi+1, remaining-float64(n)*t.rate(), cost+float64(n)*t.Cost)
 			cur[order[oi]] = 0
 		}
 	}
@@ -684,27 +737,29 @@ func servable(d resources.Description, sigs []engine.SigLoad) int {
 	return total
 }
 
-// Step evaluates one snapshot and executes the decision through the
-// chosen variant's manager: grow acquires (reclaiming a draining node
-// first when the decision says so), shrink advances the drain-then-
-// remove cycle. The decision is recorded either way. The caller owns
-// backend bookkeeping (trace events, provisioning-delay holds,
-// node-second accounting) off the returned Action.
+// Step evaluates one snapshot and executes the decision on the chosen
+// tier: grow reclaims a draining node when there is one and provisions
+// a fresh node otherwise, shrink advances the drain-then-remove cycle.
+// The decision is recorded either way. The caller owns backend
+// bookkeeping (trace events, provisioning-delay holds, node-second
+// accounting) off the returned Action.
 func (a *Autoscaler) Step(pool *resources.Pool, sig Signals) Action {
-	d := a.Evaluate(sig)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	d := a.decide(sig)
 	act := Action{Decision: d, Kind: Held}
-	if v := a.variant(d.Variant); v != nil {
+	if t := a.named(d.Tier); t != nil {
 		switch {
 		case d.Delta > 0:
-			if n := v.Manager.Reclaim(); n != nil {
+			if n := t.reclaim(); n != nil {
 				act.Kind, act.Node = Reclaimed, n
 				break
 			}
-			if n, delay, err := v.Manager.GrowOne(pool); err == nil {
-				act.Kind, act.Node, act.Delay = Grew, n, delay
+			if n, err := a.grow(pool, t); err == nil {
+				act.Kind, act.Node, act.Delay = Grew, n, t.Delay
 			}
 		case d.Delta < 0:
-			if n, err := v.Manager.ShrinkOne(pool); err == nil {
+			if n, err := a.shrink(pool, t); err == nil {
 				if n != nil {
 					act.Kind, act.Node = Removed, n
 				} else {
@@ -713,38 +768,112 @@ func (a *Autoscaler) Step(pool *resources.Pool, sig Signals) Action {
 			}
 		}
 	}
-	a.record(d, act.Kind)
+	a.decisions = append(a.decisions, d)
+	if m := a.m; m != nil {
+		switch {
+		case act.Kind == Reclaimed:
+			m.Reclaims.Inc()
+		case d.Delta > 0:
+			m.Grows.Inc()
+		case d.Delta < 0:
+			m.Shrinks.Inc()
+		default:
+			m.Holds.Inc()
+		}
+	}
 	return act
 }
 
-func (a *Autoscaler) variant(name string) *Variant {
-	if name == "" {
-		return nil
-	}
-	for i := range a.variants {
-		if a.variants[i].Name == name {
-			return &a.variants[i]
+// named returns the tier called name, nil for a hold's empty name (no
+// tier has it: New refuses one).
+func (a *Autoscaler) named(name string) *tier {
+	for i := range a.tiers {
+		if a.tiers[i].Name == name {
+			return &a.tiers[i]
 		}
 	}
 	return nil
 }
 
-func (a *Autoscaler) record(d Decision, kind ActionKind) {
-	a.mu.Lock()
-	a.decisions = append(a.decisions, d)
-	m := a.m
-	a.mu.Unlock()
-	if m == nil {
-		return
+// The tier mechanics below run with a.mu held.
+
+// reclaim cancels one pending drain-then-remove cycle: the cordon is
+// lifted and the node (lowest name first) serves placements again. It
+// returns the reclaimed node, or nil when nothing is draining — the free
+// way to grow while a shrink is still in flight.
+func (t *tier) reclaim() *resources.Node {
+	n := lowest(t.draining, false)
+	if n != nil {
+		delete(t.draining, n.Name())
+		n.Undrain()
 	}
-	switch {
-	case kind == Reclaimed:
-		m.Reclaims.Inc()
-	case d.Delta > 0:
-		m.Grows.Inc()
-	case d.Delta < 0:
-		m.Shrinks.Inc()
-	default:
-		m.Holds.Inc()
+	return n
+}
+
+// grow provisions a node of the tier's shape, named <tier>-<serial>,
+// and adds it to the pool; it fails once the tier holds Max nodes.
+func (a *Autoscaler) grow(pool *resources.Pool, t *tier) (*resources.Node, error) {
+	if len(t.elastic) >= t.Max {
+		return nil, fmt.Errorf("tier %s: %w (limit %d)", t.Name, resources.ErrInsufficient, t.Max)
 	}
+	t.serial++
+	n := resources.NewNode(fmt.Sprintf("%s-%d", t.Name, t.serial), t.Desc)
+	if a.predrain != nil {
+		a.predrain(n)
+	}
+	if err := pool.Add(n); err != nil {
+		return nil, err
+	}
+	t.elastic[n.Name()] = n
+	return n, nil
+}
+
+// shrink advances the drain-then-remove downscale cycle and returns the
+// node it removed from the pool, if any. Every victim is cordoned (the
+// cordon hook when one is installed, Node.Drain otherwise) before it
+// leaves the pool, so running work always finishes:
+//
+//   - a node already draining that has bled dry is removed (lowest name
+//     first);
+//   - otherwise, with no drain in flight, one elastic node is cordoned —
+//     idle nodes first, and an idle victim is removed in the same call
+//     (its drain is complete by definition); a busy one returns nil now
+//     and is reaped by a later call once its reservations release.
+//
+// At most one node drains at a time, so a burst of shrink decisions
+// cannot cordon the whole pool before the first removal lands.
+func (a *Autoscaler) shrink(pool *resources.Pool, t *tier) (*resources.Node, error) {
+	if victim := lowest(t.draining, true); victim != nil {
+		return victim, t.remove(pool, victim)
+	}
+	if len(t.draining) > 0 {
+		return nil, nil // the in-flight drain is still bleeding
+	}
+	victim := lowest(t.elastic, true)
+	wasIdle := victim != nil
+	if !wasIdle {
+		victim = lowest(t.elastic, false)
+	}
+	if victim == nil {
+		return nil, nil
+	}
+	t.draining[victim.Name()] = victim
+	if a.cordon == nil || a.cordon(victim.Name()) != nil {
+		victim.Drain() // no hook, or the hook could not see the node
+	}
+	if !wasIdle || victim.Running() > 0 {
+		// Busy victim — or a placement slipped in between the idle check
+		// and the cordon: the drain holds, removal waits for the work to
+		// finish (a later call reaps it).
+		return nil, nil
+	}
+	return victim, t.remove(pool, victim)
+}
+
+// remove takes a fully drained victim off the tier's books and out of
+// the pool.
+func (t *tier) remove(pool *resources.Pool, victim *resources.Node) error {
+	delete(t.draining, victim.Name())
+	delete(t.elastic, victim.Name())
+	return pool.Remove(victim.Name())
 }

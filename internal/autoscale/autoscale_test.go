@@ -1,6 +1,7 @@
 package autoscale
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -14,34 +15,22 @@ import (
 // 0.25/h). Per reference core the cloud is cheaper (0.156 vs 0.25), so
 // sustained demand consolidates onto VMs while trickles stay on devices
 // — the granularity/consolidation trade the planner exists to price.
-func cloudFog(t *testing.T) (*Autoscaler, []Variant) {
+func cloudFog(t *testing.T) (a *Autoscaler, cloud, fog *tier) {
 	t.Helper()
-	vs := []Variant{
-		simVariant("cloud", resources.CloudVM, 1.0, 8),
-		simVariant("fog", resources.FogDevice, 0.25, 16),
-	}
-	a, err := New(vs)
+	a, err := New([]Tier{
+		{Name: "cloud", Desc: resources.CloudVM, Cost: 1.0, Max: 8},
+		{Name: "fog", Desc: resources.FogDevice, Cost: 0.25, Max: 16},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, a.Variants()
-}
-
-func simVariant(name string, desc resources.Description, cost float64, max int) Variant {
-	return Variant{
-		Name: name,
-		Desc: desc,
-		Manager: resources.NewElasticManager(
-			resources.NewSimProvider(name, desc, max, 0),
-			resources.ScalePolicy{MaxNodes: max, TasksPerCore: 2, CostPerNodeHour: cost},
-		),
-	}
+	return a, &a.tiers[0], &a.tiers[1]
 }
 
 func planCost(a *Autoscaler, plan []int) float64 {
 	c := 0.0
 	for i, n := range plan {
-		c += float64(n) * a.variants[i].Cost()
+		c += float64(n) * a.tiers[i].Cost
 	}
 	return c
 }
@@ -49,7 +38,7 @@ func planCost(a *Autoscaler, plan []int) float64 {
 func planRate(a *Autoscaler, plan []int) float64 {
 	r := 0.0
 	for i, n := range plan {
-		r += float64(n) * a.variants[i].rate()
+		r += float64(n) * a.tiers[i].rate()
 	}
 	return r
 }
@@ -59,10 +48,10 @@ func planRate(a *Autoscaler, plan []int) float64 {
 // big tier, and mid-range demand takes a mix when the mix is strictly
 // cheaper than either pure fleet.
 func TestPlanFleetEconomics(t *testing.T) {
-	a, vs := cloudFog(t)
-	ci, fi := 0, 1 // variants sort by name: cloud, fog
-	if vs[ci].Name != "cloud" || vs[fi].Name != "fog" {
-		t.Fatalf("variant order: %q, %q", vs[0].Name, vs[1].Name)
+	a, cloud, fog := cloudFog(t)
+	ci, fi := 0, 1 // tiers sort by name: cloud, fog
+	if cloud.Name != "cloud" || fog.Name != "fog" {
+		t.Fatalf("tier order: %q, %q", cloud.Name, fog.Name)
 	}
 
 	// Trickle: 0.5 reference cores. One fog device (0.25/h) beats one
@@ -91,7 +80,7 @@ func TestPlanFleetEconomics(t *testing.T) {
 // reference cores: four devices = one VM = 1.0/h) the planner must pick
 // the small-node fleet — same price now, finer shed granularity later.
 func TestPlanFleetTieBreaksSmall(t *testing.T) {
-	a, _ := cloudFog(t)
+	a, _, _ := cloudFog(t)
 	plan, ok := a.planFleet(4)
 	if !ok || plan[0] != 0 || plan[1] != 4 {
 		t.Fatalf("break-even plan = %v ok=%v, want small-node fleet [0 4]", plan, ok)
@@ -101,7 +90,7 @@ func TestPlanFleetTieBreaksSmall(t *testing.T) {
 // TestPlanFleetCoversNeed: for random demands the accepted plan always
 // covers the demand, and for zero demand the plan is the empty fleet.
 func TestPlanFleetCoversNeed(t *testing.T) {
-	a, _ := cloudFog(t)
+	a, _, _ := cloudFog(t)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 200; i++ {
 		need := rng.Float64() * 60 // max fleet: 8*6.4 + 16*1 = 67.2
@@ -119,11 +108,10 @@ func TestPlanFleetCoversNeed(t *testing.T) {
 	}
 }
 
-// TestPlanFleetInfeasible: demand beyond every tier's MaxNodes reports
-// !ok instead of a silently short fleet.
+// TestPlanFleetInfeasible: demand beyond every tier's Max reports !ok
+// instead of a silently short fleet.
 func TestPlanFleetInfeasible(t *testing.T) {
-	vs := []Variant{simVariant("fog", resources.FogDevice, 0.25, 2)}
-	a, err := New(vs)
+	a, err := New([]Tier{{Name: "fog", Desc: resources.FogDevice, Cost: 0.25, Max: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +132,9 @@ func sig(ready int, c resources.Constraints, capable, free, total int) Signals {
 // TestEvaluateStarved: queued work no pool node is capable of buys the
 // cheapest tier per reference core whose shape can serve it.
 func TestEvaluateStarved(t *testing.T) {
-	a, _ := cloudFog(t)
+	a, _, _ := cloudFog(t)
 	d := a.Evaluate(sig(3, resources.Constraints{Cores: 2}, 0, 1, 1))
-	if d.Delta != +1 || d.Reason != "starved" || d.Variant != "cloud" {
+	if d.Delta != +1 || d.Reason != "starved" || d.Tier != "cloud" {
 		t.Fatalf("starved decision = %+v, want +1 cloud (cheapest per reference core)", d)
 	}
 }
@@ -154,7 +142,7 @@ func TestEvaluateStarved(t *testing.T) {
 // TestEvaluateStarvedNoVariant: starved demand no tier shape satisfies
 // holds with "no-variant" instead of buying a useless node.
 func TestEvaluateStarvedNoVariant(t *testing.T) {
-	a, _ := cloudFog(t)
+	a, _, _ := cloudFog(t)
 	d := a.Evaluate(sig(3, resources.Constraints{Cores: 64}, 0, 1, 1))
 	if d.Delta != 0 || d.Reason != "no-variant" {
 		t.Fatalf("unservable starvation = %+v, want no-variant hold", d)
@@ -165,7 +153,7 @@ func TestEvaluateStarvedNoVariant(t *testing.T) {
 // tier the cheapest fleet plan is missing, and once the fleet covers the
 // plan the analyzer holds with "planned" while the queue drains.
 func TestEvaluateBacklogGrowsTowardPlan(t *testing.T) {
-	a, vs := cloudFog(t)
+	a, _, _ := cloudFog(t)
 	pool := resources.NewPool()
 	c := resources.Constraints{Cores: 1}
 
@@ -180,8 +168,7 @@ func TestEvaluateBacklogGrowsTowardPlan(t *testing.T) {
 		if d.Delta <= 0 {
 			break
 		}
-		v := a.variant(d.Variant)
-		if _, _, err := v.Manager.GrowOne(pool); err != nil {
+		if _, err := a.grow(pool, a.named(d.Tier)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,8 +176,8 @@ func TestEvaluateBacklogGrowsTowardPlan(t *testing.T) {
 		t.Fatalf("after covering the plan: %+v, want planned hold", d)
 	}
 	total := 0
-	for _, v := range vs {
-		total += v.Manager.ElasticCount()
+	for i := range a.tiers {
+		total += len(a.tiers[i].elastic)
 	}
 	if total == 0 || total > 24 {
 		t.Fatalf("fleet after backlog growth = %d nodes", total)
@@ -201,14 +188,13 @@ func TestEvaluateBacklogGrowsTowardPlan(t *testing.T) {
 // is removed even while sub-threshold work trickles through the pool —
 // it takes no placements, so keeping it is pure cost.
 func TestEvaluateReapsDrainedUnderLoad(t *testing.T) {
-	a, vs := cloudFog(t)
+	a, _, fog := cloudFog(t)
 	pool := resources.NewPool()
-	fog := vs[1]
-	n1, _, err := fog.Manager.GrowOne(pool)
+	n1, err := a.grow(pool, fog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, _, err := fog.Manager.GrowOne(pool)
+	n2, err := a.grow(pool, fog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +207,7 @@ func TestEvaluateReapsDrainedUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := fog.Manager.ShrinkOne(pool); err != nil {
+	if _, err := a.shrink(pool, fog); err != nil {
 		t.Fatal(err)
 	}
 	victim := n1
@@ -232,13 +218,13 @@ func TestEvaluateReapsDrainedUnderLoad(t *testing.T) {
 		t.Fatal("no victim cordoned")
 	}
 	victim.Release(hold)
-	if fog.Manager.DrainedCount() != 1 {
-		t.Fatalf("DrainedCount = %d, want 1", fog.Manager.DrainedCount())
+	if fog.drained() != 1 {
+		t.Fatalf("%d drained, want 1", fog.drained())
 	}
 	// One ready task on an 9-core pool is far below the threshold:
 	// neither backlog nor idle, but the corpse must still be reaped.
 	d := a.Evaluate(sig(1, resources.Constraints{Cores: 1}, 2, 8, 8))
-	if d.Delta != -1 || d.Reason != "reap" || d.Variant != "fog" {
+	if d.Delta != -1 || d.Reason != "reap" || d.Tier != "fog" {
 		t.Fatalf("decision with drained node = %+v, want fog reap", d)
 	}
 }
@@ -248,15 +234,14 @@ func TestEvaluateReapsDrainedUnderLoad(t *testing.T) {
 // and the demand peak's decay reaches exactly zero, so the last node
 // goes too instead of idling forever on an ε-demand plan.
 func TestEvaluateShedsToPlanFloor(t *testing.T) {
-	a, vs := cloudFog(t)
+	a, cloud, fog := cloudFog(t)
 	pool := resources.NewPool()
-	cloud, fog := vs[0], vs[1]
 	for i := 0; i < 2; i++ {
-		if _, _, err := fog.Manager.GrowOne(pool); err != nil {
+		if _, err := a.grow(pool, fog); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := cloud.Manager.GrowOne(pool); err != nil {
+	if _, err := a.grow(pool, cloud); err != nil {
 		t.Fatal(err)
 	}
 
@@ -265,15 +250,15 @@ func TestEvaluateShedsToPlanFloor(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		act := a.Step(pool, idle)
 		seen[act.Decision.Reason]++
-		if cloud.Manager.ElasticCount()+fog.Manager.ElasticCount() == 0 {
+		if len(cloud.elastic)+len(fog.elastic) == 0 {
 			break
 		}
 	}
-	if cloud.Manager.ElasticCount() != 0 || fog.Manager.ElasticCount() != 0 {
+	if len(cloud.elastic) != 0 || len(fog.elastic) != 0 {
 		t.Fatalf("fleet not fully shed: cloud=%d fog=%d (reasons %v)",
-			cloud.Manager.ElasticCount(), fog.Manager.ElasticCount(), seen)
+			len(cloud.elastic), len(fog.elastic), seen)
 	}
-	// Idle victims are cordoned and removed in the same ShrinkOne call,
+	// Idle victims are cordoned and removed in the same shrink call,
 	// so a fully idle fleet sheds with one "idle" decision per node.
 	if seen["idle"] < 3 {
 		t.Fatalf("shed cycle reasons = %v, want three idle sheds", seen)
@@ -281,8 +266,8 @@ func TestEvaluateShedsToPlanFloor(t *testing.T) {
 	// The first shed must have targeted the expensive tier.
 	for _, d := range a.Decisions() {
 		if d.Delta < 0 {
-			if d.Variant != "cloud" {
-				t.Fatalf("first shed hit %q, want the expensive cloud tier", d.Variant)
+			if d.Tier != "cloud" {
+				t.Fatalf("first shed hit %q, want the expensive cloud tier", d.Tier)
 			}
 			break
 		}
@@ -295,7 +280,7 @@ func TestEvaluateShedsToPlanFloor(t *testing.T) {
 func TestEvaluateMonotoneInReady(t *testing.T) {
 	prev := -2
 	for ready := 0; ready <= 100; ready++ {
-		a, _ := cloudFog(t)
+		a, _, _ := cloudFog(t)
 		d := a.Evaluate(sig(ready, resources.Constraints{Cores: 1}, 1, 2, 2))
 		if d.Delta < prev {
 			t.Fatalf("Ready=%d: Delta %d < previous %d", ready, d.Delta, prev)
@@ -304,12 +289,12 @@ func TestEvaluateMonotoneInReady(t *testing.T) {
 	}
 }
 
-// TestEvaluateDeterministic: two analyzers over identical variant state
+// TestEvaluateDeterministic: two analyzers over identical tier state
 // fed the identical Signals sequence produce identical decision
 // sequences — the property the sim-vs-live parity suite stands on.
 func TestEvaluateDeterministic(t *testing.T) {
 	mk := func() (*Autoscaler, *resources.Pool) {
-		a, _ := cloudFog(t)
+		a, _, _ := cloudFog(t)
 		return a, resources.NewPool()
 	}
 	a1, p1 := mk()
@@ -337,11 +322,12 @@ func TestEvaluateDeterministic(t *testing.T) {
 }
 
 // TestStepNeverNegativeCapacity: across a random signal storm the
-// variant managers and the pool stay consistent — no negative counts,
-// no pool cores below zero, and every shrink is drain-then-remove (a
-// Removed action only ever reaps a node with nothing running).
+// tier books and the pool stay consistent — no tier past its Max or
+// with more than one node draining, no pool cores below zero, and every
+// shrink is drain-then-remove (a Removed action only ever reaps a node
+// with nothing running).
 func TestStepNeverNegativeCapacity(t *testing.T) {
-	a, vs := cloudFog(t)
+	a, _, _ := cloudFog(t)
 	pool := resources.NewPool()
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 1000; i++ {
@@ -350,9 +336,9 @@ func TestStepNeverNegativeCapacity(t *testing.T) {
 		if act.Kind == Removed && act.Node.Running() != 0 {
 			t.Fatalf("step %d removed node %s with %d running tasks", i, act.Node.Name(), act.Node.Running())
 		}
-		for _, v := range vs {
-			if v.Manager.ElasticCount() < 0 || v.Manager.DrainingCount() < 0 {
-				t.Fatalf("step %d: %s counts negative", i, v.Name)
+		for _, tr := range a.tiers {
+			if len(tr.elastic) > tr.Max || len(tr.draining) > 1 {
+				t.Fatalf("step %d: %s holds %d elastic, %d draining", i, tr.Name, len(tr.elastic), len(tr.draining))
 			}
 		}
 		if pool.FreeCores() < 0 || pool.FreeCores() > pool.TotalCores() {
@@ -361,17 +347,37 @@ func TestStepNeverNegativeCapacity(t *testing.T) {
 	}
 }
 
-// TestNewValidation: variant sets must be non-empty, named, managed and
-// unique.
+// TestNewValidation: both constructors refuse a tier that could never
+// provision a useful node — no name, a duplicate name, Max below one, a
+// shape without cores, a negative or undefined cost — and New refuses
+// an empty tier set. A Max-0 tier would otherwise win every starved
+// evaluation, grow nothing, and still count each decision as a grow.
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil); err == nil {
-		t.Fatal("New accepted an empty variant set")
+		t.Fatal("New accepted an empty tier set")
 	}
-	if _, err := New([]Variant{{Name: "x"}}); err == nil {
-		t.Fatal("New accepted a manager-less variant")
+	ok := Tier{Name: "cloud", Desc: resources.CloudVM, Cost: 1, Max: 1}
+	if _, err := New([]Tier{ok}); err != nil {
+		t.Fatalf("New refused a valid tier: %v", err)
 	}
-	v := simVariant("dup", resources.FogDevice, 1, 1)
-	if _, err := New([]Variant{v, v}); err == nil {
-		t.Fatal("New accepted duplicate variant names")
+	if _, err := New([]Tier{ok, ok}); err == nil {
+		t.Fatal("New accepted duplicate tier names")
+	}
+	for name, edit := range map[string]func(*Tier){
+		"no name":    func(t *Tier) { t.Name = "" },
+		"max 0":      func(t *Tier) { t.Max = 0 },
+		"max -1":     func(t *Tier) { t.Max = -1 },
+		"zero cores": func(t *Tier) { t.Desc.Cores = 0 },
+		"cost -1":    func(t *Tier) { t.Cost = -1 },
+		"cost NaN":   func(t *Tier) { t.Cost = math.NaN() },
+	} {
+		bad := ok
+		edit(&bad)
+		if _, err := New([]Tier{bad}); err == nil {
+			t.Errorf("%s: New accepted %+v", name, bad)
+		}
+		if _, err := NewThreshold(bad, 2, 0); err == nil {
+			t.Errorf("%s: NewThreshold accepted %+v", name, bad)
+		}
 	}
 }

@@ -1,9 +1,11 @@
-package resources
+package autoscale
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/resources"
 )
 
 // TestElasticChurnProperty drives 2500 seeded random steps of the full
@@ -11,7 +13,7 @@ import (
 // random load reserves and releases cores across the pool, and checks
 // the safety invariants after every step:
 //
-//   - counts never go negative and never exceed the provider's limit;
+//   - counts never go negative and never exceed the tier's Max;
 //   - at most one node drains at a time (a shrink burst cannot cordon
 //     the whole pool before the first removal lands);
 //   - a removed node is always bled dry (no running work was killed)
@@ -30,32 +32,29 @@ func TestElasticChurnProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(seed))
-			pool := NewPool()
-			base := NewNode("base-0", CloudVM)
+			pool := resources.NewPool()
+			base := resources.NewNode("base-0", resources.CloudVM)
 			if err := pool.Add(base); err != nil {
 				t.Fatal(err)
 			}
-			m := NewElasticManager(
-				NewSimProvider("fog", FogDevice, maxNodes, 0),
-				ScalePolicy{MaxNodes: maxNodes, TasksPerCore: 2},
-			)
+			a, fog := oneTier(t, Tier{Name: "fog", Desc: resources.FogDevice, Max: maxNodes})
 
 			// Outstanding unit reservations per node name (the node may
 			// have left the pool; its reservations must have been zero
 			// at removal, so only live nodes appear here).
-			load := map[string][]*Node{}
-			hold := Constraints{Cores: 1}
+			load := map[string][]*resources.Node{}
+			hold := resources.Constraints{Cores: 1}
 
 			for step := 0; step < steps; step++ {
 				switch rng.Intn(6) {
 				case 0: // grow
-					if _, _, err := m.GrowOne(pool); err == nil && pool.Len() > maxNodes+1 {
-						t.Fatalf("step %d: pool grew past the provider limit: %d nodes", step, pool.Len())
+					if _, err := a.grow(pool, fog); err == nil && pool.Len() > maxNodes+1 {
+						t.Fatalf("step %d: pool grew past the tier's Max: %d nodes", step, pool.Len())
 					}
 				case 1: // shrink: cordon or reap
-					victim, err := m.ShrinkOne(pool)
+					victim, err := a.shrink(pool, fog)
 					if err != nil {
-						t.Fatalf("step %d: ShrinkOne: %v", step, err)
+						t.Fatalf("step %d: shrink: %v", step, err)
 					}
 					if victim != nil {
 						if victim.Running() != 0 {
@@ -69,7 +68,7 @@ func TestElasticChurnProperty(t *testing.T) {
 						}
 					}
 				case 2: // reclaim a draining victim back into service
-					if n := m.Reclaim(); n != nil {
+					if n := fog.reclaim(); n != nil {
 						if n.Drained() {
 							t.Fatalf("step %d: reclaimed %s still cordoned", step, n.Name())
 						}
@@ -102,24 +101,24 @@ func TestElasticChurnProperty(t *testing.T) {
 				}
 
 				// Invariants, every step.
-				ec, dc, bled := m.ElasticCount(), m.DrainingCount(), m.DrainedCount()
+				ec, dc, bled := len(fog.elastic), len(fog.draining), fog.drained()
 				if ec < 0 || ec > maxNodes {
-					t.Fatalf("step %d: ElasticCount = %d", step, ec)
+					t.Fatalf("step %d: %d elastic nodes", step, ec)
 				}
 				if dc < 0 || dc > 1 {
-					t.Fatalf("step %d: DrainingCount = %d, want 0 or 1 (one drain at a time)", step, dc)
+					t.Fatalf("step %d: %d draining, want 0 or 1 (one drain at a time)", step, dc)
 				}
 				if bled < 0 || bled > dc {
-					t.Fatalf("step %d: DrainedCount = %d with %d draining", step, bled, dc)
+					t.Fatalf("step %d: %d drained with %d draining", step, bled, dc)
 				}
 				if pool.Len() != ec+1 {
-					t.Fatalf("step %d: pool has %d nodes, manager tracks %d elastic + base", step, pool.Len(), ec)
+					t.Fatalf("step %d: pool has %d nodes, the tier tracks %d elastic + base", step, pool.Len(), ec)
 				}
 				total, free := pool.TotalCores(), pool.FreeCores()
 				if free < 0 || free > total {
 					t.Fatalf("step %d: cores inconsistent: free %d of %d", step, free, total)
 				}
-				wantTotal := base.Desc().Cores + ec*FogDevice.Cores
+				wantTotal := base.Desc().Cores + ec*resources.FogDevice.Cores
 				if total != wantTotal {
 					t.Fatalf("step %d: TotalCores = %d, want %d", step, total, wantTotal)
 				}
@@ -133,13 +132,13 @@ func TestElasticChurnProperty(t *testing.T) {
 					n.Release(hold)
 				}
 			}
-			for i := 0; i < 4*maxNodes && m.ElasticCount() > 0; i++ {
-				if _, err := m.ShrinkOne(pool); err != nil {
+			for i := 0; i < 4*maxNodes && len(fog.elastic) > 0; i++ {
+				if _, err := a.shrink(pool, fog); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if m.ElasticCount() != 0 || m.DrainingCount() != 0 {
-				t.Fatalf("fleet not fully shed: %d elastic, %d draining", m.ElasticCount(), m.DrainingCount())
+			if len(fog.elastic) != 0 || len(fog.draining) != 0 {
+				t.Fatalf("fleet not fully shed: %d elastic, %d draining", len(fog.elastic), len(fog.draining))
 			}
 			if pool.Len() != 1 || pool.TotalCores() != base.Desc().Cores {
 				t.Fatalf("pool not back to base: %d nodes, %d cores", pool.Len(), pool.TotalCores())

@@ -8,8 +8,8 @@
 // sure no task is ever placed: the base node's capacity is reserved up
 // front (it must still statically satisfy the demand signature — the
 // live runtime rejects submissions no pool node could ever run), and
-// every elastic node joins the pool already cordoned (a provider
-// wrapper drains it at acquire time), which makes it invisible to
+// every elastic node joins the pool already cordoned (autoscale.Predrain
+// drains it before it joins), which makes it invisible to
 // placement while still counting as capable supply and elastic fleet.
 // The load signals are therefore byte-identical on both backends at
 // every evaluation instant, wall clock or virtual.
@@ -45,43 +45,17 @@ var (
 	parityCloud = resources.Description{Cores: 8, SpeedFactor: 1}
 )
 
-// predrainProvider cordons every node it hands out before the manager
-// adds it to the pool: the node is real supply on the autoscaler's
-// books but refuses placements, which pins the engine state for the
-// lockstep comparison.
-type predrainProvider struct {
-	resources.Provider
-}
-
-func (p predrainProvider) Acquire() (*resources.Node, time.Duration, error) {
-	n, d, err := p.Provider.Acquire()
-	if n != nil {
-		n.Drain()
-	}
-	return n, d, err
-}
-
 func parityScaler(t *testing.T, predrain bool) *autoscale.Autoscaler {
 	t.Helper()
-	mk := func(name string, desc resources.Description, cost float64, max int) autoscale.Variant {
-		var p resources.Provider = resources.NewSimProvider(name, desc, max, 0)
-		if predrain {
-			p = predrainProvider{p}
-		}
-		return autoscale.Variant{
-			Name: name,
-			Desc: desc,
-			Manager: resources.NewElasticManager(p, resources.ScalePolicy{
-				MaxNodes: max, TasksPerCore: 2, CostPerNodeHour: cost,
-			}),
-		}
-	}
-	a, err := autoscale.New([]autoscale.Variant{
-		mk("cloud", parityCloud, 1.0, 2),
-		mk("fog", parityFog, 0.2, 4),
+	a, err := autoscale.New([]autoscale.Tier{
+		{Name: "cloud", Desc: parityCloud, Cost: 1.0, Max: 2},
+		{Name: "fog", Desc: parityFog, Cost: 0.2, Max: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if predrain {
+		autoscale.Predrain(a)
 	}
 	return a
 }
@@ -101,16 +75,16 @@ func parityPool(t *testing.T) *resources.Pool {
 
 // comparable strips the clock-dependent fields off a decision sequence.
 type parityDecision struct {
-	Variant string
-	Delta   int
-	Score   float64
-	Reason  string
+	Tier   string
+	Delta  int
+	Score  float64
+	Reason string
 }
 
 func stripAt(ds []autoscale.Decision) []parityDecision {
 	out := make([]parityDecision, len(ds))
 	for i, d := range ds {
-		out[i] = parityDecision{Variant: d.Variant, Delta: d.Delta, Score: d.Score, Reason: d.Reason}
+		out[i] = parityDecision{Tier: d.Tier, Delta: d.Delta, Score: d.Score, Reason: d.Reason}
 	}
 	return out
 }
@@ -239,15 +213,9 @@ func TestParityShrinkSequence(t *testing.T) {
 	run := func(step func(*autoscale.Autoscaler, *resources.Pool) func()) ([]parityDecision, []string) {
 		scaler := parityScaler(t, false)
 		pool := parityPool(t)
-		for _, v := range scaler.Variants() {
-			n := 1
-			if v.Name == "fog" {
-				n = 2
-			}
-			for i := 0; i < n; i++ {
-				if _, _, err := v.Manager.GrowOne(pool); err != nil {
-					t.Fatal(err)
-				}
+		for _, tier := range []string{"cloud", "fog", "fog"} {
+			if _, err := autoscale.Grow(scaler, pool, tier); err != nil {
+				t.Fatal(err)
 			}
 		}
 		tick := step(scaler, pool)
@@ -291,8 +259,8 @@ func TestParityShrinkSequence(t *testing.T) {
 	// The first shed must have hit the expensive tier.
 	for _, d := range simDs {
 		if d.Delta < 0 {
-			if d.Variant != "cloud" {
-				t.Fatalf("first shed hit %q, want cloud", d.Variant)
+			if d.Tier != "cloud" {
+				t.Fatalf("first shed hit %q, want cloud", d.Tier)
 			}
 			break
 		}

@@ -1,9 +1,7 @@
 package autoscale
 
-// The threshold planner's rule, exercised through the same grow/shrink
-// loops that drove resources.ElasticManager's own Evaluate before the
-// rule moved here: the planner decides, the manager's mechanism
-// (GrowOne / Reclaim / ShrinkOne) executes.
+// The threshold planner's rule, exercised through grow/shrink loops: the
+// rule decides, the tier mechanics (grow / reclaim / shrink) execute.
 
 import (
 	"testing"
@@ -18,39 +16,40 @@ func thresholdDelta(a *Autoscaler, pool *resources.Pool, ready int) int {
 }
 
 func TestThresholdGrowAndShrink(t *testing.T) {
-	prov := resources.NewSimProvider("cloud", resources.CloudVM, 8, 0)
-	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{MaxNodes: 4, TasksPerCore: 1, IdleCoresToShrink: 0})
+	plan, err := NewThreshold(Tier{Name: "cloud", Desc: resources.CloudVM, Max: 4}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &plan.tiers[0]
 	pool := resources.NewPool()
-	plan := NewThreshold(mgr)
 
 	// Empty pool + pending work ⇒ grow.
 	if d := thresholdDelta(plan, pool, 10); d <= 0 {
 		t.Fatalf("decision = %v, want grow", d)
 	}
-	n, _, err := mgr.GrowOne(pool)
-	if err != nil {
+	if _, err := plan.grow(pool, tr); err != nil {
 		t.Fatal(err)
 	}
-	if pool.Len() != 1 || mgr.ElasticCount() != 1 {
+	if pool.Len() != 1 || len(tr.elastic) != 1 {
 		t.Fatal("grow did not register node")
 	}
 
-	// Massive backlog ⇒ keep growing until MaxNodes.
+	// Massive backlog ⇒ keep growing until Max.
 	grew := 1
 	for thresholdDelta(plan, pool, 1000) > 0 {
-		if _, _, err := mgr.GrowOne(pool); err != nil {
+		if _, err := plan.grow(pool, tr); err != nil {
 			t.Fatal(err)
 		}
 		grew++
 	}
 	if grew != 4 {
-		t.Fatalf("grew to %d nodes, want MaxNodes=4", grew)
+		t.Fatalf("grew to %d nodes, want Max=4", grew)
 	}
 
-	// Idle ⇒ shrink back down to MinNodes.
+	// Idle ⇒ shrink back down to zero.
 	shrunk := 0
 	for thresholdDelta(plan, pool, 0) < 0 {
-		v, err := mgr.ShrinkOne(pool)
+		v, err := plan.shrink(pool, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,33 +61,34 @@ func TestThresholdGrowAndShrink(t *testing.T) {
 	if shrunk != 4 || pool.Len() != 0 {
 		t.Fatalf("shrunk %d, pool %d nodes", shrunk, pool.Len())
 	}
-	_ = n
 }
 
-// A load spike mid-drain reclaims the cordoned node instead of paying the
-// provider for a new one.
+// A load spike mid-drain reclaims the cordoned node instead of paying for
+// a new one.
 func TestThresholdReclaimCancelsDrain(t *testing.T) {
-	prov := resources.NewSimProvider("cloud", resources.CloudVM, 1, 0)
-	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{MaxNodes: 1, TasksPerCore: 1, IdleCoresToShrink: 0})
+	plan, err := NewThreshold(Tier{Name: "cloud", Desc: resources.CloudVM, Max: 1}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &plan.tiers[0]
 	pool := resources.NewPool()
-	plan := NewThreshold(mgr)
-	n1, _, _ := mgr.GrowOne(pool)
+	n1, _ := plan.grow(pool, tr)
 	work := resources.Constraints{Cores: 1}
 	if err := n1.Reserve(work); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := mgr.ShrinkOne(pool); v != nil {
+	if v, _ := plan.shrink(pool, tr); v != nil {
 		t.Fatalf("removed busy node %s", v.Name())
 	}
-	// Pending work + a draining node ⇒ Grow, even at MaxNodes.
+	// Pending work + a draining node ⇒ Grow, even at Max.
 	if d := thresholdDelta(plan, pool, 5); d <= 0 {
 		t.Fatalf("decision = %v, want grow (reclaim)", d)
 	}
-	n := mgr.Reclaim()
+	n := tr.reclaim()
 	if n == nil || n.Name() != n1.Name() {
 		t.Fatalf("reclaimed %v, want %s", n, n1.Name())
 	}
-	if n1.Drained() || mgr.DrainingCount() != 0 {
+	if n1.Drained() || len(tr.draining) != 0 {
 		t.Fatal("reclaimed node still cordoned")
 	}
 	n1.Release(work)

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -369,6 +371,37 @@ func TestTraceAndProvenance(t *testing.T) {
 	anc := prov.Ancestry(deps.Version{Data: y.ID(), Ver: 1})
 	if len(anc) != 1 || anc[0] != (deps.Version{Data: x.ID(), Ver: 1}) {
 		t.Fatalf("ancestry = %v", anc)
+	}
+}
+
+// Every member of a commutative group reads and writes the one version
+// the group shares (acc's version 1 here, merged in place), so that
+// version's lineage is the union of all the members' inputs, whichever
+// member finishes last.
+func TestProvenanceMergesCommutativeMembers(t *testing.T) {
+	prov := trace.NewProvenance()
+	rt := newRT(t, Config{Provenance: prov})
+	registerArith(t, rt)
+	acc := rt.NewData()
+	if _, err := rt.Submit("set", In(0), Write(acc)); err != nil {
+		t.Fatal(err)
+	}
+	want := []deps.Version{{Data: acc.ID(), Ver: 1}}
+	for i := 0; i < 3; i++ {
+		x := rt.NewData()
+		if _, err := rt.Submit("set", In(i), Write(x)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Submit("add", Read(x), Reduce(acc)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, deps.Version{Data: x.ID(), Ver: 1})
+	}
+	rt.Barrier()
+	sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
+	got := prov.Ancestry(deps.Version{Data: acc.ID(), Ver: 1})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("ancestry of the reduced version = %v, want %v", got, want)
 	}
 }
 

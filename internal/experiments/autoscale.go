@@ -72,16 +72,18 @@ func e16AutoscaleCost(tasks int, seed int64) (*Table, error) {
 		}
 		// The baseline scales the cloud tier only: same growth threshold,
 		// shrink once a whole VM's worth of cores idles.
-		threshold, err := e16Run(tr, autoscale.NewThreshold(resources.NewElasticManager(
-			resources.NewSimProvider("cloud", resources.CloudVM, 8, 30*time.Second),
-			resources.ScalePolicy{MaxNodes: 8, TasksPerCore: 2, IdleCoresToShrink: 8, CostPerNodeHour: e16CloudRate},
-		)))
+		cloud := autoscale.Tier{Name: "cloud", Desc: resources.CloudVM, Cost: e16CloudRate, Delay: 30 * time.Second, Max: 8}
+		baseline, err := autoscale.NewThreshold(cloud, 2, 8)
+		if err != nil {
+			return nil, err
+		}
+		threshold, err := e16Run(tr, baseline)
 		if err != nil {
 			return nil, fmt.Errorf("%s threshold arm: %w", shape, err)
 		}
-		planner, err := autoscale.New([]autoscale.Variant{
-			autoscale.SimVariant("cloud", resources.CloudVM, e16CloudRate, 30*time.Second, 8),
-			autoscale.SimVariant("fog", resources.FogDevice, e16FogRate, 5*time.Second, 16),
+		planner, err := autoscale.New([]autoscale.Tier{
+			cloud,
+			{Name: "fog", Desc: resources.FogDevice, Cost: e16FogRate, Delay: 5 * time.Second, Max: 16},
 		})
 		if err != nil {
 			return nil, err
@@ -132,7 +134,7 @@ func e16Run(tr *wtrace.Trace, scaler *autoscale.Autoscaler) (e16Arm, error) {
 
 // e16PriceNodes integrates elastic node lifetimes from the run's
 // node_added/node_removed events, priced by the tier encoded in the
-// node-name prefix (SimProvider names nodes "tier-N"). Nodes still in
+// node-name prefix (a tier names its nodes "tier-N"). Nodes still in
 // the pool when the run ends are billed to the makespan.
 func e16PriceNodes(tracer *trace.Tracer, makespan time.Duration, arm *e16Arm) float64 {
 	added := map[string]time.Duration{}

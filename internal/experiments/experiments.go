@@ -424,13 +424,13 @@ func e11Elasticity(burst int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	prov := resources.NewSimProvider("vm", desc, 8, 30*time.Second)
-	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{
-		MaxNodes: 8, TasksPerCore: 0.5, IdleCoresToShrink: 0,
-	})
+	scaler, err := autoscale.NewThreshold(autoscale.Tier{Name: "vm", Desc: desc, Delay: 30 * time.Second, Max: 8}, 0.5, 0)
+	if err != nil {
+		return nil, err
+	}
 	elastic, err := mustRun(infra.Config{
 		Pool: resources.NewPool(), Net: simnet.New(simnet.Link{BandwidthMBps: 1000}),
-		Policy: sched.MinLoad{}, Autoscale: autoscale.NewThreshold(mgr), ElasticEvery: 15 * time.Second,
+		Policy: sched.MinLoad{}, Autoscale: scaler, ElasticEvery: 15 * time.Second,
 	}, mkSpecs())
 	if err != nil {
 		return nil, err

@@ -173,7 +173,7 @@ func TestE11ElasticUsesFewerNodeSeconds(t *testing.T) {
 		t.Fatalf("elastic node-seconds %s not below fixed %s", el.text, fixed.text)
 	}
 	if peak := tab.at("elastic", "peak nodes").vals[0]; peak > 8 {
-		t.Fatalf("elastic peak %v exceeds MaxNodes", peak)
+		t.Fatalf("elastic peak %v exceeds the tier's Max", peak)
 	}
 	// Pinned to the figures the pre-host elastic loop produced: the
 	// threshold planner behind the shared autoscale step must reproduce

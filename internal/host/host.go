@@ -374,7 +374,7 @@ func (h *Host) FlushCheckpoints() {
 // AutoscaleStep runs one autoscale evaluation against the engine's
 // current signals and applies the decision: trace the node event, then
 // make the capacity usable — immediately for a reclaimed or instantly
-// provisioned node, after the provider's delay otherwise (the whole
+// provisioned node, after the tier's delay otherwise (the whole
 // node is reserved until then, so no wave can land on it early).
 // Removal is final, the drain having landed through the engine cordon
 // beforehand. Without Config.Autoscale it holds. Normally driven by a

@@ -267,22 +267,23 @@ func TestAdmitAndTaskCompleted(t *testing.T) {
 	}
 }
 
-// A grown node is reserved whole for the provider's delay, so the wave
+// A grown node is reserved whole for the tier's delay, so the wave
 // that follows the grow cannot land on it early; the hold lifts on the
 // timer.
 func TestAutoscaleStepHoldsProvisioningNode(t *testing.T) {
 	tm, x := simclock.New(), &fakeExecutor{}
 	desc := resources.Description{Cores: 2, MemoryMB: 4000, SpeedFactor: 1}
-	mgr := resources.NewElasticManager(
-		resources.NewSimProvider("vm", desc, 1, 30*time.Second),
-		resources.ScalePolicy{MaxNodes: 1, TasksPerCore: 1})
+	scaler, err := autoscale.NewThreshold(autoscale.Tier{Name: "vm", Desc: desc, Delay: 30 * time.Second, Max: 1}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := trace.New(0)
 	h := newHost(t, tm, x, host.Config{
-		Pool: resources.NewPool(), Tracer: tr, Autoscale: autoscale.NewThreshold(mgr),
+		Pool: resources.NewPool(), Tracer: tr, Autoscale: scaler,
 	})
 	h.Engine().Add(&engine.Task{ID: 1, Class: "t"}, nil, 0)
 	if act := h.AutoscaleStep(); act.Kind != autoscale.Grew || act.Delay != 30*time.Second {
-		t.Fatalf("step = %+v, want a grow with the provider's delay", act)
+		t.Fatalf("step = %+v, want a grow with the tier's delay", act)
 	}
 	if len(x.launched) != 0 {
 		t.Fatal("task placed on a node that is still provisioning")

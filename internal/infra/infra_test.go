@@ -338,12 +338,13 @@ func wantPinned(t *testing.T, res Result, makespan time.Duration, nodeSeconds fl
 }
 
 func TestElasticityGrowsAndShrinks(t *testing.T) {
-	prov := resources.NewSimProvider("cloud", resources.Description{
-		Cores: 4, MemoryMB: 8000, SpeedFactor: 1,
-	}, 8, 5*time.Second)
-	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{
-		MaxNodes: 8, TasksPerCore: 1, IdleCoresToShrink: 0,
-	})
+	scaler, err := autoscale.NewThreshold(autoscale.Tier{
+		Name: "cloud", Desc: resources.Description{Cores: 4, MemoryMB: 8000, SpeedFactor: 1},
+		Delay: 5 * time.Second, Max: 8,
+	}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pool := resources.NewPool() // starts empty: fully elastic
 	var specs []TaskSpec
 	for i := int64(0); i < 64; i++ {
@@ -351,7 +352,7 @@ func TestElasticityGrowsAndShrinks(t *testing.T) {
 	}
 	cfg := Config{
 		Pool: pool, Net: flatNet(), Policy: sched.FIFO{},
-		Autoscale: autoscale.NewThreshold(mgr), ElasticEvery: 2 * time.Second,
+		Autoscale: scaler, ElasticEvery: 2 * time.Second,
 	}
 	sim, err := New(cfg, specs)
 	if err != nil {
@@ -446,12 +447,13 @@ func TestPersistNodeFailureFallsBackToRecompute(t *testing.T) {
 // and removes it only after the task finishes — no kills, no recovery
 // re-executions.
 func TestShrinkNeverKillsRunningWork(t *testing.T) {
-	prov := resources.NewSimProvider("vm", resources.Description{
-		Cores: 8, MemoryMB: 8000, SpeedFactor: 1,
-	}, 1, 2*time.Second)
-	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{
-		MaxNodes: 1, TasksPerCore: 2, IdleCoresToShrink: 0,
-	})
+	scaler, err := autoscale.NewThreshold(autoscale.Tier{
+		Name: "vm", Desc: resources.Description{Cores: 8, MemoryMB: 8000, SpeedFactor: 1},
+		Delay: 2 * time.Second, Max: 1,
+	}, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := trace.New(0)
 	// One long task on a fully elastic pool: while it runs, pending drops
 	// to zero and 7 of 8 cores idle, so every elastic tick decides Shrink.
@@ -460,7 +462,7 @@ func TestShrinkNeverKillsRunningWork(t *testing.T) {
 		Net:       flatNet(),
 		Policy:    sched.FIFO{},
 		Tracer:    tr,
-		Autoscale: autoscale.NewThreshold(mgr), ElasticEvery: 5 * time.Second,
+		Autoscale: scaler, ElasticEvery: 5 * time.Second,
 	}, []TaskSpec{{ID: 1, Class: "long", Duration: time.Minute}})
 	if err != nil {
 		t.Fatal(err)
@@ -480,28 +482,25 @@ func TestShrinkNeverKillsRunningWork(t *testing.T) {
 	if got := tr.Count(trace.NodeRemoved); got != 0 {
 		t.Fatalf("node removed mid-run %d times; drain-then-remove must wait for idle", got)
 	}
-	// After the run the node has bled dry: the reap now removes it.
-	v, err := mgr.ShrinkOne(sim.cfg.Pool)
-	if err != nil {
-		t.Fatal(err)
+	// After the run the node has bled dry: the next step reaps it.
+	if act := sim.AutoscaleStep(); act.Kind != autoscale.Removed {
+		t.Fatalf("step after the run = %+v, want the drained node reaped", act)
 	}
-	if v == nil {
-		t.Fatal("drained node not reaped once idle")
-	}
-	if mgr.ElasticCount() != 0 {
-		t.Fatalf("manager still holds %d elastic nodes", mgr.ElasticCount())
+	if n := sim.cfg.Pool.Len(); n != 0 {
+		t.Fatalf("pool still holds %d elastic nodes", n)
 	}
 }
 
-// A burst arriving while a node drains reclaims it (no provider round
-// trip) and the run completes.
+// A burst arriving while a node drains reclaims it (no fresh node is
+// provisioned) and the run completes.
 func TestReclaimDuringDrainServesNewLoad(t *testing.T) {
-	prov := resources.NewSimProvider("vm", resources.Description{
-		Cores: 4, MemoryMB: 8000, SpeedFactor: 1,
-	}, 1, 2*time.Second)
-	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{
-		MaxNodes: 1, TasksPerCore: 2, IdleCoresToShrink: 0,
-	})
+	scaler, err := autoscale.NewThreshold(autoscale.Tier{
+		Name: "vm", Desc: resources.Description{Cores: 4, MemoryMB: 8000, SpeedFactor: 1},
+		Delay: 2 * time.Second, Max: 1,
+	}, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := trace.New(0)
 	specs := []TaskSpec{
 		{ID: 1, Class: "long", Duration: 30 * time.Second},
@@ -515,7 +514,7 @@ func TestReclaimDuringDrainServesNewLoad(t *testing.T) {
 		Net:       flatNet(),
 		Policy:    sched.FIFO{},
 		Tracer:    tr,
-		Autoscale: autoscale.NewThreshold(mgr), ElasticEvery: 5 * time.Second,
+		Autoscale: scaler, ElasticEvery: 5 * time.Second,
 	}, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -539,17 +538,17 @@ func TestReclaimDuringDrainServesNewLoad(t *testing.T) {
 // never drained. Both planners, under a wall-clock timeout.
 func TestElasticStuckReturnsErrStuck(t *testing.T) {
 	cpuOnly := resources.Description{Cores: 4, MemoryMB: 8000, SpeedFactor: 1}
-	mgr := func() *resources.ElasticManager {
-		return resources.NewElasticManager(
-			resources.NewSimProvider("vm", cpuOnly, 2, 5*time.Second),
-			resources.ScalePolicy{MaxNodes: 2, TasksPerCore: 2, CostPerNodeHour: 1})
+	vm := autoscale.Tier{Name: "vm", Desc: cpuOnly, Cost: 1, Delay: 5 * time.Second, Max: 2}
+	costAware, err := autoscale.New([]autoscale.Tier{vm})
+	if err != nil {
+		t.Fatal(err)
 	}
-	costAware, err := autoscale.New([]autoscale.Variant{{Name: "vm", Desc: cpuOnly, Manager: mgr()}})
+	threshold, err := autoscale.NewThreshold(vm, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, scaler := range map[string]*autoscale.Autoscaler{
-		"threshold":  autoscale.NewThreshold(mgr()),
+		"threshold":  threshold,
 		"cost-aware": costAware,
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -3,14 +3,13 @@
 // VMs, fog devices and edge sensors, each described by cores, memory,
 // accelerators and installed software.
 //
-// It implements the two features the paper singles out:
-//
-//   - resource *constraints* on task types ("a specific type of processor,
-//     such as a GPU, … a number of cores, memory available for the task or
-//     the existence of a specific software", Sec. VI-A), matched dynamically
-//     at scheduling time so variable memory constraints work (E2);
-//   - *elasticity* "in clouds, federated clouds and in SLURM managed
-//     clusters" (Sec. VI-A) through pluggable providers and a scaling policy.
+// It implements the resource *constraints* on task types the paper
+// singles out ("a specific type of processor, such as a GPU, … a number
+// of cores, memory available for the task or the existence of a specific
+// software", Sec. VI-A), matched dynamically at scheduling time so
+// variable memory constraints work (E2). A pool's membership may change
+// while it runs: internal/autoscale grows and shrinks it through Add,
+// Remove and the node cordon (Drain/Undrain).
 package resources
 
 import (

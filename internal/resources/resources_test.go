@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestDescriptionSatisfies(t *testing.T) {
@@ -160,48 +159,6 @@ func TestPoolIterationDeterministic(t *testing.T) {
 	}
 }
 
-func TestSimProviderLimit(t *testing.T) {
-	prov := NewSimProvider("aws", CloudVM, 2, 30*time.Second)
-	n1, d, err := prov.Acquire()
-	if err != nil || n1 == nil || d != 30*time.Second {
-		t.Fatalf("first acquire: %v %v %v", n1, d, err)
-	}
-	if _, _, err := prov.Acquire(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := prov.Acquire(); !errors.Is(err, ErrInsufficient) {
-		t.Fatalf("over-limit acquire err = %v", err)
-	}
-	if err := prov.Release(n1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := prov.Acquire(); err != nil {
-		t.Fatalf("acquire after release: %v", err)
-	}
-}
-
-func TestShrinkNeverRemovesBusyNodes(t *testing.T) {
-	prov := NewSimProvider("cloud", CloudVM, 4, 0)
-	mgr := NewElasticManager(prov, ScalePolicy{MaxNodes: 4, IdleCoresToShrink: 0})
-	pool := NewPool()
-	n1, _, _ := mgr.GrowOne(pool)
-	if err := n1.Reserve(Constraints{Cores: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// A busy victim is cordoned (drain-then-remove), never removed while
-	// its reservation is live.
-	v, err := mgr.ShrinkOne(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != nil {
-		t.Fatalf("shrunk busy node %s", v.Name())
-	}
-	if pool.Len() != 1 {
-		t.Fatal("busy node left the pool")
-	}
-}
-
 // Property: for any sequence of reserve/release pairs, free capacity never
 // goes negative and never exceeds the description.
 func TestReservationInvariant(t *testing.T) {
@@ -241,81 +198,5 @@ func TestClassString(t *testing.T) {
 		if c.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(c), c.String(), want)
 		}
-	}
-}
-
-// Downscaling is drain-then-remove: a busy victim is cordoned first and
-// only removed once its running work has released — never killed.
-func TestShrinkDrainsBusyNodeBeforeRemoval(t *testing.T) {
-	prov := NewSimProvider("cloud", CloudVM, 4, 0)
-	mgr := NewElasticManager(prov, ScalePolicy{MaxNodes: 4, IdleCoresToShrink: 0})
-	pool := NewPool()
-	n1, _, _ := mgr.GrowOne(pool)
-	work := Constraints{Cores: 1}
-	if err := n1.Reserve(work); err != nil {
-		t.Fatal(err)
-	}
-
-	// Phase 1: the busy node is cordoned, not removed.
-	v, err := mgr.ShrinkOne(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != nil {
-		t.Fatalf("removed busy node %s", v.Name())
-	}
-	if !n1.Drained() {
-		t.Fatal("busy victim not cordoned")
-	}
-	if mgr.DrainingCount() != 1 {
-		t.Fatalf("draining count = %d, want 1", mgr.DrainingCount())
-	}
-	if err := n1.Reserve(work); err == nil {
-		t.Fatal("cordoned node accepted a new reservation")
-	}
-	// Still bleeding: a second call removes nothing.
-	if v, _ := mgr.ShrinkOne(pool); v != nil {
-		t.Fatalf("removed still-busy node %s", v.Name())
-	}
-
-	// The work finishes; phase 2 reaps the node.
-	n1.Release(work)
-	v, err = mgr.ShrinkOne(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v == nil || v.Name() != n1.Name() {
-		t.Fatalf("reaped %v, want %s", v, n1.Name())
-	}
-	if pool.Len() != 0 || mgr.ElasticCount() != 0 {
-		t.Fatalf("pool=%d elastic=%d after reap, want both 0", pool.Len(), mgr.ElasticCount())
-	}
-}
-
-// The cordon hook (engine DrainNode in production) sees every victim.
-func TestShrinkUsesCordonHook(t *testing.T) {
-	prov := NewSimProvider("cloud", CloudVM, 1, 0)
-	mgr := NewElasticManager(prov, ScalePolicy{MaxNodes: 1, IdleCoresToShrink: 0})
-	pool := NewPool()
-	n1, _, _ := mgr.GrowOne(pool)
-	var cordoned []string
-	mgr.SetCordon(func(name string) error {
-		cordoned = append(cordoned, name)
-		n, ok := pool.Get(name)
-		if !ok {
-			t.Fatalf("cordon hook called for %s after pool removal", name)
-		}
-		n.Drain()
-		return nil
-	})
-	v, err := mgr.ShrinkOne(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v == nil || v.Name() != n1.Name() {
-		t.Fatalf("shrunk %v, want idle %s", v, n1.Name())
-	}
-	if len(cordoned) != 1 || cordoned[0] != n1.Name() {
-		t.Fatalf("cordon hook saw %v, want [%s]", cordoned, n1.Name())
 	}
 }

@@ -7,6 +7,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -145,12 +146,28 @@ func NewProvenance() *Provenance {
 }
 
 // RecordProduction registers that output was produced from the given
-// inputs. The inputs slice is kept, not copied: callers hand in a task's
-// immutable read list, shared by every version the task writes.
+// inputs. Several producers of one version — the members of a
+// commutative group — merge: the version derives from every member's
+// inputs, each listed once. The first inputs slice is kept, not copied:
+// callers hand in a task's immutable read list, shared by every version
+// the task writes, so a merge copies before it appends.
 func (p *Provenance) RecordProduction(output deps.Version, inputs []deps.Version) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.inputs[output] = inputs
+	prev, ok := p.inputs[output]
+	if !ok {
+		p.inputs[output] = inputs
+		return
+	}
+	// Clip makes the first append copy: prev may be a caller's read list,
+	// which must never be appended to.
+	merged := slices.Clip(prev)
+	for _, v := range inputs {
+		if !slices.Contains(merged, v) {
+			merged = append(merged, v)
+		}
+	}
+	p.inputs[output] = merged
 }
 
 // Ancestry returns every version the given one transitively derives from,

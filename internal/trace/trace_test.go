@@ -94,6 +94,24 @@ func TestProvenanceAncestry(t *testing.T) {
 	}
 }
 
+// A second producer of a version merges its inputs in without writing
+// into the first producer's read list, which its caller still shares.
+func TestProvenanceMergeCopiesSharedReads(t *testing.T) {
+	p := NewProvenance()
+	out := deps.Version{Data: 9, Ver: 1}
+	a, b, c := deps.Version{Data: 1, Ver: 1}, deps.Version{Data: 2, Ver: 1}, deps.Version{Data: 3, Ver: 1}
+	backing := []deps.Version{a, c}
+	first := backing[:1] // spare capacity a careless append would fill
+	p.RecordProduction(out, first)
+	p.RecordProduction(out, []deps.Version{b, a})
+	if backing[1] != c {
+		t.Fatalf("merge wrote into the caller's read list: %v", backing)
+	}
+	if got := p.Ancestry(out); len(got) != 2 || got[0] != a || got[1] != b {
+		t.Fatalf("ancestry = %v, want [%v %v]", got, a, b)
+	}
+}
+
 func TestProvenanceCyclicInputsTerminate(t *testing.T) {
 	p := NewProvenance()
 	a, b := deps.Version{Data: 1, Ver: 1}, deps.Version{Data: 2, Ver: 1}
