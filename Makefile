@@ -36,9 +36,10 @@ vet:
 # when one grew: non-test Go lines outside bench/ (above LINE_BUDGET —
 # lower it in the PR that deletes code), with the agent's share printed;
 # the Config field counts (TestConfigBudget is the ratchet); the exported
-# internal/ declarations — funcs, methods and types — and the guard that
-# each has a non-test caller (TestInternalExportsHaveACaller ratchets the
-# count and keeps a short, reasoned allowlist); the
+# internal/ and dislib/ declarations — funcs, methods and types — and
+# the guard that each has a non-test caller
+# (TestInternalExportsHaveACaller ratchets the count and keeps a short,
+# reasoned allowlist); the
 # flowgo-sim flag count (above FLAG_BUDGET; every flag its FlagSet or
 # the flag package registers, value or Var form); the version-map count —
 # non-test lines outside bench/ that key a map by a data version
@@ -70,7 +71,7 @@ vet:
 # carries the same rule down to single declarations.
 FLAG_BUDGET := 21
 VERSION_MAP_BUDGET := 9
-LINE_BUDGET := 20880
+LINE_BUDGET := 20111
 NONTEST_GO := -name '*.go' ! -name '*_test.go'
 budget:
 	@n=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs cat | wc -l); \

@@ -301,17 +301,10 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if cfg.Metrics != nil {
-			scaler.SetMetrics(obsv.NewAutoscaleMetrics(cfg.Metrics))
-		}
 		cfg.Autoscale = scaler
 	}
 	if *quota > 0 {
-		adm := autoscale.NewAdmission(autoscale.Quota{MaxInFlight: *quota})
-		if cfg.Metrics != nil {
-			adm.SetMetrics(obsv.NewAdmissionMetrics(cfg.Metrics))
-		}
-		cfg.Admission = adm
+		cfg.Admission = autoscale.NewAdmission(autoscale.Quota{MaxInFlight: *quota})
 	}
 
 	sim, err := infra.New(cfg, specs)

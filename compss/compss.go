@@ -21,6 +21,14 @@
 //	x := c.NewObject()
 //	_, _ = c.Call("add", compss.In(1), compss.In(2), compss.Write(x))
 //	sum, _ := c.WaitOn(x) // 3
+//
+// New takes two options, the node pool and provenance recording, and
+// places ready tasks first come, first served. Besides what the examples
+// run (tasks, objects, futures, barriers, agent-backed remote tasks), the
+// package keeps the surface the paper describes although no program here
+// calls it: service tasks (Sec. VI-A), task groups under fork-join
+// (Sec. V) and data lineage through WithProvenance and Ancestry
+// (Sec. VI-C).
 package compss
 
 import (
@@ -29,8 +37,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/deps"
-	"repro/internal/mlpredict"
 	"repro/internal/resources"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -112,9 +118,6 @@ func (f *Future) Done() bool { return f.f.Done() }
 // config collects option state.
 type config struct {
 	nodes      []NodeSpec
-	policy     string
-	predictor  bool
-	traceLimit int
 	provenance bool
 }
 
@@ -126,30 +129,6 @@ func WithNodes(nodes ...NodeSpec) Option {
 	return func(c *config) { c.nodes = append([]NodeSpec(nil), nodes...) }
 }
 
-// WithPolicy selects the scheduling policy by name: "fifo", "min-load",
-// "p2c", "locality", "eft", "ml", "energy" or "wait-fast" (default
-// "fifo"). New panics on any other name.
-func WithPolicy(name string) Option {
-	return func(c *config) { c.policy = name }
-}
-
-// WithPredictor enables the learning duration predictor (required by the
-// "ml" policy to become effective).
-func WithPredictor() Option {
-	return func(c *config) { c.predictor = true }
-}
-
-// WithTracing enables event tracing, keeping at most limit events
-// (0 ⇒ unlimited).
-func WithTracing(limit int) Option {
-	return func(c *config) {
-		c.traceLimit = limit
-		if limit == 0 {
-			c.traceLimit = -1
-		}
-	}
-}
-
 // WithProvenance enables data-lineage recording (the traceability the
 // paper's Sec. VI-C calls for).
 func WithProvenance() Option {
@@ -158,15 +137,14 @@ func WithProvenance() Option {
 
 // COMPSs is a running task runtime. Create with New; always Shutdown.
 type COMPSs struct {
-	rt    *core.Runtime
-	trace *trace.Tracer
-	prov  *trace.Provenance
-	pred  *mlpredict.Predictor
+	rt   *core.Runtime
+	prov *trace.Provenance
 }
 
-// New starts a runtime.
+// New starts a runtime that places ready tasks first come, first served
+// (sched.FIFO). It panics when two nodes share a name.
 func New(opts ...Option) *COMPSs {
-	cfg := config{policy: "fifo"}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -188,30 +166,16 @@ func New(opts ...Option) *COMPSs {
 		if desc.MemoryMB <= 0 {
 			desc.MemoryMB = 8000
 		}
-		_ = pool.Add(resources.NewNode(n.Name, desc))
+		if err := pool.Add(resources.NewNode(n.Name, desc)); err != nil {
+			panic("compss: " + err.Error())
+		}
 	}
 
-	policy, err := sched.ByName(cfg.policy)
-	if err != nil {
-		panic("compss: " + err.Error())
-	}
 	c := &COMPSs{}
 	coreCfg := core.Config{
 		Pool:      pool,
-		Policy:    policy,
+		Policy:    sched.FIFO{},
 		Locations: transfer.NewRegistry(),
-	}
-	if cfg.predictor {
-		c.pred = mlpredict.NewPredictor(0)
-		coreCfg.Predictor = c.pred
-	}
-	if cfg.traceLimit != 0 {
-		limit := cfg.traceLimit
-		if limit < 0 {
-			limit = 0
-		}
-		c.trace = trace.New(limit)
-		coreCfg.Tracer = c.trace
 	}
 	if cfg.provenance {
 		c.prov = trace.NewProvenance()
@@ -282,19 +246,6 @@ func (c *COMPSs) TasksSubmitted() int { return c.rt.Stats().Submitted }
 // arise).
 func (c *COMPSs) DependencyEdges() int { return c.rt.Stats().DepsEdges.Total() }
 
-// TraceEvents returns recorded events as (kind, count) pairs; empty unless
-// WithTracing was set.
-func (c *COMPSs) TraceEvents() map[string]int {
-	if c.trace == nil {
-		return nil
-	}
-	out := make(map[string]int)
-	for _, e := range c.trace.Events() {
-		out[string(e.Kind)]++
-	}
-	return out
-}
-
 // Ancestry reports the provenance of an object's current version as
 // version-key strings (requires WithProvenance).
 func (c *COMPSs) Ancestry(o *Object) []string {
@@ -309,6 +260,3 @@ func (c *COMPSs) Ancestry(o *Object) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Direction re-exports the access directions for advanced use.
-type Direction = deps.Direction

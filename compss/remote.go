@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/agent"
 )
@@ -15,32 +14,18 @@ import (
 // the application must have the function registered under the same name
 // ("each Agent … can execute the same application code").
 
-// RemoteOptions tune a remote task.
-type RemoteOptions struct {
-	// Timeout bounds each HTTP request (default 2s; the task itself may
-	// run longer — completion is polled).
-	Timeout time.Duration
-	// PollInterval tunes completion polling (default 5ms).
-	PollInterval time.Duration
-}
-
 // RegisterRemoteTask registers a task whose body runs on one of the given
 // agents, chosen by load, with failover if the chosen agent disappears.
-// IN parameters must be JSON-marshalable; the decoded response binds to
-// the single Write parameter (numbers arrive as float64, objects as
+// Each HTTP request is bounded at 2s and completion is polled every 5ms
+// (agent.NewClient's defaults; the task itself may run longer). IN
+// parameters must be JSON-marshalable; the decoded response binds to the
+// single Write parameter (numbers arrive as float64, objects as
 // map[string]any — standard encoding/json semantics).
-func (c *COMPSs) RegisterRemoteTask(name string, agentURLs []string, opts ...RemoteOptions) error {
+func (c *COMPSs) RegisterRemoteTask(name string, agentURLs []string) error {
 	if len(agentURLs) == 0 {
 		return fmt.Errorf("compss: remote task %s needs at least one agent URL", name)
 	}
-	var o RemoteOptions
-	if len(opts) > 1 {
-		return fmt.Errorf("compss: at most one RemoteOptions, got %d", len(opts))
-	}
-	if len(opts) == 1 {
-		o = opts[0]
-	}
-	client := agent.NewClient(o.Timeout, o.PollInterval)
+	client := agent.NewClient(0, 0)
 	urls := append([]string(nil), agentURLs...)
 
 	fn := func(_ context.Context, args []any) ([]any, error) {

@@ -133,7 +133,4 @@ func TestRegisterRemoteTaskValidation(t *testing.T) {
 	if err := c.RegisterRemoteTask("x", nil); err == nil {
 		t.Fatal("no agents accepted")
 	}
-	if err := c.RegisterRemoteTask("x", []string{"u"}, RemoteOptions{}, RemoteOptions{}); err == nil {
-		t.Fatal("two option values accepted")
-	}
 }

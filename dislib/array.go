@@ -14,7 +14,6 @@ type Array struct {
 	blocks []*compss.Object
 	rows   int
 	cols   int
-	rpb    int // rows per block (last block may be smaller)
 }
 
 // Rows returns the total row count.
@@ -25,14 +24,6 @@ func (a *Array) Cols() int { return a.cols }
 
 // NumBlocks returns the number of row blocks.
 func (a *Array) NumBlocks() int { return len(a.blocks) }
-
-// blockRows returns the row count of block i.
-func (a *Array) blockRows(i int) int {
-	if i < len(a.blocks)-1 {
-		return a.rpb
-	}
-	return a.rows - a.rpb*(len(a.blocks)-1)
-}
 
 // FromSlice distributes a dense matrix into blocks of rowsPerBlock rows.
 func (l *Lib) FromSlice(data [][]float64, rowsPerBlock int) (*Array, error) {
@@ -48,7 +39,7 @@ func (l *Lib) FromSlice(data [][]float64, rowsPerBlock int) (*Array, error) {
 			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrDimension, i, len(row), cols)
 		}
 	}
-	a := &Array{lib: l, rows: len(data), cols: cols, rpb: rowsPerBlock}
+	a := &Array{lib: l, rows: len(data), cols: cols}
 	for start := 0; start < len(data); start += rowsPerBlock {
 		end := start + rowsPerBlock
 		if end > len(data) {
@@ -61,52 +52,6 @@ func (l *Lib) FromSlice(data [][]float64, rowsPerBlock int) (*Array, error) {
 		a.blocks = append(a.blocks, l.c.NewObjectWith(block))
 	}
 	return a, nil
-}
-
-// Random creates a rows×cols array of standard normal samples, generated
-// in parallel (one task per block) from a deterministic per-block seed.
-func (l *Lib) Random(rows, cols, rowsPerBlock int, seed int64) (*Array, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("%w: rows=%d cols=%d", ErrDimension, rows, cols)
-	}
-	if rowsPerBlock <= 0 {
-		rowsPerBlock = rows
-	}
-	a := &Array{lib: l, rows: rows, cols: cols, rpb: rowsPerBlock}
-	blockIdx := 0
-	for start := 0; start < rows; start += rowsPerBlock {
-		n := rowsPerBlock
-		if start+n > rows {
-			n = rows - start
-		}
-		obj := l.c.NewObject()
-		if _, err := l.c.Call("dislib.randBlock",
-			compss.In(n), compss.In(cols), compss.In(seed+int64(blockIdx)),
-			compss.Write(obj)); err != nil {
-			return nil, err
-		}
-		a.blocks = append(a.blocks, obj)
-		blockIdx++
-	}
-	return a, nil
-}
-
-// Collect materialises the whole array on the caller (a synchronisation
-// point, like ds-array's collect()).
-func (a *Array) Collect() ([][]float64, error) {
-	out := make([][]float64, 0, a.rows)
-	for _, b := range a.blocks {
-		v, err := a.lib.c.WaitOn(b)
-		if err != nil {
-			return nil, err
-		}
-		block, err := asMatrix(v)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, block...)
-	}
-	return out, nil
 }
 
 // Sum returns the sum of all elements, computed as one task per block plus
@@ -132,18 +77,4 @@ func (a *Array) Sum() (float64, error) {
 		total += f
 	}
 	return total, nil
-}
-
-// Scale returns a new array with every element multiplied by f (one task
-// per block).
-func (a *Array) Scale(f float64) (*Array, error) {
-	out := &Array{lib: a.lib, rows: a.rows, cols: a.cols, rpb: a.rpb}
-	for _, b := range a.blocks {
-		nb := a.lib.c.NewObject()
-		if _, err := a.lib.c.Call("dislib.scale", compss.Read(b), compss.In(f), compss.Write(nb)); err != nil {
-			return nil, err
-		}
-		out.blocks = append(out.blocks, nb)
-	}
-	return out, nil
 }

@@ -9,6 +9,10 @@
 // compss Objects, so every operation on them is an asynchronous task and
 // the runtime extracts the parallelism. Estimators follow the
 // scikit-learn-style Fit/Predict shape the paper's HLA level calls for.
+//
+// The library keeps what a program here runs: FromSlice and Array.Sum
+// (the HLA level of E12) and the KMeans estimator (examples/kmeans). The
+// paper names no estimator, so none is kept that nothing calls.
 package dislib
 
 import (
@@ -16,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/compss"
 )
@@ -43,29 +46,14 @@ type kmPartial struct {
 	counts []float64
 }
 
-// gramPartial accumulates XᵀX and Xᵀy.
-type gramPartial struct {
-	xtx matrix
-	xty []float64
-}
-
 // New registers the dislib task library on a runtime.
 func New(c *compss.COMPSs) (*Lib, error) {
 	l := &Lib{c: c}
 	tasks := map[string]compss.TaskFunc{
-		"dislib.randBlock":     taskRandBlock,
 		"dislib.kmeansPartial": taskKMeansPartial,
 		"dislib.kmeansMerge":   taskKMeansMerge,
 		"dislib.assign":        taskAssign,
-		"dislib.inertia":       taskInertia,
-		"dislib.gramPartial":   taskGramPartial,
-		"dislib.gramMerge":     taskGramMerge,
 		"dislib.rowSum":        taskRowSum,
-		"dislib.scale":         taskScale,
-		"dislib.colSums":       taskColSums,
-		"dislib.colSumsMerge":  taskColSumsMerge,
-		"dislib.covPartial":    taskCovPartial,
-		"dislib.matAdd":        taskMatAdd,
 	}
 	for name, fn := range tasks {
 		if err := c.RegisterTask(name, fn); err != nil {
@@ -76,24 +64,6 @@ func New(c *compss.COMPSs) (*Lib, error) {
 }
 
 // --- task bodies ---
-
-func taskRandBlock(_ context.Context, args []any) ([]any, error) {
-	rows, ok1 := args[0].(int)
-	cols, ok2 := args[1].(int)
-	seed, ok3 := args[2].(int64)
-	if !ok1 || !ok2 || !ok3 {
-		return nil, errors.New("randBlock: want (int, int, int64)")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	m := make(matrix, rows)
-	for i := range m {
-		m[i] = make([]float64, cols)
-		for j := range m[i] {
-			m[i][j] = rng.NormFloat64()
-		}
-	}
-	return []any{m}, nil
-}
 
 func asMatrix(v any) (matrix, error) {
 	m, ok := v.(matrix)
@@ -162,83 +132,6 @@ func taskAssign(_ context.Context, args []any) ([]any, error) {
 	return []any{out}, nil
 }
 
-func taskInertia(_ context.Context, args []any) ([]any, error) {
-	block, err := asMatrix(args[0])
-	if err != nil {
-		return nil, err
-	}
-	centers, err := asMatrix(args[1])
-	if err != nil {
-		return nil, err
-	}
-	total := 0.0
-	for _, row := range block {
-		best := math.Inf(1)
-		for _, center := range centers {
-			d := 0.0
-			for j := range center {
-				diff := row[j] - center[j]
-				d += diff * diff
-			}
-			if d < best {
-				best = d
-			}
-		}
-		total += best
-	}
-	return []any{total}, nil
-}
-
-func taskGramPartial(_ context.Context, args []any) ([]any, error) {
-	xb, err := asMatrix(args[0])
-	if err != nil {
-		return nil, err
-	}
-	yb, err := asMatrix(args[1])
-	if err != nil {
-		return nil, err
-	}
-	if len(xb) != len(yb) {
-		return nil, fmt.Errorf("%w: X block %d rows, y block %d", ErrDimension, len(xb), len(yb))
-	}
-	if len(xb) == 0 {
-		return []any{gramPartial{}}, nil
-	}
-	// Augment with the intercept column.
-	p := len(xb[0]) + 1
-	g := gramPartial{xtx: zeros(p, p), xty: make([]float64, p)}
-	for r, row := range xb {
-		aug := make([]float64, p)
-		aug[0] = 1
-		copy(aug[1:], row)
-		for i := 0; i < p; i++ {
-			for j := 0; j < p; j++ {
-				g.xtx[i][j] += aug[i] * aug[j]
-			}
-			g.xty[i] += aug[i] * yb[r][0]
-		}
-	}
-	return []any{g}, nil
-}
-
-func taskGramMerge(_ context.Context, args []any) ([]any, error) {
-	acc, aok := args[0].(gramPartial)
-	add, bok := args[1].(gramPartial)
-	if !bok {
-		return nil, errors.New("gramMerge: want partial")
-	}
-	if !aok || acc.xtx == nil {
-		return []any{add}, nil
-	}
-	for i := range add.xtx {
-		for j := range add.xtx[i] {
-			acc.xtx[i][j] += add.xtx[i][j]
-		}
-		acc.xty[i] += add.xty[i]
-	}
-	return []any{acc}, nil
-}
-
 func taskRowSum(_ context.Context, args []any) ([]any, error) {
 	block, err := asMatrix(args[0])
 	if err != nil {
@@ -251,97 +144,6 @@ func taskRowSum(_ context.Context, args []any) ([]any, error) {
 		}
 	}
 	return []any{s}, nil
-}
-
-func taskScale(_ context.Context, args []any) ([]any, error) {
-	block, err := asMatrix(args[0])
-	if err != nil {
-		return nil, err
-	}
-	f, ok := args[1].(float64)
-	if !ok {
-		return nil, errors.New("scale: want float64 factor")
-	}
-	out := make(matrix, len(block))
-	for i, row := range block {
-		out[i] = make([]float64, len(row))
-		for j, v := range row {
-			out[i][j] = v * f
-		}
-	}
-	return []any{out}, nil
-}
-
-func taskColSums(_ context.Context, args []any) ([]any, error) {
-	block, err := asMatrix(args[0])
-	if err != nil {
-		return nil, err
-	}
-	if len(block) == 0 {
-		return []any{colStats{}}, nil
-	}
-	sums := make([]float64, len(block[0]))
-	for _, row := range block {
-		for j, v := range row {
-			sums[j] += v
-		}
-	}
-	return []any{colStats{sums: sums, count: float64(len(block))}}, nil
-}
-
-func taskColSumsMerge(_ context.Context, args []any) ([]any, error) {
-	acc, aok := args[0].(colStats)
-	add, bok := args[1].(colStats)
-	if !bok {
-		return nil, errors.New("colSumsMerge: want colStats")
-	}
-	if !aok || acc.sums == nil {
-		return []any{add}, nil
-	}
-	for j := range add.sums {
-		acc.sums[j] += add.sums[j]
-	}
-	acc.count += add.count
-	return []any{acc}, nil
-}
-
-func taskCovPartial(_ context.Context, args []any) ([]any, error) {
-	block, err := asMatrix(args[0])
-	if err != nil {
-		return nil, err
-	}
-	mean, ok := args[1].([]float64)
-	if !ok {
-		return nil, errors.New("covPartial: want means")
-	}
-	p := len(mean)
-	out := zeros(p, p)
-	for _, row := range block {
-		for i := 0; i < p; i++ {
-			di := row[i] - mean[i]
-			for j := 0; j < p; j++ {
-				out[i][j] += di * (row[j] - mean[j])
-			}
-		}
-	}
-	return []any{out}, nil
-}
-
-func taskMatAdd(_ context.Context, args []any) ([]any, error) {
-	acc, aok := args[0].(matrix)
-	add, err := asMatrix(args[1])
-	if err != nil {
-		return nil, err
-	}
-	if !aok || acc == nil {
-		return []any{add}, nil
-	}
-	for i := range add {
-		for j := range add[i] {
-			acc[i][j] += add[i][j]
-		}
-	}
-	return []any{acc}, nil
 }
 
 // --- helpers ---
@@ -367,43 +169,4 @@ func nearest(row []float64, centers matrix) int {
 		}
 	}
 	return best
-}
-
-// solve performs Gaussian elimination with partial pivoting on a copy of
-// (A, b).
-func solve(a matrix, b []float64) ([]float64, error) {
-	n := len(a)
-	m := zeros(n, n+1)
-	for i := range a {
-		copy(m[i], a[i])
-		m[i][n] = b[i]
-	}
-	for col := 0; col < n; col++ {
-		// Pivot.
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(m[pivot][col]) < 1e-12 {
-			return nil, errors.New("dislib: singular normal equations")
-		}
-		m[col], m[pivot] = m[pivot], m[col]
-		for r := col + 1; r < n; r++ {
-			f := m[r][col] / m[col][col]
-			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-		}
-	}
-	x := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		x[r] = m[r][n]
-		for c := r + 1; c < n; c++ {
-			x[r] -= m[r][c] * x[c]
-		}
-		x[r] /= m[r][r]
-	}
-	return x, nil
 }

@@ -3,6 +3,7 @@ package dislib
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/compss"
@@ -32,16 +33,30 @@ func TestFromSliceAndCollectRoundTrip(t *testing.T) {
 	if a.NumBlocks() != 3 || a.Rows() != 5 || a.Cols() != 2 {
 		t.Fatalf("shape: %d blocks %dx%d", a.NumBlocks(), a.Rows(), a.Cols())
 	}
-	back, err := a.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range data {
-		for j := range data[i] {
-			if back[i][j] != data[i][j] {
-				t.Fatalf("round-trip mismatch at %d,%d", i, j)
-			}
+	// Collect the blocks back: two full blocks of 2 rows, then the short
+	// last block of 1, in row order.
+	var back [][]float64
+	for i, b := range a.blocks {
+		v, err := l.c.WaitOn(b)
+		if err != nil {
+			t.Fatal(err)
 		}
+		block, err := asMatrix(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{2, 2, 1}[i]; len(block) != want {
+			t.Fatalf("block %d has %d rows, want %d", i, len(block), want)
+		}
+		back = append(back, block...)
+	}
+	if !reflect.DeepEqual(back, data) {
+		t.Fatalf("round trip = %v, want %v", back, data)
+	}
+	// The blocks are copies: editing the input afterwards changes nothing.
+	data[0][0] = -1
+	if s, err := a.Sum(); err != nil || s != 55 {
+		t.Fatalf("Sum after editing the input = %v %v, want 55", s, err)
 	}
 }
 
@@ -55,37 +70,7 @@ func TestFromSliceValidation(t *testing.T) {
 	}
 }
 
-func TestRandomIsDeterministicPerSeed(t *testing.T) {
-	l := newLib(t)
-	a1, err := l.Random(20, 3, 5, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := l.Random(20, 3, 5, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, err := a1.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := a2.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m1) != 20 || len(m1[0]) != 3 {
-		t.Fatalf("shape %dx%d", len(m1), len(m1[0]))
-	}
-	for i := range m1 {
-		for j := range m1[i] {
-			if m1[i][j] != m2[i][j] {
-				t.Fatal("same seed produced different arrays")
-			}
-		}
-	}
-}
-
-func TestSumAndScale(t *testing.T) {
+func TestSum(t *testing.T) {
 	l := newLib(t)
 	a, err := l.FromSlice([][]float64{{1, 2}, {3, 4}}, 1)
 	if err != nil {
@@ -94,19 +79,6 @@ func TestSumAndScale(t *testing.T) {
 	s, err := a.Sum()
 	if err != nil || s != 10 {
 		t.Fatalf("Sum = %v %v, want 10", s, err)
-	}
-	b, err := a.Scale(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := b.Sum()
-	if err != nil || s2 != 20 {
-		t.Fatalf("scaled Sum = %v %v, want 20", s2, err)
-	}
-	// Original unchanged (renaming semantics).
-	s3, _ := a.Sum()
-	if s3 != 10 {
-		t.Fatalf("original mutated: %v", s3)
 	}
 }
 
@@ -181,144 +153,5 @@ func TestKMeansValidation(t *testing.T) {
 	}
 	if _, err := km.Predict(a); !errors.Is(err, ErrNotFitted) {
 		t.Fatalf("predict unfitted: %v", err)
-	}
-}
-
-func TestLinearRegressionRecoversCoefficients(t *testing.T) {
-	l := newLib(t)
-	// y = 2x1 - 3x2 + 5
-	var xs, ys [][]float64
-	for i := 0; i < 60; i++ {
-		x1 := float64(i%10) - 5
-		x2 := float64(i%7) - 3
-		xs = append(xs, []float64{x1, x2})
-		ys = append(ys, []float64{2*x1 - 3*x2 + 5})
-	}
-	x, err := l.FromSlice(xs, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := l.FromSlice(ys, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lr := l.LinearRegression()
-	if err := lr.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lr.Intercept-5) > 1e-6 {
-		t.Fatalf("intercept = %v, want 5", lr.Intercept)
-	}
-	if math.Abs(lr.Coef[0]-2) > 1e-6 || math.Abs(lr.Coef[1]+3) > 1e-6 {
-		t.Fatalf("coef = %v, want [2 -3]", lr.Coef)
-	}
-	pred, err := lr.Predict([][]float64{{1, 1}})
-	if err != nil || math.Abs(pred[0]-4) > 1e-6 {
-		t.Fatalf("Predict = %v %v, want 4", pred, err)
-	}
-}
-
-func TestLinearRegressionValidation(t *testing.T) {
-	l := newLib(t)
-	x, _ := l.FromSlice([][]float64{{1}, {2}}, 1)
-	yBad, _ := l.FromSlice([][]float64{{1, 2}, {2, 3}}, 1)
-	lr := l.LinearRegression()
-	if err := lr.Fit(x, yBad); !errors.Is(err, ErrDimension) {
-		t.Fatalf("y with 2 cols accepted: %v", err)
-	}
-	yMismatch, _ := l.FromSlice([][]float64{{1}, {2}}, 2) // different blocking
-	if err := lr.Fit(x, yMismatch); !errors.Is(err, ErrDimension) {
-		t.Fatalf("block mismatch accepted: %v", err)
-	}
-	if _, err := lr.Predict([][]float64{{1}}); !errors.Is(err, ErrNotFitted) {
-		t.Fatalf("predict unfitted: %v", err)
-	}
-}
-
-func TestSolve(t *testing.T) {
-	// 2x + y = 5 ; x - y = 1  ⇒ x=2, y=1
-	x, err := solve(matrix{{2, 1}, {1, -1}}, []float64{5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-2) > 1e-9 || math.Abs(x[1]-1) > 1e-9 {
-		t.Fatalf("solve = %v", x)
-	}
-	if _, err := solve(matrix{{1, 1}, {1, 1}}, []float64{1, 2}); err == nil {
-		t.Fatal("singular system accepted")
-	}
-}
-
-func TestInertiaDropsWithBetterFit(t *testing.T) {
-	l := newLib(t)
-	a, err := l.FromSlice(twoBlobs(40), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	km1 := l.KMeans(1, 5)
-	if err := km1.Fit(a); err != nil {
-		t.Fatal(err)
-	}
-	i1, err := km1.Inertia(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	km2 := l.KMeans(2, 5)
-	if err := km2.Fit(a); err != nil {
-		t.Fatal(err)
-	}
-	i2, err := km2.Inertia(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i2 >= i1 {
-		t.Fatalf("inertia k=2 (%v) should undercut k=1 (%v) on two blobs", i2, i1)
-	}
-	if i2 < 0 || i1 < 0 {
-		t.Fatal("negative inertia")
-	}
-}
-
-func TestInertiaRequiresFit(t *testing.T) {
-	l := newLib(t)
-	a, _ := l.FromSlice(twoBlobs(5), 4)
-	if _, err := l.KMeans(2, 1).Inertia(a); !errors.Is(err, ErrNotFitted) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestGridSearchFindsElbowAtTrueK(t *testing.T) {
-	l := newLib(t)
-	a, err := l.FromSlice(twoBlobs(60), 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, elbow, err := l.GridSearchKMeans(a, []int{1, 2, 3, 4}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("results = %d", len(results))
-	}
-	// Inertia must be non-increasing in k (allowing tiny numeric noise).
-	for i := 1; i < len(results); i++ {
-		if results[i].Inertia > results[i-1].Inertia*1.05 {
-			t.Fatalf("inertia increased: k=%d %v -> k=%d %v",
-				results[i-1].K, results[i-1].Inertia, results[i].K, results[i].Inertia)
-		}
-	}
-	// Two well-separated blobs: the elbow sits at k=2.
-	if results[elbow].K != 2 {
-		t.Fatalf("elbow at k=%d, want 2 (inertias: %v %v %v %v)",
-			results[elbow].K, results[0].Inertia, results[1].Inertia,
-			results[2].Inertia, results[3].Inertia)
-	}
-}
-
-func TestGridSearchValidation(t *testing.T) {
-	l := newLib(t)
-	a, _ := l.FromSlice(twoBlobs(5), 4)
-	if _, _, err := l.GridSearchKMeans(a, nil, 1); err == nil {
-		t.Fatal("empty grid accepted")
 	}
 }

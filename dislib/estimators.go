@@ -128,75 +128,3 @@ func (m *KMeans) Predict(a *Array) ([]int, error) {
 	}
 	return labels, nil
 }
-
-// LinearRegression fits y ≈ Xβ + b by distributed normal equations: one
-// Gram-matrix task per block, a commutative merge, and a local solve.
-type LinearRegression struct {
-	lib *Lib
-	// Intercept is the fitted bias term.
-	Intercept float64
-	// Coef holds the fitted weights (len = X.Cols()).
-	Coef []float64
-}
-
-// LinearRegression constructs the estimator.
-func (l *Lib) LinearRegression() *LinearRegression {
-	return &LinearRegression{lib: l}
-}
-
-// Fit learns coefficients from X (n×p) and y (n×1).
-func (r *LinearRegression) Fit(x, y *Array) error {
-	if x.Rows() != y.Rows() || y.Cols() != 1 {
-		return fmt.Errorf("%w: X %dx%d, y %dx%d", ErrDimension, x.Rows(), x.Cols(), y.Rows(), y.Cols())
-	}
-	if x.NumBlocks() != y.NumBlocks() {
-		return fmt.Errorf("%w: X has %d blocks, y %d (use the same rowsPerBlock)",
-			ErrDimension, x.NumBlocks(), y.NumBlocks())
-	}
-	acc := r.lib.c.NewObjectWith(gramPartial{})
-	for i := range x.blocks {
-		part := r.lib.c.NewObject()
-		if _, err := r.lib.c.Call("dislib.gramPartial",
-			compss.Read(x.blocks[i]), compss.Read(y.blocks[i]), compss.Write(part)); err != nil {
-			return err
-		}
-		if _, err := r.lib.c.Call("dislib.gramMerge",
-			compss.Reduce(acc), compss.Read(part)); err != nil {
-			return err
-		}
-	}
-	v, err := r.lib.c.WaitOn(acc)
-	if err != nil {
-		return err
-	}
-	g, ok := v.(gramPartial)
-	if !ok {
-		return fmt.Errorf("dislib: gram merge returned %T", v)
-	}
-	beta, err := solve(g.xtx, g.xty)
-	if err != nil {
-		return err
-	}
-	r.Intercept = beta[0]
-	r.Coef = beta[1:]
-	return nil
-}
-
-// Predict evaluates the fitted model on each row of X.
-func (r *LinearRegression) Predict(x [][]float64) ([]float64, error) {
-	if r.Coef == nil {
-		return nil, ErrNotFitted
-	}
-	out := make([]float64, len(x))
-	for i, row := range x {
-		if len(row) != len(r.Coef) {
-			return nil, fmt.Errorf("%w: row %d has %d features, want %d", ErrDimension, i, len(row), len(r.Coef))
-		}
-		v := r.Intercept
-		for j, f := range row {
-			v += f * r.Coef[j]
-		}
-		out[i] = v
-	}
-	return out, nil
-}

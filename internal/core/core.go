@@ -273,9 +273,10 @@ type Config struct {
 	// instead of executing.
 	Restore *checkpoint.Snapshot
 	// Metrics, when set, backs the engine (and the checkpointer, unless
-	// its config carries its own bundle) with observability instruments
-	// registered on this registry; serve it with obsv.Serve or sample it
-	// with Runtime.StartSampler. Optional.
+	// its config carries its own bundle), the autoscaler and the
+	// admission controller with observability instruments registered on
+	// this registry; serve it with obsv.Serve or sample it with
+	// Runtime.StartSampler. Optional.
 	Metrics *obsv.Registry
 	// Autoscale enables cost-aware pool scaling across heterogeneous
 	// tiers — the same autoscaler the simulator takes, evaluated here on

@@ -92,7 +92,7 @@ func (p Placement) Primary() *resources.Node { return p.Node }
 // ran the wave, which takes it as soon as the engine call returns; the
 // simulator schedules a completion event on its virtual clock. Every
 // launch must eventually be answered by a call to Engine.Complete (or be
-// invalidated through KillRunningOn).
+// invalidated by Engine.FailNode).
 type Executor interface {
 	// Launch starts p. It is called while the engine's launch batch is
 	// being drained (the task-state lock is not held), so it may inspect
@@ -1368,13 +1368,13 @@ func (e *Engine) doneLocked(t *Task) (first bool) {
 	return first
 }
 
-// KillRunningOn invalidates every running task that reserved the named
+// killRunningOn invalidates every running task that reserved the named
 // node (which the caller has already removed from the pool): reservations
 // on surviving group members are released, the pending completion event
 // is invalidated through the epoch, and the task returns to Pending with
-// no waits — ready for Resubmit. The killed tasks are returned in
+// no waits — ready for resubmit. The killed tasks are returned in
 // registration order.
-func (e *Engine) KillRunningOn(name string) []*Task {
+func (e *Engine) killRunningOn(name string) []*Task {
 	e.mu.Lock()
 	defer e.unlock()
 	var killed []*Task
@@ -1404,12 +1404,12 @@ func (e *Engine) KillRunningOn(name string) []*Task {
 	return killed
 }
 
-// DropReadyMissingInputs removes from the buckets every ready task that
+// dropReadyMissingInputs removes from the buckets every ready task that
 // has an input version with no replica left but a known producer (data
 // lost to a node failure), returning them reset to Pending so the caller
-// can Resubmit each. Tasks whose missing inputs have no producer are left
+// can resubmit each. Tasks whose missing inputs have no producer are left
 // queued: the data was external and nothing can recompute it.
-func (e *Engine) DropReadyMissingInputs() []*Task {
+func (e *Engine) dropReadyMissingInputs() []*Task {
 	e.mu.Lock()
 	defer e.unlock()
 	if e.cfg.Registry == nil {
@@ -1449,11 +1449,11 @@ func (e *Engine) missingProducerLocked(t *Task) bool {
 	return false
 }
 
-// Resubmit queues a task for (re-)execution, recursively resubmitting the
+// resubmit queues a task for (re-)execution, recursively resubmitting the
 // producers of any input versions that lost every replica — the recompute-
 // lineage recovery path. Tasks that are already queued or running are left
 // alone. The caller should Schedule afterwards.
-func (e *Engine) Resubmit(id int64) {
+func (e *Engine) resubmit(id int64) {
 	e.mu.Lock()
 	defer e.unlock()
 	if t := e.tasks.get(id); t != nil {

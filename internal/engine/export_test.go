@@ -17,6 +17,12 @@ func ProducerIndexBuilt(e *Engine) bool {
 	return e.producer != nil
 }
 
+// KillRunningOn, DropReadyMissingInputs and Resubmit are FailNode's three
+// steps, reached one at a time by the tests.
+func (e *Engine) KillRunningOn(name string) []*Task { return e.killRunningOn(name) }
+func (e *Engine) DropReadyMissingInputs() []*Task   { return e.dropReadyMissingInputs() }
+func (e *Engine) Resubmit(id int64)                 { e.resubmit(id) }
+
 // checkProducerIndex holds a built producer index to a rebuild from the
 // task table in registration order: every version maps to its
 // last-registered writer and to nothing else. Caller holds e.mu.

@@ -78,7 +78,7 @@ func (e *Engine) FailNode(name string, onKill func(*Task)) (FailReport, error) {
 	}
 
 	// Kill running tasks that used the node and recover through lineage.
-	rep.Killed = e.KillRunningOn(name)
+	rep.Killed = e.killRunningOn(name)
 	for _, t := range rep.Killed {
 		if e.cfg.Tracer != nil {
 			e.cfg.Tracer.Record(trace.Event{At: e.cfg.Clock.Now(), Kind: trace.TaskFailed, Task: t.ID, Node: name})
@@ -88,7 +88,7 @@ func (e *Engine) FailNode(name string, onKill func(*Task)) (FailReport, error) {
 		}
 	}
 	for _, t := range rep.Killed {
-		e.Resubmit(t.ID)
+		e.resubmit(t.ID)
 		rep.Resubmitted++
 		if e.cfg.Tracer != nil {
 			e.cfg.Tracer.Record(trace.Event{At: e.cfg.Clock.Now(), Kind: trace.TaskRecovered, Task: t.ID})
@@ -104,8 +104,8 @@ func (e *Engine) FailNode(name string, onKill func(*Task)) (FailReport, error) {
 
 	// Ready tasks may have lost an input with the node; recompute their
 	// producers before they run.
-	for _, t := range e.DropReadyMissingInputs() {
-		e.Resubmit(t.ID)
+	for _, t := range e.dropReadyMissingInputs() {
+		e.resubmit(t.ID)
 		rep.Resubmitted++
 	}
 	e.Schedule()

@@ -116,7 +116,9 @@ type Host struct {
 }
 
 // New builds the engine from the shared configuration, routes autoscale
-// cordons through it, seeds Config.Restore's catalog, and arms the
+// cordons through it, registers the engine's, the checkpointer's, the
+// autoscaler's and the admission controller's instruments on
+// Config.Metrics, seeds Config.Restore's catalog, and arms the
 // checkpointer when a store is configured. It fails only on a restore
 // snapshot of another format: resuming cold instead would recompute a
 // whole campaign without a word.
@@ -150,10 +152,16 @@ func New(cfg Config) (*Host, error) {
 		// Downscale victims are cordoned through the engine, so the drain
 		// lands on the scheduler's books (and the trace) before removal.
 		cfg.Autoscale.SetCordon(h.eng.DrainNode)
+		if cfg.Metrics != nil {
+			cfg.Autoscale.SetMetrics(obsv.NewAutoscaleMetrics(cfg.Metrics))
+		}
 	}
 	if cfg.Admission != nil {
 		h.tenants = make(map[int64]string)
 		h.resolved = make(map[int64]struct{})
+		if cfg.Metrics != nil {
+			cfg.Admission.SetMetrics(obsv.NewAdmissionMetrics(cfg.Metrics))
+		}
 	}
 	if cfg.Restore != nil {
 		h.seedCatalog(cfg.Restore)

@@ -141,8 +141,9 @@ type Config struct {
 	// (ablation A1 in the README's Experiments).
 	DisableRenaming bool
 	// Metrics, when set, backs the engine (and the checkpointer, unless
-	// its config carries its own bundle) with observability instruments
-	// registered on this registry. Optional.
+	// its config carries its own bundle), the autoscaler and the
+	// admission controller with observability instruments registered on
+	// this registry. Optional.
 	Metrics *obsv.Registry
 	// SampleEvery, when positive (and Metrics is set), snapshots the
 	// registry into an in-memory time-series every virtual interval —

@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
 	"repro/internal/infra"
+	"repro/internal/obsv"
 	"repro/internal/resources"
 	"repro/internal/sched"
 	"repro/internal/simnet"
@@ -80,5 +81,52 @@ func TestUnconfiguredEntryPoints(t *testing.T) {
 	}
 	if !errors.Is(infra.ErrNoCheckpoint, core.ErrNoCheckpoint) {
 		t.Error("the two backends expose different no-checkpoint sentinels")
+	}
+}
+
+// TestMetricsReachAutoscalerAndAdmission: Config.Metrics is the one
+// switch for a backend's instruments, so the autoscaler's decision
+// counter and the admission controller's families land on the registry
+// on both backends without a hand-wired SetMetrics.
+func TestMetricsReachAutoscalerAndAdmission(t *testing.T) {
+	tier := autoscale.Tier{Name: "vm", Desc: resources.Description{Cores: 2, MemoryMB: 4000, SpeedFactor: 1}, Max: 1}
+	parts := func() (*obsv.Registry, *autoscale.Autoscaler, *autoscale.Admission) {
+		scaler, err := autoscale.NewThreshold(tier, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obsv.NewRegistry(), scaler, autoscale.NewAdmission(autoscale.Quota{MaxInFlight: 1})
+	}
+	simReg, simScaler, simAdm := parts()
+	sim, err := infra.New(infra.Config{
+		Pool: resources.NewPool(), Net: simnet.New(simnet.Link{BandwidthMBps: 1000}), Policy: sched.FIFO{},
+		Metrics: simReg, Autoscale: simScaler, Admission: simAdm,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveReg, liveScaler, liveAdm := parts()
+	rt := core.New(core.Config{Pool: resources.NewPool(), Metrics: liveReg, Autoscale: liveScaler, Admission: liveAdm})
+	defer rt.Shutdown()
+
+	for _, b := range []struct {
+		name string
+		reg  *obsv.Registry
+		step func() autoscale.Action
+	}{
+		{"sim", simReg, sim.AutoscaleStep},
+		{"live", liveReg, rt.AutoscaleStep},
+	} {
+		if act := b.step(); act.Kind != autoscale.Held {
+			t.Fatalf("%s: step on an idle, empty pool = %+v, want a hold", b.name, act)
+		}
+		samples := map[string]float64{}
+		b.reg.Visit(func(s string, v float64) { samples[s] = v })
+		if got := samples[`flowgo_autoscale_decisions_total{kind="hold"}`]; got != 1 {
+			t.Errorf("%s: hold decisions = %v, want 1", b.name, got)
+		}
+		if _, ok := samples["flowgo_admission_admitted_total"]; !ok {
+			t.Errorf("%s: no admission family on the registry", b.name)
+		}
 	}
 }

@@ -13,9 +13,10 @@ import (
 )
 
 // exportBudget ratchets the number of exported declarations (funcs,
-// methods and types) in non-test files under internal/. Lower it in the
-// change that deletes some; raising it is a visible API decision.
-const exportBudget = 595
+// methods and types) in non-test files under internal/ and dislib/.
+// Lower it in the change that deletes some; raising it is a visible API
+// decision.
+const exportBudget = 604
 
 // exportAllowlist names the exported internal declarations that stay
 // although no non-test code names them, each with its reason. A key is
@@ -32,10 +33,15 @@ var exportAllowlist = map[string]string{
 }
 
 // TestInternalExportsHaveACaller applies the one-consumer rule to single
-// declarations: an exported func, method or type under internal/ stays
-// only if non-test code names it outside its own declaration. Go's
-// internal/ rule means nothing outside this module can call it, so a
-// declaration only tests reach is surface with no user. Every file under
+// declarations: an exported func, method or type under internal/ or
+// dislib/ stays only if non-test code names it outside its own
+// declaration. Go's internal/ rule means nothing outside this module can
+// call it, so a declaration only tests reach is surface with no user;
+// dislib is held to the same rule because it is the paper's "simple and
+// easy to use interface" and names no estimator, so it keeps what a
+// program here runs. compss/ stays outside: it keeps surface the paper
+// quotes that no program here runs (service tasks, task groups,
+// provenance). Every file under
 // the frozen bench/ counts as a caller, its tests included. The match is
 // by identifier name, so a same-named identifier anywhere hides a
 // declaration; the guard errs towards keeping code, never towards
@@ -75,7 +81,7 @@ func TestInternalExportsHaveACaller(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		exporter := !isTest && strings.HasPrefix(rel, "internal/")
+		exporter := !isTest && (strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "dislib/"))
 		dir := filepath.ToSlash(filepath.Dir(rel))
 		for _, d := range f.Decls {
 			// names are the identifiers d declares, including a method's
@@ -148,9 +154,9 @@ func TestInternalExportsHaveACaller(t *testing.T) {
 		}
 	}
 	if n := len(decls); n > exportBudget {
-		t.Errorf("%d exported declarations under internal/, budget %d: new API must raise the budget explicitly", n, exportBudget)
+		t.Errorf("%d exported declarations under internal/ and dislib/, budget %d: new API must raise the budget explicitly", n, exportBudget)
 	} else {
-		t.Logf("exported internal declarations: %d (budget %d), %d allowlisted", n, exportBudget, len(exportAllowlist))
+		t.Logf("exported internal/ and dislib/ declarations: %d (budget %d), %d allowlisted", n, exportBudget, len(exportAllowlist))
 	}
 }
 
