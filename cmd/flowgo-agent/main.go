@@ -102,8 +102,8 @@ func demoRegistry() *agent.Registry {
 	})
 	reg.Register("sleep", func(args []json.RawMessage) (json.RawMessage, error) {
 		var ms int
-		if len(args) == 1 {
-			_ = json.Unmarshal(args[0], &ms)
+		if len(args) != 1 || json.Unmarshal(args[0], &ms) != nil || ms < 0 {
+			return nil, errors.New("sleep wants one non-negative millisecond count")
 		}
 		time.Sleep(time.Duration(ms) * time.Millisecond)
 		return json.Marshal(fmt.Sprintf("slept %dms", ms))

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/core"
+	"repro/internal/host"
 	"repro/internal/infra"
 	"repro/internal/resources"
 	"repro/internal/sched"
@@ -113,24 +114,29 @@ func TestParityGrowthSequence(t *testing.T) {
 	// fully loaded before the first evaluation — no Run() needed, and
 	// nothing ever places (the base node is full, elastic nodes arrive
 	// cordoned).
-	simScaler := parityScaler(t, true)
-	simPool := parityPool(t)
-	if err := simPool.Nodes()[0].Reserve(parityHold); err != nil {
-		t.Fatal(err)
+	// Both backends' options: a fresh scaler, pool and tracer each call,
+	// the base node held full.
+	config := func() host.Config {
+		pool := parityPool(t)
+		if err := pool.Nodes()[0].Reserve(parityHold); err != nil {
+			t.Fatal(err)
+		}
+		return host.Config{
+			Pool:      pool,
+			Net:       simnet.New(simnet.Link{BandwidthMBps: 1000}),
+			Policy:    sched.MinLoad{},
+			Tracer:    rtrace.New(0),
+			Autoscale: parityScaler(t, true),
+		}
 	}
+	simCfg := config()
 	specs := make([]infra.TaskSpec, tasks)
 	for i := range specs {
 		specs[i] = infra.TaskSpec{
 			ID: int64(i + 1), Class: "heavy", Duration: time.Hour, Constraints: demand,
 		}
 	}
-	sim, err := infra.New(infra.Config{
-		Pool:      simPool,
-		Net:       simnet.New(simnet.Link{BandwidthMBps: 1000}),
-		Policy:    sched.MinLoad{},
-		Tracer:    rtrace.New(0),
-		Autoscale: simScaler,
-	}, specs)
+	sim, err := infra.New(simCfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,19 +145,11 @@ func TestParityGrowthSequence(t *testing.T) {
 	}
 
 	// Live runtime: the same demand shape as real blocked submissions.
-	liveScaler := parityScaler(t, true)
-	livePool := parityPool(t)
+	liveCfg := config()
+	livePool := liveCfg.Pool
 	baseNode := livePool.Nodes()[0]
-	if err := baseNode.Reserve(parityHold); err != nil {
-		t.Fatal(err)
-	}
 	gate := make(chan struct{})
-	rt := core.New(core.Config{
-		Pool:      livePool,
-		Policy:    sched.MinLoad{},
-		Tracer:    rtrace.New(0),
-		Autoscale: liveScaler,
-	})
+	rt := core.New(liveCfg)
 	if err := rt.Register(core.TaskDef{
 		Name:        "heavy",
 		Constraints: demand,
@@ -171,7 +169,7 @@ func TestParityGrowthSequence(t *testing.T) {
 		rt.AutoscaleStep()
 	}
 
-	simDs, liveDs := stripAt(simScaler.Decisions()), stripAt(liveScaler.Decisions())
+	simDs, liveDs := stripAt(simCfg.Autoscale.Decisions()), stripAt(liveCfg.Autoscale.Decisions())
 	diffDecisions(t, simDs, liveDs)
 
 	// The sequence itself must tell the growth story, not just agree.
@@ -189,7 +187,7 @@ func TestParityGrowthSequence(t *testing.T) {
 	}
 
 	// Both fleets must have bought the same nodes.
-	simNames, liveNames := poolNames(simPool), poolNames(livePool)
+	simNames, liveNames := poolNames(simCfg.Pool), poolNames(livePool)
 	if fmt.Sprint(simNames) != fmt.Sprint(liveNames) {
 		t.Fatalf("pools diverge: sim %v, live %v", simNames, liveNames)
 	}
@@ -210,7 +208,9 @@ func TestParityGrowthSequence(t *testing.T) {
 // node alone.
 func TestParityShrinkSequence(t *testing.T) {
 	const steps = 10
-	run := func(step func(*autoscale.Autoscaler, *resources.Pool) func()) ([]parityDecision, []string) {
+	// run builds both backends' options — a fresh scaler, pre-grown pool
+	// and tracer each call — and ticks the backend step makes of them.
+	run := func(step func(host.Config) func()) ([]parityDecision, []string) {
 		scaler := parityScaler(t, false)
 		pool := parityPool(t)
 		for _, tier := range []string{"cloud", "fog", "fog"} {
@@ -218,33 +218,28 @@ func TestParityShrinkSequence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tick := step(scaler, pool)
+		tick := step(host.Config{
+			Pool:      pool,
+			Net:       simnet.New(simnet.Link{BandwidthMBps: 1000}),
+			Policy:    sched.MinLoad{},
+			Tracer:    rtrace.New(0),
+			Autoscale: scaler,
+		})
 		for i := 0; i < steps; i++ {
 			tick()
 		}
 		return stripAt(scaler.Decisions()), poolNames(pool)
 	}
 
-	simDs, simNodes := run(func(scaler *autoscale.Autoscaler, pool *resources.Pool) func() {
-		sim, err := infra.New(infra.Config{
-			Pool:      pool,
-			Net:       simnet.New(simnet.Link{BandwidthMBps: 1000}),
-			Policy:    sched.MinLoad{},
-			Tracer:    rtrace.New(0),
-			Autoscale: scaler,
-		}, nil)
+	simDs, simNodes := run(func(cfg host.Config) func() {
+		sim, err := infra.New(cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return func() { sim.AutoscaleStep() }
 	})
-	liveDs, liveNodes := run(func(scaler *autoscale.Autoscaler, pool *resources.Pool) func() {
-		rt := core.New(core.Config{
-			Pool:      pool,
-			Policy:    sched.MinLoad{},
-			Tracer:    rtrace.New(0),
-			Autoscale: scaler,
-		})
+	liveDs, liveNodes := run(func(cfg host.Config) func() {
+		rt := core.New(cfg)
 		t.Cleanup(rt.Shutdown)
 		return func() { rt.AutoscaleStep() }
 	})

@@ -38,16 +38,11 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/deps"
 	"repro/internal/engine"
-	"repro/internal/engine/checkpoint"
 	"repro/internal/engine/faults"
 	"repro/internal/host"
-	"repro/internal/mlpredict"
-	"repro/internal/obsv"
 	"repro/internal/resources"
 	"repro/internal/sched"
-	"repro/internal/simnet"
 	"repro/internal/trace"
-	"repro/internal/transfer"
 )
 
 // Errors returned by the runtime.
@@ -228,69 +223,11 @@ func (f *Future) Done() bool {
 	return f.set
 }
 
-// Config tunes a Runtime.
-type Config struct {
-	// Pool is the logical node set; defaults to one node named "local"
-	// with 4 cores and 8 GB.
-	Pool *resources.Pool
-	// Policy places tasks; defaults to sched.MinLoad.
-	Policy sched.Policy
-	// Predictor, when set, is trained with real durations.
-	Predictor *mlpredict.Predictor
-	// Tracer, when set, receives events.
-	Tracer *trace.Tracer
-	// Provenance, when set, records data lineage.
-	Provenance *trace.Provenance
-	// Locations, when set, lets locality policies see value placement.
-	Locations *transfer.Registry
-	// Net, when set together with Locations, makes the engine account the
-	// data movements a distributed deployment would pay — the same
-	// transfer books the simulator keeps, so both backends report
-	// identical transfer counts for the same DAG.
-	Net *simnet.Network
-	// Steal enables the engine's cross-bucket work stealing (default
-	// off); the simulator takes the identical knob, so steal decisions
-	// are comparable one-to-one across backends.
-	Steal engine.StealConfig
-	// Availability selects what placement does with a task whose every
-	// input replica is lost or partitioned away (engine.Availability):
-	// run anyway (default), defer until a heal or fresh replica wakes the
-	// task, or recompute the producers on the reachable side. Effective
-	// only when Locations and Net are both set; the simulator takes the
-	// identical knob. A deferred task's Future stays open until the
-	// partition heals, exactly like a fault-killed task's Future stays
-	// open until recovery re-executes it.
-	Availability engine.Availability
-	// Checkpoint, when set (with a Store), snapshots the engine state
-	// and the produced values to disk under the configured policy, on
-	// wall time — the same policy the simulator drives on virtual time.
-	// Set Locations too: the snapshot's data catalog comes from it.
-	Checkpoint *checkpoint.Config
-	// Restore, when set, resumes a previous run from its snapshot
-	// (internal/host, restore.go): as the application re-submits the same
-	// workflow (same order, so task IDs line up), every submission
-	// recorded as completed whose values survived resolves at once
-	// instead of executing.
-	Restore *checkpoint.Snapshot
-	// Metrics, when set, backs the engine (and the checkpointer, unless
-	// its config carries its own bundle), the autoscaler and the
-	// admission controller with observability instruments registered on
-	// this registry; serve it with obsv.Serve or sample it with
-	// Runtime.StartSampler. Optional.
-	Metrics *obsv.Registry
-	// Autoscale enables cost-aware pool scaling across heterogeneous
-	// tiers — the same autoscaler the simulator takes, evaluated here on
-	// the wall clock. Each Runtime.AutoscaleStep is one evaluation; call
-	// it by hand (the parity suite's route) or from a Runtime.Every tick.
-	Autoscale *autoscale.Autoscaler
-	// Admission, when set, gates submissions behind per-tenant quotas: a
-	// submission over its tenant's in-flight cap is registered but held
-	// invisible to the scheduler until completions free a slot and
-	// weighted fair ordering picks it; past the tenant's queue bound it
-	// is rejected with ErrQuotaRejected. A submission the restore resolves
-	// never runs and is never charged.
-	Admission *autoscale.Admission
-}
+// Config tunes a Runtime: the one option set both backends take
+// (internal/host). Its simulator-only fields are refused here: arm
+// faults.Run, Runtime.Every and Runtime.StartSampler, and stage data in
+// with SetInitial.
+type Config = host.Config
 
 // cell is the live value of one data version: what its producer bound
 // (or the failure it ended with), the last-registered task writing it, and
@@ -435,6 +372,10 @@ func New(cfg Config) *Runtime {
 	if cfg.Policy == nil {
 		cfg.Policy = sched.MinLoad{}
 	}
+	if len(cfg.Faults) > 0 || cfg.HaltAt != 0 || cfg.ElasticEvery != 0 || cfg.SampleEvery != 0 ||
+		cfg.StageIn != nil || cfg.StageInNodes != nil || cfg.PersistNode != "" || cfg.DisableRenaming {
+		panic("core: Faults, HaltAt, ElasticEvery, SampleEvery, StageIn, StageInNodes, PersistNode and DisableRenaming are simulator-only; use faults.Run, Every, StartSampler and SetInitial")
+	}
 	rt := &Runtime{
 		cfg:   cfg,
 		proc:  deps.NewProcessor(),
@@ -444,25 +385,12 @@ func New(cfg Config) *Runtime {
 		epoch: time.Now(),
 	}
 	var err error
-	rt.Host, err = host.New(host.Config{
-		Pool:         cfg.Pool,
-		Policy:       cfg.Policy,
-		Predictor:    cfg.Predictor,
-		Tracer:       cfg.Tracer,
-		Registry:     cfg.Locations,
-		Net:          cfg.Net,
-		Steal:        cfg.Steal,
-		Availability: cfg.Availability,
-		Metrics:      cfg.Metrics,
-		Checkpoint:   cfg.Checkpoint,
-		Autoscale:    cfg.Autoscale,
-		Admission:    cfg.Admission,
-		Restore:      cfg.Restore,
-		Clock:        engine.WallClock{Epoch: rt.epoch},
-		Timer:        faults.NewWallTimer(),
-		Executor:     (*coreExecutor)(rt),
-		OnKill:       rt.cancelKilled,
-		Values:       (*valueTable)(rt),
+	rt.Host, err = host.New(cfg, host.Backend{
+		Clock:    engine.WallClock{Epoch: rt.epoch},
+		Timer:    faults.NewWallTimer(),
+		Executor: (*coreExecutor)(rt),
+		OnKill:   rt.cancelKilled,
+		Values:   (*valueTable)(rt),
 	})
 	if err != nil {
 		// A snapshot of another format: a programming error (Store.Load
@@ -527,20 +455,13 @@ func (rt *Runtime) SetInitial(h *Handle, v any, opts ...DataOption) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	h.init.val, h.init.err, h.init.set = v, nil, true
-	k := h.init.key
 	if rt.cfg.Locations == nil {
 		return
 	}
-	size := o.size
 	if !o.sized {
-		size = measureBytes(v)
+		o.size = measureBytes(v)
 	}
-	if size > 0 {
-		rt.cfg.Locations.SetSize(k, size)
-	}
-	if nodes := rt.cfg.Pool.Nodes(); len(nodes) > 0 {
-		rt.cfg.Locations.AddReplica(k, nodes[0].Name())
-	}
+	rt.StageIn(h.id, o.size, nil)
 }
 
 // measureBytes estimates the in-memory payload of a value for transfer

@@ -189,10 +189,11 @@ type depEdge struct {
 // Option configures a Processor.
 type Option func(*Processor)
 
-// WithoutRenaming disables version renaming, so WAR and WAW edges are
-// produced. Exists for the ablation experiment.
-func WithoutRenaming() Option {
-	return func(p *Processor) { p.renaming = false }
+// Renaming sets whether every write creates a fresh version (on by
+// default). Off, WAR and WAW edges are produced; it exists for the
+// ablation experiment.
+func Renaming(on bool) Option {
+	return func(p *Processor) { p.renaming = on }
 }
 
 // NewProcessor returns an access processor with renaming enabled.

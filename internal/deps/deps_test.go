@@ -59,7 +59,7 @@ func TestRenamingRemovesWARAndWAW(t *testing.T) {
 }
 
 func TestWithoutRenamingProducesWARWAW(t *testing.T) {
-	p := NewProcessor(WithoutRenaming())
+	p := NewProcessor(Renaming(false))
 	reg(p, 1, Access{Data: 10, Dir: Out})
 	reg(p, 2, Access{Data: 10, Dir: In})
 	r3 := reg(p, 3, Access{Data: 10, Dir: Out})
@@ -216,7 +216,7 @@ func TestRenamingNeverAddsEdges(t *testing.T) {
 		rng1 := rand.New(rand.NewSource(seed))
 		rng2 := rand.New(rand.NewSource(seed))
 		pr := NewProcessor()
-		pn := NewProcessor(WithoutRenaming())
+		pn := NewProcessor(Renaming(false))
 		gen := func(rng *rand.Rand) []Access {
 			dirs := []Direction{In, Out, InOut}
 			return []Access{{Data: DataID(rng.Intn(4)), Dir: dirs[rng.Intn(3)]}}

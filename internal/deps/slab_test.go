@@ -135,7 +135,7 @@ func TestSlabRegistrationMatchesOracle(t *testing.T) {
 			want := &oracle{renaming: renaming, data: make(map[DataID]*dataState)}
 			var opts []Option
 			if !renaming {
-				opts = append(opts, WithoutRenaming())
+				opts = append(opts, Renaming(false))
 			}
 			single, batched := NewProcessor(opts...), NewProcessor(opts...)
 			next := TaskID(1)
@@ -165,7 +165,7 @@ func TestSlabRegistrationMatchesOracle(t *testing.T) {
 // len, so the append copies out of the shared array.
 func TestCarvedListsDoNotAlias(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	p := NewProcessor(WithoutRenaming()) // more edges per task
+	p := NewProcessor(Renaming(false)) // more edges per task
 	p.RegisterBatch(randomBatch(rng, 1, 50, 6))
 	got := p.RegisterBatch(randomBatch(rng, 51, 200, 6))
 	want := make([]Result, len(got))

@@ -26,6 +26,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
 	"repro/internal/engine/faults"
+	"repro/internal/host"
 	"repro/internal/infra"
 	"repro/internal/resources"
 	"repro/internal/sched"
@@ -60,6 +61,18 @@ func availNet() *simnet.Network {
 	return net
 }
 
+// availConfig is both backends' options for an availability drill: a
+// fresh pool, network and registry each call.
+func availConfig(policy engine.Availability) host.Config {
+	return host.Config{
+		Pool:         availPool(),
+		Net:          availNet(),
+		Policy:       sched.FIFO{},
+		Locations:    transfer.NewRegistry(),
+		Availability: policy,
+	}
+}
+
 type availOutcome struct {
 	stats  engine.Stats
 	parked int // observed while the cut was active
@@ -69,7 +82,7 @@ type availOutcome struct {
 // hpc~cloud link is cut; b (cloud-pinned) wants d1 — unreachable. Under
 // defer the heal releases b; under recompute a re-runs on the cloud side
 // and b never waits for the heal.
-func runAvailSim(t *testing.T, policy engine.Availability, heal bool) availOutcome {
+func runAvailSim(t *testing.T, cfg host.Config, heal bool) availOutcome {
 	t.Helper()
 	script := faults.Scenario{{At: 2 * time.Second, Kind: faults.Cut, Node: "hpc", Peer: "cloud"}}
 	if heal {
@@ -85,13 +98,8 @@ func runAvailSim(t *testing.T, policy engine.Availability, heal bool) availOutco
 			Accesses:    []deps.Access{{Data: 1, Dir: deps.In}, {Data: 2, Dir: deps.Out}},
 			OutputBytes: map[deps.DataID]int64{2: 1e3}},
 	}
-	sim, err := infra.New(infra.Config{
-		Pool:         availPool(),
-		Net:          availNet(),
-		Policy:       sched.FIFO{},
-		Availability: policy,
-		Faults:       script,
-	}, specs)
+	cfg.Faults = script // the live side cuts and heals by hand
+	sim, err := infra.New(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +109,10 @@ func runAvailSim(t *testing.T, policy engine.Availability, heal bool) availOutco
 	return availOutcome{stats: sim.EngineStats()}
 }
 
-func runAvailLive(t *testing.T, policy engine.Availability, heal bool) availOutcome {
+func runAvailLive(t *testing.T, cfg host.Config, heal bool) availOutcome {
 	t.Helper()
-	rt := core.New(core.Config{
-		Pool:         availPool(),
-		Policy:       sched.FIFO{},
-		Locations:    transfer.NewRegistry(),
-		Net:          availNet(),
-		Availability: policy,
-	})
+	policy := cfg.Availability
+	rt := core.New(cfg)
 	defer rt.Shutdown()
 
 	prodConstraints := resources.Constraints{Class: resources.HPC}
@@ -171,8 +174,8 @@ func runAvailLive(t *testing.T, policy engine.Availability, heal bool) availOutc
 func TestAvailabilityDeferHealParity(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
 	engine.CheckRegistrySteps(t)
-	sim := runAvailSim(t, engine.AvailDefer, true)
-	live := runAvailLive(t, engine.AvailDefer, true)
+	sim := runAvailSim(t, availConfig(engine.AvailDefer), true)
+	live := runAvailLive(t, availConfig(engine.AvailDefer), true)
 
 	if live.parked != 1 {
 		t.Fatalf("live: %d tasks parked while cut, want 1", live.parked)
@@ -204,7 +207,7 @@ func TestAvailabilityDeferHealParity(t *testing.T) {
 // runAvailSimRecompute mirrors the recompute drill: the producer is
 // unpinned (it must be re-runnable on the cloud side) and no heal ever
 // comes — recovery must not need one.
-func runAvailSimRecompute(t *testing.T) availOutcome {
+func runAvailSimRecompute(t *testing.T, cfg host.Config) availOutcome {
 	t.Helper()
 	specs := []infra.TaskSpec{
 		{ID: 1, Class: "a", Duration: time.Second,
@@ -215,13 +218,8 @@ func runAvailSimRecompute(t *testing.T) availOutcome {
 			Accesses:    []deps.Access{{Data: 1, Dir: deps.In}, {Data: 2, Dir: deps.Out}},
 			OutputBytes: map[deps.DataID]int64{2: 1e3}},
 	}
-	sim, err := infra.New(infra.Config{
-		Pool:         availPool(),
-		Net:          availNet(),
-		Policy:       sched.FIFO{},
-		Availability: engine.AvailRecompute,
-		Faults:       faults.Scenario{{At: 2 * time.Second, Kind: faults.Cut, Node: "hpc", Peer: "cloud"}},
-	}, specs)
+	cfg.Faults = faults.Scenario{{At: 2 * time.Second, Kind: faults.Cut, Node: "hpc", Peer: "cloud"}}
+	sim, err := infra.New(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +235,8 @@ func runAvailSimRecompute(t *testing.T) availOutcome {
 func TestAvailabilityRecomputeParity(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
 	engine.CheckRegistrySteps(t)
-	sim := runAvailSimRecompute(t)
-	live := runAvailLive(t, engine.AvailRecompute, false)
+	sim := runAvailSimRecompute(t, availConfig(engine.AvailRecompute))
+	live := runAvailLive(t, availConfig(engine.AvailRecompute), false)
 
 	for name, st := range map[string]engine.Stats{"sim": sim.stats, "live": live.stats} {
 		if st.Reexecuted != 1 {

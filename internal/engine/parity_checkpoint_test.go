@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
+	"repro/internal/host"
 	"repro/internal/infra"
 	"repro/internal/resources"
 	"repro/internal/sched"
@@ -55,10 +56,11 @@ func loadAll(t *testing.T, store *checkpoint.Store) []*checkpoint.Snapshot {
 	return snaps
 }
 
-// ckptSweepSim runs a conformance case on the simulator with an every-N
-// checkpoint policy and returns the store (delta mode persists a chain,
-// not a flat snapshot list; use Latest or loadAll as fits the mode).
-func ckptSweepSim(t *testing.T, c workloads.ConformanceCase, everyN int, steal engine.StealConfig, delta bool) *checkpoint.Store {
+// ckptSweepConfig is both backends' options for a sweep case with an
+// every-N checkpoint policy: a fresh pool, registry and store each call.
+// The case's stage-in is the simulator's StageIn and the live side's
+// SetInitial, so each arm sets it itself.
+func ckptSweepConfig(t *testing.T, c workloads.ConformanceCase, everyN int, steal engine.StealConfig, delta bool) host.Config {
 	t.Helper()
 	store, err := checkpoint.NewStore(t.TempDir(), checkpoint.Keep(1000))
 	if err != nil {
@@ -66,47 +68,45 @@ func ckptSweepSim(t *testing.T, c workloads.ConformanceCase, everyN int, steal e
 	}
 	pool := resources.NewPool()
 	_ = pool.Add(resources.NewNode("pn0", c.Node))
+	return host.Config{
+		Pool:       pool,
+		Net:        simnet.New(simnet.Link{BandwidthMBps: 1000}),
+		Policy:     sched.FIFO{},
+		Locations:  transfer.NewRegistry(),
+		Steal:      steal,
+		Checkpoint: &checkpoint.Config{Store: store, Policy: checkpoint.EveryN(everyN), Delta: delta, CompactEvery: 3},
+	}
+}
+
+// ckptSweepSim runs a conformance case on the simulator and returns the
+// store (delta mode persists a chain, not a flat snapshot list; use
+// Latest or loadAll as fits the mode).
+func ckptSweepSim(t *testing.T, c workloads.ConformanceCase, everyN int, steal engine.StealConfig, delta bool) *checkpoint.Store {
+	t.Helper()
+	cfg := ckptSweepConfig(t, c, everyN, steal, delta)
+	cfg.StageIn = c.StageIn
 	specs := []infra.TaskSpec{{ID: 1, Class: "gate", Duration: time.Second}}
 	for i, spec := range c.Specs {
 		spec.ID = int64(i + 2)
 		specs = append(specs, spec)
 	}
-	sim, err := infra.New(infra.Config{
-		Pool:       pool,
-		Net:        simnet.New(simnet.Link{BandwidthMBps: 1000}),
-		Policy:     sched.FIFO{},
-		StageIn:    c.StageIn,
-		Steal:      steal,
-		Checkpoint: &checkpoint.Config{Store: store, Policy: checkpoint.EveryN(everyN), Delta: delta, CompactEvery: 3},
-	}, specs)
+	sim, err := infra.New(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return store
+	return cfg.Checkpoint.Store
 }
 
 // ckptSweepLive bridges the same case onto the live runtime (gate task
 // holding the single core until the whole workflow is queued) with the
-// identical checkpoint policy.
+// identical options, staging the case's data in through SetInitial.
 func ckptSweepLive(t *testing.T, c workloads.ConformanceCase, everyN int, steal engine.StealConfig, delta bool) *checkpoint.Store {
 	t.Helper()
-	store, err := checkpoint.NewStore(t.TempDir(), checkpoint.Keep(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := resources.NewPool()
-	_ = pool.Add(resources.NewNode("pn0", c.Node))
-	rt := core.New(core.Config{
-		Pool:       pool,
-		Policy:     sched.FIFO{},
-		Locations:  transfer.NewRegistry(),
-		Net:        simnet.New(simnet.Link{BandwidthMBps: 1000}),
-		Steal:      steal,
-		Checkpoint: &checkpoint.Config{Store: store, Policy: checkpoint.EveryN(everyN), Delta: delta, CompactEvery: 3},
-	})
+	cfg := ckptSweepConfig(t, c, everyN, steal, delta)
+	rt := core.New(cfg)
 	defer rt.Shutdown()
 
 	release := make(chan struct{})
@@ -181,7 +181,7 @@ func ckptSweepLive(t *testing.T, c workloads.ConformanceCase, everyN int, steal 
 	}
 	close(release)
 	rt.Barrier()
-	return store
+	return cfg.Checkpoint.Store
 }
 
 // TestCheckpointParitySweep: full structural snapshot equivalence —
@@ -227,8 +227,8 @@ func TestCheckpointParityWithFaultsAndSteal(t *testing.T) {
 		t.Fatal(err)
 	}
 	steal := engine.StealConfig{Mode: engine.StealOnIdle}
-	runFaultScriptSim(t, steal, &checkpoint.Config{Store: simStore, Policy: checkpoint.EveryN(1)})
-	runFaultScriptLive(t, steal, &checkpoint.Config{Store: liveStore, Policy: checkpoint.EveryN(1)})
+	runFaultScriptSim(t, faultScriptConfig(steal, &checkpoint.Config{Store: simStore, Policy: checkpoint.EveryN(1)}))
+	runFaultScriptLive(t, faultScriptConfig(steal, &checkpoint.Config{Store: liveStore, Policy: checkpoint.EveryN(1)}))
 
 	simSnaps := loadAll(t, simStore)
 	liveSnaps := loadAll(t, liveStore)

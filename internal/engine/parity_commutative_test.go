@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/host"
 	"repro/internal/infra"
 	"repro/internal/resources"
 	"repro/internal/sched"
@@ -31,12 +32,17 @@ func TestCommutativeParity(t *testing.T) {
 	const members = 5
 	specs := workloads.CommutativeReduce(members, 2*time.Second)
 
+	config := func() host.Config {
+		return host.Config{
+			Pool:      commPool(1),
+			Net:       simnet.New(simnet.Link{BandwidthMBps: 1000}),
+			Policy:    sched.FIFO{},
+			Locations: transfer.NewRegistry(),
+		}
+	}
+
 	// Simulator.
-	sim, err := infra.New(infra.Config{
-		Pool:   commPool(1),
-		Net:    simnet.New(simnet.Link{BandwidthMBps: 1000}),
-		Policy: sched.FIFO{},
-	}, specs)
+	sim, err := infra.New(config(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +52,7 @@ func TestCommutativeParity(t *testing.T) {
 	}
 
 	// Live runtime: same accesses through the Param API.
-	rt := core.New(core.Config{
-		Pool:      commPool(1),
-		Policy:    sched.FIFO{},
-		Locations: transfer.NewRegistry(),
-		Net:       simnet.New(simnet.Link{BandwidthMBps: 1000}),
-	})
+	rt := core.New(config())
 	defer rt.Shutdown()
 	mustRegister(t, rt, core.TaskDef{Name: "seed", Fn: func(_ context.Context, _ []any) ([]any, error) {
 		return []any{0}, nil

@@ -21,6 +21,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
 	"repro/internal/engine/faults"
+	"repro/internal/host"
 	"repro/internal/infra"
 	"repro/internal/resources"
 	"repro/internal/sched"
@@ -45,6 +46,20 @@ func faultParityPool() *resources.Pool {
 	return pool
 }
 
+// faultScriptConfig is both backends' options for the fault script: a
+// fresh pool, network, registry and tracer each call.
+func faultScriptConfig(steal engine.StealConfig, ck *checkpoint.Config) host.Config {
+	return host.Config{
+		Pool:       faultParityPool(),
+		Net:        simnet.New(simnet.Link{BandwidthMBps: 1000}),
+		Policy:     sched.FIFO{},
+		Tracer:     trace.New(0),
+		Locations:  transfer.NewRegistry(),
+		Steal:      steal,
+		Checkpoint: ck,
+	}
+}
+
 type faultParityOutcome struct {
 	order  []int64 // TaskStarted sequence (includes recovery re-starts)
 	stats  engine.Stats
@@ -58,9 +73,8 @@ type faultParityOutcome struct {
 //	  → b killed; d1's only replica lost; a re-executes; b re-runs.
 //	c (3, cloud-pinned) reads d2 behind the cut: staging blocked, no move.
 //	After healing, e (4, cloud-pinned) reads d2: one real transfer.
-func runFaultScriptSim(t *testing.T, steal engine.StealConfig, ck *checkpoint.Config) faultParityOutcome {
+func runFaultScriptSim(t *testing.T, cfg host.Config) faultParityOutcome {
 	t.Helper()
-	tr := trace.New(0)
 	specs := []infra.TaskSpec{
 		{ID: 1, Class: "a", Duration: time.Second,
 			Accesses:    []deps.Access{{Data: 1, Dir: deps.Out}},
@@ -77,20 +91,14 @@ func runFaultScriptSim(t *testing.T, steal engine.StealConfig, ck *checkpoint.Co
 			Accesses:    []deps.Access{{Data: 2, Dir: deps.In}, {Data: 4, Dir: deps.Out}},
 			OutputBytes: map[deps.DataID]int64{4: 1e3}},
 	}
-	sim, err := infra.New(infra.Config{
-		Pool:       faultParityPool(),
-		Net:        simnet.New(simnet.Link{BandwidthMBps: 1000}),
-		Policy:     sched.FIFO{},
-		Tracer:     tr,
-		Steal:      steal,
-		Checkpoint: ck,
-		Faults: faults.Scenario{
-			{At: 2 * time.Second, Kind: faults.Slow, Node: "n2", Factor: 3},
-			{At: 2 * time.Second, Kind: faults.Cut, Node: "n1", Peer: "n2"},
-			{At: 2 * time.Second, Kind: faults.Crash, Node: "n0"},
-			{At: 18 * time.Second, Kind: faults.HealLink, Node: "n1", Peer: "n2"},
-		},
-	}, specs)
+	// The live side injects the same script by hand.
+	cfg.Faults = faults.Scenario{
+		{At: 2 * time.Second, Kind: faults.Slow, Node: "n2", Factor: 3},
+		{At: 2 * time.Second, Kind: faults.Cut, Node: "n1", Peer: "n2"},
+		{At: 2 * time.Second, Kind: faults.Crash, Node: "n0"},
+		{At: 18 * time.Second, Kind: faults.HealLink, Node: "n1", Peer: "n2"},
+	}
+	sim, err := infra.New(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,24 +107,15 @@ func runFaultScriptSim(t *testing.T, steal engine.StealConfig, ck *checkpoint.Co
 		t.Fatal(err)
 	}
 	return faultParityOutcome{
-		order:  startOrder(tr),
+		order:  startOrder(cfg.Tracer),
 		stats:  sim.EngineStats(),
 		failed: res.TasksFailed,
 	}
 }
 
-func runFaultScriptLive(t *testing.T, steal engine.StealConfig, ck *checkpoint.Config) faultParityOutcome {
+func runFaultScriptLive(t *testing.T, cfg host.Config) faultParityOutcome {
 	t.Helper()
-	tr := trace.New(0)
-	rt := core.New(core.Config{
-		Pool:       faultParityPool(),
-		Policy:     sched.FIFO{},
-		Tracer:     tr,
-		Locations:  transfer.NewRegistry(),
-		Net:        simnet.New(simnet.Link{BandwidthMBps: 1000}),
-		Steal:      steal,
-		Checkpoint: ck,
-	})
+	rt := core.New(cfg)
 	defer rt.Shutdown()
 
 	bStarted := make(chan struct{}, 2) // first execution + recovery re-run
@@ -203,7 +202,7 @@ func runFaultScriptLive(t *testing.T, steal engine.StealConfig, ck *checkpoint.C
 		}
 	}
 	return faultParityOutcome{
-		order:  startOrder(tr),
+		order:  startOrder(cfg.Tracer),
 		stats:  rt.EngineStats(),
 		failed: failed,
 	}
@@ -235,8 +234,8 @@ func TestFaultScriptParity(t *testing.T) {
 	} {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
-			sim := runFaultScriptSim(t, mode.steal, nil)
-			live := runFaultScriptLive(t, mode.steal, nil)
+			sim := runFaultScriptSim(t, faultScriptConfig(mode.steal, nil))
+			live := runFaultScriptLive(t, faultScriptConfig(mode.steal, nil))
 
 			if len(sim.order) != len(live.order) {
 				t.Fatalf("start sequences differ in length: sim %v vs live %v", sim.order, live.order)
@@ -293,31 +292,26 @@ func TestFaultUnknownNodeParity(t *testing.T) {
 	engine.CheckRegistrySteps(t)
 	// Simulator: a crash on a node that never existed, then a double
 	// crash of a real one; the run completes around them.
-	simTr := trace.New(0)
-	sim, err := infra.New(infra.Config{
-		Pool:   faultParityPool(),
-		Net:    simnet.New(simnet.Link{BandwidthMBps: 1000}),
-		Policy: sched.FIFO{},
-		Tracer: simTr,
-		Faults: faults.Scenario{
-			{At: time.Second, Kind: faults.Crash, Node: "ghost"},
-			{At: time.Second, Kind: faults.Crash, Node: "n2"},
-			{At: time.Second, Kind: faults.Crash, Node: "n2"},
-		},
-	}, []infra.TaskSpec{{ID: 1, Class: "t", Duration: 2 * time.Second}})
+	simCfg := faultScriptConfig(engine.StealConfig{}, nil)
+	simCfg.Faults = faults.Scenario{
+		{At: time.Second, Kind: faults.Crash, Node: "ghost"},
+		{At: time.Second, Kind: faults.Crash, Node: "n2"},
+		{At: time.Second, Kind: faults.Crash, Node: "n2"},
+	}
+	sim, err := infra.New(simCfg, []infra.TaskSpec{{ID: 1, Class: "t", Duration: 2 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := simTr.Count(trace.NodeFailed); got != 1 {
+	if got := simCfg.Tracer.Count(trace.NodeFailed); got != 1 {
 		t.Fatalf("sim recorded %d node failures, want 1 (n2 once; never the ghost)", got)
 	}
 
 	// Live runtime: same script, same verdicts, same trail.
-	liveTr := trace.New(0)
-	rt := core.New(core.Config{Pool: faultParityPool(), Policy: sched.FIFO{}, Tracer: liveTr})
+	liveCfg := faultScriptConfig(engine.StealConfig{}, nil)
+	rt := core.New(liveCfg)
 	defer rt.Shutdown()
 	if _, err := rt.FailNode("ghost"); err == nil {
 		t.Fatal("live FailNode(ghost) succeeded, want error")
@@ -329,7 +323,7 @@ func TestFaultUnknownNodeParity(t *testing.T) {
 		t.Fatal("second FailNode(n2) succeeded, want error")
 	}
 
-	simIgn, liveIgn := ignoredFaults(simTr), ignoredFaults(liveTr)
+	simIgn, liveIgn := ignoredFaults(simCfg.Tracer), ignoredFaults(liveCfg.Tracer)
 	if len(simIgn) != 2 || len(liveIgn) != 2 {
 		t.Fatalf("ignored faults: sim %v, live %v, want 2 each (ghost, second n2)", simIgn, liveIgn)
 	}
@@ -372,10 +366,13 @@ func TestBroadcastSurvivesProducerCrashParity(t *testing.T) {
 			Release: time.Duration(2+i) * time.Second, Constraints: hpc,
 			Accesses: []deps.Access{{Data: 1, Dir: deps.In}, {Data: deps.DataID(2 + i), Dir: deps.Out}}})
 	}
-	sim, err := infra.New(infra.Config{
-		Pool: broadcastPool(), Net: simnet.New(simnet.Link{BandwidthMBps: 1000}), Policy: sched.FIFO{},
-		Faults: faults.Scenario{{At: 10 * time.Second, Kind: faults.Crash, Node: "n4"}},
-	}, specs)
+	config := func() host.Config {
+		return host.Config{Pool: broadcastPool(), Net: simnet.New(simnet.Link{BandwidthMBps: 1000}),
+			Policy: sched.FIFO{}, Locations: transfer.NewRegistry()}
+	}
+	simCfg := config()
+	simCfg.Faults = faults.Scenario{{At: 10 * time.Second, Kind: faults.Crash, Node: "n4"}}
+	sim, err := infra.New(simCfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,9 +380,8 @@ func TestBroadcastSurvivesProducerCrashParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := transfer.NewRegistry()
-	rt := core.New(core.Config{Pool: broadcastPool(), Policy: sched.FIFO{}, Locations: reg,
-		Net: simnet.New(simnet.Link{BandwidthMBps: 1000})})
+	liveCfg := config()
+	rt := core.New(liveCfg)
 	defer rt.Shutdown()
 	started, release := make(chan struct{}), make(chan struct{})
 	mustRegister(t, rt, core.TaskDef{Name: "a", Constraints: cloud, Fn: func(context.Context, []any) ([]any, error) {
@@ -421,7 +417,7 @@ func TestBroadcastSurvivesProducerCrashParity(t *testing.T) {
 	if len(rep.LostKeys) != 0 || len(rep.Killed) != 0 {
 		t.Fatalf("live crash of n4 lost %v and killed %d tasks, want nothing", rep.LostKeys, len(rep.Killed))
 	}
-	if got := reg.Where(deps.Version{Data: d1.ID(), Ver: 1}); !slices.Equal(got, []string{"n0", "n1", "n2", "n3"}) {
+	if got := liveCfg.Locations.Where(deps.Version{Data: d1.ID(), Ver: 1}); !slices.Equal(got, []string{"n0", "n1", "n2", "n3"}) {
 		t.Fatalf("live d1 held by %v, want n0..n3", got)
 	}
 	simStats := sim.EngineStats()

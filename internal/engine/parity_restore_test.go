@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
+	"repro/internal/host"
 	"repro/internal/infra"
 	"repro/internal/resources"
 	"repro/internal/sched"
@@ -151,36 +152,37 @@ func TestRestoreParity(t *testing.T) {
 	}
 	shrunk := slices.DeleteFunc(slices.Clone(nodes), func(n string) bool { return n == lost })
 
-	onSim := func(t *testing.T, names []string) restoreOutcome {
-		tr := trace.New(0)
-		sim, err := infra.New(infra.Config{
+	// Both backends' options for a restore onto names: a fresh pool,
+	// network, registry and tracer each call.
+	config := func(names []string) host.Config {
+		return host.Config{
 			Pool: restorePool(c.Node, names), Net: net(), Policy: sched.FIFO{},
-			Restore: snap, Tracer: tr,
-		}, c.Specs)
+			Locations: transfer.NewRegistry(), Restore: snap, Tracer: trace.New(0),
+		}
+	}
+	onSim := func(t *testing.T, names []string) restoreOutcome {
+		cfg := config(names)
+		sim, err := infra.New(cfg, c.Specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := outcomeOf(tr, sim.RestoredTasks(), sim.RestagedReplicas(), sim.CheckpointSnapshot())
+		o := outcomeOf(cfg.Tracer, sim.RestoredTasks(), sim.RestagedReplicas(), sim.CheckpointSnapshot())
 		if _, err := sim.Run(); err != nil {
 			t.Fatalf("the restored simulation did not drain: %v", err)
 		}
 		return o
 	}
 	onLive := func(t *testing.T, names []string) restoreOutcome {
-		tr := trace.New(0)
-		pool := restorePool(c.Node, names)
-		rt := core.New(core.Config{
-			Pool: pool, Policy: sched.FIFO{},
-			Locations: transfer.NewRegistry(), Net: net(),
-			Restore: snap, Tracer: tr,
-		})
+		cfg := config(names)
+		pool := cfg.Pool
+		rt := core.New(cfg)
 		// Cordoned, the pool places nothing: the capture below is the
 		// state right after restore, as the unstarted simulator's is.
 		for _, n := range pool.Nodes() {
 			n.Drain()
 		}
 		submitCase(t, rt, c)
-		o := outcomeOf(tr, rt.RestoredTasks(), rt.RestagedReplicas(), rt.CheckpointSnapshot())
+		o := outcomeOf(cfg.Tracer, rt.RestoredTasks(), rt.RestagedReplicas(), rt.CheckpointSnapshot())
 		for _, n := range pool.Nodes() {
 			n.Undrain()
 		}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/engine/faults"
+	"repro/internal/host"
 	"repro/internal/infra"
 	"repro/internal/resources"
 	"repro/internal/sched"
@@ -44,6 +45,19 @@ func stealParityPolicy() sched.Policy {
 	return sched.WaitFast{Inner: sched.FIFO{}, MaxSlowdown: 2, MinWait: 10 * time.Second}
 }
 
+// stealConfig is both backends' options for a steal case, built once per
+// backend: a fresh pool, network, registry and tracer each call.
+func stealConfig() host.Config {
+	return host.Config{
+		Pool:      stealParityPool(),
+		Net:       simnet.New(simnet.Link{BandwidthMBps: 1000}),
+		Policy:    stealParityPolicy(),
+		Tracer:    trace.New(0),
+		Locations: transfer.NewRegistry(),
+		Steal:     engine.StealConfig{Mode: engine.StealOnIdle},
+	}
+}
+
 type stealOutcome struct {
 	order  []int64
 	stolen []int64 // task IDs of task_stolen events, in firing order
@@ -64,42 +78,27 @@ func stolenOrder(tr *trace.Tracer) []int64 {
 // short one queue in the shared unconstrained bucket. The long head
 // declines the slow node and parks the bucket; the short tail is stolen
 // onto it. IDs: gate 1, L1 2, L2 3, S1 4.
-func runStealDAGSim(t *testing.T) stealOutcome {
+func runStealDAGSim(t *testing.T, cfg host.Config) stealOutcome {
 	t.Helper()
-	tr := trace.New(0)
 	specs := []infra.TaskSpec{
 		{ID: 1, Class: "gate", Duration: time.Second},
 		{ID: 2, Class: "long", Duration: 100 * time.Second},
 		{ID: 3, Class: "long", Duration: 100 * time.Second},
 		{ID: 4, Class: "short", Duration: time.Second},
 	}
-	sim, err := infra.New(infra.Config{
-		Pool:   stealParityPool(),
-		Net:    simnet.New(simnet.Link{BandwidthMBps: 1000}),
-		Policy: stealParityPolicy(),
-		Tracer: tr,
-		Steal:  engine.StealConfig{Mode: engine.StealOnIdle},
-	}, specs)
+	sim, err := infra.New(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return stealOutcome{order: startOrder(tr), stolen: stolenOrder(tr), stats: sim.EngineStats()}
+	return stealOutcome{order: startOrder(cfg.Tracer), stolen: stolenOrder(cfg.Tracer), stats: sim.EngineStats()}
 }
 
-func runStealDAGLive(t *testing.T) stealOutcome {
+func runStealDAGLive(t *testing.T, cfg host.Config) stealOutcome {
 	t.Helper()
-	tr := trace.New(0)
-	rt := core.New(core.Config{
-		Pool:      stealParityPool(),
-		Policy:    stealParityPolicy(),
-		Tracer:    tr,
-		Locations: transfer.NewRegistry(),
-		Net:       simnet.New(simnet.Link{BandwidthMBps: 1000}),
-		Steal:     engine.StealConfig{Mode: engine.StealOnIdle},
-	})
+	rt := core.New(cfg)
 	defer rt.Shutdown()
 
 	release := make(chan struct{})
@@ -123,12 +122,12 @@ func runStealDAGLive(t *testing.T) stealOutcome {
 	}
 	close(release)
 	rt.Barrier()
-	return stealOutcome{order: startOrder(tr), stolen: stolenOrder(tr), stats: rt.EngineStats()}
+	return stealOutcome{order: startOrder(cfg.Tracer), stolen: stolenOrder(cfg.Tracer), stats: rt.EngineStats()}
 }
 
 func TestStealParity(t *testing.T) {
-	sim := runStealDAGSim(t)
-	live := runStealDAGLive(t)
+	sim := runStealDAGSim(t, stealConfig())
+	live := runStealDAGLive(t, stealConfig())
 
 	wantOrder := []int64{1, 4, 2, 3} // gate, stolen short, then the longs in bucket order
 	for name, got := range map[string][]int64{"sim": sim.order, "live": live.order} {
@@ -156,22 +155,15 @@ func TestStealParity(t *testing.T) {
 // node it was stolen onto, and must re-execute (with the correct value,
 // on the live backend) once the fast tier frees up. IDs: gate 1, L1 2,
 // S1 3; start order gate, stolen S1, L1, recovered S1.
-func runStealCrashSim(t *testing.T) stealOutcome {
+func runStealCrashSim(t *testing.T, cfg host.Config) stealOutcome {
 	t.Helper()
-	tr := trace.New(0)
 	specs := []infra.TaskSpec{
 		{ID: 1, Class: "gate", Duration: 3 * time.Second},
 		{ID: 2, Class: "long", Duration: 20 * time.Second},
 		{ID: 3, Class: "short", Duration: time.Second},
 	}
-	sim, err := infra.New(infra.Config{
-		Pool:   stealParityPool(),
-		Net:    simnet.New(simnet.Link{BandwidthMBps: 1000}),
-		Policy: stealParityPolicy(),
-		Tracer: tr,
-		Steal:  engine.StealConfig{Mode: engine.StealOnIdle},
-		Faults: faults.Scenario{{At: time.Second, Kind: faults.Crash, Node: "n1"}},
-	}, specs)
+	cfg.Faults = faults.Scenario{{At: time.Second, Kind: faults.Crash, Node: "n1"}} // the live side crashes by hand
+	sim, err := infra.New(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,20 +174,12 @@ func runStealCrashSim(t *testing.T) stealOutcome {
 	if res.TasksFailed != 1 {
 		t.Fatalf("sim killed %d tasks, want 1 (the stolen short)", res.TasksFailed)
 	}
-	return stealOutcome{order: startOrder(tr), stolen: stolenOrder(tr), stats: sim.EngineStats()}
+	return stealOutcome{order: startOrder(cfg.Tracer), stolen: stolenOrder(cfg.Tracer), stats: sim.EngineStats()}
 }
 
-func runStealCrashLive(t *testing.T) stealOutcome {
+func runStealCrashLive(t *testing.T, cfg host.Config) stealOutcome {
 	t.Helper()
-	tr := trace.New(0)
-	rt := core.New(core.Config{
-		Pool:      stealParityPool(),
-		Policy:    stealParityPolicy(),
-		Tracer:    tr,
-		Locations: transfer.NewRegistry(),
-		Net:       simnet.New(simnet.Link{BandwidthMBps: 1000}),
-		Steal:     engine.StealConfig{Mode: engine.StealOnIdle},
-	})
+	rt := core.New(cfg)
 	defer rt.Shutdown()
 
 	gateRelease := make(chan struct{})
@@ -240,12 +224,12 @@ func runStealCrashLive(t *testing.T) stealOutcome {
 		t.Fatalf("recovered short returned (%v, %v), want ([7], nil)", vals, err)
 	}
 	rt.Barrier()
-	return stealOutcome{order: startOrder(tr), stolen: stolenOrder(tr), stats: rt.EngineStats()}
+	return stealOutcome{order: startOrder(cfg.Tracer), stolen: stolenOrder(cfg.Tracer), stats: rt.EngineStats()}
 }
 
 func TestStealCrashRecoveryParity(t *testing.T) {
-	sim := runStealCrashSim(t)
-	live := runStealCrashLive(t)
+	sim := runStealCrashSim(t, stealConfig())
+	live := runStealCrashLive(t, stealConfig())
 
 	wantOrder := []int64{1, 3, 2, 3}
 	for name, got := range map[string][]int64{"sim": sim.order, "live": live.order} {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine/faults"
+	"repro/internal/host"
 	"repro/internal/infra"
 	"repro/internal/resources"
 	"repro/internal/sched"
@@ -88,18 +89,22 @@ func TestTraceReplayDeterministic(t *testing.T) {
 // latency milestones.
 func TestTraceReplayLiveParity(t *testing.T) {
 	ctrace := wtrace.Conformance()
-	node := resources.Description{
-		Cores: 1, MemoryMB: 32_000, SpeedFactor: 1, Class: resources.HPC,
+	// One single-core node, fresh per backend.
+	config := func() host.Config {
+		pool := resources.NewPool()
+		_ = pool.Add(resources.NewNode("pn0", resources.Description{
+			Cores: 1, MemoryMB: 32_000, SpeedFactor: 1, Class: resources.HPC,
+		}))
+		return host.Config{
+			Pool:      pool,
+			Net:       simnet.New(simnet.Link{BandwidthMBps: 1000}),
+			Policy:    sched.FIFO{},
+			Locations: transfer.NewRegistry(),
+		}
 	}
 
-	// Sim side: native replay on one single-core node.
-	simPool := resources.NewPool()
-	_ = simPool.Add(resources.NewNode("pn0", node))
-	sim, err := infra.New(infra.Config{
-		Pool:   simPool,
-		Net:    simnet.New(simnet.Link{BandwidthMBps: 1000}),
-		Policy: sched.FIFO{},
-	}, ctrace.Specs())
+	// Sim side: native replay.
+	sim, err := infra.New(config(), ctrace.Specs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +115,7 @@ func TestTraceReplayLiveParity(t *testing.T) {
 	simStats := sim.EngineStats()
 
 	// Live side: ReplayLive with time compression on a wall timer.
-	livePool := resources.NewPool()
-	_ = livePool.Add(resources.NewNode("pn0", node))
-	rt := core.New(core.Config{
-		Pool:      livePool,
-		Policy:    sched.FIFO{},
-		Locations: transfer.NewRegistry(),
-		Net:       simnet.New(simnet.Link{BandwidthMBps: 1000}),
-	})
+	rt := core.New(config())
 	defer rt.Shutdown()
 	timer := faults.NewWallTimer()
 	defer timer.Stop()

@@ -101,14 +101,17 @@ type group struct {
 }
 
 // rig is a simulator config over a fresh pool of the groups, on the
-// continuum network with each node zoned by its class.
+// continuum network with each node zoned by its class. Two groups that
+// name a node alike panic: the pool would silently run one node short.
 func rig(policy sched.Policy, groups ...group) infra.Config {
 	pool := resources.NewPool()
 	net := simnet.Continuum()
 	for _, g := range groups {
 		for i := 0; i < g.n; i++ {
 			name := fmt.Sprintf(g.name, i)
-			_ = pool.Add(resources.NewNode(name, g.desc))
+			if err := pool.Add(resources.NewNode(name, g.desc)); err != nil {
+				panic("experiments: rig: " + err.Error())
+			}
 			net.SetZone(name, g.desc.Class.String())
 		}
 	}
@@ -300,7 +303,9 @@ func e7FailureRecovery(stages, width int) (*Table, error) {
 		mode := "without persistence"
 		if persist {
 			mode, c.PersistNode = "with dataClay persistence", "vault"
-			_ = c.Pool.Add(resources.NewNode("vault", resources.Description{Class: resources.Cloud, SpeedFactor: 1}))
+			if err := c.Pool.Add(resources.NewNode("vault", resources.Description{Class: resources.Cloud, SpeedFactor: 1})); err != nil {
+				return nil, err
+			}
 			c.Net.SetZone("vault", resources.Cloud.String())
 		}
 		c.Faults = faults.Scenario{{At: 3 * time.Minute, Kind: faults.Crash, Node: "fog1"}}

@@ -210,3 +210,14 @@ func TestE13StealingImprovesSkewedRun(t *testing.T) {
 		t.Fatalf("stealing-on utilisation %s not above off %s", on.text, off.text)
 	}
 }
+
+// A rig whose groups name a node alike panics instead of running the
+// experiment on a pool one node short.
+func TestRigRefusesDuplicateNodeNames(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("rig accepted two groups naming the same nodes")
+		}
+	}()
+	rig(sched.MinLoad{}, mareNostrum(2), mareNostrum(1))
+}

@@ -40,33 +40,121 @@ import (
 // without a checkpoint store.
 var ErrNoCheckpoint = errors.New("host: no checkpoint store configured")
 
-// Config assembles a host. The first block is the configuration both
-// backends accept from their users; the second is what makes a backend
-// a backend; the third is the live runtime's two seams.
+// Config is every option a workflow run takes, declared once for both
+// backends: infra.Config and core.Config are this type. A field is
+// honoured by both backends unless it sits in the simulator-only or the
+// live-only block at the end, and the backend that cannot honour a field
+// refuses a non-zero value (infra.New with ErrConfig, core.New with a
+// panic), so no knob is silently ignored.
 type Config struct {
-	Pool         *resources.Pool
-	Policy       sched.Policy
-	Predictor    *mlpredict.Predictor
-	Tracer       *trace.Tracer
-	Registry     *transfer.Registry
-	Net          *simnet.Network
-	PersistNode  string
-	Steal        engine.StealConfig
+	// Pool is the node set. Required by the simulator; the live runtime
+	// defaults to one node named "local" with 4 cores and 8 GB.
+	Pool *resources.Pool
+	// Net models transfer costs. Required by the simulator; the live
+	// runtime prices data movements only when Locations is set too.
+	Net *simnet.Network
+	// Policy places ready tasks. Required by the simulator; the live
+	// runtime defaults to sched.MinLoad.
+	Policy sched.Policy
+	// Predictor, when set, is trained online with completed-task durations
+	// and consulted by prediction-aware policies.
+	Predictor *mlpredict.Predictor
+	// Tracer, when set, receives events.
+	Tracer *trace.Tracer
+	// Locations is the data-location registry (replicas and version
+	// sizes) that locality policies, transfer accounting and checkpoint
+	// catalogs read. The simulator makes its own when it is unset; the
+	// live runtime then keeps none.
+	Locations *transfer.Registry
+	// Steal enables the engine's cross-bucket work stealing (default off).
+	Steal engine.StealConfig
+	// Availability selects what placement does with a task whose every
+	// input replica is lost or partitioned away: run anyway (default),
+	// defer until a heal or fresh replica wakes it, or recompute the
+	// producers on the reachable side (engine.Availability). It needs
+	// Locations and Net; a deferred live task's Future stays open until
+	// the partition heals.
 	Availability engine.Availability
-	Metrics      *obsv.Registry
-	Checkpoint   *checkpoint.Config
-	Autoscale    *autoscale.Autoscaler
-	Admission    *autoscale.Admission
-	// Restore, when set, is replayed into the fresh engine (restore.go).
+	// Checkpoint, when set (with a Store), snapshots the engine state —
+	// and the live runtime's produced values — under the configured
+	// policy on the backend's clock. The data catalog comes from
+	// Locations.
+	Checkpoint *checkpoint.Config
+	// Restore, when set, is replayed into the fresh engine (restore.go):
+	// the catalog re-seeds Locations, and a task recorded as completed
+	// whose outputs survived resolves instead of executing. Task IDs must
+	// match the snapshotting run's (same workflow, same order).
 	Restore *checkpoint.Snapshot
+	// Metrics, when set, backs the engine (and the checkpointer, unless
+	// its config carries its own bundle), the autoscaler and the
+	// admission controller with instruments registered on this registry.
+	Metrics *obsv.Registry
+	// Autoscale enables pool scaling: the cost-aware planner across
+	// heterogeneous tiers (autoscale.New) or the single-tier threshold
+	// rule (autoscale.NewThreshold). The simulator evaluates it every
+	// ElasticEvery; live, each Host.AutoscaleStep is one evaluation, by
+	// hand or from an Every tick.
+	Autoscale *autoscale.Autoscaler
+	// Admission, when set, gates submissions behind per-tenant quotas: a
+	// task over its tenant's in-flight cap is held invisible to the
+	// scheduler until completions free a slot and weighted fair ordering
+	// picks it. Live, a submission past the tenant's queue bound is
+	// rejected (core.ErrQuotaRejected); the simulator requires an
+	// unbounded queue (Quota.MaxQueued == 0), as a preregistered task has
+	// no client to bounce to.
+	Admission *autoscale.Admission
 
+	// Simulator only. A live caller arms faults, ticks and sampling
+	// itself with faults.Run, Every and StartSampler, and stages data in
+	// with core.Runtime.SetInitial.
+
+	// StageIn locates externally provided data (version 0) with sizes,
+	// held by the pool's first node unless StageInNodes names explicit
+	// replica locations — how partitioned storage backends (Hecuba)
+	// advertise placement to the scheduler (E4). Recorded in Locations.
+	StageIn      map[deps.DataID]int64
+	StageInNodes map[deps.DataID][]string
+	// PersistNode, when non-empty, receives a replica of every task
+	// output — the dataClay persistence that makes recovery cheap
+	// ("whenever a task is submitted to a remote agent, the COMPSs
+	// runtime persists any not-yet-persisted object", Sec. VI-B).
+	PersistNode string
+	// DisableRenaming turns off data-version renaming in the access
+	// processor, so WAR/WAW false dependencies serialise the graph
+	// (ablation A1 in the README's Experiments).
+	DisableRenaming bool
+
+	// Faults is the fault script (crashes, slow nodes, drains, network
+	// partitions) armed on the virtual clock.
+	Faults faults.Scenario
+	// HaltAt, when positive, stops the run at that virtual instant — the
+	// simulated process death of the crash-restart experiments (E14);
+	// Run returns infra.ErrHalted with the partial result.
+	HaltAt time.Duration
+	// ElasticEvery is the autoscale evaluation period (default 10s).
+	ElasticEvery time.Duration
+	// SampleEvery, when positive (and Metrics is set), snapshots the
+	// registry into an in-memory time-series every virtual interval —
+	// byte-identical run to run, except the checkpoint metrics: capture
+	// time is measured on the wall clock, and the writer goroutine counts
+	// a save when it is written.
+	SampleEvery time.Duration
+
+	// Live runtime only: the simulator binds no values.
+
+	// Provenance, when set, records data lineage as values are bound.
+	Provenance *trace.Provenance
+}
+
+// Backend is what makes a backend a backend: what time it is and how a
+// body runs.
+type Backend struct {
 	// Clock, Timer and Executor are required. A Timer that can run dry —
 	// the simulator's event heap — additionally offers Pending() int; the
 	// host then gates its periodic ticks on liveness (see Every).
 	Clock    engine.Clock
 	Timer    faults.Timer
 	Executor engine.Executor
-
 	// OnKill, when set, runs once per task a node failure killed, after
 	// its epoch is invalidated and before it is resubmitted (the live
 	// runtime cancels the body's context). It must not call back into
@@ -94,6 +182,7 @@ type Values interface {
 // embed it; its exported methods are their operator surface.
 type Host struct {
 	cfg     Config
+	b       Backend
 	eng     *engine.Engine
 	ckpt    *checkpoint.Checkpointer
 	pending func() int // the timer's scheduled-event count; nil when it never runs dry
@@ -118,32 +207,32 @@ type Host struct {
 // New builds the engine from the shared configuration, routes autoscale
 // cordons through it, registers the engine's, the checkpointer's, the
 // autoscaler's and the admission controller's instruments on
-// Config.Metrics, seeds Config.Restore's catalog, and arms the
-// checkpointer when a store is configured. It fails only on a restore
-// snapshot of another format: resuming cold instead would recompute a
-// whole campaign without a word.
-func New(cfg Config) (*Host, error) {
+// Config.Metrics, seeds Config.Restore's catalog, arms the checkpointer
+// when a store is configured, and stages in Config.StageIn. It fails
+// only on a restore snapshot of another format: resuming cold instead
+// would recompute a whole campaign without a word.
+func New(cfg Config, b Backend) (*Host, error) {
 	if snap := cfg.Restore; snap != nil && snap.Format != checkpoint.Format {
 		return nil, fmt.Errorf("host: restore snapshot format %d, want %d", snap.Format, checkpoint.Format)
 	}
-	h := &Host{cfg: cfg}
-	if p, ok := cfg.Timer.(interface{ Pending() int }); ok {
+	h := &Host{cfg: cfg, b: b}
+	if p, ok := b.Timer.(interface{ Pending() int }); ok {
 		h.pending = p.Pending
 	}
 	h.eng = engine.New(engine.Config{
 		Pool:         cfg.Pool,
 		Policy:       cfg.Policy,
-		Clock:        cfg.Clock,
-		Executor:     cfg.Executor,
+		Clock:        b.Clock,
+		Executor:     b.Executor,
 		Metrics:      obsv.NewEngineMetrics(cfg.Metrics),
-		Registry:     cfg.Registry,
+		Registry:     cfg.Locations,
 		Net:          cfg.Net,
 		PersistNode:  cfg.PersistNode,
 		Tracer:       cfg.Tracer,
 		Steal:        cfg.Steal,
 		Availability: cfg.Availability,
 		SchedContext: &sched.Context{
-			Registry:  cfg.Registry,
+			Registry:  cfg.Locations,
 			Net:       cfg.Net,
 			Predictor: cfg.Predictor,
 		},
@@ -176,7 +265,33 @@ func New(cfg Config) (*Host, error) {
 			h.every(ck.Policy.Every, true, func() bool { h.ckpt.Tick(); return false })
 		}
 	}
+	for d, size := range cfg.StageIn {
+		h.StageIn(d, size, cfg.StageInNodes[d])
+	}
 	return h, nil
+}
+
+// StageIn records version 0 of d, provided from outside the workflow, in
+// Config.Locations: size bytes (unknown when 0) held by nodes, or by the
+// pool's first node when nodes is empty. Without Locations it does
+// nothing.
+func (h *Host) StageIn(d deps.DataID, size int64, nodes []string) {
+	reg := h.cfg.Locations
+	if reg == nil {
+		return
+	}
+	k := deps.Version{Data: d}
+	if size > 0 {
+		reg.SetSize(k, size)
+	}
+	if len(nodes) == 0 {
+		if all := h.cfg.Pool.Nodes(); len(all) > 0 {
+			nodes = []string{all[0].Name()}
+		}
+	}
+	for _, n := range nodes {
+		reg.AddReplica(k, n)
+	}
 }
 
 // Engine returns the shared scheduling engine (the backend's executor
@@ -204,7 +319,7 @@ func (h *Host) RevalidateAvailability() int { return h.eng.RevalidateAvailabilit
 // tasks and resubmits them through lineage recovery; the backend's
 // OnKill hook sees each killed task in between.
 func (h *Host) FailNode(name string) (engine.FailReport, error) {
-	rep, err := h.eng.FailNode(name, h.cfg.OnKill)
+	rep, err := h.eng.FailNode(name, h.b.OnKill)
 	return rep, h.traceIgnored(name, err)
 }
 
@@ -235,7 +350,7 @@ func (h *Host) Heal(a, b string) error {
 func (h *Host) traceIgnored(target string, err error) error {
 	if err != nil {
 		h.cfg.Tracer.Record(trace.Event{
-			At: h.cfg.Clock.Now(), Kind: trace.FaultIgnored, Node: target, Info: err.Error(),
+			At: h.b.Clock.Now(), Kind: trace.FaultIgnored, Node: target, Info: err.Error(),
 		})
 	}
 	return err
@@ -247,7 +362,7 @@ func (h *Host) traceIgnored(target string, err error) error {
 // table plus the location registry as the data catalog, with the
 // backend's values attached.
 func (h *Host) CheckpointSnapshot() *checkpoint.Snapshot {
-	snap := checkpoint.Capture(h.eng, h.cfg.Registry)
+	snap := checkpoint.Capture(h.eng, h.cfg.Locations)
 	h.attach(snap.Catalog)
 	return snap
 }
@@ -255,7 +370,7 @@ func (h *Host) CheckpointSnapshot() *checkpoint.Snapshot {
 // CheckpointBase implements checkpoint.Source: a full capture that
 // resets the dirty sets, starting (or compacting) a delta chain.
 func (h *Host) CheckpointBase() *checkpoint.Snapshot {
-	snap := checkpoint.CaptureBase(h.eng, h.cfg.Registry)
+	snap := checkpoint.CaptureBase(h.eng, h.cfg.Locations)
 	h.attach(snap.Catalog)
 	return snap
 }
@@ -263,7 +378,7 @@ func (h *Host) CheckpointBase() *checkpoint.Snapshot {
 // CheckpointDelta implements checkpoint.Source: the changes since the
 // last base or delta capture.
 func (h *Host) CheckpointDelta() *checkpoint.Delta {
-	d := checkpoint.CaptureDelta(h.eng, h.cfg.Registry)
+	d := checkpoint.CaptureDelta(h.eng, h.cfg.Locations)
 	h.attach(d.Catalog)
 	return d
 }
@@ -271,15 +386,15 @@ func (h *Host) CheckpointDelta() *checkpoint.Delta {
 // CheckpointDirty implements checkpoint.Source.
 func (h *Host) CheckpointDirty() int {
 	n := h.eng.DirtyCount()
-	if h.cfg.Registry != nil {
-		n += h.cfg.Registry.DirtyCount()
+	if h.cfg.Locations != nil {
+		n += h.cfg.Locations.DirtyCount()
 	}
 	return n
 }
 
 func (h *Host) attach(catalog []checkpoint.CatalogEntry) {
-	if h.cfg.Values != nil {
-		h.cfg.Values.Attach(catalog)
+	if h.b.Values != nil {
+		h.b.Values.Attach(catalog)
 	}
 }
 
@@ -392,7 +507,7 @@ func (h *Host) AutoscaleStep() autoscale.Action {
 	if h.cfg.Autoscale == nil {
 		return autoscale.Action{Kind: autoscale.Held}
 	}
-	now := h.cfg.Clock.Now()
+	now := h.b.Clock.Now()
 	act := h.cfg.Autoscale.Step(h.cfg.Pool, autoscale.Snapshot(h.eng, h.cfg.Pool, now))
 	switch act.Kind {
 	case autoscale.Reclaimed:
@@ -405,7 +520,7 @@ func (h *Host) AutoscaleStep() autoscale.Action {
 		node, d := act.Node, act.Node.Desc()
 		hold := resources.Constraints{Cores: d.Cores, MemoryMB: d.MemoryMB, GPUs: d.GPUs}
 		if act.Delay > 0 && node.Reserve(hold) == nil {
-			h.cfg.Timer.At(now+act.Delay, func() {
+			h.b.Timer.At(now+act.Delay, func() {
 				node.Release(hold)
 				h.eng.RevalidateAvailability()
 			})
@@ -437,14 +552,14 @@ func (h *Host) Every(d time.Duration, step func() bool) { h.every(d, false, step
 // sampling while a driver may still grow the pool under a stalled
 // workload.
 func (h *Host) every(d time.Duration, observer bool, fn func() bool) {
-	next := h.cfg.Clock.Now()
+	next := h.b.Clock.Now()
 	var tick func()
 	arm := func() {
 		next += d
 		if observer {
 			h.observers.Add(1)
 		}
-		h.cfg.Timer.At(next, tick)
+		h.b.Timer.At(next, tick)
 	}
 	tick = func() {
 		h.run.Lock()
@@ -478,7 +593,7 @@ func (h *Host) StartSampler(every time.Duration) *obsv.Sampler {
 	if h.smp == nil {
 		smp := obsv.NewSampler(h.cfg.Metrics)
 		h.smp = smp
-		h.every(every, true, func() bool { smp.Sample(h.cfg.Clock.Now()); return false })
+		h.every(every, true, func() bool { smp.Sample(h.b.Clock.Now()); return false })
 	}
 	return h.smp
 }

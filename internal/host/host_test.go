@@ -46,14 +46,13 @@ func oneNodePool() *resources.Pool {
 
 func newHost(t *testing.T, tm *simclock.Clock, x *fakeExecutor, cfg host.Config) *host.Host {
 	t.Helper()
-	cfg.Clock, cfg.Timer, cfg.Executor = tm, tm, x
 	if cfg.Pool == nil {
 		cfg.Pool = oneNodePool()
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = sched.FIFO{}
 	}
-	h, err := host.New(cfg)
+	h, err := host.New(cfg, host.Backend{Clock: tm, Timer: tm, Executor: x})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +144,7 @@ func TestStopTicksOnWallTimer(t *testing.T) {
 	reg.Gauge("g", "", "").Set(1)
 	h, err := host.New(host.Config{
 		Pool: oneNodePool(), Policy: sched.FIFO{}, Metrics: reg,
-		Clock: engine.WallClock{Epoch: time.Now()}, Timer: faults.NewWallTimer(), Executor: &fakeExecutor{},
-	})
+	}, host.Backend{Clock: engine.WallClock{Epoch: time.Now()}, Timer: faults.NewWallTimer(), Executor: &fakeExecutor{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +302,7 @@ func TestAutoscaleStepHoldsProvisioningNode(t *testing.T) {
 func TestNewRefusesForeignSnapshotFormat(t *testing.T) {
 	_, err := host.New(host.Config{
 		Pool: oneNodePool(), Policy: sched.FIFO{}, Restore: &checkpoint.Snapshot{Format: checkpoint.Format + 1},
-		Clock: simclock.New(), Timer: simclock.New(), Executor: &fakeExecutor{},
-	})
+	}, host.Backend{Clock: simclock.New(), Timer: simclock.New(), Executor: &fakeExecutor{}})
 	if err == nil {
 		t.Fatal("New accepted a snapshot of another format")
 	}

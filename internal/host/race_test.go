@@ -58,8 +58,7 @@ func TestHostHammer(t *testing.T) {
 	x := &spawnExecutor{done: make(chan int64, total)}
 	h, err := New(Config{
 		Pool: pool, Policy: sched.FIFO{}, Admission: adm, Restore: snap,
-		Clock: engine.WallClock{Epoch: time.Now()}, Timer: faults.NewWallTimer(), Executor: x,
-	})
+	}, Backend{Clock: engine.WallClock{Epoch: time.Now()}, Timer: faults.NewWallTimer(), Executor: x})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 // arrive (Resolve), or all together for the simulator, whose workflow is
 // registered up front (ResolveAll) — and is marked done iff all its
 // outputs are still alive. "Alive" is all a backend changes: the value is
-// in its table (Config.Values) or, without one, the registry still names
+// in its table (Backend.Values) or, without one, the registry still names
 // a holder. What is not alive re-runs: restore degrades to recompute,
 // never to wrong answers.
 package host
@@ -27,10 +27,10 @@ import (
 // have decoded). A row that keeps every holder hands the registry its own
 // list; only a row that drops one pays for a filtered copy.
 func (h *Host) seedCatalog(snap *checkpoint.Snapshot) {
-	reg := h.cfg.Registry
+	reg := h.cfg.Locations
 	for i := range snap.Catalog {
 		en := &snap.Catalog[i]
-		durable := en.HasValue && (h.cfg.Values == nil || h.cfg.Values.Seed(en))
+		durable := en.HasValue && (h.b.Values == nil || h.b.Values.Seed(en))
 		if reg == nil {
 			continue
 		}
@@ -80,7 +80,7 @@ func (h *Host) restage(k deps.Version, size int64) {
 	if best == "" {
 		return
 	}
-	h.cfg.Registry.AddReplica(k, best)
+	h.cfg.Locations.AddReplica(k, best)
 	h.restaged++
 	h.restagedBytes += size
 	h.restageTime += cost
@@ -92,7 +92,7 @@ func (h *Host) restage(k deps.Version, size int64) {
 
 // alive reports whether every recorded output survived.
 func (h *Host) alive(outputs []deps.Version) bool {
-	vals := h.cfg.Values
+	vals := h.b.Values
 	if vals != nil && len(outputs) == 0 && len(h.cfg.Restore.Catalog) == 0 {
 		// An engine run without a registry drops done tasks' output lists
 		// and captures no catalog: the empty list proves nothing, and
@@ -104,7 +104,7 @@ func (h *Host) alive(outputs []deps.Version) bool {
 			if !vals.Present(k) {
 				return false
 			}
-		} else if len(h.cfg.Registry.Where(k)) == 0 {
+		} else if len(h.cfg.Locations.Where(k)) == 0 {
 			return false
 		}
 	}
@@ -179,7 +179,7 @@ func (h *Host) resolve(rec *checkpoint.TaskRecord) bool {
 		h.mu.Unlock()
 	}
 	if h.cfg.Tracer != nil {
-		h.cfg.Tracer.Record(trace.Event{At: h.cfg.Clock.Now(), Kind: trace.CheckpointRestored, Task: rec.ID})
+		h.cfg.Tracer.Record(trace.Event{At: h.b.Clock.Now(), Kind: trace.CheckpointRestored, Task: rec.ID})
 	}
 	return true
 }

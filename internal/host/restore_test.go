@@ -36,29 +36,29 @@ func TestSeedCatalogAllLiveAllocatesNothingPerRow(t *testing.T) {
 		})
 	}
 	clk := simclock.New()
-	h, err := New(Config{Pool: pool, Policy: sched.FIFO{}, Clock: clk, Timer: clk, Executor: nopExecutor{}})
+	h, err := New(Config{Pool: pool, Policy: sched.FIFO{}}, Backend{Clock: clk, Timer: clk, Executor: nopExecutor{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		h.cfg.Registry = transfer.NewRegistry()
+		h.cfg.Locations = transfer.NewRegistry()
 		h.seedCatalog(snap)
 	})
 	if perRow := allocs / rows; perRow > 0.05 {
 		t.Fatalf("seedCatalog of %d all-live rows allocated %.0f objects (%.3f per row), want ~0 per row", rows, allocs, perRow)
 	}
 	for _, en := range snap.Catalog[:8] {
-		if got := h.cfg.Registry.Where(en.Key); !slices.Equal(got, en.Locations) {
+		if got := h.cfg.Locations.Where(en.Key); !slices.Equal(got, en.Locations) {
 			t.Fatalf("%v seeded with %v, want %v", en.Key, got, en.Locations)
 		}
 	}
 
 	gone := slices.Clone(snap.Catalog[:3])
 	gone[1].Locations = []string{"n1", "lost", "n5"}
-	h.cfg.Registry = transfer.NewRegistry()
+	h.cfg.Locations = transfer.NewRegistry()
 	h.seedCatalog(&checkpoint.Snapshot{Format: checkpoint.Format, Catalog: gone})
 	for i, want := range [][]string{{"n0", "n4"}, {"n1", "n5"}, {"n2", "n6"}} {
-		if got := h.cfg.Registry.Where(gone[i].Key); !slices.Equal(got, want) {
+		if got := h.cfg.Locations.Where(gone[i].Key); !slices.Equal(got, want) {
 			t.Fatalf("row %d seeded with %v, want %v", i, got, want)
 		}
 	}

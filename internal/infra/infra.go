@@ -32,16 +32,10 @@ import (
 	"repro/internal/deps"
 	"repro/internal/energy"
 	"repro/internal/engine"
-	"repro/internal/engine/checkpoint"
 	"repro/internal/engine/faults"
 	"repro/internal/host"
-	"repro/internal/mlpredict"
-	"repro/internal/obsv"
 	"repro/internal/resources"
-	"repro/internal/sched"
 	"repro/internal/simclock"
-	"repro/internal/simnet"
-	"repro/internal/trace"
 	"repro/internal/transfer"
 )
 
@@ -70,89 +64,10 @@ type TaskSpec struct {
 	Tenant string
 }
 
-// Config assembles a simulation.
-type Config struct {
-	// Pool is the starting set of nodes. Required.
-	Pool *resources.Pool
-	// Net models transfer costs. Required.
-	Net *simnet.Network
-	// Policy places ready tasks. Required.
-	Policy sched.Policy
-	// Predictor, when set, is trained online with completed-task
-	// durations and consulted by prediction-aware policies.
-	Predictor *mlpredict.Predictor
-	// Tracer, when set, receives events.
-	Tracer *trace.Tracer
-	// StageIn locates externally provided data (version 0) with sizes.
-	StageIn map[deps.DataID]int64
-	// StageInNodes places a staged-in datum (default: the first pool
-	// node holds it) on explicit replica
-	// locations — how partitioned storage backends (Hecuba) advertise
-	// placement to the scheduler (E4).
-	StageInNodes map[deps.DataID][]string
-	// PersistNode, when non-empty, receives a replica of every task
-	// output — the dataClay persistence that makes recovery cheap
-	// ("whenever a task is submitted to a remote agent, the COMPSs
-	// runtime persists any not-yet-persisted object", Sec. VI-B).
-	PersistNode string
-	// Faults is the fault script (crashes, slow nodes, drains, network
-	// partitions) armed on the virtual clock.
-	Faults faults.Scenario
-	// Steal enables the engine's cross-bucket work stealing (default
-	// off); the live runtime takes the identical knob, so steal decisions
-	// are comparable one-to-one across backends.
-	Steal engine.StealConfig
-	// Availability selects what placement does with a task whose every
-	// input replica is lost or partitioned away: run anyway (default),
-	// defer until a heal or fresh replica, or recompute the producers
-	// locally (engine.Availability). The live runtime takes the identical
-	// knob.
-	Availability engine.Availability
-	// Checkpoint, when set (with a Store), snapshots the engine state to
-	// disk under the configured policy, on the virtual clock — the same
-	// policy the live runtime drives on wall time.
-	Checkpoint *checkpoint.Config
-	// Restore, when set, replays a snapshot into this simulation before
-	// it runs (internal/host, restore.go): the data catalog re-seeds the
-	// location registry, and tasks recorded as completed whose outputs
-	// kept a replica are marked done instead of executing. Task IDs must
-	// match the snapshotting run's (same specs, same order).
-	Restore *checkpoint.Snapshot
-	// HaltAt, when positive, stops the event loop at that virtual
-	// instant — the simulated equivalent of the whole process dying
-	// mid-run (experiment E14). Run returns ErrHalted with the partial
-	// result.
-	HaltAt time.Duration
-	// Autoscale enables pool scaling: the cost-aware planner across
-	// heterogeneous tiers (autoscale.New) or the single-tier threshold
-	// rule (autoscale.NewThreshold), evaluated every ElasticEvery.
-	Autoscale *autoscale.Autoscaler
-	// ElasticEvery is the autoscale evaluation period (default 10s).
-	ElasticEvery time.Duration
-	// Admission, when set, gates task visibility behind per-tenant
-	// quotas: a task over its tenant's in-flight cap waits (via the same
-	// synthetic-hold mechanism as Release) until completions free a slot
-	// and weighted fair ordering picks it. The simulator requires an
-	// unbounded admission queue (Quota.MaxQueued == 0): a preregistered
-	// workload has no client to bounce a rejection back to.
-	Admission *autoscale.Admission
-	// DisableRenaming turns off data-version renaming in the access
-	// processor, so WAR/WAW false dependencies serialise the graph
-	// (ablation A1 in the README's Experiments).
-	DisableRenaming bool
-	// Metrics, when set, backs the engine (and the checkpointer, unless
-	// its config carries its own bundle), the autoscaler and the
-	// admission controller with observability instruments registered on
-	// this registry. Optional.
-	Metrics *obsv.Registry
-	// SampleEvery, when positive (and Metrics is set), snapshots the
-	// registry into an in-memory time-series every virtual interval —
-	// deterministic: identical runs produce byte-identical series,
-	// retrievable through Sim.Sampler. Checkpoint capture-time metrics
-	// are the exception (measured on the wall clock; sample
-	// checkpoint-free runs when diffing series).
-	SampleEvery time.Duration
-}
+// Config assembles a simulation: the one option set both backends take
+// (internal/host). Pool, Net and Policy are required; Provenance, which
+// the live runtime records as values are bound, is refused.
+type Config = host.Config
 
 // Result summarises a simulation run.
 type Result struct {
@@ -260,39 +175,23 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 	if cfg.Admission != nil && cfg.Admission.Quota().MaxQueued > 0 {
 		return nil, fmt.Errorf("%w: the simulator requires an unbounded admission queue (Quota.MaxQueued == 0)", ErrConfig)
 	}
-	var procOpts []deps.Option
-	if cfg.DisableRenaming {
-		procOpts = append(procOpts, deps.WithoutRenaming())
+	if cfg.Provenance != nil {
+		return nil, fmt.Errorf("%w: Provenance is recorded by the live runtime only (the simulator binds no values)", ErrConfig)
+	}
+	if cfg.Locations == nil {
+		cfg.Locations = transfer.NewRegistry()
 	}
 	s := &Sim{
 		cfg:       cfg,
 		clock:     simclock.New(),
-		reg:       transfer.NewRegistry(),
+		reg:       cfg.Locations,
 		acct:      energy.NewAccountant(),
-		proc:      deps.NewProcessor(procOpts...),
+		proc:      deps.NewProcessor(deps.Renaming(!cfg.DisableRenaming)),
 		nodeAdded: make(map[string]time.Duration),
 		remaining: len(specs),
 	}
 	var err error
-	s.Host, err = host.New(host.Config{
-		Pool:         cfg.Pool,
-		Policy:       cfg.Policy,
-		Predictor:    cfg.Predictor,
-		Tracer:       cfg.Tracer,
-		Registry:     s.reg,
-		Net:          cfg.Net,
-		PersistNode:  cfg.PersistNode,
-		Steal:        cfg.Steal,
-		Availability: cfg.Availability,
-		Metrics:      cfg.Metrics,
-		Checkpoint:   cfg.Checkpoint,
-		Autoscale:    cfg.Autoscale,
-		Admission:    cfg.Admission,
-		Restore:      cfg.Restore,
-		Clock:        s.clock,
-		Timer:        s.clock,
-		Executor:     &simExecutor{s},
-	})
+	s.Host, err = host.New(cfg, host.Backend{Clock: s.clock, Timer: s.clock, Executor: &simExecutor{s}})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
@@ -300,23 +199,6 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 	s.runDeferred = func() {
 		s.schedDeferred = false
 		s.eng.Schedule()
-	}
-
-	// Stage in external data.
-	var firstNode []string
-	if nodes := cfg.Pool.Nodes(); len(nodes) > 0 {
-		firstNode = []string{nodes[0].Name()}
-	}
-	for d, size := range cfg.StageIn {
-		k := deps.Version{Data: d}
-		s.reg.SetSize(k, size)
-		holders := cfg.StageInNodes[d]
-		if len(holders) == 0 {
-			holders = firstNode
-		}
-		for _, n := range holders {
-			s.reg.AddReplica(k, n)
-		}
 	}
 
 	// Register the whole workflow through the access processor in slice

@@ -7,41 +7,132 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/agent"
 	"repro/internal/autoscale"
 	"repro/internal/core"
+	"repro/internal/deps"
 	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
+	"repro/internal/engine/faults"
+	"repro/internal/host"
 	"repro/internal/infra"
 	"repro/internal/obsv"
 	"repro/internal/resources"
 	"repro/internal/sched"
 	"repro/internal/simnet"
+	"repro/internal/trace"
 )
 
 // TestConfigBudget is the knob ratchet: every Config field is an option
 // the parity and benchmark matrices must cover, so adding one has to
 // raise the number here, in the diff that adds it, where a reviewer sees
-// it. `make budget` prints the same figures.
+// it. Both backends take the one host.Config, so a knob is declared once;
+// host.Backend is the backend seam, engine.Config what the host hands the
+// engine, and the three together stay within their sum. `make budget`
+// prints the same figures.
 func TestConfigBudget(t *testing.T) {
-	for _, b := range []struct {
+	one := reflect.TypeOf(host.Config{})
+	for name, cfg := range map[string]any{"infra.Config": infra.Config{}, "core.Config": core.Config{}} {
+		if reflect.TypeOf(cfg) != one {
+			t.Errorf("%s is not host.Config: both backends take the one option set", name)
+		}
+	}
+	const sumMax = 40
+	sum := 0
+	for i, b := range []struct {
 		name string
 		cfg  any
 		max  int
 	}{
-		{"infra.Config", infra.Config{}, 20},
-		{"core.Config", core.Config{}, 14},
+		{"host.Config", host.Config{}, 22},
+		{"host.Backend", host.Backend{}, 5},
 		{"engine.Config", engine.Config{}, 12},
 		{"agent.Config", agent.Config{}, 8},
 		{"checkpoint.Config", checkpoint.Config{}, 5},
 	} {
-		if n := reflect.TypeOf(b.cfg).NumField(); n > b.max {
+		n := reflect.TypeOf(b.cfg).NumField()
+		if i < 3 {
+			sum += n
+		}
+		if n > b.max {
 			t.Errorf("%s has %d fields, budget %d: a new option must raise its budget explicitly", b.name, n, b.max)
 		} else {
 			t.Logf("%s: %d fields (budget %d)", b.name, n, b.max)
 		}
 	}
+	if sum > sumMax {
+		t.Errorf("host.Config + host.Backend + engine.Config declare %d fields, budget %d", sum, sumMax)
+	} else {
+		t.Logf("host.Config + host.Backend + engine.Config: %d fields (budget %d)", sum, sumMax)
+	}
+}
+
+// configKnobs classifies every host.Config field. A field without probe
+// is honoured by both backends; one with a probe is honoured only by
+// the backend named in only, and the other must refuse the probe value.
+var configKnobs = map[string]struct {
+	only  string // "sim" or "live"; empty for both
+	probe any
+}{
+	"Pool": {}, "Net": {}, "Policy": {}, "Predictor": {}, "Tracer": {}, "Locations": {},
+	"Steal": {}, "Availability": {}, "Checkpoint": {}, "Restore": {}, "Metrics": {},
+	"Autoscale": {}, "Admission": {},
+	"StageIn":         {"sim", map[deps.DataID]int64{1: 1e6}},
+	"StageInNodes":    {"sim", map[deps.DataID][]string{1: {"n0"}}},
+	"PersistNode":     {"sim", "n0"},
+	"DisableRenaming": {"sim", true},
+	"Faults":          {"sim", faults.Scenario{{At: time.Second, Kind: faults.Crash, Node: "n0"}}},
+	"HaltAt":          {"sim", time.Second},
+	"ElasticEvery":    {"sim", time.Second},
+	"SampleEvery":     {"sim", time.Second},
+	"Provenance":      {"live", trace.NewProvenance()},
+}
+
+// TestEveryConfigFieldIsClassified: no knob is silently ignored by one
+// backend. Every host.Config field has an entry in configKnobs, every
+// entry names a field, and a one-backend field set on the other backend
+// is refused — infra.New with ErrConfig, core.New with a panic.
+func TestEveryConfigFieldIsClassified(t *testing.T) {
+	typ := reflect.TypeOf(host.Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		if _, ok := configKnobs[typ.Field(i).Name]; !ok {
+			t.Errorf("host.Config.%s is not classified in configKnobs: say which backends honour it", typ.Field(i).Name)
+		}
+	}
+	for name, k := range configKnobs {
+		f, ok := typ.FieldByName(name)
+		if !ok {
+			t.Errorf("configKnobs names %s, which host.Config no longer has", name)
+			continue
+		}
+		if k.only == "" {
+			continue
+		}
+		var cfg host.Config
+		reflect.ValueOf(&cfg).Elem().FieldByIndex(f.Index).Set(reflect.ValueOf(k.probe))
+		switch k.only {
+		case "sim":
+			if !refusedLive(cfg) {
+				t.Errorf("core.New accepted %s, which only the simulator honours", name)
+			}
+		case "live":
+			cfg.Pool, cfg.Net, cfg.Policy = resources.NewPool(), simnet.New(simnet.Link{BandwidthMBps: 1000}), sched.FIFO{}
+			if _, err := infra.New(cfg, nil); !errors.Is(err, infra.ErrConfig) {
+				t.Errorf("infra.New with %s, which only the live runtime honours = %v, want ErrConfig", name, err)
+			}
+		default:
+			t.Errorf("%s: unknown backend %q", name, k.only)
+		}
+	}
+}
+
+// refusedLive reports whether core.New panics on cfg.
+func refusedLive(cfg core.Config) (refused bool) {
+	defer func() { refused = recover() != nil }()
+	core.New(cfg).Shutdown()
+	return false
 }
 
 // TestUnconfiguredEntryPoints: the exported control-plane entry points
