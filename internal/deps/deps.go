@@ -249,8 +249,16 @@ type TaskAccesses struct {
 // its tasks' Reads, Writes and Deps are carved from arrays sized by a
 // counting pass over the batch's own accesses, so a simulation building a
 // million-task graph pays a handful of allocations per batch instead of
-// several per task. The arrays live as long as any list carved from them.
-func (p *Processor) RegisterBatch(batch []TaskAccesses) []Result {
+// several per task. What a registration keeps is those arrays: they live
+// as long as any list carved from them, and the callers hold the lists
+// for the life of their tasks. The []Result itself is transient — a
+// caller that registers window by window passes one buffer to
+// AppendBatch instead.
+func (p *Processor) RegisterBatch(batch []TaskAccesses) []Result { return p.AppendBatch(nil, batch) }
+
+// AppendBatch is RegisterBatch appending the results to dst, so a caller
+// registering a graph window by window reuses one results buffer.
+func (p *Processor) AppendBatch(dst []Result, batch []TaskAccesses) []Result {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var s slab
@@ -261,11 +269,11 @@ func (p *Processor) RegisterBatch(batch []TaskAccesses) []Result {
 		s.reads += nr
 	}
 	s.vers = make([]Version, versions)
-	out := make([]Result, len(batch))
-	for i, b := range batch {
-		out[i] = p.registerLocked(b.Task, b.Accesses, &s)
+	dst = slices.Grow(dst, len(batch))
+	for _, b := range batch {
+		dst = append(dst, p.registerLocked(b.Task, b.Accesses, &s))
 	}
-	return out
+	return dst
 }
 
 // slab is the room one registration call — a batch, or a single task —

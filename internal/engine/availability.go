@@ -188,7 +188,7 @@ func (e *Engine) feedableCapableLocked(t *Task) bool {
 	capable := e.ready[t.sig].idx.AppendCapable(e.capScratch[:0])
 	e.capScratch = capable
 	for _, n := range capable {
-		if t.availNeed != "" && e.cfg.Net != nil && !e.cfg.Net.Reachable(n.Name(), t.availNeed) {
+		if need := t.availNeed(); need != "" && e.cfg.Net != nil && !e.cfg.Net.Reachable(n.Name(), need) {
 			continue
 		}
 		if len(e.actionableMissesLocked(e.mgr.PlanFetch(n.Name(), t.InputKeys))) == 0 {
@@ -210,7 +210,7 @@ func (e *Engine) divertUnavailableLocked(t *Task) {
 	primary := e.availPrimary
 	t.state = Parked
 	e.markDirtyLocked(t)
-	t.availKeys = keys
+	t.coldRec().availKeys = keys
 	if e.waiters == nil {
 		e.waiters = make(map[deps.Version]map[*Task]struct{})
 	}
@@ -255,7 +255,7 @@ func (e *Engine) divertUnavailableLocked(t *Task) {
 			// "Recompute locally": only a partitioned re-run needs the
 			// reachability hint — a lost version's re-run can go anywhere,
 			// like any lineage recovery.
-			pt.availNeed = primary
+			pt.coldRec().availNeed = primary
 			e.stats.AvailRecomputes++
 			e.cfg.Metrics.Recomputes.Inc()
 		}
@@ -266,7 +266,7 @@ func (e *Engine) divertUnavailableLocked(t *Task) {
 // unparkLocked removes a Parked t from the wait sets without re-queueing
 // it (the caller decides where it goes next, and sets its state).
 func (e *Engine) unparkLocked(t *Task) {
-	for _, k := range t.availKeys {
+	for _, k := range t.cold.availKeys { // a Parked task has its cold record
 		if set, ok := e.waiters[k]; ok {
 			delete(set, t)
 			if len(set) == 0 {
@@ -274,7 +274,7 @@ func (e *Engine) unparkLocked(t *Task) {
 			}
 		}
 	}
-	t.availKeys = nil
+	t.cold.availKeys = nil
 	e.parked--
 	e.cfg.Metrics.Parked.Add(-1)
 }

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -235,4 +236,16 @@ func TestDeltaCaptureSubLinear(t *testing.T) {
 		t.Fatalf("delta capture not sub-linear: full %v vs delta %v (want ≥5× gap)", mf, md)
 	}
 	t.Logf("full %v vs delta %v (%.0f× cheaper)", mf, md, float64(mf)/float64(md))
+}
+
+// TestTaskRecordBudget bounds the engine's task record, which every
+// registered task pays for: a field that only a rare path sets belongs in
+// the cold record the task reaches through one pointer, not in Task.
+func TestTaskRecordBudget(t *testing.T) {
+	const budget = 288 // the record before the cold split was 360
+	size := reflect.TypeOf(engine.Task{}).Size()
+	t.Logf("engine.Task record: %d bytes (budget %d)", size, budget)
+	if size > budget {
+		t.Fatalf("engine.Task is %d bytes, budget %d", size, budget)
+	}
 }

@@ -148,19 +148,20 @@ type Task struct {
 	// Payload carries backend-specific state (e.g. the future, the spec).
 	Payload any
 
+	// The engine's fields: the int32 counters share a word-aligned run
+	// with the flags; State stays an int (checkpoint Format 3 encodes it).
 	sig        resources.SigID // interned constraint signature (index into Engine.ready)
+	waitCount  int32           // unmet producer edges + outstanding holds
+	holds      int32           // synthetic dependencies only ReleaseHold clears
+	fanOut     int32           // dependents registered but not yet wired (zero outside Add/AddBatch)
+	epoch      int32           // placement counter
+	completed  bool            // completed at least once
+	ckptDirty  bool            // in the engine's dirty set (delta checkpoints)
 	prio       float64
 	state      State
-	waitCount  int32 // unmet producer edges + outstanding holds
-	holds      int32 // synthetic dependencies only ReleaseHold clears
 	dependents []*Task
-	redeps     map[*Task]struct{} // recovery waiters (lazily allocated)
-	completed  bool               // completed at least once
-	ckptDirty  bool               // in the engine's dirty set (delta checkpoints)
-	fanOut     int32              // dependents registered but not yet wired (zero outside Add/AddBatch)
-	epoch      int                // placement counter
-	node       *resources.Node    // reserved primary while Running
-	peers      []*resources.Node  // rest of a multi-node group
+	node       *resources.Node // reserved primary while Running
+	cold       *taskCold       // rarely set fields; nil until first needed
 	started    time.Duration
 	// Latency milestones on the engine clock, first transition only (a
 	// recovery re-run never rewrites them). -1 = not reached, because
@@ -169,8 +170,40 @@ type Task struct {
 	readyAt    time.Duration
 	firstStart time.Duration
 	doneAt     time.Duration
-	availKeys  []deps.Version // unavailable inputs this task is parked on
-	availNeed  string         // availability-recompute hint: the primary must reach this node
+}
+
+// taskCold holds the task fields only lineage recovery, multi-node groups
+// and availability parking set. A run that reaches none of those paths
+// allocates none of them.
+type taskCold struct {
+	redeps    map[*Task]struct{} // recovery waiters (lazily allocated)
+	peers     []*resources.Node  // rest of a multi-node group
+	availKeys []deps.Version     // unavailable inputs this task is parked on
+	availNeed string             // availability-recompute hint: the primary must reach this node
+}
+
+// coldRec returns t's cold record, allocating it on first use.
+func (t *Task) coldRec() *taskCold {
+	if t.cold == nil {
+		t.cold = new(taskCold)
+	}
+	return t.cold
+}
+
+// peers returns the rest of t's multi-node group (nil for a single node).
+func (t *Task) peers() []*resources.Node {
+	if t.cold == nil {
+		return nil
+	}
+	return t.cold.peers
+}
+
+// availNeed returns t's availability-recompute hint ("" when unhinted).
+func (t *Task) availNeed() string {
+	if t.cold == nil {
+		return ""
+	}
+	return t.cold.availNeed
 }
 
 // StealMode selects the engine's cross-bucket work-stealing behaviour.
@@ -1071,7 +1104,8 @@ const (
 // placeLocked tries to start one task now: policy choice, availability
 // classification, group reservation, input staging.
 func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
-	hinted := t.availNeed != "" && e.cfg.Net != nil
+	need := t.availNeed()
+	hinted := need != "" && e.cfg.Net != nil
 	capFail := placeNoCapacity
 	if hinted {
 		capFail = placeDeclined
@@ -1102,7 +1136,7 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 			// as a decline, not a signature-wide failure.
 			kept := fitting[:0]
 			for _, n := range fitting {
-				if e.cfg.Net.Reachable(n.Name(), t.availNeed) {
+				if e.cfg.Net.Reachable(n.Name(), need) {
 					kept = append(kept, n)
 				}
 			}
@@ -1230,7 +1264,9 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 	}
 	t.epoch++
 	e.markDirtyLocked(t)
-	t.node, t.peers = primary, peers
+	if t.node = primary; len(peers) > 0 {
+		t.coldRec().peers = peers
+	}
 	slow := 1.0
 	if len(e.slow) > 0 {
 		slow = max(slow, e.slow[primary.Name()])
@@ -1246,7 +1282,7 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 			Node: primary.Name(), Info: t.Class,
 		})
 	}
-	return Placement{Task: t, Node: primary, Peers: peers, Epoch: t.epoch, TransferTime: staging, SlowFactor: slow}, placeOK
+	return Placement{Task: t, Node: primary, Peers: peers, Epoch: int(t.epoch), TransferTime: staging, SlowFactor: slow}, placeOK
 }
 
 // Complete finishes a running task: reservations are released, outputs
@@ -1279,7 +1315,7 @@ func (e *Engine) CompleteSchedule(id int64, epoch int, failed bool) (Completion,
 }
 
 func (e *Engine) completeLocked(t *Task, epoch int, failed bool) (Completion, bool) {
-	if t == nil || t.state != Running || t.epoch != epoch {
+	if t == nil || t.state != Running || int(t.epoch) != epoch {
 		return Completion{}, false
 	}
 	c := Completion{Task: t, Ran: e.cfg.Clock.Now() - t.started}
@@ -1289,7 +1325,7 @@ func (e *Engine) completeLocked(t *Task, epoch int, failed bool) (Completion, bo
 	if e.cfg.Pool.Release(t.node, t.Constraints) {
 		c.Node = t.node
 	}
-	for _, n := range t.peers {
+	for _, n := range t.peers() {
 		if e.cfg.Pool.Release(n, t.Constraints) {
 			c.Peers = append(c.Peers, n)
 		}
@@ -1316,7 +1352,6 @@ func (e *Engine) completeLocked(t *Task, epoch int, failed bool) (Completion, bo
 			e.wakeKeyWaitersLocked(k)
 		}
 	}
-	t.availNeed = "" // a recompute hint is spent once the producer completes
 	if e.cfg.Tracer != nil {
 		kind := trace.TaskCompleted
 		if failed {
@@ -1334,15 +1369,19 @@ func (e *Engine) completeLocked(t *Task, epoch int, failed bool) (Completion, bo
 	if t.doneAt < 0 {
 		t.doneAt = e.cfg.Clock.Now()
 	}
-	t.node, t.peers = nil, nil
+	t.node = nil
 	if c.First = e.doneLocked(t); !c.First {
 		e.stats.Reexecuted++
 	}
-	// Wake tasks waiting on this re-execution (recovery).
-	for dt := range t.redeps {
-		e.edgeClearedLocked(dt)
+	if cold := t.cold; cold != nil {
+		cold.peers = nil
+		cold.availNeed = "" // a recompute hint is spent once the producer completes
+		// Wake tasks waiting on this re-execution (recovery).
+		for dt := range cold.redeps {
+			e.edgeClearedLocked(dt)
+		}
+		cold.redeps = nil
 	}
-	t.redeps = nil
 	return c, true
 }
 
@@ -1383,10 +1422,10 @@ func (e *Engine) killRunningOn(name string) []*Task {
 			continue
 		}
 		named := func(n *resources.Node) bool { return n.Name() == name }
-		if !named(t.node) && !slices.ContainsFunc(t.peers, named) {
+		if !named(t.node) && !slices.ContainsFunc(t.peers(), named) {
 			continue
 		}
-		for _, n := range t.peers {
+		for _, n := range t.peers() {
 			if !named(n) {
 				e.cfg.Pool.Release(n, t.Constraints)
 			}
@@ -1394,7 +1433,9 @@ func (e *Engine) killRunningOn(name string) []*Task {
 		if !named(t.node) {
 			e.cfg.Pool.Release(t.node, t.Constraints)
 		}
-		t.node, t.peers = nil, nil
+		if t.node = nil; t.cold != nil {
+			t.cold.peers = nil
+		}
 		t.state = Pending
 		t.waitCount = 0
 		t.epoch++ // invalidate the in-flight completion event
@@ -1489,11 +1530,12 @@ func (e *Engine) resubmitLocked(t *Task) {
 		if !ok {
 			continue // external data lost for good; nothing to recompute
 		}
-		if _, dup := pt.redeps[t]; !dup {
-			if pt.redeps == nil {
-				pt.redeps = make(map[*Task]struct{})
+		cold := pt.coldRec()
+		if _, dup := cold.redeps[t]; !dup {
+			if cold.redeps == nil {
+				cold.redeps = make(map[*Task]struct{})
 			}
-			pt.redeps[t] = struct{}{}
+			cold.redeps[t] = struct{}{}
 			t.waitCount++
 		}
 		e.resubmitLocked(pt)

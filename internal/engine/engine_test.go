@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/resources"
 	"repro/internal/sched"
 	"repro/internal/simnet"
+	"repro/internal/trace"
 	"repro/internal/transfer"
 )
 
@@ -322,6 +324,7 @@ func TestDuplicateIDRefused(t *testing.T) {
 }
 
 func TestMultiNodeGroupReservation(t *testing.T) {
+	engine.CheckTaskRecordSteps(t)
 	p := pool(2, 4)
 	e, exec := newEngine(t, p, nil)
 	e.Add(&engine.Task{ID: 1, Constraints: resources.Constraints{Cores: 4, Nodes: 2}}, nil, 0)
@@ -365,5 +368,61 @@ func TestTransferAccounting(t *testing.T) {
 	}
 	if !slices.Contains(reg.Where(k), "a") {
 		t.Fatal("staged replica not registered")
+	}
+}
+
+// TestFailNodeHammer crashes every node of a busy pool from several
+// goroutines at once, round after round: each crash of a node must
+// succeed exactly once — one nil error, one node_failed event — and every
+// other crash of it must report ErrUnknownNode and change nothing.
+func TestFailNodeHammer(t *testing.T) {
+	const nodes, crashers, rounds = 8, 4, 50
+	for round := 0; round < rounds; round++ {
+		tr := trace.New(0)
+		e := engine.New(engine.Config{
+			Pool: pool(nodes, 1), Policy: sched.FIFO{}, Clock: &stubClock{},
+			Executor: &collectExec{}, Tracer: tr,
+		})
+		for id := int64(1); id <= nodes; id++ {
+			e.Add(&engine.Task{ID: id}, nil, 0)
+		}
+		e.Schedule() // one running task per node, for the crashes to kill
+		var mu sync.Mutex
+		wins := map[string]int{}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < crashers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < nodes; i++ {
+					name := string(rune('a' + i))
+					_, err := e.FailNode(name, nil)
+					if err != nil && !errors.Is(err, engine.ErrUnknownNode) {
+						t.Errorf("FailNode(%s): %v", name, err)
+					}
+					if err == nil {
+						mu.Lock()
+						wins[name]++
+						mu.Unlock()
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		events := map[string]int{}
+		for _, ev := range tr.Events() {
+			if ev.Kind == trace.NodeFailed {
+				events[ev.Node]++
+			}
+		}
+		for i := 0; i < nodes; i++ {
+			name := string(rune('a' + i))
+			if wins[name] != 1 || events[name] != 1 {
+				t.Fatalf("round %d, node %s: %d crashes succeeded and %d node_failed events, want 1 and 1", round, name, wins[name], events[name])
+			}
+		}
 	}
 }

@@ -88,6 +88,50 @@ func CheckProducerIndexSteps(t testing.TB) {
 	CheckSteps(t, "producer index", checkProducerIndex)
 }
 
+// checkTaskRecords holds every task record to its lifecycle: the parked
+// counter, the tasks in state Parked and the tasks whose cold record
+// holds availability keys are one set; a task holds a node exactly while
+// Running, and peers only while Running a multi-node group; no
+// registration leaves a fanOut unwired; and the task table finds every
+// task by its ID. Caller holds e.mu.
+func checkTaskRecords(e *Engine) error {
+	parked := 0
+	for _, t := range e.tasks.all {
+		keys := 0
+		if t.cold != nil {
+			keys = len(t.cold.availKeys)
+		}
+		if (t.state == Parked) != (keys > 0) {
+			return fmt.Errorf("task %d: state %d, %d availability keys", t.ID, t.state, keys)
+		}
+		if keys > 0 {
+			parked++
+		}
+		if (t.state == Running) != (t.node != nil) {
+			return fmt.Errorf("task %d: state %d, holds a node: %v", t.ID, t.state, t.node != nil)
+		}
+		if len(t.peers()) > 0 && (t.state != Running || t.Constraints.EffectiveNodes() < 2) {
+			return fmt.Errorf("task %d: %d peers in state %d, %d nodes wanted", t.ID, len(t.peers()), t.state, t.Constraints.EffectiveNodes())
+		}
+		if t.fanOut != 0 {
+			return fmt.Errorf("task %d: fanOut %d left at a release", t.ID, t.fanOut)
+		}
+		if got := e.tasks.get(t.ID); got != t {
+			return fmt.Errorf("task %d: the task table finds %p, the record is %p", t.ID, got, t)
+		}
+	}
+	if parked != e.parked {
+		return fmt.Errorf("parked counter %d, %d tasks parked", e.parked, parked)
+	}
+	return nil
+}
+
+// CheckTaskRecordSteps holds the task records to checkTaskRecords at
+// every engine step until the test ends.
+func CheckTaskRecordSteps(t testing.TB) {
+	CheckSteps(t, "task records", checkTaskRecords)
+}
+
 // CheckRegistrySteps holds the engine's registry to its layout
 // (transfer.Registry.CheckLayout) at every engine step until the test
 // ends, and holds it to copy-on-write: every holder list the registry

@@ -60,14 +60,15 @@ type FailReport struct {
 // effect, so scripted fault scenarios behave identically on every backend
 // instead of silently diverging.
 func (e *Engine) FailNode(name string, onKill func(*Task)) (FailReport, error) {
-	if _, ok := e.cfg.Pool.Get(name); !ok {
+	// The removal is the check: of two crashes of one node racing here,
+	// exactly one removes it, and only that one reports and recovers.
+	if e.cfg.Pool.Remove(name) != nil {
 		return FailReport{}, fmt.Errorf("%w: %s", ErrUnknownNode, name)
 	}
 	rep := FailReport{Node: name}
 	if e.cfg.Tracer != nil {
 		e.cfg.Tracer.Record(trace.Event{At: e.cfg.Clock.Now(), Kind: trace.NodeFailed, Node: name})
 	}
-	_ = e.cfg.Pool.Remove(name)
 	e.mu.Lock()
 	delete(e.slow, name)
 	e.unlock()
@@ -205,5 +206,5 @@ func (e *Engine) Current(id int64, epoch int) bool {
 	e.mu.Lock()
 	defer e.unlock()
 	t := e.tasks.get(id)
-	return t != nil && t.state == Running && t.epoch == epoch
+	return t != nil && t.state == Running && int(t.epoch) == epoch
 }

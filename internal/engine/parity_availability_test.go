@@ -174,6 +174,7 @@ func runAvailLive(t *testing.T, cfg host.Config, heal bool) availOutcome {
 func TestAvailabilityDeferHealParity(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
 	engine.CheckRegistrySteps(t)
+	engine.CheckTaskRecordSteps(t)
 	sim := runAvailSim(t, availConfig(engine.AvailDefer), true)
 	live := runAvailLive(t, availConfig(engine.AvailDefer), true)
 
@@ -235,6 +236,7 @@ func runAvailSimRecompute(t *testing.T, cfg host.Config) availOutcome {
 func TestAvailabilityRecomputeParity(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
 	engine.CheckRegistrySteps(t)
+	engine.CheckTaskRecordSteps(t)
 	sim := runAvailSimRecompute(t, availConfig(engine.AvailRecompute))
 	live := runAvailLive(t, availConfig(engine.AvailRecompute), false)
 
@@ -268,6 +270,7 @@ func TestAvailabilityRecomputeParity(t *testing.T) {
 func TestAvailabilityFeedableRepick(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
 	engine.CheckRegistrySteps(t)
+	engine.CheckTaskRecordSteps(t)
 	// n1 (cloud) is first in pool order, so FIFO aims the unpinned
 	// consumer at it; d1's only replica is on n0, cut away from n1.
 	pool := resources.NewPool()
@@ -314,6 +317,7 @@ func TestAvailabilityFeedableRepick(t *testing.T) {
 func TestAvailabilityBusyFeedableNodeQueues(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
 	engine.CheckRegistrySteps(t)
+	engine.CheckTaskRecordSteps(t)
 	pool := resources.NewPool()
 	for _, n := range []string{"n0", "n1"} {
 		_ = pool.Add(resources.NewNode(n, resources.Description{
@@ -358,6 +362,7 @@ func TestAvailabilityBusyFeedableNodeQueues(t *testing.T) {
 func TestAvailabilityPartialHealNoChurn(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
 	engine.CheckRegistrySteps(t)
+	engine.CheckTaskRecordSteps(t)
 	specs := []infra.TaskSpec{
 		{ID: 1, Class: "a", Duration: time.Second,
 			Constraints: resources.Constraints{Class: resources.HPC},
@@ -403,6 +408,7 @@ func TestAvailabilityPartialHealNoChurn(t *testing.T) {
 func TestAvailabilityRevalidateOnGrowth(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
 	engine.CheckRegistrySteps(t)
+	engine.CheckTaskRecordSteps(t)
 	pool := resources.NewPool()
 	_ = pool.Add(resources.NewNode("n0", resources.Description{
 		Cores: 1, MemoryMB: 8000, SpeedFactor: 1, Class: resources.HPC,
@@ -470,6 +476,7 @@ func TestAvailabilityRevalidateOnGrowth(t *testing.T) {
 func TestAvailabilityDeferLostLineage(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
 	engine.CheckRegistrySteps(t)
+	engine.CheckTaskRecordSteps(t)
 	pool := resources.NewPool()
 	for _, n := range []string{"n0", "n1"} {
 		_ = pool.Add(resources.NewNode(n, resources.Description{
@@ -519,6 +526,7 @@ func TestAvailabilityDeferLostLineage(t *testing.T) {
 func TestLiveRestoreShrunkPoolRestages(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
 	engine.CheckRegistrySteps(t)
+	engine.CheckTaskRecordSteps(t)
 	store, err := checkpoint.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -222,6 +222,7 @@ func startOrder(tr *trace.Tracer) []int64 {
 func TestFaultScriptParity(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
 	engine.CheckRegistrySteps(t)
+	engine.CheckTaskRecordSteps(t)
 	// The script must produce the same choreography with work stealing
 	// off and on: the FIFO policy never declines a placement, so no steal
 	// fires, and the knob must not disturb the fault/recovery path.
@@ -290,6 +291,7 @@ func ignoredFaults(tr *trace.Tracer) []string {
 func TestFaultUnknownNodeParity(t *testing.T) {
 	engine.CheckProducerIndexSteps(t)
 	engine.CheckRegistrySteps(t)
+	engine.CheckTaskRecordSteps(t)
 	// Simulator: a crash on a node that never existed, then a double
 	// crash of a real one; the run completes around them.
 	simCfg := faultScriptConfig(engine.StealConfig{}, nil)
@@ -358,6 +360,7 @@ func broadcastPool() *resources.Pool {
 // same four transfers.
 func TestBroadcastSurvivesProducerCrashParity(t *testing.T) {
 	engine.CheckRegistrySteps(t)
+	engine.CheckTaskRecordSteps(t)
 	hpc, cloud := resources.Constraints{Class: resources.HPC}, resources.Constraints{Class: resources.Cloud}
 	specs := []infra.TaskSpec{{ID: 1, Class: "a", Duration: time.Second, Constraints: cloud,
 		Accesses: []deps.Access{{Data: 1, Dir: deps.Out}}, OutputBytes: map[deps.DataID]int64{1: 1e6}}}

@@ -126,6 +126,7 @@ func runStealDAGLive(t *testing.T, cfg host.Config) stealOutcome {
 }
 
 func TestStealParity(t *testing.T) {
+	engine.CheckTaskRecordSteps(t)
 	sim := runStealDAGSim(t, stealConfig())
 	live := runStealDAGLive(t, stealConfig())
 
@@ -228,6 +229,7 @@ func runStealCrashLive(t *testing.T, cfg host.Config) stealOutcome {
 }
 
 func TestStealCrashRecoveryParity(t *testing.T) {
+	engine.CheckTaskRecordSteps(t)
 	sim := runStealCrashSim(t, stealConfig())
 	live := runStealCrashLive(t, stealConfig())
 

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/deps"
+	"repro/internal/engine"
 	"repro/internal/infra"
 	"repro/internal/resources"
 	"repro/internal/sched"
@@ -31,6 +32,8 @@ type dagTask struct {
 	writes []int
 	// class pins the task to a node tier ("" = anywhere).
 	class resources.Class
+	// nodes asks for a multi-node group (0 = one node).
+	nodes int
 }
 
 type parityCase struct {
@@ -91,6 +94,18 @@ func parityCases() []parityCase {
 			nodes:         []resources.Class{resources.HPC, resources.Cloud},
 			wantTransfers: 3,
 		},
+		{
+			// A two-node group between single-node tasks: the group waits
+			// for the gate's node, and its peer is released with it.
+			name: "group",
+			dag: []dagTask{
+				{writes: []int{1}},
+				{reads: []int{1}, writes: []int{2}, nodes: 2},
+				{reads: []int{2}, writes: []int{3}},
+			},
+			nodes:         []resources.Class{resources.HPC, resources.HPC},
+			wantTransfers: 1,
+		},
 	}
 }
 
@@ -132,7 +147,7 @@ func runCore(t *testing.T, c parityCase) ([]int, int) {
 		mustRegister(t, rt, core.TaskDef{
 			Name:        taskName(i),
 			Fn:          mkBody(len(dt.writes)),
-			Constraints: resources.Constraints{Class: dt.class},
+			Constraints: resources.Constraints{Class: dt.class, Nodes: dt.nodes},
 		})
 	}
 
@@ -202,7 +217,7 @@ func runInfra(t *testing.T, c parityCase) ([]int, int) {
 			Duration:    time.Second,
 			Accesses:    acc,
 			OutputBytes: out,
-			Constraints: resources.Constraints{Class: dt.class},
+			Constraints: resources.Constraints{Class: dt.class, Nodes: dt.nodes},
 		})
 	}
 	tr := trace.New(0)
@@ -230,6 +245,7 @@ func runInfra(t *testing.T, c parityCase) ([]int, int) {
 }
 
 func TestBackendParity(t *testing.T) {
+	engine.CheckTaskRecordSteps(t)
 	for _, c := range parityCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {

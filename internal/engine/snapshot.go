@@ -59,7 +59,7 @@ func (e *Engine) snapshotLocked() []TaskSnap {
 func snapLocked(t *Task) TaskSnap {
 	return TaskSnap{
 		ID: t.ID, Class: t.Class, State: t.state,
-		Epoch: t.epoch, Completed: t.completed,
+		Epoch: int(t.epoch), Completed: t.completed,
 		OutputKeys: t.OutputKeys,
 	}
 }
@@ -158,8 +158,8 @@ func (e *Engine) RestoreCompleted(id int64, epoch int) bool {
 	if t.state == Parked {
 		e.unparkLocked(t) // a restored completion needs no inputs at all
 	}
-	if epoch > t.epoch {
-		t.epoch = epoch
+	if epoch > int(t.epoch) {
+		t.epoch = int32(epoch)
 	}
 	t.holds = 0 // nothing left to gate: a late ReleaseHold must not clear a recovery wait
 	e.stats.Restored++

@@ -60,6 +60,7 @@ func placedIDs(exec *collectExec) []int64 {
 }
 
 func TestStealOffParksBucketBehindLongHead(t *testing.T) {
+	engine.CheckTaskRecordSteps(t)
 	e, exec := stealEngine(t, engine.StealConfig{}, nil)
 	addSkew(e)
 	e.Schedule()
@@ -75,6 +76,7 @@ func TestStealOffParksBucketBehindLongHead(t *testing.T) {
 }
 
 func TestStealOnIdleBypassesBlockedHead(t *testing.T) {
+	engine.CheckTaskRecordSteps(t)
 	tr := trace.New(0)
 	e, exec := stealEngine(t, engine.StealConfig{Mode: engine.StealOnIdle}, tr)
 	addSkew(e)
@@ -110,6 +112,7 @@ func TestStealOnIdleBypassesBlockedHead(t *testing.T) {
 }
 
 func TestStealThresholdRequiresBacklog(t *testing.T) {
+	engine.CheckTaskRecordSteps(t)
 	e, exec := stealEngine(t, engine.StealConfig{Mode: engine.StealThreshold, Threshold: 2}, nil)
 	addSkew(e)
 	e.Schedule()
@@ -132,6 +135,7 @@ func TestStealThresholdRequiresBacklog(t *testing.T) {
 }
 
 func TestStolenTaskRecoversFromCrash(t *testing.T) {
+	engine.CheckTaskRecordSteps(t)
 	// The fault-recovery invariant: a stolen task killed by a node crash
 	// re-executes exactly like a normally placed one.
 	e, exec := stealEngine(t, engine.StealConfig{Mode: engine.StealOnIdle}, nil)
@@ -178,6 +182,7 @@ func TestStolenTaskRecoversFromCrash(t *testing.T) {
 }
 
 func TestStealSkipsCapacityBlockedBuckets(t *testing.T) {
+	engine.CheckTaskRecordSteps(t)
 	// A bucket parked for lack of capacity (not a policy decline) has no
 	// stealable entries: its signature fits nowhere.
 	exec := &collectExec{}

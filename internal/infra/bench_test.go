@@ -103,10 +103,13 @@ func BenchmarkSimThroughputMetrics(b *testing.B) { benchWide(b, true) }
 // TestWideCampaignAllocBudget is the deterministic cost gate on the
 // scheduling hot path: a whole campaign — New and Run — of 20 000
 // independent tasks over six signatures on 64 nodes may allocate at most
-// four objects per task. Per-task records, ready queues, placements,
-// completions and clock events are all slab- or scratch-backed; what is
-// left is amortised growth.
+// four objects and wideBytesBudget bytes per task. Per-task records,
+// ready queues, placements, completions and clock events are all slab- or
+// scratch-backed; what is left is amortised growth. The bytes are the
+// task record and the window scratch New registers through: a field
+// added to engine.Task, or a whole-graph side array in New, fails here.
 func TestWideCampaignAllocBudget(t *testing.T) {
+	const wideBytesBudget = 390 // this tree reads 374, the tree before it 545
 	specs := wideSpecs(20_000)
 	runWide(t, specs[:2_000], 64, false) // warm lazily initialised runtime state
 	var before, after runtime.MemStats
@@ -115,9 +118,13 @@ func TestWideCampaignAllocBudget(t *testing.T) {
 	runWide(t, specs, 64, false)
 	runtime.ReadMemStats(&after)
 	perTask := float64(after.Mallocs-before.Mallocs) / float64(len(specs))
-	t.Logf("%.2f allocations per task", perTask)
+	bytesPerTask := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(specs))
+	t.Logf("wide campaign: %.2f allocations and %.0f bytes per task (budgets 4.0 and %d)", perTask, bytesPerTask, wideBytesBudget)
 	if perTask > 4.0 {
 		t.Fatalf("%.2f allocations per task, budget 4.0", perTask)
+	}
+	if bytesPerTask > wideBytesBudget {
+		t.Fatalf("%.0f bytes per task, budget %d", bytesPerTask, wideBytesBudget)
 	}
 }
 

@@ -137,9 +137,9 @@ type Sim struct {
 	err           error
 }
 
-// registerWindow is how many tasks New hands the engine per AddBatchHolds
-// call: enough that a call's one dependents array vanishes per task, few
-// enough that the call's scratch does not show on a campaign's bill.
+// registerWindow is how many tasks New registers per deps and engine
+// batch: enough that a batch's few arrays vanish per task, few enough
+// that the window's scratch does not show on a campaign's bill.
 const registerWindow = 1024
 
 // release delays a task's visibility to the scheduler.
@@ -201,25 +201,26 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 		s.eng.Schedule()
 	}
 
-	// Register the whole workflow through the access processor in slice
-	// order — one lock acquisition and one set of list slabs for the full
-	// graph — then through the engine a window at a time: it sizes each
-	// producer's dependents once per call, and the window's scratch is
-	// reused, so no per-task side array is added to the campaign's bill.
-	batch := make([]deps.TaskAccesses, len(specs))
-	for i, spec := range specs {
-		batch[i] = deps.TaskAccesses{Task: deps.TaskID(spec.ID), Accesses: spec.Accesses}
-	}
-	results := s.proc.RegisterBatch(batch)
+	// Register the workflow a window at a time, through the access
+	// processor and then the engine, in slice order: the engine sizes each
+	// producer's dependents once per call, and the window's batch, results,
+	// producers and holds are reused: what New leaves per task is its
+	// record in one slab and the lists deps and the engine carve.
 	tasks := make([]engine.Task, len(specs)) // one allocation for every task record
 	n := min(len(specs), registerWindow)
+	batch := make([]deps.TaskAccesses, n)
+	var results []deps.Result
 	ets := make([]*engine.Task, n)
 	producers := make([][]deps.TaskID, n)
 	holds := make([]int, n)
 	for lo := 0; lo < len(specs); lo += n {
 		win := specs[lo:min(lo+n, len(specs))]
 		for i, spec := range win {
-			res, et := results[lo+i], &tasks[lo+i]
+			batch[i] = deps.TaskAccesses{Task: deps.TaskID(spec.ID), Accesses: spec.Accesses}
+		}
+		results = s.proc.AppendBatch(results[:0], batch[:len(win)])
+		for i, spec := range win {
+			res, et := results[i], &tasks[lo+i]
 			*et = engine.Task{
 				ID:          spec.ID,
 				Class:       spec.Class,
