@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1239,19 +1238,17 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 			e.cfg.Metrics.FetchSeconds.ObserveDuration(plan.Time)
 		}
 		if plan.Bytes > 0 && e.cfg.Tracer != nil {
-			var info [24]byte // "%dB" without fmt's boxing
 			e.cfg.Tracer.Record(trace.Event{
 				At: e.cfg.Clock.Now(), Kind: trace.DataTransfer, Task: t.ID,
-				Node: primary.Name(), Info: string(append(strconv.AppendInt(info[:0], plan.Bytes, 10), 'B')),
+				Node: primary.Name(), Arg: plan.Bytes,
 			})
 		}
 		if actionable := e.actionableMissesLocked(plan); len(actionable) > 0 {
 			e.stats.RanMissing++
 			if e.cfg.Tracer != nil {
-				var info [48]byte
 				e.cfg.Tracer.Record(trace.Event{
 					At: e.cfg.Clock.Now(), Kind: trace.DataUnavailable, Task: t.ID,
-					Node: primary.Name(), Info: string(append(strconv.AppendInt(info[:0], int64(len(actionable)), 10), " inputs missing, run anyway"...)),
+					Node: primary.Name(), Arg: int64(len(actionable)),
 				})
 			}
 		}

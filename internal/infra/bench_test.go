@@ -13,6 +13,7 @@ import (
 	"repro/internal/resources"
 	"repro/internal/sched"
 	"repro/internal/simnet"
+	"repro/internal/trace"
 )
 
 // wideKinds and wideSigs give the package-local inner loop of the
@@ -164,6 +165,43 @@ func stencilSpecs(cells, iters, nodes int) ([]infra.TaskSpec, map[deps.DataID]in
 	return specs, stageIn, holders
 }
 
+// runStencil simulates a stencilSpecs campaign on nodes fresh nodes under
+// Locality, each with a core per resident cell, tracing into tr (nil for
+// none).
+func runStencil(tb testing.TB, specs []infra.TaskSpec, stageIn map[deps.DataID]int64, holders map[deps.DataID][]string, cells, nodes int, tr *trace.Tracer) {
+	pool := resources.NewPool()
+	for i := 0; i < nodes; i++ {
+		_ = pool.Add(resources.NewNode(fmt.Sprintf("s%03d", i), resources.Description{
+			Cores: cells / nodes, MemoryMB: 32_000, Class: resources.Cloud, SpeedFactor: 1,
+		}))
+	}
+	sim, err := infra.New(infra.Config{
+		Pool: pool, Net: simnet.New(simnet.Link{BandwidthMBps: 1000, Latency: time.Millisecond}),
+		Policy: sched.Locality{}, StageIn: stageIn, StageInNodes: holders, Tracer: tr,
+	}, specs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if res.TasksCompleted != len(specs) {
+		tb.Fatalf("completed %d of %d", res.TasksCompleted, len(specs))
+	}
+}
+
+// campaignCost runs run once and returns what it allocated per task:
+// objects and bytes.
+func campaignCost(tasks int, run func()) (allocs, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(tasks), float64(after.TotalAlloc-before.TotalAlloc) / float64(tasks)
+}
+
 // TestStencilCampaignAllocBudget is the deterministic cost gate on the
 // data path: New and Run of a 128-cell × 80-iteration stencil on 16
 // nodes under Locality. Registration builds the graph in slabs — a
@@ -177,37 +215,39 @@ func TestStencilCampaignAllocBudget(t *testing.T) {
 	const cells, iters, nodes = 128, 80, 16
 	const budget = 1.5 // this tree reads 0.63, the tree before it 14.7
 	specs, stageIn, holders := stencilSpecs(cells, iters, nodes)
-	run := func(specs []infra.TaskSpec) {
-		pool := resources.NewPool()
-		for i := 0; i < nodes; i++ {
-			_ = pool.Add(resources.NewNode(fmt.Sprintf("s%03d", i), resources.Description{
-				Cores: cells / nodes, MemoryMB: 32_000, Class: resources.Cloud, SpeedFactor: 1,
-			}))
-		}
-		sim, err := infra.New(infra.Config{
-			Pool: pool, Net: simnet.New(simnet.Link{BandwidthMBps: 1000, Latency: time.Millisecond}),
-			Policy: sched.Locality{}, StageIn: stageIn, StageInNodes: holders,
-		}, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.TasksCompleted != len(specs) {
-			t.Fatalf("completed %d of %d", res.TasksCompleted, len(specs))
-		}
-	}
-	run(specs[:4*cells]) // warm lazily initialised runtime state
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	run(specs)
-	runtime.ReadMemStats(&after)
-	perTask := float64(after.Mallocs-before.Mallocs) / float64(len(specs))
+	runStencil(t, specs[:4*cells], stageIn, holders, cells, nodes, nil) // warm lazily initialised runtime state
+	perTask, _ := campaignCost(len(specs), func() { runStencil(t, specs, stageIn, holders, cells, nodes, nil) })
 	t.Logf("%.2f allocations per task", perTask)
 	if perTask > budget {
 		t.Fatalf("%.2f allocations per task, budget %.1f", perTask, budget)
+	}
+}
+
+// raceEnabled is set in a -race build (race_test.go).
+var raceEnabled bool
+
+// TestTracedStencilAllocBudget is the same campaign with a tracer on, the
+// shape of the ledger's sim-dataflow: what tracing adds per task is its
+// events' share of the tracer's fixed pages. A tracer that grows one
+// array by copying, or an event that formats a string when it is
+// recorded, fails here.
+func TestTracedStencilAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	const cells, iters, nodes = 128, 80, 16
+	// This tree reads 0.61 and 834, the tree before it 0.87 and 1473.
+	const allocsBudget, bytesBudget = 0.64, 876
+	specs, stageIn, holders := stencilSpecs(cells, iters, nodes)
+	runStencil(t, specs[:4*cells], stageIn, holders, cells, nodes, trace.New(0)) // warm lazily initialised runtime state
+	perTask, bytesPerTask := campaignCost(len(specs), func() {
+		runStencil(t, specs, stageIn, holders, cells, nodes, trace.New(0))
+	})
+	t.Logf("traced stencil campaign: %.2f allocations and %.0f bytes per task (budgets %.2f and %d)", perTask, bytesPerTask, allocsBudget, bytesBudget)
+	if perTask > allocsBudget {
+		t.Fatalf("%.2f allocations per task, budget %.2f", perTask, allocsBudget)
+	}
+	if bytesPerTask > bytesBudget {
+		t.Fatalf("%.0f bytes per task, budget %d", bytesPerTask, bytesBudget)
 	}
 }

@@ -60,8 +60,9 @@ func Timeline(events []Event) []Span {
 	for _, id := range openOrder {
 		start, ok := open[id]
 		if !ok {
-			continue // closed normally
+			continue // closed normally, or already emitted: a restart re-lists its ID
 		}
+		delete(open, id)
 		spans = append(spans, Span{
 			Task:  start.Task,
 			Node:  start.Node,

@@ -35,3 +35,20 @@ func TestTimelineIgnoresOrphanCompletions(t *testing.T) {
 		t.Fatalf("orphan completion produced spans: %v", spans)
 	}
 }
+
+// A task that failed and started again is still running once: it comes
+// out as one open span, not one per start.
+func TestTimelineRestartedTaskOpensOnce(t *testing.T) {
+	spans := Timeline([]Event{
+		{At: 0, Kind: TaskStarted, Task: 1, Node: "a"},
+		{At: time.Second, Kind: TaskFailed, Task: 1, Node: "a"},
+		{At: 2 * time.Second, Kind: TaskStarted, Task: 1, Node: "b"},
+		{At: 3 * time.Second, Kind: TaskStarted, Task: 2, Node: "b"},
+	})
+	if len(spans) != 3 {
+		t.Fatalf("spans = %+v, want 3: task 1 closed on a, task 1 and task 2 open on b", spans)
+	}
+	if s := spans[1]; s.Task != 1 || s.Node != "b" || !s.Open || s.Start != 2*time.Second || s.End != 3*time.Second {
+		t.Fatalf("span[1] = %+v, want task 1 open on b from 2s to the 3s horizon", s)
+	}
+}

@@ -9,6 +9,7 @@ package trace
 import (
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -72,15 +73,28 @@ type Event struct {
 	Task int64         `json:"task,omitempty"`
 	Node string        `json:"node,omitempty"`
 	Info string        `json:"info,omitempty"`
+	// Arg is the number an empty Info is rendered from on read (argSuffix).
+	Arg int64 `json:"-"`
 }
 
+// argSuffix follows Arg in the Info rendered for the kinds that record a
+// number, so that no recorder formats a string under its lock.
+var argSuffix = map[Kind]string{DataTransfer: "B", DataUnavailable: " inputs missing, run anyway"}
+
 // Tracer collects events. It is safe for concurrent use. A nil *Tracer is
-// valid and discards everything, so call sites need no guards.
+// valid and discards everything, so call sites need no guards. Events sit
+// in pages of pageSize that are never grown or copied. The pages form a
+// ring whose oldest kept event is pages[0][head]: a bounded tracer drops
+// it by advancing head, and releases the first page once head leaves it.
 type Tracer struct {
-	mu     sync.Mutex
-	events []Event
-	limit  int
+	mu    sync.Mutex
+	pages [][]Event // every page but the last is full
+	head  int
+	n     int // events kept
+	limit int
 }
+
+const pageSize = 1024
 
 // New returns a tracer that keeps at most limit events (0 ⇒ unlimited).
 func New(limit int) *Tracer {
@@ -94,23 +108,39 @@ func (t *Tracer) Record(e Event) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.limit > 0 && len(t.events) >= t.limit {
-		copy(t.events, t.events[1:])
-		t.events[len(t.events)-1] = e
-		return
+	if len(t.pages) == 0 || len(t.pages[len(t.pages)-1]) == pageSize {
+		t.pages = append(t.pages, make([]Event, 0, pageSize))
 	}
-	t.events = append(t.events, e)
+	last := &t.pages[len(t.pages)-1]
+	*last = append(*last, e)
+	if t.n++; t.limit > 0 && t.n > t.limit {
+		t.n--
+		if t.head++; t.head == pageSize {
+			t.pages[0] = nil
+			t.pages, t.head = t.pages[1:], 0
+		}
+	}
 }
 
-// Events returns a copy of all recorded events.
+// Events returns a copy of all recorded events, each Info rendered.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
+	out := make([]Event, 0, t.n)
+	for i, p := range t.pages {
+		if i == 0 {
+			p = p[t.head:]
+		}
+		out = append(out, p...)
+	}
+	t.mu.Unlock()
+	for i, e := range out {
+		if suffix, ok := argSuffix[e.Kind]; ok && e.Info == "" {
+			out[i].Info = strconv.FormatInt(e.Arg, 10) + suffix
+		}
+	}
 	return out
 }
 
@@ -122,12 +152,14 @@ func (t *Tracer) Count(kind Kind) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if kind == "" {
-		return len(t.events)
+		return t.n
 	}
 	n := 0
-	for _, e := range t.events {
-		if e.Kind == kind {
-			n++
+	for i, p := range t.pages {
+		for j := range p {
+			if p[j].Kind == kind && (i > 0 || j >= t.head) {
+				n++
+			}
 		}
 	}
 	return n
