@@ -68,6 +68,10 @@ vet:
 # checkpoint file is written and read through its Format 3 wire struct
 # by checkpoint/store.go alone (value.go boxes a produced value), so no
 # second gob encoder or decoder, row by row, comes back; and the
+# one-record grep — a task in a checkpoint is an engine.TaskSnap from the
+# capture to the disk, the sections of a base exist only in
+# checkpoint/wire.go, so none of the shapes it used to be converted
+# through (TaskRecord, DeltaTask, CompletedIDs, TaskOrder) comes back; and the
 # one-consumer guard — every package under internal/, compss/ and dislib/
 # with non-test files is imported by a non-test file outside examples/
 # (code only an example runs lives in that example), so no seed package
@@ -77,7 +81,7 @@ vet:
 # carries the same rule down to single declarations.
 FLAG_BUDGET := 21
 VERSION_MAP_BUDGET := 9
-LINE_BUDGET := 20117
+LINE_BUDGET := 20009
 NONTEST_GO := -name '*.go' ! -name '*_test.go'
 budget:
 	@n=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs cat | wc -l); \
@@ -113,6 +117,9 @@ budget:
 	@bad=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs grep -nE 'gob\.New(En|De)coder\(' | grep -vE '^\./internal/engine/checkpoint/(store|value)\.go:'); \
 		if [ -n "$$bad" ]; then echo "a gob codec outside checkpoint/store.go and value.go:"; echo "$$bad"; exit 1; fi; \
 		echo "gob codecs outside checkpoint/store.go and value.go: 0"
+	@bad=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs grep -nwE 'TaskRecord|DeltaTask|CompletedIDs|TaskOrder'); \
+		if [ -n "$$bad" ]; then echo "a checkpoint task record besides engine.TaskSnap:"; echo "$$bad"; exit 1; fi; \
+		echo "checkpoint task records besides engine.TaskSnap: 0"
 	@bad=$$($(GO) list -f '{{.ImportPath}} {{len .GoFiles}} {{join .Imports " "}}' $(PKGS) | awk ' \
 		$$1 !~ /^repro\/examples\// { for (i = 3; i <= NF; i++) used[$$i] = 1 } \
 		$$1 ~ /^repro\/(internal|compss|dislib)(\/|$$)/ && $$2 > 0 { libs[$$1] = 1 } \

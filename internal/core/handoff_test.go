@@ -445,7 +445,7 @@ func TestBarrierContract(t *testing.T) {
 		}
 		within(t, "Barrier", rt.Barrier)
 		snap, err := store.Latest()
-		if err != nil || len(snap.Completed) != 1 {
+		if err != nil || len(snap.Tasks) != 1 || !snap.Tasks[0].Restorable() {
 			t.Fatalf("no on-drain snapshot of the one completion: %+v, %v", snap, err)
 		}
 		rt.Shutdown()

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/deps"
+	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
 )
 
@@ -17,9 +18,9 @@ import (
 // then run anyway: two bodies of one tenant at once under MaxInFlight 1,
 // with the controller never having heard of either.)
 func TestRestoreWithoutValuesStillChargesQuota(t *testing.T) {
-	snap := &checkpoint.Snapshot{Format: checkpoint.Format, Completed: []checkpoint.TaskRecord{
-		{ID: 1, Epoch: 1, Outputs: []deps.Version{{Data: 1, Ver: 1}}},
-		{ID: 2, Epoch: 1, Outputs: []deps.Version{{Data: 2, Ver: 1}}},
+	snap := &checkpoint.Snapshot{Format: checkpoint.Format, Tasks: []engine.TaskSnap{
+		{ID: 1, State: engine.Done, Epoch: 1, Completed: true, OutputKeys: []deps.Version{{Data: 1, Ver: 1}}},
+		{ID: 2, State: engine.Done, Epoch: 1, Completed: true, OutputKeys: []deps.Version{{Data: 2, Ver: 1}}},
 	}} // no catalog: neither value survived
 	adm := autoscale.NewAdmission(autoscale.Quota{MaxInFlight: 1})
 	rt := newRT(t, Config{Restore: snap, Admission: adm})
@@ -106,8 +107,8 @@ func TestRestoreFromCatalogLessSnapshotReruns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Completed) != 1 || len(snap.Catalog) != 0 {
-		t.Fatalf("snapshot has %d completions and %d catalog rows, want 1 and 0", len(snap.Completed), len(snap.Catalog))
+	if len(snap.Tasks) != 1 || !snap.Tasks[0].Restorable() || len(snap.Catalog) != 0 {
+		t.Fatalf("snapshot has tasks %+v and %d catalog rows, want 1 completion and 0", snap.Tasks, len(snap.Catalog))
 	}
 	if v := run(Config{Restore: snap}); v != 7 {
 		t.Fatalf("resumed run returned %v, want 7", v)

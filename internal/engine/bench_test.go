@@ -176,8 +176,8 @@ func BenchmarkCheckpointSnapshot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap := checkpoint.Capture(e, reg)
-		if len(snap.Completed) != ckptBenchGraph {
-			b.Fatalf("captured %d completed", len(snap.Completed))
+		if len(snap.Tasks) != ckptBenchGraph {
+			b.Fatalf("captured %d tasks", len(snap.Tasks))
 		}
 	}
 }
@@ -218,8 +218,8 @@ func TestDeltaCaptureSubLinear(t *testing.T) {
 		t1 := time.Now()
 		d := checkpoint.CaptureDelta(e, reg)
 		delta = append(delta, time.Since(t1))
-		if len(snap.Completed) != ckptBenchGraph || len(d.Tasks) != ckptBenchDirty {
-			t.Fatalf("trial %d: %d completed, %d delta records", i, len(snap.Completed), len(d.Tasks))
+		if len(snap.Tasks) != ckptBenchGraph || len(d.Tasks) != ckptBenchDirty {
+			t.Fatalf("trial %d: %d tasks, %d delta records", i, len(snap.Tasks), len(d.Tasks))
 		}
 	}
 	med := func(ds []time.Duration) time.Duration {

@@ -48,7 +48,7 @@ func BenchmarkCheckpointSnapshot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap := sim.CheckpointSnapshot()
-		if len(snap.Completed) == 0 {
+		if len(snap.Tasks) == 0 {
 			b.Fatal("empty snapshot")
 		}
 	}
@@ -72,9 +72,9 @@ func BenchmarkCheckpointSave(b *testing.B) {
 }
 
 // TestCaptureDeltaSharesOutputLists pins the cost shape of a delta
-// capture: a dirty task's record carries the task's own output list, so
-// a capture of 1000 tasks that completed since the base allocates three
-// objects and nothing per task.
+// capture: a dirty task's record carries the task's own output list, and
+// the delta carries the engine's records, so a capture of 1000 tasks that
+// completed since the base allocates two objects and nothing per task.
 func TestCaptureDeltaSharesOutputLists(t *testing.T) {
 	const tasks = 1000
 	specs := make([]infra.TaskSpec, tasks)
@@ -103,11 +103,11 @@ func TestCaptureDeltaSharesOutputLists(t *testing.T) {
 		d = checkpoint.CaptureDelta(sims[0].Engine(), nil)
 		sims = sims[1:]
 	})
-	if len(d.Tasks) != tasks || len(d.Tasks[tasks-1].Outputs) != 1 {
+	if len(d.Tasks) != tasks || len(d.Tasks[tasks-1].OutputKeys) != 1 {
 		t.Fatalf("captured %d records, last %+v", len(d.Tasks), d.Tasks[len(d.Tasks)-1])
 	}
-	// The engine's record slice, the Delta, its Tasks.
-	if allocs > 3 {
-		t.Fatalf("CaptureDelta of %d dirty tasks allocated %.0f objects, want 3", tasks, allocs)
+	// The engine's record slice and the Delta.
+	if allocs > 2 {
+		t.Fatalf("CaptureDelta of %d dirty tasks allocated %.0f objects, want 2", tasks, allocs)
 	}
 }

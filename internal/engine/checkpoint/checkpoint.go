@@ -1,6 +1,6 @@
-// Package checkpoint persists the scheduling engine's state — completed
-// tasks, the ready/pending frontier, the data catalog and activity
-// counters — to a versioned, content-addressed on-disk format, and
+// Package checkpoint persists the scheduling engine's state — its own
+// task records (engine.TaskSnap) in registration order, the data catalog
+// and activity counters — to a versioned, content-addressed format, and
 // replays a snapshot into a fresh engine so a crashed run resumes with
 // only its unfinished tasks re-executing. Lineage recovery
 // (internal/engine/faults) survives losing a node; this package is the
@@ -28,11 +28,13 @@
 // On disk a snapshot is Format 3: the encoding/gob form of a private wire
 // struct that lays Snapshot out in columns (wire.go) — the catalog as a
 // node table, key, size and holder-count columns and one flat column of
-// node indices; task records as ID, epoch and output-count columns and
-// one flat output column. Reading carves every row's Locations, Outputs
-// and Value out of one array per column, so a file costs O(columns)
-// allocations, not O(rows), and checks first that the columns agree
-// (lengths, key order, counts, node indices, value rows): a file that does not is
+// node indices; the records filed into completed, ready, running and
+// pending sections plus their registration order, a completed record as
+// ID, epoch and output-count columns and one flat output column. Reading
+// carves every row's Locations, Outputs and Value out of one array per
+// column, so a file costs O(columns) allocations, not O(rows), and checks
+// first that the columns agree (lengths, key order, counts, node indices,
+// value rows, sectioned IDs in the order): a file that does not is
 // ErrCorrupt. Store adds content-addressed names
 // (snap-<seq>-<sha256:16>.ckpt), atomic temp-and-rename writes, format
 // versioning (Format), bounded retention (Keep), and a Latest that reads
@@ -42,7 +44,7 @@
 // Restore is not here: the control plane replays a snapshot into a fresh
 // engine for both backends (internal/host, restore.go) — catalog re-seed,
 // re-staging onto a changed pool, engine.RestoreCompleted for every
-// recorded completion whose outputs survived; the rest simply re-runs.
+// Restorable record whose outputs survived; the rest simply re-runs.
 package checkpoint
 
 import (
@@ -62,18 +64,6 @@ import (
 // matches fields by name — renaming or retyping a field of a wire struct
 // needs a new Format.
 const Format = 3
-
-// TaskRecord is one completed task in a snapshot.
-type TaskRecord struct {
-	// ID is the task's graph-unique ID (stable across restarts as long
-	// as the workflow is re-submitted in the same order).
-	ID int64
-	// Epoch is the placement counter at capture time.
-	Epoch int
-	// Outputs lists the data versions the task produced (the engine
-	// task's own immutable list when captured, not a copy).
-	Outputs []deps.Version
-}
 
 // CatalogEntry records one data version: its size, its replica
 // locations, and — on the live backend — the encoded value itself.
@@ -98,56 +88,15 @@ type Snapshot struct {
 	// At is the engine clock offset when the snapshot was captured
 	// (virtual time on the simulator, elapsed wall time live).
 	At time.Duration
-	// Completed lists every task that has completed at least once and is
-	// not currently mid-re-execution.
-	Completed []TaskRecord
-	// Ready, Running and Pending record the scheduling frontier at
-	// capture time: queued-for-placement, holding reservations, and
-	// waiting on dependencies respectively. Running and Pending tasks
-	// re-run after a restore; the sets exist for diagnostics and for the
-	// backend-parity suite.
-	Ready   []int64
-	Running []int64
-	Pending []int64
+	// Tasks holds every registered task's record in registration order.
+	// On disk a base keeps the epoch and outputs of Restorable records
+	// only; every other record reads back as its ID and section (wire.go).
+	Tasks []engine.TaskSnap
 	// Catalog is the data-version catalog (handle → size/locations, plus
 	// encoded values on the live backend).
 	Catalog []CatalogEntry
-	// Order is every registered task ID in registration order — the
-	// interleaving the four sections above lose. Delta reconstruction
-	// needs it to rebuild the sections of a later state in the exact
-	// order a direct capture would produce. For a hand-built snapshot
-	// without it, TaskOrder falls back to ascending IDs.
-	Order []int64
 	// Stats are the engine's activity counters at capture time.
 	Stats engine.Stats
-}
-
-// CompletedIDs returns the completed task IDs in snapshot order.
-func (s *Snapshot) CompletedIDs() []int64 {
-	out := make([]int64, len(s.Completed))
-	for i, r := range s.Completed {
-		out[i] = r.ID
-	}
-	return out
-}
-
-// TaskOrder returns every task ID in registration order: the Order
-// field when present, otherwise all section IDs sorted ascending — both
-// backends assign IDs in submission order, so ascending ID equals
-// registration order for a snapshot built without the field.
-func (s *Snapshot) TaskOrder() []int64 {
-	if len(s.Order) > 0 {
-		return append([]int64(nil), s.Order...)
-	}
-	ids := make([]int64, 0, len(s.Completed)+len(s.Ready)+len(s.Running)+len(s.Pending))
-	for _, r := range s.Completed {
-		ids = append(ids, r.ID)
-	}
-	ids = append(ids, s.Ready...)
-	ids = append(ids, s.Running...)
-	ids = append(ids, s.Pending...)
-	slices.Sort(ids)
-	return ids
 }
 
 // Capture assembles a snapshot of the engine's current state. reg, when
@@ -167,14 +116,10 @@ func CaptureBase(e *engine.Engine, reg *transfer.Registry) *Snapshot {
 }
 
 func build(e *engine.Engine, tasks []engine.TaskSnap, reg *transfer.Registry, rows func(*transfer.Registry) []transfer.Entry) *Snapshot {
-	snap := &Snapshot{Format: Format, At: e.Now(), Stats: e.Stats()}
+	snap := &Snapshot{Format: Format, At: e.Now(), Tasks: tasks, Stats: e.Stats()}
 	if reg != nil {
 		snap.Catalog = catalogOf(rows(reg))
 	}
-	snap.setTasks(len(tasks), func(i int) DeltaTask {
-		ts := &tasks[i]
-		return DeltaTask{ID: ts.ID, State: ts.State, Epoch: ts.Epoch, Completed: ts.Completed, Outputs: ts.OutputKeys}
-	})
 	return snap
 }
 
@@ -196,73 +141,29 @@ func sized[T any](n int) []T {
 	return make([]T, 0, n)
 }
 
-// sectionOf names the section a record is filed in by that section's
-// state: Done for the completed set, Ready, Running, Pending for the rest.
-func sectionOf(t DeltaTask) engine.State {
-	switch {
-	case t.Completed && t.State == engine.Done:
-		return engine.Done
-	case t.State == engine.Ready, t.State == engine.Running:
-		return t.State
-	}
-	return engine.Pending
-}
-
-// setTasks files n task records, given in registration order, into Order
-// and the four sections — for build and merger.snapshot alike, so the two
-// cannot drift apart. It counts first: each section is allocated once.
-func (s *Snapshot) setTasks(n int, task func(i int) DeltaTask) {
-	var count [engine.Done + 1]int
-	for i := 0; i < n; i++ {
-		count[sectionOf(task(i))]++
-	}
-	s.Order = sized[int64](n)
-	s.Completed = sized[TaskRecord](count[engine.Done])
-	s.Ready = sized[int64](count[engine.Ready])
-	s.Running = sized[int64](count[engine.Running])
-	s.Pending = sized[int64](count[engine.Pending])
-	for i := 0; i < n; i++ {
-		t := task(i)
-		s.Order = append(s.Order, t.ID)
-		switch sectionOf(t) {
-		case engine.Done:
-			s.Completed = append(s.Completed, TaskRecord{ID: t.ID, Epoch: t.Epoch, Outputs: t.Outputs})
-		case engine.Ready:
-			s.Ready = append(s.Ready, t.ID)
-		case engine.Running:
-			s.Running = append(s.Running, t.ID)
-		default:
-			s.Pending = append(s.Pending, t.ID)
-		}
-	}
-}
-
 // Equivalent reports whether two snapshots describe the same logical
-// engine state: completed set, scheduling frontier, catalog keys, sizes
-// and locations, and the deterministic activity counters. Clock offsets,
+// engine state: the same tasks in the same registration order, each in
+// the same section of a base file (the outputs of a completed one
+// included), catalog keys, sizes and locations, and the deterministic
+// activity counters. Clock offsets,
 // sequence numbers and encoded values are ignored — they legitimately
 // differ between a wall-clock and a virtual-time backend. It returns nil
 // or an error naming the first difference; the backend-parity suite runs
 // on it.
 func Equivalent(a, b *Snapshot) error {
-	if len(a.Completed) != len(b.Completed) {
-		return fmt.Errorf("completed counts differ: %d vs %d", len(a.Completed), len(b.Completed))
+	if len(a.Tasks) != len(b.Tasks) {
+		return fmt.Errorf("task counts differ: %d vs %d", len(a.Tasks), len(b.Tasks))
 	}
-	for i := range a.Completed {
-		ra, rb := a.Completed[i], b.Completed[i]
-		if ra.ID != rb.ID {
-			return fmt.Errorf("completed[%d]: task %d vs %d", i, ra.ID, rb.ID)
+	for i := range a.Tasks {
+		ta, tb := a.Tasks[i], b.Tasks[i]
+		if ta.ID != tb.ID {
+			return fmt.Errorf("tasks[%d]: task %d vs %d", i, ta.ID, tb.ID)
 		}
-		if !slices.Equal(ra.Outputs, rb.Outputs) {
-			return fmt.Errorf("completed task %d: outputs %v vs %v", ra.ID, ra.Outputs, rb.Outputs)
+		if sa, sb := sectionOf(ta), sectionOf(tb); sa != sb {
+			return fmt.Errorf("task %d: filed as state %d vs %d", ta.ID, sa, sb)
 		}
-	}
-	for _, set := range []struct {
-		name string
-		x, y []int64
-	}{{"ready", a.Ready, b.Ready}, {"running", a.Running, b.Running}, {"pending", a.Pending, b.Pending}} {
-		if !slices.Equal(set.x, set.y) {
-			return fmt.Errorf("%s sets differ: %v vs %v", set.name, set.x, set.y)
+		if ta.Restorable() && !slices.Equal(ta.OutputKeys, tb.OutputKeys) {
+			return fmt.Errorf("completed task %d: outputs %v vs %v", ta.ID, ta.OutputKeys, tb.OutputKeys)
 		}
 	}
 	if len(a.Catalog) != len(b.Catalog) {

@@ -112,12 +112,9 @@ type Checkpointer struct {
 	mu         sync.Mutex
 	written    *sync.Cond // broadcast on every finished write; waits on mu
 	queue      []save
-	unwritten  int  // queued or being written
-	writing    bool // the writer goroutine is running
-	saves      int
-	deltaSaves int // saves that were deltas (subset of saves)
-	skipped    int // automatic captures skipped because nothing changed
-	lastErr    error
+	unwritten  int   // queued or being written
+	writing    bool  // the writer goroutine is running
+	skipped    int   // automatic captures skipped because nothing changed
 	unreported error // an automatic save's failure the next Save returns
 	stopped    bool
 
@@ -303,18 +300,13 @@ func (c *Checkpointer) write() {
 		c.mu.Lock()
 		c.unwritten--
 		switch {
-		case err != nil:
-			c.lastErr = err
-			if sv.done == nil {
-				c.unreported = err
-			}
-		default:
-			c.saves++
+		case err == nil:
 			c.cfg.Metrics.Saves.Inc()
 			if delta {
-				c.deltaSaves++
 				c.cfg.Metrics.DeltaSaves.Inc()
 			}
+		case sv.done == nil:
+			c.unreported = err
 		}
 		if sv.done != nil {
 			if err == nil {
@@ -367,25 +359,4 @@ func (c *Checkpointer) Stop() {
 	c.written.Broadcast() // a capture waiting for room gives up
 	c.mu.Unlock()
 	c.Flush()
-}
-
-// Saves returns how many snapshots have been persisted (full and delta).
-func (c *Checkpointer) Saves() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.saves
-}
-
-// DeltaSaves returns how many of the persisted saves were deltas.
-func (c *Checkpointer) DeltaSaves() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.deltaSaves
-}
-
-// Err returns the most recent save error, if any.
-func (c *Checkpointer) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastErr
 }

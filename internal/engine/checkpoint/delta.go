@@ -38,22 +38,6 @@ import (
 	"repro/internal/transfer"
 )
 
-// DeltaTask is one task's absolute checkpoint record inside a delta:
-// enough to re-classify the task into a snapshot's sections, replacing
-// whatever an earlier element of the chain said about it.
-type DeltaTask struct {
-	// ID is the task's graph-unique ID.
-	ID int64
-	// State is the engine lifecycle state at capture time.
-	State engine.State
-	// Epoch is the placement counter at capture time.
-	Epoch int
-	// Completed reports whether the task has completed at least once.
-	Completed bool
-	// Outputs lists the data versions the task produces.
-	Outputs []deps.Version
-}
-
 // Delta is one incremental checkpoint: the state changes since the
 // parent file of the chain.
 type Delta struct {
@@ -72,7 +56,7 @@ type Delta struct {
 	// Tasks are the absolute records of every task whose snapshot-
 	// relevant state changed since the parent: in change order as
 	// captured, sorted by ID once the store has written them.
-	Tasks []DeltaTask
+	Tasks []engine.TaskSnap
 	// Added lists the tasks registered since the parent, in registration
 	// order; reconstruction appends them to the base snapshot's ordering.
 	// Every added task also has a record in Tasks.
@@ -96,11 +80,8 @@ func (d *Delta) Empty() bool {
 // delta. The drain clears both sets, so consecutive captures see only
 // what changed in between; an idle interval yields an Empty delta.
 func CaptureDelta(e *engine.Engine, reg *transfer.Registry) *Delta {
-	snaps, added := e.TakeDirty()
-	d := &Delta{Format: Format, At: e.Now(), Stats: e.Stats(), Added: added, Tasks: sized[DeltaTask](len(snaps))}
-	for _, ts := range snaps {
-		d.Tasks = append(d.Tasks, DeltaTask{ID: ts.ID, State: ts.State, Epoch: ts.Epoch, Completed: ts.Completed, Outputs: ts.OutputKeys})
-	}
+	tasks, added := e.TakeDirty()
+	d := &Delta{Format: Format, At: e.Now(), Tasks: tasks, Added: added, Stats: e.Stats()}
 	if reg != nil {
 		d.Catalog = catalogOf(reg.TakeDirty())
 	}
@@ -116,42 +97,21 @@ func CaptureDelta(e *engine.Engine, reg *transfer.Registry) *Delta {
 // so a delta's rows merge into the fold's in place and a snapshot needs
 // no sort.
 type merger struct {
-	tasks   []DeltaTask    // every known task's latest record, in registration order
-	first   int64          // tasks[i].ID == first+i while index is nil
-	index   map[int64]int  // task ID → position in tasks, once IDs stop running dense
-	catalog []CatalogEntry // sorted by key
+	tasks   []engine.TaskSnap // every known task's latest record, in registration order
+	first   int64             // tasks[i].ID == first+i while index is nil
+	index   map[int64]int     // task ID → position in tasks, once IDs stop running dense
+	catalog []CatalogEntry    // sorted by key
 	seq     int
 	at      time.Duration
 	stats   engine.Stats
 }
 
 // newMerger seeds the fold from a valid base snapshot, taking over its
-// catalog: a task of its order is pending until a section says otherwise,
-// and a completed, ready or running entry the order omits is registered
-// after it (as apply does with a record of a task no delta registered).
+// records and its catalog.
 func newMerger(base *Snapshot) *merger {
-	order := base.Order
-	if len(order) == 0 {
-		order = base.TaskOrder()
-	}
-	m := &merger{
-		tasks:   make([]DeltaTask, 0, len(order)),
-		catalog: base.Catalog,
-		seq:     base.Seq,
-		at:      base.At,
-		stats:   base.Stats,
-	}
-	for _, id := range order {
-		m.put(DeltaTask{ID: id})
-	}
-	for _, r := range base.Completed {
-		m.put(DeltaTask{ID: r.ID, State: engine.Done, Epoch: r.Epoch, Completed: true, Outputs: r.Outputs})
-	}
-	for _, id := range base.Ready {
-		m.put(DeltaTask{ID: id, State: engine.Ready})
-	}
-	for _, id := range base.Running {
-		m.put(DeltaTask{ID: id, State: engine.Running})
+	m := &merger{tasks: base.Tasks[:0], catalog: base.Catalog, seq: base.Seq, at: base.At, stats: base.Stats}
+	for _, t := range base.Tasks {
+		m.put(t) // writes record i at i, or earlier: never one not yet read
 	}
 	return m
 }
@@ -168,7 +128,7 @@ func (m *merger) find(id int64) (int, bool) {
 
 // put replaces t's record, registering the task at the end of the order
 // when the fold has not seen it yet.
-func (m *merger) put(t DeltaTask) {
+func (m *merger) put(t engine.TaskSnap) {
 	if i, ok := m.find(t.ID); ok {
 		m.tasks[i] = t
 		return
@@ -193,13 +153,13 @@ func (m *merger) put(t DeltaTask) {
 func (m *merger) apply(d *Delta) {
 	for _, id := range d.Added {
 		if _, dup := m.find(id); !dup {
-			m.put(DeltaTask{ID: id})
+			m.put(engine.TaskSnap{ID: id, State: engine.Pending})
 		}
 	}
 	// A record for a task the chain never registered is tolerated
 	// (absolute records make it safe): put appends it to the order.
-	for _, dt := range d.Tasks {
-		m.put(dt)
+	for _, t := range d.Tasks {
+		m.put(t)
 	}
 	if len(d.Catalog) > 0 {
 		m.mergeCatalog(d.Catalog)
@@ -254,11 +214,10 @@ func vanished(en CatalogEntry) bool {
 }
 
 // snapshot emits the fold in the exact shape a direct Capture of the same
-// engine state would produce: sections in registration order, catalog
-// sorted by key. The catalog is the fold's own, valid until the next apply.
+// engine state would produce: records in registration order, catalog
+// sorted by key. Both are the fold's own, valid until the next apply.
 func (m *merger) snapshot() *Snapshot {
-	snap := &Snapshot{Format: Format, Seq: m.seq, At: m.at, Stats: m.stats}
-	snap.setTasks(len(m.tasks), func(i int) DeltaTask { return m.tasks[i] })
+	snap := &Snapshot{Format: Format, Seq: m.seq, At: m.at, Tasks: m.tasks, Stats: m.stats}
 	if len(m.catalog) > 0 {
 		snap.Catalog = m.catalog
 	}

@@ -5,12 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/deps"
 	"repro/internal/engine"
+	"repro/internal/obsv"
 )
 
 // chainBase builds a base snapshot: task 1 completed (output 1v1 on n0),
@@ -18,10 +20,7 @@ import (
 func chainBase() *Snapshot {
 	return &Snapshot{
 		Format: Format, At: time.Second,
-		Order:     []int64{1, 2, 3},
-		Completed: []TaskRecord{{ID: 1, Epoch: 1, Outputs: []deps.Version{{Data: 1, Ver: 1}}}},
-		Ready:     []int64{2},
-		Pending:   []int64{3},
+		Tasks: []engine.TaskSnap{doneRecord(1), {ID: 2, State: engine.Ready}, {ID: 3, State: engine.Pending}},
 		Catalog: []CatalogEntry{{
 			Key: deps.Version{Data: 1, Ver: 1}, Size: 10, Locations: []string{"n0"},
 		}},
@@ -29,12 +28,24 @@ func chainBase() *Snapshot {
 	}
 }
 
-// doneRecord is a delta record marking id completed with output (id,1).
-func doneRecord(id int64) DeltaTask {
-	return DeltaTask{
+// doneRecord is a record marking id completed with output (id,1).
+func doneRecord(id int64) engine.TaskSnap {
+	return engine.TaskSnap{
 		ID: id, State: engine.Done, Epoch: 1, Completed: true,
-		Outputs: []deps.Version{{Data: deps.DataID(id), Ver: 1}},
+		OutputKeys: []deps.Version{{Data: deps.DataID(id), Ver: 1}},
 	}
+}
+
+// filed lists the IDs of s's records in registration order: all of them
+// for section 0, else those a base file puts in that section.
+func filed(s *Snapshot, section engine.State) []int64 {
+	var ids []int64
+	for _, t := range s.Tasks {
+		if section == 0 || sectionOf(t) == section {
+			ids = append(ids, t.ID)
+		}
+	}
+	return ids
 }
 
 func TestDeltaChainLatestReconstruction(t *testing.T) {
@@ -48,7 +59,7 @@ func TestDeltaChainLatestReconstruction(t *testing.T) {
 	// Delta 1: task 2 completes, its output lands in the catalog.
 	d1 := &Delta{
 		Format: Format, At: 2 * time.Second,
-		Tasks: []DeltaTask{doneRecord(2), {ID: 3, State: engine.Ready}},
+		Tasks: []engine.TaskSnap{doneRecord(2), {ID: 3, State: engine.Ready}},
 		Catalog: []CatalogEntry{{
 			Key: deps.Version{Data: 2, Ver: 1}, Size: 5, Locations: []string{"n1"},
 		}},
@@ -62,7 +73,7 @@ func TestDeltaChainLatestReconstruction(t *testing.T) {
 	d2 := &Delta{
 		Format: Format, At: 3 * time.Second,
 		Added:   []int64{4},
-		Tasks:   []DeltaTask{{ID: 4, State: engine.Ready}},
+		Tasks:   []engine.TaskSnap{{ID: 4, State: engine.Ready}},
 		Catalog: []CatalogEntry{{Key: deps.Version{Data: 1, Ver: 1}}},
 		Stats:   engine.Stats{Completed: 2},
 	}
@@ -77,21 +88,14 @@ func TestDeltaChainLatestReconstruction(t *testing.T) {
 	if snap.Seq != 3 || snap.At != 3*time.Second || snap.Stats.Completed != 2 {
 		t.Fatalf("head fields: seq=%d at=%v stats=%+v", snap.Seq, snap.At, snap.Stats)
 	}
-	wantOrder := []int64{1, 2, 3, 4}
-	got := snap.TaskOrder()
-	if len(got) != len(wantOrder) {
-		t.Fatalf("order %v, want %v", got, wantOrder)
+	if got := filed(snap, 0); !slices.Equal(got, []int64{1, 2, 3, 4}) {
+		t.Fatalf("order %v, want [1 2 3 4]", got)
 	}
-	for i := range wantOrder {
-		if got[i] != wantOrder[i] {
-			t.Fatalf("order %v, want %v", got, wantOrder)
-		}
+	if got := filed(snap, engine.Done); !slices.Equal(got, []int64{1, 2}) {
+		t.Fatalf("completed %v, want [1 2]", got)
 	}
-	if len(snap.Completed) != 2 || snap.Completed[0].ID != 1 || snap.Completed[1].ID != 2 {
-		t.Fatalf("completed %+v", snap.Completed)
-	}
-	if len(snap.Ready) != 2 || snap.Ready[0] != 3 || snap.Ready[1] != 4 {
-		t.Fatalf("ready %v", snap.Ready)
+	if got := filed(snap, engine.Ready); !slices.Equal(got, []int64{3, 4}) {
+		t.Fatalf("ready %v, want [3 4]", got)
 	}
 	if len(snap.Catalog) != 1 || snap.Catalog[0].Key != (deps.Version{Data: 2, Ver: 1}) {
 		t.Fatalf("catalog %+v (tombstone not applied?)", snap.Catalog)
@@ -135,9 +139,9 @@ func TestDeltaCorruptionFreezesChainAtValidPrefix(t *testing.T) {
 	}
 	// Three deltas completing tasks 2, 3, 4 (4 added in its delta).
 	for i, d := range []*Delta{
-		{Format: Format, Tasks: []DeltaTask{doneRecord(2)}, Stats: engine.Stats{Completed: 2}},
-		{Format: Format, Tasks: []DeltaTask{doneRecord(3)}, Stats: engine.Stats{Completed: 3}},
-		{Format: Format, Added: []int64{4}, Tasks: []DeltaTask{doneRecord(4)}, Stats: engine.Stats{Completed: 4}},
+		{Format: Format, Tasks: []engine.TaskSnap{doneRecord(2)}, Stats: engine.Stats{Completed: 2}},
+		{Format: Format, Tasks: []engine.TaskSnap{doneRecord(3)}, Stats: engine.Stats{Completed: 3}},
+		{Format: Format, Added: []int64{4}, Tasks: []engine.TaskSnap{doneRecord(4)}, Stats: engine.Stats{Completed: 4}},
 	} {
 		if _, err := store.SaveDelta(d); err != nil {
 			t.Fatalf("delta %d: %v", i, err)
@@ -157,8 +161,8 @@ func TestDeltaCorruptionFreezesChainAtValidPrefix(t *testing.T) {
 	// The chain is frozen after delta 1: tasks 1 and 2 completed; the
 	// records of deltas 2 and 3 are unreachable by construction (their
 	// ParentSeq can no longer match).
-	if len(snap.Completed) != 2 || snap.Seq != 2 {
-		t.Fatalf("prefix state: %d completed, seq %d (want 2, 2)", len(snap.Completed), snap.Seq)
+	if done := filed(snap, engine.Done); len(done) != 2 || snap.Seq != 2 {
+		t.Fatalf("prefix state: completed %v, seq %d (want 2 of them, 2)", done, snap.Seq)
 	}
 
 	// A corrupt base strands the whole chain: nothing valid remains.
@@ -177,20 +181,19 @@ func TestDeltaMidChainFullSnapshotResetsChain(t *testing.T) {
 	if _, err := store.Save(chainBase()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.SaveDelta(&Delta{Format: Format, Tasks: []DeltaTask{doneRecord(2)}}); err != nil {
+	if _, err := store.SaveDelta(&Delta{Format: Format, Tasks: []engine.TaskSnap{doneRecord(2)}}); err != nil {
 		t.Fatal(err)
 	}
 	// An on-demand full save lands mid-chain (explicit Checkpointer.Save
 	// does exactly this). It subsumes the chain so far and resets it.
 	full := chainBase()
-	full.Completed = append(full.Completed, TaskRecord{ID: 2, Epoch: 1, Outputs: []deps.Version{{Data: 2, Ver: 1}}})
-	full.Ready = nil
+	full.Tasks[1] = doneRecord(2)
 	full.At = 5 * time.Second
 	if _, err := store.Save(full); err != nil {
 		t.Fatal(err)
 	}
 	// The next delta chains onto the full save.
-	if _, err := store.SaveDelta(&Delta{Format: Format, At: 6 * time.Second, Tasks: []DeltaTask{doneRecord(3)}}); err != nil {
+	if _, err := store.SaveDelta(&Delta{Format: Format, At: 6 * time.Second, Tasks: []engine.TaskSnap{doneRecord(3)}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -198,8 +201,8 @@ func TestDeltaMidChainFullSnapshotResetsChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Completed) != 3 || snap.At != 6*time.Second || snap.Seq != 4 {
-		t.Fatalf("reconstruction: %d completed, at %v, seq %d", len(snap.Completed), snap.At, snap.Seq)
+	if done := filed(snap, engine.Done); len(done) != 3 || snap.At != 6*time.Second || snap.Seq != 4 {
+		t.Fatalf("reconstruction: completed %v, at %v, seq %d", done, snap.At, snap.Seq)
 	}
 }
 
@@ -212,7 +215,7 @@ func TestDeltaChainRetentionPrunesWholeChains(t *testing.T) {
 	fullWith := func(ids ...int64) *Snapshot {
 		s := &Snapshot{Format: Format}
 		for _, id := range ids {
-			s.Completed = append(s.Completed, TaskRecord{ID: id, Epoch: 1})
+			s.Tasks = append(s.Tasks, engine.TaskSnap{ID: id, State: engine.Done, Epoch: 1, Completed: true})
 		}
 		return s
 	}
@@ -222,8 +225,8 @@ func TestDeltaChainRetentionPrunesWholeChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range []*Delta{
-		{Format: Format, Tasks: []DeltaTask{doneRecord(2)}},
-		{Format: Format, Tasks: []DeltaTask{doneRecord(3)}},
+		{Format: Format, Tasks: []engine.TaskSnap{doneRecord(2)}},
+		{Format: Format, Tasks: []engine.TaskSnap{doneRecord(3)}},
 	} {
 		if _, err := store.SaveDelta(d); err != nil {
 			t.Fatal(err)
@@ -234,7 +237,7 @@ func TestDeltaChainRetentionPrunesWholeChains(t *testing.T) {
 	if _, err := store.Save(fullWith(1, 2, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.SaveDelta(&Delta{Format: Format, Added: []int64{4}, Tasks: []DeltaTask{doneRecord(4)}}); err != nil {
+	if _, err := store.SaveDelta(&Delta{Format: Format, Added: []int64{4}, Tasks: []engine.TaskSnap{doneRecord(4)}}); err != nil {
 		t.Fatal(err)
 	}
 	if files := store.Snapshots(); len(files) != 5 {
@@ -245,7 +248,7 @@ func TestDeltaChainRetentionPrunesWholeChains(t *testing.T) {
 	if _, err := store.Save(fullWith(1, 2, 3, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.SaveDelta(&Delta{Format: Format, Added: []int64{5}, Tasks: []DeltaTask{doneRecord(5)}}); err != nil {
+	if _, err := store.SaveDelta(&Delta{Format: Format, Added: []int64{5}, Tasks: []engine.TaskSnap{doneRecord(5)}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -257,8 +260,8 @@ func TestDeltaChainRetentionPrunesWholeChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Completed) != 5 {
-		t.Fatalf("reconstruction after prune: %d completed, want 5", len(snap.Completed))
+	if done := filed(snap, engine.Done); len(done) != 5 {
+		t.Fatalf("reconstruction after prune: completed %v, want 5 tasks", done)
 	}
 }
 
@@ -301,8 +304,9 @@ func TestCheckpointerDeltaCadenceAndSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &fakeSource{}
+	met := obsv.NewCkptMetrics(obsv.NewRegistry())
 	c := NewCheckpointer(Config{
-		Store: store, Policy: EveryN(1), Delta: true, CompactEvery: 2,
+		Store: store, Policy: EveryN(1), Delta: true, CompactEvery: 2, Metrics: met,
 	}, src, nil)
 	defer c.Stop()
 
@@ -322,9 +326,9 @@ func TestCheckpointerDeltaCadenceAndSkip(t *testing.T) {
 	if src.bases != 1 {
 		t.Fatalf("CheckpointBase called %d times, want once: later bases are folds", src.bases)
 	}
-	if c.Saves() != 5 || c.DeltaSaves() != 3 || c.skipped != 1 {
+	if met.Saves.Value() != 5 || met.DeltaSaves.Value() != 3 || c.skipped != 1 {
 		t.Fatalf("saves=%d deltaSaves=%d skipped=%d, want 5/3/1",
-			c.Saves(), c.DeltaSaves(), c.skipped)
+			met.Saves.Value(), met.DeltaSaves.Value(), c.skipped)
 	}
 	bases, deltas := chainFiles(t, store)
 	if len(bases) != 2 || len(deltas) != 3 {
@@ -345,7 +349,8 @@ func TestCheckpointerFullModeSkipsCleanIntervals(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &fakeSource{}
-	c := NewCheckpointer(Config{Store: store, Policy: EveryN(1)}, src, nil)
+	met := obsv.NewCkptMetrics(obsv.NewRegistry())
+	c := NewCheckpointer(Config{Store: store, Policy: EveryN(1), Metrics: met}, src, nil)
 	defer c.Stop()
 
 	src.dirty = 1
@@ -358,12 +363,12 @@ func TestCheckpointerFullModeSkipsCleanIntervals(t *testing.T) {
 	if src.bases != 1 {
 		t.Fatalf("CheckpointBase called %d times, want once: later full saves are folds", src.bases)
 	}
-	if snap, err := store.Latest(); err != nil || snap.Stats.Completed != 2 || len(snap.Completed) != 1 {
+	if snap, err := store.Latest(); err != nil || snap.Stats.Completed != 2 || !slices.Equal(filed(snap, engine.Done), []int64{2}) {
 		t.Fatalf("latest full save: %+v, %v; want 2 completions on the books, task 2 recorded", snap, err)
 	}
-	if c.Saves() != 2 || c.DeltaSaves() != 0 || c.skipped != 1 {
+	if met.Saves.Value() != 2 || met.DeltaSaves.Value() != 0 || c.skipped != 1 {
 		t.Fatalf("saves=%d deltaSaves=%d skipped=%d, want 2/0/1",
-			c.Saves(), c.DeltaSaves(), c.skipped)
+			met.Saves.Value(), met.DeltaSaves.Value(), c.skipped)
 	}
 	if files := store.Snapshots(); len(files) != 2 {
 		t.Fatalf("%d files on disk, want 2", len(files))
@@ -380,13 +385,11 @@ func saveChain(t *testing.T, store *Store, total, done int64, deltas int) {
 	}
 	base := &Snapshot{Format: Format, Stats: engine.Stats{Completed: int(done)}}
 	for id := int64(1); id <= total; id++ {
-		base.Order = append(base.Order, id)
 		if id > done {
-			base.Pending = append(base.Pending, id)
+			base.Tasks = append(base.Tasks, engine.TaskSnap{ID: id, State: engine.Pending})
 			continue
 		}
-		r := doneRecord(id)
-		base.Completed = append(base.Completed, TaskRecord{ID: id, Epoch: r.Epoch, Outputs: r.Outputs})
+		base.Tasks = append(base.Tasks, doneRecord(id))
 		base.Catalog = append(base.Catalog, entry(id))
 	}
 	if _, err := store.Save(base); err != nil {
@@ -394,7 +397,7 @@ func saveChain(t *testing.T, store *Store, total, done int64, deltas int) {
 	}
 	for id := done + 1; id <= done+int64(deltas); id++ {
 		d := &Delta{
-			Format: Format, Tasks: []DeltaTask{doneRecord(id)},
+			Format: Format, Tasks: []engine.TaskSnap{doneRecord(id)},
 			Catalog: []CatalogEntry{entry(id)}, Stats: engine.Stats{Completed: int(id)},
 		}
 		if _, err := store.SaveDelta(d); err != nil {
@@ -444,8 +447,8 @@ func TestLatestCostsTheNewestChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Completed) != 40*chains+deltas {
-		t.Fatalf("%d completed, want %d", len(got.Completed), 40*chains+deltas)
+	if done := filed(got, engine.Done); len(done) != 40*chains+deltas {
+		t.Fatalf("%d completed, want %d", len(done), 40*chains+deltas)
 	}
 	if err := Equivalent(got, want); err != nil {
 		t.Fatalf("four chains vs the newest alone: %v", err)
@@ -494,7 +497,7 @@ func TestLatestTruncatedBaseFallsBackAWholeChain(t *testing.T) {
 	if snap.Seq != 3 || snap.Stats.Completed != 4 {
 		t.Fatalf("fell back to seq %d with %d completions, want seq 3 (end of the previous chain) with 4", snap.Seq, snap.Stats.Completed)
 	}
-	if ids := snap.CompletedIDs(); !reflect.DeepEqual(ids, []int64{1, 2, 3, 4}) {
+	if ids := filed(snap, engine.Done); !reflect.DeepEqual(ids, []int64{1, 2, 3, 4}) {
 		t.Fatalf("completed %v, want [1 2 3 4]: the stranded deltas complete 7 and 8", ids)
 	}
 	if len(snap.Catalog) != 4 {

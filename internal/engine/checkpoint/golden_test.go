@@ -47,17 +47,16 @@ const (
 func goldenSnapshot() *Snapshot {
 	return &Snapshot{
 		At: 90 * time.Second,
-		Completed: []TaskRecord{
-			{ID: 1, Epoch: 1, Outputs: []deps.Version{{Data: 1, Ver: 1}}},
-			{ID: 2, Epoch: 2, Outputs: []deps.Version{{Data: 2, Ver: 1}, {Data: 1, Ver: 2}}},
+		Tasks: []engine.TaskSnap{
+			{ID: 1, State: engine.Done, Epoch: 1, Completed: true, OutputKeys: []deps.Version{{Data: 1, Ver: 1}}},
+			{ID: 2, State: engine.Done, Epoch: 2, Completed: true, OutputKeys: []deps.Version{{Data: 2, Ver: 1}, {Data: 1, Ver: 2}}},
+			{ID: 3, State: engine.Running},
 		},
-		Running: []int64{3},
 		Catalog: []CatalogEntry{
 			{Key: deps.Version{Data: 1, Ver: 0}, Size: 1 << 20, Locations: []string{"n0"}},
 			{Key: deps.Version{Data: 1, Ver: 1}, Size: 2048, Locations: []string{"n0", "n1"}},
 			{Key: deps.Version{Data: 2, Ver: 1}, Locations: []string{"n1"}, Value: []byte("gob"), HasValue: true},
 		},
-		Order: []int64{1, 2, 3},
 		Stats: engine.Stats{Launched: 3, Completed: 2, Transfers: 1, BytesMoved: 2048},
 	}
 }
@@ -65,8 +64,8 @@ func goldenSnapshot() *Snapshot {
 func goldenDelta() *Delta {
 	return &Delta{
 		At: 2 * time.Minute,
-		Tasks: []DeltaTask{
-			{ID: 3, State: engine.Done, Epoch: 1, Completed: true, Outputs: []deps.Version{{Data: 3, Ver: 1}}},
+		Tasks: []engine.TaskSnap{
+			{ID: 3, State: engine.Done, Epoch: 1, Completed: true, OutputKeys: []deps.Version{{Data: 3, Ver: 1}}},
 			{ID: 4, State: engine.Pending},
 		},
 		Added: []int64{4},
@@ -159,10 +158,10 @@ func TestFormat3GoldenFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if latest.Seq != 2 || len(latest.Completed) != 3 || len(latest.Pending) != 1 || len(latest.Catalog) != 3 {
+	if latest.Seq != 2 || len(filed(latest, engine.Done)) != 3 || len(filed(latest, engine.Pending)) != 1 || len(latest.Catalog) != 3 {
 		t.Fatalf("Latest: %+v", latest)
 	}
-	if got := latest.Completed[2].Outputs[0]; got != (deps.Version{Data: 3, Ver: 1}) {
+	if got := latest.Tasks[2].OutputKeys[0]; got != (deps.Version{Data: 3, Ver: 1}) {
 		t.Errorf("Latest: task 3 output %+v", got)
 	}
 	if got := latest.Catalog[2].Key; got != (deps.Version{Data: 3, Ver: 1}) {

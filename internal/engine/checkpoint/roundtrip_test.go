@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/deps"
+	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
 	"repro/internal/infra"
 	"repro/internal/resources"
@@ -112,7 +113,13 @@ func TestCheckpointRestoreRoundTripSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("no snapshot before the crash: %v", err)
 			}
-			if len(snap.Completed) == 0 {
+			restored := make(map[int64]bool)
+			for _, t := range snap.Tasks {
+				if t.Restorable() {
+					restored[t.ID] = true
+				}
+			}
+			if len(restored) == 0 {
 				t.Fatal("latest snapshot records no completed tasks; bad halt point")
 			}
 
@@ -131,14 +138,10 @@ func TestCheckpointRestoreRoundTripSweep(t *testing.T) {
 
 			// Every snapshot-completed task was restored (the conformance
 			// node pool is identical, so all replicas survive) …
-			if res2.TasksRestored != len(snap.Completed) {
-				t.Fatalf("restored %d tasks, snapshot records %d", res2.TasksRestored, len(snap.Completed))
+			if res2.TasksRestored != len(restored) {
+				t.Fatalf("restored %d tasks, snapshot records %d", res2.TasksRestored, len(restored))
 			}
 			// … none of them executed again …
-			restored := make(map[int64]bool, len(snap.Completed))
-			for _, id := range snap.CompletedIDs() {
-				restored[id] = true
-			}
 			for _, ev := range tr2.Events() {
 				if ev.Kind == trace.TaskStarted && restored[ev.Task] {
 					t.Fatalf("restored task %d re-executed in the resumed run", ev.Task)
@@ -146,11 +149,11 @@ func TestCheckpointRestoreRoundTripSweep(t *testing.T) {
 			}
 			// … the resumed run launched exactly the unfinished remainder …
 			st2 := sim2.EngineStats()
-			if want := len(c.Specs) - len(snap.Completed); st2.Launched != want {
+			if want := len(c.Specs) - len(restored); st2.Launched != want {
 				t.Fatalf("resumed run launched %d tasks, want %d", st2.Launched, want)
 			}
-			if st2.Restored != len(snap.Completed) {
-				t.Fatalf("engine restored counter = %d, want %d", st2.Restored, len(snap.Completed))
+			if st2.Restored != len(restored) {
+				t.Fatalf("engine restored counter = %d, want %d", st2.Restored, len(restored))
 			}
 			if res2.TasksReExecuted != 0 {
 				t.Fatalf("resumed run re-executed %d tasks, want 0", res2.TasksReExecuted)
@@ -178,9 +181,8 @@ func TestStoreRoundTripsValuesAndEmptiness(t *testing.T) {
 		t.Fatal("EncodeValue([]int) failed")
 	}
 	live := &checkpoint.Snapshot{
-		At:        time.Second,
-		Order:     []int64{1},
-		Completed: []checkpoint.TaskRecord{{ID: 1, Epoch: 1, Outputs: []deps.Version{{Data: 1, Ver: 1}}}},
+		At:    time.Second,
+		Tasks: []engine.TaskSnap{{ID: 1, State: engine.Done, Epoch: 1, Completed: true, OutputKeys: []deps.Version{{Data: 1, Ver: 1}}}},
 		Catalog: []checkpoint.CatalogEntry{{
 			Key: deps.Version{Data: 1, Ver: 1}, Size: 16, Locations: []string{"local"},
 			Value: value, HasValue: true,

@@ -25,6 +25,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/engine"
 )
 
 // Errors reported by the store.
@@ -152,7 +154,7 @@ func (s *Store) Save(snap *Snapshot) (string, error) {
 // caller guarantees a base was saved to this store first — a delta with
 // no base beneath it can never be reconstructed.
 func (s *Store) SaveDelta(d *Delta) (string, error) {
-	slices.SortFunc(d.Tasks, func(a, b DeltaTask) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(d.Tasks, func(a, b engine.TaskSnap) int { return cmp.Compare(a.ID, b.ID) })
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	d.ParentSeq = s.seq

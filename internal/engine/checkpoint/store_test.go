@@ -8,15 +8,13 @@ import (
 	"time"
 
 	"repro/internal/deps"
+	"repro/internal/engine"
 )
 
 func sample(at time.Duration, completed ...int64) *Snapshot {
 	s := &Snapshot{Format: Format, At: at}
 	for _, id := range completed {
-		s.Completed = append(s.Completed, TaskRecord{
-			ID: id, Epoch: 1,
-			Outputs: []deps.Version{{Data: deps.DataID(id), Ver: 1}},
-		})
+		s.Tasks = append(s.Tasks, doneRecord(id))
 	}
 	s.Catalog = append(s.Catalog, CatalogEntry{
 		Key: deps.Version{Data: 1, Ver: 1}, Size: 42, Locations: []string{"n0"},
@@ -37,11 +35,11 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Seq != 1 || len(snap.Completed) != 3 || snap.At != time.Second {
+	if snap.Seq != 1 || len(filed(snap, engine.Done)) != 3 || snap.At != time.Second {
 		t.Fatalf("round-trip mismatch: %+v", snap)
 	}
-	if snap.Completed[2].Outputs[0] != (deps.Version{Data: 3, Ver: 1}) {
-		t.Fatalf("outputs mismatch: %+v", snap.Completed[2])
+	if snap.Tasks[2].OutputKeys[0] != (deps.Version{Data: 3, Ver: 1}) {
+		t.Fatalf("outputs mismatch: %+v", snap.Tasks[2])
 	}
 }
 
@@ -113,9 +111,9 @@ func TestStoreFallbackOnCorruption(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Latest after damage: %v", err)
 			}
-			if snap.Seq != 1 || len(snap.Completed) != 2 {
+			if done := filed(snap, engine.Done); snap.Seq != 1 || len(done) != 2 {
 				t.Fatalf("fallback picked seq %d with %d completed, want previous valid (seq 1, 2 completed)",
-					snap.Seq, len(snap.Completed))
+					snap.Seq, len(done))
 			}
 		})
 	}

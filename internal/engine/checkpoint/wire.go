@@ -14,9 +14,9 @@
 // it carves: equal lengths, catalog keys strictly ascending (the order
 // every capture writes and the fold of a chain relies on), counts
 // non-negative and summing to their flat column, node indices inside the
-// node table, value rows inside the catalog and strictly increasing. A
-// file that fails any check is ErrCorrupt; none can make the decoder
-// panic.
+// node table, value rows inside the catalog and strictly increasing, and
+// every task a base's sections name in its Order. A file that fails any
+// check is ErrCorrupt; none can make the decoder panic.
 package checkpoint
 
 import (
@@ -32,7 +32,10 @@ import (
 // read wraps it in ErrCorrupt with the file's name.
 var errColumns = errors.New("columns disagree")
 
-// wireSnapshot is a Snapshot on disk.
+// wireSnapshot is a Snapshot on disk: its records filed into four
+// sections by sectionOf, and Order, every ID in registration order — the
+// interleaving the sections lose. A record that is not Restorable keeps
+// only its ID and section.
 type wireSnapshot struct {
 	Format    int
 	Seq       int
@@ -85,16 +88,39 @@ type wireCatalog struct {
 	Values    []byte
 }
 
+// sectionOf names the section a record is filed in by that section's
+// state: Done for the completed one, Ready, Running, Pending for the rest.
+func sectionOf(t engine.TaskSnap) engine.State {
+	switch {
+	case t.Restorable():
+		return engine.Done
+	case t.State == engine.Ready, t.State == engine.Running:
+		return t.State
+	}
+	return engine.Pending
+}
+
 func (s *Snapshot) wire() *wireSnapshot {
 	w := &wireSnapshot{
 		Format: s.Format, Seq: s.Seq, At: s.At,
-		Ready: s.Ready, Running: s.Running, Pending: s.Pending,
-		Catalog: wireCatalogOf(s.Catalog), Order: s.Order, Stats: s.Stats,
+		Catalog: wireCatalogOf(s.Catalog), Order: sized[int64](len(s.Tasks)), Stats: s.Stats,
 	}
-	w.Completed = wireTasksOf(len(s.Completed), func(i int) (int64, int, []deps.Version) {
-		r := &s.Completed[i]
-		return r.ID, r.Epoch, r.Outputs
-	})
+	var count [engine.Done + 1]int
+	for _, t := range s.Tasks {
+		count[sectionOf(t)]++
+	}
+	var ids [engine.Done + 1][]int64
+	for section := range ids {
+		ids[section] = sized[int64](count[section])
+	}
+	for _, t := range s.Tasks {
+		w.Order = append(w.Order, t.ID)
+		if section := sectionOf(t); section != engine.Done {
+			ids[section] = append(ids[section], t.ID)
+		}
+	}
+	w.Ready, w.Running, w.Pending = ids[engine.Ready], ids[engine.Running], ids[engine.Pending]
+	w.Completed = wireTasksOf(s.Tasks, count[engine.Done], engine.TaskSnap.Restorable)
 	return w
 }
 
@@ -104,10 +130,7 @@ func (d *Delta) wire() *wireDelta {
 		States: sized[engine.State](len(d.Tasks)), Completed: sized[bool](len(d.Tasks)),
 		Added: d.Added, Catalog: wireCatalogOf(d.Catalog), Stats: d.Stats,
 	}
-	w.Tasks = wireTasksOf(len(d.Tasks), func(i int) (int64, int, []deps.Version) {
-		t := &d.Tasks[i]
-		return t.ID, t.Epoch, t.Outputs
-	})
+	w.Tasks = wireTasksOf(d.Tasks, len(d.Tasks), func(engine.TaskSnap) bool { return true })
 	for _, t := range d.Tasks {
 		w.States = append(w.States, t.State)
 		w.Completed = append(w.Completed, t.Completed)
@@ -115,20 +138,42 @@ func (d *Delta) wire() *wireDelta {
 	return w
 }
 
+// snapshot rebuilds the records: every ID of Order pending, then each
+// section's records filed over their own. A section naming an ID Order
+// lacks means the columns disagree.
 func (w *wireSnapshot) snapshot() (*Snapshot, error) {
-	s := &Snapshot{
-		Format: w.Format, Seq: w.Seq, At: w.At,
-		Ready: w.Ready, Running: w.Running, Pending: w.Pending,
-		Order: w.Order, Stats: w.Stats,
-	}
-	n, err := w.Completed.rows()
-	if err != nil {
+	s := &Snapshot{Format: w.Format, Seq: w.Seq, At: w.At, Stats: w.Stats}
+	if _, err := w.Completed.rows(); err != nil {
 		return nil, err
 	}
-	s.Completed = sized[TaskRecord](n)
+	m := merger{tasks: sized[engine.TaskSnap](len(w.Order))}
+	for _, id := range w.Order {
+		m.put(engine.TaskSnap{ID: id, State: engine.Pending})
+	}
+	var stray error
+	file := func(t engine.TaskSnap) {
+		if i, ok := m.find(t.ID); ok {
+			m.tasks[i] = t
+		} else if stray == nil {
+			stray = fmt.Errorf("%w: task %d is filed in a section but not in the order", errColumns, t.ID)
+		}
+	}
 	w.Completed.each(func(id int64, epoch int, outputs []deps.Version) {
-		s.Completed = append(s.Completed, TaskRecord{ID: id, Epoch: epoch, Outputs: outputs})
+		file(engine.TaskSnap{ID: id, State: engine.Done, Epoch: epoch, Completed: true, OutputKeys: outputs})
 	})
+	for _, section := range []struct {
+		ids   []int64
+		state engine.State
+	}{{w.Ready, engine.Ready}, {w.Running, engine.Running}, {w.Pending, engine.Pending}} {
+		for _, id := range section.ids {
+			file(engine.TaskSnap{ID: id, State: section.state})
+		}
+	}
+	if stray != nil {
+		return nil, stray
+	}
+	s.Tasks = m.tasks
+	var err error
 	if s.Catalog, err = w.Catalog.entries(); err != nil {
 		return nil, err
 	}
@@ -147,10 +192,10 @@ func (w *wireDelta) delta() (*Delta, error) {
 	if len(w.States) != n || len(w.Completed) != n {
 		return nil, fmt.Errorf("%w: %d task records, %d states, %d completed flags", errColumns, n, len(w.States), len(w.Completed))
 	}
-	d.Tasks = sized[DeltaTask](n)
+	d.Tasks = sized[engine.TaskSnap](n)
 	w.Tasks.each(func(id int64, epoch int, outputs []deps.Version) {
 		i := len(d.Tasks)
-		d.Tasks = append(d.Tasks, DeltaTask{ID: id, State: w.States[i], Epoch: epoch, Completed: w.Completed[i], Outputs: outputs})
+		d.Tasks = append(d.Tasks, engine.TaskSnap{ID: id, State: w.States[i], Epoch: epoch, Completed: w.Completed[i], OutputKeys: outputs})
 	})
 	if d.Catalog, err = w.Catalog.entries(); err != nil {
 		return nil, err
@@ -158,22 +203,24 @@ func (w *wireDelta) delta() (*Delta, error) {
 	return d, nil
 }
 
-// wireTasksOf lays n task records out in columns, the outputs
-// concatenated in record order.
-func wireTasksOf(n int, record func(i int) (id int64, epoch int, outputs []deps.Version)) wireTasks {
+// wireTasksOf lays the n records of tasks that keep admits out in
+// columns, the outputs concatenated in record order.
+func wireTasksOf(tasks []engine.TaskSnap, n int, keep func(engine.TaskSnap) bool) wireTasks {
 	w := wireTasks{IDs: sized[int64](n), Epochs: sized[int](n), Counts: sized[int](n)}
 	flat := 0
-	for i := 0; i < n; i++ {
-		_, _, outputs := record(i)
-		flat += len(outputs)
+	for _, t := range tasks {
+		if keep(t) {
+			flat += len(t.OutputKeys)
+		}
 	}
 	w.Outputs = sized[deps.Version](flat)
-	for i := 0; i < n; i++ {
-		id, epoch, outputs := record(i)
-		w.IDs = append(w.IDs, id)
-		w.Epochs = append(w.Epochs, epoch)
-		w.Counts = append(w.Counts, len(outputs))
-		w.Outputs = append(w.Outputs, outputs...)
+	for _, t := range tasks {
+		if keep(t) {
+			w.IDs = append(w.IDs, t.ID)
+			w.Epochs = append(w.Epochs, t.Epoch)
+			w.Counts = append(w.Counts, len(t.OutputKeys))
+			w.Outputs = append(w.Outputs, t.OutputKeys...)
+		}
 	}
 	return w
 }

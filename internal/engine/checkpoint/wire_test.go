@@ -54,6 +54,7 @@ func TestColumnsThatDisagreeAreCorrupt(t *testing.T) {
 		{name: "catalog keys out of order", snap: func(w *wireSnapshot) { w.Catalog.Keys[0], w.Catalog.Keys[1] = w.Catalog.Keys[1], w.Catalog.Keys[0] }},
 		{name: "catalog key repeated", snap: func(w *wireSnapshot) { w.Catalog.Keys[2] = w.Catalog.Keys[1] }},
 		{name: "task lengths differ", snap: func(w *wireSnapshot) { w.Completed.Epochs = append(w.Completed.Epochs, 1) }},
+		{name: "section names a task the order lacks", snap: func(w *wireSnapshot) { w.Order = w.Order[:len(w.Order)-1] }},
 		{name: "delta states short", delta: func(w *wireDelta) { w.States = w.States[:1] }},
 		{name: "delta flags long", delta: func(w *wireDelta) { w.Completed = append(w.Completed, true) }},
 		{name: "value lengths differ", snap: func(w *wireSnapshot) { w.Catalog.ValueLens = nil }},
@@ -124,19 +125,25 @@ func TestFormat3RoundTrips(t *testing.T) {
 		{},
 		{Catalog: catalog},
 		{
-			At:        time.Minute,
-			Completed: []TaskRecord{{ID: 1, Epoch: 2, Outputs: []deps.Version{key(1), key(3)}}, {ID: 2}, {ID: 3, Outputs: []deps.Version{key(5)}}},
-			Ready:     []int64{4}, Pending: []int64{5, 6},
-			Catalog: catalog, Order: []int64{1, 2, 3, 4, 5, 6},
-			Stats: engine.Stats{Launched: 3, Completed: 3},
+			At: time.Minute,
+			Tasks: []engine.TaskSnap{
+				{ID: 1, State: engine.Done, Epoch: 2, Completed: true, OutputKeys: []deps.Version{key(1), key(3)}},
+				{ID: 4, State: engine.Ready},
+				{ID: 2, State: engine.Done, Completed: true},
+				{ID: 5, State: engine.Pending},
+				{ID: 3, State: engine.Done, Completed: true, OutputKeys: []deps.Version{key(5)}},
+				{ID: 6, State: engine.Pending},
+			},
+			Catalog: catalog,
+			Stats:   engine.Stats{Launched: 3, Completed: 3},
 		},
 	}
 	deltas := []*Delta{
 		{},
-		{Added: []int64{7}, Tasks: []DeltaTask{{ID: 7, State: engine.Pending}}},
+		{Added: []int64{7}, Tasks: []engine.TaskSnap{{ID: 7, State: engine.Pending}}},
 		{
-			Tasks: []DeltaTask{
-				{ID: 1, State: engine.Running, Epoch: 3, Completed: true, Outputs: []deps.Version{key(1)}},
+			Tasks: []engine.TaskSnap{
+				{ID: 1, State: engine.Running, Epoch: 3, Completed: true, OutputKeys: []deps.Version{key(1)}},
 				{ID: 4, State: engine.Done, Epoch: 1, Completed: true},
 			},
 			Catalog: catalog, Stats: engine.Stats{Completed: 4},
@@ -173,17 +180,34 @@ func TestFormat3RoundTrips(t *testing.T) {
 		}
 	}
 
-	// Empty, not nil: the shape a capture of an empty engine hands over.
-	empty := &Snapshot{
-		Completed: []TaskRecord{{ID: 1, Outputs: []deps.Version{}}}, Ready: []int64{}, Running: []int64{}, Pending: []int64{},
-		Catalog: []CatalogEntry{{Key: key(1), Size: 1, Locations: []string{}}}, Order: []int64{1},
-	}
-	path, err := store.Save(empty)
+	// A base keeps the ID and section alone of a task that is not done: a
+	// completed task mid-re-run reads back as a running one, epoch 0, not
+	// completed, no outputs — the same state to Equivalent.
+	rerun := &Snapshot{Tasks: []engine.TaskSnap{{ID: 1, State: engine.Running, Epoch: 3, Completed: true, OutputKeys: []deps.Version{key(1)}}}}
+	path, err := store.Save(rerun)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := store.Load(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []engine.TaskSnap{{ID: 1, State: engine.Running}}; !reflect.DeepEqual(got.Tasks, want) {
+		t.Errorf("a running record with a completion read back as %+v, want %+v", got.Tasks, want)
+	}
+	if err := Equivalent(rerun, got); err != nil {
+		t.Errorf("a running record read back as a different state: %v", err)
+	}
+
+	// Empty, not nil: the shape a capture of an empty engine hands over.
+	empty := &Snapshot{
+		Tasks:   []engine.TaskSnap{{ID: 1, State: engine.Done, Completed: true, OutputKeys: []deps.Version{}}},
+		Catalog: []CatalogEntry{{Key: key(1), Size: 1, Locations: []string{}}},
+	}
+	if path, err = store.Save(empty); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = store.Load(path); err != nil {
 		t.Fatal(err)
 	}
 	if err := Equivalent(got, empty); err != nil {
@@ -201,8 +225,7 @@ func bigSnapshot(rows int) *Snapshot {
 		if i%3 == 0 {
 			holders = append(holders, fmt.Sprintf("n%02d", 16+i%4))
 		}
-		s.Order = append(s.Order, int64(i+1))
-		s.Completed = append(s.Completed, TaskRecord{ID: int64(i + 1), Epoch: 1, Outputs: []deps.Version{k}})
+		s.Tasks = append(s.Tasks, engine.TaskSnap{ID: int64(i + 1), State: engine.Done, Epoch: 1, Completed: true, OutputKeys: []deps.Version{k}})
 		s.Catalog = append(s.Catalog, CatalogEntry{Key: k, Size: 1 << 20, Locations: holders})
 	}
 	return s

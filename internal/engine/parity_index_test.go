@@ -245,7 +245,7 @@ func TestIndexSurvivesRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Completed) == 0 {
+	if len(completedIDs(snap)) == 0 {
 		t.Fatal("halt landed before any completion; drill misconfigured")
 	}
 	pool2, net2 := indexParityPool()
@@ -260,8 +260,8 @@ func TestIndexSurvivesRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TasksRestored != len(snap.Completed) {
-		t.Fatalf("restored %d tasks, snapshot recorded %d", res.TasksRestored, len(snap.Completed))
+	if done := completedIDs(snap); res.TasksRestored != len(done) {
+		t.Fatalf("restored %d tasks, snapshot recorded %d", res.TasksRestored, len(done))
 	}
 	checkPoolIndexConsistent(t, pool2, specs)
 }
@@ -404,7 +404,7 @@ func TestLocalityIndexParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(snap.Completed) == 0 {
+			if len(completedIDs(snap)) == 0 {
 				t.Fatal("halt landed before any completion; drill misconfigured")
 			}
 			halves[arm][1] = run(t, policy, "stencil", engine.AvailRunAnyway, nil, 0, nil, snap)

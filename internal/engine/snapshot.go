@@ -18,12 +18,11 @@ import (
 )
 
 // TaskSnap is one task's checkpoint-relevant state, captured by
-// SnapshotTasks.
+// SnapshotTasks: the one task record of a checkpoint, from a capture to a
+// delta, a fold and a restore (internal/engine/checkpoint).
 type TaskSnap struct {
 	// ID is the task's graph-unique ID.
 	ID int64
-	// Class is the task-class label.
-	Class string
 	// State is the lifecycle state at capture time.
 	State State
 	// Epoch is the placement counter (restored so completion events from
@@ -37,6 +36,11 @@ type TaskSnap struct {
 	// keys of done tasks, so checkpointing wants Config.Registry set.
 	OutputKeys []deps.Version
 }
+
+// Restorable reports whether a restore resolves the task instead of
+// running it: it has completed and is not mid-re-run. Only such a record
+// keeps its epoch and outputs in a checkpoint base file.
+func (t TaskSnap) Restorable() bool { return t.Completed && t.State == Done }
 
 // SnapshotTasks returns every registered task's lifecycle state, in
 // registration order, under a single lock acquisition — the raw material
@@ -58,7 +62,7 @@ func (e *Engine) snapshotLocked() []TaskSnap {
 // snapLocked builds one task's checkpoint record.
 func snapLocked(t *Task) TaskSnap {
 	return TaskSnap{
-		ID: t.ID, Class: t.Class, State: t.state,
+		ID: t.ID, State: t.state,
 		Epoch: int(t.epoch), Completed: t.completed,
 		OutputKeys: t.OutputKeys,
 	}

@@ -92,7 +92,7 @@ func e15ShrunkPoolRestore(nMap, nReduce int) (*Table, error) {
 		return nil, err
 	}
 	t := newTable("tasks", "snapshotted", "removed node", "restored", "re-staged", "recomputed", "resumed makespan")
-	t.add(num("%d", len(specs)), num("%d", len(d.snap.Completed)), text("n2"),
+	t.add(num("%d", len(specs)), num("%d", d.snapshotted), text("n2"),
 		num("%d", d.resumed.TasksRestored), num("%d", d.resumed.ReplicasRestaged),
 		num("%d", d.startedAgain), dur(time.Second, d.resumed.Makespan))
 	return t, nil

@@ -57,7 +57,7 @@ func e14CrashRestart(chromosomes, imputations int, everyNs ...int) (*Table, erro
 			return nil, err
 		}
 		t.add(text(fmt.Sprintf("every:%d", everyN)), num("%d", len(specs)), dur(time.Second, crashAt),
-			num("%d (%d snapshotted)", d.first.TasksCompleted, len(d.snap.Completed)),
+			num("%d (%d snapshotted)", d.first.TasksCompleted, d.snapshotted),
 			num("%d", d.resumed.TasksRestored), num("%d", d.startedAgain),
 			dur(time.Second, cold.Makespan), dur(time.Second, d.resumed.Makespan), num("%d", d.launches))
 	}
@@ -67,7 +67,7 @@ func e14CrashRestart(chromosomes, imputations int, everyNs ...int) (*Table, erro
 // crashRestored is what a crash-restart drill leaves behind.
 type crashRestored struct {
 	first, resumed infra.Result
-	snap           *checkpoint.Snapshot
+	snapshotted    int // the tasks the restored snapshot records as completed
 	launches       int // the resumed run's
 	// startedAgain counts the tasks the snapshot records as completed that
 	// started in the resumed run — the durability contract demands none.
@@ -95,11 +95,12 @@ func crashRestore(name string, first, second infra.Config, everyN int, specs []i
 	if d.first, err = sim1.Run(); !errors.Is(err, infra.ErrHalted) {
 		return d, fmt.Errorf("%s: first incarnation: got %v, want ErrHalted", name, err)
 	}
-	if d.snap, err = store.Latest(); err != nil {
+	snap, err := store.Latest()
+	if err != nil {
 		return d, fmt.Errorf("%s: no snapshot survived the crash: %w", name, err)
 	}
 	tr := trace.New(0)
-	second.Restore, second.Tracer = d.snap, tr
+	second.Restore, second.Tracer = snap, tr
 	sim2, err := infra.New(second, specs)
 	if err != nil {
 		return d, err
@@ -108,10 +109,13 @@ func crashRestore(name string, first, second infra.Config, everyN int, specs []i
 		return d, fmt.Errorf("%s: resumed run: %w", name, err)
 	}
 	d.launches = sim2.EngineStats().Launched
-	recorded := make(map[int64]bool, len(d.snap.Completed))
-	for _, id := range d.snap.CompletedIDs() {
-		recorded[id] = true
+	recorded := make(map[int64]bool)
+	for _, t := range snap.Tasks {
+		if t.Restorable() {
+			recorded[t.ID] = true
+		}
 	}
+	d.snapshotted = len(recorded)
 	for _, ev := range tr.Events() {
 		if ev.Kind == trace.TaskStarted && recorded[ev.Task] {
 			d.startedAgain++

@@ -190,8 +190,8 @@ type Host struct {
 	mu       sync.Mutex
 	tenants  map[int64]string // admission tenant per task holding a slot
 	smp      *obsv.Sampler
-	recorded map[int64]*checkpoint.TaskRecord // restore: completions awaiting their offer (see lookup)
-	resolved map[int64]struct{}               // restore: IDs marked done, kept for Admit
+	recorded map[int64]*engine.TaskSnap // restore: completions awaiting their offer (see lookup)
+	resolved map[int64]struct{}         // restore: IDs marked done, kept for Admit
 
 	restaged      int // restore-time re-staging; written by New only
 	restagedBytes int64
@@ -427,7 +427,7 @@ func (h *Host) Admit(id int64, tenant string) (out autoscale.Outcome, holds int)
 	if rec != nil {
 		holds = 1
 	}
-	if h.cfg.Admission == nil || resolved || (rec != nil && h.alive(rec.Outputs)) {
+	if h.cfg.Admission == nil || resolved || (rec != nil && h.alive(rec.OutputKeys)) {
 		return autoscale.Admitted, holds
 	}
 	// Under h.mu: a queued submission can be promoted, run and complete

@@ -203,7 +203,7 @@ func TestAdmitAndTaskCompleted(t *testing.T) {
 	x := &fakeExecutor{}
 	adm := autoscale.NewAdmission(autoscale.Quota{MaxInFlight: 1})
 	h := newHost(t, simclock.New(), x, host.Config{Admission: adm, Restore: &checkpoint.Snapshot{
-		Format: checkpoint.Format, Completed: []checkpoint.TaskRecord{{ID: 3, Epoch: 1}},
+		Format: checkpoint.Format, Tasks: []engine.TaskSnap{{ID: 3, State: engine.Done, Epoch: 1, Completed: true}},
 	}})
 	if !h.Tracking() {
 		t.Fatal("a host with an admission controller must track completions")

@@ -49,7 +49,7 @@ func TestHostHammer(t *testing.T) {
 	snap := &checkpoint.Snapshot{Format: checkpoint.Format}
 	for id := int64(1); id <= total; id++ {
 		if recorded(id) {
-			snap.Completed = append(snap.Completed, checkpoint.TaskRecord{ID: id, Epoch: 1})
+			snap.Tasks = append(snap.Tasks, engine.TaskSnap{ID: id, State: engine.Done, Epoch: 1, Completed: true})
 		}
 	}
 	pool := resources.NewPool()
@@ -94,7 +94,7 @@ func TestHostHammer(t *testing.T) {
 	}
 	wg.Wait()
 	ran := 0
-	for ; ran < total-len(snap.Completed); ran++ {
+	for ; ran < total-len(snap.Tasks); ran++ {
 		if id := <-x.done; recorded(id) {
 			t.Fatalf("recorded completion %d ran", id)
 		}
@@ -103,8 +103,8 @@ func TestHostHammer(t *testing.T) {
 	if st.Admitted+st.Released != ran || st.InFlight != 0 {
 		t.Fatalf("%d tasks ran; charged %d + %d, %d still in flight", ran, st.Admitted, st.Released, st.InFlight)
 	}
-	if n := h.RestoredTasks(); n != len(snap.Completed) {
-		t.Fatalf("restored %d of %d recorded completions", n, len(snap.Completed))
+	if n := h.RestoredTasks(); n != len(snap.Tasks) {
+		t.Fatalf("restored %d of %d recorded completions", n, len(snap.Tasks))
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()

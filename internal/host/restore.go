@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/deps"
+	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
 	"repro/internal/trace"
 )
@@ -116,17 +117,18 @@ func (h *Host) alive(outputs []deps.Version) bool {
 // and whether id has been resolved already. The by-ID index is built on
 // first use: ResolveAll, which replays the snapshot whole, never pays for
 // it.
-func (h *Host) lookup(id int64, take bool) (rec *checkpoint.TaskRecord, resolved bool) {
+func (h *Host) lookup(id int64, take bool) (rec *engine.TaskSnap, resolved bool) {
 	if h.cfg.Restore == nil {
 		return nil, false
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.recorded == nil {
-		done := h.cfg.Restore.Completed
-		h.recorded = make(map[int64]*checkpoint.TaskRecord, len(done))
-		for i := range done {
-			h.recorded[done[i].ID] = &done[i]
+		h.recorded = make(map[int64]*engine.TaskSnap)
+		for i, t := range h.cfg.Restore.Tasks {
+			if t.Restorable() {
+				h.recorded[t.ID] = &h.cfg.Restore.Tasks[i]
+			}
 		}
 	}
 	rec = h.recorded[id]
@@ -160,17 +162,19 @@ func (h *Host) ResolveAll() {
 	if h.cfg.Restore == nil {
 		return
 	}
-	done := h.cfg.Restore.Completed
-	for i := range done {
-		h.resolve(&done[i])
+	tasks := h.cfg.Restore.Tasks
+	for i := range tasks {
+		if tasks[i].Restorable() {
+			h.resolve(&tasks[i])
+		}
 	}
 	h.mu.Lock()
-	h.recorded = map[int64]*checkpoint.TaskRecord{} // every record has had its offer
+	h.recorded = map[int64]*engine.TaskSnap{} // every record has had its offer
 	h.mu.Unlock()
 }
 
-func (h *Host) resolve(rec *checkpoint.TaskRecord) bool {
-	if !h.alive(rec.Outputs) || !h.eng.RestoreCompleted(rec.ID, rec.Epoch) {
+func (h *Host) resolve(rec *engine.TaskSnap) bool {
+	if !h.alive(rec.OutputKeys) || !h.eng.RestoreCompleted(rec.ID, rec.Epoch) {
 		return false
 	}
 	if h.resolved != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/deps"
+	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
 )
 
@@ -23,9 +24,9 @@ func TestRestoreUnderAdmissionChargesOnlyWhatRuns(t *testing.T) {
 	d1, d2 := deps.Version{Data: 1, Ver: 1}, deps.Version{Data: 2, Ver: 1}
 	snap := &checkpoint.Snapshot{
 		Format: checkpoint.Format,
-		Completed: []checkpoint.TaskRecord{
-			{ID: 1, Epoch: 1, Outputs: []deps.Version{d1}},
-			{ID: 2, Epoch: 1, Outputs: []deps.Version{d2}},
+		Tasks: []engine.TaskSnap{
+			{ID: 1, State: engine.Done, Epoch: 1, Completed: true, OutputKeys: []deps.Version{d1}},
+			{ID: 2, State: engine.Done, Epoch: 1, Completed: true, OutputKeys: []deps.Version{d2}},
 		},
 		Catalog: []checkpoint.CatalogEntry{
 			{Key: d1, Size: 1e6, Locations: []string{"gone"}}, // no persist tier: nothing to re-stage from
