@@ -23,7 +23,7 @@ test:
 # TestRegistryHammerCapturesLoseNothing, TestHolderListsAreNeverEditedInPlace,
 # TestHostHammer, TestCheckpointWriterHammer, TestIndexNamedLookupUnderChurn,
 # TestValueCellHammer, TestTierHammer, TestFailNodeHammer,
-# TestTracerHammer):
+# TestTracerHammer, TestScrapeDuringRun):
 #   go test -race -count=10 -run '<those names, joined by |>' ./internal/...
 race:
 	$(GO) test -race -short $(PKGS)
@@ -63,8 +63,13 @@ vet:
 # task (a launch is queued for the goroutine that just finished; its
 # context is embedded in the task); and the one-restore-path grep — a
 # snapshot is replayed by internal/host alone, so outside it (and the
-# engine, which owns the snapshot types) nothing calls RestoreCompleted
-# or walks a snapshot's Catalog or Completed; and the one-codec grep — a
+# engine and its checkpoint package, which own the snapshot types)
+# nothing calls RestoreCompleted, walks a snapshot's Catalog, or asks a
+# task record whether it is Restorable() — what a loop replaying
+# snap.Tasks must ask. One named exemption:
+# internal/experiments/restart.go reads the restorable records of the
+# E14 drill's snapshot to count those that started again, and replays
+# nothing; and the one-codec grep — a
 # checkpoint file is written and read through its Format 3 wire struct
 # by checkpoint/store.go alone (value.go boxes a produced value), so no
 # second gob encoder or decoder, row by row, comes back; and the
@@ -81,7 +86,7 @@ vet:
 # carries the same rule down to single declarations.
 FLAG_BUDGET := 21
 VERSION_MAP_BUDGET := 9
-LINE_BUDGET := 20009
+LINE_BUDGET := 19953
 NONTEST_GO := -name '*.go' ! -name '*_test.go'
 budget:
 	@n=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs cat | wc -l); \
@@ -111,7 +116,7 @@ budget:
 	@bad=$$(find internal/core $(NONTEST_GO) | xargs grep -nE 'context\.WithCancel\(|context\.WithValue\(|go rt\.execute\('); \
 		if [ -n "$$bad" ]; then echo "a per-task context or goroutine is back in internal/core:"; echo "$$bad"; exit 1; fi; \
 		echo "per-task contexts and goroutines in internal/core: 0"
-	@bad=$$(find . $(NONTEST_GO) ! -path './bench/*' ! -path './internal/engine/*' ! -path './internal/host/*' | xargs grep -nE 'RestoreCompleted\(|range [^{]*\.(Catalog|Completed)\b'); \
+	@bad=$$(find . $(NONTEST_GO) ! -path './bench/*' ! -path './internal/engine/*' ! -path './internal/host/*' | xargs grep -nE 'RestoreCompleted\(|\.Restorable\(\)|range [^{]*\.Catalog\b' | grep -v '^\./internal/experiments/restart\.go:'); \
 		if [ -n "$$bad" ]; then echo "a second restore path (internal/host replays snapshots):"; echo "$$bad"; exit 1; fi; \
 		echo "restore paths outside internal/host: 0"
 	@bad=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs grep -nE 'gob\.New(En|De)coder\(' | grep -vE '^\./internal/engine/checkpoint/(store|value)\.go:'); \

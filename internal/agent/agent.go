@@ -234,9 +234,9 @@ func New(cfg Config) (*Agent, error) {
 		tasks:    make(map[string]*agentTask),
 		finished: make([]*agentTask, retainFinished),
 		peers:    append([]string(nil), cfg.Peers...),
-		met:      newMetrics(cfg.Metrics),
 		quit:     make(chan struct{}),
 	}
+	a.met = newMetrics(cfg.Metrics, a)
 	a.wake = sync.NewCond(&a.mu)
 	a.client.quit = a.quit
 	mux := http.NewServeMux()
@@ -331,13 +331,10 @@ func (a *Agent) worker() {
 		t.status.State = StateRunning
 		a.busy++
 		a.mu.Unlock()
-		a.met.queued.Add(-1)
-		a.met.busy.Add(1)
 
 		started := time.Now()
 		result, err := a.cfg.Registry.call(t.req.Name, t.req.Args)
 		a.met.execSeconds.ObserveDuration(time.Since(started))
-		a.met.busy.Add(-1)
 
 		a.mu.Lock()
 		if err != nil {
@@ -374,7 +371,6 @@ func (a *Agent) enqueue(req TaskRequest) (*agentTask, error) {
 	a.tasks[id] = t
 	a.queue = append(a.queue, t)
 	a.wake.Signal()
-	a.met.queued.Add(1)
 	return t, nil
 }
 

@@ -12,33 +12,36 @@ import (
 type metrics struct {
 	executed    *obsv.Counter   // tasks finished successfully
 	failed      *obsv.Counter   // tasks finished in error
-	queued      *obsv.Gauge     // tasks waiting for a worker
-	busy        *obsv.Gauge     // workers currently executing
 	execSeconds *obsv.Histogram // local execution wall time
 	offloads    *obsv.Counter   // tasks sent to a peer
-	recoveries  *obsv.Counter   // offloads re-run after a peer loss
 }
 
-func newMetrics(reg *obsv.Registry) metrics {
+// newMetrics registers a's instruments on reg, and the counts a keeps
+// for itself — queue depth, busy workers, recoveries — as func-backed
+// series read at scrape time.
+func newMetrics(reg *obsv.Registry, a *Agent) metrics {
 	if reg == nil {
 		return metrics{}
 	}
+	reg.GaugeFunc("flowgo_agent_queue_depth",
+		"Tasks accepted but not yet picked up by a worker.", "",
+		func() int64 { return int64(a.health().Queued) })
+	reg.GaugeFunc("flowgo_agent_busy_workers",
+		"Workers currently executing a task.", "",
+		func() int64 { return int64(a.health().Busy) })
+	reg.CounterFunc("flowgo_agent_recoveries_total",
+		"Offloaded tasks recovered and resubmitted after a peer loss.", "",
+		a.recoveries.Load)
 	return metrics{
 		executed: reg.Counter("flowgo_agent_tasks_executed_total",
 			"Tasks this agent executed to completion.", ""),
 		failed: reg.Counter("flowgo_agent_tasks_failed_total",
 			"Tasks this agent executed that returned an error.", ""),
-		queued: reg.Gauge("flowgo_agent_queue_depth",
-			"Tasks accepted but not yet picked up by a worker.", ""),
-		busy: reg.Gauge("flowgo_agent_busy_workers",
-			"Workers currently executing a task.", ""),
 		execSeconds: reg.Histogram("flowgo_agent_exec_seconds",
 			"Local task execution wall time.", "",
 			obsv.ExpBuckets(0.001, 4, 10)),
 		offloads: reg.Counter("flowgo_agent_offloads_total",
 			"Tasks submitted to a peer agent.", ""),
-		recoveries: reg.Counter("flowgo_agent_recoveries_total",
-			"Offloaded tasks recovered and resubmitted after a peer loss.", ""),
 	}
 }
 

@@ -123,7 +123,6 @@ func (a *Agent) offload(peers []peer, name string, args []json.RawMessage) (json
 		res, err := a.client.Run(url, attempt.Name, attempt.Args)
 		if errors.Is(err, ErrPeerLost) {
 			a.recoveries.Add(1)
-			a.met.recoveries.Inc()
 		}
 		return res, err
 	})

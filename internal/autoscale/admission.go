@@ -96,7 +96,6 @@ type Admission struct {
 	// tenant's share of releases converges to weight/Σweights.
 	served map[string]float64
 	stats  AdmissionStats
-	m      *obsv.AdmissionMetrics
 }
 
 // NewAdmission returns a controller enforcing q.
@@ -109,11 +108,24 @@ func NewAdmission(q Quota) *Admission {
 	}
 }
 
-// SetMetrics installs the admission counters (nil-safe; optional).
-func (a *Admission) SetMetrics(m *obsv.AdmissionMetrics) {
-	a.mu.Lock()
-	a.m = m
-	a.mu.Unlock()
+// Expose registers the controller's counters on reg as func-backed
+// series, each read from Stats at scrape time.
+func (a *Admission) Expose(reg *obsv.Registry) {
+	read := func(f func(AdmissionStats) int) func() int64 {
+		return func() int64 { return int64(f(a.Stats())) }
+	}
+	reg.CounterFunc("flowgo_admission_admitted_total", "Submissions admitted within quota.", "",
+		read(func(s AdmissionStats) int { return s.Admitted }))
+	reg.CounterFunc("flowgo_admission_queued_total", "Submissions queued for a freed quota slot.", "",
+		read(func(s AdmissionStats) int { return s.Queued }))
+	reg.CounterFunc("flowgo_admission_rejected_total", "Submissions rejected (queue bound exceeded).", "",
+		read(func(s AdmissionStats) int { return s.Rejected }))
+	reg.CounterFunc("flowgo_admission_released_total", "Queued submissions promoted to admitted.", "",
+		read(func(s AdmissionStats) int { return s.Released }))
+	reg.GaugeFunc("flowgo_admission_in_flight", "Admitted-but-uncompleted tasks across tenants.", "",
+		read(func(s AdmissionStats) int { return s.InFlight }))
+	reg.GaugeFunc("flowgo_admission_queue_depth", "Queued submissions across tenants.", "",
+		read(func(s AdmissionStats) int { return s.QueuedNow }))
 }
 
 // Quota returns the configured quota.
@@ -144,25 +156,15 @@ func (a *Admission) Submit(tenant string, payload any) Outcome {
 	if a.roomLocked(tenant) {
 		a.admitLocked(tenant)
 		a.stats.Admitted++
-		if a.m != nil {
-			a.m.Admitted.Inc()
-		}
 		return Admitted
 	}
 	if a.q.MaxQueued > 0 && len(a.queues[tenant]) >= a.q.MaxQueued {
 		a.stats.Rejected++
-		if a.m != nil {
-			a.m.Rejected.Inc()
-		}
 		return Rejected
 	}
 	a.queues[tenant] = append(a.queues[tenant], payload)
 	a.stats.QueuedNow++
 	a.stats.Queued++
-	if a.m != nil {
-		a.m.Queued.Inc()
-		a.m.QueuedNow.Add(1)
-	}
 	return Queued
 }
 
@@ -180,9 +182,6 @@ func (a *Admission) admitLocked(tenant string) {
 	a.inflight[tenant]++
 	a.served[tenant] += 1 / a.weight(tenant)
 	a.stats.InFlight++
-	if a.m != nil {
-		a.m.InFlight.Add(1)
-	}
 }
 
 // Complete returns tenant's quota slot and promotes queued work into
@@ -197,9 +196,6 @@ func (a *Admission) Complete(tenant string) []Released {
 	if a.inflight[tenant] > 0 {
 		a.inflight[tenant]--
 		a.stats.InFlight--
-		if a.m != nil {
-			a.m.InFlight.Add(-1)
-		}
 	}
 	if a.stats.QueuedNow == 0 {
 		return nil
@@ -220,10 +216,6 @@ func (a *Admission) Complete(tenant string) []Released {
 		a.stats.QueuedNow--
 		a.admitLocked(next)
 		a.stats.Released++
-		if a.m != nil {
-			a.m.Released.Inc()
-			a.m.QueuedNow.Add(-1)
-		}
 		out = append(out, Released{Tenant: next, Payload: payload})
 	}
 }

@@ -224,8 +224,6 @@ func (e *Engine) divertUnavailableLocked(t *Task) {
 	}
 	e.parked++
 	e.stats.Deferred++
-	e.cfg.Metrics.Parks.Inc()
-	e.cfg.Metrics.Parked.Add(1)
 	if e.cfg.Tracer != nil {
 		e.cfg.Tracer.Record(trace.Event{
 			At: e.cfg.Clock.Now(), Kind: trace.TaskParked, Task: t.ID,
@@ -257,7 +255,6 @@ func (e *Engine) divertUnavailableLocked(t *Task) {
 			// like any lineage recovery.
 			pt.coldRec().availNeed = primary
 			e.stats.AvailRecomputes++
-			e.cfg.Metrics.Recomputes.Inc()
 		}
 		e.resubmitLocked(pt)
 	}
@@ -276,7 +273,6 @@ func (e *Engine) unparkLocked(t *Task) {
 	}
 	t.cold.availKeys = nil
 	e.parked--
-	e.cfg.Metrics.Parked.Add(-1)
 }
 
 // wakeLocked releases a parked task back to the ready queue, where the
@@ -287,7 +283,6 @@ func (e *Engine) wakeLocked(t *Task) {
 	t.state = Ready
 	e.pushReadyLocked(t)
 	e.stats.Woken++
-	e.cfg.Metrics.Wakes.Inc()
 	if e.cfg.Tracer != nil {
 		e.cfg.Tracer.Record(trace.Event{At: e.cfg.Clock.Now(), Kind: trace.TaskWoken, Task: t.ID})
 	}

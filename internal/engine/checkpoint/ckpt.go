@@ -114,7 +114,6 @@ type Checkpointer struct {
 	queue      []save
 	unwritten  int   // queued or being written
 	writing    bool  // the writer goroutine is running
-	skipped    int   // automatic captures skipped because nothing changed
 	unreported error // an automatic save's failure the next Save returns
 	stopped    bool
 
@@ -201,7 +200,6 @@ func (c *Checkpointer) autoSave() {
 	c.capture.Lock()
 	defer c.capture.Unlock()
 	if c.haveBase && c.src.CheckpointDirty() == 0 {
-		c.skip()
 		return
 	}
 	if !c.reserve() {
@@ -226,7 +224,6 @@ func (c *Checkpointer) autoSave() {
 	d := c.src.CheckpointDelta()
 	c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
 	if d.Empty() { // an idle trigger that raced the dirty check
-		c.skip()
 		return
 	}
 	if compact {
@@ -235,12 +232,6 @@ func (c *Checkpointer) autoSave() {
 		c.chainLen++
 	}
 	c.enqueue(save{d: d, compact: compact}, d.At)
-}
-
-func (c *Checkpointer) skip() {
-	c.mu.Lock()
-	c.skipped++
-	c.mu.Unlock()
 }
 
 // reserve waits until the queue has room for one more save; false once

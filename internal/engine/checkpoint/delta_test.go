@@ -318,7 +318,13 @@ func TestCheckpointerDeltaCadenceAndSkip(t *testing.T) {
 	complete(1) // delta (chain length 1)
 	complete(1) // delta (chain length 2 = CompactEvery)
 	complete(1) // compaction: a delta captured, the fold written as a base
+	c.Flush()
+	before := len(store.Snapshots())
 	complete(0) // idle trigger: skipped outright
+	c.Flush()
+	if n := len(store.Snapshots()); n != before {
+		t.Fatalf("the idle trigger took the store from %d files to %d, want no new file", before, n)
+	}
 	complete(1) // delta on the new chain
 	c.Flush()
 
@@ -326,9 +332,8 @@ func TestCheckpointerDeltaCadenceAndSkip(t *testing.T) {
 	if src.bases != 1 {
 		t.Fatalf("CheckpointBase called %d times, want once: later bases are folds", src.bases)
 	}
-	if met.Saves.Value() != 5 || met.DeltaSaves.Value() != 3 || c.skipped != 1 {
-		t.Fatalf("saves=%d deltaSaves=%d skipped=%d, want 5/3/1",
-			met.Saves.Value(), met.DeltaSaves.Value(), c.skipped)
+	if met.Saves.Value() != 5 || met.DeltaSaves.Value() != 3 {
+		t.Fatalf("saves=%d deltaSaves=%d, want 5/3", met.Saves.Value(), met.DeltaSaves.Value())
 	}
 	bases, deltas := chainFiles(t, store)
 	if len(bases) != 2 || len(deltas) != 3 {
@@ -355,7 +360,12 @@ func TestCheckpointerFullModeSkipsCleanIntervals(t *testing.T) {
 
 	src.dirty = 1
 	c.TaskCompleted() // full save: the base capture
+	c.Flush()
 	c.TaskCompleted() // clean: skipped, no file
+	c.Flush()
+	if n := len(store.Snapshots()); n != 1 {
+		t.Fatalf("%d files on disk after the clean interval, want the base alone", n)
+	}
 	src.dirty = 1
 	c.TaskCompleted() // full save: a delta captured, the fold written
 	c.Flush()
@@ -366,9 +376,8 @@ func TestCheckpointerFullModeSkipsCleanIntervals(t *testing.T) {
 	if snap, err := store.Latest(); err != nil || snap.Stats.Completed != 2 || !slices.Equal(filed(snap, engine.Done), []int64{2}) {
 		t.Fatalf("latest full save: %+v, %v; want 2 completions on the books, task 2 recorded", snap, err)
 	}
-	if met.Saves.Value() != 2 || met.DeltaSaves.Value() != 0 || c.skipped != 1 {
-		t.Fatalf("saves=%d deltaSaves=%d skipped=%d, want 2/0/1",
-			met.Saves.Value(), met.DeltaSaves.Value(), c.skipped)
+	if met.Saves.Value() != 2 || met.DeltaSaves.Value() != 0 {
+		t.Fatalf("saves=%d deltaSaves=%d, want 2/0", met.Saves.Value(), met.DeltaSaves.Value())
 	}
 	if files := store.Snapshots(); len(files) != 2 {
 		t.Fatalf("%d files on disk, want 2", len(files))

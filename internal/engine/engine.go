@@ -291,11 +291,14 @@ type Config struct {
 	// Metrics, when set, receives continuous observability signals:
 	// per-signature ready depth, parked count, wave size/duration,
 	// decline reasons, steal and availability churn, transfer volume.
-	// Durations are observed on the engine Clock, so simulator series are
-	// deterministic (and wave durations are 0 — no virtual time passes
-	// inside a wave). Leave nil for an inert bundle (metrics off; the hot
-	// paths then write to nil instruments, which discard). Optional.
-	Metrics *obsv.EngineMetrics
+	// The engine's own counts are func-backed series read under the
+	// engine lock at scrape time (expose); the rest are instruments
+	// (obsv.EngineMetrics). Durations are observed on the engine Clock,
+	// so simulator series are deterministic (and wave durations are 0 —
+	// no virtual time passes inside a wave). Leave nil for metrics off:
+	// the hot paths then write to nil instruments, which discard.
+	// Optional.
+	Metrics *obsv.Registry
 }
 
 // Stats counts engine activity since creation.
@@ -416,7 +419,9 @@ type Engine struct {
 	availPrimary string                              // scratch: last attempt's chosen primary
 	pendingWakes []deps.Version                      // staged replicas with waiters (processed between waves)
 	stats        Stats
-	view         sched.TaskView // scratch view (guarded by mu; never retained)
+	failed       int                 // completions with failed set, also counted in stats.Completed
+	met          *obsv.EngineMetrics // instruments for what only the metrics record
+	view         sched.TaskView      // scratch view (guarded by mu; never retained)
 	// Scratch candidate buffers for the wave hot path (guarded by mu;
 	// never escape a placement attempt — Placement.Peers is always a
 	// fresh allocation).
@@ -441,10 +446,8 @@ type Engine struct {
 // bucket is one signature's ready FIFO. blocked marks the wave in which
 // the head failed to place, parking the whole bucket for that wave; seen
 // marks the wave whose candidate view currently holds the bucket, so a
-// mid-wave refill re-admits it exactly once. depth mirrors len(q) into
-// the per-signature ready-depth gauge; it is resolved once at bucket
-// creation (nil when metrics are off) and updated at exactly the sites
-// that maintain readyN, so the gauge cannot drift from the queue.
+// mid-wave refill re-admits it exactly once. The per-signature
+// ready-depth series reads len(q) (see pushReadyLocked).
 //
 // q is a window over a backing array that starts at base, off slots before
 // q[0]: popping the head advances the window instead of giving the front
@@ -457,7 +460,6 @@ type bucket struct {
 	off     int     // popped slots between base and q
 	blocked int
 	seen    int
-	depth   *obsv.Gauge
 }
 
 // pop removes the head; an emptied queue rewinds to the array's start.
@@ -522,10 +524,10 @@ func New(cfg Config) *Engine {
 	if cfg.Pool == nil || cfg.Policy == nil || cfg.Clock == nil || cfg.Executor == nil {
 		panic("engine: Pool, Policy, Clock and Executor are required")
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obsv.NewEngineMetrics(nil) // inert: nil instruments discard
+	e := &Engine{cfg: cfg, met: obsv.NewEngineMetrics(cfg.Metrics)}
+	if cfg.Metrics != nil {
+		e.expose(cfg.Metrics)
 	}
-	e := &Engine{cfg: cfg}
 	if p, ok := cfg.Policy.(sched.Prioritizer); ok {
 		e.prio = p
 	}
@@ -536,6 +538,35 @@ func New(cfg Config) *Engine {
 		e.mgr = transfer.NewManager(cfg.Net, cfg.Registry)
 	}
 	return e
+}
+
+// expose registers the counts the engine keeps for itself on reg as
+// func-backed series, read under e.mu at scrape time; the per-signature
+// ready depths follow as pushReadyLocked creates their buckets.
+func (e *Engine) expose(reg *obsv.Registry) {
+	counter := func(name, help string, f func() int64) {
+		reg.CounterFunc(name, help, "", e.read(f))
+	}
+	counter("flowgo_tasks_launched_total", "Tasks launched.", func() int64 { return int64(e.stats.Launched) })
+	counter("flowgo_tasks_completed_total", "Tasks completed.", func() int64 { return int64(e.stats.Completed - e.failed) })
+	counter("flowgo_tasks_failed_total", "Task executions that failed.", func() int64 { return int64(e.failed) })
+	counter("flowgo_steal_successes_total", "Work-steal successes.", func() int64 { return int64(e.stats.Steals) })
+	counter("flowgo_avail_parks_total", "Tasks parked for unavailable inputs.", func() int64 { return int64(e.stats.Deferred) })
+	counter("flowgo_avail_wakes_total", "Parked tasks woken by heals.", func() int64 { return int64(e.stats.Woken) })
+	counter("flowgo_avail_recomputes_total", "Availability recompute decisions.", func() int64 { return int64(e.stats.AvailRecomputes) })
+	counter("flowgo_transfers_total", "Input data moves.", func() int64 { return int64(e.stats.Transfers) })
+	counter("flowgo_transfer_bytes_total", "Bytes moved staging inputs.", func() int64 { return e.stats.BytesMoved })
+	counter("flowgo_placement_waves_total", "Placement waves run.", func() int64 { return int64(e.wave) })
+	reg.GaugeFunc("flowgo_parked_tasks", "Tasks parked by the availability policy.", "", e.read(func() int64 { return int64(e.parked) }))
+}
+
+// read wraps f, which reads engine state, in one e.mu acquisition.
+func (e *Engine) read(f func() int64) func() int64 {
+	return func() int64 {
+		e.mu.Lock()
+		defer e.unlock()
+		return f()
+	}
 }
 
 // stepCheck, when a test sets it, inspects the engine at every release
@@ -854,8 +885,12 @@ func (e *Engine) pushReadyLocked(t *Task) {
 	b := e.ready[t.sig]
 	if b == nil {
 		idx := e.cfg.Pool.IndexFor(t.Constraints)
-		b = &bucket{idx: idx, depth: e.cfg.Metrics.ReadyDepth(idx.Label())}
+		b = &bucket{idx: idx}
 		e.ready[t.sig] = b
+		if reg := e.cfg.Metrics; reg != nil {
+			reg.GaugeFunc("flowgo_ready_depth", "Ready-queue depth per constraint signature.",
+				obsv.Labels("sig", idx.Label()), e.read(func() int64 { return int64(len(b.q)) }))
+		}
 		pos := sort.Search(len(e.sigs), func(i int) bool { return e.sigs[i].idx.Label() >= idx.Label() })
 		e.sigs = slices.Insert(e.sigs, pos, b)
 	}
@@ -875,7 +910,6 @@ func (e *Engine) pushReadyLocked(t *Task) {
 	}
 	b.insert(at, t)
 	e.readyN.Add(1)
-	b.depth.Add(1)
 }
 
 // headLess orders bucket heads: multi-node first, then higher priority,
@@ -941,7 +975,7 @@ func (e *Engine) placeWaveLocked(placed []Placement) []Placement {
 	}
 	e.waveActive = true
 	defer func() { e.waveActive = false }()
-	m := e.cfg.Metrics
+	m := e.met
 	for {
 		e.wave++
 		// Wave shape metrics. Duration is on the engine clock: zero in the
@@ -992,7 +1026,6 @@ func (e *Engine) placeWaveLocked(placed []Placement) []Placement {
 				placed = append(placed, p)
 				bestB.pop()
 				e.readyN.Add(-1)
-				bestB.depth.Add(-1)
 			case placeUnavailable:
 				// The head's inputs are unreachable: divert it into the
 				// availability wait set (which may resubmit producers into
@@ -1000,7 +1033,6 @@ func (e *Engine) placeWaveLocked(placed []Placement) []Placement {
 				// task-specific, so the bucket is not blocked.
 				bestB.pop()
 				e.readyN.Add(-1)
-				bestB.depth.Add(-1)
 				m.DeclineUnavailable.Inc()
 				e.divertUnavailableLocked(best)
 			case placeNoCapacity:
@@ -1014,7 +1046,6 @@ func (e *Engine) placeWaveLocked(placed []Placement) []Placement {
 		if e.cfg.Steal.Mode != StealOff && e.readyN.Load() > 0 {
 			placed = e.stealWaveLocked(placed)
 		}
-		m.Waves.Inc()
 		m.WaveSize.Observe(float64(len(placed) - waveBase))
 		if m.WaveSeconds != nil {
 			m.WaveSeconds.ObserveDuration(e.cfg.Clock.Now() - waveStart)
@@ -1055,7 +1086,7 @@ func (e *Engine) stealWaveLocked(placed []Placement) []Placement {
 		}
 		for i := len(b.q) - 1; i >= 1; i-- {
 			t := b.q[i]
-			e.cfg.Metrics.StealAttempts.Inc()
+			e.met.StealAttempts.Inc()
 			p, outcome := e.placeLocked(t)
 			if outcome == placeNoCapacity {
 				break
@@ -1068,9 +1099,7 @@ func (e *Engine) stealWaveLocked(placed []Placement) []Placement {
 			}
 			b.q = append(b.q[:i], b.q[i+1:]...)
 			e.readyN.Add(-1)
-			b.depth.Add(-1)
 			e.stats.Steals++
-			e.cfg.Metrics.StealSuccesses.Inc()
 			if e.cfg.Tracer != nil {
 				e.cfg.Tracer.Record(trace.Event{
 					At: e.cfg.Clock.Now(), Kind: trace.TaskStolen, Task: t.ID,
@@ -1233,9 +1262,7 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 		e.stats.BytesMoved += plan.Bytes
 		e.stats.TransferTime += plan.Time
 		if len(plan.Moves) > 0 {
-			e.cfg.Metrics.Transfers.Add(int64(len(plan.Moves)))
-			e.cfg.Metrics.TransferBytes.Add(plan.Bytes)
-			e.cfg.Metrics.FetchSeconds.ObserveDuration(plan.Time)
+			e.met.FetchSeconds.ObserveDuration(plan.Time)
 		}
 		if plan.Bytes > 0 && e.cfg.Tracer != nil {
 			e.cfg.Tracer.Record(trace.Event{
@@ -1272,7 +1299,6 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 		}
 	}
 	e.stats.Launched++
-	e.cfg.Metrics.Launched.Inc()
 	if e.cfg.Tracer != nil {
 		e.cfg.Tracer.Record(trace.Event{
 			At: e.cfg.Clock.Now(), Kind: trace.TaskStarted, Task: t.ID,
@@ -1358,9 +1384,7 @@ func (e *Engine) completeLocked(t *Task, epoch int, failed bool) (Completion, bo
 	}
 	e.stats.Completed++
 	if failed {
-		e.cfg.Metrics.Failed.Inc()
-	} else {
-		e.cfg.Metrics.Completed.Inc()
+		e.failed++
 	}
 
 	if t.doneAt < 0 {
@@ -1461,7 +1485,6 @@ func (e *Engine) dropReadyMissingInputs() []*Task {
 				t.state = Pending
 				t.waitCount = 0
 				e.readyN.Add(-1)
-				b.depth.Add(-1)
 				e.markDirtyLocked(t)
 				dropped = append(dropped, t)
 				continue

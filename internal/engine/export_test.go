@@ -92,8 +92,10 @@ func CheckProducerIndexSteps(t testing.TB) {
 // counter, the tasks in state Parked and the tasks whose cold record
 // holds availability keys are one set; a task holds a node exactly while
 // Running, and peers only while Running a multi-node group; no
-// registration leaves a fanOut unwired; and the task table finds every
-// task by its ID. Caller holds e.mu.
+// registration leaves a fanOut unwired; the task table finds every
+// task by its ID; and the ready count is the number of tasks queued in
+// the buckets, which the per-signature ready-depth series read. Caller
+// holds e.mu.
 func checkTaskRecords(e *Engine) error {
 	parked := 0
 	for _, t := range e.tasks.all {
@@ -122,6 +124,13 @@ func checkTaskRecords(e *Engine) error {
 	}
 	if parked != e.parked {
 		return fmt.Errorf("parked counter %d, %d tasks parked", e.parked, parked)
+	}
+	queued := 0
+	for _, b := range e.sigs {
+		queued += len(b.q)
+	}
+	if n := e.readyN.Load(); n != int64(queued) {
+		return fmt.Errorf("ready count %d, %d tasks queued in the buckets", n, queued)
 	}
 	return nil
 }

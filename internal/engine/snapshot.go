@@ -157,7 +157,6 @@ func (e *Engine) RestoreCompleted(id int64, epoch int) bool {
 		i := slices.Index(b.q, t)
 		b.q = slices.Delete(b.q, i, i+1)
 		e.readyN.Add(-1)
-		b.depth.Add(-1)
 	}
 	if t.state == Parked {
 		e.unparkLocked(t) // a restored completion needs no inputs at all

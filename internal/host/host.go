@@ -87,7 +87,7 @@ type Config struct {
 	Restore *checkpoint.Snapshot
 	// Metrics, when set, backs the engine (and the checkpointer, unless
 	// its config carries its own bundle), the autoscaler and the
-	// admission controller with instruments registered on this registry.
+	// admission controller with series registered on this registry.
 	Metrics *obsv.Registry
 	// Autoscale enables pool scaling: the cost-aware planner across
 	// heterogeneous tiers (autoscale.New) or the single-tier threshold
@@ -224,7 +224,7 @@ func New(cfg Config, b Backend) (*Host, error) {
 		Policy:       cfg.Policy,
 		Clock:        b.Clock,
 		Executor:     b.Executor,
-		Metrics:      obsv.NewEngineMetrics(cfg.Metrics),
+		Metrics:      cfg.Metrics,
 		Registry:     cfg.Locations,
 		Net:          cfg.Net,
 		PersistNode:  cfg.PersistNode,
@@ -249,7 +249,7 @@ func New(cfg Config, b Backend) (*Host, error) {
 		h.tenants = make(map[int64]string)
 		h.resolved = make(map[int64]struct{})
 		if cfg.Metrics != nil {
-			cfg.Admission.SetMetrics(obsv.NewAdmissionMetrics(cfg.Metrics))
+			cfg.Admission.Expose(cfg.Metrics)
 		}
 	}
 	if cfg.Restore != nil {

@@ -18,7 +18,7 @@ import (
 	"repro/internal/trace"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/trace.golden.json and testdata/chrome.golden.json from this run")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/ from this run")
 
 // goldenTraceRun is one small traced stencil that reaches every kind of
 // event the tracer renders: sized inputs staged across four nodes (so

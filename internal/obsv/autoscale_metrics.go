@@ -1,38 +1,5 @@
 package obsv
 
-// AdmissionMetrics bundles the admission controller's instruments,
-// following the EngineMetrics pattern: nil instruments discard writes,
-// so an inert bundle (NewAdmissionMetrics(nil)) costs nothing on the
-// submit path.
-type AdmissionMetrics struct {
-	// Admitted / Queued / Rejected count Submit outcomes; Released
-	// counts queued submissions later promoted by a freed quota slot.
-	Admitted *Counter
-	Queued   *Counter
-	Rejected *Counter
-	Released *Counter
-	// InFlight and QueuedNow track the controller's current occupancy
-	// across all tenants.
-	InFlight  *Gauge
-	QueuedNow *Gauge
-}
-
-// NewAdmissionMetrics registers the admission instrument set on reg.
-// Pass nil reg for an inert bundle.
-func NewAdmissionMetrics(reg *Registry) *AdmissionMetrics {
-	if reg == nil {
-		return &AdmissionMetrics{}
-	}
-	return &AdmissionMetrics{
-		Admitted:  reg.Counter("flowgo_admission_admitted_total", "Submissions admitted within quota.", ""),
-		Queued:    reg.Counter("flowgo_admission_queued_total", "Submissions queued for a freed quota slot.", ""),
-		Rejected:  reg.Counter("flowgo_admission_rejected_total", "Submissions rejected (queue bound exceeded).", ""),
-		Released:  reg.Counter("flowgo_admission_released_total", "Queued submissions promoted to admitted.", ""),
-		InFlight:  reg.Gauge("flowgo_admission_in_flight", "Admitted-but-uncompleted tasks across tenants.", ""),
-		QueuedNow: reg.Gauge("flowgo_admission_queue_depth", "Queued submissions across tenants.", ""),
-	}
-}
-
 // AutoscaleMetrics bundles the cost-aware autoscaler's decision
 // counters. Same inert-when-nil contract as the other bundles.
 type AutoscaleMetrics struct {

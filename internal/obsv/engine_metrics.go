@@ -1,22 +1,15 @@
 package obsv
 
-import "sync"
-
-// EngineMetrics bundles the engine's instruments, pre-resolved so the
-// scheduler hot paths touch only atomic words. When no registry is
-// wired, NewEngineMetrics(nil) returns an inert bundle: every instrument
-// pointer is nil and nil instruments discard writes, so the engine
-// carries no enable checks on its hot paths.
+// EngineMetrics bundles the engine's instruments: the facts only the
+// metrics record, pre-resolved so the scheduler hot paths touch only
+// atomic words. Everything the engine already counts for itself
+// (launches, completions, steals, parks, wakes, recomputes, transfers,
+// waves, parked tasks, per-signature ready depth) it registers as
+// func-backed series instead. NewEngineMetrics(nil) returns an inert
+// bundle: every instrument pointer is nil and nil instruments discard
+// writes, so the engine carries no enable checks on its hot paths.
 type EngineMetrics struct {
-	reg *Registry
-
-	// Ready-queue shape. ReadyDepth is per constraint signature
-	// (resolved lazily as buckets appear); Parked counts tasks diverted
-	// by the availability policy.
-	Parked *Gauge
-
 	// Placement waves.
-	Waves       *Counter
 	WaveSize    *Histogram // tasks placed per wave
 	WaveSeconds *Histogram // wave duration on the engine clock
 
@@ -25,42 +18,26 @@ type EngineMetrics struct {
 	DeclineDeclined    *Counter
 	DeclineUnavailable *Counter
 
-	// Work stealing.
-	StealAttempts  *Counter
-	StealSuccesses *Counter
+	// StealAttempts counts work-steal tries; successes are the engine's.
+	StealAttempts *Counter
 
-	// Availability policy churn.
-	Parks      *Counter
-	Wakes      *Counter
-	Recomputes *Counter
+	// FetchSeconds is input staging latency on the engine clock.
+	FetchSeconds *Histogram
 
-	// Data movement.
-	Transfers     *Counter
-	TransferBytes *Counter
-	FetchSeconds  *Histogram // input staging latency on the engine clock
-
-	// Task lifecycle.
-	Launched  *Counter
-	Completed *Counter
-	Failed    *Counter
-
-	mu    sync.Mutex
-	depth map[string]*Gauge // per-signature ready depth
+	// Launched is an unregistered counter that nothing in the engine
+	// writes: the ledger's obsv replay prices a counter add on it.
+	Launched *Counter
 }
 
 // NewEngineMetrics registers the engine instrument set on reg and
 // returns the bundle. Pass nil reg to get an inert bundle (metrics off).
 func NewEngineMetrics(reg *Registry) *EngineMetrics {
 	if reg == nil {
-		return &EngineMetrics{depth: make(map[string]*Gauge)}
+		return &EngineMetrics{}
 	}
 	waveBuckets := []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 	secBuckets := ExpBuckets(1e-6, 4, 12) // 1µs .. ~4.2s
-	m := &EngineMetrics{
-		reg:    reg,
-		Parked: reg.Gauge("flowgo_parked_tasks", "Tasks parked by the availability policy.", ""),
-
-		Waves:       reg.Counter("flowgo_placement_waves_total", "Placement waves run.", ""),
+	return &EngineMetrics{
 		WaveSize:    reg.Histogram("flowgo_placement_wave_size", "Tasks placed per wave.", "", waveBuckets),
 		WaveSeconds: reg.Histogram("flowgo_placement_wave_seconds", "Wave duration on the engine clock.", "", secBuckets),
 
@@ -68,42 +45,12 @@ func NewEngineMetrics(reg *Registry) *EngineMetrics {
 		DeclineDeclined:    reg.Counter("flowgo_placement_declines_total", "Placement declines by reason.", Labels("reason", "declined")),
 		DeclineUnavailable: reg.Counter("flowgo_placement_declines_total", "Placement declines by reason.", Labels("reason", "unavailable")),
 
-		StealAttempts:  reg.Counter("flowgo_steal_attempts_total", "Work-steal attempts.", ""),
-		StealSuccesses: reg.Counter("flowgo_steal_successes_total", "Work-steal successes.", ""),
+		StealAttempts: reg.Counter("flowgo_steal_attempts_total", "Work-steal attempts.", ""),
 
-		Parks:      reg.Counter("flowgo_avail_parks_total", "Tasks parked for unavailable inputs.", ""),
-		Wakes:      reg.Counter("flowgo_avail_wakes_total", "Parked tasks woken by heals.", ""),
-		Recomputes: reg.Counter("flowgo_avail_recomputes_total", "Availability recompute decisions.", ""),
+		FetchSeconds: reg.Histogram("flowgo_fetch_seconds", "Input staging latency on the engine clock.", "", secBuckets),
 
-		Transfers:     reg.Counter("flowgo_transfers_total", "Input data moves.", ""),
-		TransferBytes: reg.Counter("flowgo_transfer_bytes_total", "Bytes moved staging inputs.", ""),
-		FetchSeconds:  reg.Histogram("flowgo_fetch_seconds", "Input staging latency on the engine clock.", "", secBuckets),
-
-		Launched:  reg.Counter("flowgo_tasks_launched_total", "Tasks launched.", ""),
-		Completed: reg.Counter("flowgo_tasks_completed_total", "Tasks completed.", ""),
-		Failed:    reg.Counter("flowgo_tasks_failed_total", "Task executions that failed.", ""),
-
-		depth: make(map[string]*Gauge),
+		Launched: &Counter{},
 	}
-	return m
-}
-
-// ReadyDepth resolves the ready-queue depth gauge for one constraint
-// signature. The engine calls this once per bucket creation and stores
-// the pointer on the bucket; increments never take this path. Nil-safe
-// on both the bundle and an inert (registry-less) bundle.
-func (m *EngineMetrics) ReadyDepth(sig string) *Gauge {
-	if m == nil || m.reg == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if g, ok := m.depth[sig]; ok {
-		return g
-	}
-	g := m.reg.Gauge("flowgo_ready_depth", "Ready-queue depth per constraint signature.", Labels("sig", sig))
-	m.depth[sig] = g
-	return g
 }
 
 // CkptMetrics bundles the checkpointer's instruments. Capture time is

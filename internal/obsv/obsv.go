@@ -12,10 +12,14 @@
 //
 // Design constraints, in order:
 //
-//   - Hot-path increments are single atomic adds on pre-resolved
-//     instrument pointers: no map lookups, no label rendering, no
-//     allocation. Callers resolve instruments once (at registration or
-//     bucket-creation time) and hold the pointer.
+//   - A count its owner already keeps is not counted twice: it is a
+//     func-backed series (CounterFunc, GaugeFunc) whose function the
+//     registry calls at Visit, WritePrometheus and Sampler.Sample with no
+//     registry lock held, so the function may take its owner's lock.
+//   - Facts only the metrics record are instruments. Hot-path
+//     increments are single atomic adds on pre-resolved instrument
+//     pointers: no map lookups, no label rendering, no allocation.
+//     Callers resolve instruments once and hold the pointer.
 //   - Every instrument is one atomic word (a histogram, one per bucket):
 //     its writers mostly arrive under their owner's lock (the engine's
 //     mutex), and the ones that do not — the agent's workers — are few.
@@ -214,12 +218,26 @@ func (k Kind) String() string {
 	}
 }
 
-// series is one labelled instrument inside a family.
+// series is one labelled instrument inside a family, or, for a
+// func-backed counter or gauge, its owner's read function.
 type series struct {
 	labels string // rendered {k="v",...} suffix ("" when unlabelled)
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
+	fn     func() int64
+}
+
+// value reads a counter or gauge series.
+func (s *series) value() int64 {
+	switch {
+	case s.fn != nil:
+		return s.fn()
+	case s.c != nil:
+		return s.c.Value()
+	default:
+		return s.g.Value()
+	}
 }
 
 // family is all series of one metric name.
@@ -235,21 +253,24 @@ type family struct {
 	sorted []*series // label-sorted; rebuilt on insert
 }
 
-// get returns (creating on first use) the series for a label suffix.
-func (f *family) get(labels string) *series {
+// get returns (creating on first use) the series for a label suffix. A
+// non-nil fn makes a new counter or gauge series func-backed; it is
+// stored before the insert generation moves, which publishes it to Visit.
+func (f *family) get(labels string, fn func() int64) *series {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if s, ok := f.byKey[labels]; ok {
 		return s
 	}
-	s := &series{labels: labels}
-	switch f.kind {
-	case KindCounter:
-		s.c = &Counter{}
-	case KindGauge:
-		s.g = &Gauge{}
-	case KindHistogram:
+	s := &series{labels: labels, fn: fn}
+	switch {
+	case f.kind == KindHistogram:
 		s.h = newHistogram(f.bounds)
+	case fn != nil: // func-backed: no instrument
+	case f.kind == KindCounter:
+		s.c = &Counter{}
+	default:
+		s.g = &Gauge{}
 	}
 	f.byKey[labels] = s
 	f.sorted = append(f.sorted, s)
@@ -362,23 +383,39 @@ func escapeLabel(v string) string {
 // Counter resolves the named counter with an optional pre-rendered label
 // suffix (use Labels). The first resolution registers the family.
 func (r *Registry) Counter(name, help, labels string) *Counter {
-	return r.familyFor(name, help, KindCounter, nil).get(labels).c
+	return r.familyFor(name, help, KindCounter, nil).get(labels, nil).c
 }
 
 // Gauge resolves the named gauge.
 func (r *Registry) Gauge(name, help, labels string) *Gauge {
-	return r.familyFor(name, help, KindGauge, nil).get(labels).g
+	return r.familyFor(name, help, KindGauge, nil).get(labels, nil).g
+}
+
+// CounterFunc registers a counter whose value is fn's result, read at
+// every Visit, WritePrometheus and Sampler.Sample: the series of a count
+// its owner already keeps. fn runs with no registry lock held, so it may
+// take the owner's lock; it must not register series itself. The first
+// registration of a series wins: a later CounterFunc or Counter on the
+// same name and labels keeps its fn (and Counter returns nil).
+func (r *Registry) CounterFunc(name, help, labels string, fn func() int64) {
+	r.familyFor(name, help, KindCounter, nil).get(labels, fn)
+}
+
+// GaugeFunc is CounterFunc for an instantaneous value.
+func (r *Registry) GaugeFunc(name, help, labels string, fn func() int64) {
+	r.familyFor(name, help, KindGauge, nil).get(labels, fn)
 }
 
 // Histogram resolves the named histogram. Bounds must be identical for
 // every series of one family (they are fixed by the first registration).
 func (r *Registry) Histogram(name, help, labels string, bounds []float64) *Histogram {
-	return r.familyFor(name, help, KindHistogram, bounds).get(labels).h
+	return r.familyFor(name, help, KindHistogram, bounds).get(labels, nil).h
 }
 
 // Visit walks every series in deterministic order (families by name,
 // series by label suffix), calling fn with the sample name — family name
-// plus label suffix — and the instrument values. Histograms visit as
+// plus label suffix — and the series values, calling a func-backed
+// series' function with no registry lock held. Histograms visit as
 // two samples, name_count and name_sum (buckets are export-only detail;
 // see WritePrometheus).
 func (r *Registry) Visit(fn func(sample string, v float64)) {
@@ -397,10 +434,8 @@ func (r *Registry) Visit(fn func(sample string, v float64)) {
 	for i := range cache {
 		e := &cache[i]
 		switch {
-		case e.kind == KindCounter:
-			fn(e.sample, float64(e.s.c.Value()))
-		case e.kind == KindGauge:
-			fn(e.sample, float64(e.s.g.Value()))
+		case e.kind != KindHistogram:
+			fn(e.sample, float64(e.s.value()))
 		case e.sum:
 			fn(e.sample, e.s.h.Sum())
 		default:

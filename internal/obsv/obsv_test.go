@@ -63,10 +63,8 @@ func TestNilInstrumentsDiscard(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewEngineMetrics(nil)
-	m.Parked.Add(1)
-	m.Waves.Inc()
+	m.StealAttempts.Inc()
 	m.WaveSize.Observe(3)
-	m.ReadyDepth("sig").Add(1)
 	km := NewCkptMetrics(nil)
 	km.Saves.Inc()
 	km.CaptureSeconds.Observe(0.1)
@@ -247,20 +245,41 @@ func TestServeMetricsAndPprof(t *testing.T) {
 	}
 }
 
-func TestEngineMetricsReadyDepthCached(t *testing.T) {
+// TestFuncSeriesReadAtScrape: a func-backed series is its owner's count
+// read at scrape time — by Visit, WritePrometheus and Sampler.Sample
+// alike — and the first registration of a series keeps its function.
+func TestFuncSeriesReadAtScrape(t *testing.T) {
 	reg := NewRegistry()
-	m := NewEngineMetrics(reg)
-	g1 := m.ReadyDepth("c4")
-	g2 := m.ReadyDepth("c4")
-	if g1 != g2 {
-		t.Fatal("ReadyDepth must cache per-signature gauges")
+	var n, depth int64
+	reg.CounterFunc("owned_total", "Owner's count.", "", func() int64 { return n })
+	reg.GaugeFunc("owned_depth", "Owner's depth.", Labels("sig", "c4"), func() int64 { return depth })
+	reg.GaugeFunc("owned_depth", "Owner's depth.", Labels("sig", "c4"), func() int64 { return -1 })
+	if c := reg.Counter("owned_total", "", ""); c != nil {
+		t.Fatal("Counter on a func-backed series must return nil")
 	}
-	g1.Add(3)
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	s := NewSampler(reg)
+	n, depth = 3, 7
+	s.Sample(time.Second)
+	n, depth = 5, 2
+	s.Sample(2 * time.Second)
+	vals := map[string]float64{}
+	reg.Visit(func(name string, v float64) { vals[name] = v })
+	if vals["owned_total"] != 5 || vals[`owned_depth{sig="c4"}`] != 2 {
+		t.Fatalf("Visit read %v, want the owner's current counts", vals)
+	}
+	var prom, text bytes.Buffer
+	if err := reg.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
 	}
-	if want := `flowgo_ready_depth{sig="c4"} 3`; !strings.Contains(buf.String(), want) {
-		t.Fatalf("missing %q:\n%s", want, buf.String())
+	for _, want := range []string{"# TYPE owned_total counter\nowned_total 5\n", "# TYPE owned_depth gauge\n" + `owned_depth{sig="c4"} 2`} {
+		if !strings.Contains(prom.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, prom.String())
+		}
+	}
+	if err := s.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if want := `owned_depth{sig="c4"} 1s 7` + "\n" + `owned_depth{sig="c4"} 2s 2` + "\nowned_total 1s 3\nowned_total 2s 5\n"; text.String() != want {
+		t.Fatalf("sampled text:\n%s\nwant:\n%s", text.String(), want)
 	}
 }

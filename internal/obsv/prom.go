@@ -39,13 +39,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		b.WriteString(f.kind.String())
 		b.WriteByte('\n')
 		for _, s := range f.snapshot() {
-			switch f.kind {
-			case KindCounter:
-				writeSample(&b, f.name, s.labels, float64(s.c.Value()))
-			case KindGauge:
-				writeSample(&b, f.name, s.labels, float64(s.g.Value()))
-			case KindHistogram:
+			if f.kind == KindHistogram {
 				writeHistogram(&b, f.name, s.labels, s.h)
+			} else {
+				writeSample(&b, f.name, s.labels, float64(s.value()))
 			}
 		}
 	}
