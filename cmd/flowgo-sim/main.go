@@ -259,7 +259,7 @@ func run(args []string, w io.Writer) error {
 		if ckptStore, err = checkpoint.NewStore(*ckptDir); err != nil {
 			return err
 		}
-		cfg.Checkpoint = &checkpoint.Config{Store: ckptStore, Policy: ckptPolicy, Delta: true}
+		cfg.Checkpoint = &checkpoint.Config{Store: ckptStore, Policy: ckptPolicy}
 	}
 	if *restore != "" {
 		store, err := checkpoint.NewStore(*restore)
@@ -313,7 +313,9 @@ func run(args []string, w io.Writer) error {
 	}
 	start := time.Now()
 	res, err := sim.Run()
-	halted := errors.Is(err, infra.ErrHalted)
+	// A halt is the crash drill's planned end, unless a checkpoint write
+	// failed too: then there is nothing sound to restore from.
+	halted := errors.Is(err, infra.ErrHalted) && sim.FlushCheckpoints() == nil
 	if err != nil && !halted {
 		return err
 	}

@@ -41,6 +41,28 @@ func blobStore() *dataclay.Store {
 	return store
 }
 
+// persisted counts the request blobs still in store. The store names
+// objects <class>-<serial>, so a probe object's serial bounds the IDs
+// handed out so far, and each one still there fetches.
+func persisted(t *testing.T, store *dataclay.Store) int {
+	t.Helper()
+	probe, err := store.NewObject(taskBlobClass, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Delete(probe)
+	var serial, n int
+	if _, err := fmt.Sscanf(string(probe), taskBlobClass+"-%d", &serial); err != nil {
+		t.Fatalf("probe object %q: %v", probe, err)
+	}
+	for i := 1; i < serial; i++ {
+		if _, err := store.Fetch(dataclay.ObjectID(fmt.Sprintf("%s-%d", taskBlobClass, i))); err == nil {
+			n++
+		}
+	}
+	return n
+}
+
 // offload is what RunAnywhere does once it chose to offload.
 func offload(a *Agent, name string, args []json.RawMessage) (json.RawMessage, error) {
 	return a.offload(a.rankPeers(), name, args)
@@ -211,7 +233,7 @@ func TestOffloadToLeastLoadedPeer(t *testing.T) {
 	if err := json.Unmarshal(res, &got); err != nil || got != 25 {
 		t.Fatalf("offload result = %s", res)
 	}
-	if n := store.Len(); n != 0 {
+	if n := persisted(t, store); n != 0 {
 		t.Fatalf("%d persisted requests left after the offload resolved, want 0", n)
 	}
 }
@@ -257,7 +279,7 @@ func TestOffloadRecoversFromPeerLoss(t *testing.T) {
 	if origin.Recoveries() == 0 {
 		t.Fatal("no recovery recorded despite peer loss")
 	}
-	if n := store.Len(); n != 0 {
+	if n := persisted(t, store); n != 0 {
 		t.Fatalf("%d persisted requests left after the offload resolved, want 0", n)
 	}
 }
@@ -273,7 +295,7 @@ func TestOffloadDoesNotMaskTaskFailure(t *testing.T) {
 	if origin.Recoveries() != 0 {
 		t.Fatal("task failure must not count as peer loss")
 	}
-	if n := store.Len(); n != 0 {
+	if n := persisted(t, store); n != 0 {
 		t.Fatalf("%d persisted requests left after a failed offload, want 0", n)
 	}
 }
@@ -289,7 +311,7 @@ func TestOffloadWithoutPeersRunsLocally(t *testing.T) {
 	if err := json.Unmarshal(res, &got); err != nil || got != 16 {
 		t.Fatalf("result = %s", res)
 	}
-	if n := store.Len(); n != 0 {
+	if n := persisted(t, store); n != 0 {
 		t.Fatalf("%d persisted requests left after the local run, want 0", n)
 	}
 }

@@ -13,7 +13,7 @@
 // drain-then-remove shrink itself, so a scale-down never kills running
 // work.
 //
-// The analyzer is deliberately split in two: Evaluate is a scoring
+// The analyzer is deliberately split in two: decide is a scoring
 // function over a Signals snapshot (plus one remembered sample, the
 // previous queue depth) — deterministic for a given snapshot sequence,
 // so sim policy sweeps are byte-reproducible — and Step applies the
@@ -120,7 +120,7 @@ const (
 )
 
 // Signals is one snapshot of the load state the analyzer scores. Build
-// it with Snapshot, or by hand in tests — Evaluate is a pure function
+// it with Snapshot, or by hand in tests — decide is a pure function
 // of this struct plus the tiers' current node counts.
 type Signals struct {
 	// At is the snapshot instant on the backend's clock (virtual or
@@ -337,20 +337,13 @@ func (a *Autoscaler) Decisions() []Decision {
 	return append([]Decision(nil), a.decisions...)
 }
 
-// Evaluate scores one snapshot and returns the winning decision.
-// Deterministic: for an identical SEQUENCE of Signals and identical
-// tier node counts it always returns the same Decision sequence
-// (the scorer keeps two remembered samples — the previous queue depth,
-// the burst discriminator, and the decayed demand peak, the shed
+// decide scores one snapshot and returns the winning decision; the
+// caller holds a.mu. Deterministic: for an identical SEQUENCE of Signals
+// and identical tier node counts it always returns the same Decision
+// sequence (the scorer keeps two remembered samples — the previous queue
+// depth, the burst discriminator, and the decayed demand peak, the shed
 // damper), and Delta is monotone non-decreasing in Signals.Ready (more
 // queued work never flips a grow into a shrink).
-func (a *Autoscaler) Evaluate(sig Signals) Decision {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.decide(sig)
-}
-
-// decide is Evaluate with a.mu held.
 func (a *Autoscaler) decide(sig Signals) Decision {
 	if a.threshold {
 		d := a.evaluateThreshold(sig)

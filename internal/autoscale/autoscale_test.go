@@ -133,7 +133,7 @@ func sig(ready int, c resources.Constraints, capable, free, total int) Signals {
 // cheapest tier per reference core whose shape can serve it.
 func TestEvaluateStarved(t *testing.T) {
 	a, _, _ := cloudFog(t)
-	d := a.Evaluate(sig(3, resources.Constraints{Cores: 2}, 0, 1, 1))
+	d := a.decide(sig(3, resources.Constraints{Cores: 2}, 0, 1, 1))
 	if d.Delta != +1 || d.Reason != "starved" || d.Tier != "cloud" {
 		t.Fatalf("starved decision = %+v, want +1 cloud (cheapest per reference core)", d)
 	}
@@ -143,7 +143,7 @@ func TestEvaluateStarved(t *testing.T) {
 // holds with "no-variant" instead of buying a useless node.
 func TestEvaluateStarvedNoVariant(t *testing.T) {
 	a, _, _ := cloudFog(t)
-	d := a.Evaluate(sig(3, resources.Constraints{Cores: 64}, 0, 1, 1))
+	d := a.decide(sig(3, resources.Constraints{Cores: 64}, 0, 1, 1))
 	if d.Delta != 0 || d.Reason != "no-variant" {
 		t.Fatalf("unservable starvation = %+v, want no-variant hold", d)
 	}
@@ -157,14 +157,14 @@ func TestEvaluateBacklogGrowsTowardPlan(t *testing.T) {
 	pool := resources.NewPool()
 	c := resources.Constraints{Cores: 1}
 
-	d := a.Evaluate(sig(40, c, 1, 1, 1))
+	d := a.decide(sig(40, c, 1, 1, 1))
 	if d.Delta != +1 || d.Reason != "backlog" {
 		t.Fatalf("deep queue decision = %+v, want backlog grow", d)
 	}
 	// Execute grows until the fleet covers the plan; the analyzer must
 	// then report "planned", not keep buying.
 	for i := 0; i < 32; i++ {
-		d = a.Evaluate(sig(40, c, 1, 1, 1))
+		d = a.decide(sig(40, c, 1, 1, 1))
 		if d.Delta <= 0 {
 			break
 		}
@@ -223,7 +223,7 @@ func TestEvaluateReapsDrainedUnderLoad(t *testing.T) {
 	}
 	// One ready task on an 9-core pool is far below the threshold:
 	// neither backlog nor idle, but the corpse must still be reaped.
-	d := a.Evaluate(sig(1, resources.Constraints{Cores: 1}, 2, 8, 8))
+	d := a.decide(sig(1, resources.Constraints{Cores: 1}, 2, 8, 8))
 	if d.Delta != -1 || d.Reason != "reap" || d.Tier != "fog" {
 		t.Fatalf("decision with drained node = %+v, want fog reap", d)
 	}
@@ -281,7 +281,7 @@ func TestEvaluateMonotoneInReady(t *testing.T) {
 	prev := -2
 	for ready := 0; ready <= 100; ready++ {
 		a, _, _ := cloudFog(t)
-		d := a.Evaluate(sig(ready, resources.Constraints{Cores: 1}, 1, 2, 2))
+		d := a.decide(sig(ready, resources.Constraints{Cores: 1}, 1, 2, 2))
 		if d.Delta < prev {
 			t.Fatalf("Ready=%d: Delta %d < previous %d", ready, d.Delta, prev)
 		}

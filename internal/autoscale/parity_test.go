@@ -198,7 +198,7 @@ func TestParityGrowthSequence(t *testing.T) {
 	}
 	baseNode.Release(parityHold)
 	close(gate)
-	rt.RevalidateAvailability()
+	rt.Engine().RevalidateAvailability()
 	rt.Shutdown()
 }
 

@@ -12,7 +12,7 @@ import (
 // thresholdDelta evaluates the planner on the pool's current state with
 // the given ready-queue depth: +1 grow, -1 shrink, 0 hold.
 func thresholdDelta(a *Autoscaler, pool *resources.Pool, ready int) int {
-	return a.Evaluate(Signals{Ready: ready, FreeCores: pool.FreeCores(), TotalCores: pool.TotalCores()}).Delta
+	return a.decide(Signals{Ready: ready, FreeCores: pool.FreeCores(), TotalCores: pool.TotalCores()}).Delta
 }
 
 func TestThresholdGrowAndShrink(t *testing.T) {

@@ -178,9 +178,9 @@ func TestTierHammer(t *testing.T) {
 				return fmt.Errorf("%s: %d elastic nodes, Max %d", tr.Name, len(tr.elastic), tr.Max)
 			}
 			var members []string
-			for _, name := range pool.Names() {
-				if strings.HasPrefix(name, tr.Name+"-") {
-					members = append(members, name)
+			for _, n := range pool.Nodes() {
+				if strings.HasPrefix(n.Name(), tr.Name+"-") {
+					members = append(members, n.Name())
 				}
 			}
 			if len(members) != len(tr.elastic) {

@@ -100,7 +100,7 @@ func TestKilledExecutionKeepsItsArguments(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	_ = rt.Pool().Add(resources.NewNode("w1", resources.Description{Cores: 1, MemoryMB: 4000, SpeedFactor: 1}))
+	_ = rt.cfg.Pool.Add(resources.NewNode("w1", resources.Description{Cores: 1, MemoryMB: 4000, SpeedFactor: 1}))
 	rt.SetInitial(h, 2)
 	if _, err := rt.FailNode("w0"); err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ func TestCheckpointWriterHammer(t *testing.T) {
 	_ = pool.Add(resources.NewNode("n0", resources.Description{Cores: 4, MemoryMB: 8000, SpeedFactor: 1}))
 	rt := newRT(t, Config{
 		Pool: pool, Locations: newRegistry(), Net: flatNet(),
-		Checkpoint: &checkpoint.Config{Store: store, Policy: checkpoint.EveryN(1), Delta: true, CompactEvery: 3},
+		Checkpoint: &checkpoint.Config{Store: store, Policy: checkpoint.EveryN(1)},
 	})
 	if err := rt.Register(TaskDef{Name: "inc", Fn: func(_ context.Context, args []any) ([]any, error) {
 		return []any{args[0].(int) + 1}, nil

@@ -66,9 +66,6 @@ var (
 	// SubmitAll resolves the rejected request's Future with it while the
 	// rest of the batch proceeds.
 	ErrQuotaRejected = errors.New("core: submission rejected by admission quota")
-	// ErrNoCheckpoint is returned by Runtime.Checkpoint without a
-	// configured store — the same sentinel the simulator returns.
-	ErrNoCheckpoint = host.ErrNoCheckpoint
 	// ErrForeignHandle refuses a handle another Runtime made: Submit,
 	// SubmitAll and WaitOn return it, SetInitial and CurrentVersion panic
 	// with it.
@@ -144,9 +141,6 @@ type Handle struct {
 	cur  *cell // the newest registered version's (rt.mu)
 	init *cell // version 0's, which SetInitial writes
 }
-
-// ID returns the underlying data ID.
-func (h *Handle) ID() deps.DataID { return h.id }
 
 // latch is a one-shot event under a small mutex — a leaf: never held while
 // calling out — whose channel is made only if somebody asks to wait on it.
@@ -1095,7 +1089,7 @@ func (rt *Runtime) Barrier() {
 		rt.idle.Wait()
 	}
 	rt.idle.L.Unlock()
-	rt.Drained() // the on-drain checkpoint trigger
+	_ = rt.Drained() // the on-drain checkpoint trigger; a failed write is kept for FlushCheckpoints
 }
 
 // Stats summarises runtime activity.
@@ -1130,12 +1124,6 @@ func (rt *Runtime) cancelKilled(et *engine.Task) {
 		ctx.cancel()
 	}
 }
-
-// Pool exposes the node pool (for agents that add/remove resources at
-// execution time, paper Sec. VI-B). After growing the pool mid-run,
-// call RevalidateAvailability so tasks parked on unreachable data get a
-// chance on the new capacity.
-func (rt *Runtime) Pool() *resources.Pool { return rt.cfg.Pool }
 
 // CurrentVersion reports the newest registered version of a handle.
 func (rt *Runtime) CurrentVersion(h *Handle) deps.Version {

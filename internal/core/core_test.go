@@ -368,8 +368,8 @@ func TestTraceAndProvenance(t *testing.T) {
 		t.Fatalf("completed events = %d", tr.Count(trace.TaskCompleted))
 	}
 	// y's version 1 must descend from x's version 1.
-	anc := prov.Ancestry(deps.Version{Data: y.ID(), Ver: 1})
-	if len(anc) != 1 || anc[0] != (deps.Version{Data: x.ID(), Ver: 1}) {
+	anc := prov.Ancestry(deps.Version{Data: y.id, Ver: 1})
+	if len(anc) != 1 || anc[0] != (deps.Version{Data: x.id, Ver: 1}) {
 		t.Fatalf("ancestry = %v", anc)
 	}
 }
@@ -386,7 +386,7 @@ func TestProvenanceMergesCommutativeMembers(t *testing.T) {
 	if _, err := rt.Submit("set", In(0), Write(acc)); err != nil {
 		t.Fatal(err)
 	}
-	want := []deps.Version{{Data: acc.ID(), Ver: 1}}
+	want := []deps.Version{{Data: acc.id, Ver: 1}}
 	for i := 0; i < 3; i++ {
 		x := rt.NewData()
 		if _, err := rt.Submit("set", In(i), Write(x)); err != nil {
@@ -395,11 +395,11 @@ func TestProvenanceMergesCommutativeMembers(t *testing.T) {
 		if _, err := rt.Submit("add", Read(x), Reduce(acc)); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, deps.Version{Data: x.ID(), Ver: 1})
+		want = append(want, deps.Version{Data: x.id, Ver: 1})
 	}
 	rt.Barrier()
 	sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
-	got := prov.Ancestry(deps.Version{Data: acc.ID(), Ver: 1})
+	got := prov.Ancestry(deps.Version{Data: acc.id, Ver: 1})
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("ancestry of the reduced version = %v, want %v", got, want)
 	}
@@ -598,7 +598,7 @@ func TestTraceEventsCarryTimestamps(t *testing.T) {
 	if len(spans) != 1 {
 		t.Fatalf("spans = %d", len(spans))
 	}
-	if spans[0].Duration() < 5*time.Millisecond {
-		t.Fatalf("span duration %v, want ≥ 5ms", spans[0].Duration())
+	if (spans[0].End - spans[0].Start) < 5*time.Millisecond {
+		t.Fatalf("span duration %v, want ≥ 5ms", (spans[0].End - spans[0].Start))
 	}
 }

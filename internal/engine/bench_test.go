@@ -112,7 +112,7 @@ func completedGraph(tb testing.TB, n int) (*engine.Engine, *transfer.Registry, *
 	for id := 1; id <= n; id++ {
 		ts = append(ts, &engine.Task{
 			ID: int64(id), Class: "bench", EstDuration: time.Second,
-			OutputKeys: []transfer.Key{{Data: deps.DataID(id), Ver: 1}},
+			OutputKeys: []deps.Version{{Data: deps.DataID(id), Ver: 1}},
 		})
 		prods = append(prods, nil)
 		if len(ts) == batch {

@@ -20,10 +20,13 @@
 // completion and before the next placement wave, so an every-N snapshot
 // captures the identical post-completion, pre-placement state on either
 // backend — the invariant the checkpoint parity suite compares with
-// Equivalent. That goroutine captures and no more: the first base, then
-// O(changes) deltas. One writer per Checkpointer folds each delta, encodes
-// and writes, compacting bases included — a base is a fold, not a capture
-// (ckpt.go) — and the store may be read once the host has flushed it.
+// Equivalent. Every trigger takes the one cadence: a base, then
+// O(changes) deltas, with every eighth save after it a compacting base.
+// That goroutine captures and no more. One writer per Checkpointer folds
+// each delta, encodes and writes, compacting bases included — a base is a
+// fold, not a capture (ckpt.go) — and the store may be read once the host
+// has flushed it; a write that failed is reported by that flush, never
+// dropped.
 //
 // On disk a snapshot is Format 3: the encoding/gob form of a private wire
 // struct that lays Snapshot out in columns (wire.go) — the catalog as a

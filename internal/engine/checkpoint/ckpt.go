@@ -1,24 +1,28 @@
 // The Checkpointer: who captures, who folds and writes, and when the
 // store may be read.
 //
-// Capturing is the backend's: the goroutine that drives the engine (the
-// simulator's, or whichever live goroutine completed the triggering task)
-// takes the first base with CheckpointBase and, at every trigger after
-// it, a delta with CheckpointDelta — O(changes), compactions and full
-// mode included. It queues the capture and goes on. One writer goroutine
-// takes the queue in capture order: it folds every delta into a running
-// state with the merger Store.Latest reconstructs with, writes the delta
-// as it stands, or — when the cadence calls for a base (the chain holds
-// CompactEvery deltas, or every save in full mode) — writes the fold as
-// that base. The fold of a clean chain is the state a CaptureBase would
-// have found at that instant, so the file is the same bytes. At most
+// Every trigger — the interval tick, every N completions, the drain —
+// takes the one save path. Capturing is the backend's: the goroutine that
+// drives the engine (the simulator's, or whichever live goroutine
+// completed the triggering task) takes the first base with
+// CheckpointBase and, at every trigger after it, a delta with
+// CheckpointDelta — O(changes), compactions included. It queues the
+// capture and goes on. One writer goroutine takes the queue in capture
+// order: it folds every delta into a running state with the merger
+// Store.Latest reconstructs with, writes the delta as it stands, or —
+// once the chain holds compactEvery deltas — writes the fold as a fresh
+// base. The fold of a clean chain is the state a CaptureBase would have
+// found at that instant, so the file is the same bytes. At most
 // maxUnwritten saves wait for the writer; a capture blocks only beyond
 // that. The writer exists only while saves are queued: it is started by
 // the save that finds none running and exits when the queue is empty.
 //
 // The store holds every queued save once Flush, Drained or Stop returns —
 // the host reaches them at the end of a simulation run, at the live
-// runtime's Barrier and at Shutdown — so that is when a caller may read it.
+// runtime's Barrier and at Shutdown — so that is when a caller may read
+// it. A write that fails is kept, the first one only, and Flush and
+// Drained return it: the simulator's Run joins it to its own error, and a
+// live caller reads it from the host's FlushCheckpoints.
 package checkpoint
 
 import (
@@ -34,9 +38,6 @@ import (
 // backends: the shared engine's state plus the location registry, with
 // the live runtime's encoded output values attached through a hook.
 type Source interface {
-	// CheckpointSnapshot captures the full state without touching the
-	// dirty sets (the on-demand and drain saves).
-	CheckpointSnapshot() *Snapshot
 	// CheckpointBase captures the full state and resets the dirty sets,
 	// starting a delta chain.
 	CheckpointBase() *Snapshot
@@ -47,11 +48,11 @@ type Source interface {
 	CheckpointDirty() int
 }
 
-// DefaultCompactEvery is the delta-chain length at which the
-// Checkpointer writes a fresh base when Config.CompactEvery is unset:
-// long enough that base cost amortises to a small constant per capture,
-// short enough that reconstruction replays a bounded chain.
-const DefaultCompactEvery = 8
+// compactEvery is the delta-chain length after which the writer writes
+// its fold as a fresh base: long enough that base cost amortises to a
+// small constant per save, short enough that reconstruction replays a
+// bounded chain.
+const compactEvery = 8
 
 // maxUnwritten is how many captured saves may wait for the writer before
 // the next capture blocks.
@@ -61,17 +62,12 @@ const maxUnwritten = 2
 type Config struct {
 	// Store receives snapshots. Required.
 	Store *Store
-	// Policy decides when snapshots are taken automatically.
+	// Policy decides when snapshots are taken.
 	Policy Policy
-	// Delta switches automatic saves to incremental mode: a full base
-	// first, then deltas carrying only the changes since the previous
-	// save, with a fresh base (compaction) every CompactEvery deltas.
-	// On-demand Save and the drain save always write full snapshots.
+	// Delta is read by nothing: every save is a base or a delta folded
+	// on the one cadence. It stays because the benchmark harness
+	// (bench/sim.go) sets it, and goes when that harness next changes.
 	Delta bool
-	// CompactEvery is the number of consecutive deltas after which the
-	// next automatic save writes a full base instead (default
-	// DefaultCompactEvery).
-	CompactEvery int
 	// Metrics, when set, records capture wall time, per-delta dirty-set
 	// size and save counts. Capture cost is real serialization work, so
 	// it is measured on the wall clock even under the simulator — these
@@ -80,15 +76,13 @@ type Config struct {
 	Metrics *obsv.CkptMetrics
 }
 
-// save is one queued write: a full capture written as it stands (seed:
-// the first base, which also starts the fold), or a delta the writer
-// folds and then writes — as itself, or with compact as the fold.
+// save is one queued write: the first base (snap), written as it stands
+// and seeding the fold, or a delta the writer folds and then writes — as
+// itself, or with compact as the fold.
 type save struct {
 	snap    *Snapshot
 	d       *Delta
-	seed    bool
 	compact bool
-	done    chan error // an on-demand Save waiting for its own write
 }
 
 // Checkpointer drives a Source against a Store under a Policy. The host
@@ -109,13 +103,13 @@ type Checkpointer struct {
 	chainLen int // deltas since the last base
 	seq      int // the store sequence number of the newest queued save
 
-	mu         sync.Mutex
-	written    *sync.Cond // broadcast on every finished write; waits on mu
-	queue      []save
-	unwritten  int   // queued or being written
-	writing    bool  // the writer goroutine is running
-	unreported error // an automatic save's failure the next Save returns
-	stopped    bool
+	mu        sync.Mutex
+	written   *sync.Cond // broadcast on every finished write; waits on mu
+	queue     []save
+	unwritten int   // queued or being written
+	writing   bool  // the writer goroutine is running
+	failed    error // the first write that failed; Flush and Drained return it
+	stopped   bool
 
 	fold *merger // the writer's running state; only the writer touches it
 }
@@ -159,43 +153,20 @@ func (c *Checkpointer) TaskCompleted() {
 }
 
 // Drained notifies the checkpointer that every submitted task has
-// finished (the ModeOnDrain trigger) and returns once every queued save
-// is written.
-func (c *Checkpointer) Drained() {
+// finished (the ModeOnDrain trigger), returns once every queued save is
+// written, and reports the first write that failed, as Flush does.
+func (c *Checkpointer) Drained() error {
 	if c.cfg.Policy.Mode == ModeOnDrain {
-		_ = c.Save()
-		return
+		c.autoSave()
 	}
-	c.Flush()
+	return c.Flush()
 }
 
-// Save captures and persists one full snapshot immediately, regardless
-// of policy — the on-demand checkpoint — and returns its write's error,
-// or else the failure of an automatic save not yet reported. The capture
-// is side-effect-free (dirty sets are left alone), so an explicit Save
-// never perturbs a running delta chain: the next delta simply carries a
-// superset of the changes, and absolute records make re-application
-// harmless.
-func (c *Checkpointer) Save() error {
-	c.capture.Lock()
-	if !c.reserve() {
-		c.capture.Unlock()
-		return nil
-	}
-	start := time.Now()
-	snap := c.src.CheckpointSnapshot()
-	c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
-	done := make(chan error, 1)
-	c.enqueue(save{snap: snap, done: done}, snap.At)
-	c.capture.Unlock()
-	return <-done
-}
-
-// autoSave is the policy-triggered capture. It is change-aware: the first
+// autoSave is every trigger's one save. It is change-aware: the first
 // save captures a base, an idle trigger (no changes since the last
 // capture) is skipped outright, and every later one captures a delta the
-// writer folds — and writes as a compacting base every CompactEvery
-// deltas in delta mode, every time in full mode.
+// writer folds — and writes as a compacting base once the chain holds
+// compactEvery deltas.
 func (c *Checkpointer) autoSave() {
 	c.capture.Lock()
 	defer c.capture.Unlock()
@@ -210,14 +181,10 @@ func (c *Checkpointer) autoSave() {
 		snap := c.src.CheckpointBase()
 		c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
 		c.haveBase = true
-		c.enqueue(save{snap: snap, seed: true}, snap.At)
+		c.enqueue(save{snap: snap}, snap.At)
 		return
 	}
-	compactEvery := c.cfg.CompactEvery
-	if compactEvery <= 0 {
-		compactEvery = DefaultCompactEvery
-	}
-	compact := !c.cfg.Delta || c.chainLen >= compactEvery
+	compact := c.chainLen >= compactEvery
 	if !compact {
 		c.cfg.Metrics.DirtyRecords.Observe(float64(c.src.CheckpointDirty()))
 	}
@@ -254,9 +221,6 @@ func (c *Checkpointer) enqueue(sv save, at time.Duration) {
 	c.mu.Lock()
 	if c.stopped {
 		c.mu.Unlock()
-		if sv.done != nil {
-			sv.done <- nil
-		}
 		return
 	}
 	c.queue = append(c.queue, sv)
@@ -296,15 +260,8 @@ func (c *Checkpointer) write() {
 			if delta {
 				c.cfg.Metrics.DeltaSaves.Inc()
 			}
-		case sv.done == nil:
-			c.unreported = err
-		}
-		if sv.done != nil {
-			if err == nil {
-				err = c.unreported
-			}
-			c.unreported = nil
-			sv.done <- err
+		case c.failed == nil:
+			c.failed = err
 		}
 		c.written.Broadcast()
 	}
@@ -315,11 +272,9 @@ func (c *Checkpointer) write() {
 // persist folds and writes one save, reporting whether it wrote a delta.
 func (c *Checkpointer) persist(sv save) (delta bool, err error) {
 	switch {
-	case sv.d == nil:
+	case sv.snap != nil:
 		_, err = c.cfg.Store.Save(sv.snap)
-		if sv.seed {
-			c.fold = newMerger(sv.snap)
-		}
+		c.fold = newMerger(sv.snap)
 	case sv.compact:
 		c.fold.apply(sv.d)
 		_, err = c.cfg.Store.Save(c.fold.snapshot())
@@ -332,22 +287,25 @@ func (c *Checkpointer) persist(sv save) (delta bool, err error) {
 }
 
 // Flush returns once every save queued so far is written and the writer
-// has left.
-func (c *Checkpointer) Flush() {
+// has left, with the first write that failed (nil when none has). The
+// failure is kept: every later Flush reports it again.
+func (c *Checkpointer) Flush() error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for c.writing {
 		c.written.Wait()
 	}
-	c.mu.Unlock()
+	return c.failed
 }
 
 // Stop disables further snapshots (armed interval callbacks become
-// no-ops) and returns once the saves already queued are written. Pending
-// wall timers are not cancelled, only neutered.
+// no-ops) and returns once the saves already queued are written; a failed
+// one stays for Flush to report. Pending wall timers are not cancelled,
+// only neutered.
 func (c *Checkpointer) Stop() {
 	c.mu.Lock()
 	c.stopped = true
 	c.written.Broadcast() // a capture waiting for room gives up
 	c.mu.Unlock()
-	c.Flush()
+	_ = c.Flush() // a failed write is kept for the next Flush
 }

@@ -24,7 +24,7 @@
 // missing link freezes the reconstruction at the longest valid prefix —
 // damage costs the tail of one chain, never the run. Compaction is the
 // Checkpointer's writer writing its fold of the chain as a fresh base every
-// CompactEvery deltas, which both bounds reconstruction work and gives
+// compactEvery deltas, which both bounds reconstruction work and gives
 // retention a safe pruning unit (whole chains; see Store.pruneLocked).
 package checkpoint
 

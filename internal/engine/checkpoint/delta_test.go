@@ -184,8 +184,8 @@ func TestDeltaMidChainFullSnapshotResetsChain(t *testing.T) {
 	if _, err := store.SaveDelta(&Delta{Format: Format, Tasks: []engine.TaskSnap{doneRecord(2)}}); err != nil {
 		t.Fatal(err)
 	}
-	// An on-demand full save lands mid-chain (explicit Checkpointer.Save
-	// does exactly this). It subsumes the chain so far and resets it.
+	// A base lands mid-chain (a compaction writes exactly this). It
+	// subsumes the chain so far and resets it.
 	full := chainBase()
 	full.Tasks[1] = doneRecord(2)
 	full.At = 5 * time.Second
@@ -274,10 +274,6 @@ type fakeSource struct {
 	bases     int   // CheckpointBase calls
 }
 
-func (f *fakeSource) CheckpointSnapshot() *Snapshot {
-	return &Snapshot{Format: Format, Stats: engine.Stats{Completed: int(f.completed)}}
-}
-
 func (f *fakeSource) CheckpointBase() *Snapshot {
 	f.bases++
 	f.completed += int64(f.dirty)
@@ -298,57 +294,10 @@ func (f *fakeSource) CheckpointDelta() *Delta {
 
 func (f *fakeSource) CheckpointDirty() int { return f.dirty }
 
+// TestCheckpointerDeltaCadenceAndSkip: the one cadence — a captured base,
+// compactEvery deltas, then the fold written as a base — with an idle
+// trigger skipped and every later base a fold, not a capture.
 func TestCheckpointerDeltaCadenceAndSkip(t *testing.T) {
-	store, err := NewStore(t.TempDir(), Keep(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &fakeSource{}
-	met := obsv.NewCkptMetrics(obsv.NewRegistry())
-	c := NewCheckpointer(Config{
-		Store: store, Policy: EveryN(1), Delta: true, CompactEvery: 2, Metrics: met,
-	}, src, nil)
-	defer c.Stop()
-
-	complete := func(changes int) {
-		src.dirty += changes
-		c.TaskCompleted()
-	}
-	complete(1) // first save: base, the one base captured
-	complete(1) // delta (chain length 1)
-	complete(1) // delta (chain length 2 = CompactEvery)
-	complete(1) // compaction: a delta captured, the fold written as a base
-	c.Flush()
-	before := len(store.Snapshots())
-	complete(0) // idle trigger: skipped outright
-	c.Flush()
-	if n := len(store.Snapshots()); n != before {
-		t.Fatalf("the idle trigger took the store from %d files to %d, want no new file", before, n)
-	}
-	complete(1) // delta on the new chain
-	c.Flush()
-
-	// Saves counts every persisted file; 2 of the 5 are bases.
-	if src.bases != 1 {
-		t.Fatalf("CheckpointBase called %d times, want once: later bases are folds", src.bases)
-	}
-	if met.Saves.Value() != 5 || met.DeltaSaves.Value() != 3 {
-		t.Fatalf("saves=%d deltaSaves=%d, want 5/3", met.Saves.Value(), met.DeltaSaves.Value())
-	}
-	bases, deltas := chainFiles(t, store)
-	if len(bases) != 2 || len(deltas) != 3 {
-		t.Fatalf("%d bases + %d deltas on disk, want 2 + 3", len(bases), len(deltas))
-	}
-	snap, err := store.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Stats.Completed != 5 {
-		t.Fatalf("reconstructed %d completions, want 5", snap.Stats.Completed)
-	}
-}
-
-func TestCheckpointerFullModeSkipsCleanIntervals(t *testing.T) {
 	store, err := NewStore(t.TempDir(), Keep(1000))
 	if err != nil {
 		t.Fatal(err)
@@ -358,29 +307,52 @@ func TestCheckpointerFullModeSkipsCleanIntervals(t *testing.T) {
 	c := NewCheckpointer(Config{Store: store, Policy: EveryN(1), Metrics: met}, src, nil)
 	defer c.Stop()
 
-	src.dirty = 1
-	c.TaskCompleted() // full save: the base capture
-	c.Flush()
-	c.TaskCompleted() // clean: skipped, no file
-	c.Flush()
-	if n := len(store.Snapshots()); n != 1 {
-		t.Fatalf("%d files on disk after the clean interval, want the base alone", n)
+	complete := func(changes int) {
+		src.dirty += changes
+		c.TaskCompleted()
 	}
-	src.dirty = 1
-	c.TaskCompleted() // full save: a delta captured, the fold written
-	c.Flush()
+	complete(1) // first save: base, the one base captured
+	for i := 0; i < compactEvery; i++ {
+		complete(1) // deltas, chain lengths 1..compactEvery
+	}
+	complete(1) // compaction: a delta captured, the fold written as a base
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := len(store.Snapshots())
+	complete(0) // idle trigger: skipped outright
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(store.Snapshots()); n != before {
+		t.Fatalf("the idle trigger took the store from %d files to %d, want no new file", before, n)
+	}
+	complete(1) // delta on the new chain
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
+	// Saves counts every persisted file; 2 of them are bases.
+	const saves = compactEvery + 3
 	if src.bases != 1 {
-		t.Fatalf("CheckpointBase called %d times, want once: later full saves are folds", src.bases)
+		t.Fatalf("CheckpointBase called %d times, want once: later bases are folds", src.bases)
 	}
-	if snap, err := store.Latest(); err != nil || snap.Stats.Completed != 2 || !slices.Equal(filed(snap, engine.Done), []int64{2}) {
-		t.Fatalf("latest full save: %+v, %v; want 2 completions on the books, task 2 recorded", snap, err)
+	if met.Saves.Value() != saves || met.DeltaSaves.Value() != saves-2 {
+		t.Fatalf("saves=%d deltaSaves=%d, want %d/%d", met.Saves.Value(), met.DeltaSaves.Value(), saves, saves-2)
 	}
-	if met.Saves.Value() != 2 || met.DeltaSaves.Value() != 0 {
-		t.Fatalf("saves=%d deltaSaves=%d, want 2/0", met.Saves.Value(), met.DeltaSaves.Value())
+	bases, deltas := chainFiles(t, store)
+	if len(bases) != 2 || len(deltas) != saves-2 {
+		t.Fatalf("%d bases + %d deltas on disk, want 2 + %d", len(bases), len(deltas), saves-2)
 	}
-	if files := store.Snapshots(); len(files) != 2 {
-		t.Fatalf("%d files on disk, want 2", len(files))
+	snap, err := store.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Stats.Completed != saves {
+		t.Fatalf("reconstructed %d completions, want %d", snap.Stats.Completed, saves)
+	}
+	if done := filed(snap, engine.Done); len(done) != saves-1 || done[len(done)-1] != saves {
+		t.Fatalf("reconstructed completed records %v, want 2..%d (the base captured none)", done, saves)
 	}
 }
 

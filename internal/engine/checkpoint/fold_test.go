@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -90,10 +91,10 @@ func sameBases(t *testing.T, store *checkpoint.Store, probes map[int]*checkpoint
 	return folded
 }
 
-// everyTwo is the sweep's cadence: a save every 2 completions, deltas
-// compacted every 3, so each case folds several chains.
-func everyTwo(store *checkpoint.Store) *checkpoint.Config {
-	return &checkpoint.Config{Store: store, Policy: checkpoint.EveryN(2), Delta: true, CompactEvery: 3}
+// everyOne is the sweep's cadence: a save after every completion, so
+// every case longer than one chain folds a base.
+func everyOne(store *checkpoint.Store) *checkpoint.Config {
+	return &checkpoint.Config{Store: store, Policy: checkpoint.EveryN(1)}
 }
 
 func newStore(t *testing.T) *checkpoint.Store {
@@ -122,7 +123,7 @@ func foldSim(t *testing.T, c workloads.ConformanceCase) (folded int) {
 	}
 	sim, err := infra.New(infra.Config{
 		Pool: onePool(c.Node), Net: simnet.New(simnet.Link{BandwidthMBps: 1000}), Policy: sched.FIFO{},
-		StageIn: c.StageIn, Checkpoint: everyTwo(store),
+		StageIn: c.StageIn, Checkpoint: everyOne(store),
 	}, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +142,7 @@ func foldLive(t *testing.T, c workloads.ConformanceCase) (folded int) {
 	store := newStore(t)
 	rt := core.New(core.Config{
 		Pool: onePool(c.Node), Policy: sched.FIFO{}, Locations: transfer.NewRegistry(),
-		Net: simnet.New(simnet.Link{BandwidthMBps: 1000}), Checkpoint: everyTwo(store),
+		Net: simnet.New(simnet.Link{BandwidthMBps: 1000}), Checkpoint: everyOne(store),
 	})
 	defer rt.Shutdown()
 	probes := probeBases(t, func() *checkpoint.Snapshot { return rt.CheckpointSnapshot() })
@@ -215,7 +216,7 @@ func TestFoldedBaseIsTheCapturedBase(t *testing.T) {
 		specs := workloads.IterativeStencil(12, 1024, time.Second)
 		sim, err := infra.New(infra.Config{
 			Pool: pool, Net: simnet.New(simnet.Link{BandwidthMBps: 1000}), Policy: sched.Locality{},
-			Checkpoint: &checkpoint.Config{Store: store, Policy: checkpoint.Interval(20 * time.Second), Delta: true, CompactEvery: 3},
+			Checkpoint: &checkpoint.Config{Store: store, Policy: checkpoint.Interval(20 * time.Second)},
 		}, specs)
 		if err != nil {
 			t.Fatal(err)
@@ -245,7 +246,7 @@ func stencilSim(t *testing.T, store *checkpoint.Store, cfg infra.Config) *infra.
 	}
 	cfg.Net = simnet.New(simnet.Link{BandwidthMBps: 1000})
 	cfg.Policy = sched.Locality{}
-	cfg.Checkpoint = &checkpoint.Config{Store: store, Policy: checkpoint.Interval(10 * time.Second), Delta: true, CompactEvery: 3, Metrics: cfg.Checkpoint.Metrics}
+	cfg.Checkpoint = &checkpoint.Config{Store: store, Policy: checkpoint.Interval(10 * time.Second), Metrics: cfg.Checkpoint.Metrics}
 	sim, err := infra.New(cfg, workloads.IterativeStencil(12, 256, time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +256,8 @@ func stencilSim(t *testing.T, store *checkpoint.Store, cfg infra.Config) *infra.
 
 // TestCheckpointWriterDrains: whoever reads the store after Run sees every
 // save the run queued, the writer goroutine is gone, and a writer whose
-// directory vanished mid-run fails its saves without holding Run up.
+// directory vanished mid-run fails its saves without holding Run up —
+// and Run reports the failure.
 func TestCheckpointWriterDrains(t *testing.T) {
 	t.Run("halted", func(t *testing.T) {
 		baseline := runtime.NumGoroutine()
@@ -304,14 +306,13 @@ func TestCheckpointWriterDrains(t *testing.T) {
 			}
 			return false
 		})
-		if _, err := sim.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
+		_, err = sim.Run()
+		var errno syscall.Errno // the operating system's refusal, whichever call met it
+		if !errors.As(err, &errno) {
+			t.Fatalf("Run: %v, want the failed write's error", err)
 		}
 		if met.Saves.Value() == 0 {
 			t.Fatal("no save landed before the directory went")
-		}
-		if err := sim.Checkpoint(); err == nil {
-			t.Fatal("Checkpoint after failed writes returned nil")
 		}
 	})
 }
@@ -339,7 +340,7 @@ func TestCheckpointTraceDeterministic(t *testing.T) {
 			names = append(names, e.Info)
 		}
 	}
-	if len(names) < 5 || names[0] != "snap-000001" || names[1] != "delta-000002" || names[4] != "snap-000005" {
-		t.Fatalf("checkpoint events %v, want snap-000001, delta-000002..4, snap-000005 (compacted), ...", names)
+	if len(names) < 10 || names[0] != "snap-000001" || names[1] != "delta-000002" || names[8] != "delta-000009" || names[9] != "snap-000010" {
+		t.Fatalf("checkpoint events %v, want snap-000001, delta-000002..9, snap-000010 (compacted), ...", names)
 	}
 }

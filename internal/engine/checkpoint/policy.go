@@ -12,15 +12,16 @@ type Mode int
 
 // Checkpoint modes.
 const (
-	// ModeOff disables automatic snapshots (on-demand Save still works).
+	// ModeOff disables snapshots.
 	ModeOff Mode = iota
 	// ModeInterval snapshots every Policy.Every of backend time — virtual
 	// time on the simulator, wall time live (Checkpointer.Tick).
 	ModeInterval
 	// ModeEveryN snapshots after every Policy.N task completions.
 	ModeEveryN
-	// ModeOnDrain snapshots once, when the backend reports that all
-	// submitted work has finished.
+	// ModeOnDrain snapshots whenever the backend reports that all
+	// submitted work has finished — the simulator's end of run, every
+	// live Barrier — and skips a drain that changed nothing.
 	ModeOnDrain
 )
 

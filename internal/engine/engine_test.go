@@ -185,9 +185,9 @@ func TestResubmitRecomputesLostLineage(t *testing.T) {
 	p := pool(2, 2)
 	reg := transfer.NewRegistry()
 	e, exec := newEngine(t, p, reg)
-	k := transfer.Key{Data: 1, Ver: 1}
-	e.Add(&engine.Task{ID: 1, OutputKeys: []transfer.Key{k}}, nil, 0)
-	e.Add(&engine.Task{ID: 2, InputKeys: []transfer.Key{k}}, []deps.TaskID{1}, 0)
+	k := deps.Version{Data: 1, Ver: 1}
+	e.Add(&engine.Task{ID: 1, OutputKeys: []deps.Version{k}}, nil, 0)
+	e.Add(&engine.Task{ID: 2, InputKeys: []deps.Version{k}}, []deps.TaskID{1}, 0)
 	e.Schedule()
 
 	// Run the producer to completion.
@@ -349,11 +349,11 @@ func TestTransferAccounting(t *testing.T) {
 	p := pool(2, 1)
 	reg := transfer.NewRegistry()
 	e, exec := newEngine(t, p, reg)
-	k := transfer.Key{Data: 9, Ver: 0}
+	k := deps.Version{Data: 9, Ver: 0}
 	reg.SetSize(k, 1e6)
 	reg.AddReplica(k, "b")
 	// FIFO places on node "a"; the input lives on "b" ⇒ one move.
-	e.Add(&engine.Task{ID: 1, InputKeys: []transfer.Key{k}}, nil, 0)
+	e.Add(&engine.Task{ID: 1, InputKeys: []deps.Version{k}}, nil, 0)
 	e.Schedule()
 	pl, ok := exec.pop()
 	if !ok {

@@ -226,13 +226,9 @@ func Run(tm Timer, inj Injector, s Scenario) (*Drill, error) {
 }
 
 // WallTimer schedules callbacks on real time, measured from its creation —
-// the live runtime's Timer. Stop cancels events that have not fired (their
-// Drill slots never complete, so use Stop only when abandoning a drill).
+// the live runtime's Timer.
 type WallTimer struct {
 	epoch time.Time
-
-	mu     sync.Mutex
-	timers []*time.Timer
 }
 
 // NewWallTimer returns a timer whose epoch is now.
@@ -246,17 +242,5 @@ func (w *WallTimer) At(t time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.timers = append(w.timers, time.AfterFunc(d, fn))
-}
-
-// Stop cancels all pending callbacks.
-func (w *WallTimer) Stop() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, t := range w.timers {
-		t.Stop()
-	}
-	w.timers = nil
+	time.AfterFunc(d, fn)
 }

@@ -452,12 +452,12 @@ func TestAvailabilityRevalidateOnGrowth(t *testing.T) {
 		t.Fatalf("%d tasks parked, want 1", got)
 	}
 	// Grow the pool with a cloud node that CAN reach n0.
-	if err := rt.Pool().Add(resources.NewNode("n2", resources.Description{
+	if err := pool.Add(resources.NewNode("n2", resources.Description{
 		Cores: 1, MemoryMB: 8000, SpeedFactor: 1, Class: resources.Cloud,
 	})); err != nil {
 		t.Fatal(err)
 	}
-	if woken := rt.RevalidateAvailability(); woken != 1 {
+	if woken := rt.Engine().RevalidateAvailability(); woken != 1 {
 		t.Fatalf("RevalidateAvailability woke %d tasks, want 1", woken)
 	}
 	if v, err := fb.Wait(); err != nil || v[0] != 20 {

@@ -5,17 +5,22 @@ package engine_test
 // shared engine's state. Each backend checkpoints after every N
 // completions — the live runtime from its execute path, the simulator
 // from its completion events, both at the identical post-completion,
-// pre-placement instant — and the resulting snapshot sequences are
-// compared pairwise. The sweep runs the conformance generators on the
-// serialised single-core rig (full structural equivalence, including
-// the ready/pending frontier); a second test drives the scripted
-// fault-and-steal scenario and compares the durable facts (completed
-// set, data catalog, deterministic counters) at every snapshot.
+// pre-placement instant — and the states on disk after each save (the
+// chain up to it, reconstructed) are compared pairwise. The sweep runs
+// the conformance generators on the serialised single-core rig (full
+// structural equivalence, including the ready/pending frontier); a
+// second test drives the scripted fault-and-steal scenario and compares
+// the durable facts (completed set, data catalog, deterministic
+// counters) at every save.
 
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,25 +48,50 @@ func located(entries []checkpoint.CatalogEntry) []checkpoint.CatalogEntry {
 	return out
 }
 
-// loadAll loads every snapshot in a store, in sequence order.
-func loadAll(t *testing.T, store *checkpoint.Store) []*checkpoint.Snapshot {
+// saveStates returns the state each save in a store left on disk, in
+// sequence order: for every file, what Store.Latest reconstructs from the
+// directory as it stood right after that file was written — the newest
+// base up to it and the deltas between.
+func saveStates(t *testing.T, store *checkpoint.Store) []*checkpoint.Snapshot {
 	t.Helper()
-	var snaps []*checkpoint.Snapshot
-	for _, path := range store.Snapshots() {
-		snap, err := store.Load(path)
-		if err != nil {
-			t.Fatalf("load %s: %v", path, err)
+	files := store.Snapshots()
+	var states []*checkpoint.Snapshot
+	base := 0
+	for i, path := range files {
+		name := filepath.Base(path)
+		if !strings.HasPrefix(name, "delta-") {
+			base = i
 		}
-		snaps = append(snaps, snap)
+		prefix, err := checkpoint.NewStore(t.TempDir(), checkpoint.Keep(1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range files[base : i+1] {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(prefix.Dir(), filepath.Base(p)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := prefix.Latest()
+		if err != nil {
+			t.Fatalf("the chain up to %s: %v", name, err)
+		}
+		if seq, _ := strconv.Atoi(strings.Split(name, "-")[1]); snap.Seq != seq {
+			t.Fatalf("the chain up to %s reconstructs only to seq %d", name, snap.Seq)
+		}
+		states = append(states, snap)
 	}
-	return snaps
+	return states
 }
 
 // ckptSweepConfig is both backends' options for a sweep case with an
 // every-N checkpoint policy: a fresh pool, registry and store each call.
 // The case's stage-in is the simulator's StageIn and the live side's
 // SetInitial, so each arm sets it itself.
-func ckptSweepConfig(t *testing.T, c workloads.ConformanceCase, everyN int, steal engine.StealConfig, delta bool) host.Config {
+func ckptSweepConfig(t *testing.T, c workloads.ConformanceCase, everyN int, steal engine.StealConfig) host.Config {
 	t.Helper()
 	store, err := checkpoint.NewStore(t.TempDir(), checkpoint.Keep(1000))
 	if err != nil {
@@ -75,16 +105,16 @@ func ckptSweepConfig(t *testing.T, c workloads.ConformanceCase, everyN int, stea
 		Policy:     sched.FIFO{},
 		Locations:  transfer.NewRegistry(),
 		Steal:      steal,
-		Checkpoint: &checkpoint.Config{Store: store, Policy: checkpoint.EveryN(everyN), Delta: delta, CompactEvery: 3},
+		Checkpoint: &checkpoint.Config{Store: store, Policy: checkpoint.EveryN(everyN)},
 	}
 }
 
 // ckptSweepSim runs a conformance case on the simulator and returns the
-// store (delta mode persists a chain, not a flat snapshot list; use
-// Latest or loadAll as fits the mode).
-func ckptSweepSim(t *testing.T, c workloads.ConformanceCase, everyN int, steal engine.StealConfig, delta bool) *checkpoint.Store {
+// store and the state the run drained to, probed without touching the
+// dirty sets.
+func ckptSweepSim(t *testing.T, c workloads.ConformanceCase, everyN int, steal engine.StealConfig) (*checkpoint.Store, *checkpoint.Snapshot) {
 	t.Helper()
-	cfg := ckptSweepConfig(t, c, everyN, steal, delta)
+	cfg := ckptSweepConfig(t, c, everyN, steal)
 	cfg.StageIn = c.StageIn
 	specs := []infra.TaskSpec{{ID: 1, Class: "gate", Duration: time.Second}}
 	for i, spec := range c.Specs {
@@ -98,15 +128,15 @@ func ckptSweepSim(t *testing.T, c workloads.ConformanceCase, everyN int, steal e
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return cfg.Checkpoint.Store
+	return cfg.Checkpoint.Store, sim.CheckpointSnapshot()
 }
 
 // ckptSweepLive bridges the same case onto the live runtime (gate task
 // holding the single core until the whole workflow is queued) with the
 // identical options, staging the case's data in through SetInitial.
-func ckptSweepLive(t *testing.T, c workloads.ConformanceCase, everyN int, steal engine.StealConfig, delta bool) *checkpoint.Store {
+func ckptSweepLive(t *testing.T, c workloads.ConformanceCase, everyN int, steal engine.StealConfig) *checkpoint.Store {
 	t.Helper()
-	cfg := ckptSweepConfig(t, c, everyN, steal, delta)
+	cfg := ckptSweepConfig(t, c, everyN, steal)
 	rt := core.New(cfg)
 	defer rt.Shutdown()
 
@@ -187,25 +217,27 @@ func ckptSweepLive(t *testing.T, c workloads.ConformanceCase, everyN int, steal 
 
 // TestCheckpointParitySweep: full structural snapshot equivalence —
 // completed set, ready/running/pending frontier, data catalog and
-// deterministic counters — at every every-2-completions checkpoint,
-// across every conformance generator, with work stealing armed (the
-// FIFO policy never declines, so the knob must be a no-op in the books).
+// deterministic counters — of the state on disk after every
+// every-2-completions save, across every conformance generator, with
+// work stealing armed (the FIFO policy never declines, so the knob must
+// be a no-op in the books).
 func TestCheckpointParitySweep(t *testing.T) {
 	steal := engine.StealConfig{Mode: engine.StealOnIdle}
 	for _, c := range workloads.ConformanceSuite() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			simSnaps := loadAll(t, ckptSweepSim(t, c, 2, steal, false))
-			liveSnaps := loadAll(t, ckptSweepLive(t, c, 2, steal, false))
+			simStore, _ := ckptSweepSim(t, c, 2, steal)
+			simSnaps := saveStates(t, simStore)
+			liveSnaps := saveStates(t, ckptSweepLive(t, c, 2, steal))
 			if len(simSnaps) == 0 {
 				t.Fatal("simulator persisted no snapshots")
 			}
 			if len(simSnaps) != len(liveSnaps) {
-				t.Fatalf("snapshot counts diverge: sim %d vs live %d", len(simSnaps), len(liveSnaps))
+				t.Fatalf("save counts diverge: sim %d vs live %d", len(simSnaps), len(liveSnaps))
 			}
 			for i := range simSnaps {
 				if err := checkpoint.Equivalent(simSnaps[i], liveSnaps[i]); err != nil {
-					t.Fatalf("snapshot %d not equivalent: %v", i+1, err)
+					t.Fatalf("save %d not equivalent: %v", i+1, err)
 				}
 			}
 		})
@@ -215,8 +247,8 @@ func TestCheckpointParitySweep(t *testing.T) {
 // TestCheckpointParityWithFaultsAndSteal: the scripted slow/cut/crash
 // scenario of the fault-parity suite, re-run with work stealing on and a
 // checkpoint after every completion. The scheduling frontier legitimately
-// differs mid-script (the live side submits incrementally), so each
-// snapshot pair is compared on its durable facts: the completed set with
+// differs mid-script (the live side submits incrementally), so the
+// states after each save are compared on their durable facts: the completed set with
 // its outputs, the full data catalog, and the deterministic counters.
 func TestCheckpointParityWithFaultsAndSteal(t *testing.T) {
 	simStore, err := checkpoint.NewStore(t.TempDir(), checkpoint.Keep(1000))
@@ -231,8 +263,8 @@ func TestCheckpointParityWithFaultsAndSteal(t *testing.T) {
 	runFaultScriptSim(t, faultScriptConfig(steal, &checkpoint.Config{Store: simStore, Policy: checkpoint.EveryN(1)}))
 	runFaultScriptLive(t, faultScriptConfig(steal, &checkpoint.Config{Store: liveStore, Policy: checkpoint.EveryN(1)}))
 
-	simSnaps := loadAll(t, simStore)
-	liveSnaps := loadAll(t, liveStore)
+	simSnaps := saveStates(t, simStore)
+	liveSnaps := saveStates(t, liveStore)
 	if len(simSnaps) == 0 {
 		t.Fatal("simulator persisted no snapshots")
 	}

@@ -420,7 +420,7 @@ func TestBroadcastSurvivesProducerCrashParity(t *testing.T) {
 	if len(rep.LostKeys) != 0 || len(rep.Killed) != 0 {
 		t.Fatalf("live crash of n4 lost %v and killed %d tasks, want nothing", rep.LostKeys, len(rep.Killed))
 	}
-	if got := liveCfg.Locations.Where(deps.Version{Data: d1.ID(), Ver: 1}); !slices.Equal(got, []string{"n0", "n1", "n2", "n3"}) {
+	if got := liveCfg.Locations.Where(deps.Version{Data: rt.CurrentVersion(d1).Data, Ver: 1}); !slices.Equal(got, []string{"n0", "n1", "n2", "n3"}) {
 		t.Fatalf("live d1 held by %v, want n0..n3", got)
 	}
 	simStats := sim.EngineStats()

@@ -134,7 +134,7 @@ func TestRestoreParity(t *testing.T) {
 	// the shrunk-pool restore re-stage.
 	var snap *checkpoint.Snapshot
 	var lost string
-	for _, s := range loadAll(t, store) {
+	for _, s := range saveStates(t, store) {
 		if done := len(completedIDs(s)); done < 2 || done == len(c.Specs) {
 			continue
 		}
@@ -186,8 +186,8 @@ func TestRestoreParity(t *testing.T) {
 		for _, n := range pool.Nodes() {
 			n.Undrain()
 		}
-		rt.RevalidateAvailability() // a wave over the reopened pool
-		rt.Shutdown()               // returns once the resumed run has drained
+		rt.Engine().RevalidateAvailability() // a wave over the reopened pool
+		rt.Shutdown()                        // returns once the resumed run has drained
 		return o
 	}
 

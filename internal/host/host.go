@@ -16,7 +16,6 @@
 package host
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -35,10 +34,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/transfer"
 )
-
-// ErrNoCheckpoint is returned by Checkpoint when the backend was built
-// without a checkpoint store.
-var ErrNoCheckpoint = errors.New("host: no checkpoint store configured")
 
 // Config is every option a workflow run takes, declared once for both
 // backends: infra.Config and core.Config are this type. A field is
@@ -307,12 +302,6 @@ func (h *Host) EngineStats() engine.Stats { return h.eng.Stats() }
 // order.
 func (h *Host) Timings() []engine.Timing { return h.eng.Timings() }
 
-// RevalidateAvailability wakes every task parked by the availability
-// policy and runs a placement wave — call it after adding nodes to the
-// pool by hand, since a new node may sit on the reachable side of a
-// partition. Returns the number of tasks woken.
-func (h *Host) RevalidateAvailability() int { return h.eng.RevalidateAvailability() }
-
 // --- faults.Injector -------------------------------------------------------
 
 // FailNode crashes a node: the engine removes it, kills its running
@@ -358,9 +347,11 @@ func (h *Host) traceIgnored(target string, err error) error {
 
 // --- checkpoint.Source -----------------------------------------------------
 
-// CheckpointSnapshot implements checkpoint.Source: the engine's task
-// table plus the location registry as the data catalog, with the
-// backend's values attached.
+// CheckpointSnapshot captures the state a base would hold now — the
+// engine's task table plus the location registry as the data catalog,
+// with the backend's values attached — and leaves the dirty sets alone,
+// so the parity suites can probe a running backend without moving its
+// delta chain.
 func (h *Host) CheckpointSnapshot() *checkpoint.Snapshot {
 	snap := checkpoint.Capture(h.eng, h.cfg.Locations)
 	h.attach(snap.Catalog)
@@ -396,15 +387,6 @@ func (h *Host) attach(catalog []checkpoint.CatalogEntry) {
 	if h.b.Values != nil {
 		h.b.Values.Attach(catalog)
 	}
-}
-
-// Checkpoint takes an on-demand snapshot; ErrNoCheckpoint without a
-// configured store.
-func (h *Host) Checkpoint() error {
-	if h.ckpt == nil {
-		return ErrNoCheckpoint
-	}
-	return h.ckpt.Save()
 }
 
 // --- completion and admission bookkeeping (backend-facing) -----------------
@@ -477,19 +459,23 @@ func (h *Host) TaskCompleted(id int64, first bool) (woke bool) {
 }
 
 // Drained tells the checkpointer every submitted task has finished (the
-// on-drain trigger) and returns once every queued save is written.
-func (h *Host) Drained() {
-	if h.ckpt != nil {
-		h.ckpt.Drained()
+// on-drain trigger) and returns once every queued save is written, with
+// the first checkpoint write that failed.
+func (h *Host) Drained() error {
+	if h.ckpt == nil {
+		return nil
 	}
+	return h.ckpt.Drained()
 }
 
 // FlushCheckpoints returns once every checkpoint save queued so far is
-// written: from then on the store holds them all.
-func (h *Host) FlushCheckpoints() {
-	if h.ckpt != nil {
-		h.ckpt.Flush()
+// written — from then on the store holds them all — with the first
+// checkpoint write of the run that failed (nil when none has).
+func (h *Host) FlushCheckpoints() error {
+	if h.ckpt == nil {
+		return nil
 	}
+	return h.ckpt.Flush()
 }
 
 // --- elasticity ------------------------------------------------------------

@@ -141,7 +141,7 @@ func TestObserversDoNotKeepRunAlive(t *testing.T) {
 // ticks continue until StopTicks, after which armed callbacks are inert.
 func TestStopTicksOnWallTimer(t *testing.T) {
 	reg := obsv.NewRegistry()
-	reg.Gauge("g", "", "").Set(1)
+	reg.GaugeFunc("g", "", "", func() int64 { return 1 })
 	h, err := host.New(host.Config{
 		Pool: oneNodePool(), Policy: sched.FIFO{}, Metrics: reg,
 	}, host.Backend{Clock: engine.WallClock{Epoch: time.Now()}, Timer: faults.NewWallTimer(), Executor: &fakeExecutor{}})

@@ -155,9 +155,6 @@ var (
 	ErrConfig = errors.New("infra: invalid config")
 	// ErrDuplicateID is New's error for two specs with one ID.
 	ErrDuplicateID = engine.ErrDuplicateID
-	// ErrNoCheckpoint is returned by Sim.Checkpoint without a configured
-	// store — the same sentinel the live runtime returns.
-	ErrNoCheckpoint = host.ErrNoCheckpoint
 	// ErrHalted reports a run stopped by Config.HaltAt — the simulated
 	// process death of the crash-restart experiments. The partial result
 	// is still returned; resume from the latest checkpoint snapshot.
@@ -421,12 +418,18 @@ func (s *Sim) Run() (Result, error) {
 	if s.halted && s.remaining > 0 && s.err == nil {
 		s.err = fmt.Errorf("%w: %d tasks unfinished at %v", ErrHalted, s.remaining, s.clock.Now())
 	}
-	if s.remaining == 0 {
-		s.Drained()
-	}
 	// Drained, halted or stuck: whoever reads the store after Run sees
-	// every save the run queued.
-	s.FlushCheckpoints()
+	// every save the run queued, and a save that failed is Run's error
+	// too (joined, so errors.Is still finds ErrHalted or ErrStuck).
+	var ckptErr error
+	if s.remaining == 0 {
+		ckptErr = s.Drained()
+	} else {
+		ckptErr = s.FlushCheckpoints()
+	}
+	if ckptErr != nil {
+		s.err = errors.Join(s.err, ckptErr)
+	}
 	// One closing sample at the makespan instant, so every series ends on
 	// the run's final state (still deterministic — virtual timestamp).
 	smp.Sample(s.clock.Now())

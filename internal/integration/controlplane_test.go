@@ -50,7 +50,7 @@ func TestConfigBudget(t *testing.T) {
 		{"host.Backend", host.Backend{}, 5},
 		{"engine.Config", engine.Config{}, 12},
 		{"agent.Config", agent.Config{}, 8},
-		{"checkpoint.Config", checkpoint.Config{}, 5},
+		{"checkpoint.Config", checkpoint.Config{}, 4},
 	} {
 		n := reflect.TypeOf(b.cfg).NumField()
 		if i < 3 {
@@ -138,7 +138,7 @@ func refusedLive(cfg core.Config) (refused bool) {
 // TestUnconfiguredEntryPoints: the exported control-plane entry points
 // behave identically on both backends when the feature behind them was
 // never configured — AutoscaleStep holds (it used to dereference a nil
-// autoscaler) and Checkpoint returns the one shared sentinel.
+// autoscaler) and FlushCheckpoints has no failure to report.
 func TestUnconfiguredEntryPoints(t *testing.T) {
 	pool := func() *resources.Pool {
 		p := resources.NewPool()
@@ -155,23 +155,19 @@ func TestUnconfiguredEntryPoints(t *testing.T) {
 	defer rt.Shutdown()
 
 	for _, b := range []struct {
-		name       string
-		step       func() autoscale.Action
-		checkpoint func() error
-		sentinel   error
+		name  string
+		step  func() autoscale.Action
+		flush func() error
 	}{
-		{"sim", sim.AutoscaleStep, sim.Checkpoint, infra.ErrNoCheckpoint},
-		{"live", rt.AutoscaleStep, rt.Checkpoint, core.ErrNoCheckpoint},
+		{"sim", sim.AutoscaleStep, sim.FlushCheckpoints},
+		{"live", rt.AutoscaleStep, rt.FlushCheckpoints},
 	} {
 		if act := b.step(); act.Kind != autoscale.Held || act.Node != nil {
 			t.Errorf("%s: AutoscaleStep without an autoscaler = %+v, want a hold", b.name, act)
 		}
-		if err := b.checkpoint(); !errors.Is(err, b.sentinel) {
-			t.Errorf("%s: Checkpoint without a store = %v, want %v", b.name, err, b.sentinel)
+		if err := b.flush(); err != nil {
+			t.Errorf("%s: FlushCheckpoints without a store = %v, want nil", b.name, err)
 		}
-	}
-	if !errors.Is(infra.ErrNoCheckpoint, core.ErrNoCheckpoint) {
-		t.Error("the two backends expose different no-checkpoint sentinels")
 	}
 }
 

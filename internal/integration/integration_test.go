@@ -66,7 +66,7 @@ func TestRuntimeLocalityFollowsValues(t *testing.T) {
 		}
 		// Give every producer's output a size so locality scoring sees it.
 		v := rt.CurrentVersion(h)
-		reg.SetSize(transfer.KeyOf(v), 1<<20)
+		reg.SetSize(v, 1<<20)
 
 		out := rt.NewData()
 		f2, err := rt.Submit("consume", core.Read(h), core.Write(out))

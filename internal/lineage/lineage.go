@@ -64,18 +64,6 @@ func (g *Graph) Add(it Item) error {
 	return nil
 }
 
-// Get returns an item.
-func (g *Graph) Get(id ItemID) (Item, bool) {
-	it, ok := g.items[id]
-	if !ok {
-		return Item{}, false
-	}
-	return *it, true
-}
-
-// Len returns the number of items.
-func (g *Graph) Len() int { return len(g.items) }
-
 // IsSource reports whether the item has no inputs.
 func (g *Graph) IsSource(id ItemID) bool {
 	it, ok := g.items[id]

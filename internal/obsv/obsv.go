@@ -1,8 +1,9 @@
 // Package obsv is the runtime observability layer: a lock-cheap metrics
-// registry (counters, gauges, fixed-bucket histograms) sampled into
-// in-memory time-series on either clock — virtual time in the simulator,
-// wall time in the live runtime — and exported as Prometheus text, Chrome
-// trace-event JSON (via internal/trace) or a report section.
+// registry (counters, fixed-bucket histograms, and func-backed counters
+// and gauges) sampled into in-memory time-series on either clock —
+// virtual time in the simulator, wall time in the live runtime — and
+// exported as Prometheus text, Chrome trace-event JSON (via
+// internal/trace) or a report section.
 //
 // The paper observes its runtime post hoc, through Paraver traces of
 // finished runs; this package closes the same gap for the reproduction's
@@ -16,10 +17,12 @@
 //     func-backed series (CounterFunc, GaugeFunc) whose function the
 //     registry calls at Visit, WritePrometheus and Sampler.Sample with no
 //     registry lock held, so the function may take its owner's lock.
-//   - Facts only the metrics record are instruments. Hot-path
-//     increments are single atomic adds on pre-resolved instrument
-//     pointers: no map lookups, no label rendering, no allocation.
-//     Callers resolve instruments once and hold the pointer.
+//   - Facts only the metrics record are instruments: counters and
+//     histograms (an instantaneous value always has an owner, so every
+//     gauge is func-backed). Hot-path increments are single atomic adds
+//     on pre-resolved instrument pointers: no map lookups, no label
+//     rendering, no allocation. Callers resolve instruments once and
+//     hold the pointer.
 //   - Every instrument is one atomic word (a histogram, one per bucket):
 //     its writers mostly arrive under their owner's lock (the engine's
 //     mutex), and the ones that do not — the agent's workers — are few.
@@ -63,37 +66,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.n.Load()
-}
-
-// Gauge is an instantaneous value (queue depth, parked count). Gauges are
-// typically mutated under the owner's own lock (the engine's mutex), so
-// one atomic word suffices. A nil *Gauge discards all writes.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores an absolute value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add moves the gauge by d (negative to decrement).
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram is a fixed-bucket distribution. Buckets are upper bounds
@@ -223,21 +195,16 @@ func (k Kind) String() string {
 type series struct {
 	labels string // rendered {k="v",...} suffix ("" when unlabelled)
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	fn     func() int64
 }
 
 // value reads a counter or gauge series.
 func (s *series) value() int64 {
-	switch {
-	case s.fn != nil:
+	if s.fn != nil {
 		return s.fn()
-	case s.c != nil:
-		return s.c.Value()
-	default:
-		return s.g.Value()
 	}
+	return s.c.Value()
 }
 
 // family is all series of one metric name.
@@ -266,11 +233,8 @@ func (f *family) get(labels string, fn func() int64) *series {
 	switch {
 	case f.kind == KindHistogram:
 		s.h = newHistogram(f.bounds)
-	case fn != nil: // func-backed: no instrument
-	case f.kind == KindCounter:
+	case fn == nil: // a counter instrument; a func-backed series has none
 		s.c = &Counter{}
-	default:
-		s.g = &Gauge{}
 	}
 	f.byKey[labels] = s
 	f.sorted = append(f.sorted, s)
@@ -287,7 +251,7 @@ func (f *family) snapshot() []*series {
 }
 
 // Registry is a named collection of metric families. All methods are safe
-// for concurrent use; instrument resolution (Counter/Gauge/...) is meant
+// for concurrent use; instrument resolution (Counter, Histogram) is meant
 // for setup paths, with the returned pointers held for the hot path.
 type Registry struct {
 	mu       sync.RWMutex
@@ -384,11 +348,6 @@ func escapeLabel(v string) string {
 // suffix (use Labels). The first resolution registers the family.
 func (r *Registry) Counter(name, help, labels string) *Counter {
 	return r.familyFor(name, help, KindCounter, nil).get(labels, nil).c
-}
-
-// Gauge resolves the named gauge.
-func (r *Registry) Gauge(name, help, labels string) *Gauge {
-	return r.familyFor(name, help, KindGauge, nil).get(labels, nil).g
 }
 
 // CounterFunc registers a counter whose value is fn's result, read at

@@ -46,15 +46,12 @@ func TestCounterAddAllocatesNothing(t *testing.T) {
 
 func TestNilInstrumentsDiscard(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	c.Add(1)
 	c.Inc()
-	g.Set(5)
-	g.Add(-2)
 	h.Observe(1.5)
 	h.ObserveDuration(time.Second)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
 	var s *Sampler
@@ -136,7 +133,7 @@ func TestLabelsCanonicalOrder(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("jobs_total", "Jobs run.", Labels("kind", "sim")).Add(3)
-	reg.Gauge("depth", "Queue depth.", "").Set(7)
+	reg.GaugeFunc("depth", "Queue depth.", "", func() int64 { return 7 })
 	h := reg.Histogram("lat_seconds", "Latency.", "", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -186,18 +183,19 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 			t.Fatal("re-registering as a different kind must panic")
 		}
 	}()
-	reg.Gauge("x", "", "")
+	reg.GaugeFunc("x", "", "", func() int64 { return 0 })
 }
 
 func TestSamplerDeterministicText(t *testing.T) {
 	run := func() string {
 		reg := NewRegistry()
 		c := reg.Counter("b_total", "", "")
-		g := reg.Gauge("a_depth", "", "")
+		var depth int64
+		reg.GaugeFunc("a_depth", "", "", func() int64 { return depth })
 		s := NewSampler(reg)
 		for i := 1; i <= 3; i++ {
 			c.Add(int64(i))
-			g.Set(int64(10 * i))
+			depth = int64(10 * i)
 			s.Sample(time.Duration(i) * time.Second)
 		}
 		var buf bytes.Buffer

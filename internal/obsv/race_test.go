@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -72,7 +73,8 @@ func TestHistogramConcurrentConserved(t *testing.T) {
 func TestVisitDuringWrites(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops_total", "test", "")
-	g := r.Gauge("depth", "test", "")
+	var depth atomic.Int64
+	r.GaugeFunc("depth", "test", "", depth.Load)
 	h := r.Histogram("wait", "test", "", []float64{1, 10, 100})
 
 	stop := make(chan struct{})
@@ -87,7 +89,7 @@ func TestVisitDuringWrites(t *testing.T) {
 			default:
 			}
 			c.Inc()
-			g.Set(int64(i % 64))
+			depth.Store(int64(i % 64))
 			h.Observe(float64(i % 200))
 		}
 	}()
@@ -138,7 +140,7 @@ func TestRegistryConcurrentResolve(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				ptrs[g] = r.Counter("shared_total", "test", Labels("k", "v"))
-				r.Gauge(fmt.Sprintf("own_%d", g), "test", "").Set(int64(i))
+				r.GaugeFunc(fmt.Sprintf("own_%d", g), "test", "", func() int64 { return int64(g) })
 			}
 		}(g)
 	}

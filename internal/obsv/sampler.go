@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -136,19 +135,4 @@ func (s *Sampler) WriteText(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Summary returns a one-line digest (series count, total points) for
-// progress logs.
-func (s *Sampler) Summary() string {
-	if s == nil {
-		return "sampler off"
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	points := 0
-	for _, ts := range s.series {
-		points += len(ts.Points)
-	}
-	return fmt.Sprintf("%d series, %d points", len(s.series), points)
 }

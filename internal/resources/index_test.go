@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -369,7 +370,11 @@ func (c *churner) checkSplit() {
 
 func (c *churner) step() {
 	rng, pool := c.rng, c.pool
-	names := pool.Names()
+	var names []string
+	for _, n := range pool.Nodes() {
+		names = append(names, n.Name())
+	}
+	sort.Strings(names)
 	switch op := rng.Intn(10); {
 	case op < 3: // reserve on a random fitting node of a random signature
 		sig := indexSigs[rng.Intn(len(indexSigs))]

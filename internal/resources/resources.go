@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 )
@@ -450,16 +449,4 @@ func (p *Pool) FreeCores() int {
 		total += n.FreeCores()
 	}
 	return total
-}
-
-// Names returns node names sorted lexicographically.
-func (p *Pool) Names() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]string, len(p.order))
-	for i, n := range p.order {
-		out[i] = n.name
-	}
-	sort.Strings(out)
-	return out
 }

@@ -150,13 +150,6 @@ func TestPoolIterationDeterministic(t *testing.T) {
 			t.Fatalf("iteration order %v, want insertion order %v", nodes, want)
 		}
 	}
-	names := p.Names()
-	wantSorted := []string{"a", "b", "c"}
-	for i := range names {
-		if names[i] != wantSorted[i] {
-			t.Fatalf("Names() = %v, want sorted", names)
-		}
-	}
 }
 
 // Property: for any sequence of reserve/release pairs, free capacity never

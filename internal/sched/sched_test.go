@@ -42,11 +42,11 @@ func TestMinLoadBalances(t *testing.T) {
 func TestLocalityFollowsData(t *testing.T) {
 	ns := nodes(resources.CloudVM, resources.CloudVM)
 	reg := transfer.NewRegistry()
-	k := transfer.Key{Data: deps.DataID(1), Ver: 1}
+	k := deps.Version{Data: deps.DataID(1), Ver: 1}
 	reg.SetSize(k, 500e6)
 	reg.AddReplica(k, "b")
 	ctx := &Context{Registry: reg}
-	tv := &TaskView{InputKeys: []transfer.Key{k}}
+	tv := &TaskView{InputKeys: []deps.Version{k}}
 	got := Locality{}.Pick(tv, ns, ctx)
 	if got.Name() != "b" {
 		t.Fatalf("Locality picked %s, want b (holds the data)", got.Name())
@@ -91,11 +91,11 @@ func TestEFTWeighsTransferAgainstSpeed(t *testing.T) {
 	ns := nodes(slowLocal, fastRemote)
 	net := simnet.New(simnet.Link{BandwidthMBps: 1, Latency: 0}) // 1 MB/s: terrible
 	reg := transfer.NewRegistry()
-	k := transfer.Key{Data: 1, Ver: 1}
+	k := deps.Version{Data: 1, Ver: 1}
 	reg.SetSize(k, 100e6) // 100 s to move
 	reg.AddReplica(k, "a")
 	ctx := &Context{Registry: reg, Net: net}
-	tv := &TaskView{EstDuration: 10 * time.Second, InputKeys: []transfer.Key{k}}
+	tv := &TaskView{EstDuration: 10 * time.Second, InputKeys: []deps.Version{k}}
 	got := EFT{}.Pick(tv, ns, ctx)
 	if got.Name() != "a" {
 		t.Fatal("EFT should keep the task with its data when transfer dominates")

@@ -193,10 +193,3 @@ func (s *Store) Delete(id ObjectID) error {
 	delete(s.objects, id)
 	return nil
 }
-
-// Len returns the number of stored objects.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.objects)
-}

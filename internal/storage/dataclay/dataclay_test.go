@@ -114,14 +114,14 @@ func TestMethodShippingMovesFewerBytesThanFetch(t *testing.T) {
 func TestDeleteRemovesObject(t *testing.T) {
 	s := newStore(t)
 	id, _ := s.NewObject("vector", []float64{1})
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
+	if len(s.objects) != 1 {
+		t.Fatalf("Len = %d, want 1", len(s.objects))
 	}
 	if err := s.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len after delete = %d, want 0", s.Len())
+	if len(s.objects) != 0 {
+		t.Fatalf("Len after delete = %d, want 0", len(s.objects))
 	}
 	if _, err := s.Fetch(id); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("fetch after delete = %v, want ErrNotFound", err)

@@ -18,9 +18,6 @@ type Span struct {
 	Open bool
 }
 
-// Duration returns the span length.
-func (s Span) Duration() time.Duration { return s.End - s.Start }
-
 // Timeline reconstructs per-node execution spans from start/complete
 // events — the data behind a Paraver-style Gantt view of the run. Tasks
 // that started but never completed (still running at a halt, or killed

@@ -21,7 +21,7 @@ func TestTimelineReconstructsSpans(t *testing.T) {
 	if len(spans) != 3 {
 		t.Fatalf("spans = %d, want 3", len(spans))
 	}
-	if spans[0].Task != 1 || spans[0].Node != "n1" || spans[0].Duration() != 2*time.Second {
+	if spans[0].Task != 1 || spans[0].Node != "n1" || (spans[0].End-spans[0].Start) != 2*time.Second {
 		t.Fatalf("span[0] = %+v", spans[0])
 	}
 	if spans[2].Task != 3 || spans[2].Label != "merge" || spans[2].Start != 3*time.Second {

@@ -21,7 +21,9 @@ import (
 func TestRegistryHammerCapturesLoseNothing(t *testing.T) {
 	const writers, opsPerWriter, data, nodes = 4, 3000, 48, 6
 	r := NewRegistry()
-	key := func(rng *rand.Rand) Key { return Key{Data: deps.DataID(rng.Intn(data)), Ver: 1 + rng.Intn(2)} }
+	key := func(rng *rand.Rand) deps.Version {
+		return deps.Version{Data: deps.DataID(rng.Intn(data)), Ver: 1 + rng.Intn(2)}
+	}
 	node := func(rng *rand.Rand) string { return fmt.Sprintf("n%d", rng.Intn(nodes)) }
 
 	var wg sync.WaitGroup
@@ -63,7 +65,7 @@ func TestRegistryHammerCapturesLoseNothing(t *testing.T) {
 	}()
 
 	// The checkpoint tick: one base, then deltas for as long as anyone writes.
-	catalog := make(map[Key]Entry)
+	catalog := make(map[deps.Version]Entry)
 	apply := func(entries []Entry) {
 		for _, e := range entries {
 			if e.Size == 0 && len(e.Locations) == 0 {
@@ -127,7 +129,7 @@ func firstDifference(got, want []Entry, same func(a, b Entry) bool) string {
 // gets the shared list again, not a copy.
 func TestSharedSoleHolderListIsNeverWrittenThrough(t *testing.T) {
 	r := NewRegistry()
-	a, b := Key{Data: 1, Ver: 1}, Key{Data: 2, Ver: 1}
+	a, b := deps.Version{Data: 1, Ver: 1}, deps.Version{Data: 2, Ver: 1}
 	r.AddReplica(a, "n0")
 	r.AddReplica(b, "n0")
 	shared := r.Where(a)
@@ -153,9 +155,9 @@ func TestSharedSoleHolderListIsNeverWrittenThrough(t *testing.T) {
 		}
 	}()
 	var writers sync.WaitGroup
-	for _, k := range []Key{a, b} {
+	for _, k := range []deps.Version{a, b} {
 		writers.Add(1)
-		go func(k Key) {
+		go func(k deps.Version) {
 			defer writers.Done()
 			for i := 0; i < 2000; i++ {
 				r.AddReplica(k, "m9") // sorts before n0: an in-place insert would shift it
@@ -168,7 +170,7 @@ func TestSharedSoleHolderListIsNeverWrittenThrough(t *testing.T) {
 	writers.Wait()
 	close(done)
 	readers.Wait()
-	for _, k := range []Key{a, b} {
+	for _, k := range []deps.Version{a, b} {
 		// The other writer's last DropNode("n0") may have emptied k after
 		// its own last add: bring it back to n0 alone (a no-op otherwise).
 		r.AddReplica(k, "n0")

@@ -35,13 +35,6 @@ import (
 	"repro/internal/simnet"
 )
 
-// Key identifies one immutable data version: it IS deps.Version. The
-// alias keeps the name the registry's API grew up with.
-type Key = deps.Version
-
-// KeyOf is the identity; only the frozen bench/ harness still calls it.
-func KeyOf(v deps.Version) Key { return v }
-
 // row is one data version's catalog row. holders is name-sorted and
 // copy-on-write: a writer installs a new list and never edits a published
 // one, so readers keep the list they were handed after the lock is gone.
@@ -89,7 +82,7 @@ type Registry struct {
 	slabN    int   // the current slab's size
 	// dirty lists, once each, the keys whose row changed since the last
 	// capture; tracking says whether the first EntriesClean has started it.
-	dirty    []Key
+	dirty    []deps.Version
 	tracking bool
 	// sole holds one published one-element list per node, shared by every
 	// row that node alone holds: lists are never edited, so a version's
@@ -115,7 +108,7 @@ func (r *Registry) carve(n int) []row {
 }
 
 // find returns k's row, or nil. Caller holds mu.
-func (r *Registry) find(k Key) *row {
+func (r *Registry) find(k deps.Version) *row {
 	at, ok := r.index[k.Data]
 	if !ok {
 		return nil
@@ -129,7 +122,7 @@ func (r *Registry) find(k Key) *row {
 
 // slot returns k's row, inserting an empty one in version order when k
 // has none. Caller holds mu for writing.
-func (r *Registry) slot(k Key) *row {
+func (r *Registry) slot(k deps.Version) *row {
 	at, ok := r.index[k.Data]
 	if !ok {
 		if n := len(r.cols); n > 0 && r.cols[n-1].data > k.Data {
@@ -161,7 +154,7 @@ func (r *Registry) slot(k Key) *row {
 }
 
 // touch marks rw, k's row, changed once tracking has started.
-func (r *Registry) touch(k Key, rw *row) {
+func (r *Registry) touch(k deps.Version, rw *row) {
 	if r.tracking && !rw.dirty {
 		rw.dirty = true
 		r.dirty = append(r.dirty, k)
@@ -186,7 +179,7 @@ func (r *Registry) sortLocked() {
 // the locality of the data by scheduling tasks in the location where the
 // data resides"). The holder list is shared and immutable: callers may
 // keep it, and must not modify it.
-func (r *Registry) Row(k Key) (size int64, holders []string) {
+func (r *Registry) Row(k deps.Version) (size int64, holders []string) {
 	r.mu.RLock()
 	if rw := r.find(k); rw != nil {
 		size, holders = rw.size, rw.holders
@@ -202,7 +195,7 @@ func holds(holders []string, node string) bool {
 }
 
 // SetSize records the size in bytes of a data version.
-func (r *Registry) SetSize(k Key, bytes int64) {
+func (r *Registry) SetSize(k deps.Version, bytes int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rw := r.slot(k)
@@ -211,13 +204,13 @@ func (r *Registry) SetSize(k Key, bytes int64) {
 }
 
 // Size returns the recorded size of a data version (0 if unknown).
-func (r *Registry) Size(k Key) int64 {
+func (r *Registry) Size(k deps.Version) int64 {
 	size, _ := r.Row(k)
 	return size
 }
 
 // AddReplica records that node holds a copy of k.
-func (r *Registry) AddReplica(k Key, node string) {
+func (r *Registry) AddReplica(k deps.Version, node string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rw := r.slot(k)
@@ -243,7 +236,7 @@ func (r *Registry) AddReplica(k Key, node string) {
 // writes); the caller must not modify it afterwards. Any other list is
 // merged onto a fresh one, so the row stays sorted and duplicate-free
 // whatever a file held.
-func (r *Registry) Seed(k Key, size int64, holders []string) {
+func (r *Registry) Seed(k deps.Version, size int64, holders []string) {
 	if size <= 0 && len(holders) == 0 {
 		return
 	}
@@ -279,11 +272,11 @@ func strictlySorted(names []string) bool {
 // DropNode forgets every replica held by node (node failure). It returns
 // the keys that lost their last replica, in key order — the data that
 // must be recovered by re-execution (E7).
-func (r *Registry) DropNode(node string) []Key {
+func (r *Registry) DropNode(node string) []deps.Version {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.sortLocked()
-	var lost []Key
+	var lost []deps.Version
 	for ci := range r.cols {
 		c := &r.cols[ci]
 		for i := range c.rows {
@@ -292,7 +285,7 @@ func (r *Registry) DropNode(node string) []Key {
 			if !held {
 				continue
 			}
-			k := Key{Data: c.data, Ver: rw.ver}
+			k := deps.Version{Data: c.data, Ver: rw.ver}
 			if len(rw.holders) == 1 {
 				rw.holders = nil
 				lost = append(lost, k)
@@ -307,7 +300,7 @@ func (r *Registry) DropNode(node string) []Key {
 
 // Where returns the nodes holding a replica of k, sorted (Row's shared,
 // read-only list).
-func (r *Registry) Where(k Key) []string {
+func (r *Registry) Where(k deps.Version) []string {
 	_, holders := r.Row(k)
 	return holders
 }
@@ -316,7 +309,7 @@ func (r *Registry) Where(k Key) []string {
 // the locality score asked candidate by candidate. Only the scan reference
 // (sched.Locality.Pick) asks it that way; the placement path scores the
 // holders instead (sched.Locality.PickIndexed).
-func (r *Registry) LocalBytes(node string, keys []Key) int64 {
+func (r *Registry) LocalBytes(node string, keys []deps.Version) int64 {
 	var total int64
 	for _, k := range keys {
 		if size, holders := r.Row(k); holds(holders, node) {
@@ -329,7 +322,7 @@ func (r *Registry) LocalBytes(node string, keys []Key) int64 {
 // Entry is one catalog row of the registry: a data version, its recorded
 // size and its replica locations (shared and read-only, like Row's list).
 type Entry struct {
-	Key       Key
+	Key       deps.Version
 	Size      int64
 	Locations []string
 }
@@ -364,7 +357,7 @@ func (r *Registry) entries(clean bool) []Entry {
 		for i := range c.rows {
 			rw := &c.rows[i]
 			if rw.size != 0 || len(rw.holders) > 0 {
-				out = append(out, Entry{Key: Key{Data: c.data, Ver: rw.ver}, Size: rw.size, Locations: rw.holders})
+				out = append(out, Entry{Key: deps.Version{Data: c.data, Ver: rw.ver}, Size: rw.size, Locations: rw.holders})
 			}
 			if clean {
 				rw.dirty = false
@@ -378,7 +371,7 @@ func (r *Registry) entries(clean bool) []Entry {
 }
 
 // compareKeys is deps.Version.Less three-way — the catalog order.
-func compareKeys(a, b Key) int {
+func compareKeys(a, b deps.Version) int {
 	if c := cmp.Compare(a.Data, b.Data); c != 0 {
 		return c
 	}
@@ -441,7 +434,7 @@ func (r *Registry) CheckLayout() error {
 			return fmt.Errorf("datum %d: %d rows, lo %d", c.data, len(c.rows), c.lo)
 		}
 		for i, rw := range c.rows {
-			k := Key{Data: c.data, Ver: rw.ver}
+			k := deps.Version{Data: c.data, Ver: rw.ver}
 			if i > 0 && c.rows[i-1].ver >= rw.ver {
 				return fmt.Errorf("%v follows version %d", k, c.rows[i-1].ver)
 			}
@@ -484,19 +477,19 @@ type Plan struct {
 	Moves []Move
 	// MissingKeys lists keys with no replica anywhere (caller decides
 	// whether that is fatal or means "recompute").
-	MissingKeys []Key
+	MissingKeys []deps.Version
 	// UnreachableKeys lists keys that do have replicas, but every one
 	// sits behind a cut link (network partition): nothing is lost, yet
 	// nothing can be fetched until the partition heals. The engine's
 	// availability policies (engine.Availability) treat the two cases
 	// differently — lost data is recomputed through lineage, partitioned
 	// data can simply be waited out.
-	UnreachableKeys []Key
+	UnreachableKeys []deps.Version
 }
 
 // Move is one planned fetch.
 type Move struct {
-	Key  Key
+	Key  deps.Version
 	From string
 	To   string
 	Size int64
@@ -513,16 +506,13 @@ func NewManager(net *simnet.Network, reg *Registry) *Manager {
 	return &Manager{net: net, reg: reg}
 }
 
-// Registry exposes the location registry.
-func (m *Manager) Registry() *Registry { return m.reg }
-
 // PlanFetch computes the transfers needed so dest holds every key, choosing
 // the fastest source for each (replicas already local cost nothing). Keys
 // that cannot be materialised are classified rather than planned: no
 // replica anywhere → MissingKeys (lost; only re-execution can bring the
 // data back), replicas present but every one behind a cut link →
 // UnreachableKeys (partitioned; a heal makes them plannable again).
-func (m *Manager) PlanFetch(dest string, keys []Key) Plan {
+func (m *Manager) PlanFetch(dest string, keys []deps.Version) Plan {
 	var p Plan
 	for i, k := range keys {
 		size, holders := m.reg.Row(k)

@@ -13,7 +13,7 @@ import (
 	"repro/internal/simnet"
 )
 
-func key(d, v int) Key { return Key{Data: deps.DataID(d), Ver: v} }
+func key(d, v int) deps.Version { return deps.Version{Data: deps.DataID(d), Ver: v} }
 
 func TestRegistryReplicas(t *testing.T) {
 	r := NewRegistry()
@@ -43,7 +43,7 @@ func TestLocalBytes(t *testing.T) {
 	r.AddReplica(k1, "n1")
 	r.AddReplica(k2, "n1")
 	r.AddReplica(k3, "n2")
-	keys := []Key{k1, k2, k3}
+	keys := []deps.Version{k1, k2, k3}
 	if got := r.LocalBytes("n1", keys); got != 300 {
 		t.Fatalf("LocalBytes(n1) = %d, want 300", got)
 	}
@@ -78,7 +78,7 @@ func TestPlanFetchSkipsLocalReplicas(t *testing.T) {
 	k := key(1, 1)
 	reg.SetSize(k, 1e6)
 	reg.AddReplica(k, "dest")
-	p := m.PlanFetch("dest", []Key{k})
+	p := m.PlanFetch("dest", []deps.Version{k})
 	if p.Bytes != 0 || p.Time != 0 || len(p.Moves) != 0 {
 		t.Fatalf("local fetch planned moves: %+v", p)
 	}
@@ -95,7 +95,7 @@ func TestPlanFetchChoosesFastestSource(t *testing.T) {
 	reg.SetSize(k, 1e6)
 	reg.AddReplica(k, "slow")
 	reg.AddReplica(k, "fast")
-	p := m.PlanFetch("dest", []Key{k})
+	p := m.PlanFetch("dest", []deps.Version{k})
 	if len(p.Moves) != 1 || p.Moves[0].From != "fast" {
 		t.Fatalf("moves = %+v, want fetch from fast", p.Moves)
 	}
@@ -115,7 +115,7 @@ func TestPlanFetchAccumulates(t *testing.T) {
 	reg.SetSize(k2, 200e6) // 2 s
 	reg.AddReplica(k1, "src")
 	reg.AddReplica(k2, "src")
-	p := m.PlanFetch("dest", []Key{k1, k2})
+	p := m.PlanFetch("dest", []deps.Version{k1, k2})
 	if p.Time != 3*time.Second {
 		t.Fatalf("serialized transfer time = %v, want 3s", p.Time)
 	}
@@ -127,7 +127,7 @@ func TestPlanFetchAccumulates(t *testing.T) {
 func TestPlanFetchReportsMissing(t *testing.T) {
 	m, _ := newManager()
 	k := key(9, 1)
-	p := m.PlanFetch("dest", []Key{k})
+	p := m.PlanFetch("dest", []deps.Version{k})
 	if len(p.MissingKeys) != 1 || p.MissingKeys[0] != k {
 		t.Fatalf("missing = %v, want [%v]", p.MissingKeys, k)
 	}
@@ -139,7 +139,7 @@ func TestPlanFetchClassifiesUnreachable(t *testing.T) {
 	reg.SetSize(k, 10)
 	reg.AddReplica(k, "src")
 	m.net.Cut("src", "dest")
-	p := m.PlanFetch("dest", []Key{k})
+	p := m.PlanFetch("dest", []deps.Version{k})
 	if len(p.MissingKeys) != 0 {
 		t.Fatalf("missing = %v, want none (replica exists, just cut off)", p.MissingKeys)
 	}
@@ -147,7 +147,7 @@ func TestPlanFetchClassifiesUnreachable(t *testing.T) {
 		t.Fatalf("unreachable = %v, want [%v]", p.UnreachableKeys, k)
 	}
 	m.net.Heal("src", "dest")
-	if p := m.PlanFetch("dest", []Key{k}); len(p.Moves) != 1 {
+	if p := m.PlanFetch("dest", []deps.Version{k}); len(p.Moves) != 1 {
 		t.Fatalf("after heal: moves = %v, want one fetch", p.Moves)
 	}
 }
@@ -157,13 +157,13 @@ func TestApplyRecordsNewReplicas(t *testing.T) {
 	k := key(1, 1)
 	reg.SetSize(k, 10)
 	reg.AddReplica(k, "src")
-	p := m.PlanFetch("dest", []Key{k})
+	p := m.PlanFetch("dest", []deps.Version{k})
 	m.Apply(p)
 	if !slices.Contains(reg.Where(k), "dest") {
 		t.Fatal("Apply did not record replica at dest")
 	}
 	// Second fetch is now free.
-	p2 := m.PlanFetch("dest", []Key{k})
+	p2 := m.PlanFetch("dest", []deps.Version{k})
 	if p2.Bytes != 0 {
 		t.Fatal("second fetch should be local")
 	}
@@ -174,13 +174,6 @@ func TestVersionsAreDistinctKeys(t *testing.T) {
 	r.AddReplica(key(1, 1), "n1")
 	if len(r.Where(key(1, 2))) != 0 {
 		t.Fatal("different versions must not alias")
-	}
-}
-
-func TestKeyOf(t *testing.T) {
-	v := deps.Version{Data: 7, Ver: 3}
-	if KeyOf(v) != (Key{Data: 7, Ver: 3}) {
-		t.Fatal("KeyOf mismatch")
 	}
 }
 
@@ -199,22 +192,22 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := NewRegistry()
 	r.EntriesClean()
-	size := map[Key]int64{}
-	loc := map[Key]map[string]bool{}
-	dirty := map[Key]bool{}
+	size := map[deps.Version]int64{}
+	loc := map[deps.Version]map[string]bool{}
+	dirty := map[deps.Version]bool{}
 	nodes := []string{"n4", "n0", "n3", "n1", "n2"}
 	vers := []int{-1 << 40, -7, 1 << 40, 1<<40 + 3}
 	for v := 0; len(vers) < 42; v++ {
 		vers = append(vers, v)
 	}
 	sort.Ints(vers)
-	var keys []Key // in key order, as DropNode reports its losses
+	var keys []deps.Version // in key order, as DropNode reports its losses
 	for d := 0; d < 4; d++ {
 		for _, v := range vers {
 			keys = append(keys, key(d, v))
 		}
 	}
-	sortedHolders := func(k Key) []string {
+	sortedHolders := func(k deps.Version) []string {
 		var out []string
 		for n := range loc[k] {
 			out = append(out, n)
@@ -222,7 +215,7 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	modelEntry := func(k Key) Entry { return Entry{Key: k, Size: size[k], Locations: sortedHolders(k)} }
+	modelEntry := func(k deps.Version) Entry { return Entry{Key: k, Size: size[k], Locations: sortedHolders(k)} }
 	sameEntries := func(what string, got, want []Entry) {
 		t.Helper()
 		sort.Slice(want, func(i, j int) bool { return want[i].Key.Less(want[j].Key) })
@@ -272,7 +265,7 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 			}
 			r.Seed(k, sz, holders)
 		case op < 14:
-			var lost []Key
+			var lost []deps.Version
 			for _, k := range keys {
 				if loc[k][n] {
 					delete(loc[k], n)
@@ -294,7 +287,7 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 				t.Fatalf("step %d: DirtyCount = %d, model %d", step, got, len(dirty))
 			}
 			sameEntries("TakeDirty", r.TakeDirty(), want)
-			dirty = map[Key]bool{}
+			dirty = map[deps.Version]bool{}
 		}
 		var all []Entry
 		for _, k := range keys {
@@ -384,7 +377,7 @@ func TestStencilStreamAllocatesPerSlab(t *testing.T) {
 func TestHolderListsAreNeverEditedInPlace(t *testing.T) {
 	r := NewRegistry()
 	r.EntriesClean() // start dirty tracking, so TakeDirty hands lists out
-	keys := []Key{key(1, 0), key(2, 0), key(3, 0)}
+	keys := []deps.Version{key(1, 0), key(2, 0), key(3, 0)}
 	nodes := []string{"a", "b", "c", "d", "e"}
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -441,7 +434,7 @@ func TestSeedNormalisesItsList(t *testing.T) {
 	r.Seed(key(1, 0), 0, []string{"b", "a"})
 	r.Seed(key(2, 0), 0, []string{"c", "a", "c", "b", "a"})
 	for _, c := range []struct {
-		k    Key
+		k    deps.Version
 		size int64
 		want []string
 	}{{key(1, 0), 10, []string{"a", "b", "c"}}, {key(2, 0), 0, []string{"a", "b", "c"}}} {
@@ -478,7 +471,7 @@ func TestDirtyTrackingStartsAtFirstBase(t *testing.T) {
 // non-empty plan costs its Moves slice and nothing else.
 func TestPlanFetchAllocatesOnlyItsMoves(t *testing.T) {
 	m, reg := newManager()
-	keys := []Key{key(1, 1), key(2, 1), key(3, 1)}
+	keys := []deps.Version{key(1, 1), key(2, 1), key(3, 1)}
 	for i, k := range keys {
 		reg.SetSize(k, int64(i+1)*1e6)
 		reg.AddReplica(k, "src-b")

@@ -126,12 +126,12 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := Generate(cfg)
-	if !bytes.Equal(a.Encode(), b.Encode()) {
+	if !bytes.Equal(encode(a), encode(b)) {
 		t.Fatal("same config generated different traces")
 	}
 	cfg.Seed = 2
 	c, _ := Generate(cfg)
-	if bytes.Equal(a.Encode(), c.Encode()) {
+	if bytes.Equal(encode(a), encode(c)) {
 		t.Fatal("different seeds generated identical traces")
 	}
 }
@@ -172,7 +172,7 @@ func TestGenerateCohorts(t *testing.T) {
 	if want := len(tr.Tasks) / 3 * 2; readers != want {
 		t.Fatalf("%d cohort readers wired to their root, want %d", readers, want)
 	}
-	if got := tr.Tenants(); len(got) < 3 {
+	if got := tenants(tr); len(got) < 3 {
 		t.Fatalf("tenant spread too narrow: %v", got)
 	}
 }

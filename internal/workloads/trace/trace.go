@@ -194,13 +194,6 @@ func (t *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Encode returns the trace's canonical byte encoding.
-func (t *Trace) Encode() []byte {
-	var buf bytes.Buffer
-	_ = t.Write(&buf) // bytes.Buffer cannot fail
-	return buf.Bytes()
-}
-
 // Read parses a JSON-lines trace. Unknown fields are ignored (forward
 // tolerance); a malformed line fails with its 1-based line number; the
 // parsed trace is validated before it is returned.
@@ -264,20 +257,6 @@ func (t *Trace) Save(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Tenants returns the distinct tenant tags in first-appearance order
-// (untagged records contribute "").
-func (t *Trace) Tenants() []string {
-	seen := map[string]struct{}{}
-	var out []string
-	for _, r := range t.Tasks {
-		if _, ok := seen[r.Tenant]; !ok {
-			seen[r.Tenant] = struct{}{}
-			out = append(out, r.Tenant)
-		}
-	}
-	return out
 }
 
 // Span returns the trace's arrival span: the largest submit offset.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,12 +26,12 @@ func sample() *Trace {
 
 func TestCodecRoundTrip(t *testing.T) {
 	orig := sample()
-	enc := orig.Encode()
+	enc := encode(orig)
 	got, err := Read(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	re := got.Encode()
+	re := encode(got)
 	if !bytes.Equal(enc, re) {
 		t.Fatalf("round trip not byte-identical:\n%s\nvs\n%s", enc, re)
 	}
@@ -50,10 +51,10 @@ func TestCodecGoldenConformance(t *testing.T) {
 	if len(tr.Tasks) != 18 {
 		t.Fatalf("conformance trace has %d tasks, want 18", len(tr.Tasks))
 	}
-	if got := tr.Encode(); !bytes.Equal(got, conformanceRaw) {
+	if got := encode(tr); !bytes.Equal(got, conformanceRaw) {
 		t.Fatal("re-encoding the committed conformance trace changed its bytes")
 	}
-	if got := tr.Tenants(); len(got) != 2 {
+	if got := tenants(tr); len(got) != 2 {
 		t.Fatalf("conformance tenants = %v, want 2", got)
 	}
 	if tr.Span() >= time.Second {
@@ -138,4 +139,23 @@ func TestSpecsConversion(t *testing.T) {
 	if specs[0].Constraints.MemoryMB != 4096 {
 		t.Fatalf("constraints = %+v", specs[0].Constraints)
 	}
+}
+
+// encode is the trace's canonical byte encoding: what Write produces.
+func encode(tr *Trace) []byte {
+	var buf bytes.Buffer
+	_ = tr.Write(&buf) // bytes.Buffer cannot fail
+	return buf.Bytes()
+}
+
+// tenants lists the trace's distinct tenant tags in first-appearance
+// order (untagged records contribute "").
+func tenants(tr *Trace) []string {
+	var out []string
+	for _, r := range tr.Tasks {
+		if !slices.Contains(out, r.Tenant) {
+			out = append(out, r.Tenant)
+		}
+	}
+	return out
 }
