@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/deps"
+	"repro/internal/resources"
 )
 
 // ProducerIndexBuilt reports whether a recovery or availability query has
@@ -178,4 +179,69 @@ func CheckRegistrySteps(t testing.TB) {
 		}
 		return nil
 	})
+}
+
+// checkReservations holds every pool node's books to the engine's: its
+// busy cores and its reservation count equal the sums over the engine's
+// Running tasks placed on it, primary and group peers both. A node clamps
+// an over-release at its capacity (resources.Node.Release), so a
+// reservation released twice, or never, is silent there; here it fails
+// the step it happens in. Only runs whose every reservation the engine
+// makes may install it: an autoscaler's provisioning hold is invisible to
+// the engine. Caller holds e.mu.
+func checkReservations(e *Engine) error {
+	type held struct{ cores, n int }
+	want := map[*resources.Node]held{}
+	for _, t := range e.tasks.all {
+		if t.state != Running {
+			continue
+		}
+		for _, n := range append([]*resources.Node{t.node}, t.peers()...) {
+			h := want[n]
+			h.cores += t.Constraints.EffectiveCores()
+			h.n++
+			want[n] = h
+		}
+	}
+	for _, n := range e.cfg.Pool.Nodes() {
+		h := want[n]
+		if busy, running := n.BusyCores(), n.Running(); busy != h.cores || running != h.n {
+			return fmt.Errorf("node %s: %d busy cores in %d reservations, the engine's running tasks hold %d in %d",
+				n.Name(), busy, running, h.cores, h.n)
+		}
+	}
+	return nil
+}
+
+// CheckReservationSteps holds the pool's reservations to
+// checkReservations at every engine step until the test ends.
+func CheckReservationSteps(t testing.TB) {
+	CheckSteps(t, "reservations", checkReservations)
+}
+
+// Placed is one task the engine holds Running: its ID, its placement
+// epoch, whether it was placed under an availability-recompute hint, and
+// the names of the nodes it holds, primary first.
+type Placed struct {
+	ID     int64
+	Epoch  int
+	Hinted bool
+	Nodes  []string
+}
+
+// RunningPlacements lists the tasks Running at a step, in registration
+// order. Caller holds e.mu (a CheckSteps check).
+func RunningPlacements(e *Engine) []Placed {
+	var out []Placed
+	for _, t := range e.tasks.all {
+		if t.state != Running {
+			continue
+		}
+		p := Placed{ID: t.ID, Epoch: int(t.epoch), Hinted: t.availNeed() != "", Nodes: []string{t.node.Name()}}
+		for _, n := range t.peers() {
+			p.Nodes = append(p.Nodes, n.Name())
+		}
+		out = append(out, p)
+	}
+	return out
 }

@@ -179,6 +179,7 @@ func checkPoolIndexConsistent(t *testing.T, pool *resources.Pool, specs []infra.
 }
 
 func TestIndexParitySweep(t *testing.T) {
+	engine.CheckReservationSteps(t)
 	crashScript := faults.Scenario{
 		{At: 20 * time.Second, Kind: faults.Drain, Node: "ix-c1"},
 		{At: 40 * time.Second, Kind: faults.Cut, Node: "hpc", Peer: "fog"},
@@ -334,6 +335,7 @@ func sizedStencil(cells, iters int, nodes []*resources.Node) ([]infra.TaskSpec, 
 // PickIndexed hands over to Pick) under every availability policy, and a
 // checkpointed halt with its restore.
 func TestLocalityIndexParity(t *testing.T) {
+	engine.CheckReservationSteps(t)
 	scripts := map[string]faults.Scenario{
 		"plain": nil,
 		"crash": {{At: 45 * time.Second, Kind: faults.Crash, Node: "lp-c"}},
