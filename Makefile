@@ -87,7 +87,14 @@ vet:
 # that nothing runs on, like the storage/hecuba, mpisim and steer that
 # used to sit in internal/, or the storage interface examples/steering
 # now keeps as a private map store, comes back. The exports guard above
-# carries the same rule down to single declarations.
+# carries the same rule down to single declarations. And the
+# one-placement-path grep — a policy picks once, through
+# sched.Policy.Choose over a resources.Candidates view (the signature's
+# index, or an explicit list), so no second pick method comes back:
+# nothing names the old index-pick interface (IndexedPolicy) or its method
+# (PickIndexed), and no method that takes a TaskView takes its candidates
+# as a []*resources.Node. A harness.go, which keeps bench/'s old names,
+# is the harness guard's to police.
 FLAG_BUDGET := 21
 VERSION_MAP_BUDGET := 9
 LINE_BUDGET := 19761
@@ -135,6 +142,9 @@ budget:
 		END { for (p in libs) if (!(p in used)) print p }' | sort); \
 		if [ -n "$$bad" ]; then echo "a library package only examples/ (or nothing) imports:"; echo "$$bad"; exit 1; fi; \
 		echo "library packages only examples/ imports: 0"
+	@bad=$$(find . $(NONTEST_GO) ! -name harness.go ! -path './bench/*' | xargs grep -nE '\b(IndexedPolicy|PickIndexed)\b|^func \([^)]*\) [A-Za-z]+\([^)]*TaskView[^)]*\[\]\*resources\.Node'); \
+		if [ -n "$$bad" ]; then echo "a second placement path (policies pick once, through resources.Candidates):"; echo "$$bad"; exit 1; fi; \
+		echo "placement paths besides Policy.Choose: 0"
 
 # staticcheck is optional locally; CI installs a pinned version. The
 # guard keeps `make lint` useful on machines without it.

@@ -149,31 +149,17 @@ func (e *Engine) actionableMissesLocked(plan transfer.Plan) []deps.Version {
 // fed or the policy declines the feedable subset (the availability
 // policy then takes over).
 func (e *Engine) feedablePickLocked(t *Task, fitting []*resources.Node, tried *resources.Node) (*resources.Node, transfer.Plan, bool) {
-	var feedable []*resources.Node
-	var plans []transfer.Plan
-	for _, n := range fitting {
-		if n == tried {
-			continue
-		}
-		plan := e.mgr.PlanFetch(n.Name(), t.InputKeys)
-		if len(e.actionableMissesLocked(plan)) == 0 {
-			feedable = append(feedable, n)
-			plans = append(plans, plan)
-		}
-	}
-	if len(feedable) == 0 {
+	feedable := resources.ListCandidates(fitting).Filter(func(n *resources.Node) bool {
+		return n != tried && len(e.actionableMissesLocked(e.mgr.PlanFetch(n.Name(), t.InputKeys))) == 0
+	})
+	if len(feedable.Nodes()) == 0 {
 		return nil, transfer.Plan{}, false
 	}
-	primary := e.cfg.Policy.Pick(e.viewLocked(t), feedable, e.cfg.SchedContext)
+	primary := e.cfg.Policy.Choose(e.viewLocked(t), feedable, e.cfg.SchedContext)
 	if primary == nil {
 		return nil, transfer.Plan{}, false
 	}
-	for i, n := range feedable {
-		if n == primary {
-			return primary, plans[i], true
-		}
-	}
-	return nil, transfer.Plan{}, false // policy picked outside the offered set: programming error, fail safe
+	return primary, e.mgr.PlanFetch(primary.Name(), t.InputKeys), true
 }
 
 // feedableCapableLocked reports whether any node that could ever run t

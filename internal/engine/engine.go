@@ -368,10 +368,6 @@ type Engine struct {
 	cfg  Config
 	mgr  *transfer.Manager // nil unless Registry and Net are both set
 	prio sched.Prioritizer // non-nil when the policy ranks ready tasks
-	// idxPol is non-nil when the policy can pick straight off the pool's
-	// capability index (sched.IndexedPolicy); placeLocked then skips
-	// materializing the fitting slice for unhinted single-node tasks.
-	idxPol sched.IndexedPolicy
 
 	// readyN is the queued-ready count. It is written only under mu but
 	// read lock-free by Schedule's empty fast path and ReadyCount, so a
@@ -424,7 +420,7 @@ type Engine struct {
 	view         sched.TaskView      // scratch view (guarded by mu; never retained)
 	// Scratch candidate buffers for the wave hot path (guarded by mu;
 	// never escape a placement attempt — Placement.Peers is always a
-	// fresh allocation).
+	// fresh allocation); fitScratch is placeLocked's Candidates buffer.
 	fitScratch []*resources.Node
 	capScratch []*resources.Node
 	// Registration scratch: the producer→dependent edges one Add or
@@ -530,9 +526,6 @@ func New(cfg Config) *Engine {
 	}
 	if p, ok := cfg.Policy.(sched.Prioritizer); ok {
 		e.prio = p
-	}
-	if ip, ok := cfg.Policy.(sched.IndexedPolicy); ok {
-		e.idxPol = ip
 	}
 	if cfg.Registry != nil && cfg.Net != nil {
 		e.mgr = transfer.NewManager(cfg.Net, cfg.Registry)
@@ -1140,21 +1133,15 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 	}
 	wantNodes := t.Constraints.EffectiveNodes()
 
+	// The policy chooses among the fitting nodes once, at this one site.
+	// An unhinted single-node task's candidates are read through the
+	// signature's index, and no list is built unless the policy asks for
+	// one; a hinted task's and a group's are listed, because the hint
+	// filters them and the group draws its peers from them.
 	idx := e.ready[t.sig].idx // t is queued, so its bucket exists
-	var primary *resources.Node
-	var fitting []*resources.Node // nil on the indexed fast path until needed
-	if e.idxPol != nil && !hinted && wantNodes == 1 {
-		// Indexed fast path: the policy picks straight off the pool's
-		// per-signature index — no fitting slice is materialized. The
-		// IndexedPolicy contract makes nil mean "nothing fits", which is
-		// exactly the signature-wide capacity failure.
-		primary = e.idxPol.PickIndexed(e.viewLocked(t), idx, e.cfg.SchedContext)
-		if primary == nil {
-			return Placement{}, placeNoCapacity
-		}
-	} else {
-		fitting = idx.AppendFitting(e.fitScratch[:0], t.Constraints)
-		e.fitScratch = fitting // keep the (possibly grown) buffer
+	cands := idx.Candidates(t.Constraints, &e.fitScratch)
+	var fitting []*resources.Node // the listed candidates; nil while read through the index
+	if hinted || wantNodes > 1 {
 		if hinted {
 			// Availability-recompute hint: this is a producer resubmitted for
 			// a consumer stranded behind a cut, so only nodes that can reach
@@ -1162,21 +1149,21 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 			// failure under the hint filter is task-specific — unhinted
 			// siblings may still fit the excluded nodes — so it is reported
 			// as a decline, not a signature-wide failure.
-			kept := fitting[:0]
-			for _, n := range fitting {
-				if e.cfg.Net.Reachable(n.Name(), need) {
-					kept = append(kept, n)
-				}
-			}
-			fitting = kept
+			cands = cands.Filter(func(n *resources.Node) bool { return e.cfg.Net.Reachable(n.Name(), need) })
 		}
+		fitting = cands.Nodes()
 		if len(fitting) < wantNodes {
 			return Placement{}, capFail
 		}
-		primary = e.cfg.Policy.Pick(e.viewLocked(t), fitting, e.cfg.SchedContext)
-		if primary == nil {
-			return Placement{}, placeDeclined
-		}
+		// A bufferless view: a policy that filters it builds its own list
+		// and leaves fitting, which the peers and the re-offer read, alone.
+		cands = resources.ListCandidates(fitting)
+	} else if idx.FitCount() == 0 {
+		return Placement{}, placeNoCapacity
+	}
+	primary := e.cfg.Policy.Choose(e.viewLocked(t), cands, e.cfg.SchedContext)
+	if primary == nil {
+		return Placement{}, placeDeclined
 	}
 
 	// Classify inputs against the chosen primary before reserving
@@ -1196,12 +1183,11 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 			// The chosen primary cannot be fed, but another fitting node
 			// may well be — the replica's own node, or one on the right
 			// side of the cut. Re-offer the choice over the feedable
-			// subset before giving up on the task for this wave. The
-			// indexed fast path defers materializing the fitting slice to
-			// exactly this (rare) branch.
+			// subset before giving up on the task for this wave. A
+			// placement read through the index lists its candidates only
+			// in this (rare) branch.
 			if fitting == nil {
-				fitting = idx.AppendFitting(e.fitScratch[:0], t.Constraints)
-				e.fitScratch = fitting
+				fitting = cands.Nodes()
 			}
 			if alt, altPlan, ok := e.feedablePickLocked(t, fitting, primary); ok {
 				primary, plan = alt, altPlan

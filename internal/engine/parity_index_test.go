@@ -1,14 +1,13 @@
 package engine_test
 
-// Placement-index parity: the indexed fast path (sched.IndexedPolicy
-// picking straight off the pool's capability index) must make byte-
-// identical placement decisions to the materialized-slice scan path
-// wherever the policy is deterministic — same start order, same node per
-// start, same transfer books — including under node crashes, cordons,
-// partitions and checkpoint restore, the churn the index maintains
-// itself through. The scan run is the oracle: the same policy wrapped in
-// scanOnly, which hides PickIndexed so the engine falls back to
-// Pick(fitting) — the path hinted and multi-node placements always take.
+// Placement-index parity: a policy choosing through the pool's capability
+// index must make byte-identical placement decisions to a scan of the
+// materialized fitting list wherever the policy is deterministic — same
+// start order, same node per start, same transfer books — including under
+// node crashes, cordons, partitions and checkpoint restore, the churn the
+// index maintains itself through. The scan run is the oracle: scanOnly
+// asks the policy's question of every fitting node, the way each policy
+// picked before the index existed.
 
 import (
 	"errors"
@@ -58,10 +57,67 @@ type indexParityRun struct {
 	pool      *resources.Pool
 }
 
-// scanOnly forwards Name and Pick and nothing else: embedding the
-// interface, not the concrete policy, keeps PickIndexed out of the
-// method set, so the engine cannot select its indexed fast path.
+// scanOnly is the scan oracle for FIFO, MinLoad and Locality: it
+// materializes the candidates the engine offers and asks every one of
+// them the policy's question — the first (FIFO); the lowest busy-core
+// fraction, ties by name (MinLoad); the most local input bytes, then,
+// under a partition, whether every input can reach it, then the most free
+// cores, the first in pool order winning a tie (Locality).
 type scanOnly struct{ sched.Policy }
+
+func (p scanOnly) Choose(t *sched.TaskView, c resources.Candidates, ctx *sched.Context) *resources.Node {
+	fitting := c.Nodes()
+	switch p.Policy.(type) {
+	case sched.FIFO:
+		return fitting[0]
+	case sched.MinLoad:
+		var best *resources.Node
+		var bestFrac float64
+		for _, n := range fitting {
+			f := float64(n.BusyCores()) / float64(n.Desc().Cores)
+			if best == nil || f < bestFrac || f == bestFrac && n.Name() < best.Name() {
+				best, bestFrac = n, f
+			}
+		}
+		return best
+	case sched.Locality:
+		return scanLocality(t, fitting, ctx)
+	}
+	panic("scanOnly: no scan oracle for " + p.Name())
+}
+
+func scanLocality(t *sched.TaskView, fitting []*resources.Node, ctx *sched.Context) *resources.Node {
+	fed := func(n *resources.Node) bool {
+		if !ctx.Net.HasCuts() {
+			return true
+		}
+		for _, k := range t.InputKeys {
+			size, holders := ctx.Registry.Row(k)
+			if len(holders) == 0 || slices.Contains(holders, n.Name()) {
+				continue
+			}
+			if _, _, ok := ctx.Net.BestSource(n.Name(), holders, size); !ok {
+				return false
+			}
+		}
+		return true
+	}
+	var best *resources.Node
+	var bestLocal int64
+	var bestFed bool
+	for _, n := range fitting {
+		local, f := ctx.Registry.LocalBytes(n.Name(), t.InputKeys), fed(n)
+		switch {
+		case best == nil, local > bestLocal:
+		case local == bestLocal && f && !bestFed:
+		case local == bestLocal && f == bestFed && n.FreeCores() > best.FreeCores():
+		default:
+			continue
+		}
+		best, bestLocal, bestFed = n, local, f
+	}
+	return best
+}
 
 func runIndexParity(t *testing.T, policy sched.Policy, specs []infra.TaskSpec, script faults.Scenario) indexParityRun {
 	t.Helper()
@@ -118,7 +174,7 @@ func specSigs(specs []infra.TaskSpec) []resources.Constraints {
 }
 
 // indexScanDiff holds the pool's index to a from-scratch node scan for
-// every signature in sigs: Fitting in pool order, FirstFitting, and
+// every signature in sigs: Fitting in pool order, the first candidate, and
 // MinLoadFitting — the fitting node with the least busy-core fraction,
 // ties by name. It uses only the pool's exported API, so it can run at
 // every engine step (e.mu → pool → node → index, the engine's own order).
@@ -148,8 +204,8 @@ func indexScanDiff(pool *resources.Pool, sigs []resources.Constraints) error {
 			first = want[0]
 		}
 		si := pool.IndexFor(c)
-		if got := si.FirstFitting(c); got != first {
-			return fmt.Errorf("sig %q: FirstFitting %v, scan %v", c.Signature(), names(got), names(first))
+		if got := si.Candidates(c, nil).First(); got != first {
+			return fmt.Errorf("sig %q: first candidate %v, scan %v", c.Signature(), names(got), names(first))
 		}
 		if got := si.MinLoadFitting(c); got != least {
 			return fmt.Errorf("sig %q: MinLoadFitting %v, scan %v", c.Signature(), names(got), names(least))
@@ -200,9 +256,6 @@ func TestIndexParitySweep(t *testing.T) {
 		for _, tc := range cases {
 			tc := tc
 			t.Run(policy.Name()+"/"+tc.name, func(t *testing.T) {
-				if _, ok := sched.Policy(scanOnly{policy}).(sched.IndexedPolicy); ok {
-					t.Fatal("scanOnly still exposes PickIndexed; the oracle would run the indexed path")
-				}
 				indexed := runIndexParity(t, policy, tc.specs, tc.script)
 				scanned := runIndexParity(t, scanOnly{policy}, tc.specs, tc.script)
 				diffIndexRuns(t, policy.Name()+"/"+tc.name, indexed, scanned)
@@ -327,13 +380,12 @@ func sizedStencil(cells, iters int, nodes []*resources.Node) ([]infra.TaskSpec, 
 	return specs, stageIn, holders
 }
 
-// TestLocalityIndexParity holds the index-native Locality (score the
-// holders, one walk over cached capacities) to the scan reference
-// (scanOnly: Pool.Fitting + Pick, every candidate asked for its local
-// bytes): byte-identical event streams, makespan and transfer counts on
-// sized data, through crashes, drains, a partition with its heal (where
-// PickIndexed hands over to Pick) under every availability policy, and a
-// checkpointed halt with its restore.
+// TestLocalityIndexParity holds Locality (score the holders by name, then
+// one walk) to the scan oracle (scanOnly: every fitting node asked for its
+// local bytes): byte-identical event streams, makespan and transfer
+// counts on sized data, through crashes, drains, a partition with its heal
+// (where the walk is costed against the network over a list) under every
+// availability policy, and a checkpointed halt with its restore.
 func TestLocalityIndexParity(t *testing.T) {
 	engine.CheckReservationSteps(t)
 	scripts := map[string]faults.Scenario{
@@ -346,9 +398,6 @@ func TestLocalityIndexParity(t *testing.T) {
 			{At: 160 * time.Second, Kind: faults.HealLink, Node: "hpc", Peer: "fog"},
 			{At: 200 * time.Second, Kind: faults.HealLink, Node: "lp-m", Peer: "lp-q"},
 		},
-	}
-	if _, ok := sched.Policy(sched.Locality{}).(sched.IndexedPolicy); !ok {
-		t.Fatal("Locality lost PickIndexed; both arms would run the scan")
 	}
 	run := func(t *testing.T, policy sched.Policy, workload string, avail engine.Availability, script faults.Scenario, halt time.Duration, store *checkpoint.Store, restore *checkpoint.Snapshot) indexParityRun {
 		t.Helper()

@@ -112,8 +112,7 @@ var placementScript = faults.Scenario{
 }
 
 // pickCall is one policy decision the run asked for: the task, the nodes
-// offered when they came as a list (nil when read through the index), and
-// the pick ("" for a decline).
+// offered, and the pick ("" for a decline).
 type pickCall struct {
 	task    int64
 	offered []string
@@ -137,10 +136,7 @@ type recorder struct {
 }
 
 func (r *recorder) pick(t *sched.TaskView, offered []*resources.Node, got *resources.Node) {
-	c := pickCall{task: t.ID}
-	if offered != nil {
-		c.offered = names(offered...)
-	}
+	c := pickCall{task: t.ID, offered: names(offered...)}
 	if got != nil {
 		c.got = got.Name()
 	} else {
@@ -149,7 +145,7 @@ func (r *recorder) pick(t *sched.TaskView, offered []*resources.Node, got *resou
 	// A re-offer is the engine asking again, in the same step, about the
 	// task it was just asked about, over a list without the first pick.
 	if n := len(r.calls); n > r.step {
-		if prev := r.calls[n-1]; prev.task == c.task && prev.got != "" && c.offered != nil && !contains(c.offered, prev.got) {
+		if prev := r.calls[n-1]; prev.task == c.task && prev.got != "" && !contains(c.offered, prev.got) {
 			r.counts.reoffers++
 		}
 	}
@@ -192,9 +188,9 @@ type observed struct {
 	rec *recorder
 }
 
-func (p observed) Pick(t *sched.TaskView, fitting []*resources.Node, ctx *sched.Context) *resources.Node {
-	n := p.Policy.Pick(t, fitting, ctx)
-	p.rec.pick(t, fitting, n)
+func (p observed) Choose(t *sched.TaskView, c resources.Candidates, ctx *sched.Context) *resources.Node {
+	n := p.Policy.Choose(t, c, ctx)
+	p.rec.pick(t, c.Nodes(), n)
 	return n
 }
 
@@ -205,29 +201,13 @@ func (p observed) Priority(t *sched.TaskView, ctx *sched.Context) float64 {
 	return 0
 }
 
-// observedIndexed adds the index pick for the policies that have one.
-type observedIndexed struct{ observed }
-
-func (p observedIndexed) PickIndexed(t *sched.TaskView, idx resources.SigIndex, ctx *sched.Context) *resources.Node {
-	n := p.Policy.(sched.IndexedPolicy).PickIndexed(t, idx, ctx)
-	p.rec.pick(t, nil, n)
-	return n
-}
-
-func observe(p sched.Policy, rec *recorder) sched.Policy {
-	if _, ok := p.(sched.IndexedPolicy); ok {
-		return observedIndexed{observed{p, rec}}
-	}
-	return observed{p, rec}
-}
-
 // runPlacements runs the fixture under policy and renders its starts.
 func runPlacements(t *testing.T, policy sched.Policy, rec *recorder) string {
 	t.Helper()
 	pool, net := placementPool()
 	tr := trace.New(0)
 	sim, err := infra.New(infra.Config{
-		Pool: pool, Net: net, Policy: observe(policy, rec), Tracer: tr,
+		Pool: pool, Net: net, Policy: observed{policy, rec}, Tracer: tr,
 		Availability: engine.AvailRecompute, Faults: placementScript,
 	}, placementSpecs())
 	if err != nil {

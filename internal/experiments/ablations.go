@@ -47,9 +47,9 @@ var _ sched.Policy = noPriority{}
 // Name implements sched.Policy.
 func (p noPriority) Name() string { return p.inner.Name() + "-noprio" }
 
-// Pick implements sched.Policy.
-func (p noPriority) Pick(t *sched.TaskView, fitting []*resources.Node, ctx *sched.Context) *resources.Node {
-	return p.inner.Pick(t, fitting, ctx)
+// Choose implements sched.Policy.
+func (p noPriority) Choose(t *sched.TaskView, c resources.Candidates, ctx *sched.Context) *resources.Node {
+	return p.inner.Choose(t, c, ctx)
 }
 
 // a2Priority runs the heterogeneous mix with the full ML policy and with

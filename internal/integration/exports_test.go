@@ -33,6 +33,7 @@ const exportBudget = 579
 var exportAllowlist = map[string]string{
 	"internal/engine/checkpoint.Equivalent":  "reference oracle of the checkpoint and restore parity suites",
 	"internal/resources.Node.CanReserve":     "reference oracle the placement index is held to",
+	"internal/transfer.Registry.LocalBytes":  "reference oracle the Locality scans are held to: every candidate asked for its local bytes",
 	"internal/workloads.ConformanceSuite":    "fixture shared by the engine's and the backends' parity suites",
 	"internal/workloads/trace.ReplayLive":    "fixture: replays a trace on the live runtime for the trace parity tests",
 	"internal/engine/checkpoint.Keep":        "parity tests keep every snapshot with Keep(1000)",

@@ -14,9 +14,9 @@
 // a rec its entry per class). A notification eagerly refreshes the cached
 // capacity and each signature's fitCount, so "no capacity" stays an O(1)
 // answer; the load heaps are repaired lazily, by the next pick that walks
-// one. Queries have one by-name door,
-// SigIndex.FittingByName: a scorer that knows its few candidates by name
-// (locality's input holders) asks about them without walking the class.
+// one. Policies query through Candidates, whose one by-name door,
+// ByName, lets a scorer that knows its few candidates by name (locality's
+// input holders) ask about them without walking the class.
 //
 // Locking: the index has one mutex and is a leaf — index methods never
 // acquire a pool or node lock. Nodes notify their watching indexes while
@@ -211,7 +211,7 @@ type Index struct {
 	classes []*capClass // creation order
 	byKey   map[sigKey]*sigSet
 	// byName holds the records of order by node name, built on the first
-	// FittingByName: a pool no policy asks by name never pays for it.
+	// Candidates.ByName: a pool no policy asks by name never pays for it.
 	byName map[string]*rec
 	seq    uint64 // the last rec.seq handed out
 }
@@ -422,11 +422,11 @@ func (x *Index) sigFor(sig string, c Constraints) *sigSet {
 	return s
 }
 
-// SigIndex is the per-signature view handed to index-aware scheduling
-// policies (sched.IndexedPolicy): capability membership plus load order
-// for one constraint signature. Obtain one with Pool.IndexFor. The view
-// stays valid across pool churn — it reads the live index under its
-// lock on every call.
+// SigIndex is one constraint signature's view of the placement index:
+// capability membership plus load order. Obtain one with Pool.IndexFor;
+// a placement policy reads it through Candidates. The view stays valid
+// across pool churn — it reads the live index under its lock on every
+// call.
 type SigIndex struct {
 	x *Index
 	s *sigSet
@@ -465,66 +465,12 @@ func (si SigIndex) MinLoadFitting(c Constraints) *Node {
 	return nil
 }
 
-// FirstFitting returns the first member in pool insertion order that
-// currently fits c and is not drained — Fitting(c)[0] without
-// materializing the slice — or nil when no member fits.
-func (si SigIndex) FirstFitting(c Constraints) *Node {
-	si.x.mu.Lock()
-	defer si.x.mu.Unlock()
-	if si.s.fitCount == 0 {
-		return nil
-	}
-	for _, e := range si.s.cc.members {
-		if !e.r.st.drained && e.r.st.fits(c) {
-			return e.r.n
-		}
-	}
-	return nil
-}
-
-// PowerOfTwoPick samples two members uniformly through rng — from the
-// member list, whose order is the pool's, so the same pool, loads and seed
-// give the same pick whatever was walked before — and returns the less
-// loaded one that fits c ((frac, name) order; a drained sample does not
-// fit). When neither sample fits it falls back to the exact heap walk, so
-// nil is returned only when no member fits at all — sampling never turns a
-// placeable task into a capacity failure.
-func (si SigIndex) PowerOfTwoPick(c Constraints, rng *rand.Rand) *Node {
-	si.x.mu.Lock()
-	defer si.x.mu.Unlock()
-	if si.s.fitCount == 0 {
-		return nil
-	}
-	cc := si.s.cc
-	si.x.repairLocked(cc) // current load keys for the samples, a valid heap for the fallback
-	n := len(cc.members)
-	a := cc.members[rng.Intn(n)]
-	b := a
-	if n > 1 {
-		b = cc.members[rng.Intn(n)]
-	}
-	if loadLess(b, a) {
-		a, b = b, a
-	}
-	for _, e := range [2]*classEntry{a, b} {
-		if !e.r.st.drained && e.r.st.fits(c) {
-			return e.r.n
-		}
-	}
-	if r := cc.minFitting(c); r != nil {
-		return r.n
-	}
-	return nil
-}
-
-// EachFitting calls fn for every member that currently fits c (undrained,
+// eachFitting calls fn for every member that currently fits c (undrained,
 // enough free capacity), in pool insertion order, with its cached free
-// cores — the walk a scoring policy ranks candidates over without a
-// candidate slice or a node lock. fn runs under the index's leaf lock: it
-// may read only n.Name() and n.Desc(). FreeCores, CanReserve and Reserve
-// take the node mutex, which a node holds while it notifies the index
-// (node.mu → idx.mu), so calling them here inverts the order and deadlocks.
-func (si SigIndex) EachFitting(c Constraints, fn func(n *Node, freeCores int)) {
+// cores. fn runs under the index's leaf lock, so it is this package's own
+// code and takes no node mutex: a node holds its own while it notifies
+// the index (node.mu → idx.mu), so taking one here would deadlock.
+func (si SigIndex) eachFitting(c Constraints, fn func(n *Node, freeCores int)) {
 	si.x.mu.Lock()
 	defer si.x.mu.Unlock()
 	// fitCount is exact for the signature's demand (see sigSet), so a
@@ -540,41 +486,6 @@ func (si SigIndex) EachFitting(c Constraints, fn func(n *Node, freeCores int)) {
 			left--
 		}
 	}
-}
-
-// FittingByName returns the named node when it is an undrained member of
-// this signature's class that currently fits c, with its cached free cores
-// and seq, a number that orders nodes as pool insertion order does (a
-// node removed and added again sorts last); n is nil otherwise. It is the
-// index's one lookup by name: a scorer whose only non-zero candidates are
-// a few named nodes asks about those instead of walking the class.
-func (si SigIndex) FittingByName(name string, c Constraints) (n *Node, freeCores int, seq uint64) {
-	si.x.mu.Lock()
-	defer si.x.mu.Unlock()
-	if si.x.byName == nil {
-		si.x.byName = make(map[string]*rec, len(si.x.order))
-		for _, r := range si.x.order {
-			si.x.byName[r.n.name] = r
-		}
-	}
-	r := si.x.byName[name]
-	if r == nil || r.st.drained || !r.st.fits(c) {
-		return nil, 0, 0
-	}
-	for _, e := range r.ents {
-		if e.cc == si.s.cc {
-			return r.n, r.st.freeCores, r.seq
-		}
-	}
-	return nil, 0, 0
-}
-
-// AppendFitting appends the members that currently fit c to dst in pool
-// insertion order and returns the extended slice — the allocation-free
-// Fitting for the scan placement path.
-func (si SigIndex) AppendFitting(dst []*Node, c Constraints) []*Node {
-	si.EachFitting(c, func(n *Node, _ int) { dst = append(dst, n) })
-	return dst
 }
 
 // AppendCapable appends every member (drained included — capability
@@ -603,4 +514,218 @@ func (si SigIndex) FitCount() int {
 	si.x.mu.Lock()
 	defer si.x.mu.Unlock()
 	return si.s.fitCount
+}
+
+// Candidates is what a placement policy chooses among: the nodes that
+// currently fit one task, in pool insertion order, never none. The
+// unfiltered form (SigIndex.Candidates) is the task's signature read
+// through the placement index: each operation is one query under the
+// index's leaf lock that runs no caller code, and builds no list unless
+// asked to. The filtered form (ListCandidates) is an explicit list: a
+// hinted placement's reachable nodes, a multi-node group's fitting set,
+// the feedable re-offer's nodes, WaitFast's fast subset. Every operation
+// answers the same question over either form, so a policy is written
+// once; one that costs candidates against the registry or the network
+// walks Nodes(), outside the index's lock.
+type Candidates struct {
+	si   SigIndex    // the unfiltered form's signature (si.x nil in the filtered form)
+	c    Constraints // the demand the unfiltered form's queries test
+	list []*Node     // the filtered form's nodes
+	buf  *[]*Node    // where Nodes and Filter materialize; nil: a new slice
+}
+
+// Candidates returns the unfiltered view of the members that fit c. When
+// buf is non-nil, Nodes and Filter materialize into *buf (keeping a grown
+// array there), so a caller that keeps one buffer allocates nothing for
+// them; what they return is valid until the buffer's next use.
+func (si SigIndex) Candidates(c Constraints, buf *[]*Node) Candidates {
+	return Candidates{si: si, c: c, buf: buf}
+}
+
+// ListCandidates returns the filtered view over nodes, which fit the task
+// and are in pool insertion order.
+func ListCandidates(nodes []*Node) Candidates { return Candidates{list: nodes} }
+
+// First returns the first candidate in pool order.
+func (cs Candidates) First() *Node {
+	if cs.si.x == nil {
+		return cs.list[0]
+	}
+	cs.si.x.mu.Lock()
+	defer cs.si.x.mu.Unlock()
+	for _, e := range cs.si.s.cc.members {
+		if !e.r.st.drained && e.r.st.fits(cs.c) {
+			return e.r.n
+		}
+	}
+	return nil
+}
+
+// MinLoad returns the candidate with the lowest busy-core fraction, ties
+// broken by node name, so the pick never depends on pool order. The
+// unfiltered form walks the signature's load heap.
+func (cs Candidates) MinLoad() *Node {
+	if cs.si.x != nil {
+		return cs.si.MinLoadFitting(cs.c)
+	}
+	best := cs.list[0]
+	for _, n := range cs.list[1:] {
+		if f, bf := loadFrac(n), loadFrac(best); f < bf || f == bf && n.Name() < best.Name() {
+			best = n
+		}
+	}
+	return best
+}
+
+// loadFrac is a node's busy-core fraction; a node without cores counts as
+// fully busy, as in the load heap.
+func loadFrac(n *Node) float64 {
+	if c := n.Desc().Cores; c > 0 {
+		return float64(n.BusyCores()) / float64(c)
+	}
+	return 1
+}
+
+// PowerOfTwo samples two candidates through rng and returns the less
+// loaded one ((fraction, name) order). Each form samples its own way,
+// deterministically given the pool, the loads and rng. The unfiltered
+// form draws from the signature's member list — pool order, so the pick
+// does not depend on what was walked before — and counts a drained or
+// full sample as not fitting; when neither fits it falls back to
+// MinLoad, so sampling never turns a placeable task into a decline. The
+// filtered form draws from its list, and draws nothing from a list of one.
+func (cs Candidates) PowerOfTwo(rng *rand.Rand) *Node {
+	if cs.si.x == nil {
+		if len(cs.list) == 1 {
+			return cs.list[0]
+		}
+		a, b := cs.list[rng.Intn(len(cs.list))], cs.list[rng.Intn(len(cs.list))]
+		if fa, fb := loadFrac(a), loadFrac(b); a == b || fa < fb || fa == fb && a.Name() < b.Name() {
+			return a
+		}
+		return b
+	}
+	si := cs.si
+	si.x.mu.Lock()
+	defer si.x.mu.Unlock()
+	if si.s.fitCount == 0 {
+		return nil
+	}
+	cc := si.s.cc
+	si.x.repairLocked(cc) // current load keys for the samples, a valid heap for the fallback
+	n := len(cc.members)
+	a := cc.members[rng.Intn(n)]
+	b := a
+	if n > 1 {
+		b = cc.members[rng.Intn(n)]
+	}
+	if loadLess(b, a) {
+		a, b = b, a
+	}
+	for _, e := range [2]*classEntry{a, b} {
+		if !e.r.st.drained && e.r.st.fits(cs.c) {
+			return e.r.n
+		}
+	}
+	if r := cc.minFitting(cs.c); r != nil {
+		return r.n
+	}
+	return nil
+}
+
+// ByName returns the named node when it is a candidate, with its free
+// cores and seq, a number that orders candidates as pool order does (a
+// node removed and added again sorts last); n is nil otherwise. The
+// unfiltered form answers from the index without walking the set: a
+// scorer whose only non-zero candidates are a few named nodes asks about
+// those.
+func (cs Candidates) ByName(name string) (n *Node, freeCores int, seq uint64) {
+	if cs.si.x == nil {
+		for i, n := range cs.list {
+			if n.Name() == name {
+				return n, n.FreeCores(), uint64(i)
+			}
+		}
+		return nil, 0, 0
+	}
+	x := cs.si.x
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.byName == nil {
+		x.byName = make(map[string]*rec, len(x.order))
+		for _, r := range x.order {
+			x.byName[r.n.name] = r
+		}
+	}
+	r := x.byName[name]
+	if r == nil || r.st.drained || !r.st.fits(cs.c) {
+		return nil, 0, 0
+	}
+	for _, e := range r.ents {
+		if e.cc == cs.si.s.cc {
+			return r.n, r.st.freeCores, r.seq
+		}
+	}
+	return nil, 0, 0
+}
+
+// MostFree returns the candidate with the most free cores, the first in
+// pool order among equals.
+func (cs Candidates) MostFree() *Node {
+	var best *Node
+	bestFree := 0
+	more := func(n *Node, free int) {
+		if best == nil || free > bestFree {
+			best, bestFree = n, free
+		}
+	}
+	if cs.si.x != nil {
+		cs.si.eachFitting(cs.c, more)
+	}
+	for _, n := range cs.list {
+		more(n, n.FreeCores())
+	}
+	return best
+}
+
+// Nodes returns the candidates as a list in pool order: the filtered
+// form's own, or the unfiltered form's materialized into its buffer.
+func (cs Candidates) Nodes() []*Node {
+	if cs.si.x == nil {
+		return cs.list
+	}
+	dst := cs.scratch()
+	cs.si.eachFitting(cs.c, func(n *Node, _ int) { dst = append(dst, n) })
+	return cs.store(dst)
+}
+
+// Filter returns the filtered view of the candidates keep accepts, which
+// may be none. It is built in the view's buffer — in place when Nodes put
+// the list there (a write never passes the read), never in a list held
+// elsewhere — and keep runs outside the index's lock.
+func (cs Candidates) Filter(keep func(*Node) bool) Candidates {
+	src, dst := cs.Nodes(), cs.scratch()
+	for _, n := range src {
+		if keep(n) {
+			dst = append(dst, n)
+		}
+	}
+	return Candidates{list: cs.store(dst), buf: cs.buf}
+}
+
+// scratch returns the view's buffer emptied, or nil when it has none.
+func (cs Candidates) scratch() []*Node {
+	if cs.buf == nil {
+		return nil
+	}
+	return (*cs.buf)[:0]
+}
+
+// store stores dst as the view's buffer, keeping a grown array, and
+// returns it.
+func (cs Candidates) store(dst []*Node) []*Node {
+	if cs.buf != nil {
+		*cs.buf = dst
+	}
+	return dst
 }

@@ -95,24 +95,43 @@ func checkIndexAgainstScan(t *testing.T, p *Pool, step int) {
 		if len(want) > 0 {
 			wantFirst = want[0]
 		}
-		if gotFirst := si.FirstFitting(c); gotFirst != wantFirst {
-			t.Fatalf("step %d sig %q: FirstFitting = %v, scan first = %v", step, c.Signature(), name(gotFirst), name(wantFirst))
+		if gotFirst := si.Candidates(c, nil).First(); gotFirst != wantFirst {
+			t.Fatalf("step %d sig %q: first candidate = %v, scan first = %v", step, c.Signature(), name(gotFirst), name(wantFirst))
 		}
 		// The by-name query answers for every pool node as CanReserve does,
 		// with the node's own free cores, and its seqs follow pool order.
 		var prev uint64
 		for _, n := range p.Nodes() {
-			got, free, seq := si.FittingByName(n.Name(), c)
+			got, free, seq := si.Candidates(c, nil).ByName(n.Name())
 			if fits := n.CanReserve(c); (got != nil) != fits || fits && (got != n || free != n.FreeCores() || seq <= prev) {
-				t.Fatalf("step %d sig %q: FittingByName(%s) = %v, %d free, seq %d (after %d); scan says fits %v, %d free",
+				t.Fatalf("step %d sig %q: ByName(%s) = %v, %d free, seq %d (after %d); scan says fits %v, %d free",
 					step, c.Signature(), n.Name(), name(got), free, seq, prev, fits, n.FreeCores())
 			}
 			if got != nil {
 				prev = seq
 			}
 		}
-		if got, _, _ := si.FittingByName("no-such-node", c); got != nil {
-			t.Fatalf("step %d sig %q: FittingByName found %s under an unknown name", step, c.Signature(), got.Name())
+		if got, _, _ := si.Candidates(c, nil).ByName("no-such-node"); got != nil {
+			t.Fatalf("step %d sig %q: ByName found %s under an unknown name", step, c.Signature(), got.Name())
+		}
+		// A Candidates view, never empty, answers alike read through the
+		// index and listed: the list form is what hinted and group
+		// placements ask.
+		if len(want) == 0 {
+			continue
+		}
+		var wantMost *Node
+		for _, n := range want {
+			if wantMost == nil || n.FreeCores() > wantMost.FreeCores() {
+				wantMost = n
+			}
+		}
+		for form, v := range [2]Candidates{si.Candidates(c, nil), ListCandidates(want)} {
+			if v.First() != wantFirst || v.MinLoad() != wantMin || v.MostFree() != wantMost || !slices.Equal(v.Nodes(), want) {
+				t.Fatalf("step %d sig %q, form %d: First %v, MinLoad %v, MostFree %v, %d nodes; scan %v, %v, %v, %d",
+					step, c.Signature(), form, name(v.First()), name(v.MinLoad()), name(v.MostFree()), len(v.Nodes()),
+					name(wantFirst), name(wantMin), name(wantMost), len(want))
+			}
 		}
 	}
 }
@@ -426,7 +445,7 @@ func (c *churner) step() {
 // TestIndexMatchesScanUnderChurn is the placement-index property test:
 // after every step of a randomized interleaving of Reserve, Release, Add,
 // Remove, Drain and Undrain, the capability classes and load heaps must
-// answer Fitting / Capable / MinLoad / FirstFitting exactly as a
+// answer Fitting / Capable / MinLoad / First exactly as a
 // from-scratch scan of the pool does, and the index's own invariants
 // must hold — through the splits the additions cause.
 func TestIndexMatchesScanUnderChurn(t *testing.T) {
@@ -439,7 +458,7 @@ func TestIndexMatchesScanUnderChurn(t *testing.T) {
 	c.checkSplit()
 }
 
-// TestIndexNamedLookupUnderChurn runs FittingByName and EachFitting from
+// TestIndexNamedLookupUnderChurn runs ByName and eachFitting from
 // two reader goroutines while one writer adds, removes, re-adds, drains
 // and loads nodes — what elastic growth and shrink do on the live backend
 // while the engine places. The pool starts as the churner's, so the read
@@ -478,13 +497,13 @@ func TestIndexNamedLookupUnderChurn(t *testing.T) {
 				}
 				reads.Add(1)
 				want := nodeName(k % (names + 1)) // named-8 is never in the pool
-				if n, free, _ := si.FittingByName(want, c); n != nil && (n.Name() != want || free < 1 || free > n.Desc().Cores) {
-					t.Errorf("FittingByName(%s) = %s with %d free cores of %d", want, n.Name(), free, n.Desc().Cores)
+				if n, free, _ := si.Candidates(c, nil).ByName(want); n != nil && (n.Name() != want || free < 1 || free > n.Desc().Cores) {
+					t.Errorf("ByName(%s) = %s with %d free cores of %d", want, n.Name(), free, n.Desc().Cores)
 					return
 				}
-				si.EachFitting(c, func(n *Node, free int) {
+				si.eachFitting(c, func(n *Node, free int) {
 					if free < 1 || free > n.Desc().Cores {
-						t.Errorf("EachFitting: %s with %d free cores of %d", n.Name(), free, n.Desc().Cores)
+						t.Errorf("eachFitting: %s with %d free cores of %d", n.Name(), free, n.Desc().Cores)
 					}
 				})
 			}
@@ -520,9 +539,9 @@ func TestIndexNamedLookupUnderChurn(t *testing.T) {
 	wg.Wait()
 	for i := 0; i <= names; i++ {
 		n, ok := pool.Get(nodeName(i))
-		got, _, _ := si.FittingByName(nodeName(i), c)
+		got, _, _ := si.Candidates(c, nil).ByName(nodeName(i))
 		if want := ok && n.CanReserve(c); (got != nil) != want || want && got != n {
-			t.Fatalf("after churn: FittingByName(%s) = %s, scan says fits %v", nodeName(i), name(got), want)
+			t.Fatalf("after churn: ByName(%s) = %s, scan says fits %v", nodeName(i), name(got), want)
 		}
 	}
 	churn.checkSplit()
@@ -702,8 +721,8 @@ func TestSharedClassStructure(t *testing.T) {
 		if got, want := si.MinLoadFitting(c), scanMinLoad(pool, c); got != want {
 			t.Fatalf("sig %q: MinLoadFitting = %v, scan min = %v", c.Signature(), name(got), name(want))
 		}
-		if got := si.FirstFitting(c); len(want) == 0 && got != nil || len(want) > 0 && got != want[0] {
-			t.Fatalf("sig %q: FirstFitting = %v, scan has %d fitting", c.Signature(), name(got), len(want))
+		if got := si.Candidates(c, nil).First(); len(want) == 0 && got != nil || len(want) > 0 && got != want[0] {
+			t.Fatalf("sig %q: first candidate = %v, scan has %d fitting", c.Signature(), name(got), len(want))
 		}
 	}
 }
@@ -725,7 +744,7 @@ func TestIndexPowerOfTwoPick(t *testing.T) {
 	si := pool.IndexFor(c)
 	var reserved []*Node
 	for i := 0; i < 8; i++ {
-		n := si.PowerOfTwoPick(c, rng)
+		n := si.Candidates(c, nil).PowerOfTwo(rng)
 		if n == nil {
 			t.Fatalf("pick %d: nil with %d free nodes", i, 8-len(reserved))
 		}
@@ -734,7 +753,7 @@ func TestIndexPowerOfTwoPick(t *testing.T) {
 		}
 		reserved = append(reserved, n)
 	}
-	if n := si.PowerOfTwoPick(c, rng); n != nil {
+	if n := si.Candidates(c, nil).PowerOfTwo(rng); n != nil {
 		t.Fatalf("pick on a full pool returned %s, want nil", n.Name())
 	}
 	seen := map[string]bool{}
@@ -793,16 +812,17 @@ func TestPowerOfTwoPickIgnoresWalkHistory(t *testing.T) {
 		if step%8 != 7 {
 			continue // let several changes pile up between picks
 		}
-		a, b := idx[0].PowerOfTwoPick(c, pickers[0]), idx[1].PowerOfTwoPick(c, pickers[1])
+		a, b := idx[0].Candidates(c, nil).PowerOfTwo(pickers[0]), idx[1].Candidates(c, nil).PowerOfTwo(pickers[1])
 		if name(a) != name(b) {
 			t.Fatalf("step %d: unwalked pool picked %s, walked pool %s", step, name(a), name(b))
 		}
 	}
 }
 
-// TestIndexAppendReusesBuffer pins the scratch-buffer contract of the
-// Append variants: appending into a cleared buffer reuses its backing
-// array instead of allocating.
+// TestIndexAppendReusesBuffer pins the scratch-buffer contract of an
+// unfiltered Candidates view: Nodes and Filter materialize into the
+// buffer the view was built over, reusing its backing array instead of
+// allocating, and a filter never writes into the list it filters.
 func TestIndexAppendReusesBuffer(t *testing.T) {
 	pool := NewPool()
 	for i := 0; i < 4; i++ {
@@ -813,21 +833,30 @@ func TestIndexAppendReusesBuffer(t *testing.T) {
 		}
 	}
 	c := Constraints{Cores: 1}
-	buf := pool.AppendFitting(nil, c)
-	if len(buf) != 4 {
-		t.Fatalf("AppendFitting returned %d nodes, want 4", len(buf))
+	var buf []*Node
+	cands := pool.IndexFor(c).Candidates(c, &buf)
+	first := cands.Nodes()
+	if len(first) != 4 {
+		t.Fatalf("Nodes returned %d nodes, want 4", len(first))
 	}
-	again := pool.AppendFitting(buf[:0], c)
-	if &again[0] != &buf[0] {
-		t.Fatal("AppendFitting reallocated although the scratch buffer had capacity")
+	if again := cands.Nodes(); &again[0] != &first[0] {
+		t.Fatal("Nodes reallocated although the view's buffer had capacity")
+	}
+	keep := func(n *Node) bool { return n.Name() != "buf-2" }
+	list := pool.Fitting(c)
+	if got := ListCandidates(list).Filter(keep).Nodes(); len(got) != 3 || list[2].Name() != "buf-2" {
+		t.Fatalf("filtering a list gave %d nodes and left %s third in it, want 3 and buf-2", len(got), list[2].Name())
 	}
 	// With the signature precomputed (as the engine caches it per task)
 	// the warm-buffer path must not allocate at all.
 	sig := c.Signature()
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = pool.IndexForSig(sig, c).AppendFitting(buf[:0], c)
+		cands := pool.IndexForSig(sig, c).Candidates(c, &buf)
+		if len(cands.Nodes()) != 4 || len(cands.Filter(keep).Nodes()) != 3 {
+			t.Fatal("a warm view lost a node")
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("AppendFitting allocated %.1f times per call on a warm buffer, want 0", allocs)
+		t.Fatalf("Nodes and Filter allocated %.1f times per view on a warm buffer, want 0", allocs)
 	}
 }

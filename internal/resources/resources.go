@@ -417,13 +417,7 @@ func (p *Pool) Len() int {
 // lookup over cached capacity instead of a full-pool scan that takes
 // every node's mutex.
 func (p *Pool) Fitting(c Constraints) []*Node {
-	return p.AppendFitting(nil, c)
-}
-
-// AppendFitting is Fitting appending into a caller-owned buffer — the
-// allocation-free variant for placement hot paths.
-func (p *Pool) AppendFitting(dst []*Node, c Constraints) []*Node {
-	return p.IndexFor(c).AppendFitting(dst, c)
+	return p.IndexFor(c).Candidates(c, nil).Nodes()
 }
 
 // AnyCapable reports whether some node could ever run c (ignoring load),

@@ -43,30 +43,73 @@ func TestMinLoadTieBreaksByName(t *testing.T) {
 		resources.NewNode("beta", resources.CloudVM),
 		resources.NewNode("alpha", resources.CloudVM),
 	}
-	got := MinLoad{}.Pick(&TaskView{}, ns, nil)
+	got := MinLoad{}.Choose(&TaskView{}, resources.ListCandidates(ns), nil)
 	if got == nil || got.Name() != "alpha" {
 		t.Fatalf("MinLoad tie picked %v, want alpha", got)
 	}
 	// Reversing the slice must not change the winner.
 	rev := []*resources.Node{ns[2], ns[1], ns[0]}
-	if got := (MinLoad{}).Pick(&TaskView{}, rev, nil); got == nil || got.Name() != "alpha" {
+	if got := (MinLoad{}).Choose(&TaskView{}, resources.ListCandidates(rev), nil); got == nil || got.Name() != "alpha" {
 		t.Fatalf("MinLoad tie after reorder picked %v, want alpha", got)
 	}
 }
 
-// TestPickIndexedMatchesScanPick is the policy half of the index
-// equivalence contract: for FIFO and MinLoad, PickIndexed over the
-// pool's index returns exactly the node Pick returns over the
-// materialized fitting slice, across a randomized load churn.
-func TestPickIndexedMatchesScanPick(t *testing.T) {
+// scanMinLoad is the MinLoad oracle: the fitting node with the lowest
+// busy-core fraction, ties broken by name.
+func scanMinLoad(fitting []*resources.Node) *resources.Node {
+	var best *resources.Node
+	var bestFrac float64
+	for _, n := range fitting {
+		f := float64(n.BusyCores()) / float64(n.Desc().Cores)
+		if best == nil || f < bestFrac || (f == bestFrac && n.Name() < best.Name()) {
+			best, bestFrac = n, f
+		}
+	}
+	return best
+}
+
+// scanLocality is the Locality oracle: every fitting node asked how many
+// of the task's input bytes it holds, then, under a partition, whether it
+// can be fed every input, then how many cores it has free; the first in
+// pool order wins a tie.
+func scanLocality(t *TaskView, fitting []*resources.Node, ctx *Context) *resources.Node {
+	var rows []inputRow
+	if ctx.Net.HasCuts() {
+		rows = inputRows(t, ctx)
+	}
+	var best *resources.Node
+	var bestLocal int64
+	var bestFed bool
+	for _, n := range fitting {
+		local := ctx.Registry.LocalBytes(n.Name(), t.InputKeys)
+		fed := transferTime(rows, n, ctx) < unreachablePenalty
+		switch {
+		case best == nil, local > bestLocal:
+		case local == bestLocal && fed && !bestFed:
+		case local == bestLocal && fed == bestFed && n.FreeCores() > best.FreeCores():
+		default:
+			continue
+		}
+		best, bestLocal, bestFed = n, local, fed
+	}
+	return best
+}
+
+// TestChooseMatchesScan is the policy half of the index equivalence
+// contract: for FIFO and MinLoad, Choose over the pool's index and over
+// the materialized fitting list both return exactly the scan oracle's
+// node, across a randomized load churn.
+func TestChooseMatchesScan(t *testing.T) {
 	pool := indexedPool(t, 9)
 	c := resources.Constraints{Cores: 1}
 	rng := rand.New(rand.NewSource(3))
-	type picker interface {
-		Policy
-		PickIndexed(*TaskView, resources.SigIndex, *Context) *resources.Node
+	oracles := []struct {
+		p    Policy
+		scan func([]*resources.Node) *resources.Node
+	}{
+		{FIFO{}, func(fitting []*resources.Node) *resources.Node { return fitting[0] }},
+		{MinLoad{}, scanMinLoad},
 	}
-	policies := []picker{FIFO{}, MinLoad{}}
 	var held []*resources.Node
 	for step := 0; step < 400; step++ {
 		if rng.Intn(2) == 0 {
@@ -82,32 +125,32 @@ func TestPickIndexedMatchesScanPick(t *testing.T) {
 			held = append(held[:i], held[i+1:]...)
 		}
 		fitting := pool.Fitting(c)
-		idx := pool.IndexFor(c)
+		if len(fitting) == 0 {
+			continue
+		}
 		view := &TaskView{Constraints: c}
-		for _, p := range policies {
-			var scan *resources.Node
-			if len(fitting) > 0 {
-				scan = p.Pick(view, fitting, nil)
-			}
-			indexed := p.PickIndexed(view, idx, nil)
-			if scan != indexed {
-				t.Fatalf("step %d %s: Pick = %v, PickIndexed = %v", step, p.Name(), nn(scan), nn(indexed))
+		for _, o := range oracles {
+			scan := o.scan(fitting)
+			indexed := o.p.Choose(view, pool.IndexFor(c).Candidates(c, nil), nil)
+			listed := o.p.Choose(view, resources.ListCandidates(fitting), nil)
+			if indexed != scan || listed != scan {
+				t.Fatalf("step %d %s: scan = %v, through the index %v, over the list %v", step, o.p.Name(), nn(scan), nn(indexed), nn(listed))
 			}
 		}
 	}
 }
 
-// TestLocalityPickIndexedMatchesPick holds Locality.PickIndexed to the
-// scan reference over a seeded churn of load, drains, catalog rows,
+// TestLocalityChooseMatchesScan holds Locality.Choose, through the index
+// and over the fitting list, to the scan oracle over a seeded churn of load, drains, catalog rows,
 // network cuts and nodes removed and added back under their name (which
 // moves them to the end of pool order). The pool's insertion order is not
 // its name order and its nodes differ in cores; sizes come from a small
 // set so equal scores (the free-cores and feedable tie-breaks) are the
 // common case, and about half the picks run under a partition, where
-// PickIndexed hands over to Pick. Some replicas sit on a node outside the
+// the walk is costed against the network. Some replicas sit on a node outside the
 // pool (the sim's persist tier), and a quarter of the picks demand 3
 // cores, which leaves the 2-core holders outside the signature set.
-func TestLocalityPickIndexedMatchesPick(t *testing.T) {
+func TestLocalityChooseMatchesScan(t *testing.T) {
 	pool := resources.NewPool()
 	names := []string{"n-m", "n-a", "n-z", "n-c", "n-q", "n-b", "n-k"}
 	desc := func(name string) resources.Description {
@@ -185,22 +228,26 @@ func TestLocalityPickIndexedMatchesPick(t *testing.T) {
 			c = three
 		}
 		view := &TaskView{Constraints: c, InputKeys: []deps.Version{key(), key(), key()}}
-		var scan *resources.Node
-		if fitting := pool.Fitting(c); len(fitting) > 0 {
-			scan = Locality{}.Pick(view, fitting, ctx)
-			picks++
-			if ctx.Net.HasCuts() {
-				partitioned++
-			} else {
-				o, s, ties, none := holderCases(view, fitting, pool, reg, persist)
-				offPool += o
-				offSet += s
-				holderTies += ties
-				noHolderFits += none
-			}
+		fitting := pool.Fitting(c)
+		if len(fitting) == 0 {
+			continue
 		}
-		if indexed := (Locality{}).PickIndexed(view, pool.IndexFor(c), ctx); scan != indexed {
-			t.Fatalf("step %d (cores=%d cuts=%v): Pick = %s, PickIndexed = %s", step, c.Cores, ctx.Net.HasCuts(), nn(scan), nn(indexed))
+		scan := scanLocality(view, fitting, ctx)
+		picks++
+		if ctx.Net.HasCuts() {
+			partitioned++
+		} else {
+			o, s, ties, none := holderCases(view, fitting, pool, reg, persist)
+			offPool += o
+			offSet += s
+			holderTies += ties
+			noHolderFits += none
+		}
+		indexed := Locality{}.Choose(view, pool.IndexFor(c).Candidates(c, nil), ctx)
+		listed := Locality{}.Choose(view, resources.ListCandidates(fitting), ctx)
+		if indexed != scan || listed != scan {
+			t.Fatalf("step %d (cores=%d cuts=%v): scan = %s, through the index %s, over the list %s",
+				step, c.Cores, ctx.Net.HasCuts(), nn(scan), nn(indexed), nn(listed))
 		}
 	}
 	t.Logf("%d picks: %d partitioned, %d re-adds, holder off the pool %d, off the signature set %d, holder ties %d, no holder fits %d",
@@ -264,11 +311,11 @@ func localityFixture(tb testing.TB, nodes int) (*TaskView, resources.SigIndex, *
 	return view, pool.IndexFor(view.Constraints), ctx
 }
 
-// TestLocalityPickIndexedAllocatesNothing is the deterministic cost gate
+// TestLocalityChooseAllocatesNothing is the deterministic cost gate
 // on the placement hot path: three sized inputs on two holders each, a
 // 64-node pool, no candidate slice, no per-holder heap state — and the
 // same when no holder fits and the fitting set is walked instead.
-func TestLocalityPickIndexedAllocatesNothing(t *testing.T) {
+func TestLocalityChooseAllocatesNothing(t *testing.T) {
 	view, idx, ctx := localityFixture(t, 64)
 	orphan := deps.Version{Data: 99} // held only off the pool: no holder fits
 	ctx.Registry.SetSize(orphan, 1_000_000)
@@ -282,12 +329,12 @@ func TestLocalityPickIndexedAllocatesNothing(t *testing.T) {
 	} {
 		v := &TaskView{Constraints: view.Constraints, InputKeys: tc.keys}
 		var picked *resources.Node
-		allocs := testing.AllocsPerRun(200, func() { picked = Locality{}.PickIndexed(v, idx, ctx) })
+		allocs := testing.AllocsPerRun(200, func() { picked = Locality{}.Choose(v, idx.Candidates(v.Constraints, nil), ctx) })
 		if picked == nil || picked.Name() != tc.want {
 			t.Fatalf("picked %s, want %s", nn(picked), tc.want)
 		}
 		if allocs != 0 {
-			t.Fatalf("Locality.PickIndexed allocated %v times per pick (want %s), want 0", allocs, tc.want)
+			t.Fatalf("Locality.Choose allocated %v times per pick (want %s), want 0", allocs, tc.want)
 		}
 	}
 }
@@ -295,22 +342,22 @@ func TestLocalityPickIndexedAllocatesNothing(t *testing.T) {
 // sinkPick keeps the timed picks observable, so none is optimized away.
 var sinkPick *resources.Node
 
-// pickLoop times Locality.PickIndexed over one fixture.
+// pickLoop times Locality.Choose through the index over one fixture.
 func pickLoop(view *TaskView, idx resources.SigIndex, ctx *Context) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sinkPick = Locality{}.PickIndexed(view, idx, ctx)
+			sinkPick = Locality{}.Choose(view, idx.Candidates(view.Constraints, nil), ctx)
 		}
 	}
 }
 
-// TestLocalityPickIndexedIgnoresPoolSize is the cost gate on the holder-
+// TestLocalityChooseIgnoresPoolSize is the cost gate on the holder-
 // first pick: when a holder fits, a pick asks the index about the holders
 // by name and walks nothing, so its price has no pool-size term. A pick on
 // 4,096 nodes may cost at most 4× one on 64 (walking the fitting set
 // instead costs 19–28× there); a noisy machine gets three tries.
-func TestLocalityPickIndexedIgnoresPoolSize(t *testing.T) {
+func TestLocalityChooseIgnoresPoolSize(t *testing.T) {
 	nsPerPick := func(nodes int) func() float64 {
 		loop := pickLoop(localityFixture(t, nodes))
 		return func() float64 {
@@ -331,8 +378,8 @@ func TestLocalityPickIndexedIgnoresPoolSize(t *testing.T) {
 	t.Fatalf("a pick on 4096 nodes costs %.2f× one on 64, want ≤ 4×", ratio)
 }
 
-// BenchmarkLocalityPickIndexed prices one holder-first pick by pool size.
-func BenchmarkLocalityPickIndexed(b *testing.B) {
+// BenchmarkLocalityChoose prices one holder-first pick by pool size.
+func BenchmarkLocalityChoose(b *testing.B) {
 	for _, nodes := range []int{64, 1024, 4096} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), pickLoop(localityFixture(b, nodes)))
 	}
@@ -353,7 +400,7 @@ func TestP2CDeterministicAndNeverDeclines(t *testing.T) {
 	c := resources.Constraints{Cores: 1}
 	run := func() []string {
 		pool := indexedPool(t, 8)
-		p := NewP2C(42)
+		p := &P2C{Seed: 42}
 		idx := pool.IndexFor(c)
 		free := 0
 		for _, n := range pool.Nodes() {
@@ -361,7 +408,7 @@ func TestP2CDeterministicAndNeverDeclines(t *testing.T) {
 		}
 		var picks []string
 		for i := 0; i < free; i++ {
-			n := p.PickIndexed(&TaskView{Constraints: c}, idx, nil)
+			n := p.Choose(&TaskView{Constraints: c}, idx.Candidates(c, nil), nil)
 			if n == nil {
 				t.Fatalf("pick %d: nil with %d free cores", i, free-i)
 			}
@@ -381,14 +428,14 @@ func TestP2CDeterministicAndNeverDeclines(t *testing.T) {
 
 	// Saturate a tiny pool: P2C must keep placing until full, then nil.
 	pool := indexedPool(t, 2)
-	p := NewP2C(1)
+	p := &P2C{Seed: 1}
 	idx := pool.IndexFor(c)
 	free := 0
 	for _, n := range pool.Nodes() {
 		free += n.FreeCores()
 	}
 	for i := 0; i < free; i++ {
-		n := p.PickIndexed(&TaskView{Constraints: c}, idx, nil)
+		n := p.Choose(&TaskView{Constraints: c}, idx.Candidates(c, nil), nil)
 		if n == nil {
 			t.Fatalf("pick %d: nil with %d free cores", i, free-i)
 		}
@@ -396,7 +443,7 @@ func TestP2CDeterministicAndNeverDeclines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := p.PickIndexed(&TaskView{Constraints: c}, idx, nil); n != nil {
+	if n := p.Choose(&TaskView{Constraints: c}, idx.Candidates(c, nil), nil); n != nil {
 		t.Fatalf("pick on a saturated pool returned %s, want nil", n.Name())
 	}
 }

@@ -50,33 +50,19 @@ type Context struct {
 	Predictor *mlpredict.Predictor
 }
 
-// Policy selects a node for a task among the nodes that currently fit its
-// constraints. Returning nil leaves the task queued. The fitting slice is
-// in pool insertion order and non-empty.
+// Policy selects a node for a task among the nodes that currently fit
+// its constraints. The engine asks only when enough nodes fit — one, or
+// one per member of a multi-node group — and shows them as a
+// resources.Candidates view: the signature's placement index for an
+// unhinted single-node task, an explicit list otherwise (see
+// resources.Candidates). A policy is written once, against the view's
+// operations; it never learns which form it was shown.
 type Policy interface {
 	// Name identifies the policy in experiment tables.
 	Name() string
-	// Pick chooses a node, or nil to wait.
-	Pick(t *TaskView, fitting []*resources.Node, ctx *Context) *resources.Node
-}
-
-// IndexedPolicy is the capability split for index-backed placement: a
-// policy that picks through the pool's per-signature placement index
-// (resources.SigIndex) instead of scanning a materialized candidate
-// slice, turning an O(pool) decision into a heap walk or a sample.
-//
-// Contract: PickIndexed returns nil ONLY when no node currently fits the
-// task — indexed policies never decline a placeable task. The engine
-// treats nil as a signature-wide capacity failure and parks the whole
-// bucket; a policy that declines placements as a decision (WaitFast)
-// must stay on the legacy Pick path, where nil means "wait". Policies
-// must pick deterministically given the index state (and their own
-// seeded randomness), so index-backed and scan-backed runs agree.
-type IndexedPolicy interface {
-	Policy
-	// PickIndexed chooses among the signature's currently fitting nodes
-	// via the index, or returns nil when none fits.
-	PickIndexed(t *TaskView, idx resources.SigIndex, ctx *Context) *resources.Node
+	// Choose picks one of the candidates, or returns nil to decline: the
+	// task stays queued.
+	Choose(t *TaskView, c resources.Candidates, ctx *Context) *resources.Node
 }
 
 // Prioritizer is an optional Policy extension: the shared scheduling
@@ -123,7 +109,7 @@ type inputRow struct {
 	holders []string
 }
 
-// inputRows reads the catalog rows of t's inputs — once per Pick; every
+// inputRows reads the catalog rows of t's inputs — once per pick; every
 // candidate is then costed from them. Nil when there is nothing to cost
 // (or nothing to cost it with: non-nil rows imply ctx.Net).
 func inputRows(t *TaskView, ctx *Context) []inputRow {
@@ -161,85 +147,43 @@ func transferTime(rows []inputRow, n *resources.Node, ctx *Context) time.Duratio
 // the baseline the paper's smarter engines are compared against.
 type FIFO struct{}
 
-var _ Policy = FIFO{}
-
 // Name implements Policy.
 func (FIFO) Name() string { return "fifo" }
 
-// Pick implements Policy.
-func (FIFO) Pick(_ *TaskView, fitting []*resources.Node, _ *Context) *resources.Node {
-	return fitting[0]
-}
-
-var _ IndexedPolicy = FIFO{}
-
-// PickIndexed implements IndexedPolicy: the first fitting node in pool
-// insertion order, without materializing the candidate slice.
-func (FIFO) PickIndexed(t *TaskView, idx resources.SigIndex, _ *Context) *resources.Node {
-	return idx.FirstFitting(t.Constraints)
+// Choose implements Policy: the first candidate in pool order.
+func (FIFO) Choose(_ *TaskView, c resources.Candidates, _ *Context) *resources.Node {
+	return c.First()
 }
 
 // MinLoad balances by busy-core fraction, breaking ties by node name so
-// the pick never depends on pool insertion order — the property that
-// lets the index-backed heap pick and the scan-backed slice pick agree
-// byte for byte.
+// the pick never depends on pool insertion order: through the index it is
+// a heap walk, over a list a scan, and the two agree byte for byte.
 type MinLoad struct{}
-
-var _ Policy = MinLoad{}
 
 // Name implements Policy.
 func (MinLoad) Name() string { return "min-load" }
 
-// Pick implements Policy.
-func (MinLoad) Pick(_ *TaskView, fitting []*resources.Node, _ *Context) *resources.Node {
-	best := fitting[0]
-	bestFrac := loadFrac(best)
-	for _, n := range fitting[1:] {
-		if f := loadFrac(n); f < bestFrac || (f == bestFrac && n.Name() < best.Name()) {
-			best, bestFrac = n, f
-		}
-	}
-	return best
-}
-
-var _ IndexedPolicy = MinLoad{}
-
-// PickIndexed implements IndexedPolicy: the signature's load heap yields
-// the (frac, name)-minimum fitting node in O(log n) instead of O(pool).
-func (MinLoad) PickIndexed(t *TaskView, idx resources.SigIndex, _ *Context) *resources.Node {
-	return idx.MinLoadFitting(t.Constraints)
-}
-
-func loadFrac(n *resources.Node) float64 {
-	c := n.Desc().Cores
-	if c == 0 {
-		return 1
-	}
-	return float64(n.BusyCores()) / float64(c)
+// Choose implements Policy: the least-loaded candidate.
+func (MinLoad) Choose(_ *TaskView, c resources.Candidates, _ *Context) *resources.Node {
+	return c.MinLoad()
 }
 
 // P2C is power-of-two-choices placement: sample two candidates, run the
 // less loaded one (ties by node name). The sampling is seeded and
 // deterministic given the placement sequence, so two backends driving
-// the same workload with the same seed place identically. With the
-// index it is an O(1) pick regardless of pool size; without it (legacy
-// Pick, used for multi-node groups and hinted re-picks) it samples the
-// fitting slice instead. The classic result applies: two random choices
-// keep the maximum load within O(log log n) of perfect balancing at a
-// fraction of MinLoad's bookkeeping.
+// the same workload with the same seed place identically. Through the
+// index it is an O(1) pick regardless of pool size; over a list (a
+// multi-node group, a hinted placement) it samples the list instead —
+// the view keeps the two sampling rules (resources.Candidates.PowerOfTwo).
+// The classic result applies: two random choices keep the maximum load
+// within O(log log n) of perfect balancing at a fraction of MinLoad's
+// bookkeeping. A P2C is not safe for concurrent use by several engines;
+// give each engine its own.
 type P2C struct {
 	// Seed seeds the sampler (0 ⇒ 1).
 	Seed int64
 	rng  *rand.Rand
 }
-
-// NewP2C returns a power-of-two-choices policy with its own seeded
-// sampler. Policies are not safe for concurrent use by multiple engines;
-// give each engine its own instance.
-func NewP2C(seed int64) *P2C { return &P2C{Seed: seed} }
-
-var _ Policy = (*P2C)(nil)
-var _ IndexedPolicy = (*P2C)(nil)
 
 // Name implements Policy.
 func (*P2C) Name() string { return "p2c" }
@@ -255,28 +199,9 @@ func (p *P2C) sampler() *rand.Rand {
 	return p.rng
 }
 
-// Pick implements Policy over a materialized fitting slice.
-func (p *P2C) Pick(_ *TaskView, fitting []*resources.Node, _ *Context) *resources.Node {
-	if len(fitting) == 1 {
-		return fitting[0]
-	}
-	rng := p.sampler()
-	a := fitting[rng.Intn(len(fitting))]
-	b := fitting[rng.Intn(len(fitting))]
-	if a == b {
-		return a
-	}
-	fa, fb := loadFrac(a), loadFrac(b)
-	if fa < fb || (fa == fb && a.Name() < b.Name()) {
-		return a
-	}
-	return b
-}
-
-// PickIndexed implements IndexedPolicy: two samples from the signature's
-// undrained member set, exact-minimum fallback when neither fits.
-func (p *P2C) PickIndexed(t *TaskView, idx resources.SigIndex, _ *Context) *resources.Node {
-	return idx.PowerOfTwoPick(t.Constraints, p.sampler())
+// Choose implements Policy: the less loaded of two sampled candidates.
+func (p *P2C) Choose(_ *TaskView, c resources.Candidates, _ *Context) *resources.Node {
+	return c.PowerOfTwo(p.sampler())
 }
 
 // Locality places each task where most of its input bytes already reside,
@@ -284,69 +209,33 @@ func (p *P2C) PickIndexed(t *TaskView, idx resources.SigIndex, _ *Context) *reso
 // (paper Sec. VI-A-1, experiment E4).
 type Locality struct{}
 
-var _ Policy = Locality{}
-
 // Name implements Policy.
 func (Locality) Name() string { return "locality" }
 
-// Pick implements Policy — the scan reference: every candidate is asked
-// how many of the task's input bytes it holds. Under an active network
-// partition the local-bytes tie-break becomes availability-aware: among
-// equally local candidates a node that can actually be fed (no input
-// marooned behind a cut link) beats one that cannot, so locality placement
-// steers around partitions instead of landing tasks where their data is
-// unreachable.
-func (Locality) Pick(t *TaskView, fitting []*resources.Node, ctx *Context) *resources.Node {
+// Choose implements Policy with the question asked of the inputs, not of
+// the candidates: each input is asked once who holds it and how big it
+// is, and the bytes are summed per holder (one to three names). Only a
+// holder can score above zero, so when one is a candidate the winner is
+// the best candidate holder — most local bytes, then most free cores,
+// then first in pool order — asked about by name, without visiting the
+// rest of the set. Only when no holder is a candidate is the set walked;
+// every candidate then scores zero, and the one with the most free cores,
+// first in pool order, wins. Under a network partition the tie-break
+// after local bytes becomes availability-aware: a candidate that can be
+// fed every input beats one with an input marooned behind a cut link, so
+// locality placement steers around partitions instead of landing tasks
+// where their data is unreachable. Feeding is costed against the
+// network, so that walk runs over the materialized list.
+func (Locality) Choose(t *TaskView, c resources.Candidates, ctx *Context) *resources.Node {
 	if ctx == nil || ctx.Registry == nil {
-		return fitting[0]
+		return c.First()
 	}
 	var rows []inputRow // read only under a partition
 	if ctx.Net != nil && ctx.Net.HasCuts() {
 		rows = inputRows(t, ctx)
 	}
-	feedable := func(n *resources.Node) bool {
+	fed := func(n *resources.Node) bool {
 		return transferTime(rows, n, ctx) < unreachablePenalty
-	}
-	best := fitting[0]
-	bestLocal := ctx.Registry.LocalBytes(best.Name(), t.InputKeys)
-	bestFed := feedable(best)
-	for _, n := range fitting[1:] {
-		local := ctx.Registry.LocalBytes(n.Name(), t.InputKeys)
-		fed := feedable(n)
-		switch {
-		case local > bestLocal:
-		case local == bestLocal && fed && !bestFed:
-		case local == bestLocal && fed == bestFed && n.FreeCores() > best.FreeCores():
-		default:
-			continue
-		}
-		best, bestLocal, bestFed = n, local, fed
-	}
-	return best
-}
-
-var _ IndexedPolicy = Locality{}
-
-// PickIndexed implements IndexedPolicy with the question turned around:
-// instead of asking every candidate what it holds, each input is asked
-// once who holds it and how big it is, and the bytes are summed per
-// holder (one to three names). Only a holder can score above zero, so
-// when one fits the winner is the best fitting holder — most local
-// bytes, then most free cores, then first in pool order — read through
-// the index by name, without visiting the rest of the set. Only when no
-// holder fits is the signature's fitting set walked; every candidate
-// then scores zero, and Pick's winner is the one with the most cached
-// free cores, first in pool order. Under a partition the fitting set is
-// materialized for Pick, which keeps the feedable tie-break in one place.
-func (Locality) PickIndexed(t *TaskView, idx resources.SigIndex, ctx *Context) *resources.Node {
-	if ctx == nil || ctx.Registry == nil {
-		return idx.FirstFitting(t.Constraints)
-	}
-	if ctx.Net != nil && ctx.Net.HasCuts() {
-		if fitting := idx.AppendFitting(nil, t.Constraints); len(fitting) > 0 {
-			return Locality{}.Pick(t, fitting, ctx)
-		}
-		return nil
 	}
 	type held struct {
 		node  string
@@ -372,23 +261,31 @@ func (Locality) PickIndexed(t *TaskView, idx resources.SigIndex, ctx *Context) *
 	}
 	var best *resources.Node
 	var bestLocal int64
+	var bestFed bool
 	var bestFree int
 	var bestSeq uint64
 	for _, h := range holders {
-		n, free, seq := idx.FittingByName(h.node, t.Constraints)
-		if n != nil && (best == nil || h.bytes > bestLocal ||
-			h.bytes == bestLocal && (free > bestFree || free == bestFree && seq < bestSeq)) {
-			best, bestLocal, bestFree, bestSeq = n, h.bytes, free, seq
+		n, free, seq := c.ByName(h.node)
+		if n == nil {
+			continue
+		}
+		if f := fed(n); best == nil || h.bytes > bestLocal || h.bytes == bestLocal &&
+			(f && !bestFed || f == bestFed && (free > bestFree || free == bestFree && seq < bestSeq)) {
+			best, bestLocal, bestFed, bestFree, bestSeq = n, h.bytes, f, free, seq
 		}
 	}
 	if best != nil {
 		return best
 	}
-	idx.EachFitting(t.Constraints, func(n *resources.Node, free int) {
-		if best == nil || free > bestFree {
-			best, bestFree = n, free
+	if rows == nil {
+		return c.MostFree()
+	}
+	for _, n := range c.Nodes() {
+		f, free := fed(n), n.FreeCores()
+		if best == nil || f && !bestFed || f == bestFed && free > bestFree {
+			best, bestFed, bestFree = n, f, free
 		}
-	})
+	}
 	return best
 }
 
@@ -397,13 +294,13 @@ func (Locality) PickIndexed(t *TaskView, idx resources.SigIndex, ctx *Context) *
 // of Pegasus/COMPSs (paper Sec. II-A).
 type EFT struct{}
 
-var _ Policy = EFT{}
-
 // Name implements Policy.
 func (EFT) Name() string { return "eft" }
 
-// Pick implements Policy.
-func (EFT) Pick(t *TaskView, fitting []*resources.Node, ctx *Context) *resources.Node {
+// Choose implements Policy. Every candidate is costed against the
+// registry and the network, over the materialized list.
+func (EFT) Choose(t *TaskView, c resources.Candidates, ctx *Context) *resources.Node {
+	fitting := c.Nodes()
 	est := estimate(t, ctx)
 	rows := inputRows(t, ctx)
 	best := fitting[0]
@@ -422,17 +319,15 @@ func (EFT) Pick(t *TaskView, fitting []*resources.Node, ctx *Context) *resources
 // to informed earliest-finish-time decisions (experiment E8).
 type ML struct{}
 
-var _ Policy = ML{}
-
 // Name implements Policy.
 func (ML) Name() string { return "ml" }
 
-// Pick implements Policy.
-func (ML) Pick(t *TaskView, fitting []*resources.Node, ctx *Context) *resources.Node {
+// Choose implements Policy.
+func (ML) Choose(t *TaskView, c resources.Candidates, ctx *Context) *resources.Node {
 	if ctx == nil || ctx.Predictor == nil || !ctx.Predictor.Trained(t.Class, 3) {
-		return MinLoad{}.Pick(t, fitting, ctx)
+		return MinLoad{}.Choose(t, c, ctx)
 	}
-	return EFT{}.Pick(t, fitting, ctx)
+	return EFT{}.Choose(t, c, ctx)
 }
 
 var _ Prioritizer = ML{}
@@ -456,13 +351,12 @@ type EnergyAware struct {
 	MaxSlowdown float64
 }
 
-var _ Policy = EnergyAware{}
-
 // Name implements Policy.
 func (EnergyAware) Name() string { return "energy" }
 
-// Pick implements Policy.
-func (p EnergyAware) Pick(t *TaskView, fitting []*resources.Node, ctx *Context) *resources.Node {
+// Choose implements Policy, over the materialized list.
+func (p EnergyAware) Choose(t *TaskView, c resources.Candidates, ctx *Context) *resources.Node {
+	fitting := c.Nodes()
 	maxSlow := p.MaxSlowdown
 	if maxSlow <= 0 {
 		maxSlow = 3
@@ -492,14 +386,14 @@ func (p EnergyAware) Pick(t *TaskView, fitting []*resources.Node, ctx *Context) 
 		}
 	}
 	if best == nil {
-		return EFT{}.Pick(t, fitting, ctx)
+		return EFT{}.Choose(t, resources.ListCandidates(fitting), ctx)
 	}
 	return best
 }
 
 // WaitFast wraps a policy with head-of-line tier discipline: a task whose
 // estimated reference duration is at least MinWait may only be placed on
-// nodes that run it within MaxSlowdown × that estimate — otherwise Pick
+// nodes that run it within MaxSlowdown × that estimate — otherwise Choose
 // declines and the task waits for the busier, faster tier to free up
 // instead of occupying a slow one for many times longer. Short tasks
 // (below MinWait) run anywhere; they are cheap even on the slowest node.
@@ -525,10 +419,10 @@ var _ Prioritizer = WaitFast{}
 // Name implements Policy.
 func (p WaitFast) Name() string { return "wait-fast" }
 
-// Pick implements Policy: it filters the fitting set down to nodes fast
+// Choose implements Policy: it filters the candidates down to nodes fast
 // enough for the task and delegates the choice to Inner; an empty
 // filtered set declines the placement.
-func (p WaitFast) Pick(t *TaskView, fitting []*resources.Node, ctx *Context) *resources.Node {
+func (p WaitFast) Choose(t *TaskView, c resources.Candidates, ctx *Context) *resources.Node {
 	inner := p.Inner
 	if inner == nil {
 		inner = MinLoad{}
@@ -543,18 +437,12 @@ func (p WaitFast) Pick(t *TaskView, fitting []*resources.Node, ctx *Context) *re
 	}
 	est := estimate(t, ctx)
 	if est >= minWait {
-		fast := make([]*resources.Node, 0, len(fitting))
-		for _, n := range fitting {
-			if float64(runTime(est, n)) <= maxSlow*float64(est) {
-				fast = append(fast, n)
-			}
-		}
-		if len(fast) == 0 {
+		c = c.Filter(func(n *resources.Node) bool { return float64(runTime(est, n)) <= maxSlow*float64(est) })
+		if len(c.Nodes()) == 0 {
 			return nil
 		}
-		fitting = fast
 	}
-	return inner.Pick(t, fitting, ctx)
+	return inner.Choose(t, c, ctx)
 }
 
 // Priority implements Prioritizer by delegating to Inner when it ranks
@@ -578,7 +466,7 @@ func ByName(name string) (Policy, error) {
 	case "min-load":
 		return MinLoad{}, nil
 	case "p2c":
-		return NewP2C(1), nil
+		return &P2C{Seed: 1}, nil
 	case "locality":
 		return Locality{}, nil
 	case "eft":

@@ -22,7 +22,7 @@ func nodes(descs ...resources.Description) []*resources.Node {
 
 func TestFIFOPicksFirst(t *testing.T) {
 	ns := nodes(resources.CloudVM, resources.CloudVM)
-	got := FIFO{}.Pick(&TaskView{}, ns, nil)
+	got := FIFO{}.Choose(&TaskView{}, resources.ListCandidates(ns), nil)
 	if got != ns[0] {
 		t.Fatal("FIFO should pick the first fitting node")
 	}
@@ -33,7 +33,7 @@ func TestMinLoadBalances(t *testing.T) {
 	if err := ns[0].Reserve(resources.Constraints{Cores: 4}); err != nil {
 		t.Fatal(err)
 	}
-	got := MinLoad{}.Pick(&TaskView{}, ns, nil)
+	got := MinLoad{}.Choose(&TaskView{}, resources.ListCandidates(ns), nil)
 	if got != ns[1] {
 		t.Fatal("MinLoad should avoid the loaded node")
 	}
@@ -47,7 +47,7 @@ func TestLocalityFollowsData(t *testing.T) {
 	reg.AddReplica(k, "b")
 	ctx := &Context{Registry: reg}
 	tv := &TaskView{InputKeys: []deps.Version{k}}
-	got := Locality{}.Pick(tv, ns, ctx)
+	got := Locality{}.Choose(tv, resources.ListCandidates(ns), ctx)
 	if got.Name() != "b" {
 		t.Fatalf("Locality picked %s, want b (holds the data)", got.Name())
 	}
@@ -55,7 +55,7 @@ func TestLocalityFollowsData(t *testing.T) {
 
 func TestLocalityWithoutRegistryFallsBack(t *testing.T) {
 	ns := nodes(resources.CloudVM)
-	if got := (Locality{}).Pick(&TaskView{}, ns, nil); got != ns[0] {
+	if got := (Locality{}).Choose(&TaskView{}, resources.ListCandidates(ns), nil); got != ns[0] {
 		t.Fatal("Locality without registry should act like FIFO")
 	}
 }
@@ -66,7 +66,7 @@ func TestLocalityTieBreaksOnFreeCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &Context{Registry: transfer.NewRegistry()}
-	got := Locality{}.Pick(&TaskView{}, ns, ctx)
+	got := Locality{}.Choose(&TaskView{}, resources.ListCandidates(ns), ctx)
 	if got != ns[1] {
 		t.Fatal("locality tie-break should prefer free cores")
 	}
@@ -77,7 +77,7 @@ func TestEFTPrefersFasterNode(t *testing.T) {
 	slow := resources.Description{Cores: 4, MemoryMB: 1000, SpeedFactor: 0.5}
 	ns := nodes(slow, fast)
 	tv := &TaskView{EstDuration: 10 * time.Second}
-	got := EFT{}.Pick(tv, ns, &Context{})
+	got := EFT{}.Choose(tv, resources.ListCandidates(ns), &Context{})
 	if got != ns[1] {
 		t.Fatal("EFT should pick the faster node")
 	}
@@ -96,7 +96,7 @@ func TestEFTWeighsTransferAgainstSpeed(t *testing.T) {
 	reg.AddReplica(k, "a")
 	ctx := &Context{Registry: reg, Net: net}
 	tv := &TaskView{EstDuration: 10 * time.Second, InputKeys: []deps.Version{k}}
-	got := EFT{}.Pick(tv, ns, ctx)
+	got := EFT{}.Choose(tv, resources.ListCandidates(ns), ctx)
 	if got.Name() != "a" {
 		t.Fatal("EFT should keep the task with its data when transfer dominates")
 	}
@@ -111,14 +111,14 @@ func TestMLFallsBackUntilTrained(t *testing.T) {
 	tv := &TaskView{Class: "sim", InputBytes: 0}
 
 	// Untrained: behaves like MinLoad (both empty ⇒ first node).
-	if got := (ML{}).Pick(tv, ns, ctx); got != ns[0] {
+	if got := (ML{}).Choose(tv, resources.ListCandidates(ns), ctx); got != ns[0] {
 		t.Fatal("untrained ML should fall back to MinLoad")
 	}
 	// Train it: durations observed.
 	for i := 0; i < 5; i++ {
 		pred.Observe("sim", 0, 20*time.Second)
 	}
-	if got := (ML{}).Pick(tv, ns, ctx); got != ns[1] {
+	if got := (ML{}).Choose(tv, resources.ListCandidates(ns), ctx); got != ns[1] {
 		t.Fatal("trained ML should pick the faster node")
 	}
 }
@@ -130,13 +130,13 @@ func TestEnergyAwarePrefersLowPowerWithinSlowdown(t *testing.T) {
 	tv := &TaskView{EstDuration: time.Second}
 
 	// Slowdown cap 5x: fog is admissible and cheaper.
-	got := EnergyAware{MaxSlowdown: 5}.Pick(tv, ns, &Context{})
+	got := EnergyAware{MaxSlowdown: 5}.Choose(tv, resources.ListCandidates(ns), &Context{})
 	if got.Desc().Class != resources.Fog {
 		t.Fatal("energy policy should pick the fog node within the slowdown cap")
 	}
 
 	// Tight cap 2x: fog excluded, falls back to HPC.
-	got = EnergyAware{MaxSlowdown: 2}.Pick(tv, ns, &Context{})
+	got = EnergyAware{MaxSlowdown: 2}.Choose(tv, resources.ListCandidates(ns), &Context{})
 	if got.Desc().Class != resources.HPC {
 		t.Fatal("energy policy must respect the slowdown cap")
 	}

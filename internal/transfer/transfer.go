@@ -306,9 +306,9 @@ func (r *Registry) Where(k deps.Version) []string {
 }
 
 // LocalBytes sums the sizes of the given keys already present on node —
-// the locality score asked candidate by candidate. Only the scan reference
-// (sched.Locality.Pick) asks it that way; the placement path scores the
-// holders instead (sched.Locality.PickIndexed).
+// the locality score asked candidate by candidate. Only the test-only scan
+// oracles ask it that way; sched.Locality.Choose asks each input for its
+// holders instead.
 func (r *Registry) LocalBytes(node string, keys []deps.Version) int64 {
 	var total int64
 	for _, k := range keys {
