@@ -120,13 +120,15 @@ func TestInternalExportsHaveACaller(t *testing.T) {
 func TestHarnessNamesOnlyBenchUses(t *testing.T) {
 	m := loadModule(t)
 	lines := 0
-	var names []string
+	var names, files []string
 	for _, v := range m.plain {
 		for i, f := range v.files {
 			if v.names[i] != "harness.go" {
 				continue
 			}
-			lines += bytes.Count(v.src[i], []byte("\n"))
+			n := bytes.Count(v.src[i], []byte("\n"))
+			lines += n
+			files = append(files, fmt.Sprintf("%s/harness.go %d", v.dir, n))
 			for _, d := range f.Decls {
 				for _, id := range declared(d, true) {
 					names = append(names, m.key(v.info.Defs[id]))
@@ -143,7 +145,9 @@ func TestHarnessNamesOnlyBenchUses(t *testing.T) {
 			t.Errorf("%s is kept for bench/, which no longer uses it: delete it", k)
 		}
 	}
-	t.Logf("harness debt: %d lines in harness.go files; fields only bench/ sets: %s", lines, strings.Join(harnessFields, ", "))
+	sort.Strings(files)
+	t.Logf("harness debt: %d lines in harness.go files (%s); fields only bench/ sets: %s",
+		lines, strings.Join(files, ", "), strings.Join(harnessFields, ", "))
 }
 
 // variant is one type-checked package: its plain build, its build with

@@ -721,8 +721,8 @@ func (cs Candidates) scratch() []*Node {
 	return (*cs.buf)[:0]
 }
 
-// store stores dst as the view's buffer, keeping a grown array, and
-// returns it.
+// store keeps dst in the view's buffer, so a grown array is reused next
+// time, and returns it.
 func (cs Candidates) store(dst []*Node) []*Node {
 	if cs.buf != nil {
 		*cs.buf = dst
