@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -128,15 +129,13 @@ type placementCounts struct {
 // recorder collects one run's decisions and its placements as the engine
 // holds them, seen at every step.
 type recorder struct {
-	calls  []pickCall
-	step   int // calls[:step] were made before the last step ended
-	seen   map[[2]int64]bool
+	last   *pickCall // the step's latest decision; nil when a step begins
 	placed map[[2]int64]engine.Placed
 	counts placementCounts
 }
 
 func (r *recorder) pick(t *sched.TaskView, offered []*resources.Node, got *resources.Node) {
-	c := pickCall{task: t.ID, offered: names(offered...)}
+	c := &pickCall{task: t.ID, offered: names(offered...)}
 	if got != nil {
 		c.got = got.Name()
 	} else {
@@ -144,32 +143,20 @@ func (r *recorder) pick(t *sched.TaskView, offered []*resources.Node, got *resou
 	}
 	// A re-offer is the engine asking again, in the same step, about the
 	// task it was just asked about, over a list without the first pick.
-	if n := len(r.calls); n > r.step {
-		if prev := r.calls[n-1]; prev.task == c.task && prev.got != "" && !contains(c.offered, prev.got) {
-			r.counts.reoffers++
-		}
+	if p := r.last; p != nil && p.task == c.task && p.got != "" && !slices.Contains(c.offered, p.got) {
+		r.counts.reoffers++
 	}
-	r.calls = append(r.calls, c)
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
+	r.last = c
 }
 
 // observeStep records the placements running at a step end.
 func (r *recorder) observeStep(e *engine.Engine) {
-	r.step = len(r.calls)
+	r.last = nil
 	for _, p := range engine.RunningPlacements(e) {
 		key := [2]int64{p.ID, int64(p.Epoch)}
-		if r.seen[key] {
+		if _, seen := r.placed[key]; seen {
 			continue
 		}
-		r.seen[key] = true
 		r.placed[key] = p
 		if p.Hinted {
 			r.counts.hinted++
@@ -258,7 +245,7 @@ func TestPlacementsMatchGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec = &recorder{seen: map[[2]int64]bool{}, placed: map[[2]int64]engine.Placed{}}
+		rec = &recorder{placed: map[[2]int64]engine.Placed{}}
 		got.WriteString(runPlacements(t, policy, rec))
 		total.groups += rec.counts.groups
 		total.hinted += rec.counts.hinted
