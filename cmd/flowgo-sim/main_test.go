@@ -60,39 +60,23 @@ func listing(t *testing.T, dir string) []string {
 }
 
 // drillListing is what TestCrashRestartDrill's run leaves on disk: the
-// first base, two compacted bases (the writer's fold of a delta chain)
-// and the deltas between them. The names embed content digests, so a
-// change to any byte of any file, folded bases included, shows here.
+// first base, two compacted bases (the writer's fold of a log) and the
+// log beside each. The base names embed content digests, so a change to
+// any byte of any base, folded bases included, shows here.
 var drillListing = []string{
-	"delta-000002-61549564d256ec1d.ckpt",
-	"delta-000003-762e829439a24680.ckpt",
-	"delta-000004-16086361e2d9d746.ckpt",
-	"delta-000005-28ab896ad8462d1f.ckpt",
-	"delta-000006-f28bf5e628b2e680.ckpt",
-	"delta-000007-8ec09e9a6bd411a5.ckpt",
-	"delta-000008-3b181a31557b825b.ckpt",
-	"delta-000009-0633c43d27b830ea.ckpt",
-	"delta-000011-cf9ec81ec7c227c2.ckpt",
-	"delta-000012-76955f0f794d5595.ckpt",
-	"delta-000013-28ce9bf1e8ec421b.ckpt",
-	"delta-000014-79115d58d4a20fff.ckpt",
-	"delta-000015-f97a65137ca13a90.ckpt",
-	"delta-000016-457b4f229cc13648.ckpt",
-	"delta-000017-6eb6d70ac016e62c.ckpt",
-	"delta-000018-bbd6b25ef5b56135.ckpt",
-	"delta-000020-588f3f98ede13395.ckpt",
-	"delta-000021-072e8ab02daec4cb.ckpt",
-	"delta-000022-1e37fac659c8cf88.ckpt",
+	"log-000001.ckpt",
+	"log-000010.ckpt",
+	"log-000019.ckpt",
 	"snap-000001-3a76159d0b43c080.ckpt",
 	"snap-000010-3cb7050b09fcddf5.ckpt",
 	"snap-000019-f8439c719bb3807f.ckpt",
 }
 
 // TestCrashRestartDrill checkpoints a faulted run into two directories
-// up to a simulated process death, then restores from one. File names
-// embed content digests, so equal listings show the checkpoint writer
-// kept the files deterministic, and listings equal to drillListing show
-// it still writes the same bytes.
+// up to a simulated process death, then restores from one. Base names
+// embed content digests, so listings equal to drillListing show the
+// checkpoint writer still writes the same bases, and the two directories'
+// logs must hold the same bytes.
 func TestCrashRestartDrill(t *testing.T) {
 	dirs := []string{filepath.Join(t.TempDir(), "a"), filepath.Join(t.TempDir(), "b")}
 	for _, dir := range dirs {
@@ -111,6 +95,13 @@ energy:          379006 J active, 883006 J total`)
 	for _, dir := range dirs {
 		if got := listing(t, dir); !reflect.DeepEqual(got, drillListing) {
 			t.Fatalf("checkpoint listing of %s:\n%v\nwant\n%v", dir, got, drillListing)
+		}
+	}
+	for _, name := range drillListing[:3] {
+		a, errA := os.ReadFile(filepath.Join(dirs[0], name))
+		b, errB := os.ReadFile(filepath.Join(dirs[1], name))
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("%s differs between two identical runs (%v, %v)", name, errA, errB)
 		}
 	}
 	out := sim(t, "-workload", "gwas", "-nodes", "8", "-restore", dirs[0])

@@ -18,14 +18,15 @@ import (
 // valueTable is the Runtime seen as host.Values.
 type valueTable Runtime
 
-// Attach adds a gob-encoded value to every captured catalog row (a
-// capture's catalog is sorted by key) whose version holds one, so a chain
-// reconstruction restores values exactly like a full snapshot would: the
-// value of its cell, or else a restored one no submission has claimed.
-// It walks every cell page, off the hot path. Values that cannot be
-// encoded (see checkpoint.EncodeValue) are left out; their producers
-// re-run on restore. A vanished-entry tombstone — zero size, no
-// locations — stays value-free so reconstruction drops it.
+// Attach adds a gob-encoded value to every captured catalog row whose
+// version holds one, so a reconstruction restores values exactly like a
+// full snapshot would: the value of its cell, or else a restored one no
+// submission has claimed. A delta's rows are as logged, a key's repeated,
+// so it sorts them first and fills every row of a key's run: the one the
+// writer keeps has the value. It walks every cell page, off the hot path.
+// Values that cannot be encoded (see checkpoint.EncodeValue) are left
+// out; their producers re-run on restore. A vanished-entry tombstone —
+// zero size, no locations — stays value-free so reconstruction drops it.
 func (vt *valueTable) Attach(catalog []checkpoint.CatalogEntry) {
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
@@ -37,10 +38,12 @@ func (vt *valueTable) Attach(catalog []checkpoint.CatalogEntry) {
 			en.Value, en.HasValue = b, true
 		}
 	}
+	slices.SortStableFunc(catalog, func(a, b checkpoint.CatalogEntry) int { return byKey(a, b.Key) })
 	for _, p := range vt.pages {
 		for j := range p {
 			if c := &p[j]; c.set && c.err == nil { // an unused cell is never set
-				if i, ok := slices.BinarySearchFunc(catalog, c.key, byKey); ok {
+				i, _ := slices.BinarySearchFunc(catalog, c.key, byKey)
+				for ; i < len(catalog) && catalog[i].Key == c.key; i++ {
 					attach(&catalog[i], c.val)
 				}
 			}

@@ -195,7 +195,7 @@ func (e *Engine) divertUnavailableLocked(t *Task) {
 	keys := append([]deps.Version(nil), e.availMissing...)
 	primary := e.availPrimary
 	t.state = Parked
-	e.markDirtyLocked(t)
+	e.logLocked(t)
 	t.coldRec().availKeys = keys
 	if e.waiters == nil {
 		e.waiters = make(map[deps.Version]map[*Task]struct{})

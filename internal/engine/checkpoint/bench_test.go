@@ -72,9 +72,10 @@ func BenchmarkCheckpointSave(b *testing.B) {
 }
 
 // TestCaptureDeltaSharesOutputLists pins the cost shape of a delta
-// capture: a dirty task's record carries the task's own output list, and
-// the delta carries the engine's records, so a capture of 1000 tasks that
-// completed since the base allocates two objects and nothing per task.
+// capture: a logged record carries the task's own output list, and a
+// capture swaps the engine's log out whole, so a capture of the 2000
+// records 1000 tasks logged since the base (started, then done) allocates
+// one object, the Delta — and, into a spare delta, none.
 func TestCaptureDeltaSharesOutputLists(t *testing.T) {
 	const tasks = 1000
 	specs := make([]infra.TaskSpec, tasks)
@@ -84,15 +85,15 @@ func TestCaptureDeltaSharesOutputLists(t *testing.T) {
 			Accesses: []deps.Access{{Data: deps.DataID(i + 1), Dir: deps.Out}},
 		}
 	}
-	var sims []*infra.Sim // one per AllocsPerRun call: a capture drains the dirty set
-	for i := 0; i < 2; i++ {
+	var sims []*infra.Sim // one per AllocsPerRun call: a capture empties the log
+	for i := 0; i < 4; i++ {
 		pool := resources.NewPool()
 		_ = pool.Add(resources.NewNode("n0", resources.MareNostrumNode))
 		sim, err := infra.New(infra.Config{Pool: pool, Net: simnet.Continuum(), Policy: sched.MinLoad{}}, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkpoint.CaptureBase(sim.Engine(), nil) // dirty tracking starts here
+		checkpoint.CaptureBase(sim.Engine(), nil) // the log opens here
 		if _, err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +104,27 @@ func TestCaptureDeltaSharesOutputLists(t *testing.T) {
 		d = checkpoint.CaptureDelta(sims[0].Engine(), nil)
 		sims = sims[1:]
 	})
-	if len(d.Tasks) != tasks || len(d.Tasks[tasks-1].OutputKeys) != 1 {
-		t.Fatalf("captured %d records, last %+v", len(d.Tasks), d.Tasks[len(d.Tasks)-1])
+	if len(d.Tasks) != 2*tasks {
+		t.Fatalf("captured %d records, want %d", len(d.Tasks), 2*tasks)
 	}
-	// The engine's record slice and the Delta.
-	if allocs > 2 {
-		t.Fatalf("CaptureDelta of %d dirty tasks allocated %.0f objects, want 2", tasks, allocs)
+	list := map[int64]*deps.Version{} // each task's output list, by its first element
+	for _, r := range d.Tasks {
+		if len(r.OutputKeys) != 1 {
+			t.Fatalf("record %+v: want its task's one output", r)
+		}
+		if first, ok := list[r.ID]; ok && first != &r.OutputKeys[0] {
+			t.Fatalf("task %d's records carry two output lists", r.ID)
+		}
+		list[r.ID] = &r.OutputKeys[0]
+	}
+	if allocs > 1 {
+		t.Fatalf("CaptureDelta of %d logged records allocated %.0f objects, want 1", len(d.Tasks), allocs)
+	}
+	spare := d
+	if allocs := testing.AllocsPerRun(1, func() {
+		d = checkpoint.CaptureDeltaInto(spare, sims[0].Engine(), nil)
+		sims = sims[1:]
+	}); allocs != 0 || len(d.Tasks) != 2*tasks {
+		t.Fatalf("a capture into a spare delta allocated %.0f objects for %d records, want none", allocs, len(d.Tasks))
 	}
 }

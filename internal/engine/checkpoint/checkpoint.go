@@ -21,11 +21,13 @@
 // captures the identical post-completion, pre-placement state on either
 // backend — the invariant the checkpoint parity suite compares with
 // Equivalent. Every trigger takes the one cadence: a base, then
-// O(changes) deltas, with every eighth save after it a compacting base.
-// That goroutine captures and no more. One writer per Checkpointer folds
-// each delta, encodes and writes, compacting bases included — a base is a
-// fold, not a capture (ckpt.go) — and the store may be read once the host
-// has flushed it; a write that failed is reported by that flush, never
+// O(changes) deltas — the records the engine and the registry logged
+// since the last capture (delta.go) — with every eighth save after it a
+// compacting base. That goroutine captures and no more. One writer per
+// Checkpointer coalesces and folds each delta and appends it to the
+// base's log, compacting bases included — a base is a fold, not a
+// capture (ckpt.go) — and the store may be read once the host has
+// flushed it; a write that failed is reported by that flush, never
 // dropped.
 //
 // On disk a snapshot is Format 3: the encoding/gob form of a private wire
@@ -38,11 +40,14 @@
 // column, so a file costs O(columns) allocations, not O(rows), and checks
 // first that the columns agree (lengths, key order, counts, node indices,
 // value rows, sectioned IDs in the order): a file that does not is
-// ErrCorrupt. Store adds content-addressed names
-// (snap-<seq>-<sha256:16>.ckpt), atomic temp-and-rename writes, format
-// versioning (Format), bounded retention (Keep), and a Latest that reads
-// the newest valid chain, older ones only when damage sends it back — so
-// damage costs one checkpoint interval and a restore one chain's reading.
+// ErrCorrupt. Store adds content-addressed base names
+// (snap-<seq>-<sha256:16>.ckpt), synced temp-and-rename writes, format
+// versioning (Format), an append-only log beside each base whose frames
+// carry a length and a CRC32 and are synced one by one (store.go),
+// bounded retention (Keep) of a base with its log, and a Latest that
+// reads the newest valid base and its log's valid prefix, older bases
+// only when damage sends it back — so damage costs the groups after it
+// and a restore one base and one log's reading.
 //
 // Restore is not here: the control plane replays a snapshot into a fresh
 // engine for both backends (internal/host, restore.go) — catalog re-seed,
@@ -105,17 +110,17 @@ type Snapshot struct {
 // Capture assembles a snapshot of the engine's current state. reg, when
 // non-nil, supplies the data catalog (sizes and replica locations); the
 // live backend additionally attaches encoded values afterwards. Capture
-// is side-effect-free: it leaves the dirty sets feeding delta captures
+// is side-effect-free: it leaves the logs feeding delta captures
 // untouched, so parity probes can snapshot at will.
 func Capture(e *engine.Engine, reg *transfer.Registry) *Snapshot {
 	return build(e, e.SnapshotTasks(), reg, (*transfer.Registry).Entries)
 }
 
-// CaptureBase is Capture with a dirty-set reset on both the engine and
-// the registry: the full snapshot that starts (or compacts) a delta
-// chain. The deltas captured after it cover exactly the changes since.
+// CaptureBase is Capture that opens (or restarts) the engine's and the
+// registry's logs empty: the base the deltas captured after it extend.
+// They cover exactly the changes since.
 func CaptureBase(e *engine.Engine, reg *transfer.Registry) *Snapshot {
-	return build(e, e.SnapshotTasksClean(), reg, (*transfer.Registry).EntriesClean)
+	return build(e, e.StartLog(), reg, (*transfer.Registry).StartLog)
 }
 
 func build(e *engine.Engine, tasks []engine.TaskSnap, reg *transfer.Registry, rows func(*transfer.Registry) []transfer.Entry) *Snapshot {

@@ -3,19 +3,17 @@
 //
 // Every trigger — the interval tick, every N completions, the drain —
 // takes the one save path. Capturing is the backend's: the goroutine that
-// drives the engine (the simulator's, or whichever live goroutine
-// completed the triggering task) takes the first base with
-// CheckpointBase and, at every trigger after it, a delta with
-// CheckpointDelta — O(changes), compactions included. It queues the
-// capture and goes on. One writer goroutine takes the queue in capture
-// order: it folds every delta into a running state with the merger
-// Store.Latest reconstructs with, writes the delta as it stands, or —
-// once the chain holds compactEvery deltas — writes the fold as a fresh
-// base. The fold of a clean chain is the state a CaptureBase would have
-// found at that instant, so the file is the same bytes. At most
-// maxUnwritten saves wait for the writer; a capture blocks only beyond
-// that. The writer exists only while saves are queued: it is started by
-// the save that finds none running and exits when the queue is empty.
+// drives the engine takes the first base with CheckpointBase and, at
+// every trigger after it, a delta with CheckpointDelta — a swap of the
+// logs, compactions included; a swap that finds nothing is an idle
+// trigger, dropped. It queues the capture and goes on. One writer
+// goroutine takes the queue in capture order: it coalesces each group,
+// folds it into a running state with the merger Store.Latest uses, and
+// appends it to the base's log or — once the log holds compactEvery
+// groups — writes the fold, the bytes a CaptureBase of that instant would
+// give, as a fresh base. A written delta's arrays go back to the next
+// capture. At most maxUnwritten saves wait for the writer; a capture
+// blocks only beyond that. The writer runs only while saves are queued.
 //
 // The store holds every queued save once Flush, Drained or Stop returns —
 // the host reaches them at the end of a simulation run, at the live
@@ -38,20 +36,17 @@ import (
 // backends: the shared engine's state plus the location registry, with
 // the live runtime's encoded output values attached through a hook.
 type Source interface {
-	// CheckpointBase captures the full state and resets the dirty sets,
-	// starting a delta chain.
+	// CheckpointBase captures the full state and opens the logs empty.
 	CheckpointBase() *Snapshot
-	// CheckpointDelta drains the dirty sets into a delta.
-	CheckpointDelta() *Delta
-	// CheckpointDirty reports how many records changed since the last
-	// base or delta capture — zero means a capture would be a no-op.
-	CheckpointDirty() int
+	// CheckpointDelta swaps the logs out into spare, a delta the writer
+	// is done with (nil for a new one): CaptureDeltaInto.
+	CheckpointDelta(spare *Delta) *Delta
 }
 
-// compactEvery is the delta-chain length after which the writer writes
-// its fold as a fresh base: long enough that base cost amortises to a
-// small constant per save, short enough that reconstruction replays a
-// bounded chain.
+// compactEvery is the number of groups in a log after which the writer
+// writes its fold as a fresh base: long enough that base cost amortises
+// to a small constant per save, short enough that reconstruction replays
+// a bounded log.
 const compactEvery = 8
 
 // maxUnwritten is how many captured saves may wait for the writer before
@@ -68,8 +63,8 @@ type Config struct {
 	// on the one cadence. It stays because the benchmark harness
 	// (bench/sim.go) sets it, and goes when that harness next changes.
 	Delta bool
-	// Metrics, when set, records capture wall time, per-delta dirty-set
-	// size and save counts. Capture cost is real serialization work, so
+	// Metrics, when set, records capture wall time, per-delta logged
+	// records and save counts. Capture cost is real serialization work, so
 	// it is measured on the wall clock even under the simulator — these
 	// are the one engine-metric family that is NOT deterministic in sim
 	// (the CI determinism smoke runs checkpoint-free). Optional.
@@ -77,8 +72,8 @@ type Config struct {
 }
 
 // save is one queued write: the first base (snap), written as it stands
-// and seeding the fold, or a delta the writer folds and then writes — as
-// itself, or with compact as the fold.
+// and seeding the fold, or a delta the writer coalesces and folds and then
+// writes — as a frame of the log, or with compact as the fold.
 type save struct {
 	snap    *Snapshot
 	d       *Delta
@@ -100,7 +95,7 @@ type Checkpointer struct {
 	// saves in capture order. It guards the cadence and seq.
 	capture  sync.Mutex
 	haveBase bool
-	chainLen int // deltas since the last base
+	logLen   int // groups logged since the last base
 	seq      int // the store sequence number of the newest queued save
 
 	mu        sync.Mutex
@@ -110,8 +105,12 @@ type Checkpointer struct {
 	writing   bool  // the writer goroutine is running
 	failed    error // the first write that failed; Flush and Drained return it
 	stopped   bool
+	spare     *Delta // the last written delta, whose arrays the next capture reuses
 
-	fold *merger // the writer's running state; only the writer touches it
+	// The writer's running state and coalescing scratch; only the writer
+	// touches them.
+	fold  *merger
+	first map[int64]int
 }
 
 // baseQueued, set by tests, runs on the capturing goroutine for every
@@ -125,7 +124,7 @@ func NewCheckpointer(cfg Config, src Source, tracer *trace.Tracer) *Checkpointer
 	if cfg.Metrics == nil {
 		cfg.Metrics = obsv.NewCkptMetrics(nil) // inert: nil instruments discard
 	}
-	c := &Checkpointer{cfg: cfg, src: src, tracer: tracer, seq: cfg.Store.lastSeq()}
+	c := &Checkpointer{cfg: cfg, src: src, tracer: tracer, seq: cfg.Store.lastSeq(), first: make(map[int64]int)}
 	c.written = sync.NewCond(&c.mu)
 	return c
 }
@@ -162,17 +161,14 @@ func (c *Checkpointer) Drained() error {
 	return c.Flush()
 }
 
-// autoSave is every trigger's one save. It is change-aware: the first
-// save captures a base, an idle trigger (no changes since the last
-// capture) is skipped outright, and every later one captures a delta the
-// writer folds — and writes as a compacting base once the chain holds
-// compactEvery deltas.
+// autoSave is every trigger's one save. The first save captures a base;
+// every later one swaps the logs out into a delta and, when nothing was
+// logged since the last capture, drops it (an idle trigger). The writer
+// appends the rest to the log, and writes its fold as a compacting base
+// once the log holds compactEvery groups.
 func (c *Checkpointer) autoSave() {
 	c.capture.Lock()
 	defer c.capture.Unlock()
-	if c.haveBase && c.src.CheckpointDirty() == 0 {
-		return
-	}
 	if !c.reserve() {
 		return
 	}
@@ -184,19 +180,22 @@ func (c *Checkpointer) autoSave() {
 		c.enqueue(save{snap: snap}, snap.At)
 		return
 	}
-	compact := c.chainLen >= compactEvery
-	if !compact {
-		c.cfg.Metrics.DirtyRecords.Observe(float64(c.src.CheckpointDirty()))
-	}
-	d := c.src.CheckpointDelta()
-	c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
-	if d.Empty() { // an idle trigger that raced the dirty check
+	c.mu.Lock()
+	spare := c.spare
+	c.spare = nil
+	c.mu.Unlock()
+	d := c.src.CheckpointDelta(spare)
+	records := len(d.Tasks) + len(d.Catalog)
+	if records == 0 {
 		return
 	}
+	c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
+	compact := c.logLen >= compactEvery
 	if compact {
-		c.chainLen = 0
+		c.logLen = 0
 	} else {
-		c.chainLen++
+		c.cfg.Metrics.LoggedRecords.Observe(float64(records))
+		c.logLen++
 	}
 	c.enqueue(save{d: d, compact: compact}, d.At)
 }
@@ -231,7 +230,7 @@ func (c *Checkpointer) enqueue(sv save, at time.Duration) {
 	c.seq++
 	prefix := snapPrefix
 	if sv.d != nil && !sv.compact {
-		prefix = deltaPrefix
+		prefix = framePrefix
 	}
 	if prefix == snapPrefix && baseQueued != nil {
 		baseQueued(c.seq)
@@ -251,9 +250,15 @@ func (c *Checkpointer) write() {
 		c.queue[0] = save{}
 		c.queue = c.queue[1:]
 		c.mu.Unlock()
-		delta, err := c.persist(sv)
+		delta, w, err := c.persist(sv)
+		c.cfg.Metrics.RecordsWritten.Add(int64(w.records))
+		c.cfg.Metrics.BytesWritten.Add(int64(w.bytes))
+		c.cfg.Metrics.Syncs.Add(int64(w.syncs))
 		c.mu.Lock()
 		c.unwritten--
+		if sv.d != nil {
+			c.spare = sv.d
+		}
 		switch {
 		case err == nil:
 			c.cfg.Metrics.Saves.Inc()
@@ -269,21 +274,23 @@ func (c *Checkpointer) write() {
 	c.mu.Unlock()
 }
 
-// persist folds and writes one save, reporting whether it wrote a delta.
-func (c *Checkpointer) persist(sv save) (delta bool, err error) {
+// persist folds and writes one save, reporting whether it appended a
+// group to the log and what it put on disk.
+func (c *Checkpointer) persist(sv save) (delta bool, w written, err error) {
 	switch {
 	case sv.snap != nil:
-		_, err = c.cfg.Store.Save(sv.snap)
+		_, w, err = c.cfg.Store.save(sv.snap)
 		c.fold = newMerger(sv.snap)
 	case sv.compact:
+		sv.d.coalesce(c.first)
 		c.fold.apply(sv.d)
-		_, err = c.cfg.Store.Save(c.fold.snapshot())
+		_, w, err = c.cfg.Store.save(c.fold.snapshot())
 	default:
+		_, w, err = c.cfg.Store.saveDelta(sv.d) // coalesces it
 		c.fold.apply(sv.d)
-		_, err = c.cfg.Store.SaveDelta(sv.d)
 		delta = true
 	}
-	return delta, err
+	return delta, w, err
 }
 
 // Flush returns once every save queued so far is written and the writer

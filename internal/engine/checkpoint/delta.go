@@ -1,31 +1,19 @@
-// Delta snapshots — the O(changes) half of the checkpoint subsystem.
-// A full Snapshot walks every task and every catalog row; on a
-// million-task graph that is a million-record JSON encode per interval
-// even when almost nothing moved since the last capture. A Delta records
-// only what changed: the engine's dirty set (tasks whose lifecycle
-// state, epoch or completed flag moved since the last capture), the
-// tasks registered since then, and the catalog rows the registry marked
-// dirty. Every record is an ABSOLUTE state replacement, not an edit —
-// applying a delta means overwriting the task's (or key's) whole record
-// — which buys two structural properties for free:
-//
-//   - applying any valid suffix of a chain is idempotent and
-//     order-insensitive per record (last writer wins), so a capture
-//     racing ordinary engine progress is linearisable: a change lands in
-//     this delta or the next, never half in each;
-//   - a mid-chain full snapshot is harmless — it subsumes the chain so
-//     far and resets it.
-//
-// On disk a delta is delta-<seq>-<digest>.ckpt, chained to its parent
-// file (base or previous delta) by ParentSeq over the store's single
-// monotonic sequence. Store.Latest reconstructs the newest state by a
-// forward pass: each valid base resets the merge, each valid delta whose
-// ParentSeq matches the last-applied file extends it, and a corrupt or
-// missing link freezes the reconstruction at the longest valid prefix —
-// damage costs the tail of one chain, never the run. Compaction is the
-// Checkpointer's writer writing its fold of the chain as a fresh base every
-// compactEvery deltas, which both bounds reconstruction work and gives
-// retention a safe pruning unit (whole chains; see Store.pruneLocked).
+// Delta checkpoints — the O(changes) half of the checkpoint subsystem.
+// A base walks every task and catalog row; on a million-task graph that
+// is a million-record encode per interval however little moved. So a
+// base capture opens two logs, the engine's and the registry's, and from
+// then on every change appends the record it leaves: a task's
+// engine.TaskSnap at registration and after each transition, epoch bump
+// or completion, a catalog row's transfer.Entry after each write. A
+// capture swaps both logs out into a Delta, one group. Every record is an
+// ABSOLUTE state, not an edit — a base plus a log of absolute records,
+// the write-ahead-log pattern (Mohan et al., "ARIES", TODS 1992) — so a
+// key's last record is its state: the writer coalesces a group to one
+// record per key, a change racing a capture lands in this group or the
+// next, and a base, which holds everything logged before it, starts an
+// empty log. On disk a group is one frame of its base's log (store.go);
+// every compactEvery groups the Checkpointer's writer writes its fold of
+// the log as a fresh base instead.
 package checkpoint
 
 import (
@@ -38,57 +26,82 @@ import (
 	"repro/internal/transfer"
 )
 
-// Delta is one incremental checkpoint: the state changes since the
-// parent file of the chain.
+// Delta is one group of the checkpoint log: the records the engine and
+// the registry logged since the last capture.
 type Delta struct {
-	// Format is the snapshot format version (shared with Snapshot).
-	Format int
-	// Seq is the store-assigned sequence number (same counter as full
-	// snapshots; the chain is an interval of it).
-	Seq int
-	// ParentSeq is the sequence number of the file this delta extends —
-	// the previous save, base or delta. Reconstruction applies a delta
-	// only onto exactly that state; anything else means a link is missing
-	// and the chain is broken from here on.
-	ParentSeq int
 	// At is the engine clock offset at capture time.
 	At time.Duration
-	// Tasks are the absolute records of every task whose snapshot-
-	// relevant state changed since the parent: in change order as
-	// captured, sorted by ID once the store has written them.
+	// Tasks are the task records in the order they were logged, a task's
+	// last the state it has; once the writer has coalesced the group, one
+	// per task, in the order of each task's first record — registration
+	// order for a task the group registered.
 	Tasks []engine.TaskSnap
-	// Added lists the tasks registered since the parent, in registration
-	// order; reconstruction appends them to the base snapshot's ordering.
-	// Every added task also has a record in Tasks.
-	Added []int64
-	// Catalog holds the absolute replacement rows for every catalog key
-	// whose entry changed, sorted by key. A row with zero size and no
-	// locations means the entry vanished.
+	// Catalog holds the catalog rows in the order they were logged; once
+	// coalesced, each key's last row, sorted by key. A row with zero size
+	// and no locations means the entry vanished.
 	Catalog []CatalogEntry
 	// Stats are the engine's activity counters at capture time
 	// (absolute, like every other field).
 	Stats engine.Stats
+
+	rows []transfer.Entry // the registry's log array, handed back at the next capture
 }
 
-// Empty reports whether the delta carries no changes at all — the
-// capture an idle interval produces, which the Checkpointer skips.
-func (d *Delta) Empty() bool {
-	return len(d.Tasks) == 0 && len(d.Added) == 0 && len(d.Catalog) == 0
-}
-
-// CaptureDelta drains the engine's and registry's dirty sets into a
-// delta. The drain clears both sets, so consecutive captures see only
-// what changed in between; an idle interval yields an Empty delta.
+// CaptureDelta swaps the engine's and the registry's logs out into a new
+// delta; the next capture sees only what was logged in between, and an
+// idle interval yields an Empty delta. A base capture must have opened
+// the logs.
 func CaptureDelta(e *engine.Engine, reg *transfer.Registry) *Delta {
-	tasks, added := e.TakeDirty()
-	d := &Delta{Format: Format, At: e.Now(), Tasks: tasks, Added: added, Stats: e.Stats()}
+	return CaptureDeltaInto(nil, e, reg)
+}
+
+// CaptureDeltaInto is CaptureDelta into d, a delta its writer is done
+// with: the logs go on into d's arrays, so a steady cadence of captures
+// allocates nothing. A nil d is a new one.
+func CaptureDeltaInto(d *Delta, e *engine.Engine, reg *transfer.Registry) *Delta {
+	if d == nil {
+		d = &Delta{}
+	}
+	d.Tasks = e.SwapLog(d.Tasks)
+	d.At, d.Stats = e.Now(), e.Stats()
+	d.Catalog = d.Catalog[:0]
 	if reg != nil {
-		d.Catalog = catalogOf(reg.TakeDirty())
+		d.rows = reg.SwapLog(d.rows)
+		for _, en := range d.rows {
+			d.Catalog = append(d.Catalog, CatalogEntry{Key: en.Key, Size: en.Size, Locations: en.Locations})
+		}
 	}
 	return d
 }
 
-// merger folds a base plus a chain of deltas into one state: Store.Latest
+// coalesce keeps one record per key, in place: a task's last record at its
+// first record's place, and each key's last catalog row, sorted by key.
+// first is scratch for task positions, cleared here.
+func (d *Delta) coalesce(first map[int64]int) {
+	clear(first)
+	tasks := d.Tasks[:0]
+	for _, t := range d.Tasks {
+		if i, seen := first[t.ID]; seen {
+			tasks[i] = t
+			continue
+		}
+		first[t.ID] = len(tasks)
+		tasks = append(tasks, t)
+	}
+	d.Tasks = tasks
+	slices.SortStableFunc(d.Catalog, func(a, b CatalogEntry) int { return compareKeys(a.Key, b.Key) })
+	rows := d.Catalog[:0]
+	for _, en := range d.Catalog {
+		if n := len(rows); n > 0 && rows[n-1].Key == en.Key {
+			rows[n-1] = en
+			continue
+		}
+		rows = append(rows, en)
+	}
+	d.Catalog = rows
+}
+
+// merger folds a base plus its log into one state: Store.Latest
 // reconstructs with it, and the Checkpointer's writer keeps one running
 // to write compacting bases. It holds no per-task map while task IDs run
 // dense (each new task the next ID after the last, the engine's rule):
@@ -149,22 +162,16 @@ func (m *merger) put(t engine.TaskSnap) {
 	m.tasks = append(m.tasks, t)
 }
 
-// apply overlays one delta (records are absolute, so overlay = replace).
+// apply overlays one coalesced group (records are absolute, so overlay =
+// replace). A task the fold has not seen is registered at the end of the
+// order: the group holds it from its registration on.
 func (m *merger) apply(d *Delta) {
-	for _, id := range d.Added {
-		if _, dup := m.find(id); !dup {
-			m.put(engine.TaskSnap{ID: id, State: engine.Pending})
-		}
-	}
-	// A record for a task the chain never registered is tolerated
-	// (absolute records make it safe): put appends it to the order.
 	for _, t := range d.Tasks {
 		m.put(t)
 	}
 	if len(d.Catalog) > 0 {
 		m.mergeCatalog(d.Catalog)
 	}
-	m.seq = d.Seq
 	m.at = d.At
 	m.stats = d.Stats
 }
@@ -173,7 +180,7 @@ func (m *merger) apply(d *Delta) {
 // replaces the one under its key, one under a new key is inserted, and a
 // row with zero size, no locations and no value — the entry vanished —
 // removes it. Rows mostly replace (a version's row exists from its
-// registration on), so a delta costs O(rows·log catalog) and no copy.
+// registration on), so a group costs O(rows·log catalog) and no copy.
 func (m *merger) mergeCatalog(rows []CatalogEntry) {
 	cat := m.catalog
 	var fresh []CatalogEntry // rows under keys cat lacks, in key order

@@ -1,12 +1,12 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -19,7 +19,7 @@ import (
 // task 2 ready, task 3 pending.
 func chainBase() *Snapshot {
 	return &Snapshot{
-		Format: Format, At: time.Second,
+		At:    time.Second,
 		Tasks: []engine.TaskSnap{doneRecord(1), {ID: 2, State: engine.Ready}, {ID: 3, State: engine.Pending}},
 		Catalog: []CatalogEntry{{
 			Key: deps.Version{Data: 1, Ver: 1}, Size: 10, Locations: []string{"n0"},
@@ -58,7 +58,7 @@ func TestDeltaChainLatestReconstruction(t *testing.T) {
 	}
 	// Delta 1: task 2 completes, its output lands in the catalog.
 	d1 := &Delta{
-		Format: Format, At: 2 * time.Second,
+		At:    2 * time.Second,
 		Tasks: []engine.TaskSnap{doneRecord(2), {ID: 3, State: engine.Ready}},
 		Catalog: []CatalogEntry{{
 			Key: deps.Version{Data: 2, Ver: 1}, Size: 5, Locations: []string{"n1"},
@@ -68,12 +68,12 @@ func TestDeltaChainLatestReconstruction(t *testing.T) {
 	if _, err := store.SaveDelta(d1); err != nil {
 		t.Fatal(err)
 	}
-	// Delta 2: task 4 registered and ready; 1v1's entry vanishes
-	// (tombstone row: zero size, no locations).
+	// Delta 2: task 4 registered, then ready — the group holds both
+	// records, the writer keeps the last; 1v1's entry vanishes (tombstone
+	// row: zero size, no locations).
 	d2 := &Delta{
-		Format: Format, At: 3 * time.Second,
-		Added:   []int64{4},
-		Tasks:   []engine.TaskSnap{{ID: 4, State: engine.Ready}},
+		At:      3 * time.Second,
+		Tasks:   []engine.TaskSnap{{ID: 4, State: engine.Pending}, {ID: 4, State: engine.Ready}},
 		Catalog: []CatalogEntry{{Key: deps.Version{Data: 1, Ver: 1}}},
 		Stats:   engine.Stats{Completed: 2},
 	}
@@ -116,17 +116,30 @@ func corruptFile(t *testing.T, path string) {
 	}
 }
 
-// chainFiles lists the store's checkpoint files by kind, seq-ascending.
-func chainFiles(t *testing.T, store *Store) (bases, deltas []string) {
+// chainFiles lists the store's bases and the logs beside them,
+// seq-ascending.
+func chainFiles(t *testing.T, store *Store) (bases, logs []string) {
 	t.Helper()
-	for _, p := range store.Snapshots() {
-		if strings.HasPrefix(filepath.Base(p), "delta-") {
-			deltas = append(deltas, p)
-		} else {
-			bases = append(bases, p)
-		}
+	bases = store.Snapshots()
+	logs, err := filepath.Glob(filepath.Join(store.Dir(), logPrefix+"*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return bases, deltas
+	return bases, logs
+}
+
+// frames returns where each frame of a log starts, and its end.
+func frames(t *testing.T, path string) []int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at []int
+	for i := 0; i+frameHeader <= len(data); i += frameHeader + int(binary.LittleEndian.Uint32(data[i:])) {
+		at = append(at, i)
+	}
+	return append(at, len(data))
 }
 
 func TestDeltaCorruptionFreezesChainAtValidPrefix(t *testing.T) {
@@ -139,28 +152,35 @@ func TestDeltaCorruptionFreezesChainAtValidPrefix(t *testing.T) {
 	}
 	// Three deltas completing tasks 2, 3, 4 (4 added in its delta).
 	for i, d := range []*Delta{
-		{Format: Format, Tasks: []engine.TaskSnap{doneRecord(2)}, Stats: engine.Stats{Completed: 2}},
-		{Format: Format, Tasks: []engine.TaskSnap{doneRecord(3)}, Stats: engine.Stats{Completed: 3}},
-		{Format: Format, Added: []int64{4}, Tasks: []engine.TaskSnap{doneRecord(4)}, Stats: engine.Stats{Completed: 4}},
+		{Tasks: []engine.TaskSnap{doneRecord(2)}, Stats: engine.Stats{Completed: 2}},
+		{Tasks: []engine.TaskSnap{doneRecord(3)}, Stats: engine.Stats{Completed: 3}},
+		{Tasks: []engine.TaskSnap{doneRecord(4)}, Stats: engine.Stats{Completed: 4}},
 	} {
 		if _, err := store.SaveDelta(d); err != nil {
 			t.Fatalf("delta %d: %v", i, err)
 		}
 	}
 
-	_, deltas := chainFiles(t, store)
-	if len(deltas) != 3 {
-		t.Fatalf("%d delta files, want 3", len(deltas))
+	_, logs := chainFiles(t, store)
+	at := frames(t, logs[0])
+	if len(logs) != 1 || len(at) != 4 {
+		t.Fatalf("%d logs, frames at %v; want one log of 3 frames", len(logs), at)
 	}
-	corruptFile(t, deltas[1]) // the middle link
+	data, err := os.ReadFile(logs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[(at[1]+at[2])/2] ^= 0xff // inside the middle frame
+	if err := os.WriteFile(logs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	snap, err := store.Latest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The chain is frozen after delta 1: tasks 1 and 2 completed; the
-	// records of deltas 2 and 3 are unreachable by construction (their
-	// ParentSeq can no longer match).
+	// The log's valid prefix ends after frame 1: tasks 1 and 2 completed;
+	// frame 3 is whole, but nothing past a bad frame is applied.
 	if done := filed(snap, engine.Done); len(done) != 2 || snap.Seq != 2 {
 		t.Fatalf("prefix state: completed %v, seq %d (want 2 of them, 2)", done, snap.Seq)
 	}
@@ -181,7 +201,7 @@ func TestDeltaMidChainFullSnapshotResetsChain(t *testing.T) {
 	if _, err := store.Save(chainBase()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.SaveDelta(&Delta{Format: Format, Tasks: []engine.TaskSnap{doneRecord(2)}}); err != nil {
+	if _, err := store.SaveDelta(&Delta{Tasks: []engine.TaskSnap{doneRecord(2)}}); err != nil {
 		t.Fatal(err)
 	}
 	// A base lands mid-chain (a compaction writes exactly this). It
@@ -193,7 +213,7 @@ func TestDeltaMidChainFullSnapshotResetsChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The next delta chains onto the full save.
-	if _, err := store.SaveDelta(&Delta{Format: Format, At: 6 * time.Second, Tasks: []engine.TaskSnap{doneRecord(3)}}); err != nil {
+	if _, err := store.SaveDelta(&Delta{At: 6 * time.Second, Tasks: []engine.TaskSnap{doneRecord(3)}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -219,14 +239,14 @@ func TestDeltaChainRetentionPrunesWholeChains(t *testing.T) {
 		}
 		return s
 	}
-	// Chain 1: base + two deltas. All three must survive until enough
-	// newer bases exist — pruning mid-chain would break reconstruction.
+	// Chain 1: base + a log of two groups. Both must survive until enough
+	// newer bases exist — pruning a base under its log would strand it.
 	if _, err := store.Save(chainBase()); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range []*Delta{
-		{Format: Format, Tasks: []engine.TaskSnap{doneRecord(2)}},
-		{Format: Format, Tasks: []engine.TaskSnap{doneRecord(3)}},
+		{Tasks: []engine.TaskSnap{doneRecord(2)}},
+		{Tasks: []engine.TaskSnap{doneRecord(3)}},
 	} {
 		if _, err := store.SaveDelta(d); err != nil {
 			t.Fatal(err)
@@ -237,24 +257,24 @@ func TestDeltaChainRetentionPrunesWholeChains(t *testing.T) {
 	if _, err := store.Save(fullWith(1, 2, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.SaveDelta(&Delta{Format: Format, Added: []int64{4}, Tasks: []engine.TaskSnap{doneRecord(4)}}); err != nil {
+	if _, err := store.SaveDelta(&Delta{Tasks: []engine.TaskSnap{doneRecord(4)}}); err != nil {
 		t.Fatal(err)
 	}
-	if files := store.Snapshots(); len(files) != 5 {
-		t.Fatalf("two chains: %d files on disk, want 5 (no mid-chain pruning)", len(files))
+	if bases, logs := chainFiles(t, store); len(bases) != 2 || len(logs) != 2 {
+		t.Fatalf("two chains: %d bases + %d logs on disk, want 2 + 2 (no mid-chain pruning)", len(bases), len(logs))
 	}
-	// Chain 3: the third base pushes chain 1 past the budget — the whole
-	// chain goes, never a base out from under live deltas.
+	// Chain 3: the third base pushes chain 1 past the budget — the base
+	// and its log go together.
 	if _, err := store.Save(fullWith(1, 2, 3, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.SaveDelta(&Delta{Format: Format, Added: []int64{5}, Tasks: []engine.TaskSnap{doneRecord(5)}}); err != nil {
+	if _, err := store.SaveDelta(&Delta{Tasks: []engine.TaskSnap{doneRecord(5)}}); err != nil {
 		t.Fatal(err)
 	}
 
-	bases, deltas := chainFiles(t, store)
-	if len(bases) != 2 || len(deltas) != 2 {
-		t.Fatalf("after pruning: %d bases + %d deltas on disk, want 2 + 2", len(bases), len(deltas))
+	bases, logs := chainFiles(t, store)
+	if len(bases) != 2 || len(logs) != 2 || filepath.Base(logs[0]) != "log-000004.ckpt" {
+		t.Fatalf("after pruning: bases %v, logs %v; want the newest 2 of each", bases, logs)
 	}
 	snap, err := store.Latest()
 	if err != nil {
@@ -266,8 +286,8 @@ func TestDeltaChainRetentionPrunesWholeChains(t *testing.T) {
 }
 
 // fakeSource drives the Checkpointer's change-aware save logic
-// without an engine: dirty is the pending change count, and captures
-// drain it exactly like the real backends do.
+// without an engine: dirty is the count of changes logged since the last
+// capture, and captures swap them out exactly like the real backends do.
 type fakeSource struct {
 	dirty     int
 	completed int64 // grows as "changes" are flushed into records
@@ -281,8 +301,12 @@ func (f *fakeSource) CheckpointBase() *Snapshot {
 	return &Snapshot{Format: Format, Stats: engine.Stats{Completed: int(f.completed)}}
 }
 
-func (f *fakeSource) CheckpointDelta() *Delta {
-	d := &Delta{Format: Format}
+func (f *fakeSource) CheckpointDelta(spare *Delta) *Delta {
+	d := spare
+	if d == nil {
+		d = &Delta{}
+	}
+	d.Tasks = d.Tasks[:0]
 	for i := 0; i < f.dirty; i++ {
 		f.completed++
 		d.Tasks = append(d.Tasks, doneRecord(f.completed))
@@ -291,8 +315,6 @@ func (f *fakeSource) CheckpointDelta() *Delta {
 	d.Stats = engine.Stats{Completed: int(f.completed)}
 	return d
 }
-
-func (f *fakeSource) CheckpointDirty() int { return f.dirty }
 
 // TestCheckpointerDeltaCadenceAndSkip: the one cadence — a captured base,
 // compactEvery deltas, then the fold written as a base — with an idle
@@ -319,13 +341,13 @@ func TestCheckpointerDeltaCadenceAndSkip(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	before := len(store.Snapshots())
+	before := store.lastSeq()
 	complete(0) // idle trigger: skipped outright
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(store.Snapshots()); n != before {
-		t.Fatalf("the idle trigger took the store from %d files to %d, want no new file", before, n)
+	if seq := store.lastSeq(); seq != before {
+		t.Fatalf("the idle trigger took the store from seq %d to %d, want no save", before, seq)
 	}
 	complete(1) // delta on the new chain
 	if err := c.Flush(); err != nil {
@@ -340,9 +362,13 @@ func TestCheckpointerDeltaCadenceAndSkip(t *testing.T) {
 	if met.Saves.Value() != saves || met.DeltaSaves.Value() != saves-2 {
 		t.Fatalf("saves=%d deltaSaves=%d, want %d/%d", met.Saves.Value(), met.DeltaSaves.Value(), saves, saves-2)
 	}
-	bases, deltas := chainFiles(t, store)
-	if len(bases) != 2 || len(deltas) != saves-2 {
-		t.Fatalf("%d bases + %d deltas on disk, want 2 + %d", len(bases), len(deltas), saves-2)
+	bases, logs := chainFiles(t, store)
+	framed := 0
+	for _, l := range logs {
+		framed += len(frames(t, l)) - 1
+	}
+	if len(bases) != 2 || len(logs) != 2 || framed != saves-2 {
+		t.Fatalf("%d bases + %d logs of %d frames on disk, want 2 + 2 of %d", len(bases), len(logs), framed, saves-2)
 	}
 	snap, err := store.Latest()
 	if err != nil {
@@ -378,7 +404,7 @@ func saveChain(t *testing.T, store *Store, total, done int64, deltas int) {
 	}
 	for id := done + 1; id <= done+int64(deltas); id++ {
 		d := &Delta{
-			Format: Format, Tasks: []engine.TaskSnap{doneRecord(id)},
+			Tasks:   []engine.TaskSnap{doneRecord(id)},
 			Catalog: []CatalogEntry{entry(id)}, Stats: engine.Stats{Completed: int(id)},
 		}
 		if _, err := store.SaveDelta(d); err != nil {
@@ -405,12 +431,12 @@ func TestLatestCostsTheNewestChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := many.Snapshots()
-	if len(files) != chains*(1+deltas) {
-		t.Fatalf("%d files on disk, want %d", len(files), chains*(1+deltas))
+	bases, logs := chainFiles(t, many)
+	if len(bases) != chains || len(logs) != chains {
+		t.Fatalf("%d bases and %d logs on disk, want %d of each", len(bases), len(logs), chains)
 	}
-	older := len(files) - (1 + deltas)
-	for _, path := range files[older:] {
+	older := 2 * (chains - 1) // the files of every chain but the newest
+	for _, path := range []string{bases[chains-1], logs[chains-1]} {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -454,7 +480,8 @@ func TestLatestCostsTheNewestChain(t *testing.T) {
 
 // TestLatestTruncatedBaseFallsBackAWholeChain is the mirror case: when the
 // newest base does not verify, Latest returns the whole previous chain —
-// its base and all its deltas — and none of the bad base's own deltas.
+// its base and every frame of its log — and none of the bad base's own
+// log.
 func TestLatestTruncatedBaseFallsBackAWholeChain(t *testing.T) {
 	store, err := NewStore(t.TempDir())
 	if err != nil {
@@ -483,5 +510,74 @@ func TestLatestTruncatedBaseFallsBackAWholeChain(t *testing.T) {
 	}
 	if len(snap.Catalog) != 4 {
 		t.Fatalf("%d catalog rows, want 4", len(snap.Catalog))
+	}
+}
+
+// TestTornLogTailsFallBackToTheLastIntactFrame: a log cut inside its last
+// frame at every byte offset, and a log with one byte flipped in any one
+// frame, reconstruct to the state of the last frame before the damage —
+// never an error while the base is valid, never a frame past a bad one.
+func TestTornLogTailsFallBackToTheLastIntactFrame(t *testing.T) {
+	store, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	saveChain(t, store, 12, 2, 4) // a base, then frames completing tasks 3..6
+	path := store.logPath(1)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := frames(t, path) // where each frame starts, and the log's end
+	if len(at) != 5 {
+		t.Fatalf("frames at %v, want 4", at)
+	}
+	latestWith := func(log []byte) *Snapshot {
+		t.Helper()
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := store.Latest()
+		if err != nil {
+			t.Fatalf("Latest over a valid base: %v", err)
+		}
+		return snap
+	}
+	var after []*Snapshot // after[k]: the state with the first k frames applied
+	for _, end := range at {
+		after = append(after, latestWith(data[:end]))
+	}
+	for k, s := range after {
+		if s.Seq != 1+k || s.Stats.Completed != 2+k {
+			t.Fatalf("%d frames: seq %d, %d completions", k, s.Seq, s.Stats.Completed)
+		}
+	}
+	last := len(at) - 2
+	for cut := at[last]; cut < len(data); cut++ {
+		if got := latestWith(data[:cut]); !reflect.DeepEqual(got, after[last]) {
+			t.Fatalf("log cut at byte %d of its last frame [%d, %d): seq %d, want %d", cut, at[last], len(data), got.Seq, after[last].Seq)
+		}
+	}
+	for k := 0; k+1 < len(at); k++ {
+		flipped := slices.Clone(data)
+		flipped[(at[k]+at[k+1])/2] ^= 0x40
+		if got := latestWith(flipped); !reflect.DeepEqual(got, after[k]) {
+			t.Fatalf("a byte flipped in frame %d: seq %d, want %d", k, got.Seq, after[k].Seq)
+		}
+	}
+
+	// A store opened over a torn tail appends over it: the new frame
+	// follows the last intact one.
+	latestWith(data[:at[last]+3])
+	reopened, err := NewStore(store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reopened.SaveDelta(&Delta{Tasks: []engine.TaskSnap{doneRecord(12)}, Stats: engine.Stats{Completed: 9}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := reopened.Latest()
+	if err != nil || got.Seq != after[last].Seq+1 || got.Stats.Completed != 9 || len(frames(t, path)) != len(at) {
+		t.Fatalf("after an append over the torn tail: %+v, %v; want seq %d and the new group", got, err, after[last].Seq+1)
 	}
 }

@@ -200,7 +200,8 @@ func foldLive(t *testing.T, c workloads.ConformanceCase) (folded int) {
 // every conformance case on both backends (the live arm with encoded
 // values) and a 1024×12 stencil on the simulator with interval deltas, so
 // the fold sees multi-node holder lists and thousands of rows per chain.
-// A mismatch means a dirty set missed a change since the last capture.
+// A mismatch means a change since the last capture left no record in the
+// log.
 func TestFoldedBaseIsTheCapturedBase(t *testing.T) {
 	folded := 0
 	for _, c := range workloads.ConformanceSuite() {
@@ -268,8 +269,8 @@ func TestCheckpointWriterDrains(t *testing.T) {
 			t.Fatalf("Run: %v, want ErrHalted", err)
 		}
 		saves := int(met.Saves.Value())
-		if saves < 4 || len(store.Snapshots()) != saves {
-			t.Fatalf("%d saves counted, %d files on disk right after Run", saves, len(store.Snapshots()))
+		if bases := saves - int(met.DeltaSaves.Value()); saves < 4 || len(store.Snapshots()) != bases {
+			t.Fatalf("%d saves counted, %d of them bases; %d bases on disk right after Run", saves, bases, len(store.Snapshots()))
 		}
 		snap, err := store.Latest()
 		if err != nil {
@@ -319,8 +320,8 @@ func TestCheckpointWriterDrains(t *testing.T) {
 
 // TestCheckpointTraceDeterministic: the CheckpointSaved events are
 // recorded where the saves are queued, at the capture's instant, naming
-// the file by kind and sequence number — so two identical runs trace
-// identically, whenever the writer gets to each file.
+// the save by kind and sequence number — so two identical runs trace
+// identically, whenever the writer gets to each save.
 func TestCheckpointTraceDeterministic(t *testing.T) {
 	run := func() []trace.Event {
 		tr := trace.New(0)
@@ -340,7 +341,7 @@ func TestCheckpointTraceDeterministic(t *testing.T) {
 			names = append(names, e.Info)
 		}
 	}
-	if len(names) < 10 || names[0] != "snap-000001" || names[1] != "delta-000002" || names[8] != "delta-000009" || names[9] != "snap-000010" {
-		t.Fatalf("checkpoint events %v, want snap-000001, delta-000002..9, snap-000010 (compacted), ...", names)
+	if len(names) < 10 || names[0] != "snap-000001" || names[1] != "frame-000002" || names[8] != "frame-000009" || names[9] != "snap-000010" {
+		t.Fatalf("checkpoint events %v, want snap-000001, frame-000002..9, snap-000010 (compacted), ...", names)
 	}
 }

@@ -15,17 +15,19 @@ import (
 	"repro/internal/engine"
 )
 
-// The golden files under testdata/ were written by Store.Save and
-// Store.SaveDelta from exactly the two values below. format3_* pin
-// Format 3: the same state must encode to the same bytes under the same
-// content-addressed names. format1_* and format2_* are what the JSON codec
-// of Format 1 and the row-by-row gob of Format 2 wrote for the same
-// values: they must be refused whole.
+// The golden files under testdata/ were written from exactly the two
+// values below. format3_snap.gob and format3_log.ckpt pin Format 3: the
+// same base must encode to the same bytes under the same
+// content-addressed name, and the same group to the same frame of its
+// log. format3_delta.gob is the delta file a build before the log wrote
+// for the group, chained to the base: it is not read. format1_* and
+// format2_* are what the JSON codec of Format 1 and the row-by-row gob of
+// Format 2 wrote for the same values: they must be refused whole.
 
 // gob numbers a type process-wide when it first meets it and writes the
 // numbers into the stream, so a file's bytes depend on what the process
 // encoded before it. The pinned bytes are those of a process that meets
-// the snapshot's wire types first and the delta's second; this one does,
+// the snapshot's wire types first and the frame's second; this one does,
 // here, whatever order the tests run in. (Any order decodes: a stream
 // describes itself.)
 func init() {
@@ -37,6 +39,7 @@ func init() {
 // The names the store gives the files (sequence + content digest).
 const (
 	goldenSnapName   = "snap-000001-b66dbc08d4e0dac2.ckpt"
+	goldenLogName    = "log-000001.ckpt"
 	goldenDeltaName  = "delta-000002-86604f3be20976b2.ckpt"
 	format2SnapName  = "snap-000001-5fe36447de0b7396.ckpt"
 	format2DeltaName = "delta-000002-40d05bf957ee083d.ckpt"
@@ -61,6 +64,8 @@ func goldenSnapshot() *Snapshot {
 	}
 }
 
+// goldenDelta is the group as the writer appends it: coalesced, one
+// record per task and per key.
 func goldenDelta() *Delta {
 	return &Delta{
 		At: 2 * time.Minute,
@@ -68,7 +73,6 @@ func goldenDelta() *Delta {
 			{ID: 3, State: engine.Done, Epoch: 1, Completed: true, OutputKeys: []deps.Version{{Data: 3, Ver: 1}}},
 			{ID: 4, State: engine.Pending},
 		},
-		Added: []int64{4},
 		Catalog: []CatalogEntry{
 			{Key: deps.Version{Data: 1, Ver: 0}}, // vanished
 			{Key: deps.Version{Data: 3, Ver: 1}, Size: 512, Locations: []string{"n1"}},
@@ -97,7 +101,7 @@ func TestFormat3GoldenFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDelta, err := os.ReadFile("testdata/format3_delta.gob")
+	wantLog, err := os.ReadFile("testdata/format3_log.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +115,11 @@ func TestFormat3GoldenFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltaPath, err := store.SaveDelta(goldenDelta())
+	logPath, err := store.SaveDelta(goldenDelta())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for path, want := range map[string][]byte{snapPath: wantSnap, deltaPath: wantDelta} {
+	for path, want := range map[string][]byte{snapPath: wantSnap, logPath: wantLog} {
 		got, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -127,8 +131,8 @@ func TestFormat3GoldenFiles(t *testing.T) {
 	if got := filepath.Base(snapPath); got != goldenSnapName {
 		t.Errorf("snapshot named %s, want %s", got, goldenSnapName)
 	}
-	if got := filepath.Base(deltaPath); got != goldenDeltaName {
-		t.Errorf("delta named %s, want %s", got, goldenDeltaName)
+	if got := filepath.Base(logPath); got != goldenLogName {
+		t.Errorf("log named %s, want %s", got, goldenLogName)
 	}
 
 	// A directory holding the pinned files loads at head.
@@ -145,15 +149,19 @@ func TestFormat3GoldenFiles(t *testing.T) {
 	if !reflect.DeepEqual(snap, wantS) {
 		t.Errorf("Load:\n got %+v\nwant %+v", snap, wantS)
 	}
-	d, err := old.LoadDelta(placeGolden(t, old, "format3_delta.gob", goldenDeltaName))
-	if err != nil {
-		t.Fatal(err)
+	var groups []*Delta
+	if valid := readFrames(wantLog, 1, func(d *Delta, seq int) {
+		if seq != 2 {
+			t.Errorf("frame seq %d, want 2", seq)
+		}
+		groups = append(groups, d)
+	}); valid != int64(len(wantLog)) || len(groups) != 1 {
+		t.Fatalf("log: %d groups in a valid prefix of %d bytes, want 1 in %d", len(groups), valid, len(wantLog))
 	}
-	wantD := goldenDelta()
-	wantD.Format, wantD.Seq, wantD.ParentSeq = Format, 2, 1
-	if !reflect.DeepEqual(d, wantD) {
-		t.Errorf("LoadDelta:\n got %+v\nwant %+v", d, wantD)
+	if !reflect.DeepEqual(groups[0], goldenDelta()) {
+		t.Errorf("frame:\n got %+v\nwant %+v", groups[0], goldenDelta())
 	}
+	placeGolden(t, old, "format3_log.ckpt", goldenLogName)
 	latest, err := old.Latest()
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +174,36 @@ func TestFormat3GoldenFiles(t *testing.T) {
 	}
 	if got := latest.Catalog[2].Key; got != (deps.Version{Data: 3, Ver: 1}) {
 		t.Errorf("Latest: last catalog key %+v", got)
+	}
+}
+
+// A delta file a build before the log left beside its base is not read:
+// Latest is the base alone, and the next group goes to the base's log.
+func TestOlderDeltaFilesAreNotRead(t *testing.T) {
+	old, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	placeGolden(t, old, "format3_snap.gob", goldenSnapName)
+	placeGolden(t, old, "format3_delta.gob", goldenDeltaName)
+	store, err := NewStore(old.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	latest, err := store.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenSnapshot()
+	want.Format, want.Seq = Format, 1
+	if !reflect.DeepEqual(latest, want) {
+		t.Fatalf("Latest over a base and an older delta file:\n got %+v\nwant the base %+v", latest, want)
+	}
+	if path, err := store.SaveDelta(goldenDelta()); err != nil || filepath.Base(path) != goldenLogName {
+		t.Fatalf("SaveDelta = %s, %v; want the base's log", path, err)
+	}
+	if latest, err := store.Latest(); err != nil || latest.Seq != 2 {
+		t.Fatalf("Latest after a group = %+v, %v; want seq 2", latest, err)
 	}
 }
 
@@ -182,6 +220,9 @@ func TestFormat2FilesAreRefused(t *testing.T) {
 	refusedWhole(t, "format2_snap.gob", format2SnapName, "format2_delta.gob", format2DeltaName)
 }
 
+// refusedWhole places an old base and the delta file beside it: the base
+// is refused, and the delta file — of a kind no build with a log reads —
+// cannot make a snapshot on its own.
 func refusedWhole(t *testing.T, snapFile, snapName, deltaFile, deltaName string) {
 	t.Helper()
 	old, err := NewStore(t.TempDir())
@@ -191,9 +232,7 @@ func refusedWhole(t *testing.T, snapFile, snapName, deltaFile, deltaName string)
 	if _, err := old.Load(placeGolden(t, old, snapFile, snapName)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Load of %s = %v, want ErrCorrupt", snapFile, err)
 	}
-	if _, err := old.LoadDelta(placeGolden(t, old, deltaFile, deltaName)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("LoadDelta of %s = %v, want ErrCorrupt", deltaFile, err)
-	}
+	placeGolden(t, old, deltaFile, deltaName)
 	if snap, err := old.Latest(); !errors.Is(err, ErrNoSnapshot) {
 		t.Errorf("Latest over %s and %s = %+v, %v, want ErrNoSnapshot", snapFile, deltaFile, snap, err)
 	}

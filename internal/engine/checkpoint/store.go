@@ -1,32 +1,37 @@
-// The on-disk snapshot store: versioned, content-addressed, atomic.
-// Each snapshot is one file named snap-<seq>-<digest>.ckpt holding the
-// encoding/gob form of its Format 3 wire struct (wire.go: the snapshot in
-// columns, decoded by carving every row out of one array per column),
-// where the digest is the truncated SHA-256 of the file's contents — a
-// self-certifying name the loader re-verifies before decoding, so a torn
-// write, a truncation or any bit-rot is detected and the loader falls back
-// to the previous valid chain instead of restoring garbage. The digest
-// vouches for the bytes, not their sense: a file whose columns disagree is
-// refused as corrupt too. Writes go through a temp file and a rename: a
-// crash mid-save corrupts no snapshot.
+// The on-disk store: content-addressed, atomic bases, each with an
+// append-only log beside it. A base is snap-<seq>-<digest>.ckpt, the gob
+// form of its Format 3 wire struct (wire.go), named after the truncated
+// SHA-256 of its bytes, which the loader re-verifies before decoding; a
+// base whose bytes or columns are wrong is refused as corrupt and Latest
+// falls back to the previous one. A base is written to a temp file,
+// synced and renamed into place, so a crash mid-save corrupts none.
+//
+// The groups saved after a base are the frames of log-<seq>.ckpt: each is
+// its payload's length and CRC32 (4 bytes each, little endian) and the
+// payload, one coalesced group's wireDelta, and each append ends with one
+// Sync. A log's valid prefix ends at the first frame that is torn, fails
+// its checksum, does not decode or carve, or does not follow the sequence
+// number before it; nothing past it is applied, and the next append
+// overwrites it. The delta-<seq>-<digest>.ckpt files of older builds are
+// not read.
 package checkpoint
 
 import (
 	"bytes"
 	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
-
-	"repro/internal/engine"
 )
 
 // Errors reported by the store.
@@ -40,11 +45,16 @@ var (
 	ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 )
 
-// File-name prefixes of the two kinds of checkpoint file.
+// File-name prefixes: a base, and the log beside it. A frame has no file
+// of its own; framePrefix names one in the trace.
 const (
 	snapPrefix  = "snap-"
-	deltaPrefix = "delta-"
+	logPrefix   = "log-"
+	framePrefix = "frame-"
 )
+
+// frameHeader is the length and the CRC32 before each frame's payload.
+const frameHeader = 8
 
 // Store reads and writes snapshots in one directory. It is safe for
 // concurrent use.
@@ -52,25 +62,28 @@ type Store struct {
 	dir  string
 	keep int
 
-	mu  sync.Mutex
-	seq int
-	buf bytes.Buffer // encode scratch, reused across saves
+	mu      sync.Mutex
+	seq     int
+	base    int           // the newest base's sequence number: SaveDelta appends to its log
+	logSize int64         // the length of that log's valid prefix, where the next frame goes
+	buf     bytes.Buffer  // encode scratch, reused across saves
+	first   map[int64]int // coalescing scratch (Delta.coalesce)
 }
 
 // StoreOption tunes NewStore.
 type StoreOption func(*Store)
 
-// Keep sets how many snapshots are retained on disk (older ones are
-// pruned after each save; default 5, minimum 2 so a corrupted latest
-// always has a fallback).
+// Keep sets how many bases are retained on disk, each with its log (older
+// ones are pruned after each base save; default 5, minimum 2 so a
+// corrupted latest always has a fallback).
 func Keep(n int) StoreOption {
 	return func(s *Store) { s.keep = n }
 }
 
-// NewStore opens (creating if needed) a snapshot directory. Existing
-// snapshots are scanned so sequence numbers continue monotonically
-// across process restarts, and the temp file of a save that a crash cut
-// short before its rename is removed: a directory has one writer at a
+// NewStore opens (creating if needed) a snapshot directory. It reads the
+// newest base's log so sequence numbers continue across process restarts
+// and the next frame lands after the last valid one, and removes the temp
+// file of a base save a crash cut short: a directory has one writer at a
 // time, so a temp file found at open belongs to nobody.
 func NewStore(dir string, opts ...StoreOption) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -82,15 +95,18 @@ func NewStore(dir string, opts ...StoreOption) (*Store, error) {
 			_ = os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
-	s := &Store{dir: dir, keep: 5}
+	s := &Store{dir: dir, keep: 5, first: make(map[int64]int)}
 	for _, o := range opts {
 		o(s)
 	}
 	if s.keep < 2 {
 		s.keep = 2
 	}
-	if files := s.list(); len(files) > 0 {
-		s.seq = files[len(files)-1].seq // list sorts by sequence
+	if bases := s.list(); len(bases) > 0 {
+		s.base = bases[len(bases)-1].seq // list sorts by sequence
+		s.seq = s.base
+		data, _ := os.ReadFile(s.logPath(s.base)) // none: an empty log
+		s.logSize = readFrames(data, s.base, func(_ *Delta, seq int) { s.seq = seq })
 	}
 	return s, nil
 }
@@ -98,30 +114,27 @@ func NewStore(dir string, opts ...StoreOption) (*Store, error) {
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-// snapFile is one parsed directory entry: a full snapshot ("snap-"
-// prefix) or a delta ("delta-" prefix).
-type snapFile struct {
-	name  string
-	seq   int
-	delta bool
+// baseFile is one base in the directory: its name and sequence number.
+type baseFile struct {
+	name string
+	seq  int
 }
 
-// list returns the checkpoint files in the directory — full snapshots
-// and deltas — sorted by sequence number ascending. Unparseable names
-// are ignored.
-func (s *Store) list() []snapFile {
+// list returns the bases in the directory sorted by sequence number
+// ascending. Unparseable names are ignored, and so are logs and the delta
+// files of older builds.
+func (s *Store) list() []baseFile {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil
 	}
-	var out []snapFile
+	var out []baseFile
 	for _, e := range entries {
 		name := e.Name()
-		delta := strings.HasPrefix(name, deltaPrefix)
-		if !strings.HasSuffix(name, ".ckpt") || !delta && !strings.HasPrefix(name, snapPrefix) {
+		if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, ".ckpt") {
 			continue
 		}
-		// <prefix><seq>-<digest>.ckpt; neither prefix holds a second dash.
+		// snap-<seq>-<digest>.ckpt
 		parts := strings.Split(strings.TrimSuffix(name, ".ckpt"), "-")
 		if len(parts) != 3 {
 			continue
@@ -130,69 +143,118 @@ func (s *Store) list() []snapFile {
 		if err != nil {
 			continue
 		}
-		out = append(out, snapFile{name: name, seq: seq, delta: delta})
+		out = append(out, baseFile{name: name, seq: seq})
 	}
-	slices.SortFunc(out, func(a, b snapFile) int { return cmp.Compare(a.seq, b.seq) })
+	slices.SortFunc(out, func(a, b baseFile) int { return cmp.Compare(a.seq, b.seq) })
 	return out
 }
 
+// logPath is the path of the log beside base seq.
+func (s *Store) logPath(seq int) string {
+	return filepath.Join(s.dir, fileStem(logPrefix, seq)+".ckpt")
+}
+
 // Save assigns the snapshot the next sequence number and persists it
-// atomically, returning the file path. Chains beyond the retention count
-// are pruned, oldest first.
+// atomically as a base, returning the file path; the groups saved after it
+// go to its log. Bases beyond the retention count are pruned, oldest
+// first, each with its log.
 func (s *Store) Save(snap *Snapshot) (string, error) {
+	path, _, err := s.save(snap)
+	return path, err
+}
+
+// written tallies what one save put on disk: records, bytes and syncs.
+type written struct{ records, bytes, syncs int }
+
+func (s *Store) save(snap *Snapshot) (string, written, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	w := written{records: len(snap.Tasks) + len(snap.Catalog)}
 	s.seq++
 	snap.Seq = s.seq
 	snap.Format = Format
-	return s.writeLocked(snapPrefix, snap.wire())
-}
-
-// SaveDelta persists one delta, its task records sorted by ID, chained to
-// the store's newest file (base or delta) through ParentSeq, using the
-// same atomic temp-and-rename and content-addressed naming as Save. The
-// caller guarantees a base was saved to this store first — a delta with
-// no base beneath it can never be reconstructed.
-func (s *Store) SaveDelta(d *Delta) (string, error) {
-	slices.SortFunc(d.Tasks, func(a, b engine.TaskSnap) int { return cmp.Compare(a.ID, b.ID) })
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d.ParentSeq = s.seq
-	s.seq++
-	d.Seq = s.seq
-	d.Format = Format
-	return s.writeLocked(deltaPrefix, d.wire())
-}
-
-// writeLocked is the one commit path: encode v (the wire form of a
-// snapshot or delta already stamped with s.seq), name the file after its
-// own digest, write a temp file and rename it into place, then — after a
-// base, the only save that can push the base count past keep — prune.
-// Caller holds s.mu.
-func (s *Store) writeLocked(prefix string, v any) (string, error) {
 	s.buf.Reset()
-	stem := fileStem(prefix, s.seq)
-	if err := gob.NewEncoder(&s.buf).Encode(v); err != nil {
-		return "", fmt.Errorf("checkpoint: encode %s: %w", stem, err)
+	stem := fileStem(snapPrefix, s.seq)
+	if err := gob.NewEncoder(&s.buf).Encode(snap.wire()); err != nil {
+		return "", w, fmt.Errorf("checkpoint: encode %s: %w", stem, err)
 	}
 	data := s.buf.Bytes()
 	path := filepath.Join(s.dir, stem+"-"+digest(data)+".ckpt")
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", fmt.Errorf("checkpoint: write: %w", err)
+	if err := writeSynced(tmp, data, 0, &w); err != nil {
+		_ = os.Remove(tmp)
+		return "", w, fmt.Errorf("checkpoint: write: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		_ = os.Remove(tmp)
-		return "", fmt.Errorf("checkpoint: commit: %w", err)
+		return "", w, fmt.Errorf("checkpoint: commit: %w", err)
 	}
-	if prefix == snapPrefix {
-		s.pruneLocked()
-	}
-	return path, nil
+	s.base, s.logSize = s.seq, 0
+	s.pruneLocked()
+	return path, w, nil
 }
 
-// fileStem is a checkpoint file's name up to its digest: the kind's
-// prefix and the sequence number.
+// writeSynced writes data at offset at of the file at path, creating it
+// if need be, cuts whatever lay past it, and syncs: the one commit of a
+// base's temp file (at 0) and of a log frame (at the end of the log's
+// valid prefix). It tallies the bytes and the sync into w.
+func writeSynced(path string, data []byte, at int64, w *written) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.WriteAt(data, at)
+	if err == nil {
+		err = f.Truncate(at + int64(len(data)))
+	}
+	if err == nil {
+		w.bytes += len(data)
+		w.syncs++
+		err = f.Sync()
+	}
+	return errors.Join(err, f.Close())
+}
+
+// SaveDelta coalesces d (one record per key: see Delta) and appends it as
+// one frame, with the next sequence number, to the log of the store's
+// newest base, returning the log's path. The frame is committed by one
+// Sync; a failed append leaves the log's valid prefix as it was, and the
+// next one overwrites what it left. It fails when the store holds no base:
+// a group with no base beneath it can never be reconstructed.
+func (s *Store) SaveDelta(d *Delta) (string, error) {
+	path, _, err := s.saveDelta(d)
+	return path, err
+}
+
+func (s *Store) saveDelta(d *Delta) (string, written, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d.coalesce(s.first)
+	w := written{records: len(d.Tasks) + len(d.Catalog)}
+	if s.base == 0 {
+		return "", w, errors.New("checkpoint: no base to log against")
+	}
+	s.seq++
+	s.buf.Reset()
+	var header [frameHeader]byte // filled in once the payload is encoded
+	s.buf.Write(header[:])
+	if err := gob.NewEncoder(&s.buf).Encode(d.wire(s.seq)); err != nil {
+		return "", w, fmt.Errorf("checkpoint: encode frame %d: %w", s.seq, err)
+	}
+	frame := s.buf.Bytes()
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	path := s.logPath(s.base)
+	if err := writeSynced(path, frame, s.logSize, &w); err != nil {
+		return "", w, fmt.Errorf("checkpoint: append %s: %w", filepath.Base(path), err)
+	}
+	s.logSize += int64(len(frame))
+	return path, w, nil
+}
+
+// fileStem is a checkpoint file's name up to its digest (a base) or its
+// suffix (a log): the kind's prefix and the sequence number.
 func fileStem(prefix string, seq int) string {
 	return fmt.Sprintf("%s%06d", prefix, seq)
 }
@@ -211,126 +273,105 @@ func digest(data []byte) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// pruneLocked bounds retention. The pruning unit is a chain — a base
-// snapshot plus the deltas hanging off it — because deleting a base out
-// from under its deltas would break reconstruction: everything strictly
-// older than the keep-th newest base is removed, deltas older than the
-// oldest base with it. Deltas never count against the retention budget.
+// pruneLocked bounds retention. The pruning unit is a base with its log:
+// everything strictly older than the keep-th newest base is removed, its
+// log with it. Logs never count against the retention budget.
 func (s *Store) pruneLocked() {
-	files := s.list()
-	var baseSeqs []int
-	for _, f := range files {
-		if !f.delta {
-			baseSeqs = append(baseSeqs, f.seq)
-		}
-	}
-	if len(baseSeqs) <= s.keep {
+	bases := s.list()
+	if len(bases) <= s.keep {
 		return
 	}
-	floor := baseSeqs[len(baseSeqs)-s.keep]
-	for _, f := range files {
-		if f.seq < floor {
-			_ = os.Remove(filepath.Join(s.dir, f.name))
-		}
+	for _, b := range bases[:len(bases)-s.keep] {
+		_ = os.Remove(filepath.Join(s.dir, b.name))
+		_ = os.Remove(s.logPath(b.seq))
 	}
 }
 
-// Load reads and verifies one snapshot file: the contents must hash to
-// the digest embedded in the name, decode as gob, carry the current
-// format version and columns that agree.
+// Load reads and verifies one base file: the contents must hash to the
+// digest embedded in the name, decode as gob, carry the current format
+// version and columns that agree. Failures wrap ErrCorrupt.
 func (s *Store) Load(path string) (*Snapshot, error) {
-	var (
-		w    wireSnapshot
-		snap *Snapshot
-	)
-	err := read(path, snapPrefix, &w, &w.Format, func() (err error) {
-		snap, err = w.snapshot()
-		return err
-	})
-	return snap, err
-}
-
-// LoadDelta reads and verifies one delta file, as Load does a snapshot.
-func (s *Store) LoadDelta(path string) (*Delta, error) {
-	var (
-		w wireDelta
-		d *Delta
-	)
-	err := read(path, deltaPrefix, &w, &w.Format, func() (err error) {
-		d, err = w.delta()
-		return err
-	})
-	return d, err
-}
-
-// read is the one verify path: the file's bytes must hash to the digest
-// in its name (checked before the decoder sees them), decode into the
-// wire struct w, leave the current version in *format, w's own Format
-// field — any other format is refused, Format 1's JSON and Format 2's
-// row-by-row gob included — and pass carve, which checks w's columns
-// agree and builds the value. Failures wrap ErrCorrupt.
-func read(path, prefix string, w any, format *int, carve func() error) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	name := filepath.Base(path)
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, "-"+digest(data)+".ckpt") {
-		return fmt.Errorf("%w: %s: not a %sfile named after its contents", ErrCorrupt, name, prefix)
+	if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, "-"+digest(data)+".ckpt") {
+		return nil, fmt.Errorf("%w: %s: not a %sfile named after its contents", ErrCorrupt, name, snapPrefix)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(w); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
+	// Any other format is refused, Format 1's JSON and Format 2's
+	// row-by-row gob included.
+	var w wireSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 	}
-	if *format != Format {
-		return fmt.Errorf("%w: %s: format %d, want %d", ErrCorrupt, name, *format, Format)
+	if w.Format != Format {
+		return nil, fmt.Errorf("%w: %s: format %d, want %d", ErrCorrupt, name, w.Format, Format)
 	}
-	if err := carve(); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
+	snap, err := w.snapshot()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 	}
-	return nil
+	return snap, nil
 }
 
-// Latest returns the newest reconstructible state and reads only the
-// chain that holds it: the newest base snapshot seeds the merge and the
-// deltas after it are applied in sequence order while each one's
-// ParentSeq names the last-applied file. Corruption degrades, never fails
-// outright: a corrupt or missing delta freezes the chain at the longest
-// valid prefix (a delta's parent is the save just before it, so no later
-// delta can chain past the gap); a corrupt base strands its own deltas
-// and sends Latest one chain further back — older chains are read only
-// then. Plain full snapshots are the same walk with empty chains: the
-// newest valid one wins. ErrNoSnapshot when nothing valid remains.
-func (s *Store) Latest() (*Snapshot, error) {
-	files := s.list()
-	end := len(files) // one past the last delta of the chain being tried
-	for base := end - 1; base >= 0; base-- {
-		if files[base].delta {
-			continue
+// readFrames hands fn the groups of a log, the one after a base of
+// sequence number last, in order with their sequence numbers, up to the
+// end of its valid prefix, and returns that prefix's length.
+func readFrames(data []byte, last int, fn func(d *Delta, seq int)) (valid int64) {
+	for len(data) >= frameHeader {
+		n := binary.LittleEndian.Uint32(data[0:4])
+		if uint64(n) > uint64(len(data)-frameHeader) {
+			break // torn: the frame runs past the end
 		}
-		snap, err := s.Load(filepath.Join(s.dir, files[base].name))
+		payload := data[frameHeader : frameHeader+int(n)]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[4:8]) {
+			break
+		}
+		var w wireDelta
+		if gob.NewDecoder(bytes.NewReader(payload)).Decode(&w) != nil || w.Seq <= last {
+			break
+		}
+		d, err := w.delta()
 		if err != nil {
-			end = base
+			break
+		}
+		fn(d, w.Seq)
+		last = w.Seq
+		valid += frameHeader + int64(n)
+		data = data[frameHeader+int(n):]
+	}
+	return valid
+}
+
+// Latest returns the newest valid base with the valid prefix of its log
+// applied. Corruption degrades, never fails outright: a bad frame ends its
+// log's valid prefix, and a corrupt base sends Latest one base further
+// back, with that base's log. ErrNoSnapshot when nothing valid remains.
+func (s *Store) Latest() (*Snapshot, error) {
+	bases := s.list()
+	for i := len(bases) - 1; i >= 0; i-- {
+		snap, err := s.Load(filepath.Join(s.dir, bases[i].name))
+		if err != nil {
 			continue
 		}
 		m := newMerger(snap)
-		for _, f := range files[base+1 : end] {
-			d, err := s.LoadDelta(filepath.Join(s.dir, f.name))
-			if err != nil || d.ParentSeq != m.seq {
-				break
-			}
+		data, _ := os.ReadFile(s.logPath(bases[i].seq))
+		readFrames(data, bases[i].seq, func(d *Delta, seq int) {
 			m.apply(d)
-		}
+			m.seq = seq
+		})
 		return m.snapshot(), nil
 	}
 	return nil, fmt.Errorf("%w: %s", ErrNoSnapshot, s.dir)
 }
 
-// Snapshots returns the paths of all snapshot files, sequence-ascending
-// (validity not checked; see Load).
+// Snapshots returns the paths of all base files, sequence-ascending
+// (validity not checked; see Load). Each base's log sits beside it.
 func (s *Store) Snapshots() []string {
 	var out []string
-	for _, f := range s.list() {
-		out = append(out, filepath.Join(s.dir, f.name))
+	for _, b := range s.list() {
+		out = append(out, filepath.Join(s.dir, b.name))
 	}
 	return out
 }

@@ -1,5 +1,5 @@
 // The Format 3 wire form: what Store writes and reads, one private struct
-// per file kind, laid out in columns. A catalog is a node table plus
+// for a base and one for a log frame's payload, laid out in columns. A catalog is a node table plus
 // parallel key, size and holder-count columns, one flat column of node
 // indices, and the rows that carry a value with their bytes; task records
 // are ID, epoch and output-count columns plus one flat output column. gob
@@ -15,8 +15,9 @@
 // every capture writes and the fold of a chain relies on), counts
 // non-negative and summing to their flat column, node indices inside the
 // node table, value rows inside the catalog and strictly increasing, and
-// every task a base's sections name in its Order. A file that fails any
-// check is ErrCorrupt; none can make the decoder panic.
+// every task a base's sections name in its Order. A base that fails any
+// check is ErrCorrupt, and a frame that does ends its log's valid prefix;
+// none can make the decoder panic.
 package checkpoint
 
 import (
@@ -49,17 +50,15 @@ type wireSnapshot struct {
 	Stats     engine.Stats
 }
 
-// wireDelta is a Delta on disk: its records are task records plus the
-// two columns a delta adds, State and Completed.
+// wireDelta is a log frame's payload: a coalesced Delta and the sequence
+// number the store gave it. Its records are task records plus the two
+// columns a frame adds, State and Completed.
 type wireDelta struct {
-	Format    int
 	Seq       int
-	ParentSeq int
 	At        time.Duration
 	Tasks     wireTasks
 	States    []engine.State
 	Completed []bool
-	Added     []int64
 	Catalog   wireCatalog
 	Stats     engine.Stats
 }
@@ -124,11 +123,11 @@ func (s *Snapshot) wire() *wireSnapshot {
 	return w
 }
 
-func (d *Delta) wire() *wireDelta {
+func (d *Delta) wire(seq int) *wireDelta {
 	w := &wireDelta{
-		Format: d.Format, Seq: d.Seq, ParentSeq: d.ParentSeq, At: d.At,
+		Seq: seq, At: d.At,
 		States: sized[engine.State](len(d.Tasks)), Completed: sized[bool](len(d.Tasks)),
-		Added: d.Added, Catalog: wireCatalogOf(d.Catalog), Stats: d.Stats,
+		Catalog: wireCatalogOf(d.Catalog), Stats: d.Stats,
 	}
 	w.Tasks = wireTasksOf(d.Tasks, len(d.Tasks), func(engine.TaskSnap) bool { return true })
 	for _, t := range d.Tasks {
@@ -181,10 +180,7 @@ func (w *wireSnapshot) snapshot() (*Snapshot, error) {
 }
 
 func (w *wireDelta) delta() (*Delta, error) {
-	d := &Delta{
-		Format: w.Format, Seq: w.Seq, ParentSeq: w.ParentSeq, At: w.At,
-		Added: w.Added, Stats: w.Stats,
-	}
+	d := &Delta{At: w.At, Stats: w.Stats}
 	n, err := w.Tasks.rows()
 	if err != nil {
 		return nil, err

@@ -2,9 +2,11 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -32,18 +34,33 @@ func writeWire(t *testing.T, s *Store, prefix string, v any) string {
 	return path
 }
 
-// Every way a file's columns can disagree is refused as ErrCorrupt — and
-// none panics — though the digest in its name checks out.
+// frameOf lays v, a wire struct, out as a log frame whose length and
+// checksum hold — so only the decoder and the column checks can refuse it.
+func frameOf(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(buf.Len()))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(buf.Bytes()))
+	return append(frame, buf.Bytes()...)
+}
+
+// Every way a file's columns can disagree is refused — a base as
+// ErrCorrupt, a frame as the end of its log's valid prefix — and none
+// panics, though the digest in a base's name and a frame's checksum check
+// out.
 func TestColumnsThatDisagreeAreCorrupt(t *testing.T) {
 	snapWire := func() *wireSnapshot {
 		s := goldenSnapshot()
 		s.Format = Format
 		return s.wire()
 	}
-	deltaWire := func() *wireDelta {
-		d := goldenDelta()
-		d.Format = Format
-		return d.wire()
+	deltaWire := func() *wireDelta { return goldenDelta().wire(2) }
+	applied := func(frame []byte) (n int) {
+		readFrames(frame, 1, func(*Delta, int) { n++ })
+		return n
 	}
 	for _, c := range []struct {
 		name  string
@@ -88,8 +105,8 @@ func TestColumnsThatDisagreeAreCorrupt(t *testing.T) {
 			if c.delta != nil {
 				w := deltaWire()
 				c.delta(w)
-				if d, err := store.LoadDelta(writeWire(t, store, deltaPrefix, w)); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("LoadDelta = %+v, %v; want ErrCorrupt", d, err)
+				if n := applied(frameOf(t, w)); n != 0 {
+					t.Fatalf("the log applied %d groups, want none", n)
 				}
 			}
 		})
@@ -102,12 +119,12 @@ func TestColumnsThatDisagreeAreCorrupt(t *testing.T) {
 	if _, err := store.Load(writeWire(t, store, snapPrefix, snapWire())); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.LoadDelta(writeWire(t, store, deltaPrefix, deltaWire())); err != nil {
-		t.Fatal(err)
+	if n := applied(frameOf(t, deltaWire())); n != 1 {
+		t.Fatalf("the log applied %d groups of an unmutated frame, want 1", n)
 	}
 }
 
-// Snapshots and deltas read back as written across the shapes the
+// Snapshots and log groups read back as written across the shapes the
 // columns must keep apart: values present, absent and empty, a vanished
 // row (size 0, no holders), rows and records with nothing to carve, and
 // empty sections. A capture hands empty slices where gob hands back nil;
@@ -140,7 +157,7 @@ func TestFormat3RoundTrips(t *testing.T) {
 	}
 	deltas := []*Delta{
 		{},
-		{Added: []int64{7}, Tasks: []engine.TaskSnap{{ID: 7, State: engine.Pending}}},
+		{Tasks: []engine.TaskSnap{{ID: 7, State: engine.Pending}}},
 		{
 			Tasks: []engine.TaskSnap{
 				{ID: 1, State: engine.Running, Epoch: 3, Completed: true, OutputKeys: []deps.Version{key(1)}},
@@ -166,18 +183,19 @@ func TestFormat3RoundTrips(t *testing.T) {
 			t.Errorf("snapshot %d:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
-	for i, want := range deltas {
-		path, err := store.SaveDelta(want)
-		if err != nil {
+	for _, d := range deltas {
+		if _, err := store.SaveDelta(d); err != nil {
 			t.Fatal(err)
 		}
-		got, err := store.LoadDelta(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("delta %d:\n got %+v\nwant %+v", i, got, want)
-		}
+	}
+	var got []*Delta
+	log, err := os.ReadFile(store.logPath(store.base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readFrames(log, store.base, func(d *Delta, _ int) { got = append(got, d) })
+	if !reflect.DeepEqual(got, deltas) {
+		t.Errorf("log groups:\n got %+v\nwant %+v", got, deltas)
 	}
 
 	// A base keeps the ID and section alone of a task that is not done: a
@@ -188,14 +206,14 @@ func TestFormat3RoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := store.Load(path)
+	back, err := store.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []engine.TaskSnap{{ID: 1, State: engine.Running}}; !reflect.DeepEqual(got.Tasks, want) {
-		t.Errorf("a running record with a completion read back as %+v, want %+v", got.Tasks, want)
+	if want := []engine.TaskSnap{{ID: 1, State: engine.Running}}; !reflect.DeepEqual(back.Tasks, want) {
+		t.Errorf("a running record with a completion read back as %+v, want %+v", back.Tasks, want)
 	}
-	if err := Equivalent(rerun, got); err != nil {
+	if err := Equivalent(rerun, back); err != nil {
 		t.Errorf("a running record read back as a different state: %v", err)
 	}
 
@@ -207,10 +225,10 @@ func TestFormat3RoundTrips(t *testing.T) {
 	if path, err = store.Save(empty); err != nil {
 		t.Fatal(err)
 	}
-	if got, err = store.Load(path); err != nil {
+	if back, err = store.Load(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := Equivalent(got, empty); err != nil {
+	if err := Equivalent(back, empty); err != nil {
 		t.Fatalf("empty slices read back as a different state: %v", err)
 	}
 }

@@ -155,7 +155,6 @@ type Task struct {
 	fanOut     int32           // dependents registered but not yet wired (zero outside Add/AddBatch)
 	epoch      int32           // placement counter
 	completed  bool            // completed at least once
-	ckptDirty  bool            // in the engine's dirty set (delta checkpoints)
 	prio       float64
 	state      State
 	dependents []*Task
@@ -394,18 +393,10 @@ type Engine struct {
 	waveActive bool
 	producer   map[deps.Version]*Task // last-registered writer of each version; nil until producerLocked
 	slow       map[string]float64     // per-node duration multipliers (fault injection)
-	// Dirty tracking for delta checkpoints: every task whose snapshot-
-	// relevant state (lifecycle state, epoch, completed flag) changed since
-	// the last delta capture, in first-change order (dedup lives in the
-	// task's ckptDirty flag — a map here would put a hash insert on every
-	// completion), plus where in registration order the tasks added since
-	// then begin (a delta appends them to the base snapshot's task ordering
-	// on reconstruction). Tracking starts at the first base capture
-	// (SnapshotTasksClean): a base subsumes every change before it, so a
-	// run that never checkpoints keeps no set nobody drains.
-	dirty     []*Task
-	addedFrom int
-	tracking  bool
+	// log is the checkpoint log (snapshot.go): nil until the first base
+	// capture opens it, so a run that never checkpoints pays one nil check
+	// per change.
+	log []TaskSnap
 	// Availability wait set: tasks parked on unavailable data versions
 	// (see availability.go), plus the scratch a placement attempt leaves
 	// for divertUnavailableLocked.
@@ -600,16 +591,12 @@ func (e *Engine) ReadyCount() int {
 	return int(e.readyN.Load())
 }
 
-// markDirtyLocked records that t's snapshot-relevant state changed since
-// the last delta capture. Cheap and idempotent; called on every lifecycle
-// transition, epoch bump and completion-flag change, and a no-op before
-// the first base capture.
-func (e *Engine) markDirtyLocked(t *Task) {
-	if t.ckptDirty || !e.tracking {
-		return
+// logLocked appends t's record as it stands to an open checkpoint log:
+// registration and every transition, epoch bump or completion, after it.
+func (e *Engine) logLocked(t *Task) {
+	if e.log != nil {
+		e.log = append(e.log, snapLocked(t))
 	}
-	t.ckptDirty = true
-	e.dirty = append(e.dirty, t)
 }
 
 // Stats returns the activity counters as a mutually consistent snapshot:
@@ -771,7 +758,7 @@ func (e *Engine) addLocked(t *Task, producers []deps.TaskID, holds int) (bool, e
 	t.state = Pending
 	t.submitAt = e.cfg.Clock.Now()
 	t.readyAt, t.firstStart, t.doneAt = -1, -1, -1
-	e.markDirtyLocked(t)
+	e.logLocked(t)
 	for _, d := range producers {
 		if p := e.tasks.get(int64(d)); p != nil && !p.completed {
 			if p.fanOut++; len(p.dependents) == 0 {
@@ -861,11 +848,11 @@ func (e *Engine) edgeClearedLocked(t *Task) bool {
 
 // pushReadyLocked inserts a ready task into its signature bucket, keeping
 // the bucket ordered by (priority desc, ID asc). Priority is evaluated
-// once, at push time (for prioritising policies). The push marks the task
-// dirty (a Pending→Ready transition is snapshot-relevant) and, mid-wave,
+// once, at push time (for prioritising policies). The push logs the task's
+// record (a Pending→Ready transition is snapshot-relevant) and, mid-wave,
 // re-admits a refilled bucket into the wave's candidate view.
 func (e *Engine) pushReadyLocked(t *Task) {
-	e.markDirtyLocked(t)
+	e.logLocked(t)
 	if t.readyAt < 0 {
 		t.readyAt = e.cfg.Clock.Now()
 	}
@@ -1273,7 +1260,7 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 		t.firstStart = t.started
 	}
 	t.epoch++
-	e.markDirtyLocked(t)
+	e.logLocked(t)
 	if t.node = primary; len(peers) > 0 {
 		t.coldRec().peers = peers
 	}
@@ -1399,7 +1386,7 @@ func (e *Engine) completeLocked(t *Task, epoch int, failed bool) (Completion, bo
 func (e *Engine) doneLocked(t *Task) (first bool) {
 	first = !t.completed
 	t.completed, t.state = true, Done
-	e.markDirtyLocked(t)
+	e.logLocked(t)
 	if first {
 		for _, dt := range t.dependents {
 			e.edgeClearedLocked(dt)
@@ -1446,7 +1433,7 @@ func (e *Engine) killRunningOn(name string) []*Task {
 		t.state = Pending
 		t.waitCount = 0
 		t.epoch++ // invalidate the in-flight completion event
-		e.markDirtyLocked(t)
+		e.logLocked(t)
 		killed = append(killed, t)
 	}
 	return killed
@@ -1471,7 +1458,7 @@ func (e *Engine) dropReadyMissingInputs() []*Task {
 				t.state = Pending
 				t.waitCount = 0
 				e.readyN.Add(-1)
-				e.markDirtyLocked(t)
+				e.logLocked(t)
 				dropped = append(dropped, t)
 				continue
 			}
@@ -1526,7 +1513,7 @@ func (e *Engine) resubmitLocked(t *Task) {
 	case Done:
 		t.state = Pending
 		t.waitCount = 0
-		e.markDirtyLocked(t)
+		e.logLocked(t)
 	}
 	for _, k := range t.InputKeys {
 		if e.cfg.Registry == nil || len(e.cfg.Registry.Where(k)) > 0 {

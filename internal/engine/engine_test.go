@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -87,22 +88,34 @@ func TestDependentsReleasedInOrder(t *testing.T) {
 	}
 }
 
-// Dirty tracking starts at the first base capture: before it, lifecycle
-// transitions mark nothing (a base will subsume them); after it, they do.
-func TestDirtyTrackingStartsAtFirstBase(t *testing.T) {
+// The log opens at the first base capture: before it, lifecycle
+// transitions log nothing (a base will hold them); after it, registration
+// and every transition log the task's record as it leaves it, and a warm
+// append and swap allocate nothing.
+func TestLogStartsAtFirstBase(t *testing.T) {
 	e, exec := newEngine(t, pool(1, 1), nil)
 	e.Add(&engine.Task{ID: 1}, nil, 0)
 	e.Schedule()
 	p, _ := exec.pop()
 	e.Complete(p.Task.ID, p.Epoch, false)
-	if n := e.DirtyCount(); n != 0 {
-		t.Fatalf("DirtyCount before any base = %d, want 0", n)
+	if log := e.SwapLog(nil); log != nil {
+		t.Fatalf("SwapLog before any base = %+v, want nil", log)
 	}
-	e.SnapshotTasksClean()
+	e.StartLog()
 	e.Add(&engine.Task{ID: 2}, nil, 0)
 	e.Schedule()
-	if snaps, added := e.TakeDirty(); len(snaps) != 1 || snaps[0].ID != 2 || !slices.Equal(added, []int64{2}) {
-		t.Fatalf("TakeDirty after a base = %+v, %v; want task 2 changed and added", snaps, added)
+	want := []engine.TaskSnap{{ID: 2, State: engine.Pending}, {ID: 2, State: engine.Ready}, {ID: 2, State: engine.Running, Epoch: 1}}
+	log := e.SwapLog(nil)
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("SwapLog after a base = %+v, want %+v", log, want)
+	}
+	spare := e.SwapLog(log)
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.LogTask(2)
+		e.LogTask(2)
+		spare = e.SwapLog(spare)
+	}); allocs != 0 {
+		t.Fatalf("warm log appends and a swap allocated %.0f objects, want 0", allocs)
 	}
 }
 

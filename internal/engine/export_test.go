@@ -18,6 +18,14 @@ func ProducerIndexBuilt(e *Engine) bool {
 	return e.producer != nil
 }
 
+// LogTask appends task id's record to the checkpoint log, as a change to
+// it does: the mark path alone.
+func (e *Engine) LogTask(id int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.logLocked(e.tasks.get(id))
+}
+
 // KillRunningOn, DropReadyMissingInputs and Resubmit are FailNode's three
 // steps, reached one at a time by the tests.
 func (e *Engine) KillRunningOn(name string) []*Task { return e.killRunningOn(name) }
@@ -175,6 +183,56 @@ func CheckRegistrySteps(t testing.TB) {
 			if l := en.Locations; len(l) > 0 && !seen[list{&l[0], len(l)}] {
 				seen[list{&l[0], len(l)}] = true
 				views = append(views, view{l, slices.Clone(l)})
+			}
+		}
+		return nil
+	})
+}
+
+// CheckLogSteps holds the checkpoint log to the state it records at every
+// engine step until the test ends: once a base capture has opened the
+// log, each task's newest logged record — since the base, across every
+// swap — equals its record now (snapLocked), and the registry's newest
+// logged row for each key equals the row (transfer.Registry.CheckLayout).
+// A change that logs nothing, or logs before it is done, fails the step it
+// happens in.
+func CheckLogSteps(t testing.TB) {
+	type shadow struct {
+		newest map[int64]TaskSnap // each logged task's newest record since the base
+		seen   int                // how much of the current log newest holds
+	}
+	var mu sync.Mutex
+	shadows := map[*Engine]*shadow{}
+	CheckSteps(t, "checkpoint log", func(e *Engine) error {
+		if e.log == nil {
+			return nil
+		}
+		if reg := e.cfg.Registry; reg != nil {
+			if err := reg.CheckLayout(); err != nil {
+				return err
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		sh := shadows[e]
+		if sh == nil {
+			sh = &shadow{newest: map[int64]TaskSnap{}}
+			shadows[e] = sh
+		}
+		if len(e.log) < sh.seen { // swapped out since the last step
+			sh.seen = 0
+		}
+		for _, r := range e.log[sh.seen:] {
+			sh.newest[r.ID] = r
+		}
+		sh.seen = len(e.log)
+		for id, r := range sh.newest {
+			t := e.tasks.get(id)
+			if t == nil {
+				return fmt.Errorf("task %d is logged but not registered", id)
+			}
+			if now := snapLocked(t); now.State != r.State || now.Epoch != r.Epoch || now.Completed != r.Completed || !slices.Equal(now.OutputKeys, r.OutputKeys) {
+				return fmt.Errorf("task %d: newest logged record %+v, the task is %+v", id, r, now)
 			}
 		}
 		return nil

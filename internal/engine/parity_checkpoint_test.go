@@ -49,40 +49,42 @@ func located(entries []checkpoint.CatalogEntry) []checkpoint.CatalogEntry {
 }
 
 // saveStates returns the state each save in a store left on disk, in
-// sequence order: for every file, what Store.Latest reconstructs from the
-// directory as it stood right after that file was written — the newest
-// base up to it and the deltas between.
+// sequence order: for every save, what Store.Latest reconstructs from the
+// directory as it stood right after that save was written — its base and
+// the frames of the base's log up to it.
 func saveStates(t *testing.T, store *checkpoint.Store) []*checkpoint.Snapshot {
 	t.Helper()
-	files := store.Snapshots()
 	var states []*checkpoint.Snapshot
-	base := 0
-	for i, path := range files {
-		name := filepath.Base(path)
-		if !strings.HasPrefix(name, "delta-") {
-			base = i
-		}
-		prefix, err := checkpoint.NewStore(t.TempDir(), checkpoint.Keep(1000))
+	for _, base := range store.Snapshots() {
+		data, err := os.ReadFile(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range files[base : i+1] {
-			data, err := os.ReadFile(p)
+		log, err := os.ReadFile(logOf(base))
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		seq, _ := strconv.Atoi(strings.Split(filepath.Base(base), "-")[1])
+		for k, end := range append([]int{0}, frameEnds(t, logOf(base))...) {
+			prefix, err := checkpoint.NewStore(t.TempDir(), checkpoint.Keep(1000))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(prefix.Dir(), filepath.Base(p)), data, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(prefix.Dir(), filepath.Base(base)), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			if err := os.WriteFile(filepath.Join(prefix.Dir(), filepath.Base(logOf(base))), log[:end], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := prefix.Latest()
+			if err != nil {
+				t.Fatalf("%s and %d frames of its log: %v", filepath.Base(base), k, err)
+			}
+			if snap.Seq != seq+k {
+				t.Fatalf("%s and %d frames of its log reconstruct only to seq %d", filepath.Base(base), k, snap.Seq)
+			}
+			states = append(states, snap)
 		}
-		snap, err := prefix.Latest()
-		if err != nil {
-			t.Fatalf("the chain up to %s: %v", name, err)
-		}
-		if seq, _ := strconv.Atoi(strings.Split(name, "-")[1]); snap.Seq != seq {
-			t.Fatalf("the chain up to %s reconstructs only to seq %d", name, snap.Seq)
-		}
-		states = append(states, snap)
 	}
 	return states
 }
@@ -222,6 +224,7 @@ func ckptSweepLive(t *testing.T, c workloads.ConformanceCase, everyN int, steal 
 // work stealing armed (the FIFO policy never declines, so the knob must
 // be a no-op in the books).
 func TestCheckpointParitySweep(t *testing.T) {
+	engine.CheckLogSteps(t)
 	steal := engine.StealConfig{Mode: engine.StealOnIdle}
 	for _, c := range workloads.ConformanceSuite() {
 		c := c
@@ -251,6 +254,7 @@ func TestCheckpointParitySweep(t *testing.T) {
 // states after each save are compared on their durable facts: the completed set with
 // its outputs, the full data catalog, and the deterministic counters.
 func TestCheckpointParityWithFaultsAndSteal(t *testing.T) {
+	engine.CheckLogSteps(t)
 	simStore, err := checkpoint.NewStore(t.TempDir(), checkpoint.Keep(1000))
 	if err != nil {
 		t.Fatal(err)
@@ -306,6 +310,35 @@ func TestCheckpointParityWithFaultsAndSteal(t *testing.T) {
 	last := simSnaps[len(simSnaps)-1]
 	if done := completedIDs(last); len(done) != 4 {
 		t.Fatalf("final snapshot records %d completed tasks, want 4", len(done))
+	}
+}
+
+// TestCheckpointLogRecordsParking: the availability drill under defer —
+// a reader parked behind a cut until the heal — with a checkpoint after
+// every completion on both backends, under the log's step check, so the
+// log is held to a Ready→Parked→Ready round trip the sweeps above never
+// make. Both backends' last saves reconstruct the same state.
+func TestCheckpointLogRecordsParking(t *testing.T) {
+	engine.CheckLogSteps(t)
+	var snaps []*checkpoint.Snapshot
+	for _, run := range []func(*testing.T, host.Config, bool) availOutcome{runAvailSim, runAvailLive} {
+		store, err := checkpoint.NewStore(t.TempDir(), checkpoint.Keep(1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := availConfig(engine.AvailDefer)
+		cfg.Checkpoint = &checkpoint.Config{Store: store, Policy: checkpoint.EveryN(1)}
+		if st := run(t, cfg, true).stats; st.Deferred != 1 || st.Woken != 1 {
+			t.Fatalf("deferred/woken = %d/%d, want 1/1: the drill no longer parks a task", st.Deferred, st.Woken)
+		}
+		snap, err := store.Latest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+	}
+	if err := checkpoint.Equivalent(snaps[0], snaps[1]); err != nil {
+		t.Fatalf("sim and live last saves differ: %v", err)
 	}
 }
 

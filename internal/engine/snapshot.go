@@ -1,11 +1,13 @@
 // Checkpoint support — the engine-level half of the durability story.
 // Lineage recovery (faults.go) survives losing a *node*; surviving the
 // loss of the whole *process* needs the in-memory DAG state persisted
-// outside it. The engine exposes exactly two primitives for that:
+// outside it. The engine exposes three primitives for that:
 // SnapshotTasks dumps every task's lifecycle state under one lock
-// acquisition, and RestoreCompleted replays a completion recorded by an
-// earlier incarnation onto a freshly re-registered task so only
-// unfinished work re-runs. The on-disk format, the policies deciding
+// acquisition; the checkpoint log (StartLog, SwapLog) holds the record
+// each change leaves, so a delta costs what changed; and
+// RestoreCompleted replays a completion recorded by an earlier
+// incarnation onto a freshly re-registered task so only unfinished work
+// re-runs. The on-disk format, the policies deciding
 // when to snapshot, and the backend wiring live in
 // internal/engine/checkpoint.
 package engine
@@ -18,8 +20,9 @@ import (
 )
 
 // TaskSnap is one task's checkpoint-relevant state, captured by
-// SnapshotTasks: the one task record of a checkpoint, from a capture to a
-// delta, a fold and a restore (internal/engine/checkpoint).
+// SnapshotTasks and logged by every change: the one task record of a
+// checkpoint, from a capture or the log to a frame, a fold and a restore
+// (internal/engine/checkpoint).
 type TaskSnap struct {
 	// ID is the task's graph-unique ID.
 	ID int64
@@ -68,66 +71,32 @@ func snapLocked(t *Task) TaskSnap {
 	}
 }
 
-// SnapshotTasksClean is SnapshotTasks plus a dirty-set reset: the capture
-// that starts a fresh delta chain. A full snapshot subsumes every pending
-// change, so the per-task dirty set and the added-task log restart empty.
-// The first call starts dirty tracking: before it no task is marked.
-// Plain SnapshotTasks stays side-effect-free — parity probes and tests can
-// capture at will without perturbing the delta chain.
-func (e *Engine) SnapshotTasksClean() []TaskSnap {
+// StartLog is SnapshotTasks for a base capture: under the same lock it
+// (re)opens the checkpoint log empty, so the base and the records logged
+// after it hold every change. Plain SnapshotTasks leaves the log alone,
+// so parity probes and tests capture at will.
+func (e *Engine) StartLog() []TaskSnap {
 	e.mu.Lock()
 	defer e.unlock()
-	out := e.snapshotLocked()
-	e.resetDirtyLocked()
-	e.tracking = true
-	return out
+	e.log = make([]TaskSnap, 0, len(e.log))
+	return e.snapshotLocked()
 }
 
-// DirtyCount returns how many tasks changed snapshot-relevant state since
-// the last TakeDirty / SnapshotTasksClean (0 before the first
-// SnapshotTasksClean) — the signal an interval
-// checkpointer uses to skip captures on an idle graph.
-func (e *Engine) DirtyCount() int {
+// SwapLog hands over the records logged since the last StartLog or
+// SwapLog, in append order — a task's last one is its state now — and
+// goes on logging into spare's array, emptied (nil starts a new one).
+// Before StartLog it returns nil.
+func (e *Engine) SwapLog(spare []TaskSnap) []TaskSnap {
 	e.mu.Lock()
 	defer e.unlock()
-	return len(e.dirty)
-}
-
-// TakeDirty drains the delta since the last capture: the checkpoint
-// records of every task whose state changed, in the order they first
-// changed (records are absolute state replacements, so order carries no
-// meaning; the checkpoint store sorts them by ID when it writes them, off
-// this lock and off the capturing goroutine) and the IDs of tasks added
-// since then, in registration order (a delta appends them to the base
-// snapshot's task ordering). Both sets are cleared atomically with the
-// read, under the same lock mutations take, so a change lands either in
-// this delta or in the next one — never in neither.
-func (e *Engine) TakeDirty() (snaps []TaskSnap, added []int64) {
-	e.mu.Lock()
-	defer e.unlock()
-	if len(e.dirty) == 0 && e.addedFrom == len(e.tasks.all) {
-		return nil, nil
-	}
-	snaps = make([]TaskSnap, 0, len(e.dirty))
-	for _, t := range e.dirty {
-		snaps = append(snaps, snapLocked(t))
-	}
-	if fresh := e.tasks.all[e.addedFrom:]; len(fresh) > 0 {
-		added = make([]int64, 0, len(fresh))
-		for _, t := range fresh {
-			added = append(added, t.ID)
+	out := e.log
+	if out != nil {
+		if spare == nil {
+			spare = []TaskSnap{} // non-nil: the log stays open
 		}
+		e.log = spare[:0]
 	}
-	e.resetDirtyLocked()
-	return snaps, added
-}
-
-func (e *Engine) resetDirtyLocked() {
-	for _, t := range e.dirty {
-		t.ckptDirty = false
-	}
-	e.dirty = e.dirty[:0]
-	e.addedFrom = len(e.tasks.all)
+	return out
 }
 
 // Now returns the engine clock's current offset from the run's epoch —

@@ -349,38 +349,29 @@ func (h *Host) traceIgnored(target string, err error) error {
 
 // CheckpointSnapshot captures the state a base would hold now — the
 // engine's task table plus the location registry as the data catalog,
-// with the backend's values attached — and leaves the dirty sets alone,
-// so the parity suites can probe a running backend without moving its
-// delta chain.
+// with the backend's values attached — and leaves the logs alone, so the
+// parity suites can probe a running backend without moving its
+// checkpoint log.
 func (h *Host) CheckpointSnapshot() *checkpoint.Snapshot {
 	snap := checkpoint.Capture(h.eng, h.cfg.Locations)
 	h.attach(snap.Catalog)
 	return snap
 }
 
-// CheckpointBase implements checkpoint.Source: a full capture that
-// resets the dirty sets, starting (or compacting) a delta chain.
+// CheckpointBase implements checkpoint.Source: a full capture that opens
+// the engine's and the registry's logs empty.
 func (h *Host) CheckpointBase() *checkpoint.Snapshot {
 	snap := checkpoint.CaptureBase(h.eng, h.cfg.Locations)
 	h.attach(snap.Catalog)
 	return snap
 }
 
-// CheckpointDelta implements checkpoint.Source: the changes since the
-// last base or delta capture.
-func (h *Host) CheckpointDelta() *checkpoint.Delta {
-	d := checkpoint.CaptureDelta(h.eng, h.cfg.Locations)
+// CheckpointDelta implements checkpoint.Source: the records logged since
+// the last base or delta capture, in spare's arrays.
+func (h *Host) CheckpointDelta(spare *checkpoint.Delta) *checkpoint.Delta {
+	d := checkpoint.CaptureDeltaInto(spare, h.eng, h.cfg.Locations)
 	h.attach(d.Catalog)
 	return d
-}
-
-// CheckpointDirty implements checkpoint.Source.
-func (h *Host) CheckpointDirty() int {
-	n := h.eng.DirtyCount()
-	if h.cfg.Locations != nil {
-		n += h.cfg.Locations.DirtyCount()
-	}
-	return n
 }
 
 func (h *Host) attach(catalog []checkpoint.CatalogEntry) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/deps"
+	"repro/internal/engine/checkpoint"
 	"repro/internal/infra"
 	"repro/internal/obsv"
 	"repro/internal/resources"
@@ -249,5 +250,54 @@ func TestTracedStencilAllocBudget(t *testing.T) {
 	}
 	if bytesPerTask > bytesBudget {
 		t.Fatalf("%.0f bytes per task, budget %d", bytesPerTask, bytesBudget)
+	}
+}
+
+// TestCheckpointWriteBudget is the deterministic cost gate on what a
+// checkpointed campaign writes, the restart shape of the ledger's
+// sim-restart: a 128-cell × 40-iteration stencil on 16 nodes under
+// Locality with a save every 200 virtual seconds and nothing pruned. Per
+// task it may write at most the records and bytes the tree before the
+// checkpoint log wrote (bases plus one coalesced record per changed task
+// or catalog row per save), and each save commits with one sync. A group
+// written as logged, uncoalesced, writes several records per task and
+// fails here.
+func TestCheckpointWriteBudget(t *testing.T) {
+	const cells, iters, nodes = 128, 40, 16
+	// The tree before the log read 8.40 records and 97.47 bytes per task.
+	const recordsBudget, bytesBudget = 8.40, 97.5
+	specs, stageIn, holders := stencilSpecs(cells, iters, nodes)
+	store, err := checkpoint.NewStore(t.TempDir(), checkpoint.Keep(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := resources.NewPool()
+	for i := 0; i < nodes; i++ {
+		_ = pool.Add(resources.NewNode(fmt.Sprintf("s%03d", i), resources.Description{
+			Cores: cells / nodes, MemoryMB: 32_000, Class: resources.Cloud, SpeedFactor: 1,
+		}))
+	}
+	met := obsv.NewCkptMetrics(obsv.NewRegistry())
+	sim, err := infra.New(infra.Config{
+		Pool: pool, Net: simnet.New(simnet.Link{BandwidthMBps: 1000, Latency: time.Millisecond}),
+		Policy: sched.Locality{}, StageIn: stageIn, StageInNodes: holders,
+		Checkpoint: &checkpoint.Config{Store: store, Policy: checkpoint.Interval(200 * time.Second), Metrics: met},
+	}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	n, saves := float64(len(specs)), float64(met.Saves.Value())
+	records, bytes := float64(met.RecordsWritten.Value())/n, float64(met.BytesWritten.Value())/n
+	syncs := float64(met.Syncs.Value()) / saves
+	t.Logf("checkpointed campaign: %.0f saves, %.2f records and %.2f bytes written per task, %.2f syncs per save (budgets %.2f, %.1f and 1)",
+		saves, records, bytes, syncs, recordsBudget, bytesBudget)
+	if saves < 20 {
+		t.Fatalf("%.0f saves, want 20 or more: the interval no longer checkpoints the campaign", saves)
+	}
+	if records > recordsBudget || bytes > bytesBudget || syncs != 1 {
+		t.Fatalf("%.2f records, %.2f bytes per task, %.2f syncs per save: over budget", records, bytes, syncs)
 	}
 }

@@ -142,6 +142,27 @@ type Sim struct {
 // that the window's scratch does not show on a campaign's bill.
 const registerWindow = 1024
 
+// stuckDetail says why a drained clock left tasks: the policy declined
+// ready tasks a node could run now, no node can run them (an
+// unsatisfiable constraint, an empty pool), or they wait on unreachable
+// data.
+func (s *Sim) stuckDetail() string {
+	ready, declined := 0, 0
+	for _, l := range s.eng.SigLoads() {
+		ready += l.Ready
+		declined += l.Ready * min(l.Fit, 1)
+	}
+	switch parked := s.eng.ParkedCount(); {
+	case declined > 0:
+		return fmt.Sprintf(" (policy %s declined %d ready tasks a node could run)", s.cfg.Policy.Name(), declined)
+	case ready > 0:
+		return fmt.Sprintf(" (no node can run the %d ready tasks: unsatisfiable constraints or an empty pool)", ready)
+	case parked > 0:
+		return fmt.Sprintf(" (%d parked on unreachable data — a scripted cut never healed?)", parked)
+	}
+	return ""
+}
+
 // release delays a task's visibility to the scheduler.
 type release struct {
 	id     int64
@@ -151,7 +172,7 @@ type release struct {
 
 // Errors reported by Run.
 var (
-	ErrStuck  = errors.New("infra: tasks cannot be scheduled (unsatisfiable constraints or empty pool)")
+	ErrStuck  = errors.New("infra: tasks cannot be scheduled")
 	ErrConfig = errors.New("infra: invalid config")
 	// ErrDuplicateID is New's error for two specs with one ID.
 	ErrDuplicateID = engine.ErrDuplicateID
@@ -402,12 +423,7 @@ func (s *Sim) Run() (Result, error) {
 	for s.remaining > 0 && !s.halted {
 		if !s.clock.Step() {
 			if s.err == nil {
-				if parked := s.eng.ParkedCount(); parked > 0 {
-					s.err = fmt.Errorf("%w: %d tasks remain at %v (%d parked on unreachable data — a scripted cut never healed?)",
-						ErrStuck, s.remaining, s.clock.Now(), parked)
-				} else {
-					s.err = fmt.Errorf("%w: %d tasks remain at %v", ErrStuck, s.remaining, s.clock.Now())
-				}
+				s.err = fmt.Errorf("%w: %d tasks remain at %v%s", ErrStuck, s.remaining, s.clock.Now(), s.stuckDetail())
 			}
 			break
 		}

@@ -2,6 +2,7 @@ package infra
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,8 +142,34 @@ func TestUnsatisfiableConstraintErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Run(); !errors.Is(err, ErrStuck) {
+	_, err = sim.Run()
+	if !errors.Is(err, ErrStuck) {
 		t.Fatalf("err = %v, want ErrStuck", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "no node can run the 1 ready tasks") || strings.Contains(msg, "declined") {
+		t.Fatalf("err = %q, want it to say no node can run the task", msg)
+	}
+}
+
+// A run a policy stalls says so: WaitFast declines, at every wave, an 8 s
+// reader pinned to a fog node 3.3× slower than the reference, though the
+// node is free — the constraints and the pool are not at fault, and the
+// error names the policy instead.
+func TestStuckNamesTheDecliningPolicy(t *testing.T) {
+	pool := resources.NewPool()
+	_ = pool.Add(resources.NewNode("fog0", resources.Description{Cores: 2, MemoryMB: 8000, SpeedFactor: 0.3, Class: resources.Fog}))
+	_ = pool.Add(resources.NewNode("hpc0", resources.Description{Cores: 4, MemoryMB: 8000, SpeedFactor: 1, Class: resources.HPC}))
+	specs := []TaskSpec{{ID: 1, Class: "read", Duration: 8 * time.Second, Constraints: resources.Constraints{Class: resources.Fog}}}
+	sim, err := New(Config{Pool: pool, Net: flatNet(), Policy: sched.WaitFast{MinWait: 5 * time.Second}}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sim.Run()
+	if !errors.Is(err, ErrStuck) {
+		t.Fatalf("err = %v, want ErrStuck", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "policy wait-fast declined 1 ready tasks a node could run") {
+		t.Fatalf("err = %q, want it to name the declining policy", msg)
 	}
 }
 

@@ -61,7 +61,12 @@ type CkptMetrics struct {
 	Saves          *Counter
 	DeltaSaves     *Counter
 	CaptureSeconds *Histogram
-	DirtyRecords   *Histogram
+	LoggedRecords  *Histogram
+	// What the saves put on disk: records (a base's tasks and catalog
+	// rows, a frame's coalesced ones), bytes, and Sync calls.
+	RecordsWritten *Counter
+	BytesWritten   *Counter
+	Syncs          *Counter
 }
 
 // NewCkptMetrics registers the checkpoint instrument set on reg. Pass
@@ -71,9 +76,12 @@ func NewCkptMetrics(reg *Registry) *CkptMetrics {
 		return &CkptMetrics{}
 	}
 	return &CkptMetrics{
-		Saves:          reg.Counter("flowgo_checkpoint_saves_total", "Checkpoints captured (base + delta).", ""),
-		DeltaSaves:     reg.Counter("flowgo_checkpoint_delta_saves_total", "Delta checkpoints captured.", ""),
+		Saves:          reg.Counter("flowgo_checkpoint_saves_total", "Checkpoints written (base + delta).", ""),
+		DeltaSaves:     reg.Counter("flowgo_checkpoint_delta_saves_total", "Delta checkpoints appended to a log.", ""),
 		CaptureSeconds: reg.Histogram("flowgo_checkpoint_capture_seconds", "Checkpoint capture wall time.", "", ExpBuckets(1e-5, 4, 10)),
-		DirtyRecords:   reg.Histogram("flowgo_checkpoint_dirty_records", "Dirty records per delta capture.", "", ExpBuckets(1, 4, 12)),
+		LoggedRecords:  reg.Histogram("flowgo_checkpoint_logged_records", "Records logged per delta capture.", "", ExpBuckets(1, 4, 12)),
+		RecordsWritten: reg.Counter("flowgo_checkpoint_records_written_total", "Records written by checkpoint saves.", ""),
+		BytesWritten:   reg.Counter("flowgo_checkpoint_bytes_written_total", "Bytes written by checkpoint saves.", ""),
+		Syncs:          reg.Counter("flowgo_checkpoint_syncs_total", "File syncs of checkpoint saves.", ""),
 	}
 }

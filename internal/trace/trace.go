@@ -59,7 +59,8 @@ const (
 	LinkHealed    Kind = "link_healed"
 	FaultIgnored  Kind = "fault_ignored"
 	// CheckpointSaved marks a checkpoint save, at its capture instant
-	// (Info: the file's kind and sequence number, e.g. snap-000010).
+	// (Info: the save's kind and sequence number — snap-000010 for a
+	// base, frame-000011 for a group appended to its log).
 	CheckpointSaved Kind = "checkpoint_saved"
 	// CheckpointRestored marks a task resolved from a restore snapshot
 	// instead of executing.

@@ -1,6 +1,7 @@
 package transfer
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -11,11 +12,12 @@ import (
 )
 
 // TestRegistryHammerCapturesLoseNothing is the registry's concurrency
-// contract under the race detector, and the delta-checkpoint promise with
-// it: writers mutate rows while a capture takes one base (EntriesClean)
-// and then drains TakeDirty over and over. A mutation racing a capture
-// lands in that delta or the next, never nowhere — so the base with every
-// delta applied in order must be exactly the catalog the writers left.
+// contract under the race detector, and the checkpoint log's promise with
+// it: writers mutate rows while a capture takes one base (StartLog) and
+// then swaps the log out over and over, handing each drained array back
+// as the next spare. A write racing a capture lands in that group or the
+// next, never nowhere — so the base with every group applied in order must
+// be exactly the catalog the writers left.
 // A reader checks, meanwhile, that the holder lists Row hands out stay
 // sorted (they are shared, and a writer must never edit one in place).
 func TestRegistryHammerCapturesLoseNothing(t *testing.T) {
@@ -75,7 +77,8 @@ func TestRegistryHammerCapturesLoseNothing(t *testing.T) {
 			}
 		}
 	}
-	apply(r.EntriesClean())
+	apply(r.StartLog())
+	var spare []Entry
 	side.Add(1)
 	go func() {
 		defer side.Done()
@@ -84,16 +87,17 @@ func TestRegistryHammerCapturesLoseNothing(t *testing.T) {
 			case <-done:
 				return
 			default:
-				apply(r.TakeDirty())
+				spare = r.SwapLog(spare)
+				apply(spare)
 			}
 		}
 	}()
 	wg.Wait()
 	close(done)
 	side.Wait()
-	apply(r.TakeDirty()) // whatever the last writes left behind
-	if n := r.DirtyCount(); n != 0 {
-		t.Fatalf("%d rows still dirty after the final drain", n)
+	apply(r.SwapLog(spare)) // whatever the last writes left behind
+	if rest := r.SwapLog(nil); len(rest) != 0 {
+		t.Fatalf("%d rows still logged after the final swap", len(rest))
 	}
 
 	want := r.Entries()
@@ -101,7 +105,9 @@ func TestRegistryHammerCapturesLoseNothing(t *testing.T) {
 	for _, e := range catalog {
 		got = append(got, e)
 	}
-	slices.SortFunc(got, byKey)
+	slices.SortFunc(got, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Key.Data, b.Key.Data), cmp.Compare(a.Key.Ver, b.Key.Ver))
+	})
 	same := func(a, b Entry) bool {
 		return a.Key == b.Key && a.Size == b.Size && slices.Equal(a.Locations, b.Locations)
 	}

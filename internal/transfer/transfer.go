@@ -14,14 +14,14 @@
 // allocates nothing of its own. Its callers already hold the engine's or
 // the runtime's lock, so the registry's own lock only orders those two
 // against each other and against a checkpoint capture. From the first
-// base capture (EntriesClean) on, a write also sets its row's dirty bit
-// and lists its key once, which is what makes delta snapshots
-// O(changes): TakeDirty drains exactly the listed rows. Before it nothing
-// is tracked — a base subsumes every change before it, and a run that
-// never checkpoints never pays for a list nobody drains. The columns are
-// walked in datum order, so a catalog dump is in key order without a
-// sort. Restore enters a snapshot's catalog a row at a time through Seed:
-// one lock, one dirty mark and, for a clean row, no copy.
+// base capture (StartLog) on, a write also appends the row as it leaves
+// it to the checkpoint log, which is what makes delta snapshots
+// O(changes): SwapLog hands over exactly the logged rows. Before it
+// nothing is logged — a base holds every change before it, and a run that
+// never checkpoints pays one nil check per write. The columns are walked
+// in datum order, so a catalog dump is in key order without a sort.
+// Restore enters a snapshot's catalog a row at a time through Seed: one
+// lock and, for a clean row, no copy.
 package transfer
 
 import (
@@ -39,12 +39,11 @@ import (
 // copy-on-write: a writer installs a new list and never edits a published
 // one, so readers keep the list they were handed after the lock is gone.
 // A row with no size and no holder stays in its column but is not in the
-// catalog. dirty marks a row listed in Registry.dirty.
+// catalog.
 type row struct {
 	ver     int
 	size    int64
 	holders []string
-	dirty   bool
 }
 
 // column is one datum's rows, sorted by version. lo is the first row's
@@ -78,12 +77,9 @@ type Registry struct {
 	// unsorted is set when a datum arrives after a greater one; the next
 	// ordered walk sorts cols and renumbers the index.
 	unsorted bool
-	slab     []row // the uncarved tail of the current slab
-	slabN    int   // the current slab's size
-	// dirty lists, once each, the keys whose row changed since the last
-	// capture; tracking says whether the first EntriesClean has started it.
-	dirty    []deps.Version
-	tracking bool
+	slab     []row   // the uncarved tail of the current slab
+	slabN    int     // the current slab's size
+	log      []Entry // each write's row as it left it, since the last StartLog or SwapLog; nil before the first
 	// sole holds one published one-element list per node, shared by every
 	// row that node alone holds: lists are never edited, so a version's
 	// first replica — most versions' only one — allocates nothing.
@@ -153,11 +149,11 @@ func (r *Registry) slot(k deps.Version) *row {
 	return &c.rows[i]
 }
 
-// touch marks rw, k's row, changed once tracking has started.
-func (r *Registry) touch(k deps.Version, rw *row) {
-	if r.tracking && !rw.dirty {
-		rw.dirty = true
-		r.dirty = append(r.dirty, k)
+// logLocked appends rw, k's row as a write left it, to the checkpoint
+// log once a base capture has opened it.
+func (r *Registry) logLocked(k deps.Version, rw *row) {
+	if r.log != nil {
+		r.log = append(r.log, Entry{Key: k, Size: rw.size, Locations: rw.holders})
 	}
 }
 
@@ -200,7 +196,7 @@ func (r *Registry) SetSize(k deps.Version, bytes int64) {
 	defer r.mu.Unlock()
 	rw := r.slot(k)
 	rw.size = bytes
-	r.touch(k, rw)
+	r.logLocked(k, rw)
 }
 
 // Size returns the recorded size of a data version (0 if unknown).
@@ -226,12 +222,12 @@ func (r *Registry) AddReplica(k deps.Version, node string) {
 		// Clipped, so Insert cannot fit the name into the published list.
 		rw.holders = slices.Insert(slices.Clip(rw.holders), at, node)
 	}
-	r.touch(k, rw)
+	r.logLocked(k, rw)
 }
 
 // Seed installs a whole row at once — the restore of one checkpointed
 // catalog row: the size when positive, and every holder, under one lock
-// with one dirty mark. holders is shared, not copied, when k has no
+// with one log record. holders is shared, not copied, when k has no
 // holders yet and the list is sorted and duplicate-free (what a capture
 // writes); the caller must not modify it afterwards. Any other list is
 // merged onto a fresh one, so the row stays sorted and duplicate-free
@@ -256,7 +252,7 @@ func (r *Registry) Seed(k deps.Version, size int64, holders []string) {
 		slices.Sort(merged)
 		rw.holders = slices.Compact(merged)
 	}
-	r.touch(k, rw)
+	r.logLocked(k, rw)
 }
 
 // strictlySorted reports whether names is sorted without repeats.
@@ -292,7 +288,7 @@ func (r *Registry) DropNode(node string) []deps.Version {
 			} else {
 				rw.holders = slices.Delete(slices.Clone(rw.holders), at, at+1)
 			}
-			r.touch(k, rw)
+			r.logLocked(k, rw)
 		}
 	}
 	return lost
@@ -335,15 +331,14 @@ func (r *Registry) Entries() []Entry {
 	return r.entries(false)
 }
 
-// EntriesClean is Entries plus a dirty reset — the full-catalog capture
-// that starts a fresh delta chain (a base snapshot subsumes every pending
-// change, so the dirty list restarts empty). The first call starts dirty
-// tracking.
-func (r *Registry) EntriesClean() []Entry {
+// StartLog is Entries for a base capture: under the same lock it opens
+// the checkpoint log empty, so the base and the rows logged after it hold
+// every write between them. A later call starts the log over.
+func (r *Registry) StartLog() []Entry {
 	return r.entries(true)
 }
 
-func (r *Registry) entries(clean bool) []Entry {
+func (r *Registry) entries(startLog bool) []Entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.sortLocked()
@@ -355,57 +350,31 @@ func (r *Registry) entries(clean bool) []Entry {
 	for ci := range r.cols {
 		c := &r.cols[ci]
 		for i := range c.rows {
-			rw := &c.rows[i]
-			if rw.size != 0 || len(rw.holders) > 0 {
+			if rw := &c.rows[i]; rw.size != 0 || len(rw.holders) > 0 {
 				out = append(out, Entry{Key: deps.Version{Data: c.data, Ver: rw.ver}, Size: rw.size, Locations: rw.holders})
-			}
-			if clean {
-				rw.dirty = false
 			}
 		}
 	}
-	if clean {
-		r.dirty, r.tracking = r.dirty[:0], true
+	if startLog {
+		r.log = make([]Entry, 0, len(r.log))
 	}
 	return out
 }
 
-// compareKeys is deps.Version.Less three-way — the catalog order.
-func compareKeys(a, b deps.Version) int {
-	if c := cmp.Compare(a.Data, b.Data); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Ver, b.Ver)
-}
-
-// byKey orders entries by compareKeys.
-func byKey(a, b Entry) int { return compareKeys(a.Key, b.Key) }
-
-// DirtyCount returns how many catalog rows changed since the last
-// TakeDirty / EntriesClean (0 before the first EntriesClean).
-func (r *Registry) DirtyCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.dirty)
-}
-
-// TakeDirty drains the changed catalog rows since the last capture,
-// sorted by key, clearing the dirty list atomically with the read — a
-// mutation racing the capture lands either in this delta or in the next
-// one, never nowhere. Keys whose row emptied (no replica, no size) are
-// still reported, with empty locations and size 0, so a delta can
-// overwrite the stale base row.
-func (r *Registry) TakeDirty() []Entry {
+// SwapLog hands over the rows logged since the last StartLog or SwapLog,
+// in append order — a key's last one is its row now, an emptied row
+// included — and goes on logging into spare's array, emptied (nil starts
+// a new one). Before StartLog it returns nil.
+func (r *Registry) SwapLog(spare []Entry) []Entry {
 	r.mu.Lock()
-	out := make([]Entry, len(r.dirty))
-	for i, k := range r.dirty {
-		rw := r.find(k)
-		rw.dirty = false
-		out[i] = Entry{Key: k, Size: rw.size, Locations: rw.holders}
+	defer r.mu.Unlock()
+	out := r.log
+	if out != nil {
+		if spare == nil {
+			spare = []Entry{} // non-nil: the log stays open
+		}
+		r.log = spare[:0]
 	}
-	r.dirty = r.dirty[:0]
-	r.mu.Unlock()
-	slices.SortFunc(out, byKey)
 	return out
 }
 
@@ -413,16 +382,16 @@ func (r *Registry) TakeDirty() []Entry {
 // layout, or nil: the index and the columns map one to one, in datum
 // order unless a datum arrived out of order since the last ordered walk;
 // every column is non-empty, strictly sorted by version and starts at its
-// lo; every holder list is strictly sorted; and the dirty list names each
-// row whose dirty bit is set exactly once and nothing else — nothing at
-// all before tracking starts. The engine's step checks call it.
+// lo; every holder list is strictly sorted; and the checkpoint log's
+// newest entry for each key it names is that key's row now — a write that
+// logs nothing, or logs before it is done, breaks it. The engine's step
+// checks call it.
 func (r *Registry) CheckLayout() error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.index) != len(r.cols) {
 		return fmt.Errorf("index holds %d data, %d columns", len(r.index), len(r.cols))
 	}
-	bits := 0
 	for ci, c := range r.cols {
 		if at, ok := r.index[c.data]; !ok || int(at) != ci {
 			return fmt.Errorf("datum %d sits in column %d, the index says %d (%v)", c.data, ci, at, ok)
@@ -441,26 +410,17 @@ func (r *Registry) CheckLayout() error {
 			if !strictlySorted(rw.holders) {
 				return fmt.Errorf("%v: holder list %v not strictly sorted", k, rw.holders)
 			}
-			if rw.dirty {
-				bits++
-			}
 		}
 	}
-	if !r.tracking && len(r.dirty) > 0 {
-		return fmt.Errorf("%d keys listed dirty before tracking started", len(r.dirty))
-	}
-	listed := slices.Clone(r.dirty)
-	slices.SortFunc(listed, compareKeys)
-	for i, k := range listed {
-		if i > 0 && listed[i-1] == k {
-			return fmt.Errorf("%v listed dirty twice", k)
+	logged := slices.Clone(r.log) // sorted stably: a key's newest entry ends its run
+	slices.SortStableFunc(logged, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Key.Data, b.Key.Data), cmp.Compare(a.Key.Ver, b.Key.Ver))
+	})
+	for i, en := range logged {
+		newest := i+1 == len(logged) || logged[i+1].Key != en.Key
+		if rw := r.find(en.Key); newest && (rw == nil || rw.size != en.Size || !slices.Equal(rw.holders, en.Locations)) {
+			return fmt.Errorf("%v: newest logged row %d %v, the row is %+v", en.Key, en.Size, en.Locations, rw)
 		}
-		if rw := r.find(k); rw == nil || !rw.dirty {
-			return fmt.Errorf("%v listed dirty without its dirty bit", k)
-		}
-	}
-	if bits != len(listed) {
-		return fmt.Errorf("%d rows have their dirty bit set, %d are listed", bits, len(listed))
 	}
 	return nil
 }

@@ -181,8 +181,9 @@ func TestVersionsAreDistinctKeys(t *testing.T) {
 // a naive model (a size map and a holder set per key) through the same
 // seeded stream of writes — Seed handed unsorted lists with repeats among
 // them — and checks that every read — the Row primitive and everything
-// built on it — agrees after each step, and the dirty list once a base
-// capture has started it (over a quarter of the steps under -short).
+// built on it — agrees after each step, and the checkpoint log once a
+// base capture has opened it: every write's row as it left it, in write
+// order (over a quarter of the steps under -short).
 // Each datum has 42 versions, written in random
 // order: a dense run, and outliers far from it on both sides (-1<<40,
 // -7, 1<<40, 1<<40+3), so columns grow by relocation, take inserts ahead
@@ -191,10 +192,10 @@ func TestVersionsAreDistinctKeys(t *testing.T) {
 func TestRegistryMatchesNaiveModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := NewRegistry()
-	r.EntriesClean()
+	r.StartLog()
 	size := map[deps.Version]int64{}
 	loc := map[deps.Version]map[string]bool{}
-	dirty := map[deps.Version]bool{}
+	var logged []Entry
 	nodes := []string{"n4", "n0", "n3", "n1", "n2"}
 	vers := []int{-1 << 40, -7, 1 << 40, 1<<40 + 3}
 	for v := 0; len(vers) < 42; v++ {
@@ -238,14 +239,14 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 		case op < 5:
 			size[k] = int64(rng.Intn(4)) * 100
 			r.SetSize(k, size[k])
-			dirty[k] = true
+			logged = append(logged, modelEntry(k))
 		case op < 10:
 			if loc[k] == nil {
 				loc[k] = map[string]bool{}
 			}
 			loc[k][n] = true
 			r.AddReplica(k, n)
-			dirty[k] = true
+			logged = append(logged, modelEntry(k))
 		case op < 12:
 			sz, holders := int64(rng.Intn(3))*100, make([]string, rng.Intn(4))
 			for i := range holders {
@@ -261,7 +262,7 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 				loc[k][h] = true
 			}
 			if sz > 0 || len(holders) > 0 {
-				dirty[k] = true
+				logged = append(logged, modelEntry(k))
 			}
 			r.Seed(k, sz, holders)
 		case op < 14:
@@ -269,7 +270,7 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 			for _, k := range keys {
 				if loc[k][n] {
 					delete(loc[k], n)
-					dirty[k] = true
+					logged = append(logged, modelEntry(k))
 					if len(loc[k]) == 0 {
 						lost = append(lost, k)
 					}
@@ -279,15 +280,16 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 				t.Fatalf("step %d: DropNode(%s) lost %v, model %v", step, n, got, lost)
 			}
 		default:
-			var want []Entry
-			for k := range dirty {
-				want = append(want, modelEntry(k))
+			got := r.SwapLog(nil)
+			if len(got) != len(logged) {
+				t.Fatalf("step %d: SwapLog = %d rows, model %d", step, len(got), len(logged))
 			}
-			if got := r.DirtyCount(); got != len(dirty) {
-				t.Fatalf("step %d: DirtyCount = %d, model %d", step, got, len(dirty))
+			for i, want := range logged {
+				if got[i].Key != want.Key || got[i].Size != want.Size || !slices.Equal(got[i].Locations, want.Locations) {
+					t.Fatalf("step %d: SwapLog[%d] = %+v, model %+v", step, i, got[i], want)
+				}
 			}
-			sameEntries("TakeDirty", r.TakeDirty(), want)
-			dirty = map[deps.Version]bool{}
+			logged = nil
 		}
 		var all []Entry
 		for _, k := range keys {
@@ -376,7 +378,7 @@ func TestStencilStreamAllocatesPerSlab(t *testing.T) {
 // list seen once must still read the same after any number of writes.
 func TestHolderListsAreNeverEditedInPlace(t *testing.T) {
 	r := NewRegistry()
-	r.EntriesClean() // start dirty tracking, so TakeDirty hands lists out
+	r.StartLog() // open the log, so SwapLog hands lists out
 	keys := []deps.Version{key(1, 0), key(2, 0), key(3, 0)}
 	nodes := []string{"a", "b", "c", "d", "e"}
 	var wg sync.WaitGroup
@@ -407,9 +409,9 @@ func TestHolderListsAreNeverEditedInPlace(t *testing.T) {
 				_, holders := r.Row(keys[rng.Intn(len(keys))])
 				kept := slices.Clone(holders)
 				r.LocalBytes(nodes[rng.Intn(len(nodes))], keys)
-				for _, e := range r.TakeDirty() {
+				for _, e := range r.SwapLog(nil) {
 					if !sort.StringsAreSorted(e.Locations) {
-						t.Errorf("TakeDirty handed out an unsorted list: %v", e.Locations)
+						t.Errorf("SwapLog handed out an unsorted list: %v", e.Locations)
 					}
 				}
 				if !slices.Equal(holders, kept) || !sort.StringsAreSorted(holders) {
@@ -447,22 +449,32 @@ func TestSeedNormalisesItsList(t *testing.T) {
 	}
 }
 
-// Dirty tracking starts at the first EntriesClean: writes before it mark
-// nothing (the base subsumes them), writes after it do.
-func TestDirtyTrackingStartsAtFirstBase(t *testing.T) {
+// The log opens at the first StartLog: writes before it log nothing (the
+// base holds them), writes after it log their row as they leave it, and
+// a warm write appends without allocating.
+func TestLogStartsAtFirstBase(t *testing.T) {
 	r := NewRegistry()
 	r.SetSize(key(1, 0), 10)
 	r.AddReplica(key(1, 0), "a")
 	r.Seed(key(2, 0), 10, []string{"a"})
-	if n, d := r.DirtyCount(), r.TakeDirty(); n != 0 || len(d) != 0 {
-		t.Fatalf("before any base: DirtyCount %d, TakeDirty %v; want nothing", n, d)
+	if d := r.SwapLog(nil); d != nil {
+		t.Fatalf("before any base: SwapLog %v; want nothing", d)
 	}
-	if got := len(r.EntriesClean()); got != 2 {
-		t.Fatalf("EntriesClean = %d rows, want 2", got)
+	if got := len(r.StartLog()); got != 2 {
+		t.Fatalf("StartLog = %d rows, want 2", got)
 	}
 	r.AddReplica(key(2, 0), "b")
-	if d := r.TakeDirty(); len(d) != 1 || d[0].Key != key(2, 0) {
-		t.Fatalf("TakeDirty after a base = %+v, want key(2, 0) alone", d)
+	r.SetSize(key(2, 0), 20)
+	d := r.SwapLog(nil)
+	if len(d) != 2 || d[0].Key != key(2, 0) || d[0].Size != 10 || d[1].Size != 20 || !slices.Equal(d[1].Locations, []string{"a", "b"}) {
+		t.Fatalf("SwapLog after a base = %+v, want key(2, 0) twice, as each write left it", d)
+	}
+	spare := r.SwapLog(d)
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.SetSize(key(1, 0), 30)
+		spare = r.SwapLog(spare)
+	}); allocs != 0 {
+		t.Fatalf("a warm logged write and swap allocated %.0f objects, want 0", allocs)
 	}
 }
 
