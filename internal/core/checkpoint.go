@@ -22,8 +22,7 @@ type valueTable Runtime
 // version holds one, so a reconstruction restores values exactly like a
 // full snapshot would: the value of its cell, or else a restored one no
 // submission has claimed. A delta's rows are as logged, a key's repeated,
-// so it sorts them first and fills every row of a key's run: the one the
-// writer keeps has the value. It walks every cell page, off the hot path.
+// so it sorts them and fills every row of a key: the writer keeps one. It walks every cell page, off the hot path.
 // Values that cannot be encoded (see checkpoint.EncodeValue) are left
 // out; their producers re-run on restore. A vanished-entry tombstone —
 // zero size, no locations — stays value-free so reconstruction drops it.
@@ -42,8 +41,7 @@ func (vt *valueTable) Attach(catalog []checkpoint.CatalogEntry) {
 	for _, p := range vt.pages {
 		for j := range p {
 			if c := &p[j]; c.set && c.err == nil { // an unused cell is never set
-				i, _ := slices.BinarySearchFunc(catalog, c.key, byKey)
-				for ; i < len(catalog) && catalog[i].Key == c.key; i++ {
+				for i, _ := slices.BinarySearchFunc(catalog, c.key, byKey); i < len(catalog) && catalog[i].Key == c.key; i++ {
 					attach(&catalog[i], c.val)
 				}
 			}

@@ -105,12 +105,11 @@ type Checkpointer struct {
 	writing   bool  // the writer goroutine is running
 	failed    error // the first write that failed; Flush and Drained return it
 	stopped   bool
-	spare     *Delta // the last written delta, whose arrays the next capture reuses
+	spare     []*Delta // written deltas, whose arrays the next captures reuse
 
-	// The writer's running state and coalescing scratch; only the writer
-	// touches them.
-	fold  *merger
-	first map[int64]int
+	// The writer's running state and scratch; only the writer touches them.
+	fold *merger
+	co   coalescer
 }
 
 // baseQueued, set by tests, runs on the capturing goroutine for every
@@ -124,7 +123,7 @@ func NewCheckpointer(cfg Config, src Source, tracer *trace.Tracer) *Checkpointer
 	if cfg.Metrics == nil {
 		cfg.Metrics = obsv.NewCkptMetrics(nil) // inert: nil instruments discard
 	}
-	c := &Checkpointer{cfg: cfg, src: src, tracer: tracer, seq: cfg.Store.lastSeq(), first: make(map[int64]int)}
+	c := &Checkpointer{cfg: cfg, src: src, tracer: tracer, seq: cfg.Store.lastSeq()}
 	c.written = sync.NewCond(&c.mu)
 	return c
 }
@@ -180,9 +179,11 @@ func (c *Checkpointer) autoSave() {
 		c.enqueue(save{snap: snap}, snap.At)
 		return
 	}
+	var spare *Delta
 	c.mu.Lock()
-	spare := c.spare
-	c.spare = nil
+	if n := len(c.spare); n > 0 {
+		spare, c.spare = c.spare[n-1], c.spare[:n-1]
+	}
 	c.mu.Unlock()
 	d := c.src.CheckpointDelta(spare)
 	records := len(d.Tasks) + len(d.Catalog)
@@ -230,7 +231,7 @@ func (c *Checkpointer) enqueue(sv save, at time.Duration) {
 	c.seq++
 	prefix := snapPrefix
 	if sv.d != nil && !sv.compact {
-		prefix = framePrefix
+		prefix = "frame-" // a group has no file of its own
 	}
 	if prefix == snapPrefix && baseQueued != nil {
 		baseQueued(c.seq)
@@ -257,7 +258,7 @@ func (c *Checkpointer) write() {
 		c.mu.Lock()
 		c.unwritten--
 		if sv.d != nil {
-			c.spare = sv.d
+			c.spare = append(c.spare, sv.d)
 		}
 		switch {
 		case err == nil:
@@ -282,7 +283,7 @@ func (c *Checkpointer) persist(sv save) (delta bool, w written, err error) {
 		_, w, err = c.cfg.Store.save(sv.snap)
 		c.fold = newMerger(sv.snap)
 	case sv.compact:
-		sv.d.coalesce(c.first)
+		c.co.coalesce(sv.d)
 		c.fold.apply(sv.d)
 		_, w, err = c.cfg.Store.save(c.fold.snapshot())
 	default:

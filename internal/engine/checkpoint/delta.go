@@ -1,19 +1,13 @@
-// Delta checkpoints — the O(changes) half of the checkpoint subsystem.
-// A base walks every task and catalog row; on a million-task graph that
-// is a million-record encode per interval however little moved. So a
-// base capture opens two logs, the engine's and the registry's, and from
-// then on every change appends the record it leaves: a task's
-// engine.TaskSnap at registration and after each transition, epoch bump
-// or completion, a catalog row's transfer.Entry after each write. A
-// capture swaps both logs out into a Delta, one group. Every record is an
-// ABSOLUTE state, not an edit — a base plus a log of absolute records,
-// the write-ahead-log pattern (Mohan et al., "ARIES", TODS 1992) — so a
-// key's last record is its state: the writer coalesces a group to one
-// record per key, a change racing a capture lands in this group or the
-// next, and a base, which holds everything logged before it, starts an
-// empty log. On disk a group is one frame of its base's log (store.go);
-// every compactEvery groups the Checkpointer's writer writes its fold of
-// the log as a fresh base instead.
+// Delta checkpoints — the O(changes) half of the checkpoint subsystem. A
+// base capture opens two logs, the engine's and the registry's, and every
+// change then appends the record it leaves (engine.TaskSnap,
+// transfer.Entry); a capture swaps both out into a Delta, one group.
+// Records are ABSOLUTE states — a base plus a log of absolute records, the
+// write-ahead-log pattern (Mohan et al., "ARIES", TODS 1992) — so a key's
+// last record is its state: the writer coalesces a group to one record
+// per key, a change racing a capture lands in this group or the next, and
+// a base starts an empty log. On disk a group is one frame of its base's
+// log (store.go).
 package checkpoint
 
 import (
@@ -31,14 +25,12 @@ import (
 type Delta struct {
 	// At is the engine clock offset at capture time.
 	At time.Duration
-	// Tasks are the task records in the order they were logged, a task's
-	// last the state it has; once the writer has coalesced the group, one
-	// per task, in the order of each task's first record — registration
-	// order for a task the group registered.
+	// Tasks are the task records as logged; once coalesced, each task's
+	// last, in the order of its first — registration order for a task the
+	// group registered.
 	Tasks []engine.TaskSnap
-	// Catalog holds the catalog rows in the order they were logged; once
-	// coalesced, each key's last row, sorted by key. A row with zero size
-	// and no locations means the entry vanished.
+	// Catalog holds the catalog rows as logged; once coalesced, each key's
+	// last, sorted by key. Zero size and no locations: the entry vanished.
 	Catalog []CatalogEntry
 	// Stats are the engine's activity counters at capture time
 	// (absolute, like every other field).
@@ -74,31 +66,54 @@ func CaptureDeltaInto(d *Delta, e *engine.Engine, reg *transfer.Registry) *Delta
 	return d
 }
 
-// coalesce keeps one record per key, in place: a task's last record at its
-// first record's place, and each key's last catalog row, sorted by key.
-// first is scratch for task positions, cleared here.
-func (d *Delta) coalesce(first map[int64]int) {
-	clear(first)
+// coalescer is a writer's scratch for coalescing groups.
+type coalescer struct {
+	first map[int64]int
+	order []logged
+	rows  []CatalogEntry
+}
+
+// logged is a catalog row's key and its place in the group's log.
+type logged struct {
+	key deps.Version
+	at  int
+}
+
+// coalesce keeps one record per key of d, in place: a task's last record
+// at its first record's place, and each key's last catalog row, sorted by
+// key — found through a sorted index and gathered in the scratch copy, so
+// the sort moves no row.
+func (c *coalescer) coalesce(d *Delta) {
+	if c.first == nil {
+		c.first = make(map[int64]int)
+	}
+	clear(c.first)
 	tasks := d.Tasks[:0]
 	for _, t := range d.Tasks {
-		if i, seen := first[t.ID]; seen {
+		if i, seen := c.first[t.ID]; seen {
 			tasks[i] = t
 			continue
 		}
-		first[t.ID] = len(tasks)
+		c.first[t.ID] = len(tasks)
 		tasks = append(tasks, t)
 	}
 	d.Tasks = tasks
-	slices.SortStableFunc(d.Catalog, func(a, b CatalogEntry) int { return compareKeys(a.Key, b.Key) })
-	rows := d.Catalog[:0]
-	for _, en := range d.Catalog {
-		if n := len(rows); n > 0 && rows[n-1].Key == en.Key {
-			rows[n-1] = en
+	c.order = c.order[:0]
+	for i := range d.Catalog {
+		if n := len(c.order); n > 0 && c.order[n-1].key == d.Catalog[i].Key {
+			c.order[n-1].at = i // a run of one key's rows: its last stands for it
 			continue
 		}
-		rows = append(rows, en)
+		c.order = append(c.order, logged{d.Catalog[i].Key, i})
 	}
-	d.Catalog = rows
+	slices.SortFunc(c.order, func(a, b logged) int { return cmp.Or(compareKeys(a.key, b.key), a.at-b.at) })
+	c.rows = c.rows[:0]
+	for j, o := range c.order {
+		if j+1 == len(c.order) || c.order[j+1].key != o.key { // the key's last row
+			c.rows = append(c.rows, d.Catalog[o.at])
+		}
+	}
+	d.Catalog = append(d.Catalog[:0], c.rows...)
 }
 
 // merger folds a base plus its log into one state: Store.Latest
@@ -114,7 +129,6 @@ type merger struct {
 	first   int64             // tasks[i].ID == first+i while index is nil
 	index   map[int64]int     // task ID → position in tasks, once IDs stop running dense
 	catalog []CatalogEntry    // sorted by key
-	seq     int
 	at      time.Duration
 	stats   engine.Stats
 }
@@ -122,7 +136,7 @@ type merger struct {
 // newMerger seeds the fold from a valid base snapshot, taking over its
 // records and its catalog.
 func newMerger(base *Snapshot) *merger {
-	m := &merger{tasks: base.Tasks[:0], catalog: base.Catalog, seq: base.Seq, at: base.At, stats: base.Stats}
+	m := &merger{tasks: base.Tasks[:0], catalog: base.Catalog, at: base.At, stats: base.Stats}
 	for _, t := range base.Tasks {
 		m.put(t) // writes record i at i, or earlier: never one not yet read
 	}
@@ -224,7 +238,7 @@ func vanished(en CatalogEntry) bool {
 // engine state would produce: records in registration order, catalog
 // sorted by key. Both are the fold's own, valid until the next apply.
 func (m *merger) snapshot() *Snapshot {
-	snap := &Snapshot{Format: Format, Seq: m.seq, At: m.at, Tasks: m.tasks, Stats: m.stats}
+	snap := &Snapshot{Format: Format, At: m.at, Tasks: m.tasks, Stats: m.stats}
 	if len(m.catalog) > 0 {
 		snap.Catalog = m.catalog
 	}

@@ -45,12 +45,10 @@ var (
 	ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 )
 
-// File-name prefixes: a base, and the log beside it. A frame has no file
-// of its own; framePrefix names one in the trace.
+// File-name prefixes: a base, and the log beside it.
 const (
-	snapPrefix  = "snap-"
-	logPrefix   = "log-"
-	framePrefix = "frame-"
+	snapPrefix = "snap-"
+	logPrefix  = "log-"
 )
 
 // frameHeader is the length and the CRC32 before each frame's payload.
@@ -64,10 +62,10 @@ type Store struct {
 
 	mu      sync.Mutex
 	seq     int
-	base    int           // the newest base's sequence number: SaveDelta appends to its log
-	logSize int64         // the length of that log's valid prefix, where the next frame goes
-	buf     bytes.Buffer  // encode scratch, reused across saves
-	first   map[int64]int // coalescing scratch (Delta.coalesce)
+	base    int          // the newest base's sequence number: SaveDelta appends to its log
+	logSize int64        // the length of that log's valid prefix, where the next frame goes
+	buf     bytes.Buffer // encode scratch, reused across saves
+	co      coalescer    // coalescing scratch
 }
 
 // StoreOption tunes NewStore.
@@ -95,7 +93,7 @@ func NewStore(dir string, opts ...StoreOption) (*Store, error) {
 			_ = os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
-	s := &Store{dir: dir, keep: 5, first: make(map[int64]int)}
+	s := &Store{dir: dir, keep: 5}
 	for _, o := range opts {
 		o(s)
 	}
@@ -229,7 +227,7 @@ func (s *Store) SaveDelta(d *Delta) (string, error) {
 func (s *Store) saveDelta(d *Delta) (string, written, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d.coalesce(s.first)
+	s.co.coalesce(d)
 	w := written{records: len(d.Tasks) + len(d.Catalog)}
 	if s.base == 0 {
 		return "", w, errors.New("checkpoint: no base to log against")
@@ -355,13 +353,12 @@ func (s *Store) Latest() (*Snapshot, error) {
 		if err != nil {
 			continue
 		}
-		m := newMerger(snap)
-		data, _ := os.ReadFile(s.logPath(bases[i].seq))
-		readFrames(data, bases[i].seq, func(d *Delta, seq int) {
-			m.apply(d)
-			m.seq = seq
-		})
-		return m.snapshot(), nil
+		m, seq := newMerger(snap), bases[i].seq
+		data, _ := os.ReadFile(s.logPath(seq))
+		readFrames(data, seq, func(d *Delta, at int) { m.apply(d); seq = at })
+		snap = m.snapshot()
+		snap.Seq = seq
+		return snap, nil
 	}
 	return nil, fmt.Errorf("%w: %s", ErrNoSnapshot, s.dir)
 }

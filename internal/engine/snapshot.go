@@ -91,10 +91,7 @@ func (e *Engine) SwapLog(spare []TaskSnap) []TaskSnap {
 	defer e.unlock()
 	out := e.log
 	if out != nil {
-		if spare == nil {
-			spare = []TaskSnap{} // non-nil: the log stays open
-		}
-		e.log = spare[:0]
+		e.log = append(spare[:0], TaskSnap{})[:0] // never nil: the log stays open
 	}
 	return out
 }

@@ -62,8 +62,7 @@ type CkptMetrics struct {
 	DeltaSaves     *Counter
 	CaptureSeconds *Histogram
 	LoggedRecords  *Histogram
-	// What the saves put on disk: records (a base's tasks and catalog
-	// rows, a frame's coalesced ones), bytes, and Sync calls.
+	// What the saves put on disk: records, bytes and Sync calls.
 	RecordsWritten *Counter
 	BytesWritten   *Counter
 	Syncs          *Counter

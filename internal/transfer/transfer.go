@@ -370,10 +370,7 @@ func (r *Registry) SwapLog(spare []Entry) []Entry {
 	defer r.mu.Unlock()
 	out := r.log
 	if out != nil {
-		if spare == nil {
-			spare = []Entry{} // non-nil: the log stays open
-		}
-		r.log = spare[:0]
+		r.log = append(spare[:0], Entry{})[:0] // never nil: the log stays open
 	}
 	return out
 }
