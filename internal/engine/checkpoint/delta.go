@@ -55,10 +55,10 @@ func CaptureDeltaInto(d *Delta, e *engine.Engine, reg *transfer.Registry) *Delta
 		d = &Delta{}
 	}
 	d.Tasks = e.SwapLog(d.Tasks)
-	d.At, d.Stats = e.Now(), e.Stats()
-	d.Catalog = d.Catalog[:0]
+	d.At, d.Stats, d.Catalog = e.Now(), e.Stats(), d.Catalog[:0]
 	if reg != nil {
 		d.rows = reg.SwapLog(d.rows)
+		d.Catalog = slices.Grow(d.Catalog[:0], len(d.rows))
 		for _, en := range d.rows {
 			d.Catalog = append(d.Catalog, CatalogEntry{Key: en.Key, Size: en.Size, Locations: en.Locations})
 		}
@@ -98,7 +98,7 @@ func (c *coalescer) coalesce(d *Delta) {
 		tasks = append(tasks, t)
 	}
 	d.Tasks = tasks
-	c.order = c.order[:0]
+	c.order = slices.Grow(c.order[:0], len(d.Catalog))
 	for i := range d.Catalog {
 		if n := len(c.order); n > 0 && c.order[n-1].key == d.Catalog[i].Key {
 			c.order[n-1].at = i // a run of one key's rows: its last stands for it
@@ -107,7 +107,7 @@ func (c *coalescer) coalesce(d *Delta) {
 		c.order = append(c.order, logged{d.Catalog[i].Key, i})
 	}
 	slices.SortFunc(c.order, func(a, b logged) int { return cmp.Or(compareKeys(a.key, b.key), a.at-b.at) })
-	c.rows = c.rows[:0]
+	c.rows = slices.Grow(c.rows[:0], len(c.order))
 	for j, o := range c.order {
 		if j+1 == len(c.order) || c.order[j+1].key != o.key { // the key's last row
 			c.rows = append(c.rows, d.Catalog[o.at])

@@ -581,3 +581,26 @@ func TestTornLogTailsFallBackToTheLastIntactFrame(t *testing.T) {
 		t.Fatalf("after an append over the torn tail: %+v, %v; want seq %d and the new group", got, err, after[last].Seq+1)
 	}
 }
+
+// A save that fails still takes its sequence number, so the frame after it
+// does not follow the last one on disk: the log's valid prefix ends before
+// it, as it ends at a damaged frame — a group is never applied over a
+// missing one.
+func TestLogStopsAtASequenceGap(t *testing.T) {
+	store, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	saveChain(t, store, 6, 2, 1) // a base, then a frame completing task 3
+	store.seq++                  // what a failed save leaves behind
+	if _, err := store.SaveDelta(&Delta{Tasks: []engine.TaskSnap{doneRecord(4)}, Stats: engine.Stats{Completed: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := store.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Seq != 2 || snap.Stats.Completed != 3 {
+		t.Fatalf("Latest = seq %d with %d completions, want seq 2 with 3: the frame past the gap applied", snap.Seq, snap.Stats.Completed)
+	}
+}

@@ -10,9 +10,9 @@
 // its payload's length and CRC32 (4 bytes each, little endian) and the
 // payload, one coalesced group's wireDelta, and each append ends with one
 // Sync. A log's valid prefix ends at the first frame that is torn, fails
-// its checksum, does not decode or carve, or does not follow the sequence
-// number before it; nothing past it is applied, and the next append
-// overwrites it. The delta-<seq>-<digest>.ckpt files of older builds are
+// its checksum, does not decode or carve, or does not carry the sequence
+// number after the one before (a save that failed took that number);
+// nothing past it is applied, and the next append overwrites it. The delta-<seq>-<digest>.ckpt files of older builds are
 // not read.
 package checkpoint
 
@@ -327,7 +327,7 @@ func readFrames(data []byte, last int, fn func(d *Delta, seq int)) (valid int64)
 			break
 		}
 		var w wireDelta
-		if gob.NewDecoder(bytes.NewReader(payload)).Decode(&w) != nil || w.Seq <= last {
+		if gob.NewDecoder(bytes.NewReader(payload)).Decode(&w) != nil || w.Seq != last+1 {
 			break
 		}
 		d, err := w.delta()

@@ -91,7 +91,7 @@ func (e *Engine) SwapLog(spare []TaskSnap) []TaskSnap {
 	defer e.unlock()
 	out := e.log
 	if out != nil {
-		e.log = append(spare[:0], TaskSnap{})[:0] // never nil: the log stays open
+		e.log = slices.Grow(spare[:0], max(len(out), 1)) // room for a group like the last; never nil
 	}
 	return out
 }

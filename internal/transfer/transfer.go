@@ -370,7 +370,7 @@ func (r *Registry) SwapLog(spare []Entry) []Entry {
 	defer r.mu.Unlock()
 	out := r.log
 	if out != nil {
-		r.log = append(spare[:0], Entry{})[:0] // never nil: the log stays open
+		r.log = slices.Grow(spare[:0], max(len(out), 1)) // room for a group like the last; never nil
 	}
 	return out
 }
