@@ -103,7 +103,7 @@ vet:
 # delta-file chain (LoadDelta, ParentSeq) comes back.
 FLAG_BUDGET := 21
 VERSION_MAP_BUDGET := 9
-LINE_BUDGET := 19753
+LINE_BUDGET := 19757
 NONTEST_GO := -name '*.go' ! -name '*_test.go'
 budget:
 	@n=$$(find . $(NONTEST_GO) ! -path './bench/*' | xargs cat | wc -l); \

@@ -81,8 +81,7 @@ type logged struct {
 
 // coalesce keeps one record per key of d, in place: a task's last record
 // at its first record's place, and each key's last catalog row, sorted by
-// key — found through a sorted index and gathered in the scratch copy, so
-// the sort moves no row.
+// key through a sorted index of keys, so the sort moves no row.
 func (c *coalescer) coalesce(d *Delta) {
 	if c.first == nil {
 		c.first = make(map[int64]int)

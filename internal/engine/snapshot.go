@@ -91,7 +91,10 @@ func (e *Engine) SwapLog(spare []TaskSnap) []TaskSnap {
 	defer e.unlock()
 	out := e.log
 	if out != nil {
-		e.log = slices.Grow(spare[:0], max(len(out), 1)) // room for a group like the last; never nil
+		if cap(spare) < max(len(out), 1) { // room for a group like the last; never nil
+			spare = make([]TaskSnap, 0, max(len(out), 1))
+		}
+		e.log = spare[:0]
 	}
 	return out
 }

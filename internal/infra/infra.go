@@ -143,9 +143,8 @@ type Sim struct {
 const registerWindow = 1024
 
 // stuckDetail says why a drained clock left tasks: the policy declined
-// ready tasks a node could run now, no node can run them (an
-// unsatisfiable constraint, an empty pool), or they wait on unreachable
-// data.
+// ready tasks a node could run now, no node can run them, or they wait on
+// unreachable data.
 func (s *Sim) stuckDetail() string {
 	ready, declined := 0, 0
 	for _, l := range s.eng.SigLoads() {

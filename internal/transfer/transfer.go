@@ -370,7 +370,10 @@ func (r *Registry) SwapLog(spare []Entry) []Entry {
 	defer r.mu.Unlock()
 	out := r.log
 	if out != nil {
-		r.log = slices.Grow(spare[:0], max(len(out), 1)) // room for a group like the last; never nil
+		if cap(spare) < max(len(out), 1) { // room for a group like the last; never nil
+			spare = make([]Entry, 0, max(len(out), 1))
+		}
+		r.log = spare[:0]
 	}
 	return out
 }
