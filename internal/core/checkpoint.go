@@ -22,10 +22,10 @@ type valueTable Runtime
 // version holds one, so a reconstruction restores values exactly like a
 // full snapshot would: the value of its cell, or else a restored one no
 // submission has claimed. A delta's rows are as logged, a key's repeated,
-// so it sorts them and fills every row of a key: the writer keeps one. It walks every cell page, off the hot path.
-// Values that cannot be encoded (see checkpoint.EncodeValue) are left
-// out; their producers re-run on restore. A vanished-entry tombstone —
-// zero size, no locations — stays value-free so reconstruction drops it.
+// so it sorts them and fills every row of a key: the writer keeps one. It
+// walks every cell page, off the hot path. Values that cannot be encoded
+// (see checkpoint.EncodeValue) are left out; their producers re-run. A
+// vanished row (zero size, no locations) stays value-free, to be dropped.
 func (vt *valueTable) Attach(catalog []checkpoint.CatalogEntry) {
 	vt.mu.Lock()
 	defer vt.mu.Unlock()

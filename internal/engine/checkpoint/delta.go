@@ -41,8 +41,8 @@ type Delta struct {
 
 // CaptureDelta swaps the engine's and the registry's logs out into a new
 // delta; the next capture sees only what was logged in between, and an
-// idle interval yields an Empty delta. A base capture must have opened
-// the logs.
+// idle interval yields one with no records. A base capture must have
+// opened the logs.
 func CaptureDelta(e *engine.Engine, reg *transfer.Registry) *Delta {
 	return CaptureDeltaInto(nil, e, reg)
 }

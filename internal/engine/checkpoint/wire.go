@@ -12,10 +12,10 @@
 // The digest in a file's name proves the bytes are the ones written, not
 // that they make sense, so decoding checks that the columns agree before
 // it carves: equal lengths, catalog keys strictly ascending (the order
-// every capture writes and the fold of a chain relies on), counts
-// non-negative and summing to their flat column, node indices inside the
-// node table, value rows inside the catalog and strictly increasing, and
-// every task a base's sections name in its Order. A base that fails any
+// bases and coalesced groups are written in, which the fold relies on),
+// counts non-negative and summing to their flat column, node indices
+// inside the node table, value rows inside the catalog and strictly
+// increasing, and every task a base's sections name in its Order. A base that fails any
 // check is ErrCorrupt, and a frame that does ends its log's valid prefix;
 // none can make the decoder panic.
 package checkpoint
