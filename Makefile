@@ -42,7 +42,10 @@ vet:
 # (TestWideCampaignAllocBudget) and, with a tracer on, a stencil
 # campaign's allocations and bytes per task (TestTracedStencilAllocBudget),
 # and what a checkpointed stencil writes — records and bytes per task, syncs
-# per save (TestCheckpointWriteBudget); the exported
+# per save (TestCheckpointWriteBudget), and what a live submission
+# allocates — per Submit, and per task of a 256-request SubmitAll, each
+# queued behind a blocked producer so that no body runs
+# (TestSubmitAllocBudget); the exported
 # internal/ and dislib/ declarations — funcs, methods and types — and
 # the guard that each has a non-test caller, resolved by go/types
 # (TestInternalExportsHaveACaller ratchets the count and keeps a short,
@@ -113,8 +116,8 @@ budget:
 		test $$n -le $(LINE_BUDGET)
 	@out=$$($(GO) test -count=1 -run 'TestConfigBudget|TestInternalExportsHaveACaller|TestHarnessNamesOnlyBenchUses' -v ./internal/integration); st=$$?; \
 		echo "$$out" | grep -E 'fields|exported|harness debt|FAIL|^ok'; exit $$st
-	@out=$$($(GO) test -count=1 -run 'TestTaskRecordBudget|TestWideCampaignAllocBudget|TestTracedStencilAllocBudget|TestCheckpointWriteBudget' -v ./internal/engine ./internal/infra); st=$$?; \
-		echo "$$out" | grep -E 'record:|campaign:|FAIL|^ok'; exit $$st
+	@out=$$($(GO) test -count=1 -run 'TestTaskRecordBudget|TestWideCampaignAllocBudget|TestTracedStencilAllocBudget|TestCheckpointWriteBudget|TestSubmitAllocBudget' -v ./internal/engine ./internal/infra ./internal/core); st=$$?; \
+		echo "$$out" | grep -E 'record:|campaign:|Submit:|FAIL|^ok'; exit $$st
 	@n=$$(grep -cE '\b(flag|fs)\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(Var)?\(' cmd/flowgo-sim/main.go); \
 		echo "flowgo-sim flags: $$n (budget $(FLAG_BUDGET))"; \
 		test $$n -le $(FLAG_BUDGET)

@@ -142,3 +142,82 @@ func TestChainCampaignAllocBudget(t *testing.T) {
 		t.Fatalf("%.2f allocations per task, budget %.1f", perTask, budget)
 	}
 }
+
+// raceEnabled is set in a -race build (race_test.go).
+var raceEnabled bool
+
+// TestSubmitAllocBudget is the deterministic cost gate on submission
+// itself: the allocations of one Submit, and per task of a 256-request
+// SubmitAll (the ledger's live-dag batch). Every measured submission
+// updates one datum behind a producer whose body blocks until the end, so
+// no body runs while the count is taken and the count is the same on
+// every run. The ledger prices SubmitAll per task, but a Submit reaches it
+// only as a round-trip latency, so a Submit that grows an allocation — say
+// one whose variadic parameter list escapes to the heap — shows here first.
+func TestSubmitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	const submits, batches, batch = 1024, 16, 256
+	const submitBudget, batchBudget = 8.01, 0.065 // this tree reads 8.007 and 0.0640
+	rt := New(Config{})
+	release := make(chan struct{})
+	defer rt.Shutdown()
+	defer close(release)
+	for _, def := range []TaskDef{
+		{Name: "block", Fn: func(_ context.Context, _ []any) ([]any, error) {
+			<-release
+			return []any{0}, nil
+		}},
+		{Name: "inc", Fn: func(_ context.Context, args []any) ([]any, error) {
+			v, _ := args[0].(int)
+			return []any{v + 1}, nil
+		}},
+	} {
+		if err := rt.Register(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := rt.NewData()
+	if _, err := rt.Submit("block", Write(h)); err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]TaskReq, batch)
+	for i := range reqs {
+		reqs[i] = TaskReq{Name: "inc", Params: []Param{Update(h)}}
+	}
+	submit := func() {
+		if _, err := rt.Submit("inc", Update(h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submitAll := func() {
+		if _, err := rt.SubmitAll(reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	measure := func(n int, f func()) (allocs, bytes float64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	measure(submits/4, submit) // warm the runtime's and the engine's tables
+	measure(batches/4, submitAll)
+	a, b := measure(submits, submit)
+	perSubmit, perSubmitB := a/submits, b/submits
+	a, b = measure(batches, submitAll)
+	perTask, perTaskB := a/(batches*batch), b/(batches*batch)
+	t.Logf("Submit: %.3f allocations, %.0f B per call; SubmitAll: %.4f allocations, %.1f B per task",
+		perSubmit, perSubmitB, perTask, perTaskB)
+	if perSubmit > submitBudget {
+		t.Errorf("Submit: %.3f allocations per call, budget %.2f", perSubmit, submitBudget)
+	}
+	if perTask > batchBudget {
+		t.Errorf("SubmitAll: %.4f allocations per task, budget %.3f", perTask, batchBudget)
+	}
+}
