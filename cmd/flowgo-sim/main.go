@@ -328,7 +328,7 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "pool:            %s (%d cores)\n", poolDesc, pool.TotalCores())
 	fmt.Fprintf(w, "policy:          %s\n", *policy)
 	if steal.Mode != engine.StealOff {
-		fmt.Fprintf(w, "work stealing:   %s (%d stolen)\n", steal.Mode, sim.EngineStats().Steals)
+		fmt.Fprintf(w, "work stealing:   %s (%d stolen)\n", *stealStr, sim.EngineStats().Steals)
 	}
 	if len(script) > 0 {
 		fmt.Fprintf(w, "faults:          %d scripted, %d tasks killed, %d re-executions\n",
@@ -513,7 +513,7 @@ func parseSteal(s string) (engine.StealConfig, error) {
 		if err != nil || n < 0 {
 			return engine.StealConfig{}, fmt.Errorf("bad steal threshold %q", s)
 		}
-		return engine.StealConfig{Mode: engine.StealThreshold, Threshold: n}, nil
+		return engine.StealConfig{Mode: engine.StealOnIdle, Threshold: n}, nil
 	default:
 		return engine.StealConfig{}, fmt.Errorf("unknown steal mode %q (want off | on-idle | threshold:<n>)", s)
 	}

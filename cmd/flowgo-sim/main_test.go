@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // sim runs flowgo-sim in-process and returns what it printed.
@@ -251,6 +253,26 @@ work stealing:   on-idle (0 stolen)
 faults:          1 scripted, 0 tasks killed, 0 re-executions
 makespan:        23h51m39s (simulated)
 tasks completed: 2012`)
+}
+
+// TestParseSteal: there is one stealing mode; a threshold is its backlog
+// bound, and threshold:0 is on-idle.
+func TestParseSteal(t *testing.T) {
+	for in, want := range map[string]engine.StealConfig{
+		"off":          {},
+		"on-idle":      {Mode: engine.StealOnIdle},
+		"threshold:0":  {Mode: engine.StealOnIdle},
+		"threshold:50": {Mode: engine.StealOnIdle, Threshold: 50},
+	} {
+		if got, err := parseSteal(in); err != nil || got != want {
+			t.Errorf("parseSteal(%q) = %+v, %v; want %+v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"threshold:-1", "threshold:x"} {
+		if _, err := parseSteal(in); err == nil {
+			t.Errorf("parseSteal(%q) accepted", in)
+		}
+	}
 }
 
 func TestRejectsBadInput(t *testing.T) {

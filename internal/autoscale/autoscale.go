@@ -249,7 +249,7 @@ type Autoscaler struct {
 	// Nil in production; the parity suite cordons new nodes with it.
 	predrain  func(*resources.Node)
 	decisions []Decision
-	m         *obsv.AutoscaleMetrics
+	kinds     map[string]int64 // decisions by kind: the series Expose registers
 	// lastReady is the previous evaluation's queue depth: the delta
 	// against it is the burst discriminator (see rawDemand).
 	lastReady int
@@ -275,7 +275,7 @@ func New(tiers []Tier) (*Autoscaler, error) {
 	if len(tiers) == 0 {
 		return nil, fmt.Errorf("autoscale: at least one tier required")
 	}
-	a := &Autoscaler{tiers: make([]tier, len(tiers))}
+	a := &Autoscaler{tiers: make([]tier, len(tiers)), kinds: map[string]int64{}}
 	for i, t := range tiers {
 		a.tiers[i] = tier{Tier: t, elastic: map[string]*resources.Node{}, draining: map[string]*resources.Node{}}
 	}
@@ -313,11 +313,18 @@ func NewThreshold(t Tier, tasksPerCore float64, idleCores int) (*Autoscaler, err
 	return a, nil
 }
 
-// SetMetrics installs the decision counters (nil-safe; optional).
-func (a *Autoscaler) SetMetrics(m *obsv.AutoscaleMetrics) {
-	a.mu.Lock()
-	a.m = m
-	a.mu.Unlock()
+// Expose registers flowgo_autoscale_decisions_total on reg, one
+// func-backed series per kind of decision, each read under a.mu at
+// scrape time.
+func (a *Autoscaler) Expose(reg *obsv.Registry) {
+	for _, kind := range []string{"grow", "shrink", "reclaim", "hold"} {
+		reg.CounterFunc("flowgo_autoscale_decisions_total", "Autoscale decisions by kind.", obsv.Labels("kind", kind),
+			func() int64 {
+				a.mu.Lock()
+				defer a.mu.Unlock()
+				return a.kinds[kind]
+			})
+	}
 }
 
 // SetCordon installs the hook scale-down victims are drained through —
@@ -762,18 +769,16 @@ func (a *Autoscaler) Step(pool *resources.Pool, sig Signals) Action {
 		}
 	}
 	a.decisions = append(a.decisions, d)
-	if m := a.m; m != nil {
-		switch {
-		case act.Kind == Reclaimed:
-			m.Reclaims.Inc()
-		case d.Delta > 0:
-			m.Grows.Inc()
-		case d.Delta < 0:
-			m.Shrinks.Inc()
-		default:
-			m.Holds.Inc()
-		}
+	kind := "hold"
+	switch {
+	case act.Kind == Reclaimed:
+		kind = "reclaim"
+	case d.Delta > 0:
+		kind = "grow"
+	case d.Delta < 0:
+		kind = "shrink"
 	}
+	a.kinds[kind]++
 	return act
 }
 

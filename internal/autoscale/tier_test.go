@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obsv"
 	"repro/internal/resources"
 )
 
@@ -145,11 +146,12 @@ func TestShrinkUsesCordonHook(t *testing.T) {
 	}
 }
 
-// TestTierHammer races Steps from several goroutines against Decisions
-// readers and a load goroutine that reserves and releases cores on the
-// pool's nodes, and checks the tier books between steps: at most one
-// node draining per tier, at most Max elastic nodes, and each tier's
-// books naming exactly the pool's <tier>- members. Run it under -race.
+// TestTierHammer races Steps from several goroutines against a reader of
+// Decisions and of the decision series, and a load goroutine that
+// reserves and releases cores on the pool's nodes, and checks the tier
+// books between steps: at most one node draining per tier, at most Max
+// elastic nodes, and each tier's books naming exactly the pool's <tier>-
+// members. The series count every decision. Run it under -race.
 func TestTierHammer(t *testing.T) {
 	a, err := New([]Tier{
 		{Name: "cloud", Desc: resources.CloudVM, Cost: 1, Max: 3},
@@ -158,6 +160,8 @@ func TestTierHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obsv.NewRegistry()
+	a.Expose(reg)
 	pool := resources.NewPool()
 	if err := pool.Add(resources.NewNode("base-0", resources.FogDevice)); err != nil {
 		t.Fatal(err)
@@ -233,6 +237,7 @@ func TestTierHammer(t *testing.T) {
 				return
 			default:
 				_ = a.Decisions()
+				reg.Visit(func(string, float64) {})
 			}
 		}
 	}()
@@ -273,5 +278,10 @@ func TestTierHammer(t *testing.T) {
 	}
 	if got := len(a.Decisions()); got != 3*steps && !t.Failed() {
 		t.Fatalf("%d decisions recorded, want %d", got, 3*steps)
+	}
+	counted := 0.0
+	reg.Visit(func(_ string, v float64) { counted += v })
+	if counted != float64(3*steps) {
+		t.Fatalf("the decision series count %v decisions, want %d", counted, 3*steps)
 	}
 }

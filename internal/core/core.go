@@ -31,6 +31,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -338,6 +339,7 @@ type Runtime struct {
 	nextTask int64
 	nextData int64
 	stopped  bool
+	scratch  submitScratch
 	// runq holds the launches no goroutine has taken yet, oldest at
 	// runHead; takers counts the goroutines about to take one: freshly
 	// started, or between completing a task and their next pop — never in
@@ -491,27 +493,24 @@ func (rt *Runtime) admitLocked(name string) (TaskDef, error) {
 	}
 	def, ok := rt.defs[name]
 	if !ok {
-		return TaskDef{}, fmt.Errorf("%w: %s", ErrUnknownTask, name)
+		return TaskDef{}, fmt.Errorf("%w: %s", ErrUnknownTask, strings.Clone(name)) // the error keeps no caller's string
 	}
 	if !rt.cfg.Pool.AnyCapable(def.Constraints) {
-		return TaskDef{}, fmt.Errorf("%w: %s needs %+v", ErrUnplaceable, name, def.Constraints)
+		return TaskDef{}, fmt.Errorf("%w: %s needs %+v", ErrUnplaceable, def.Name, def.Constraints)
 	}
 	return def, nil
 }
 
-// paramRoom is the room one submission call — a batch, or a single
-// invocation — carves its tasks' parameter, argument, access and cell
-// lists from: one array each, sized by np parameters and na handles (a
-// handle reads and writes at most one version each).
+// paramRoom is the room one submission call carves its tasks' parameter,
+// argument, access and cell lists from: one array each, sized by its
+// parameters and handles (a handle reads and writes at most one version
+// each). The access lists are read by the access processor alone, so
+// their array is the runtime's, reused call after call.
 type paramRoom struct {
 	params   []Param
 	args     []any
 	accesses []deps.Access
 	cells    []*cell
-}
-
-func newRoom(np, na int) paramRoom {
-	return paramRoom{make([]Param, np), make([]any, np), make([]deps.Access, na), make([]*cell, 2*na)}
 }
 
 // handles counts the dependency-tracked parameters, one access each, and
@@ -657,43 +656,20 @@ func (rt *Runtime) resolve(t *rtTask, vals []any, err error) {
 }
 
 // Submit invokes a registered task asynchronously (default tenant; use
-// SubmitAll with TaskReq.Tenant for per-tenant accounting). Returns
-// ErrQuotaRejected when the admission controller refuses the
-// submission.
+// SubmitAll with TaskReq.Tenant for per-tenant accounting): a batch of one
+// through SubmitAll's path. Returns ErrQuotaRejected when the admission
+// controller refuses the submission.
 func (rt *Runtime) Submit(name string, params ...Param) (*Future, error) {
-	var na int
-	rt.mu.Lock()
-	def, err := rt.admitLocked(name)
-	if err == nil {
-		na, err = rt.handles(params)
-	}
+	tasks := make([]rtTask, 1)
+	reqs := [1]TaskReq{{Name: name, Params: params}}
+	n, err := rt.submit(reqs[:], tasks)
 	if err != nil {
-		rt.mu.Unlock()
 		return nil, err
 	}
-	rt.nextTask++
-	id := rt.nextTask
-	out, holds := rt.Admit(id, "") // under rt.mu: the restore test reads the value table
-	if out == autoscale.Rejected {
-		rt.nextTask-- // the ID was never registered anywhere
-		rt.mu.Unlock()
+	if n == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrQuotaRejected, name)
 	}
-	room := newRoom(len(params), na)
-	t := &rtTask{def: def}
-	res := rt.proc.Register(deps.TaskID(id), room.normalize(t, params))
-	rt.buildTaskLocked(t, id, res, &room)
-	rt.pending.Add(1)
-	// The engine counts only dependencies whose producer has not already
-	// finished; rt.mu is held through Add so a dependent can never slip in
-	// ahead of its producer's registration.
-	ready, _ := rt.eng.Add(&t.et, res.Deps, holds) // never a duplicate: id is rt.nextTask, drawn under rt.mu
-	ready = rt.resolveLocked(t) || ready
-	rt.mu.Unlock()
-	if ready {
-		rt.eng.Schedule()
-	}
-	return &t.future, nil
+	return &tasks[0].future, nil
 }
 
 // TaskReq names one invocation of a SubmitAll batch.
@@ -708,21 +684,62 @@ type TaskReq struct {
 }
 
 // SubmitAll submits a batch of invocations under one lock round-trip:
-// the whole batch is admitted, registered through the access processor's
-// batch path and added to the engine in one acquisition each, then a
-// single placement wave runs. The batch's tasks (futures included) and
-// their parameter lists are carved from one array each. Requests may
-// depend on earlier batch members. On a definition error (unknown name,
-// unplaceable constraints) nothing is registered and no future is
-// returned. A per-tenant quota rejection (Config.Admission) is
-// per-request instead: the rejected request's Future comes back already
-// resolved with ErrQuotaRejected, it is never registered — dependents
-// read the data's previous version — and the rest of the batch proceeds.
+// the whole batch is admitted, registered through the access processor
+// and added to the engine in one call each, then a single placement wave
+// runs. The batch's tasks (futures included) and their parameter lists
+// are carved from one array each. Requests may depend on earlier batch
+// members. On a definition error (unknown name, unplaceable constraints)
+// nothing is registered and no future is returned. A per-tenant quota
+// rejection (Config.Admission) is per-request instead: the rejected
+// request's Future comes back already resolved with ErrQuotaRejected, it
+// is never registered — dependents read the data's previous version — and
+// the rest of the batch proceeds.
 func (rt *Runtime) SubmitAll(reqs []TaskReq) ([]*Future, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
 	tasks := make([]rtTask, len(reqs)) // one slot per request; a rejected one keeps only its future
+	if i, err := rt.submit(reqs, tasks); err != nil {
+		return nil, fmt.Errorf("core: batch task %d: %w", i, err)
+	}
+	futures := make([]*Future, len(reqs))
+	for i := range tasks {
+		futures[i] = &tasks[i].future
+	}
+	return futures, nil
+}
+
+// submitScratch is the one registration path's per-call lists (rt.mu),
+// emptied after each call so that they pin no task.
+type submitScratch struct {
+	accesses []deps.Access
+	accepted []*rtTask
+	batch    []deps.TaskAccesses
+	holds    []int
+	results  []deps.Result
+	ets      []*engine.Task
+	prods    [][]deps.TaskID
+}
+
+// keptScratch bounds the batch whose lists submit keeps for the next call:
+// a larger one's, about 170 B a request, would stay reachable for the
+// runtime's life. Batches of the ledger's size, 256, reuse theirs.
+const keptScratch = 4096
+
+// empty clears s and returns it with length 0, keeping its array.
+func empty[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
+// submit is SubmitAll's and Submit's one registration path, SubmitAll's
+// contract less its errors' wording: tasks holds one slot per request. On
+// a definition error nothing is registered and n is the refused request's
+// index; otherwise n counts the requests admission accepted. Nothing a
+// request points at is kept — the parameters are copied, an error names
+// the definition's copy of a task name and the host keeps a copy of a
+// tenant's — so Submit's parameter list stays on its caller's stack.
+func (rt *Runtime) submit(reqs []TaskReq, tasks []rtTask) (n int, err error) {
 	rt.mu.Lock()
 	var np, na int
 	for i, r := range reqs {
@@ -733,49 +750,56 @@ func (rt *Runtime) SubmitAll(reqs []TaskReq) ([]*Future, error) {
 		}
 		if err != nil {
 			rt.mu.Unlock()
-			return nil, fmt.Errorf("core: batch task %d: %w", i, err)
+			return i, err
 		}
 		tasks[i].def = def
 		np, na = np+len(r.Params), na+n
 	}
-	room := newRoom(np, na)
-	futures := make([]*Future, len(reqs))
-	accepted := make([]*rtTask, 0, len(reqs))
-	batch := make([]deps.TaskAccesses, 0, len(reqs))
-	holds := make([]int, 0, len(reqs))
+	s := &rt.scratch
+	s.accesses = slices.Grow(s.accesses[:0], na)[:na]
+	room := paramRoom{make([]Param, np), make([]any, np), s.accesses, make([]*cell, 2*na)}
 	for i, r := range reqs {
 		t := &tasks[i]
-		futures[i] = &t.future
 		rt.nextTask++
 		id := rt.nextTask
-		out, h := rt.Admit(id, r.Tenant)
+		tenant := ""
+		if rt.cfg.Admission != nil {
+			tenant = strings.Clone(r.Tenant)
+		}
+		out, h := rt.Admit(id, tenant) // under rt.mu: the restore test reads the value table
 		if out == autoscale.Rejected {
 			rt.nextTask-- // the ID was never registered anywhere
-			t.future.complete(nil, fmt.Errorf("%w: batch task %d (%s)", ErrQuotaRejected, i, r.Name))
+			t.future.complete(nil, fmt.Errorf("%w: batch task %d (%s)", ErrQuotaRejected, i, t.def.Name))
 			continue
 		}
-		accepted = append(accepted, t)
-		batch = append(batch, deps.TaskAccesses{Task: deps.TaskID(id), Accesses: room.normalize(t, r.Params)})
-		holds = append(holds, h)
+		s.accepted = append(s.accepted, t)
+		s.batch = append(s.batch, deps.TaskAccesses{Task: deps.TaskID(id), Accesses: room.normalize(t, r.Params)})
+		s.holds = append(s.holds, h)
 	}
-	results := rt.proc.RegisterBatch(batch)
-	ets := make([]*engine.Task, len(accepted))
-	prods := make([][]deps.TaskID, len(accepted))
-	for j, t := range accepted {
-		rt.buildTaskLocked(t, int64(batch[j].Task), results[j], &room)
-		ets[j] = &t.et
-		prods[j] = results[j].Deps
+	s.results = rt.proc.AppendBatch(s.results, s.batch)
+	for j, t := range s.accepted {
+		rt.buildTaskLocked(t, int64(s.batch[j].Task), s.results[j], &room)
+		s.ets, s.prods = append(s.ets, &t.et), append(s.prods, s.results[j].Deps)
 	}
-	rt.pending.Add(int64(len(accepted)))
-	ready, _ := rt.eng.AddBatchHolds(ets, prods, holds) // never a duplicate: ids are rt.nextTask, drawn under rt.mu
-	for _, t := range accepted {
+	n = len(s.accepted)
+	rt.pending.Add(int64(n))
+	// The engine counts only dependencies whose producer has not already
+	// finished; rt.mu is held through Add so a dependent can never slip in
+	// ahead of its producer's registration.
+	ready, _ := rt.eng.Add(s.ets, s.prods, s.holds) // never a duplicate: ids are rt.nextTask, drawn under rt.mu
+	for _, t := range s.accepted {
 		ready = rt.resolveLocked(t) || ready
+	}
+	s.accepted, s.batch, s.holds = empty(s.accepted), empty(s.batch), s.holds[:0]
+	s.results, s.ets, s.prods = empty(s.results), empty(s.ets), empty(s.prods)
+	if len(reqs) > keptScratch {
+		*s = submitScratch{}
 	}
 	rt.mu.Unlock()
 	if ready {
 		rt.eng.Schedule()
 	}
-	return futures, nil
+	return n, nil
 }
 
 // coreExecutor adapts the runtime to engine.Executor: each placement runs

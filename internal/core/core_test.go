@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/autoscale"
 	"repro/internal/deps"
+	"repro/internal/engine"
 	"repro/internal/mlpredict"
 	"repro/internal/resources"
 	"repro/internal/simnet"
@@ -600,5 +604,96 @@ func TestTraceEventsCarryTimestamps(t *testing.T) {
 	}
 	if (spans[0].End - spans[0].Start) < 5*time.Millisecond {
 		t.Fatalf("span duration %v, want ≥ 5ms", (spans[0].End - spans[0].Start))
+	}
+}
+
+// TestSubmitErrorWording pins what Submit and SubmitAll report, which
+// share one registration path but word their errors apart: Submit returns
+// a definition error or a quota rejection as it is, SubmitAll names the
+// refused request's index in both.
+func TestSubmitErrorWording(t *testing.T) {
+	release := make(chan struct{})
+	rt := New(Config{Admission: autoscale.NewAdmission(autoscale.Quota{MaxInFlight: 1, MaxQueued: 1})})
+	defer rt.Shutdown()
+	defer close(release)
+	for _, def := range []TaskDef{
+		{Name: "block", Fn: func(context.Context, []any) ([]any, error) { <-release; return nil, nil }},
+		{Name: "big", Fn: func(context.Context, []any) ([]any, error) { return nil, nil }, Constraints: resources.Constraints{Cores: 64}},
+	} {
+		if err := rt.Register(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(err, is error, want string) {
+		t.Helper()
+		if !errors.Is(err, is) || err.Error() != want {
+			t.Errorf("err = %v, want %q (errors.Is %v)", err, want, is)
+		}
+	}
+	_, err := rt.Submit("nope")
+	check(err, ErrUnknownTask, "core: unknown task: nope")
+	_, err = rt.SubmitAll([]TaskReq{{Name: "block"}, {Name: "nope"}})
+	check(err, ErrUnknownTask, "core: batch task 1: core: unknown task: nope")
+	_, err = rt.Submit("big")
+	check(err, ErrUnplaceable, "core: no node can satisfy task constraints: big needs "+fmt.Sprintf("%+v", resources.Constraints{Cores: 64}))
+	_, err = rt.Submit("block", Read(New(Config{}).NewData()))
+	check(err, ErrForeignHandle, "core: handle belongs to another runtime: parameter 0")
+
+	for range 2 { // one admitted, one queued behind it
+		if _, err := rt.Submit("block"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = rt.Submit("block")
+	check(err, ErrQuotaRejected, "core: submission rejected by admission quota: block")
+	futs, err := rt.SubmitAll([]TaskReq{{Name: "block"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = futs[0].Wait()
+	check(err, ErrQuotaRejected, "core: submission rejected by admission quota: batch task 0 (block)")
+	if got := rt.Stats().Submitted; got != 2 {
+		t.Errorf("%d tasks registered, want the admitted and the queued one", got)
+	}
+}
+
+// TestSubmitScratchPinsNothing: the lists the registration path reuses
+// hold no task, result or engine task once a call returns, and a batch
+// larger than keptScratch leaves none of its arrays behind.
+func TestSubmitScratchPinsNothing(t *testing.T) {
+	rt := New(Config{})
+	defer rt.Shutdown()
+	if err := rt.Register(TaskDef{Name: "noop", Fn: func(context.Context, []any) ([]any, error) { return nil, nil }}); err != nil {
+		t.Fatal(err)
+	}
+	h := rt.NewData()
+	submit := func(n int) {
+		reqs := make([]TaskReq, n)
+		for i := range reqs {
+			reqs[i] = TaskReq{Name: "noop", Params: []Param{Update(h)}}
+		}
+		if _, err := rt.SubmitAll(reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit(256)
+	rt.mu.Lock()
+	s := rt.scratch
+	rt.mu.Unlock()
+	if cap(s.accepted) < 256 || cap(s.results) < 256 || cap(s.ets) < 256 {
+		t.Fatalf("a 256-request batch's lists were not kept: caps %d, %d, %d", cap(s.accepted), cap(s.results), cap(s.ets))
+	}
+	if slices.ContainsFunc(s.accepted[:cap(s.accepted)], func(t *rtTask) bool { return t != nil }) ||
+		slices.ContainsFunc(s.batch[:cap(s.batch)], func(b deps.TaskAccesses) bool { return b.Accesses != nil }) ||
+		slices.ContainsFunc(s.results[:cap(s.results)], func(r deps.Result) bool { return r.Writes != nil }) ||
+		slices.ContainsFunc(s.ets[:cap(s.ets)], func(t *engine.Task) bool { return t != nil }) ||
+		slices.ContainsFunc(s.prods[:cap(s.prods)], func(p []deps.TaskID) bool { return p != nil }) {
+		t.Fatal("the kept lists still hold the last batch's tasks or lists")
+	}
+	submit(keptScratch + 1)
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if !reflect.DeepEqual(rt.scratch, submitScratch{}) {
+		t.Fatalf("a %d-request batch left its lists behind", keptScratch+1)
 	}
 }

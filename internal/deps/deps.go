@@ -224,40 +224,22 @@ func (p *Processor) CurrentVersion(d DataID) Version {
 	return Version{Data: d, Ver: st.ver}
 }
 
-// Register records the accesses of a task and returns its dependencies and
-// the exact data versions it reads and writes. Accesses on the same datum
-// within one task should be merged by the caller (the most permissive rule
-// applies if not: later entries see the state left by earlier ones). It
-// allocates at most twice: Reads and Writes share one exact-size array,
-// Deps has its own.
-func (p *Processor) Register(task TaskID, accesses []Access) Result {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var s slab
-	return p.registerLocked(task, accesses, &s)
-}
-
-// TaskAccesses pairs a task with its declared accesses, for batch
-// registration.
+// TaskAccesses pairs a task with its declared accesses, for registration.
 type TaskAccesses struct {
 	Task     TaskID
 	Accesses []Access
 }
 
-// RegisterBatch registers several tasks under one lock acquisition, in
-// slice order, and returns one Result per task: the batch is atomic, and
-// its tasks' Reads, Writes and Deps are carved from arrays sized by a
-// counting pass over the batch's own accesses, so a simulation building a
-// million-task graph pays a handful of allocations per batch instead of
-// several per task. What a registration keeps is those arrays: they live
-// as long as any list carved from them, and the callers hold the lists
-// for the life of their tasks. The []Result itself is transient — a
-// caller that registers window by window passes one buffer to
-// AppendBatch instead.
-func (p *Processor) RegisterBatch(batch []TaskAccesses) []Result { return p.AppendBatch(nil, batch) }
-
-// AppendBatch is RegisterBatch appending the results to dst, so a caller
-// registering a graph window by window reuses one results buffer.
+// AppendBatch records the accesses of each task of batch, in slice order
+// under one lock acquisition, and appends to dst one Result per task: its
+// dependencies and the exact data versions it reads and writes. Accesses
+// on the same datum within one task should be merged by the caller (if
+// not, later entries see the state left by earlier ones). The tasks'
+// Reads, Writes and Deps are carved from arrays sized by a counting pass
+// over the batch, so a million-task graph pays a handful of allocations
+// per batch, not several per task; those arrays live as long as any list
+// carved from them. The results are transient: a caller registering
+// window by window, or submission by submission, reuses one dst.
 func (p *Processor) AppendBatch(dst []Result, batch []TaskAccesses) []Result {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -276,8 +258,7 @@ func (p *Processor) AppendBatch(dst []Result, batch []TaskAccesses) []Result {
 	return dst
 }
 
-// slab is the room one registration call — a batch, or a single task —
-// carves its tasks' lists from. A carved list has cap == len, so a
+// slab is the room one registration call carves its tasks' lists from. A carved list has cap == len, so a
 // consumer's append copies instead of writing into its neighbour.
 type slab struct {
 	vers []Version // Reads and Writes: the exact count, known before the walk
@@ -321,7 +302,8 @@ func (p *Processor) dependOn(task, on TaskID, kind EdgeKind) {
 	}
 }
 
-// registerLocked is Register with p.mu held, carving the result from s.
+// registerLocked registers one task with p.mu held, carving its result
+// from s.
 func (p *Processor) registerLocked(task TaskID, accesses []Access, s *slab) Result {
 	if len(accesses) == 0 {
 		return Result{}

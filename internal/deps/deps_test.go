@@ -6,8 +6,13 @@ import (
 	"testing/quick"
 )
 
+// register records one task's accesses: AppendBatch of a batch of one.
+func register(p *Processor, task TaskID, accs []Access) Result {
+	return p.AppendBatch(nil, []TaskAccesses{{Task: task, Accesses: accs}})[0]
+}
+
 func reg(p *Processor, task TaskID, accs ...Access) Result {
-	return p.Register(task, accs)
+	return register(p, task, accs)
 }
 
 func wantDeps(t *testing.T, got Result, want ...TaskID) {
@@ -195,7 +200,7 @@ func TestDepsPointBackwards(t *testing.T) {
 				used[d] = true
 				accs = append(accs, Access{Data: d, Dir: dirs[rng.Intn(len(dirs))]})
 			}
-			res := p.Register(task, accs)
+			res := register(p, task, accs)
 			for _, dep := range res.Deps {
 				if dep >= task {
 					return false
@@ -222,8 +227,8 @@ func TestRenamingNeverAddsEdges(t *testing.T) {
 			return []Access{{Data: DataID(rng.Intn(4)), Dir: dirs[rng.Intn(3)]}}
 		}
 		for task := TaskID(0); task < 50; task++ {
-			pr.Register(task, gen(rng1))
-			pn.Register(task, gen(rng2))
+			register(pr, task, gen(rng1))
+			register(pn, task, gen(rng2))
 		}
 		return pr.Stats().Total() <= pn.Stats().Total()
 	}
@@ -244,7 +249,7 @@ func TestRegisterBatchMatchesSequentialRegister(t *testing.T) {
 	seq := NewProcessor()
 	var want []Result
 	for i, acc := range accesses {
-		want = append(want, seq.Register(TaskID(i), acc))
+		want = append(want, register(seq, TaskID(i), acc))
 	}
 
 	batched := NewProcessor()
@@ -252,7 +257,7 @@ func TestRegisterBatchMatchesSequentialRegister(t *testing.T) {
 	for i, acc := range accesses {
 		batch[i] = TaskAccesses{Task: TaskID(i), Accesses: acc}
 	}
-	got := batched.RegisterBatch(batch)
+	got := batched.AppendBatch(nil, batch)
 
 	if len(got) != len(want) {
 		t.Fatalf("results = %d, want %d", len(got), len(want))

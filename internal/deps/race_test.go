@@ -19,13 +19,13 @@ func versionOf(list []Version, d DataID) int {
 
 // TestProcessorHammer is the processor's concurrency contract under the
 // race detector: eight goroutines register overlapping accesses through
-// Register and RegisterBatch while a ninth reads CurrentVersion and Stats.
-// Whatever order the lock admitted them in, the outcome must be one some
-// serial order produces: every datum's version chain is gapless with one
-// writer per version, every dependency is the writer or a group member of
-// a version the task saw (and the mandatory ones are all there), the
-// dependency graph is acyclic, and Stats counts exactly the edges handed
-// out.
+// AppendBatch, one task or a few at a time, while a ninth reads
+// CurrentVersion and Stats. Whatever order the lock admitted them in, the
+// outcome must be one some serial order produces: every datum's version
+// chain is gapless with one writer per version, every dependency is the
+// writer or a group member of a version the task saw (and the mandatory
+// ones are all there), the dependency graph is acyclic, and Stats counts
+// exactly the edges handed out.
 func TestProcessorHammer(t *testing.T) {
 	const writers, perWriter, data = 8, 400, 6
 	type registration struct {
@@ -84,14 +84,14 @@ func TestProcessorHammer(t *testing.T) {
 			for len(regs[g]) < perWriter {
 				if rng.Intn(2) == 0 {
 					ta := mint()
-					regs[g] = append(regs[g], registration{ta.Task, ta.Accesses, p.Register(ta.Task, ta.Accesses)})
+					regs[g] = append(regs[g], registration{ta.Task, ta.Accesses, register(p, ta.Task, ta.Accesses)})
 					continue
 				}
 				batch := make([]TaskAccesses, min(1+rng.Intn(4), perWriter-len(regs[g])))
 				for i := range batch {
 					batch[i] = mint()
 				}
-				for i, res := range p.RegisterBatch(batch) {
+				for i, res := range p.AppendBatch(nil, batch) {
 					regs[g] = append(regs[g], registration{batch[i].Task, batch[i].Accesses, res})
 				}
 			}

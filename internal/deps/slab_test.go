@@ -124,7 +124,8 @@ func randomBatch(rng *rand.Rand, firstID TaskID, n, data int) []TaskAccesses {
 	return batch
 }
 
-// TestSlabRegistrationMatchesOracle holds Register and RegisterBatch, with
+// TestSlabRegistrationMatchesOracle holds AppendBatch, task by task and in
+// batches, with
 // and without renaming, to the map-based oracle on seeded random access
 // lists: the same Deps, Reads and Writes per task and the same Stats by
 // kind, however the stream is cut into batches.
@@ -142,14 +143,14 @@ func TestSlabRegistrationMatchesOracle(t *testing.T) {
 			for round := 0; round < 12; round++ {
 				batch := randomBatch(rng, next, rng.Intn(40), 1+rng.Intn(12))
 				next += TaskID(len(batch))
-				got := batched.RegisterBatch(batch)
+				got := batched.AppendBatch(nil, batch)
 				for i, b := range batch {
 					w := want.register(b.Task, b.Accesses)
-					if one := single.Register(b.Task, b.Accesses); !sameResult(one, w) {
-						t.Fatalf("seed %d renaming %v task %d %v: Register %+v, oracle %+v", seed, renaming, b.Task, b.Accesses, one, w)
+					if one := register(single, b.Task, b.Accesses); !sameResult(one, w) {
+						t.Fatalf("seed %d renaming %v task %d %v: one by one %+v, oracle %+v", seed, renaming, b.Task, b.Accesses, one, w)
 					}
 					if !sameResult(got[i], w) {
-						t.Fatalf("seed %d renaming %v task %d %v: RegisterBatch %+v, oracle %+v", seed, renaming, b.Task, b.Accesses, got[i], w)
+						t.Fatalf("seed %d renaming %v task %d %v: batched %+v, oracle %+v", seed, renaming, b.Task, b.Accesses, got[i], w)
 					}
 				}
 				if single.Stats() != want.stats || batched.Stats() != want.stats {
@@ -166,8 +167,8 @@ func TestSlabRegistrationMatchesOracle(t *testing.T) {
 func TestCarvedListsDoNotAlias(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := NewProcessor(Renaming(false)) // more edges per task
-	p.RegisterBatch(randomBatch(rng, 1, 50, 6))
-	got := p.RegisterBatch(randomBatch(rng, 51, 200, 6))
+	p.AppendBatch(nil, randomBatch(rng, 1, 50, 6))
+	got := p.AppendBatch(nil, randomBatch(rng, 51, 200, 6))
 	want := make([]Result, len(got))
 	for i, r := range got {
 		want[i] = Result{Deps: slices.Clone(r.Deps), Reads: slices.Clone(r.Reads), Writes: slices.Clone(r.Writes)}
@@ -207,20 +208,21 @@ func stencilWindow(firstID TaskID, firstRow, rows, cells int) []TaskAccesses {
 }
 
 // TestRegistrationAllocBudget is the deterministic cost gate on the access
-// processor: a 1024-task stencil window through RegisterBatch is a handful
-// of arrays (results, versions, IDs), and a single Register is two.
+// processor: a 1024-task stencil window through AppendBatch is a handful
+// of arrays (results, versions, IDs), and a batch of one into a reused
+// results buffer — a live Submit — is two.
 func TestRegistrationAllocBudget(t *testing.T) {
 	const cells, rows = 128, 8
 	p := NewProcessor()
-	p.RegisterBatch(stencilWindow(1, 0, 2, cells)) // every datum has its state and a writer
+	p.AppendBatch(nil, stencilWindow(1, 0, 2, cells)) // every datum has its state and a writer
 	window := stencilWindow(1+2*cells, 2, rows, cells)
-	perWindow := testing.AllocsPerRun(20, func() { p.RegisterBatch(window) })
-	t.Logf("RegisterBatch: %v allocations per %d-task window", perWindow, len(window))
+	perWindow := testing.AllocsPerRun(20, func() { p.AppendBatch(nil, window) })
+	t.Logf("AppendBatch: %v allocations per %d-task window", perWindow, len(window))
 	if perTask := perWindow / float64(len(window)); perTask > 0.05 {
-		t.Fatalf("RegisterBatch: %.3f allocations per task (%v per %d-task window), budget 0.05", perTask, perWindow, len(window))
+		t.Fatalf("AppendBatch: %.3f allocations per task (%v per %d-task window), budget 0.05", perTask, perWindow, len(window))
 	}
-	one := window[cells+1]
-	if perCall := testing.AllocsPerRun(100, func() { p.Register(one.Task, one.Accesses) }); perCall > 2 {
-		t.Fatalf("Register: %v allocations per call, budget 2", perCall)
+	one, dst := window[cells+1:cells+2], []Result(nil)
+	if perCall := testing.AllocsPerRun(100, func() { dst = p.AppendBatch(dst[:0], one) }); perCall > 2 {
+		t.Fatalf("AppendBatch of one: %v allocations per call, budget 2", perCall)
 	}
 }

@@ -59,7 +59,7 @@ func BenchmarkReadyQueue(b *testing.B) {
 					Executor: exec,
 				})
 				for id := 1; id <= n; id++ {
-					e.Add(&engine.Task{
+					engine.AddOne(e, &engine.Task{
 						ID:          int64(id),
 						Class:       "bench",
 						EstDuration: time.Second,
@@ -116,12 +116,12 @@ func completedGraph(tb testing.TB, n int) (*engine.Engine, *transfer.Registry, *
 		})
 		prods = append(prods, nil)
 		if len(ts) == batch {
-			e.AddBatch(ts, prods)
+			e.Add(ts, prods, nil)
 			ts, prods = ts[:0], prods[:0]
 		}
 	}
 	if len(ts) > 0 {
-		e.AddBatch(ts, prods)
+		e.Add(ts, prods, nil)
 	}
 	e.Schedule()
 	done := 0

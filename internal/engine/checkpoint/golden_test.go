@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -179,6 +180,7 @@ func TestFormat3GoldenFiles(t *testing.T) {
 
 // A delta file a build before the log left beside its base is not read:
 // Latest is the base alone, and the next group goes to the base's log.
+// The file stays until a newer base is saved, which removes it.
 func TestOlderDeltaFilesAreNotRead(t *testing.T) {
 	old, err := NewStore(t.TempDir())
 	if err != nil {
@@ -204,6 +206,16 @@ func TestOlderDeltaFilesAreNotRead(t *testing.T) {
 	}
 	if latest, err := store.Latest(); err != nil || latest.Seq != 2 {
 		t.Fatalf("Latest after a group = %+v, %v; want seq 2", latest, err)
+	}
+	delta := filepath.Join(store.Dir(), goldenDeltaName)
+	if _, err := os.Stat(delta); err != nil {
+		t.Fatalf("the delta file went before a newer base was saved: %v", err)
+	}
+	if _, err := store.Save(goldenSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(delta); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("after a newer base, the older build's delta file is still there (stat: %v)", err)
 	}
 }
 

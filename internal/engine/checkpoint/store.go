@@ -12,8 +12,9 @@
 // Sync. A log's valid prefix ends at the first frame that is torn, fails
 // its checksum, does not decode or carve, or does not carry the sequence
 // number after the one before (a save that failed took that number);
-// nothing past it is applied, and the next append overwrites it. The delta-<seq>-<digest>.ckpt files of older builds are
-// not read.
+// nothing past it is applied, and the next append overwrites it. The
+// delta-<seq>-<digest>.ckpt files of older builds are not read, and each
+// base save removes those older than itself.
 package checkpoint
 
 import (
@@ -45,10 +46,12 @@ var (
 	ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 )
 
-// File-name prefixes: a base, and the log beside it.
+// File-name prefixes: a base, the log beside it, and an older build's
+// delta file, which is never read.
 const (
-	snapPrefix = "snap-"
-	logPrefix  = "log-"
+	snapPrefix  = "snap-"
+	logPrefix   = "log-"
+	deltaPrefix = "delta-"
 )
 
 // frameHeader is the length and the CRC32 before each frame's payload.
@@ -100,7 +103,7 @@ func NewStore(dir string, opts ...StoreOption) (*Store, error) {
 	if s.keep < 2 {
 		s.keep = 2
 	}
-	if bases := s.list(); len(bases) > 0 {
+	if bases := s.list(snapPrefix); len(bases) > 0 {
 		s.base = bases[len(bases)-1].seq // list sorts by sequence
 		s.seq = s.base
 		data, _ := os.ReadFile(s.logPath(s.base)) // none: an empty log
@@ -118,10 +121,10 @@ type baseFile struct {
 	seq  int
 }
 
-// list returns the bases in the directory sorted by sequence number
-// ascending. Unparseable names are ignored, and so are logs and the delta
-// files of older builds.
-func (s *Store) list() []baseFile {
+// list returns the files in the directory named <prefix><seq>-<digest>.ckpt
+// — the bases, or the delta files of older builds — sorted by sequence
+// number ascending. Unparseable names are ignored, and so are logs.
+func (s *Store) list(prefix string) []baseFile {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil
@@ -129,10 +132,10 @@ func (s *Store) list() []baseFile {
 	var out []baseFile
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, ".ckpt") {
+		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".ckpt") {
 			continue
 		}
-		// snap-<seq>-<digest>.ckpt
+		// <prefix><seq>-<digest>.ckpt
 		parts := strings.Split(strings.TrimSuffix(name, ".ckpt"), "-")
 		if len(parts) != 3 {
 			continue
@@ -273,15 +276,19 @@ func digest(data []byte) string {
 
 // pruneLocked bounds retention. The pruning unit is a base with its log:
 // everything strictly older than the keep-th newest base is removed, its
-// log with it. Logs never count against the retention budget.
+// log with it. Logs never count against the retention budget. An older
+// build's delta files are not read, and one older than the newest base
+// is not needed by it either, so those go too.
 func (s *Store) pruneLocked() {
-	bases := s.list()
-	if len(bases) <= s.keep {
-		return
-	}
-	for _, b := range bases[:len(bases)-s.keep] {
+	bases := s.list(snapPrefix)
+	for _, b := range bases[:max(len(bases)-s.keep, 0)] {
 		_ = os.Remove(filepath.Join(s.dir, b.name))
 		_ = os.Remove(s.logPath(b.seq))
+	}
+	for _, d := range s.list(deltaPrefix) {
+		if d.seq < s.base {
+			_ = os.Remove(filepath.Join(s.dir, d.name))
+		}
 	}
 }
 
@@ -347,7 +354,7 @@ func readFrames(data []byte, last int, fn func(d *Delta, seq int)) (valid int64)
 // log's valid prefix, and a corrupt base sends Latest one base further
 // back, with that base's log. ErrNoSnapshot when nothing valid remains.
 func (s *Store) Latest() (*Snapshot, error) {
-	bases := s.list()
+	bases := s.list(snapPrefix)
 	for i := len(bases) - 1; i >= 0; i-- {
 		snap, err := s.Load(filepath.Join(s.dir, bases[i].name))
 		if err != nil {
@@ -367,7 +374,7 @@ func (s *Store) Latest() (*Snapshot, error) {
 // (validity not checked; see Load). Each base's log sits beside it.
 func (s *Store) Snapshots() []string {
 	var out []string
-	for _, b := range s.list() {
+	for _, b := range s.list(snapPrefix) {
 		out = append(out, filepath.Join(s.dir, b.name))
 	}
 	return out

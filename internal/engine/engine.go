@@ -152,7 +152,7 @@ type Task struct {
 	sig        resources.SigID // interned constraint signature (index into Engine.ready)
 	waitCount  int32           // unmet producer edges + outstanding holds
 	holds      int32           // synthetic dependencies only ReleaseHold clears
-	fanOut     int32           // dependents registered but not yet wired (zero outside Add/AddBatch)
+	fanOut     int32           // dependents registered but not yet wired (zero outside Add)
 	epoch      int32           // placement counter
 	completed  bool            // completed at least once
 	prio       float64
@@ -222,14 +222,10 @@ const (
 	// StealOff disables stealing: a blocked bucket waits for the next
 	// completion wave.
 	StealOff StealMode = iota
-	// StealOnIdle re-offers the entries behind every blocked head to the
-	// capacity the wave left idle, deepest entry first.
+	// StealOnIdle re-offers the entries behind every blocked head with
+	// more than StealConfig.Threshold of them to the capacity the wave
+	// left idle, deepest entry first.
 	StealOnIdle
-	// StealThreshold steals like StealOnIdle, but only from buckets
-	// holding more than StealConfig.Threshold entries behind the blocked
-	// head — a backlog signal that avoids paying the scan for shallow
-	// queues that the next completion wave would drain anyway.
-	StealThreshold
 )
 
 // String returns the mode name.
@@ -239,8 +235,6 @@ func (m StealMode) String() string {
 		return "off"
 	case StealOnIdle:
 		return "on-idle"
-	case StealThreshold:
-		return "threshold"
 	default:
 		return fmt.Sprintf("StealMode(%d)", int(m))
 	}
@@ -250,8 +244,11 @@ func (m StealMode) String() string {
 type StealConfig struct {
 	// Mode selects the behaviour; the zero value is StealOff.
 	Mode StealMode
-	// Threshold is the minimum number of entries behind a blocked head
-	// before StealThreshold mode will steal from the bucket.
+	// Threshold is the number of entries behind a blocked head that its
+	// bucket must exceed before StealOnIdle steals from it: a backlog
+	// signal that avoids paying the scan for shallow queues that the next
+	// completion wave would drain anyway. 0 steals from every blocked
+	// bucket with anything behind its head.
 	Threshold int
 }
 
@@ -414,10 +411,10 @@ type Engine struct {
 	// fresh allocation); fitScratch is placeLocked's Candidates buffer.
 	fitScratch []*resources.Node
 	capScratch []*resources.Node
-	// Registration scratch: the producer→dependent edges one Add or
-	// AddBatch call resolved, in registration order, and how many of them
-	// land on a producer that has no dependents yet — the size of the
-	// array wireLocked carves those producers' lists from.
+	// Registration scratch: the producer→dependent edges one Add call
+	// resolved, in registration order, and how many of them land on a
+	// producer that has no dependents yet — the size of the array
+	// wireLocked carves those producers' lists from.
 	edges      []edge
 	freshEdges int
 	// earlyHolds banks ReleaseHold calls that arrived before their task
@@ -666,7 +663,7 @@ type Timing struct {
 	// ID is the task's graph-unique ID; Class its registered type name.
 	ID    int64
 	Class string
-	// Submit is when the task entered the engine (Add/AddBatch).
+	// Submit is when the task entered the engine (Add).
 	Submit time.Duration
 	// Ready is when its last dependency (or synthetic hold) cleared.
 	Ready time.Duration
@@ -696,37 +693,17 @@ func (e *Engine) Timings() []Timing {
 // ErrDuplicateID refuses a task whose ID is already registered.
 var ErrDuplicateID = errors.New("engine: duplicate task ID")
 
-// Add registers a task. producers lists the tasks it must wait for (from
-// the access processor); producers already completed — or unknown to the
-// engine — count as satisfied. holds adds synthetic dependencies cleared
-// later through ReleaseHold (delayed-release arrivals). Add does not
-// trigger placement — it reports whether the task went straight to the
-// ready queue, so the caller knows whether a Schedule is worthwhile.
-func (e *Engine) Add(t *Task, producers []deps.TaskID, holds int) (bool, error) {
-	e.mu.Lock()
-	defer e.unlock()
-	ready, err := e.addLocked(t, producers, holds)
-	e.wireLocked()
-	return ready, err
-}
-
-// AddBatch registers several tasks under a single lock acquisition —
-// submission-bound workloads pay one round-trip for the whole batch
-// instead of one per task. Tasks are registered in slice order, so
-// dependencies may point at earlier batch members. It reports whether any
-// task went straight to the ready queue (in which case the caller should
-// Schedule once) and the first refused task's error; the rest of the
-// batch is registered regardless.
-func (e *Engine) AddBatch(ts []*Task, producers [][]deps.TaskID) (bool, error) {
-	return e.AddBatchHolds(ts, producers, nil)
-}
-
-// AddBatchHolds is AddBatch with per-task synthetic holds: holds[i]
-// extra dependencies on ts[i], cleared later through ReleaseHold. A nil
-// holds slice means no holds anywhere — admission-gated batch
-// submission uses this to keep over-quota tasks invisible to the
-// scheduler while the rest of the batch proceeds.
-func (e *Engine) AddBatchHolds(ts []*Task, producers [][]deps.TaskID, holds []int) (ready bool, err error) {
+// Add registers tasks under a single lock acquisition, in slice order,
+// so dependencies may point at earlier batch members. producers[i] lists
+// the tasks ts[i] must wait for (from the access processor); producers
+// already completed — or unknown to the engine — count as satisfied.
+// holds[i] adds synthetic dependencies on ts[i], cleared later through
+// ReleaseHold (delayed-release arrivals, admission-queued submissions); a
+// nil holds means none anywhere. Add does not trigger placement — it
+// reports whether any task went straight to the ready queue, so the caller
+// knows whether a Schedule is worthwhile — and returns the first refused
+// task's error; the rest of the batch is registered regardless.
+func (e *Engine) Add(ts []*Task, producers [][]deps.TaskID, holds []int) (ready bool, err error) {
 	e.mu.Lock()
 	defer e.unlock()
 	for i, t := range ts {
@@ -1058,10 +1035,7 @@ func (e *Engine) placeWaveLocked(placed []Placement) []Placement {
 // choreography, so FailNode/Partition recovery applies to it unchanged.
 func (e *Engine) stealWaveLocked(placed []Placement) []Placement {
 	for _, b := range e.sigs {
-		if b.blocked != e.wave || len(b.q) < 2 {
-			continue
-		}
-		if e.cfg.Steal.Mode == StealThreshold && len(b.q)-1 <= e.cfg.Steal.Threshold {
+		if b.blocked != e.wave || len(b.q)-1 <= e.cfg.Steal.Threshold {
 			continue
 		}
 		for i := len(b.q) - 1; i >= 1; i-- {

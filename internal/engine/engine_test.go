@@ -66,9 +66,9 @@ func TestDependentsReleasedInOrder(t *testing.T) {
 	e, exec := newEngine(t, pool(1, 1), nil)
 	// 1 -> 2 -> 3 (producers passed explicitly, as the access processor
 	// would derive them).
-	e.Add(&engine.Task{ID: 1}, nil, 0)
-	e.Add(&engine.Task{ID: 2}, []deps.TaskID{1}, 0)
-	e.Add(&engine.Task{ID: 3}, []deps.TaskID{2}, 0)
+	engine.AddOne(e, &engine.Task{ID: 1}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 2}, []deps.TaskID{1}, 0)
+	engine.AddOne(e, &engine.Task{ID: 3}, []deps.TaskID{2}, 0)
 	e.Schedule()
 
 	var order []int64
@@ -94,7 +94,7 @@ func TestDependentsReleasedInOrder(t *testing.T) {
 // append and swap allocate nothing.
 func TestLogStartsAtFirstBase(t *testing.T) {
 	e, exec := newEngine(t, pool(1, 1), nil)
-	e.Add(&engine.Task{ID: 1}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 1}, nil, 0)
 	e.Schedule()
 	p, _ := exec.pop()
 	e.Complete(p.Task.ID, p.Epoch, false)
@@ -102,7 +102,7 @@ func TestLogStartsAtFirstBase(t *testing.T) {
 		t.Fatalf("SwapLog before any base = %+v, want nil", log)
 	}
 	e.StartLog()
-	e.Add(&engine.Task{ID: 2}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 2}, nil, 0)
 	e.Schedule()
 	want := []engine.TaskSnap{{ID: 2, State: engine.Pending}, {ID: 2, State: engine.Ready}, {ID: 2, State: engine.Running, Epoch: 1}}
 	log := e.SwapLog(nil)
@@ -122,7 +122,7 @@ func TestLogStartsAtFirstBase(t *testing.T) {
 func TestLowestIDReadyRunsFirst(t *testing.T) {
 	e, exec := newEngine(t, pool(1, 1), nil)
 	for id := int64(5); id >= 1; id-- {
-		e.Add(&engine.Task{ID: id}, nil, 0)
+		engine.AddOne(e, &engine.Task{ID: id}, nil, 0)
 	}
 	e.Schedule()
 	var order []int64
@@ -144,7 +144,7 @@ func TestLowestIDReadyRunsFirst(t *testing.T) {
 
 func TestHoldsDelayReadiness(t *testing.T) {
 	e, exec := newEngine(t, pool(1, 4), nil)
-	if ready, _ := e.Add(&engine.Task{ID: 1}, nil, 1); ready {
+	if ready, _ := engine.AddOne(e, &engine.Task{ID: 1}, nil, 1); ready {
 		t.Fatal("held task reported ready")
 	}
 	e.Schedule()
@@ -163,7 +163,7 @@ func TestHoldsDelayReadiness(t *testing.T) {
 func TestStaleCompletionIgnoredAfterKill(t *testing.T) {
 	p := pool(2, 1)
 	e, exec := newEngine(t, p, nil)
-	e.Add(&engine.Task{ID: 1}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 1}, nil, 0)
 	e.Schedule()
 	pl, ok := exec.pop()
 	if !ok {
@@ -199,8 +199,8 @@ func TestResubmitRecomputesLostLineage(t *testing.T) {
 	reg := transfer.NewRegistry()
 	e, exec := newEngine(t, p, reg)
 	k := deps.Version{Data: 1, Ver: 1}
-	e.Add(&engine.Task{ID: 1, OutputKeys: []deps.Version{k}}, nil, 0)
-	e.Add(&engine.Task{ID: 2, InputKeys: []deps.Version{k}}, []deps.TaskID{1}, 0)
+	engine.AddOne(e, &engine.Task{ID: 1, OutputKeys: []deps.Version{k}}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 2, InputKeys: []deps.Version{k}}, []deps.TaskID{1}, 0)
 	e.Schedule()
 
 	// Run the producer to completion.
@@ -254,10 +254,10 @@ func TestSignatureShardingBlocksOnlyOneBucket(t *testing.T) {
 	e, exec := newEngine(t, p, nil)
 	gpu := resources.Constraints{GPUs: 1}
 	// Two GPU tasks (only one fits at a time) ahead of four plain tasks.
-	e.Add(&engine.Task{ID: 1, Constraints: gpu}, nil, 0)
-	e.Add(&engine.Task{ID: 2, Constraints: gpu}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 1, Constraints: gpu}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 2, Constraints: gpu}, nil, 0)
 	for id := int64(3); id <= 6; id++ {
-		e.Add(&engine.Task{ID: id}, nil, 0)
+		engine.AddOne(e, &engine.Task{ID: id}, nil, 0)
 	}
 	e.Schedule()
 	// One GPU task runs; its sibling blocks that bucket only. All four
@@ -278,8 +278,8 @@ func TestSignatureShardingBlocksOnlyOneBucket(t *testing.T) {
 // input — and the task stays Pending until the producer completes.
 func TestSurplusHoldReleaseCannotEatProducerEdge(t *testing.T) {
 	e, exec := newEngine(t, pool(1, 2), nil)
-	e.Add(&engine.Task{ID: 1}, nil, 0)
-	e.Add(&engine.Task{ID: 2}, []deps.TaskID{1}, 1)
+	engine.AddOne(e, &engine.Task{ID: 1}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 2}, []deps.TaskID{1}, 1)
 	if e.ReleaseHold(2) {
 		t.Fatal("releasing the hold readied a task whose producer has not run")
 	}
@@ -309,14 +309,14 @@ func TestSurplusHoldReleaseCannotEatProducerEdge(t *testing.T) {
 // and the first registration keeps working.
 func TestDuplicateIDRefused(t *testing.T) {
 	e, exec := newEngine(t, pool(1, 4), nil)
-	e.Add(&engine.Task{ID: 1, Class: "first"}, nil, 0)
-	e.Add(&engine.Task{ID: 40}, nil, 0) // out of sequence: found through the sparse path
+	engine.AddOne(e, &engine.Task{ID: 1, Class: "first"}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 40}, nil, 0) // out of sequence: found through the sparse path
 	for _, id := range []int64{1, 40} {
-		if ready, err := e.Add(&engine.Task{ID: id}, nil, 0); ready || !errors.Is(err, engine.ErrDuplicateID) {
+		if ready, err := engine.AddOne(e, &engine.Task{ID: id}, nil, 0); ready || !errors.Is(err, engine.ErrDuplicateID) {
 			t.Fatalf("second Add of ID %d: ready=%v err=%v, want ErrDuplicateID", id, ready, err)
 		}
 	}
-	ready, err := e.AddBatch([]*engine.Task{{ID: 2}, {ID: 1}, {ID: 3}}, make([][]deps.TaskID, 3))
+	ready, err := e.Add([]*engine.Task{{ID: 2}, {ID: 1}, {ID: 3}}, make([][]deps.TaskID, 3), nil)
 	if !ready || !errors.Is(err, engine.ErrDuplicateID) {
 		t.Fatalf("batch with a duplicate: ready=%v err=%v, want the rest registered and ErrDuplicateID", ready, err)
 	}
@@ -340,8 +340,8 @@ func TestMultiNodeGroupReservation(t *testing.T) {
 	engine.CheckTaskRecordSteps(t)
 	p := pool(2, 4)
 	e, exec := newEngine(t, p, nil)
-	e.Add(&engine.Task{ID: 1, Constraints: resources.Constraints{Cores: 4, Nodes: 2}}, nil, 0)
-	e.Add(&engine.Task{ID: 2}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 1, Constraints: resources.Constraints{Cores: 4, Nodes: 2}}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 2}, nil, 0)
 	e.Schedule()
 	if len(exec.queue) != 1 {
 		t.Fatalf("placements = %d, want 1 (MPI task holds both nodes)", len(exec.queue))
@@ -366,7 +366,7 @@ func TestTransferAccounting(t *testing.T) {
 	reg.SetSize(k, 1e6)
 	reg.AddReplica(k, "b")
 	// FIFO places on node "a"; the input lives on "b" ⇒ one move.
-	e.Add(&engine.Task{ID: 1, InputKeys: []deps.Version{k}}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 1, InputKeys: []deps.Version{k}}, nil, 0)
 	e.Schedule()
 	pl, ok := exec.pop()
 	if !ok {
@@ -397,7 +397,7 @@ func TestFailNodeHammer(t *testing.T) {
 			Executor: &collectExec{}, Tracer: tr,
 		})
 		for id := int64(1); id <= nodes; id++ {
-			e.Add(&engine.Task{ID: id}, nil, 0)
+			engine.AddOne(e, &engine.Task{ID: id}, nil, 0)
 		}
 		e.Schedule() // one running task per node, for the crashes to kill
 		var mu sync.Mutex

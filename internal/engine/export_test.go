@@ -18,6 +18,11 @@ func ProducerIndexBuilt(e *Engine) bool {
 	return e.producer != nil
 }
 
+// AddOne registers one task through Add, as a batch of one.
+func AddOne(e *Engine, t *Task, producers []deps.TaskID, holds int) (bool, error) {
+	return e.Add([]*Task{t}, [][]deps.TaskID{producers}, []int{holds})
+}
+
 // LogTask appends task id's record to the checkpoint log, as a change to
 // it does: the mark path alone.
 func (e *Engine) LogTask(id int64) {

@@ -55,12 +55,12 @@ func (r *stencilRig) addLayer(t *testing.T, l int) {
 		}
 		acc = append(acc, deps.Access{Data: cell((l+1)%2, i), Dir: deps.Out})
 		id := int64(l*r.width + i + 1)
-		res := r.proc.Register(deps.TaskID(id), acc)
+		res := r.proc.AppendBatch(nil, []deps.TaskAccesses{{Task: deps.TaskID(id), Accesses: acc}})[0]
 		ts = append(ts, &engine.Task{ID: id, Constraints: resources.Constraints{Cores: 1},
 			InputKeys: res.Reads, OutputKeys: res.Writes})
 		prods = append(prods, res.Deps)
 	}
-	if _, err := r.e.AddBatch(ts, prods); err != nil {
+	if _, err := r.e.Add(ts, prods, nil); err != nil {
 		t.Fatal(err)
 	}
 }

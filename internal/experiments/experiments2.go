@@ -340,7 +340,7 @@ func e13WorkSteal(nLong, nShort int) (*Table, error) {
 	}{
 		{"off", engine.StealConfig{}},
 		{"on-idle", engine.StealConfig{Mode: engine.StealOnIdle}},
-		{"threshold:50", engine.StealConfig{Mode: engine.StealThreshold, Threshold: 50}},
+		{"threshold:50", engine.StealConfig{Mode: engine.StealOnIdle, Threshold: 50}},
 	} {
 		cfg := rig(sched.WaitFast{Inner: sched.MinLoad{}, MaxSlowdown: 2, MinWait: 10 * time.Second},
 			group{"hpc%d", 1, resources.Description{Cores: 4, MemoryMB: 32_000, SpeedFactor: 1, Class: resources.HPC}},

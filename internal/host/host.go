@@ -237,7 +237,7 @@ func New(cfg Config, b Backend) (*Host, error) {
 		// lands on the scheduler's books (and the trace) before removal.
 		cfg.Autoscale.SetCordon(h.eng.DrainNode)
 		if cfg.Metrics != nil {
-			cfg.Autoscale.SetMetrics(obsv.NewAutoscaleMetrics(cfg.Metrics))
+			cfg.Autoscale.Expose(cfg.Metrics)
 		}
 	}
 	if cfg.Admission != nil {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/autoscale"
+	"repro/internal/deps"
 	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
 	"repro/internal/engine/faults"
@@ -214,7 +215,7 @@ func TestAdmitAndTaskCompleted(t *testing.T) {
 		if (id == 1 && out != autoscale.Admitted) || (id == 2 && out != autoscale.Queued) || holds != int(id-1) {
 			t.Fatalf("Admit(%d) = %v under %d holds", id, out, holds)
 		}
-		eng.Add(&engine.Task{ID: id, Class: "t"}, nil, holds)
+		eng.Add([]*engine.Task{{ID: id, Class: "t"}}, make([][]deps.TaskID, 1), []int{holds})
 	}
 	eng.Schedule()
 	if len(x.launched) != 1 || x.launched[0].Task.ID != 1 {
@@ -249,7 +250,7 @@ func TestAdmitAndTaskCompleted(t *testing.T) {
 	if st := adm.Stats(); st != before {
 		t.Fatalf("resolved ID moved the controller's books: %+v -> %+v", before, st)
 	}
-	eng.Add(&engine.Task{ID: 3, Class: "t"}, nil, holds)
+	eng.Add([]*engine.Task{{ID: 3, Class: "t"}}, make([][]deps.TaskID, 1), []int{holds})
 	if done, _ := h.Resolve(3); !done {
 		t.Fatal("the recorded completion did not resolve")
 	}
@@ -279,7 +280,7 @@ func TestAutoscaleStepHoldsProvisioningNode(t *testing.T) {
 	h := newHost(t, tm, x, host.Config{
 		Pool: resources.NewPool(), Tracer: tr, Autoscale: scaler,
 	})
-	h.Engine().Add(&engine.Task{ID: 1, Class: "t"}, nil, 0)
+	h.Engine().Add([]*engine.Task{{ID: 1, Class: "t"}}, make([][]deps.TaskID, 1), nil)
 	if act := h.AutoscaleStep(); act.Kind != autoscale.Grew || act.Delay != 30*time.Second {
 		t.Fatalf("step = %+v, want a grow with the tier's delay", act)
 	}

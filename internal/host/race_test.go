@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/autoscale"
+	"repro/internal/deps"
 	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
 	"repro/internal/engine/faults"
@@ -79,13 +80,13 @@ func TestHostHammer(t *testing.T) {
 					if out != autoscale.Admitted {
 						t.Errorf("Admit(%d) = %v for a recorded completion", id, out)
 					}
-					eng.Add(task, nil, holds)
+					eng.Add([]*engine.Task{task}, make([][]deps.TaskID, 1), []int{holds})
 					if done, _ := h.Resolve(id); !done {
 						t.Errorf("recorded completion %d did not resolve", id)
 					}
 					continue
 				}
-				eng.Add(task, nil, 1)
+				eng.Add([]*engine.Task{task}, make([][]deps.TaskID, 1), []int{1})
 				if out, _ := h.Admit(id, tenant); out == autoscale.Admitted && eng.ReleaseHold(id) {
 					eng.Schedule()
 				}

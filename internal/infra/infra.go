@@ -270,7 +270,7 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 			}
 			ets[i], producers[i] = et, res.Deps
 		}
-		if _, err := s.eng.AddBatchHolds(ets[:len(win)], producers[:len(win)], holds[:len(win)]); err != nil {
+		if _, err := s.eng.Add(ets[:len(win)], producers[:len(win)], holds[:len(win)]); err != nil {
 			return nil, err
 		}
 	}

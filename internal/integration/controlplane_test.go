@@ -174,7 +174,7 @@ func TestUnconfiguredEntryPoints(t *testing.T) {
 // TestMetricsReachAutoscalerAndAdmission: Config.Metrics is the one
 // switch for a backend's instruments, so the autoscaler's decision
 // counter and the admission controller's families land on the registry
-// on both backends without a hand-wired SetMetrics.
+// on both backends without a hand-wired Expose.
 func TestMetricsReachAutoscalerAndAdmission(t *testing.T) {
 	tier := autoscale.Tier{Name: "vm", Desc: resources.Description{Cores: 2, MemoryMB: 4000, SpeedFactor: 1}, Max: 1}
 	parts := func() (*obsv.Registry, *autoscale.Autoscaler, *autoscale.Admission) {

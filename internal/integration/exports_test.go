@@ -25,7 +25,7 @@ import (
 // methods and types) in non-test files under internal/ and dislib/.
 // Lower it in the change that deletes some; raising it is a visible API
 // decision.
-const exportBudget = 575
+const exportBudget = 572
 
 // exportAllowlist names the exported internal declarations that stay
 // although no non-test code names them, each with its reason. A key is

@@ -195,7 +195,8 @@ func TestMakespanBounds(t *testing.T) {
 			var cp, serial time.Duration
 			for _, s := range specs {
 				var start time.Duration
-				for _, d := range proc.Register(deps.TaskID(s.ID), s.Accesses).Deps {
+				res := proc.AppendBatch(nil, []deps.TaskAccesses{{Task: deps.TaskID(s.ID), Accesses: s.Accesses}})
+				for _, d := range res[0].Deps {
 					start = max(start, finish[d])
 				}
 				finish[deps.TaskID(s.ID)] = start + s.Duration
