@@ -29,10 +29,7 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -427,50 +424,6 @@ type Engine struct {
 	launch   []Placement // scratch batch (guarded by launchMu)
 }
 
-// bucket is one signature's ready FIFO. blocked marks the wave in which
-// the head failed to place, parking the whole bucket for that wave; seen
-// marks the wave whose candidate view currently holds the bucket, so a
-// mid-wave refill re-admits it exactly once. The per-signature
-// ready-depth series reads len(q) (see pushReadyLocked).
-//
-// q is a window over a backing array that starts at base, off slots before
-// q[0]: popping the head advances the window instead of giving the front
-// capacity away, and insert slides the window back before it would grow.
-// Every other site edits q in place, which keeps the window's start.
-type bucket struct {
-	idx     resources.SigIndex // the signature's placement-index view (and label)
-	q       []*Task
-	base    []*Task // q's backing array from its first slot (length 0)
-	off     int     // popped slots between base and q
-	blocked int
-	seen    int
-}
-
-// pop removes the head; an emptied queue rewinds to the array's start.
-func (b *bucket) pop() {
-	b.q, b.off = b.q[1:], b.off+1
-	if len(b.q) == 0 {
-		b.q, b.off = b.base, 0
-	}
-}
-
-// insert places t at position at. A window that has run into the end of
-// its array with at least as many popped slots in front as live entries
-// slides down over them (amortised O(1) per pop) rather than reallocating
-// — on a dataflow graph, where tasks become ready one completion at a
-// time, that is every push.
-func (b *bucket) insert(at int, t *Task) {
-	if len(b.q) == cap(b.q) && b.off >= len(b.q) {
-		b.q = b.base[:copy(b.base[:cap(b.base)], b.q)]
-		b.off = 0
-	}
-	was := cap(b.q)
-	b.q = slices.Insert(b.q, at, t)
-	if cap(b.q) != was { // grown into a fresh array
-		b.base, b.off = b.q[:0], 0
-	}
-}
-
 // taskTable is the engine's one ID-keyed structure: every task in
 // registration order, found by ID without hashing while IDs run
 // consecutively from the first (what both backends produce) and through
@@ -562,38 +515,11 @@ func (e *Engine) unlock() {
 	e.mu.Unlock()
 }
 
-// producerLocked returns the last-registered task writing k. Only the
-// recovery and availability paths ask, so the index is built from the
-// task table, in registration order, on their first query, and addLocked
-// keeps it current from then on; a run in which no input ever lacks a
-// replica never builds it. Every asker has a registry, so no task's keys
-// have been dropped.
-func (e *Engine) producerLocked(k deps.Version) (*Task, bool) {
-	if e.producer == nil {
-		e.producer = make(map[deps.Version]*Task)
-		for _, t := range e.tasks.all {
-			for _, o := range t.OutputKeys {
-				e.producer[o] = t
-			}
-		}
-	}
-	t, ok := e.producer[k]
-	return t, ok
-}
-
 // ReadyCount returns the number of queued ready tasks (the elasticity
 // managers' pending-load signal). Lock-free: the count is maintained
 // atomically alongside the bucket state.
 func (e *Engine) ReadyCount() int {
 	return int(e.readyN.Load())
-}
-
-// logLocked appends t's record as it stands to an open checkpoint log:
-// registration and every transition, epoch bump or completion, after it.
-func (e *Engine) logLocked(t *Task) {
-	if e.log != nil {
-		e.log = append(e.log, snapLocked(t))
-	}
 }
 
 // Stats returns the activity counters as a mutually consistent snapshot:
@@ -688,827 +614,4 @@ func (e *Engine) Timings() []Timing {
 		})
 	}
 	return out
-}
-
-// ErrDuplicateID refuses a task whose ID is already registered.
-var ErrDuplicateID = errors.New("engine: duplicate task ID")
-
-// Add registers tasks under a single lock acquisition, in slice order,
-// so dependencies may point at earlier batch members. producers[i] lists
-// the tasks ts[i] must wait for (from the access processor); producers
-// already completed — or unknown to the engine — count as satisfied.
-// holds[i] adds synthetic dependencies on ts[i], cleared later through
-// ReleaseHold (delayed-release arrivals, admission-queued submissions); a
-// nil holds means none anywhere. Add does not trigger placement — it
-// reports whether any task went straight to the ready queue, so the caller
-// knows whether a Schedule is worthwhile — and returns the first refused
-// task's error; the rest of the batch is registered regardless.
-func (e *Engine) Add(ts []*Task, producers [][]deps.TaskID, holds []int) (ready bool, err error) {
-	e.mu.Lock()
-	defer e.unlock()
-	for i, t := range ts {
-		h := 0
-		if holds != nil {
-			h = holds[i]
-		}
-		r, addErr := e.addLocked(t, producers[i], h)
-		ready = ready || r
-		if err == nil {
-			err = addErr
-		}
-	}
-	e.wireLocked()
-	return ready, err
-}
-
-// edge is one resolved dependency: t waits for p.
-type edge struct{ p, t *Task }
-
-// addLocked registers t and counts its edges; the caller follows its last
-// addLocked with wireLocked, which hangs every counted edge on its
-// producer. Splitting the two lets a batch size each producer's list once.
-func (e *Engine) addLocked(t *Task, producers []deps.TaskID, holds int) (bool, error) {
-	if e.tasks.get(t.ID) != nil {
-		return false, fmt.Errorf("%w: %d", ErrDuplicateID, t.ID)
-	}
-	t.sig = e.cfg.Pool.IndexFor(t.Constraints).ID()
-	t.state = Pending
-	t.submitAt = e.cfg.Clock.Now()
-	t.readyAt, t.firstStart, t.doneAt = -1, -1, -1
-	e.logLocked(t)
-	for _, d := range producers {
-		if p := e.tasks.get(int64(d)); p != nil && !p.completed {
-			if p.fanOut++; len(p.dependents) == 0 {
-				e.freshEdges++
-			}
-			e.edges = append(e.edges, edge{p, t})
-			t.waitCount++
-		}
-	}
-	t.holds = int32(holds)
-	if early := e.earlyHolds[t.ID]; early > 0 { // releases that overtook this registration
-		delete(e.earlyHolds, t.ID)
-		t.holds = max(t.holds-early, 0)
-	}
-	t.waitCount += t.holds
-	if e.producer != nil {
-		for _, k := range t.OutputKeys {
-			e.producer[k] = t
-		}
-	}
-	e.tasks.add(t)
-	if t.waitCount == 0 {
-		t.state = Ready
-		e.pushReadyLocked(t)
-		return true, nil
-	}
-	return false, nil
-}
-
-// wireLocked hangs the edges addLocked counted on their producers, in
-// registration order. A producer with no dependents yet gets its list
-// carved — cap == len, so a later append copies out — from one array shared
-// by the whole call; one that has some grows once, by what the call adds.
-func (e *Engine) wireLocked() {
-	room := make([]*Task, e.freshEdges)
-	for _, ed := range e.edges {
-		p := ed.p
-		if n := int(p.fanOut); n > 0 { // first sighting: make room for all n
-			if len(p.dependents) == 0 {
-				p.dependents, room = room[:0:n], room[n:]
-			} else {
-				p.dependents = slices.Grow(p.dependents, n)
-			}
-			p.fanOut = 0
-		}
-		p.dependents = append(p.dependents, ed.t)
-	}
-	clear(e.edges) // scratch must not pin tasks
-	e.edges, e.freshEdges = e.edges[:0], 0
-}
-
-// ReleaseHold clears one synthetic dependency of a pending task and
-// reports whether the task became ready (in which case the caller should
-// Schedule). Holds are counted apart from producer edges, so a surplus
-// release is refused instead of eating an unmet input. A release for an
-// ID not registered yet is banked for its Add, which then reports the
-// task ready itself.
-func (e *Engine) ReleaseHold(id int64) bool {
-	e.mu.Lock()
-	defer e.unlock()
-	t := e.tasks.get(id)
-	if t == nil {
-		if e.earlyHolds == nil {
-			e.earlyHolds = make(map[int64]int32)
-		}
-		e.earlyHolds[id]++
-		return false
-	}
-	if t.holds == 0 {
-		return false
-	}
-	t.holds--
-	return e.edgeClearedLocked(t)
-}
-
-// edgeClearedLocked drops one of t's waits and queues it when that was
-// the last; it reports whether t became ready.
-func (e *Engine) edgeClearedLocked(t *Task) bool {
-	t.waitCount--
-	if t.waitCount != 0 || t.state != Pending {
-		return false
-	}
-	t.state = Ready
-	e.pushReadyLocked(t)
-	return true
-}
-
-// pushReadyLocked inserts a ready task into its signature bucket, keeping
-// the bucket ordered by (priority desc, ID asc). Priority is evaluated
-// once, at push time (for prioritising policies). The push logs the task's
-// record (a Pending→Ready transition is snapshot-relevant) and, mid-wave,
-// re-admits a refilled bucket into the wave's candidate view.
-func (e *Engine) pushReadyLocked(t *Task) {
-	e.logLocked(t)
-	if t.readyAt < 0 {
-		t.readyAt = e.cfg.Clock.Now()
-	}
-	if e.prio != nil {
-		t.prio = e.prio.Priority(e.viewLocked(t), e.cfg.SchedContext)
-	}
-	for int(t.sig) >= len(e.ready) {
-		e.ready = append(e.ready, nil)
-	}
-	b := e.ready[t.sig]
-	if b == nil {
-		idx := e.cfg.Pool.IndexFor(t.Constraints)
-		b = &bucket{idx: idx}
-		e.ready[t.sig] = b
-		if reg := e.cfg.Metrics; reg != nil {
-			reg.GaugeFunc("flowgo_ready_depth", "Ready-queue depth per constraint signature.",
-				obsv.Labels("sig", idx.Label()), e.read(func() int64 { return int64(len(b.q)) }))
-		}
-		pos := sort.Search(len(e.sigs), func(i int) bool { return e.sigs[i].idx.Label() >= idx.Label() })
-		e.sigs = slices.Insert(e.sigs, pos, b)
-	}
-	if e.waveActive && b.seen != e.wave && b.blocked != e.wave {
-		// A bucket that drained (or never existed) earlier in this wave
-		// just refilled — availability recomputes resubmit producers into
-		// the running wave. Blocked buckets stay out: nothing unblocks a
-		// signature until the next wave.
-		b.seen = e.wave
-		e.cand = append(e.cand, b)
-	}
-	// The common case (ascending IDs, equal priority) belongs at the tail
-	// and costs one comparison; only an out-of-order push searches.
-	at := len(b.q)
-	if at > 0 && headLess(t, b.q[at-1]) {
-		at = sort.Search(at, func(i int) bool { return headLess(t, b.q[i]) })
-	}
-	b.insert(at, t)
-	e.readyN.Add(1)
-}
-
-// headLess orders bucket heads: multi-node first, then higher priority,
-// then lower ID.
-func headLess(a, b *Task) bool {
-	an, bn := a.Constraints.EffectiveNodes(), b.Constraints.EffectiveNodes()
-	if an != bn {
-		return an > bn
-	}
-	if a.prio != b.prio {
-		return a.prio > b.prio
-	}
-	return a.ID < b.ID
-}
-
-// viewLocked fills the scratch scheduler-facing summary of a task. The
-// returned pointer is only valid until the next call; policies read it
-// during the decision and never retain it.
-func (e *Engine) viewLocked(t *Task) *sched.TaskView {
-	e.view = sched.TaskView{
-		ID:          t.ID,
-		Class:       t.Class,
-		Constraints: t.Constraints,
-		EstDuration: t.EstDuration,
-		InputKeys:   t.InputKeys,
-		InputBytes:  t.InputBytes,
-	}
-	return &e.view
-}
-
-// Schedule runs one placement wave: best queue head first, until every
-// signature is blocked or the buckets drain. Executor.Launch is invoked
-// after the engine lock is released, in placement order. An empty ready
-// set returns without touching either lock — the common case on a
-// completion storm whose successors are not yet released, and the reason
-// a million-task drain does not serialise on wave setup.
-func (e *Engine) Schedule() {
-	if e.readyN.Load() == 0 {
-		return
-	}
-	e.launchMu.Lock()
-	e.mu.Lock()
-	e.launch = e.placeWaveLocked(e.launch[:0])
-	e.unlock()
-	for _, p := range e.launch {
-		e.cfg.Executor.Launch(p)
-	}
-	e.launchMu.Unlock()
-}
-
-// placeWaveLocked is the placement loop, appending into placed. A head
-// that cannot be placed blocks its whole signature for the rest of the
-// wave: placeability depends only on the constraint signature, so its
-// siblings cannot be placed either — except through a policy decline,
-// which is task-specific; the steal phase below revisits those. A wave
-// whose placements staged replicas some parked task is waiting for wakes
-// those waiters and runs again (fresh wave, blocked flags reset), so
-// data made reachable by ordinary staging releases deferred work without
-// waiting for a heal.
-func (e *Engine) placeWaveLocked(placed []Placement) []Placement {
-	if e.readyN.Load() == 0 {
-		return placed
-	}
-	e.waveActive = true
-	defer func() { e.waveActive = false }()
-	m := e.met
-	for {
-		e.wave++
-		// Wave shape metrics. Duration is on the engine clock: zero in the
-		// simulator (virtual time stands still inside a wave), wall time
-		// live. The Now() calls are skipped entirely when metrics are off.
-		var waveStart time.Duration
-		if m.WaveSeconds != nil {
-			waveStart = e.cfg.Clock.Now()
-		}
-		waveBase := len(placed)
-		// Build this wave's candidate view once: every non-empty bucket.
-		// The selection loop below scans and compacts this view instead of
-		// rescanning every signature ever registered per placement — on a
-		// graph that has accumulated thousands of signatures but has a
-		// handful live, that is the difference between O(placements ×
-		// live) and O(placements × everything).
-		e.cand = e.cand[:0]
-		for _, b := range e.sigs {
-			if len(b.q) > 0 {
-				b.seen = e.wave
-				e.cand = append(e.cand, b)
-			}
-		}
-		for {
-			var bestB *bucket
-			var best *Task
-			live := e.cand[:0]
-			for _, b := range e.cand {
-				if b.blocked == e.wave {
-					continue // parked for the wave; drops out of the view
-				}
-				if len(b.q) == 0 {
-					b.seen = 0 // drained; a mid-wave refill re-admits it
-					continue
-				}
-				live = append(live, b)
-				if t := b.q[0]; best == nil || headLess(t, best) {
-					bestB, best = b, t
-				}
-			}
-			e.cand = live
-			if best == nil {
-				break
-			}
-			p, outcome := e.placeLocked(best)
-			switch outcome {
-			case placeOK:
-				placed = append(placed, p)
-				bestB.pop()
-				e.readyN.Add(-1)
-			case placeUnavailable:
-				// The head's inputs are unreachable: divert it into the
-				// availability wait set (which may resubmit producers into
-				// this very wave) and keep placing — unavailability is
-				// task-specific, so the bucket is not blocked.
-				bestB.pop()
-				e.readyN.Add(-1)
-				m.DeclineUnavailable.Inc()
-				e.divertUnavailableLocked(best)
-			case placeNoCapacity:
-				bestB.blocked = e.wave
-				m.DeclineNoCapacity.Inc()
-			default:
-				bestB.blocked = e.wave
-				m.DeclineDeclined.Inc()
-			}
-		}
-		if e.cfg.Steal.Mode != StealOff && e.readyN.Load() > 0 {
-			placed = e.stealWaveLocked(placed)
-		}
-		m.WaveSize.Observe(float64(len(placed) - waveBase))
-		if m.WaveSeconds != nil {
-			m.WaveSeconds.ObserveDuration(e.cfg.Clock.Now() - waveStart)
-		}
-		if len(e.pendingWakes) == 0 {
-			return placed
-		}
-		woken := 0
-		for _, k := range e.pendingWakes {
-			woken += e.wakeKeyWaitersLocked(k)
-		}
-		e.pendingWakes = e.pendingWakes[:0]
-		if woken == 0 {
-			return placed
-		}
-	}
-}
-
-// stealWaveLocked is the work-stealing phase of a placement wave: every
-// bucket the wave parked is re-scanned from the tail (the deepest,
-// lowest-priority entry) towards — but never including — the head, and
-// each entry is offered to whatever capacity the wave left idle through
-// the ordinary placement path. The head is never stolen: it keeps its
-// priority claim on the tier it is waiting for, and everything that is
-// not stolen keeps its bucket order. A signature-wide capacity failure
-// ends the bucket's scan at once — nothing shallower can fit either.
-//
-// A stolen task is indistinguishable from a normally placed one to the
-// rest of the engine: same reservation, staging, epoch and trace
-// choreography, so FailNode/Partition recovery applies to it unchanged.
-func (e *Engine) stealWaveLocked(placed []Placement) []Placement {
-	for _, b := range e.sigs {
-		if b.blocked != e.wave || len(b.q)-1 <= e.cfg.Steal.Threshold {
-			continue
-		}
-		for i := len(b.q) - 1; i >= 1; i-- {
-			t := b.q[i]
-			e.met.StealAttempts.Inc()
-			p, outcome := e.placeLocked(t)
-			if outcome == placeNoCapacity {
-				break
-			}
-			if outcome == placeDeclined || outcome == placeUnavailable {
-				// Unavailable entries are left queued rather than parked:
-				// diverting would mutate the bucket mid-scan, and the
-				// entry is classified properly once it reaches the head.
-				continue
-			}
-			b.q = append(b.q[:i], b.q[i+1:]...)
-			e.readyN.Add(-1)
-			e.stats.Steals++
-			if e.cfg.Tracer != nil {
-				e.cfg.Tracer.Record(trace.Event{
-					At: e.cfg.Clock.Now(), Kind: trace.TaskStolen, Task: t.ID,
-					Node: p.Primary().Name(), Info: b.idx.Label(),
-				})
-			}
-			placed = append(placed, p)
-		}
-	}
-	return placed
-}
-
-// placeOutcome distinguishes why a placement attempt failed: capacity
-// failures are signature-wide (every sibling of the task fails too),
-// policy declines are task-specific (a sibling may still be accepted —
-// the distinction work stealing runs on).
-type placeOutcome int
-
-const (
-	placeOK placeOutcome = iota
-	placeNoCapacity
-	placeDeclined
-	// placeUnavailable reports that the chosen primary cannot obtain at
-	// least one input (lost or partitioned) and the availability policy
-	// is not run-anyway; the attempt's classification is left in
-	// e.availMissing / e.availPrimary for divertUnavailableLocked.
-	placeUnavailable
-)
-
-// placeLocked tries to start one task now: policy choice, availability
-// classification, group reservation, input staging.
-func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
-	need := t.availNeed()
-	hinted := need != "" && e.cfg.Net != nil
-	capFail := placeNoCapacity
-	if hinted {
-		capFail = placeDeclined
-	}
-	wantNodes := t.Constraints.EffectiveNodes()
-
-	// The policy chooses among the fitting nodes once, at this one site.
-	// An unhinted single-node task's candidates are read through the
-	// signature's index, and no list is built unless the policy asks for
-	// one; a hinted task's and a group's are listed, because the hint
-	// filters them and the group draws its peers from them.
-	idx := e.ready[t.sig].idx // t is queued, so its bucket exists
-	cands := idx.Candidates(t.Constraints, &e.fitScratch)
-	var fitting []*resources.Node // the listed candidates; nil while read through the index
-	if hinted || wantNodes > 1 {
-		if hinted {
-			// Availability-recompute hint: this is a producer resubmitted for
-			// a consumer stranded behind a cut, so only nodes that can reach
-			// the consumer's side produce a useful replica. A capacity
-			// failure under the hint filter is task-specific — unhinted
-			// siblings may still fit the excluded nodes — so it is reported
-			// as a decline, not a signature-wide failure.
-			cands = cands.Filter(func(n *resources.Node) bool { return e.cfg.Net.Reachable(n.Name(), need) })
-		}
-		fitting = cands.Nodes()
-		if len(fitting) < wantNodes {
-			return Placement{}, capFail
-		}
-		// A bufferless view: a policy that filters it builds its own list
-		// and leaves fitting, which the peers and the re-offer read, alone.
-		cands = resources.ListCandidates(fitting)
-	} else if idx.FitCount() == 0 {
-		return Placement{}, placeNoCapacity
-	}
-	primary := e.cfg.Policy.Choose(e.viewLocked(t), cands, e.cfg.SchedContext)
-	if primary == nil {
-		return Placement{}, placeDeclined
-	}
-
-	// Classify inputs against the chosen primary before reserving
-	// anything: reachable inputs get a fetch plan; partitioned ones —
-	// and lost ones with a registered producer — are handed to the
-	// availability policy. A missing key with no producer is external
-	// data the run never staged (or lost for good): no policy can bring
-	// it back, so it keeps the historical run-anyway semantics and is
-	// not counted as an actionable miss. Under run-anyway the launch
-	// proceeds regardless — the recovery path covers lost data whose
-	// producers are mid-resubmission, and partitioned data is simply
-	// (observably) absent.
-	var plan transfer.Plan
-	if e.mgr != nil {
-		plan = e.mgr.PlanFetch(primary.Name(), t.InputKeys)
-		if actionable := e.actionableMissesLocked(plan); len(actionable) > 0 && e.cfg.Availability != AvailRunAnyway {
-			// The chosen primary cannot be fed, but another fitting node
-			// may well be — the replica's own node, or one on the right
-			// side of the cut. Re-offer the choice over the feedable
-			// subset before giving up on the task for this wave. A
-			// placement read through the index lists its candidates only
-			// in this (rare) branch.
-			if fitting == nil {
-				fitting = cands.Nodes()
-			}
-			if alt, altPlan, ok := e.feedablePickLocked(t, fitting, primary); ok {
-				primary, plan = alt, altPlan
-			} else if e.feedableCapableLocked(t) {
-				// Some node that could ever run the task can be fed — the
-				// shortfall is busy capacity (or a policy decline), not
-				// the partition. Parking would be a trap: capacity
-				// release is not an availability wake source, so leave
-				// the task queued for the next completion wave instead.
-				return Placement{}, placeDeclined
-			} else {
-				e.availMissing = append(e.availMissing[:0], actionable...)
-				e.availPrimary = primary.Name()
-				return Placement{}, placeUnavailable
-			}
-		}
-	}
-
-	// Only a multi-node group materializes peers; the common placement
-	// reserves the primary and allocates nothing.
-	var peers []*resources.Node
-	for _, n := range fitting {
-		if n != primary && len(peers) < wantNodes-1 {
-			peers = append(peers, n)
-		}
-	}
-	if len(peers) < wantNodes-1 {
-		return Placement{}, capFail
-	}
-	if primary.Reserve(t.Constraints) != nil {
-		return Placement{}, capFail
-	}
-	for i, n := range peers {
-		if n.Reserve(t.Constraints) != nil {
-			primary.Release(t.Constraints)
-			for _, done := range peers[:i] {
-				done.Release(t.Constraints)
-			}
-			return Placement{}, capFail
-		}
-	}
-
-	// Stage the planned inputs onto the primary node.
-	var staging time.Duration
-	if e.mgr != nil {
-		e.mgr.Apply(plan)
-		// A staged copy may be the very replica a parked task waits for
-		// (now fetchable from this side of a cut). Wakes are queued and
-		// processed between waves: waking mid-steal would mutate the
-		// bucket a scan is walking.
-		for _, mv := range plan.Moves {
-			if _, waited := e.waiters[mv.Key]; waited {
-				e.pendingWakes = append(e.pendingWakes, mv.Key)
-			}
-		}
-		staging = plan.Time
-		e.stats.Transfers += len(plan.Moves)
-		e.stats.BytesMoved += plan.Bytes
-		e.stats.TransferTime += plan.Time
-		if len(plan.Moves) > 0 {
-			e.met.FetchSeconds.ObserveDuration(plan.Time)
-		}
-		if plan.Bytes > 0 && e.cfg.Tracer != nil {
-			e.cfg.Tracer.Record(trace.Event{
-				At: e.cfg.Clock.Now(), Kind: trace.DataTransfer, Task: t.ID,
-				Node: primary.Name(), Arg: plan.Bytes,
-			})
-		}
-		if actionable := e.actionableMissesLocked(plan); len(actionable) > 0 {
-			e.stats.RanMissing++
-			if e.cfg.Tracer != nil {
-				e.cfg.Tracer.Record(trace.Event{
-					At: e.cfg.Clock.Now(), Kind: trace.DataUnavailable, Task: t.ID,
-					Node: primary.Name(), Arg: int64(len(actionable)),
-				})
-			}
-		}
-	}
-
-	t.state = Running
-	t.started = e.cfg.Clock.Now()
-	if t.firstStart < 0 {
-		t.firstStart = t.started
-	}
-	t.epoch++
-	e.logLocked(t)
-	if t.node = primary; len(peers) > 0 {
-		t.coldRec().peers = peers
-	}
-	slow := 1.0
-	if len(e.slow) > 0 {
-		slow = max(slow, e.slow[primary.Name()])
-		for _, n := range peers {
-			slow = max(slow, e.slow[n.Name()]) // a group runs at its slowest member
-		}
-	}
-	e.stats.Launched++
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.Record(trace.Event{
-			At: e.cfg.Clock.Now(), Kind: trace.TaskStarted, Task: t.ID,
-			Node: primary.Name(), Info: t.Class,
-		})
-	}
-	return Placement{Task: t, Node: primary, Peers: peers, Epoch: int(t.epoch), TransferTime: staging, SlowFactor: slow}, placeOK
-}
-
-// Complete finishes a running task: reservations are released, outputs
-// are registered on the primary node (and the persistence tier), and — in
-// one lock acquisition — every successor is released, with the newly
-// ready ones pushed into their buckets. Stale completions (epoch mismatch
-// after a failure) report ok = false and have no effect. failed marks the
-// execution as errored: outputs are not registered and the trace records
-// TaskFailed. The caller should Schedule afterwards.
-func (e *Engine) Complete(id int64, epoch int, failed bool) (Completion, bool) {
-	e.mu.Lock()
-	defer e.unlock()
-	return e.completeLocked(e.tasks.get(id), epoch, failed)
-}
-
-// CompleteSchedule is Complete immediately followed by a placement wave,
-// sharing one lock acquisition — the completion fast path for backends
-// that do not coalesce waves.
-func (e *Engine) CompleteSchedule(id int64, epoch int, failed bool) (Completion, bool) {
-	e.launchMu.Lock()
-	e.mu.Lock()
-	c, ok := e.completeLocked(e.tasks.get(id), epoch, failed)
-	e.launch = e.placeWaveLocked(e.launch[:0])
-	e.unlock()
-	for _, p := range e.launch {
-		e.cfg.Executor.Launch(p)
-	}
-	e.launchMu.Unlock()
-	return c, ok
-}
-
-func (e *Engine) completeLocked(t *Task, epoch int, failed bool) (Completion, bool) {
-	if t == nil || t.state != Running || int(t.epoch) != epoch {
-		return Completion{}, false
-	}
-	c := Completion{Task: t, Ran: e.cfg.Clock.Now() - t.started}
-	// A completion can race a concurrent FailNode on the live backend: a
-	// member that left the pool meanwhile is neither released nor reported.
-	primary := t.node.Name()
-	if e.cfg.Pool.Release(t.node, t.Constraints) {
-		c.Node = t.node
-	}
-	for _, n := range t.peers() {
-		if e.cfg.Pool.Release(n, t.Constraints) {
-			c.Peers = append(c.Peers, n)
-		}
-	}
-	if !failed && e.cfg.Registry != nil {
-		// If the primary left the pool, its replicas were already dropped
-		// and must not be re-registered on the dead node — the output
-		// survives only on the persist tier.
-		for _, k := range t.OutputKeys {
-			if c.Node != nil {
-				e.cfg.Registry.AddReplica(k, primary)
-			}
-			if e.cfg.PersistNode != "" && e.cfg.PersistNode != primary {
-				e.cfg.Registry.AddReplica(k, e.cfg.PersistNode)
-				if e.cfg.Tracer != nil {
-					e.cfg.Tracer.Record(trace.Event{
-						At: e.cfg.Clock.Now(), Kind: trace.DataPersisted, Task: t.ID, Node: e.cfg.PersistNode,
-					})
-				}
-			}
-			// A fresh replica may be exactly what a parked task is waiting
-			// for (the availability-recompute hand-off): wake its waiters
-			// and let the next wave re-classify.
-			e.wakeKeyWaitersLocked(k)
-		}
-	}
-	if e.cfg.Tracer != nil {
-		kind := trace.TaskCompleted
-		if failed {
-			kind = trace.TaskFailed
-		}
-		e.cfg.Tracer.Record(trace.Event{At: e.cfg.Clock.Now(), Kind: kind, Task: t.ID, Node: primary})
-	}
-	e.stats.Completed++
-	if failed {
-		e.failed++
-	}
-
-	if t.doneAt < 0 {
-		t.doneAt = e.cfg.Clock.Now()
-	}
-	t.node = nil
-	if c.First = e.doneLocked(t); !c.First {
-		e.stats.Reexecuted++
-	}
-	if cold := t.cold; cold != nil {
-		cold.peers = nil
-		cold.availNeed = "" // a recompute hint is spent once the producer completes
-		// Wake tasks waiting on this re-execution (recovery).
-		for dt := range cold.redeps {
-			e.edgeClearedLocked(dt)
-		}
-		cold.redeps = nil
-	}
-	return c, true
-}
-
-// doneLocked marks t Done — by a live completion or a restored one — and
-// reports whether it is t's first. A first completion releases every
-// successor under this single lock acquisition; the edge list is consumed
-// (releases happen once), so it is dropped to keep long-lived graphs lean.
-func (e *Engine) doneLocked(t *Task) (first bool) {
-	first = !t.completed
-	t.completed, t.state = true, Done
-	e.logLocked(t)
-	if first {
-		for _, dt := range t.dependents {
-			e.edgeClearedLocked(dt)
-		}
-		t.dependents = nil
-	}
-	if e.cfg.Registry == nil {
-		// Without a replica registry there is no recovery resubmission,
-		// so a done task's access keys are dead weight.
-		t.InputKeys, t.OutputKeys = nil, nil
-	}
-	return first
-}
-
-// killRunningOn invalidates every running task that reserved the named
-// node (which the caller has already removed from the pool): reservations
-// on surviving group members are released, the pending completion event
-// is invalidated through the epoch, and the task returns to Pending with
-// no waits — ready for resubmit. The killed tasks are returned in
-// registration order.
-func (e *Engine) killRunningOn(name string) []*Task {
-	e.mu.Lock()
-	defer e.unlock()
-	var killed []*Task
-	for _, t := range e.tasks.all {
-		if t.state != Running {
-			continue
-		}
-		named := func(n *resources.Node) bool { return n.Name() == name }
-		if !named(t.node) && !slices.ContainsFunc(t.peers(), named) {
-			continue
-		}
-		for _, n := range t.peers() {
-			if !named(n) {
-				e.cfg.Pool.Release(n, t.Constraints)
-			}
-		}
-		if !named(t.node) {
-			e.cfg.Pool.Release(t.node, t.Constraints)
-		}
-		if t.node = nil; t.cold != nil {
-			t.cold.peers = nil
-		}
-		t.state = Pending
-		t.waitCount = 0
-		t.epoch++ // invalidate the in-flight completion event
-		e.logLocked(t)
-		killed = append(killed, t)
-	}
-	return killed
-}
-
-// dropReadyMissingInputs removes from the buckets every ready task that
-// has an input version with no replica left but a known producer (data
-// lost to a node failure), returning them reset to Pending so the caller
-// can resubmit each. Tasks whose missing inputs have no producer are left
-// queued: the data was external and nothing can recompute it.
-func (e *Engine) dropReadyMissingInputs() []*Task {
-	e.mu.Lock()
-	defer e.unlock()
-	if e.cfg.Registry == nil {
-		return nil
-	}
-	var dropped []*Task
-	for _, b := range e.sigs {
-		still := b.q[:0]
-		for _, t := range b.q {
-			if e.missingProducerLocked(t) {
-				t.state = Pending
-				t.waitCount = 0
-				e.readyN.Add(-1)
-				e.logLocked(t)
-				dropped = append(dropped, t)
-				continue
-			}
-			still = append(still, t)
-		}
-		b.q = still
-	}
-	return dropped
-}
-
-// missingProducerLocked reports whether t reads a version that lost every
-// replica and has a registered producer to recompute it.
-func (e *Engine) missingProducerLocked(t *Task) bool {
-	for _, k := range t.InputKeys {
-		if len(e.cfg.Registry.Where(k)) > 0 {
-			continue
-		}
-		if _, ok := e.producerLocked(k); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// resubmit queues a task for (re-)execution, recursively resubmitting the
-// producers of any input versions that lost every replica — the recompute-
-// lineage recovery path. Tasks that are already queued or running are left
-// alone. The caller should Schedule afterwards.
-func (e *Engine) resubmit(id int64) {
-	e.mu.Lock()
-	defer e.unlock()
-	if t := e.tasks.get(id); t != nil {
-		e.resubmitLocked(t)
-	}
-}
-
-func (e *Engine) resubmitLocked(t *Task) {
-	switch t.state {
-	case Ready, Running:
-		return
-	case Pending:
-		if t.waitCount > 0 {
-			return // already mid-resubmission (or waiting on live deps)
-		}
-	case Parked:
-		// A parked task re-entering the lineage path leaves the
-		// availability wait set; its unreachable inputs are re-classified
-		// below (lost ones recompute, partitioned ones re-park at
-		// placement).
-		e.unparkLocked(t)
-		fallthrough
-	case Done:
-		t.state = Pending
-		t.waitCount = 0
-		e.logLocked(t)
-	}
-	for _, k := range t.InputKeys {
-		if e.cfg.Registry == nil || len(e.cfg.Registry.Where(k)) > 0 {
-			continue
-		}
-		pt, ok := e.producerLocked(k)
-		if !ok {
-			continue // external data lost for good; nothing to recompute
-		}
-		cold := pt.coldRec()
-		if _, dup := cold.redeps[t]; !dup {
-			if cold.redeps == nil {
-				cold.redeps = make(map[*Task]struct{})
-			}
-			cold.redeps[t] = struct{}{}
-			t.waitCount++
-		}
-		e.resubmitLocked(pt)
-	}
-	if t.waitCount == 0 {
-		t.state = Ready
-		e.pushReadyLocked(t)
-	}
 }

@@ -71,6 +71,14 @@ func snapLocked(t *Task) TaskSnap {
 	}
 }
 
+// logLocked appends t's record as it stands to an open checkpoint log:
+// registration and every transition, epoch bump or completion, after it.
+func (e *Engine) logLocked(t *Task) {
+	if e.log != nil {
+		e.log = append(e.log, snapLocked(t))
+	}
+}
+
 // StartLog is SnapshotTasks for a base capture: under the same lock it
 // (re)opens the checkpoint log empty, so the base and the records logged
 // after it hold every change. Plain SnapshotTasks leaves the log alone,
