@@ -55,14 +55,7 @@ func (vt *valueTable) Attach(catalog []checkpoint.CatalogEntry) {
 }
 
 // byKey orders a catalog row against a version, the catalog's order.
-func byKey(en checkpoint.CatalogEntry, k deps.Version) int {
-	if en.Key.Less(k) {
-		return -1
-	} else if k.Less(en.Key) {
-		return 1
-	}
-	return 0
-}
+func byKey(en checkpoint.CatalogEntry, k deps.Version) int { return en.Key.Compare(k) }
 
 // Seed decodes a restored row's value into the restored table, where
 // NewData, Present and a resolved submission find it. It runs inside

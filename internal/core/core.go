@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -928,7 +927,7 @@ func commLocksLocked(t *rtTask) []*sync.Mutex {
 	for _, cp := range t.comm {
 		cells = append(cells, cp.c)
 	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].key.Less(cells[j].key) })
+	slices.SortFunc(cells, func(a, b *cell) int { return a.key.Compare(b.key) })
 	cells = slices.Compact(cells)
 	locks := make([]*sync.Mutex, len(cells))
 	for i, c := range cells {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -402,7 +401,7 @@ func TestProvenanceMergesCommutativeMembers(t *testing.T) {
 		want = append(want, deps.Version{Data: x.id, Ver: 1})
 	}
 	rt.Barrier()
-	sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
+	slices.SortFunc(want, deps.Version.Compare)
 	got := prov.Ancestry(deps.Version{Data: acc.id, Ver: 1})
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("ancestry of the reduced version = %v, want %v", got, want)

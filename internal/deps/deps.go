@@ -96,12 +96,10 @@ type Version struct {
 // String formats the version as d<id>v<ver>.
 func (v Version) String() string { return fmt.Sprintf("d%dv%d", v.Data, v.Ver) }
 
-// Less orders versions by (Data, Ver) — the canonical catalog order.
-func (v Version) Less(o Version) bool {
-	if v.Data != o.Data {
-		return v.Data < o.Data
-	}
-	return v.Ver < o.Ver
+// Compare orders versions by (Data, Ver) — the canonical catalog order —
+// returning -1, 0 or +1 as cmp.Compare does.
+func (v Version) Compare(o Version) int {
+	return cmp.Or(cmp.Compare(v.Data, o.Data), cmp.Compare(v.Ver, o.Ver))
 }
 
 // EdgeKind classifies a dependency edge.

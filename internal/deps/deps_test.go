@@ -281,8 +281,8 @@ func TestRegisterBatchMatchesSequentialRegister(t *testing.T) {
 
 func TestVersionOrderAndString(t *testing.T) {
 	a, b, c := Version{Data: 1, Ver: 2}, Version{Data: 2, Ver: 0}, Version{Data: 2, Ver: 1}
-	if !a.Less(b) || !b.Less(c) || c.Less(b) || a.Less(a) {
-		t.Fatal("Less is not the (Data, Ver) order")
+	if a.Compare(b) >= 0 || b.Compare(c) >= 0 || c.Compare(b) <= 0 || a.Compare(a) != 0 {
+		t.Fatal("Compare is not the (Data, Ver) order")
 	}
 	if got := (Version{Data: 7, Ver: 2}).String(); got != "d7v2" {
 		t.Fatalf("String = %q", got)

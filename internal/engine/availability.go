@@ -14,8 +14,9 @@
 // Config.Availability selects the response to a partitioned or lost
 // input. AvailRunAnyway launches regardless (the pre-availability
 // behaviour, now observable through trace.DataUnavailable and
-// Stats.RanMissing). AvailDefer parks the task in a per-datum wait set
-// until a Heal or a fresh replica of the awaited version wakes it.
+// Stats.RanMissing). AvailDefer parks the task — the parked tasks, each
+// with the versions it awaits, are one list — until a Heal or a fresh
+// replica of an awaited version wakes it.
 // AvailRecompute parks the task too, but additionally resubmits the
 // producers of the unavailable versions through the ordinary lineage
 // path — pinned, via an internal placement hint, to nodes that can reach
@@ -27,7 +28,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/deps"
 	"repro/internal/resources"
@@ -50,7 +50,7 @@ const (
 	// runtime's in-process value table) still compute correct results;
 	// the modelled transfer books simply under-report the moves.
 	AvailRunAnyway Availability = iota
-	// AvailDefer parks the task in a per-datum wait set instead of
+	// AvailDefer parks the task, with the versions it awaits, instead of
 	// launching it. The task wakes — and is re-classified from scratch —
 	// when a partition heals, when a replica of an awaited version is
 	// registered, or when a node failure forces a sweep. Under a
@@ -98,22 +98,22 @@ func ParseAvailability(s string) (Availability, error) {
 	}
 }
 
-// ParkedCount returns the number of tasks currently parked in the
-// availability wait set — work that exists but cannot be fed until a
-// partition heals or a replica reappears.
+// ParkedCount returns the number of tasks currently parked — work that
+// exists but cannot be fed until a partition heals or a replica
+// reappears.
 func (e *Engine) ParkedCount() int {
 	e.mu.Lock()
 	defer e.unlock()
-	return e.parked
+	return len(e.parked)
 }
 
-// RevalidateAvailability wakes every task parked in the availability
-// wait set and runs a placement wave. Call it after adding capacity the
-// engine cannot observe on its own — pool growth, an undrained node —
-// since the new node may sit on the reachable side of a partition and
-// carry the parked work. Heals, fresh replicas and node failures
-// re-validate automatically; tasks whose data is still unobtainable
-// simply re-park. Returns the number of tasks woken.
+// RevalidateAvailability wakes every parked task and runs a placement
+// wave. Call it after adding capacity the engine cannot observe on its
+// own — pool growth, an undrained node — since the new node may sit on
+// the reachable side of a partition and carry the parked work. Heals,
+// fresh replicas and node failures re-validate automatically; tasks
+// whose data is still unobtainable simply re-park. Returns the number of
+// tasks woken.
 func (e *Engine) RevalidateAvailability() int {
 	woken := e.wakeAllParked()
 	e.Schedule()
@@ -197,18 +197,7 @@ func (e *Engine) divertUnavailableLocked(t *Task) {
 	t.state = Parked
 	e.logLocked(t)
 	t.coldRec().availKeys = keys
-	if e.waiters == nil {
-		e.waiters = make(map[deps.Version]map[*Task]struct{})
-	}
-	for _, k := range keys {
-		set, ok := e.waiters[k]
-		if !ok {
-			set = make(map[*Task]struct{})
-			e.waiters[k] = set
-		}
-		set[t] = struct{}{}
-	}
-	e.parked++
+	e.parked = append(e.parked, t)
 	e.stats.Deferred++
 	if e.cfg.Tracer != nil {
 		e.cfg.Tracer.Record(trace.Event{
@@ -246,80 +235,84 @@ func (e *Engine) divertUnavailableLocked(t *Task) {
 	}
 }
 
-// unparkLocked removes a Parked t from the wait sets without re-queueing
+// unparkLocked takes a Parked t off the parked list without re-queueing
 // it (the caller decides where it goes next, and sets its state).
 func (e *Engine) unparkLocked(t *Task) {
-	for _, k := range t.cold.availKeys { // a Parked task has its cold record
-		if set, ok := e.waiters[k]; ok {
-			delete(set, t)
-			if len(set) == 0 {
-				delete(e.waiters, k)
-			}
+	e.parked = slices.DeleteFunc(e.parked, func(p *Task) bool { return p == t })
+	t.cold.availKeys = nil // a Parked task has its cold record
+}
+
+// awaitedLocked reports whether some parked task awaits k.
+func (e *Engine) awaitedLocked(k deps.Version) bool {
+	return slices.ContainsFunc(e.parked, func(t *Task) bool { return slices.Contains(t.cold.availKeys, k) })
+}
+
+// wakeParkedLocked is the one wake: it releases every parked task that
+// rank admits back to the ready queue, in ascending (rank, ID), where the
+// next placement wave re-classifies its inputs from scratch (a task woken
+// optimistically simply parks again). One pass filters the parked list,
+// so a wake costs O(parked) however many tasks it releases. Returns how
+// many woke.
+func (e *Engine) wakeParkedLocked(rank func(*Task) (int, bool)) int {
+	type wake struct {
+		rank int
+		t    *Task
+	}
+	var woken []wake
+	kept := e.parked[:0]
+	for _, t := range e.parked {
+		if r, ok := rank(t); ok {
+			woken = append(woken, wake{r, t})
+		} else {
+			kept = append(kept, t)
 		}
 	}
-	t.cold.availKeys = nil
-	e.parked--
+	clear(e.parked[len(kept):]) // the list must not pin woken tasks
+	e.parked = kept
+	slices.SortFunc(woken, func(a, b wake) int { return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.t.ID, b.t.ID)) })
+	for _, w := range woken {
+		w.t.cold.availKeys = nil
+		w.t.state = Ready
+		e.pushReadyLocked(w.t)
+		e.stats.Woken++
+		if e.cfg.Tracer != nil {
+			e.cfg.Tracer.Record(trace.Event{At: e.cfg.Clock.Now(), Kind: trace.TaskWoken, Task: w.t.ID})
+		}
+	}
+	return len(woken)
 }
 
-// wakeLocked releases a parked task back to the ready queue, where the
-// next placement wave re-classifies its inputs from scratch (a task woken
-// optimistically simply parks again).
-func (e *Engine) wakeLocked(t *Task) {
-	e.unparkLocked(t)
-	t.state = Ready
-	e.pushReadyLocked(t)
-	e.stats.Woken++
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.Record(trace.Event{At: e.cfg.Clock.Now(), Kind: trace.TaskWoken, Task: t.ID})
-	}
-}
-
-// wakeKeyWaitersLocked wakes every task parked on the given data version —
-// called when a replica of it is (re)created — and returns how many.
-func (e *Engine) wakeKeyWaitersLocked(k deps.Version) int {
-	set, ok := e.waiters[k]
-	if !ok {
-		return 0
-	}
-	ts := make([]*Task, 0, len(set))
-	for t := range set {
-		ts = append(ts, t)
-	}
-	// Ascending IDs keep wake order deterministic across backends.
-	slices.SortFunc(ts, func(a, b *Task) int { return cmp.Compare(a.ID, b.ID) })
-	for _, t := range ts {
-		e.wakeLocked(t)
-	}
-	return len(ts)
+// wakeKeyLocked wakes the tasks parked on k — called when a replica of
+// it is (re)created — in ascending ID, and returns how many.
+func (e *Engine) wakeKeyLocked(k deps.Version) int {
+	return e.wakeParkedLocked(func(t *Task) (int, bool) { return 0, slices.Contains(t.cold.availKeys, k) })
 }
 
 // wakeReachable wakes tasks parked on versions that have become
 // obtainable again: some pool node can now reach a replica. Called after
 // a Heal; waking is optimistic (the placement wave re-classifies against
 // the actual chosen primary), but keys that are still fully cut off stay
-// parked, so a partial heal does not churn the whole wait set. Returns
-// how many tasks were woken.
+// parked, so a partial heal does not churn the parked list. Tasks wake
+// key by key in version order, each key's in ascending ID. Returns how
+// many tasks were woken.
 func (e *Engine) wakeReachable() int {
 	e.mu.Lock()
 	defer e.unlock()
-	if len(e.waiters) == 0 || e.cfg.Registry == nil || e.cfg.Net == nil {
+	if len(e.parked) == 0 || e.cfg.Registry == nil || e.cfg.Net == nil {
 		return 0
 	}
-	nodes := e.cfg.Pool.Nodes()
-	keys := make([]deps.Version, 0, len(e.waiters))
-	for k := range e.waiters {
-		keys = append(keys, k)
+	var keys []deps.Version
+	for _, t := range e.parked {
+		keys = append(keys, t.cold.availKeys...)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	before := e.stats.Woken
+	slices.SortFunc(keys, deps.Version.Compare)
+	keys = slices.Compact(keys)
+	nodes := e.cfg.Pool.Nodes()
+	reachable := keys[:0]
 	for _, k := range keys {
 		sources := e.cfg.Registry.Where(k)
 		if len(sources) == 0 {
 			continue // lost, not partitioned: only a replica can wake these
-		}
-		isSource := make(map[string]bool, len(sources))
-		for _, s := range sources {
-			isSource[s] = true
 		}
 		// A replica holder trivially reaches itself, which proves nothing
 		// for the waiter — if a holder could run the task, the feedable
@@ -327,32 +320,30 @@ func (e *Engine) wakeReachable() int {
 		// matters only when the data can now MOVE: some non-holder pool
 		// node reaches a source.
 		for _, n := range nodes {
-			if isSource[n.Name()] {
-				continue
-			}
-			if e.cfg.Net.ReachableAny(n.Name(), sources) {
-				e.wakeKeyWaitersLocked(k)
+			if !slices.Contains(sources, n.Name()) && e.cfg.Net.ReachableAny(n.Name(), sources) {
+				reachable = append(reachable, k)
 				break
 			}
 		}
 	}
-	return e.stats.Woken - before
+	// Key by key: each task wakes at the first of its keys to be reachable.
+	return e.wakeParkedLocked(func(t *Task) (int, bool) {
+		rank, ok := len(reachable), false
+		for _, k := range t.cold.availKeys {
+			if i, found := slices.BinarySearchFunc(reachable, k, deps.Version.Compare); found {
+				rank, ok = min(rank, i), true
+			}
+		}
+		return rank, ok
+	})
 }
 
-// wakeAllParked wakes every parked task, returning how many. Used when the
-// reachability picture changed wholesale (a heal, a node failure): the
-// placement wave, not this code, decides who can actually run now.
+// wakeAllParked wakes every parked task, in registration order, returning
+// how many. Used when the reachability picture changed wholesale (a node
+// failure, new capacity): the placement wave, not this code, decides who
+// can actually run now.
 func (e *Engine) wakeAllParked() int {
 	e.mu.Lock()
 	defer e.unlock()
-	woken := e.parked
-	for _, t := range e.tasks.all {
-		if e.parked == 0 {
-			break
-		}
-		if t.state == Parked {
-			e.wakeLocked(t)
-		}
-	}
-	return woken
+	return e.wakeParkedLocked(func(t *Task) (int, bool) { return e.tasks.pos(t.ID) })
 }

@@ -192,14 +192,8 @@ func Equivalent(a, b *Snapshot) error {
 			return fmt.Errorf("catalog %+v: locations %v vs %v", ca.Key, ca.Locations, cb.Locations)
 		}
 	}
-	sa, sb := a.Stats, b.Stats
-	if sa.Launched != sb.Launched || sa.Completed != sb.Completed ||
-		sa.Restored != sb.Restored || sa.Reexecuted != sb.Reexecuted ||
-		sa.Steals != sb.Steals || sa.Transfers != sb.Transfers ||
-		sa.BytesMoved != sb.BytesMoved || sa.TransferTime != sb.TransferTime ||
-		sa.RanMissing != sb.RanMissing || sa.Deferred != sb.Deferred ||
-		sa.Woken != sb.Woken || sa.AvailRecomputes != sb.AvailRecomputes {
-		return fmt.Errorf("stats differ: %+v vs %+v", sa, sb)
+	if a.Stats != b.Stats {
+		return fmt.Errorf("stats differ: %+v vs %+v", a.Stats, b.Stats)
 	}
 	return nil
 }

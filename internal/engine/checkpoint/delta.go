@@ -105,7 +105,7 @@ func (c *coalescer) coalesce(d *Delta) {
 		}
 		c.order = append(c.order, logged{d.Catalog[i].Key, i})
 	}
-	slices.SortFunc(c.order, func(a, b logged) int { return cmp.Or(compareKeys(a.key, b.key), a.at-b.at) })
+	slices.SortFunc(c.order, func(a, b logged) int { return cmp.Or(a.key.Compare(b.key), a.at-b.at) })
 	c.rows = slices.Grow(c.rows[:0], len(c.order))
 	for j, o := range c.order {
 		if j+1 == len(c.order) || c.order[j+1].key != o.key { // the key's last row
@@ -215,7 +215,7 @@ func (m *merger) mergeCatalog(rows []CatalogEntry) {
 		i, j := len(cat)-1, len(fresh)-1
 		cat = slices.Grow(cat, len(fresh))[:len(cat)+len(fresh)]
 		for k := len(cat) - 1; j >= 0; k-- {
-			if i >= 0 && compareKeys(cat[i].Key, fresh[j].Key) > 0 {
+			if i >= 0 && cat[i].Key.Compare(fresh[j].Key) > 0 {
 				cat[k], i = cat[i], i-1
 			} else {
 				cat[k], j = fresh[j], j-1
@@ -244,12 +244,4 @@ func (m *merger) snapshot() *Snapshot {
 	return snap
 }
 
-// compareKeys is deps.Version.Less three-way — the catalog order.
-func compareKeys(a, b deps.Version) int {
-	if c := cmp.Compare(a.Data, b.Data); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Ver, b.Ver)
-}
-
-func entryKey(en CatalogEntry, k deps.Version) int { return compareKeys(en.Key, k) }
+func entryKey(en CatalogEntry, k deps.Version) int { return en.Key.Compare(k) }

@@ -317,7 +317,7 @@ func (w *wireCatalog) entries() ([]CatalogEntry, error) {
 		return nil, fmt.Errorf("%w: %d keys, %d sizes, %d holder counts", errColumns, n, len(w.Sizes), len(w.Holders))
 	}
 	for i := 1; i < n; i++ {
-		if compareKeys(w.Keys[i-1], w.Keys[i]) >= 0 {
+		if w.Keys[i-1].Compare(w.Keys[i]) >= 0 {
 			return nil, fmt.Errorf("%w: catalog key %+v after %+v", errColumns, w.Keys[i], w.Keys[i-1])
 		}
 	}

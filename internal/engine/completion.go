@@ -76,7 +76,9 @@ func (e *Engine) completeLocked(t *Task, epoch int, failed bool) (Completion, bo
 			// A fresh replica may be exactly what a parked task is waiting
 			// for (the availability-recompute hand-off): wake its waiters
 			// and let the next wave re-classify.
-			e.wakeKeyWaitersLocked(k)
+			if len(e.parked) > 0 {
+				e.wakeKeyLocked(k)
+			}
 		}
 	}
 	if e.cfg.Tracer != nil {
@@ -235,8 +237,8 @@ func (e *Engine) resubmitLocked(t *Task) {
 			return // already mid-resubmission (or waiting on live deps)
 		}
 	case Parked:
-		// A parked task re-entering the lineage path leaves the
-		// availability wait set; its unreachable inputs are re-classified
+		// A parked task re-entering the lineage path leaves the parked
+		// list; its unreachable inputs are re-classified
 		// below (lost ones recompute, partitioned ones re-park at
 		// placement).
 		e.unparkLocked(t)

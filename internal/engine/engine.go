@@ -111,9 +111,9 @@ const (
 	Running
 	// Done tasks have completed at least once.
 	Done
-	// Parked tasks sit in the availability wait set: every replica of at
-	// least one input is lost or partitioned away, and Config.Availability
-	// chose to hold the task until a heal or a fresh replica wakes it.
+	// Parked tasks wait on the parked list: every replica of at least one
+	// input is lost or partitioned away, and Config.Availability chose to
+	// hold the task until a heal or a fresh replica wakes it.
 	Parked
 )
 
@@ -318,23 +318,20 @@ type Stats struct {
 	// input had no reachable replica (Availability == AvailRunAnyway) —
 	// the executions the defer/recompute policies exist to eliminate.
 	RanMissing int
-	// Deferred counts park events: placement attempts diverted into the
-	// availability wait set (a task woken optimistically and re-parked
-	// counts again).
+	// Deferred counts park events: placement attempts diverted onto the
+	// parked list (a task woken optimistically and re-parked counts
+	// again).
 	Deferred int
-	// Woken counts releases from the availability wait set back to the
-	// ready queue (heals, fresh replicas, failure sweeps).
+	// Woken counts releases from the parked list back to the ready queue
+	// (heals, fresh replicas, failure sweeps).
 	Woken int
 	// AvailRecomputes counts producer resubmissions triggered by
 	// AvailRecompute placement decisions (every one also shows up in
 	// Reexecuted when the producer had completed before).
 	AvailRecomputes int
-	// AdmitQueued counts submissions the admission controller held back
-	// for a freed quota slot; AdmitRejected counts submissions it refused
-	// outright (per-tenant queue bound exceeded). The engine never queues
-	// or rejects itself — backends record outcomes through
-	// RecordAdmission so both counters ride the same consistent snapshot
-	// as the scheduling counters.
+	// AdmitQueued and AdmitRejected stay zero (autoscale.Admission counts
+	// admissions): checkpoints gob-encode Stats, field names included, so
+	// deleting them would move checkpoint Format 3's bytes.
 	AdmitQueued   int
 	AdmitRejected int
 }
@@ -391,14 +388,13 @@ type Engine struct {
 	// capture opens it, so a run that never checkpoints pays one nil check
 	// per change.
 	log []TaskSnap
-	// Availability wait set: tasks parked on unavailable data versions
-	// (see availability.go), plus the scratch a placement attempt leaves
-	// for divertUnavailableLocked.
-	waiters      map[deps.Version]map[*Task]struct{} // parked tasks per missing datum
-	parked       int                                 // tasks in state Parked
-	availMissing []deps.Version                      // scratch: last attempt's unavailable inputs
-	availPrimary string                              // scratch: last attempt's chosen primary
-	pendingWakes []deps.Version                      // staged replicas with waiters (processed between waves)
+	// The parked tasks, in park order, each holding the versions it awaits
+	// in its cold record (see availability.go), plus the scratch a
+	// placement attempt leaves for divertUnavailableLocked.
+	parked       []*Task
+	availMissing []deps.Version // scratch: last attempt's unavailable inputs
+	availPrimary string         // scratch: last attempt's chosen primary
+	pendingWakes []deps.Version // staged replicas some parked task awaits (processed between waves)
 	stats        Stats
 	failed       int                 // completions with failed set, also counted in stats.Completed
 	met          *obsv.EngineMetrics // instruments for what only the metrics record
@@ -431,25 +427,34 @@ type Engine struct {
 // scheduling paths hold *Task.
 type taskTable struct {
 	all    []*Task
-	sparse map[int64]*Task // tasks whose ID is not all[0].ID + their position
+	sparse map[int64]int // the position of each task whose ID is not all[0].ID + its position
+}
+
+// pos returns the registration position of the task with the given ID.
+func (tt *taskTable) pos(id int64) (int, bool) {
+	if len(tt.all) > 0 {
+		if i := id - tt.all[0].ID; i >= 0 && i < int64(len(tt.all)) && tt.all[i].ID == id {
+			return int(i), true
+		}
+	}
+	i, ok := tt.sparse[id]
+	return i, ok
 }
 
 func (tt *taskTable) get(id int64) *Task {
-	if len(tt.all) > 0 {
-		if i := id - tt.all[0].ID; i >= 0 && i < int64(len(tt.all)) && tt.all[i].ID == id {
-			return tt.all[i]
-		}
+	if i, ok := tt.pos(id); ok {
+		return tt.all[i]
 	}
-	return tt.sparse[id]
+	return nil
 }
 
 // add registers t; the caller has checked that its ID is free.
 func (tt *taskTable) add(t *Task) {
 	if n := len(tt.all); n > 0 && t.ID != tt.all[0].ID+int64(n) {
 		if tt.sparse == nil {
-			tt.sparse = make(map[int64]*Task)
+			tt.sparse = make(map[int64]int)
 		}
-		tt.sparse[t.ID] = t
+		tt.sparse[t.ID] = n
 	}
 	tt.all = append(tt.all, t)
 }
@@ -491,7 +496,7 @@ func (e *Engine) expose(reg *obsv.Registry) {
 	counter("flowgo_transfers_total", "Input data moves.", func() int64 { return int64(e.stats.Transfers) })
 	counter("flowgo_transfer_bytes_total", "Bytes moved staging inputs.", func() int64 { return e.stats.BytesMoved })
 	counter("flowgo_placement_waves_total", "Placement waves run.", func() int64 { return int64(e.wave) })
-	reg.GaugeFunc("flowgo_parked_tasks", "Tasks parked by the availability policy.", "", e.read(func() int64 { return int64(e.parked) }))
+	reg.GaugeFunc("flowgo_parked_tasks", "Tasks parked by the availability policy.", "", e.read(func() int64 { return int64(len(e.parked)) }))
 }
 
 // read wraps f, which reads engine state, in one e.mu acquisition.
@@ -532,17 +537,6 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.unlock()
 	return e.stats
-}
-
-// RecordAdmission adds admission-control outcomes to the engine's books.
-// The admission layer sits in front of submission (internal/autoscale),
-// so the backends report its queue/reject counts here rather than the
-// engine observing them itself.
-func (e *Engine) RecordAdmission(queued, rejected int) {
-	e.mu.Lock()
-	e.stats.AdmitQueued += queued
-	e.stats.AdmitRejected += rejected
-	e.unlock()
 }
 
 // SigLoad is one non-empty ready bucket's demand and supply snapshot:

@@ -103,8 +103,9 @@ func CheckProducerIndexSteps(t testing.TB) {
 }
 
 // checkTaskRecords holds every task record to its lifecycle: the parked
-// counter, the tasks in state Parked and the tasks whose cold record
-// holds availability keys are one set; a task holds a node exactly while
+// list, the tasks in state Parked and the tasks whose cold record holds
+// availability keys are one set — the list holds each of them once and
+// nothing else, and pins no task past its length; a task holds a node exactly while
 // Running, and peers only while Running a multi-node group; no
 // registration leaves a fanOut unwired; the task table finds every
 // task by its ID; and the ready count is the number of tasks queued in
@@ -136,8 +137,23 @@ func checkTaskRecords(e *Engine) error {
 			return fmt.Errorf("task %d: the task table finds %p, the record is %p", t.ID, got, t)
 		}
 	}
-	if parked != e.parked {
-		return fmt.Errorf("parked counter %d, %d tasks parked", e.parked, parked)
+	listed := make(map[*Task]bool, len(e.parked))
+	for _, t := range e.parked {
+		if t.state != Parked {
+			return fmt.Errorf("task %d on the parked list in state %d", t.ID, t.state)
+		}
+		if listed[t] {
+			return fmt.Errorf("task %d on the parked list twice", t.ID)
+		}
+		listed[t] = true
+	}
+	if len(listed) != parked {
+		return fmt.Errorf("parked list holds %d tasks, %d tasks parked", len(listed), parked)
+	}
+	for _, t := range e.parked[len(e.parked):cap(e.parked)] {
+		if t != nil {
+			return fmt.Errorf("task %d pinned past the parked list's end", t.ID)
+		}
 	}
 	queued := 0
 	for _, b := range e.sigs {

@@ -97,7 +97,7 @@ func (e *Engine) FailNode(name string, onKill func(*Task)) (FailReport, error) {
 	}
 
 	// Parked tasks may have been waiting on data that just died with the
-	// node: wake the whole availability wait set so the sweep below (and
+	// node: wake every parked task so the sweep below (and
 	// the closing placement wave) re-classifies everything — lost inputs
 	// with a producer recompute through lineage, still-partitioned ones
 	// simply park again.

@@ -18,6 +18,7 @@ package engine_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -393,7 +394,7 @@ func TestAvailabilityPartialHealNoChurn(t *testing.T) {
 	}
 	st := sim.EngineStats()
 	if st.Deferred != 1 || st.Woken != 1 {
-		t.Fatalf("deferred/woken = %d/%d, want 1/1 (the unrelated heal must not churn the wait set)",
+		t.Fatalf("deferred/woken = %d/%d, want 1/1 (the unrelated heal must not churn the parked tasks)",
 			st.Deferred, st.Woken)
 	}
 	if st.RanMissing != 0 || st.Reexecuted != 0 {
@@ -633,5 +634,155 @@ func TestLiveRestoreShrunkPoolRestages(t *testing.T) {
 	}
 	if aRuns != 1 {
 		t.Fatalf("a's body ran %d times, want 1 (incarnation 1 only)", aRuns)
+	}
+}
+
+// TestAvailabilityWakeOrder pins the order parked tasks wake in, which
+// the trace, the checkpoint log and the next wave's bucket pushes all
+// follow. A heal wakes key by key, in version order, and each key's
+// tasks in ascending ID, so a lower-ID task parked on a higher version
+// wakes after a higher-ID task parked on a lower one. A node failure
+// wakes every parked task in registration order, whatever their IDs.
+func TestAvailabilityWakeOrder(t *testing.T) {
+	engine.CheckTaskRecordSteps(t)
+	lo, hi := deps.Version{Data: 1, Ver: 1}, deps.Version{Data: 2, Ver: 1}
+	woken := func(tr *trace.Tracer, from int) []int64 {
+		var ids []int64
+		for _, ev := range tr.Events()[from:] {
+			if ev.Kind == trace.TaskWoken {
+				ids = append(ids, ev.Task)
+			}
+		}
+		return ids
+	}
+	// Both inputs sit on p, behind a cut from c, the only node the
+	// consumers fit; x is an idle bystander to fail.
+	rig := func(tasks []*engine.Task) (*engine.Engine, *trace.Tracer) {
+		pool := resources.NewPool()
+		for _, n := range []struct {
+			name  string
+			class resources.Class
+		}{{"p", resources.HPC}, {"c", resources.Cloud}, {"x", resources.HPC}} {
+			_ = pool.Add(resources.NewNode(n.name, resources.Description{
+				Cores: 4, MemoryMB: 8000, SpeedFactor: 1, Class: n.class,
+			}))
+		}
+		reg := transfer.NewRegistry()
+		reg.AddReplica(lo, "p")
+		reg.AddReplica(hi, "p")
+		net := simnet.New(simnet.Link{BandwidthMBps: 1000})
+		net.Cut("p", "c")
+		tr := trace.New(0)
+		e := engine.New(engine.Config{
+			Pool: pool, Policy: sched.FIFO{}, Clock: &stubClock{}, Executor: &collectExec{},
+			Registry: reg, Net: net, Tracer: tr, Availability: engine.AvailDefer,
+		})
+		if _, err := e.Add(tasks, make([][]deps.TaskID, len(tasks)), nil); err != nil {
+			t.Fatal(err)
+		}
+		e.Schedule()
+		if got := e.ParkedCount(); got != len(tasks) {
+			t.Fatalf("%d tasks parked behind the cut, want %d", got, len(tasks))
+		}
+		return e, tr
+	}
+	consumer := func(id int64, in deps.Version) *engine.Task {
+		return &engine.Task{ID: id, Class: "c", InputKeys: []deps.Version{in},
+			Constraints: resources.Constraints{Class: resources.Cloud}}
+	}
+
+	e, tr := rig([]*engine.Task{consumer(10, hi), consumer(20, lo)})
+	from := len(tr.Events())
+	if err := e.Heal("p", "c"); err != nil {
+		t.Fatal(err)
+	}
+	if got := woken(tr, from); !slices.Equal(got, []int64{20, 10}) {
+		t.Errorf("heal woke %v, want [20 10]: key by key, then by ID", got)
+	}
+
+	e, tr = rig([]*engine.Task{consumer(30, lo), consumer(10, lo), consumer(20, hi)})
+	from = len(tr.Events())
+	if _, err := e.FailNode("x", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := woken(tr, from); !slices.Equal(got, []int64{30, 10, 20}) {
+		t.Errorf("a node failure woke %v, want [30 10 20]: registration order", got)
+	}
+}
+
+// TestAvailabilityParkedProducerResubmitted: a consumer whose input was
+// lost resubmits the input's producer even while that producer sits
+// parked behind a cut on an input of its own. The resubmission takes the
+// producer off the parked list before it re-queues (it parks again at
+// placement), and once the cut heals every task runs to completion.
+func TestAvailabilityParkedProducerResubmitted(t *testing.T) {
+	engine.CheckProducerIndexSteps(t)
+	engine.CheckTaskRecordSteps(t)
+	ext, k := deps.Version{Data: 1}, deps.Version{Data: 2, Ver: 1}
+	pool := resources.NewPool()
+	net := simnet.New(simnet.Link{BandwidthMBps: 1000})
+	for _, n := range []struct {
+		name, zone string
+		class      resources.Class
+	}{{"s", "hpc", resources.HPC}, {"c1", "cloud", resources.Cloud}, {"c2", "cloud", resources.Cloud}} {
+		_ = pool.Add(resources.NewNode(n.name, resources.Description{
+			Cores: 2, MemoryMB: 8000, SpeedFactor: 1, Class: n.class,
+		}))
+		net.SetZone(n.name, n.zone)
+	}
+	reg := transfer.NewRegistry()
+	reg.AddReplica(ext, "s")
+	x := &collectExec{}
+	e := engine.New(engine.Config{
+		Pool: pool, Policy: sched.FIFO{}, Clock: &stubClock{}, Executor: x,
+		Registry: reg, Net: net, Availability: engine.AvailDefer,
+	})
+	cloud := resources.Constraints{Class: resources.Cloud}
+	if _, err := engine.AddOne(e, &engine.Task{ID: 1, Class: "p", Constraints: cloud,
+		InputKeys: []deps.Version{ext}, OutputKeys: []deps.Version{k}}, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	e.Schedule()
+	first, _ := x.pop()
+	if _, ok := e.Complete(1, first.Epoch, false); !ok {
+		t.Fatal("the producer's first run did not complete")
+	}
+	consumers := []*engine.Task{
+		{ID: 2, Class: "c", Constraints: cloud, InputKeys: []deps.Version{k}},
+		{ID: 3, Class: "c", Constraints: cloud, InputKeys: []deps.Version{k}},
+	}
+	if _, err := e.Add(consumers, make([][]deps.TaskID, 2), []int{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	// Cut the producer's input off from the cloud tier, then lose k with
+	// the node that made it.
+	if err := e.Partition("hpc", "cloud"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.FailNode(first.Node.Name(), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int64{2, 3} {
+		e.ReleaseHold(id)
+		e.Schedule()
+		if got, want := e.ParkedCount(), int(id); got != want {
+			t.Fatalf("after consumer %d: %d tasks parked, want %d (the producer and the consumers so far)", id, got, want)
+		}
+	}
+	if err := e.Heal("hpc", "cloud"); err != nil {
+		t.Fatal(err)
+	}
+	for p, ok := x.pop(); ok; p, ok = x.pop() {
+		if _, done := e.CompleteSchedule(p.Task.ID, p.Epoch, false); !done {
+			t.Fatalf("task %d: completion refused", p.Task.ID)
+		}
+	}
+	for _, tm := range e.Timings() {
+		if tm.Done < 0 {
+			t.Errorf("task %d never completed", tm.ID)
+		}
+	}
+	if st := e.Stats(); st.Reexecuted != 1 || st.RanMissing != 0 || e.ParkedCount() != 0 {
+		t.Errorf("re-executed %d, ran missing %d, %d left parked; want 1, 0, 0", st.Reexecuted, st.RanMissing, e.ParkedCount())
 	}
 }

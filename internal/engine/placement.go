@@ -145,7 +145,7 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 		// processed between waves: waking mid-steal would mutate the
 		// bucket a scan is walking.
 		for _, mv := range plan.Moves {
-			if _, waited := e.waiters[mv.Key]; waited {
+			if len(e.parked) > 0 && e.awaitedLocked(mv.Key) {
 				e.pendingWakes = append(e.pendingWakes, mv.Key)
 			}
 		}

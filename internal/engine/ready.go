@@ -355,8 +355,8 @@ func (e *Engine) placeWaveLocked(placed []Placement) []Placement {
 				bestB.pop()
 				e.readyN.Add(-1)
 			case placeUnavailable:
-				// The head's inputs are unreachable: divert it into the
-				// availability wait set (which may resubmit producers into
+				// The head's inputs are unreachable: divert it onto the
+				// parked list (which may resubmit producers into
 				// this very wave) and keep placing — unavailability is
 				// task-specific, so the bucket is not blocked.
 				bestB.pop()
@@ -383,7 +383,7 @@ func (e *Engine) placeWaveLocked(placed []Placement) []Placement {
 		}
 		woken := 0
 		for _, k := range e.pendingWakes {
-			woken += e.wakeKeyWaitersLocked(k)
+			woken += e.wakeKeyLocked(k)
 		}
 		e.pendingWakes = e.pendingWakes[:0]
 		if woken == 0 {

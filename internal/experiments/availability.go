@@ -28,7 +28,7 @@ import (
 // one HPC producer node ahead of a consumNodes-VM consumer fleet.
 // "ran-missing" counts launches that proceeded with unreachable inputs
 // (the silent failures defer and recompute must drive to zero);
-// "deferred" counts placements parked in the availability wait set;
+// "deferred" counts placements parked for unavailable inputs;
 // "re-executed" counts lineage re-runs of completed tasks (recompute pays
 // exactly one, for the stranded producer); "transfers" counts planned
 // input fetches.

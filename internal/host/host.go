@@ -388,9 +388,9 @@ func (h *Host) attach(catalog []checkpoint.CatalogEntry) {
 func (h *Host) Tracking() bool { return h.ckpt != nil || h.cfg.Admission != nil }
 
 // Admit runs one submission through the admission controller (Admitted
-// when none is configured), records the outcome on the engine's books,
-// and returns the holds to register the task under: one while Queued,
-// which TaskCompleted lifts when a slot frees, and one while a recorded
+// when none is configured; the controller counts each outcome in its
+// Stats) and returns the holds to register the task under: one while
+// Queued, which TaskCompleted lifts when a slot frees, and one while a recorded
 // completion awaits its offer, which Resolve lifts — no concurrent wave
 // can launch the task in between. A submission the restore resolves never
 // runs, so it is Admitted uncharged; the test here is Resolve's, so what
@@ -411,11 +411,7 @@ func (h *Host) Admit(id int64, tenant string) (out autoscale.Outcome, holds int)
 		h.tenants[id] = tenant
 	}
 	h.mu.Unlock()
-	switch out {
-	case autoscale.Rejected:
-		h.eng.RecordAdmission(0, 1)
-	case autoscale.Queued:
-		h.eng.RecordAdmission(1, 0)
+	if out == autoscale.Queued {
 		holds++
 	}
 	return out, holds

@@ -221,8 +221,8 @@ func TestAdmitAndTaskCompleted(t *testing.T) {
 	if len(x.launched) != 1 || x.launched[0].Task.ID != 1 {
 		t.Fatalf("launched %d tasks, want only the admitted one", len(x.launched))
 	}
-	if got := h.EngineStats().AdmitQueued; got != 1 {
-		t.Fatalf("AdmitQueued = %d, want 1", got)
+	if got := adm.Stats().Queued; got != 1 {
+		t.Fatalf("admission Queued = %d, want 1", got)
 	}
 	comp, ok := eng.Complete(1, x.launched[0].Epoch, false)
 	if !ok {

@@ -8,7 +8,6 @@ package trace
 
 import (
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -224,6 +223,6 @@ func (p *Provenance) Ancestry(version deps.Version) []deps.Version {
 	for v := range seen {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, deps.Version.Compare)
 	return out
 }

@@ -219,7 +219,7 @@ func TestRegistryMatchesNaiveModel(t *testing.T) {
 	modelEntry := func(k deps.Version) Entry { return Entry{Key: k, Size: size[k], Locations: sortedHolders(k)} }
 	sameEntries := func(what string, got, want []Entry) {
 		t.Helper()
-		sort.Slice(want, func(i, j int) bool { return want[i].Key.Less(want[j].Key) })
+		slices.SortFunc(want, func(a, b Entry) int { return a.Key.Compare(b.Key) })
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d entries, model has %d\n got %v\nwant %v", what, len(got), len(want), got, want)
 		}
