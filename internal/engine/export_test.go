@@ -105,12 +105,12 @@ func CheckProducerIndexSteps(t testing.TB) {
 // checkTaskRecords holds every task record to its lifecycle: the parked
 // list, the tasks in state Parked and the tasks whose cold record holds
 // availability keys are one set — the list holds each of them once and
-// nothing else, and pins no task past its length; a task holds a node exactly while
-// Running, and peers only while Running a multi-node group; no
-// registration leaves a fanOut unwired; the task table finds every
-// task by its ID; and the ready count is the number of tasks queued in
-// the buckets, which the per-signature ready-depth series read. Caller
-// holds e.mu.
+// nothing else, and pins no task past its length; a task holds a node
+// exactly while Running, and peers only while Running a multi-node
+// group; no registration leaves a fanOut unwired; the task table finds
+// every task by its ID; and the ready count is the number of tasks
+// queued in the buckets, which the per-signature ready-depth series
+// read. Caller holds e.mu.
 func checkTaskRecords(e *Engine) error {
 	parked := 0
 	for _, t := range e.tasks.all {

@@ -388,9 +388,9 @@ func (h *Host) attach(catalog []checkpoint.CatalogEntry) {
 func (h *Host) Tracking() bool { return h.ckpt != nil || h.cfg.Admission != nil }
 
 // Admit runs one submission through the admission controller (Admitted
-// when none is configured; the controller counts each outcome in its
-// Stats) and returns the holds to register the task under: one while
-// Queued, which TaskCompleted lifts when a slot frees, and one while a recorded
+// when none is configured; the controller's Stats count the outcomes)
+// and returns the holds to register the task under: one while Queued,
+// which TaskCompleted lifts when a slot frees, and one while a recorded
 // completion awaits its offer, which Resolve lifts — no concurrent wave
 // can launch the task in between. A submission the restore resolves never
 // runs, so it is Admitted uncharged; the test here is Resolve's, so what
