@@ -96,7 +96,7 @@ func run(args []string, w io.Writer) error {
 		faultStr = fs.String("faults", "", `fault script: "crash@2s:n0,slow@3s:n1x2,cut@4s:n0-n2,heal@8s:n0-n2,drain@10s:n1"`)
 		stealStr = fs.String("steal", "off", "work stealing: off | on-idle | threshold:<n>")
 		availStr = fs.String("availability", "run-anyway", "placement with unreachable inputs: run-anyway | defer | recompute")
-		ckptStr  = fs.String("checkpoint", "off", "checkpoint policy (delta chains): off | interval:<d> | every:<n> | on-drain")
+		ckptStr  = fs.String("checkpoint", "off", "checkpoint policy (a base plus its append-only log): off | interval:<d> | every:<n> | on-drain")
 		ckptDir  = fs.String("checkpoint-dir", "checkpoints", "snapshot directory for -checkpoint")
 		restore  = fs.String("restore", "", "resume from the latest valid snapshot in this directory")
 		haltAt   = fs.Duration("halt-at", 0, "kill the engine at this virtual instant (simulated process death)")

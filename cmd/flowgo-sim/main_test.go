@@ -69,9 +69,9 @@ var drillListing = []string{
 	"log-000001.ckpt",
 	"log-000010.ckpt",
 	"log-000019.ckpt",
-	"snap-000001-3a76159d0b43c080.ckpt",
-	"snap-000010-3cb7050b09fcddf5.ckpt",
-	"snap-000019-f8439c719bb3807f.ckpt",
+	"snap-000001-977f62dcb8b81e4c.ckpt",
+	"snap-000010-e0750c756995873e.ckpt",
+	"snap-000019-6edaec1b711df135.ckpt",
 }
 
 // TestCrashRestartDrill checkpoints a faulted run into two directories

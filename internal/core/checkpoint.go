@@ -34,7 +34,7 @@ func (vt *valueTable) Attach(catalog []checkpoint.CatalogEntry) {
 			return
 		}
 		if b, encoded := checkpoint.EncodeValue(v); encoded {
-			en.Value, en.HasValue = b, true
+			en.Value = b
 		}
 	}
 	slices.SortStableFunc(catalog, func(a, b checkpoint.CatalogEntry) int { return byKey(a, b.Key) })
@@ -48,7 +48,7 @@ func (vt *valueTable) Attach(catalog []checkpoint.CatalogEntry) {
 		}
 	}
 	for i := range catalog {
-		if v, ok := vt.restored[catalog[i].Key]; ok && !catalog[i].HasValue {
+		if v, ok := vt.restored[catalog[i].Key]; ok && len(catalog[i].Value) == 0 {
 			attach(&catalog[i], v)
 		}
 	}

@@ -379,19 +379,13 @@ func New(cfg Config) *Runtime {
 		idle:  sync.NewCond(new(sync.Mutex)),
 		epoch: time.Now(),
 	}
-	var err error
-	rt.Host, err = host.New(cfg, host.Backend{
+	rt.Host = host.New(cfg, host.Backend{
 		Clock:    engine.WallClock{Epoch: rt.epoch},
 		Timer:    faults.NewWallTimer(),
 		Executor: (*coreExecutor)(rt),
 		OnKill:   rt.cancelKilled,
 		Values:   (*valueTable)(rt),
 	})
-	if err != nil {
-		// A snapshot of another format: a programming error (Store.Load
-		// already rejects those), where the simulator returns ErrConfig.
-		panic("core: " + err.Error())
-	}
 	rt.eng = rt.Engine()
 	return rt
 }

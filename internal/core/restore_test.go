@@ -18,7 +18,7 @@ import (
 // then run anyway: two bodies of one tenant at once under MaxInFlight 1,
 // with the controller never having heard of either.)
 func TestRestoreWithoutValuesStillChargesQuota(t *testing.T) {
-	snap := &checkpoint.Snapshot{Format: checkpoint.Format, Tasks: []engine.TaskSnap{
+	snap := &checkpoint.Snapshot{Tasks: []engine.TaskSnap{
 		{ID: 1, State: engine.Done, Epoch: 1, Completed: true, OutputKeys: []deps.Version{{Data: 1, Ver: 1}}},
 		{ID: 2, State: engine.Done, Epoch: 1, Completed: true, OutputKeys: []deps.Version{{Data: 2, Ver: 1}}},
 	}} // no catalog: neither value survived

@@ -1,13 +1,13 @@
 // Package checkpoint persists the scheduling engine's state — its own
-// task records (engine.TaskSnap) in registration order, the data catalog
-// and activity counters — to a versioned, content-addressed format, and
-// replays a snapshot into a fresh engine so a crashed run resumes with
-// only its unfinished tasks re-executing. Lineage recovery
-// (internal/engine/faults) survives losing a node; this package is the
-// durability layer that survives losing the whole process: the paper's
-// long-running scientific campaigns (multi-day GWAS sweeps, forecast
-// cycles) cannot afford to replay hours of completed work after a
-// runtime crash.
+// task records (engine.TaskSnap) in registration order and the data
+// catalog, what a restore reads and nothing else — to a versioned,
+// content-addressed format, and replays a snapshot into a fresh engine
+// so a crashed run resumes with only its unfinished tasks re-executing.
+// Lineage recovery (internal/engine/faults) survives losing a node; this
+// package is the durability layer that survives losing the whole process:
+// the paper's long-running scientific campaigns (multi-day GWAS sweeps,
+// forecast cycles) cannot afford to replay hours of completed work after
+// a runtime crash.
 //
 // The subsystem is backend-agnostic by the same construction as the
 // fault subsystem: the control plane both backends embed (internal/host)
@@ -30,7 +30,7 @@
 // flushed it; a write that failed is reported by that flush, never
 // dropped.
 //
-// On disk a snapshot is Format 3: the encoding/gob form of a private wire
+// On disk a snapshot is Format 4: the encoding/gob form of a private wire
 // struct that lays Snapshot out in columns (wire.go) — the catalog as a
 // node table, key, size and holder-count columns and one flat column of
 // node indices; the records filed into completed, ready, running and
@@ -65,13 +65,14 @@ import (
 	"repro/internal/transfer"
 )
 
-// Format is the snapshot format version: 3 is encoding/gob of the
-// structs below laid out in columns (wire.go); 2 was gob of the structs
-// themselves, row by row, and 1 their JSON. Loaders reject files of a
-// different format rather than guessing at field semantics, and gob
-// matches fields by name — renaming or retyping a field of a wire struct
-// needs a new Format.
-const Format = 3
+// Format is the snapshot format version, written into every base: 4 is
+// encoding/gob of the structs below laid out in columns (wire.go); 3 was
+// the same with the engine's activity counters in every base and frame, 2
+// gob of the structs themselves, row by row, and 1 their JSON. Loaders
+// reject files of a different format rather than guessing at field
+// semantics, and gob matches fields by name — renaming or retyping a
+// field of a wire struct needs a new Format.
+const Format = 4
 
 // CatalogEntry records one data version: its size, its replica
 // locations, and — on the live backend — the encoded value itself.
@@ -80,17 +81,15 @@ type CatalogEntry struct {
 	Size      int64
 	Locations []string
 	// Value is the gob-encoded produced value (live backend only; see
-	// EncodeValue), stored only with HasValue set. Absent values make
-	// the producing task re-run on restore rather than resolve to a wrong
-	// future.
-	Value    []byte
-	HasValue bool
+	// EncodeValue, which never returns empty bytes), empty when the row
+	// carries none. Absent values make the producing task re-run on
+	// restore rather than resolve to a wrong future.
+	Value []byte
 }
 
-// Snapshot is one persisted engine state.
+// Snapshot is one persisted engine state: what a restore reads. Its
+// format is the file's, checked by Store.Load.
 type Snapshot struct {
-	// Format is the snapshot format version (see Format).
-	Format int
 	// Seq is the store-assigned sequence number (monotonic per store).
 	Seq int
 	// At is the engine clock offset when the snapshot was captured
@@ -103,8 +102,6 @@ type Snapshot struct {
 	// Catalog is the data-version catalog (handle → size/locations, plus
 	// encoded values on the live backend).
 	Catalog []CatalogEntry
-	// Stats are the engine's activity counters at capture time.
-	Stats engine.Stats
 }
 
 // Capture assembles a snapshot of the engine's current state. reg, when
@@ -124,7 +121,7 @@ func CaptureBase(e *engine.Engine, reg *transfer.Registry) *Snapshot {
 }
 
 func build(e *engine.Engine, tasks []engine.TaskSnap, reg *transfer.Registry, rows func(*transfer.Registry) []transfer.Entry) *Snapshot {
-	snap := &Snapshot{Format: Format, At: e.Now(), Tasks: tasks, Stats: e.Stats()}
+	snap := &Snapshot{At: e.Now(), Tasks: tasks}
 	if reg != nil {
 		snap.Catalog = catalogOf(rows(reg))
 	}
@@ -152,12 +149,11 @@ func sized[T any](n int) []T {
 // Equivalent reports whether two snapshots describe the same logical
 // engine state: the same tasks in the same registration order, each in
 // the same section of a base file (the outputs of a completed one
-// included), catalog keys, sizes and locations, and the deterministic
-// activity counters. Clock offsets,
-// sequence numbers and encoded values are ignored — they legitimately
-// differ between a wall-clock and a virtual-time backend. It returns nil
-// or an error naming the first difference; the backend-parity suite runs
-// on it.
+// included), and the same catalog keys, sizes and locations. Clock
+// offsets, sequence numbers and encoded values are ignored — they
+// legitimately differ between a wall-clock and a virtual-time backend. It
+// returns nil or an error naming the first difference; the backend-parity
+// suite runs on it.
 func Equivalent(a, b *Snapshot) error {
 	if len(a.Tasks) != len(b.Tasks) {
 		return fmt.Errorf("task counts differ: %d vs %d", len(a.Tasks), len(b.Tasks))
@@ -191,9 +187,6 @@ func Equivalent(a, b *Snapshot) error {
 		if !slices.Equal(ca.Locations, cb.Locations) {
 			return fmt.Errorf("catalog %+v: locations %v vs %v", ca.Key, ca.Locations, cb.Locations)
 		}
-	}
-	if a.Stats != b.Stats {
-		return fmt.Errorf("stats differ: %+v vs %+v", a.Stats, b.Stats)
 	}
 	return nil
 }

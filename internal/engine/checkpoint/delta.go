@@ -32,9 +32,6 @@ type Delta struct {
 	// Catalog holds the catalog rows as logged; once coalesced, each key's
 	// last, sorted by key. Zero size and no locations: the entry vanished.
 	Catalog []CatalogEntry
-	// Stats are the engine's activity counters at capture time
-	// (absolute, like every other field).
-	Stats engine.Stats
 
 	rows []transfer.Entry // the registry's log array, handed back at the next capture
 }
@@ -55,7 +52,7 @@ func CaptureDeltaInto(d *Delta, e *engine.Engine, reg *transfer.Registry) *Delta
 		d = &Delta{}
 	}
 	d.Tasks = e.SwapLog(d.Tasks)
-	d.At, d.Stats, d.Catalog = e.Now(), e.Stats(), d.Catalog[:0]
+	d.At, d.Catalog = e.Now(), d.Catalog[:0]
 	if reg != nil {
 		d.rows = reg.SwapLog(d.rows)
 		d.Catalog = slices.Grow(d.Catalog[:0], len(d.rows))
@@ -129,13 +126,12 @@ type merger struct {
 	index   map[int64]int     // task ID → position in tasks, once IDs stop running dense
 	catalog []CatalogEntry    // sorted by key
 	at      time.Duration
-	stats   engine.Stats
 }
 
 // newMerger seeds the fold from a valid base snapshot, taking over its
 // records and its catalog.
 func newMerger(base *Snapshot) *merger {
-	m := &merger{tasks: base.Tasks[:0], catalog: base.Catalog, at: base.At, stats: base.Stats}
+	m := &merger{tasks: base.Tasks[:0], catalog: base.Catalog, at: base.At}
 	for _, t := range base.Tasks {
 		m.put(t) // writes record i at i, or earlier: never one not yet read
 	}
@@ -186,7 +182,6 @@ func (m *merger) apply(d *Delta) {
 		m.mergeCatalog(d.Catalog)
 	}
 	m.at = d.At
-	m.stats = d.Stats
 }
 
 // mergeCatalog overlays replacement rows, sorted by key, in place: a row
@@ -230,14 +225,14 @@ func (m *merger) mergeCatalog(rows []CatalogEntry) {
 
 // vanished reports whether a replacement row removes its entry.
 func vanished(en CatalogEntry) bool {
-	return en.Size == 0 && len(en.Locations) == 0 && !en.HasValue
+	return en.Size == 0 && len(en.Locations) == 0 && len(en.Value) == 0
 }
 
 // snapshot emits the fold in the exact shape a direct Capture of the same
 // engine state would produce: records in registration order, catalog
 // sorted by key. Both are the fold's own, valid until the next apply.
 func (m *merger) snapshot() *Snapshot {
-	snap := &Snapshot{Format: Format, At: m.at, Tasks: m.tasks, Stats: m.stats}
+	snap := &Snapshot{At: m.at, Tasks: m.tasks}
 	if len(m.catalog) > 0 {
 		snap.Catalog = m.catalog
 	}

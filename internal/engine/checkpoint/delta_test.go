@@ -24,7 +24,6 @@ func chainBase() *Snapshot {
 		Catalog: []CatalogEntry{{
 			Key: deps.Version{Data: 1, Ver: 1}, Size: 10, Locations: []string{"n0"},
 		}},
-		Stats: engine.Stats{Completed: 1},
 	}
 }
 
@@ -63,7 +62,6 @@ func TestDeltaChainLatestReconstruction(t *testing.T) {
 		Catalog: []CatalogEntry{{
 			Key: deps.Version{Data: 2, Ver: 1}, Size: 5, Locations: []string{"n1"},
 		}},
-		Stats: engine.Stats{Completed: 2},
 	}
 	if _, err := store.SaveDelta(d1); err != nil {
 		t.Fatal(err)
@@ -75,7 +73,6 @@ func TestDeltaChainLatestReconstruction(t *testing.T) {
 		At:      3 * time.Second,
 		Tasks:   []engine.TaskSnap{{ID: 4, State: engine.Pending}, {ID: 4, State: engine.Ready}},
 		Catalog: []CatalogEntry{{Key: deps.Version{Data: 1, Ver: 1}}},
-		Stats:   engine.Stats{Completed: 2},
 	}
 	if _, err := store.SaveDelta(d2); err != nil {
 		t.Fatal(err)
@@ -85,8 +82,8 @@ func TestDeltaChainLatestReconstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Seq != 3 || snap.At != 3*time.Second || snap.Stats.Completed != 2 {
-		t.Fatalf("head fields: seq=%d at=%v stats=%+v", snap.Seq, snap.At, snap.Stats)
+	if snap.Seq != 3 || snap.At != 3*time.Second {
+		t.Fatalf("head fields: seq=%d at=%v", snap.Seq, snap.At)
 	}
 	if got := filed(snap, 0); !slices.Equal(got, []int64{1, 2, 3, 4}) {
 		t.Fatalf("order %v, want [1 2 3 4]", got)
@@ -152,9 +149,9 @@ func TestDeltaCorruptionFreezesChainAtValidPrefix(t *testing.T) {
 	}
 	// Three deltas completing tasks 2, 3, 4 (4 added in its delta).
 	for i, d := range []*Delta{
-		{Tasks: []engine.TaskSnap{doneRecord(2)}, Stats: engine.Stats{Completed: 2}},
-		{Tasks: []engine.TaskSnap{doneRecord(3)}, Stats: engine.Stats{Completed: 3}},
-		{Tasks: []engine.TaskSnap{doneRecord(4)}, Stats: engine.Stats{Completed: 4}},
+		{At: 2 * time.Second, Tasks: []engine.TaskSnap{doneRecord(2)}},
+		{At: 3 * time.Second, Tasks: []engine.TaskSnap{doneRecord(3)}},
+		{At: 4 * time.Second, Tasks: []engine.TaskSnap{doneRecord(4)}},
 	} {
 		if _, err := store.SaveDelta(d); err != nil {
 			t.Fatalf("delta %d: %v", i, err)
@@ -181,8 +178,8 @@ func TestDeltaCorruptionFreezesChainAtValidPrefix(t *testing.T) {
 	}
 	// The log's valid prefix ends after frame 1: tasks 1 and 2 completed;
 	// frame 3 is whole, but nothing past a bad frame is applied.
-	if done := filed(snap, engine.Done); len(done) != 2 || snap.Seq != 2 {
-		t.Fatalf("prefix state: completed %v, seq %d (want 2 of them, 2)", done, snap.Seq)
+	if done := filed(snap, engine.Done); len(done) != 2 || snap.Seq != 2 || snap.At != 2*time.Second {
+		t.Fatalf("prefix state: completed %v, seq %d, at %v (want 2 of them, 2, 2s)", done, snap.Seq, snap.At)
 	}
 
 	// A corrupt base strands the whole chain: nothing valid remains.
@@ -233,7 +230,7 @@ func TestDeltaChainRetentionPrunesWholeChains(t *testing.T) {
 	}
 	// fullWith builds a compacting base recording ids completed.
 	fullWith := func(ids ...int64) *Snapshot {
-		s := &Snapshot{Format: Format}
+		s := &Snapshot{}
 		for _, id := range ids {
 			s.Tasks = append(s.Tasks, engine.TaskSnap{ID: id, State: engine.Done, Epoch: 1, Completed: true})
 		}
@@ -288,6 +285,7 @@ func TestDeltaChainRetentionPrunesWholeChains(t *testing.T) {
 // fakeSource drives the Checkpointer's change-aware save logic
 // without an engine: dirty is the count of changes logged since the last
 // capture, and captures swap them out exactly like the real backends do.
+// Each capture's At is one second per completion so far: a frame marker.
 type fakeSource struct {
 	dirty     int
 	completed int64 // grows as "changes" are flushed into records
@@ -298,7 +296,7 @@ func (f *fakeSource) CheckpointBase() *Snapshot {
 	f.bases++
 	f.completed += int64(f.dirty)
 	f.dirty = 0
-	return &Snapshot{Format: Format, Stats: engine.Stats{Completed: int(f.completed)}}
+	return &Snapshot{At: time.Duration(f.completed) * time.Second}
 }
 
 func (f *fakeSource) CheckpointDelta(spare *Delta) *Delta {
@@ -312,7 +310,7 @@ func (f *fakeSource) CheckpointDelta(spare *Delta) *Delta {
 		d.Tasks = append(d.Tasks, doneRecord(f.completed))
 	}
 	f.dirty = 0
-	d.Stats = engine.Stats{Completed: int(f.completed)}
+	d.At = time.Duration(f.completed) * time.Second
 	return d
 }
 
@@ -374,8 +372,8 @@ func TestCheckpointerDeltaCadenceAndSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Stats.Completed != saves {
-		t.Fatalf("reconstructed %d completions, want %d", snap.Stats.Completed, saves)
+	if snap.Seq != saves || snap.At != saves*time.Second {
+		t.Fatalf("reconstructed seq %d at %v, want the last save's: %d at %v", snap.Seq, snap.At, saves, saves*time.Second)
 	}
 	if done := filed(snap, engine.Done); len(done) != saves-1 || done[len(done)-1] != saves {
 		t.Fatalf("reconstructed completed records %v, want 2..%d (the base captured none)", done, saves)
@@ -384,13 +382,14 @@ func TestCheckpointerDeltaCadenceAndSkip(t *testing.T) {
 
 // saveChain writes one chain to the store: a base over tasks 1..total with
 // 1..done completed (one sized output each) and the rest pending, then one
-// delta per extra completing the next task.
+// delta per extra completing the next task. Each save's At is one second
+// per completed task: a frame marker.
 func saveChain(t *testing.T, store *Store, total, done int64, deltas int) {
 	t.Helper()
 	entry := func(id int64) CatalogEntry {
 		return CatalogEntry{Key: deps.Version{Data: deps.DataID(id), Ver: 1}, Size: 8, Locations: []string{"n0"}}
 	}
-	base := &Snapshot{Format: Format, Stats: engine.Stats{Completed: int(done)}}
+	base := &Snapshot{At: time.Duration(done) * time.Second}
 	for id := int64(1); id <= total; id++ {
 		if id > done {
 			base.Tasks = append(base.Tasks, engine.TaskSnap{ID: id, State: engine.Pending})
@@ -404,8 +403,9 @@ func saveChain(t *testing.T, store *Store, total, done int64, deltas int) {
 	}
 	for id := done + 1; id <= done+int64(deltas); id++ {
 		d := &Delta{
+			At:      time.Duration(id) * time.Second,
 			Tasks:   []engine.TaskSnap{doneRecord(id)},
-			Catalog: []CatalogEntry{entry(id)}, Stats: engine.Stats{Completed: int(id)},
+			Catalog: []CatalogEntry{entry(id)},
 		}
 		if _, err := store.SaveDelta(d); err != nil {
 			t.Fatal(err)
@@ -502,8 +502,8 @@ func TestLatestTruncatedBaseFallsBackAWholeChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Seq != 3 || snap.Stats.Completed != 4 {
-		t.Fatalf("fell back to seq %d with %d completions, want seq 3 (end of the previous chain) with 4", snap.Seq, snap.Stats.Completed)
+	if snap.Seq != 3 || snap.At != 4*time.Second {
+		t.Fatalf("fell back to seq %d at %v, want seq 3 (end of the previous chain) at 4s", snap.Seq, snap.At)
 	}
 	if ids := filed(snap, engine.Done); !reflect.DeepEqual(ids, []int64{1, 2, 3, 4}) {
 		t.Fatalf("completed %v, want [1 2 3 4]: the stranded deltas complete 7 and 8", ids)
@@ -548,8 +548,8 @@ func TestTornLogTailsFallBackToTheLastIntactFrame(t *testing.T) {
 		after = append(after, latestWith(data[:end]))
 	}
 	for k, s := range after {
-		if s.Seq != 1+k || s.Stats.Completed != 2+k {
-			t.Fatalf("%d frames: seq %d, %d completions", k, s.Seq, s.Stats.Completed)
+		if s.Seq != 1+k || s.At != time.Duration(2+k)*time.Second {
+			t.Fatalf("%d frames: seq %d at %v", k, s.Seq, s.At)
 		}
 	}
 	last := len(at) - 2
@@ -573,11 +573,11 @@ func TestTornLogTailsFallBackToTheLastIntactFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reopened.SaveDelta(&Delta{Tasks: []engine.TaskSnap{doneRecord(12)}, Stats: engine.Stats{Completed: 9}}); err != nil {
+	if _, err := reopened.SaveDelta(&Delta{At: 9 * time.Second, Tasks: []engine.TaskSnap{doneRecord(12)}}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := reopened.Latest()
-	if err != nil || got.Seq != after[last].Seq+1 || got.Stats.Completed != 9 || len(frames(t, path)) != len(at) {
+	if err != nil || got.Seq != after[last].Seq+1 || got.At != 9*time.Second || len(frames(t, path)) != len(at) {
 		t.Fatalf("after an append over the torn tail: %+v, %v; want seq %d and the new group", got, err, after[last].Seq+1)
 	}
 }
@@ -593,14 +593,14 @@ func TestLogStopsAtASequenceGap(t *testing.T) {
 	}
 	saveChain(t, store, 6, 2, 1) // a base, then a frame completing task 3
 	store.seq++                  // what a failed save leaves behind
-	if _, err := store.SaveDelta(&Delta{Tasks: []engine.TaskSnap{doneRecord(4)}, Stats: engine.Stats{Completed: 4}}); err != nil {
+	if _, err := store.SaveDelta(&Delta{At: 4 * time.Second, Tasks: []engine.TaskSnap{doneRecord(4)}}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := store.Latest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Seq != 2 || snap.Stats.Completed != 3 {
-		t.Fatalf("Latest = seq %d with %d completions, want seq 2 with 3: the frame past the gap applied", snap.Seq, snap.Stats.Completed)
+	if snap.Seq != 2 || snap.At != 3*time.Second {
+		t.Fatalf("Latest = seq %d at %v, want seq 2 at 3s: the frame past the gap applied", snap.Seq, snap.At)
 	}
 }

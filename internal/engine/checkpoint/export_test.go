@@ -18,7 +18,7 @@ func SetBaseQueued(f func(seq int)) (restore func()) {
 // number seq.
 func EncodeSnapshot(s *Snapshot, seq int) ([]byte, error) {
 	cp := *s
-	cp.Seq, cp.Format = seq, Format
+	cp.Seq = seq
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(cp.wire())
 	return buf.Bytes(), err

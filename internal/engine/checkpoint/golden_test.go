@@ -16,14 +16,16 @@ import (
 	"repro/internal/engine"
 )
 
-// The golden files under testdata/ were written from exactly the two
-// values below. format3_snap.gob and format3_log.ckpt pin Format 3: the
-// same base must encode to the same bytes under the same
-// content-addressed name, and the same group to the same frame of its
-// log. format3_delta.gob is the delta file a build before the log wrote
-// for the group, chained to the base: it is not read. format1_* and
-// format2_* are what the JSON codec of Format 1 and the row-by-row gob of
-// Format 2 wrote for the same values: they must be refused whole.
+// The golden files under testdata/ were written from the two values
+// below. format4_snap.gob and format4_log.ckpt pin Format 4: the same base
+// must encode to the same bytes under the same content-addressed name,
+// and the same group to the same frame of its log. format3_snap.gob and
+// format3_log.ckpt are what Format 3 wrote for the same values with the
+// engine's activity counters beside them, and format3_delta.gob is the
+// delta file a build before the log wrote for the group, chained to the
+// base: it is not read. format1_* and format2_* are what the JSON codec of
+// Format 1 and the row-by-row gob of Format 2 wrote. Every older base
+// must be refused whole.
 
 // gob numbers a type process-wide when it first meets it and writes the
 // numbers into the stream, so a file's bytes depend on what the process
@@ -39,9 +41,10 @@ func init() {
 
 // The names the store gives the files (sequence + content digest).
 const (
-	goldenSnapName   = "snap-000001-b66dbc08d4e0dac2.ckpt"
+	goldenSnapName   = "snap-000001-82274f91302e932d.ckpt"
 	goldenLogName    = "log-000001.ckpt"
-	goldenDeltaName  = "delta-000002-86604f3be20976b2.ckpt"
+	format3SnapName  = "snap-000001-b66dbc08d4e0dac2.ckpt"
+	format3DeltaName = "delta-000002-86604f3be20976b2.ckpt"
 	format2SnapName  = "snap-000001-5fe36447de0b7396.ckpt"
 	format2DeltaName = "delta-000002-40d05bf957ee083d.ckpt"
 	format1SnapName  = "snap-000001-5bb9449921c3c44e.ckpt"
@@ -59,9 +62,8 @@ func goldenSnapshot() *Snapshot {
 		Catalog: []CatalogEntry{
 			{Key: deps.Version{Data: 1, Ver: 0}, Size: 1 << 20, Locations: []string{"n0"}},
 			{Key: deps.Version{Data: 1, Ver: 1}, Size: 2048, Locations: []string{"n0", "n1"}},
-			{Key: deps.Version{Data: 2, Ver: 1}, Locations: []string{"n1"}, Value: []byte("gob"), HasValue: true},
+			{Key: deps.Version{Data: 2, Ver: 1}, Locations: []string{"n1"}, Value: []byte("gob")},
 		},
-		Stats: engine.Stats{Launched: 3, Completed: 2, Transfers: 1, BytesMoved: 2048},
 	}
 }
 
@@ -78,7 +80,6 @@ func goldenDelta() *Delta {
 			{Key: deps.Version{Data: 1, Ver: 0}}, // vanished
 			{Key: deps.Version{Data: 3, Ver: 1}, Size: 512, Locations: []string{"n1"}},
 		},
-		Stats: engine.Stats{Launched: 3, Completed: 3, Transfers: 1, BytesMoved: 2048},
 	}
 }
 
@@ -97,12 +98,12 @@ func placeGolden(t *testing.T, s *Store, file, name string) string {
 	return path
 }
 
-func TestFormat3GoldenFiles(t *testing.T) {
-	wantSnap, err := os.ReadFile("testdata/format3_snap.gob")
+func TestFormat4GoldenFiles(t *testing.T) {
+	wantSnap, err := os.ReadFile("testdata/format4_snap.gob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLog, err := os.ReadFile("testdata/format3_log.ckpt")
+	wantLog, err := os.ReadFile("testdata/format4_log.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestFormat3GoldenFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s moved off format 3:\n got %q\nwant %q", filepath.Base(path), got, want)
+			t.Errorf("%s moved off format 4:\n got %q\nwant %q", filepath.Base(path), got, want)
 		}
 	}
 	if got := filepath.Base(snapPath); got != goldenSnapName {
@@ -141,12 +142,12 @@ func TestFormat3GoldenFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := old.Load(placeGolden(t, old, "format3_snap.gob", goldenSnapName))
+	snap, err := old.Load(placeGolden(t, old, "format4_snap.gob", goldenSnapName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantS := goldenSnapshot()
-	wantS.Format, wantS.Seq = Format, 1
+	wantS.Seq = 1
 	if !reflect.DeepEqual(snap, wantS) {
 		t.Errorf("Load:\n got %+v\nwant %+v", snap, wantS)
 	}
@@ -162,7 +163,7 @@ func TestFormat3GoldenFiles(t *testing.T) {
 	if !reflect.DeepEqual(groups[0], goldenDelta()) {
 		t.Errorf("frame:\n got %+v\nwant %+v", groups[0], goldenDelta())
 	}
-	placeGolden(t, old, "format3_log.ckpt", goldenLogName)
+	placeGolden(t, old, "format4_log.ckpt", goldenLogName)
 	latest, err := old.Latest()
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +187,8 @@ func TestOlderDeltaFilesAreNotRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placeGolden(t, old, "format3_snap.gob", goldenSnapName)
-	placeGolden(t, old, "format3_delta.gob", goldenDeltaName)
+	placeGolden(t, old, "format4_snap.gob", goldenSnapName)
+	placeGolden(t, old, "format3_delta.gob", format3DeltaName)
 	store, err := NewStore(old.Dir())
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +198,7 @@ func TestOlderDeltaFilesAreNotRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := goldenSnapshot()
-	want.Format, want.Seq = Format, 1
+	want.Seq = 1
 	if !reflect.DeepEqual(latest, want) {
 		t.Fatalf("Latest over a base and an older delta file:\n got %+v\nwant the base %+v", latest, want)
 	}
@@ -207,7 +208,7 @@ func TestOlderDeltaFilesAreNotRead(t *testing.T) {
 	if latest, err := store.Latest(); err != nil || latest.Seq != 2 {
 		t.Fatalf("Latest after a group = %+v, %v; want seq 2", latest, err)
 	}
-	delta := filepath.Join(store.Dir(), goldenDeltaName)
+	delta := filepath.Join(store.Dir(), format3DeltaName)
 	if _, err := os.Stat(delta); err != nil {
 		t.Fatalf("the delta file went before a newer base was saved: %v", err)
 	}
@@ -232,9 +233,17 @@ func TestFormat2FilesAreRefused(t *testing.T) {
 	refusedWhole(t, "format2_snap.gob", format2SnapName, "format2_delta.gob", format2DeltaName)
 }
 
-// refusedWhole places an old base and the delta file beside it: the base
-// is refused, and the delta file — of a kind no build with a log reads —
-// cannot make a snapshot on its own.
+// And one written by Format 3, whose columns decode — gob drops the
+// counters Format 4 no longer has — but whose base says Format 3: the
+// format check refuses it, and its log, whose frames would decode too, is
+// never read without a base beneath it.
+func TestFormat3FilesAreRefused(t *testing.T) {
+	refusedWhole(t, "format3_snap.gob", format3SnapName, "format3_log.ckpt", goldenLogName)
+}
+
+// refusedWhole places an old base and the file its build wrote beside it,
+// a delta file or a log: the base is refused, and the other file cannot
+// make a snapshot on its own.
 func refusedWhole(t *testing.T, snapFile, snapName, deltaFile, deltaName string) {
 	t.Helper()
 	old, err := NewStore(t.TempDir())

@@ -185,11 +185,11 @@ func TestStoreRoundTripsValuesAndEmptiness(t *testing.T) {
 		Tasks: []engine.TaskSnap{{ID: 1, State: engine.Done, Epoch: 1, Completed: true, OutputKeys: []deps.Version{{Data: 1, Ver: 1}}}},
 		Catalog: []checkpoint.CatalogEntry{{
 			Key: deps.Version{Data: 1, Ver: 1}, Size: 16, Locations: []string{"local"},
-			Value: value, HasValue: true,
+			Value: value,
 		}},
 	}
 	for _, want := range []*checkpoint.Snapshot{live, {}} {
-		path, err := store.Save(want) // stamps Format and Seq into want
+		path, err := store.Save(want) // stamps Seq into want
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,6 @@
 // The on-disk store: content-addressed, atomic bases, each with an
 // append-only log beside it. A base is snap-<seq>-<digest>.ckpt, the gob
-// form of its Format 3 wire struct (wire.go), named after the truncated
+// form of its Format 4 wire struct (wire.go), named after the truncated
 // SHA-256 of its bytes, which the loader re-verifies before decoding; a
 // base whose bytes or columns are wrong is refused as corrupt and Latest
 // falls back to the previous one. A base is written to a temp file,
@@ -173,7 +173,6 @@ func (s *Store) save(snap *Snapshot) (string, written, error) {
 	w := written{records: len(snap.Tasks) + len(snap.Catalog)}
 	s.seq++
 	snap.Seq = s.seq
-	snap.Format = Format
 	s.buf.Reset()
 	stem := fileStem(snapPrefix, s.seq)
 	if err := gob.NewEncoder(&s.buf).Encode(snap.wire()); err != nil {
@@ -304,8 +303,8 @@ func (s *Store) Load(path string) (*Snapshot, error) {
 	if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, "-"+digest(data)+".ckpt") {
 		return nil, fmt.Errorf("%w: %s: not a %sfile named after its contents", ErrCorrupt, name, snapPrefix)
 	}
-	// Any other format is refused, Format 1's JSON and Format 2's
-	// row-by-row gob included.
+	// Any other format is refused: Format 1's JSON, Format 2's row-by-row
+	// gob and Format 3's columns with the engine's counters included.
 	var w wireSnapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)

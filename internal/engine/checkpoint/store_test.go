@@ -12,7 +12,7 @@ import (
 )
 
 func sample(at time.Duration, completed ...int64) *Snapshot {
-	s := &Snapshot{Format: Format, At: at}
+	s := &Snapshot{At: at}
 	for _, id := range completed {
 		s.Tasks = append(s.Tasks, doneRecord(id))
 	}

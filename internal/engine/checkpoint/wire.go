@@ -1,23 +1,25 @@
-// The Format 3 wire form: what Store writes and reads, one private struct
-// for a base and one for a log frame's payload, laid out in columns. A catalog is a node table plus
-// parallel key, size and holder-count columns, one flat column of node
-// indices, and the rows that carry a value with their bytes; task records
-// are ID, epoch and output-count columns plus one flat output column. gob
-// moves a column of scalars in one piece, so the codec's work is per
-// column, not per row, and decoding carves every row's Locations, Outputs
-// and Value out of one backing array per column — each a clipped
-// sub-slice (a[i:j:j]), so an append to one row can never write into the
-// next. A file costs O(columns) allocations whatever its row count.
+// The Format 4 wire form: what Store writes and reads, one private struct
+// for a base and one for a log frame's payload, laid out in columns. A
+// catalog is a node table plus parallel key, size and holder-count
+// columns, one flat column of node indices, and the rows that carry a
+// value with their bytes; task records are ID, epoch and output-count
+// columns plus one flat output column. gob moves a column of scalars in
+// one piece, so the codec's work is per column, not per row, and decoding
+// carves every row's Locations, Outputs and Value out of one backing
+// array per column — each a clipped sub-slice (a[i:j:j]), so an append to
+// one row can never write into the next. A file costs O(columns)
+// allocations whatever its row count. Neither struct holds the engine's
+// activity counters: a restore never reads them.
 //
 // The digest in a file's name proves the bytes are the ones written, not
 // that they make sense, so decoding checks that the columns agree before
 // it carves: equal lengths, catalog keys strictly ascending (the order
 // bases and coalesced groups are written in, which the fold relies on),
 // counts non-negative and summing to their flat column, node indices
-// inside the node table, value rows inside the catalog and strictly
-// increasing, and every task a base's sections name in its Order. A base that fails any
-// check is ErrCorrupt, and a frame that does ends its log's valid prefix;
-// none can make the decoder panic.
+// inside the node table, value rows inside the catalog, strictly
+// increasing and each with bytes, and every task a base's sections name in
+// its Order. A base that fails any check is ErrCorrupt, and a frame that
+// does ends its log's valid prefix; none can make the decoder panic.
 package checkpoint
 
 import (
@@ -33,10 +35,10 @@ import (
 // read wraps it in ErrCorrupt with the file's name.
 var errColumns = errors.New("columns disagree")
 
-// wireSnapshot is a Snapshot on disk: its records filed into four
-// sections by sectionOf, and Order, every ID in registration order — the
-// interleaving the sections lose. A record that is not Restorable keeps
-// only its ID and section.
+// wireSnapshot is a Snapshot on disk: the format it is written in, its
+// records filed into four sections by sectionOf, and Order, every ID in
+// registration order — the interleaving the sections lose. A record that
+// is not Restorable keeps only its ID and section.
 type wireSnapshot struct {
 	Format    int
 	Seq       int
@@ -47,7 +49,6 @@ type wireSnapshot struct {
 	Pending   []int64
 	Catalog   wireCatalog
 	Order     []int64
-	Stats     engine.Stats
 }
 
 // wireDelta is a log frame's payload: a coalesced Delta and the sequence
@@ -60,7 +61,6 @@ type wireDelta struct {
 	States    []engine.State
 	Completed []bool
 	Catalog   wireCatalog
-	Stats     engine.Stats
 }
 
 // wireTasks is a list of task records in columns: row i is IDs[i] with
@@ -101,8 +101,8 @@ func sectionOf(t engine.TaskSnap) engine.State {
 
 func (s *Snapshot) wire() *wireSnapshot {
 	w := &wireSnapshot{
-		Format: s.Format, Seq: s.Seq, At: s.At,
-		Catalog: wireCatalogOf(s.Catalog), Order: sized[int64](len(s.Tasks)), Stats: s.Stats,
+		Format: Format, Seq: s.Seq, At: s.At,
+		Catalog: wireCatalogOf(s.Catalog), Order: sized[int64](len(s.Tasks)),
 	}
 	var count [engine.Done + 1]int
 	for _, t := range s.Tasks {
@@ -127,7 +127,7 @@ func (d *Delta) wire(seq int) *wireDelta {
 	w := &wireDelta{
 		Seq: seq, At: d.At,
 		States: sized[engine.State](len(d.Tasks)), Completed: sized[bool](len(d.Tasks)),
-		Catalog: wireCatalogOf(d.Catalog), Stats: d.Stats,
+		Catalog: wireCatalogOf(d.Catalog),
 	}
 	w.Tasks = wireTasksOf(d.Tasks, len(d.Tasks), func(engine.TaskSnap) bool { return true })
 	for _, t := range d.Tasks {
@@ -141,7 +141,7 @@ func (d *Delta) wire(seq int) *wireDelta {
 // section's records filed over their own. A section naming an ID Order
 // lacks means the columns disagree.
 func (w *wireSnapshot) snapshot() (*Snapshot, error) {
-	s := &Snapshot{Format: w.Format, Seq: w.Seq, At: w.At, Stats: w.Stats}
+	s := &Snapshot{Seq: w.Seq, At: w.At}
 	if _, err := w.Completed.rows(); err != nil {
 		return nil, err
 	}
@@ -180,7 +180,7 @@ func (w *wireSnapshot) snapshot() (*Snapshot, error) {
 }
 
 func (w *wireDelta) delta() (*Delta, error) {
-	d := &Delta{At: w.At, Stats: w.Stats}
+	d := &Delta{At: w.At}
 	n, err := w.Tasks.rows()
 	if err != nil {
 		return nil, err
@@ -269,15 +269,15 @@ func carve[T any](col []T, at *int, n int) []T {
 	return col[i : i+n : i+n]
 }
 
-// wireCatalogOf lays catalog rows out in columns. Value is written for the
-// rows with HasValue alone: it means nothing without the flag.
+// wireCatalogOf lays catalog rows out in columns, a row's value only when
+// it has one.
 func wireCatalogOf(rows []CatalogEntry) wireCatalog {
 	n := len(rows)
 	w := wireCatalog{Keys: sized[deps.Version](n), Sizes: sized[int64](n), Holders: sized[int](n)}
 	flat, values, valueBytes := 0, 0, 0
 	for i := range rows {
 		flat += len(rows[i].Locations)
-		if rows[i].HasValue {
+		if len(rows[i].Value) > 0 {
 			values++
 			valueBytes += len(rows[i].Value)
 		}
@@ -299,7 +299,7 @@ func wireCatalogOf(rows []CatalogEntry) wireCatalog {
 			}
 			w.Locs = append(w.Locs, at)
 		}
-		if en.HasValue {
+		if len(en.Value) > 0 {
 			w.ValueRows = append(w.ValueRows, i)
 			w.ValueLens = append(w.ValueLens, len(en.Value))
 			w.Values = append(w.Values, en.Value...)
@@ -331,8 +331,8 @@ func (w *wireCatalog) entries() ([]CatalogEntry, error) {
 		return nil, err
 	}
 	for j, row := range w.ValueRows {
-		if row < 0 || row >= n || j > 0 && row <= w.ValueRows[j-1] {
-			return nil, fmt.Errorf("%w: value row %d of a %d-row catalog", errColumns, row, n)
+		if row < 0 || row >= n || j > 0 && row <= w.ValueRows[j-1] || w.ValueLens[j] == 0 {
+			return nil, fmt.Errorf("%w: value row %d of a %d-row catalog, %d bytes", errColumns, row, n, w.ValueLens[j])
 		}
 	}
 	locs := sized[string](len(w.Locs))
@@ -350,7 +350,6 @@ func (w *wireCatalog) entries() ([]CatalogEntry, error) {
 	at = 0
 	for j, row := range w.ValueRows {
 		out[row].Value = carve(w.Values, &at, w.ValueLens[j])
-		out[row].HasValue = true
 	}
 	return out, nil
 }

@@ -52,11 +52,7 @@ func frameOf(t *testing.T, v any) []byte {
 // panics, though the digest in a base's name and a frame's checksum check
 // out.
 func TestColumnsThatDisagreeAreCorrupt(t *testing.T) {
-	snapWire := func() *wireSnapshot {
-		s := goldenSnapshot()
-		s.Format = Format
-		return s.wire()
-	}
+	snapWire := func() *wireSnapshot { return goldenSnapshot().wire() }
 	deltaWire := func() *wireDelta { return goldenDelta().wire(2) }
 	applied := func(frame []byte) (n int) {
 		readFrames(frame, 1, func(*Delta, int) { n++ })
@@ -88,6 +84,10 @@ func TestColumnsThatDisagreeAreCorrupt(t *testing.T) {
 		{name: "value row repeated", snap: func(w *wireSnapshot) {
 			c := &w.Catalog
 			c.ValueRows, c.ValueLens, c.Values = []int{2, 2}, []int{1, 2}, []byte("gob")
+		}},
+		{name: "value row without bytes", snap: func(w *wireSnapshot) {
+			c := &w.Catalog
+			c.ValueRows, c.ValueLens = []int{1, 2}, []int{0, 3}
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -125,18 +125,18 @@ func TestColumnsThatDisagreeAreCorrupt(t *testing.T) {
 }
 
 // Snapshots and log groups read back as written across the shapes the
-// columns must keep apart: values present, absent and empty, a vanished
-// row (size 0, no holders), rows and records with nothing to carve, and
-// empty sections. A capture hands empty slices where gob hands back nil;
-// the two must stay Equivalent.
-func TestFormat3RoundTrips(t *testing.T) {
+// columns must keep apart: values present and absent, a vanished row
+// (size 0, no holders), rows and records with nothing to carve, and empty
+// sections. A capture hands empty slices where gob hands back nil; the
+// two must stay Equivalent.
+func TestFormat4RoundTrips(t *testing.T) {
 	key := func(d int) deps.Version { return deps.Version{Data: deps.DataID(d), Ver: 1} }
 	catalog := []CatalogEntry{
-		{Key: key(1), Size: 10, Locations: []string{"b", "c"}, Value: []byte{1, 2}, HasValue: true},
+		{Key: key(1), Size: 10, Locations: []string{"b", "c"}, Value: []byte{1, 2}},
 		{Key: key(2)}, // vanished
 		{Key: key(3), Size: 5, Locations: []string{"a"}},
-		{Key: key(4), Locations: []string{"c", "a"}, HasValue: true}, // an empty value
-		{Key: key(5), Size: 7, Value: []byte{9}, HasValue: true},
+		{Key: key(4), Locations: []string{"c", "a"}},
+		{Key: key(5), Size: 7, Value: []byte{9}},
 	}
 	snaps := []*Snapshot{
 		{},
@@ -152,7 +152,6 @@ func TestFormat3RoundTrips(t *testing.T) {
 				{ID: 6, State: engine.Pending},
 			},
 			Catalog: catalog,
-			Stats:   engine.Stats{Launched: 3, Completed: 3},
 		},
 	}
 	deltas := []*Delta{
@@ -163,7 +162,7 @@ func TestFormat3RoundTrips(t *testing.T) {
 				{ID: 1, State: engine.Running, Epoch: 3, Completed: true, OutputKeys: []deps.Version{key(1)}},
 				{ID: 4, State: engine.Done, Epoch: 1, Completed: true},
 			},
-			Catalog: catalog, Stats: engine.Stats{Completed: 4},
+			Catalog: catalog,
 		},
 	}
 	store, err := NewStore(t.TempDir())

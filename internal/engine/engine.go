@@ -145,7 +145,7 @@ type Task struct {
 	Payload any
 
 	// The engine's fields: the int32 counters share a word-aligned run
-	// with the flags; State stays an int (checkpoint Format 3 encodes it).
+	// with the flags; State stays an int (checkpoint Format 4 encodes it).
 	sig        resources.SigID // interned constraint signature (index into Engine.ready)
 	waitCount  int32           // unmet producer edges + outstanding holds
 	holds      int32           // synthetic dependencies only ReleaseHold clears
@@ -329,11 +329,6 @@ type Stats struct {
 	// AvailRecompute placement decisions (every one also shows up in
 	// Reexecuted when the producer had completed before).
 	AvailRecomputes int
-	// AdmitQueued and AdmitRejected stay zero (autoscale.Admission counts
-	// admissions): checkpoints gob-encode Stats, field names included, so
-	// deleting them would move checkpoint Format 3's bytes.
-	AdmitQueued   int
-	AdmitRejected int
 }
 
 // Completion reports the outcome of a live Complete call.

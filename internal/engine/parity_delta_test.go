@@ -108,8 +108,8 @@ func TestDeltaCheckpointParitySweep(t *testing.T) {
 	for _, c := range workloads.ConformanceSuite() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			simStore, drained := ckptSweepSim(t, c, 1, steal)
-			liveStore := ckptSweepLive(t, c, 1, steal)
+			simStore, drained, _ := ckptSweepSim(t, c, 1, steal)
+			liveStore, _ := ckptSweepLive(t, c, 1, steal)
 
 			simBases, simLogs := storeFiles(t, simStore)
 			liveBases, liveLogs := storeFiles(t, liveStore)
@@ -154,8 +154,8 @@ func TestDeltaCorruptionFallbackParity(t *testing.T) {
 	ran := 0
 	for _, c := range workloads.ConformanceSuite() {
 		c := c
-		simStore, _ := ckptSweepSim(t, c, 1, steal)
-		liveStore := ckptSweepLive(t, c, 1, steal)
+		simStore, _, _ := ckptSweepSim(t, c, 1, steal)
+		liveStore, _ := ckptSweepLive(t, c, 1, steal)
 		_, simLogs := storeFiles(t, simStore)
 		_, liveLogs := storeFiles(t, liveStore)
 		if n := frameCount(t, simLogs); n < 2 || n != frameCount(t, liveLogs) {

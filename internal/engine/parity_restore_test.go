@@ -139,7 +139,7 @@ func TestRestoreParity(t *testing.T) {
 			continue
 		}
 		for _, en := range s.Catalog {
-			if en.HasValue && len(en.Locations) == 1 {
+			if len(en.Value) > 0 && len(en.Locations) == 1 {
 				snap, lost = s, en.Locations[0]
 			}
 		}

@@ -16,7 +16,6 @@
 package host
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -203,13 +202,9 @@ type Host struct {
 // cordons through it, registers the engine's, the checkpointer's, the
 // autoscaler's and the admission controller's instruments on
 // Config.Metrics, seeds Config.Restore's catalog, arms the checkpointer
-// when a store is configured, and stages in Config.StageIn. It fails
-// only on a restore snapshot of another format: resuming cold instead
-// would recompute a whole campaign without a word.
-func New(cfg Config, b Backend) (*Host, error) {
-	if snap := cfg.Restore; snap != nil && snap.Format != checkpoint.Format {
-		return nil, fmt.Errorf("host: restore snapshot format %d, want %d", snap.Format, checkpoint.Format)
-	}
+// when a store is configured, and stages in Config.StageIn. A restore
+// snapshot is of the current format: Store.Load refuses any other.
+func New(cfg Config, b Backend) *Host {
 	h := &Host{cfg: cfg, b: b}
 	if p, ok := b.Timer.(interface{ Pending() int }); ok {
 		h.pending = p.Pending
@@ -263,7 +258,7 @@ func New(cfg Config, b Backend) (*Host, error) {
 	for d, size := range cfg.StageIn {
 		h.StageIn(d, size, cfg.StageInNodes[d])
 	}
-	return h, nil
+	return h
 }
 
 // StageIn records version 0 of d, provided from outside the workflow, in

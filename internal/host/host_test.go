@@ -53,11 +53,7 @@ func newHost(t *testing.T, tm *simclock.Clock, x *fakeExecutor, cfg host.Config)
 	if cfg.Policy == nil {
 		cfg.Policy = sched.FIFO{}
 	}
-	h, err := host.New(cfg, host.Backend{Clock: tm, Timer: tm, Executor: x})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
+	return host.New(cfg, host.Backend{Clock: tm, Timer: tm, Executor: x})
 }
 
 // A driver tick keeps re-arming while anything else is scheduled or its
@@ -143,12 +139,9 @@ func TestObserversDoNotKeepRunAlive(t *testing.T) {
 func TestStopTicksOnWallTimer(t *testing.T) {
 	reg := obsv.NewRegistry()
 	reg.GaugeFunc("g", "", "", func() int64 { return 1 })
-	h, err := host.New(host.Config{
+	h := host.New(host.Config{
 		Pool: oneNodePool(), Policy: sched.FIFO{}, Metrics: reg,
 	}, host.Backend{Clock: engine.WallClock{Epoch: time.Now()}, Timer: faults.NewWallTimer(), Executor: &fakeExecutor{}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	smp := h.StartSampler(2 * time.Millisecond)
 	deadline := time.After(5 * time.Second)
 	for len(smp.Series()) == 0 {
@@ -204,7 +197,7 @@ func TestAdmitAndTaskCompleted(t *testing.T) {
 	x := &fakeExecutor{}
 	adm := autoscale.NewAdmission(autoscale.Quota{MaxInFlight: 1})
 	h := newHost(t, simclock.New(), x, host.Config{Admission: adm, Restore: &checkpoint.Snapshot{
-		Format: checkpoint.Format, Tasks: []engine.TaskSnap{{ID: 3, State: engine.Done, Epoch: 1, Completed: true}},
+		Tasks: []engine.TaskSnap{{ID: 3, State: engine.Done, Epoch: 1, Completed: true}},
 	}})
 	if !h.Tracking() {
 		t.Fatal("a host with an admission controller must track completions")
@@ -295,16 +288,5 @@ func TestAutoscaleStepHoldsProvisioningNode(t *testing.T) {
 	}
 	if len(x.launched) != 1 {
 		t.Fatal("task not placed once the provisioning hold lifted")
-	}
-}
-
-// A restore snapshot of another format is refused before anything is
-// built: resuming cold would recompute the campaign without a word.
-func TestNewRefusesForeignSnapshotFormat(t *testing.T) {
-	_, err := host.New(host.Config{
-		Pool: oneNodePool(), Policy: sched.FIFO{}, Restore: &checkpoint.Snapshot{Format: checkpoint.Format + 1},
-	}, host.Backend{Clock: simclock.New(), Timer: simclock.New(), Executor: &fakeExecutor{}})
-	if err == nil {
-		t.Fatal("New accepted a snapshot of another format")
 	}
 }

@@ -47,7 +47,7 @@ func TestHostHammer(t *testing.T) {
 	const submitters, perSubmitter = 8, 150
 	const total = submitters * perSubmitter
 	recorded := func(id int64) bool { return id%3 == 0 }
-	snap := &checkpoint.Snapshot{Format: checkpoint.Format}
+	snap := &checkpoint.Snapshot{}
 	for id := int64(1); id <= total; id++ {
 		if recorded(id) {
 			snap.Tasks = append(snap.Tasks, engine.TaskSnap{ID: id, State: engine.Done, Epoch: 1, Completed: true})
@@ -57,12 +57,9 @@ func TestHostHammer(t *testing.T) {
 	_ = pool.Add(resources.NewNode("n0", resources.Description{Cores: 4, MemoryMB: 8000, SpeedFactor: 1}))
 	adm := autoscale.NewAdmission(autoscale.Quota{MaxInFlight: 2})
 	x := &spawnExecutor{done: make(chan int64, total)}
-	h, err := New(Config{
+	h := New(Config{
 		Pool: pool, Policy: sched.FIFO{}, Admission: adm, Restore: snap,
 	}, Backend{Clock: engine.WallClock{Epoch: time.Now()}, Timer: faults.NewWallTimer(), Executor: x})
-	if err != nil {
-		t.Fatal(err)
-	}
 	x.h = h
 	eng := h.Engine()
 

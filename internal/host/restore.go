@@ -31,7 +31,7 @@ func (h *Host) seedCatalog(snap *checkpoint.Snapshot) {
 	reg := h.cfg.Locations
 	for i := range snap.Catalog {
 		en := &snap.Catalog[i]
-		durable := en.HasValue && (h.b.Values == nil || h.b.Values.Seed(en))
+		durable := len(en.Value) > 0 && (h.b.Values == nil || h.b.Values.Seed(en))
 		if reg == nil {
 			continue
 		}

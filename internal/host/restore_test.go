@@ -28,7 +28,7 @@ func TestSeedCatalogAllLiveAllocatesNothingPerRow(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		_ = pool.Add(resources.NewNode(fmt.Sprintf("n%d", i), resources.Description{Cores: 1, MemoryMB: 1000, SpeedFactor: 1}))
 	}
-	snap := &checkpoint.Snapshot{Format: checkpoint.Format}
+	snap := &checkpoint.Snapshot{}
 	for i := 0; i < rows; i++ {
 		snap.Catalog = append(snap.Catalog, checkpoint.CatalogEntry{
 			Key: deps.Version{Data: deps.DataID(i + 1), Ver: 1}, Size: 1 << 20,
@@ -36,10 +36,7 @@ func TestSeedCatalogAllLiveAllocatesNothingPerRow(t *testing.T) {
 		})
 	}
 	clk := simclock.New()
-	h, err := New(Config{Pool: pool, Policy: sched.FIFO{}}, Backend{Clock: clk, Timer: clk, Executor: nopExecutor{}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := New(Config{Pool: pool, Policy: sched.FIFO{}}, Backend{Clock: clk, Timer: clk, Executor: nopExecutor{}})
 	allocs := testing.AllocsPerRun(3, func() {
 		h.cfg.Locations = transfer.NewRegistry()
 		h.seedCatalog(snap)
@@ -56,7 +53,7 @@ func TestSeedCatalogAllLiveAllocatesNothingPerRow(t *testing.T) {
 	gone := slices.Clone(snap.Catalog[:3])
 	gone[1].Locations = []string{"n1", "lost", "n5"}
 	h.cfg.Locations = transfer.NewRegistry()
-	h.seedCatalog(&checkpoint.Snapshot{Format: checkpoint.Format, Catalog: gone})
+	h.seedCatalog(&checkpoint.Snapshot{Catalog: gone})
 	for i, want := range [][]string{{"n0", "n4"}, {"n1", "n5"}, {"n2", "n6"}} {
 		if got := h.cfg.Locations.Where(gone[i].Key); !slices.Equal(got, want) {
 			t.Fatalf("row %d seeded with %v, want %v", i, got, want)

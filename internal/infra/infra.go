@@ -207,11 +207,7 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 		nodeAdded: make(map[string]time.Duration),
 		remaining: len(specs),
 	}
-	var err error
-	s.Host, err = host.New(cfg, host.Backend{Clock: s.clock, Timer: s.clock, Executor: &simExecutor{s}})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
-	}
+	s.Host = host.New(cfg, host.Backend{Clock: s.clock, Timer: s.clock, Executor: &simExecutor{s}})
 	s.eng = s.Engine()
 	s.runDeferred = func() {
 		s.schedDeferred = false

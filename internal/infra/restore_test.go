@@ -23,7 +23,6 @@ func TestRestoreUnderAdmissionChargesOnlyWhatRuns(t *testing.T) {
 	}
 	d1, d2 := deps.Version{Data: 1, Ver: 1}, deps.Version{Data: 2, Ver: 1}
 	snap := &checkpoint.Snapshot{
-		Format: checkpoint.Format,
 		Tasks: []engine.TaskSnap{
 			{ID: 1, State: engine.Done, Epoch: 1, Completed: true, OutputKeys: []deps.Version{d1}},
 			{ID: 2, State: engine.Done, Epoch: 1, Completed: true, OutputKeys: []deps.Version{d2}},
