@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // BenchmarkSubmitWait measures end-to-end task overhead: submit, schedule,
@@ -221,5 +222,19 @@ func TestSubmitAllocBudget(t *testing.T) {
 	}
 	if perTask > batchBudget {
 		t.Errorf("SubmitAll: %.4f allocations per task, budget %.3f", perTask, batchBudget)
+	}
+}
+
+// TestRuntimeTaskRecordBudget bounds the live runtime's task record, which
+// every submission pays for in its batch's array: the engine task is
+// embedded, and the class's definition is one record per registration
+// that every task of the class points at. With the definition and the
+// constraint set copied into each task it was 616 bytes.
+func TestRuntimeTaskRecordBudget(t *testing.T) {
+	const budget = 464
+	size := unsafe.Sizeof(rtTask{})
+	t.Logf("core rtTask record: %d bytes (budget %d)", size, budget)
+	if size > budget {
+		t.Fatalf("rtTask is %d bytes, budget %d", size, budget)
 	}
 }

@@ -78,7 +78,9 @@ var (
 type TaskFunc func(ctx context.Context, args []any) ([]any, error)
 
 // TaskDef registers a task type — the equivalent of COMPSs' @task +
-// @constraint annotations.
+// @constraint annotations. The runtime keeps one record per Register,
+// shared by every task submitted under it and never edited; the engine
+// points those tasks at its one shared constraint record per signature.
 type TaskDef struct {
 	// Name is the task-class name (unique).
 	Name string
@@ -265,7 +267,7 @@ func (rt *Runtime) newCellLocked(k deps.Version) *cell {
 // body-facing state.
 type rtTask struct {
 	et     engine.Task
-	def    TaskDef
+	def    *TaskDef // the class's record at submission; Register never edits one
 	params []Param
 	args   []any   // the first execution's argument array
 	reads  []*cell // in InputKeys order
@@ -331,7 +333,7 @@ type Runtime struct {
 	eng  *engine.Engine
 
 	mu       sync.Mutex
-	defs     map[string]TaskDef
+	defs     map[string]*TaskDef
 	pages    []*[cellPage]cell
 	used     int                  // cells carved from the last page
 	restored map[deps.Version]any // Seed's values; nil unless resuming a snapshot
@@ -374,7 +376,7 @@ func New(cfg Config) *Runtime {
 	rt := &Runtime{
 		cfg:   cfg,
 		proc:  deps.NewProcessor(),
-		defs:  make(map[string]TaskDef),
+		defs:  make(map[string]*TaskDef),
 		used:  cellPage,
 		idle:  sync.NewCond(new(sync.Mutex)),
 		epoch: time.Now(),
@@ -393,14 +395,16 @@ func New(cfg Config) *Runtime {
 // now returns the trace timestamp (elapsed since runtime start).
 func (rt *Runtime) now() time.Duration { return time.Since(rt.epoch) }
 
-// Register adds a task definition. Re-registration replaces it.
+// Register adds a task definition. Re-registration replaces it for
+// later submissions: it installs a new record, and the tasks already
+// submitted keep the one they were submitted under.
 func (rt *Runtime) Register(def TaskDef) error {
 	if def.Name == "" || def.Fn == nil {
 		return fmt.Errorf("core: task definition needs name and function")
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.defs[def.Name] = def
+	rt.defs[def.Name] = &def
 	return nil
 }
 
@@ -480,16 +484,16 @@ func measureBytes(v any) int64 {
 }
 
 // admitLocked checks a submission is serviceable. Caller holds rt.mu.
-func (rt *Runtime) admitLocked(name string) (TaskDef, error) {
+func (rt *Runtime) admitLocked(name string) (*TaskDef, error) {
 	if rt.stopped {
-		return TaskDef{}, ErrShutdown
+		return nil, ErrShutdown
 	}
 	def, ok := rt.defs[name]
 	if !ok {
-		return TaskDef{}, fmt.Errorf("%w: %s", ErrUnknownTask, strings.Clone(name)) // the error keeps no caller's string
+		return nil, fmt.Errorf("%w: %s", ErrUnknownTask, strings.Clone(name)) // the error keeps no caller's string
 	}
 	if !rt.cfg.Pool.AnyCapable(def.Constraints) {
-		return TaskDef{}, fmt.Errorf("%w: %s needs %+v", ErrUnplaceable, def.Name, def.Constraints)
+		return nil, fmt.Errorf("%w: %s needs %+v", ErrUnplaceable, def.Name, def.Constraints)
 	}
 	return def, nil
 }
@@ -603,7 +607,7 @@ func (rt *Runtime) buildTaskLocked(t *rtTask, id int64, res deps.Result, room *p
 	t.et = engine.Task{
 		ID:          id,
 		Class:       t.def.Name,
-		Constraints: t.def.Constraints,
+		Constraints: &t.def.Constraints, // read only by Add, which shares the signature's record
 		EstDuration: t.def.EstDuration,
 		InputKeys:   res.Reads,
 		OutputKeys:  res.Writes,

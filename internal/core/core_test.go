@@ -696,3 +696,69 @@ func TestSubmitScratchPinsNothing(t *testing.T) {
 		t.Fatalf("a %d-request batch left its lists behind", keptScratch+1)
 	}
 }
+
+// TestReregisterKeepsQueuedSubmissions re-registers a class with new
+// constraints and a new body while its earlier submissions are still
+// queued: those keep the definition they were submitted under, and only
+// later submissions take the new one.
+func TestReregisterKeepsQueuedSubmissions(t *testing.T) {
+	pool := resources.NewPool()
+	_ = pool.Add(resources.NewNode("n", resources.Description{Cores: 4, MemoryMB: 8000}))
+	rt := newRT(t, Config{Pool: pool})
+	release := make(chan struct{})
+	body := func(v string) TaskFunc {
+		return func(context.Context, []any) ([]any, error) { return []any{v}, nil }
+	}
+	old := resources.Constraints{Cores: 2, MemoryMB: 1000}
+	for _, def := range []TaskDef{
+		{Name: "block", Constraints: resources.Constraints{Cores: 4}, Fn: func(context.Context, []any) ([]any, error) {
+			<-release
+			return nil, nil
+		}},
+		{Name: "c", Constraints: old, Fn: body("old")},
+	} {
+		if err := rt.Register(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rt.Submit("block"); err != nil { // holds every core until release
+		t.Fatal(err)
+	}
+	submit := func(n int) (out []*Future) {
+		for i := 0; i < n; i++ {
+			h := rt.NewData()
+			f, err := rt.Submit("c", Write(h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, f)
+		}
+		return out
+	}
+	queued := submit(3)
+	renewed := resources.Constraints{Cores: 1}
+	if err := rt.Register(TaskDef{Name: "c", Constraints: renewed, Fn: body("new")}); err != nil {
+		t.Fatal(err)
+	}
+	later := submit(2)
+
+	got := map[string]int{}
+	for _, l := range rt.Engine().SigLoads() {
+		got[l.Constraints.Signature()] = l.Ready
+	}
+	want := map[string]int{old.Signature(): 3, renewed.Signature(): 2}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ready tasks by constraint signature: %v, want %v", got, want)
+	}
+	close(release)
+	rt.Barrier()
+	for i, f := range append(queued, later...) {
+		want := "new"
+		if i < len(queued) {
+			want = "old"
+		}
+		if v, err := f.Wait(); err != nil || len(v) != 1 || v[0] != want {
+			t.Errorf("submission %d: %v, %v; want the %s body's result", i, v, err, want)
+		}
+	}
+}

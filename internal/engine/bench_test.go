@@ -249,9 +249,11 @@ func TestDeltaCaptureSubLinear(t *testing.T) {
 
 // TestTaskRecordBudget bounds the engine's task record, which every
 // registered task pays for: a field that only a rare path sets belongs in
-// the cold record the task reaches through one pointer, not in Task.
+// the cold record the task reaches through one pointer, not in Task, and
+// what every task of a signature shares is one record it points at, not a
+// copy.
 func TestTaskRecordBudget(t *testing.T) {
-	const budget = 288 // the record before the cold split was 360
+	const budget = 232 // 288 with a copy of the constraint set in each task, 360 before the cold split
 	size := reflect.TypeOf(engine.Task{}).Size()
 	t.Logf("engine.Task record: %d bytes (budget %d)", size, budget)
 	if size > budget {

@@ -49,11 +49,11 @@ func (e *Engine) completeLocked(t *Task, epoch int, failed bool) (Completion, bo
 	// A completion can race a concurrent FailNode on the live backend: a
 	// member that left the pool meanwhile is neither released nor reported.
 	primary := t.node.Name()
-	if e.cfg.Pool.Release(t.node, t.Constraints) {
+	if e.cfg.Pool.Release(t.node, *t.cons()) {
 		c.Node = t.node
 	}
 	for _, n := range t.peers() {
-		if e.cfg.Pool.Release(n, t.Constraints) {
+		if e.cfg.Pool.Release(n, *t.cons()) {
 			c.Peers = append(c.Peers, n)
 		}
 	}
@@ -154,11 +154,11 @@ func (e *Engine) killRunningOn(name string) []*Task {
 		}
 		for _, n := range t.peers() {
 			if !named(n) {
-				e.cfg.Pool.Release(n, t.Constraints)
+				e.cfg.Pool.Release(n, *t.cons())
 			}
 		}
 		if !named(t.node) {
-			e.cfg.Pool.Release(t.node, t.Constraints)
+			e.cfg.Pool.Release(t.node, *t.cons())
 		}
 		if t.node = nil; t.cold != nil {
 			t.cold.peers = nil

@@ -99,7 +99,7 @@ type Executor interface {
 }
 
 // State is the lifecycle of a task inside the engine.
-type State int
+type State int8
 
 // Task states.
 const (
@@ -128,8 +128,12 @@ type Task struct {
 	ID int64
 	// Class names the task type (policy/predictor key, trace label).
 	Class string
-	// Constraints are the placement requirements.
-	Constraints resources.Constraints
+	// Constraints are the placement requirements: nil for none, a
+	// resources.Constraints value, or a *resources.Constraints that Add
+	// only reads. Add replaces them with a *resources.Constraints to the
+	// engine's one record of the signature, which nobody edits, so the
+	// task keeps no caller memory and the record is shared, not copied.
+	Constraints resources.ConstraintRef
 	// EstDuration is the declared base duration (0 if unknown).
 	EstDuration time.Duration
 	// InputKeys are the data versions the task reads (shared, immutable
@@ -145,15 +149,15 @@ type Task struct {
 	Payload any
 
 	// The engine's fields: the int32 counters share a word-aligned run
-	// with the flags; State stays an int (checkpoint Format 4 encodes it).
+	// with the flag and the state.
 	sig        resources.SigID // interned constraint signature (index into Engine.ready)
 	waitCount  int32           // unmet producer edges + outstanding holds
 	holds      int32           // synthetic dependencies only ReleaseHold clears
 	fanOut     int32           // dependents registered but not yet wired (zero outside Add)
 	epoch      int32           // placement counter
 	completed  bool            // completed at least once
-	prio       float64
 	state      State
+	prio       float64
 	dependents []*Task
 	node       *resources.Node // reserved primary while Running
 	cold       *taskCold       // rarely set fields; nil until first needed
@@ -368,7 +372,10 @@ type Engine struct {
 	// sigs holds the same buckets by label, the order iterations use.
 	ready []*bucket
 	sigs  []*bucket
-	wave  int // placement-wave counter (bucket blocking)
+	// cons holds each signature's one constraint record, by SigID: what
+	// Add points every task of the signature at.
+	cons []*resources.Constraints
+	wave int // placement-wave counter (bucket blocking)
 	// cand is the live candidate view of the current wave: the unblocked,
 	// non-empty buckets the selection loop actually scans. It is rebuilt
 	// from sigs once per wave and compacted as buckets drain or block, so
@@ -532,41 +539,6 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.unlock()
 	return e.stats
-}
-
-// SigLoad is one non-empty ready bucket's demand and supply snapshot:
-// how many tasks of the signature are queued, and how many pool nodes
-// could currently fit one (Fit, the index's exact saturation counter)
-// or are capable at all (Capable, cordons and load ignored). A starved
-// signature — Ready > 0, Capable == 0 — is the autoscaler's strongest
-// grow signal: queued work no pool node could ever take. Fit == 0 with
-// Capable > 0 is mere saturation.
-type SigLoad struct {
-	Sig         string
-	Constraints resources.Constraints
-	Ready       int
-	Fit         int
-	Capable     int
-}
-
-// SigLoads returns one entry per non-empty ready bucket, in signature
-// order — deterministic for a given engine state. Constraints are taken
-// from the bucket's head task (placeability depends only on the
-// signature, so any member's constraints are the signature's).
-func (e *Engine) SigLoads() []SigLoad {
-	e.mu.Lock()
-	defer e.unlock()
-	out := make([]SigLoad, 0, len(e.sigs))
-	for _, b := range e.sigs {
-		if len(b.q) == 0 {
-			continue
-		}
-		out = append(out, SigLoad{
-			Sig: b.idx.Label(), Constraints: b.q[0].Constraints,
-			Ready: len(b.q), Fit: b.idx.FitCount(), Capable: b.idx.Len(),
-		})
-	}
-	return out
 }
 
 // Timing is one task's latency milestones on the engine clock. Every

@@ -127,8 +127,8 @@ func checkTaskRecords(e *Engine) error {
 		if (t.state == Running) != (t.node != nil) {
 			return fmt.Errorf("task %d: state %d, holds a node: %v", t.ID, t.state, t.node != nil)
 		}
-		if len(t.peers()) > 0 && (t.state != Running || t.Constraints.EffectiveNodes() < 2) {
-			return fmt.Errorf("task %d: %d peers in state %d, %d nodes wanted", t.ID, len(t.peers()), t.state, t.Constraints.EffectiveNodes())
+		if len(t.peers()) > 0 && (t.state != Running || t.cons().EffectiveNodes() < 2) {
+			return fmt.Errorf("task %d: %d peers in state %d, %d nodes wanted", t.ID, len(t.peers()), t.state, t.cons().EffectiveNodes())
 		}
 		if t.fanOut != 0 {
 			return fmt.Errorf("task %d: fanOut %d left at a release", t.ID, t.fanOut)
@@ -261,32 +261,40 @@ func CheckLogSteps(t testing.TB) {
 }
 
 // checkReservations holds every pool node's books to the engine's: its
-// busy cores and its reservation count equal the sums over the engine's
-// Running tasks placed on it, primary and group peers both. A node clamps
-// an over-release at its capacity (resources.Node.Release), so a
-// reservation released twice, or never, is silent there; here it fails
-// the step it happens in. Only runs whose every reservation the engine
-// makes may install it: an autoscaler's provisioning hold is invisible to
-// the engine. Caller holds e.mu.
+// reserved cores, memory and GPUs and its reservation count equal the
+// sums over the engine's Running tasks placed on it, primary and group
+// peers both, of their shared constraint records. A node clamps an
+// over-release at its capacity (resources.Node.Release), so a
+// reservation released twice, or never, or only in part, is silent
+// there; here it fails the step it happens in. Only runs whose every
+// reservation the engine makes may install it: an autoscaler's
+// provisioning hold is invisible to the engine. Caller holds e.mu.
 func checkReservations(e *Engine) error {
-	type held struct{ cores, n int }
+	type held struct {
+		cores, gpus, n int
+		memMB          int64
+	}
 	want := map[*resources.Node]held{}
 	for _, t := range e.tasks.all {
 		if t.state != Running {
 			continue
 		}
+		c := t.cons()
 		for _, n := range append([]*resources.Node{t.node}, t.peers()...) {
 			h := want[n]
-			h.cores += t.Constraints.EffectiveCores()
+			h.cores += c.EffectiveCores()
+			h.memMB += c.MemoryMB
+			h.gpus += c.GPUs
 			h.n++
 			want[n] = h
 		}
 	}
 	for _, n := range e.cfg.Pool.Nodes() {
 		h := want[n]
-		if busy, running := n.BusyCores(), n.Running(); busy != h.cores || running != h.n {
-			return fmt.Errorf("node %s: %d busy cores in %d reservations, the engine's running tasks hold %d in %d",
-				n.Name(), busy, running, h.cores, h.n)
+		cores, memMB, gpus := n.Reserved()
+		if got := (held{cores, gpus, n.Running(), memMB}); got != h {
+			return fmt.Errorf("node %s: %d cores, %d MB and %d GPUs reserved in %d reservations, the engine's running tasks hold %d, %d MB and %d in %d",
+				n.Name(), got.cores, got.memMB, got.gpus, got.n, h.cores, h.memMB, h.gpus, h.n)
 		}
 	}
 	return nil

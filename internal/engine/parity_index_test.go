@@ -74,7 +74,7 @@ func (p scanOnly) Choose(t *sched.TaskView, c resources.Candidates, ctx *sched.C
 		var best *resources.Node
 		var bestFrac float64
 		for _, n := range fitting {
-			f := float64(n.BusyCores()) / float64(n.Desc().Cores)
+			f := float64(busyCores(n)) / float64(n.Desc().Cores)
 			if best == nil || f < bestFrac || f == bestFrac && n.Name() < best.Name() {
 				best, bestFrac = n, f
 			}
@@ -191,7 +191,7 @@ func indexScanDiff(pool *resources.Pool, sigs []resources.Constraints) error {
 				least = n
 				continue
 			}
-			l, r := n.BusyCores()*least.Desc().Cores, least.BusyCores()*n.Desc().Cores
+			l, r := busyCores(n)*least.Desc().Cores, busyCores(least)*n.Desc().Cores
 			if l < r || l == r && n.Name() < least.Name() {
 				least = n
 			}
@@ -463,4 +463,10 @@ func TestLocalityIndexParity(t *testing.T) {
 		diffIndexRuns(t, "before the halt", halves[0][0], halves[1][0])
 		diffIndexRuns(t, "after the restore", halves[0][1], halves[1][1])
 	})
+}
+
+// busyCores returns n's reserved cores.
+func busyCores(n *resources.Node) int {
+	cores, _, _ := n.Reserved()
+	return cores
 }

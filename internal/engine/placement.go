@@ -37,7 +37,8 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 	if hinted {
 		capFail = placeDeclined
 	}
-	wantNodes := t.Constraints.EffectiveNodes()
+	c := t.cons()
+	wantNodes := c.EffectiveNodes()
 
 	// The policy chooses among the fitting nodes once, at this one site.
 	// An unhinted single-node task's candidates are read through the
@@ -45,7 +46,7 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 	// one; a hinted task's and a group's are listed, because the hint
 	// filters them and the group draws its peers from them.
 	idx := e.ready[t.sig].idx // t is queued, so its bucket exists
-	cands := idx.Candidates(t.Constraints, &e.fitScratch)
+	cands := idx.Candidates(*c, &e.fitScratch)
 	var fitting []*resources.Node // the listed candidates; nil while read through the index
 	if hinted || wantNodes > 1 {
 		if hinted {
@@ -123,14 +124,14 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 	if len(peers) < wantNodes-1 {
 		return Placement{}, capFail
 	}
-	if primary.Reserve(t.Constraints) != nil {
+	if primary.Reserve(*c) != nil {
 		return Placement{}, capFail
 	}
 	for i, n := range peers {
-		if n.Reserve(t.Constraints) != nil {
-			primary.Release(t.Constraints)
+		if n.Reserve(*c) != nil {
+			primary.Release(*c)
 			for _, done := range peers[:i] {
-				done.Release(t.Constraints)
+				done.Release(*c)
 			}
 			return Placement{}, capFail
 		}

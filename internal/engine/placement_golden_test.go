@@ -283,3 +283,29 @@ func TestPlacementsMatchGolden(t *testing.T) {
 		t.Fatalf("%s has %d lines, this run %d", path, len(wl), len(gl))
 	}
 }
+
+// TestReservationStepsHoldMemoryAndGPUs runs tasks that reserve memory and
+// GPUs besides cores under the reservation step check. The nodes are large
+// enough that a release which returns the cores but not the memory or the
+// GPUs still lets the run finish, so only the check can see it.
+func TestReservationStepsHoldMemoryAndGPUs(t *testing.T) {
+	engine.CheckReservationSteps(t)
+	pool := resources.NewPool()
+	for _, name := range []string{"g1", "g0"} {
+		_ = pool.Add(resources.NewNode(name, resources.Description{Cores: 4, MemoryMB: 1_000_000, GPUs: 64, SpeedFactor: 1}))
+	}
+	var specs []infra.TaskSpec
+	for i := int64(0); i < 24; i++ {
+		specs = append(specs, infra.TaskSpec{
+			ID: i, Class: "t", Duration: time.Duration(1+i%3) * time.Second,
+			Constraints: resources.Constraints{Cores: int(1 + i%2), MemoryMB: 1000 * (1 + i%4), GPUs: int(i % 3)},
+		})
+	}
+	sim, err := infra.New(infra.Config{Pool: pool, Net: simnet.New(simnet.Link{BandwidthMBps: 1000}), Policy: sched.MinLoad{}}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := sim.Run(); err != nil || res.TasksCompleted != len(specs) {
+		t.Fatalf("run: %d of %d tasks completed, %v", res.TasksCompleted, len(specs), err)
+	}
+}

@@ -1,6 +1,7 @@
-// The ready queue and its placement waves: registration (Add and the
-// edge wiring), dependency release into per-signature buckets, the wave
-// loop that places bucket heads, and the work-stealing phase after it.
+// The ready queue and its placement waves: registration (Add, the shared
+// constraint records and the edge wiring), dependency release into
+// per-signature buckets and their load readout (SigLoads), the wave loop
+// that places bucket heads, and the work-stealing phase after it.
 package engine
 
 import (
@@ -102,7 +103,7 @@ func (e *Engine) addLocked(t *Task, producers []deps.TaskID, holds int) (bool, e
 	if e.tasks.get(t.ID) != nil {
 		return false, fmt.Errorf("%w: %d", ErrDuplicateID, t.ID)
 	}
-	t.sig = e.cfg.Pool.IndexFor(t.Constraints).ID()
+	e.shareLocked(t)
 	t.state = Pending
 	t.submitAt = e.cfg.Clock.Now()
 	t.readyAt, t.firstStart, t.doneAt = -1, -1, -1
@@ -134,6 +135,36 @@ func (e *Engine) addLocked(t *Task, producers []deps.TaskID, holds int) (bool, e
 		return true, nil
 	}
 	return false, nil
+}
+
+// shareLocked interns t's signature and points t at the signature's one
+// constraint record, made from t's set when the signature is new. The
+// record owns its Software list, so no caller's edit reaches it.
+func (e *Engine) shareLocked(t *Task) {
+	var c resources.Constraints
+	switch r := t.Constraints.(type) {
+	case *resources.Constraints:
+		if r != nil {
+			c = *r
+		}
+	case resources.Constraints:
+		c = r
+	}
+	t.sig = e.cfg.Pool.IndexFor(c).ID()
+	for int(t.sig) >= len(e.cons) {
+		e.cons = append(e.cons, nil)
+	}
+	if e.cons[t.sig] == nil {
+		rec := new(resources.Constraints)
+		*rec, rec.Software = c, slices.Clone(c.Software)
+		e.cons[t.sig] = rec
+	}
+	t.Constraints = e.cons[t.sig]
+}
+
+// cons returns t's shared constraint record; Add installed it.
+func (t *Task) cons() *resources.Constraints {
+	return t.Constraints.(*resources.Constraints)
 }
 
 // wireLocked hangs the edges addLocked counted on their producers, in
@@ -212,7 +243,7 @@ func (e *Engine) pushReadyLocked(t *Task) {
 	}
 	b := e.ready[t.sig]
 	if b == nil {
-		idx := e.cfg.Pool.IndexFor(t.Constraints)
+		idx := e.cfg.Pool.IndexFor(*t.cons())
 		b = &bucket{idx: idx}
 		e.ready[t.sig] = b
 		if reg := e.cfg.Metrics; reg != nil {
@@ -240,12 +271,47 @@ func (e *Engine) pushReadyLocked(t *Task) {
 	e.readyN.Add(1)
 }
 
+// SigLoad is one non-empty ready bucket's demand and supply snapshot:
+// how many tasks of the signature are queued, and how many pool nodes
+// could currently fit one (Fit, the index's exact saturation counter)
+// or are capable at all (Capable, cordons and load ignored). A starved
+// signature — Ready > 0, Capable == 0 — is the autoscaler's strongest
+// grow signal: queued work no pool node could ever take. Fit == 0 with
+// Capable > 0 is mere saturation.
+type SigLoad struct {
+	Sig         string
+	Constraints resources.Constraints
+	Ready       int
+	Fit         int
+	Capable     int
+}
+
+// SigLoads returns one entry per non-empty ready bucket, in signature
+// order — deterministic for a given engine state. Constraints are the
+// signature's shared record, read through the bucket's head task.
+func (e *Engine) SigLoads() []SigLoad {
+	e.mu.Lock()
+	defer e.unlock()
+	out := make([]SigLoad, 0, len(e.sigs))
+	for _, b := range e.sigs {
+		if len(b.q) == 0 {
+			continue
+		}
+		out = append(out, SigLoad{
+			Sig: b.idx.Label(), Constraints: *b.q[0].cons(),
+			Ready: len(b.q), Fit: b.idx.FitCount(), Capable: b.idx.Len(),
+		})
+	}
+	return out
+}
+
 // headLess orders bucket heads: multi-node first, then higher priority,
-// then lower ID.
+// then lower ID. Tasks of one signature want as many nodes.
 func headLess(a, b *Task) bool {
-	an, bn := a.Constraints.EffectiveNodes(), b.Constraints.EffectiveNodes()
-	if an != bn {
-		return an > bn
+	if a.sig != b.sig {
+		if an, bn := a.cons().EffectiveNodes(), b.cons().EffectiveNodes(); an != bn {
+			return an > bn
+		}
 	}
 	if a.prio != b.prio {
 		return a.prio > b.prio
@@ -260,7 +326,7 @@ func (e *Engine) viewLocked(t *Task) *sched.TaskView {
 	e.view = sched.TaskView{
 		ID:          t.ID,
 		Class:       t.Class,
-		Constraints: t.Constraints,
+		Constraints: *t.cons(),
 		EstDuration: t.EstDuration,
 		InputKeys:   t.InputKeys,
 		InputBytes:  t.InputBytes,

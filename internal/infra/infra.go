@@ -237,7 +237,7 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 			*et = engine.Task{
 				ID:          spec.ID,
 				Class:       spec.Class,
-				Constraints: spec.Constraints,
+				Constraints: &win[i].Constraints, // read only by Add, which shares the signature's record
 				EstDuration: spec.Duration,
 				InputKeys:   res.Reads,
 				OutputKeys:  res.Writes,
@@ -349,7 +349,7 @@ func (f *flight) finish() {
 
 // account books one group member's share of a finished execution.
 func (s *Sim) account(t *engine.Task, n *resources.Node, ran time.Duration) {
-	cores := t.Constraints.EffectiveCores()
+	cores := t.Constraints.(*resources.Constraints).EffectiveCores() // Add's shared record
 	s.acct.AddTask(n.Name(), n.Desc(), cores, ran)
 	s.result.BusyCoreSeconds += float64(cores) * ran.Seconds()
 	if s.cfg.Predictor != nil {

@@ -2,6 +2,8 @@ package infra
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -603,5 +605,63 @@ func TestElasticStuckReturnsErrStuck(t *testing.T) {
 				t.Fatal("Run still spinning after 10s: the elastic tick masks ErrStuck")
 			}
 		})
+	}
+}
+
+// TestSpecsEditedAfterNewMoveNoPlacement edits every spec's constraints
+// once New has returned: the run must place each task as the unedited run
+// does, because New keeps no spec's memory — each task points at its
+// signature's own record. The edited specs, run from the start, place
+// differently, so the comparison can fail.
+func TestSpecsEditedAfterNewMoveNoPlacement(t *testing.T) {
+	sigs := []resources.Constraints{
+		{Class: resources.Cloud, Cores: 4},
+		{Cores: 2, MemoryMB: 12_000},
+		{Cores: 2, GPUs: 1},
+		{Cores: 4, Software: []string{"blast"}},
+	}
+	specs := func() []TaskSpec {
+		var out []TaskSpec
+		for i := int64(0); i < 16; i++ {
+			out = append(out, TaskSpec{ID: i, Class: "t", Duration: time.Duration(1+i%3) * time.Second, Constraints: sigs[i%4]})
+		}
+		return out
+	}
+	edit := func(specs []TaskSpec) {
+		for i := range specs {
+			specs[i].Constraints = resources.Constraints{Class: resources.HPC, Software: []string{"blast"}}
+		}
+	}
+	run := func(specs []TaskSpec, editAfterNew bool) (starts []string) {
+		pool := resources.NewPool()
+		_ = pool.Add(resources.NewNode("cloud0", resources.Description{Cores: 4, MemoryMB: 4_000, Class: resources.Cloud, SpeedFactor: 1}))
+		_ = pool.Add(resources.NewNode("hpc0", resources.Description{Cores: 8, MemoryMB: 16_000, Class: resources.HPC, SpeedFactor: 1, Software: []string{"blast"}}))
+		_ = pool.Add(resources.NewNode("gpu0", resources.Description{Cores: 4, MemoryMB: 8_000, GPUs: 1, Class: resources.HPC, SpeedFactor: 1}))
+		tr := trace.New(0)
+		sim, err := New(Config{Pool: pool, Net: flatNet(), Policy: sched.MinLoad{}, Tracer: tr}, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if editAfterNew {
+			edit(specs)
+		}
+		if _, err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range tr.Events() {
+			if e.Kind == trace.TaskStarted {
+				starts = append(starts, fmt.Sprintf("%d@%s:%v", e.Task, e.Node, e.At))
+			}
+		}
+		return starts
+	}
+	want := run(specs(), false)
+	if got := run(specs(), true); !slices.Equal(got, want) {
+		t.Fatalf("specs edited after New placed\n%v\nthe unedited run placed\n%v", got, want)
+	}
+	edited := specs()
+	edit(edited)
+	if slices.Equal(run(edited, false), want) {
+		t.Fatal("the edited specs place as the unedited ones do: the comparison cannot fail")
 	}
 }

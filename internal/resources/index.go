@@ -581,7 +581,8 @@ func (cs Candidates) MinLoad() *Node {
 // fully busy, as in the load heap.
 func loadFrac(n *Node) float64 {
 	if c := n.Desc().Cores; c > 0 {
-		return float64(n.BusyCores()) / float64(c)
+		busy, _, _ := n.Reserved()
+		return float64(busy) / float64(c)
 	}
 	return 1
 }

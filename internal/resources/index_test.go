@@ -52,7 +52,7 @@ func scanMinLoad(p *Pool, c Constraints) *Node {
 		if !n.CanReserve(c) {
 			continue
 		}
-		f := float64(n.BusyCores()) / float64(n.Desc().Cores)
+		f := float64(busyCores(n)) / float64(n.Desc().Cores)
 		if best == nil || f < bestFrac || (f == bestFrac && n.Name() < best.Name()) {
 			best, bestFrac = n, f
 		}
@@ -531,7 +531,7 @@ func TestIndexNamedLookupUnderChurn(t *testing.T) {
 			}
 		case op == 3 && ok:
 			_ = n.Reserve(c) // a full or drained node refuses: nothing to undo
-		case op == 4 && ok && n.BusyCores() > 0:
+		case op == 4 && ok && busyCores(n) > 0:
 			n.Release(c)
 		}
 	}
@@ -798,7 +798,7 @@ func TestPowerOfTwoPickIgnoresWalkHistory(t *testing.T) {
 			case op == 1:
 				n.Undrain()
 			case op < 5:
-				if n.BusyCores() > 0 {
+				if busyCores(n) > 0 {
 					n.Release(c)
 				}
 			default:
@@ -859,4 +859,10 @@ func TestIndexAppendReusesBuffer(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Nodes and Filter allocated %.1f times per view on a warm buffer, want 0", allocs)
 	}
+}
+
+// busyCores returns n's reserved cores.
+func busyCores(n *Node) int {
+	cores, _, _ := n.Reserved()
+	return cores
 }

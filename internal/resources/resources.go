@@ -90,6 +90,14 @@ type Constraints struct {
 	Nodes int
 }
 
+// ConstraintRef is a constraint set as a record that may share it holds
+// it: a *Constraints that nobody edits while the record holds it, or a
+// Constraints value of the record's own. Only those two are
+// ConstraintRefs; a nil one holds no requirement.
+type ConstraintRef interface{ constraintRef() }
+
+func (Constraints) constraintRef() {}
+
 // EffectiveCores returns Cores, defaulting to 1.
 func (c Constraints) EffectiveCores() int { return max(c.Cores, 1) }
 
@@ -323,11 +331,12 @@ func (n *Node) releaseLocked(c Constraints) {
 	n.notifyLocked()
 }
 
-// BusyCores returns the number of reserved cores.
-func (n *Node) BusyCores() int {
+// Reserved returns the cores, memory and GPUs currently reserved, read
+// under one acquisition.
+func (n *Node) Reserved() (cores int, memMB int64, gpus int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.desc.Cores - n.st.freeCores
+	return n.desc.Cores - n.st.freeCores, n.desc.MemoryMB - n.st.freeMemMB, n.desc.GPUs - n.st.freeGPUs
 }
 
 // Pool is a named collection of nodes; the runtime's view of the available

@@ -60,7 +60,7 @@ func scanMinLoad(fitting []*resources.Node) *resources.Node {
 	var best *resources.Node
 	var bestFrac float64
 	for _, n := range fitting {
-		f := float64(n.BusyCores()) / float64(n.Desc().Cores)
+		f := float64(busyCores(n)) / float64(n.Desc().Cores)
 		if best == nil || f < bestFrac || (f == bestFrac && n.Name() < best.Name()) {
 			best, bestFrac = n, f
 		}
@@ -446,4 +446,10 @@ func TestP2CDeterministicAndNeverDeclines(t *testing.T) {
 	if n := p.Choose(&TaskView{Constraints: c}, idx.Candidates(c, nil), nil); n != nil {
 		t.Fatalf("pick on a saturated pool returned %s, want nil", n.Name())
 	}
+}
+
+// busyCores returns n's reserved cores.
+func busyCores(n *resources.Node) int {
+	cores, _, _ := n.Reserved()
+	return cores
 }
