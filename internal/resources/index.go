@@ -409,6 +409,7 @@ func (x *Index) sigFor(sig string, c Constraints) *sigSet {
 			x.classes[i].join(r) // no signature yet: fitCounts are untouched
 		}
 	}
+	c.Software = slices.Clone(c.Software) // the signature keeps no caller's list
 	s := &sigSet{id: SigID(len(x.sets)), label: c.Signature(), c: c, cc: x.classes[i],
 		need: capState{freeCores: c.EffectiveCores(), freeMemMB: c.MemoryMB, freeGPUs: c.GPUs}}
 	s.cc.sigs = append(s.cc.sigs, s)

@@ -625,6 +625,22 @@ func TestSigInterning(t *testing.T) {
 	}
 }
 
+// TestSigKeepsNoCallerSoftwareList edits the Software list a signature
+// was first interned from: a node added afterwards with the listed
+// software must still join the signature's capability set.
+func TestSigKeepsNoCallerSoftwareList(t *testing.T) {
+	pool := NewPool()
+	desc := Description{Cores: 4, MemoryMB: 100, Software: []string{"blast"}}
+	_ = pool.Add(NewNode("a", desc))
+	sw := []string{"blast"}
+	si := pool.IndexFor(Constraints{Software: sw})
+	sw[0] = "other"
+	_ = pool.Add(NewNode("b", desc))
+	if n := si.Len(); n != 2 {
+		t.Fatalf("%s: %d capable nodes after adding a second one with the software, want 2", si.Label(), n)
+	}
+}
+
 // TestNotificationAllocatesNothing is the notification path's
 // deterministic cost gate: a Reserve and the matching Release, each
 // delivered to every capability class the node belongs to (and every
