@@ -124,7 +124,7 @@ vet:
 # harness guard's to police.
 FLAG_BUDGET := 21
 VERSION_MAP_BUDGET := 7
-LINE_BUDGET := 19769
+LINE_BUDGET := 19543
 ENGINE_FILE_BUDGET := 606
 NONTEST_GO := -name '*.go' ! -name '*_test.go'
 budget:
@@ -187,8 +187,10 @@ budget:
 		echo "submission paths besides AppendBatch and Engine.Add: 0"
 
 # staticcheck is optional locally; CI installs a pinned version. The
-# guard keeps `make lint` useful on machines without it.
+# guard keeps `make lint` useful on machines without it. gofmt gates
+# first: a file it would rewrite fails lint, as it fails CI's test job.
 lint: vet
+	test -z "$$(gofmt -l .)"
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck $(PKGS); \
 	else \

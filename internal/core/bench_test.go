@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 )
@@ -151,57 +152,29 @@ var raceEnabled bool
 // itself: the allocations of one Submit, and per task of a 256-request
 // SubmitAll (the ledger's live-dag batch). Every measured submission
 // updates one datum behind a producer whose body blocks until the end, so
-// no body runs while the count is taken and the count is the same on
-// every run. The ledger prices SubmitAll per task, but a Submit reaches it
-// only as a round-trip latency, so a Submit that grows an allocation — say
-// one whose variadic parameter list escapes to the heap — shows here first.
-// Before Submit became SubmitAll of one request, with the access lists and
-// the per-call lists reused, it read 8.007 and 0.0640.
+// no body runs while the count is taken. The count is every goroutine's,
+// so two kinds of the Go runtime's own allocations are kept out of it to
+// make it the same on every run, under load too: the collector is off in
+// each window (a cycle runs goroutines that allocate as the scheduler lets
+// them: the unique package's cleanup, a mark worker's sudog, the
+// scavenger's timer), and each figure is the least of three rounds on
+// fresh runtimes (a window in which the runtime starts an OS thread also
+// reads that thread's six allocations). The ledger prices SubmitAll per
+// task, but a Submit reaches it only as a round-trip latency, so a Submit
+// that grows an allocation — say one whose variadic parameter list escapes
+// to the heap — shows here first. Before Submit became SubmitAll of one
+// request, with the access lists and the per-call lists reused, it read
+// 8.007 and 0.0640; with a collection in the SubmitAll window, 0.0366.
 func TestSubmitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
 	}
 	const submits, batches, batch = 1024, 16, 256
-	const submitBudget, batchBudget = 7.01, 0.037 // this tree reads 7.007 and 0.0366
-	rt := New(Config{})
-	release := make(chan struct{})
-	defer rt.Shutdown()
-	defer close(release)
-	for _, def := range []TaskDef{
-		{Name: "block", Fn: func(_ context.Context, _ []any) ([]any, error) {
-			<-release
-			return []any{0}, nil
-		}},
-		{Name: "inc", Fn: func(_ context.Context, args []any) ([]any, error) {
-			v, _ := args[0].(int)
-			return []any{v + 1}, nil
-		}},
-	} {
-		if err := rt.Register(def); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h := rt.NewData()
-	if _, err := rt.Submit("block", Write(h)); err != nil {
-		t.Fatal(err)
-	}
-	reqs := make([]TaskReq, batch)
-	for i := range reqs {
-		reqs[i] = TaskReq{Name: "inc", Params: []Param{Update(h)}}
-	}
-	submit := func() {
-		if _, err := rt.Submit("inc", Update(h)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	submitAll := func() {
-		if _, err := rt.SubmitAll(reqs); err != nil {
-			t.Fatal(err)
-		}
-	}
+	const submitBudget, batchBudget = 7.01, 0.037 // this tree reads 7.007 and 0.0361
 	measure := func(n int, f func()) (allocs, bytes float64) {
 		var before, after runtime.MemStats
 		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		runtime.ReadMemStats(&before)
 		for i := 0; i < n; i++ {
 			f()
@@ -209,12 +182,59 @@ func TestSubmitAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
 	}
-	measure(submits/4, submit) // warm the runtime's and the engine's tables
-	measure(batches/4, submitAll)
-	a, b := measure(submits, submit)
-	perSubmit, perSubmitB := a/submits, b/submits
-	a, b = measure(batches, submitAll)
-	perTask, perTaskB := a/(batches*batch), b/(batches*batch)
+	round := func() (perSubmit, perSubmitB, perTask, perTaskB float64) {
+		rt := New(Config{})
+		release := make(chan struct{})
+		defer rt.Shutdown()
+		defer close(release)
+		for _, def := range []TaskDef{
+			{Name: "block", Fn: func(_ context.Context, _ []any) ([]any, error) {
+				<-release
+				return []any{0}, nil
+			}},
+			{Name: "inc", Fn: func(_ context.Context, args []any) ([]any, error) {
+				v, _ := args[0].(int)
+				return []any{v + 1}, nil
+			}},
+		} {
+			if err := rt.Register(def); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h := rt.NewData()
+		if _, err := rt.Submit("block", Write(h)); err != nil {
+			t.Fatal(err)
+		}
+		reqs := make([]TaskReq, batch)
+		for i := range reqs {
+			reqs[i] = TaskReq{Name: "inc", Params: []Param{Update(h)}}
+		}
+		submit := func() {
+			if _, err := rt.Submit("inc", Update(h)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		submitAll := func() {
+			if _, err := rt.SubmitAll(reqs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		measure(submits/4, submit) // warm the runtime's and the engine's tables
+		measure(batches/4, submitAll)
+		a, b := measure(submits, submit)
+		c, d := measure(batches, submitAll)
+		return a / submits, b / submits, c / (batches * batch), d / (batches * batch)
+	}
+	perSubmit, perSubmitB, perTask, perTaskB := round()
+	for range 2 {
+		s, sb, pt, ptb := round()
+		if s < perSubmit {
+			perSubmit, perSubmitB = s, sb
+		}
+		if pt < perTask {
+			perTask, perTaskB = pt, ptb
+		}
+	}
 	t.Logf("Submit: %.3f allocations, %.0f B per call; SubmitAll: %.4f allocations, %.1f B per task",
 		perSubmit, perSubmitB, perTask, perTaskB)
 	if perSubmit > submitBudget {

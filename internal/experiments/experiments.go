@@ -13,7 +13,6 @@ import (
 	"repro/internal/deps"
 	"repro/internal/engine/faults"
 	"repro/internal/infra"
-	"repro/internal/lineage"
 	"repro/internal/mlpredict"
 	"repro/internal/resources"
 	"repro/internal/sched"
@@ -346,37 +345,40 @@ func e8MLScheduler(runs, tasks int) (*Table, error) {
 
 // --- E9: store vs recompute ----------------------------------------------
 
-// e9StoreRecompute sweeps storage bandwidth over a pipeline lineage and
-// prices the three policies (paper Sec. VI-C).
+// e9StoreRecompute prices the paper's data-computing metrics: "the
+// data-computing metrics will be used to compute the trade-off between the
+// cost of storing data generated or re-computing them. While storing
+// results has been since now the followed approach, the project will
+// propose new unconventional strategies to reduce cost of storage and
+// optimize computing" (Sec. VI-C). It is an analytic model, not an engine
+// run: a chain of one source and depth intermediates of sizeMB each, each
+// computed from the one before in computeSec, whose last item is read
+// reuse times. Writing or reading an item costs its size over the storage
+// bandwidth, and the source is always stored. The three policies are
+// StoreAll (the classic approach: write every intermediate), RecomputeAll
+// (write none; each read recomputes the chain from the source) and
+// Adaptive (write an item iff writing it and reading it reuse times is
+// cheaper than recomputing it reuse times, given the choices upstream).
 func e9StoreRecompute(bandwidths []float64, depth int, sizeMB int64, computeSec float64, reuse int) (*Table, error) {
-	g := lineage.NewGraph()
-	var id lineage.ItemID = 1
-	// Source.
-	if err := g.Add(lineage.Item{ID: id, SizeBytes: sizeMB * 1e6}); err != nil {
-		return nil, err
-	}
-	for d := 0; d < depth; d++ {
-		id++
-		if err := g.Add(lineage.Item{
-			ID: id, SizeBytes: sizeMB * 1e6,
-			ComputeCost: time.Duration(computeSec * float64(time.Second)),
-			Inputs:      []lineage.ItemID{id - 1},
-		}); err != nil {
-			return nil, err
-		}
-	}
-	accesses := make([]lineage.ItemID, reuse)
-	for i := range accesses {
-		accesses[i] = id
-	}
+	compute := time.Duration(computeSec * float64(time.Second))
+	n, e := time.Duration(reuse), float64(reuse)
 	t := newTable("storage MB/s", "store-all", "recompute-all", "adaptive")
 	for _, bw := range bandwidths {
-		m := lineage.CostModel{StorageMBps: bw}
-		cost := func(p lineage.Policy) time.Duration {
-			return g.Evaluate(p, accesses, float64(reuse), m).TotalTime
+		io := time.Duration(float64(sizeMB*1e6) / (bw * 1e6) * float64(time.Second))
+		// Adaptive walks the chain with the cost of making the item at
+		// hand available: one read once it is written, otherwise the
+		// previous item's cost plus one compute.
+		written, avail := time.Duration(0), io
+		for d := 0; d < depth; d++ {
+			avail += compute
+			if io+time.Duration(e*float64(io)) < time.Duration(e*float64(avail)) {
+				written, avail = written+io, io
+			}
 		}
-		t.add(num("%.0f", bw), dur(time.Second, cost(lineage.StoreAll)),
-			dur(time.Second, cost(lineage.RecomputeAll)), dur(time.Second, cost(lineage.Adaptive)))
+		storeAll := time.Duration(depth)*io + n*io
+		recomputeAll := n * (time.Duration(depth)*compute + io)
+		t.add(num("%.0f", bw), dur(time.Second, storeAll),
+			dur(time.Second, recomputeAll), dur(time.Second, written+n*avail))
 	}
 	return t, nil
 }

@@ -156,6 +156,22 @@ func TestE9CrossoverExists(t *testing.T) {
 	}
 }
 
+// TestE9AdaptiveStoresPartOfTheChain pins a bandwidth where Adaptive writes
+// some intermediates and recomputes others, so that it beats both extremes
+// rather than matching one of them as it does on every published row.
+func TestE9AdaptiveStoresPartOfTheChain(t *testing.T) {
+	tab := run(t)(e9StoreRecompute([]float64{20}, 6, 1000, 5, 3))
+	for col, want := range map[string]string{"store-all": "7m30s", "recompute-all": "4m0s", "adaptive": "3m50s"} {
+		if got := tab.at("20", col).text; got != want {
+			t.Errorf("%s at 20 MB/s = %s, want %s", col, got, want)
+		}
+	}
+	a := tab.at("20", "adaptive").vals[0]
+	if best := min(tab.at("20", "store-all").vals[0], tab.at("20", "recompute-all").vals[0]); a >= best {
+		t.Fatalf("adaptive %v not below both extremes (best %v)", time.Duration(a), time.Duration(best))
+	}
+}
+
 func TestE10EnergyPolicySavesEnergy(t *testing.T) {
 	tab := run(t)(e10EnergyAware(64))
 	if energy, perf := tab.at("energy", "task energy"), tab.at("eft", "task energy"); energy.vals[0] >= perf.vals[0] {
