@@ -101,8 +101,8 @@ vet:
 # one-consumer guard — every package under internal/, compss/ and dislib/
 # with non-test files is imported by a non-test file outside examples/
 # (code only an example runs lives in that example), so no seed package
-# that nothing runs on, like the storage/hecuba, mpisim and steer that
-# used to sit in internal/, or the storage interface examples/steering
+# that nothing runs on, like the storage/hecuba, storage/dataclay, mpisim
+# and steer that used to sit in internal/, or the storage interface examples/steering
 # now keeps as a private map store, comes back. The exports guard above
 # carries the same rule down to single declarations. And the
 # one-placement-path grep — a policy picks once, through
@@ -124,7 +124,7 @@ vet:
 # harness guard's to police.
 FLAG_BUDGET := 21
 VERSION_MAP_BUDGET := 7
-LINE_BUDGET := 19543
+LINE_BUDGET := 19258
 ENGINE_FILE_BUDGET := 606
 NONTEST_GO := -name '*.go' ! -name '*_test.go'
 budget:

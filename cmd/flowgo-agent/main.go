@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/obsv"
-	"repro/internal/storage/dataclay"
 )
 
 func main() {
@@ -47,15 +46,11 @@ func run() error {
 	)
 	flag.Parse()
 
-	store := dataclay.NewStore()
-	agent.RegisterBlobClass(store)
-
 	cfg := agent.Config{
 		Name:     *name,
 		Cores:    *cores,
 		Addr:     *addr,
 		Registry: demoRegistry(),
-		Store:    store,
 	}
 	if *metricsAddr != "" {
 		cfg.Metrics = obsv.NewRegistry()

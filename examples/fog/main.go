@@ -1,8 +1,8 @@
 // Fog: the agent deployment of Figs. 5–6. Three agents start on loopback
 // HTTP: a 1-core fog "device" and two stronger peers. The device offloads
 // a batch of Monte-Carlo tasks; halfway through, one peer is killed, and
-// the persist-before-offload protocol recovers the lost work on the
-// surviving executors.
+// the device re-runs each lost request it still holds on the surviving
+// executors (there is no persist step).
 //
 //	go run ./examples/fog
 package main
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/agent"
-	"repro/internal/storage/dataclay"
 )
 
 func main() {
@@ -53,10 +52,6 @@ func registry() *agent.Registry {
 }
 
 func run() error {
-	// A shared dataClay store: task requests are persisted here before
-	// offloading, which is what makes peer loss survivable.
-	store := dataclay.NewStore()
-	agent.RegisterBlobClass(store)
 	reg := registry()
 
 	fragile, err := agent.New(agent.Config{Name: "fog-peer", Registry: reg, Cores: 2})
@@ -69,7 +64,7 @@ func run() error {
 		return err
 	}
 	defer cloud.Close()
-	device, err := agent.New(agent.Config{Name: "device", Registry: reg, Cores: 1, Store: store})
+	device, err := agent.New(agent.Config{Name: "device", Registry: reg, Cores: 1})
 	if err != nil {
 		return err
 	}

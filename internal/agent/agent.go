@@ -7,10 +7,10 @@
 //
 // Agents are plain net/http servers (the paper's Docker/Kubernetes
 // packaging is orthogonal). An agent executes tasks locally
-// on a bounded worker pool, can offload to peer agents over REST
-// (fog-to-fog, fog-to-cloud), and persists task arguments to a dataClay
-// store before offloading so that a peer's disappearance is survivable:
-// the task is simply resubmitted elsewhere (experiment E7).
+// on a bounded worker pool and can offload to peer agents over REST
+// (fog-to-fog, fog-to-cloud). A peer's disappearance is survivable: the
+// offloading call still holds the request and simply resubmits it
+// elsewhere (experiment E7); there is no persist step.
 package agent
 
 import (
@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/obsv"
-	"repro/internal/storage/dataclay"
 )
 
 // Errors returned by agent operations.
@@ -159,9 +158,6 @@ type Config struct {
 	Cores int
 	// Registry supplies the executable functions. Required.
 	Registry *Registry
-	// Store is the shared dataClay store for persist-before-offload.
-	// Optional: without it, offloaded work cannot be recovered.
-	Store *dataclay.Store
 	// Peers are base URLs of other agents (can be set later).
 	Peers []string
 	// Addr is the listen address (default "127.0.0.1:0").

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obsv"
-	"repro/internal/storage/dataclay"
 )
 
 // testRegistry registers square (x²) and slowEcho.
@@ -32,35 +31,6 @@ func testRegistry() *Registry {
 		return nil, errors.New("kaboom")
 	})
 	return reg
-}
-
-// blobStore is a store ready for persist-before-offload.
-func blobStore() *dataclay.Store {
-	store := dataclay.NewStore()
-	RegisterBlobClass(store)
-	return store
-}
-
-// persisted counts the request blobs still in store. The store names
-// objects <class>-<serial>, so a probe object's serial bounds the IDs
-// handed out so far, and each one still there fetches.
-func persisted(t *testing.T, store *dataclay.Store) int {
-	t.Helper()
-	probe, err := store.NewObject(taskBlobClass, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Delete(probe)
-	var serial, n int
-	if _, err := fmt.Sscanf(string(probe), taskBlobClass+"-%d", &serial); err != nil {
-		t.Fatalf("probe object %q: %v", probe, err)
-	}
-	for i := 1; i < serial; i++ {
-		if _, err := store.Fetch(dataclay.ObjectID(fmt.Sprintf("%s-%d", taskBlobClass, i))); err == nil {
-			n++
-		}
-	}
-	return n
 }
 
 // offload is what RunAnywhere does once it chose to offload.
@@ -222,8 +192,7 @@ func TestOffloadToLeastLoadedPeer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	store := blobStore()
-	origin := startAgent(t, Config{Name: "origin", Registry: reg, Store: store,
+	origin := startAgent(t, Config{Name: "origin", Registry: reg,
 		Peers: []string{peerA.URL(), peerB.URL()}})
 	res, err := offload(origin, "square", []json.RawMessage{arg(t, 5)})
 	if err != nil {
@@ -233,20 +202,16 @@ func TestOffloadToLeastLoadedPeer(t *testing.T) {
 	if err := json.Unmarshal(res, &got); err != nil || got != 25 {
 		t.Fatalf("offload result = %s", res)
 	}
-	if n := persisted(t, store); n != 0 {
-		t.Fatalf("%d persisted requests left after the offload resolved, want 0", n)
-	}
 }
 
 func TestOffloadRecoversFromPeerLoss(t *testing.T) {
-	store := blobStore()
 	reg := testRegistry()
 
 	dying := startAgent(t, Config{Name: "dying", Registry: reg, Cores: 1})
 	// The dying agent runs "slow" tasks; kill it while the offloaded task
 	// is in flight.
 	survivor := startAgent(t, Config{Name: "survivor", Registry: reg, Cores: 2})
-	origin := startAgent(t, Config{Name: "origin", Registry: reg, Store: store,
+	origin := startAgent(t, Config{Name: "origin", Registry: reg,
 		Peers: []string{dying.URL(), survivor.URL()}})
 
 	// Make "dying" the least loaded (survivor busy) so the offload goes
@@ -279,30 +244,22 @@ func TestOffloadRecoversFromPeerLoss(t *testing.T) {
 	if origin.Recoveries() == 0 {
 		t.Fatal("no recovery recorded despite peer loss")
 	}
-	if n := persisted(t, store); n != 0 {
-		t.Fatalf("%d persisted requests left after the offload resolved, want 0", n)
-	}
 }
 
 func TestOffloadDoesNotMaskTaskFailure(t *testing.T) {
 	reg := testRegistry()
 	peer := startAgent(t, Config{Name: "peer", Registry: reg})
-	store := blobStore()
-	origin := startAgent(t, Config{Name: "o", Registry: reg, Store: store, Peers: []string{peer.URL()}})
+	origin := startAgent(t, Config{Name: "o", Registry: reg, Peers: []string{peer.URL()}})
 	if _, err := offload(origin, "boom", nil); err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err = %v, want remote kaboom", err)
 	}
 	if origin.Recoveries() != 0 {
 		t.Fatal("task failure must not count as peer loss")
 	}
-	if n := persisted(t, store); n != 0 {
-		t.Fatalf("%d persisted requests left after a failed offload, want 0", n)
-	}
 }
 
 func TestOffloadWithoutPeersRunsLocally(t *testing.T) {
-	store := blobStore()
-	a := startAgent(t, Config{Store: store})
+	a := startAgent(t, Config{})
 	res, err := offload(a, "square", []json.RawMessage{arg(t, 4)})
 	if err != nil {
 		t.Fatal(err)
@@ -310,9 +267,6 @@ func TestOffloadWithoutPeersRunsLocally(t *testing.T) {
 	var got float64
 	if err := json.Unmarshal(res, &got); err != nil || got != 16 {
 		t.Fatalf("result = %s", res)
-	}
-	if n := persisted(t, store); n != 0 {
-		t.Fatalf("%d persisted requests left after the local run, want 0", n)
 	}
 }
 

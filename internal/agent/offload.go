@@ -4,59 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-
-	"repro/internal/storage/dataclay"
 )
-
-// taskBlobClass is the dataClay class used to persist offloaded task
-// requests (persist-before-offload, paper Sec. VI-B: "whenever a task is
-// submitted to a remote agent, the COMPSs runtime persists any
-// not-yet-persisted object passed in as a parameter of the task").
-const taskBlobClass = "agent.taskblob"
-
-// RegisterBlobClass registers the task-persistence class on a store. Safe
-// to call more than once.
-func RegisterBlobClass(store *dataclay.Store) {
-	store.RegisterClass(dataclay.Class{
-		Name:    taskBlobClass,
-		Methods: map[string]dataclay.Method{},
-		Size: func(state any) int64 {
-			raw, _ := state.([]byte) // anything else has no size: len(nil) is 0
-			return int64(len(raw))
-		},
-	})
-}
-
-// persistRequest stores the request payload and returns the object ID.
-func (a *Agent) persistRequest(req TaskRequest) (dataclay.ObjectID, error) {
-	if a.cfg.Store == nil {
-		return "", nil
-	}
-	raw, err := json.Marshal(req)
-	if err != nil {
-		return "", fmt.Errorf("persist request: %w", err)
-	}
-	return a.cfg.Store.NewObject(taskBlobClass, raw)
-}
-
-// forgetRequest deletes a persisted request once its offload resolved.
-func (a *Agent) forgetRequest(id dataclay.ObjectID) {
-	if a.cfg.Store != nil && id != "" {
-		_ = a.cfg.Store.Delete(id) // only an unknown ID fails, and id is ours
-	}
-}
-
-// recoverRequest reloads a persisted request; false when there is no store,
-// the request was not persisted, or the stored object does not decode.
-func (a *Agent) recoverRequest(id dataclay.ObjectID) (req TaskRequest, ok bool) {
-	if a.cfg.Store == nil || id == "" {
-		return req, false
-	}
-	state, err := a.cfg.Store.Fetch(id)
-	raw, isBytes := state.([]byte)
-	ok = err == nil && isBytes && json.Unmarshal(raw, &req) == nil
-	return req, ok
-}
 
 // RunLocal executes a function on this agent and blocks until the worker
 // signals its completion (or the agent closes).
@@ -100,27 +48,15 @@ func (a *Agent) rankPeers() []peer {
 	return a.client.rank(urls)
 }
 
-// offload runs a function on the first live peer of a ranking, persisting
-// the request first. If the chosen peer disappears mid-task, the request is
-// recovered from the store and resubmitted to the next peer (finally
-// falling back to local execution) — the recovery behaviour of E7. The
-// persisted request is deleted once the offload resolves, however it does.
+// offload runs a function on the first live peer of a ranking. If the
+// chosen peer disappears mid-task, the request this call holds is
+// resubmitted to the next peer (finally falling back to local execution)
+// — the recovery behaviour of E7. No second copy is kept: a fault that
+// loses the request loses this process, and any in-process copy with it.
 func (a *Agent) offload(peers []peer, name string, args []json.RawMessage) (json.RawMessage, error) {
-	req := TaskRequest{Name: name, Args: args}
-	blobID, err := a.persistRequest(req)
-	if err != nil {
-		return nil, err
-	}
-	defer a.forgetRequest(blobID)
 	res, err := failover(peers, func(url string) (json.RawMessage, error) {
 		a.met.offloads.Inc()
-		attempt := req
-		// Demonstrate true recovery: reload the request from the store
-		// (when it was persisted) rather than trusting in-memory state.
-		if rec, ok := a.recoverRequest(blobID); ok {
-			attempt = rec
-		}
-		res, err := a.client.Run(url, attempt.Name, attempt.Args)
+		res, err := a.client.Run(url, name, args)
 		if errors.Is(err, ErrPeerLost) {
 			a.recoveries.Add(1)
 		}

@@ -271,7 +271,7 @@ type Config struct {
 	// bytes and modelled transfer time. Optional.
 	Net *simnet.Network
 	// PersistNode, when non-empty, receives a replica of every output —
-	// the dataClay persistence tier that makes recovery cheap.
+	// the one dataClay-style persistence tier, which makes recovery cheap.
 	PersistNode string
 	// Tracer, when set, receives TaskStarted / TaskCompleted /
 	// TaskFailed / DataTransfer / DataPersisted events.

@@ -43,7 +43,7 @@ var All = []Experiment{
 		return e4StorageLocality(4, 16, 200, []sched.Policy{sched.Locality{}, sched.EFT{}, sched.FIFO{}})
 	}},
 	{"e5", "E5 — dataClay in-store execution (paper: minimizes the number of data transfers)", func() (*Table, error) {
-		return e5MethodShipping(64, 20)
+		return e5MethodShipping(20, 64e6, 16)
 	}},
 	{"e6", "E6 — fog-to-cloud offloading over REST agents (Fig. 5/6)", func() (*Table, error) {
 		return e6FogOffload(24, 3, 20*time.Millisecond)

@@ -12,77 +12,64 @@ import (
 	"repro/dislib"
 	"repro/internal/agent"
 	"repro/internal/core"
+	"repro/internal/deps"
 	"repro/internal/engine"
 	"repro/internal/infra"
 	"repro/internal/resources"
 	"repro/internal/sched"
-	"repro/internal/storage/dataclay"
 	"repro/internal/workloads"
 )
 
 // --- E5: dataClay method shipping ----------------------------------------
 
-// e5MethodShipping stores an objectMB vector and runs ops aggregations
-// in the store and by fetch-then-compute ("executed within the object
-// store transparently … minimizes the number of data transfers", paper
-// Sec. VI-A-1), comparing the bytes each moves.
-func e5MethodShipping(objectMB int64, ops int) (*Table, error) {
-	sum := func(state any) (float64, error) {
-		v, ok := state.([]float64)
-		if !ok {
-			return 0, fmt.Errorf("vector state is %T", state)
-		}
-		s := 0.0
-		for _, x := range v {
-			s += x
-		}
-		return s, nil
+// e5MethodShipping stages one object of each size on a store node and
+// runs ops tasks that read it and write a 16-byte result, which a caller
+// task on an app node then reads: method shipping pins the readers to
+// the store ("executed within the object store transparently …
+// minimizes the number of data transfers", paper Sec. VI-A-1),
+// fetch-then-compute pins them to the app node. Bytes moved are the
+// transfer books' (Result.BytesMoved). An object no larger than its
+// result is where the claim vanishes.
+func e5MethodShipping(ops int, sizes ...int64) (*Table, error) {
+	const object, result = deps.DataID(1), int64(16)
+	node := func(sw string) resources.Description {
+		d := resources.CloudVM
+		d.Software = []string{sw}
+		return d
 	}
-	store := dataclay.NewStore()
-	store.RegisterClass(dataclay.Class{
-		Name: "vector",
-		Methods: map[string]dataclay.Method{
-			"sum": func(state, _ any) (any, any, error) {
-				s, err := sum(state)
-				return state, s, err
-			},
-		},
-		Size: func(state any) int64 {
-			v, _ := state.([]float64)
-			return int64(8 * len(v))
-		},
-	})
-	vec := make([]float64, objectMB*1e6/8)
-	for i := range vec {
-		vec[i] = 1
-	}
-	id, err := store.NewObject("vector", vec)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < ops; i++ {
-		if _, err := store.Call(id, "sum", nil, 16); err != nil {
-			return nil, err
+	moved := func(size int64, at string) (int64, error) {
+		var specs []infra.TaskSpec
+		var caller []deps.Access
+		for i := 0; i < ops; i++ {
+			out := object + 1 + deps.DataID(i)
+			specs = append(specs, infra.TaskSpec{
+				ID: int64(i), Class: "vector.sum", Duration: time.Second,
+				Constraints: resources.Constraints{Software: []string{at}},
+				Accesses:    []deps.Access{{Data: object, Dir: deps.In}, {Data: out, Dir: deps.Out}},
+				OutputBytes: map[deps.DataID]int64{out: result},
+			})
+			caller = append(caller, deps.Access{Data: out, Dir: deps.In})
 		}
+		specs = append(specs, infra.TaskSpec{ID: int64(ops), Class: "caller", Duration: time.Second,
+			Constraints: resources.Constraints{Software: []string{"app"}}, Accesses: caller})
+		c := rig(sched.MinLoad{}, group{"store%d", 1, node("store")}, group{"app%d", 1, node("app")})
+		c.StageIn = map[deps.DataID]int64{object: size}
+		c.StageInNodes = map[deps.DataID][]string{object: {"store0"}}
+		res, err := mustRun(c, specs)
+		return res.BytesMoved, err
 	}
-	for i := 0; i < ops; i++ {
-		state, err := store.Fetch(id)
-		if err == nil {
-			_, err = sum(state)
-		}
+	t := newTable("object", "method shipping", "fetch-then-compute", "ratio")
+	for _, size := range sizes {
+		shipped, err := moved(size, "store")
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("E5 %d B shipped: %w", size, err)
 		}
+		fetched, err := moved(size, "app")
+		if err != nil {
+			return nil, fmt.Errorf("E5 %d B fetched: %w", size, err)
+		}
+		t.add(num("%d B", size), num("%d", shipped), num("%d", fetched), num("%gx", float64(fetched)/float64(shipped)))
 	}
-	shipped, fetched := store.Stats().BytesShipped, store.Stats().BytesFetched
-	ratio := 0.0
-	if shipped > 0 {
-		ratio = float64(fetched) / float64(shipped)
-	}
-	t := newTable("access style", "bytes moved")
-	t.add(text("method shipping"), num("%d", shipped))
-	t.add(text("fetch-then-compute"), num("%d", fetched))
-	t.add(text("ratio"), num("%.0fx", ratio))
 	return t, nil
 }
 

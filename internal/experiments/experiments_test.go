@@ -86,10 +86,17 @@ func TestE4LocalityMovesLessData(t *testing.T) {
 }
 
 func TestE5MethodShippingSavesTransfers(t *testing.T) {
-	tab := run(t)(e5MethodShipping(8, 10))
-	if r := tab.at("ratio", "bytes moved").vals[0]; r < 100 {
-		t.Fatalf("fetch/shipping ratio = %.1f, want ≥ 100 (shipped=%s fetched=%s)", r,
-			tab.at("method shipping", "bytes moved").text, tab.at("fetch-then-compute", "bytes moved").text)
+	tab := run(t)(e5MethodShipping(10, 8e6, 16))
+	big, small := tab.at("8000000 B", "ratio"), tab.at("16 B", "ratio")
+	if r := big.vals[0]; r < 100 {
+		t.Fatalf("fetch/shipping ratio at 8 MB = %.1f, want ≥ 100 (shipped=%s fetched=%s)", r,
+			tab.at("8000000 B", "method shipping").text, tab.at("8000000 B", "fetch-then-compute").text)
+	}
+	// An object no larger than its result: shipping the method moves the
+	// results instead, so fetching the object must move no more.
+	if r := small.vals[0]; r > 1 {
+		t.Fatalf("fetch/shipping ratio at 16 B = %.2f, want ≤ 1 (shipped=%s fetched=%s)", r,
+			tab.at("16 B", "method shipping").text, tab.at("16 B", "fetch-then-compute").text)
 	}
 }
 

@@ -109,9 +109,10 @@ type Config struct {
 	StageIn      map[deps.DataID]int64
 	StageInNodes map[deps.DataID][]string
 	// PersistNode, when non-empty, receives a replica of every task
-	// output — the dataClay persistence that makes recovery cheap
-	// ("whenever a task is submitted to a remote agent, the COMPSs
-	// runtime persists any not-yet-persisted object", Sec. VI-B).
+	// output — the repo's one dataClay-style persistence tier, which
+	// makes recovery cheap ("whenever a task is submitted to a remote
+	// agent, the COMPSs runtime persists any not-yet-persisted object",
+	// Sec. VI-B).
 	PersistNode string
 	// DisableRenaming turns off data-version renaming in the access
 	// processor, so WAR/WAW false dependencies serialise the graph

@@ -49,7 +49,7 @@ func TestConfigBudget(t *testing.T) {
 		{"host.Config", host.Config{}, 22},
 		{"host.Backend", host.Backend{}, 5},
 		{"engine.Config", engine.Config{}, 12},
-		{"agent.Config", agent.Config{}, 8},
+		{"agent.Config", agent.Config{}, 7},
 		{"checkpoint.Config", checkpoint.Config{}, 4},
 	} {
 		n := reflect.TypeOf(b.cfg).NumField()
