@@ -150,7 +150,7 @@ func (e *Engine) actionableMissesLocked(plan transfer.Plan) []deps.Version {
 // policy then takes over).
 func (e *Engine) feedablePickLocked(t *Task, fitting []*resources.Node, tried *resources.Node) (*resources.Node, transfer.Plan, bool) {
 	feedable := resources.ListCandidates(fitting).Filter(func(n *resources.Node) bool {
-		return n != tried && len(e.actionableMissesLocked(e.mgr.PlanFetch(n.Name(), t.InputKeys))) == 0
+		return n != tried && len(e.actionableMissesLocked(e.mgr.PlanInto(nil, n.Name(), t.InputKeys))) == 0
 	})
 	if len(feedable.Nodes()) == 0 {
 		return nil, transfer.Plan{}, false
@@ -159,7 +159,7 @@ func (e *Engine) feedablePickLocked(t *Task, fitting []*resources.Node, tried *r
 	if primary == nil {
 		return nil, transfer.Plan{}, false
 	}
-	return primary, e.mgr.PlanFetch(primary.Name(), t.InputKeys), true
+	return primary, e.mgr.PlanInto(nil, primary.Name(), t.InputKeys), true
 }
 
 // feedableCapableLocked reports whether any node that could ever run t
@@ -177,7 +177,7 @@ func (e *Engine) feedableCapableLocked(t *Task) bool {
 		if need := t.availNeed(); need != "" && e.cfg.Net != nil && !e.cfg.Net.Reachable(n.Name(), need) {
 			continue
 		}
-		if len(e.actionableMissesLocked(e.mgr.PlanFetch(n.Name(), t.InputKeys))) == 0 {
+		if len(e.actionableMissesLocked(e.mgr.PlanInto(nil, n.Name(), t.InputKeys))) == 0 {
 			return true
 		}
 	}

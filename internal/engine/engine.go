@@ -401,11 +401,12 @@ type Engine struct {
 	failed       int                 // completions with failed set, also counted in stats.Completed
 	met          *obsv.EngineMetrics // instruments for what only the metrics record
 	view         sched.TaskView      // scratch view (guarded by mu; never retained)
-	// Scratch candidate buffers for the wave hot path (guarded by mu;
-	// never escape a placement attempt — Placement.Peers is always a
-	// fresh allocation); fitScratch is placeLocked's Candidates buffer.
-	fitScratch []*resources.Node
-	capScratch []*resources.Node
+	// Scratch buffers for the wave hot path (guarded by mu; never escape a
+	// placement attempt — Placement.Peers is always a fresh allocation):
+	// placeLocked's Candidates list and its primary's fetch plan.
+	fitScratch  []*resources.Node
+	capScratch  []*resources.Node
+	planScratch []transfer.Move
 	// Registration scratch: the producer→dependent edges one Add call
 	// resolved, in registration order, and how many of them land on a
 	// producer that has no dependents yet — the size of the array

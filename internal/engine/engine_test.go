@@ -439,3 +439,43 @@ func TestFailNodeHammer(t *testing.T) {
 		}
 	}
 }
+
+// lastExec keeps the latest placement, so a steady state drives the
+// engine without an executor queue of its own to grow.
+type lastExec struct{ p engine.Placement }
+
+func (x *lastExec) Launch(p engine.Placement) { x.p = p }
+
+// TestWarmPlacementStagesWithoutAllocating is the engine's plan-then-Apply
+// on a warm registry: each placement fetches its task's input from a
+// holder outside the pool, so it plans one move and Apply gives the
+// version a second holder. The plan goes into the engine's moves buffer
+// and the new holder list is carved from the registry's names slab, so a
+// completion and the placement it frees allocate nothing.
+func TestWarmPlacementStagesWithoutAllocating(t *testing.T) {
+	const tasks, runs = 64, 40
+	reg, exec := transfer.NewRegistry(), &lastExec{}
+	e := engine.New(engine.Config{
+		Pool: pool(1, 1), Policy: sched.FIFO{}, Clock: &stubClock{}, Executor: exec,
+		Registry: reg, Net: simnet.New(simnet.Link{BandwidthMBps: 1000}),
+	})
+	for id := int64(1); id <= tasks; id++ {
+		v := deps.Version{Data: deps.DataID(id), Ver: 1}
+		reg.SetSize(v, 1e6)
+		reg.AddReplica(v, "store")
+		engine.AddOne(e, &engine.Task{ID: id, InputKeys: []deps.Version{v}}, nil, 0)
+	}
+	e.Schedule()
+	if allocs := testing.AllocsPerRun(runs, func() {
+		e.Complete(exec.p.Task.ID, exec.p.Epoch, false)
+		e.Schedule()
+	}); allocs != 0 {
+		t.Fatalf("a completion and a staging placement allocated %v times, want 0", allocs)
+	}
+	if s := e.Stats(); s.Transfers != runs+2 {
+		t.Fatalf("%d transfers, want one per placement (%d)", s.Transfers, runs+2)
+	}
+	if _, holders := reg.Row(deps.Version{Data: runs + 2, Ver: 1}); !slices.Equal(holders, []string{"a", "store"}) {
+		t.Fatalf("the last staged input is held by %v, want [a store]", holders)
+	}
+}

@@ -85,7 +85,8 @@ func (e *Engine) placeLocked(t *Task) (Placement, placeOutcome) {
 	// (observably) absent.
 	var plan transfer.Plan
 	if e.mgr != nil {
-		plan = e.mgr.PlanFetch(primary.Name(), t.InputKeys)
+		plan = e.mgr.PlanInto(e.planScratch, primary.Name(), t.InputKeys) // the re-offer plans into its own
+		e.planScratch = plan.Moves[:0]
 		if actionable := e.actionableMissesLocked(plan); len(actionable) > 0 && e.cfg.Availability != AvailRunAnyway {
 			// The chosen primary cannot be fed, but another fitting node
 			// may well be — the replica's own node, or one on the right

@@ -22,6 +22,9 @@
 // in datum order, so a catalog dump is in key order without a sort.
 // Restore enters a snapshot's catalog a row at a time through Seed: one
 // lock and, for a clean row, no copy.
+// Holder lists are carved from slabs of names too; a slab lives while any
+// list carved from it does, so freeing dead rows frees a slab only once no
+// row holds a list carved from it.
 package transfer
 
 import (
@@ -38,8 +41,9 @@ import (
 // row is one data version's catalog row. holders is name-sorted and
 // copy-on-write: a writer installs a new list and never edits a published
 // one, so readers keep the list they were handed after the lock is gone.
-// A row with no size and no holder stays in its column but is not in the
-// catalog.
+// A first holder gets its node's shared sole list, every later list is a
+// carving no other row shares. A row with no size and no holder stays in
+// its column but is not in the catalog.
 type row struct {
 	ver     int
 	size    int64
@@ -77,9 +81,11 @@ type Registry struct {
 	// unsorted is set when a datum arrives after a greater one; the next
 	// ordered walk sorts cols and renumbers the index.
 	unsorted bool
-	slab     []row   // the uncarved tail of the current slab
-	slabN    int     // the current slab's size
-	log      []Entry // each write's row as it left it, since the last StartLog or SwapLog; nil before the first
+	slab     []row    // the uncarved tail of the current row slab
+	slabN    int      // the current row slab's size
+	names    []string // the uncarved tail of the current holder-list slab
+	namesN   int      // the current holder-list slab's size
+	log      []Entry  // each write's row as it left it, since the last StartLog or SwapLog; nil before the first
 	// sole holds one published one-element list per node, shared by every
 	// row that node alone holds: lists are never edited, so a version's
 	// first replica — most versions' only one — allocates nothing.
@@ -91,15 +97,16 @@ func NewRegistry() *Registry {
 	return &Registry{index: make(map[deps.DataID]int32), sole: make(map[string][]string)}
 }
 
-// carve hands out n rows from the current slab, starting a new one when
-// its tail is too short. Slabs start at 256 rows and double up to 16384.
-func (r *Registry) carve(n int) []row {
-	if len(r.slab) < n {
-		r.slabN = min(max(2*r.slabN, 256), 1<<14)
-		r.slab = make([]row, max(n, r.slabN))
+// carve hands out n elements of *tail, the uncarved rest of a slab of
+// *size, starting a new slab when the tail is too short. Slabs start at
+// 256 elements and double up to 16384.
+func carve[T any](tail *[]T, size *int, n int) []T {
+	if len(*tail) < n {
+		*size = min(max(2**size, 256), 1<<14)
+		*tail = make([]T, max(n, *size))
 	}
-	s := r.slab[:n:n]
-	r.slab = r.slab[n:]
+	s := (*tail)[:n:n]
+	*tail = (*tail)[n:]
 	return s
 }
 
@@ -125,7 +132,7 @@ func (r *Registry) slot(k deps.Version) *row {
 			r.unsorted = true
 		}
 		r.index[k.Data] = int32(len(r.cols))
-		rows := r.carve(1)
+		rows := carve(&r.slab, &r.slabN, 1)
 		rows[0].ver = k.Ver
 		r.cols = append(r.cols, column{data: k.Data, lo: k.Ver, rows: rows})
 		return &rows[0]
@@ -137,7 +144,7 @@ func (r *Registry) slot(k deps.Version) *row {
 	}
 	n := len(c.rows)
 	if n == cap(c.rows) {
-		moved := r.carve(2 * n)[:n]
+		moved := carve(&r.slab, &r.slabN, 2*n)[:n]
 		copy(moved, c.rows)
 		clear(c.rows) // the old carving keeps no holder list alive
 		c.rows = moved
@@ -219,8 +226,8 @@ func (r *Registry) AddReplica(k deps.Version, node string) {
 			r.sole[node] = rw.holders
 		}
 	default:
-		// Clipped, so Insert cannot fit the name into the published list.
-		rw.holders = slices.Insert(slices.Clip(rw.holders), at, node)
+		h := carve(&r.names, &r.namesN, len(rw.holders)+1)[:0] // appends within the carving
+		rw.holders = append(append(append(h, rw.holders[:at]...), node), rw.holders[at:]...)
 	}
 	r.logLocked(k, rw)
 }
@@ -247,10 +254,10 @@ func (r *Registry) Seed(k deps.Version, size int64, holders []string) {
 	case len(rw.holders) == 0 && strictlySorted(holders):
 		rw.holders = holders
 	default:
-		merged := make([]string, 0, len(rw.holders)+len(holders))
+		merged := carve(&r.names, &r.namesN, len(rw.holders)+len(holders))[:0]
 		merged = append(append(merged, rw.holders...), holders...)
 		slices.Sort(merged)
-		rw.holders = slices.Compact(merged)
+		rw.holders = slices.Clip(slices.Compact(merged))
 	}
 	r.logLocked(k, rw)
 }
@@ -286,7 +293,8 @@ func (r *Registry) DropNode(node string) []deps.Version {
 				rw.holders = nil
 				lost = append(lost, k)
 			} else {
-				rw.holders = slices.Delete(slices.Clone(rw.holders), at, at+1)
+				h := carve(&r.names, &r.namesN, len(rw.holders)-1)[:0]
+				rw.holders = append(append(h, rw.holders[:at]...), rw.holders[at+1:]...)
 			}
 			r.logLocked(k, rw)
 		}
@@ -382,16 +390,18 @@ func (r *Registry) SwapLog(spare []Entry) []Entry {
 // layout, or nil: the index and the columns map one to one, in datum
 // order unless a datum arrived out of order since the last ordered walk;
 // every column is non-empty, strictly sorted by version and starts at its
-// lo; every holder list is strictly sorted; and the checkpoint log's
-// newest entry for each key it names is that key's row now — a write that
-// logs nothing, or logs before it is done, breaks it. The engine's step
-// checks call it.
+// lo; every holder list is strictly sorted, and no two rows' lists of two
+// or more holders overlap (a carve that keeps its slab's tail would); and
+// the checkpoint log's newest entry for each key it names is that key's
+// row now — a write that logs nothing, or logs before it is done, breaks
+// it. The engine's step checks call it.
 func (r *Registry) CheckLayout() error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.index) != len(r.cols) {
 		return fmt.Errorf("index holds %d data, %d columns", len(r.index), len(r.cols))
 	}
+	carved := make(map[*string]deps.Version) // the row of each name in a list of two or more
 	for ci, c := range r.cols {
 		if at, ok := r.index[c.data]; !ok || int(at) != ci {
 			return fmt.Errorf("datum %d sits in column %d, the index says %d (%v)", c.data, ci, at, ok)
@@ -409,6 +419,12 @@ func (r *Registry) CheckLayout() error {
 			}
 			if !strictlySorted(rw.holders) {
 				return fmt.Errorf("%v: holder list %v not strictly sorted", k, rw.holders)
+			}
+			for j := 0; j < len(rw.holders) && len(rw.holders) > 1; j++ { // sole lists are shared
+				if other, dup := carved[&rw.holders[j]]; dup {
+					return fmt.Errorf("%v: holder list %v overlaps %v's", k, rw.holders, other)
+				}
+				carved[&rw.holders[j]] = k
 			}
 		}
 	}
@@ -466,14 +482,16 @@ func NewManager(net *simnet.Network, reg *Registry) *Manager {
 	return &Manager{net: net, reg: reg}
 }
 
-// PlanFetch computes the transfers needed so dest holds every key, choosing
-// the fastest source for each (replicas already local cost nothing). Keys
-// that cannot be materialised are classified rather than planned: no
+// PlanInto computes the transfers needed so dest holds every key, choosing
+// the fastest source for each (replicas already local cost nothing). Its
+// Moves are appended to buf[:0], so plan into buf again only once the plan
+// is done with; a nil buf costs one allocation when anything moves.
+// Keys that cannot be materialised are classified rather than planned: no
 // replica anywhere → MissingKeys (lost; only re-execution can bring the
 // data back), replicas present but every one behind a cut link →
 // UnreachableKeys (partitioned; a heal makes them plannable again).
-func (m *Manager) PlanFetch(dest string, keys []deps.Version) Plan {
-	var p Plan
+func (m *Manager) PlanInto(buf []Move, dest string, keys []deps.Version) Plan {
+	p := Plan{Moves: buf[:0]}
 	for i, k := range keys {
 		size, holders := m.reg.Row(k)
 		if len(holders) == 0 {
@@ -491,7 +509,7 @@ func (m *Manager) PlanFetch(dest string, keys []deps.Version) Plan {
 		p.Time += t
 		p.Bytes += size
 		if p.Moves == nil {
-			p.Moves = make([]Move, 0, len(keys)-i) // the plan's one allocation
+			p.Moves = make([]Move, 0, len(keys)-i)
 		}
 		p.Moves = append(p.Moves, Move{Key: k, From: src, To: dest, Size: size})
 	}

@@ -78,7 +78,7 @@ func TestPlanFetchSkipsLocalReplicas(t *testing.T) {
 	k := key(1, 1)
 	reg.SetSize(k, 1e6)
 	reg.AddReplica(k, "dest")
-	p := m.PlanFetch("dest", []deps.Version{k})
+	p := m.PlanInto(nil, "dest", []deps.Version{k})
 	if p.Bytes != 0 || p.Time != 0 || len(p.Moves) != 0 {
 		t.Fatalf("local fetch planned moves: %+v", p)
 	}
@@ -95,7 +95,7 @@ func TestPlanFetchChoosesFastestSource(t *testing.T) {
 	reg.SetSize(k, 1e6)
 	reg.AddReplica(k, "slow")
 	reg.AddReplica(k, "fast")
-	p := m.PlanFetch("dest", []deps.Version{k})
+	p := m.PlanInto(nil, "dest", []deps.Version{k})
 	if len(p.Moves) != 1 || p.Moves[0].From != "fast" {
 		t.Fatalf("moves = %+v, want fetch from fast", p.Moves)
 	}
@@ -115,7 +115,7 @@ func TestPlanFetchAccumulates(t *testing.T) {
 	reg.SetSize(k2, 200e6) // 2 s
 	reg.AddReplica(k1, "src")
 	reg.AddReplica(k2, "src")
-	p := m.PlanFetch("dest", []deps.Version{k1, k2})
+	p := m.PlanInto(nil, "dest", []deps.Version{k1, k2})
 	if p.Time != 3*time.Second {
 		t.Fatalf("serialized transfer time = %v, want 3s", p.Time)
 	}
@@ -127,7 +127,7 @@ func TestPlanFetchAccumulates(t *testing.T) {
 func TestPlanFetchReportsMissing(t *testing.T) {
 	m, _ := newManager()
 	k := key(9, 1)
-	p := m.PlanFetch("dest", []deps.Version{k})
+	p := m.PlanInto(nil, "dest", []deps.Version{k})
 	if len(p.MissingKeys) != 1 || p.MissingKeys[0] != k {
 		t.Fatalf("missing = %v, want [%v]", p.MissingKeys, k)
 	}
@@ -139,7 +139,7 @@ func TestPlanFetchClassifiesUnreachable(t *testing.T) {
 	reg.SetSize(k, 10)
 	reg.AddReplica(k, "src")
 	m.net.Cut("src", "dest")
-	p := m.PlanFetch("dest", []deps.Version{k})
+	p := m.PlanInto(nil, "dest", []deps.Version{k})
 	if len(p.MissingKeys) != 0 {
 		t.Fatalf("missing = %v, want none (replica exists, just cut off)", p.MissingKeys)
 	}
@@ -147,7 +147,7 @@ func TestPlanFetchClassifiesUnreachable(t *testing.T) {
 		t.Fatalf("unreachable = %v, want [%v]", p.UnreachableKeys, k)
 	}
 	m.net.Heal("src", "dest")
-	if p := m.PlanFetch("dest", []deps.Version{k}); len(p.Moves) != 1 {
+	if p := m.PlanInto(nil, "dest", []deps.Version{k}); len(p.Moves) != 1 {
 		t.Fatalf("after heal: moves = %v, want one fetch", p.Moves)
 	}
 }
@@ -157,13 +157,13 @@ func TestApplyRecordsNewReplicas(t *testing.T) {
 	k := key(1, 1)
 	reg.SetSize(k, 10)
 	reg.AddReplica(k, "src")
-	p := m.PlanFetch("dest", []deps.Version{k})
+	p := m.PlanInto(nil, "dest", []deps.Version{k})
 	m.Apply(p)
 	if !slices.Contains(reg.Where(k), "dest") {
 		t.Fatal("Apply did not record replica at dest")
 	}
 	// Second fetch is now free.
-	p2 := m.PlanFetch("dest", []deps.Version{k})
+	p2 := m.PlanInto(nil, "dest", []deps.Version{k})
 	if p2.Bytes != 0 {
 		t.Fatal("second fetch should be local")
 	}
@@ -375,7 +375,9 @@ func TestStencilStreamAllocatesPerSlab(t *testing.T) {
 
 // TestHolderListsAreNeverEditedInPlace races readers that keep the lists
 // Row hands them against writers on the same keys (run it under -race): a
-// list seen once must still read the same after any number of writes.
+// list seen once must still read the same after any number of writes,
+// and the writers carve past the names slab's first rollover, so readers
+// hold lists of more than one slab.
 func TestHolderListsAreNeverEditedInPlace(t *testing.T) {
 	r := NewRegistry()
 	r.StartLog() // open the log, so SwapLog hands lists out
@@ -422,6 +424,12 @@ func TestHolderListsAreNeverEditedInPlace(t *testing.T) {
 		}(int64(100 + rd))
 	}
 	wg.Wait()
+	if r.namesN < 512 {
+		t.Fatalf("the writers carved from one %d-name slab, want a rollover to the next", r.namesN)
+	}
+	if err := r.CheckLayout(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // Seed keeps a row sorted and duplicate-free whatever list it is handed,
@@ -480,7 +488,8 @@ func TestLogStartsAtFirstBase(t *testing.T) {
 
 // TestPlanFetchAllocatesOnlyItsMoves is the planner's deterministic cost
 // gate: one row read per key and no copy of the holder list, so a
-// non-empty plan costs its Moves slice and nothing else.
+// non-empty plan into no buffer costs its Moves array and nothing else,
+// and a plan into a warm buffer costs nothing.
 func TestPlanFetchAllocatesOnlyItsMoves(t *testing.T) {
 	m, reg := newManager()
 	keys := []deps.Version{key(1, 1), key(2, 1), key(3, 1)}
@@ -491,11 +500,59 @@ func TestPlanFetchAllocatesOnlyItsMoves(t *testing.T) {
 	}
 	reg.AddReplica(keys[1], "dst")
 	var p Plan
-	allocs := testing.AllocsPerRun(200, func() { p = m.PlanFetch("dst", keys) })
+	allocs := testing.AllocsPerRun(200, func() { p = m.PlanInto(nil, "dst", keys) })
 	if len(p.Moves) != 2 || p.Moves[0].From != "src-a" || p.Bytes != 4e6 {
 		t.Fatalf("plan = %+v, want two moves from src-a totalling 4 MB", p)
 	}
 	if allocs > 1 {
-		t.Fatalf("PlanFetch allocated %v times for a two-move plan, want at most 1", allocs)
+		t.Fatalf("PlanInto(nil) allocated %v times for a two-move plan, want at most 1", allocs)
+	}
+	buf := p.Moves
+	if allocs := testing.AllocsPerRun(200, func() { p = m.PlanInto(buf, "dst", keys) }); allocs != 0 || &p.Moves[0] != &buf[0] {
+		t.Fatalf("a plan into a warm buffer allocated %v times (moves in the buffer: %v), want 0 and true", allocs, &p.Moves[0] == &buf[0])
+	}
+}
+
+// TestWarmReplicaWritesAllocateNothing is the steady state of staging:
+// while the holder-list slab has room, a version's second and later
+// replicas and the engine's plan-then-Apply of a fetch into a warm buffer
+// allocate nothing — every list they install is carved from the slab, so
+// what is left is one new slab per 256 names or more.
+func TestWarmReplicaWritesAllocateNothing(t *testing.T) {
+	const runs = 40 // each writes 5 names; runs+1 of them fit the first slab
+	m, reg := newManager()
+	keys := make([]deps.Version, 3*(runs+1))
+	for i := range keys {
+		keys[i] = key(i+1, 1)
+		reg.SetSize(keys[i], 1e6)
+		reg.AddReplica(keys[i], "a") // the shared sole list
+	}
+	reg.AddReplica(keys[0], "z") // starts the names slab
+	next := 1
+	if allocs := testing.AllocsPerRun(runs, func() {
+		reg.AddReplica(keys[next], "b")
+		reg.AddReplica(keys[next], "c")
+		next++
+	}); allocs != 0 {
+		t.Fatalf("a second and a third AddReplica allocated %v times, want 0", allocs)
+	}
+
+	m, reg = newManager()
+	for i := range keys {
+		reg.SetSize(keys[i], 1e6)
+		reg.AddReplica(keys[i], "a")
+	}
+	reg.AddReplica(keys[0], "z")
+	var buf []Move
+	next = 0
+	if allocs := testing.AllocsPerRun(runs/2, func() { // each moves 3 keys: 6 names
+		p := m.PlanInto(buf, "d", keys[next:next+3])
+		m.Apply(p)
+		buf, next = p.Moves[:0], next+3
+	}); allocs != 0 || cap(buf) != 3 {
+		t.Fatalf("plan-then-Apply on a warm registry allocated %v times (buffer of %d moves), want 0", allocs, cap(buf))
+	}
+	if err := reg.CheckLayout(); err != nil {
+		t.Fatal(err)
 	}
 }
