@@ -180,7 +180,7 @@ func (e *Engine) Partition(a, b string) error {
 // Heal restores a link previously cut by Partition, then re-validates the
 // availability picture: tasks parked on versions whose replicas are
 // reachable again are woken and a placement wave runs, so mid-queue work
-// re-plans its staging (transfer.PlanFetch / simnet.BestSource now see
+// re-plans its staging (Manager.PlanInto / simnet.BestSource now see
 // the healed link) instead of waiting for the next completion.
 func (e *Engine) Heal(a, b string) error {
 	if e.cfg.Net == nil {

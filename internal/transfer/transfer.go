@@ -41,9 +41,9 @@ import (
 // row is one data version's catalog row. holders is name-sorted and
 // copy-on-write: a writer installs a new list and never edits a published
 // one, so readers keep the list they were handed after the lock is gone.
-// A first holder gets its node's shared sole list, every later list is a
-// carving no other row shares. A row with no size and no holder stays in
-// its column but is not in the catalog.
+// A first holder gets its node's shared sole list and a later list is a
+// carving no other row shares (Seed may keep its caller's). A row with no
+// size and no holder stays in its column but is not in the catalog.
 type row struct {
 	ver     int
 	size    int64
